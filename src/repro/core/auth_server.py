@@ -7,9 +7,11 @@ The server exposes one or more zones over MoQT (§4.1/§4.2 of the paper):
   the current answer for that question, encapsulated per Fig. 4 with the
   group ID set to the zone's version number.
 * Whenever the zone changes, the version number (the SOA serial) increases
-  and the server regenerates the answer of every subscribed track.  Tracks
-  whose answer actually changed get a new object pushed to all their
-  subscribers with the new version as the group ID.
+  and the server regenerates the answer of every subscribed track that can
+  read the changed owner name (each track *watches* the names its last answer
+  depended on; see ``docs/dns-push.md``).  Tracks whose answer actually
+  changed get a new object pushed to all their subscribers with the new
+  version as the group ID.
 
 The same host can also run a classic :class:`repro.dns.server.AuthoritativeServer`
 next to this one to support the incremental-deployment story of §4.5; the
@@ -19,14 +21,16 @@ topology helpers in :mod:`repro.experiments` do exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.core.encapsulation import encapsulate_response
 from repro.core.mapping import DnsQuestionKey, question_to_track, track_to_question
 from repro.core.errors import MappingError
 from repro.dns.message import Flags, Header, Message, Question
 from repro.dns.name import Name
+from repro.dns.rdata import CNAMERdata, NSRdata
 from repro.dns.types import MOQT_PORT, Opcode, Rcode, RecordType
-from repro.dns.zone import LookupResult, Zone, ZoneChange
+from repro.dns.zone import LookupResult, Zone, ZoneChange, find_zone
 from repro.moqt.errors import FetchErrorCode, SubscribeErrorCode
 from repro.moqt.messages import Fetch, Subscribe
 from repro.moqt.objectmodel import Location, MoqtObject
@@ -46,14 +50,47 @@ from repro.quic.tls import ServerTlsContext
 MOQT_ALPN = "moq-00"
 
 
-@dataclass
+_BY_ORDER = attrgetter("order")
+
+
+@dataclass(slots=True, eq=False)
 class _TrackSubscribers:
-    """Server-side bookkeeping for one subscribed DNS track."""
+    """Server-side bookkeeping for one subscribed DNS track.
+
+    A track exists while it has at least one subscriber.  ``order`` is its
+    creation sequence number (tracks touched by one zone change publish in
+    creation order); ``watched`` holds the owner names the last answer could
+    have read, which is where the track is filed in the server's watcher index.
+    """
 
     key: DnsQuestionKey
+    order: int
     subscribers: list[tuple[MoqtSession, int]] = field(default_factory=list)
-    last_published_version: int | None = None
     last_answer_fingerprint: tuple[str, ...] | None = None
+    watched: tuple[Name, ...] = ()
+
+
+def _watched_names(key: DnsQuestionKey, zone: Zone, response: Message) -> tuple[Name, ...]:
+    """The owner names whose change can alter ``zone``'s answer to ``key``.
+
+    ``Zone.lookup`` reads the QNAME and each ancestor up to the zone origin
+    (exact match, name existence, delegation NS sets, and ``*.ancestor``
+    wildcards, which :meth:`MoqAuthoritativeServer._watching` finds through the
+    ancestor), then the names it was sent to by the records it found: CNAME
+    targets and the glue of NS targets.  Every owner name in the response is
+    one of those.
+    """
+    names = [key.qname]
+    name = key.qname
+    for _ in range(len(name) - len(zone.origin)):
+        name = name.parent()
+        names.append(name)
+    names[-1] = zone.origin  # equal; share the zone's instance
+    for record in response.records():
+        rdata = record.rdata
+        if isinstance(rdata, (NSRdata, CNAMERdata)) and rdata.target not in names:
+            names.append(rdata.target)
+    return tuple(names)
 
 
 @dataclass
@@ -68,6 +105,7 @@ class AuthServerStatistics:
     updates_published: int = 0
     update_bytes_published: int = 0
     zone_changes_seen: int = 0
+    tracks_evaluated: int = 0  # tracks re-answered by zone changes (and add_zone)
 
 
 class MoqAuthoritativeServer:
@@ -97,6 +135,11 @@ class MoqAuthoritativeServer:
         self.statistics = AuthServerStatistics()
         self._zones: dict[Name, Zone] = {}
         self._tracks: dict[DnsQuestionKey, _TrackSubscribers] = {}
+        self._tracks_created = 0
+        # Owner name -> the tracks watching it.
+        self._watchers: dict[Name, list[_TrackSubscribers]] = {}
+        # Session -> request ID -> track, to find a departing subscriber's track.
+        self._subscriptions: dict[MoqtSession, dict[int, _TrackSubscribers]] = {}
         self._sessions: list[MoqtSession] = []
         self.endpoint = QuicEndpoint(
             host,
@@ -114,17 +157,19 @@ class MoqAuthoritativeServer:
 
     # -------------------------------------------------------------------- zones
     def add_zone(self, zone: Zone) -> None:
-        """Serve a zone and react to its future changes."""
+        """Serve a zone and react to its future changes.
+
+        Subscribed tracks at or below the new origin were answered from a less
+        specific zone until now, so they watch the origin as an ancestor; they
+        are re-answered from the new zone (and pushed if the answer differs).
+        """
         self._zones[zone.origin] = zone
         zone.subscribe_changes(self._on_zone_change)
+        self._reanswer(self._watching(zone.origin))
 
     def zone_for(self, qname: Name) -> Zone | None:
         """The most specific zone containing ``qname``."""
-        best: Zone | None = None
-        for origin, zone in self._zones.items():
-            if qname.is_subdomain_of(origin) and (best is None or len(origin) > len(best.origin)):
-                best = zone
-        return best
+        return find_zone(self._zones, qname)
 
     def zones(self) -> list[Zone]:
         """All zones served."""
@@ -137,6 +182,7 @@ class MoqAuthoritativeServer:
             is_client=False,
             config=self.session_config,
             publisher_delegate=_AuthDelegate(self),
+            on_closed=self._on_session_closed,
         )
         self._sessions.append(session)
         self.statistics.sessions_accepted += 1
@@ -148,6 +194,15 @@ class MoqAuthoritativeServer:
     def subscriber_count(self) -> int:
         """Total number of live downstream subscriptions across all tracks."""
         return sum(len(track.subscribers) for track in self._tracks.values())
+
+    def state_summary(self) -> dict[str, int]:
+        """State-overhead accounting (§5.1): what push costs the server to hold."""
+        return {
+            "zones": len(self._zones),
+            "tracks": len(self._tracks),
+            "subscribers": self.subscriber_count(),
+            "watched_names": len(self._watchers),
+        }
 
     # ------------------------------------------------------------ DNS answering
     def answer_question(self, key: DnsQuestionKey) -> tuple[Message, Zone] | None:
@@ -191,13 +246,6 @@ class MoqAuthoritativeServer:
         return tuple(sorted(lines))
 
     # ------------------------------------------------------------- subscriptions
-    def _track_state(self, key: DnsQuestionKey) -> _TrackSubscribers:
-        state = self._tracks.get(key)
-        if state is None:
-            state = _TrackSubscribers(key=key)
-            self._tracks[key] = state
-        return state
-
     def handle_subscribe(self, session: MoqtSession, message: Subscribe) -> SubscribeResult:
         """Accept subscriptions for questions inside the served zones."""
         try:
@@ -216,13 +264,64 @@ class MoqAuthoritativeServer:
                 reason=f"not authoritative for {key.qname}",
             )
         response, zone = answer
-        state = self._track_state(key)
-        state.subscribers.append((session, message.request_id))
-        if state.last_answer_fingerprint is None:
+        state = self._tracks.get(key)
+        if state is None:
+            state = _TrackSubscribers(key=key, order=self._tracks_created)
+            self._tracks_created += 1
+            self._tracks[key] = state
             state.last_answer_fingerprint = self._fingerprint(response)
-            state.last_published_version = zone.serial
+            self._watch(state, _watched_names(key, zone, response))
+        state.subscribers.append((session, message.request_id))
+        self._subscriptions.setdefault(session, {})[message.request_id] = state
         self.statistics.subscribes_accepted += 1
         return SubscribeResult(ok=True, largest=Location(zone.serial, 0))
+
+    def handle_unsubscribe(self, session: MoqtSession, request_id: int) -> None:
+        """Forget a subscriber that sent UNSUBSCRIBE."""
+        state = self._subscriptions.get(session, {}).pop(request_id, None)
+        if state is not None:
+            self._drop_subscriber(state, session, request_id)
+
+    def _on_session_closed(self, session: MoqtSession, reason: str) -> None:
+        for request_id, state in self._subscriptions.pop(session, {}).items():
+            self._drop_subscriber(state, session, request_id)
+
+    def _drop_subscriber(
+        self, state: _TrackSubscribers, session: MoqtSession, request_id: int
+    ) -> None:
+        state.subscribers.remove((session, request_id))
+        if not state.subscribers:
+            del self._tracks[state.key]
+            self._watch(state, ())
+
+    # ------------------------------------------------------------ watcher index
+    def _watch(self, state: _TrackSubscribers, names: tuple[Name, ...]) -> None:
+        """File ``state`` under ``names`` in the watcher index (and nowhere else)."""
+        old = state.watched
+        if names == old:
+            return
+        watchers = self._watchers
+        for name in old:
+            if name not in names:
+                bucket = watchers[name]
+                bucket.remove(state)
+                if not bucket:
+                    del watchers[name]
+        for name in names:
+            if name not in old:
+                watchers.setdefault(name, []).append(state)
+        state.watched = names
+
+    def _watching(self, name: Name) -> list[_TrackSubscribers]:
+        """The tracks whose answer can read owner ``name``, in creation order.
+
+        A wildcard owner ``*.X`` is also read by every track at or below ``X``
+        — they all watch ``X`` — so wildcards are never filed themselves.
+        """
+        tracks = self._watchers.get(name, ())
+        if name.labels[:1] == (b"*",):
+            tracks = {*tracks, *self._watchers.get(name.parent(), ())}
+        return sorted(tracks, key=_BY_ORDER)
 
     def handle_fetch(
         self, session: MoqtSession, message: Fetch, full_track_name: FullTrackName | None
@@ -259,28 +358,31 @@ class MoqAuthoritativeServer:
     def _on_zone_change(self, change: ZoneChange) -> None:
         """React to a zone mutation: push new objects for affected tracks."""
         self.statistics.zone_changes_seen += 1
-        for state in self._tracks.values():
+        self._reanswer(self._watching(change.name))
+
+    def _reanswer(self, states: list[_TrackSubscribers]) -> None:
+        """Regenerate each track's answer; publish the ones that changed."""
+        for state in states:
             if not state.subscribers:
-                continue
+                continue  # dropped while an earlier track was being published
             answer = self.answer_question(state.key)
             if answer is None:
                 continue
             response, zone = answer
-            if not state.key.qname.is_subdomain_of(zone.origin):
-                continue
+            self.statistics.tracks_evaluated += 1
+            self._watch(state, _watched_names(state.key, zone, response))
             fingerprint = self._fingerprint(response)
             if fingerprint == state.last_answer_fingerprint:
                 continue
             state.last_answer_fingerprint = fingerprint
-            state.last_published_version = zone.serial
             self._publish_update(state, response, zone.serial)
 
     def _publish_update(
         self, state: _TrackSubscribers, response: Message, version: int
     ) -> None:
         obj = encapsulate_response(response, version)
-        live: list[tuple[MoqtSession, int]] = []
-        for session, request_id in state.subscribers:
+        # A snapshot: a publish that closes its session prunes the list under us.
+        for session, request_id in tuple(state.subscribers):
             if session.closed:
                 continue
             publisher_subscription = session.publisher_subscription(request_id)
@@ -289,8 +391,6 @@ class MoqAuthoritativeServer:
             session.publish(publisher_subscription, obj)
             self.statistics.updates_published += 1
             self.statistics.update_bytes_published += obj.size
-            live.append((session, request_id))
-        state.subscribers = live
 
     def force_publish(self, key: DnsQuestionKey) -> int:
         """Re-publish the current answer for a track regardless of changes.
@@ -305,6 +405,7 @@ class MoqAuthoritativeServer:
         if answer is None:
             return 0
         response, zone = answer
+        self._watch(state, _watched_names(key, zone, response))
         state.last_answer_fingerprint = self._fingerprint(response)
         count = len(state.subscribers)
         self._publish_update(state, response, zone.serial)
@@ -324,3 +425,6 @@ class _AuthDelegate:
         self, session: MoqtSession, message: Fetch, full_track_name: FullTrackName | None
     ) -> FetchResult:
         return self._server.handle_fetch(session, message, full_track_name)
+
+    def handle_unsubscribe(self, session: MoqtSession, request_id: int) -> None:
+        self._server.handle_unsubscribe(session, request_id)

@@ -43,9 +43,17 @@ class Name:
 
     # ----------------------------------------------------------- constructors
     @classmethod
+    def _from_labels(cls, labels: tuple[bytes, ...]) -> "Name":
+        """Trusted constructor: ``labels`` is a suffix of an existing name's
+        labels, so it is already lowercased and within the length limits."""
+        name = object.__new__(cls)
+        name._labels = labels
+        return name
+
+    @classmethod
     def root(cls) -> "Name":
         """The root name ``"."``."""
-        return cls(())
+        return cls._from_labels(())
 
     @classmethod
     def from_text(cls, text: str) -> "Name":
@@ -99,9 +107,9 @@ class Name:
     # -------------------------------------------------------------- relations
     def parent(self) -> "Name":
         """The name with the leftmost label removed."""
-        if self.is_root:
+        if not self._labels:
             raise NameError_("the root name has no parent")
-        return Name(self._labels[1:])
+        return Name._from_labels(self._labels[1:])
 
     def child(self, label: str | bytes) -> "Name":
         """Prepend a label, producing a more specific name."""
@@ -124,9 +132,8 @@ class Name:
 
     def ancestors(self) -> list["Name"]:
         """All names from ``self`` up to and including the root."""
-        names = [Name(self._labels[index:]) for index in range(len(self._labels))]
-        names.append(Name.root())
-        return names
+        labels = self._labels
+        return [self, *(Name._from_labels(labels[index:]) for index in range(1, len(labels) + 1))]
 
     def canonical_key(self) -> tuple[bytes, ...]:
         """Labels in reversed (root-first) order, for canonical sorting."""

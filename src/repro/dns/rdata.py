@@ -46,6 +46,14 @@ class Rdata:
         raise NotImplementedError
 
 
+def _decoded_address(cls, address: str):
+    """Build an A/AAAA RDATA from text derived from wire bytes, which is valid
+    by construction, without the constructor's re-parse."""
+    rdata = object.__new__(cls)
+    object.__setattr__(rdata, "address", address)
+    return rdata
+
+
 @dataclass(frozen=True)
 class ARdata(Rdata):
     """IPv4 address record (type A)."""
@@ -57,7 +65,9 @@ class ARdata(Rdata):
         ipaddress.IPv4Address(self.address)
 
     def to_wire(self) -> bytes:
-        return ipaddress.IPv4Address(self.address).packed
+        # ``address`` is a strict dotted quad: validated on construction or
+        # formatted from wire bytes, so there is nothing left to parse.
+        return bytes(map(int, self.address.split(".")))
 
     def to_text(self) -> str:
         return self.address
@@ -66,7 +76,10 @@ class ARdata(Rdata):
     def from_wire(cls, wire: bytes, offset: int, length: int) -> "ARdata":
         if length != 4:
             raise RdataError(f"A rdata must be 4 bytes, got {length}")
-        return cls(str(ipaddress.IPv4Address(wire[offset: offset + 4])))
+        packed = wire[offset: offset + 4]
+        if len(packed) != 4:
+            raise RdataError("truncated A rdata")
+        return _decoded_address(cls, "%d.%d.%d.%d" % tuple(packed))
 
     @classmethod
     def from_text(cls, text: str) -> "ARdata":
@@ -93,7 +106,10 @@ class AAAARdata(Rdata):
     def from_wire(cls, wire: bytes, offset: int, length: int) -> "AAAARdata":
         if length != 16:
             raise RdataError(f"AAAA rdata must be 16 bytes, got {length}")
-        return cls(str(ipaddress.IPv6Address(wire[offset: offset + 16])))
+        packed = bytes(wire[offset: offset + 16])
+        if len(packed) != 16:
+            raise RdataError("truncated AAAA rdata")
+        return _decoded_address(cls, str(ipaddress.IPv6Address(packed)))
 
     @classmethod
     def from_text(cls, text: str) -> "AAAARdata":

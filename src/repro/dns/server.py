@@ -15,7 +15,7 @@ from repro.dns.message import Message, make_response
 from repro.dns.name import Name
 from repro.dns.transport import DnsUdpEndpoint, RequestHandler
 from repro.dns.types import DNS_UDP_PORT, Rcode, RecordType
-from repro.dns.zone import LookupResult, Zone
+from repro.dns.zone import LookupResult, Zone, find_zone
 from repro.netsim.node import Host
 from repro.netsim.packet import Address
 
@@ -64,12 +64,7 @@ class AuthoritativeServer:
 
     def zone_for(self, qname: Name) -> Zone | None:
         """The most specific zone containing ``qname``, if any."""
-        best: Zone | None = None
-        for origin, zone in self._zones.items():
-            if qname.is_subdomain_of(origin):
-                if best is None or len(origin) > len(best.origin):
-                    best = zone
-        return best
+        return find_zone(self._zones, qname)
 
     def zones(self) -> list[Zone]:
         """All zones served, in insertion order."""

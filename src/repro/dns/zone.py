@@ -11,7 +11,7 @@ prescribes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.dns.name import Name
 from repro.dns.rdata import Rdata, SOARdata, parse_rdata
@@ -82,6 +82,9 @@ class Zone:
         self.origin = origin if isinstance(origin, Name) else Name.from_text(origin)
         self.default_ttl = default_ttl
         self._rrsets: dict[tuple[Name, RecordType], RRset] = {}
+        # Owner name -> number of RRsets it owns, in order of first appearance
+        # (the origin's first is the SOA that ``_put_soa`` stores below).
+        self._owners: dict[Name, int] = {self.origin: 1}
         self._listeners: list[Callable[[ZoneChange], None]] = []
         if soa is None:
             soa = SOARdata(
@@ -143,6 +146,7 @@ class Zone:
         if rrset is None:
             rrset = RRset(record.name, record.rdtype, rdclass=record.rdclass)
             self._rrsets[key] = rrset
+            self._owners[record.name] = self._owners.get(record.name, 0) + 1
         rrset.add(record)
         serial = self.bump_serial() if bump else self.serial
         self._notify(ZoneChange(serial, record.name, record.rdtype, rrset))
@@ -168,7 +172,10 @@ class Zone:
     def replace_rrset(self, rrset: RRset, bump: bool = True) -> None:
         """Replace (or create) the RRset for the given name and type."""
         self._check_in_zone(rrset.name)
-        self._rrsets[(rrset.name, rrset.rdtype)] = rrset
+        key = (rrset.name, rrset.rdtype)
+        if key not in self._rrsets:
+            self._owners[rrset.name] = self._owners.get(rrset.name, 0) + 1
+        self._rrsets[key] = rrset
         serial = self.bump_serial() if bump else self.serial
         self._notify(ZoneChange(serial, rrset.name, rrset.rdtype, rrset))
 
@@ -177,6 +184,10 @@ class Zone:
         removed = self._rrsets.pop((name, rdtype), None)
         if removed is None:
             return False
+        if self._owners[name] == 1:
+            del self._owners[name]
+        else:
+            self._owners[name] -= 1
         serial = self.bump_serial() if bump else self.serial
         self._notify(ZoneChange(serial, name, rdtype, None))
         return True
@@ -188,12 +199,8 @@ class Zone:
         return self._rrsets.get((owner, record_type))
 
     def names(self) -> list[Name]:
-        """All owner names present in the zone."""
-        seen: list[Name] = []
-        for owner, _ in self._rrsets:
-            if owner not in seen:
-                seen.append(owner)
-        return seen
+        """All owner names present in the zone, in order of first appearance."""
+        return list(self._owners)
 
     def rrsets(self) -> Iterator[RRset]:
         """Iterate over all RRsets."""
@@ -258,7 +265,7 @@ class Zone:
         return LookupResult(rcode=Rcode.NXDOMAIN, authorities=(soa_record,))
 
     def _name_exists(self, qname: Name) -> bool:
-        return any(owner == qname for owner, _ in self._rrsets)
+        return qname in self._owners
 
     def _find_wildcard(self, qname: Name, qtype: RecordType) -> RRset | None:
         ancestor = qname
@@ -310,3 +317,17 @@ class Zone:
                 continue
             lines.append(rrset.to_text())
         return "\n".join(lines) + "\n"
+
+
+def find_zone(zones: Mapping[Name, Zone], qname: Name) -> Zone | None:
+    """The most specific zone containing ``qname`` in a table keyed by origin.
+
+    A longest-suffix walk: ``qname`` and then each of its ancestors is probed
+    in turn, so the cost is at most ``len(qname) + 1`` dictionary lookups
+    however many zones the table holds.
+    """
+    zone = zones.get(qname)
+    while zone is None and not qname.is_root:
+        qname = qname.parent()
+        zone = zones.get(qname)
+    return zone

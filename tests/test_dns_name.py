@@ -64,6 +64,16 @@ class TestNameRelations:
         assert ancestors[-1] == Name.root()
         assert len(ancestors) == 4
 
+    def test_derived_names_equal_parsed_ones(self):
+        name = Name.from_text("WWW.Example.COM")
+        texts = ["www.example.com.", "example.com.", "com.", "."]
+        for derived, text in zip(name.ancestors(), texts):
+            parsed = Name.from_text(text)
+            assert derived == parsed and hash(derived) == hash(parsed)
+            assert derived.to_text() == text and derived.to_wire() == parsed.to_wire()
+        assert name.parent().parent().parent() == Name.root()
+        assert Name.root().ancestors() == [Name.root()]
+
     def test_relativize(self):
         name = Name.from_text("www.example.com")
         assert name.relativize(Name.from_text("example.com")) == (b"www",)

@@ -51,6 +51,36 @@ class TestAddressRdata:
         assert _roundtrip(rdata, RecordType.AAAA).to_text() == "2001:db8::1"
         assert len(rdata.to_wire()) == 16
 
+    def test_decoding_yields_the_value_the_constructor_would(self):
+        for packed in (bytes([0, 0, 0, 0]), bytes([10, 0, 200, 255]), bytes([255] * 4)):
+            decoded = ARdata.from_wire(b"\xff" + packed, 1, 4)
+            built = ARdata(decoded.address)
+            assert decoded == built and hash(decoded) == hash(built)
+            assert decoded.to_wire() == packed
+        for packed in (bytes(16), bytes(range(16)), bytes([0x20, 1, 0x0D, 0xB8] + [0] * 11 + [1])):
+            decoded = AAAARdata.from_wire(packed, 0, 16)
+            assert decoded == AAAARdata(decoded.address)
+            assert decoded.to_text() == decoded.address and decoded.to_wire() == packed
+
+    def test_truncated_or_mislabelled_address_rejected(self):
+        with pytest.raises(RdataError):
+            ARdata.from_wire(b"\x01\x02\x03", 0, 4)
+        with pytest.raises(RdataError):
+            ARdata.from_wire(bytes(5), 0, 5)
+        with pytest.raises(RdataError):
+            AAAARdata.from_wire(bytes(15), 0, 16)
+        with pytest.raises(RdataError):
+            AAAARdata.from_wire(bytes(16), 0, 4)
+
+    def test_constructor_and_from_text_still_validate(self):
+        for bad in ("256.0.0.1", "1.2.3", "01.2.3.4"):
+            with pytest.raises(ValueError):
+                ARdata(bad)
+            with pytest.raises(ValueError):
+                ARdata.from_text(bad)
+        with pytest.raises(ValueError):
+            AAAARdata.from_text("2001:db8:::1")
+
 
 class TestNameBasedRdata:
     def test_cname_roundtrip(self):

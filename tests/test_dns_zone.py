@@ -71,6 +71,31 @@ class TestZoneContent:
         assert Name.from_text("www.example.com.") in zone.names()
         assert len(zone) > 5
 
+    def test_names_lists_each_owner_once_in_order_of_first_appearance(self, zone):
+        texts = [name.to_text() for name in zone.names()]
+        assert texts == [
+            "example.com.", "www.example.com.", "ns1.example.com.", "alias.example.com.",
+            "*.wild.example.com.", "sub.example.com.", "ns1.sub.example.com.",
+        ]
+        zone.add("www.example.com.", "AAAA", "2001:db8::1")
+        assert [name.to_text() for name in zone.names()] == texts
+
+    def test_owner_disappears_with_its_last_rrset(self, zone):
+        www = Name.from_text("www.example.com.")
+        zone.add(www, "AAAA", "2001:db8::1")
+        assert zone.delete_rrset(www, RecordType.A)
+        assert www in zone.names()
+        assert zone.lookup(www, RecordType.A).rcode == Rcode.NOERROR  # NODATA: AAAA remains
+        assert zone.delete_rrset(www, RecordType.AAAA)
+        assert www not in zone.names()
+        assert zone.lookup(www, RecordType.A).rcode == Rcode.NXDOMAIN
+        zone.replace_rrset(RRset(www, RecordType.A))  # an empty RRset still owns the name
+        zone.replace_rrset(RRset(www, RecordType.A))
+        assert zone.names()[-1] == www
+        assert zone.lookup(www, RecordType.AAAA).rcode == Rcode.NOERROR
+        assert zone.delete_rrset(www, RecordType.A)
+        assert zone.lookup(www, RecordType.AAAA).rcode == Rcode.NXDOMAIN
+
 
 class TestZoneLookup:
     def test_exact_match(self, zone):
