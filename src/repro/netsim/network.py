@@ -194,12 +194,12 @@ class Network:
             raise UnknownHostError(destination)
         trace = self.trace
         if trace.enabled:
-            trace.record(
+            trace.record_datagram(
                 "datagram-sent",
-                source=str(datagram.source),
-                destination=str(datagram.destination),
-                protocol=datagram.protocol,
-                size=len(datagram.payload),
+                datagram.source,
+                datagram.destination,
+                datagram.protocol,
+                len(datagram.payload),
             )
         if source == destination:
             # Loopback delivery happens "immediately" on the next event.
@@ -296,12 +296,12 @@ class Network:
     def _deliver_final(self, destination: str, datagram: Datagram) -> None:
         trace = self.trace
         if trace.enabled:
-            trace.record(
+            trace.record_datagram(
                 "datagram-delivered",
-                source=str(datagram.source),
-                destination=str(datagram.destination),
-                protocol=datagram.protocol,
-                size=len(datagram.payload),
+                datagram.source,
+                datagram.destination,
+                datagram.protocol,
+                len(datagram.payload),
             )
         self._hosts[destination].deliver(datagram)
         # Pool-managed datagrams return to the pool once fully processed (the

@@ -40,8 +40,8 @@ class TraceEvent:
 class TraceRecorder:
     """Collects :class:`TraceEvent` entries during a simulation run.
 
-    Recording sits on the per-datagram fast path, so :meth:`record` only
-    appends a raw ``(time, kind, attributes)`` tuple; :class:`TraceEvent`
+    Recording sits on the per-datagram fast path, so :meth:`record` and
+    :meth:`record_datagram` only append a raw tuple; :class:`TraceEvent`
     objects (with their canonically sorted attribute tuples) are materialised
     lazily the first time the trace is read.
     """
@@ -52,7 +52,10 @@ class TraceRecorder:
 
     def __init__(self, simulator: Simulator) -> None:
         self._simulator = simulator
-        self._raw: list[tuple[float, str, dict[str, Any]]] = []
+        #: ``(time, kind, attributes)`` from :meth:`record`, or the unformatted
+        #: ``(time, kind, source, destination, protocol, size)`` from
+        #: :meth:`record_datagram`.
+        self._raw: list[tuple] = []
         self._materialized: list[TraceEvent] = []
         self._listeners: list[Callable[[TraceEvent], None]] = []
         # Incremental per-kind tally: experiments call count(kind) in loops,
@@ -61,8 +64,24 @@ class TraceRecorder:
 
     def record(self, kind: str, **attributes: Any) -> None:
         """Append an event timestamped at the current virtual time."""
-        self._raw.append((self._simulator.now, kind, attributes))
+        self._append((self._simulator.now, kind, attributes))
+
+    def record_datagram(
+        self, kind: str, source: Any, destination: Any, protocol: str, size: int
+    ) -> None:
+        """Append a per-datagram event without formatting anything.
+
+        Same event as ``record(kind, source=str(source),
+        destination=str(destination), protocol=protocol, size=size)``, but
+        the address strings are only built if the trace is ever read — most
+        runs only :meth:`count` their datagram events.
+        """
+        self._append((self._simulator.now, kind, source, destination, protocol, size))
+
+    def _append(self, entry: tuple) -> None:
+        self._raw.append(entry)
         counts = self._kind_counts
+        kind = entry[1]
         counts[kind] = counts.get(kind, 0) + 1
         if self._listeners:
             event = self._events_list()[-1]
@@ -74,14 +93,19 @@ class TraceRecorder:
         materialized = self._materialized
         raw = self._raw
         if len(materialized) < len(raw):
-            for time, kind, attributes in raw[len(materialized):]:
-                materialized.append(
-                    TraceEvent(
-                        time=time,
-                        kind=kind,
-                        attributes=tuple(sorted(attributes.items())),
+            for entry in raw[len(materialized):]:
+                if len(entry) == 3:
+                    time, kind, attributes = entry
+                    items = tuple(sorted(attributes.items()))
+                else:
+                    time, kind, source, destination, protocol, size = entry
+                    items = (
+                        ("destination", str(destination)),
+                        ("protocol", protocol),
+                        ("size", size),
+                        ("source", str(source)),
                     )
-                )
+                materialized.append(TraceEvent(time=time, kind=kind, attributes=items))
         return materialized
 
     def subscribe(self, listener: Callable[[TraceEvent], None]) -> None:
@@ -129,6 +153,11 @@ class NullTraceRecorder(TraceRecorder):
     enabled = False
 
     def record(self, kind: str, **attributes: Any) -> None:
+        """Drop the event."""
+
+    def record_datagram(
+        self, kind: str, source: Any, destination: Any, protocol: str, size: int
+    ) -> None:
         """Drop the event."""
 
     def subscribe(self, listener: Callable[[TraceEvent], None]) -> None:

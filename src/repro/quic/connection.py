@@ -38,18 +38,34 @@ from repro.netsim.simulator import Simulator, Timer
 from repro.quic.congestion import NULL_CONGESTION, CongestionController
 from repro.quic.errors import QuicConnectionError, TransportErrorCode
 from repro.quic.frames import (
-    AckFrame,
     AckRangesFrame,
     ConnectionCloseFrame,
     CryptoFrame,
     DatagramFrame,
     Frame,
     HandshakeDoneFrame,
+    PacketDecodeError,
     PingFrame,
     StreamFrame,
+    scan_frames,
+    _ACK,
+    _ACK_RANGES,
+    _CONNECTION_CLOSE,
+    _CRYPTO,
+    _DATAGRAM,
+    _HANDSHAKE_DONE,
+    _PADDING,
+    _PING,
+    _STREAM,
 )
-from repro.quic.packet import Packet, PacketType
-from repro.quic.varint import append_varint, varint_size
+from repro.quic.packet import Packet, PacketType, decode_header
+from repro.quic.varint import (
+    VarintError,
+    append_varint,
+    decode_varint,
+    varint_size,
+    _VALUE_MASK,
+)
 from repro.quic.stream import (
     QuicStream,
     StreamDirection,
@@ -71,6 +87,11 @@ PROTOCOL_LABEL = "quic"
 LIVENESS_HEALTHY = "healthy"
 LIVENESS_SUSPECT = "suspect"
 LIVENESS_DEAD = "dead"
+
+#: Plain-int wire value for the receive loop (comparing against the IntEnum
+#: member would go through ``enum`` on every STREAM frame); the frame-type
+#: ints come from :mod:`repro.quic.frames`.
+_ZERO_RTT = int(PacketType.ZERO_RTT)
 
 
 @dataclass
@@ -236,8 +257,10 @@ class QuicConnection:
         "suspected_at",
         "dead_at",
         "_streams",
-        "_finished_streams",
-        "_next_stream_sequence",
+        "_peer_uni_floor",
+        "_peer_uni_above",
+        "_next_bidi_sequence",
+        "_next_uni_sequence",
         "_next_packet_number",
         "_largest_acked",
         "_received_ranges",
@@ -320,17 +343,19 @@ class QuicConnection:
 
         # Streams.
         self._streams: dict[int, QuicStream] = {}
-        #: IDs of peer-initiated one-shot streams already delivered whole (a
-        #: single offset-0 FIN frame).  The fan-out receive path completes
-        #: such streams without materialising a :class:`QuicStream`; the set
-        #: is what keeps a late retransmission of the same frame from being
+        #: Which peer-initiated unidirectional streams have been seen, by
+        #: stream sequence (``stream_id >> 2``): every sequence below the
+        #: floor, plus the out-of-order arrivals above it.  The fan-out
+        #: receive path completes a one-shot stream (a single offset-0 FIN
+        #: frame) without materialising a :class:`QuicStream`; this record is
+        #: what keeps a late retransmission of that frame from being
         #: delivered twice (the job ``receive_closed`` does for full stream
-        #: state).
-        self._finished_streams: set[int] = set()
-        self._next_stream_sequence = {
-            StreamDirection.BIDIRECTIONAL: 0,
-            StreamDirection.UNIDIRECTIONAL: 0,
-        }
+        #: state).  In-order arrival only moves the floor, so the state is
+        #: O(reordering), not O(streams ever received).
+        self._peer_uni_floor = 0
+        self._peer_uni_above: set[int] = set()
+        self._next_bidi_sequence = 0
+        self._next_uni_sequence = 0
 
         # Packetisation and loss recovery.
         self._next_packet_number = 0
@@ -389,6 +414,16 @@ class QuicConnection:
         return len(self._cwnd_blocked)
 
     @property
+    def stream_reorder_backlog(self) -> int:
+        """Peer unidirectional streams seen ahead of a still-missing earlier one.
+
+        The only part of the duplicate-suppression record that occupies
+        memory; it drains to zero once loss repair has filled every gap in
+        the peer's stream sequence.
+        """
+        return len(self._peer_uni_above)
+
+    @property
     def handshake_rtts(self) -> float:
         """Round trips spent on connection establishment (0.0 for 0-RTT data).
 
@@ -424,10 +459,10 @@ class QuicConnection:
             self.early_data_accepted = True
         self._send_packet(PacketType.INITIAL, [CryptoFrame(hello.to_bytes())])
 
-    def _process_client_hello(self, frame: CryptoFrame) -> None:
+    def _process_client_hello(self, data: bytes) -> None:
         assert self._server_tls is not None, "server connection lacks a TLS context"
         self.handshake_started_at = self._simulator.now
-        hello = ClientHello.from_bytes(frame.data)
+        hello = ClientHello.from_bytes(data)
         try:
             server_hello = self._server_tls.process_client_hello(hello)
         except AlpnMismatchError as error:
@@ -449,8 +484,8 @@ class QuicConnection:
             self.on_handshake_complete(self)
         self._flush_queued_app_frames()
 
-    def _process_server_hello(self, frame: CryptoFrame) -> None:
-        server_hello = ServerHello.from_bytes(frame.data)
+    def _process_server_hello(self, data: bytes) -> None:
+        server_hello = ServerHello.from_bytes(data)
         self.negotiated_alpn = server_hello.alpn
         if self.used_0rtt and not server_hello.accepts_early_data:
             self.early_data_accepted = False
@@ -488,8 +523,12 @@ class QuicConnection:
     # ---------------------------------------------------------------- streams
     def open_stream(self, direction: StreamDirection = StreamDirection.BIDIRECTIONAL) -> QuicStream:
         """Open a new locally initiated stream."""
-        sequence = self._next_stream_sequence[direction]
-        self._next_stream_sequence[direction] += 1
+        if direction is StreamDirection.UNIDIRECTIONAL:
+            sequence = self._next_uni_sequence
+            self._next_uni_sequence = sequence + 1
+        else:
+            sequence = self._next_bidi_sequence
+            self._next_bidi_sequence = sequence + 1
         stream_id = make_stream_id(sequence, self.is_client, direction)
         stream = QuicStream(stream_id)
         self._streams[stream_id] = stream
@@ -545,8 +584,8 @@ class QuicConnection:
             stream = self.open_stream(StreamDirection.UNIDIRECTIONAL)
             self.send_stream_data(stream, chunk, fin=True)
             return stream.stream_id
-        sequence = self._next_stream_sequence[StreamDirection.UNIDIRECTIONAL]
-        self._next_stream_sequence[StreamDirection.UNIDIRECTIONAL] = sequence + 1
+        sequence = self._next_uni_sequence
+        self._next_uni_sequence = sequence + 1
         stream_id = make_stream_id(sequence, self.is_client, StreamDirection.UNIDIRECTIONAL)
         chunk_length = len(chunk)
         # frame type (1) + offset varint 0 (1) + fin byte (1) = 3.
@@ -782,29 +821,192 @@ class QuicConnection:
         self._loss_timer.start(self._probe_timeout() * (2.0 ** exponent))
 
     # ----------------------------------------------------------------- receive
-    def datagram_received(self, payload: bytes) -> None:
-        """Process one incoming UDP payload carrying a QUIC packet."""
-        if self.closed:
-            return
-        self.packet_received(Packet.decode(payload), len(payload))
+    def datagram_received(self, payload: bytes | memoryview) -> None:
+        """Process one incoming UDP payload carrying a QUIC packet.
 
-    def packet_received(self, packet: Packet, wire_size: int) -> None:
-        """Process one already-decoded incoming packet of ``wire_size`` bytes."""
+        Raises :class:`~repro.quic.frames.PacketDecodeError`, having touched
+        nothing, when ``payload`` is not a well-formed packet.
+        """
         if self.closed:
             return
+        packet_type, _, packet_number, offset, end = decode_header(payload)
+        self.receive_packet(packet_type, packet_number, payload, offset, end, len(payload))
+
+    def receive_packet(
+        self,
+        packet_type: int,
+        packet_number: int,
+        data: bytes | memoryview,
+        offset: int,
+        end: int,
+        wire_size: int,
+    ) -> None:
+        """The receive loop: walk the frames of ``data[offset:end]`` in place.
+
+        The endpoint has already parsed the header (see
+        :func:`~repro.quic.packet.decode_header`).  Each frame is parsed into
+        locals, then its handler is called with those scalars; no
+        :class:`Packet` or frame object exists on this path.
+
+        All or nothing: nothing is touched until the whole packet is known
+        to be well formed.  The first frame is parsed completely before any
+        effect; when it does not end the payload, the rest gets a bounds-only
+        :func:`~repro.quic.frames.scan_frames` first.  A malformed packet
+        raises :class:`~repro.quic.frames.PacketDecodeError` from there, so
+        after :meth:`_packet_accepted` the loop cannot fail.
+        """
+        if self.closed:
+            return
+        from_bytes = int.from_bytes
+        mask = _VALUE_MASK
+        accepted = False
+        ack_needed = False
+        # Bounds are checked once per frame, not per read: reads only move
+        # forward, so one that strays past ``end`` leaves ``offset > end``
+        # (or runs off the buffer, an IndexError).  Two-byte varints (stream
+        # ids, lengths and packet numbers from 64 to 16383) are by far the
+        # common wide form, so the hot fields decode them arithmetically;
+        # slicing a pooled memoryview for ``int.from_bytes`` allocates.
+        while offset < end:
+            try:
+                frame_type = data[offset]
+                if frame_type < 64:
+                    offset += 1
+                else:
+                    frame_type, offset = decode_varint(data, offset)
+                if frame_type == _STREAM:
+                    stream_id = data[offset]
+                    if stream_id < 64:
+                        offset += 1
+                    elif stream_id < 128:
+                        stream_id = ((stream_id & 0x3F) << 8) | data[offset + 1]
+                        offset += 2
+                    else:
+                        stop = offset + (1 << (stream_id >> 6))
+                        stream_id = from_bytes(data[offset:stop], "big") & mask[stream_id >> 6]
+                        offset = stop
+                    stream_offset = data[offset]
+                    if stream_offset < 64:
+                        offset += 1
+                    else:
+                        stop = offset + (1 << (stream_offset >> 6))
+                        stream_offset = (
+                            from_bytes(data[offset:stop], "big") & mask[stream_offset >> 6]
+                        )
+                        offset = stop
+                    fin = data[offset]
+                    if fin < 64:
+                        offset += 1
+                    else:
+                        fin, offset = decode_varint(data, offset)
+                    length = data[offset]
+                    if length < 64:
+                        offset += 1
+                    elif length < 128:
+                        length = ((length & 0x3F) << 8) | data[offset + 1]
+                        offset += 2
+                    else:
+                        stop = offset + (1 << (length >> 6))
+                        length = from_bytes(data[offset:stop], "big") & mask[length >> 6]
+                        offset = stop
+                    stop = offset + length
+                    if stop > end:
+                        raise PacketDecodeError("truncated STREAM frame")
+                    # The one copy: ``data`` may be a view of a pooled buffer
+                    # that is recycled when this delivery returns.
+                    payload = bytes(data[offset:stop])
+                    offset = stop
+                elif frame_type == _ACK:
+                    largest = data[offset]
+                    if largest < 64:
+                        offset += 1
+                    elif largest < 128:
+                        largest = ((largest & 0x3F) << 8) | data[offset + 1]
+                        offset += 2
+                    else:
+                        stop = offset + (1 << (largest >> 6))
+                        largest = from_bytes(data[offset:stop], "big") & mask[largest >> 6]
+                        offset = stop
+                    offset += 1 << (data[offset] >> 6)  # ack delay: unused
+                elif frame_type == _ACK_RANGES:
+                    largest, offset = decode_varint(data, offset)
+                    offset += 1 << (data[offset] >> 6)  # ack delay: unused
+                    count, offset = decode_varint(data, offset)
+                    anchor = largest
+                    descending = []
+                    for _ in range(count):
+                        if offset >= end:
+                            raise PacketDecodeError("truncated ACK_RANGES frame")
+                        gap, offset = decode_varint(data, offset)
+                        span, offset = decode_varint(data, offset)
+                        descending.append((anchor - gap - span, anchor - gap))
+                        anchor -= gap + span
+                    ranges = tuple(reversed(descending))
+                elif frame_type == _PADDING:
+                    while offset < end and data[offset] == 0:
+                        offset += 1
+                elif frame_type == _CRYPTO or frame_type == _DATAGRAM:
+                    length, offset = decode_varint(data, offset)
+                    stop = offset + length
+                    if stop > end:
+                        raise PacketDecodeError("truncated frame payload")
+                    payload = bytes(data[offset:stop])
+                    offset = stop
+                elif frame_type == _CONNECTION_CLOSE:
+                    code, offset = decode_varint(data, offset)
+                    length, offset = decode_varint(data, offset)
+                    stop = offset + length
+                    if stop > end:
+                        raise PacketDecodeError("truncated CONNECTION_CLOSE frame")
+                    reason = str(data[offset:stop], "utf-8")
+                    offset = stop
+                elif frame_type != _PING and frame_type != _HANDSHAKE_DONE:
+                    raise PacketDecodeError(f"unknown frame type: {frame_type:#x}")
+                if offset > end:
+                    raise PacketDecodeError("truncated frame: runs past the packet payload")
+            except (IndexError, VarintError):
+                raise PacketDecodeError("truncated frame: runs past the datagram") from None
+            except UnicodeDecodeError:
+                raise PacketDecodeError("CONNECTION_CLOSE reason is not UTF-8") from None
+            if not accepted:
+                if offset < end:
+                    scan_frames(data, offset, end)
+                accepted = True
+                self._packet_accepted(packet_number, wire_size)
+            # Dispatch, ordered by frequency: streams and acks carry
+            # virtually all traffic.  Everything except ACKs and PADDING
+            # makes the packet ack-eliciting.
+            if frame_type == _STREAM:
+                ack_needed = True
+                self._on_stream_frame(packet_type, stream_id, stream_offset, payload, fin == 1)
+            elif frame_type == _ACK:
+                self._on_ack(largest)
+            elif frame_type == _ACK_RANGES:
+                self._on_ack_ranges(largest, ranges)
+            elif frame_type != _PADDING:
+                ack_needed = True
+                if frame_type == _CRYPTO:
+                    self._on_crypto(payload)
+                elif frame_type == _DATAGRAM:
+                    self._on_datagram_frame(payload)
+                elif frame_type == _CONNECTION_CLOSE:
+                    self._handle_close(code, reason, send_close=False)
+                # PING and HANDSHAKE_DONE carry nothing: the ACK suffices.
+        if not accepted:
+            self._packet_accepted(packet_number, wire_size)  # no frames at all
+        if self.closed:
+            return
+        if ack_needed:
+            self._send_ack()
+
+    def _packet_accepted(self, packet_number: int, wire_size: int) -> None:
+        """Account for a packet now known to be well formed."""
         self.statistics.packets_received += 1
         self.statistics.bytes_received += wire_size
         self._restart_idle_timer()
         # Every packet (ACK-only ones included — they occupy the same number
         # space) lands in the received-set, so a gap in it means a real drop.
-        self._record_received(packet.packet_number)
-        ack_needed = packet.is_ack_eliciting
-        for frame in packet.frames:
-            self._process_frame(packet, frame)
-        if self.closed:
-            return
-        if ack_needed:
-            self._send_ack()
+        self._record_received(packet_number)
 
     #: Once the received-set spans more packet numbers than this below its
     #: top, the oldest gap is forgiven (its runs are merged).  A gap that old
@@ -897,73 +1099,70 @@ class QuicConnection:
         self._send(buffer if acquire is not None else bytes(buffer), self.peer_address)
         self._restart_idle_timer()
 
-    def _process_frame(self, packet: Packet, frame: Frame) -> None:
-        # Ordered by frequency: streams and acks carry virtually all traffic.
-        if isinstance(frame, StreamFrame):
-            if not self.is_client and packet.packet_type == PacketType.ZERO_RTT:
-                if not self.early_data_accepted and self.handshake_complete:
-                    return  # rejected early data is dropped
-            stream_id = frame.stream_id
-            stream = self._streams.get(stream_id)
-            if stream is None:
-                if stream_id in self._finished_streams:
+    # ---------------------------------------------------------- frame handlers
+    def _on_stream_frame(
+        self, packet_type: int, stream_id: int, offset: int, data: bytes, fin: bool
+    ) -> None:
+        if packet_type == _ZERO_RTT and not self.is_client:
+            if not self.early_data_accepted and self.handshake_complete:
+                return  # rejected early data is dropped
+        stream = self._streams.get(stream_id)
+        if stream is None:
+            # Peer-initiated and unidirectional?
+            if stream_id & 0x3 == (0x3 if self.is_client else 0x2):
+                sequence = stream_id >> 2
+                floor = self._peer_uni_floor
+                above = self._peer_uni_above
+                if sequence < floor or sequence in above:
                     return  # late retransmission of a completed one-shot stream
-                if (
-                    frame.fin
-                    and frame.offset == 0
-                    and stream_id & 0x2
-                    and self.on_stream_data is not None
-                ):
+                if sequence == floor:
+                    floor += 1
+                    while floor in above:
+                        above.remove(floor)
+                        floor += 1
+                    self._peer_uni_floor = floor
+                else:
+                    above.add(sequence)
+                if fin and offset == 0 and self.on_stream_data is not None:
                     # One-shot unidirectional stream delivered whole in its
                     # first frame — the fan-out data path.  Complete it
-                    # without materialising stream state; the finished-set
-                    # entry replaces ``receive_closed`` for duplicate
+                    # without materialising stream state; the seen-record
+                    # above replaces ``receive_closed`` for duplicate
                     # suppression.
-                    self._finished_streams.add(stream_id)
-                    self.on_stream_data(stream_id, frame.data, True)
+                    self.on_stream_data(stream_id, data, True)
                     return
-                stream = QuicStream(stream_id)
-                self._streams[stream_id] = stream
-            if stream._on_data is None and self.on_stream_data is not None:
-                stream.set_data_callback(self.on_stream_data)
-            stream.receive(frame.offset, frame.data, frame.fin)
-        elif isinstance(frame, AckFrame):
-            self._process_ack(frame)
-        elif isinstance(frame, AckRangesFrame):
-            self._process_ack_ranges(frame)
-        elif isinstance(frame, CryptoFrame):
-            if self.is_client:
-                self._process_server_hello(frame)
-            else:
-                self._process_client_hello(frame)
-        elif isinstance(frame, DatagramFrame):
-            self.statistics.datagrams_received += 1
-            if self.on_datagram is not None:
-                self.on_datagram(frame.data)
-        elif isinstance(frame, ConnectionCloseFrame):
-            self._handle_close(frame.error_code, frame.reason, send_close=False)
-        elif isinstance(frame, HandshakeDoneFrame):
-            pass  # informational
-        elif isinstance(frame, PingFrame):
-            pass  # the ACK we send suffices
-        # PADDING and unknown-but-parsed frames are ignored.
+            stream = QuicStream(stream_id)
+            self._streams[stream_id] = stream
+        if stream._on_data is None and self.on_stream_data is not None:
+            stream.set_data_callback(self.on_stream_data)
+        stream.receive(offset, data, fin)
 
-    def _process_ack(self, frame: AckFrame) -> None:
+    def _on_ack(self, largest: int) -> None:
         # Cumulative ACK: the peer's received-set is gap-free from packet 0,
         # so everything at or below ``largest`` really was received.
-        self._apply_ack([pn for pn in self._unacked if pn <= frame.largest], frame.largest)
+        self._apply_ack([pn for pn in self._unacked if pn <= largest], largest)
 
-    def _process_ack_ranges(self, frame: AckRangesFrame) -> None:
+    def _on_ack_ranges(self, largest: int, ranges: tuple[tuple[int, int], ...]) -> None:
         # Exact ACK: the peer saw a gap; acknowledge only the listed ranges
         # so the dropped numbers stay unacked and the PTO machinery repairs
         # them.
-        ranges = frame.ranges
         acked = [
             pn
             for pn in self._unacked
             if any(start <= pn <= end for start, end in ranges)
         ]
-        self._apply_ack(acked, frame.largest)
+        self._apply_ack(acked, largest)
+
+    def _on_crypto(self, data: bytes) -> None:
+        if self.is_client:
+            self._process_server_hello(data)
+        else:
+            self._process_client_hello(data)
+
+    def _on_datagram_frame(self, data: bytes) -> None:
+        self.statistics.datagrams_received += 1
+        if self.on_datagram is not None:
+            self.on_datagram(data)
 
     def _apply_ack(self, acked: "list[int]", largest: int) -> None:
         self._consecutive_loss_timeouts = 0

@@ -14,7 +14,8 @@ from typing import Callable
 from repro.netsim.node import Host
 from repro.netsim.packet import Address, Datagram
 from repro.quic.connection import ConnectionConfig, QuicConnection
-from repro.quic.packet import Packet, PacketType
+from repro.quic.frames import PacketDecodeError, scan_frames
+from repro.quic.packet import PacketType, decode_header
 from repro.quic.tls import ServerTlsContext, SessionTicketStore
 
 PROTOCOL_LABEL = "quic"
@@ -54,6 +55,7 @@ class QuicEndpoint:
         "_pool",
         "_rng",
         "address",
+        "datagrams_malformed",
     )
 
     def __init__(
@@ -82,6 +84,9 @@ class QuicEndpoint:
         # when one exists (hosts wired to links directly, as some transport
         # tests do, fall back to plain allocation).
         self._pool = getattr(host.network, "datagram_pool", None)
+        #: Datagrams dropped whole because they were not a well-formed packet
+        #: (scraped by :func:`repro.telemetry.collect.collect_network`).
+        self.datagrams_malformed = 0
         if port is None:
             self.address = host.bind_ephemeral(self)
         else:
@@ -138,8 +143,10 @@ class QuicEndpoint:
         """The server-side TLS context (None for client-only endpoints)."""
         return self._server_tls
 
-    def _accept(self, packet: Packet, source: Address) -> QuicConnection | None:
-        if not self.is_server or packet.packet_type not in (
+    def _accept(
+        self, packet_type: int, connection_id: int, source: Address
+    ) -> QuicConnection | None:
+        if not self.is_server or packet_type not in (
             PacketType.INITIAL,
             PacketType.ZERO_RTT,
         ):
@@ -150,12 +157,12 @@ class QuicEndpoint:
             send_datagram=self._send_payload,
             local_address=self.address,
             peer_address=source,
-            connection_id=packet.connection_id,
+            connection_id=connection_id,
             is_client=False,
             config=config,
             server_tls=self._server_tls,
         )
-        self._connections[packet.connection_id] = connection
+        self._connections[connection_id] = connection
         self._install_pooled_sending(connection)
         if self.on_connection is not None:
             self.on_connection(connection)
@@ -194,19 +201,27 @@ class QuicEndpoint:
         )
 
     def datagram_received(self, datagram: Datagram) -> None:
-        """Entry point from the host: demultiplex to a connection."""
+        """Entry point from the host: demultiplex to a connection.
+
+        The header is parsed here, once (the connection id picks the
+        connection); the connection walks the frames where they lie.  A
+        datagram that is not a well-formed packet is dropped whole and
+        counted; any other exception is a bug and propagates.
+        """
+        data = datagram.payload
         try:
-            packet = Packet.decode(datagram.payload)
-        except Exception:
-            return
-        connection = self._connections.get(packet.connection_id)
-        if connection is None:
-            connection = self._accept(packet, datagram.source)
+            packet_type, connection_id, packet_number, offset, end = decode_header(data)
+            connection = self._connections.get(connection_id)
             if connection is None:
-                return
-        # The packet was already parsed for demultiplexing; hand the decoded
-        # form to the connection instead of making it parse the bytes again.
-        connection.packet_received(packet, len(datagram.payload))
+                # Validate before accepting: a malformed first packet must
+                # not leave a connection behind.
+                scan_frames(data, offset, end)
+                connection = self._accept(packet_type, connection_id, datagram.source)
+                if connection is None:
+                    return
+            connection.receive_packet(packet_type, packet_number, data, offset, end, len(data))
+        except PacketDecodeError:
+            self.datagrams_malformed += 1
 
     # --------------------------------------------------------------- lifecycle
     def connections(self) -> list[QuicConnection]:

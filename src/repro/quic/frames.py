@@ -23,8 +23,20 @@ from dataclasses import dataclass
 from repro.quic.varint import (
     VarintError,
     append_varint,
+    decode_varint,
     _VALUE_MASK,
 )
+
+
+class PacketDecodeError(ValueError):
+    """A received datagram is not a well-formed packet.
+
+    The one exception type of the receive path (see ``docs/quic-receive.md``):
+    unknown packet or frame type, truncated varint, a length running past the
+    packet payload and a CONNECTION_CLOSE reason that is not UTF-8 all raise
+    it, and it is the only exception
+    :meth:`~repro.quic.endpoint.QuicEndpoint.datagram_received` catches.
+    """
 
 
 class FrameType(enum.IntEnum):
@@ -319,3 +331,63 @@ def decode_frames_range(
     except IndexError:
         raise VarintError("truncated varint: no bytes available") from None
     return frames, offset
+
+
+def scan_frames(data: bytes | memoryview, offset: int, end: int) -> None:
+    """Check that ``data[offset:end]`` is a well-formed frame sequence.
+
+    The bounds-only pre-scan of the receive path: it skips over every frame
+    without building anything and raises :class:`PacketDecodeError` for
+    exactly the inputs :func:`decode_frames_range` rejects, so a packet can
+    be refused whole before any of its frames has had an effect.
+
+    Varints are skipped by their length prefix and bounds are checked once
+    per frame: reads only move forward, so a read that strays past ``end``
+    leaves ``offset > end`` (or runs off the buffer, an ``IndexError``).
+    """
+    try:
+        while offset < end:
+            frame_type = data[offset]
+            if frame_type < 64:
+                offset += 1
+            else:
+                frame_type, offset = decode_varint(data, offset)
+            if frame_type == _STREAM:
+                offset += 1 << (data[offset] >> 6)  # stream id
+                offset += 1 << (data[offset] >> 6)  # stream offset
+                offset += 1 << (data[offset] >> 6)  # fin
+                length, offset = decode_varint(data, offset)
+                offset += length
+            elif frame_type == _ACK:
+                offset += 1 << (data[offset] >> 6)  # largest
+                offset += 1 << (data[offset] >> 6)  # delay
+            elif frame_type == _ACK_RANGES:
+                offset += 1 << (data[offset] >> 6)  # largest
+                offset += 1 << (data[offset] >> 6)  # delay
+                count, offset = decode_varint(data, offset)
+                for _ in range(count):
+                    if offset >= end:
+                        raise PacketDecodeError("truncated ACK_RANGES frame")
+                    offset += 1 << (data[offset] >> 6)  # gap
+                    offset += 1 << (data[offset] >> 6)  # length - 1
+            elif frame_type == _PADDING:
+                while offset < end and data[offset] == 0:
+                    offset += 1
+            elif frame_type == _CRYPTO or frame_type == _DATAGRAM:
+                length, offset = decode_varint(data, offset)
+                offset += length
+            elif frame_type == _CONNECTION_CLOSE:
+                offset += 1 << (data[offset] >> 6)  # error code
+                length, offset = decode_varint(data, offset)
+                stop = offset + length
+                if stop <= end:
+                    str(data[offset:stop], "utf-8")
+                offset = stop
+            elif frame_type != _PING and frame_type != _HANDSHAKE_DONE:
+                raise PacketDecodeError(f"unknown frame type: {frame_type:#x}")
+            if offset > end:
+                raise PacketDecodeError("truncated frame: runs past the packet payload")
+    except (IndexError, VarintError):
+        raise PacketDecodeError("truncated frame: runs past the datagram") from None
+    except UnicodeDecodeError:
+        raise PacketDecodeError("CONNECTION_CLOSE reason is not UTF-8") from None

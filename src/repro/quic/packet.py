@@ -16,6 +16,7 @@ from repro.quic.frames import (
     AckFrame,
     AckRangesFrame,
     Frame,
+    PacketDecodeError,
     PaddingFrame,
     decode_frames_range,
     encode_frames_into,
@@ -33,6 +34,62 @@ class PacketType(enum.IntEnum):
 
 
 _PACKET_TYPE_BY_VALUE = {member.value: member for member in PacketType}
+_LARGEST_PACKET_TYPE = max(_PACKET_TYPE_BY_VALUE)
+
+
+def decode_header(data: bytes | memoryview) -> tuple[int, int, int, int, int]:
+    """Parse a packet header in place, for the receive path.
+
+    Returns ``(packet_type, connection_id, packet_number, offset, end)``: the
+    frames occupy ``data[offset:end]`` and are walked where they lie by
+    :meth:`~repro.quic.connection.QuicConnection.receive_packet` — no
+    :class:`Packet` is built.  ``packet_type`` is the plain wire value.
+    Raises :class:`~repro.quic.frames.PacketDecodeError` for exactly the
+    headers :meth:`Packet.decode` rejects.
+    """
+    from_bytes = int.from_bytes
+    mask = _VALUE_MASK
+    try:
+        packet_type = data[0]
+        if packet_type > _LARGEST_PACKET_TYPE:
+            raise PacketDecodeError(f"unknown packet type: {packet_type:#x}")
+        # Three varints: connection id, packet number, payload length.  A
+        # truncated one is caught by the read after it (or the final bounds
+        # check), since offsets only move forward.  The two-byte form is
+        # decoded arithmetically: it is what packet numbers and lengths
+        # mostly are, and slicing a pooled memoryview allocates.
+        connection_id = data[1]
+        if connection_id < 64:
+            offset = 2
+        else:
+            offset = 1 + (1 << (connection_id >> 6))
+            connection_id = from_bytes(data[1:offset], "big") & mask[connection_id >> 6]
+        packet_number = data[offset]
+        if packet_number < 64:
+            offset += 1
+        elif packet_number < 128:
+            packet_number = ((packet_number & 0x3F) << 8) | data[offset + 1]
+            offset += 2
+        else:
+            stop = offset + (1 << (packet_number >> 6))
+            packet_number = from_bytes(data[offset:stop], "big") & mask[packet_number >> 6]
+            offset = stop
+        length = data[offset]
+        if length < 64:
+            offset += 1
+        elif length < 128:
+            length = ((length & 0x3F) << 8) | data[offset + 1]
+            offset += 2
+        else:
+            stop = offset + (1 << (length >> 6))
+            length = from_bytes(data[offset:stop], "big") & mask[length >> 6]
+            offset = stop
+    except IndexError:
+        raise PacketDecodeError("truncated packet header") from None
+    end = offset + length
+    if end > len(data):
+        raise PacketDecodeError("truncated packet payload")
+    return packet_type, connection_id, packet_number, offset, end
 
 
 @dataclass(slots=True)

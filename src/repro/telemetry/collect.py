@@ -57,6 +57,16 @@ def collect_network(metrics: MetricsRegistry, network) -> None:
     ).set(getattr(network, "link_batch_fallback_waves", 0))
     collect_datagram_pool(metrics, network.datagram_pool)
     collect_simulator(metrics, network.simulator)
+    # Malformed-datagram drops are counted per QUIC endpoint, and endpoints
+    # are whatever is bound to a port; other handlers have no such counter.
+    malformed = 0
+    for host in network.hosts():
+        for handler in host._ports.values():  # noqa: SLF001 - no public view
+            malformed += getattr(handler, "datagrams_malformed", 0)
+    metrics.gauge(
+        "quic_datagrams_malformed",
+        "Datagrams dropped whole by bound QUIC endpoints as not a well-formed packet",
+    ).set(malformed)
     trace = network.trace
     if trace.enabled:
         for kind in trace.kinds():

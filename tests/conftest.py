@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.netsim.link import LinkConfig
 from repro.netsim.network import Network
 from repro.netsim.simulator import Simulator
+
+# Derandomised profile for shared CI runners (``--hypothesis-profile ci``):
+# a fixed example sequence and no per-example deadline, so the property and
+# fuzz tests cannot flake on a slow or unlucky run.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 @pytest.fixture

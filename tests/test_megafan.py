@@ -379,8 +379,7 @@ class TestOneShotReceivePath:
         receiver.handshake_complete = True
         receiver.on_stream_data = lambda sid, data, fin: received.append((sid, bytes(data), fin))
         sender.send_encoded_stream(b"stream-payload")
-        packet = Packet.decode(sent[0])
-        receiver.packet_received(packet, len(sent[0]))
+        receiver.datagram_received(sent[0])
         assert received == [(2, b"stream-payload", True)]
         assert 2 not in receiver.streams()  # no QuicStream materialised
 
@@ -395,7 +394,7 @@ class TestOneShotReceivePath:
         simulator.run(until=sender.probe_timeout + 0.001)  # force a retransmit
         assert len(sent) == 2
         for payload in sent:
-            receiver.packet_received(Packet.decode(payload), len(payload))
+            receiver.datagram_received(payload)
         assert received == [b"once-only"]
 
 

@@ -255,6 +255,25 @@ class TestTraceRecorder:
         text = format_sequence(trace.events())
         assert "step" in text and "source=stub" in text
 
+    def test_record_datagram_reads_back_like_an_eagerly_formatted_record(self, simulator):
+        source, destination = Address("10.0.0.1", 1), Address("10.0.0.2", 7)
+        eager, lazy = TraceRecorder(simulator), TraceRecorder(simulator)
+        heard = []
+        lazy.subscribe(heard.append)
+        eager.record(
+            "datagram-sent",
+            source=str(source),
+            destination=str(destination),
+            protocol="quic",
+            size=42,
+        )
+        lazy.record_datagram("datagram-sent", source, destination, "quic", 42)
+        lazy.record("note", detail="mixed with free-form records")
+        assert lazy.count("datagram-sent") == 1 and lazy.count() == 2
+        assert lazy.events("datagram-sent") == eager.events()
+        assert heard == lazy.events()
+        assert format_sequence(lazy.events("datagram-sent")) == format_sequence(eager.events())
+
 
 class TestStatisticsHelpers:
     def test_counter_increment_and_reset(self):

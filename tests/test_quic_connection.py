@@ -284,14 +284,13 @@ def _ack_everything(connection):
     from repro.quic.frames import AckFrame
     from repro.quic.packet import Packet, PacketType
 
-    connection.packet_received(
+    connection.datagram_received(
         Packet(
             packet_type=PacketType.INITIAL,
             connection_id=connection.connection_id,
             packet_number=0,
             frames=(AckFrame(largest=connection._next_packet_number - 1),),
-        ),
-        wire_size=10,
+        ).encode()
     )
 
 
@@ -465,30 +464,22 @@ class TestAckRangesRepair:
         assert connection._received_ranges == [[0, far]]
 
     def test_exact_ack_leaves_the_dropped_packet_unacked(self):
-        from repro.quic.frames import AckRangesFrame
-
         _, connection = self._connection()
         connection._unacked = {0: object(), 1: object(), 2: object(), 3: object()}
         connection._sent_times = {}
-        connection._process_ack_ranges(
-            AckRangesFrame(largest=3, delay_us=0, ranges=((0, 1), (3, 3)))
-        )
+        connection._on_ack_ranges(3, ((0, 1), (3, 3)))
         # Packet 2 was never received by the peer: it must stay unacked so
         # the loss timer retransmits it.
         assert set(connection._unacked) == {2}
 
     def test_exact_vs_cumulative_ack_on_a_gapped_set(self):
-        from repro.quic.frames import AckFrame, AckRangesFrame
-
         _, connection = self._connection()
         connection._unacked = {2: object(), 4: object()}
         connection._sent_times = {}
-        connection._process_ack_ranges(
-            AckRangesFrame(largest=4, delay_us=0, ranges=((0, 1), (4, 4)))
-        )
+        connection._on_ack_ranges(4, ((0, 1), (4, 4)))
         assert set(connection._unacked) == {2}
         # The cumulative form would have acked 2 as well — the exact bug.
         connection._unacked = {2: object(), 4: object()}
         connection._sent_times = {}
-        connection._process_ack(AckFrame(largest=4))
+        connection._on_ack(4)
         assert set(connection._unacked) == set()
