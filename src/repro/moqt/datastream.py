@@ -13,12 +13,10 @@ Two stream flavours exist:
   fetch request ID, followed by objects that each repeat their group ID
   because a fetch can span groups.
 
-The object-body encoding is independent of the receiving subscription (only
-the stream *header* carries the per-subscriber track alias), which is what
-makes encode-once fan-out possible: a relay serialises an object body once
-and hands the cached bytes to every downstream
-:meth:`~repro.moqt.session.MoqtSession.publish` call via
-:func:`encode_subgroup_stream_chunk`.
+Only the stream *header* carries the per-subscriber track alias, and
+subscribers overwhelmingly share one alias, which is what makes encode-once
+fan-out possible: :meth:`~repro.moqt.session.MoqtSession.publish` memoises
+the whole :func:`encode_subgroup_stream_chunk` payload per alias.
 """
 
 from __future__ import annotations
@@ -179,22 +177,11 @@ def decode_fetch_object(reader: VarintReader) -> MoqtObject:
     )
 
 
-def encode_object_datagram(track_alias: int, obj: MoqtObject, body: bytes | None = None) -> bytes:
-    """Encode an object as a single datagram payload.
-
-    ``body`` optionally carries the cached alias-independent suffix from
-    :func:`encode_object_datagram_body` for encode-once fan-out.
-    """
+def encode_object_datagram(track_alias: int, obj: MoqtObject) -> bytes:
+    """Encode an object as a single datagram payload."""
     buffer = bytearray()
     append_varint(buffer, DatagramType.OBJECT_DATAGRAM)
     append_varint(buffer, track_alias)
-    buffer += body if body is not None else encode_object_datagram_body(obj)
-    return bytes(buffer)
-
-
-def encode_object_datagram_body(obj: MoqtObject) -> bytes:
-    """The part of an object datagram that does not depend on the alias."""
-    buffer = bytearray()
     append_varint(buffer, obj.group_id)
     append_varint(buffer, obj.object_id)
     buffer.append(obj.publisher_priority)

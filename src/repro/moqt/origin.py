@@ -16,8 +16,7 @@ serves:
   requested range (a promoted standby answers the tier-0 relays' gap FETCH
   from its cache), joining fetches return the latest group as before;
 * :meth:`OriginPublisher.push` records an object and fans it out to every
-  direct subscriber with the encode-once / chunk-cached / link-batched fast
-  path.
+  direct subscriber, encoded once per track alias and link-batched.
 
 A standby's publisher is created with ``seed_initial=False`` and its state
 is filled by a live subscription to the active origin, so at promotion time
@@ -27,7 +26,6 @@ continues from.
 
 from __future__ import annotations
 
-from repro.moqt.datastream import encode_subgroup_object, encode_subgroup_stream_chunk
 from repro.moqt.messages import FetchType
 from repro.moqt.objectmodel import Location, MoqtObject, TrackState
 from repro.moqt.relay import MOQT_ALPN
@@ -48,8 +46,8 @@ class OriginPublisher:
     Parameters
     ----------
     network:
-        The network the origin host lives on, when known — enables the
-        batched, chunk-cached fan-out fast path in :meth:`push`.
+        The network the origin host lives on, when known — enables
+        link-batched fan-out in :meth:`push`.
     track:
         The full track name this origin serves.
     seed_initial:
@@ -101,8 +99,7 @@ class OriginPublisher:
     def push(self, obj: MoqtObject) -> None:
         """Record and push one update to every direct (top-tier) subscriber."""
         self.state.publish(obj)
-        cached_encoding = encode_subgroup_object(obj)
-        chunk_by_alias: dict[int, bytes] = {}
+        encoded: dict[int, bytes] = {}
         network = self.network
         if network is not None:
             spans = network.telemetry.spans
@@ -116,15 +113,7 @@ class OriginPublisher:
                 if session.closed:
                     continue
                 for subscription in session.publisher_subscriptions():
-                    if session.config.use_datagrams:
-                        session.publish(subscription, obj, cached_encoding)
-                        continue
-                    alias = subscription.track_alias
-                    chunk = chunk_by_alias.get(alias)
-                    if chunk is None:
-                        chunk = encode_subgroup_stream_chunk(alias, obj, cached_encoding)
-                        chunk_by_alias[alias] = chunk
-                    session.publish_preencoded(subscription, obj, chunk)
+                    session.publish(subscription, obj, encoded)
         finally:
             if network is not None:
                 network.end_batch()

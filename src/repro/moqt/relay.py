@@ -33,11 +33,6 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:
     from repro.relaynet.admission import AdmissionController, AdmissionPolicy
 
-from repro.moqt.datastream import (
-    encode_object_datagram_body,
-    encode_subgroup_object,
-    encode_subgroup_stream_chunk,
-)
 from repro.moqt.errors import FetchErrorCode, SubscribeErrorCode
 from repro.moqt.messages import Fetch, FetchType, Subscribe
 from repro.moqt.objectmodel import Location, MoqtObject, TrackState
@@ -813,22 +808,13 @@ class MoqtRelay:
             track.forwarded = prune_seen_locations(track.forwarded, track.largest_forwarded)
 
     def _forward_to_downstream(self, track: RelayTrack, obj: MoqtObject) -> None:
-        # Encode-once fan-out: the object body does not depend on the
-        # receiving subscription, so it is serialised a single time and the
-        # cached bytes ride every downstream publish (§3's fan-out efficiency
-        # argument, applied to CPU rather than links).  In stream mode the
-        # full subgroup chunk (header + body) is additionally cached per track
-        # alias — subscribers overwhelmingly share one alias, so the whole
-        # stream payload is typically encoded once for the entire tier — and
-        # the per-subscriber sends are collected into one link-batch event by
-        # the network's batching region.
-        use_datagrams = self.session_config.use_datagrams
-        if use_datagrams:
-            cached_encoding = encode_object_datagram_body(obj)
-            chunk_by_alias = None
-        else:
-            cached_encoding = encode_subgroup_object(obj)
-            chunk_by_alias = {}
+        # Encode-once fan-out (§3's fan-out efficiency argument, applied to
+        # CPU rather than links): the payload is memoised per track alias —
+        # subscribers overwhelmingly share one alias, so it is typically
+        # encoded once for the entire tier — and the per-subscriber sends are
+        # collected into one link-batch event by the network's batching
+        # region.
+        encoded: dict[int, bytes] = {}
         network = self.host.network
         # Span tracing (one record per relay per object, before the fan-out
         # loop): purely observational — no events, no RNG, no wire bytes.
@@ -864,15 +850,7 @@ class MoqtRelay:
                     # relay's canonical instance shares one across the tier.
                     publisher_subscription.full_track_name = track.full_track_name
                     subscriber.publisher_subscription = publisher_subscription
-                if use_datagrams:
-                    session.publish(publisher_subscription, obj, cached_encoding)
-                else:
-                    alias = publisher_subscription.track_alias
-                    chunk = chunk_by_alias.get(alias)
-                    if chunk is None:
-                        chunk = encode_subgroup_stream_chunk(alias, obj, cached_encoding)
-                        chunk_by_alias[alias] = chunk
-                    session.publish_preencoded(publisher_subscription, obj, chunk)
+                session.publish(publisher_subscription, obj, encoded)
                 track.objects_forwarded += 1
                 self.statistics.objects_forwarded += 1
         finally:

@@ -69,7 +69,7 @@ from repro.moqt.messages import (
 from repro.moqt.objectmodel import Location, MoqtObject
 from repro.moqt.track import FullTrackName
 from repro.quic.connection import QuicConnection
-from repro.quic.stream import QuicStream, StreamDirection
+from repro.quic.stream import QuicStream
 
 #: ALPN identifier for MoQT.
 MOQT_ALPN = "moq-00"
@@ -330,7 +330,7 @@ class MoqtSession:
 
     # ----------------------------------------------------------------- setup
     def _start_client(self) -> None:
-        self._control_stream = self.connection.open_stream(StreamDirection.BIDIRECTIONAL)
+        self._control_stream = self.connection.open_stream()
         self._control_stream_id = self._control_stream.stream_id
         setup = ClientSetup(supported_versions=SUPPORTED_VERSIONS)
         self._send_control(setup)
@@ -507,7 +507,7 @@ class MoqtSession:
         self,
         subscription: PublisherSubscription,
         obj: MoqtObject,
-        cached_encoding: bytes | None = None,
+        encoded: dict[int, bytes] | None = None,
     ) -> None:
         """Push one object to a downstream subscription.
 
@@ -516,13 +516,14 @@ class MoqtSession:
         ``use_datagrams`` enabled the object is sent unreliably instead, which
         the ablation benchmark compares.
 
-        ``cached_encoding`` is the object-body encoding from
-        :func:`~repro.moqt.datastream.encode_subgroup_object` (stream mode) or
-        :func:`~repro.moqt.datastream.encode_object_datagram_body` (datagram
-        mode).  Fan-out publishers (relays) encode each object once and pass
-        the bytes to every downstream publish; only the per-subscriber stream
-        header is serialised per call, and the wire bytes are identical to an
-        uncached publish.
+        ``encoded`` is a caller-owned memo for fanning *this* object out: pass
+        the same (initially empty) dict to every publish of ``obj`` and the
+        payload is serialised once per track alias instead of once per
+        subscriber — subscribers overwhelmingly share one alias, so a relay
+        encodes each object once for its whole tier.  The memo holds wire
+        payloads, so the sessions sharing it must agree on ``use_datagrams``,
+        and it must not outlive the object.  Wire bytes are identical with
+        or without it.
         """
         self._require_open()
         if not subscription.forward:
@@ -530,48 +531,26 @@ class MoqtSession:
         self.statistics.objects_sent += 1
         self.statistics.object_bytes_sent += obj.size
         subscription.objects_sent += 1
-        if self.config.use_datagrams:
-            payload = encode_object_datagram(subscription.track_alias, obj, cached_encoding)
+        alias = subscription.track_alias
+        datagrams = self.config.use_datagrams
+        payload = encoded.get(alias) if encoded is not None else None
+        if payload is None:
+            encode = encode_object_datagram if datagrams else encode_subgroup_stream_chunk
+            payload = encode(alias, obj)
+            if encoded is not None:
+                encoded[alias] = payload
+        if datagrams:
             self.connection.send_datagram_frame(payload)
-            return
-        stream = self.connection.open_stream(StreamDirection.UNIDIRECTIONAL)
-        self.connection.send_stream_data(
-            stream,
-            encode_subgroup_stream_chunk(subscription.track_alias, obj, cached_encoding),
-            fin=True,
-        )
-
-    def publish_preencoded(
-        self, subscription: PublisherSubscription, obj: MoqtObject, chunk: bytes
-    ) -> None:
-        """Push one object whose subgroup-stream chunk is already encoded.
-
-        The fan-out fast path under :meth:`publish`: ``chunk`` is the complete
-        stream payload from
-        :func:`~repro.moqt.datastream.encode_subgroup_stream_chunk` for this
-        subscription's track alias, so relays fanning one object to thousands
-        of same-alias subscribers serialise it once and every per-subscriber
-        send is a QUIC-header patch into a pooled buffer
-        (:meth:`~repro.quic.connection.QuicConnection.send_encoded_stream`).
-        Wire bytes and statistics are identical to :meth:`publish`; sessions
-        in datagram mode must keep using :meth:`publish`.
-        """
-        self._require_open()
-        if not subscription.forward:
-            return
-        self.statistics.objects_sent += 1
-        self.statistics.object_bytes_sent += obj.size
-        subscription.objects_sent += 1
-        self.connection.send_encoded_stream(chunk)
+        else:
+            self.connection.send_encoded_stream(payload)
 
     def _send_fetch_objects(self, request_id: int, objects: list[MoqtObject]) -> None:
-        stream = self.connection.open_stream(StreamDirection.UNIDIRECTIONAL)
         payload = FetchStreamHeader(request_id=request_id).encode()
         for obj in objects:
             payload += encode_fetch_object(obj)
             self.statistics.objects_sent += 1
             self.statistics.object_bytes_sent += obj.size
-        self.connection.send_stream_data(stream, payload, fin=True)
+        self.connection.send_encoded_stream(payload)
 
     # ------------------------------------------------------------- goaway/close
     def goaway(self, new_session_uri: str = "") -> None:

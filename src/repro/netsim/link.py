@@ -234,13 +234,19 @@ class Link:
             )
         self._extra_bytes = value
 
-    def transmit(self, datagram: Datagram) -> None:
+    def transmit(
+        self, datagram: Datagram, deliver: Callable[[Datagram], None] | None = None
+    ) -> None:
         """Send a datagram across the link.
 
         Loss is decided at enqueue time; surviving datagrams are delivered
         after serialisation plus propagation delay.  Serialisation is modelled
         as a FIFO: a datagram cannot start transmitting before the previous
         one has finished.
+
+        ``deliver`` replaces the link's own delivery callback for this one
+        datagram — a transit hop of a multi-hop route hands the datagram to
+        the next hop instead of to the host at the far end.
         """
         size = len(datagram.payload)
         statistics = self.statistics
@@ -260,13 +266,13 @@ class Link:
         arrival = self._busy_until + self._delay
         # Scheduling the bound method with the datagram as an event argument
         # avoids allocating one closure per datagram on the hottest path.
-        self._simulator.call_at(arrival, self._arrive, datagram)
+        self._simulator.call_at(arrival, self._arrive, datagram, deliver or self._deliver)
 
-    def _arrive(self, datagram: Datagram) -> None:
+    def _arrive(self, datagram: Datagram, deliver: Callable[[Datagram], None]) -> None:
         statistics = self.statistics
         statistics.datagrams_delivered += 1
         statistics.bytes_delivered += len(datagram.payload)
-        self._deliver(datagram)
+        deliver(datagram)
 
     # -------------------------------------------------------------- batch form
     @staticmethod

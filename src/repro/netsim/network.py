@@ -229,39 +229,13 @@ class Network:
         if index + 2 == len(path):
             link.transmit(datagram)
         else:
-            # Intermediate hop: on arrival, keep forwarding.  We wrap the
-            # datagram delivery so intermediate hosts do not see the payload.
-            original_deliver = link._deliver  # noqa: SLF001 - internal chaining
-
+            # Transit hop: the link is shared with its direct traffic (same
+            # FIFO, loss draws and counters), but on arrival the datagram
+            # goes on to the next hop, not to the intermediate host.
             def forward(d: Datagram, _next_index: int = index + 1) -> None:
                 self._forward_along(path, _next_index, d)
 
-            # Build a temporary link-like transmission: we cannot replace the
-            # link's deliver callback permanently (other flows share it), so
-            # we emulate the hop with an explicit arrival callback.
-            del original_deliver
-            self._transmit_via(link, datagram, forward)
-
-    def _transmit_via(self, link: Link, datagram: Datagram, on_arrival) -> None:
-        """Send ``datagram`` over ``link`` but divert the arrival callback."""
-        link.statistics.datagrams_sent += 1
-        link.statistics.bytes_sent += datagram.size
-        if link.config.loss_rate > 0.0 and self.simulator.rng.random() < link.config.loss_rate:
-            link.statistics.datagrams_dropped += 1
-            datagram.release()
-            return
-        if link.config.bandwidth is not None:
-            serialisation = datagram.size * 8 / link.config.bandwidth
-        else:
-            serialisation = 0.0
-        arrival = self.simulator.now + serialisation + link.config.delay
-        self.simulator.call_at(arrival, self._arrive_via, link, datagram, on_arrival)
-
-    @staticmethod
-    def _arrive_via(link: Link, datagram: Datagram, on_arrival) -> None:
-        link.statistics.datagrams_delivered += 1
-        link.statistics.bytes_delivered += datagram.size
-        on_arrival(datagram)
+            link.transmit(datagram, deliver=forward)
 
     def shortest_path(self, source: str, destination: str) -> list[str]:
         """Least-total-delay path between two hosts (Dijkstra)."""

@@ -75,6 +75,7 @@ from repro.quic.stream import (
 from repro.quic.tls import (
     AlpnMismatchError,
     ClientHello,
+    HelloDecodeError,
     ServerHello,
     ServerTlsContext,
     SessionTicket,
@@ -414,6 +415,15 @@ class QuicConnection:
         return len(self._cwnd_blocked)
 
     @property
+    def stream_states(self) -> int:
+        """Streams this connection holds a :class:`QuicStream` for.
+
+        The control stream plus any peer stream that arrived fragmented;
+        sending or receiving one-shot unidirectional streams adds none.
+        """
+        return len(self._streams)
+
+    @property
     def stream_reorder_backlog(self) -> int:
         """Peer unidirectional streams seen ahead of a still-missing earlier one.
 
@@ -459,10 +469,9 @@ class QuicConnection:
             self.early_data_accepted = True
         self._send_packet(PacketType.INITIAL, [CryptoFrame(hello.to_bytes())])
 
-    def _process_client_hello(self, data: bytes) -> None:
+    def _process_client_hello(self, hello: ClientHello) -> None:
         assert self._server_tls is not None, "server connection lacks a TLS context"
         self.handshake_started_at = self._simulator.now
-        hello = ClientHello.from_bytes(data)
         try:
             server_hello = self._server_tls.process_client_hello(hello)
         except AlpnMismatchError as error:
@@ -484,8 +493,7 @@ class QuicConnection:
             self.on_handshake_complete(self)
         self._flush_queued_app_frames()
 
-    def _process_server_hello(self, data: bytes) -> None:
-        server_hello = ServerHello.from_bytes(data)
+    def _process_server_hello(self, server_hello: ServerHello) -> None:
         self.negotiated_alpn = server_hello.alpn
         if self.used_0rtt and not server_hello.accepts_early_data:
             self.early_data_accepted = False
@@ -521,15 +529,15 @@ class QuicConnection:
             self._cc.on_packets_discarded(discarded)
 
     # ---------------------------------------------------------------- streams
-    def open_stream(self, direction: StreamDirection = StreamDirection.BIDIRECTIONAL) -> QuicStream:
-        """Open a new locally initiated stream."""
-        if direction is StreamDirection.UNIDIRECTIONAL:
-            sequence = self._next_uni_sequence
-            self._next_uni_sequence = sequence + 1
-        else:
-            sequence = self._next_bidi_sequence
-            self._next_bidi_sequence = sequence + 1
-        stream_id = make_stream_id(sequence, self.is_client, direction)
+    def open_stream(self) -> QuicStream:
+        """Open a new locally initiated bidirectional stream.
+
+        Unidirectional streams are one-shot and have no stream object on the
+        sending side: see :meth:`send_encoded_stream`.
+        """
+        sequence = self._next_bidi_sequence
+        self._next_bidi_sequence = sequence + 1
+        stream_id = make_stream_id(sequence, self.is_client, StreamDirection.BIDIRECTIONAL)
         stream = QuicStream(stream_id)
         self._streams[stream_id] = stream
         return stream
@@ -550,12 +558,10 @@ class QuicConnection:
         """Write data on a stream and transmit it as soon as allowed."""
         if self.closed:
             raise QuicConnectionError(TransportErrorCode.PROTOCOL_VIOLATION, "connection closed")
-        stream.write(data, fin)
-        frames = [
-            StreamFrame(stream_id=stream.stream_id, offset=offset, data=chunk, fin=chunk_fin)
-            for offset, chunk, chunk_fin in stream.take_pending()
-        ]
-        self._send_app_frames(frames)
+        offset = stream.write(data, fin)
+        self._send_app_frames(
+            [StreamFrame(stream_id=stream.stream_id, offset=offset, data=bytes(data), fin=fin)]
+        )
 
     def send_datagram_frame(self, data: bytes) -> None:
         """Send unreliable application data in a DATAGRAM frame."""
@@ -565,28 +571,30 @@ class QuicConnection:
     def send_encoded_stream(self, chunk: bytes) -> int:
         """Send ``chunk`` as a complete one-shot unidirectional stream.
 
-        The preassembled fan-out fast path: ``chunk`` is an already-encoded
-        stream payload (e.g. a MoQT subgroup chunk shared across subscribers),
-        and the packet around it is serialised directly into a pooled buffer —
-        header-patch-only per subscriber, wire-identical to
-        ``open_stream()`` + ``send_stream_data(..., fin=True)`` but with no
-        per-call :class:`QuicStream`, ``StreamFrame`` or ``Packet`` objects
-        and no intermediate payload copies.  Loss recovery is preserved: a
-        compact retransmission record keeps a reference to ``chunk`` (which
-        must therefore be immutable) until the packet is acknowledged.
+        The only sender of unidirectional streams: ``chunk`` is an
+        already-encoded stream payload (e.g. a MoQT subgroup chunk shared
+        across subscribers), and the packet around it is serialised directly
+        into a pooled buffer — header-patch-only per subscriber, with no
+        :class:`QuicStream`, ``StreamFrame`` or ``Packet`` object and no
+        intermediate payload copy.  The sender keeps no per-stream state;
+        loss recovery holds a compact retransmission record referencing
+        ``chunk`` (which must therefore be immutable) until the packet is
+        acknowledged.
 
         Returns the stream ID used.
         """
         if self.closed:
             raise QuicConnectionError(TransportErrorCode.PROTOCOL_VIOLATION, "connection closed")
-        if not self.handshake_complete:
-            # Rare (0-RTT / queued-frame semantics live in the general path).
-            stream = self.open_stream(StreamDirection.UNIDIRECTIONAL)
-            self.send_stream_data(stream, chunk, fin=True)
-            return stream.stream_id
         sequence = self._next_uni_sequence
         self._next_uni_sequence = sequence + 1
         stream_id = make_stream_id(sequence, self.is_client, StreamDirection.UNIDIRECTIONAL)
+        if not self.handshake_complete:
+            # Rare: the frame is queued until the handshake completes, or
+            # leaves as 0-RTT early data (and is requeued if that is rejected).
+            self._send_app_frames(
+                [StreamFrame(stream_id=stream_id, offset=0, data=chunk, fin=True)]
+            )
+            return stream_id
         chunk_length = len(chunk)
         # frame type (1) + offset varint 0 (1) + fin byte (1) = 3.
         payload_length = 3 + varint_size(stream_id) + varint_size(chunk_length) + chunk_length
@@ -603,7 +611,7 @@ class QuicConnection:
                 # is part of the wire contract): hold the stream back; the ID
                 # is already allocated and returned.  The flush path sends it
                 # through _send_packet, whose encoding is byte-identical to
-                # the hand-assembled fast path below.
+                # the hand-assembled bytes below.
                 self._cwnd_blocked.append(
                     (StreamFrame(stream_id=stream_id, offset=0, data=chunk, fin=True),)
                 )
@@ -650,8 +658,6 @@ class QuicConnection:
         return PacketType.ZERO_RTT
 
     def _send_app_frames(self, frames: list[Frame], reliable: bool = True) -> None:
-        if not frames:
-            return
         if not self._can_send_app_data():
             self._queued_app_frames.extend(frames)
             return
@@ -1154,10 +1160,15 @@ class QuicConnection:
         self._apply_ack(acked, largest)
 
     def _on_crypto(self, data: bytes) -> None:
+        try:
+            hello = ServerHello.from_bytes(data) if self.is_client else ClientHello.from_bytes(data)
+        except HelloDecodeError as error:
+            self.close(TransportErrorCode.PROTOCOL_VIOLATION, str(error))
+            return
         if self.is_client:
-            self._process_server_hello(data)
+            self._process_server_hello(hello)
         else:
-            self._process_client_hello(data)
+            self._process_client_hello(hello)
 
     def _on_datagram_frame(self, data: bytes) -> None:
         self.statistics.datagrams_received += 1

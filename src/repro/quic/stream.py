@@ -81,15 +81,14 @@ class _ReceiveBuffer:
 class QuicStream:
     """One stream of a connection.
 
-    The stream exposes a written-data queue consumed by the connection when
-    building packets, and a receive path that reassembles incoming
-    ``STREAM`` frames and hands contiguous data to the registered callback.
+    The send side is an offset counter — the connection frames each write
+    as it is made — and the receive side reassembles incoming ``STREAM``
+    frames and hands contiguous data to the registered callback.
     """
 
     __slots__ = (
         "stream_id",
         "_send_offset",
-        "_pending_send",
         "_receive",
         "_on_data",
         "send_closed",
@@ -105,7 +104,6 @@ class QuicStream:
     ) -> None:
         self.stream_id = stream_id
         self._send_offset = 0
-        self._pending_send: list[tuple[int, bytes, bool]] = []
         self._receive = _ReceiveBuffer()
         self._on_data = on_data
         self.send_closed = False
@@ -125,24 +123,16 @@ class QuicStream:
         self._on_data = callback
 
     # ------------------------------------------------------------------- send
-    def write(self, data: bytes, fin: bool = False) -> None:
-        """Queue data (and optionally a FIN) for transmission."""
+    def write(self, data: bytes, fin: bool = False) -> int:
+        """Account for ``data`` (and optionally a FIN); returns its offset."""
         if self.send_closed:
             raise ValueError(f"stream {self.stream_id} send side already closed")
-        self._pending_send.append((self._send_offset, bytes(data), fin))
-        self._send_offset += len(data)
+        offset = self._send_offset
+        self._send_offset = offset + len(data)
         self.bytes_sent += len(data)
         if fin:
             self.send_closed = True
-
-    def finish(self) -> None:
-        """Close the send side without more data."""
-        self.write(b"", fin=True)
-
-    def take_pending(self) -> list[tuple[int, bytes, bool]]:
-        """Drain the queued (offset, data, fin) chunks for packetisation."""
-        pending, self._pending_send = self._pending_send, []
-        return pending
+        return offset
 
     # ---------------------------------------------------------------- receive
     def receive(self, offset: int, data: bytes, fin: bool) -> None:

@@ -23,6 +23,10 @@ class AlpnMismatchError(Exception):
     """Raised when client and server share no application protocol."""
 
 
+class HelloDecodeError(ValueError):
+    """Raised when CRYPTO bytes do not hold the expected hello message."""
+
+
 @dataclass(frozen=True)
 class SessionTicket:
     """A resumption ticket issued by a server.
@@ -101,10 +105,13 @@ class ClientHello:
     @classmethod
     def from_bytes(cls, data: bytes) -> "ClientHello":
         """Parse the compact serialisation."""
-        kind, server_name, alpn, ticket, early = data.decode("utf-8").split("|")
+        try:
+            kind, server_name, alpn, ticket, early = data.decode("utf-8").split("|")
+            ticket_id = int(ticket)
+        except ValueError:  # field count, non-integer ticket, invalid UTF-8
+            raise HelloDecodeError("malformed ClientHello") from None
         if kind != "CH":
-            raise ValueError("not a ClientHello")
-        ticket_id = int(ticket)
+            raise HelloDecodeError("not a ClientHello")
         session_ticket = None
         if ticket_id:
             # The receiving server only needs to know a ticket was presented.
@@ -135,10 +142,14 @@ class ServerHello:
     @classmethod
     def from_bytes(cls, data: bytes) -> "ServerHello":
         """Parse the compact serialisation."""
-        kind, alpn, early, ticket = data.decode("utf-8").split("|")
+        try:
+            kind, alpn, early, ticket = data.decode("utf-8").split("|")
+            ticket_id = int(ticket)
+        except ValueError:  # field count, non-integer ticket, invalid UTF-8
+            raise HelloDecodeError("malformed ServerHello") from None
         if kind != "SH":
-            raise ValueError("not a ServerHello")
-        return cls(alpn=alpn, accepts_early_data=early == "1", new_ticket_id=int(ticket))
+            raise HelloDecodeError("not a ServerHello")
+        return cls(alpn=alpn, accepts_early_data=early == "1", new_ticket_id=ticket_id)
 
 
 @dataclass

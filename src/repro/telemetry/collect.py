@@ -99,7 +99,10 @@ _QUIC_CC_FIELDS = (
     "congestion_events",
 )
 
-_QUIC_EXPORT_FIELDS = _QUIC_STAT_FIELDS + _QUIC_CC_FIELDS
+#: ``stream_states`` is the bounded-state gauge: ``QuicStream`` objects held,
+#: summed over the role's connections (one control stream each, plus any
+#: peer stream that arrived fragmented and has not been dropped).
+_QUIC_EXPORT_FIELDS = _QUIC_STAT_FIELDS + _QUIC_CC_FIELDS + ("stream_states",)
 
 
 def _scrape_quic(totals: dict[str, int], connection, scale: int = 1) -> None:
@@ -110,6 +113,7 @@ def _scrape_quic(totals: dict[str, int], connection, scale: int = 1) -> None:
     totals["cwnd_bytes"] += congestion.congestion_window * scale
     totals["bytes_in_flight"] += congestion.bytes_in_flight * scale
     totals["congestion_events"] += congestion.congestion_events * scale
+    totals["stream_states"] += connection.stream_states * scale
 
 
 def collect_relay_tree(metrics: MetricsRegistry, tree) -> None:

@@ -559,3 +559,30 @@ def test_zone_for_walks_suffixes_to_the_most_specific_zone():
     assert server.zone_for(_name("example.org.")) is root
     assert server.zone_for(Name.root()) is root
     assert server.zone_for(_name("x.sub.example.com.")) is child
+
+
+# ----------------------------------------------------- sender-side QUIC state
+def test_pushing_records_adds_no_stream_state():
+    """500 zone changes pushed auth → recursive → forwarder leave every QUIC
+    connection with its control stream and nothing else."""
+    from repro.experiments.topology import SmallTopology
+
+    topology = SmallTopology()
+    key = DnsQuestionKey(qname=topology.domain_name, qtype=RecordType.A)
+    topology.forwarder.resolve(key, lambda message, version: None)
+    topology.run(2.0)
+    pushed = []
+    topology.forwarder.on_record_updated.append(lambda k, record: pushed.append(k))
+    for change in range(500):
+        topology.update_record(f"198.51.{change // 250}.{change % 250 + 1}")
+        topology.run(0.2)
+    assert len(pushed) == 500
+    connections = [
+        connection
+        for host in topology.network.hosts()
+        for handler in host._ports.values()
+        for connection in getattr(handler, "connections", list)()
+    ]
+    assert len(connections) >= 8  # forwarder→recursive→{root, tld, auth}, both ends
+    assert max(connection.stream_states for connection in connections) <= 2
+    assert max(connection.stream_reorder_backlog for connection in connections) == 0

@@ -2,10 +2,9 @@
 
 Covers the netsim layer (link-batch delivery via ``Link.transmit_many``,
 network batching regions, the refcounted ``DatagramPool``), the QUIC
-preassembled-send fast path (wire identity with the general path, loss
-recovery, the one-shot receive path), the MoQT fan-out fast path
-(``publish_preencoded`` wire identity, shared decode memos) and the
-perf-harness plumbing (``--repeat`` shapes, the regression gate).
+preassembled send path (wire identity with the ``Packet`` oracle, loss
+recovery, the one-shot receive path), MoQT publishing (``publish`` golden
+bytes, shared decode memos) and the perf-harness plumbing (``--repeat`` shapes, the regression gate).
 
 The two headline guarantees:
 
@@ -36,16 +35,18 @@ from repro.netsim.network import Network
 from repro.netsim.packet import Address, Datagram, DatagramPool
 from repro.netsim.simulator import Simulator
 from repro.netsim.trace import NullTraceRecorder
+from repro.quic.congestion import NewRenoCongestionController
 from repro.quic.connection import ConnectionConfig, QuicConnection
+from repro.quic.frames import AckFrame, CryptoFrame, HandshakeDoneFrame, StreamFrame
 from repro.quic.packet import Packet, PacketType
-from repro.quic.stream import StreamDirection
+from repro.quic.tls import ServerHello
 from repro.relaynet import RelayTreeBuilder, RelayTreeSpec
 
 SRC = Address("src-host", 1000)
 DST = Address("dst-host", 2000)
 
 
-def _make_connection(sent, handshake_complete=True, is_client=True):
+def _make_connection(sent, handshake_complete=True, is_client=True, config=None):
     simulator = Simulator()
     connection = QuicConnection(
         simulator=simulator,
@@ -54,10 +55,16 @@ def _make_connection(sent, handshake_complete=True, is_client=True):
         peer_address=Address("server", 2),
         connection_id=(3 << 48) | 424242,
         is_client=is_client,
-        config=ConnectionConfig(),
+        config=config or ConnectionConfig(),
     )
     connection.handshake_complete = handshake_complete
     return simulator, connection
+
+
+def _stream_packet(connection, packet_number, stream_id, chunk, packet_type=PacketType.ONE_RTT):
+    """The codec's encoding of a one-shot stream packet (the oracle)."""
+    frame = StreamFrame(stream_id, 0, chunk, True)
+    return Packet(packet_type, connection.connection_id, packet_number, (frame,)).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -326,26 +333,75 @@ class TestSendEncodedStream:
         obj = MoqtObject(group_id=4, object_id=2, payload=b"fan-out-payload")
         return encode_subgroup_stream_chunk(alias, obj, encode_subgroup_object(obj))
 
-    def test_wire_identical_to_general_stream_path(self):
-        chunk = self._chunk()
-        slow_sent, fast_sent = [], []
-        _, slow = _make_connection(slow_sent)
-        _, fast = _make_connection(fast_sent)
-        stream = slow.open_stream(StreamDirection.UNIDIRECTIONAL)
-        slow.send_stream_data(stream, chunk, fin=True)
-        stream_id = fast.send_encoded_stream(chunk)
-        assert fast_sent == slow_sent
-        assert stream_id == stream.stream_id
-        assert fast.statistics.packets_sent == slow.statistics.packets_sent
-        assert fast.statistics.bytes_sent == slow.statistics.bytes_sent
+    def test_wire_identical_to_packet_oracle(self):
+        # Every varint the hand-assembled packet writes, on both sides of its
+        # 1→2 and 2→4 byte width boundaries.  Server unidirectional stream
+        # ids are 4n+3, so sequences 15/16 and 4095/4096 give 63/67 and
+        # 16383/16387.
+        edges = (63, 64, 16383, 16384)
+        for sequence in (15, 16, 4095, 4096):
+            for packet_number in edges:
+                for length in edges:
+                    sent = []
+                    _, connection = _make_connection(sent, is_client=False)
+                    connection._next_uni_sequence = sequence
+                    connection._next_packet_number = packet_number
+                    chunk = bytes(length)
+                    stream_id = connection.send_encoded_stream(chunk)
+                    assert stream_id == (sequence << 2) | 0x3
+                    assert sent == [_stream_packet(connection, packet_number, stream_id, chunk)]
+                    assert connection.statistics.packets_sent == 1
+                    assert connection.statistics.bytes_sent == len(sent[0])
+                    assert connection.stream_states == 0
 
-    def test_stream_id_sequence_is_shared_with_open_stream(self):
+    def test_queued_or_rejected_early_stream_is_resent_as_one_rtt(self):
+        # Before the handshake completes the stream is either queued (no
+        # ticket) or leaves as 0-RTT data; a ServerHello that rejects early
+        # data requeues it.  Both end as the same ONE_RTT oracle packet.
+        chunk = self._chunk()
+        hello = Packet(
+            PacketType.HANDSHAKE,
+            0,
+            0,
+            (CryptoFrame(ServerHello("moq-00", False, 1).to_bytes()), HandshakeDoneFrame()),
+        )
+        for early in (False, True):
+            sent = []
+            _, connection = _make_connection(sent, handshake_complete=False)
+            connection.used_0rtt = connection.early_data_accepted = early
+            stream_id = connection.send_encoded_stream(chunk)
+            assert stream_id == 2
+            early_packets = (
+                [_stream_packet(connection, 0, 2, chunk, PacketType.ZERO_RTT)] if early else []
+            )
+            assert sent == early_packets
+            connection.datagram_received(hello.encode())
+            assert connection.handshake_complete
+            # The resent stream, then the ACK of the ServerHello.
+            assert sent[:-1] == early_packets + [
+                _stream_packet(connection, len(early_packets), 2, chunk)
+            ]
+            assert connection.stream_states == 0
+
+    def test_cwnd_blocked_streams_leave_in_fifo_order(self):
         sent = []
-        _, connection = _make_connection(sent)
-        first = connection.send_encoded_stream(self._chunk())
-        second = connection.open_stream(StreamDirection.UNIDIRECTIONAL).stream_id
-        third = connection.send_encoded_stream(self._chunk())
-        assert (first, second, third) == (2, 6, 10)  # client uni: 2, 6, 10
+        config = ConnectionConfig(
+            congestion_controller=lambda: NewRenoCongestionController(
+                initial_window_packets=2, minimum_window_packets=2
+            )
+        )
+        _, connection = _make_connection(sent, config=config)
+        chunks = [bytes([index]) * 1000 for index in range(5)]
+        stream_ids = [connection.send_encoded_stream(chunk) for chunk in chunks]
+        assert stream_ids == [2, 6, 10, 14, 18]  # allocated at call time
+        assert len(sent) == 2 and connection.cwnd_blocked_packets == 3
+        ack = Packet(PacketType.ONE_RTT, connection.connection_id, 0, (AckFrame(largest=1),))
+        connection.datagram_received(ack.encode())
+        assert connection.cwnd_blocked_packets == 0
+        assert sent == [
+            _stream_packet(connection, number, stream_id, chunk)
+            for number, (stream_id, chunk) in enumerate(zip(stream_ids, chunks))
+        ]
 
     def test_unacked_packet_is_retransmitted_with_identical_frames(self):
         chunk = self._chunk()
@@ -399,9 +455,9 @@ class TestOneShotReceivePath:
 
 
 # ---------------------------------------------------------------------------
-# MoQT: fan-out fast path and shared decode memos
+# MoQT: publish and shared decode memos
 # ---------------------------------------------------------------------------
-class TestPublishPreencodedWireIdentity:
+class TestPublishWire:
     def _session_pair(self):
         """A publisher-side session whose connection records what it sends."""
         from repro.moqt.session import MoqtSession, PublisherSubscription
@@ -412,28 +468,27 @@ class TestPublishPreencodedWireIdentity:
         subscription = PublisherSubscription(request_id=1, track_alias=7, full_track_name=TRACK)
         return session, subscription, sent
 
-    def test_matches_publish_byte_for_byte(self):
+    def test_golden_bytes(self):
         obj = MoqtObject(group_id=3, object_id=1, payload=b"record-update")
-        body = encode_subgroup_object(obj)
-        chunk = encode_subgroup_stream_chunk(7, obj, body)
-
-        slow_session, slow_subscription, slow_sent = self._session_pair()
-        slow_session.publish(slow_subscription, obj, body)
-        fast_session, fast_subscription, fast_sent = self._session_pair()
-        fast_session.publish_preencoded(fast_subscription, obj, chunk)
-
-        assert fast_sent == slow_sent
-        assert (
-            fast_session.statistics.objects_sent == slow_session.statistics.objects_sent == 1
+        session, subscription, sent = self._session_pair()
+        encoded = {}
+        session.publish(subscription, obj, encoded)
+        session.publish(subscription, obj)  # no memo: same payload bytes
+        assert sent[0].hex() == (
+            "03" "c003000000067932" "00" "1b"  # ONE_RTT, cid, pn 0, 27 bytes of frames
+            "08" "03" "00" "01" "16"  # STREAM id 3, offset 0, fin, 22 bytes
+            "04" "07" "03" "00" "80"  # subgroup header: alias 7, group 3, subgroup 0, priority
+            "01" "00" "0d" + b"record-update".hex() + "00"  # object 1, no extensions, status
         )
-        assert fast_subscription.objects_sent == slow_subscription.objects_sent == 1
+        assert sent[1] == _stream_packet(session.connection, 1, 7, encoded[7])
+        assert encoded == {7: encode_subgroup_stream_chunk(7, obj)}
+        assert session.statistics.objects_sent == subscription.objects_sent == 2
 
     def test_respects_forward_flag(self):
         obj = MoqtObject(group_id=3, object_id=1, payload=b"x")
-        chunk = encode_subgroup_stream_chunk(7, obj, encode_subgroup_object(obj))
         session, subscription, sent = self._session_pair()
         subscription.forward = False
-        session.publish_preencoded(subscription, obj, chunk)
+        session.publish(subscription, obj, {})
         assert sent == []
         assert session.statistics.objects_sent == 0
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.moqt.datastream import encode_object_datagram
 from repro.moqt.errors import SubscribeErrorCode
 from repro.moqt.messages import FilterType
 from repro.moqt.objectmodel import Location, MoqtObject, TrackState
@@ -182,6 +183,22 @@ class TestSubscribeAndFetch:
         assert done[0].succeeded
         assert done[0].objects  # publisher returns its latest object
 
+    def test_fetch_response_larger_than_16_kib_round_trips(self):
+        # 20,000 B of payload: the STREAM frame and packet lengths need the
+        # 4-byte varint form, and the response is one one-shot stream.
+        delegate = RecordingPublisher()
+        big = MoqtObject(group_id=2, object_id=0, payload=bytes(range(250)) * 80)
+        delegate.state.publish(big)
+        simulator, session, publisher_sessions, _ = _build(publisher_delegate=delegate)
+        done = []
+        session.fetch(TRACK, Location(2, 0), Location(2, 0), on_complete=done.append)
+        simulator.run(until=2.0)
+        assert done[0].succeeded
+        assert done[0].objects == [big]
+        assert publisher_sessions[0].connection.statistics.bytes_sent > 20_000
+        assert session.connection.stream_states == 1  # the control stream
+        assert publisher_sessions[0].connection.stream_states == 1
+
     def test_unsubscribe_sends_done(self):
         simulator, session, publisher_sessions, _ = _build()
         subscription = session.subscribe(TRACK)
@@ -230,9 +247,17 @@ class TestSubscribeAndFetch:
         simulator.run(until=2.0)
         publisher = publisher_sessions[0]
         publisher_subscription = publisher.publisher_subscriptions()[0]
-        publisher.publish(publisher_subscription, MoqtObject(group_id=3, object_id=0, payload=b"dg"))
+        obj = MoqtObject(group_id=3, object_id=0, payload=b"dg")
+        encoded = {}  # the fan-out memo holds datagram payloads in this mode
+        publisher.publish(publisher_subscription, obj, encoded)
+        publisher.publish(publisher_subscription, obj, encoded)
         simulator.run(until=3.0)
-        assert pushed == [b"dg"]
+        assert pushed == [b"dg", b"dg"]
+        assert encoded == {
+            publisher_subscription.track_alias: encode_object_datagram(
+                publisher_subscription.track_alias, obj
+            )
+        }
 
     def test_goaway_recorded(self):
         simulator, session, publisher_sessions, _ = _build()

@@ -186,6 +186,30 @@ class TestNetworkRouting:
         assert [time for time, _ in collector.received] == [pytest.approx(0.03)]
         assert network.shortest_path("a", "c") == ["a", "b", "c"]
 
+    def test_transit_hop_shares_the_link_fifo(self, simulator):
+        # 1000 B at 1 Mbit/s is 8 ms on the wire: back-to-back datagrams must
+        # leave the a->b hop one after the other, multi-hop or direct.
+        network = Network(simulator)
+        for name in ("a", "b", "c"):
+            network.add_host(name)
+        network.connect("a", "b", LinkConfig(delay=0.01, bandwidth=1e6))
+        network.connect("b", "c", LinkConfig(delay=0.02))
+        at_c, at_b = _Collector(simulator), _Collector(simulator)
+        network.host("c").bind(80, at_c)
+        network.host("b").bind(80, at_b)
+        for destination in ("c", "c", "b"):
+            network.host("a").send(
+                Datagram(Address("a", 1), Address(destination, 80), bytes(1000))
+            )
+        simulator.run_until_idle()
+        assert [time for time, _ in at_c.received] == [
+            pytest.approx(0.008 + 0.01 + 0.02),
+            pytest.approx(0.016 + 0.01 + 0.02),
+        ]
+        # The link's direct traffic queues behind the transit datagrams.
+        assert [time for time, _ in at_b.received] == [pytest.approx(0.024 + 0.01)]
+        assert network.link("a", "b").statistics.datagrams_delivered == 3
+
     def test_unknown_destination_raises(self, simulator, two_host_network):
         with pytest.raises(UnknownHostError):
             two_host_network.host("10.0.0.1").send(

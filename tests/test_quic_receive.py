@@ -26,6 +26,7 @@ from repro.netsim.packet import Address, Datagram
 from repro.netsim.simulator import Simulator
 from repro.quic.connection import ConnectionConfig, QuicConnection
 from repro.quic.endpoint import QuicEndpoint
+from repro.quic.errors import TransportErrorCode
 from repro.quic.frames import (
     AckFrame,
     AckRangesFrame,
@@ -528,6 +529,59 @@ def test_no_decode_exception_leaves_the_simulator(datagram):
     _inject(simulator, network, client, datagram)
     assert client.datagrams_malformed == (1 if oracle_or_none(datagram) is None else 0)
     assert client.connections() == []
+
+
+def _hostile_hellos(valid: bytes, other_role: bytes) -> list[bytes]:
+    """CRYPTO payloads that frame perfectly well and hold no hello."""
+    fields = valid.split(b"|")
+    hostile = [
+        b"",
+        other_role,
+        b"|".join([b"XX"] + fields[1:]),  # right shape, wrong kind
+        b"|".join(fields[:-1]),  # a field short
+        valid + b"|extra",  # a field long
+        b"|".join(fields[:3] + [b"1x"] + fields[4:]),  # non-integer ticket
+    ]
+    for index in range(len(valid)):
+        hostile.append(valid[:index] + b"\xff" + valid[index + 1 :])  # not UTF-8
+        if valid[index : index + 1] != b"|":
+            hostile.append(valid[:index] + b"|" + valid[index + 1 :])  # field count
+    return hostile
+
+
+CLIENT_HELLO = b"CH|9.9.9.9|moq-00|0|0"
+SERVER_HELLO = b"SH|moq-00|0|1"
+
+
+def test_a_crypto_frame_without_a_hello_closes_the_connection():
+    """Nothing but a typed error leaves the hello parser, and it ends as a
+    PROTOCOL_VIOLATION close — never an exception out of the event loop."""
+    violation = int(TransportErrorCode.PROTOCOL_VIOLATION)
+    for hello in _hostile_hellos(SERVER_HELLO, CLIENT_HELLO):
+        simulator, network, _, client, connection, _ = _connected_pair()
+        closes = []
+        connection.on_closed = lambda code, reason: closes.append(code)
+        packet = Packet(PacketType.HANDSHAKE, connection.connection_id, 900, (CryptoFrame(hello),))
+        _inject(simulator, network, client, packet.encode())
+        simulator.run_until_idle()
+        assert connection.closed and closes == [violation], hello
+        assert client.datagrams_malformed == 0  # the packet itself was fine
+    for hello in _hostile_hellos(CLIENT_HELLO, SERVER_HELLO):
+        simulator, network, server, accepted = _server_endpoint()
+        packet = Packet(PacketType.INITIAL, 123456, 0, (CryptoFrame(hello),))
+        network.host(CLIENT).send(
+            Datagram(
+                source=Address(CLIENT, 50000),
+                destination=server.address,
+                payload=packet.encode(),
+                protocol="quic",
+            )
+        )
+        simulator.run_until_idle()
+        (connection,) = accepted
+        assert connection.closed and not connection.handshake_complete, hello
+        assert connection.close_reason in ("malformed ClientHello", "not a ClientHello")
+        assert server.datagrams_malformed == 0
 
 
 # ------------------------------------------------------------ (c) atomicity

@@ -175,13 +175,11 @@ class TestStreamReassembly:
         with pytest.raises(ValueError):
             stream.write(b"more")
 
-    def test_take_pending_drains_offsets(self):
+    def test_write_returns_offsets(self):
         stream = QuicStream(4)
-        stream.write(b"abc")
-        stream.write(b"def", fin=True)
-        pending = stream.take_pending()
-        assert pending == [(0, b"abc", False), (3, b"def", True)]
-        assert stream.take_pending() == []
+        assert stream.write(b"abc") == 0
+        assert stream.write(b"def", fin=True) == 3
+        assert stream.bytes_sent == 6 and stream.send_closed
 
 
 class TestSimulatedTls:
