@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.core.errors import MappingError
+from repro.dns.errors import DnsFormatError
 from repro.dns.message import Header, Message
 from repro.moqt.objectmodel import MoqtObject
 
@@ -65,7 +66,7 @@ def decapsulate_response(obj: MoqtObject) -> Message:
     """Extract the DNS response message from a MoQT object."""
     try:
         return Message.from_wire(obj.payload)
-    except Exception as error:
+    except DnsFormatError as error:
         raise MappingError(f"object payload is not a DNS message: {error}") from None
 
 

@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.errors import MappingError
+from repro.dns.errors import DnsFormatError
 from repro.dns.message import Message, Question
 from repro.dns.name import Name
-from repro.dns.types import DNSClass, Opcode, RecordType
+from repro.dns.types import DNS_CLASSES, OPCODES, RECORD_TYPES, DNSClass, Opcode, RecordType
 from repro.moqt.track import FullTrackName, TrackNamespace
 
 #: Bit positions inside the first namespace element.
@@ -40,7 +41,9 @@ QNAME_BYTE_BUDGET = 4091
 class DnsQuestionKey:
     """The protocol-relevant identity of a DNS question.
 
-    Two requests with the same key are served by the same MoQT track.
+    Two requests with the same key are served by the same MoQT track.  The
+    key is what every per-question table on the resolution path is indexed
+    by, so its hash is computed once, on construction.
     """
 
     qname: Name
@@ -49,6 +52,25 @@ class DnsQuestionKey:
     opcode: Opcode = Opcode.QUERY
     recursion_desired: bool = True
     checking_disabled: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "_hash",
+            hash(
+                (
+                    self.qname,
+                    self.qtype,
+                    self.qclass,
+                    self.opcode,
+                    self.recursion_desired,
+                    self.checking_disabled,
+                )
+            ),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_message(cls, message: Message) -> "DnsQuestionKey":
@@ -106,15 +128,17 @@ def track_to_question(full_track_name: FullTrackName) -> DnsQuestionKey:
     if len(qtype_element) != 2 or len(qclass_element) != 2:
         raise MappingError("QTYPE and QCLASS namespace elements must be two bytes")
     flags = flags_element[0]
-    try:
-        opcode = Opcode(flags & _OPCODE_MASK)
-        qtype = RecordType(int.from_bytes(qtype_element, "big"))
-        qclass = DNSClass(int.from_bytes(qclass_element, "big"))
-    except ValueError as error:
-        raise MappingError(str(error)) from None
+    opcode = OPCODES.get(flags & _OPCODE_MASK)
+    qtype = RECORD_TYPES.get(int.from_bytes(qtype_element, "big"))
+    qclass = DNS_CLASSES.get(int.from_bytes(qclass_element, "big"))
+    if opcode is None or qtype is None or qclass is None:
+        raise MappingError(
+            f"no such opcode, QTYPE or QCLASS: {flags & _OPCODE_MASK}, "
+            f"{qtype_element.hex()}, {qclass_element.hex()}"
+        )
     try:
         qname, consumed = Name.from_wire(full_track_name.name, 0)
-    except Exception as error:
+    except DnsFormatError as error:
         raise MappingError(f"track name is not a wire-format QNAME: {error}") from None
     if consumed != len(full_track_name.name):
         raise MappingError("trailing bytes after the QNAME in the track name")

@@ -5,6 +5,8 @@ types the paper's measurement study covers, including HTTPS/SVCB from
 RFC 9460) to run realistic authoritative servers and recursive resolvers
 inside the simulator:
 
+* :mod:`repro.dns.errors` — ``DnsFormatError``, the one error (with its
+  subclasses) the codec raises for malformed bytes or text;
 * :mod:`repro.dns.name` — domain names with full wire encoding and
   compression-pointer decoding;
 * :mod:`repro.dns.rdata` — typed RDATA for A, AAAA, CNAME, NS, SOA, PTR, MX,
@@ -19,6 +21,7 @@ inside the simulator:
 """
 
 from repro.dns.types import DNSClass, Opcode, Rcode, RecordType
+from repro.dns.errors import DnsFormatError
 from repro.dns.name import Name
 from repro.dns.rr import ResourceRecord, RRset
 from repro.dns.message import Flags, Header, Message, Question, make_query, make_response
@@ -32,6 +35,7 @@ __all__ = [
     "Opcode",
     "Rcode",
     "RecordType",
+    "DnsFormatError",
     "Name",
     "ResourceRecord",
     "RRset",

@@ -1,7 +1,8 @@
 """DNS messages: header, question and record sections, with a wire codec.
 
 The codec implements the RFC 1035 message format including name compression
-on output and decompression on input.  Convenience constructors
+on output and decompression on input, each in one pass over one per-message
+name table (``docs/dns-codec.md``).  Convenience constructors
 (:func:`make_query`, :func:`make_response`) build the messages the servers
 and resolvers in this repository exchange.
 """
@@ -9,16 +10,26 @@ and resolvers in this repository exchange.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable
 
-from repro.dns.name import Name
+from repro.dns.errors import MessageError
+from repro.dns.name import Name, NameTable
 from repro.dns.rr import ResourceRecord, RRset
-from repro.dns.types import DNSClass, Opcode, Rcode, RecordType
+from repro.dns.types import (
+    DNS_CLASSES,
+    OPCODES,
+    RCODES,
+    RECORD_TYPES,
+    DNSClass,
+    Opcode,
+    Rcode,
+    RecordType,
+)
 
-
-class MessageError(ValueError):
-    """Raised for malformed DNS messages."""
+_HEADER = struct.Struct("!HHHHHH")
+_QUESTION_FIXED = struct.Struct("!HH")  # QTYPE, QCLASS
 
 
 @dataclass(frozen=True)
@@ -35,33 +46,34 @@ class Flags:
 
     def to_int(self, opcode: Opcode, rcode: Rcode) -> int:
         """Pack flags, opcode and rcode into the 16-bit header field."""
-        value = 0
-        value |= (1 << 15) if self.qr else 0
-        value |= (int(opcode) & 0xF) << 11
-        value |= (1 << 10) if self.aa else 0
-        value |= (1 << 9) if self.tc else 0
-        value |= (1 << 8) if self.rd else 0
-        value |= (1 << 7) if self.ra else 0
-        value |= (1 << 5) if self.ad else 0
-        value |= (1 << 4) if self.cd else 0
-        value |= int(rcode) & 0xF
-        return value
+        return (
+            (0x8000 if self.qr else 0)
+            | ((opcode & 0xF) << 11)
+            | (0x0400 if self.aa else 0)
+            | (0x0200 if self.tc else 0)
+            | (0x0100 if self.rd else 0)
+            | (0x0080 if self.ra else 0)
+            | (0x0020 if self.ad else 0)
+            | (0x0010 if self.cd else 0)
+            | (rcode & 0xF)
+        )
 
     @classmethod
     def from_int(cls, value: int) -> tuple["Flags", Opcode, Rcode]:
         """Unpack the 16-bit header field into flags, opcode and rcode."""
-        flags = cls(
-            qr=bool(value & (1 << 15)),
-            aa=bool(value & (1 << 10)),
-            tc=bool(value & (1 << 9)),
-            rd=bool(value & (1 << 8)),
-            ra=bool(value & (1 << 7)),
-            ad=bool(value & (1 << 5)),
-            cd=bool(value & (1 << 4)),
-        )
-        opcode = Opcode((value >> 11) & 0xF)
-        rcode = Rcode(value & 0xF)
-        return flags, opcode, rcode
+        opcode = OPCODES.get((value >> 11) & 0xF)
+        rcode = RCODES.get(value & 0xF)
+        if opcode is None or rcode is None:
+            raise MessageError(f"unknown opcode or rcode in header flags {value:#06x}")
+        return _FLAGS_BY_BITS[value & _FLAG_BITS], opcode, rcode
+
+
+#: The 128 possible values, interned: a decoded header shares its ``Flags``.
+_FLAGS_BY_BITS = {
+    flags.to_int(Opcode.QUERY, Rcode.NOERROR): flags
+    for flags in (Flags(*bits) for bits in product((False, True), repeat=7))
+}
+_FLAG_BITS = 0x87B0  # QR, AA, TC, RD, RA, AD, CD
 
 
 @dataclass(frozen=True)
@@ -75,11 +87,8 @@ class Header:
 
     def to_wire(self, counts: tuple[int, int, int, int]) -> bytes:
         """Encode with the given section counts (QD, AN, NS, AR)."""
-        return struct.pack(
-            "!HHHHHH",
-            self.message_id,
-            self.flags.to_int(self.opcode, self.rcode),
-            *counts,
+        return _HEADER.pack(
+            self.message_id, self.flags.to_int(self.opcode, self.rcode), *counts
         )
 
     @classmethod
@@ -87,9 +96,13 @@ class Header:
         """Decode the header and section counts from the first 12 bytes."""
         if len(wire) < 12:
             raise MessageError("message shorter than the 12-byte header")
-        message_id, raw_flags, qd, an, ns, ar = struct.unpack_from("!HHHHHH", wire, 0)
-        flags, opcode, rcode = Flags.from_int(raw_flags)
-        return cls(message_id, flags, opcode, rcode), (qd, an, ns, ar)
+        message_id, raw_flags, qd, an, ns, ar = _HEADER.unpack_from(wire, 0)
+        # Filled in directly, like the records (``ResourceRecord.from_wire``).
+        header = object.__new__(cls)
+        fields = header.__dict__
+        fields["message_id"] = message_id
+        fields["flags"], fields["opcode"], fields["rcode"] = Flags.from_int(raw_flags)
+        return header, (qd, an, ns, ar)
 
 
 @dataclass(frozen=True)
@@ -102,16 +115,32 @@ class Question:
 
     def to_wire(self, compress: dict[Name, int] | None = None, offset: int = 0) -> bytes:
         """Encode the question."""
-        return self.qname.to_wire(compress, offset) + struct.pack(
-            "!HH", int(self.qtype), int(self.qclass)
-        )
+        output = bytearray()
+        self._append_wire(output, compress, offset)
+        return bytes(output)
+
+    def _append_wire(self, output: bytearray, compress: dict[Name, int] | None, base: int) -> None:
+        """Append the encoding to ``output`` (see ``Name._append_wire``)."""
+        self.qname._append_wire(output, compress, base)
+        output += _QUESTION_FIXED.pack(self.qtype, self.qclass)
 
     @classmethod
-    def from_wire(cls, wire: bytes, offset: int) -> tuple["Question", int]:
-        """Decode a question starting at ``offset``."""
-        qname, offset = Name.from_wire(wire, offset)
-        qtype_raw, qclass_raw = struct.unpack_from("!HH", wire, offset)
-        return cls(qname, RecordType(qtype_raw), DNSClass(qclass_raw)), offset + 4
+    def from_wire(
+        cls, wire: bytes, offset: int, table: NameTable | None = None
+    ) -> tuple["Question", int]:
+        """Decode a question starting at ``offset``; ``table`` is the name
+        table of the message ``wire`` holds (``Name.from_wire``)."""
+        qname, offset = Name.from_wire(wire, offset, table)
+        end = offset + 4
+        if end > len(wire):
+            raise MessageError("truncated question")
+        qtype_raw, qclass_raw = _QUESTION_FIXED.unpack_from(wire, offset)
+        question = object.__new__(cls)  # filled in directly, like the header
+        fields = question.__dict__
+        fields["qname"] = qname
+        fields["qtype"] = RECORD_TYPES[qtype_raw]
+        fields["qclass"] = DNS_CLASSES[qclass_raw]
+        return question, end
 
     def to_text(self) -> str:
         """Presentation format, e.g. ``"www.example.com. IN A"``."""
@@ -173,26 +202,32 @@ class Message:
             len(self.additionals),
         )
         output = bytearray(self.header.to_wire(counts))
-        compress: dict[Name, int] = {}
+        compress: dict[Name, int] = {}  # the name table: name -> offset written at
         for question in self.questions:
-            output += question.to_wire(compress, len(output))
-        for record in self.records():
-            output += record.to_wire(compress, len(output))
+            question._append_wire(output, compress, 0)
+        for section in (self.answers, self.authorities, self.additionals):
+            for record in section:
+                record._append_wire(output, compress, 0)
         return bytes(output)
 
     @classmethod
     def from_wire(cls, wire: bytes) -> "Message":
-        """Decode a full message."""
+        """Decode a full message.
+
+        Raises :class:`~repro.dns.errors.DnsFormatError` (``MessageError``,
+        ``NameError_`` or ``RdataError``) for malformed bytes, nothing else.
+        """
         header, (qd, an, ns, ar) = Header.from_wire(wire)
+        table: NameTable = {}  # the name table: offset -> name that starts there
         offset = 12
         questions: list[Question] = []
         for _ in range(qd):
-            question, offset = Question.from_wire(wire, offset)
+            question, offset = Question.from_wire(wire, offset, table)
             questions.append(question)
         sections: list[list[ResourceRecord]] = [[], [], []]
         for section, count in zip(sections, (an, ns, ar)):
             for _ in range(count):
-                record, offset = ResourceRecord.from_wire(wire, offset)
+                record, offset = ResourceRecord.from_wire(wire, offset, table)
                 section.append(record)
         return cls(header, questions, *sections)
 

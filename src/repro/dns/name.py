@@ -5,29 +5,33 @@ from presentation format (``"www.example.com."``), rendered back, encoded
 into DNS wire format (length-prefixed labels terminated by the root label)
 with optional compression, and decoded from wire format including
 compression-pointer chasing with loop protection.
+
+A message is decoded and encoded over one per-message *name table*
+(``docs/dns-codec.md``): :data:`NameTable` maps an offset to the name that
+starts there while decoding, and ``dict[Name, int]`` maps a name to the
+offset it was written at while encoding.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from repro.dns.errors import NameError_
+
 MAX_LABEL_LENGTH = 63
 MAX_NAME_LENGTH = 255
+MAX_POINTER_JUMPS = 128
 _POINTER_MASK = 0xC0
 
 
-class NameError_(ValueError):
-    """Raised for malformed names or wire data.
+class Name:
+    """An immutable, case-insensitive DNS domain name.
 
-    Named with a trailing underscore to avoid shadowing the builtin
-    ``NameError``.
+    The hash of the label tuple is computed once, on construction: names are
+    dictionary keys on every hop of a lookup and of a pushed update.
     """
 
-
-class Name:
-    """An immutable, case-insensitive DNS domain name."""
-
-    __slots__ = ("_labels",)
+    __slots__ = ("_labels", "_hash")
 
     def __init__(self, labels: Iterable[bytes] = ()) -> None:
         normalized = tuple(bytes(label).lower() for label in labels)
@@ -40,20 +44,23 @@ class Name:
         if wire_length > MAX_NAME_LENGTH:
             raise NameError_(f"name too long ({wire_length} > {MAX_NAME_LENGTH})")
         self._labels = normalized
+        self._hash = hash(normalized)
 
     # ----------------------------------------------------------- constructors
     @classmethod
     def _from_labels(cls, labels: tuple[bytes, ...]) -> "Name":
         """Trusted constructor: ``labels`` is a suffix of an existing name's
-        labels, so it is already lowercased and within the length limits."""
+        labels, or was lowercased and length-checked by :meth:`from_wire`'s
+        walk, so there is nothing left to validate."""
         name = object.__new__(cls)
         name._labels = labels
+        name._hash = hash(labels)
         return name
 
     @classmethod
     def root(cls) -> "Name":
         """The root name ``"."``."""
-        return cls._from_labels(())
+        return _ROOT
 
     @classmethod
     def from_text(cls, text: str) -> "Name":
@@ -88,7 +95,7 @@ class Name:
         return iter(self._labels)
 
     def __hash__(self) -> int:
-        return hash(self._labels)
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Name):
@@ -155,63 +162,123 @@ class Name:
         a compression pointer and new suffixes are added at ``offset``.
         """
         output = bytearray()
-        remaining = self
-        while True:
-            if remaining.is_root:
-                output.append(0)
-                break
-            if compress is not None and remaining in compress:
-                pointer = compress[remaining]
-                output += bytes([_POINTER_MASK | (pointer >> 8), pointer & 0xFF])
-                break
-            if compress is not None:
-                position = offset + len(output)
-                if position < 0x4000:
-                    compress[remaining] = position
-            label = remaining.labels[0]
-            output.append(len(label))
-            output += label
-            remaining = remaining.parent()
+        self._append_wire(output, compress, offset)
         return bytes(output)
 
+    def _append_wire(self, output: bytearray, compress: dict["Name", int] | None, base: int) -> None:
+        """Append the encoding to ``output``, whose first byte sits at offset
+        ``base`` of the enclosing message (0 when ``output`` is the message)."""
+        labels = self._labels
+        if compress is None:
+            for label in labels:
+                output.append(len(label))
+                output += label
+            output.append(0)
+            return
+        for index, label in enumerate(labels):
+            suffix = Name._from_labels(labels[index:]) if index else self
+            pointer = compress.get(suffix)
+            if pointer is not None:
+                output.append(_POINTER_MASK | (pointer >> 8))
+                output.append(pointer & 0xFF)
+                return
+            position = base + len(output)
+            if position < 0x4000:
+                compress[suffix] = position
+            output.append(len(label))
+            output += label
+        output.append(0)
+
     @classmethod
-    def from_wire(cls, wire: bytes, offset: int) -> tuple["Name", int]:
+    def from_wire(
+        cls, wire: bytes, offset: int, table: NameTable | None = None
+    ) -> tuple["Name", int]:
         """Decode a name starting at ``offset``.
 
         Returns the name and the offset just past its encoding at the original
         position (compression pointers do not advance the caller's cursor
         beyond the 2-byte pointer).
+
+        ``table`` is the enclosing message's name table: every label this
+        walk reads is filed there with the name that starts at it, and a
+        compression pointer to a filed offset is answered from the table
+        instead of being walked again.  Without a table the whole chain is
+        walked; both give the same name, or the same rejection, for the same
+        bytes.
         """
-        labels: list[bytes] = []
+        size = len(wire)
         cursor = offset
-        consumed: int | None = None
+        consumed = -1
         jumps = 0
+        budget = MAX_NAME_LENGTH - 1  # the root label's byte is always there
+        labels: list[bytes] = []
+        marks: list[tuple[int, int]] = []  # (offset, jumps before it) per label
+        suffix = _ROOT
         while True:
-            if cursor >= len(wire):
+            if cursor >= size:
                 raise NameError_("truncated name")
             length = wire[cursor]
-            if length & _POINTER_MASK == _POINTER_MASK:
-                if cursor + 1 >= len(wire):
+            if length >= _POINTER_MASK:
+                if cursor + 1 >= size:
                     raise NameError_("truncated compression pointer")
                 pointer = ((length & 0x3F) << 8) | wire[cursor + 1]
-                if consumed is None:
+                if consumed < 0:
                     consumed = cursor + 2
                 jumps += 1
-                if jumps > 128:
+                if jumps > MAX_POINTER_JUMPS:
                     raise NameError_("compression pointer loop")
                 if pointer >= cursor:
                     raise NameError_("forward compression pointer")
                 cursor = pointer
-                continue
+                # Only a cursor that a checked pointer led to is looked up:
+                # the caller's cursor must advance past bytes actually read.
+                filed = table.get(pointer) if table is not None else None
+                if filed is None:
+                    continue
+                suffix, suffix_jumps = filed
+                jumps += suffix_jumps
+                if jumps > MAX_POINTER_JUMPS:
+                    raise NameError_("compression pointer loop")
+                if labels:
+                    tail = suffix._labels
+                    budget -= sum(map(len, tail)) + len(tail)
+                    if budget < 0:
+                        raise NameError_(f"name too long (> {MAX_NAME_LENGTH})")
+                break
             if length & _POINTER_MASK:
                 raise NameError_(f"reserved label type: {length:#x}")
-            cursor += 1
             if length == 0:
-                if consumed is None:
-                    consumed = cursor
+                if consumed < 0:
+                    consumed = cursor + 1
                 break
-            if cursor + length > len(wire):
+            # A 6-bit length is at most 63 and not zero here, so the label
+            # needs none of the constructor's per-label checks.
+            end = cursor + 1 + length
+            if end > size:
                 raise NameError_("truncated label")
-            labels.append(wire[cursor: cursor + length])
-            cursor += length
-        return cls(labels), consumed
+            budget -= length + 1
+            if budget < 0:
+                raise NameError_(f"name too long (> {MAX_NAME_LENGTH})")
+            labels.append(bytes(wire[cursor + 1: end]).lower())
+            marks.append((cursor, jumps))
+            cursor = end
+        if not labels:
+            return suffix, consumed
+        tail = suffix._labels
+        if table is None:
+            return cls._from_labels((*labels, *tail)), consumed
+        name = suffix
+        for index in range(len(labels) - 1, -1, -1):
+            tail = (labels[index], *tail)
+            name = cls._from_labels(tail)
+            start, before = marks[index]
+            table[start] = (name, jumps - before)
+        return name, consumed
+
+
+#: A message's name table while decoding: offset of a label -> (the name that
+#: starts there, the pointer jumps a walk from there takes).  The jump count
+#: keeps the loop guard exact when a walk is cut short by a table hit.
+NameTable = dict[int, tuple[Name, int]]
+
+_ROOT = Name._from_labels(())

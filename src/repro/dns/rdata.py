@@ -4,21 +4,41 @@ Each RDATA class implements a byte-exact wire codec (``to_wire`` /
 ``from_wire``), presentation-format parsing and rendering (``from_text`` /
 ``to_text``) and value equality.  The generic :class:`GenericRdata` carries
 unknown types opaquely so messages with unrecognised records still round-trip.
+
+``from_wire`` takes the enclosing message's name table (``docs/dns-codec.md``)
+so that names inside RDATA are decoded, and filed for later compression
+pointers, in the same pass as the owner names.  Every decoder holds its RDATA
+to RDLENGTH and raises :class:`RdataError` (or ``NameError_``) otherwise.
 """
 
 from __future__ import annotations
 
 import ipaddress
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
-from repro.dns.name import Name
+from repro.dns.errors import RdataError
+from repro.dns.name import Name, NameTable
 from repro.dns.types import RecordType
 
 
-class RdataError(ValueError):
-    """Raised for malformed RDATA."""
+def _framed_end(wire: bytes, offset: int, length: int) -> int:
+    """The offset just past RDATA of ``length`` bytes, which must lie inside ``wire``."""
+    end = offset + length
+    if end > len(wire):
+        raise RdataError(f"truncated RDATA: {length} bytes at {offset} of {len(wire)}")
+    return end
+
+
+def _check_framing(cls: type[Rdata], decoded_end: int, rdata_end: int) -> None:
+    """RDATA that holds a name must end where RDLENGTH says.  With
+    ``_framed_end`` before it, this also puts the fixed fields in front of
+    the name inside the wire: a decoded name cannot end past it."""
+    if decoded_end != rdata_end:
+        raise RdataError(
+            f"{cls.rdtype.to_text()} rdata ends at {decoded_end}, RDLENGTH says {rdata_end}"
+        )
 
 
 @dataclass(frozen=True)
@@ -36,8 +56,11 @@ class Rdata:
         raise NotImplementedError
 
     @classmethod
-    def from_wire(cls, wire: bytes, offset: int, length: int) -> "Rdata":
-        """Decode RDATA occupying ``wire[offset:offset + length]``."""
+    def from_wire(
+        cls, wire: bytes, offset: int, length: int, table: NameTable | None = None
+    ) -> "Rdata":
+        """Decode RDATA occupying ``wire[offset:offset + length]``; ``table``
+        is the name table of the message ``wire`` holds, if it is one."""
         raise NotImplementedError
 
     @classmethod
@@ -46,12 +69,21 @@ class Rdata:
         raise NotImplementedError
 
 
-def _decoded_address(cls, address: str):
-    """Build an A/AAAA RDATA from text derived from wire bytes, which is valid
-    by construction, without the constructor's re-parse."""
-    rdata = object.__new__(cls)
-    object.__setattr__(rdata, "address", address)
-    return rdata
+def _is_dotted_quad(text: object) -> bool:
+    """Whether ``text`` is what ``ipaddress.IPv4Address`` accepts as text:
+    four ASCII-decimal octets of at most three digits, no leading zero, each
+    at most 255."""
+    if type(text) is not str:
+        return False
+    octets = text.split(".")
+    if len(octets) != 4:
+        return False
+    for octet in octets:
+        if not (octet.isascii() and octet.isdigit()) or len(octet) > 3:
+            return False
+        if (octet[0] == "0" and len(octet) > 1) or int(octet) > 255:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -62,24 +94,31 @@ class ARdata(Rdata):
     rdtype: ClassVar[RecordType] = RecordType.A
 
     def __post_init__(self) -> None:
-        ipaddress.IPv4Address(self.address)
+        if not _is_dotted_quad(self.address):
+            ipaddress.IPv4Address(self.address)  # raises its precise error
 
     def to_wire(self) -> bytes:
         # ``address`` is a strict dotted quad: validated on construction or
-        # formatted from wire bytes, so there is nothing left to parse.
+        # formatted from wire bytes, so there is nothing left to check.
         return bytes(map(int, self.address.split(".")))
 
     def to_text(self) -> str:
         return self.address
 
     @classmethod
-    def from_wire(cls, wire: bytes, offset: int, length: int) -> "ARdata":
+    def from_wire(
+        cls, wire: bytes, offset: int, length: int, table: NameTable | None = None
+    ) -> "ARdata":
         if length != 4:
             raise RdataError(f"A rdata must be 4 bytes, got {length}")
         packed = wire[offset: offset + 4]
         if len(packed) != 4:
             raise RdataError("truncated A rdata")
-        return _decoded_address(cls, "%d.%d.%d.%d" % tuple(packed))
+        # Text formatted from wire bytes is valid by construction: filled in
+        # directly, without the constructor's re-parse.
+        rdata = object.__new__(cls)
+        rdata.__dict__["address"] = "%d.%d.%d.%d" % tuple(packed)
+        return rdata
 
     @classmethod
     def from_text(cls, text: str) -> "ARdata":
@@ -94,22 +133,31 @@ class AAAARdata(Rdata):
     rdtype: ClassVar[RecordType] = RecordType.AAAA
 
     def __post_init__(self) -> None:
-        ipaddress.IPv6Address(self.address)
+        parsed = ipaddress.IPv6Address(self.address)
+        # Kept beside the field (not fields themselves, so equality is still
+        # on ``address`` as given): what ``to_wire`` and ``to_text`` return.
+        object.__setattr__(self, "_packed", parsed.packed)
+        object.__setattr__(self, "_text", str(parsed))
 
     def to_wire(self) -> bytes:
-        return ipaddress.IPv6Address(self.address).packed
+        return self._packed
 
     def to_text(self) -> str:
-        return str(ipaddress.IPv6Address(self.address))
+        return self._text
 
     @classmethod
-    def from_wire(cls, wire: bytes, offset: int, length: int) -> "AAAARdata":
+    def from_wire(
+        cls, wire: bytes, offset: int, length: int, table: NameTable | None = None
+    ) -> "AAAARdata":
         if length != 16:
             raise RdataError(f"AAAA rdata must be 16 bytes, got {length}")
         packed = bytes(wire[offset: offset + 16])
         if len(packed) != 16:
             raise RdataError("truncated AAAA rdata")
-        return _decoded_address(cls, str(ipaddress.IPv6Address(packed)))
+        text = str(ipaddress.IPv6Address(packed))
+        rdata = object.__new__(cls)  # as in ARdata.from_wire
+        rdata.__dict__.update(address=text, _packed=packed, _text=text)
+        return rdata
 
     @classmethod
     def from_text(cls, text: str) -> "AAAARdata":
@@ -129,9 +177,13 @@ class NameRdata(Rdata):
         return self.target.to_text()
 
     @classmethod
-    def from_wire(cls, wire: bytes, offset: int, length: int) -> "NameRdata":
-        name, _ = Name.from_wire(wire, offset)
-        return cls(name)
+    def from_wire(
+        cls, wire: bytes, offset: int, length: int, table: NameTable | None = None
+    ) -> "NameRdata":
+        end = _framed_end(wire, offset, length)
+        target, cursor = Name.from_wire(wire, offset, table)
+        _check_framing(cls, cursor, end)
+        return cls(target)
 
     @classmethod
     def from_text(cls, text: str) -> "NameRdata":
@@ -188,11 +240,14 @@ class SOARdata(Rdata):
         )
 
     @classmethod
-    def from_wire(cls, wire: bytes, offset: int, length: int) -> "SOARdata":
-        mname, offset = Name.from_wire(wire, offset)
-        rname, offset = Name.from_wire(wire, offset)
-        serial, refresh, retry, expire, minimum = struct.unpack_from("!IIIII", wire, offset)
-        return cls(mname, rname, serial, refresh, retry, expire, minimum)
+    def from_wire(
+        cls, wire: bytes, offset: int, length: int, table: NameTable | None = None
+    ) -> "SOARdata":
+        end = _framed_end(wire, offset, length)
+        mname, cursor = Name.from_wire(wire, offset, table)
+        rname, cursor = Name.from_wire(wire, cursor, table)
+        _check_framing(cls, cursor + 20, end)
+        return cls(mname, rname, *struct.unpack_from("!IIIII", wire, cursor))
 
     @classmethod
     def from_text(cls, text: str) -> "SOARdata":
@@ -225,10 +280,13 @@ class MXRdata(Rdata):
         return f"{self.preference} {self.exchange.to_text()}"
 
     @classmethod
-    def from_wire(cls, wire: bytes, offset: int, length: int) -> "MXRdata":
-        (preference,) = struct.unpack_from("!H", wire, offset)
-        exchange, _ = Name.from_wire(wire, offset + 2)
-        return cls(preference, exchange)
+    def from_wire(
+        cls, wire: bytes, offset: int, length: int, table: NameTable | None = None
+    ) -> "MXRdata":
+        end = _framed_end(wire, offset, length)
+        exchange, cursor = Name.from_wire(wire, offset + 2, table)
+        _check_framing(cls, cursor, end)
+        return cls(*struct.unpack_from("!H", wire, offset), exchange)
 
     @classmethod
     def from_text(cls, text: str) -> "MXRdata":
@@ -259,8 +317,10 @@ class TXTRdata(Rdata):
         return " ".join('"' + item.decode("utf-8", "replace") + '"' for item in self.strings)
 
     @classmethod
-    def from_wire(cls, wire: bytes, offset: int, length: int) -> "TXTRdata":
-        end = offset + length
+    def from_wire(
+        cls, wire: bytes, offset: int, length: int, table: NameTable | None = None
+    ) -> "TXTRdata":
+        end = _framed_end(wire, offset, length)
         strings: list[bytes] = []
         cursor = offset
         while cursor < end:
@@ -268,7 +328,7 @@ class TXTRdata(Rdata):
             cursor += 1
             if cursor + size > end:
                 raise RdataError("truncated TXT character-string")
-            strings.append(wire[cursor: cursor + size])
+            strings.append(bytes(wire[cursor: cursor + size]))
             cursor += size
         return cls(tuple(strings))
 
@@ -299,10 +359,13 @@ class SRVRdata(Rdata):
         return f"{self.priority} {self.weight} {self.port} {self.target.to_text()}"
 
     @classmethod
-    def from_wire(cls, wire: bytes, offset: int, length: int) -> "SRVRdata":
-        priority, weight, port = struct.unpack_from("!HHH", wire, offset)
-        target, _ = Name.from_wire(wire, offset + 6)
-        return cls(priority, weight, port, target)
+    def from_wire(
+        cls, wire: bytes, offset: int, length: int, table: NameTable | None = None
+    ) -> "SRVRdata":
+        end = _framed_end(wire, offset, length)
+        target, cursor = Name.from_wire(wire, offset + 6, table)
+        _check_framing(cls, cursor, end)
+        return cls(*struct.unpack_from("!HHH", wire, offset), target)
 
     @classmethod
     def from_text(cls, text: str) -> "SRVRdata":
@@ -385,19 +448,23 @@ class SVCBRdata(Rdata):
         return " ".join(parts)
 
     @classmethod
-    def from_wire(cls, wire: bytes, offset: int, length: int) -> "SVCBRdata":
-        end = offset + length
-        (priority,) = struct.unpack_from("!H", wire, offset)
-        target, cursor = Name.from_wire(wire, offset + 2)
+    def from_wire(
+        cls, wire: bytes, offset: int, length: int, table: NameTable | None = None
+    ) -> "SVCBRdata":
+        end = _framed_end(wire, offset, length)
+        target, cursor = Name.from_wire(wire, offset + 2, table)
         params: list[tuple[int, bytes]] = []
         while cursor < end:
+            if cursor + 4 > end:
+                raise RdataError("truncated SvcParam")
             key, size = struct.unpack_from("!HH", wire, cursor)
             cursor += 4
             if cursor + size > end:
                 raise RdataError("truncated SvcParam")
-            params.append((key, wire[cursor: cursor + size]))
+            params.append((key, bytes(wire[cursor: cursor + size])))
             cursor += size
-        return cls(priority, target, tuple(params))
+        _check_framing(cls, cursor, end)
+        return cls(*struct.unpack_from("!H", wire, offset), target, tuple(params))
 
     @classmethod
     def from_text(cls, text: str) -> "SVCBRdata":
@@ -445,14 +512,22 @@ class GenericRdata(Rdata):
         return f"\\# {len(self.data)} {self.data.hex()}"
 
     @classmethod
-    def from_wire(cls, wire: bytes, offset: int, length: int) -> "GenericRdata":
-        return cls(0, wire[offset: offset + length])
+    def from_wire(
+        cls, wire: bytes, offset: int, length: int, table: NameTable | None = None
+    ) -> "GenericRdata":
+        return cls(0, bytes(wire[offset: _framed_end(wire, offset, length)]))
 
     @classmethod
     def from_text(cls, text: str) -> "GenericRdata":
+        """Parse the RFC 3597 form ``\\# <length> <hex>``."""
         parts = text.split()
-        if len(parts) >= 3 and parts[0] == "\\#":
-            return cls(0, bytes.fromhex("".join(parts[2:])))
+        if len(parts) >= 2 and parts[0] == "\\#":
+            try:
+                data = bytes.fromhex("".join(parts[2:]))
+                if len(data) == int(parts[1]):
+                    return cls(0, data)
+            except ValueError:
+                pass
         raise RdataError(f"cannot parse generic rdata: {text!r}")
 
 
@@ -476,18 +551,19 @@ def rdata_class_for(rdtype: RecordType) -> type[Rdata] | None:
     return _RDATA_CLASSES.get(rdtype)
 
 
-def decode_rdata(rdtype: RecordType, wire: bytes, offset: int, length: int) -> Rdata:
+def decode_rdata(
+    rdtype: RecordType, wire: bytes, offset: int, length: int, table: NameTable | None = None
+) -> Rdata:
     """Decode RDATA of the given type; unknown types become GenericRdata."""
     klass = _RDATA_CLASSES.get(rdtype)
     if klass is None:
-        generic = GenericRdata.from_wire(wire, offset, length)
-        return GenericRdata(int(rdtype), generic.data)
-    return klass.from_wire(wire, offset, length)
+        return GenericRdata(int(rdtype), bytes(wire[offset: _framed_end(wire, offset, length)]))
+    return klass.from_wire(wire, offset, length, table)
 
 
 def parse_rdata(rdtype: RecordType, text: str) -> Rdata:
     """Parse presentation-format RDATA of the given type."""
     klass = _RDATA_CLASSES.get(rdtype)
     if klass is None:
-        return GenericRdata.from_text(text)
+        return GenericRdata(int(rdtype), GenericRdata.from_text(text).data)
     return klass.from_text(text)

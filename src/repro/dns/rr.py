@@ -6,9 +6,13 @@ import struct
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
-from repro.dns.name import Name
+from repro.dns.errors import MessageError
+from repro.dns.name import Name, NameTable
 from repro.dns.rdata import Rdata, decode_rdata
-from repro.dns.types import DNSClass, RecordType
+from repro.dns.types import DNS_CLASSES, RECORD_TYPES, DNSClass, RecordType
+
+#: TYPE, CLASS, TTL, RDLENGTH: the fixed part between owner name and RDATA.
+_FIXED = struct.Struct("!HHIH")
 
 
 @dataclass(frozen=True)
@@ -38,21 +42,43 @@ class ResourceRecord:
 
     def to_wire(self, compress: dict[Name, int] | None = None, offset: int = 0) -> bytes:
         """Encode the record, optionally using name compression."""
-        owner = self.name.to_wire(compress, offset)
+        output = bytearray()
+        self._append_wire(output, compress, offset)
+        return bytes(output)
+
+    def _append_wire(self, output: bytearray, compress: dict[Name, int] | None, base: int) -> None:
+        """Append the encoding to ``output`` (see ``Name._append_wire``)."""
+        self.name._append_wire(output, compress, base)
         rdata = self.rdata.to_wire()
-        fixed = struct.pack("!HHIH", int(self.rdtype), int(self.rdclass), self.ttl, len(rdata))
-        return owner + fixed + rdata
+        output += _FIXED.pack(self.rdtype, self.rdclass, self.ttl, len(rdata))
+        output += rdata
 
     @classmethod
-    def from_wire(cls, wire: bytes, offset: int) -> tuple["ResourceRecord", int]:
-        """Decode one record starting at ``offset``; returns (record, next offset)."""
-        name, offset = Name.from_wire(wire, offset)
-        rdtype_raw, rdclass_raw, ttl, rdlength = struct.unpack_from("!HHIH", wire, offset)
-        offset += 10
-        rdtype = RecordType(rdtype_raw)
-        rdata = decode_rdata(rdtype, wire, offset, rdlength)
-        offset += rdlength
-        return cls(name, rdtype, rdata, ttl, DNSClass(rdclass_raw)), offset
+    def from_wire(
+        cls, wire: bytes, offset: int, table: NameTable | None = None
+    ) -> tuple["ResourceRecord", int]:
+        """Decode one record starting at ``offset``; returns (record, next offset).
+
+        ``table`` is the name table of the message ``wire`` holds
+        (``Name.from_wire``).  A TYPE or CLASS without a mnemonic is carried
+        as an opaque member, its RDATA as ``GenericRdata``.
+        """
+        name, offset = Name.from_wire(wire, offset, table)
+        rdata_offset = offset + 10
+        if rdata_offset > len(wire):
+            raise MessageError("truncated resource record")
+        rdtype_raw, rdclass_raw, ttl, rdlength = _FIXED.unpack_from(wire, offset)
+        rdtype = RECORD_TYPES[rdtype_raw]
+        # Filled in directly: the fields come from unsigned wire integers and
+        # typed decoders, so the constructor has nothing to check.
+        record = object.__new__(cls)
+        fields = record.__dict__
+        fields["name"] = name
+        fields["rdtype"] = rdtype
+        fields["rdata"] = decode_rdata(rdtype, wire, rdata_offset, rdlength, table)
+        fields["ttl"] = ttl
+        fields["rdclass"] = DNS_CLASSES[rdclass_raw]
+        return record, rdata_offset + rdlength
 
     def key(self) -> tuple[Name, RecordType, DNSClass]:
         """Grouping key for RRset membership."""

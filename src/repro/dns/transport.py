@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.dns.errors import DnsFormatError
 from repro.dns.message import Message, make_response
 from repro.dns.types import DNS_UDP_PORT, Rcode
 from repro.netsim.node import Host
@@ -191,7 +192,7 @@ class DnsUdpEndpoint:
         self.statistics.bytes_received += len(datagram.payload)
         try:
             message = Message.from_wire(datagram.payload)
-        except Exception:
+        except DnsFormatError:
             # Malformed datagrams are dropped; a real server would FORMERR.
             return
         if message.is_response:

@@ -5,8 +5,35 @@ from __future__ import annotations
 import enum
 
 
+def _opaque_member(cls, value: object, prefix: str):
+    """An unregistered member of ``cls`` named ``<prefix><value>`` (RFC 3597
+    section 5) for a 16-bit code this repository has no mnemonic for, so a
+    record of unknown TYPE or CLASS is carried and re-encoded unchanged."""
+    if not isinstance(value, int) or not 0 <= value <= 0xFFFF:
+        return None
+    member = int.__new__(cls, value)
+    member._name_ = f"{prefix}{int(value)}"
+    member._value_ = int(value)
+    return member
+
+
+def _from_mnemonic(cls, text: str, prefix: str, what: str):
+    upper = text.upper()
+    member = cls.__members__.get(upper)
+    if member is not None:
+        return member
+    digits = upper.removeprefix(prefix)
+    if digits != upper and digits.isascii() and digits.isdigit() and int(digits) <= 0xFFFF:
+        return cls(int(digits))
+    raise ValueError(f"unknown {what}: {text!r}")
+
+
 class RecordType(enum.IntEnum):
-    """DNS resource-record (and query) types used in this repository."""
+    """DNS resource-record (and query) types used in this repository.
+
+    Any other 16-bit code is a valid value too: ``RecordType(99)`` is an
+    opaque member whose mnemonic is ``TYPE99``.
+    """
 
     A = 1
     NS = 2
@@ -23,20 +50,22 @@ class RecordType(enum.IntEnum):
     ANY = 255
 
     @classmethod
+    def _missing_(cls, value: object) -> "RecordType | None":
+        return _opaque_member(cls, value, "TYPE")
+
+    @classmethod
     def from_text(cls, text: str) -> "RecordType":
-        """Parse a record type mnemonic such as ``"AAAA"``."""
-        try:
-            return cls[text.upper()]
-        except KeyError:
-            raise ValueError(f"unknown record type: {text!r}") from None
+        """Parse a record type mnemonic such as ``"AAAA"`` or ``"TYPE99"``."""
+        return _from_mnemonic(cls, text, "TYPE", "record type")
 
     def to_text(self) -> str:
-        """The standard mnemonic for this type."""
-        return self.name
+        """The standard mnemonic for this type (``TYPE<n>`` without one)."""
+        return self._name_  # ``.name`` is a descriptor call; this is per record rendered
 
 
 class DNSClass(enum.IntEnum):
-    """DNS classes; only IN is used in practice."""
+    """DNS classes; only IN is used in practice.  Any other 16-bit code is
+    carried as an opaque member (``DNSClass(77)`` is ``CLASS77``)."""
 
     IN = 1
     CH = 3
@@ -45,16 +74,17 @@ class DNSClass(enum.IntEnum):
     ANY = 255
 
     @classmethod
+    def _missing_(cls, value: object) -> "DNSClass | None":
+        return _opaque_member(cls, value, "CLASS")
+
+    @classmethod
     def from_text(cls, text: str) -> "DNSClass":
-        """Parse a class mnemonic such as ``"IN"``."""
-        try:
-            return cls[text.upper()]
-        except KeyError:
-            raise ValueError(f"unknown DNS class: {text!r}") from None
+        """Parse a class mnemonic such as ``"IN"`` or ``"CLASS77"``."""
+        return _from_mnemonic(cls, text, "CLASS", "DNS class")
 
     def to_text(self) -> str:
-        """The standard mnemonic for this class."""
-        return self.name
+        """The standard mnemonic for this class (``CLASS<n>`` without one)."""
+        return self._name_
 
 
 class Opcode(enum.IntEnum):
@@ -82,6 +112,26 @@ class Rcode(enum.IntEnum):
     NOTAUTH = 9
     NOTZONE = 10
 
+
+class _CodeTable(dict):
+    """Code -> member of an enum in which every 16-bit code is a value.
+    Indexing a code without a mnemonic answers the enum's opaque member;
+    ``get`` answers ``None`` for it, for callers that serve known codes only."""
+
+    def __init__(self, members: type[enum.IntEnum]) -> None:
+        super().__init__((member.value, member) for member in members)
+        self._members = members
+
+    def __missing__(self, code: int) -> enum.IntEnum:
+        return self._members(code)
+
+
+#: For the wire decoders: a dictionary probe costs a fifth of the enum call.
+#: An opcode or rcode missing from its table is one this repository rejects.
+RECORD_TYPES: dict[int, RecordType] = _CodeTable(RecordType)
+DNS_CLASSES: dict[int, DNSClass] = _CodeTable(DNSClass)
+OPCODES: dict[int, Opcode] = {member.value: member for member in Opcode}
+RCODES: dict[int, Rcode] = {member.value: member for member in Rcode}
 
 # Well-known ports used by the simulated transports.
 DNS_UDP_PORT = 53
