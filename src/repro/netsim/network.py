@@ -16,6 +16,7 @@ intermediaries between resolvers without modelling routers explicitly.
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from typing import Iterable
 
 from repro.netsim.link import Link, LinkConfig, note_batch_fallback
@@ -121,13 +122,19 @@ class Network:
         for address in (first_addr, second_addr):
             if address not in self._hosts:
                 raise UnknownHostError(address)
+        if first_addr == second_addr:
+            # Loopback needs no link (see route()), and route() relies on a
+            # direct-link hit meaning "another, known host".
+            raise ValueError(f"cannot link a host to itself: {first_addr}")
         forward_config = config if config is not None else LinkConfig()
         backward_config = reverse_config if reverse_config is not None else forward_config
+        # A link's sink is the destination host itself: one bound call from
+        # the link's arrival loop into _deliver_final, no forwarding frame.
         self._links[(first_addr, second_addr)] = Link(
-            self.simulator, forward_config, self._make_delivery(second_addr)
+            self.simulator, forward_config, partial(self._deliver_final, self._hosts[second_addr])
         )
         self._links[(second_addr, first_addr)] = Link(
-            self.simulator, backward_config, self._make_delivery(first_addr)
+            self.simulator, backward_config, partial(self._deliver_final, self._hosts[first_addr])
         )
 
     def connect_star(
@@ -157,12 +164,6 @@ class Network:
         """Whether a direct link exists from ``source`` to ``destination``."""
         return (source, destination) in self._links
 
-    def _make_delivery(self, destination: str):
-        def deliver(datagram: Datagram) -> None:
-            self._deliver_final(destination, datagram)
-
-        return deliver
-
     # -------------------------------------------------------------- batching
     def begin_batch(self) -> None:
         """Enter a batching region: direct-link datagrams sent over batchable
@@ -190,7 +191,11 @@ class Network:
         """Route a datagram from its source host towards its destination."""
         source = datagram.source.host
         destination = datagram.destination.host
-        if destination not in self._hosts:
+        # Direct links carry virtually every datagram, so they are probed
+        # first: connect() only links two distinct known hosts, hence a hit
+        # already says the destination exists and is not the source.
+        link = self._links.get((source, destination))
+        if link is None and destination not in self._hosts:
             raise UnknownHostError(destination)
         trace = self.trace
         if trace.enabled:
@@ -201,11 +206,6 @@ class Network:
                 datagram.protocol,
                 len(datagram.payload),
             )
-        if source == destination:
-            # Loopback delivery happens "immediately" on the next event.
-            self.simulator.call_soon(self._deliver_final, destination, datagram)
-            return
-        link = self._links.get((source, destination))
         if link is not None:
             if self._batch_depth and self.batching_enabled:
                 if link.batchable:
@@ -219,6 +219,10 @@ class Network:
                     link.transmit(datagram)
             else:
                 link.transmit(datagram)
+            return
+        if source == destination:
+            # Loopback delivery happens "immediately" on the next event.
+            self.simulator.call_soon(self._deliver_final, self._hosts[destination], datagram)
             return
         path = self.shortest_path(source, destination)
         self._forward_along(path, 0, datagram)
@@ -267,7 +271,10 @@ class Network:
         return path
 
     # --------------------------------------------------------------- delivery
-    def _deliver_final(self, destination: str, datagram: Datagram) -> None:
+    def _deliver_final(self, host: Host, datagram: Datagram) -> None:
+        """Hand ``datagram`` to the handler bound on ``host`` (an unbound port
+        drops it silently, as :meth:`Host.deliver` does), then drop the
+        network's reference to a pooled shell."""
         trace = self.trace
         if trace.enabled:
             trace.record_datagram(
@@ -277,12 +284,20 @@ class Network:
                 datagram.protocol,
                 len(datagram.payload),
             )
-        self._hosts[destination].deliver(datagram)
+        handler = host._ports.get(datagram.destination.port)  # noqa: SLF001
+        if handler is not None:
+            handler.datagram_received(datagram)
         # Pool-managed datagrams return to the pool once fully processed (the
         # whole receive path ran synchronously above); consumers that keep the
-        # payload must have retained the datagram.  Plain datagrams ignore
-        # the call.
-        datagram.release()
+        # payload must have retained the datagram.  This is release() written
+        # out — the network provably holds a reference here, so the drop is a
+        # bare decrement — and plain datagrams have no pool.
+        pool = datagram._pool  # noqa: SLF001
+        if pool is not None:
+            references = datagram._refs - 1  # noqa: SLF001
+            datagram._refs = references  # noqa: SLF001
+            if references <= 0:
+                pool._reclaim(datagram)  # noqa: SLF001
 
     # ------------------------------------------------------------- statistics
     def total_link_statistics(self) -> dict[str, int]:

@@ -48,28 +48,25 @@ class Host:
         literal); purely symbolic.
     """
 
-    __slots__ = ("simulator", "address", "_ports", "_network", "_next_ephemeral")
+    __slots__ = ("simulator", "address", "_ports", "network", "_next_ephemeral")
 
     def __init__(self, simulator: Simulator, address: str) -> None:
         self.simulator = simulator
         self.address = address
         self._ports: dict[int, PortHandler] = {}
-        self._network: NetworkInterface | None = None
+        #: The network this host is attached to (None before attachment);
+        #: set by :meth:`attach`, read-only for everyone else.
+        self.network: NetworkInterface | None = None
         self._next_ephemeral = 49152
 
     def attach(self, network: NetworkInterface) -> None:
         """Attach this host to a network (called by :class:`Network`)."""
-        self._network = network
+        self.network = network
 
     @property
     def is_attached(self) -> bool:
         """Whether the host is attached to a network."""
-        return self._network is not None
-
-    @property
-    def network(self) -> NetworkInterface | None:
-        """The network this host is attached to (None before attachment)."""
-        return self._network
+        return self.network is not None
 
     def bind(self, port: int, handler: PortHandler) -> Address:
         """Bind ``handler`` to ``port`` and return the resulting address."""
@@ -96,9 +93,9 @@ class Host:
 
     def send(self, datagram: Datagram) -> None:
         """Send a datagram into the network."""
-        if self._network is None:
+        if self.network is None:
             raise HostNotAttachedError(f"host {self.address} is not attached")
-        self._network.route(datagram)
+        self.network.route(datagram)
 
     def deliver(self, datagram: Datagram) -> None:
         """Deliver an incoming datagram to the bound handler, if any.

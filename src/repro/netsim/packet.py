@@ -53,6 +53,13 @@ class Datagram:
     datagram (or a view of its payload) beyond the delivery callback must
     :meth:`retain` it and :meth:`release` it later; datagrams built directly
     (no pool) ignore both calls.
+
+    Releasing a shell that holds no reference — a second ``release()`` after
+    the one that reclaimed it — is a no-op, not an error: the shell already
+    sits in the pool's free list, and reclaiming it again would put it there
+    twice, so two later ``acquire()`` calls would return one object.  (Once
+    the pool has handed the shell out again it belongs to the new sender; a
+    stale holder must not touch it at all.)
     """
 
     source: Address
@@ -87,10 +94,11 @@ class Datagram:
     def release(self) -> None:
         """Drop one reference; at zero a pooled datagram returns to its pool."""
         pool = self._pool
-        if pool is None:
+        references = self._refs
+        if pool is None or references <= 0:
             return
-        self._refs -= 1
-        if self._refs <= 0:
+        self._refs = references - 1
+        if references == 1:
             pool._reclaim(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

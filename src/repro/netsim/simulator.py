@@ -21,8 +21,8 @@ benchmark, so the event queue is engineered for constant-factor speed:
   instead of allocating a closure per datagram;
 * cancellation is lazy — cancelled entries stay in the heap and are skipped
   at pop time — but the queue is compacted whenever more than half of it is
-  dead, so timer-churn-heavy runs (retransmission and idle timers restarting
-  on every packet) do not grow the heap without bound;
+  dead, so timer-churn-heavy runs (retransmission timers stopped and
+  restarted on every acknowledgement) do not grow the heap without bound;
 * :attr:`Simulator.pending_events` is a live counter, not an O(n) scan.
 """
 
@@ -228,13 +228,13 @@ class Timer:
     periodic refresh.  A timer may be (re)started, stopped and queried; the
     callback fires once per start unless restarted.
 
-    Restarts are lazy: timers like a connection's idle timeout are pushed
-    back on every packet, so re-arming eagerly would cancel and re-insert a
-    heap entry per packet.  Instead, extending the deadline only updates a
-    float; the already-armed event wakes at the old deadline, notices the
-    deadline moved, and re-arms itself for the remainder.  Shrinking the
-    deadline still replaces the armed event, so the callback never fires
-    late.
+    Restarts are lazy: a timer that is pushed back far more often than it
+    fires (a retransmission timeout, by every acknowledgement) would cancel
+    and re-insert a heap entry per restart if it re-armed eagerly.  Instead,
+    extending the deadline only updates a float; the already-armed event
+    wakes at the old deadline, notices the deadline moved, and re-arms itself
+    for the remainder.  Shrinking the deadline still replaces the armed
+    event, so the callback never fires late.
     """
 
     __slots__ = ("_simulator", "_callback", "_event", "_deadline")
@@ -269,7 +269,7 @@ class Timer:
         if event is not None:
             event.cancel()
         self._deadline = deadline
-        self._event = self._simulator.call_later(delay, self._fire)
+        self._event = self._simulator.call_at(deadline, self._fire)
 
     def stop(self) -> None:
         """Disarm the timer if it is running."""

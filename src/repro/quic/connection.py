@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.netsim.packet import Address, Datagram
-from repro.netsim.simulator import Simulator, Timer
+from repro.netsim.simulator import Event, Simulator, Timer
 from repro.quic.congestion import NULL_CONGESTION, CongestionController
 from repro.quic.errors import QuicConnectionError, TransportErrorCode
 from repro.quic.frames import (
@@ -63,6 +63,7 @@ from repro.quic.varint import (
     VarintError,
     append_varint,
     decode_varint,
+    encode_varint,
     varint_size,
     _VALUE_MASK,
 )
@@ -275,8 +276,11 @@ class QuicConnection:
         "_cwnd_blocked",
         "_consecutive_loss_timeouts",
         "_loss_timer",
-        "_idle_timer",
+        "_idle_from",
+        "_idle_wake",
         "_keepalive_timer",
+        "_header_one_rtt",
+        "_header_initial",
         "closed",
         "close_reason",
     )
@@ -389,12 +393,25 @@ class QuicConnection:
         self._cwnd_blocked: list[tuple[Frame, ...]] = []
         self._consecutive_loss_timeouts = 0
         self._loss_timer = Timer(simulator, self._on_loss_timeout)
-        self._idle_timer = Timer(simulator, self._on_idle_timeout)
         self._keepalive_timer = Timer(simulator, self._on_keepalive)
+        #: Packet-type byte + connection id as they open every ONE_RTT /
+        #: INITIAL packet, encoded once: the hand-assembled send paths start
+        #: from these instead of re-encoding both per packet.
+        connection_id_bytes = encode_varint(connection_id)
+        self._header_one_rtt = bytes((PacketType.ONE_RTT,)) + connection_id_bytes
+        self._header_initial = bytes((PacketType.INITIAL,)) + connection_id_bytes
         self.closed = False
         self.close_reason = ""
 
-        self._idle_timer.start(config.idle_timeout)
+        #: The idle timeout is a timestamp: every packet sent or accepted
+        #: stores "now" here and nothing else.  The one armed wake
+        #: (:meth:`_on_idle_wake`) re-derives the deadline from it when it
+        #: fires and re-arms itself for the remainder, so activity costs no
+        #: call and no heap traffic.
+        self._idle_from = simulator.now
+        self._idle_wake: Event | None = simulator.call_at(
+            self._idle_from + config.idle_timeout, self._on_idle_wake
+        )
         if config.keepalive_interval is not None:
             self._keepalive_timer.start(config.keepalive_interval)
 
@@ -619,7 +636,7 @@ class QuicConnection:
         packet_number = self._next_packet_number
         self._next_packet_number = packet_number + 1
         self._unacked[packet_number] = _EncodedStreamPacket(stream_id, chunk)
-        self._sent_times[packet_number] = self._simulator.now
+        self._sent_times[packet_number] = self._idle_from = self._simulator.now
         if not self._loss_timer.is_running:
             self._loss_timer.start(self._probe_timeout())
         acquire = self._acquire_buffer
@@ -627,8 +644,7 @@ class QuicConnection:
         # Byte-identical to Packet(ONE_RTT, cid, pn, (StreamFrame(stream_id,
         # offset=0, chunk, fin=True),)).encode(): the frame payload length is
         # computed up front so header and payload share one buffer.
-        buffer.append(int(PacketType.ONE_RTT))
-        append_varint(buffer, self.connection_id)
+        buffer += self._header_one_rtt
         append_varint(buffer, packet_number)
         append_varint(buffer, payload_length)
         buffer.append(0x08)  # FrameType.STREAM
@@ -643,7 +659,6 @@ class QuicConnection:
             self._cc.on_packet_sent(packet_number, len(buffer))
             self._cc_sizes[packet_number] = len(buffer)
         self._send(buffer if acquire is not None else bytes(buffer), self.peer_address)
-        self._restart_idle_timer()
         return stream_id
 
     # ------------------------------------------------------------ packetising
@@ -718,7 +733,7 @@ class QuicConnection:
             self._cc.on_packet_sent(packet.packet_number, len(payload))
             self._cc_sizes[packet.packet_number] = len(payload)
         self._send(payload, self.peer_address)
-        self._restart_idle_timer()
+        self._idle_from = self._simulator.now
 
     def _probe_timeout(self) -> float:
         return max(2.5 * self._smoothed_rtt, 0.02)
@@ -730,10 +745,10 @@ class QuicConnection:
 
     @property
     def idle_deadline(self) -> float | None:
-        """Absolute time the idle timer will fire (None once closed)."""
-        if self.closed:
+        """Absolute time the idle timeout will fire (None once closed)."""
+        if self._idle_wake is None:  # closing cancels the wake
             return None
-        return self._idle_timer.deadline
+        return self._idle_from + self.config.idle_timeout
 
     @property
     def keepalive_deadline(self) -> float | None:
@@ -1007,12 +1022,18 @@ class QuicConnection:
 
     def _packet_accepted(self, packet_number: int, wire_size: int) -> None:
         """Account for a packet now known to be well formed."""
-        self.statistics.packets_received += 1
-        self.statistics.bytes_received += wire_size
-        self._restart_idle_timer()
+        statistics = self.statistics
+        statistics.packets_received += 1
+        statistics.bytes_received += wire_size
+        self._idle_from = self._simulator.now
         # Every packet (ACK-only ones included — they occupy the same number
         # space) lands in the received-set, so a gap in it means a real drop.
-        self._record_received(packet_number)
+        # The next number in order just extends the top run.
+        ranges = self._received_ranges
+        if ranges and packet_number == ranges[-1][1] + 1:
+            ranges[-1][1] = packet_number
+        else:
+            self._record_received(packet_number)
 
     #: Once the received-set spans more packet numbers than this below its
     #: top, the oldest gap is forgiven (its runs are merged).  A gap that old
@@ -1067,12 +1088,13 @@ class QuicConnection:
         # once per received data packet and skips the Packet/Frame objects.
         # When the endpoint installed pooled sending, the bytes go straight
         # into a recycled buffer (ACKs dominate the reverse fan-out path).
+        #
+        # The idle timestamp is not touched: the only caller is
+        # :meth:`receive_packet`, right after :meth:`_packet_accepted` stored
+        # this same instant.
         acquire = self._acquire_buffer
         buffer = acquire() if acquire is not None else bytearray()
-        buffer.append(
-            int(PacketType.ONE_RTT if self.handshake_complete else PacketType.INITIAL)
-        )
-        append_varint(buffer, self.connection_id)
+        buffer += self._header_one_rtt if self.handshake_complete else self._header_initial
         append_varint(buffer, self._next_packet_number)
         self._next_packet_number += 1
         ranges = self._received_ranges
@@ -1081,8 +1103,9 @@ class QuicConnection:
             # then ``ranges[0][1]`` is the packet just received): cumulative
             # ACK, byte-identical to what this path always produced.
             largest = ranges[0][1]
-            # ACK frame: type (1 byte) + largest + delay varint 0 (1 byte).
-            append_varint(buffer, 2 + varint_size(largest))
+            # ACK frame: type (1 byte) + largest + delay varint 0 (1 byte) —
+            # 3 to 10 bytes, so its length is always a one-byte varint.
+            buffer.append(2 + varint_size(largest))
             buffer.append(0x02)  # FrameType.ACK
             append_varint(buffer, largest)
             buffer.append(0)  # ack delay
@@ -1103,7 +1126,6 @@ class QuicConnection:
         self.statistics.packets_sent += 1
         self.statistics.bytes_sent += len(buffer)
         self._send(buffer if acquire is not None else bytes(buffer), self.peer_address)
-        self._restart_idle_timer()
 
     # ---------------------------------------------------------- frame handlers
     def _on_stream_frame(
@@ -1146,7 +1168,14 @@ class QuicConnection:
     def _on_ack(self, largest: int) -> None:
         # Cumulative ACK: the peer's received-set is gap-free from packet 0,
         # so everything at or below ``largest`` really was received.
-        self._apply_ack([pn for pn in self._unacked if pn <= largest], largest)
+        unacked = self._unacked
+        if len(unacked) == 1:
+            # One packet in flight (the fan-out steady state): a compare.
+            (packet_number,) = unacked
+            acked = (packet_number,) if packet_number <= largest else ()
+        else:
+            acked = [pn for pn in unacked if pn <= largest]
+        self._apply_ack(acked, largest)
 
     def _on_ack_ranges(self, largest: int, ranges: tuple[tuple[int, int], ...]) -> None:
         # Exact ACK: the peer saw a gap; acknowledge only the listed ranges
@@ -1175,7 +1204,7 @@ class QuicConnection:
         if self.on_datagram is not None:
             self.on_datagram(data)
 
-    def _apply_ack(self, acked: "list[int]", largest: int) -> None:
+    def _apply_ack(self, acked: "list[int] | tuple[int, ...]", largest: int) -> None:
         self._consecutive_loss_timeouts = 0
         if self.liveness == LIVENESS_SUSPECT:
             # The peer answered after all: the suspicion was a false positive.
@@ -1204,25 +1233,18 @@ class QuicConnection:
             self._loss_timer.start(self._probe_timeout())
 
     # ------------------------------------------------------------------ timers
-    def _restart_idle_timer(self) -> None:
-        if self.closed:
+    def _on_idle_wake(self) -> None:
+        deadline = self._idle_from + self.config.idle_timeout
+        if deadline > self._simulator.now:
+            # Packets moved since this wake was armed: sleep for the rest.
+            self._idle_wake = self._simulator.call_at(deadline, self._on_idle_wake)
             return
-        # Inlined Timer.start fast path (this runs for every packet sent and
-        # received): extending the deadline of an armed timer is one float
-        # assignment, no heap traffic.
-        timer = self._idle_timer
-        deadline = self._simulator.now + self.config.idle_timeout
-        event = timer._event  # noqa: SLF001 - hot path, same package
-        if event is not None and not event.cancelled and event.time <= deadline:
-            timer._deadline = deadline  # noqa: SLF001
-        else:
-            timer.start(self.config.idle_timeout)
-
-    def _on_idle_timeout(self) -> None:
-        # The only signal a silent peer ever gives is this timer firing: with
-        # nothing in flight there are no probe timeouts, so idle expiry *is*
-        # the in-band death notification (the observer runs before the close
-        # teardown so it can react while the state is still intact).
+        self._idle_wake = None
+        # The only signal a silent peer ever gives is this wake finding the
+        # deadline passed: with nothing in flight there are no probe
+        # timeouts, so idle expiry *is* the in-band death notification (the
+        # observer runs before the close teardown so it can react while the
+        # state is still intact).
         self._set_liveness(LIVENESS_DEAD, "idle-timeout")
         self._handle_close(int(TransportErrorCode.NO_ERROR), "idle timeout", send_close=False)
 
@@ -1265,11 +1287,17 @@ class QuicConnection:
             self.liveness = LIVENESS_DEAD
             self.liveness_cause = "closed"
             self.dead_at = self._simulator.now
-        self._loss_timer.stop()
-        self._idle_timer.stop()
-        self._keepalive_timer.stop()
+        self._stop_timers()
         if self.on_closed is not None:
             self.on_closed(code, reason)
+
+    def _stop_timers(self) -> None:
+        self._loss_timer.stop()
+        wake = self._idle_wake
+        if wake is not None:
+            wake.cancel()
+            self._idle_wake = None
+        self._keepalive_timer.stop()
 
     def abandon(self) -> None:
         """Tear the connection down without sending a byte or firing callbacks.
@@ -1287,6 +1315,4 @@ class QuicConnection:
             self.liveness = LIVENESS_DEAD
             self.liveness_cause = "abandoned"
             self.dead_at = self._simulator.now
-        self._loss_timer.stop()
-        self._idle_timer.stop()
-        self._keepalive_timer.stop()
+        self._stop_timers()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from repro.netsim.node import Host
+from repro.netsim.node import Host, HostNotAttachedError
 from repro.netsim.packet import Address, Datagram
 from repro.quic.connection import ConnectionConfig, QuicConnection
 from repro.quic.frames import PacketDecodeError, scan_frames
@@ -45,6 +45,7 @@ class QuicEndpoint:
 
     __slots__ = (
         "_host",
+        "_route",
         "_simulator",
         "_server_config",
         "_server_tls",
@@ -67,7 +68,13 @@ class QuicEndpoint:
         on_connection: ConnectionHandler | None = None,
         rng: "random.Random | None" = None,
     ) -> None:
+        network = host.network
+        if network is None:
+            raise HostNotAttachedError(f"host {host.address} is not attached")
         self._host = host
+        #: Outgoing datagrams go straight to the network (what ``Host.send``
+        #: would do after its attachment check, made once above).
+        self._route = network.route
         self._simulator = host.simulator
         self._server_config = server_config
         self._server_tls = server_tls
@@ -83,7 +90,7 @@ class QuicEndpoint:
         # Recycle datagram shells and send buffers through the network's pool
         # when one exists (hosts wired to links directly, as some transport
         # tests do, fall back to plain allocation).
-        self._pool = getattr(host.network, "datagram_pool", None)
+        self._pool = getattr(network, "datagram_pool", None)
         #: Datagrams dropped whole because they were not a well-formed packet
         #: (scraped by :func:`repro.telemetry.collect.collect_network`).
         self.datagrams_malformed = 0
@@ -175,30 +182,18 @@ class QuicEndpoint:
 
     def _send_payload(self, payload: bytes | bytearray, destination: Address) -> None:
         pool = self._pool
-        if pool is not None:
-            if type(payload) is bytearray:
-                # A pool-acquired send buffer from this endpoint's connection:
-                # ship it zero-copy as a memoryview and reclaim it with the
-                # datagram after final delivery.
-                datagram = pool.acquire(
-                    self.address,
-                    destination,
-                    memoryview(payload),
-                    PROTOCOL_LABEL,
-                    buffer=payload,
-                )
-            else:
-                datagram = pool.acquire(self.address, destination, payload, PROTOCOL_LABEL)
-            self._host.send(datagram)
-            return
-        self._host.send(
-            Datagram(
-                source=self.address,
-                destination=destination,
-                payload=payload,
-                protocol=PROTOCOL_LABEL,
+        if pool is None:
+            datagram = Datagram(self.address, destination, payload, PROTOCOL_LABEL)
+        elif type(payload) is bytearray:
+            # A pool-acquired send buffer from this endpoint's connection:
+            # ship it zero-copy as a memoryview and reclaim it with the
+            # datagram after final delivery.
+            datagram = pool.acquire(
+                self.address, destination, memoryview(payload), PROTOCOL_LABEL, payload
             )
-        )
+        else:
+            datagram = pool.acquire(self.address, destination, payload, PROTOCOL_LABEL)
+        self._route(datagram)
 
     def datagram_received(self, datagram: Datagram) -> None:
         """Entry point from the host: demultiplex to a connection.

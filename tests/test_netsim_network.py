@@ -6,11 +6,12 @@ import pytest
 
 from repro.netsim.link import Link, LinkConfig
 from repro.netsim.network import Network, NoRouteError, UnknownHostError
-from repro.netsim.node import Host, PortInUseError
-from repro.netsim.packet import Address, Datagram
+from repro.netsim.node import Host, HostNotAttachedError, PortInUseError
+from repro.netsim.packet import Address, Datagram, DatagramPool
 from repro.netsim.simulator import Simulator
 from repro.netsim.stats import Counter, SummaryStatistics, cumulative_distribution, histogram
 from repro.netsim.trace import TraceRecorder, format_sequence
+from repro.quic.endpoint import QuicEndpoint
 
 
 class _Collector:
@@ -253,6 +254,159 @@ class TestNetworkRouting:
         assert network.trace.count("datagram-delivered") == 1
         event = network.trace.events("datagram-sent")[0]
         assert event.attribute("protocol") == "test"
+
+
+class TestRouteOrder:
+    """``Network.route`` probes the direct-link table first; every input must
+    still take the branch the old unknown-host / loopback / link / multi-hop
+    order gave it (``docs/datagram-handoff.md``)."""
+
+    def _abc(self, simulator):
+        network = Network(simulator)
+        for name in ("a", "b", "c"):
+            network.add_host(name)
+        network.connect("a", "b", LinkConfig(delay=0.01))
+        network.connect("b", "c", LinkConfig(delay=0.02))
+        return network
+
+    def test_unknown_destination_raises_before_anything_is_recorded(self, simulator):
+        network = self._abc(simulator)
+        with pytest.raises(UnknownHostError):
+            network.route(Datagram(Address("a", 1), Address("nowhere", 1), b"x"))
+        assert network.trace.count() == 0
+        assert simulator.pending_events == 0
+
+    def test_loopback_is_delivered_by_the_next_event_not_synchronously(self, simulator):
+        network = self._abc(simulator)
+        collector = _Collector(simulator)
+        network.host("a").bind(5, collector)
+        simulator.run(until=0.5)
+        network.route(Datagram(Address("a", 9), Address("a", 5), b"self"))
+        assert collector.received == [] and simulator.pending_events == 1
+        assert simulator.run_until_idle() == 1
+        assert [time for time, _ in collector.received] == [0.5]
+        assert network.link("a", "b").statistics.datagrams_sent == 0
+
+    def test_a_host_cannot_be_linked_to_itself(self, simulator):
+        # route() reads a direct-link hit as "another host": a self-link would
+        # take loopback traffic off the next-event path.
+        network = self._abc(simulator)
+        with pytest.raises(ValueError):
+            network.connect("a", "a")
+        assert not network.has_link("a", "a")
+
+    def test_trace_records_are_the_same_for_every_kind_of_route(self, simulator):
+        network = self._abc(simulator)
+        assert type(network.trace) is TraceRecorder
+        for host in ("a", "b", "c"):
+            network.host(host).bind(80, _Collector(simulator))
+        direct = Datagram(Address("a", 1), Address("b", 80), b"12", protocol="direct")
+        loopback = Datagram(Address("a", 1), Address("a", 80), b"123", protocol="loop")
+        multi_hop = Datagram(Address("a", 1), Address("c", 80), b"1234", protocol="hops")
+        unbound = Datagram(Address("a", 1), Address("b", 81), b"12345", protocol="drop")
+        for datagram in (direct, loopback, multi_hop, unbound):
+            network.route(datagram)
+        simulator.run_until_idle()
+        records = [
+            (
+                event.time,
+                event.kind,
+                event.attribute("source"),
+                event.attribute("destination"),
+                event.attribute("protocol"),
+                event.attribute("size"),
+            )
+            for event in network.trace.events()
+        ]
+        assert records == [
+            (0.0, "datagram-sent", "a:1", "b:80", "direct", 2),
+            (0.0, "datagram-sent", "a:1", "a:80", "loop", 3),
+            (0.0, "datagram-sent", "a:1", "c:80", "hops", 4),
+            (0.0, "datagram-sent", "a:1", "b:81", "drop", 5),
+            (0.0, "datagram-delivered", "a:1", "a:80", "loop", 3),
+            (0.01, "datagram-delivered", "a:1", "b:80", "direct", 2),
+            # Delivery to an unbound port is recorded, then dropped silently.
+            (0.01, "datagram-delivered", "a:1", "b:81", "drop", 5),
+            # One record at the final host; the transit hop at "b" has none.
+            (0.03, "datagram-delivered", "a:1", "c:80", "hops", 4),
+        ]
+
+
+class TestDeliveryOwnsTheNetworksReference:
+    """``_deliver_final`` drops the network's reference to a pooled shell
+    itself; the result must be what ``Datagram.release()`` would have done."""
+
+    @staticmethod
+    def _pooled(pool):
+        buffer = pool.acquire_buffer()
+        buffer += b"wire-bytes"
+        return pool.acquire(
+            Address("10.0.0.1", 1), Address("10.0.0.2", 7), memoryview(buffer), "test", buffer
+        )
+
+    @staticmethod
+    def _state(datagram, pool):
+        return (
+            datagram._refs,
+            sum(1 for shell in pool._free if shell is datagram),
+            len(pool._free_buffers),
+            bytes(datagram.payload),
+        )
+
+    @pytest.mark.parametrize("retains", [0, 1, 2])
+    @pytest.mark.parametrize("bound", [True, False])
+    def test_drop_after_delivery_equals_release(self, simulator, two_host_network, retains, bound):
+        network = two_host_network
+        delivered = []
+
+        class Keeper:
+            def datagram_received(self, datagram):
+                for _ in range(retains):
+                    datagram.retain()
+                delivered.append(bytes(datagram.payload))
+
+        if bound:
+            network.host("10.0.0.2").bind(7, Keeper())
+        datagram = self._pooled(network.datagram_pool)
+        network.route(datagram)
+        simulator.run_until_idle()
+        assert delivered == ([b"wire-bytes"] if bound else [])  # unbound: silent drop
+
+        reference_pool = DatagramPool()
+        reference = self._pooled(reference_pool)
+        for _ in range(retains if bound else 0):
+            reference.retain()
+        reference.release()
+        assert self._state(datagram, network.datagram_pool) == self._state(
+            reference, reference_pool
+        )
+
+
+class TestEndpointAttachment:
+    def test_endpoint_on_an_unattached_host_is_refused(self, simulator):
+        host = Host(simulator, "lonely")
+        with pytest.raises(HostNotAttachedError):
+            QuicEndpoint(host)
+        assert host.bound_ports() == []  # nothing half-constructed left behind
+
+    def test_stub_network_without_a_pool_gets_plain_datagrams(self, simulator):
+        class StubNetwork:
+            def __init__(self):
+                self.routed = []
+
+            def route(self, datagram):
+                self.routed.append(datagram)
+
+        network = StubNetwork()
+        host = Host(simulator, "stub-host")
+        host.attach(network)
+        endpoint = QuicEndpoint(host)
+        endpoint.connect(Address("peer", 443))
+        (initial,) = network.routed
+        assert type(initial) is Datagram and initial._pool is None
+        assert type(initial.payload) is bytes and initial.protocol == "quic"
+        assert (initial.source, initial.destination) == (endpoint.address, Address("peer", 443))
+        initial.release()  # plain datagrams ignore the refcount calls
 
 
 class TestTraceRecorder:

@@ -117,3 +117,23 @@ def test_refcounted_retain_defers_reclaim(small_cap):
     assert len(pool._free) == 0  # still referenced
     datagram.release()
     assert len(pool._free) == 1
+
+
+def test_double_release_does_not_alias_two_later_datagrams():
+    """Releasing a shell that holds no reference is a no-op.
+
+    It used to drive ``_refs`` to -1 and reclaim the shell a second time, so
+    the free list held it twice and two later sends shared one object — the
+    second overwrote the first's destination and payload while in flight.
+    """
+    pool = DatagramPool()
+    datagram = pool.acquire(SOURCE, DESTINATION, b"payload")
+    datagram.release()
+    datagram.release()
+    assert datagram._refs == 0
+    assert len(pool._free) == 1
+    first = pool.acquire(SOURCE, DESTINATION, b"one")
+    second = pool.acquire(SOURCE, DESTINATION, b"two")
+    assert first is not second
+    assert (first.payload, second.payload) == (b"one", b"two")
+
