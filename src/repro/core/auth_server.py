@@ -35,10 +35,13 @@ from repro.moqt.errors import FetchErrorCode, SubscribeErrorCode
 from repro.moqt.messages import Fetch, Subscribe
 from repro.moqt.objectmodel import Location, MoqtObject
 from repro.moqt.session import (
+    MOQT_ALPN,
     FetchResult,
     MoqtSession,
     MoqtSessionConfig,
+    PublisherSubscription,
     SubscribeResult,
+    publish_to,
 )
 from repro.moqt.track import FullTrackName
 from repro.netsim.node import Host
@@ -46,9 +49,6 @@ from repro.netsim.packet import Address
 from repro.quic.connection import QuicConnection
 from repro.quic.endpoint import QuicEndpoint
 from repro.quic.tls import ServerTlsContext
-
-MOQT_ALPN = "moq-00"
-
 
 _BY_ORDER = attrgetter("order")
 
@@ -59,13 +59,15 @@ class _TrackSubscribers:
 
     A track exists while it has at least one subscriber.  ``order`` is its
     creation sequence number (tracks touched by one zone change publish in
-    creation order); ``watched`` holds the owner names the last answer could
-    have read, which is where the track is filed in the server's watcher index.
+    creation order); ``subscribers`` holds the sessions' own records in
+    subscribe order, which is the push order; ``watched`` holds the owner names
+    the last answer could have read, which is where the track is filed in the
+    server's watcher index.
     """
 
     key: DnsQuestionKey
     order: int
-    subscribers: list[tuple[MoqtSession, int]] = field(default_factory=list)
+    subscribers: list[PublisherSubscription] = field(default_factory=list)
     last_answer_fingerprint: tuple[str, ...] | None = None
     watched: tuple[Name, ...] = ()
 
@@ -138,8 +140,6 @@ class MoqAuthoritativeServer:
         self._tracks_created = 0
         # Owner name -> the tracks watching it.
         self._watchers: dict[Name, list[_TrackSubscribers]] = {}
-        # Session -> request ID -> track, to find a departing subscriber's track.
-        self._subscriptions: dict[MoqtSession, dict[int, _TrackSubscribers]] = {}
         self._sessions: list[MoqtSession] = []
         self.endpoint = QuicEndpoint(
             host,
@@ -181,8 +181,7 @@ class MoqAuthoritativeServer:
             connection,
             is_client=False,
             config=self.session_config,
-            publisher_delegate=_AuthDelegate(self),
-            on_closed=self._on_session_closed,
+            publisher_delegate=self,
         )
         self._sessions.append(session)
         self.statistics.sessions_accepted += 1
@@ -246,8 +245,14 @@ class MoqAuthoritativeServer:
         return tuple(sorted(lines))
 
     # ------------------------------------------------------------- subscriptions
-    def handle_subscribe(self, session: MoqtSession, message: Subscribe) -> SubscribeResult:
-        """Accept subscriptions for questions inside the served zones."""
+    def handle_subscribe(
+        self, session: MoqtSession, message: Subscribe
+    ) -> SubscribeResult | None:
+        """Accept subscriptions for questions inside the served zones.
+
+        Only a rejection is returned; an accepted SUBSCRIBE is answered here,
+        which is how the server gets the session's record to file.
+        """
         try:
             key = track_to_question(message.full_track_name)
         except MappingError as error:
@@ -271,25 +276,20 @@ class MoqAuthoritativeServer:
             self._tracks[key] = state
             state.last_answer_fingerprint = self._fingerprint(response)
             self._watch(state, _watched_names(key, zone, response))
-        state.subscribers.append((session, message.request_id))
-        self._subscriptions.setdefault(session, {})[message.request_id] = state
+        subscription = session.complete_subscribe(
+            message.request_id, SubscribeResult(ok=True, largest=Location(zone.serial, 0))
+        )
+        subscription.owner = state
+        state.subscribers.append(subscription)
         self.statistics.subscribes_accepted += 1
-        return SubscribeResult(ok=True, largest=Location(zone.serial, 0))
+        return None
 
-    def handle_unsubscribe(self, session: MoqtSession, request_id: int) -> None:
-        """Forget a subscriber that sent UNSUBSCRIBE."""
-        state = self._subscriptions.get(session, {}).pop(request_id, None)
-        if state is not None:
-            self._drop_subscriber(state, session, request_id)
-
-    def _on_session_closed(self, session: MoqtSession, reason: str) -> None:
-        for request_id, state in self._subscriptions.pop(session, {}).items():
-            self._drop_subscriber(state, session, request_id)
-
-    def _drop_subscriber(
-        self, state: _TrackSubscribers, session: MoqtSession, request_id: int
+    def handle_subscription_ended(
+        self, session: MoqtSession, subscription: PublisherSubscription
     ) -> None:
-        state.subscribers.remove((session, request_id))
+        """Forget a subscriber that sent UNSUBSCRIBE or whose session closed."""
+        state = subscription.owner
+        state.subscribers.remove(subscription)
         if not state.subscribers:
             del self._tracks[state.key]
             self._watch(state, ())
@@ -381,16 +381,9 @@ class MoqAuthoritativeServer:
         self, state: _TrackSubscribers, response: Message, version: int
     ) -> None:
         obj = encapsulate_response(response, version)
-        # A snapshot: a publish that closes its session prunes the list under us.
-        for session, request_id in tuple(state.subscribers):
-            if session.closed:
-                continue
-            publisher_subscription = session.publisher_subscription(request_id)
-            if publisher_subscription is None:
-                continue
-            session.publish(publisher_subscription, obj)
-            self.statistics.updates_published += 1
-            self.statistics.update_bytes_published += obj.size
+        published = publish_to(state.subscribers, obj)
+        self.statistics.updates_published += published
+        self.statistics.update_bytes_published += published * obj.size
 
     def force_publish(self, key: DnsQuestionKey) -> int:
         """Re-publish the current answer for a track regardless of changes.
@@ -410,21 +403,3 @@ class MoqAuthoritativeServer:
         count = len(state.subscribers)
         self._publish_update(state, response, zone.serial)
         return count
-
-
-class _AuthDelegate:
-    """Adapter exposing the server's publisher logic to each MoQT session."""
-
-    def __init__(self, server: MoqAuthoritativeServer) -> None:
-        self._server = server
-
-    def handle_subscribe(self, session: MoqtSession, message: Subscribe) -> SubscribeResult:
-        return self._server.handle_subscribe(session, message)
-
-    def handle_fetch(
-        self, session: MoqtSession, message: Fetch, full_track_name: FullTrackName | None
-    ) -> FetchResult:
-        return self._server.handle_fetch(session, message, full_track_name)
-
-    def handle_unsubscribe(self, session: MoqtSession, request_id: int) -> None:
-        self._server.handle_unsubscribe(session, request_id)

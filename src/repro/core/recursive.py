@@ -56,10 +56,13 @@ from repro.moqt.errors import FetchErrorCode, SubscribeErrorCode
 from repro.moqt.messages import Fetch, Subscribe
 from repro.moqt.objectmodel import Location, MoqtObject
 from repro.moqt.session import (
+    MOQT_ALPN,
     FetchResult,
     MoqtSession,
     MoqtSessionConfig,
+    PublisherSubscription,
     SubscribeResult,
+    publish_to,
 )
 from repro.moqt.track import FullTrackName
 from repro.netsim.node import Host
@@ -69,7 +72,6 @@ from repro.quic.connection import QuicConnection
 from repro.quic.endpoint import QuicEndpoint
 from repro.quic.tls import ServerTlsContext
 
-MOQT_ALPN = "moq-00"
 MAX_RESOLUTION_STEPS = 12
 
 
@@ -181,7 +183,9 @@ class MoqRecursiveResolver:
         )
         self._records: dict[DnsQuestionKey, RecordEntry] = {}
         self._fallback_versions: dict[DnsQuestionKey, int] = {}
-        self._downstream: dict[DnsQuestionKey, list[tuple[MoqtSession, int]]] = {}
+        # Question -> the downstream sessions' records, in accept order; a
+        # question leaves the dict with its last subscriber.
+        self._downstream: dict[DnsQuestionKey, list[PublisherSubscription]] = {}
         self._upstream_tracks: dict[DnsQuestionKey, bool] = {}
         self._in_flight: dict[DnsQuestionKey, list[Callable[[MoqResolveOutcome], None]]] = {}
 
@@ -465,19 +469,7 @@ class MoqRecursiveResolver:
         self._forward_downstream(key, obj)
 
     def _forward_downstream(self, key: DnsQuestionKey, obj: MoqtObject) -> None:
-        subscribers = self._downstream.get(key, [])
-        live: list[tuple[MoqtSession, int]] = []
-        for session, request_id in subscribers:
-            if session.closed:
-                continue
-            publisher_subscription = session.publisher_subscription(request_id)
-            if publisher_subscription is None:
-                continue
-            session.publish(publisher_subscription, obj)
-            self.statistics.pushes_forwarded += 1
-            live.append((session, request_id))
-        if key in self._downstream:
-            self._downstream[key] = live
+        self.statistics.pushes_forwarded += publish_to(self._downstream.get(key, ()), obj)
 
     # --------------------------------------------------- downstream: classic UDP
     def _handle_udp_query(self, query: Message, source: Address, respond) -> None:
@@ -510,7 +502,7 @@ class MoqRecursiveResolver:
             connection,
             is_client=False,
             config=self.config.moqt_session,
-            publisher_delegate=_ResolverDelegate(self),
+            publisher_delegate=self,
         )
         self._downstream_sessions.append(session)
 
@@ -518,9 +510,10 @@ class MoqRecursiveResolver:
         """MoQT sessions accepted from stubs/forwarders."""
         return list(self._downstream_sessions)
 
-    def _handle_downstream_subscribe(
+    def handle_subscribe(
         self, session: MoqtSession, message: Subscribe
     ) -> SubscribeResult | None:
+        """Publisher-delegate entry: answer once the question is resolved."""
         self.statistics.client_subscribes += 1
         try:
             key = track_to_question(message.full_track_name)
@@ -544,14 +537,44 @@ class MoqRecursiveResolver:
             if not outcome.via_moqt:
                 self._handle_fallback_subscription(session, message, key, outcome)
                 return
-            self._downstream.setdefault(key, []).append((session, message.request_id))
-            session.complete_subscribe(
-                message.request_id,
-                SubscribeResult(ok=True, largest=Location(outcome.version, 0)),
-            )
+            self._accept_downstream(session, message, key, outcome)
 
         self.resolve(key, finished)
         return None
+
+    def _accept_downstream(
+        self,
+        session: MoqtSession,
+        message: Subscribe,
+        key: DnsQuestionKey,
+        outcome: MoqResolveOutcome,
+    ) -> bool:
+        """Send SUBSCRIBE_OK and file the session's record under ``key``.
+
+        False when the stub left while the resolution was in flight.
+        """
+        subscription = session.complete_subscribe(
+            message.request_id, SubscribeResult(ok=True, largest=Location(outcome.version, 0))
+        )
+        if subscription is None:
+            return False
+        subscription.owner = key
+        self._downstream.setdefault(key, []).append(subscription)
+        return True
+
+    def handle_subscription_ended(
+        self, session: MoqtSession, subscription: PublisherSubscription | Subscribe
+    ) -> None:
+        """Forget a subscriber that sent UNSUBSCRIBE or whose session closed."""
+        if not isinstance(subscription, PublisherSubscription):
+            return  # still resolving: the late complete_subscribe finds it gone
+        key = subscription.owner
+        subscribers = self._downstream[key]
+        subscribers.remove(subscription)
+        if not subscribers:
+            del self._downstream[key]
+            # §4.5: nobody is left to poll the non-MoQT upstream for.
+            self.refresher.cancel(key)
 
     def _handle_fallback_subscription(
         self,
@@ -573,11 +596,8 @@ class MoqRecursiveResolver:
             )
             return
         # Periodic-refresh mode: accept and keep the record fresh by polling.
-        self._downstream.setdefault(key, []).append((session, message.request_id))
-        session.complete_subscribe(
-            message.request_id,
-            SubscribeResult(ok=True, largest=Location(outcome.version, 0)),
-        )
+        if not self._accept_downstream(session, message, key, outcome):
+            return
         entry = self._records.get(key)
         interval = entry.ttl if entry is not None and entry.ttl > 0 else self.config.default_negative_ttl
         if not self.refresher.is_scheduled(key):
@@ -586,7 +606,7 @@ class MoqRecursiveResolver:
     def _refresh_fallback_record(self, key: DnsQuestionKey) -> None:
         """Re-query a non-MoQT upstream and push downstream if the record changed."""
         entry = self._records.get(key)
-        if entry is None or not self._downstream.get(key):
+        if entry is None:
             self.refresher.cancel(key)
             return
         auth_server = self._auth_server_for(key)
@@ -637,9 +657,10 @@ class MoqRecursiveResolver:
                 return address
         return None
 
-    def _handle_downstream_fetch(
+    def handle_fetch(
         self, session: MoqtSession, message: Fetch, full_track_name: FullTrackName | None
     ) -> FetchResult | None:
+        """Publisher-delegate entry: serve the record once it is resolved."""
         self.statistics.client_fetches += 1
         if full_track_name is None:
             return FetchResult(
@@ -843,18 +864,3 @@ class _ResolutionTask:
 def _is_authoritative_nodata(message: Message) -> bool:
     """Whether a NOERROR response is an authoritative empty answer (has SOA)."""
     return any(record.rdtype == RecordType.SOA for record in message.authorities)
-
-
-class _ResolverDelegate:
-    """Publisher delegate adapter for downstream MoQT sessions."""
-
-    def __init__(self, resolver: MoqRecursiveResolver) -> None:
-        self._resolver = resolver
-
-    def handle_subscribe(self, session: MoqtSession, message: Subscribe) -> SubscribeResult | None:
-        return self._resolver._handle_downstream_subscribe(session, message)
-
-    def handle_fetch(
-        self, session: MoqtSession, message: Fetch, full_track_name: FullTrackName | None
-    ) -> FetchResult | None:
-        return self._resolver._handle_downstream_fetch(session, message, full_track_name)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import enum
 
+from repro.netsim.packet import MOQT_PORT  # noqa: F401 - one of the ports below
+
 
 def _opaque_member(cls, value: object, prefix: str):
     """An unregistered member of ``cls`` named ``<prefix><value>`` (RFC 3597
@@ -133,10 +135,10 @@ DNS_CLASSES: dict[int, DNSClass] = _CodeTable(DNSClass)
 OPCODES: dict[int, Opcode] = {member.value: member for member in Opcode}
 RCODES: dict[int, Rcode] = {member.value: member for member in Rcode}
 
-# Well-known ports used by the simulated transports.
+# Well-known ports used by the simulated transports (MOQT_PORT, 4443, is
+# shared with the MoQT layer and defined beside netsim's Address).
 DNS_UDP_PORT = 53
 DNS_QUIC_PORT = 853
-MOQT_PORT = 4443
 
 # The default/maximum UDP payload size assumed when no EDNS is present.
 CLASSIC_UDP_LIMIT = 512

@@ -28,8 +28,14 @@ from __future__ import annotations
 
 from repro.moqt.messages import FetchType
 from repro.moqt.objectmodel import Location, MoqtObject, TrackState
-from repro.moqt.relay import MOQT_ALPN
-from repro.moqt.session import FetchResult, MoqtSession, SubscribeResult
+from repro.moqt.relay import DEFAULT_MOQT_PORT, MOQT_ALPN
+from repro.moqt.session import (
+    FetchResult,
+    MoqtSession,
+    PublisherSubscription,
+    SubscribeResult,
+    publish_to,
+)
 from repro.moqt.track import FullTrackName
 from repro.netsim.network import Network
 from repro.quic.endpoint import QuicEndpoint
@@ -37,7 +43,7 @@ from repro.quic.tls import ServerTlsContext
 
 TRACK = FullTrackName.of(["dns", "a"], b"cdn.example")
 ORIGIN_HOST = "origin"
-ORIGIN_PORT = 4443
+ORIGIN_PORT = DEFAULT_MOQT_PORT
 
 
 class OriginPublisher:
@@ -67,6 +73,8 @@ class OriginPublisher:
         if seed_initial:
             self.state.publish(MoqtObject(group_id=1, object_id=0, payload=b"v1"))
         self.sessions: list[MoqtSession] = []
+        #: The sessions' records of every direct subscriber, in accept order.
+        self.subscriptions: list[PublisherSubscription] = []
         self.network = network
 
     @property
@@ -75,7 +83,15 @@ class OriginPublisher:
         return self.state.largest
 
     def handle_subscribe(self, session, message):
-        return SubscribeResult(ok=True, largest=self.state.largest)
+        self.subscriptions.append(
+            session.complete_subscribe(
+                message.request_id, SubscribeResult(ok=True, largest=self.state.largest)
+            )
+        )
+        return None
+
+    def handle_subscription_ended(self, session, subscription):
+        self.subscriptions.remove(subscription)
 
     def handle_fetch(self, session, message, full_track_name):
         if message.fetch_type == FetchType.STANDALONE:
@@ -99,7 +115,6 @@ class OriginPublisher:
     def push(self, obj: MoqtObject) -> None:
         """Record and push one update to every direct (top-tier) subscriber."""
         self.state.publish(obj)
-        encoded: dict[int, bytes] = {}
         network = self.network
         if network is not None:
             spans = network.telemetry.spans
@@ -109,11 +124,7 @@ class OriginPublisher:
                 spans.record_push(obj.location, network.simulator.now)
             network.begin_batch()
         try:
-            for session in self.sessions:
-                if session.closed:
-                    continue
-                for subscription in session.publisher_subscriptions():
-                    session.publish(subscription, obj, encoded)
+            publish_to(self.subscriptions, obj)
         finally:
             if network is not None:
                 network.end_batch()

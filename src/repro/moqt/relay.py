@@ -37,22 +37,21 @@ from repro.moqt.errors import FetchErrorCode, SubscribeErrorCode
 from repro.moqt.messages import Fetch, FetchType, Subscribe
 from repro.moqt.objectmodel import Location, MoqtObject, TrackState
 from repro.moqt.session import (
+    MOQT_ALPN,
     FetchResult,
     MoqtSession,
     MoqtSessionConfig,
     PublisherSubscription,
     SubscribeResult,
     Subscription,
+    publish_to,
 )
 from repro.moqt.track import FullTrackName
 from repro.netsim.node import Host
-from repro.netsim.packet import Address
+from repro.netsim.packet import MOQT_PORT as DEFAULT_MOQT_PORT, Address
 from repro.quic.connection import ConnectionConfig, QuicConnection
 from repro.quic.endpoint import QuicEndpoint
 from repro.quic.tls import ServerTlsContext
-
-MOQT_ALPN = "moq-00"
-DEFAULT_MOQT_PORT = 4443
 
 #: FETCH range end meaning "everything the cache has" (a group id far beyond
 #: any experiment's horizon; ranges are inclusive).
@@ -115,20 +114,6 @@ class RecoveryBuffer:
             deliver(obj)
 
 
-@dataclass(slots=True)
-class _DownstreamSubscriber:
-    """One downstream subscription attached to a relayed track."""
-
-    session: MoqtSession
-    request_id: int
-    #: The session's accepted publisher-side subscription, resolved lazily on
-    #: first forward so the fan-out loop skips one dict lookup per subscriber
-    #: per object.  Lives exactly as long as this entry: unsubscribes and
-    #: session closes remove the whole ``_DownstreamSubscriber`` from the
-    #: track, so the cache can never outlive the subscription it mirrors.
-    publisher_subscription: "PublisherSubscription | None" = None
-
-
 @dataclass
 class RelayTrack:
     """Relay state for one full track name."""
@@ -136,10 +121,13 @@ class RelayTrack:
     full_track_name: FullTrackName
     cache: TrackState
     upstream_subscription: Subscription | None = None
-    downstream: list[_DownstreamSubscriber] = field(default_factory=list)
-    #: Downstream subscribes deferred until the upstream answers; they all
-    #: share the upstream subscription's outcome.
-    awaiting_upstream: list[_DownstreamSubscriber] = field(default_factory=list)
+    #: Accepted downstream subscriptions — the sessions' own records — in
+    #: SUBSCRIBE arrival order, which is the fan-out order.
+    downstream: list[PublisherSubscription] = field(default_factory=list)
+    #: Downstream SUBSCRIBEs deferred until the upstream answers, each with
+    #: the session it arrived on; they all share the upstream subscription's
+    #: outcome.
+    awaiting_upstream: list[tuple[MoqtSession, Subscribe]] = field(default_factory=list)
     objects_forwarded: int = 0
     #: Locations already forwarded downstream.  After an upstream switch the
     #: new parent re-sends objects the old parent already delivered; this set
@@ -256,10 +244,6 @@ class MoqtRelay:
         self.statistics = RelayStatistics()
         self._tracks: dict[FullTrackName, RelayTrack] = {}
         self._downstream_sessions: list[MoqtSession] = []
-        #: Which track each downstream subscription belongs to, grouped by
-        #: session — unsubscribes touch only their own track and session
-        #: closes only their own subscriptions, with no scanning either way.
-        self._downstream_index: dict[MoqtSession, dict[int, RelayTrack]] = {}
         self._upstream_session: MoqtSession | None = None
         #: Uplink session whose failure has already been reported (resets on
         #: recovery), so one dying uplink raises exactly one report.
@@ -290,7 +274,7 @@ class MoqtRelay:
             connection,
             is_client=False,
             config=self.session_config,
-            publisher_delegate=_RelayDelegate(self),
+            publisher_delegate=self,
             on_closed=self._on_downstream_closed,
         )
         self._downstream_sessions.append(session)
@@ -301,15 +285,14 @@ class MoqtRelay:
         return list(self._downstream_sessions)
 
     def _on_downstream_closed(self, session: MoqtSession, reason: str) -> None:
-        """Drop every subscription a departed downstream session held."""
+        """Forget a departed downstream session (its subscriptions have
+        already ended through :meth:`handle_subscription_ended`)."""
         if session in self._downstream_sessions:
             self._downstream_sessions.remove(session)
         if self.admission is not None:
             # A rejected session that leaves (spillover, give-up) abandons
             # its token reservation instead of leaking a table entry.
             self.admission.forget(session)
-        for request_id in list(self._downstream_index.get(session, {})):
-            self._remove_downstream(session, request_id)
 
     # ------------------------------------------------------------- upstream side
     def _ensure_upstream_session(self) -> MoqtSession:
@@ -399,12 +382,7 @@ class MoqtRelay:
             track.upstream_subscription = None
             waiting, track.awaiting_upstream = track.awaiting_upstream, []
             for waiter in waiting:
-                if waiter in track.downstream:
-                    track.downstream.remove(waiter)
-                    self._drop_index_entry(waiter.session, waiter.request_id)
-                if waiter.session.closed:
-                    continue
-                waiter.session.complete_subscribe(waiter.request_id, result)
+                self._answer_downstream(track, waiter, result)
 
     # ------------------------------------------------------------ live failover
     def switch_upstream(
@@ -536,7 +514,7 @@ class MoqtRelay:
             # gap, so the next switch's resume point would skip it forever.
             # Leave the buffer armed: it is carried until the next upstream
             # attach — :meth:`switch_upstream` / :meth:`_resubscribe_track`,
-            # or the recovery branch of :meth:`_handle_downstream_subscribe`
+            # or the recovery branch of :meth:`handle_subscribe`
             # — which re-fetches the gap and releases it coherently.
             return
         if fetch_request.succeeded:
@@ -619,17 +597,21 @@ class MoqtRelay:
         """Downstream subscribes currently deferred awaiting an upstream answer."""
         return sum(len(track.awaiting_upstream) for track in self._tracks.values())
 
-    def _handle_downstream_subscribe(
+    def handle_subscribe(
         self, session: MoqtSession, message: Subscribe
     ) -> SubscribeResult | None:
+        """Publisher-delegate entry: gate, then aggregate onto one upstream
+        subscription.  Only a rejection is returned; an admitted SUBSCRIBE is
+        answered through :meth:`_answer_downstream`, now or when the upstream
+        answers."""
         self.statistics.downstream_subscribes += 1
         admission = self.admission
         if admission is not None:
             # The gate runs before *any* registration: a rejected SUBSCRIBE
-            # never creates a _DownstreamSubscriber or an index entry, so
-            # there is nothing to clean up when the error goes out.  It also
-            # only ever polices arrivals — established subscriptions are
-            # structurally beyond its reach (never shed to admit new ones).
+            # never reaches a track's lists, so there is nothing to clean up
+            # when the error goes out.  It also only ever polices arrivals —
+            # established subscriptions are structurally beyond its reach
+            # (never shed to admit new ones).
             policy = admission.policy
             threshold = policy.priority_admit_threshold
             if threshold is not None and message.subscriber_priority <= threshold:
@@ -652,13 +634,11 @@ class MoqtRelay:
                     retry_after_ms=decision.retry_after_ms,
                 )
         track = self._track_for(message.full_track_name)
-        subscriber = _DownstreamSubscriber(session, message.request_id)
-        track.downstream.append(subscriber)
-        self._downstream_index.setdefault(session, {})[message.request_id] = track
+        waiter = (session, message)
         if track.upstream_subscription is None:
             # First subscriber for this track: aggregate into one upstream
             # subscription and answer the downstream once it is accepted.
-            self._defer_awaiting_upstream(track, subscriber)
+            self._defer_awaiting_upstream(track, waiter)
             if track.recovery.active:
                 # The previous uplink died with a gap recovery in flight
                 # (its armed buffer was carried, not dropped): re-attach
@@ -680,18 +660,33 @@ class MoqtRelay:
             # Joiners during the upstream round trip must share its outcome —
             # answering ok optimistically would strand them on a dead track
             # if the upstream rejects.
-            self._defer_awaiting_upstream(track, subscriber)
+            self._defer_awaiting_upstream(track, waiter)
             return None
-        return SubscribeResult(ok=True, largest=track.cache.largest)
+        self._answer_downstream(track, waiter, SubscribeResult(ok=True, largest=track.cache.largest))
+        return None
+
+    def _answer_downstream(
+        self, track: RelayTrack, waiter: tuple[MoqtSession, Subscribe], result: SubscribeResult
+    ) -> None:
+        """Answer one downstream SUBSCRIBE; an accepted one joins the fan-out."""
+        session, message = waiter
+        subscription = session.complete_subscribe(message.request_id, result)
+        if subscription is not None:
+            # Intern the track name: every downstream SUBSCRIBE decoded its own
+            # FullTrackName; pointing the retained record at the relay's
+            # canonical instance shares one across the tier.
+            subscription.full_track_name = track.full_track_name
+            subscription.owner = track
+            track.downstream.append(subscription)
 
     def _defer_awaiting_upstream(
-        self, track: RelayTrack, subscriber: _DownstreamSubscriber
+        self, track: RelayTrack, waiter: tuple[MoqtSession, Subscribe]
     ) -> None:
         """Queue a downstream subscribe behind the in-flight upstream answer,
         tracking the queue's high-water mark (the overload signal bounded
         admission policies cap and the E16 baseline shows growing with storm
         size)."""
-        track.awaiting_upstream.append(subscriber)
+        track.awaiting_upstream.append(waiter)
         pending = self.pending_subscribe_count()
         if pending > self.statistics.pending_subscribe_high_water:
             self.statistics.pending_subscribe_high_water = pending
@@ -720,43 +715,22 @@ class MoqtRelay:
             )
             track.upstream_subscription = None
         for waiter in waiting:
-            if not subscription.is_active and waiter in track.downstream:
-                track.downstream.remove(waiter)
-                self._drop_index_entry(waiter.session, waiter.request_id)
-            if waiter.session.closed:
-                continue  # downstream left before the upstream answered
-            waiter.session.complete_subscribe(waiter.request_id, result)
+            self._answer_downstream(track, waiter, result)
 
-    def _handle_downstream_unsubscribe(self, session: MoqtSession, request_id: int) -> None:
-        """Release the downstream subscription and the upstream one if idle."""
-        self.statistics.downstream_unsubscribes += 1
-        self._remove_downstream(session, request_id)
-
-    def _drop_index_entry(self, session: MoqtSession, request_id: int) -> RelayTrack | None:
-        """Remove one index entry, pruning the session's dict when empty."""
-        requests = self._downstream_index.get(session)
-        if requests is None:
-            return None
-        track = requests.pop(request_id, None)
-        if not requests:
-            del self._downstream_index[session]
-        return track
-
-    def _remove_downstream(self, session: MoqtSession, request_id: int) -> None:
-        """Drop one downstream subscription from its track (index-guided)."""
-        track = self._drop_index_entry(session, request_id)
-        if track is None:
-            return
-        track.awaiting_upstream = [
-            sub
-            for sub in track.awaiting_upstream
-            if not (sub.session is session and sub.request_id == request_id)
-        ]
-        track.downstream = [
-            sub
-            for sub in track.downstream
-            if not (sub.session is session and sub.request_id == request_id)
-        ]
+    def handle_subscription_ended(
+        self, session: MoqtSession, subscription: PublisherSubscription | Subscribe
+    ) -> None:
+        """Release a departed downstream subscription and the upstream one if idle."""
+        if not session.closed:
+            # Ended by UNSUBSCRIBE; a closing session has already set the flag.
+            self.statistics.downstream_unsubscribes += 1
+        if isinstance(subscription, PublisherSubscription):
+            track = subscription.owner
+            track.downstream.remove(subscription)
+        else:
+            # Still awaiting the upstream answer: there is no record yet.
+            track = self._tracks[subscription.full_track_name]
+            track.awaiting_upstream.remove((session, subscription))
         self._teardown_upstream_if_idle(track)
 
     def _teardown_upstream_if_idle(self, track: RelayTrack) -> None:
@@ -767,7 +741,7 @@ class MoqtRelay:
         warns about.  The cached objects are kept so a returning subscriber's
         FETCH can still be served locally.
         """
-        if track.downstream or track.upstream_subscription is None:
+        if track.downstream or track.awaiting_upstream or track.upstream_subscription is None:
             return
         subscription = track.upstream_subscription
         track.upstream_subscription = None
@@ -809,12 +783,9 @@ class MoqtRelay:
 
     def _forward_to_downstream(self, track: RelayTrack, obj: MoqtObject) -> None:
         # Encode-once fan-out (§3's fan-out efficiency argument, applied to
-        # CPU rather than links): the payload is memoised per track alias —
-        # subscribers overwhelmingly share one alias, so it is typically
-        # encoded once for the entire tier — and the per-subscriber sends are
-        # collected into one link-batch event by the network's batching
-        # region.
-        encoded: dict[int, bytes] = {}
+        # CPU rather than links) is publish_to's; the per-subscriber sends
+        # are collected into one link-batch event by the network's batching
+        # region here.
         network = self.host.network
         # Span tracing (one record per relay per object, before the fan-out
         # loop): purely observational — no events, no RNG, no wire bytes.
@@ -831,34 +802,15 @@ class MoqtRelay:
         if batching:
             network.begin_batch()
         try:
-            for subscriber in list(track.downstream):
-                session = subscriber.session
-                if session.closed:
-                    track.downstream.remove(subscriber)
-                    self._drop_index_entry(session, subscriber.request_id)
-                    self._teardown_upstream_if_idle(track)
-                    continue
-                publisher_subscription = subscriber.publisher_subscription
-                if publisher_subscription is None:
-                    publisher_subscription = session.publisher_subscription(
-                        subscriber.request_id
-                    )
-                    if publisher_subscription is None:
-                        continue
-                    # Intern the track name: every downstream SUBSCRIBE decoded
-                    # its own FullTrackName; pointing the retained state at the
-                    # relay's canonical instance shares one across the tier.
-                    publisher_subscription.full_track_name = track.full_track_name
-                    subscriber.publisher_subscription = publisher_subscription
-                session.publish(publisher_subscription, obj, encoded)
-                track.objects_forwarded += 1
-                self.statistics.objects_forwarded += 1
+            forwarded = publish_to(track.downstream, obj)
         finally:
             if batching:
                 network.end_batch()
+        track.objects_forwarded += forwarded
+        self.statistics.objects_forwarded += forwarded
 
     # -------------------------------------------------------------------- fetch
-    def _handle_downstream_fetch(
+    def handle_fetch(
         self,
         session: MoqtSession,
         message: Fetch,
@@ -920,21 +872,3 @@ class MoqtRelay:
         # Joining fetch: return the most recent ``joining_start`` groups.
         count = max(1, message.joining_start)
         return track.cache.latest_objects(count)
-
-
-class _RelayDelegate:
-    """Publisher delegate adapter binding relay logic to a downstream session."""
-
-    def __init__(self, relay: MoqtRelay) -> None:
-        self._relay = relay
-
-    def handle_subscribe(self, session: MoqtSession, message: Subscribe) -> SubscribeResult | None:
-        return self._relay._handle_downstream_subscribe(session, message)
-
-    def handle_fetch(
-        self, session: MoqtSession, message: Fetch, full_track_name: FullTrackName | None
-    ) -> FetchResult | None:
-        return self._relay._handle_downstream_fetch(session, message, full_track_name)
-
-    def handle_unsubscribe(self, session: MoqtSession, request_id: int) -> None:
-        self._relay._handle_downstream_unsubscribe(session, request_id)

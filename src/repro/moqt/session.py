@@ -22,7 +22,7 @@ Both endpoints of a session can act as publisher and subscriber:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol
 
 from repro.moqt.datastream import (
     DataStreamParser,
@@ -70,9 +70,7 @@ from repro.moqt.objectmodel import Location, MoqtObject
 from repro.moqt.track import FullTrackName
 from repro.quic.connection import QuicConnection
 from repro.quic.stream import QuicStream
-
-#: ALPN identifier for MoQT.
-MOQT_ALPN = "moq-00"
+from repro.quic.tls import MOQT_ALPN  # noqa: F401 - re-exported for the MoQT layers
 
 
 @dataclass
@@ -138,10 +136,16 @@ class PublisherDelegate(Protocol):
         joining fetches), or ``None`` to defer."""
 
     # Delegates may additionally implement
-    # ``handle_unsubscribe(session, request_id)``; when present it is invoked
-    # after an UNSUBSCRIBE tears down the publisher-side subscription, so
-    # aggregating publishers (relays) can release per-subscriber state and
-    # propagate the teardown upstream (§5.1 state clean-up).
+    # ``handle_subscription_ended(session, subscription)``.  When present it
+    # is invoked exactly once for every SUBSCRIBE the delegate did not
+    # reject, when the subscriber sends UNSUBSCRIBE or the session closes
+    # (``session.closed`` tells the two apart).  ``subscription`` is the
+    # :class:`PublisherSubscription` that :meth:`MoqtSession.complete_subscribe`
+    # returned; if the delegate was still deferring its answer there is no
+    # record yet and the :class:`Subscribe` message itself is handed over.
+    # This is where a publisher takes the record out of its per-track list
+    # and an aggregating one (a relay) propagates the teardown upstream
+    # (§5.1 state clean-up); see ``docs/publishers.md``.
 
 
 @dataclass(slots=True)
@@ -196,9 +200,14 @@ class FetchRequest:
         return self.state == "complete"
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class PublisherSubscription:
-    """Publisher-side state of a downstream subscription."""
+    """Publisher-side state of an accepted downstream subscription.
+
+    The only record of it anywhere: the session files it by request ID, the
+    publisher that accepted it files the same object by track and fans out
+    with :func:`publish_to`.
+    """
 
     request_id: int
     track_alias: int
@@ -207,6 +216,11 @@ class PublisherSubscription:
     forward: bool = True
     accepted_at: float = 0.0
     objects_sent: int = 0
+    session: "MoqtSession | None" = None
+    #: The publisher's own per-track state this record is filed in, so the
+    #: end-of-subscription notification needs no lookup.  The session never
+    #: reads it.
+    owner: object = None
 
 
 @dataclass(slots=True)
@@ -516,14 +530,13 @@ class MoqtSession:
         ``use_datagrams`` enabled the object is sent unreliably instead, which
         the ablation benchmark compares.
 
-        ``encoded`` is a caller-owned memo for fanning *this* object out: pass
-        the same (initially empty) dict to every publish of ``obj`` and the
-        payload is serialised once per track alias instead of once per
-        subscriber — subscribers overwhelmingly share one alias, so a relay
-        encodes each object once for its whole tier.  The memo holds wire
-        payloads, so the sessions sharing it must agree on ``use_datagrams``,
-        and it must not outlive the object.  Wire bytes are identical with
-        or without it.
+        ``encoded`` is the memo :func:`publish_to` shares across one fan-out
+        of ``obj``: the payload is serialised once per track alias instead of
+        once per subscriber — subscribers overwhelmingly share one alias, so
+        a relay encodes each object once for its whole tier.  The memo holds
+        wire payloads, so the sessions sharing it must agree on
+        ``use_datagrams``, and it must not outlive the object.  Wire bytes
+        are identical with or without it.
         """
         self._require_open()
         if not subscription.forward:
@@ -561,18 +574,30 @@ class MoqtSession:
         """Close the session and the underlying connection."""
         if self.closed:
             return
-        self.closed = True
-        if not self.connection.closed:
+        if self.connection.closed:
+            self._on_connection_closed(0, reason)
+        else:
+            # Comes back through the transport's on_closed callback.
             self.connection.close(reason=reason)
-        self._fail_pending_fetches(reason)
-        if self.on_closed is not None:
-            self.on_closed(self, reason)
 
     def _on_connection_closed(self, code: int, reason: str) -> None:
         if self.closed:
             return
         self.closed = True
         self._fail_pending_fetches(reason)
+        # Everything the publisher side still held ends with the session:
+        # deferred SUBSCRIBEs first, then accepted ones, each in arrival
+        # order.  The tables are emptied before anyone is told, so a closed
+        # session keeps nothing reachable however long its owner keeps it.
+        ended = (
+            *self._pending_incoming_subscribes.values(),
+            *self._publisher_subscriptions.values(),
+        )
+        self._pending_incoming_subscribes.clear()
+        self._publisher_subscriptions.clear()
+        self._pending_incoming_fetches.clear()
+        for subscription in ended:
+            self._subscription_ended(subscription)
         if self.on_closed is not None:
             self.on_closed(self, reason)
 
@@ -619,6 +644,10 @@ class MoqtSession:
     def _on_stream_data(self, stream_id: int, data: bytes, fin: bool) -> None:
         if stream_id == 0 or stream_id == self._control_stream_id:
             for message in self._control_parser.feed(data):
+                if self.closed:
+                    # An earlier message of this chunk ended the session (no
+                    # common version); a delegate never sees a closed one.
+                    return
                 self._handle_control_message(message)
             return
         parser = self._stream_parsers.get(stream_id)
@@ -792,6 +821,7 @@ class MoqtSession:
             subscriber_priority=message.subscriber_priority,
             forward=message.forward,
             accepted_at=self._simulator.now,
+            session=self,
         )
         self._publisher_subscriptions[message.request_id] = publisher_subscription
         self._send_control(
@@ -804,10 +834,6 @@ class MoqtSession:
             )
         )
         return publisher_subscription
-
-    def publisher_subscription(self, request_id: int) -> PublisherSubscription | None:
-        """Look up an accepted downstream subscription by request ID."""
-        return self._publisher_subscriptions.get(request_id)
 
     def _handle_fetch(self, message: Fetch) -> None:
         self.statistics.fetches_received += 1
@@ -873,21 +899,25 @@ class MoqtSession:
         # The subscribe being unsubscribed may still be deferred (the
         # delegate has not answered yet).  Dropping the pending entry keeps a
         # late complete_subscribe from resurrecting the departed subscriber.
-        pending = self._pending_incoming_subscribes.pop(message.request_id, None)
-        subscription = self._publisher_subscriptions.pop(message.request_id, None)
-        if subscription is not None:
+        ended = self._pending_incoming_subscribes.pop(message.request_id, None)
+        if ended is None:
+            ended = self._publisher_subscriptions.pop(message.request_id, None)
+            if ended is None:
+                return
             self._send_control(
                 SubscribeDone(
                     request_id=message.request_id,
                     status_code=0,
-                    stream_count=subscription.objects_sent,
+                    stream_count=ended.objects_sent,
                     reason="unsubscribed",
                 )
             )
-        if pending is not None or subscription is not None:
-            handler = getattr(self.publisher_delegate, "handle_unsubscribe", None)
-            if handler is not None:
-                handler(self, message.request_id)
+        self._subscription_ended(ended)
+
+    def _subscription_ended(self, subscription: PublisherSubscription | Subscribe) -> None:
+        handler = getattr(self.publisher_delegate, "handle_subscription_ended", None)
+        if handler is not None:
+            handler(self, subscription)
 
     # Subscriber side of responses ---------------------------------------------
     def _handle_subscribe_ok(self, message: SubscribeOk) -> None:
@@ -947,3 +977,26 @@ class MoqtSession:
         fetch_request.error_reason = message.reason
         if fetch_request.on_complete is not None:
             fetch_request.on_complete(fetch_request)
+
+
+def publish_to(subscriptions: Iterable[PublisherSubscription], obj: MoqtObject) -> int:
+    """Fan one object out to ``subscriptions``, in order; the only fan-out loop.
+
+    Every publisher (authoritative server, recursive resolver, relay, origin)
+    hands its per-track list of records here.  Returns how many subscriptions
+    the object was published to — those on an open session, ``forward=False``
+    ones included — which is what the publishers' counters count.
+    """
+    encoded: dict[int, bytes] = {}
+    published = 0
+    # A snapshot: a publish that closes its session takes the session's
+    # records out of the caller's list under us.  Closed sessions are skipped
+    # rather than expected gone — a crashed node marks its sessions closed
+    # without any callback running.
+    for subscription in tuple(subscriptions):
+        session = subscription.session
+        if session.closed:
+            continue
+        session.publish(subscription, obj, encoded)
+        published += 1
+    return published

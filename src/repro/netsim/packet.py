@@ -11,6 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+#: Well-known port of the simulated MoQT servers.  It sits beside
+#: :class:`Address` because the DNS and the MoQT packages both name it and
+#: neither imports the other.
+MOQT_PORT = 4443
+
 
 @dataclass(frozen=True, order=True)
 class Address:

@@ -77,6 +77,7 @@ from repro.quic.tls import (
     AlpnMismatchError,
     ClientHello,
     HelloDecodeError,
+    MOQT_ALPN,
     ServerHello,
     ServerTlsContext,
     SessionTicket,
@@ -135,7 +136,7 @@ class ConnectionConfig:
         congestion control.
     """
 
-    alpn_protocols: tuple[str, ...] = ("moq-00",)
+    alpn_protocols: tuple[str, ...] = (MOQT_ALPN,)
     idle_timeout: float = 30.0
     keepalive_interval: float | None = None
     enable_0rtt: bool = True

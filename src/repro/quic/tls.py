@@ -18,6 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+#: ALPN identifier for MoQT — what every simulated connection offers unless
+#: configured otherwise.  Defined here, once, because the transport's default
+#: needs it and the layers above import downwards.
+MOQT_ALPN = "moq-00"
+
 
 class AlpnMismatchError(Exception):
     """Raised when client and server share no application protocol."""

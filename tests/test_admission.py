@@ -219,10 +219,10 @@ class TestRelayGate:
         assert subscription.retry_after_ms > 0
         assert relay.statistics.admission_rejections == 1
         # No dangling relay-side state: one downstream subscriber (the
-        # pre-warmed one), one indexed session, nothing awaiting upstream.
+        # pre-warmed one), from one session, nothing awaiting upstream.
         tracks = relay.tracks().values()
         assert sum(len(track.downstream) for track in tracks) == 1
-        assert len(relay._downstream_index) == 1
+        assert len({sub.session for track in tracks for sub in track.downstream}) == 1
         assert relay.pending_subscribe_count() == 0
         # No dangling client-side state either.
         assert not late.session._pending_incoming_subscribes

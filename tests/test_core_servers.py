@@ -13,7 +13,7 @@ from repro.dns.message import make_query
 from repro.dns.name import Name
 from repro.dns.resolver import StubResolver
 from repro.dns.transport import DnsUdpEndpoint
-from repro.dns.types import Rcode, RecordType
+from repro.dns.types import MOQT_PORT, Rcode, RecordType
 from repro.experiments.topology import (
     AUTH_HOST,
     RECURSIVE_HOST,
@@ -51,6 +51,18 @@ def _subscribe_directly(topology: SmallTopology, key: DnsQuestionKey):
     )
     session.joining_fetch(subscription, 1, on_complete=lambda f: fetched.append(("fetch", f)))
     return session, subscription, pushed, fetched
+
+
+def _subscribe_to_recursive(topology: SmallTopology, key: DnsQuestionKey):
+    """A stub's own MoQT session to the recursive resolver, subscribed to ``key``."""
+    from repro.core.mapping import question_to_track
+
+    endpoint = QuicEndpoint(topology.network.host(STUB_HOST))
+    connection = endpoint.connect(Address(RECURSIVE_HOST, MOQT_PORT), ConnectionConfig())
+    session = MoqtSession(connection, is_client=True)
+    pushed = []
+    subscription = session.subscribe(question_to_track(key), on_object=pushed.append)
+    return endpoint, session, subscription, pushed
 
 
 class TestMoqAuthoritativeServer:
@@ -200,6 +212,36 @@ class TestMoqRecursiveResolver:
         assert summary["records"] >= 3
         assert summary["tracked_questions"] >= 1
 
+    def test_departed_downstream_subscribers_are_forgotten(self):
+        topology = SmallTopology()
+        resolver = topology.moqt_recursive
+        stubs = [_subscribe_to_recursive(topology, _key()) for _ in range(3)]
+        topology.run(5.0)
+
+        def subscribers() -> int:
+            return resolver.state_summary()["downstream_subscribers"]
+
+        assert subscribers() == 3
+        _, session, subscription, _ = stubs[0]
+        session.unsubscribe(subscription)
+        topology.run(1.0)
+        assert subscribers() == 2
+        stubs[1][1].close("bye")
+        topology.run(1.0)
+        assert subscribers() == 1
+        stubs[2][0].abandon()  # silent: only the resolver's idle timer notices
+        topology.run(60.0)
+        assert subscribers() == 0
+        assert resolver._downstream == {}
+        assert all(s.publisher_subscriptions() == [] for s in resolver.downstream_sessions())
+
+        forwarded = resolver.statistics.pushes_forwarded
+        topology.update_record("203.0.113.5")
+        topology.run(5.0)
+        assert resolver.statistics.pushes_received >= 1
+        assert resolver.statistics.pushes_forwarded == forwarded
+        assert all(pushed == [] for *_, pushed in stubs)
+
     def test_run_teardown_applies_policy(self):
         from repro.core.subscription import IdleTimeoutPolicy
 
@@ -319,3 +361,23 @@ class TestCompatibilityModes:
         assert updates, "periodic refresh must propagate the change"
         assert updates[0] - change_time <= ttl * 1.5
         assert topology.moqt_recursive.statistics.refresh_republishes >= 1
+
+    def test_periodic_refresh_stops_with_its_last_subscriber(self):
+        topology = SmallTopology(SmallTopologyConfig(moqt_on_auth=False, record_ttl=5))
+        resolver = topology.moqt_recursive
+        key = _key()
+        _, session, _, _ = _subscribe_to_recursive(topology, key)
+        topology.run(10.0)
+        assert resolver.refresher.is_scheduled(key)
+        session.close("bye")
+        topology.run(1.0)
+        assert not resolver.refresher.is_scheduled(key)
+        queries = resolver.statistics.upstream_udp_queries
+        topology.run(300.0)
+        assert resolver.statistics.upstream_udp_queries == queries
+
+        # A returning subscriber re-arms the loop.
+        _subscribe_to_recursive(topology, key)
+        topology.run(12.0)
+        assert resolver.refresher.is_scheduled(key)
+        assert resolver.statistics.upstream_udp_queries > queries + 1

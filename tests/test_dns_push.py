@@ -108,7 +108,7 @@ def check_index(server: MoqAuthoritativeServer) -> None:
     summary = server.state_summary()
     assert summary["tracks"] == len(server._tracks)
     assert summary["watched_names"] == len(server._watchers)
-    subscriptions = sum(len(by_id) for by_id in server._subscriptions.values())
+    subscriptions = sum(len(s.publisher_subscriptions()) for s in server.sessions())
     assert summary["subscribers"] == server.subscriber_count() == subscriptions
 
 
