@@ -16,6 +16,9 @@ uses:
   streams and in datagrams (:mod:`repro.moqt.datastream`);
 * the session state machine on top of a QUIC connection, exposing publisher
   and subscriber roles (:mod:`repro.moqt.session`);
+* the receive side of one followed track — dedupe, resume point, gap FETCH
+  and hold-back across a re-attach (:mod:`repro.moqt.receiver`), shared by
+  relays, tree subscribers and standby origins;
 * relays that aggregate subscriptions and cache objects without inspecting
   payloads (:mod:`repro.moqt.relay`), supporting the fan-out scenarios in
   §3 and §5.3 of the paper;

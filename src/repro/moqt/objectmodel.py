@@ -103,6 +103,11 @@ class TrackState:
         """The object at ``location``, if still retained."""
         return self._objects.get(location)
 
+    @property
+    def oldest(self) -> Location | None:
+        """The oldest location still retained, if any."""
+        return min(self._objects, default=None)
+
     def objects_in_range(self, start: Location, end: Location | None = None) -> list[MoqtObject]:
         """Objects between ``start`` (inclusive) and ``end`` (inclusive), ordered."""
         selected = [

@@ -12,8 +12,9 @@ The relay implemented here:
 * accepts downstream MoQT sessions on a QUIC server endpoint;
 * aggregates subscriptions — the first downstream SUBSCRIBE for a track
   creates a single upstream subscription, later ones share it;
-* caches objects per track so FETCH requests can be answered locally once at
-  least one object has been seen, and forwards FETCHes upstream otherwise;
+* caches objects per track so FETCH requests can be answered locally once
+  the cache reaches back to the requested start, and forwards FETCHes
+  upstream otherwise;
 * forwards every received object to all downstream subscribers of the track;
 * tears the upstream subscription down again once the last downstream
   subscriber has unsubscribed or disconnected, so no per-track state leaks
@@ -27,7 +28,8 @@ The relay implemented here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
@@ -36,6 +38,7 @@ if TYPE_CHECKING:
 from repro.moqt.errors import FetchErrorCode, SubscribeErrorCode
 from repro.moqt.messages import Fetch, FetchType, Subscribe
 from repro.moqt.objectmodel import Location, MoqtObject, TrackState
+from repro.moqt.receiver import OPEN_RANGE_END, TrackReceiver
 from repro.moqt.session import (
     MOQT_ALPN,
     FetchResult,
@@ -53,94 +56,42 @@ from repro.quic.connection import ConnectionConfig, QuicConnection
 from repro.quic.endpoint import QuicEndpoint
 from repro.quic.tls import ServerTlsContext
 
-#: FETCH range end meaning "everything the cache has" (a group id far beyond
-#: any experiment's horizon; ranges are inclusive).
-OPEN_RANGE_END = Location(1 << 40, 0)
+class RelayTrack(TrackReceiver):
+    """Relay state for one full track name.
 
-#: Dedupe sets are pruned once they exceed this size; locations older than
-#: the group horizon go first, newest-first truncation caps the rest.
-DEDUPE_PRUNE_THRESHOLD = 4096
-DEDUPE_GROUP_HORIZON = 64
-
-
-def prune_seen_locations(seen: set[Location], largest: Location) -> set[Location]:
-    """Shrink a delivered-locations dedupe set to a bounded window.
-
-    Drops locations older than :data:`DEDUPE_GROUP_HORIZON` groups behind
-    ``largest``; if everything is recent (many objects per group), keeps the
-    newest half of :data:`DEDUPE_PRUNE_THRESHOLD` so the set stays bounded
-    and pruning does not re-trigger on every insert.
-    """
-    horizon = largest.group_id - DEDUPE_GROUP_HORIZON
-    pruned = {location for location in seen if location.group_id >= horizon}
-    if len(pruned) > DEDUPE_PRUNE_THRESHOLD:
-        pruned = set(sorted(pruned)[-DEDUPE_PRUNE_THRESHOLD // 2 :])
-    return pruned
-
-
-class RecoveryBuffer:
-    """Holds live objects back while a gap FETCH is outstanding.
-
-    One instance per recovering receiver: the relay's upstream-switch
-    recovery (per :class:`RelayTrack`) and the subscriber's re-attach
-    recovery (:mod:`repro.relaynet.topology`) share this class so the
-    buffer-until-gap-delivered semantics cannot diverge between the two
-    layers.  ``release`` always disarms, delivers in location order, and is
-    safe to call on an idle buffer.
+    The receive side of the one upstream subscription (dedupe, resume point,
+    gap FETCH and hold-back across an upstream switch are the receiver's)
+    plus the object cache and the downstream fan-out list.
     """
 
-    __slots__ = ("active", "buffered")
+    __slots__ = ("cache", "downstream", "awaiting_upstream", "objects_forwarded")
 
-    def __init__(self) -> None:
-        self.active = False
-        self.buffered: list[MoqtObject] = []
+    def __init__(
+        self,
+        full_track_name: FullTrackName,
+        forward: Callable[["RelayTrack", MoqtObject], None],
+        statistics: "RelayStatistics",
+    ) -> None:
+        super().__init__(full_track_name, partial(forward, self), statistics)
+        self.cache = TrackState(full_track_name)
+        #: Accepted downstream subscriptions — the sessions' own records — in
+        #: SUBSCRIBE arrival order, which is the fan-out order.
+        self.downstream: list[PublisherSubscription] = []
+        #: Downstream SUBSCRIBEs deferred until the upstream answers, each
+        #: with the session it arrived on; they all share the upstream
+        #: subscription's outcome.
+        self.awaiting_upstream: list[tuple[MoqtSession, Subscribe]] = []
+        self.objects_forwarded = 0
 
-    def arm(self) -> None:
-        """Start intercepting live objects until :meth:`release`."""
-        self.active = True
+    @property
+    def upstream_subscription(self) -> Subscription | None:
+        """The live (or pending) upstream subscription, None when detached."""
+        return self.subscription
 
-    def intercept(self, obj: MoqtObject) -> bool:
-        """Buffer ``obj`` when armed; False means deliver it normally."""
-        if not self.active:
-            return False
-        self.buffered.append(obj)
-        return True
-
-    def release(self, deliver: Callable[[MoqtObject], None]) -> None:
-        """Disarm and hand the buffered objects to ``deliver`` in order."""
-        self.active = False
-        buffered, self.buffered = self.buffered, []
-        for obj in sorted(buffered, key=lambda o: o.location):
-            deliver(obj)
-
-
-@dataclass
-class RelayTrack:
-    """Relay state for one full track name."""
-
-    full_track_name: FullTrackName
-    cache: TrackState
-    upstream_subscription: Subscription | None = None
-    #: Accepted downstream subscriptions — the sessions' own records — in
-    #: SUBSCRIBE arrival order, which is the fan-out order.
-    downstream: list[PublisherSubscription] = field(default_factory=list)
-    #: Downstream SUBSCRIBEs deferred until the upstream answers, each with
-    #: the session it arrived on; they all share the upstream subscription's
-    #: outcome.
-    awaiting_upstream: list[tuple[MoqtSession, Subscribe]] = field(default_factory=list)
-    objects_forwarded: int = 0
-    #: Locations already forwarded downstream.  After an upstream switch the
-    #: new parent re-sends objects the old parent already delivered; this set
-    #: is what keeps re-parenting duplicate-free without touching the wire
-    #: format (dedupe is receive-side only).
-    forwarded: set[Location] = field(default_factory=set)
-    #: Largest location ever forwarded downstream — the resume point a
-    #: post-switch recovery FETCH starts from.
-    largest_forwarded: Location | None = None
-    #: While a recovery FETCH against the new parent is outstanding, live
-    #: objects are buffered here so the gap is delivered first and the
-    #: downstream object order survives the switch.
-    recovery: RecoveryBuffer = field(default_factory=RecoveryBuffer)
+    def on_object(self, obj: MoqtObject) -> None:
+        # Counted before dedupe and hold-back: what the uplink delivered.
+        self.counters.objects_received += 1
+        super().on_object(obj)
 
 
 @dataclass
@@ -370,16 +321,14 @@ class MoqtRelay:
             reason=f"upstream session closed: {reason}" if reason else "upstream session closed",
         )
         for track in self._tracks.values():
-            # An armed recovery buffer is deliberately *not* released here:
-            # releasing would advance ``largest_forwarded`` past the gap the
-            # in-flight FETCH was recovering, so a later switch (or the next
-            # downstream subscriber) could never fetch it again.  The buffer
-            # is carried until the next upstream attach, which re-arms it
-            # with a fresh gap FETCH (:meth:`_resubscribe_track`) or
-            # releases it when there is nothing to recover.
-            if track.upstream_subscription is None:
+            # A recovering track is deliberately *not* released here:
+            # releasing would move its resume point past the gap the
+            # in-flight FETCH was recovering, so a later attach could never
+            # fetch it again.  What it holds is carried until the next
+            # upstream attach, which fetches the gap again or releases.
+            if track.subscription is None:
                 continue
-            track.upstream_subscription = None
+            track.subscription = None
             waiting, track.awaiting_upstream = track.awaiting_upstream, []
             for waiter in waiting:
                 self._answer_downstream(track, waiter, result)
@@ -418,117 +367,28 @@ class MoqtRelay:
             # subscriptions are about to arm.
             old_session.close("switching upstream")
         for track in self._tracks.values():
-            if not (track.downstream or track.awaiting_upstream):
-                track.upstream_subscription = None
-                self._flush_recovery(track)
-                continue
-            self._resubscribe_track(track, recover=recover, on_reattached=on_track_reattached)
+            if track.downstream or track.awaiting_upstream:
+                self._subscribe_upstream(track, recover, on_track_reattached)
+            else:
+                track.subscription = None
+                track.release()
 
-    def _resubscribe_track(
+    def _subscribe_upstream(
         self,
         track: RelayTrack,
         recover: bool,
         on_reattached: Callable[[RelayTrack], None] | None = None,
     ) -> None:
-        old_subscription = track.upstream_subscription
+        """The one upstream-SUBSCRIBE site.  ``recover`` stays the caller's
+        call: a track whose upstream was torn down while idle must not FETCH
+        what was published while nobody listened."""
         upstream = self._ensure_upstream_session()
         self.statistics.upstream_subscribes += 1
-        resume_from = self._resume_point(track, old_subscription) if recover else None
-        if resume_from is not None:
-            track.recovery.arm()
-        else:
-            # No gap to fetch (nothing delivered and no known live position,
-            # or recovery disabled): a buffer armed by an earlier switch must
-            # not stay armed — no FETCH will ever release it.
-            self._flush_recovery(track)
-        track.upstream_subscription = upstream.subscribe(
-            track.full_track_name,
-            on_object=lambda obj, t=track: self._on_upstream_object(t, obj),
-            on_response=lambda subscription, t=track: self._on_switch_response(
-                t, subscription, resume_from, on_reattached
-            ),
+        track.subscribe(
+            upstream,
+            recover=recover,
+            on_response=partial(self._on_upstream_response, track, on_reattached),
         )
-
-    @staticmethod
-    def _resume_point(track: RelayTrack, old_subscription: Subscription | None) -> Location | None:
-        """Where the post-switch recovery FETCH should start.
-
-        Prefer the last location actually forwarded downstream — the FETCH
-        range is inclusive, and the duplicate filter drops the boundary
-        object.  A track that never forwarded anything falls back to the
-        old subscription's live position (the largest the old parent
-        advertised or delivered): anything *after* it is gap, anything at
-        or before it is pre-join history that must not be replayed, so the
-        resume point moves one object past it.
-        """
-        if track.largest_forwarded is not None:
-            return track.largest_forwarded
-        if old_subscription is not None and old_subscription.largest is not None:
-            previous = old_subscription.largest
-            return Location(previous.group_id, previous.object_id + 1)
-        return None
-
-    def _on_switch_response(
-        self,
-        track: RelayTrack,
-        subscription: Subscription,
-        resume_from: Location | None,
-        on_reattached: Callable[[RelayTrack], None] | None,
-    ) -> None:
-        current = track.upstream_subscription is subscription
-        self._on_upstream_response(track, subscription)
-        if not current:
-            return
-        if not subscription.is_active:
-            self._flush_recovery(track)
-            return
-        if on_reattached is not None:
-            on_reattached(track)
-        if resume_from is None or not track.recovery.active:
-            return
-        # Fill the gap between the last forwarded object and the live stream
-        # from the new parent's cache.  The resume point itself rides along
-        # (ranges are inclusive) and is dropped by the duplicate filter.
-        self.statistics.recovery_fetches += 1
-        upstream = self._ensure_upstream_session()
-        upstream.fetch(
-            track.full_track_name,
-            resume_from,
-            OPEN_RANGE_END,
-            on_complete=lambda fetch_request, t=track, s=upstream: self._on_recovery_fetched(
-                t, fetch_request, s
-            ),
-        )
-
-    def _on_recovery_fetched(self, track: RelayTrack, fetch_request, session: MoqtSession) -> None:
-        if session is not self._upstream_session:
-            # A newer switch owns the recovery buffer: this completion (most
-            # likely the old session failing its fetches on close) must not
-            # release it — the new parent's gap FETCH will.
-            return
-        if not fetch_request.succeeded and session.closed:
-            # The fetch failed *because the uplink itself died* (the session
-            # fails its pending fetches on close) while it is still the
-            # current one.  Flushing here would deliver the buffered live
-            # tail and advance ``largest_forwarded`` past the unrecovered
-            # gap, so the next switch's resume point would skip it forever.
-            # Leave the buffer armed: it is carried until the next upstream
-            # attach — :meth:`switch_upstream` / :meth:`_resubscribe_track`,
-            # or the recovery branch of :meth:`handle_subscribe`
-            # — which re-fetches the gap and releases it coherently.
-            return
-        if fetch_request.succeeded:
-            for obj in sorted(fetch_request.objects, key=lambda o: o.location):
-                if obj.location not in track.forwarded:
-                    self.statistics.recovered_objects += 1
-                self._deliver_upstream_object(track, obj)
-        # Delivered or genuinely refused by a live parent: release the
-        # buffered live stream; on refusal the gap stays lost but delivery
-        # resumes (availability over completeness).
-        self._flush_recovery(track)
-
-    def _flush_recovery(self, track: RelayTrack) -> None:
-        track.recovery.release(lambda obj: self._deliver_upstream_object(track, obj))
 
     def abandon_upstream(self, reason: str = "no surviving parent") -> None:
         """Tear the uplink down with *no* replacement: fail waiters cleanly.
@@ -538,8 +398,8 @@ class MoqtRelay:
         structured ``NoSurvivingParentError`` path): the dying session is
         closed locally — which fails its pending subscribes and fetches back
         downstream instead of leaving them wedged — and no new upstream is
-        opened.  Armed recovery buffers are flushed: with no future attach
-        coming, holding buffered live objects would stall delivery forever.
+        opened.  Recovering tracks are released: with no future attach
+        coming, holding live objects back would stall delivery forever.
         """
         session = self._upstream_session
         if session is not None and not session.closed:
@@ -548,7 +408,7 @@ class MoqtRelay:
             session.close(reason)
         self._upstream_session = None
         for track in self._tracks.values():
-            self._flush_recovery(track)
+            track.release()
 
     def shutdown(self, reason: str = "relay shutting down") -> None:
         """Close every session and release the relay's ports.
@@ -582,9 +442,7 @@ class MoqtRelay:
     def _track_for(self, full_track_name: FullTrackName) -> RelayTrack:
         track = self._tracks.get(full_track_name)
         if track is None:
-            track = RelayTrack(
-                full_track_name=full_track_name, cache=TrackState(full_track_name)
-            )
+            track = RelayTrack(full_track_name, self._forward_to_downstream, self.statistics)
             self._tracks[full_track_name] = track
         return track
 
@@ -635,28 +493,16 @@ class MoqtRelay:
                 )
         track = self._track_for(message.full_track_name)
         waiter = (session, message)
-        if track.upstream_subscription is None:
+        if track.subscription is None:
             # First subscriber for this track: aggregate into one upstream
             # subscription and answer the downstream once it is accepted.
+            # A track still recovering lost its uplink with a gap FETCH in
+            # flight (what it held was carried, not dropped): it resumes, so
+            # the gap is fetched again and the held objects released in order.
             self._defer_awaiting_upstream(track, waiter)
-            if track.recovery.active:
-                # The previous uplink died with a gap recovery in flight
-                # (its armed buffer was carried, not dropped): re-attach
-                # through the switch path so the gap is re-fetched and the
-                # buffer released coherently.
-                self._resubscribe_track(track, recover=True)
-                return None
-            upstream = self._ensure_upstream_session()
-            self.statistics.upstream_subscribes += 1
-            track.upstream_subscription = upstream.subscribe(
-                message.full_track_name,
-                on_object=lambda obj, t=track: self._on_upstream_object(t, obj),
-                on_response=lambda subscription, t=track: self._on_upstream_response(
-                    t, subscription
-                ),
-            )
+            self._subscribe_upstream(track, recover=track.held is not None)
             return None
-        if track.upstream_subscription.state == "pending":
+        if track.subscription.state == "pending":
             # Joiners during the upstream round trip must share its outcome —
             # answering ok optimistically would strand them on a dead track
             # if the upstream rejects.
@@ -691,8 +537,15 @@ class MoqtRelay:
         if pending > self.statistics.pending_subscribe_high_water:
             self.statistics.pending_subscribe_high_water = pending
 
-    def _on_upstream_response(self, track: RelayTrack, subscription: Subscription) -> None:
-        if track.upstream_subscription is not subscription:
+    def _on_upstream_response(
+        self,
+        track: RelayTrack,
+        on_reattached: Callable[[RelayTrack], None] | None,
+        subscription: Subscription,
+    ) -> None:
+        """Answer the waiters, then report an accepted re-attach; a resuming
+        receiver issues its gap FETCH only after this returns."""
+        if track.subscription is not subscription:
             # Stale answer: this upstream subscription was already torn down
             # (its last subscriber left while the answer was in flight).  Any
             # current waiters belong to a replacement subscription and will be
@@ -713,9 +566,11 @@ class MoqtRelay:
                 else SubscribeErrorCode.INTERNAL_ERROR,
                 reason=subscription.error_reason,
             )
-            track.upstream_subscription = None
+            track.subscription = None
         for waiter in waiting:
             self._answer_downstream(track, waiter, result)
+        if subscription.is_active and on_reattached is not None:
+            on_reattached(track)
 
     def handle_subscription_ended(
         self, session: MoqtSession, subscription: PublisherSubscription | Subscribe
@@ -741,71 +596,40 @@ class MoqtRelay:
         warns about.  The cached objects are kept so a returning subscriber's
         FETCH can still be served locally.
         """
-        if track.downstream or track.awaiting_upstream or track.upstream_subscription is None:
+        if track.downstream or track.awaiting_upstream or track.subscription is None:
             return
-        subscription = track.upstream_subscription
-        track.upstream_subscription = None
+        subscription = track.subscription
+        track.subscription = None
         self.statistics.upstream_unsubscribes += 1
         if self._upstream_session is not None and not self._upstream_session.closed:
             self._upstream_session.unsubscribe(subscription)
 
-    def _on_upstream_object(self, track: RelayTrack, obj: MoqtObject) -> None:
-        self.statistics.objects_received += 1
-        # While a recovery FETCH is outstanding, hold live objects back so
-        # the gap is delivered first and downstream order survives the switch.
-        if track.recovery.intercept(obj):
-            return
-        self._deliver_upstream_object(track, obj)
-
-    def _deliver_upstream_object(self, track: RelayTrack, obj: MoqtObject) -> None:
-        """Cache and forward one upstream object, dropping duplicates.
-
-        After an upstream switch the new parent's live stream and the
-        recovery FETCH both re-cover territory the old parent already
-        delivered; anything already forwarded downstream is dropped here so
-        subscribers see every (group, object) ID exactly once.
-        """
-        if obj.location in track.forwarded:
-            self.statistics.duplicate_objects_dropped += 1
-            return
-        track.cache.publish(obj)
-        self._record_forwarded(track, obj.location)
-        self._forward_to_downstream(track, obj)
-
-    def _record_forwarded(self, track: RelayTrack, location: Location) -> None:
-        track.forwarded.add(location)
-        if track.largest_forwarded is None or location > track.largest_forwarded:
-            track.largest_forwarded = location
-        if len(track.forwarded) > DEDUPE_PRUNE_THRESHOLD:
-            # Keep the dedupe window bounded so long-lived tracks do not
-            # accumulate unbounded state (§5.1).
-            track.forwarded = prune_seen_locations(track.forwarded, track.largest_forwarded)
-
     def _forward_to_downstream(self, track: RelayTrack, obj: MoqtObject) -> None:
-        # Encode-once fan-out (§3's fan-out efficiency argument, applied to
-        # CPU rather than links) is publish_to's; the per-subscriber sends
-        # are collected into one link-batch event by the network's batching
-        # region here.
+        """A track's sink: cache one distinct upstream object, then fan it out.
+
+        Encode-once fan-out (§3's fan-out efficiency argument, applied to CPU
+        rather than links) is publish_to's; the per-subscriber sends are
+        collected into one link-batch event by the network's batching region
+        here.
+        """
+        track.cache.publish(obj)
         network = self.host.network
         # Span tracing (one record per relay per object, before the fan-out
         # loop): purely observational — no events, no RNG, no wire bytes.
-        telemetry = getattr(network, "telemetry", None)
-        if telemetry is not None and telemetry.spans is not None:
-            telemetry.spans.record_hop(
+        spans = network.telemetry.spans
+        if spans is not None:
+            spans.record_hop(
                 obj.location,
                 self.tier,
                 self.host.address,
                 self.upstream_address.host,
                 self.simulator.now,
             )
-        batching = network is not None and hasattr(network, "begin_batch")
-        if batching:
-            network.begin_batch()
+        network.begin_batch()
         try:
             forwarded = publish_to(track.downstream, obj)
         finally:
-            if batching:
-                network.end_batch()
+            network.end_batch()
         track.objects_forwarded += forwarded
         self.statistics.objects_forwarded += forwarded
 
@@ -823,11 +647,21 @@ class MoqtRelay:
                 reason="fetch without a resolvable track name",
             )
         track = self._track_for(full_track_name)
-        if len(track.cache):
+        start = Location(message.start_group, message.start_object)
+        # A ranged FETCH reaching back past the oldest cached object (a
+        # re-attaching receiver's gap, on a relay that joined the track
+        # later) is not ours to answer: the missing head is upstream.  An
+        # all-zero start — how a cold relay forwards a joining FETCH — asks
+        # for whatever there is.
+        if len(track.cache) and (
+            message.fetch_type != FetchType.STANDALONE
+            or start == Location(0, 0)
+            or track.cache.oldest <= start
+        ):
             self.statistics.fetches_served_from_cache += 1
             objects = self._cached_objects_for(track, message)
             return FetchResult(ok=True, objects=objects, largest=track.cache.largest)
-        # Cache miss: forward the fetch upstream and answer when it completes.
+        # Forward the fetch upstream and answer when it completes.
         self.statistics.fetches_forwarded_upstream += 1
         upstream = self._ensure_upstream_session()
 
@@ -853,7 +687,6 @@ class MoqtRelay:
                     ),
                 )
 
-        start = Location(message.start_group, message.start_object)
         end = Location(message.end_group, message.end_object)
         if message.fetch_type != FetchType.STANDALONE or end == Location(0, 0):
             # Joining fetches (or open ranges) map onto "everything so far".

@@ -145,7 +145,7 @@ class AggregateLeaf:
         experiment callbacks can copy per-subscriber accumulator state from
         the representative to the member.
         """
-        from repro.relaynet.topology import TreeSubscriber, _SubscriberTrack
+        from repro.relaynet.topology import TreeSubscriber
 
         rep = self.representative
         if rep is None:
@@ -165,22 +165,17 @@ class AggregateLeaf:
             leaf=rep.leaf,
             config=rep.config,
         )
+        member.duplicate_objects_dropped = rep.duplicate_objects_dropped
         for position, track in enumerate(rep.tracks):
             on_object = self.track_callbacks.get(position)
             callback = None
             if on_object is not None:
                 callback = lambda obj, sub=member, cb=on_object: cb(sub, obj)
-            member.tracks.append(
-                _SubscriberTrack(
-                    full_track_name=track.full_track_name,
-                    on_object=callback,
-                    subscription=track.subscription,
-                    seen=set(track.seen),
-                    largest=track.largest,
-                    delivered=track.delivered,
-                    duplicates_dropped=track.duplicates_dropped,
-                )
-            )
+            clone = member.add_track(track.full_track_name, callback)
+            clone.subscription = track.subscription
+            clone.seen = set(track.seen)
+            clone.largest = track.largest
+            clone.delivered = track.delivered
         self.member_indices.remove(subscriber_index)
         self.split_indices.add(subscriber_index)
         rep.multiplicity = len(self.member_indices)
@@ -203,7 +198,7 @@ class AggregateLeaf:
             for track in member.tracks:
                 if track.subscription is not None and track.subscription.state == "done":
                     continue
-                topology._resubscribe_subscriber_track(member, track, None)
+                track.subscribe(member.session, recover=True)
         return member
 
     def dissolve(self, topology: "RelayTopology") -> "list[TreeSubscriber]":

@@ -43,7 +43,8 @@ from repro.moqt.origin import (
     OriginPublisher,
     build_origin_endpoint,
 )
-from repro.moqt.relay import MOQT_ALPN, OPEN_RANGE_END
+from repro.moqt.receiver import ReceiverCounters, TrackReceiver
+from repro.moqt.relay import MOQT_ALPN
 from repro.moqt.session import MoqtSession
 from repro.moqt.track import FullTrackName
 from repro.netsim.link import LinkConfig
@@ -75,6 +76,9 @@ class ClusterOrigin:
     client_endpoint: QuicEndpoint | None = None
     #: The warm-cache subscription session to the current active, if any.
     uplink_session: MoqtSession | None = None
+    #: Receive side of the warm subscription (standbys only): it feeds the
+    #: publisher's track state and stays gapless across promotions.
+    receiver: TrackReceiver | None = None
     #: False once the origin has been deposed by a promotion.
     alive: bool = True
     #: When :meth:`OriginCluster.crash_active` silently crashed this origin
@@ -190,6 +194,7 @@ class OriginCluster:
                 server_endpoint=build_origin_endpoint(standby_host, publisher, port),
                 role="standby",
                 client_endpoint=QuicEndpoint(standby_host),
+                receiver=TrackReceiver(track, publisher.state.publish, ReceiverCounters()),
             )
             # Full origin mesh: a later promotion (including a second one
             # after a double failure) re-points warm subscriptions without
@@ -360,39 +365,13 @@ class OriginCluster:
         Live objects stream into the standby's own track state; the gap
         between the standby's high-water mark and the active's current
         position (anything missed while re-attaching after a promotion) is
-        filled with a FETCH, so the cache stays contiguous.
+        filled by the receiver's gap FETCH, so the cache stays contiguous.
         """
         self._drop_uplink(standby)
         config = self.standby_connection
         if config is None:
             config = ConnectionConfig(alpn_protocols=(MOQT_ALPN,))
-        assert standby.client_endpoint is not None
+        assert standby.client_endpoint is not None and standby.receiver is not None
         connection = standby.client_endpoint.connect(self._active.address, config)
-        session = MoqtSession(connection, is_client=True)
-        standby.uplink_session = session
-        state = standby.publisher.state
-
-        def absorb(obj: MoqtObject) -> None:
-            # The warm stream and a catch-up FETCH may overlap; TrackState
-            # accepts identical re-publishes, so absorption is idempotent.
-            state.publish(obj)
-
-        resume = state.largest
-
-        def on_response(subscription, session=session) -> None:
-            if not subscription.is_active or resume is None:
-                return
-            # Catch up on anything published between the old active's death
-            # and this subscription going live (inclusive range; identical
-            # re-publishes are absorbed idempotently).
-            session.fetch(
-                self.track,
-                resume,
-                OPEN_RANGE_END,
-                on_complete=lambda fetch_request: [
-                    absorb(obj)
-                    for obj in (fetch_request.objects if fetch_request.succeeded else ())
-                ],
-            )
-
-        session.subscribe(self.track, on_object=absorb, on_response=on_response)
+        standby.uplink_session = MoqtSession(connection, is_client=True)
+        standby.receiver.subscribe(standby.uplink_session, recover=True)

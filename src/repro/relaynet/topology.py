@@ -51,16 +51,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Protocol
 
 from repro.moqt.errors import AdmissionRejectedError, SubscribeErrorCode
-from repro.moqt.objectmodel import Location, MoqtObject
-from repro.moqt.relay import (
-    DEDUPE_PRUNE_THRESHOLD,
-    DEFAULT_MOQT_PORT,
-    MOQT_ALPN,
-    OPEN_RANGE_END,
-    MoqtRelay,
-    RecoveryBuffer,
-    prune_seen_locations,
-)
+from repro.moqt.objectmodel import MoqtObject
+from repro.moqt.receiver import TrackReceiver
+from repro.moqt.relay import DEFAULT_MOQT_PORT, MOQT_ALPN, MoqtRelay
 from repro.moqt.session import MoqtSession, MoqtSessionConfig, Subscription
 from repro.moqt.track import FullTrackName
 from repro.netsim.network import Network
@@ -113,32 +106,14 @@ class RelayNode:
         return self.relay.upstream_address.host
 
 
-@dataclass(slots=True)
-class _SubscriberTrack:
-    """One track a subscriber follows, with dedupe and re-attach state."""
-
-    full_track_name: FullTrackName
-    on_object: Callable[[MoqtObject], None] | None
-    subscription: Subscription | None = None
-    seen: set[Location] = field(default_factory=set)
-    largest: Location | None = None
-    #: Monotonic count of distinct objects handed to the application (the
-    #: ``seen`` dedupe set is pruned, so its size is not a delivery count).
-    delivered: int = 0
-    duplicates_dropped: int = 0
-    #: While a gap FETCH is outstanding after a re-attach, live objects are
-    #: buffered so the recovered gap is delivered first, in order (same
-    #: machinery as the relay's upstream-switch recovery).
-    recovery: RecoveryBuffer = field(default_factory=RecoveryBuffer)
-
-
 @dataclass(eq=False, slots=True)
 class TreeSubscriber:
     """A leaf MoQT client attached below an edge relay.
 
-    The subscriber owns the client-side half of churn tolerance: it dedupes
-    deliveries by (group, object) ID, and after a re-attach it buffers the
-    new leaf's live stream until the gap FETCH has been delivered, so the
+    The client-side half of churn tolerance is one
+    :class:`~repro.moqt.receiver.TrackReceiver` per followed track: it
+    dedupes by (group, object) ID and, after a re-attach, holds the new
+    leaf's live stream back until the gap FETCH has been delivered, so the
     application callback observes every object exactly once, in order, no
     matter how many relays died in between.
     """
@@ -148,9 +123,12 @@ class TreeSubscriber:
     session: MoqtSession
     leaf: RelayNode
     config: MoqtSessionConfig | None = None
-    tracks: list[_SubscriberTrack] = field(default_factory=list)
+    tracks: list[TrackReceiver] = field(default_factory=list)
     reattach_count: int = 0
-    gap_fetches: int = 0
+    #: What the track receivers count: the subscriber is their ``counters``.
+    recovery_fetches: int = 0
+    duplicate_objects_dropped: int = 0
+    recovered_objects: int = 0
     #: How many subscribers this object stands in for.  1 for every dense
     #: subscriber; an aggregate-leaf representative carries its group's
     #: member count, and every statistic collectors read off it (bytes,
@@ -158,6 +136,30 @@ class TreeSubscriber:
     multiplicity: int = 1
 
     # ---------------------------------------------------------- subscriptions
+    def add_track(
+        self,
+        full_track_name: FullTrackName,
+        on_object: Callable[[MoqtObject], None] | None,
+    ) -> TrackReceiver:
+        """A receiver for one more followed track, not yet subscribed.
+
+        Its sink records the delivery span, then calls ``on_object``.
+        """
+
+        def sink(obj: MoqtObject) -> None:
+            # Span tracing (delivery leg): observational only.
+            spans = self.host.network.telemetry.spans
+            if spans is not None:
+                spans.record_delivery(
+                    obj.location, self.leaf.host.address, self.index, self.host.simulator.now
+                )
+            if on_object is not None:
+                on_object(obj)
+
+        track = TrackReceiver(full_track_name, sink, counters=self)
+        self.tracks.append(track)
+        return track
+
     def subscribe_track(
         self,
         full_track_name: FullTrackName,
@@ -169,78 +171,19 @@ class TreeSubscriber:
         ``on_response`` fires with the answered subscription — the hook the
         topology's admission retry-with-backoff machinery hangs off.
         """
-        track = _SubscriberTrack(full_track_name=full_track_name, on_object=on_object)
-        self.tracks.append(track)
-        track.subscription = self.session.subscribe(
-            full_track_name,
-            on_object=lambda obj, t=track: self.deliver(t, obj),
-            on_response=on_response,
-        )
-        return track.subscription
-
-    # --------------------------------------------------------------- delivery
-    def deliver(self, track: _SubscriberTrack, obj: MoqtObject) -> None:
-        if track.recovery.intercept(obj):
-            return
-        self._deliver_now(track, obj)
-
-    def _deliver_now(self, track: _SubscriberTrack, obj: MoqtObject) -> None:
-        if obj.location in track.seen:
-            track.duplicates_dropped += 1
-            return
-        track.seen.add(obj.location)
-        track.delivered += 1
-        if track.largest is None or obj.location > track.largest:
-            track.largest = obj.location
-        if len(track.seen) > DEDUPE_PRUNE_THRESHOLD:
-            track.seen = prune_seen_locations(track.seen, track.largest)
-        # Span tracing (delivery leg): observational only.  getattr guards
-        # stub hosts/networks used by unit tests.
-        host = self.host
-        network = host.network if host is not None else None
-        telemetry = getattr(network, "telemetry", None)
-        if telemetry is not None and telemetry.spans is not None:
-            telemetry.spans.record_delivery(
-                obj.location,
-                self.leaf.host.address,
-                self.index,
-                host.simulator.now,
-            )
-        if track.on_object is not None:
-            track.on_object(obj)
-
-    def flush_track(self, track: _SubscriberTrack) -> None:
-        """Release buffered live objects (ordered, deduplicated)."""
-        track.recovery.release(lambda obj: self._deliver_now(track, obj))
-
-    def finish_gap_fetch(
-        self, track: _SubscriberTrack, fetch_request, session: MoqtSession | None = None
-    ) -> None:
-        """Deliver a completed gap FETCH, then the buffered live stream.
-
-        ``session`` is the session the fetch was issued on.  A fetch that
-        *failed because that session died* (closed mid-flight, or already
-        replaced by a newer re-attach) must not release the recovery buffer:
-        flushing would advance the dedupe high-water mark past the
-        unrecovered gap and the next re-attach's resume point would skip it
-        forever.  The next re-attach re-arms or flushes the buffer itself.
-        """
-        if (
-            not fetch_request.succeeded
-            and session is not None
-            and (session.closed or session is not self.session)
-        ):
-            return
-        if fetch_request.succeeded:
-            for obj in sorted(fetch_request.objects, key=lambda o: o.location):
-                self._deliver_now(track, obj)
-        self.flush_track(track)
+        track = self.add_track(full_track_name, on_object)
+        return track.subscribe(self.session, on_response=on_response)
 
     # ------------------------------------------------------------- statistics
     @property
+    def gap_fetches(self) -> int:
+        """Gap FETCHes issued after re-attaches, across all tracks."""
+        return self.recovery_fetches
+
+    @property
     def duplicates_dropped(self) -> int:
         """Duplicate deliveries suppressed across all tracks."""
-        return sum(track.duplicates_dropped for track in self.tracks)
+        return self.duplicate_objects_dropped
 
     @property
     def objects_delivered(self) -> int:
@@ -1073,19 +1016,12 @@ class RelayTopology:
     ) -> None:
         """Subscribe with the bounded retry / spillover admission contract."""
         simulator = self.network.simulator
-        track = _SubscriberTrack(
-            full_track_name=storm.full_track_name, on_object=on_object
-        )
-        subscriber.tracks.append(track)
+        track = subscriber.add_track(storm.full_track_name, on_object)
 
         def attempt() -> None:
             record.attempts += 1
             # Always subscribe on the *current* session — spillover swaps it.
-            track.subscription = subscriber.session.subscribe(
-                storm.full_track_name,
-                on_object=lambda obj, t=track: subscriber.deliver(t, obj),
-                on_response=on_response,
-            )
+            track.subscribe(subscriber.session, on_response=on_response)
 
         def on_response(subscription: Subscription) -> None:
             if subscription.is_active:
@@ -1592,70 +1528,19 @@ class RelayTopology:
         subscriber.leaf = new_leaf
         subscriber.reattach_count += 1
         new_leaf.load += 1
+
+        def mark_reattached(subscription: Subscription) -> None:
+            if subscription.is_active:
+                record.mark_reattached(self.network.simulator.now)
+
         restored = 0
         for track in subscriber.tracks:
             if track.subscription is not None and track.subscription.state == "done":
                 continue  # the application unsubscribed; nothing to restore
-            self._resubscribe_subscriber_track(subscriber, track, record)
+            track.subscribe(subscriber.session, recover=True, on_response=mark_reattached)
             restored += 1
         if restored == 0:
             # Nothing to re-subscribe: the re-homing itself completes the
             # failover (otherwise the record would wait on a SUBSCRIBE_OK
             # that will never come and the event would never read complete).
             record.mark_reattached(self.network.simulator.now)
-
-    def _resubscribe_subscriber_track(
-        self,
-        subscriber: TreeSubscriber,
-        track: _SubscriberTrack,
-        record: FailoverRecord | None,
-    ) -> None:
-        # Resume from the last delivered object (inclusive — the dedupe set
-        # drops the boundary).  A subscriber that never received anything
-        # falls back to the old subscription's advertised live position:
-        # later objects are gap, earlier ones are pre-join history.
-        resume_from = track.largest
-        if (
-            resume_from is None
-            and track.subscription is not None
-            and track.subscription.largest is not None
-        ):
-            previous = track.subscription.largest
-            resume_from = Location(previous.group_id, previous.object_id + 1)
-        if resume_from is not None:
-            track.recovery.arm()
-        else:
-            subscriber.flush_track(track)
-
-        def on_response(
-            subscription: Subscription,
-            sub: TreeSubscriber = subscriber,
-            t: _SubscriberTrack = track,
-            resume: Location | None = resume_from,
-            rec: FailoverRecord | None = record,
-        ) -> None:
-            if not subscription.is_active:
-                sub.flush_track(t)
-                return
-            if rec is not None:
-                rec.mark_reattached(self.network.simulator.now)
-            if resume is None or not t.recovery.active:
-                return
-            # The resume point rides along (inclusive range) and is dropped
-            # by the subscriber's duplicate filter.
-            sub.gap_fetches += 1
-            issued_on = sub.session
-            issued_on.fetch(
-                t.full_track_name,
-                resume,
-                OPEN_RANGE_END,
-                on_complete=lambda fetch_request, s=sub, tr=t, sess=issued_on: s.finish_gap_fetch(
-                    tr, fetch_request, sess
-                ),
-            )
-
-        track.subscription = subscriber.session.subscribe(
-            track.full_track_name,
-            on_object=lambda obj, s=subscriber, t=track: s.deliver(t, obj),
-            on_response=on_response,
-        )

@@ -179,6 +179,9 @@ def collect_relay_tree(metrics: MetricsRegistry, tree) -> None:
     admission_queue_rejections = 0
     admission_priority_bypasses = 0
     pending_subscribe_high_water = 0
+    # Receiver state (relay tracks and subscriber tracks are the same class).
+    recovery_buffered = 0
+    dedupe_window = 0
     leaf_tier_index = len(tree.tiers) - 1
     for tier_index, nodes in enumerate(tree.tiers):
         if not nodes:
@@ -209,6 +212,9 @@ def collect_relay_tree(metrics: MetricsRegistry, tree) -> None:
             admission_priority_bypasses += statistics.admission_priority_bypasses
             if statistics.pending_subscribe_high_water > pending_subscribe_high_water:
                 pending_subscribe_high_water = statistics.pending_subscribe_high_water
+            for track in node.relay.tracks().values():
+                recovery_buffered += len(track.held or ())
+                dedupe_window = max(dedupe_window, len(track.seen))
             uplink = node.relay.upstream_quic_connection
             if uplink is not None:
                 _scrape_quic(quic_totals["relay-uplink"], uplink)
@@ -241,6 +247,9 @@ def collect_relay_tree(metrics: MetricsRegistry, tree) -> None:
         duplicates += subscriber.duplicates_dropped * multiplicity
         gap_fetches += subscriber.gap_fetches * multiplicity
         reattaches += subscriber.reattach_count * multiplicity
+        for track in subscriber.tracks:
+            recovery_buffered += len(track.held or ()) * multiplicity
+            dedupe_window = max(dedupe_window, len(track.seen))
         subscriber_count += multiplicity
         _scrape_quic(
             quic_totals["subscriber"], subscriber.session.connection, multiplicity
@@ -268,6 +277,14 @@ def collect_relay_tree(metrics: MetricsRegistry, tree) -> None:
     metrics.gauge("relaynet_subscriber_gap_fetches", "Gap FETCHes by subscribers").set(
         gap_fetches
     )
+    metrics.gauge(
+        "relaynet_recovery_buffered",
+        "Live objects receivers hold back behind a gap FETCH (relays + subscribers)",
+    ).set(recovery_buffered)
+    metrics.gauge(
+        "relaynet_dedupe_window",
+        "Largest delivered-locations dedupe window any receiver holds",
+    ).set(dedupe_window)
     metrics.gauge("relaynet_subscriber_reattaches", "Subscriber leaf re-attachments").set(
         reattaches
     )

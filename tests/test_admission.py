@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.admission import AdmissionModel, percentile
 from repro.relaynet.admission import retry_after_to_ms
+from repro.telemetry import MetricsRegistry, Telemetry
 from repro.experiments.flash_crowd import run_flash_crowd
 from repro.moqt.errors import AdmissionRejectedError, SubscribeErrorCode
 from repro.moqt.objectmodel import MoqtObject
@@ -348,9 +349,10 @@ class TestFlashCrowd:
 
 class TestExperiment:
     def test_run_flash_crowd_gates(self):
+        telemetry = Telemetry(metrics=MetricsRegistry())
         result = run_flash_crowd(
             stormers=12, subscribe_rate=150.0, bucket_depth=3,
-            baseline_stormers=(8, 16),
+            baseline_stormers=(8, 16), telemetry=telemetry,
         )
         summary = result.summary_row()
         assert summary["baseline_high_water_grows"]
@@ -360,6 +362,9 @@ class TestExperiment:
         assert summary["spillover_all_admitted"]
         assert summary["spillovers"] > 0
         assert len(result.rows()) == 4
+        # The spillover storm quiesced: retries and re-routes left no
+        # receiver holding objects back.
+        assert telemetry.metrics.snapshot()["relaynet_recovery_buffered"] == 0
 
 
 class TestDefaultOffDeterminism:

@@ -37,6 +37,7 @@ from repro.experiments.relay_fanout import (
     run_relay_fanout,
 )
 from repro.moqt.objectmodel import MoqtObject
+from repro.moqt.receiver import DEDUPE_PRUNE_THRESHOLD
 from repro.moqt.relay import MOQT_ALPN
 from repro.netsim.network import Network
 from repro.netsim.packet import Address
@@ -500,3 +501,7 @@ class TestOriginTelemetry:
         assert traced.delivery_sequences == bare.delivery_sequences
         assert traced.detection_latency == bare.detection_latency
         assert traced.promotion_latency == bare.promotion_latency
+        # Quiesced: no receiver still holds objects back, windows bounded.
+        snapshot = telemetry.metrics.snapshot()
+        assert snapshot["relaynet_recovery_buffered"] == 0
+        assert 0 < snapshot["relaynet_dedupe_window"] <= DEDUPE_PRUNE_THRESHOLD

@@ -1,4 +1,4 @@
-"""Structural guard: one downstream-subscription record, one fan-out loop.
+"""Structural guards: one subscription record, one fan-out loop, one receiver.
 
 An ``ast`` walk over ``src/repro`` (``docs/publishers.md``):
 
@@ -9,7 +9,12 @@ An ``ast`` walk over ``src/repro`` (``docs/publishers.md``):
   consults a table keyed by ``(session, request_id)``: nothing is indexed or
   looked up by a request ID, and the pair itself is never written down — an
   accepted subscription is its record, which carries the session, and a
-  deferred one (the relay's ``awaiting_upstream``) is its SUBSCRIBE message.
+  deferred one (the relay's ``awaiting_upstream``) is its SUBSCRIBE message;
+* outside ``moqt/receiver.py`` no module of ``moqt/`` or ``relaynet/`` carries a
+  piece of the gapless-receive algorithm (``docs/failover.md``): none prunes a
+  dedupe window, none puts objects in location order (``TrackState`` range
+  reads in ``moqt/objectmodel.py`` aside), and none names the open FETCH range
+  end except the relay's cold-cache forward in ``handle_fetch``.
 """
 
 from __future__ import annotations
@@ -22,6 +27,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: The only place an object is sent to a subscription.
 FAN_OUT = ("moqt/session.py", "publish_to")
 LOOKUPS = {"get", "pop", "setdefault", "publisher_subscription"}
+#: The only home of dedupe, resume point, gap FETCH and ordered release.
+RECEIVER = "moqt/receiver.py"
+#: A downstream FETCH forwarded upstream as "everything so far".
+COLD_FORWARD = ("moqt/relay.py", "handle_fetch")
 
 
 def _identifiers(node: ast.AST) -> set[str]:
@@ -38,10 +47,20 @@ def _mentions_session(names: set[str]) -> bool:
     return any(name == "session" or name.endswith("_session") for name in names)
 
 
+def _by_location(call: ast.Call) -> bool:
+    """Whether a ``sorted(...)`` / ``.sort(...)`` call orders by location: its
+    key names one (``o.location``, ``attrgetter("location")``, ``_by_location``)."""
+    return any(
+        keyword.arg == "key" and "location" in ast.dump(keyword.value)
+        for keyword in call.keywords
+    )
+
+
 def violations(source: str, path: str) -> list[str]:
     """Every offending ``path:line: why`` in one module's source."""
     found: list[str] = []
     guarded_tables = path.startswith(("core/", "moqt/")) and path != "moqt/session.py"
+    guarded_receive = path.startswith(("moqt/", "relaynet/")) and path != RECEIVER
 
     def visit(node: ast.AST, function: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -69,6 +88,20 @@ def violations(source: str, path: str) -> list[str]:
                 names = _identifiers(node)
                 if "request_id" in names and _mentions_session(names):
                     found.append(f"{where}: (session, request_id) pair (in {function})")
+        if guarded_receive:
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                if callee == "prune_seen_locations":
+                    found.append(f"{where}: dedupe window pruned outside the receiver (in {function})")
+                if callee in ("sorted", "sort") and _by_location(node) and path != "moqt/objectmodel.py":
+                    found.append(f"{where}: objects sorted by location outside the receiver (in {function})")
+            if (
+                isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)
+                and node.id == "OPEN_RANGE_END"
+                and (path, function) != COLD_FORWARD
+            ):
+                found.append(f"{where}: open-ended FETCH range outside the receiver (in {function})")
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -118,3 +151,60 @@ def _forward(self, key, obj):
     assert all(reason.startswith("src/repro/core/recursive.py:") for reason in reasons)
     # The session itself owns the by-request tables.
     assert violations(mirrored_index, "moqt/session.py") == []
+
+
+def test_one_receiver():
+    """The receiver holds each step of the algorithm in exactly one function,
+    and the relay reaches its upstream through one SUBSCRIBE site."""
+    # The guard must see the allowed sites when it looks at them as a stranger.
+    inside = violations((SRC / RECEIVER).read_text(), "moqt/elsewhere.py")
+    sites = sorted(reason.split(": ", 1)[1] for reason in inside)
+    assert sites == [
+        "dedupe window pruned outside the receiver (in _deliver)",
+        "objects sorted by location outside the receiver (in release)",
+        "objects sorted by location outside the receiver (in release)",
+        "open-ended FETCH range outside the receiver (in _on_answer)",
+    ]
+    relay = ast.parse((SRC / COLD_FORWARD[0]).read_text())
+    subscribes = [
+        node.lineno
+        for node in ast.walk(relay)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "subscribe"
+    ]
+    assert len(subscribes) == 1, f"upstream-SUBSCRIBE sites in {COLD_FORWARD[0]}: {subscribes}"
+
+
+def test_guard_catches_a_second_copy_of_the_receiver():
+    relay_copy = """
+def _on_switch_response(self, track, subscription, resume_from, on_reattached):
+    upstream.fetch(track.full_track_name, resume_from, OPEN_RANGE_END, on_complete=done)
+
+def _on_recovery_fetched(self, track, fetch_request, session):
+    for obj in sorted(fetch_request.objects, key=lambda o: o.location):
+        self._deliver_upstream_object(track, obj)
+
+def _record_forwarded(self, track, location):
+    track.forwarded = prune_seen_locations(track.forwarded, track.largest_forwarded)
+
+def release(self, deliver):
+    for obj in sorted(buffered, key=attrgetter("location")):
+        deliver(obj)
+
+def handle_fetch(self, session, message, full_track_name):
+    end = OPEN_RANGE_END
+"""
+    reasons = violations(relay_copy, "moqt/relay.py")
+    assert [reason.split(": ")[1].split(" (")[0] for reason in reasons] == [
+        "open-ended FETCH range outside the receiver",
+        "objects sorted by location outside the receiver",
+        "dedupe window pruned outside the receiver",
+        "objects sorted by location outside the receiver",
+    ]
+    assert all(reason.startswith("src/repro/moqt/relay.py:") for reason in reasons)
+    # The same shapes one layer up, where the subscriber's copy lived; there
+    # the cold-cache forward is no excuse.
+    assert len(violations(relay_copy, "relaynet/topology.py")) == 5
+    assert violations(relay_copy, RECEIVER) == []
+    # A cache range read is not a delivery order.
+    cache_read = "def latest(self):\n    return sorted(self._objects.values(), key=lambda o: o.location)\n"
+    assert violations(cache_read, "moqt/objectmodel.py") == []

@@ -5,9 +5,8 @@ Covers the livetree refactor end to end:
 * membership — relays joining a running tree, graceful leaves, crashes;
 * failover policies — sibling vs. grandparent re-homing;
 * the MoQT-layer recovery contract — upstream-switch dedupe (no duplicate
-  delivery after re-parenting) and FETCH-based gap fill, including the
-  hypothesis property that arbitrary live/recovered interleavings with
-  duplicates and reordering still yield a gapless, in-order sequence;
+  delivery after re-parenting) and FETCH-based gap fill (the receiver's own
+  properties are in ``tests/test_track_receiver.py``);
 * load-aware subscriber placement skipping dead leaves;
 * the unsubscribe-during-deferred-upstream-subscribe race;
 * the pending-FETCH-over-a-dying-upstream regression (ROADMAP known issue);
@@ -21,7 +20,6 @@ Covers the livetree refactor end to end:
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.analysis.churn import RecoveryModel, expected_gap_objects, recovery_model
 from repro.experiments.relay_fanout import (
@@ -226,8 +224,7 @@ class TestFailover:
         simulator.run(until=simulator.now + 5.0)
 
         track = edge0.relay.tracks()[TRACK]
-        assert not track.recovery.active
-        assert track.recovery.buffered == []
+        assert track.held is None
         behind_edge0 = [sub.index for sub in tree.subscribers if sub.leaf is edge0]
         for index in behind_edge0:
             # Group 4 rode out during the unrecovered switch window (that
@@ -439,96 +436,6 @@ class TestRaces:
         assert len(fetched) == 1, "no double completion"
 
 
-class TestDedupeRecoveryProperty:
-    """Hypothesis property: per-track (group, object) dedupe + RecoveryBuffer.
-
-    Models exactly what a re-attached subscriber's track goes through: some
-    objects delivered before the failure, a gap FETCH answering with an
-    overlapping prefix (possibly shuffled — the buffer sorts), and the new
-    parent's live stream (buffered while the fetch is outstanding) carrying
-    reordered duplicates of recovered territory.  Whatever the interleaving,
-    the application must observe every group exactly once, in order, with
-    no gaps.
-    """
-
-    @staticmethod
-    def _track_harness():
-        from repro.relaynet.topology import TreeSubscriber, _SubscriberTrack
-
-        delivered: list[int] = []
-        track = _SubscriberTrack(
-            full_track_name=TRACK, on_object=lambda obj: delivered.append(obj.group_id)
-        )
-        subscriber = TreeSubscriber.__new__(TreeSubscriber)
-        subscriber.index = 0
-        subscriber.host = None
-        subscriber.session = None
-        subscriber.leaf = None
-        subscriber.config = None
-        subscriber.tracks = [track]
-        subscriber.reattach_count = 0
-        subscriber.gap_fetches = 0
-        return subscriber, track, delivered
-
-    @staticmethod
-    def _obj(group: int) -> MoqtObject:
-        return MoqtObject(group_id=group, object_id=0, payload=b"x")
-
-    @given(
-        total=st.integers(min_value=1, max_value=30),
-        pre=st.data(),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_any_interleaving_yields_gapless_in_order_delivery(self, total, pre):
-        groups = list(range(2, 2 + total))
-        # Delivered live before the failure: an in-order prefix.
-        delivered_before = pre.draw(
-            st.integers(min_value=0, max_value=total), label="delivered_before"
-        )
-        # The gap FETCH answers everything from the resume point (inclusive
-        # overlap) up to some point, in arbitrary order with duplicates.
-        fetch_end = pre.draw(
-            st.integers(min_value=delivered_before, max_value=total), label="fetch_end"
-        )
-        fetch_start = max(0, delivered_before - 1)
-        fetch_groups = pre.draw(
-            st.permutations(groups[fetch_start:fetch_end]), label="fetch_order"
-        )
-        # The live stream from the new parent: everything past the fetch,
-        # plus reordered duplicates of recovered/pre-failure territory.
-        live_tail = groups[fetch_end:]
-        duplicates = pre.draw(
-            st.lists(st.sampled_from(groups[:fetch_end] or [2]), max_size=8),
-            label="duplicates",
-        ) if fetch_end else []
-        live_groups = pre.draw(
-            st.permutations(live_tail + duplicates), label="live_order"
-        )
-
-        subscriber, track, delivered = self._track_harness()
-        for group in groups[:delivered_before]:
-            subscriber.deliver(track, self._obj(group))
-        assert delivered == groups[:delivered_before]
-
-        # Failure: the buffer arms, live objects are intercepted while the
-        # gap FETCH is outstanding.
-        track.recovery.arm()
-        for group in live_groups:
-            subscriber.deliver(track, self._obj(group))
-        assert delivered == groups[:delivered_before], "armed buffer holds the live stream"
-
-        class _Fetch:
-            succeeded = True
-            objects = [self._obj(group) for group in fetch_groups]
-
-        subscriber.finish_gap_fetch(track, _Fetch())
-        assert delivered == groups, (
-            "gapless, duplicate-free, in publish order across the failure"
-        )
-        assert not track.recovery.active and track.recovery.buffered == []
-        assert track.delivered == total
-
-
 class TestCloseDuringSwitchRace:
     """A session closed mid-switch must not strand or lose the recovery gap."""
 
@@ -561,7 +468,7 @@ class TestCloseDuringSwitchRace:
             "recovery FETCH still in flight"
         )
         track = edge1.relay.tracks()[TRACK]
-        assert track.recovery.active and track.recovery.buffered
+        assert track.held, "recovering, with a live object held back"
         return simulator, publisher, tree, edge1, received, upstream
 
     def test_close_then_switch_refetches_the_gap(self):
@@ -591,7 +498,7 @@ class TestCloseDuringSwitchRace:
         upstream.close("operator close mid-recovery")
         simulator.run(until=simulator.now + 1.0)
         track = edge1.relay.tracks()[TRACK]
-        assert track.recovery.active, "buffer carried across the close"
+        assert track.held, "held objects carried across the close"
         assert track.upstream_subscription is None
         # Re-point the uplink without recovery side effects, then let a new
         # downstream SUBSCRIBE on the same leaf re-establish the chain.
@@ -605,7 +512,7 @@ class TestCloseDuringSwitchRace:
             assert received[subscriber.index] == [2, 3, 4, 5, 6], (
                 "gap healed by the fresh subscribe"
             )
-        assert not track.recovery.active
+        assert track.held is None
 
     def test_subscriber_reattach_after_failed_gap_fetch_keeps_order(self):
         # Subscriber-side variant: a pending gap FETCH dies with its session
@@ -719,6 +626,51 @@ class TestInBandDetection:
         for subscriber in orphaned:
             assert subscriber.leaf is not victim and subscriber.leaf.alive
             assert received[subscriber.index] == [2, 3, 4, 5, 6, 7, 8, 9]
+
+    def test_gap_fetch_reaching_back_past_a_late_leafs_cache_is_forwarded(self):
+        # An orphan re-attaches to a leaf that joined the track *after* the
+        # orphan's resume point: the leaf's cache starts at group 5, the gap
+        # FETCH at group 3.  Answering [5] from that cache loses group 4 for
+        # good (the resume point moves past it); the leaf must forward.
+        from repro.quic.connection import ConnectionConfig
+        from repro.relaynet.topology import RelayTopology
+
+        simulator = Simulator(seed=5)
+        network = Network(simulator)
+        publisher = build_origin(network)
+        topology = RelayTopology(
+            network,
+            Address(ORIGIN, ORIGIN_PORT),
+            RelayTreeSpec.cdn(mid_relays=1, edge_per_mid=2),
+            subscriber_connection=ConnectionConfig(idle_timeout=1.5),
+        )
+        topology.attach_subscribers(4)
+        received: dict[int, list[int]] = {}
+
+        def record(sub, obj):
+            received.setdefault(sub.index, []).append(obj.group_id)
+
+        topology.subscribe_all(TRACK, on_object=record)
+        simulator.run(until=simulator.now + 1.0)
+        push_groups(simulator, publisher, [2, 3])
+        topology.crash_relay(topology.tier("edge")[0])
+        push_groups(simulator, publisher, [4])
+        late_leaf = topology.add_relay("edge")
+        (late,) = topology.attach_subscribers(1)
+        assert late.leaf is late_leaf
+        topology.subscribe_all(TRACK, on_object=record, subscribers=[late])
+        simulator.run(until=simulator.now + 0.5)
+        push_groups(simulator, publisher, [5, 6, 7, 8], interval=0.5)
+        # Shorter than the idle timeout, or healthy leaves are falsely detected.
+        simulator.run(until=simulator.now + 0.4)
+
+        assert [event.node for event in topology.events] == ["relay-edge-0"]
+        assert received[late.index] == [5, 6, 7, 8], "the late leaf's cache starts at 5"
+        assert topology.subscribers[0].leaf is late_leaf, "an orphan landed on it"
+        for index in range(4):
+            assert received[index] == [2, 3, 4, 5, 6, 7, 8], (index, received[index])
+        assert late_leaf.relay.statistics.fetches_served_from_cache == 0
+        assert late_leaf.relay.statistics.fetches_forwarded_upstream == 1
 
     def test_pending_subscribe_is_transplanted_across_a_silent_crash(self):
         # A SUBSCRIBE caught between the downstream request and the upstream

@@ -20,6 +20,7 @@ from repro.experiments.failure_detection import run_failure_detection
 from repro.experiments.relay_churn import run_relay_churn
 from repro.experiments.relay_fanout import run_relay_fanout
 from repro.moqt.objectmodel import Location
+from repro.moqt.receiver import DEDUPE_PRUNE_THRESHOLD
 from repro.netsim.network import Network
 from repro.netsim.simulator import Simulator
 from repro.netsim.trace import NullTraceRecorder, TraceRecorder
@@ -426,6 +427,14 @@ def _fanout_fingerprint(result):
     ]
 
 
+def _assert_receivers_quiesced(telemetry):
+    """After a run drains, no receiver holds anything back and every dedupe
+    window is inside its prune threshold."""
+    snapshot = telemetry.metrics.snapshot()
+    assert snapshot["relaynet_recovery_buffered"] == 0
+    assert 0 < snapshot["relaynet_dedupe_window"] <= DEDUPE_PRUNE_THRESHOLD
+
+
 class TestDeterminismContract:
     """Seeded outputs must be bit-identical with telemetry on or off."""
 
@@ -439,6 +448,7 @@ class TestDeterminismContract:
         first = baseline.samples[0]
         assert first.measured_origin_objects == 20
         assert first.measured_tier_bytes[0] == 6560
+        _assert_receivers_quiesced(telemetry)
 
     def test_e11_breakdowns_telescope(self):
         telemetry = Telemetry(metrics=MetricsRegistry(), spans=SpanTracer())
@@ -474,6 +484,7 @@ class TestDeterminismContract:
         ] == [(kill.killed, kill.at, kill.latencies_by_tier) for kill in traced.kills]
         assert baseline.gapless and traced.gapless
         assert telemetry.metrics.snapshot()["relaynet_subscriber_reattaches"] > 0
+        _assert_receivers_quiesced(telemetry)
 
     def test_e13_identical_with_telemetry(self):
         baseline = run_failure_detection(subscribers=200)
@@ -488,3 +499,4 @@ class TestDeterminismContract:
         assert baseline.delivered_objects == traced.delivered_objects
         # The E13 acceptance canary: PTO-path detection at 544.277 ms.
         assert round(baseline.samples[0].detection_latency * 1000, 3) == 544.277
+        _assert_receivers_quiesced(telemetry)
