@@ -239,6 +239,29 @@ class SessionStatistics:
     fetches_received: int = 0
 
 
+class _UnusedTable(dict):
+    """The table of a role a session has not played: one shared empty mapping.
+
+    A subscriber's session never files a downstream subscription, a relay's
+    downstream session never subscribes, and almost no stream arrives
+    fragmented — so those tables all start as :data:`_UNUSED`.  Every read
+    (``get``, ``pop(key, None)``, ``values``, ``clear``, ``in``, ``len``) is
+    what it would be on an empty dict, so no reader knows the difference;
+    the insert sites install a real dict first, and a write that forgot to
+    is refused instead of leaking into every other session.
+    """
+
+    __slots__ = ()
+
+    def _refuse(self, *args: object, **kwargs: object) -> None:
+        raise TypeError("the shared empty table is read-only: install a dict first")
+
+    __setitem__ = setdefault = update = __ior__ = _refuse
+
+
+_UNUSED = _UnusedTable()
+
+
 class MoqtSession:
     """One endpoint of a MoQT session over a QUIC connection.
 
@@ -319,19 +342,21 @@ class MoqtSession:
         self._next_request_id = 0 if is_client else 1
         self._next_track_alias = 1
 
+        # Every table below is a dict once its role is played (see
+        # :class:`_UnusedTable`); reads never ask which.
         # Subscriber-side state.
-        self._subscriptions: dict[int, Subscription] = {}
-        self._subscriptions_by_alias: dict[int, Subscription] = {}
-        self._fetches: dict[int, FetchRequest] = {}
+        self._subscriptions: dict[int, Subscription] = _UNUSED
+        self._subscriptions_by_alias: dict[int, Subscription] = _UNUSED
+        self._fetches: dict[int, FetchRequest] = _UNUSED
         self._pending_until_ready: list[Callable[[], None]] = []
 
         # Publisher-side state.
-        self._publisher_subscriptions: dict[int, PublisherSubscription] = {}
-        self._pending_incoming_subscribes: dict[int, Subscribe] = {}
-        self._pending_incoming_fetches: dict[int, Fetch] = {}
+        self._publisher_subscriptions: dict[int, PublisherSubscription] = _UNUSED
+        self._pending_incoming_subscribes: dict[int, Subscribe] = _UNUSED
+        self._pending_incoming_fetches: dict[int, Fetch] = _UNUSED
 
-        # Incoming data-stream reassembly.
-        self._stream_parsers: dict[int, DataStreamParser] = {}
+        # Incoming data-stream reassembly (fragmented streams only).
+        self._stream_parsers: dict[int, DataStreamParser] = _UNUSED
 
         connection.on_stream_data = self._on_stream_data
         connection.on_datagram = self._on_datagram
@@ -416,6 +441,9 @@ class MoqtSession:
             on_response=on_response,
             created_at=self._simulator.now,
         )
+        if self._subscriptions is _UNUSED:
+            self._subscriptions = {}
+            self._subscriptions_by_alias = {}
         self._subscriptions[request_id] = subscription
         self._subscriptions_by_alias[track_alias] = subscription
         message = Subscribe(
@@ -464,6 +492,8 @@ class MoqtSession:
             on_complete=on_complete,
             created_at=self._simulator.now,
         )
+        if self._fetches is _UNUSED:
+            self._fetches = {}
         self._fetches[request_id] = fetch_request
         message = Fetch(
             request_id=request_id,
@@ -497,6 +527,8 @@ class MoqtSession:
             on_complete=on_complete,
             created_at=self._simulator.now,
         )
+        if self._fetches is _UNUSED:
+            self._fetches = {}
         self._fetches[request_id] = fetch_request
         message = Fetch(
             request_id=request_id,
@@ -668,6 +700,8 @@ class MoqtSession:
                     self._deliver_fetch_objects(header.request_id, list(objects), True)
                 return
             parser = DataStreamParser()
+            if self._stream_parsers is _UNUSED:
+                self._stream_parsers = {}
             self._stream_parsers[stream_id] = parser
         objects = parser.feed(data, fin)
         header = parser.header
@@ -789,10 +823,26 @@ class MoqtSession:
                 )
             )
             return
+        if self._pending_incoming_subscribes is _UNUSED:
+            self._pending_incoming_subscribes = {}
         self._pending_incoming_subscribes[message.request_id] = message
         result = self.publisher_delegate.handle_subscribe(self, message)
         if result is not None:
             self.complete_subscribe(message.request_id, result)
+
+    def _take_pending_subscribe(self, request_id: int) -> Subscribe | None:
+        """Pop a deferred SUBSCRIBE; the drained table is not kept.
+
+        A dict never shrinks, and every downstream session defers exactly
+        one SUBSCRIBE for an instant (between :meth:`_handle_subscribe` and
+        the delegate's answer), so keeping the drained dict would cost each
+        of them a table for good.
+        """
+        pending = self._pending_incoming_subscribes
+        message = pending.pop(request_id, None)
+        if message is not None and not pending:
+            self._pending_incoming_subscribes = _UNUSED
+        return message
 
     def complete_subscribe(self, request_id: int, result: SubscribeResult) -> PublisherSubscription | None:
         """Answer a (possibly deferred) incoming SUBSCRIBE.
@@ -800,7 +850,7 @@ class MoqtSession:
         Returns the publisher-side subscription when the subscribe was
         accepted, so the caller can start publishing to it.
         """
-        message = self._pending_incoming_subscribes.pop(request_id, None)
+        message = self._take_pending_subscribe(request_id)
         if message is None or self.closed:
             return None
         if not result.ok:
@@ -823,6 +873,8 @@ class MoqtSession:
             accepted_at=self._simulator.now,
             session=self,
         )
+        if self._publisher_subscriptions is _UNUSED:
+            self._publisher_subscriptions = {}
         self._publisher_subscriptions[message.request_id] = publisher_subscription
         self._send_control(
             SubscribeOk(
@@ -863,6 +915,8 @@ class MoqtSession:
                 full_track_name = joined_pending.full_track_name
             else:
                 full_track_name = joined.full_track_name
+        if self._pending_incoming_fetches is _UNUSED:
+            self._pending_incoming_fetches = {}
         self._pending_incoming_fetches[message.request_id] = message
         result = self.publisher_delegate.handle_fetch(self, message, full_track_name)
         if result is not None:
@@ -899,7 +953,7 @@ class MoqtSession:
         # The subscribe being unsubscribed may still be deferred (the
         # delegate has not answered yet).  Dropping the pending entry keeps a
         # late complete_subscribe from resurrecting the departed subscriber.
-        ended = self._pending_incoming_subscribes.pop(message.request_id, None)
+        ended = self._take_pending_subscribe(message.request_id)
         if ended is None:
             ended = self._publisher_subscriptions.pop(message.request_id, None)
             if ended is None:

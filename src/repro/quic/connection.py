@@ -162,25 +162,49 @@ class ConnectionConfig:
             )
 
 
+class _SentPacket:
+    """In-flight ledger record of a packet sent through the :class:`Packet` codec.
+
+    What a retransmission needs (``packet_type`` + ``frames``) plus the two
+    facts every ledger record carries: ``sent_at`` for the RTT sample and
+    ``wire_size`` for the congestion controller (stored by
+    :meth:`QuicConnection._transmit`, the first place that knows it).  A
+    DATAGRAM-frame packet is filed with no frames: there is nothing to
+    re-send, only bytes in flight to release.
+    """
+
+    __slots__ = ("packet_type", "frames", "sent_at", "wire_size")
+
+    def __init__(
+        self, packet_type: PacketType, frames: tuple[Frame, ...], sent_at: float
+    ) -> None:
+        self.packet_type = packet_type
+        self.frames = frames
+        self.sent_at = sent_at
+        self.wire_size = 0
+
+
 class _EncodedStreamPacket:
-    """Retransmission record for a preassembled one-shot stream packet.
+    """In-flight ledger record of a preassembled one-shot stream packet.
 
     :meth:`QuicConnection.send_encoded_stream` serialises straight into a
     pooled buffer, so nothing object-shaped survives the send for the loss
     machinery to replay.  This record is the minimal substitute: it exposes
-    the ``packet_type`` / ``frames`` surface the retransmission and 0-RTT
-    requeue paths read, materialising the frame only if the packet is
+    the ``packet_type`` / ``frames`` / ``sent_at`` / ``wire_size`` surface of
+    :class:`_SentPacket`, materialising the frame only if the packet is
     actually lost.  ``chunk`` is the shared immutable stream payload, so N
     subscribers' unacked packets reference one body instead of N copies.
     """
 
-    __slots__ = ("stream_id", "chunk")
+    __slots__ = ("stream_id", "chunk", "sent_at", "wire_size")
 
     packet_type = PacketType.ONE_RTT
 
-    def __init__(self, stream_id: int, chunk: bytes) -> None:
+    def __init__(self, stream_id: int, chunk: bytes, sent_at: float, wire_size: int) -> None:
         self.stream_id = stream_id
         self.chunk = chunk
+        self.sent_at = sent_at
+        self.wire_size = wire_size
 
     @property
     def frames(self) -> tuple[StreamFrame, ...]:
@@ -270,10 +294,8 @@ class QuicConnection:
         "_unacked",
         "_queued_app_frames",
         "_smoothed_rtt",
-        "_sent_times",
         "_cc",
         "_cc_active",
-        "_cc_sizes",
         "_cwnd_blocked",
         "_consecutive_loss_timeouts",
         "_loss_timer",
@@ -358,8 +380,10 @@ class QuicConnection:
         #: delivered twice (the job ``receive_closed`` does for full stream
         #: state).  In-order arrival only moves the floor, so the state is
         #: O(reordering), not O(streams ever received).
+        #: The ``above`` set exists only while there is such an arrival: ideal
+        #: links never reorder, so most connections never build it.
         self._peer_uni_floor = 0
-        self._peer_uni_above: set[int] = set()
+        self._peer_uni_above: set[int] | None = None
         self._next_bidi_sequence = 0
         self._next_uni_sequence = 0
 
@@ -372,10 +396,15 @@ class QuicConnection:
         #: ACKs stay in their compact cumulative form; a gap switches the
         #: ACKs to exact ranges until pruned (see :meth:`_record_received`).
         self._received_ranges: list[list[int]] = []
-        self._unacked: dict[int, Packet] = {}
-        self._queued_app_frames: list[Frame] = []
+        #: The in-flight ledger, ``packet number -> record``: the one answer
+        #: to "is this packet outstanding".  A record (:class:`_SentPacket` or
+        #: :class:`_EncodedStreamPacket`) carries when the packet left, its
+        #: wire size and what a retransmission needs; it is filed for every
+        #: packet the loss machinery must repair and, under a real congestion
+        #: controller, for every packet the controller is counting.
+        self._unacked: dict[int, _SentPacket | _EncodedStreamPacket] = {}
+        self._queued_app_frames: tuple[Frame, ...] | list[Frame] = ()
         self._smoothed_rtt = config.initial_rtt
-        self._sent_times: dict[int, float] = {}
         # Congestion control.  The default Null controller is a shared
         # stateless singleton and declares itself inert; ``_cc_active`` is
         # hoisted so the fan-out fast path pays one attribute read, not a
@@ -383,18 +412,15 @@ class QuicConnection:
         factory = config.congestion_controller
         self._cc: CongestionController = factory() if factory is not None else NULL_CONGESTION
         self._cc_active = self._cc.active
-        #: Wire sizes of in-flight ack-eliciting packets, kept only while a
-        #: real controller is installed (it is fed (packet, size) pairs on
-        #: ack/loss/discard).
-        self._cc_sizes: dict[int, int] = {}
         #: FIFO of frame tuples held back by the congestion window, flushed
         #: oldest-first as ACKs (or loss-driven window collapses) reopen it.
         #: The packet type is recomputed at flush time so early data queued
-        #: before handshake completion upgrades to ONE_RTT.
-        self._cwnd_blocked: list[tuple[Frame, ...]] = []
+        #: before handshake completion upgrades to ONE_RTT.  Only a real
+        #: controller ever blocks, so only then is there a list.
+        self._cwnd_blocked: list[tuple[Frame, ...]] | tuple[()] = [] if self._cc_active else ()
         self._consecutive_loss_timeouts = 0
         self._loss_timer = Timer(simulator, self._on_loss_timeout)
-        self._keepalive_timer = Timer(simulator, self._on_keepalive)
+        self._keepalive_timer: Timer | None = None
         #: Packet-type byte + connection id as they open every ONE_RTT /
         #: INITIAL packet, encoded once: the hand-assembled send paths start
         #: from these instead of re-encoding both per packet.
@@ -414,6 +440,7 @@ class QuicConnection:
             self._idle_from + config.idle_timeout, self._on_idle_wake
         )
         if config.keepalive_interval is not None:
+            self._keepalive_timer = Timer(simulator, self._on_keepalive)
             self._keepalive_timer.start(config.keepalive_interval)
 
     # ------------------------------------------------------------------ stats
@@ -449,7 +476,7 @@ class QuicConnection:
         memory; it drains to zero once loss repair has filled every gap in
         the peer's stream sequence.
         """
-        return len(self._peer_uni_above)
+        return len(self._peer_uni_above or ())
 
     @property
     def handshake_rtts(self) -> float:
@@ -534,14 +561,15 @@ class QuicConnection:
 
     def _requeue_zero_rtt(self) -> None:
         discarded: list[tuple[int, int]] = []
-        for packet_number, packet in sorted(self._unacked.items()):
-            if packet.packet_type == PacketType.ZERO_RTT:
-                self._queued_app_frames.extend(packet.frames)
+        requeued: list[Frame] = []
+        for packet_number, record in sorted(self._unacked.items()):
+            if record.packet_type == PacketType.ZERO_RTT:
+                requeued.extend(record.frames)
                 del self._unacked[packet_number]
-                self._sent_times.pop(packet_number, None)
-                if self._cc_active and packet_number in self._cc_sizes:
-                    discarded.append((packet_number, self._cc_sizes.pop(packet_number)))
-        if discarded:
+                discarded.append((packet_number, record.wire_size))
+        if requeued:
+            self._queued_app_frames = [*self._queued_app_frames, *requeued]
+        if discarded and self._cc_active:
             # Rejected early data leaves the in-flight ledger without being
             # acked and without signalling congestion (RFC 9002 §6.2.3).
             self._cc.on_packets_discarded(discarded)
@@ -636,10 +664,6 @@ class QuicConnection:
                 return stream_id
         packet_number = self._next_packet_number
         self._next_packet_number = packet_number + 1
-        self._unacked[packet_number] = _EncodedStreamPacket(stream_id, chunk)
-        self._sent_times[packet_number] = self._idle_from = self._simulator.now
-        if not self._loss_timer.is_running:
-            self._loss_timer.start(self._probe_timeout())
         acquire = self._acquire_buffer
         buffer = acquire() if acquire is not None else bytearray()
         # Byte-identical to Packet(ONE_RTT, cid, pn, (StreamFrame(stream_id,
@@ -654,11 +678,15 @@ class QuicConnection:
         buffer.append(1)  # fin
         append_varint(buffer, chunk_length)
         buffer += chunk
+        size = len(buffer)
+        now = self._idle_from = self._simulator.now
+        self._unacked[packet_number] = _EncodedStreamPacket(stream_id, chunk, now, size)
+        if not self._loss_timer.is_running:
+            self._loss_timer.start(self._probe_timeout())
         self.statistics.packets_sent += 1
-        self.statistics.bytes_sent += len(buffer)
+        self.statistics.bytes_sent += size
         if self._cc_active:
-            self._cc.on_packet_sent(packet_number, len(buffer))
-            self._cc_sizes[packet_number] = len(buffer)
+            self._cc.on_packet_sent(packet_number, size)
         self._send(buffer if acquire is not None else bytes(buffer), self.peer_address)
         return stream_id
 
@@ -675,7 +703,7 @@ class QuicConnection:
 
     def _send_app_frames(self, frames: list[Frame], reliable: bool = True) -> None:
         if not self._can_send_app_data():
-            self._queued_app_frames.extend(frames)
+            self._queued_app_frames = [*self._queued_app_frames, *frames]
             return
         if self._cc_active and reliable:
             if self._cwnd_blocked or not self._cc.can_send(_frames_wire_estimate(frames)):
@@ -701,11 +729,14 @@ class QuicConnection:
     def _flush_queued_app_frames(self) -> None:
         if not self._queued_app_frames or not self._can_send_app_data():
             return
-        frames, self._queued_app_frames = self._queued_app_frames, []
+        frames, self._queued_app_frames = self._queued_app_frames, ()
         self._send_packet(self._app_packet_type(), frames)
 
     def _send_packet(
-        self, packet_type: PacketType, frames: list[Frame], reliable: bool = True
+        self,
+        packet_type: PacketType,
+        frames: "list[Frame] | tuple[Frame, ...]",
+        reliable: bool = True,
     ) -> None:
         packet = Packet(
             packet_type=packet_type,
@@ -714,25 +745,33 @@ class QuicConnection:
             frames=tuple(frames),
         )
         self._next_packet_number += 1
-        if reliable and packet.is_ack_eliciting:
-            self._unacked[packet.packet_number] = packet
-            self._sent_times[packet.packet_number] = self._simulator.now
+        record = None
+        # A packet the loss machinery must repair, or that a real controller
+        # is counting, has a ledger record.  An unreliable (DATAGRAM-frame)
+        # packet is only ever the second kind and is filed with nothing to
+        # re-send: an ACK releases its bytes, a PTO declares it lost.
+        if packet.is_ack_eliciting and (reliable or self._cc_active):
+            record = self._unacked[packet.packet_number] = _SentPacket(
+                packet_type, packet.frames if reliable else (), self._simulator.now
+            )
             if not self._loss_timer.is_running:
                 self._loss_timer.start(self._probe_timeout())
-        self._transmit(packet)
+        self._transmit(packet, record)
 
-    def _transmit(self, packet: Packet) -> None:
+    def _transmit(self, packet: Packet, record: _SentPacket | None = None) -> None:
         acquire = self._acquire_buffer
         if acquire is not None:
             payload: bytes | bytearray = acquire()
             packet.encode_into(payload)
         else:
             payload = packet.encode()
+        size = len(payload)
         self.statistics.packets_sent += 1
-        self.statistics.bytes_sent += len(payload)
-        if self._cc_active and packet.is_ack_eliciting:
-            self._cc.on_packet_sent(packet.packet_number, len(payload))
-            self._cc_sizes[packet.packet_number] = len(payload)
+        self.statistics.bytes_sent += size
+        if record is not None:
+            record.wire_size = size
+            if self._cc_active:
+                self._cc.on_packet_sent(packet.packet_number, size)
         self._send(payload, self.peer_address)
         self._idle_from = self._simulator.now
 
@@ -754,7 +793,8 @@ class QuicConnection:
     @property
     def keepalive_deadline(self) -> float | None:
         """Absolute time of the next keepalive PING, if keepalives are on."""
-        return self._keepalive_timer.deadline
+        timer = self._keepalive_timer
+        return timer.deadline if timer is not None else None
 
     @property
     def unacked_packets(self) -> int:
@@ -812,30 +852,30 @@ class QuicConnection:
             self._set_liveness(LIVENESS_SUSPECT, "pto-suspect")
             if self.closed:
                 return
-        self.statistics.retransmissions += len(self._unacked)
+        lost = sorted(self._unacked.items())
+        self._unacked.clear()
         if self._cc_active:
             # One loss event per PTO fire: every in-flight packet is declared
             # lost before the retransmissions below re-enter the ledger.
-            sizes = self._cc_sizes
-            lost_pairs = [
-                (packet_number, sizes.pop(packet_number))
-                for packet_number in sorted(self._unacked)
-                if packet_number in sizes
-            ]
-            if lost_pairs:
-                self._cc.on_packets_lost(lost_pairs)
-        for packet_number in sorted(self._unacked):
-            packet = self._unacked.pop(packet_number)
-            self._sent_times.pop(packet_number, None)
+            self._cc.on_packets_lost(
+                [(packet_number, record.wire_size) for packet_number, record in lost]
+            )
+        for _, record in lost:
+            frames = record.frames
+            if not frames:
+                continue  # a DATAGRAM-frame packet: lost is lost
             # Re-send the same frames in a new packet (new packet number).
             # Retransmissions bypass the congestion-window gate — a probe
             # must be able to leave even with the window full (RFC 9002
             # §7.5) — but do re-enter bytes-in-flight via _transmit.
-            self._send_packet(packet.packet_type, list(packet.frames))
+            self.statistics.retransmissions += 1
+            self._send_packet(record.packet_type, frames)
         if self._cc_active and self._cwnd_blocked and not self.closed:
             # The loss event cleared the in-flight ledger; the (halved)
             # window may have room for packets it previously blocked.
             self._flush_cwnd_blocked()
+        if not self._unacked:
+            return  # only DATAGRAM-frame packets were outstanding
         # Exponential backoff: the n-th consecutive timeout waits 2**n probe
         # intervals (capped), so an unreachable peer is probed ever more
         # sparsely while give-up stays bounded in time.
@@ -1142,14 +1182,19 @@ class QuicConnection:
                 sequence = stream_id >> 2
                 floor = self._peer_uni_floor
                 above = self._peer_uni_above
-                if sequence < floor or sequence in above:
-                    return  # late retransmission of a completed one-shot stream
                 if sequence == floor:
                     floor += 1
-                    while floor in above:
-                        above.remove(floor)
-                        floor += 1
+                    if above is not None:
+                        while floor in above:
+                            above.remove(floor)
+                            floor += 1
+                        if not above:
+                            self._peer_uni_above = None  # a set never shrinks
                     self._peer_uni_floor = floor
+                elif sequence < floor or (above is not None and sequence in above):
+                    return  # late retransmission of a completed one-shot stream
+                elif above is None:
+                    self._peer_uni_above = {sequence}
                 else:
                     above.add(sequence)
                 if fin and offset == 0 and self.on_stream_data is not None:
@@ -1211,24 +1256,19 @@ class QuicConnection:
             # The peer answered after all: the suspicion was a false positive.
             self._set_liveness(LIVENESS_HEALTHY, "recovered")
         self._largest_acked = max(self._largest_acked, largest)
+        ledger = self._unacked
+        now = self._simulator.now
+        acked_pairs: list[tuple[int, int]] | None = [] if self._cc_active else None
         for packet_number in acked:
-            sent_at = self._sent_times.pop(packet_number, None)
-            if sent_at is not None:
-                sample = self._simulator.now - sent_at
-                self._smoothed_rtt = 0.875 * self._smoothed_rtt + 0.125 * sample
-            del self._unacked[packet_number]
-        if self._cc_active and acked:
-            sizes = self._cc_sizes
-            acked_pairs = [
-                (packet_number, sizes.pop(packet_number))
-                for packet_number in acked
-                if packet_number in sizes
-            ]
-            if acked_pairs:
-                self._cc.on_packets_acked(acked_pairs)
+            record = ledger.pop(packet_number)
+            self._smoothed_rtt = 0.875 * self._smoothed_rtt + 0.125 * (now - record.sent_at)
+            if acked_pairs is not None:
+                acked_pairs.append((packet_number, record.wire_size))
+        if acked_pairs:
+            self._cc.on_packets_acked(acked_pairs)
             if self._cwnd_blocked:
                 self._flush_cwnd_blocked()
-        if not self._unacked:
+        if not ledger:
             self._loss_timer.stop()
         else:
             self._loss_timer.start(self._probe_timeout())
@@ -1288,17 +1328,28 @@ class QuicConnection:
             self.liveness = LIVENESS_DEAD
             self.liveness_cause = "closed"
             self.dead_at = self._simulator.now
-        self._stop_timers()
+        self._teardown()
         if self.on_closed is not None:
             self.on_closed(code, reason)
 
-    def _stop_timers(self) -> None:
+    def _teardown(self) -> None:
+        """Stop the timers and empty the in-flight ledger (close and abandon)."""
         self._loss_timer.stop()
         wake = self._idle_wake
         if wake is not None:
             wake.cancel()
             self._idle_wake = None
-        self._keepalive_timer.stop()
+        if self._keepalive_timer is not None:
+            self._keepalive_timer.stop()
+        # A closed connection can never retransmit, and its endpoint lists it
+        # for good: drop the records (and the stream chunks they pin).
+        ledger = self._unacked
+        if ledger:
+            if self._cc_active:
+                self._cc.on_packets_discarded(
+                    [(number, record.wire_size) for number, record in ledger.items()]
+                )
+            ledger.clear()
 
     def abandon(self) -> None:
         """Tear the connection down without sending a byte or firing callbacks.
@@ -1316,4 +1367,4 @@ class QuicConnection:
             self.liveness = LIVENESS_DEAD
             self.liveness_cause = "abandoned"
             self.dead_at = self._simulator.now
-        self._stop_timers()
+        self._teardown()

@@ -54,6 +54,7 @@ class QuicEndpoint:
         "_connections",
         "_next_connection_id",
         "_pool",
+        "_acquire_buffer",
         "_rng",
         "address",
         "datagrams_malformed",
@@ -91,6 +92,10 @@ class QuicEndpoint:
         # when one exists (hosts wired to links directly, as some transport
         # tests do, fall back to plain allocation).
         self._pool = getattr(network, "datagram_pool", None)
+        #: The pool's send-buffer source, bound once: every connection of this
+        #: endpoint serialises into buffers from it (None without a pool —
+        #: connections then build plain ``bytes``).
+        self._acquire_buffer = self._pool.acquire_buffer if self._pool is not None else None
         #: Datagrams dropped whole because they were not a well-formed packet
         #: (scraped by :func:`repro.telemetry.collect.collect_network`).
         self.datagrams_malformed = 0
@@ -121,7 +126,7 @@ class QuicEndpoint:
             ticket_store=self.ticket_store,
         )
         self._connections[connection_id] = connection
-        self._install_pooled_sending(connection)
+        connection._acquire_buffer = self._acquire_buffer
         connection.start_handshake()
         return connection
 
@@ -158,7 +163,10 @@ class QuicEndpoint:
             PacketType.ZERO_RTT,
         ):
             return None
-        config = self._server_config if self._server_config is not None else ConnectionConfig()
+        config = self._server_config
+        if config is None:
+            # One default for every connection this endpoint will accept.
+            config = self._server_config = ConnectionConfig()
         connection = QuicConnection(
             simulator=self._simulator,
             send_datagram=self._send_payload,
@@ -170,16 +178,12 @@ class QuicEndpoint:
             server_tls=self._server_tls,
         )
         self._connections[connection_id] = connection
-        self._install_pooled_sending(connection)
+        connection._acquire_buffer = self._acquire_buffer
         if self.on_connection is not None:
             self.on_connection(connection)
         return connection
 
     # ------------------------------------------------------------------ wiring
-    def _install_pooled_sending(self, connection: QuicConnection) -> None:
-        if self._pool is not None:
-            connection._acquire_buffer = self._pool.acquire_buffer
-
     def _send_payload(self, payload: bytes | bytearray, destination: Address) -> None:
         pool = self._pool
         if pool is None:

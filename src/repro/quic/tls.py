@@ -32,7 +32,7 @@ class HelloDecodeError(ValueError):
     """Raised when CRYPTO bytes do not hold the expected hello message."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionTicket:
     """A resumption ticket issued by a server.
 
@@ -65,6 +65,8 @@ class SessionTicket:
 
 class SessionTicketStore:
     """Client-side store of session tickets, keyed by server name."""
+
+    __slots__ = ("_tickets",)
 
     def __init__(self) -> None:
         self._tickets: dict[str, SessionTicket] = {}

@@ -48,6 +48,7 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Protocol
 
 from repro.moqt.errors import AdmissionRejectedError, SubscribeErrorCode
@@ -502,7 +503,12 @@ class RelayTopology:
         self.port = port
         self.failover_policy = failover_policy if failover_policy is not None else SiblingFailover()
         self.uplink_connection = uplink_connection
-        self.subscriber_connection = subscriber_connection
+        #: One instance for every subscriber session the topology opens.
+        self.subscriber_connection = (
+            subscriber_connection
+            if subscriber_connection is not None
+            else ConnectionConfig(alpn_protocols=(MOQT_ALPN,))
+        )
         self.downstream_connection = downstream_connection
         #: Admission policy installed on every relay (each relay gets its own
         #: controller state).  None — the default — is the historical
@@ -870,10 +876,7 @@ class RelayTopology:
         rng: random.Random | None = None,
     ) -> MoqtSession:
         endpoint = QuicEndpoint(host, rng=rng)
-        connection_config = self.subscriber_connection
-        if connection_config is None:
-            connection_config = ConnectionConfig(alpn_protocols=(MOQT_ALPN,))
-        connection = endpoint.connect(leaf.address, connection_config)
+        connection = endpoint.connect(leaf.address, self.subscriber_connection)
         return MoqtSession(connection, is_client=True, config=config)
 
     def _watch_subscriber_session(self, subscriber: TreeSubscriber) -> None:
@@ -898,7 +901,7 @@ class RelayTopology:
             for subscriber in targets:
                 callback = None
                 if on_object is not None:
-                    callback = lambda obj, sub=subscriber: on_object(sub, obj)
+                    callback = partial(on_object, subscriber)
                 subscriptions.append(subscriber.subscribe_track(full_track_name, callback))
                 group = self._groups_by_rep.get(subscriber)
                 if group is not None:
@@ -1003,7 +1006,7 @@ class RelayTopology:
         storm.records.append(record)
         callback = None
         if on_object is not None:
-            callback = lambda obj, sub=subscriber: on_object(sub, obj)
+            callback = partial(on_object, subscriber)
         self._admission_subscribe(subscriber, storm, record, callback, retry)
 
     def _admission_subscribe(

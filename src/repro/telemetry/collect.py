@@ -102,7 +102,10 @@ _QUIC_CC_FIELDS = (
 #: ``stream_states`` is the bounded-state gauge: ``QuicStream`` objects held,
 #: summed over the role's connections (one control stream each, plus any
 #: peer stream that arrived fragmented and has not been dropped).
-_QUIC_EXPORT_FIELDS = _QUIC_STAT_FIELDS + _QUIC_CC_FIELDS + ("stream_states",)
+#: ``inflight_packets`` is the in-flight ledger's size (records awaiting an
+#: ACK or a PTO); zero once a run has quiesced, and zero for a closed
+#: connection however it ended.
+_QUIC_EXPORT_FIELDS = _QUIC_STAT_FIELDS + _QUIC_CC_FIELDS + ("stream_states", "inflight_packets")
 
 
 def _scrape_quic(totals: dict[str, int], connection, scale: int = 1) -> None:
@@ -114,6 +117,7 @@ def _scrape_quic(totals: dict[str, int], connection, scale: int = 1) -> None:
     totals["bytes_in_flight"] += congestion.bytes_in_flight * scale
     totals["congestion_events"] += congestion.congestion_events * scale
     totals["stream_states"] += connection.stream_states * scale
+    totals["inflight_packets"] += connection.unacked_packets * scale
 
 
 def collect_relay_tree(metrics: MetricsRegistry, tree) -> None:

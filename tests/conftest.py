@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
+from repro.moqt.session import _UNUSED
 from repro.netsim.link import LinkConfig
 from repro.netsim.network import Network
 from repro.netsim.simulator import Simulator
@@ -13,6 +14,14 @@ from repro.netsim.simulator import Simulator
 # a fixed example sequence and no per-example deadline, so the property and
 # fuzz tests cannot flake on a slow or unlucky run.
 settings.register_profile("ci", derandomize=True, deadline=None)
+
+
+@pytest.fixture(autouse=True)
+def shared_empty_table_stays_empty():
+    """Every ``MoqtSession`` shares one empty table for the roles it has not
+    played (``docs/state.md``); whatever a test did, nothing leaked into it."""
+    yield
+    assert len(_UNUSED) == 0
 
 
 @pytest.fixture

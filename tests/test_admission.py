@@ -364,7 +364,11 @@ class TestExperiment:
         assert len(result.rows()) == 4
         # The spillover storm quiesced: retries and re-routes left no
         # receiver holding objects back.
-        assert telemetry.metrics.snapshot()["relaynet_recovery_buffered"] == 0
+        snapshot = telemetry.metrics.snapshot()
+        assert snapshot["relaynet_recovery_buffered"] == 0
+        # ... and no connection a packet outstanding.
+        assert set(snapshot["quic_inflight_packets"].values()) == {0}
+        assert set(snapshot["quic_bytes_in_flight"].values()) == {0}
 
 
 class TestDefaultOffDeterminism:

@@ -201,6 +201,47 @@ class TestConnectionIntegration:
         assert connection.congestion.bytes_in_flight == 0
         assert connection.congestion.congestion_events == 0
 
+    def test_acknowledged_datagram_frames_leave_bytes_in_flight(self) -> None:
+        """DATAGRAM-frame packets are counted by the controller, so an ACK
+        must release them: 40 of them, each acknowledged, used to leave
+        40,600 bytes in flight against a window of 12,8xx and wedge the
+        connection for good (the stream below was never delivered)."""
+        simulator = Simulator(seed=1)
+        network = Network(simulator)
+        network.add_host(SERVER)
+        network.add_host(CLIENT)
+        network.connect(SERVER, CLIENT, LinkConfig(delay=0.010))
+        received: list[bytes] = []
+
+        def handler(connection):
+            connection.on_stream_data = lambda stream_id, data, fin: received.append(data)
+
+        QuicEndpoint(
+            network.host(SERVER),
+            port=4443,
+            server_tls=ServerTlsContext(alpn_protocols=("moq-00",)),
+            on_connection=handler,
+        )
+        connection = QuicEndpoint(network.host(CLIENT)).connect(
+            Address(SERVER, 4443),
+            ConnectionConfig(
+                alpn_protocols=("moq-00",), congestion_controller=NewRenoCongestionController
+            ),
+        )
+        simulator.run(until=1.0)
+        for _ in range(40):
+            connection.send_datagram_frame(b"x" * 1000)
+            simulator.run(until=simulator.now + 0.05)
+        assert connection.congestion.bytes_in_flight == 0
+        assert connection.unacked_packets == 0
+        assert connection.statistics.retransmissions == 0
+        # Forty acknowledged kilobyte packets in slow start: the window grew.
+        assert connection.congestion.congestion_window > 40_000
+        connection.send_stream_data(connection.open_stream(), b"after the datagrams", fin=True)
+        simulator.run(until=simulator.now + 2.0)
+        assert connection.cwnd_blocked_packets == 0
+        assert received == [b"after the datagrams"]
+
     def test_newreno_connection_reaches_the_same_payload(self) -> None:
         """Same delivered stream bytes with and without a tight window —
         congestion control delays, never drops."""

@@ -281,8 +281,7 @@ class TestIdleTimestamp:
 def _loss_state(connection):
     timer = connection._loss_timer
     return (
-        sorted(connection._unacked),
-        sorted(connection._sent_times.items()),
+        sorted((pn, record.sent_at) for pn, record in connection._unacked.items()),
         connection._smoothed_rtt,
         connection._largest_acked,
         connection._consecutive_loss_timeouts,

@@ -505,3 +505,7 @@ class TestOriginTelemetry:
         snapshot = telemetry.metrics.snapshot()
         assert snapshot["relaynet_recovery_buffered"] == 0
         assert 0 < snapshot["relaynet_dedupe_window"] <= DEDUPE_PRUNE_THRESHOLD
+        # The dead origin's connections included: a closed connection keeps
+        # no in-flight record.
+        assert set(snapshot["quic_inflight_packets"].values()) == {0}
+        assert set(snapshot["quic_bytes_in_flight"].values()) == {0}

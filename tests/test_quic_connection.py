@@ -8,7 +8,7 @@ from repro.netsim.link import LinkConfig
 from repro.netsim.network import Network
 from repro.netsim.packet import Address
 from repro.netsim.simulator import Simulator
-from repro.quic.connection import ConnectionConfig
+from repro.quic.connection import ConnectionConfig, _EncodedStreamPacket
 from repro.quic.endpoint import QuicEndpoint
 from repro.quic.stream import StreamDirection
 from repro.quic.tls import ServerTlsContext
@@ -465,8 +465,7 @@ class TestAckRangesRepair:
 
     def test_exact_ack_leaves_the_dropped_packet_unacked(self):
         _, connection = self._connection()
-        connection._unacked = {0: object(), 1: object(), 2: object(), 3: object()}
-        connection._sent_times = {}
+        connection._unacked = {pn: _EncodedStreamPacket(2, b"", 0.0, 0) for pn in (0, 1, 2, 3)}
         connection._on_ack_ranges(3, ((0, 1), (3, 3)))
         # Packet 2 was never received by the peer: it must stay unacked so
         # the loss timer retransmits it.
@@ -474,12 +473,10 @@ class TestAckRangesRepair:
 
     def test_exact_vs_cumulative_ack_on_a_gapped_set(self):
         _, connection = self._connection()
-        connection._unacked = {2: object(), 4: object()}
-        connection._sent_times = {}
+        connection._unacked = {pn: _EncodedStreamPacket(2, b"", 0.0, 0) for pn in (2, 4)}
         connection._on_ack_ranges(4, ((0, 1), (4, 4)))
         assert set(connection._unacked) == {2}
         # The cumulative form would have acked 2 as well — the exact bug.
-        connection._unacked = {2: object(), 4: object()}
-        connection._sent_times = {}
+        connection._unacked = {pn: _EncodedStreamPacket(2, b"", 0.0, 0) for pn in (2, 4)}
         connection._on_ack(4)
         assert set(connection._unacked) == set()

@@ -459,7 +459,7 @@ def _snapshot(connection: QuicConnection, delivered: list) -> tuple:
         [list(run) for run in connection._received_ranges],
         sorted(connection.streams()),
         connection._peer_uni_floor,
-        sorted(connection._peer_uni_above),
+        sorted(connection._peer_uni_above or ()),
         sorted(connection._unacked),
         connection._next_packet_number,
         connection._largest_acked,
