@@ -3,7 +3,8 @@
 Every benchmark regenerates one of the paper's figures or quantitative
 claims.  The produced tables are attached to the benchmark's ``extra_info``
 so ``pytest benchmarks/ --benchmark-only -rA`` shows both the timing and the
-reproduced numbers; ``EXPERIMENTS.md`` records the same tables.
+reproduced numbers; ``tests/golden/runner_fast.txt`` records the experiment
+runner's fast-mode tables.
 """
 
 from __future__ import annotations

@@ -21,16 +21,11 @@ Run with:  python examples/cdn_relay_tree.py
 from __future__ import annotations
 
 from repro.analysis.fanout import fanout_model
-from repro.experiments.relay_fanout import (
-    MOQT_ALPN,
-    ORIGIN_HOST,
-    ORIGIN_PORT,
-    TRACK,
-    build_origin,
-    run_relay_fanout,
-)
+from repro.experiments.relay_fanout import run_relay_fanout
 from repro.experiments.report import format_table
 from repro.moqt.objectmodel import MoqtObject
+from repro.moqt.origin import ORIGIN_HOST, ORIGIN_PORT, TRACK, build_origin
+from repro.moqt.relay import MOQT_ALPN
 from repro.moqt.session import MoqtSession
 from repro.netsim.network import Network
 from repro.netsim.packet import Address

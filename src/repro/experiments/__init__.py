@@ -4,7 +4,9 @@ Every experiment follows the same pattern: build a topology on the
 discrete-event simulator (or take the workload models directly), run the
 scenario, and return a small result dataclass whose fields correspond to the
 rows/series the paper reports.  The benchmarks in ``benchmarks/`` call these
-drivers; ``EXPERIMENTS.md`` records paper-vs-measured for each.
+drivers; :mod:`repro.experiments.runner` prints every table, and
+``tests/golden/runner_fast.txt`` records its fast-mode output.  E11–E16 run
+on a relay tree stood up through :mod:`repro.relaynet.scenario`.
 
 | Experiment | Paper artefact | Module |
 |---|---|---|
@@ -18,6 +20,11 @@ drivers; ``EXPERIMENTS.md`` records paper-vs-measured for each.
 | E9 | §5.1 state overhead | :mod:`repro.experiments.state_overhead` |
 | E10 | §4.5 compatibility | :mod:`repro.experiments.compatibility` |
 | E11 | §3/§5.3 relay fan-out | :mod:`repro.experiments.relay_fanout` |
+| E12 | relay churn: failover, gap recovery | :mod:`repro.experiments.relay_churn` |
+| E13 | in-band failure detection | :mod:`repro.experiments.failure_detection` |
+| E14 | origin failover | :mod:`repro.experiments.origin_failover` |
+| E15 | constrained, lossy tiers | :mod:`repro.experiments.constrained_tiers` |
+| E16 | flash-crowd admission | :mod:`repro.experiments.flash_crowd` |
 """
 
 from repro.experiments.topology import SmallTopology, SmallTopologyConfig

@@ -32,18 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.constrained import ConstrainedPathModel, HopSpec, knee_index
-from repro.moqt.objectmodel import MoqtObject
-from repro.moqt.origin import ORIGIN_HOST, ORIGIN_PORT, TRACK, build_origin
+from repro.experiments.relay_fanout import calibrate_bytes_per_update
+from repro.moqt.origin import TRACK
 from repro.moqt.relay import MOQT_ALPN
 from repro.netsim.link import LinkConfig
-from repro.netsim.network import Network
-from repro.netsim.packet import Address
-from repro.netsim.simulator import Simulator
-from repro.netsim.trace import NullTraceRecorder
 from repro.quic.congestion import NewRenoCongestionController
 from repro.quic.connection import ConnectionConfig
-from repro.relaynet import RelayNetStats, RelayTreeBuilder, RelayTreeSpec
-from repro.experiments.relay_fanout import UPDATE_INTERVAL, _update_payload
+from repro.relaynet import RelayNetStats, RelayTreeSpec
+from repro.relaynet.scenario import UPDATE_INTERVAL, Scenario, build_scenario
+from repro.telemetry import Telemetry
 
 #: Per-tier propagation delays — identical to the unconstrained E11 CDN
 #: defaults, so the only variable the sweep moves is bandwidth.
@@ -94,21 +91,26 @@ def _constrained_spec(
 LOSSY_SUSPECT_AFTER = 6
 
 
-def _newreno_downstream() -> ConnectionConfig:
-    """Downstream (fan-out sender side) configuration with NewReno installed."""
-    return ConnectionConfig(
-        alpn_protocols=(MOQT_ALPN,),
-        liveness_suspect_after=LOSSY_SUSPECT_AFTER,
-        congestion_controller=NewRenoCongestionController,
-    )
-
-
-def _lossy_subscriber() -> ConnectionConfig:
-    """Subscriber-side configuration for lossy access links: same transport,
-    desensitised failure detector (see :data:`LOSSY_SUSPECT_AFTER`)."""
-    return ConnectionConfig(
-        alpn_protocols=(MOQT_ALPN,),
-        liveness_suspect_after=LOSSY_SUSPECT_AFTER,
+def _lossy_scenario(
+    spec: RelayTreeSpec, seed: int, payload_size: int, telemetry: Telemetry | None
+) -> Scenario:
+    """The lossy-edge regime on ``spec``: NewReno on every relay's downstream
+    (fan-out sender) side and the same desensitised failure detector (see
+    :data:`LOSSY_SUSPECT_AFTER`) at both ends of the access links."""
+    return Scenario(
+        spec=spec,
+        seed=seed,
+        payload_size=payload_size,
+        downstream_connection=ConnectionConfig(
+            alpn_protocols=(MOQT_ALPN,),
+            liveness_suspect_after=LOSSY_SUSPECT_AFTER,
+            congestion_controller=NewRenoCongestionController,
+        ),
+        subscriber_connection=ConnectionConfig(
+            alpn_protocols=(MOQT_ALPN,),
+            liveness_suspect_after=LOSSY_SUSPECT_AFTER,
+        ),
+        telemetry=telemetry,
     )
 
 
@@ -131,16 +133,9 @@ class ConstrainedRun:
 
 
 def _run_constrained_tree(
-    spec: RelayTreeSpec,
-    subscribers: int,
-    updates: int,
-    payload_size: int,
-    seed: int,
-    downstream_connection: ConnectionConfig | None = None,
-    subscriber_connection: ConnectionConfig | None = None,
-    drain: float = 3.0,
+    scenario: Scenario, subscribers: int, updates: int, drain: float = 3.0
 ) -> ConstrainedRun:
-    """Build the constrained tree, push updates, record delivery instants.
+    """Stand the constrained tree up, push updates, record delivery instants.
 
     Mirrors E11's ``_run_tree`` but keeps absolute per-delivery timestamps
     (the closed-form check compares them bit-exactly) and the network's
@@ -148,53 +143,36 @@ def _run_constrained_tree(
     statistics construct for ideal links and are rejected on constrained
     ones (``Link.extra_bytes``).
     """
-    simulator = Simulator(seed=seed)
-    network = Network(simulator, trace=NullTraceRecorder(simulator))
-    publisher = build_origin(network)
-    tree = RelayTreeBuilder(
-        network,
-        Address(ORIGIN_HOST, ORIGIN_PORT),
-        subscriber_connection=subscriber_connection,
-        downstream_connection=downstream_connection,
-    ).build(spec)
-    tree.attach_subscribers(subscribers)
+    run = build_scenario(scenario)
+    topology, simulator = run.topology, run.simulator
+    topology.attach_subscribers(subscribers)
     delivered = [0]
     push_times: list[float] = []
-    delivery_times: list[list[float]] = []
-    group_slot: dict[int, int] = {}
+    delivery_times: list[list[float]] = [[] for _ in range(updates)]
 
     def on_object(subscriber, obj) -> None:
         delivered[0] += subscriber.multiplicity
-        slot = group_slot.get(obj.group_id)
-        if slot is not None:
+        slot = obj.group_id - 2  # updates are groups 2.., in push order
+        if 0 <= slot < len(push_times):
             delivery_times[slot].append(simulator.now)
 
-    tree.subscribe_all(TRACK, on_object=on_object)
-    simulator.run(until=simulator.now + 3.0)
+    topology.subscribe_all(TRACK, on_object=on_object)
+    run.advance(3.0)
 
-    before = RelayNetStats.collect(tree)
+    before = RelayNetStats.collect(topology)
     delivered_before = delivered[0]
-    for update in range(updates):
-        group_id = update + 2
-        group_slot[group_id] = len(push_times)
+    for _ in range(updates):
         push_times.append(simulator.now)
-        delivery_times.append([])
-        publisher.push(
-            MoqtObject(
-                group_id=group_id,
-                object_id=0,
-                payload=_update_payload(group_id, payload_size),
-            )
-        )
-        simulator.run(until=simulator.now + UPDATE_INTERVAL)
-    simulator.run(until=simulator.now + drain)
-    delta = RelayNetStats.collect(tree).delta(before)
+        run.push(1)
+    run.advance(drain)
+    delta = RelayNetStats.collect(topology).delta(before)
+    run.collect()
     return ConstrainedRun(
         delta=delta,
         push_times=push_times,
         delivery_times=delivery_times,
         delivered=delivered[0] - delivered_before,
-        link_batch_fallback_waves=network.link_batch_fallback_waves,
+        link_batch_fallback_waves=run.network.link_batch_fallback_waves,
         events_scheduled=simulator.events_scheduled,
     )
 
@@ -207,8 +185,6 @@ def calibrate_wire_bytes(payload_size: int, updates: int = 4, seed: int = 17) ->
     needs — a non-integral result would mean the framing is not constant
     per update, which would invalidate the closed form, so it raises.
     """
-    from repro.experiments.relay_fanout import calibrate_bytes_per_update
-
     value = calibrate_bytes_per_update(payload_size, updates=updates, seed=seed)
     if not float(value).is_integer():
         raise RuntimeError(f"per-update wire size is not constant: {value}")
@@ -367,12 +343,14 @@ def run_constrained_tiers(
     payload_size: int = 300,
     seed: int = 7,
     access_loss: float = 0.05,
+    telemetry: Telemetry | None = None,
 ) -> ConstrainedTiersResult:
     """Run the E15 bandwidth sweep plus one lossy-edge sample.
 
     ``bandwidths`` must descend: the knee indices are defined as *first
     index where serialisation dominates*, which is only meaningful on a
-    monotone sweep.
+    monotone sweep.  ``telemetry`` is threaded into every run and scraped at
+    each one's end, so the gauges left standing are the lossy run's.
     """
     if list(bandwidths) != sorted(bandwidths, reverse=True):
         raise ValueError(f"bandwidth sweep must descend: {bandwidths}")
@@ -393,11 +371,16 @@ def run_constrained_tiers(
                 f"interval {UPDATE_INTERVAL}; the closed form would not apply"
             )
         run = _run_constrained_tree(
-            _constrained_spec(bandwidth, mid_relays=mid_relays, edge_per_mid=edge_per_mid),
+            Scenario(
+                spec=_constrained_spec(
+                    bandwidth, mid_relays=mid_relays, edge_per_mid=edge_per_mid
+                ),
+                seed=seed,
+                payload_size=payload_size,
+                telemetry=telemetry,
+            ),
             subscribers,
             updates,
-            payload_size,
-            seed,
         )
         exact = True
         latency_total = 0.0
@@ -424,18 +407,14 @@ def run_constrained_tiers(
         )
     loss_bandwidth = bandwidths[len(bandwidths) // 2]
     loss_run = _run_constrained_tree(
-        _constrained_spec(
-            loss_bandwidth,
-            access_loss=access_loss,
-            mid_relays=mid_relays,
-            edge_per_mid=edge_per_mid,
+        _lossy_scenario(
+            _constrained_spec(loss_bandwidth, access_loss, mid_relays, edge_per_mid),
+            seed,
+            payload_size,
+            telemetry,
         ),
         subscribers,
         updates,
-        payload_size,
-        seed,
-        downstream_connection=_newreno_downstream(),
-        subscriber_connection=_lossy_subscriber(),
         drain=6.0,
     )
     loss_sample = ConstrainedLossSample(
@@ -483,6 +462,7 @@ def run_constrained_macro(
     seed: int = 7,
     bandwidth: float = 2_000_000.0,
     access_loss: float = 0.005,
+    telemetry: Telemetry | None = None,
 ) -> ConstrainedMacroResult:
     """E11's macro population on constrained, lossy tiers.
 
@@ -494,18 +474,14 @@ def run_constrained_macro(
     old silent fallback made unrunnable.
     """
     run = _run_constrained_tree(
-        _constrained_spec(
-            bandwidth,
-            access_loss=access_loss,
-            mid_relays=mid_relays,
-            edge_per_mid=edge_per_mid,
+        _lossy_scenario(
+            _constrained_spec(bandwidth, access_loss, mid_relays, edge_per_mid),
+            seed,
+            payload_size,
+            telemetry,
         ),
         subscribers,
         updates,
-        payload_size,
-        seed,
-        downstream_connection=_newreno_downstream(),
-        subscriber_connection=_lossy_subscriber(),
         drain=6.0,
     )
     return ConstrainedMacroResult(

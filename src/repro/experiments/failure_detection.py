@@ -41,27 +41,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.churn import RecoveryModel, recovery_model
+from repro.analysis.churn import RecoveryModel
 from repro.analysis.detection import DetectionModel
-from repro.experiments.relay_fanout import (
-    ORIGIN_HOST,
-    ORIGIN_PORT,
-    TRACK,
-    UPDATE_INTERVAL,
-    _update_payload,
-    build_origin,
-)
-from repro.moqt.objectmodel import MoqtObject
+from repro.experiments.relay_churn import reattach_models
 from repro.moqt.relay import MOQT_ALPN
-from repro.netsim.network import Network
-from repro.netsim.packet import Address
-from repro.netsim.simulator import Simulator
-from repro.netsim.trace import NullTraceRecorder
 from repro.quic.connection import ConnectionConfig
-from repro.relaynet import FailoverEvent, OriginCluster, RelayTreeSpec
-from repro.relaynet.topology import RelayNode, RelayTopology
+from repro.relaynet import FailoverEvent, RelayTreeSpec
+from repro.relaynet.scenario import Scenario, build_scenario
+from repro.relaynet.topology import RelayNode
 from repro.telemetry import Telemetry
-from repro.telemetry.collect import collect_run
 
 #: Floating-point slack when comparing simulator timestamps against the
 #: closed-form model (the simulator and the model associate the same sums
@@ -262,19 +250,10 @@ def _sample(
     event: FailoverEvent,
     crashed_at: float,
     models: list[DetectionModel],
-    spec: RelayTreeSpec,
-    alpn_version_negotiation: bool,
+    reattach_model_by_tier: dict[str, RecoveryModel],
 ) -> DetectionSample:
     """Pair one detected failover with the predictions made at crash time."""
     best = min(models, key=lambda model: model.detected_at)
-    reattach_model_by_tier: dict[str, RecoveryModel] = {}
-    for tier_spec in spec.tiers:
-        reattach_model_by_tier[tier_spec.name] = recovery_model(
-            tier_spec.uplink.delay, alpn_version_negotiation
-        )
-    reattach_model_by_tier["subscribers"] = recovery_model(
-        spec.subscriber_link.delay, alpn_version_negotiation
-    )
     return DetectionSample(
         killed=event.node,
         killed_tier=event.tier,
@@ -327,67 +306,34 @@ def run_failure_detection(
     fires at the same instant and the dissolved members re-attach exactly
     as the dense orphans do.
     """
-    simulator = Simulator(seed=seed)
-    network = Network(simulator, trace=NullTraceRecorder(simulator), telemetry=telemetry)
-    if telemetry is not None and telemetry.spans is not None:
-        telemetry.spans.clear()
     spec = RelayTreeSpec.cdn(
         mid_relays=mid_relays, edge_per_mid=edge_per_mid, origins=origins
     )
-    origin_cluster = None
-    if spec.origins > 1:
-        origin_cluster = OriginCluster(
-            network, origins=spec.origins, standby_link=spec.tiers[0].uplink
+    run = build_scenario(
+        Scenario(
+            spec=spec,
+            seed=seed,
+            payload_size=payload_size,
+            uplink_connection=ConnectionConfig(
+                alpn_protocols=(MOQT_ALPN,), keepalive_interval=keepalive_interval
+            ),
+            subscriber_connection=ConnectionConfig(
+                alpn_protocols=(MOQT_ALPN,), idle_timeout=subscriber_idle_timeout
+            ),
+            aggregate_leaves=aggregate_leaves,
+            telemetry=telemetry,
         )
-        publisher = origin_cluster.publisher
-    else:
-        publisher = build_origin(network)
-    topology = RelayTopology(
-        network,
-        Address(ORIGIN_HOST, ORIGIN_PORT),
-        spec,
-        uplink_connection=ConnectionConfig(
-            alpn_protocols=(MOQT_ALPN,), keepalive_interval=keepalive_interval
-        ),
-        subscriber_connection=ConnectionConfig(
-            alpn_protocols=(MOQT_ALPN,), idle_timeout=subscriber_idle_timeout
-        ),
-        origin_cluster=origin_cluster,
-        aggregate_leaves=aggregate_leaves,
     )
+    topology, simulator = run.topology, run.simulator
     topology.attach_subscribers(subscribers)
-    received: dict[int, list[int]] = {sub.index: [] for sub in topology.subscribers}
-    if aggregate_leaves:
-        topology.on_subscriber_split = lambda member, rep: received.__setitem__(
-            member.index, list(received[rep.index])
-        )
-    topology.subscribe_all(
-        TRACK, on_object=lambda sub, obj: received[sub.index].append(obj.group_id)
-    )
+    run.record_deliveries()
     # Warm-up must stay shorter than the subscribers' idle timeout: in-band
     # detection cannot tell a dead leaf from a silent one.
-    simulator.run(until=simulator.now + min(1.0, 0.6 * subscriber_idle_timeout))
-
-    next_group = 2
-
-    def push(count: int) -> None:
-        nonlocal next_group
-        for _ in range(count):
-            obj = MoqtObject(
-                group_id=next_group,
-                object_id=0,
-                payload=_update_payload(next_group, payload_size),
-            )
-            if origin_cluster is not None:
-                origin_cluster.push(obj)
-            else:
-                publisher.push(obj)
-            next_group += 1
-            simulator.run(until=simulator.now + UPDATE_INTERVAL)
+    run.advance(min(1.0, 0.6 * subscriber_idle_timeout))
 
     crashes: list[tuple[float, list[DetectionModel], RelayNode]] = []
 
-    push(updates_before)
+    run.push(updates_before)
     # Silently crash a mid-tier relay: its edge children hold keepalive'd
     # uplinks, so the next PING's consecutive probe timeouts are the signal.
     mid_victims = [node for node in topology.tier("mid") if node.alive]
@@ -401,7 +347,7 @@ def run_failure_detection(
     )
     crashes.append((simulator.now, models, victim))
     topology.crash_relay(victim)
-    push(updates_between)
+    run.push(updates_between)
 
     # Silently crash an edge relay: its subscribers never send, so their
     # (shortened) idle timeout is the only signal they get.
@@ -417,24 +363,16 @@ def run_failure_detection(
     )
     crashes.append((simulator.now, models, victim))
     topology.crash_relay(victim)
-    push(updates_after)
+    run.push(updates_after)
     # Bounded drain: long enough for the idle-path detection plus recovery,
     # short enough that healthy-but-quiet subscriber sessions do not idle
     # out and trigger false failovers (the inherent ambiguity of in-band
     # detection; deployments keep subscriber links chatty or accept
     # reconnect churn).
-    simulator.run(until=simulator.now + 0.5 * subscriber_idle_timeout)
+    run.advance(0.5 * subscriber_idle_timeout)
 
-    if aggregate_leaves:
-        from repro.relaynet import expand_member_sequences
-
-        received = expand_member_sequences(topology, received)
-    updates = updates_before + updates_between + updates_after
-    expected_sequence = list(range(2, updates + 2))
-    gapless = sum(1 for groups in received.values() if groups == expected_sequence)
-    delivered = sum(len(groups) for groups in received.values())
-
-    alpn = topology.session_config.alpn_version_negotiation
+    sequences, gapless, delivered = run.delivery_score()
+    counters = run.recovery_counters()
     crashed_names = {node.host.address for _, _, node in crashes}
     false_positives = sum(
         1 for event in topology.events if event.node not in crashed_names
@@ -444,38 +382,27 @@ def run_failure_detection(
     control_plane_kills = sum(
         1 for event in topology.events if event.cause in ("kill", "leave")
     )
+    reattach = reattach_models(spec, topology.session_config.alpn_version_negotiation)
     samples = []
     for (crashed_at, models, node) in crashes:
         if node.failure_event is not None:
-            samples.append(
-                _sample(node.failure_event, crashed_at, models, spec, alpn)
-            )
-    nodes = topology.nodes()
-    if telemetry is not None:
-        collect_run(telemetry.metrics, network, topology, origin_cluster=origin_cluster)
+            samples.append(_sample(node.failure_event, crashed_at, models, reattach))
+    run.collect()
     return FailureDetectionResult(
         subscribers=subscribers,
-        updates=updates,
+        updates=run.pushed,
         samples=samples,
         gapless_subscribers=gapless,
         delivered_objects=delivered,
-        expected_objects=subscribers * updates,
-        relay_duplicates_dropped=sum(
-            node.relay.statistics.duplicate_objects_dropped for node in nodes
-        ),
-        subscriber_duplicates_dropped=sum(
-            sub.duplicates_dropped * sub.multiplicity for sub in topology.subscribers
-        ),
-        recovery_fetches=sum(node.relay.statistics.recovery_fetches for node in nodes),
-        recovered_objects=sum(node.relay.statistics.recovered_objects for node in nodes),
-        subscriber_gap_fetches=sum(
-            sub.gap_fetches * sub.multiplicity for sub in topology.subscribers
-        ),
-        uplink_failures_detected=sum(
-            node.relay.statistics.uplink_failures_detected for node in nodes
-        ),
+        expected_objects=subscribers * run.pushed,
+        relay_duplicates_dropped=counters.relay_duplicates_dropped,
+        subscriber_duplicates_dropped=counters.subscriber_duplicates_dropped,
+        recovery_fetches=counters.recovery_fetches,
+        recovered_objects=counters.recovered_objects,
+        subscriber_gap_fetches=counters.subscriber_gap_fetches,
+        uplink_failures_detected=counters.uplink_failures_detected,
         false_positive_events=false_positives,
         control_plane_kills=control_plane_kills,
-        delivery_sequences=received,
+        delivery_sequences=sequences,
         events=list(topology.events),
     )

@@ -37,21 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.admission import AdmissionModel, percentile
-from repro.moqt.origin import ORIGIN_HOST, ORIGIN_PORT, TRACK, build_origin
-from repro.moqt.track import FullTrackName
-from repro.netsim.network import Network
-from repro.netsim.packet import Address
-from repro.netsim.simulator import Simulator
-from repro.netsim.trace import NullTraceRecorder
-from repro.relaynet import (
-    AdmissionPolicy,
-    RelayTree,
-    RelayTreeBuilder,
-    RelayTreeSpec,
-    RetryPolicy,
-)
+from repro.moqt.origin import TRACK
+from repro.relaynet import AdmissionPolicy, RelayTreeSpec, RetryPolicy
+from repro.relaynet.scenario import Scenario, ScenarioRun, build_scenario
 from repro.telemetry import Telemetry
-from repro.telemetry.collect import collect_run
 
 #: Virtual seconds given to tree setup / pre-warm before a storm fires.
 SETTLE = 3.0
@@ -59,25 +48,27 @@ SETTLE = 3.0
 DRAIN = 10.0
 
 
-def _build_tree(
+def _settled_star(
     seed: int,
     relays: int,
     admission: AdmissionPolicy | None,
     prewarm: int,
-    track: FullTrackName,
-) -> tuple[Simulator, RelayTree]:
-    """One star tree below the origin, optionally pre-warmed and settled."""
-    simulator = Simulator(seed=seed)
-    network = Network(simulator, trace=NullTraceRecorder(simulator))
-    build_origin(network)
-    tree = RelayTreeBuilder(
-        network, Address(ORIGIN_HOST, ORIGIN_PORT), admission=admission
-    ).build(RelayTreeSpec.star(relays=relays))
+    telemetry: Telemetry | None,
+) -> ScenarioRun:
+    """One star tree below the origin, optionally pre-warmed, and settled."""
+    run = build_scenario(
+        Scenario(
+            spec=RelayTreeSpec.star(relays=relays),
+            seed=seed,
+            admission=admission,
+            telemetry=telemetry,
+        )
+    )
     if prewarm:
-        tree.attach_subscribers(prewarm)
-        tree.subscribe_all(track)
-    simulator.run(until=simulator.now + SETTLE)
-    return simulator, tree
+        run.topology.attach_subscribers(prewarm)
+        run.topology.subscribe_all(TRACK)
+    run.advance(SETTLE)
+    return run
 
 
 # --------------------------------------------------------------------- baseline
@@ -102,11 +93,14 @@ class BaselineSample:
         }
 
 
-def _run_baseline(stormers: int, window: float, seed: int) -> BaselineSample:
-    simulator, tree = _build_tree(seed, relays=1, admission=None, prewarm=0, track=TRACK)
-    storm = tree.flash_crowd(stormers, window, TRACK)
-    simulator.run(until=simulator.now + DRAIN)
-    relay = tree.leaves()[0].relay
+def _run_baseline(
+    stormers: int, window: float, seed: int, telemetry: Telemetry | None
+) -> BaselineSample:
+    run = _settled_star(seed, relays=1, admission=None, prewarm=0, telemetry=telemetry)
+    storm = run.topology.flash_crowd(stormers, window, TRACK)
+    run.advance(DRAIN)
+    run.collect()
+    relay = run.topology.leaves()[0].relay
     return BaselineSample(
         stormers=stormers,
         admitted=storm.admitted,
@@ -154,16 +148,22 @@ class ThrottledSample:
 
 
 def _run_throttled(
-    stormers: int, window: float, policy: AdmissionPolicy, seed: int
+    stormers: int,
+    window: float,
+    policy: AdmissionPolicy,
+    seed: int,
+    telemetry: Telemetry | None,
 ) -> ThrottledSample:
     # Pre-warm one subscriber so the storm's track is live at the relay and
     # every admitted SUBSCRIBE is answered synchronously — the model's
     # no-upstream-round-trip precondition.
-    simulator, tree = _build_tree(seed, relays=1, admission=policy, prewarm=1, track=TRACK)
-    start = simulator.now
+    run = _settled_star(seed, relays=1, admission=policy, prewarm=1, telemetry=telemetry)
+    tree = run.topology
+    start = run.simulator.now
     storm = tree.flash_crowd(stormers, window, TRACK)
-    simulator.run(until=simulator.now + DRAIN)
+    run.advance(DRAIN)
     storm.raise_for_failures()
+    run.collect()
     model = AdmissionModel(
         count=stormers,
         window=window,
@@ -229,25 +229,25 @@ def _run_spillover(
     leaves: int,
     policy: AdmissionPolicy,
     seed: int,
-    telemetry: Telemetry | None = None,
+    telemetry: Telemetry | None,
 ) -> SpilloverSample:
-    simulator, tree = _build_tree(
-        seed, relays=leaves, admission=policy, prewarm=leaves, track=TRACK
+    run = _settled_star(
+        seed, relays=leaves, admission=policy, prewarm=leaves, telemetry=telemetry
     )
-    storm = tree.topology.flash_crowd(
+    tree = run.topology
+    storm = tree.flash_crowd(
         stormers,
         window,
         TRACK,
         retry=RetryPolicy(max_spillovers=1),
         leaf=tree.leaves()[0],
     )
-    simulator.run(until=simulator.now + DRAIN)
+    run.advance(DRAIN)
     storm.raise_for_failures()
+    run.collect()
     admitted_on = {node.host.address: 0 for node in tree.leaves()}
     for record in storm.records:
         admitted_on[record.leaf] += 1
-    if telemetry is not None:
-        collect_run(telemetry.metrics, tree.network, tree)
     return SpilloverSample(
         stormers=stormers,
         leaves=leaves,
@@ -313,15 +313,17 @@ def run_flash_crowd(
     must admit every stormer with at least one rejection and match
     :class:`~repro.analysis.admission.AdmissionModel` bit-exactly; the
     spillover scenario must admit every stormer while moving some of them
-    off the pinned hotspot leaf.
+    off the pinned hotspot leaf.  ``telemetry`` reaches every regime: spans
+    are cleared per run and each run is scraped at its end, so the gauges
+    left standing are the spillover run's.
     """
     policy = AdmissionPolicy(subscribe_rate=subscribe_rate, bucket_depth=bucket_depth)
     baselines = [
-        _run_baseline(count, window, seed) for count in baseline_stormers
+        _run_baseline(count, window, seed, telemetry) for count in baseline_stormers
     ]
-    throttled = _run_throttled(stormers, window, policy, seed)
+    throttled = _run_throttled(stormers, window, policy, seed, telemetry)
     spillover = _run_spillover(
-        stormers, window, spillover_leaves, policy, seed, telemetry=telemetry
+        stormers, window, spillover_leaves, policy, seed, telemetry
     )
     return FlashCrowdResult(
         baselines=baselines, throttled=throttled, spillover=spillover

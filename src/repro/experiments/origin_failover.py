@@ -46,24 +46,11 @@ from dataclasses import dataclass, field
 
 from repro.analysis.promotion import PromotionModel, promotion_model
 from repro.experiments.failure_detection import MODEL_TOLERANCE, _snapshot_models
-from repro.experiments.relay_fanout import (
-    ORIGIN_HOST,
-    ORIGIN_PORT,
-    TRACK,
-    UPDATE_INTERVAL,
-    _update_payload,
-)
-from repro.moqt.objectmodel import MoqtObject
 from repro.moqt.relay import MOQT_ALPN
-from repro.netsim.network import Network
-from repro.netsim.packet import Address
-from repro.netsim.simulator import Simulator
-from repro.netsim.trace import NullTraceRecorder
 from repro.quic.connection import ConnectionConfig
-from repro.relaynet import FailoverEvent, OriginCluster, RelayTreeSpec
-from repro.relaynet.topology import RelayTopology
+from repro.relaynet import FailoverEvent, RelayTreeSpec
+from repro.relaynet.scenario import Scenario, build_scenario
 from repro.telemetry import Telemetry
-from repro.telemetry.collect import collect_run
 
 
 @dataclass
@@ -229,55 +216,32 @@ def run_origin_failover(
     Subscriber connections keep their default (long) idle timeout: the
     subscribers' leaves never die in this scenario, so nothing below tier 0
     should ever trigger — any failover event except the origin promotion
-    counts as a false positive.
+    counts as a false positive.  ``origins`` must be at least 2: with no
+    standby there is nothing to promote.
     """
-    simulator = Simulator(seed=seed)
-    network = Network(simulator, trace=NullTraceRecorder(simulator), telemetry=telemetry)
-    if telemetry is not None and telemetry.spans is not None:
-        telemetry.spans.clear()
+    if origins < 2:
+        raise ValueError(f"origin failover needs a standby to promote: origins={origins}")
     spec = RelayTreeSpec.cdn(
         mid_relays=mid_relays, edge_per_mid=edge_per_mid, origins=origins
     )
-    cluster = OriginCluster(
-        network, origins=spec.origins, standby_link=spec.tiers[0].uplink
-    )
-    topology = RelayTopology(
-        network,
-        Address(ORIGIN_HOST, ORIGIN_PORT),
-        spec,
-        uplink_connection=ConnectionConfig(
-            alpn_protocols=(MOQT_ALPN,), keepalive_interval=keepalive_interval
-        ),
-        origin_cluster=cluster,
-        aggregate_leaves=aggregate_leaves,
-    )
-    topology.attach_subscribers(subscribers)
-    received: dict[int, list[int]] = {sub.index: [] for sub in topology.subscribers}
-    if aggregate_leaves:
-        topology.on_subscriber_split = lambda member, rep: received.__setitem__(
-            member.index, list(received[rep.index])
+    run = build_scenario(
+        Scenario(
+            spec=spec,
+            seed=seed,
+            payload_size=payload_size,
+            uplink_connection=ConnectionConfig(
+                alpn_protocols=(MOQT_ALPN,), keepalive_interval=keepalive_interval
+            ),
+            aggregate_leaves=aggregate_leaves,
+            telemetry=telemetry,
         )
-    topology.subscribe_all(
-        TRACK, on_object=lambda sub, obj: received[sub.index].append(obj.group_id)
     )
-    simulator.run(until=simulator.now + 1.0)
+    topology, cluster, simulator = run.topology, run.origin, run.simulator
+    topology.attach_subscribers(subscribers)
+    run.record_deliveries()
+    run.advance(1.0)
 
-    next_group = 2
-
-    def push(count: int) -> None:
-        nonlocal next_group
-        for _ in range(count):
-            cluster.push(
-                MoqtObject(
-                    group_id=next_group,
-                    object_id=0,
-                    payload=_update_payload(next_group, payload_size),
-                )
-            )
-            next_group += 1
-            simulator.run(until=simulator.now + UPDATE_INTERVAL)
-
-    push(updates_before)
+    run.push(updates_before)
     # Snapshot every tier-0 uplink's detector state, then crash silently.
     # The model takes the earliest predicted signal across the tier —
     # first detector wins, exactly like the implementation.
@@ -293,19 +257,12 @@ def run_origin_failover(
         spec.tiers[0].uplink.delay,
         topology.session_config.alpn_version_negotiation,
     )
-    push(updates_between)
-    push(updates_after)
-    simulator.run(until=simulator.now + 3.0)
+    run.push(updates_between)
+    run.push(updates_after)
+    run.advance(3.0)
 
-    if aggregate_leaves:
-        from repro.relaynet import expand_member_sequences
-
-        received = expand_member_sequences(topology, received)
-    updates = updates_before + updates_between + updates_after
-    expected_sequence = list(range(2, updates + 2))
-    gapless = sum(1 for groups in received.values() if groups == expected_sequence)
-    delivered = sum(len(groups) for groups in received.values())
-
+    sequences, gapless, delivered = run.delivery_score()
+    counters = run.recovery_counters()
     event = victim.failure_event
     detection_latency = event.detection_latency if event is not None else None
     promotion_latency = None
@@ -325,12 +282,10 @@ def run_origin_failover(
     control_plane_kills = sum(
         1 for run_event in topology.events if run_event.cause in ("kill", "leave")
     )
-    nodes = topology.nodes()
-    if telemetry is not None:
-        collect_run(telemetry.metrics, network, topology, origin_cluster=cluster)
+    run.collect()
     return OriginFailoverResult(
         subscribers=subscribers,
-        updates=updates,
+        updates=run.pushed,
         origins=origins,
         event=event,
         epoch=cluster.epoch,
@@ -344,15 +299,13 @@ def run_origin_failover(
         replayed_objects=sum(p.replayed_objects for p in cluster.promotions),
         gapless_subscribers=gapless,
         delivered_objects=delivered,
-        expected_objects=subscribers * updates,
-        duplicates_dropped=sum(
-            node.relay.statistics.duplicate_objects_dropped for node in nodes
-        )
-        + sum(sub.duplicates_dropped * sub.multiplicity for sub in topology.subscribers),
-        recovery_fetches=sum(node.relay.statistics.recovery_fetches for node in nodes),
-        recovered_objects=sum(node.relay.statistics.recovered_objects for node in nodes),
+        expected_objects=subscribers * run.pushed,
+        duplicates_dropped=counters.relay_duplicates_dropped
+        + counters.subscriber_duplicates_dropped,
+        recovery_fetches=counters.recovery_fetches,
+        recovered_objects=counters.recovered_objects,
         false_positive_events=false_positives,
         control_plane_kills=control_plane_kills,
-        delivery_sequences=received,
+        delivery_sequences=sequences,
         events=list(topology.events),
     )

@@ -34,28 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.churn import RecoveryModel, recovery_model
-from repro.experiments.relay_fanout import (
-    ORIGIN_HOST,
-    ORIGIN_PORT,
-    TRACK,
-    UPDATE_INTERVAL,
-    _update_payload,
-    build_origin,
-)
-from repro.moqt.objectmodel import MoqtObject
-from repro.netsim.network import Network
-from repro.netsim.packet import Address
-from repro.netsim.simulator import Simulator
-from repro.netsim.trace import NullTraceRecorder
-from repro.relaynet import (
-    FailoverEvent,
-    OriginCluster,
-    RelayTreeBuilder,
-    RelayTreeSpec,
-)
+from repro.relaynet import FailoverEvent, RelayTreeSpec
+from repro.relaynet.scenario import Scenario, build_scenario
 from repro.relaynet.topology import FailoverPolicy
 from repro.telemetry import Telemetry
-from repro.telemetry.collect import collect_run
 
 
 @dataclass
@@ -143,21 +125,26 @@ class RelayChurnResult:
         }
 
 
-def _kill_sample(
-    event: FailoverEvent,
-    spec: RelayTreeSpec,
-    alpn_version_negotiation: bool,
-) -> KillSample:
-    """Pair a failover event's measurements with the model's predictions."""
-    model_by_tier: dict[str, RecoveryModel] = {}
-    for tier_spec in spec.tiers:
-        # Orphans of this tier re-home over their own uplink class.
-        model_by_tier[tier_spec.name] = recovery_model(
-            tier_spec.uplink.delay, alpn_version_negotiation
-        )
-    model_by_tier["subscribers"] = recovery_model(
+def reattach_models(
+    spec: RelayTreeSpec, alpn_version_negotiation: bool
+) -> dict[str, RecoveryModel]:
+    """The 3-RTT re-attach prediction per orphan tier: orphans of a relay
+    tier re-home over their own uplink class, subscribers over the access
+    link."""
+    models = {
+        tier.name: recovery_model(tier.uplink.delay, alpn_version_negotiation)
+        for tier in spec.tiers
+    }
+    models["subscribers"] = recovery_model(
         spec.subscriber_link.delay, alpn_version_negotiation
     )
+    return models
+
+
+def _kill_sample(
+    event: FailoverEvent, model_by_tier: dict[str, RecoveryModel]
+) -> KillSample:
+    """Pair a failover event's measurements with the model's predictions."""
     return KillSample(
         cause=event.cause,
         killed=event.node,
@@ -207,113 +194,55 @@ def run_relay_churn(
     so delivery sequences, gapless counts and re-attach latencies are
     bit-identical to the dense run.
     """
-    simulator = Simulator(seed=seed)
-    network = Network(simulator, trace=NullTraceRecorder(simulator), telemetry=telemetry)
-    if telemetry is not None and telemetry.spans is not None:
-        telemetry.spans.clear()
     spec = RelayTreeSpec.cdn(
         mid_relays=mid_relays, edge_per_mid=edge_per_mid, origins=origins
     )
-    origin_cluster = None
-    if spec.origins > 1:
-        origin_cluster = OriginCluster(
-            network, origins=spec.origins, standby_link=spec.tiers[0].uplink
+    run = build_scenario(
+        Scenario(
+            spec=spec,
+            seed=seed,
+            payload_size=payload_size,
+            failover_policy=failover_policy,
+            aggregate_leaves=aggregate_leaves,
+            telemetry=telemetry,
         )
-        publisher = origin_cluster.publisher
-    else:
-        publisher = build_origin(network)
-    builder = RelayTreeBuilder(
-        network,
-        Address(ORIGIN_HOST, ORIGIN_PORT),
-        failover_policy=failover_policy,
-        origin_cluster=origin_cluster,
-        aggregate_leaves=aggregate_leaves,
     )
-    tree = builder.build(spec)
-    tree.attach_subscribers(subscribers)
-    received: dict[int, list[int]] = {sub.index: [] for sub in tree.subscribers}
-    if aggregate_leaves:
-        # A materialised member inherits its representative's delivery
-        # history — that history *is* the member's own under the aggregate
-        # invariant.  Copied before the member sees any new traffic.
-        tree.topology.on_subscriber_split = lambda member, rep: received.__setitem__(
-            member.index, list(received[rep.index])
-        )
-    tree.subscribe_all(
-        TRACK, on_object=lambda sub, obj: received[sub.index].append(obj.group_id)
-    )
-    simulator.run(until=simulator.now + 3.0)
-
-    next_group = 2
-
-    def push(count: int) -> None:
-        nonlocal next_group
-        for _ in range(count):
-            obj = MoqtObject(
-                group_id=next_group,
-                object_id=0,
-                payload=_update_payload(next_group, payload_size),
-            )
-            if origin_cluster is not None:
-                origin_cluster.push(obj)
-            else:
-                publisher.push(obj)
-            next_group += 1
-            simulator.run(until=simulator.now + UPDATE_INTERVAL)
+    topology = run.topology
+    topology.attach_subscribers(subscribers)
+    run.record_deliveries()
+    run.advance(3.0)
 
     events: list[FailoverEvent] = []
-    push(updates_before)
+    run.push(updates_before)
     # Kill a mid-tier relay while an update is still in flight: its edge
     # subtree must re-home and recover the missed objects via FETCH.
-    mid_victims = [node for node in tree.tier("mid") if node.alive]
-    events.append(tree.kill_relay(mid_victims[len(mid_victims) // 2]))
-    push(updates_between)
+    mid_victims = [node for node in topology.tier("mid") if node.alive]
+    events.append(topology.kill_relay(mid_victims[len(mid_victims) // 2]))
+    run.push(updates_between)
     if kill_edge:
         # Then kill an edge relay: its subscribers re-attach to surviving
         # leaves and gap-fill from their caches.
-        edge_victims = [node for node in tree.tier("edge") if node.alive]
-        events.append(tree.kill_relay(edge_victims[0]))
-    push(updates_after)
-    simulator.run(until=simulator.now + 5.0)
+        edge_victims = [node for node in topology.tier("edge") if node.alive]
+        events.append(topology.kill_relay(edge_victims[0]))
+    run.push(updates_after)
+    run.advance(5.0)
 
-    if aggregate_leaves:
-        from repro.relaynet import expand_member_sequences
-
-        received = expand_member_sequences(tree.topology, received)
-    updates = updates_before + updates_between + updates_after
-    expected_sequence = list(range(2, updates + 2))
-    gapless = sum(1 for groups in received.values() if groups == expected_sequence)
-    delivered = sum(len(groups) for groups in received.values())
-
-    alpn = tree.session_config.alpn_version_negotiation
-    kills = [_kill_sample(event, spec, alpn) for event in events]
-    relay_duplicates = sum(
-        node.relay.statistics.duplicate_objects_dropped for node in tree.nodes()
-    )
-    recovery_fetches = sum(
-        node.relay.statistics.recovery_fetches for node in tree.nodes()
-    )
-    recovered_objects = sum(
-        node.relay.statistics.recovered_objects for node in tree.nodes()
-    )
-    subscriber_duplicates = sum(
-        sub.duplicates_dropped * sub.multiplicity for sub in tree.subscribers
-    )
-    gap_fetches = sum(sub.gap_fetches * sub.multiplicity for sub in tree.subscribers)
-    if telemetry is not None:
-        collect_run(telemetry.metrics, network, tree, origin_cluster=origin_cluster)
+    sequences, gapless, delivered = run.delivery_score()
+    counters = run.recovery_counters()
+    models = reattach_models(spec, topology.session_config.alpn_version_negotiation)
+    run.collect()
     return RelayChurnResult(
         subscribers=subscribers,
-        updates=updates,
-        kills=kills,
+        updates=run.pushed,
+        kills=[_kill_sample(event, models) for event in events],
         gapless_subscribers=gapless,
         delivered_objects=delivered,
-        expected_objects=subscribers * updates,
-        relay_duplicates_dropped=relay_duplicates,
-        subscriber_duplicates_dropped=subscriber_duplicates,
-        recovery_fetches=recovery_fetches,
-        recovered_objects=recovered_objects,
-        subscriber_gap_fetches=gap_fetches,
-        delivery_sequences=received,
+        expected_objects=subscribers * run.pushed,
+        relay_duplicates_dropped=counters.relay_duplicates_dropped,
+        subscriber_duplicates_dropped=counters.subscriber_duplicates_dropped,
+        recovery_fetches=counters.recovery_fetches,
+        recovered_objects=counters.recovered_objects,
+        subscriber_gap_fetches=counters.subscriber_gap_fetches,
+        delivery_sequences=sequences,
         events=events,
     )

@@ -24,31 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.fanout import FanoutModel, fanout_model, relative_deviation
-from repro.moqt.objectmodel import MoqtObject
-from repro.moqt.origin import (  # noqa: F401  (historical re-exports)
-    ORIGIN_HOST,
-    ORIGIN_PORT,
-    TRACK,
-    OriginPublisher,
-    build_origin,
-)
-from repro.moqt.relay import MOQT_ALPN  # noqa: F401  (historical re-export)
-from repro.netsim.network import Network
-from repro.netsim.packet import Address
-from repro.netsim.simulator import Simulator
-from repro.netsim.trace import NullTraceRecorder
-from repro.relaynet import OriginCluster, RelayNetStats, RelayTreeBuilder, RelayTreeSpec
+from repro.moqt.origin import TRACK
+from repro.relaynet import RelayNetStats, RelayTreeSpec
+from repro.relaynet.scenario import Scenario, build_scenario
 from repro.telemetry import Telemetry
-from repro.telemetry.collect import collect_run
-
-#: Virtual time between pushed updates (keeps pushes distinguishable in
-#: traces without affecting byte counts — links have no bandwidth limit).
-UPDATE_INTERVAL = 0.25
-
-
-def _update_payload(group_id: int, payload_size: int) -> bytes:
-    stem = f"update-{group_id}-".encode()
-    return (stem * (payload_size // len(stem) + 1))[:payload_size]
 
 
 @dataclass
@@ -72,95 +51,37 @@ class TreeRun:
     link_batch_fallback_waves: int = 0
 
 
-def _run_tree(
-    spec: RelayTreeSpec,
-    subscribers: int,
-    updates: int,
-    payload_size: int,
-    seed: int,
-    telemetry: Telemetry | None = None,
-    aggregate_leaves: bool = False,
-) -> TreeRun:
-    """Build the tree, push ``updates`` objects and measure the update window.
-
-    ``telemetry`` is observational only: metrics are scraped at run end and
-    the span tracer (cleared first, so one tracer can serve several seeded
-    runs) records push/hop/delivery timestamps without scheduling events,
-    drawing randomness or touching wire bytes — seeded outputs are
-    bit-identical with or without it.
-
-    ``spec.origins >= 2`` replaces the singleton origin with an
-    :class:`~repro.relaynet.origincluster.OriginCluster` of that size.  A
-    cluster that never fails adds zero traffic on any tree link — the
-    standby's warm subscription rides its own origin-mesh links — so the
-    measured tier tables are bit-identical to the singleton run (the
-    determinism canary in the test suite pins exactly this).
-
-    ``aggregate_leaves`` runs the subscriber edge in counted aggregate-leaf
-    mode (:mod:`repro.relaynet.aggregate`): identical placement and wire
-    behaviour per connection, one representative per leaf group, every
-    measured statistic multiplied out — tier tables, origin egress and
-    delivered counts are bit-identical to the dense run while
-    ``events_scheduled`` collapses by roughly the leaf fan-out factor.
-    """
-    simulator = Simulator(seed=seed)
-    # The experiment reads link statistics, never traces; a null recorder
-    # removes two trace records per datagram from the fan-out hot path.
-    network = Network(simulator, trace=NullTraceRecorder(simulator), telemetry=telemetry)
-    if telemetry is not None and telemetry.spans is not None:
-        telemetry.spans.clear()
-    origin_cluster = None
-    if spec.origins > 1:
-        origin_cluster = OriginCluster(
-            network, origins=spec.origins, standby_link=spec.tiers[0].uplink
-        )
-        publisher = origin_cluster.publisher
-    else:
-        publisher = build_origin(network)
-    tree = RelayTreeBuilder(
-        network,
-        Address(ORIGIN_HOST, ORIGIN_PORT),
-        origin_cluster=origin_cluster,
-        aggregate_leaves=aggregate_leaves,
-    ).build(spec)
-    tree.attach_subscribers(subscribers)
+def _run_tree(scenario: Scenario, subscribers: int, updates: int) -> TreeRun:
+    """Stand the tree up, push ``updates`` objects and measure the update window."""
+    run = build_scenario(scenario)
+    topology = run.topology
+    topology.attach_subscribers(subscribers)
     delivered = [0]
     # Each delivery counts once per subscriber the receiving object stands
     # in for (multiplicity is 1 everywhere in dense mode).
-    tree.subscribe_all(
+    topology.subscribe_all(
         TRACK,
         on_object=lambda subscriber, obj: delivered.__setitem__(
             0, delivered[0] + subscriber.multiplicity
         ),
     )
-    simulator.run(until=simulator.now + 3.0)
+    run.advance(3.0)
 
-    before = RelayNetStats.collect(tree)
-    origin_before = publisher.objects_sent
+    before = RelayNetStats.collect(topology)
+    origin_before = run.origin.objects_sent
     delivered_before = delivered[0]
-    for update in range(updates):
-        obj = MoqtObject(
-            group_id=update + 2,
-            object_id=0,
-            payload=_update_payload(update + 2, payload_size),
-        )
-        if origin_cluster is not None:
-            origin_cluster.push(obj)
-        else:
-            publisher.push(obj)
-        simulator.run(until=simulator.now + UPDATE_INTERVAL)
-    simulator.run(until=simulator.now + 3.0)
-    delta = RelayNetStats.collect(tree).delta(before)
-    if telemetry is not None:
-        collect_run(telemetry.metrics, network, tree, origin_cluster=origin_cluster)
+    run.push(updates)
+    run.advance(3.0)
+    delta = RelayNetStats.collect(topology).delta(before)
+    run.collect()
     return TreeRun(
         delta=delta,
-        origin_objects=publisher.objects_sent - origin_before,
+        origin_objects=run.origin.objects_sent - origin_before,
         delivered=delivered[0] - delivered_before,
-        events_scheduled=simulator.events_scheduled,
-        pool_counters=network.datagram_pool.counters(),
-        compactions=simulator.compactions,
-        link_batch_fallback_waves=network.link_batch_fallback_waves,
+        events_scheduled=run.simulator.events_scheduled,
+        pool_counters=run.network.datagram_pool.counters(),
+        compactions=run.simulator.compactions,
+        link_batch_fallback_waves=run.network.link_batch_fallback_waves,
     )
 
 
@@ -172,7 +93,10 @@ def calibrate_bytes_per_update(payload_size: int, updates: int = 4, seed: int = 
     divided by the update count is the per-update wire size (payload plus
     subgroup-stream and QUIC framing) the fan-out model scales up.
     """
-    run = _run_tree(RelayTreeSpec.star(relays=1), 1, updates, payload_size, seed)
+    scenario = Scenario(
+        spec=RelayTreeSpec.star(relays=1), seed=seed, payload_size=payload_size
+    )
+    run = _run_tree(scenario, 1, updates)
     if run.delivered != updates:
         raise RuntimeError(f"calibration run lost updates: {run.delivered}/{updates}")
     return run.delta.subscriber_link_bytes / updates
@@ -302,20 +226,19 @@ def run_relay_fanout(
     unaffected — the calibration run deliberately stays telemetry-free.
     """
     bytes_per_update = calibrate_bytes_per_update(payload_size, seed=seed + 1)
+    spec = RelayTreeSpec.cdn(
+        mid_relays=mid_relays, edge_per_mid=edge_per_mid, origins=origins
+    )
+    scenario = Scenario(
+        spec=spec,
+        seed=seed,
+        payload_size=payload_size,
+        aggregate_leaves=aggregate_leaves,
+        telemetry=telemetry,
+    )
     samples: list[FanoutSample] = []
     for count in subscriber_counts:
-        spec = RelayTreeSpec.cdn(
-            mid_relays=mid_relays, edge_per_mid=edge_per_mid, origins=origins
-        )
-        run = _run_tree(
-            spec,
-            count,
-            updates,
-            payload_size,
-            seed,
-            telemetry=telemetry,
-            aggregate_leaves=aggregate_leaves,
-        )
+        run = _run_tree(scenario, count, updates)
         delta = run.delta
         measured_bytes = delta.tier_uplink_bytes() + (delta.subscriber_link_bytes,)
         measured_objects = tuple(tier.objects_received for tier in delta.tiers) + (

@@ -19,8 +19,8 @@ def format_table(rows: Sequence[dict[str, Any]], columns: Iterable[str] | None =
     """Render a list of row dictionaries as an aligned text table.
 
     Columns default to the keys of the first row, in order.  Every experiment
-    and benchmark prints its results through this helper so the output is
-    directly comparable to the tables in ``EXPERIMENTS.md``.
+    and benchmark prints its results through this helper, so the output is
+    directly comparable to ``tests/golden/runner_fast.txt``.
     """
     rows = list(rows)
     if not rows:

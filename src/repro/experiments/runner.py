@@ -1,7 +1,9 @@
 """Run every experiment and render a combined report.
 
 ``python -m repro.experiments.runner`` executes all experiments with fast
-default parameters and prints the tables that ``EXPERIMENTS.md`` records.
+default parameters and prints their tables.  The output is deterministic —
+byte for byte, across processes and hash seeds — and committed as
+``tests/golden/runner_fast.txt``, which the test suite compares against.
 Individual experiments are importable functions, so the benchmarks can run
 them with their own parameters.
 """
@@ -183,12 +185,17 @@ def run_all(fast: bool = True) -> list[ExperimentReport]:
     return reports
 
 
+def render(reports: list[ExperimentReport]) -> str:
+    """The combined report as printed text."""
+    return "".join(
+        f"== {report.experiment_id}: {report.title}\n{report.table}\n\n"
+        for report in reports
+    )
+
+
 def main() -> None:
     """Entry point for ``python -m repro.experiments.runner``."""
-    for report in run_all(fast=True):
-        print(f"== {report.experiment_id}: {report.title}")
-        print(report.table)
-        print()
+    print(render(run_all(fast=True)), end="")
 
 
 if __name__ == "__main__":

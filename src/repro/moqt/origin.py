@@ -1,11 +1,8 @@
 """The origin publisher: the MoQT server at the root of a relay tree.
 
-Historically the origin lived inside the E11 experiment
-(:mod:`repro.experiments.relay_fanout`); the replicated-origin work promoted
-it to a proper moqt-layer component so an origin *instance* can exist more
-than once per network — an active publisher and its warm standbys
-(:mod:`repro.relaynet.origincluster`).  The experiment module re-exports
-everything here, so existing imports keep working.
+A moqt-layer component, so an origin *instance* can exist more than once
+per network — an active publisher and its warm standbys
+(:mod:`repro.relaynet.origincluster`).
 
 An :class:`OriginPublisher` is a publisher delegate plus the track state it
 serves:

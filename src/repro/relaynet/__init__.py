@@ -24,11 +24,14 @@ turns that argument into an executable subsystem:
   deterministic epoch-numbered promotion driven by the same in-band
   detection path (`report_origin_failure`) when tier-0 uplinks notice the
   active died;
-* :mod:`repro.relaynet.builder` — :class:`RelayTreeBuilder` and
-  :class:`RelayTree`, thin construction fronts instantiating a spec on a
-  :class:`~repro.netsim.network.Network` (one
-  :class:`~repro.moqt.relay.MoqtRelay` per node, wired to its parent) and
-  attaching subscriber sessions below the edge tier;
+* :mod:`repro.relaynet.scenario` — :class:`~repro.relaynet.scenario.Scenario`
+  and :func:`~repro.relaynet.scenario.build_scenario`, the one way the
+  E11–E16 drivers stand up simulator, network, origin and tree, push
+  updates, score deliveries and scrape (``docs/scenarios.md``);
+* :mod:`repro.relaynet.builder` — :class:`RelayTreeBuilder`, the older
+  construction front (benchmarks, tests, examples): instantiates a spec on
+  a :class:`~repro.netsim.network.Network` and returns the
+  :class:`RelayTopology`;
 * :mod:`repro.relaynet.stats` — :class:`RelayNetStats` snapshots per-tier
   relay counters, cache hit/miss totals and uplink bytes, with snapshot
   deltas to isolate measurement windows;
@@ -57,7 +60,7 @@ from repro.relaynet.admission import (
     RetryPolicy,
 )
 from repro.relaynet.aggregate import AggregateLeaf, expand_member_sequences
-from repro.relaynet.builder import RelayNode, RelayTree, RelayTreeBuilder, TreeSubscriber
+from repro.relaynet.builder import RelayTreeBuilder
 from repro.relaynet.origincluster import ClusterOrigin, OriginCluster, OriginPromotion
 from repro.relaynet.stats import RelayNetStats, TierStats
 from repro.relaynet.topology import (
@@ -68,8 +71,10 @@ from repro.relaynet.topology import (
     FlashCrowdStorm,
     GrandparentFailover,
     NoSurvivingParentError,
+    RelayNode,
     RelayTopology,
     SiblingFailover,
+    TreeSubscriber,
 )
 
 __all__ = [
@@ -78,7 +83,6 @@ __all__ = [
     "RelayTierSpec",
     "RelayTreeSpec",
     "RelayNode",
-    "RelayTree",
     "RelayTreeBuilder",
     "TreeSubscriber",
     "ClusterOrigin",

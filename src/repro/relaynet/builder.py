@@ -1,242 +1,35 @@
-"""Thin construction fronts over the live relay topology.
+"""The construction front ``benchmarks/e2e``, tests and examples build through.
 
-Since the livetree refactor the tree's structure — tiers, parents,
-subscriber placement, join/leave/failover — lives in
-:class:`~repro.relaynet.topology.RelayTopology`.  This module keeps the
-original PR 1 construction API:
-
-* :class:`RelayTreeBuilder` turns a declarative
-  :class:`~repro.relaynet.spec.RelayTreeSpec` into a live tree on a
-  simulated network (one host and one
-  :class:`~repro.moqt.relay.MoqtRelay` per node, each wired to its parent
-  with the tier's uplink configuration);
-* :class:`RelayTree` wraps the topology with the accessors the
-  experiments, benchmarks and statistics use, and forwards membership
-  operations (``add_relay`` / ``remove_relay`` / ``kill_relay``) to it.
-
-Tier 0 relays subscribe at the origin publisher; deeper tiers subscribe
-through the tier above them, so one origin push reaches every subscriber
-through payload-oblivious fan-out (§3 of the paper) while the origin only
-ever serves its direct children.  Subscribers attach below the leaf tier
-with :meth:`RelayTree.attach_subscribers`, placed on the least-loaded
-alive leaf (identical to the historical round-robin while no relay has
-died, so seeded static runs keep their exact wire trace).
+All structure — tiers, parents, subscriber placement, join / leave /
+failover — lives in :class:`~repro.relaynet.topology.RelayTopology`, and
+:meth:`RelayTreeBuilder.build` hands back exactly that.  Experiments stand
+their trees up through :mod:`repro.relaynet.scenario` instead
+(``docs/scenarios.md`` lists this class as not yet removed).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
-
-from repro.moqt.objectmodel import MoqtObject
-from repro.moqt.relay import DEFAULT_MOQT_PORT
-from repro.moqt.session import MoqtSessionConfig, Subscription
-from repro.moqt.track import FullTrackName
 from repro.netsim.network import Network
 from repro.netsim.packet import Address
-from repro.quic.connection import ConnectionConfig
-from repro.relaynet.admission import AdmissionPolicy
-from repro.relaynet.aggregate import AggregateLeaf
 from repro.relaynet.spec import RelayTreeSpec
-from repro.relaynet.topology import (
-    FailoverEvent,
-    FailoverPolicy,
-    RelayNode,
-    RelayTopology,
-    TreeSubscriber,
-)
-
-if TYPE_CHECKING:
-    from repro.relaynet.origincluster import OriginCluster
-
-__all__ = [
-    "RelayNode",
-    "RelayTree",
-    "RelayTreeBuilder",
-    "TreeSubscriber",
-]
-
-
-class RelayTree:
-    """A built relay hierarchy plus the subscribers attached to it.
-
-    A thin view over :class:`~repro.relaynet.topology.RelayTopology`: all
-    structure and membership state lives there (``tree.topology`` exposes
-    it directly for churn experiments)."""
-
-    def __init__(self, topology: RelayTopology) -> None:
-        self.topology = topology
-
-    # ------------------------------------------------------------ delegation
-    @property
-    def spec(self) -> RelayTreeSpec:
-        return self.topology.spec
-
-    @property
-    def network(self) -> Network:
-        return self.topology.network
-
-    @property
-    def origin(self) -> Address:
-        return self.topology.origin
-
-    @property
-    def session_config(self) -> MoqtSessionConfig:
-        return self.topology.session_config
-
-    @property
-    def tiers(self) -> list[list[RelayNode]]:
-        return self.topology.tiers
-
-    @property
-    def subscribers(self) -> list[TreeSubscriber]:
-        return self.topology.subscribers
-
-    @property
-    def aggregates(self) -> "list[AggregateLeaf]":
-        """Aggregate-leaf groups (empty for dense trees)."""
-        return self.topology.aggregates
-
-    @property
-    def subscriber_population(self) -> int:
-        """Total subscribers represented (dense count plus multiplicities)."""
-        return self.topology.subscriber_population
-
-    def split_subscriber(self, subscriber_index: int) -> TreeSubscriber:
-        """Materialise one aggregated member as a live dense subscriber."""
-        return self.topology.split_subscriber(subscriber_index)
-
-    # ------------------------------------------------------------- structure
-    def nodes(self) -> list[RelayNode]:
-        """Every relay node, top tier first."""
-        return self.topology.nodes()
-
-    def leaves(self) -> list[RelayNode]:
-        """The relays subscribers attach to (the last tier)."""
-        return self.topology.leaves()
-
-    def tier(self, name: str) -> list[RelayNode]:
-        """All nodes of the tier with the given name."""
-        return self.topology.tier(name)
-
-    @property
-    def relay_count(self) -> int:
-        """Total number of relays in the tree."""
-        return self.topology.relay_count
-
-    # ----------------------------------------------------------- subscribers
-    def attach_subscribers(
-        self,
-        count: int,
-        session_config: MoqtSessionConfig | None = None,
-        host_prefix: str = "sub",
-    ) -> list[TreeSubscriber]:
-        """Create ``count`` subscriber hosts below the leaf tier."""
-        return self.topology.attach_subscribers(count, session_config, host_prefix)
-
-    def subscribe_all(
-        self,
-        full_track_name: FullTrackName,
-        on_object: Callable[[TreeSubscriber, MoqtObject], None] | None = None,
-        subscribers: list[TreeSubscriber] | None = None,
-    ) -> list[Subscription]:
-        """Subscribe every (given or attached) subscriber to one track."""
-        return self.topology.subscribe_all(full_track_name, on_object, subscribers)
-
-    def flash_crowd(self, count: int, window: float, full_track_name: FullTrackName, **kwargs):
-        """Inject a subscribe storm (see :meth:`RelayTopology.flash_crowd`)."""
-        return self.topology.flash_crowd(count, window, full_track_name, **kwargs)
-
-    # ------------------------------------------------------------ membership
-    def add_relay(self, tier: str | int, parent: RelayNode | None = None) -> RelayNode:
-        """Grow a tier by one relay while the tree runs."""
-        return self.topology.add_relay(tier, parent)
-
-    def remove_relay(self, node: RelayNode, reason: str = "relay leaving") -> FailoverEvent:
-        """Gracefully drain a relay out of the tree."""
-        return self.topology.remove_relay(node, reason)
-
-    def kill_relay(self, node: RelayNode, reason: str = "relay crashed") -> FailoverEvent:
-        """Crash a relay mid-stream and fail its subtree over."""
-        return self.topology.kill_relay(node, reason)
+from repro.relaynet.topology import RelayTopology
 
 
 class RelayTreeBuilder:
-    """Builds :class:`RelayTree` instances on a network.
+    """Builds a :class:`RelayTopology` per spec below one origin.
 
-    Parameters
-    ----------
-    network:
-        The network to create relay hosts and links on.
-    origin:
-        Address of the origin MoQT publisher; its host must already exist on
-        the network.
-    session_config:
-        MoQT session configuration shared by all relays (and, by default, by
-        subscribers attached later).
-    port:
-        Port every relay accepts downstream sessions on.
-    failover_policy:
-        How orphans pick a new parent when a relay dies
-        (:class:`~repro.relaynet.topology.SiblingFailover` by default).
-    uplink_connection / subscriber_connection / downstream_connection:
-        QUIC configurations forwarded to the topology (in-band liveness
-        detection enables keepalives / short idle timeouts on the first
-        two; a congestion controller for the fan-out sender side is
-        installed via the third).
-    origin_cluster:
-        The replicated origin the tree hangs off, when one exists
-        (:class:`~repro.relaynet.origincluster.OriginCluster`); forwarded
-        to the topology so tier-0 failover can promote a standby.
-    aggregate_leaves:
-        When True, subscriber attaches run in counted aggregate-leaf mode
-        (:mod:`repro.relaynet.aggregate`): one live connection per leaf
-        group, statistics multiplied out at collection time, dense
-        materialisation on demand.
+    ``config`` is forwarded to the topology as is: session and connection
+    configurations, failover and admission policy, ``origin_cluster``,
+    ``aggregate_leaves``.
     """
 
-    def __init__(
-        self,
-        network: Network,
-        origin: Address,
-        session_config: MoqtSessionConfig | None = None,
-        port: int = DEFAULT_MOQT_PORT,
-        failover_policy: FailoverPolicy | None = None,
-        uplink_connection: ConnectionConfig | None = None,
-        subscriber_connection: ConnectionConfig | None = None,
-        downstream_connection: ConnectionConfig | None = None,
-        origin_cluster: "OriginCluster | None" = None,
-        aggregate_leaves: bool = False,
-        admission: "AdmissionPolicy | None" = None,
-    ) -> None:
+    def __init__(self, network: Network, origin: Address, **config) -> None:
         self.network = network
         self.origin = origin
-        self.session_config = session_config if session_config is not None else MoqtSessionConfig()
-        self.port = port
-        self.failover_policy = failover_policy
-        self.uplink_connection = uplink_connection
-        self.subscriber_connection = subscriber_connection
-        self.downstream_connection = downstream_connection
-        self.origin_cluster = origin_cluster
-        self.aggregate_leaves = aggregate_leaves
-        self.admission = admission
-        # Fail fast if the origin host is missing rather than at first subscribe.
+        self.config = config
+        # Fail fast if the origin host is missing rather than at first build.
         network.host(origin.host)
 
-    def build(self, spec: RelayTreeSpec) -> RelayTree:
+    def build(self, spec: RelayTreeSpec) -> RelayTopology:
         """Create hosts, links and relays for every tier of ``spec``."""
-        return RelayTree(
-            RelayTopology(
-                network=self.network,
-                origin=self.origin,
-                spec=spec,
-                session_config=self.session_config,
-                port=self.port,
-                failover_policy=self.failover_policy,
-                uplink_connection=self.uplink_connection,
-                subscriber_connection=self.subscriber_connection,
-                downstream_connection=self.downstream_connection,
-                origin_cluster=self.origin_cluster,
-                aggregate_leaves=self.aggregate_leaves,
-                admission=self.admission,
-            )
-        )
+        return RelayTopology(self.network, self.origin, spec, **self.config)

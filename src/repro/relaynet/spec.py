@@ -64,12 +64,11 @@ class RelayTreeSpec:
     tiers: tuple[RelayTierSpec, ...]
     subscriber_link: LinkConfig = field(default_factory=lambda: LinkConfig(delay=0.005))
     host_prefix: str = "relay"
-    #: Origin instances the tree expects: 1 for the historical singleton,
+    #: Origin instances the tree hangs off: 1 for the historical singleton,
     #: ``n >= 2`` for a replicated origin (1 active + ``n - 1`` warm
-    #: standbys, see :mod:`repro.relaynet.origincluster`).  The spec only
-    #: *declares* the replication factor — experiments build the matching
-    #: :class:`~repro.relaynet.origincluster.OriginCluster` and hand it to
-    #: the builder.
+    #: standbys, see :mod:`repro.relaynet.origincluster`).
+    #: :func:`~repro.relaynet.scenario.build_scenario` builds what is
+    #: declared; a topology handed anything else refuses to construct.
     origins: int = 1
 
     def __post_init__(self) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from repro.relaynet.builder import RelayTree
+from repro.relaynet.topology import RelayTopology
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class RelayNetStats:
     subscriber_objects_received: int
 
     @classmethod
-    def collect(cls, tree: RelayTree) -> "RelayNetStats":
+    def collect(cls, tree: RelayTopology) -> "RelayNetStats":
         """Snapshot the tree's relay counters and uplink traffic.
 
         Aggregate-leaf groups are multiplied out here: a representative's

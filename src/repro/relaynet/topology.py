@@ -438,9 +438,8 @@ class RelayTopology:
     """The live membership view of a relay hierarchy.
 
     Owns the tiers, the parent/child structure, subscriber placement and
-    failover.  :class:`~repro.relaynet.builder.RelayTree` and
-    :class:`~repro.relaynet.builder.RelayTreeBuilder` are thin construction
-    fronts over this class.
+    failover.  :func:`~repro.relaynet.scenario.build_scenario` and
+    :class:`~repro.relaynet.builder.RelayTreeBuilder` construct it.
 
     Parameters
     ----------
@@ -477,7 +476,9 @@ class RelayTopology:
         singleton.  Tier-0 relays get pre-established links to every
         standby (links only — no traffic, so a never-failing run stays
         wire-identical), and a tier-0 uplink death is routed through
-        :meth:`report_origin_failure` instead of being unreportable.
+        :meth:`report_origin_failure` instead of being unreportable.  Its
+        size must be the ``spec.origins`` the spec declares (1 without a
+        cluster), or construction raises :class:`ValueError`.
     """
 
     def __init__(
@@ -495,6 +496,9 @@ class RelayTopology:
         aggregate_leaves: bool = False,
         admission: AdmissionPolicy | None = None,
     ) -> None:
+        built = len(origin_cluster.origins) if origin_cluster is not None else 1
+        if spec.origins != built:
+            raise ValueError(f"spec declares {spec.origins} origin(s), {built} built")
         self.network = network
         self.origin = origin
         self.origin_cluster = origin_cluster

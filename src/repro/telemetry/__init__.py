@@ -9,7 +9,7 @@ observability cost.  Opting in is one object::
     from repro.telemetry import MetricsRegistry, SpanTracer, Telemetry
 
     telemetry = Telemetry(metrics=MetricsRegistry(), spans=SpanTracer())
-    samples = run_relay_fanout([1000], telemetry=telemetry)
+    result = run_relay_fanout((1000,), telemetry=telemetry)
 
 and everything the run recorded is available through
 :mod:`repro.telemetry.export` (Prometheus text, JSONL trace dump, summary

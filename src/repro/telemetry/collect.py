@@ -125,8 +125,7 @@ def collect_relay_tree(metrics: MetricsRegistry, tree) -> None:
     edge, and QUIC transport totals grouped by connection role.
 
     ``tree`` is anything with ``tiers`` / ``subscribers`` / ``network``
-    (:class:`~repro.relaynet.builder.RelayTree` or the underlying
-    :class:`~repro.relaynet.topology.RelayTopology`).
+    (a :class:`~repro.relaynet.topology.RelayTopology`).
 
     Aggregate-leaf mode (``tree.aggregates`` non-empty) is transparent
     here: every per-subscriber counter is weighted by the subscriber's

@@ -13,35 +13,30 @@ from repro.telemetry import MetricsRegistry, Telemetry
 from repro.experiments.flash_crowd import run_flash_crowd
 from repro.moqt.errors import AdmissionRejectedError, SubscribeErrorCode
 from repro.moqt.objectmodel import MoqtObject
-from repro.moqt.origin import ORIGIN_HOST, ORIGIN_PORT, TRACK, build_origin
+from repro.moqt.origin import TRACK
 from repro.netsim.link import LinkConfig
-from repro.netsim.network import Network
-from repro.netsim.packet import Address
-from repro.netsim.simulator import Simulator
 from repro.quic.connection import ConnectionConfig
 from repro.relaynet import (
     UNLIMITED,
     AdmissionController,
     AdmissionPolicy,
-    RelayTreeBuilder,
     RelayTreeSpec,
     RetryPolicy,
 )
+from repro.relaynet.scenario import Scenario, build_scenario
 
 
 def build_tree(seed=11, relays=1, admission=None, prewarm=0, settle=3.0):
     """Origin + star tree, optionally pre-warmed with settled subscribers."""
-    simulator = Simulator(seed=seed)
-    network = Network(simulator)
-    publisher = build_origin(network)
-    tree = RelayTreeBuilder(
-        network, Address(ORIGIN_HOST, ORIGIN_PORT), admission=admission
-    ).build(RelayTreeSpec.star(relays=relays))
+    run = build_scenario(
+        Scenario(spec=RelayTreeSpec.star(relays=relays), seed=seed, admission=admission)
+    )
+    tree = run.topology
     if prewarm:
         tree.attach_subscribers(prewarm)
         tree.subscribe_all(TRACK)
-    simulator.run(until=simulator.now + settle)
-    return simulator, publisher, tree
+    run.advance(settle)
+    return run.simulator, run.origin, tree
 
 
 class TestPolicyValidation:
@@ -310,7 +305,7 @@ class TestFlashCrowd:
     def test_pinned_storm_spills_to_siblings(self):
         policy = AdmissionPolicy(subscribe_rate=50.0, bucket_depth=2)
         simulator, _, tree = build_tree(relays=3, admission=policy, prewarm=3)
-        storm = tree.topology.flash_crowd(
+        storm = tree.flash_crowd(
             18, 0.02, TRACK, retry=RetryPolicy(max_spillovers=1),
             leaf=tree.leaves()[0],
         )
@@ -369,6 +364,28 @@ class TestExperiment:
         # ... and no connection a packet outstanding.
         assert set(snapshot["quic_inflight_packets"].values()) == {0}
         assert set(snapshot["quic_bytes_in_flight"].values()) == {0}
+
+    def test_telemetry_reaches_every_regime_and_changes_nothing(self, monkeypatch):
+        from repro.relaynet import scenario
+
+        scraped = []
+        collect_run = scenario.collect_run
+
+        def spy(metrics, network, tree, **kwargs):
+            scraped.append((network.telemetry, len(tree.leaves())))
+            collect_run(metrics, network, tree, **kwargs)
+
+        monkeypatch.setattr(scenario, "collect_run", spy)
+        kwargs = dict(stormers=12, subscribe_rate=150.0, bucket_depth=3,
+                      baseline_stormers=(8, 16))
+        telemetry = Telemetry(metrics=MetricsRegistry())
+        traced = run_flash_crowd(telemetry=telemetry, **kwargs)
+        # Two baselines, the throttled run, the three-leaf spillover run: each
+        # built with the telemetry installed, each scraped at its end.
+        assert [leaves for _, leaves in scraped] == [1, 1, 1, 3]
+        assert all(installed is telemetry for installed, _ in scraped)
+        assert traced.rows() == run_flash_crowd(**kwargs).rows()
+        assert len(scraped) == 4, "a telemetry-free run scrapes nothing"
 
 
 class TestDefaultOffDeterminism:

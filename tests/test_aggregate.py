@@ -19,21 +19,16 @@ import pytest
 from repro.experiments.failure_detection import run_failure_detection
 from repro.experiments.origin_failover import run_origin_failover
 from repro.experiments.relay_churn import run_relay_churn
-from repro.experiments.relay_fanout import (
-    ORIGIN_HOST,
-    ORIGIN_PORT,
-    TRACK,
-    UPDATE_INTERVAL,
-    _update_payload,
-    build_origin,
-    run_relay_fanout,
-)
+from repro.experiments.relay_fanout import run_relay_fanout
 from repro.moqt.objectmodel import MoqtObject
-from repro.netsim.network import Network
-from repro.netsim.packet import Address
-from repro.netsim.simulator import Simulator
-from repro.netsim.trace import NullTraceRecorder
-from repro.relaynet import RelayTreeBuilder, RelayTreeSpec
+from repro.moqt.origin import TRACK
+from repro.relaynet import RelayTreeSpec
+from repro.relaynet.scenario import (
+    UPDATE_INTERVAL,
+    Scenario,
+    build_scenario,
+    update_payload,
+)
 from repro.telemetry import MetricsRegistry, SpanTracer, Telemetry
 
 #: Sample fields intentionally *different* under aggregation: the whole
@@ -121,15 +116,15 @@ def test_origin_failover_identity():
 
 # ---------------------------------------------------------- topology layer
 def _build_tree(aggregate_leaves, subscribers=1000, seed=23):
-    simulator = Simulator(seed=seed)
-    network = Network(simulator, trace=NullTraceRecorder(simulator))
-    publisher = build_origin(network)
-    builder = RelayTreeBuilder(
-        network, Address(ORIGIN_HOST, ORIGIN_PORT), aggregate_leaves=aggregate_leaves
+    run = build_scenario(
+        Scenario(
+            spec=RelayTreeSpec.cdn(mid_relays=4, edge_per_mid=4),
+            seed=seed,
+            aggregate_leaves=aggregate_leaves,
+        )
     )
-    tree = builder.build(RelayTreeSpec.cdn(mid_relays=4, edge_per_mid=4))
-    tree.attach_subscribers(subscribers)
-    return simulator, network, publisher, tree
+    run.topology.attach_subscribers(subscribers)
+    return run.simulator, run.network, run.origin, run.topology
 
 
 def test_aggregate_attach_shape():
@@ -160,7 +155,7 @@ def test_leaf_kill_splits_exactly_the_affected_members():
     """
     simulator, _, publisher, tree = _build_tree(True)
     received: dict[int, list[int]] = {sub.index: [] for sub in tree.subscribers}
-    tree.topology.on_subscriber_split = lambda member, rep: received.__setitem__(
+    tree.on_subscriber_split = lambda member, rep: received.__setitem__(
         member.index, list(received[rep.index])
     )
     tree.subscribe_all(
@@ -169,7 +164,7 @@ def test_leaf_kill_splits_exactly_the_affected_members():
     simulator.run(until=simulator.now + 3.0)
     for group_id in (2, 3, 4):
         publisher.push(
-            MoqtObject(group_id=group_id, object_id=0, payload=_update_payload(group_id, 300))
+            MoqtObject(group_id=group_id, object_id=0, payload=update_payload(group_id, 300))
         )
         simulator.run(until=simulator.now + UPDATE_INTERVAL)
 
@@ -181,7 +176,7 @@ def test_leaf_kill_splits_exactly_the_affected_members():
 
     for group_id in (5, 6):
         publisher.push(
-            MoqtObject(group_id=group_id, object_id=0, payload=_update_payload(group_id, 300))
+            MoqtObject(group_id=group_id, object_id=0, payload=update_payload(group_id, 300))
         )
         simulator.run(until=simulator.now + UPDATE_INTERVAL)
     simulator.run(until=simulator.now + 5.0)
@@ -196,7 +191,7 @@ def test_leaf_kill_splits_exactly_the_affected_members():
     # Gapless delivery for the whole (expanded) population.
     from repro.relaynet import expand_member_sequences
 
-    expanded = expand_member_sequences(tree.topology, received)
+    expanded = expand_member_sequences(tree, received)
     assert len(expanded) == 1000
     assert all(groups == [2, 3, 4, 5, 6] for groups in expanded.values())
 
@@ -204,7 +199,7 @@ def test_leaf_kill_splits_exactly_the_affected_members():
     # model: three round trips on the subscriber access link.
     from repro.analysis.churn import recovery_model
 
-    spec = tree.topology.spec
+    spec = tree.spec
     model = recovery_model(
         spec.subscriber_link.delay, tree.session_config.alpn_version_negotiation
     )
@@ -217,7 +212,7 @@ def test_healthy_split_preserves_delivery():
     """A mid-run manual split keeps the member's delivery sequence exact."""
     simulator, _, publisher, tree = _build_tree(True)
     received: dict[int, list[int]] = {sub.index: [] for sub in tree.subscribers}
-    tree.topology.on_subscriber_split = lambda member, rep: received.__setitem__(
+    tree.on_subscriber_split = lambda member, rep: received.__setitem__(
         member.index, list(received[rep.index])
     )
     tree.subscribe_all(
@@ -226,7 +221,7 @@ def test_healthy_split_preserves_delivery():
     simulator.run(until=simulator.now + 3.0)
     for group_id in (2, 3):
         publisher.push(
-            MoqtObject(group_id=group_id, object_id=0, payload=_update_payload(group_id, 300))
+            MoqtObject(group_id=group_id, object_id=0, payload=update_payload(group_id, 300))
         )
         simulator.run(until=simulator.now + UPDATE_INTERVAL)
 
@@ -241,7 +236,7 @@ def test_healthy_split_preserves_delivery():
 
     for group_id in (4, 5):
         publisher.push(
-            MoqtObject(group_id=group_id, object_id=0, payload=_update_payload(group_id, 300))
+            MoqtObject(group_id=group_id, object_id=0, payload=update_payload(group_id, 300))
         )
         simulator.run(until=simulator.now + UPDATE_INTERVAL)
     simulator.run(until=simulator.now + 3.0)
@@ -258,4 +253,4 @@ def test_split_rejects_non_member():
         tree.split_subscriber(10**9)
     representative = tree.aggregates[0].representative
     with pytest.raises(ValueError):
-        tree.aggregates[0].split(tree.topology, representative.index)
+        tree.aggregates[0].split(tree, representative.index)

@@ -19,8 +19,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments.relay_fanout import ORIGIN_HOST, ORIGIN_PORT, TRACK, build_origin
 from repro.moqt.objectmodel import MoqtObject
+from repro.moqt.origin import ORIGIN_HOST, ORIGIN_PORT, TRACK, build_origin
 from repro.netsim.network import Network
 from repro.netsim.packet import Address
 from repro.netsim.simulator import Simulator, Timer

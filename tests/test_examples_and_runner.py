@@ -8,7 +8,14 @@ from pathlib import Path
 
 import pytest
 
-EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+REPO = Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = REPO / "examples"
+#: ``python -m repro.experiments.runner``'s fast-mode output, byte for byte.  It
+#: is deterministic across processes, hash seeds and CPython 3.11 / 3.12; a
+#: PR that moves a table re-generates this file, so its diff is the old → new list.
+GOLDEN = REPO / "tests" / "golden" / "runner_fast.txt"
+#: Where a failed comparison leaves what the runner printed (CI uploads it).
+ACTUAL = REPO / "runner_output.txt"
 
 
 def _run_example(name: str, argv: list[str] | None = None) -> None:
@@ -72,7 +79,7 @@ class TestExamples:
 @pytest.mark.slow
 class TestRunner:
     def test_run_all_fast_produces_every_experiment(self):
-        from repro.experiments.runner import run_all
+        from repro.experiments.runner import render, run_all
 
         reports = run_all(fast=True)
         identifiers = [report.experiment_id for report in reports]
@@ -82,3 +89,11 @@ class TestRunner:
         ]
         for report in reports:
             assert report.table and "-" in report.table
+        output = render(reports)
+        if output != GOLDEN.read_text():
+            ACTUAL.write_text(output)
+            pytest.fail(
+                f"runner output moved: diff {GOLDEN.relative_to(REPO)} against "
+                f"{ACTUAL.name} (re-generate with `PYTHONPATH=src python -m "
+                f"repro.experiments.runner > {GOLDEN.relative_to(REPO)}`)"
+            )

@@ -22,7 +22,6 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments.relay_fanout import ORIGIN_HOST, ORIGIN_PORT, TRACK, build_origin
 from repro.moqt.datastream import (
     DataStreamParser,
     decode_complete_datastream,
@@ -30,6 +29,7 @@ from repro.moqt.datastream import (
     encode_subgroup_stream_chunk,
 )
 from repro.moqt.objectmodel import MoqtObject
+from repro.moqt.origin import ORIGIN_HOST, ORIGIN_PORT, TRACK, build_origin
 from repro.netsim.link import Link, LinkConfig
 from repro.netsim.network import Network
 from repro.netsim.packet import Address, Datagram, DatagramPool

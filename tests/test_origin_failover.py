@@ -30,13 +30,9 @@ from repro.analysis.promotion import ELECTION_LATENCY, PromotionModel, promotion
 from repro.experiments.failure_detection import run_failure_detection
 from repro.experiments.origin_failover import run_origin_failover
 from repro.experiments.relay_churn import run_relay_churn
-from repro.experiments.relay_fanout import (
-    ORIGIN_HOST as ORIGIN,
-    ORIGIN_PORT,
-    TRACK,
-    run_relay_fanout,
-)
+from repro.experiments.relay_fanout import run_relay_fanout
 from repro.moqt.objectmodel import MoqtObject
+from repro.moqt.origin import ORIGIN_HOST as ORIGIN, ORIGIN_PORT, TRACK, build_origin
 from repro.moqt.receiver import DEDUPE_PRUNE_THRESHOLD
 from repro.moqt.relay import MOQT_ALPN
 from repro.netsim.network import Network
@@ -48,6 +44,7 @@ from repro.relaynet import (
     OriginCluster,
     RelayTreeSpec,
 )
+from repro.relaynet.scenario import Scenario, build_scenario
 from repro.relaynet.topology import RelayTopology
 from repro.telemetry import MetricsRegistry, SpanTracer, Telemetry
 
@@ -72,24 +69,18 @@ def push_groups(simulator, cluster: OriginCluster, groups, interval: float = 0.2
 def build_cluster_tree(origins: int = 2, seed: int = 7, mid_relays: int = 2,
                        edge_per_mid: int = 2, keepalive_interval: float = 0.5):
     """A CDN tree hanging off a replicated origin, keepalive'd uplinks."""
-    simulator = Simulator(seed=seed)
-    network = Network(simulator)
-    spec = RelayTreeSpec.cdn(
-        mid_relays=mid_relays, edge_per_mid=edge_per_mid, origins=origins
+    run = build_scenario(
+        Scenario(
+            spec=RelayTreeSpec.cdn(
+                mid_relays=mid_relays, edge_per_mid=edge_per_mid, origins=origins
+            ),
+            seed=seed,
+            uplink_connection=ConnectionConfig(
+                alpn_protocols=(MOQT_ALPN,), keepalive_interval=keepalive_interval
+            ),
+        )
     )
-    cluster = OriginCluster(
-        network, origins=spec.origins, standby_link=spec.tiers[0].uplink
-    )
-    topology = RelayTopology(
-        network,
-        Address(ORIGIN, ORIGIN_PORT),
-        spec,
-        uplink_connection=ConnectionConfig(
-            alpn_protocols=(MOQT_ALPN,), keepalive_interval=keepalive_interval
-        ),
-        origin_cluster=cluster,
-    )
-    return simulator, network, cluster, topology
+    return run.simulator, run.network, run.origin, run.topology
 
 
 class TestPromotionModel:
@@ -148,6 +139,31 @@ class TestOriginCluster:
             OriginCluster(network, origins=0)
         with pytest.raises(ValueError):
             RelayTreeSpec.cdn(origins=0)
+
+    def test_spec_declaring_a_replicated_origin_needs_the_cluster(self):
+        network = Network(Simulator(seed=3))
+        build_origin(network)
+        with pytest.raises(ValueError, match="declares 2 origin"):
+            RelayTopology(network, Address(ORIGIN, ORIGIN_PORT), RelayTreeSpec.cdn(origins=2))
+
+    def test_cluster_larger_than_the_spec_declares_is_refused(self):
+        network = Network(Simulator(seed=3))
+        cluster = OriginCluster(network, origins=3)
+        for declared in (1, 2):
+            with pytest.raises(ValueError, match="3 built"):
+                RelayTopology(
+                    network,
+                    Address(ORIGIN, ORIGIN_PORT),
+                    RelayTreeSpec.cdn(origins=declared),
+                    origin_cluster=cluster,
+                )
+        tree = RelayTopology(
+            network,
+            Address(ORIGIN, ORIGIN_PORT),
+            RelayTreeSpec.cdn(origins=3),
+            origin_cluster=cluster,
+        )
+        assert tree.origin_cluster is cluster
 
     def test_crash_active_is_silent_and_single_shot(self):
         simulator, _, cluster = build_cluster(origins=2)
@@ -387,6 +403,10 @@ class TestOriginFailoverExperiment:
         assert result.replayed_objects > 0, (
             "outage-window objects exist only in the replay ring"
         )
+
+    def test_a_singleton_origin_has_nothing_to_promote(self):
+        with pytest.raises(ValueError, match="standby"):
+            run_origin_failover(origins=1)
 
     def test_seeded_runs_are_bit_identical(self):
         first = run_origin_failover(

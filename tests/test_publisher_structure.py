@@ -14,7 +14,12 @@ An ``ast`` walk over ``src/repro`` (``docs/publishers.md``):
   piece of the gapless-receive algorithm (``docs/failover.md``): none prunes a
   dedupe window, none puts objects in location order (``TrackState`` range
   reads in ``moqt/objectmodel.py`` aside), and none names the open FETCH range
-  end except the relay's cold-cache forward in ``handle_fetch``.
+  end except the relay's cold-cache forward in ``handle_fetch``;
+* the six E11–E16 drivers stand nothing up themselves (``docs/scenarios.md``):
+  none calls ``Simulator``, ``Network``, ``OriginCluster``, ``RelayTopology``,
+  ``RelayTreeBuilder``, ``build_origin`` or ``collect_run``, no ``if`` tests
+  ``aggregate_leaves`` or the origin kind, and ``relaynet/builder.py`` defines
+  one class.
 """
 
 from __future__ import annotations
@@ -31,6 +36,19 @@ LOOKUPS = {"get", "pop", "setdefault", "publisher_subscription"}
 RECEIVER = "moqt/receiver.py"
 #: A downstream FETCH forwarded upstream as "everything so far".
 COLD_FORWARD = ("moqt/relay.py", "handle_fetch")
+#: The drivers whose tree is stood up, loaded and scraped by SCENARIO.
+DRIVERS = [
+    f"experiments/{name}.py"
+    for name in (
+        "relay_fanout", "relay_churn", "failure_detection",
+        "origin_failover", "constrained_tiers", "flash_crowd",
+    )
+]
+SCENARIO = "relaynet/scenario.py"
+STAND_UP = {
+    "Simulator", "Network", "OriginCluster", "RelayTopology",
+    "RelayTreeBuilder", "build_origin", "collect_run",
+}
 
 
 def _identifiers(node: ast.AST) -> set[str]:
@@ -208,3 +226,76 @@ def handle_fetch(self, session, message, full_track_name):
     # A cache range read is not a delivery order.
     cache_read = "def latest(self):\n    return sorted(self._objects.values(), key=lambda o: o.location)\n"
     assert violations(cache_read, "moqt/objectmodel.py") == []
+
+
+def scaffolding(source: str, path: str) -> list[str]:
+    """Every ``path:line: why`` where a module stands a tree up by hand or
+    branches on how it was stood up (population mode, origin kind).  An ``if``
+    that only raises is argument validation, not a mode branch."""
+    found: list[str] = []
+    for node in ast.walk(ast.parse(source)):
+        where = f"src/repro/{path}:{getattr(node, 'lineno', 0)}"
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "attr", getattr(node.func, "id", ""))
+            if callee in STAND_UP:
+                found.append(f"{where}: calls {callee}")
+        validation = isinstance(node, ast.If) and not node.orelse and all(
+            isinstance(statement, ast.Raise) for statement in node.body
+        )
+        if isinstance(node, (ast.If, ast.IfExp)) and not validation:
+            names = _identifiers(node.test)
+            if "aggregate_leaves" in names:
+                found.append(f"{where}: branches on aggregate_leaves")
+            if any(name == "origins" or "cluster" in name for name in names):
+                found.append(f"{where}: branches on the origin kind")
+    return found
+
+
+def test_drivers_stand_nothing_up():
+    found = [
+        reason for path in DRIVERS for reason in scaffolding((SRC / path).read_text(), path)
+    ]
+    assert not found, "\n".join(["tree scaffolding crept back into a driver:", *found])
+    # The guard must see the real thing when it looks at the module that owns it.
+    owned = {reason.split(": ", 1)[1] for reason in scaffolding((SRC / SCENARIO).read_text(), SCENARIO)}
+    assert owned == {
+        "calls Simulator", "calls Network", "calls OriginCluster", "calls RelayTopology",
+        "calls build_origin", "calls collect_run", "branches on the origin kind",
+    }
+    builder = ast.parse((SRC / "relaynet/builder.py").read_text())
+    classes = [node.name for node in ast.walk(builder) if isinstance(node, ast.ClassDef)]
+    assert classes == ["RelayTreeBuilder"]
+
+
+def test_guard_catches_a_private_stand_up():
+    private_copy = """
+def run_relay_churn(subscribers, seed, origins=1, telemetry=None, aggregate_leaves=False):
+    if origins < 1:
+        raise ValueError(origins)
+    simulator = Simulator(seed=seed)
+    network = Network(simulator, trace=NullTraceRecorder(simulator), telemetry=telemetry)
+    origin_cluster = None
+    if spec.origins > 1:
+        origin_cluster = OriginCluster(network, origins=spec.origins)
+    else:
+        publisher = build_origin(network)
+    tree = RelayTreeBuilder(network, origin, origin_cluster=origin_cluster).build(spec)
+    if aggregate_leaves:
+        tree.topology.on_subscriber_split = inherit
+    (origin_cluster if origin_cluster is not None else publisher).push(obj)
+    if telemetry is not None:
+        collect_run(telemetry.metrics, network, tree, origin_cluster=origin_cluster)
+"""
+    reasons = scaffolding(private_copy, DRIVERS[1])
+    assert sorted(reason.split(": ", 1)[1] for reason in reasons) == [
+        "branches on aggregate_leaves",
+        "branches on the origin kind",
+        "branches on the origin kind",
+        "calls Network",
+        "calls OriginCluster",
+        "calls RelayTreeBuilder",
+        "calls Simulator",
+        "calls build_origin",
+        "calls collect_run",
+    ]
+    assert all(reason.startswith("src/repro/experiments/relay_churn.py:") for reason in reasons)

@@ -22,14 +22,14 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.churn import RecoveryModel, expected_gap_objects, recovery_model
-from repro.experiments.relay_fanout import (
+from repro.moqt.objectmodel import Location, MoqtObject
+from repro.moqt.origin import (
     ORIGIN_HOST as ORIGIN,
     ORIGIN_PORT,
     TRACK,
     OriginPublisher,
     build_origin,
 )
-from repro.moqt.objectmodel import Location, MoqtObject
 from repro.netsim.network import Network
 from repro.netsim.packet import Address
 from repro.netsim.simulator import Simulator
@@ -39,17 +39,13 @@ from repro.relaynet import (
     RelayTreeSpec,
     SiblingFailover,
 )
+from repro.relaynet.scenario import Scenario, build_scenario
 
 
 def build_scene(spec: RelayTreeSpec, seed: int = 5, failover_policy=None):
     """An origin publisher plus a built relay tree on a fresh network."""
-    simulator = Simulator(seed=seed)
-    network = Network(simulator)
-    publisher = build_origin(network)
-    tree = RelayTreeBuilder(
-        network, Address(ORIGIN, ORIGIN_PORT), failover_policy=failover_policy
-    ).build(spec)
-    return simulator, network, publisher, tree
+    run = build_scenario(Scenario(spec=spec, seed=seed, failover_policy=failover_policy))
+    return run.simulator, run.network, run.origin, run.topology
 
 
 def subscribe_recording(tree):
@@ -71,7 +67,7 @@ class TestMembership:
     def test_add_relay_joins_least_loaded_parent_and_serves(self):
         spec = RelayTreeSpec.cdn(mid_relays=2, edge_per_mid=2)
         simulator, _, publisher, tree = build_scene(spec)
-        topology = tree.topology
+        topology = tree
         # Unbalance the mid tier: mid-0 gets an extra child first.
         extra0 = tree.add_relay("edge", parent=tree.tier("mid")[0])
         assert extra0.host.address == "relay-edge-4"
@@ -122,7 +118,7 @@ class TestMembership:
         mid0 = tree.tier("mid")[0]
         assert not mid0.alive
         assert all(
-            child.parent is tree.tier("mid")[1] for child in tree.topology.children(
+            child.parent is tree.tier("mid")[1] for child in tree.children(
                 tree.tier("mid")[1]
             )
         )
@@ -257,7 +253,7 @@ class TestFailover:
         assert len(stranded) == 2
         assert all(record.reattached_at is None for record in stranded)
         assert not event.complete
-        assert tree.topology.events[-1] is event
+        assert tree.events[-1] is event
 
     def test_kill_with_unsubscribed_orphans_still_completes(self):
         # Subscribers whose sessions exist but hold no live subscriptions

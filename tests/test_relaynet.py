@@ -5,14 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.fanout import fanout_model, relative_deviation, unicast_origin_messages
-from repro.experiments.relay_fanout import (
+from repro.moqt.objectmodel import MoqtObject
+from repro.moqt.origin import (
     ORIGIN_HOST as ORIGIN,
     ORIGIN_PORT,
     TRACK,
     OriginPublisher as BaseOriginPublisher,
     build_origin,
 )
-from repro.moqt.objectmodel import MoqtObject
 from repro.netsim.link import LinkConfig
 from repro.netsim.network import Network
 from repro.netsim.packet import Address

@@ -38,15 +38,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.experiments.relay_fanout import (
-    ORIGIN_HOST,
-    ORIGIN_PORT,
-    TRACK,
-    build_origin,
-    run_relay_fanout,
-)
+from repro.experiments.relay_fanout import run_relay_fanout
 from repro.moqt.datastream import encode_subgroup_stream_chunk
 from repro.moqt.objectmodel import MoqtObject
+from repro.moqt.origin import ORIGIN_HOST, ORIGIN_PORT, TRACK, build_origin
 from repro.moqt.session import _UNUSED, MoqtSession
 from repro.netsim.network import Network
 from repro.netsim.packet import Address
@@ -505,7 +500,7 @@ class TestClosedConnectionsEmptyTheLedger:
                 simulator.run(until=simulator.now + 0.25)
 
         push(3)
-        tree.topology.crash_relay(tree.leaves()[0])
+        tree.crash_relay(tree.leaves()[0])
         push(8)
         simulator.run(until=simulator.now + 60.0)
         connections = list(_all_connections(network))

@@ -16,6 +16,7 @@ import tracemalloc
 
 import pytest
 
+from repro.experiments.constrained_tiers import run_constrained_tiers
 from repro.experiments.failure_detection import run_failure_detection
 from repro.experiments.relay_churn import run_relay_churn
 from repro.experiments.relay_fanout import run_relay_fanout
@@ -511,3 +512,24 @@ class TestDeterminismContract:
         # up) and keeps re-sending it the six updates pushed after the crash.
         # Every other connection, closed ones included, has nothing in flight.
         _assert_receivers_quiesced(telemetry, still_probing={"role=relay-downstream": 6})
+
+    def test_e15_identical_with_telemetry(self):
+        kwargs = dict(subscribers=40, mid_relays=2, edge_per_mid=2)
+        baseline = run_constrained_tiers(**kwargs)
+        telemetry = Telemetry(
+            metrics=MetricsRegistry(), spans=SpanTracer(subscriber_sample_every=7)
+        )
+        traced = run_constrained_tiers(telemetry=telemetry, **kwargs)
+        assert baseline.rows() == traced.rows()
+        assert baseline.loss_sample == traced.loss_sample
+        assert baseline.summary_row() == traced.summary_row()
+        assert [sample.events_scheduled for sample in baseline.samples] == [
+            sample.events_scheduled for sample in traced.samples
+        ]
+        # Every run of the sweep was traced (spans cleared per run, so what is
+        # left is the last one's) and scraped; the gauges left standing are
+        # the lossy run's, and loss repair left nothing held back or in flight.
+        assert baseline.loss_sample.retransmissions > 0
+        assert telemetry.spans.summary()["deliveries"] > 0
+        assert telemetry.metrics.snapshot()["relaynet_subscribers"] == 40
+        _assert_receivers_quiesced(telemetry)

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments.relay_fanout import TRACK
 from repro.moqt.objectmodel import Location, MoqtObject
+from repro.moqt.origin import TRACK
 from repro.moqt.receiver import (
     DEDUPE_PRUNE_THRESHOLD,
     OPEN_RANGE_END,
