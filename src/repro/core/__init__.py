@@ -17,8 +17,9 @@ three roles of the prototype described in §5 of the paper:
   classic DNS queries (e.g. from an unmodified OS stub resolver on the same
   host) and forwards them over MoQT to a recursive resolver.
 
-Supporting modules implement the query↔track mapping of Fig. 3
-(:mod:`repro.core.mapping`), the response encapsulation of Fig. 4
+Supporting modules implement the resolver core the forwarder, the stub and the
+recursive resolver share (:mod:`repro.core.subscribing`), the query↔track
+mapping of Fig. 3 (:mod:`repro.core.mapping`), the response encapsulation of Fig. 4
 (:mod:`repro.core.encapsulation`), upstream session reuse and 0-RTT
 (:mod:`repro.core.session_manager`), subscription state management and
 teardown policies (§4.4, :mod:`repro.core.subscription`) and the

@@ -24,14 +24,13 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from repro.core.encapsulation import encapsulate_response
-from repro.core.mapping import DnsQuestionKey, question_to_track, track_to_question
+from repro.core.mapping import DnsQuestionKey, no_such_track, question_to_track, track_to_question
 from repro.core.errors import MappingError
 from repro.dns.message import Flags, Header, Message, Question
 from repro.dns.name import Name
 from repro.dns.rdata import CNAMERdata, NSRdata
 from repro.dns.types import MOQT_PORT, Opcode, Rcode, RecordType
 from repro.dns.zone import LookupResult, Zone, ZoneChange, find_zone
-from repro.moqt.errors import FetchErrorCode, SubscribeErrorCode
 from repro.moqt.messages import Fetch, Subscribe
 from repro.moqt.objectmodel import Location, MoqtObject
 from repro.moqt.session import (
@@ -257,17 +256,11 @@ class MoqAuthoritativeServer:
             key = track_to_question(message.full_track_name)
         except MappingError as error:
             self.statistics.subscribes_rejected += 1
-            return SubscribeResult(
-                ok=False, error_code=SubscribeErrorCode.TRACK_DOES_NOT_EXIST, reason=str(error)
-            )
+            return no_such_track(SubscribeResult, error)
         answer = self.answer_question(key)
         if answer is None:
             self.statistics.subscribes_rejected += 1
-            return SubscribeResult(
-                ok=False,
-                error_code=SubscribeErrorCode.TRACK_DOES_NOT_EXIST,
-                reason=f"not authoritative for {key.qname}",
-            )
+            return no_such_track(SubscribeResult, f"not authoritative for {key.qname}")
         response, zone = answer
         state = self._tracks.get(key)
         if state is None:
@@ -327,28 +320,15 @@ class MoqAuthoritativeServer:
         self, session: MoqtSession, message: Fetch, full_track_name: FullTrackName | None
     ) -> FetchResult:
         """Answer a (joining) fetch with the current version of the record."""
-        if full_track_name is None:
-            self.statistics.fetches_rejected += 1
-            return FetchResult(
-                ok=False,
-                error_code=FetchErrorCode.TRACK_DOES_NOT_EXIST,
-                reason="fetch without a track name",
-            )
         try:
             key = track_to_question(full_track_name)
         except MappingError as error:
             self.statistics.fetches_rejected += 1
-            return FetchResult(
-                ok=False, error_code=FetchErrorCode.TRACK_DOES_NOT_EXIST, reason=str(error)
-            )
+            return no_such_track(FetchResult, error)
         answer = self.answer_question(key)
         if answer is None:
             self.statistics.fetches_rejected += 1
-            return FetchResult(
-                ok=False,
-                error_code=FetchErrorCode.TRACK_DOES_NOT_EXIST,
-                reason=f"not authoritative for {key.qname}",
-            )
+            return no_such_track(FetchResult, f"not authoritative for {key.qname}")
         response, zone = answer
         obj = encapsulate_response(response, zone.serial)
         self.statistics.fetches_served += 1

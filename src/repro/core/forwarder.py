@@ -8,26 +8,28 @@ becomes a subscription, so after the first lookup the forwarder holds the
 latest version of the record locally and answers subsequent queries without
 any network traffic at all — the "browser can start loading immediately"
 scenario of §5.2.
+
+On top of the shared :class:`~repro.core.subscribing.SubscribingResolver` it
+adds one fixed upstream, the ``on_record_updated`` listeners and a teardown
+that forgets the record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
-from repro.core.encapsulation import decapsulate_response
-from repro.core.mapping import DnsQuestionKey, question_to_track
-from repro.core.errors import MappingError
-from repro.core.session_manager import SessionManagerConfig, UpstreamSessionManager
-from repro.core.subscription import SubscriptionRegistry, TeardownPolicy
-from repro.dns.message import Message, make_response
-from repro.dns.types import DNS_UDP_PORT, Rcode
-from repro.dns.transport import DnsUdpEndpoint
+from repro.core.mapping import DnsQuestionKey
+from repro.core.session_manager import SessionManagerConfig
+from repro.core.subscribing import QuestionRecord, SubscribeFetch, SubscribingResolver
+from repro.core.subscription import TeardownPolicy
+from repro.dns.message import Message
+from repro.dns.types import DNS_UDP_PORT
 from repro.moqt.objectmodel import MoqtObject
 from repro.moqt.session import MoqtSessionConfig
 from repro.netsim.node import Host
 from repro.netsim.packet import Address
-from repro.netsim.simulator import Timer
 
 
 @dataclass
@@ -46,17 +48,6 @@ class ForwarderConfig:
 
 
 @dataclass
-class ForwarderRecord:
-    """Locally held state for one subscribed question."""
-
-    key: DnsQuestionKey
-    message: Message
-    version: int
-    updated_at: float
-    pushed_updates: int = 0
-
-
-@dataclass
 class ForwarderStatistics:
     """Counters kept by the forwarder."""
 
@@ -67,7 +58,7 @@ class ForwarderStatistics:
     failures: int = 0
 
 
-class MoqForwarder:
+class MoqForwarder(SubscribingResolver):
     """Forwards classic DNS queries over MoQT to a recursive resolver."""
 
     def __init__(
@@ -77,175 +68,62 @@ class MoqForwarder:
         config: ForwarderConfig | None = None,
         teardown_policy: TeardownPolicy | None = None,
     ) -> None:
-        self.host = host
-        self.simulator = host.simulator
         self.config = config if config is not None else ForwarderConfig()
         self.upstream_address = recursive_moqt_address
         self.statistics = ForwarderStatistics()
-        self.registry = SubscriptionRegistry(teardown_policy)
-        self.sessions = UpstreamSessionManager(
-            host, config=self.config.session_manager, session_config=self.config.moqt_session
-        )
-        self._records: dict[DnsQuestionKey, ForwarderRecord] = {}
-        self._in_flight: dict[DnsQuestionKey, list[Callable[[Message | None, int], None]]] = {}
-        self._server: DnsUdpEndpoint | None = None
-        if self.config.listen_port is not None:
-            self._server = DnsUdpEndpoint(
-                host, port=self.config.listen_port, handler=self._handle_client_query
-            )
         #: Callbacks invoked with (key, record) whenever a pushed update arrives;
         #: applications (and the staleness experiment) can watch record changes.
-        self.on_record_updated: list[Callable[[DnsQuestionKey, ForwarderRecord], None]] = []
+        self.on_record_updated: list[Callable[[DnsQuestionKey, QuestionRecord], None]] = []
+        super().__init__(host, self.config.listen_port, teardown_policy)
 
     @property
     def address(self) -> Address | None:
         """Address classic clients should query (None when UDP serving is off)."""
-        return self._server.address if self._server is not None else None
+        return self.udp_address
 
-    # ---------------------------------------------------------------- records
-    def record(self, key: DnsQuestionKey) -> ForwarderRecord | None:
-        """The forwarder's current state for a question, if subscribed."""
-        return self._records.get(key)
-
-    def records(self) -> dict[DnsQuestionKey, ForwarderRecord]:
-        """All locally held records."""
-        return dict(self._records)
-
-    def state_summary(self) -> dict[str, int]:
-        """State-overhead accounting (§5.1)."""
-        summary = self.sessions.state_summary()
-        summary["records"] = len(self._records)
-        summary["tracked_questions"] = self.registry.state_size()
-        return summary
-
-    def run_teardown(self) -> int:
-        """Apply the teardown policy to locally held subscriptions (§4.4)."""
-        victims = self.registry.collect_victims(self.simulator.now)
-        for victim in victims:
-            self._records.pop(victim.key, None)
-        return len(victims)
-
-    # ---------------------------------------------------------------- serving
-    def _handle_client_query(self, query: Message, source: Address, respond) -> None:
-        self.statistics.client_queries += 1
-        if not query.questions:
-            respond(make_response(query, rcode=Rcode.FORMERR))
-            return
-        key = DnsQuestionKey.from_message(query)
-        self.registry.record_lookup(key, self.simulator.now)
-        existing = self._records.get(key)
-        if existing is not None:
-            # Subscribed questions are always up to date: answer locally.
-            self.statistics.local_answers += 1
-            respond(self._build_response(query, existing.message))
-            return
-
-        def finished(message: Message | None, version: int) -> None:
-            if message is None:
-                self.statistics.failures += 1
-                respond(make_response(query, rcode=Rcode.SERVFAIL, recursion_available=True))
-                return
-            respond(self._build_response(query, message))
-
-        self._lookup_upstream(key, finished)
-
-    def _build_response(self, query: Message, answer: Message) -> Message:
-        return make_response(
-            query,
-            answers=answer.answers,
-            authorities=answer.authorities,
-            additionals=answer.additionals,
-            rcode=answer.rcode,
-            recursion_available=True,
-        )
-
-    # ------------------------------------------------------------- upstream IO
+    # ---------------------------------------------------------------- lookups
     def resolve(
         self, key: DnsQuestionKey, callback: Callable[[Message | None, int], None]
     ) -> None:
-        """Programmatic lookup API (used by examples and experiments)."""
+        """Look a question up: from the held record, else upstream (coalesced)."""
         self.registry.record_lookup(key, self.simulator.now)
-        existing = self._records.get(key)
-        if existing is not None:
-            self.statistics.local_answers += 1
-            callback(existing.message, existing.version)
-            return
-        self._lookup_upstream(key, callback)
-
-    def _lookup_upstream(
-        self, key: DnsQuestionKey, callback: Callable[[Message | None, int], None]
-    ) -> None:
-        waiters = self._in_flight.get(key)
-        if waiters is not None:
-            waiters.append(callback)
-            return
-        self._in_flight[key] = [callback]
-        self.statistics.upstream_lookups += 1
-        session = self.sessions.get_session(self.upstream_address)
-        track = question_to_track(key)
-        finished = {"done": False}
-        timeout = Timer(self.simulator, lambda: complete(None, 0))
-
-        def complete(message: Message | None, version: int) -> None:
-            if finished["done"]:
-                return
-            finished["done"] = True
-            timeout.stop()
-            if message is not None:
-                self._records[key] = ForwarderRecord(
-                    key=key, message=message, version=version, updated_at=self.simulator.now
-                )
-            callbacks = self._in_flight.pop(key, [])
-            for waiting in callbacks:
-                waiting(message, version)
-
-        def on_push(obj: MoqtObject) -> None:
-            self._on_push(key, obj)
-
-        def on_sub_response(subscription) -> None:
-            if subscription.state == "error":
-                # The recursive resolver declined the subscription (§4.5);
-                # the fetch may still deliver a one-shot answer.
-                pass
-
-        subscription = session.subscribe(track, on_object=on_push, on_response=on_sub_response)
-
-        def on_fetch_complete(fetch_request) -> None:
-            if not fetch_request.succeeded or not fetch_request.objects:
-                complete(None, 0)
-                return
-            obj = fetch_request.objects[-1]
-            try:
-                message = decapsulate_response(obj)
-            except MappingError:
-                complete(None, 0)
-                return
-            self.registry.record_update(key, self.simulator.now, obj.group_id)
-            complete(message, obj.group_id)
-
-        session.joining_fetch(subscription, 1, on_complete=on_fetch_complete)
-        timeout.start(self.config.upstream_timeout)
-
-    def _on_push(self, key: DnsQuestionKey, obj: MoqtObject) -> None:
-        """A record update pushed by the recursive resolver."""
-        self.statistics.pushes_received += 1
-        try:
-            message = decapsulate_response(obj)
-        except MappingError:
-            return
         record = self._records.get(key)
-        if record is None:
-            record = ForwarderRecord(
-                key=key, message=message, version=obj.group_id, updated_at=self.simulator.now
+        if record is not None:
+            # Subscribed questions are always up to date: answer locally.
+            self.statistics.local_answers += 1
+            callback(record.message, record.version)
+        elif self._join_lookup(key, callback):
+            self.statistics.upstream_lookups += 1
+            # No ``on_response``: the recursive resolver may decline the
+            # subscription (§4.5) and still answer the joining FETCH with a
+            # one-shot record, so a SUBSCRIBE_ERROR decides nothing here.
+            SubscribeFetch(
+                self,
+                self.upstream_address,
+                key,
+                self.config.upstream_timeout,
+                partial(self._upstream_answered, key),
             )
-            self._records[key] = record
+
+    def _upstream_answered(
+        self, key: DnsQuestionKey, message: Message | None, version: int
+    ) -> None:
+        if message is None:
+            self.statistics.failures += 1
         else:
-            if obj.group_id <= record.version:
-                return
-            record.message = message
-            record.version = obj.group_id
-            record.updated_at = self.simulator.now
-        record.pushed_updates += 1
-        self.registry.record_update(key, self.simulator.now, obj.group_id)
+            self._store(key, message, version)
+        self._finish_lookup(key, message, version)
+
+    # ------------------------------------------------- the shared core's hooks
+    def _handle_udp_query(self, query: Message, source: Address, respond) -> None:
+        self.statistics.client_queries += 1
+        super()._handle_udp_query(query, source, respond)
+
+    _answer_client = resolve  # a classic client's lookup is a lookup
+
+    def _pushed(self, key: DnsQuestionKey, record: QuestionRecord, obj: MoqtObject) -> None:
         for listener in self.on_record_updated:
             listener(key, record)
+
+    def _torn_down(self, key: DnsQuestionKey) -> None:
+        self._records.pop(key, None)

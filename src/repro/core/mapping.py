@@ -25,6 +25,8 @@ from repro.dns.errors import DnsFormatError
 from repro.dns.message import Message, Question
 from repro.dns.name import Name
 from repro.dns.types import DNS_CLASSES, OPCODES, RECORD_TYPES, DNSClass, Opcode, RecordType
+from repro.moqt.errors import FetchErrorCode, SubscribeErrorCode
+from repro.moqt.session import FetchResult, SubscribeResult
 from repro.moqt.track import FullTrackName, TrackNamespace
 
 #: Bit positions inside the first namespace element.
@@ -117,8 +119,14 @@ def question_to_track(key: DnsQuestionKey) -> FullTrackName:
     return FullTrackName(namespace, qname_wire)
 
 
-def track_to_question(full_track_name: FullTrackName) -> DnsQuestionKey:
-    """Recover the DNS question from a MoQT full track name (inverse of Fig. 3)."""
+def track_to_question(full_track_name: FullTrackName | None) -> DnsQuestionKey:
+    """Recover the DNS question from a MoQT full track name (inverse of Fig. 3).
+
+    ``None`` (a FETCH the session could not resolve to a track) is no question
+    either; publishers answer every :class:`MappingError` with :func:`no_such_track`.
+    """
+    if full_track_name is None:
+        raise MappingError("request without a resolvable track name")
     elements = full_track_name.namespace.elements
     if len(elements) < 3:
         raise MappingError(f"namespace has {len(elements)} elements, expected at least 3")
@@ -150,6 +158,20 @@ def track_to_question(full_track_name: FullTrackName) -> DnsQuestionKey:
         recursion_desired=bool(flags & _RD_BIT),
         checking_disabled=bool(flags & _CD_BIT),
     )
+
+
+_NO_SUCH_TRACK = {
+    SubscribeResult: SubscribeErrorCode.TRACK_DOES_NOT_EXIST,
+    FetchResult: FetchErrorCode.TRACK_DOES_NOT_EXIST,
+}
+
+
+def no_such_track(
+    result_type: type[SubscribeResult] | type[FetchResult], reason: object
+) -> SubscribeResult | FetchResult:
+    """A DNS publisher's answer to a SUBSCRIBE or FETCH whose track names no
+    question it can answer: not a Fig. 3 name, outside its zones, unresolvable."""
+    return result_type(ok=False, error_code=_NO_SUCH_TRACK[result_type], reason=str(reason))
 
 
 def track_for_query(message: Message) -> FullTrackName:

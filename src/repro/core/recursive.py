@@ -34,6 +34,7 @@ or keeps them alive by re-fetching the record every TTL
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from repro.core.compatibility import (
@@ -43,16 +44,17 @@ from repro.core.compatibility import (
     RefreshScheduler,
     UpstreamCapability,
 )
-from repro.core.encapsulation import decapsulate_response, encapsulate_response
-from repro.core.mapping import DnsQuestionKey, question_to_track, track_to_question
+from repro.core.encapsulation import encapsulate_response
+from repro.core.mapping import DnsQuestionKey, no_such_track, track_to_question
 from repro.core.errors import MappingError
-from repro.core.session_manager import SessionManagerConfig, UpstreamSessionManager
-from repro.core.subscription import SubscriptionRegistry, TeardownPolicy
-from repro.dns.message import Flags, Header, Message, make_response
+from repro.core.session_manager import SessionManagerConfig
+from repro.core.subscribing import QuestionRecord, SubscribeFetch, SubscribingResolver
+from repro.core.subscription import TeardownPolicy
+from repro.dns.message import Message, make_query
 from repro.dns.name import Name
 from repro.dns.transport import DnsUdpEndpoint
-from repro.dns.types import DNS_UDP_PORT, MOQT_PORT, Opcode, Rcode, RecordType
-from repro.moqt.errors import FetchErrorCode, SubscribeErrorCode
+from repro.dns.types import DNS_UDP_PORT, MOQT_PORT, Rcode, RecordType
+from repro.moqt.errors import SubscribeErrorCode
 from repro.moqt.messages import Fetch, Subscribe
 from repro.moqt.objectmodel import Location, MoqtObject
 from repro.moqt.session import (
@@ -62,13 +64,13 @@ from repro.moqt.session import (
     MoqtSessionConfig,
     PublisherSubscription,
     SubscribeResult,
+    Subscription,
     publish_to,
 )
 from repro.moqt.track import FullTrackName
 from repro.netsim.node import Host
 from repro.netsim.packet import Address
-from repro.netsim.simulator import Timer
-from repro.quic.connection import QuicConnection
+from repro.quic.connection import ConnectionConfig, QuicConnection
 from repro.quic.endpoint import QuicEndpoint
 from repro.quic.tls import ServerTlsContext
 
@@ -91,31 +93,7 @@ class ResolverConfig:
     #: QUIC parameters applied to *downstream* (stub-facing) connections.
     #: Long-delay deployments (deep space) raise the idle timeout and the
     #: initial RTT here so accepted connections survive the path delay.
-    downstream_connection: "ConnectionConfig | None" = None
-
-
-@dataclass
-class RecordEntry:
-    """The resolver's knowledge about one DNS question."""
-
-    key: DnsQuestionKey
-    message: Message
-    version: int
-    updated_at: float
-    ttl: float
-    subscribed: bool = False
-    via_moqt: bool = True
-    pushed_updates: int = 0
-
-    def is_fresh(self, now: float) -> bool:
-        """Subscribed entries are always fresh; others respect the TTL."""
-        if self.subscribed:
-            return True
-        return now < self.updated_at + self.ttl
-
-    def age(self, now: float) -> float:
-        """Seconds since the entry was last updated."""
-        return now - self.updated_at
+    downstream_connection: ConnectionConfig | None = None
 
 
 @dataclass
@@ -156,7 +134,7 @@ class RecursiveStatistics:
     failures: int = 0
 
 
-class MoqRecursiveResolver:
+class MoqRecursiveResolver(SubscribingResolver):
     """A recursive resolver speaking MoQT upstream and MoQT/UDP downstream."""
 
     def __init__(
@@ -168,33 +146,18 @@ class MoqRecursiveResolver:
     ) -> None:
         if not root_servers:
             raise ValueError("at least one root server address is required")
-        self.host = host
-        self.simulator = host.simulator
         self.config = config if config is not None else ResolverConfig()
         self.root_servers = list(root_servers)
         self.statistics = RecursiveStatistics()
         self.capabilities = CapabilityMemo()
-        self.registry = SubscriptionRegistry(teardown_policy)
         self.refresher = RefreshScheduler(host.simulator)
-        self.sessions = UpstreamSessionManager(
-            host,
-            config=self.config.session_manager,
-            session_config=self.config.moqt_session,
+        super().__init__(
+            host, self.config.udp_port if self.config.serve_udp else None, teardown_policy
         )
-        self._records: dict[DnsQuestionKey, RecordEntry] = {}
-        self._fallback_versions: dict[DnsQuestionKey, int] = {}
         # Question -> the downstream sessions' records, in accept order; a
         # question leaves the dict with its last subscriber.
         self._downstream: dict[DnsQuestionKey, list[PublisherSubscription]] = {}
-        self._upstream_tracks: dict[DnsQuestionKey, bool] = {}
-        self._in_flight: dict[DnsQuestionKey, list[Callable[[MoqResolveOutcome], None]]] = {}
-
         self._udp_client = DnsUdpEndpoint(host)
-        self._udp_server: DnsUdpEndpoint | None = None
-        if self.config.serve_udp:
-            self._udp_server = DnsUdpEndpoint(
-                host, port=self.config.udp_port, handler=self._handle_udp_query
-            )
         self._moqt_endpoint: QuicEndpoint | None = None
         self._downstream_sessions: list[MoqtSession] = []
         if self.config.serve_moqt:
@@ -208,46 +171,15 @@ class MoqRecursiveResolver:
 
     # ------------------------------------------------------------- public API
     @property
-    def udp_address(self) -> Address | None:
-        """Address for classic DNS clients (None when UDP serving is off)."""
-        return self._udp_server.address if self._udp_server is not None else None
-
-    @property
     def moqt_address(self) -> Address | None:
         """Address for MoQT clients (None when MoQT serving is off)."""
         return self._moqt_endpoint.address if self._moqt_endpoint is not None else None
 
-    def record(self, key: DnsQuestionKey) -> RecordEntry | None:
-        """The resolver's current entry for a question, if any."""
-        return self._records.get(key)
-
-    def records(self) -> dict[DnsQuestionKey, RecordEntry]:
-        """All known records."""
-        return dict(self._records)
-
     def state_summary(self) -> dict[str, int]:
-        """State-overhead accounting (§5.1): sessions, subscriptions, records."""
-        summary = self.sessions.state_summary()
-        summary["tracked_questions"] = self.registry.state_size()
-        summary["records"] = len(self._records)
+        """The shared accounting plus the downstream subscribers served (§5.1)."""
+        summary = super().state_summary()
         summary["downstream_subscribers"] = sum(len(v) for v in self._downstream.values())
         return summary
-
-    def run_teardown(self) -> int:
-        """Apply the teardown policy to tracked subscriptions (§4.4).
-
-        Returns the number of subscriptions dropped.  Unsubscribing from
-        upstream tracks is modelled by forgetting the local state; the next
-        lookup for a dropped question re-subscribes and resumes from the last
-        known group ID kept by the registry.
-        """
-        victims = self.registry.collect_victims(self.simulator.now)
-        for victim in victims:
-            entry = self._records.get(victim.key)
-            if entry is not None:
-                entry.subscribed = False
-            self._upstream_tracks.pop(victim.key, None)
-        return len(victims)
 
     def resolve(
         self,
@@ -257,56 +189,42 @@ class MoqRecursiveResolver:
         """Resolve a question, preferring fresh local state over the network."""
         self.statistics.lookups += 1
         self.registry.record_lookup(key, self.simulator.now)
-        entry = self._records.get(key)
-        if entry is not None and entry.is_fresh(self.simulator.now):
+        record = self._records.get(key)
+        if record is not None and self._is_fresh(record):
             self.statistics.cache_hits += 1
             callback(
                 MoqResolveOutcome(
                     key=key,
-                    message=entry.message,
-                    version=entry.version,
-                    rcode=entry.message.rcode,
+                    message=record.message,
+                    version=record.version,
+                    rcode=record.message.rcode,
                     from_cache=True,
-                    via_moqt=entry.via_moqt,
+                    via_moqt=record.via_moqt,
                 )
             )
-            return
-        waiters = self._in_flight.get(key)
-        if waiters is not None:
-            waiters.append(callback)
-            return
-        self._in_flight[key] = [callback]
-        task = _ResolutionTask(self, key)
-        task.start()
+        elif self._join_lookup(key, callback):
+            _ResolutionTask(self, key).start()
 
-    # ----------------------------------------------------- resolution plumbing
-    def _finish_resolution(self, key: DnsQuestionKey, outcome: MoqResolveOutcome) -> None:
-        if not outcome.is_success:
-            self.statistics.failures += 1
-        callbacks = self._in_flight.pop(key, [])
-        for callback in callbacks:
-            callback(outcome)
+    # ------------------------------------------------------------------ records
+    def _is_fresh(self, record: QuestionRecord) -> bool:
+        """Subscribed records are always fresh; others respect the answer's TTL."""
+        return record.subscribed or (
+            self.simulator.now < record.updated_at + self._answer_ttl(record.message)
+        )
 
     def _store_answer(
-        self,
-        key: DnsQuestionKey,
-        message: Message,
-        version: int,
-        subscribed: bool,
-        via_moqt: bool,
-    ) -> RecordEntry:
-        ttl = self._answer_ttl(message)
-        entry = RecordEntry(
-            key=key,
-            message=message,
-            version=version,
-            updated_at=self.simulator.now,
-            ttl=ttl,
-            subscribed=subscribed,
-            via_moqt=via_moqt,
-        )
-        self._records[key] = entry
-        return entry
+        self, key: DnsQuestionKey, message: Message, version: int, via_moqt: bool
+    ) -> QuestionRecord:
+        """File a resolution step's answer; MoQT answers are subscribed ones.
+
+        A classic answer carries no version: it keeps the one §4.5 refresh has
+        counted up to, so what downstream subscribers are sent never runs back.
+        """
+        if not via_moqt:
+            known = self._records.get(key)
+            if known is not None and not known.via_moqt:
+                version = known.version
+        return self._store(key, message, version, subscribed=via_moqt, via_moqt=via_moqt)
 
     def _answer_ttl(self, message: Message) -> float:
         answer_ttls = [record.ttl for record in message.answers]
@@ -334,45 +252,9 @@ class MoqRecursiveResolver:
         (group ID), or ``(None, 0)`` if the server declined or timed out.
         """
         self.statistics.upstream_subscribe_fetch += 1
-        session = self.sessions.get_session(server)
-        track = question_to_track(key)
-        finished = {"done": False}
-        timeout = Timer(self.simulator, lambda: complete(None, 0))
-
-        def complete(message: Message | None, version: int) -> None:
-            if finished["done"]:
-                return
-            finished["done"] = True
-            timeout.stop()
-            if message is not None:
-                self.capabilities.note_moqt_success(server.host)
-            callback(message, version)
-
-        def on_push(obj: MoqtObject) -> None:
-            self._on_upstream_push(key, obj)
-
-        def on_sub_response(subscription) -> None:
-            if subscription.state == "error":
-                complete(None, 0)
-
-        subscription = session.subscribe(track, on_object=on_push, on_response=on_sub_response)
-
-        def on_fetch_complete(fetch_request) -> None:
-            if not fetch_request.succeeded or not fetch_request.objects:
-                complete(None, 0)
-                return
-            obj = fetch_request.objects[-1]
-            try:
-                message = decapsulate_response(obj)
-            except MappingError:
-                complete(None, 0)
-                return
-            self._upstream_tracks[key] = True
-            self.registry.record_update(key, self.simulator.now, obj.group_id)
-            complete(message, obj.group_id)
-
-        session.joining_fetch(subscription, 1, on_complete=on_fetch_complete)
-        timeout.start(self.config.happy_eyeballs.moqt_timeout)
+        SubscribeFetch(
+            self, server, key, self.config.happy_eyeballs.moqt_timeout, callback, _fail_if_declined
+        )
 
     def udp_query(
         self,
@@ -381,8 +263,6 @@ class MoqRecursiveResolver:
         callback: Callable[[Message | None], None],
     ) -> None:
         """Classic DNS-over-UDP query used by the §4.5 fallback."""
-        from repro.dns.message import make_query
-
         self.statistics.upstream_udp_queries += 1
         query = make_query(key.qname, key.qtype, recursion_desired=False)
         udp_server = Address(server.host, DNS_UDP_PORT)
@@ -405,7 +285,9 @@ class MoqRecursiveResolver:
             return
         if capability is UpstreamCapability.MOQT or not self.config.happy_eyeballs.enabled:
             def moqt_done(message: Message | None, version: int) -> None:
-                if message is None and capability is UpstreamCapability.UNKNOWN:
+                if message is not None:
+                    self.capabilities.note_moqt_success(server.host)
+                elif capability is UpstreamCapability.UNKNOWN:
                     # MoQT failed on an unknown server: fall back to UDP.
                     self.capabilities.note_udp_only(server.host)
                     self.statistics.udp_fallbacks += 1
@@ -430,13 +312,15 @@ class MoqRecursiveResolver:
             callback(message, version, via_moqt)
 
         def moqt_done(message: Message | None, version: int) -> None:
-            if message is None and self.capabilities.get(server.host) is UpstreamCapability.UNKNOWN:
+            if message is not None:
+                self.capabilities.note_moqt_success(server.host)
+            elif self.capabilities.get(server.host) is UpstreamCapability.UNKNOWN:
                 self.capabilities.note_udp_only(server.host)
             if message is not None and finished["done"]:
                 # The UDP answer already won the race, but the MoQT attempt
                 # succeeded: the upstream subscription is established, so
                 # upgrade the stored record to the subscribed/push-fed state.
-                self._store_answer(key, message, version, subscribed=True, via_moqt=True)
+                self._store(key, message, version)
                 return
             finish(message, version, True)
 
@@ -452,49 +336,25 @@ class MoqRecursiveResolver:
         else:
             self.udp_query(server, key, udp_done)
 
-    # --------------------------------------------------------- pushed updates
-    def _on_upstream_push(self, key: DnsQuestionKey, obj: MoqtObject) -> None:
-        """An authoritative server pushed a new version of a record."""
-        self.statistics.pushes_received += 1
-        try:
-            message = decapsulate_response(obj)
-        except MappingError:
-            return
-        entry = self._records.get(key)
-        if entry is not None and obj.group_id <= entry.version and entry.via_moqt:
-            return
-        entry = self._store_answer(key, message, obj.group_id, subscribed=True, via_moqt=True)
-        entry.pushed_updates += 1
-        self.registry.record_update(key, self.simulator.now, obj.group_id)
-        self._forward_downstream(key, obj)
-
-    def _forward_downstream(self, key: DnsQuestionKey, obj: MoqtObject) -> None:
-        self.statistics.pushes_forwarded += publish_to(self._downstream.get(key, ()), obj)
-
-    # --------------------------------------------------- downstream: classic UDP
+    # ------------------------------------------------- the shared core's hooks
     def _handle_udp_query(self, query: Message, source: Address, respond) -> None:
         self.statistics.client_queries_udp += 1
-        if not query.questions:
-            respond(make_response(query, rcode=Rcode.FORMERR))
-            return
-        key = DnsQuestionKey.from_message(query)
+        super()._handle_udp_query(query, source, respond)
 
-        def finished(outcome: MoqResolveOutcome) -> None:
-            if outcome.message is None:
-                respond(make_response(query, rcode=Rcode.SERVFAIL, recursion_available=True))
-                return
-            respond(
-                make_response(
-                    query,
-                    answers=outcome.message.answers,
-                    authorities=outcome.message.authorities,
-                    additionals=outcome.message.additionals,
-                    rcode=outcome.rcode,
-                    recursion_available=True,
-                )
-            )
+    def _answer_client(
+        self, key: DnsQuestionKey, answered: Callable[[Message | None], None]
+    ) -> None:
+        self.resolve(key, lambda outcome: answered(outcome.message))
 
-        self.resolve(key, finished)
+    def _pushed(self, key: DnsQuestionKey, record: QuestionRecord, obj: MoqtObject) -> None:
+        """An upstream push was stored: relay the object to downstream subscribers."""
+        self.statistics.pushes_forwarded += publish_to(self._downstream.get(key, ()), obj)
+
+    def _torn_down(self, key: DnsQuestionKey) -> None:
+        """The subscription is modelled as gone: the record ages by its TTL again."""
+        record = self._records.get(key)
+        if record is not None:
+            record.subscribed = False
 
     # ------------------------------------------------------ downstream: MoQT
     def _on_downstream_connection(self, connection: QuicConnection) -> None:
@@ -518,20 +378,13 @@ class MoqRecursiveResolver:
         try:
             key = track_to_question(message.full_track_name)
         except MappingError as error:
-            return SubscribeResult(
-                ok=False, error_code=SubscribeErrorCode.TRACK_DOES_NOT_EXIST, reason=str(error)
-            )
+            return no_such_track(SubscribeResult, error)
 
         def finished(outcome: MoqResolveOutcome) -> None:
             if outcome.message is None:
                 self.statistics.subscriptions_declined += 1
                 session.complete_subscribe(
-                    message.request_id,
-                    SubscribeResult(
-                        ok=False,
-                        error_code=SubscribeErrorCode.TRACK_DOES_NOT_EXIST,
-                        reason="resolution failed",
-                    ),
+                    message.request_id, no_such_track(SubscribeResult, "resolution failed")
                 )
                 return
             if not outcome.via_moqt:
@@ -598,15 +451,15 @@ class MoqRecursiveResolver:
         # Periodic-refresh mode: accept and keep the record fresh by polling.
         if not self._accept_downstream(session, message, key, outcome):
             return
-        entry = self._records.get(key)
-        interval = entry.ttl if entry is not None and entry.ttl > 0 else self.config.default_negative_ttl
         if not self.refresher.is_scheduled(key):
+            ttl = self._answer_ttl(outcome.message)
+            interval = ttl if ttl > 0 else self.config.default_negative_ttl
             self.refresher.schedule(key, interval, self._refresh_fallback_record)
 
     def _refresh_fallback_record(self, key: DnsQuestionKey) -> None:
         """Re-query a non-MoQT upstream and push downstream if the record changed."""
-        entry = self._records.get(key)
-        if entry is None:
+        record = self._records.get(key)
+        if record is None:
             self.refresher.cancel(key)
             return
         auth_server = self._auth_server_for(key)
@@ -616,21 +469,14 @@ class MoqRecursiveResolver:
         def on_response(message: Message | None) -> None:
             if message is None:
                 return
-            old_fingerprint = _answer_fingerprint(entry.message)
-            new_fingerprint = _answer_fingerprint(message)
-            version = self._fallback_versions.get(key, entry.version)
-            if new_fingerprint != old_fingerprint:
-                version += 1
-                self._fallback_versions[key] = version
-                new_entry = self._store_answer(
-                    key, message, version, subscribed=True, via_moqt=False
-                )
-                new_entry.pushed_updates = entry.pushed_updates + 1
-                obj = encapsulate_response(message, version)
-                self.statistics.refresh_republishes += 1
-                self._forward_downstream(key, obj)
-            else:
-                entry.updated_at = self.simulator.now
+            if _answer_fingerprint(message) == _answer_fingerprint(record.message):
+                record.updated_at = self.simulator.now
+                return
+            # The resolver versions a classic upstream's answers itself.
+            stored = self._store(key, message, record.version + 1, via_moqt=False)
+            stored.pushed_updates += 1
+            self.statistics.refresh_republishes += 1
+            self._pushed(key, stored, encapsulate_response(message, stored.version))
 
         self.udp_query(auth_server, key, on_response)
 
@@ -639,20 +485,11 @@ class MoqRecursiveResolver:
 
         Derived from cached NS/A referral data collected during resolution.
         """
-        ancestors = key.qname.ancestors()
-        for ancestor in ancestors:
-            ns_key = DnsQuestionKey(
-                qname=ancestor,
-                qtype=RecordType.NS,
-                qclass=key.qclass,
-                opcode=key.opcode,
-                recursion_desired=False,
-                checking_disabled=key.checking_disabled,
-            )
-            entry = self._records.get(ns_key)
-            if entry is None:
+        for ancestor in key.qname.ancestors():
+            record = self._records.get(_ns_key(ancestor, key))
+            if record is None:
                 continue
-            address = _extract_server_address(entry.message)
+            address = _extract_server_address(record.message)
             if address is not None:
                 return address
         return None
@@ -662,28 +499,15 @@ class MoqRecursiveResolver:
     ) -> FetchResult | None:
         """Publisher-delegate entry: serve the record once it is resolved."""
         self.statistics.client_fetches += 1
-        if full_track_name is None:
-            return FetchResult(
-                ok=False,
-                error_code=FetchErrorCode.TRACK_DOES_NOT_EXIST,
-                reason="fetch without a resolvable track name",
-            )
         try:
             key = track_to_question(full_track_name)
         except MappingError as error:
-            return FetchResult(
-                ok=False, error_code=FetchErrorCode.TRACK_DOES_NOT_EXIST, reason=str(error)
-            )
+            return no_such_track(FetchResult, error)
 
         def finished(outcome: MoqResolveOutcome) -> None:
             if outcome.message is None:
                 session.complete_fetch(
-                    message.request_id,
-                    FetchResult(
-                        ok=False,
-                        error_code=FetchErrorCode.TRACK_DOES_NOT_EXIST,
-                        reason="resolution failed",
-                    ),
+                    message.request_id, no_such_track(FetchResult, "resolution failed")
                 )
                 return
             obj = encapsulate_response(outcome.message, outcome.version)
@@ -694,6 +518,29 @@ class MoqRecursiveResolver:
 
         self.resolve(key, finished)
         return None
+
+
+def _fail_if_declined(attempt: SubscribeFetch, subscription: Subscription) -> None:
+    """The recursive resolver's SUBSCRIBE_ERROR policy: fail the step at once.
+
+    A server that declines a question's track will fail the joining FETCH as
+    well.  (The forwarder waits: under §4.5 its upstream may decline the
+    subscription and still answer the FETCH.)
+    """
+    if subscription.state == "error":
+        attempt.finish()
+
+
+def _ns_key(zone_name: Name, key: DnsQuestionKey) -> DnsQuestionKey:
+    """The NS question for ``zone_name`` as asked on behalf of ``key``."""
+    return DnsQuestionKey(
+        qname=zone_name,
+        qtype=RecordType.NS,
+        qclass=key.qclass,
+        opcode=key.opcode,
+        recursion_desired=False,
+        checking_disabled=key.checking_disabled,
+    )
 
 
 def _answer_fingerprint(message: Message) -> tuple[str, ...]:
@@ -717,7 +564,10 @@ def _extract_server_address(message: Message) -> Address | None:
 
 
 class _ResolutionTask:
-    """One recursive resolution following the Fig. 2 sequence."""
+    """One recursive resolution following the Fig. 2 sequence.
+
+    An extension of the resolver: it reads and files the resolver's records.
+    """
 
     def __init__(self, resolver: MoqRecursiveResolver, key: DnsQuestionKey) -> None:
         self._resolver = resolver
@@ -741,27 +591,17 @@ class _ResolutionTask:
 
     def _skip_cached_delegations(self) -> None:
         """Use cached NS entries to start as deep in the hierarchy as possible."""
+        resolver = self._resolver
         while self._chain_index < len(self._delegation_chain):
             zone_name = self._delegation_chain[self._chain_index]
-            ns_key = self._ns_key(zone_name)
-            entry = self._resolver.record(ns_key)
-            if entry is None or not entry.is_fresh(self._resolver.simulator.now):
+            record = resolver._records.get(_ns_key(zone_name, self._key))  # noqa: SLF001
+            if record is None or not resolver._is_fresh(record):  # noqa: SLF001
                 return
-            address = _extract_server_address(entry.message)
+            address = _extract_server_address(record.message)
             if address is None:
                 return
             self._servers = [address]
             self._chain_index += 1
-
-    def _ns_key(self, zone_name: Name) -> DnsQuestionKey:
-        return DnsQuestionKey(
-            qname=zone_name,
-            qtype=RecordType.NS,
-            qclass=self._key.qclass,
-            opcode=self._key.opcode,
-            recursion_desired=False,
-            checking_disabled=self._key.checking_disabled,
-        )
 
     def _next_step(self) -> None:
         self._steps += 1
@@ -774,11 +614,9 @@ class _ResolutionTask:
         server = self._servers[0]
         if self._chain_index < len(self._delegation_chain):
             zone_name = self._delegation_chain[self._chain_index]
-            step_key = self._ns_key(zone_name)
+            step_key = _ns_key(zone_name, self._key)
             self._operations += 1
-            self._resolver.lookup_step(
-                server, step_key, lambda m, v, moqt: self._on_delegation(step_key, m, v, moqt)
-            )
+            self._resolver.lookup_step(server, step_key, partial(self._on_delegation, step_key))
         else:
             self._operations += 1
             self._resolver.lookup_step(server, self._key, self._on_final)
@@ -793,9 +631,7 @@ class _ResolutionTask:
             return
         if not via_moqt:
             self._via_moqt = False
-        self._resolver._store_answer(  # noqa: SLF001 - task is an extension of the resolver
-            step_key, message, version, subscribed=via_moqt, via_moqt=via_moqt
-        )
+        self._resolver._store_answer(step_key, message, version, via_moqt)  # noqa: SLF001
         address = _extract_server_address(message)
         if address is None:
             # No delegation found: the current server is authoritative for
@@ -814,6 +650,7 @@ class _ResolutionTask:
             return
         if not via_moqt:
             self._via_moqt = False
+        resolver = self._resolver
         # A referral at the final step means there is a deeper zone cut than
         # the delegation chain anticipated: follow it.
         if not message.answers and any(
@@ -829,36 +666,32 @@ class _ResolutionTask:
                     for record in message.authorities
                     if record.rdtype == RecordType.NS
                 )
-                self._resolver._store_answer(  # noqa: SLF001
-                    self._ns_key(ns_owner), message, version, subscribed=via_moqt, via_moqt=via_moqt
+                resolver._store_answer(  # noqa: SLF001
+                    _ns_key(ns_owner, self._key), message, version, via_moqt
                 )
                 self._servers = [address]
                 self._next_step()
                 return
-        entry = self._resolver._store_answer(  # noqa: SLF001
-            self._key, message, version, subscribed=via_moqt, via_moqt=via_moqt
-        )
+        record = resolver._store_answer(self._key, message, version, via_moqt)  # noqa: SLF001
+        self._finish(message, record.version, message.rcode, via_moqt)
+
+    def _fail(self) -> None:
+        self._finish(None, 0, Rcode.SERVFAIL, self._via_moqt)
+
+    def _finish(self, message: Message | None, version: int, rcode: Rcode, via_moqt: bool) -> None:
+        resolver = self._resolver
         outcome = MoqResolveOutcome(
             key=self._key,
             message=message,
             version=version,
-            rcode=message.rcode,
-            via_moqt=entry.via_moqt,
+            rcode=rcode,
+            via_moqt=via_moqt,
             upstream_operations=self._operations,
-            duration=self._resolver.simulator.now - self._started_at,
+            duration=resolver.simulator.now - self._started_at,
         )
-        self._resolver._finish_resolution(self._key, outcome)  # noqa: SLF001
-
-    def _fail(self) -> None:
-        outcome = MoqResolveOutcome(
-            key=self._key,
-            message=None,
-            rcode=Rcode.SERVFAIL,
-            via_moqt=self._via_moqt,
-            upstream_operations=self._operations,
-            duration=self._resolver.simulator.now - self._started_at,
-        )
-        self._resolver._finish_resolution(self._key, outcome)  # noqa: SLF001
+        if not outcome.is_success:
+            resolver.statistics.failures += 1
+        resolver._finish_lookup(self._key, outcome)  # noqa: SLF001
 
 
 def _is_authoritative_nodata(message: Message) -> bool:

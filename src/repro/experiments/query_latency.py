@@ -106,9 +106,8 @@ def _measure_moqt(topology: SmallTopology, scenario: str) -> float:
     if scenario == "moqt-reused":
         # Drop the cached records but keep sessions: forces subscribe+fetch
         # over existing sessions at every hop.
-        topology.forwarder._records.clear()  # noqa: SLF001 - experiment reaches into state
-        topology.forwarder._in_flight.clear()  # noqa: SLF001
-        topology.moqt_recursive._records.clear()  # noqa: SLF001
+        topology.forwarder.flush_records()
+        topology.moqt_recursive.flush_records()
     if scenario in ("moqt-0rtt", "moqt-0rtt-alpn"):
         # Establish sessions once (collecting tickets), then close them so the
         # next lookup resumes with 0-RTT.
@@ -116,8 +115,8 @@ def _measure_moqt(topology: SmallTopology, scenario: str) -> float:
         topology.run(5.0)
         topology.forwarder.sessions.close_all()
         topology.moqt_recursive.sessions.close_all()
-        topology.forwarder._records.clear()  # noqa: SLF001
-        topology.moqt_recursive._records.clear()  # noqa: SLF001
+        topology.forwarder.flush_records()
+        topology.moqt_recursive.flush_records()
         topology.run(1.0)
     results: list[float] = []
     started = topology.simulator.now

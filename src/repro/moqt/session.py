@@ -659,9 +659,7 @@ class MoqtSession:
         session into an ordinary fetch error the existing error paths
         already handle.
         """
-        pending = [
-            fetch for fetch in self._fetches.values() if fetch.state in ("pending", "ok")
-        ]
+        pending = list(self._fetches.values())
         self._fetches.clear()
         message = f"session closed: {reason}" if reason else "session closed"
         for fetch_request in pending:
@@ -759,6 +757,9 @@ class MoqtSession:
         if fetch_request.stream_finished and fetch_request.ok_received:
             fetch_request.state = "complete"
             fetch_request.completed_at = self._simulator.now
+            # Out of the table before anyone is told: the objects and the
+            # ``on_complete`` graph live as long as the caller keeps them.
+            self._fetches.pop(fetch_request.request_id, None)
             if fetch_request.on_complete is not None:
                 fetch_request.on_complete(fetch_request)
 
@@ -1022,7 +1023,7 @@ class MoqtSession:
         self._maybe_complete_fetch(fetch_request)
 
     def _handle_fetch_error(self, message: FetchError) -> None:
-        fetch_request = self._fetches.get(message.request_id)
+        fetch_request = self._fetches.pop(message.request_id, None)
         if fetch_request is None:
             return
         fetch_request.state = "error"

@@ -254,6 +254,22 @@ class TestMoqRecursiveResolver:
         entry = topology.moqt_recursive.record(_key())
         assert entry is not None and not entry.subscribed
 
+    def test_pushed_updates_accumulate_on_the_one_record(self):
+        # Every push used to build a fresh record and count it as the first.
+        topology = SmallTopology()
+        resolver = topology.moqt_recursive
+        resolver.resolve(_key(), lambda o: None)
+        topology.run(5.0)
+        record = resolver.record(_key())
+        assert record.pushed_updates == 0
+        for address in ("203.0.113.1", "203.0.113.2", "203.0.113.3"):
+            serial = topology.update_record(address)
+            topology.run(2.0)
+        assert resolver.record(_key()) is record, "updated in place"
+        assert record.pushed_updates == 3
+        assert record.version == serial
+        assert record.message.answers[0].rdata.to_text() == "203.0.113.3"
+
 
 class TestMoqForwarder:
     def test_forwarder_answers_classic_stub_queries(self):

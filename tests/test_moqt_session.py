@@ -229,6 +229,28 @@ class TestSubscribeAndFetch:
         simulator.run(until=simulator.now + 2.0)
         assert received == []
 
+    def test_finished_fetches_leave_the_session(self):
+        # A long-lived session (a resolver's upstream session, a relay's
+        # uplink) must not pin every lookup's objects and callback graph:
+        # the table holds a fetch only while it is in flight, and it is
+        # already out when ``on_complete`` runs.
+        simulator, session, publisher_sessions, _ = _build()
+        held_at_completion = []
+
+        def done(fetch_request):
+            held_at_completion.append(fetch_request.request_id in session._fetches)
+
+        completed = session.fetch(TRACK, Location(1, 0), Location(1, 0), on_complete=done)
+        assert session._fetches == {completed.request_id: completed}
+        simulator.run(until=2.0)
+        assert completed.succeeded and completed.objects
+        publisher_sessions[0].publisher_delegate = None  # every FETCH now errors
+        failed = session.fetch(TRACK, Location(1, 0), Location(1, 0), on_complete=done)
+        simulator.run(until=4.0)
+        assert failed.state == "error"
+        assert held_at_completion == [False, False]
+        assert session._fetches == {}
+
     def test_fetch_error_when_no_publisher(self):
         simulator, session, publisher_sessions, _ = _build()
         simulator.run(until=1.0)

@@ -19,7 +19,13 @@ An ``ast`` walk over ``src/repro`` (``docs/publishers.md``):
   none calls ``Simulator``, ``Network``, ``OriginCluster``, ``RelayTopology``,
   ``RelayTreeBuilder``, ``build_origin`` or ``collect_run``, no ``if`` tests
   ``aggregate_leaves`` or the origin kind, and ``relaynet/builder.py`` defines
-  one class.
+  one class;
+* under ``core/`` the subscribing resolver exists once (``docs/resolvers.md``):
+  one function calls ``.joining_fetch(``, one module calls
+  ``decapsulate_response``, one dataclass has an ``updated_at`` field, one
+  function constructs a ``DnsUdpEndpoint`` with a ``handler=``, one module
+  touches the ``_in_flight`` table, one module names ``TRACK_DOES_NOT_EXIST``
+  and one function is called ``_ns_key``.
 """
 
 from __future__ import annotations
@@ -299,3 +305,98 @@ def run_relay_churn(subscribers, seed, origins=1, telemetry=None, aggregate_leav
         "calls collect_run",
     ]
     assert all(reason.startswith("src/repro/experiments/relay_churn.py:") for reason in reasons)
+
+
+def resolver_parts(source: str, path: str) -> list[tuple[str, str]]:
+    """Every ``(part, site)`` of the subscribing resolver found in one module of
+    ``core/``: the pieces the forwarder and the recursive resolver each used to
+    carry a copy of.  A site is a function (``path:name``) or the module."""
+    found: set[tuple[str, str]] = set()
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+            if node.name == "_ns_key":
+                found.add(("_ns_key", f"{path}:{function}"))
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "attr", getattr(node.func, "id", ""))
+            if callee == "joining_fetch":
+                found.add(("subscribe + joining FETCH", f"{path}:{function}"))
+            if callee == "decapsulate_response":
+                found.add(("decapsulation", path))
+            if callee == "DnsUdpEndpoint" and any(k.arg == "handler" for k in node.keywords):
+                found.add(("classic-UDP front", f"{path}:{function}"))
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(statement, ast.AnnAssign) and getattr(statement.target, "id", "") == "updated_at"
+            for statement in node.body
+        ):
+            found.add(("question record", f"{path}:{node.name}"))
+        if isinstance(node, ast.Attribute):
+            if node.attr == "_in_flight":
+                found.add(("in-flight coalescer", path))
+            if node.attr == "TRACK_DOES_NOT_EXIST":
+                found.add(("TRACK_DOES_NOT_EXIST answer", path))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_one_subscribing_resolver():
+    sites: dict[str, list[str]] = {}
+    for file in sorted((SRC / "core").glob("*.py")):
+        path = file.relative_to(SRC).as_posix()
+        for part, site in resolver_parts(file.read_text(), path):
+            sites.setdefault(part, []).append(site)
+    assert sites == {
+        "subscribe + joining FETCH": ["core/subscribing.py:__init__"],
+        "decapsulation": ["core/subscribing.py"],
+        "question record": ["core/subscribing.py:QuestionRecord"],
+        "classic-UDP front": ["core/subscribing.py:__init__"],
+        "in-flight coalescer": ["core/subscribing.py"],
+        "TRACK_DOES_NOT_EXIST answer": ["core/mapping.py"],
+        "_ns_key": ["core/recursive.py:_ns_key"],
+    }
+
+
+def test_guard_catches_a_second_copy_of_the_resolver():
+    forwarder_copy = """
+@dataclass
+class ForwarderRecord:
+    key: DnsQuestionKey
+    message: Message
+    version: int
+    updated_at: float
+    pushed_updates: int = 0
+
+class MoqForwarder:
+    def __init__(self, host, recursive_moqt_address, config=None):
+        self._in_flight = {}
+        self._server = DnsUdpEndpoint(host, port=53, handler=self._handle_client_query)
+        self._client = DnsUdpEndpoint(host)
+
+    def _lookup_upstream(self, key, callback):
+        finished = {"done": False}
+        subscription = session.subscribe(track, on_object=on_push, on_response=on_sub_response)
+
+        def on_fetch_complete(fetch_request):
+            message = decapsulate_response(fetch_request.objects[-1])
+
+        session.joining_fetch(subscription, 1, on_complete=on_fetch_complete)
+
+    def handle_fetch(self, session, message, full_track_name):
+        return FetchResult(ok=False, error_code=FetchErrorCode.TRACK_DOES_NOT_EXIST, reason="no")
+
+    def _ns_key(self, zone_name):
+        return DnsQuestionKey(qname=zone_name, qtype=RecordType.NS)
+"""
+    assert resolver_parts(forwarder_copy, "core/forwarder.py") == [
+        ("TRACK_DOES_NOT_EXIST answer", "core/forwarder.py"),
+        ("_ns_key", "core/forwarder.py:_ns_key"),
+        ("classic-UDP front", "core/forwarder.py:__init__"),
+        ("decapsulation", "core/forwarder.py"),
+        ("in-flight coalescer", "core/forwarder.py"),
+        ("question record", "core/forwarder.py:ForwarderRecord"),
+        ("subscribe + joining FETCH", "core/forwarder.py:_lookup_upstream"),
+    ]

@@ -16,10 +16,14 @@ import tracemalloc
 
 import pytest
 
+from repro.core.mapping import DnsQuestionKey
+from repro.dns.name import Name
+from repro.dns.types import RecordType
 from repro.experiments.constrained_tiers import run_constrained_tiers
 from repro.experiments.failure_detection import run_failure_detection
 from repro.experiments.relay_churn import run_relay_churn
 from repro.experiments.relay_fanout import run_relay_fanout
+from repro.experiments.topology import SmallTopology
 from repro.moqt.objectmodel import Location
 from repro.moqt.receiver import DEDUPE_PRUNE_THRESHOLD
 from repro.netsim.network import Network
@@ -36,7 +40,12 @@ from repro.telemetry import (
     SpanTracer,
     Telemetry,
 )
-from repro.telemetry.collect import collect_network, collect_run, collect_simulator
+from repro.telemetry.collect import (
+    collect_dns_core,
+    collect_network,
+    collect_run,
+    collect_simulator,
+)
 from repro.telemetry.export import (
     render_metrics_table,
     render_prometheus,
@@ -348,6 +357,45 @@ class TestCollectors:
         assert "pool_datagrams_allocated" in snapshot
         assert "net_datagrams_sent" in snapshot
         assert snapshot["trace_events"] == {"kind=custom-kind": 1}
+
+    @staticmethod
+    def _dns_chain_run(metrics):
+        """Lookup + zone change on the small DNS chain, scraped into ``metrics``."""
+        topology = SmallTopology()
+        key = DnsQuestionKey(qname=Name.from_text(topology.config.domain), qtype=RecordType.A)
+        answers = []
+        topology.forwarder.resolve(key, lambda message, version: answers.append(version))
+        topology.run(5.0)
+        answers.append(topology.update_record("203.0.113.4"))
+        topology.run(5.0)
+        nodes = {
+            "forwarder": topology.forwarder,
+            "recursive": topology.moqt_recursive,
+            "auth": topology.moqt_auth,
+        }
+        for role, node in nodes.items():
+            collect_dns_core(metrics, role, node)
+        summaries = {role: node.state_summary() for role, node in nodes.items()}
+        return answers, topology.simulator.events_scheduled, summaries
+
+    def test_collect_dns_core_mirrors_state_summary_and_changes_nothing(self):
+        metrics = MetricsRegistry()
+        on = self._dns_chain_run(metrics)
+        assert on == self._dns_chain_run(NULL_METRICS)
+        assert NULL_METRICS.snapshot() == {}
+        snapshot = metrics.snapshot()
+        _, _, summaries = on
+        for role, summary in summaries.items():
+            for key, value in summary.items():
+                assert snapshot[f"dns_core_{key}"][f"role={role}"] == value
+        # One gauge per state_summary() key, nothing per role in the collector.
+        assert {name for name in snapshot if name.startswith("dns_core_")} == {
+            f"dns_core_{key}" for summary in summaries.values() for key in summary
+        }
+        assert snapshot["dns_core_records"] == {"role=forwarder": 1, "role=recursive": 3}
+        assert snapshot["dns_core_inflight_lookups"] == {"role=forwarder": 0, "role=recursive": 0}
+        assert snapshot["dns_core_downstream_subscribers"] == {"role=recursive": 1}
+        assert snapshot["dns_core_subscribers"] == {"role=auth": 1}
 
 
 class TestExporters:
