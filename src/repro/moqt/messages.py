@@ -5,6 +5,12 @@ stream.  Each message is encoded as a varint message type followed by a
 16-bit payload length and the payload (draft-12 §6).  The subset implemented
 here covers everything the DNS mapping needs: session setup, subscriptions,
 standalone and joining fetches, unsubscription, announcements and GOAWAY.
+
+Encoding is one pass into one ``bytearray``: :meth:`ControlMessage.encode`
+opens it with the type and two reserved length bytes, the message appends its
+fields in place (``Parameters`` and track names too), and the length is
+patched in at the end.  The resulting ``bytes`` is what the QUIC stream
+writer copies into the packet and what its ledger keeps for retransmission.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import ClassVar
 from repro.moqt.errors import ProtocolViolation
 from repro.moqt.parameters import Parameters
 from repro.moqt.track import FullTrackName, TrackNamespace
-from repro.quic.varint import VarintReader, VarintWriter
+from repro.quic.varint import VarintError, VarintReader, append_varint, decode_varint, encode_varint
 
 #: The MoQT draft version this implementation models (draft-12).
 MOQT_VERSION_DRAFT_12 = 0xFF00000C
@@ -71,26 +77,40 @@ class FetchType(enum.IntEnum):
     ABSOLUTE_JOINING = 0x3
 
 
+def _append_text(buffer: bytearray, text: str) -> None:
+    """Append ``text`` as a varint length followed by its UTF-8 bytes."""
+    encoded = text.encode("utf-8")
+    append_varint(buffer, len(encoded))
+    buffer += encoded
+
+
 @dataclass(frozen=True)
 class ControlMessage:
     """Base class for all control messages."""
 
     TYPE: ClassVar[MessageType] = MessageType.GOAWAY
+    #: How every encoding of this message opens: the type varint and the two
+    #: length bytes, still zero.
+    _PREFIX: ClassVar[bytes]
 
-    def encode_payload(self) -> bytes:
-        """Serialise the message payload (without type and length)."""
+    def __init_subclass__(cls) -> None:
+        cls._PREFIX = encode_varint(cls.TYPE) + b"\x00\x00"
+
+    def _append_payload(self, buffer: bytearray) -> None:
+        """Append the message's fields (everything after type and length)."""
         raise NotImplementedError
 
     def encode(self) -> bytes:
         """Serialise the full message: type, 16-bit length, payload."""
-        payload = self.encode_payload()
-        if len(payload) > 0xFFFF:
-            raise ProtocolViolation(f"control message too large: {len(payload)}")
-        writer = VarintWriter()
-        writer.write_varint(int(self.TYPE))
-        writer.write_uint16(len(payload))
-        writer.write_bytes(payload)
-        return writer.getvalue()
+        buffer = bytearray(self._PREFIX)
+        start = len(buffer)
+        self._append_payload(buffer)
+        length = len(buffer) - start
+        if length > 0xFFFF:
+            raise ProtocolViolation(f"control message too large: {length}")
+        buffer[start - 2] = length >> 8
+        buffer[start - 1] = length & 0xFF
+        return bytes(buffer)
 
 
 @dataclass(frozen=True)
@@ -102,13 +122,11 @@ class ClientSetup(ControlMessage):
 
     TYPE = MessageType.CLIENT_SETUP
 
-    def encode_payload(self) -> bytes:
-        writer = VarintWriter()
-        writer.write_varint(len(self.supported_versions))
+    def _append_payload(self, buffer: bytearray) -> None:
+        append_varint(buffer, len(self.supported_versions))
         for version in self.supported_versions:
-            writer.write_varint(version)
-        writer.write_bytes(self.parameters.to_wire())
-        return writer.getvalue()
+            append_varint(buffer, version)
+        self.parameters.append_to(buffer)
 
     @classmethod
     def decode_payload(cls, reader: VarintReader) -> "ClientSetup":
@@ -126,11 +144,9 @@ class ServerSetup(ControlMessage):
 
     TYPE = MessageType.SERVER_SETUP
 
-    def encode_payload(self) -> bytes:
-        writer = VarintWriter()
-        writer.write_varint(self.selected_version)
-        writer.write_bytes(self.parameters.to_wire())
-        return writer.getvalue()
+    def _append_payload(self, buffer: bytearray) -> None:
+        append_varint(buffer, self.selected_version)
+        self.parameters.append_to(buffer)
 
     @classmethod
     def decode_payload(cls, reader: VarintReader) -> "ServerSetup":
@@ -156,22 +172,20 @@ class Subscribe(ControlMessage):
 
     TYPE = MessageType.SUBSCRIBE
 
-    def encode_payload(self) -> bytes:
-        writer = VarintWriter()
-        writer.write_varint(self.request_id)
-        writer.write_varint(self.track_alias)
-        writer.write_bytes(self.full_track_name.to_wire())
-        writer.write_uint8(self.subscriber_priority)
-        writer.write_uint8(int(self.group_order))
-        writer.write_uint8(1 if self.forward else 0)
-        writer.write_varint(int(self.filter_type))
+    def _append_payload(self, buffer: bytearray) -> None:
+        append_varint(buffer, self.request_id)
+        append_varint(buffer, self.track_alias)
+        self.full_track_name.append_to(buffer)
+        buffer.append(self.subscriber_priority)
+        buffer.append(self.group_order)
+        buffer.append(1 if self.forward else 0)
+        append_varint(buffer, self.filter_type)
         if self.filter_type in (FilterType.ABSOLUTE_START, FilterType.ABSOLUTE_RANGE):
-            writer.write_varint(self.start_group)
-            writer.write_varint(self.start_object)
+            append_varint(buffer, self.start_group)
+            append_varint(buffer, self.start_object)
         if self.filter_type == FilterType.ABSOLUTE_RANGE:
-            writer.write_varint(self.end_group)
-        writer.write_bytes(self.parameters.to_wire())
-        return writer.getvalue()
+            append_varint(buffer, self.end_group)
+        self.parameters.append_to(buffer)
 
     @classmethod
     def decode_payload(cls, reader: VarintReader) -> "Subscribe":
@@ -218,17 +232,15 @@ class SubscribeOk(ControlMessage):
 
     TYPE = MessageType.SUBSCRIBE_OK
 
-    def encode_payload(self) -> bytes:
-        writer = VarintWriter()
-        writer.write_varint(self.request_id)
-        writer.write_varint(self.expires_ms)
-        writer.write_uint8(int(self.group_order))
-        writer.write_uint8(1 if self.content_exists else 0)
+    def _append_payload(self, buffer: bytearray) -> None:
+        append_varint(buffer, self.request_id)
+        append_varint(buffer, self.expires_ms)
+        buffer.append(self.group_order)
+        buffer.append(1 if self.content_exists else 0)
         if self.content_exists:
-            writer.write_varint(self.largest_group_id)
-            writer.write_varint(self.largest_object_id)
-        writer.write_bytes(self.parameters.to_wire())
-        return writer.getvalue()
+            append_varint(buffer, self.largest_group_id)
+            append_varint(buffer, self.largest_object_id)
+        self.parameters.append_to(buffer)
 
     @classmethod
     def decode_payload(cls, reader: VarintReader) -> "SubscribeOk":
@@ -264,15 +276,13 @@ class SubscribeError(ControlMessage):
 
     TYPE = MessageType.SUBSCRIBE_ERROR
 
-    def encode_payload(self) -> bytes:
-        writer = VarintWriter()
-        writer.write_varint(self.request_id)
-        writer.write_varint(self.error_code)
-        writer.write_length_prefixed(self.reason.encode("utf-8"))
-        writer.write_varint(self.track_alias)
+    def _append_payload(self, buffer: bytearray) -> None:
+        append_varint(buffer, self.request_id)
+        append_varint(buffer, self.error_code)
+        _append_text(buffer, self.reason)
+        append_varint(buffer, self.track_alias)
         if self.retry_after_ms:
-            writer.write_varint(self.retry_after_ms)
-        return writer.getvalue()
+            append_varint(buffer, self.retry_after_ms)
 
     @classmethod
     def decode_payload(cls, reader: VarintReader) -> "SubscribeError":
@@ -292,8 +302,8 @@ class Unsubscribe(ControlMessage):
 
     TYPE = MessageType.UNSUBSCRIBE
 
-    def encode_payload(self) -> bytes:
-        return VarintWriter().write_varint(self.request_id).getvalue()
+    def _append_payload(self, buffer: bytearray) -> None:
+        append_varint(buffer, self.request_id)
 
     @classmethod
     def decode_payload(cls, reader: VarintReader) -> "Unsubscribe":
@@ -311,13 +321,11 @@ class SubscribeDone(ControlMessage):
 
     TYPE = MessageType.SUBSCRIBE_DONE
 
-    def encode_payload(self) -> bytes:
-        writer = VarintWriter()
-        writer.write_varint(self.request_id)
-        writer.write_varint(self.status_code)
-        writer.write_varint(self.stream_count)
-        writer.write_length_prefixed(self.reason.encode("utf-8"))
-        return writer.getvalue()
+    def _append_payload(self, buffer: bytearray) -> None:
+        append_varint(buffer, self.request_id)
+        append_varint(buffer, self.status_code)
+        append_varint(buffer, self.stream_count)
+        _append_text(buffer, self.reason)
 
     @classmethod
     def decode_payload(cls, reader: VarintReader) -> "SubscribeDone":
@@ -355,25 +363,23 @@ class Fetch(ControlMessage):
 
     TYPE = MessageType.FETCH
 
-    def encode_payload(self) -> bytes:
-        writer = VarintWriter()
-        writer.write_varint(self.request_id)
-        writer.write_uint8(self.subscriber_priority)
-        writer.write_uint8(int(self.group_order))
-        writer.write_varint(int(self.fetch_type))
+    def _append_payload(self, buffer: bytearray) -> None:
+        append_varint(buffer, self.request_id)
+        buffer.append(self.subscriber_priority)
+        buffer.append(self.group_order)
+        append_varint(buffer, self.fetch_type)
         if self.fetch_type == FetchType.STANDALONE:
             if self.full_track_name is None:
                 raise ProtocolViolation("standalone FETCH requires a track name")
-            writer.write_bytes(self.full_track_name.to_wire())
-            writer.write_varint(self.start_group)
-            writer.write_varint(self.start_object)
-            writer.write_varint(self.end_group)
-            writer.write_varint(self.end_object)
+            self.full_track_name.append_to(buffer)
+            append_varint(buffer, self.start_group)
+            append_varint(buffer, self.start_object)
+            append_varint(buffer, self.end_group)
+            append_varint(buffer, self.end_object)
         else:
-            writer.write_varint(self.joining_request_id)
-            writer.write_varint(self.joining_start)
-        writer.write_bytes(self.parameters.to_wire())
-        return writer.getvalue()
+            append_varint(buffer, self.joining_request_id)
+            append_varint(buffer, self.joining_start)
+        self.parameters.append_to(buffer)
 
     @classmethod
     def decode_payload(cls, reader: VarintReader) -> "Fetch":
@@ -423,15 +429,13 @@ class FetchOk(ControlMessage):
 
     TYPE = MessageType.FETCH_OK
 
-    def encode_payload(self) -> bytes:
-        writer = VarintWriter()
-        writer.write_varint(self.request_id)
-        writer.write_uint8(int(self.group_order))
-        writer.write_uint8(1 if self.end_of_track else 0)
-        writer.write_varint(self.largest_group_id)
-        writer.write_varint(self.largest_object_id)
-        writer.write_bytes(self.parameters.to_wire())
-        return writer.getvalue()
+    def _append_payload(self, buffer: bytearray) -> None:
+        append_varint(buffer, self.request_id)
+        buffer.append(self.group_order)
+        buffer.append(1 if self.end_of_track else 0)
+        append_varint(buffer, self.largest_group_id)
+        append_varint(buffer, self.largest_object_id)
+        self.parameters.append_to(buffer)
 
     @classmethod
     def decode_payload(cls, reader: VarintReader) -> "FetchOk":
@@ -455,12 +459,10 @@ class FetchError(ControlMessage):
 
     TYPE = MessageType.FETCH_ERROR
 
-    def encode_payload(self) -> bytes:
-        writer = VarintWriter()
-        writer.write_varint(self.request_id)
-        writer.write_varint(self.error_code)
-        writer.write_length_prefixed(self.reason.encode("utf-8"))
-        return writer.getvalue()
+    def _append_payload(self, buffer: bytearray) -> None:
+        append_varint(buffer, self.request_id)
+        append_varint(buffer, self.error_code)
+        _append_text(buffer, self.reason)
 
     @classmethod
     def decode_payload(cls, reader: VarintReader) -> "FetchError":
@@ -479,8 +481,8 @@ class FetchCancel(ControlMessage):
 
     TYPE = MessageType.FETCH_CANCEL
 
-    def encode_payload(self) -> bytes:
-        return VarintWriter().write_varint(self.request_id).getvalue()
+    def _append_payload(self, buffer: bytearray) -> None:
+        append_varint(buffer, self.request_id)
 
     @classmethod
     def decode_payload(cls, reader: VarintReader) -> "FetchCancel":
@@ -497,12 +499,10 @@ class Announce(ControlMessage):
 
     TYPE = MessageType.ANNOUNCE
 
-    def encode_payload(self) -> bytes:
-        writer = VarintWriter()
-        writer.write_varint(self.request_id)
-        writer.write_bytes(self.namespace.to_wire())
-        writer.write_bytes(self.parameters.to_wire())
-        return writer.getvalue()
+    def _append_payload(self, buffer: bytearray) -> None:
+        append_varint(buffer, self.request_id)
+        self.namespace.append_to(buffer)
+        self.parameters.append_to(buffer)
 
     @classmethod
     def decode_payload(cls, reader: VarintReader) -> "Announce":
@@ -521,8 +521,8 @@ class AnnounceOk(ControlMessage):
 
     TYPE = MessageType.ANNOUNCE_OK
 
-    def encode_payload(self) -> bytes:
-        return VarintWriter().write_varint(self.request_id).getvalue()
+    def _append_payload(self, buffer: bytearray) -> None:
+        append_varint(buffer, self.request_id)
 
     @classmethod
     def decode_payload(cls, reader: VarintReader) -> "AnnounceOk":
@@ -537,8 +537,8 @@ class MaxRequestId(ControlMessage):
 
     TYPE = MessageType.MAX_REQUEST_ID
 
-    def encode_payload(self) -> bytes:
-        return VarintWriter().write_varint(self.request_id).getvalue()
+    def _append_payload(self, buffer: bytearray) -> None:
+        append_varint(buffer, self.request_id)
 
     @classmethod
     def decode_payload(cls, reader: VarintReader) -> "MaxRequestId":
@@ -553,12 +553,19 @@ class Goaway(ControlMessage):
 
     TYPE = MessageType.GOAWAY
 
-    def encode_payload(self) -> bytes:
-        return VarintWriter().write_length_prefixed(self.new_session_uri.encode("utf-8")).getvalue()
+    def _append_payload(self, buffer: bytearray) -> None:
+        _append_text(buffer, self.new_session_uri)
 
     @classmethod
     def decode_payload(cls, reader: VarintReader) -> "Goaway":
         return cls(reader.read_length_prefixed().decode("utf-8"))
+
+
+#: What every session opens with, encoded once: a client's CLIENT_SETUP
+#: offering :data:`SUPPORTED_VERSIONS` and a server's SERVER_SETUP selecting
+#: draft-12, neither with parameters.
+CLIENT_SETUP_WIRE = ClientSetup().encode()
+SERVER_SETUP_WIRE = ServerSetup().encode()
 
 
 _DECODERS: dict[int, type[ControlMessage]] = {
@@ -596,13 +603,24 @@ def decode_control_message(data: bytes, offset: int = 0) -> tuple[ControlMessage
     Raises :class:`NeedMoreData` when the buffer does not yet hold the whole
     message, which the control-stream reassembly in the session relies on.
     """
-    reader = VarintReader(data, offset)
+    # The three-byte header is read where it lies: every implemented type
+    # but the two SETUPs is a one-byte varint, and the length is two plain
+    # bytes.
     try:
-        message_type = reader.read_varint()
-        length = reader.read_uint16()
-        payload = reader.read_bytes(length)
-    except Exception as error:
+        message_type = data[offset]
+        if message_type < 64:
+            start = offset + 3
+        else:
+            message_type, start = decode_varint(data, offset)
+            start += 2
+        end = start + ((data[start - 2] << 8) | data[start - 1])
+    except (IndexError, VarintError) as error:
         raise NeedMoreData(str(error)) from None
+    if end > len(data):
+        raise NeedMoreData(f"truncated data: need {end - start} bytes, have {len(data) - start}")
+    payload = data[start:end]
+    if type(payload) is not bytes:
+        payload = bytes(payload)
     key = (message_type, payload)
     message = _CONTROL_MESSAGE_CACHE.get(key)
     if message is None:
@@ -613,7 +631,7 @@ def decode_control_message(data: bytes, offset: int = 0) -> tuple[ControlMessage
         if len(_CONTROL_MESSAGE_CACHE) >= _CONTROL_MESSAGE_CACHE_MAX:
             _CONTROL_MESSAGE_CACHE.clear()
         _CONTROL_MESSAGE_CACHE[key] = message
-    return message, reader.offset
+    return message, end
 
 
 class NeedMoreData(Exception):
@@ -630,18 +648,32 @@ class ControlStreamParser:
 
     def feed(self, data: bytes) -> list[ControlMessage]:
         """Add bytes and return every now-complete message."""
-        self._buffer += data
+        held = self._buffer
+        if held:
+            # A message straddles chunks: one snapshot of what is held plus
+            # the new bytes per feed (not per message).
+            held += data
+            data = bytes(held)
+        # Otherwise — a chunk is nearly always whole messages — parse it
+        # where it lies and hold over only an incomplete tail.
         messages: list[ControlMessage] = []
         offset = 0
-        # One snapshot per feed (not per message) keeps a k-message burst at
-        # one copy of the buffer instead of k.
-        snapshot = bytes(self._buffer)
-        while offset < len(snapshot):
-            try:
-                message, offset = decode_control_message(snapshot, offset)
-            except NeedMoreData:
-                break
-            messages.append(message)
-        if offset:
-            del self._buffer[:offset]
+        length = len(data)
+        try:
+            while offset < length:
+                try:
+                    message, offset = decode_control_message(data, offset)
+                except NeedMoreData:
+                    break
+                messages.append(message)
+        except BaseException:
+            # A chunk that fails to decode stays buffered whole, as it always
+            # has (what a malformed peer should cost is ROADMAP item 3(a)).
+            if not held:
+                held += data
+            raise
+        if held:
+            del held[:offset]
+        elif offset < length:
+            held += data[offset:]
         return messages

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.quic.varint import VarintReader, VarintWriter, encode_varint
+from repro.quic.varint import VarintReader, append_varint, encode_varint
 
 
 class SetupParameterType(enum.IntEnum):
@@ -68,14 +68,13 @@ class Parameters:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def to_wire(self) -> bytes:
-        """Encode as a varint count followed by key/length/value triples."""
-        writer = VarintWriter()
-        writer.write_varint(len(self.entries))
+    def append_to(self, buffer: bytearray) -> None:
+        """Append a varint count followed by key/length/value triples."""
+        append_varint(buffer, len(self.entries))
         for parameter in self.entries:
-            writer.write_varint(parameter.key)
-            writer.write_length_prefixed(parameter.value)
-        return writer.getvalue()
+            append_varint(buffer, parameter.key)
+            append_varint(buffer, len(parameter.value))
+            buffer += parameter.value
 
     @classmethod
     def from_reader(cls, reader: VarintReader) -> "Parameters":

@@ -44,6 +44,7 @@ from repro.moqt.errors import (
 from repro.moqt.messages import (
     Announce,
     AnnounceOk,
+    CLIENT_SETUP_WIRE,
     ClientSetup,
     ControlMessage,
     ControlStreamParser,
@@ -58,12 +59,12 @@ from repro.moqt.messages import (
     MaxRequestId,
     MessageType,
     MOQT_VERSION_DRAFT_12,
+    SERVER_SETUP_WIRE,
     ServerSetup,
     Subscribe,
     SubscribeDone,
     SubscribeError,
     SubscribeOk,
-    SUPPORTED_VERSIONS,
     Unsubscribe,
 )
 from repro.moqt.objectmodel import Location, MoqtObject
@@ -371,8 +372,7 @@ class MoqtSession:
     def _start_client(self) -> None:
         self._control_stream = self.connection.open_stream()
         self._control_stream_id = self._control_stream.stream_id
-        setup = ClientSetup(supported_versions=SUPPORTED_VERSIONS)
-        self._send_control(setup)
+        self._send_control(CLIENT_SETUP_WIRE)
         if self.config.alpn_version_negotiation:
             # Future MoQT: the version is negotiated in ALPN, so the client
             # may send requests without waiting for SERVER_SETUP.
@@ -400,14 +400,16 @@ class MoqtSession:
         self._next_request_id += 2
         return request_id
 
-    def _send_control(self, message: ControlMessage) -> None:
-        self._require_open()
+    def _send_control(self, wire: bytes) -> None:
+        """Send one encoded control message (``message.encode()``)."""
+        if self.closed:
+            raise SessionTerminated("session is closed")
         if self._control_stream is None:
             # Server side: the control stream is the peer's stream 0.
             self._control_stream = self.connection.get_or_create_stream(0)
             self._control_stream_id = 0
         self.statistics.control_messages_sent += 1
-        self.connection.send_stream_data(self._control_stream, message.encode())
+        self.connection.send_stream_data(self._control_stream, wire)
 
     def _when_ready(self, action: Callable[[], None]) -> None:
         if self.ready:
@@ -454,7 +456,7 @@ class MoqtSession:
             filter_type=filter_type,
         )
         self.statistics.subscribes_sent += 1
-        self._when_ready(lambda: self._send_control(message))
+        self._when_ready(lambda: self._send_control(message.encode()))
         return subscription
 
     def unsubscribe(self, subscription: Subscription) -> None:
@@ -472,7 +474,7 @@ class MoqtSession:
         subscription.state = "done"
         self._subscriptions.pop(subscription.request_id, None)
         self._subscriptions_by_alias.pop(subscription.track_alias, None)
-        self._when_ready(lambda: self._send_control(Unsubscribe(subscription.request_id)))
+        self._when_ready(lambda: self._send_control(Unsubscribe(subscription.request_id).encode()))
 
     def fetch(
         self,
@@ -505,7 +507,7 @@ class MoqtSession:
             end_object=end.object_id,
         )
         self.statistics.fetches_sent += 1
-        self._when_ready(lambda: self._send_control(message))
+        self._when_ready(lambda: self._send_control(message.encode()))
         return fetch_request
 
     def joining_fetch(
@@ -537,7 +539,7 @@ class MoqtSession:
             joining_start=joining_start,
         )
         self.statistics.fetches_sent += 1
-        self._when_ready(lambda: self._send_control(message))
+        self._when_ready(lambda: self._send_control(message.encode()))
         return fetch_request
 
     def subscriptions(self) -> list[Subscription]:
@@ -600,7 +602,7 @@ class MoqtSession:
     # ------------------------------------------------------------- goaway/close
     def goaway(self, new_session_uri: str = "") -> None:
         """Ask the peer to migrate to a different session."""
-        self._send_control(Goaway(new_session_uri))
+        self._send_control(Goaway(new_session_uri).encode())
 
     def close(self, reason: str = "") -> None:
         """Close the session and the underlying connection."""
@@ -766,36 +768,15 @@ class MoqtSession:
     # ------------------------------------------------------- control handling
     def _handle_control_message(self, message: ControlMessage) -> None:
         self.statistics.control_messages_received += 1
-        if isinstance(message, ClientSetup):
-            self._handle_client_setup(message)
-        elif isinstance(message, ServerSetup):
-            self._handle_server_setup(message)
-        elif isinstance(message, Subscribe):
-            self._handle_subscribe(message)
-        elif isinstance(message, SubscribeOk):
-            self._handle_subscribe_ok(message)
-        elif isinstance(message, SubscribeError):
-            self._handle_subscribe_error(message)
-        elif isinstance(message, Unsubscribe):
-            self._handle_unsubscribe(message)
-        elif isinstance(message, SubscribeDone):
-            self._handle_subscribe_done(message)
-        elif isinstance(message, Fetch):
-            self._handle_fetch(message)
-        elif isinstance(message, FetchOk):
-            self._handle_fetch_ok(message)
-        elif isinstance(message, FetchError):
-            self._handle_fetch_error(message)
-        elif isinstance(message, FetchCancel):
-            pass  # nothing to cancel once objects have been sent
-        elif isinstance(message, Announce):
-            self._send_control(AnnounceOk(request_id=message.request_id))
-        elif isinstance(message, (AnnounceOk, MaxRequestId)):
-            pass
-        elif isinstance(message, Goaway):
-            self.goaway_uri = message.new_session_uri
-        else:  # pragma: no cover - defensive
-            raise ProtocolViolation(f"unhandled control message {message!r}")
+        handler = _CONTROL_HANDLERS[type(message)]
+        if handler is not None:
+            handler(self, message)
+
+    def _handle_announce(self, message: Announce) -> None:
+        self._send_control(AnnounceOk(request_id=message.request_id).encode())
+
+    def _handle_goaway(self, message: Goaway) -> None:
+        self.goaway_uri = message.new_session_uri
 
     def _handle_client_setup(self, message: ClientSetup) -> None:
         if self.is_client:
@@ -803,7 +784,7 @@ class MoqtSession:
         if MOQT_VERSION_DRAFT_12 not in message.supported_versions:
             self.close("no common MoQT version")
             return
-        self._send_control(ServerSetup(selected_version=MOQT_VERSION_DRAFT_12))
+        self._send_control(SERVER_SETUP_WIRE)
         self._mark_ready(MOQT_VERSION_DRAFT_12)
 
     def _handle_server_setup(self, message: ServerSetup) -> None:
@@ -821,7 +802,7 @@ class MoqtSession:
                     error_code=int(SubscribeErrorCode.NOT_SUPPORTED),
                     reason="no publisher attached",
                     track_alias=message.track_alias,
-                )
+                ).encode()
             )
             return
         if self._pending_incoming_subscribes is _UNUSED:
@@ -862,7 +843,7 @@ class MoqtSession:
                     reason=result.reason,
                     track_alias=message.track_alias,
                     retry_after_ms=result.retry_after_ms,
-                )
+                ).encode()
             )
             return None
         publisher_subscription = PublisherSubscription(
@@ -884,7 +865,7 @@ class MoqtSession:
                 content_exists=result.largest is not None,
                 largest_group_id=result.largest.group_id if result.largest else 0,
                 largest_object_id=result.largest.object_id if result.largest else 0,
-            )
+            ).encode()
         )
         return publisher_subscription
 
@@ -896,7 +877,7 @@ class MoqtSession:
                     request_id=message.request_id,
                     error_code=int(FetchErrorCode.NOT_SUPPORTED),
                     reason="no publisher attached",
-                )
+                ).encode()
             )
             return
         full_track_name = message.full_track_name
@@ -910,7 +891,7 @@ class MoqtSession:
                             request_id=message.request_id,
                             error_code=int(FetchErrorCode.INVALID_RANGE),
                             reason="joining fetch references unknown subscription",
-                        )
+                        ).encode()
                     )
                     return
                 full_track_name = joined_pending.full_track_name
@@ -934,7 +915,7 @@ class MoqtSession:
                     request_id=message.request_id,
                     error_code=int(result.error_code),
                     reason=result.reason,
-                )
+                ).encode()
             )
             return
         largest = result.largest
@@ -946,7 +927,7 @@ class MoqtSession:
                 end_of_track=False,
                 largest_group_id=largest.group_id if largest else 0,
                 largest_object_id=largest.object_id if largest else 0,
-            )
+            ).encode()
         )
         self._send_fetch_objects(message.request_id, result.objects)
 
@@ -965,7 +946,7 @@ class MoqtSession:
                     status_code=0,
                     stream_count=ended.objects_sent,
                     reason="unsubscribed",
-                )
+                ).encode()
             )
         self._subscription_ended(ended)
 
@@ -1032,6 +1013,28 @@ class MoqtSession:
         fetch_request.error_reason = message.reason
         if fetch_request.on_complete is not None:
             fetch_request.on_complete(fetch_request)
+
+
+#: What a session does with each control message the codec can produce, by
+#: message class (``None``: nothing — FETCH_CANCEL arrives once the objects
+#: have been sent, and nobody waits for ANNOUNCE_OK or MAX_REQUEST_ID).
+_CONTROL_HANDLERS: dict[type[ControlMessage], Callable[[MoqtSession, ControlMessage], None] | None] = {
+    ClientSetup: MoqtSession._handle_client_setup,
+    ServerSetup: MoqtSession._handle_server_setup,
+    Subscribe: MoqtSession._handle_subscribe,
+    SubscribeOk: MoqtSession._handle_subscribe_ok,
+    SubscribeError: MoqtSession._handle_subscribe_error,
+    Unsubscribe: MoqtSession._handle_unsubscribe,
+    SubscribeDone: MoqtSession._handle_subscribe_done,
+    Fetch: MoqtSession._handle_fetch,
+    FetchOk: MoqtSession._handle_fetch_ok,
+    FetchError: MoqtSession._handle_fetch_error,
+    FetchCancel: None,
+    Announce: MoqtSession._handle_announce,
+    AnnounceOk: None,
+    MaxRequestId: None,
+    Goaway: MoqtSession._handle_goaway,
+}
 
 
 def publish_to(subscriptions: Iterable[PublisherSubscription], obj: MoqtObject) -> int:

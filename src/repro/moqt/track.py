@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.quic.varint import VarintReader, VarintWriter
+from repro.quic.varint import VarintReader, append_varint
 
 MAX_FULL_TRACK_NAME_LENGTH = 4096
 MAX_NAMESPACE_ELEMENTS = 32
@@ -48,13 +48,12 @@ class TrackNamespace:
         """Total length of the elements (excluding length prefixes)."""
         return sum(len(element) for element in self.elements)
 
-    def to_wire(self) -> bytes:
-        """Encode as a varint count followed by length-prefixed elements."""
-        writer = VarintWriter()
-        writer.write_varint(len(self.elements))
+    def append_to(self, buffer: bytearray) -> None:
+        """Append a varint count followed by length-prefixed elements."""
+        append_varint(buffer, len(self.elements))
         for element in self.elements:
-            writer.write_length_prefixed(element)
-        return writer.getvalue()
+            append_varint(buffer, len(element))
+            buffer += element
 
     @classmethod
     def from_reader(cls, reader: VarintReader) -> "TrackNamespace":
@@ -100,12 +99,11 @@ class FullTrackName:
         """Combined length of namespace elements and track name."""
         return self.namespace.encoded_length() + len(self.name)
 
-    def to_wire(self) -> bytes:
-        """Encode namespace followed by the length-prefixed track name."""
-        writer = VarintWriter()
-        writer.write_bytes(self.namespace.to_wire())
-        writer.write_length_prefixed(self.name)
-        return writer.getvalue()
+    def append_to(self, buffer: bytearray) -> None:
+        """Append the namespace followed by the length-prefixed track name."""
+        self.namespace.append_to(buffer)
+        append_varint(buffer, len(self.name))
+        buffer += self.name
 
     @classmethod
     def from_reader(cls, reader: VarintReader) -> "FullTrackName":

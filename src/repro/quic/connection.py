@@ -30,8 +30,8 @@ event simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from repro.netsim.packet import Address, Datagram
 from repro.netsim.simulator import Event, Simulator, Timer
@@ -58,7 +58,7 @@ from repro.quic.frames import (
     _PING,
     _STREAM,
 )
-from repro.quic.packet import Packet, PacketType, decode_header
+from repro.quic.packet import PacketType, decode_header
 from repro.quic.varint import (
     VarintError,
     append_varint,
@@ -163,55 +163,59 @@ class ConnectionConfig:
 
 
 class _SentPacket:
-    """In-flight ledger record of a packet sent through the :class:`Packet` codec.
+    """In-flight ledger record of a packet sent as frame objects.
 
     What a retransmission needs (``packet_type`` + ``frames``) plus the two
     facts every ledger record carries: ``sent_at`` for the RTT sample and
-    ``wire_size`` for the congestion controller (stored by
-    :meth:`QuicConnection._transmit`, the first place that knows it).  A
-    DATAGRAM-frame packet is filed with no frames: there is nothing to
-    re-send, only bytes in flight to release.
+    ``wire_size`` for the congestion controller.  A DATAGRAM-frame packet is
+    filed with no frames: there is nothing to re-send, only bytes in flight
+    to release.
     """
 
     __slots__ = ("packet_type", "frames", "sent_at", "wire_size")
 
     def __init__(
-        self, packet_type: PacketType, frames: tuple[Frame, ...], sent_at: float
+        self, packet_type: PacketType, frames: Sequence[Frame], sent_at: float, wire_size: int
     ) -> None:
         self.packet_type = packet_type
         self.frames = frames
         self.sent_at = sent_at
-        self.wire_size = 0
+        self.wire_size = wire_size
 
 
 class _EncodedStreamPacket:
-    """In-flight ledger record of a preassembled one-shot stream packet.
+    """In-flight ledger record of a hand-assembled one-STREAM-frame packet.
 
-    :meth:`QuicConnection.send_encoded_stream` serialises straight into a
-    pooled buffer, so nothing object-shaped survives the send for the loss
-    machinery to replay.  This record is the minimal substitute: it exposes
-    the ``packet_type`` / ``frames`` / ``sent_at`` / ``wire_size`` surface of
+    :meth:`QuicConnection._send_stream` serialises straight into a pooled
+    buffer, so nothing object-shaped survives the send for the loss machinery
+    to replay.  This record is the minimal substitute: it exposes the
+    ``packet_type`` / ``frames`` / ``sent_at`` / ``wire_size`` surface of
     :class:`_SentPacket`, materialising the frame only if the packet is
-    actually lost.  ``chunk`` is the shared immutable stream payload, so N
-    subscribers' unacked packets reference one body instead of N copies.
+    actually lost.  ``chunk`` is the immutable stream payload: a control
+    message's one encoding, or a one-shot stream's body (``offset`` 0,
+    ``fin`` set) shared by N subscribers' unacked packets instead of N copies.
     """
 
-    __slots__ = ("stream_id", "chunk", "sent_at", "wire_size")
+    __slots__ = ("stream_id", "offset", "chunk", "fin", "sent_at", "wire_size")
 
     packet_type = PacketType.ONE_RTT
 
-    def __init__(self, stream_id: int, chunk: bytes, sent_at: float, wire_size: int) -> None:
+    def __init__(
+        self, stream_id: int, offset: int, chunk: bytes, fin: bool, sent_at: float, wire_size: int
+    ) -> None:
         self.stream_id = stream_id
+        self.offset = offset
         self.chunk = chunk
+        self.fin = fin
         self.sent_at = sent_at
         self.wire_size = wire_size
 
     @property
     def frames(self) -> tuple[StreamFrame, ...]:
-        return (StreamFrame(stream_id=self.stream_id, offset=0, data=self.chunk, fin=True),)
+        return (StreamFrame(self.stream_id, self.offset, self.chunk, self.fin),)
 
 
-def _frames_wire_estimate(frames: "list[Frame] | tuple[Frame, ...]") -> int:
+def _frames_wire_estimate(frames: Sequence[Frame]) -> int:
     """Approximate wire size of a packet carrying ``frames``.
 
     Used only for the congestion window's admission check (the controller is
@@ -403,7 +407,7 @@ class QuicConnection:
         #: packet the loss machinery must repair and, under a real congestion
         #: controller, for every packet the controller is counting.
         self._unacked: dict[int, _SentPacket | _EncodedStreamPacket] = {}
-        self._queued_app_frames: tuple[Frame, ...] | list[Frame] = ()
+        self._queued_app_frames: Sequence[Frame] = ()
         self._smoothed_rtt = config.initial_rtt
         # Congestion control.  The default Null controller is a shared
         # stateless singleton and declares itself inert; ``_cc_active`` is
@@ -417,7 +421,7 @@ class QuicConnection:
         #: The packet type is recomputed at flush time so early data queued
         #: before handshake completion upgrades to ONE_RTT.  Only a real
         #: controller ever blocks, so only then is there a list.
-        self._cwnd_blocked: list[tuple[Frame, ...]] | tuple[()] = [] if self._cc_active else ()
+        self._cwnd_blocked: list[Sequence[Frame]] | tuple[()] = [] if self._cc_active else ()
         self._consecutive_loss_timeouts = 0
         self._loss_timer = Timer(simulator, self._on_loss_timeout)
         self._keepalive_timer: Timer | None = None
@@ -605,12 +609,12 @@ class QuicConnection:
         if self.closed:
             raise QuicConnectionError(TransportErrorCode.PROTOCOL_VIOLATION, "connection closed")
         offset = stream.write(data, fin)
-        self._send_app_frames(
-            [StreamFrame(stream_id=stream.stream_id, offset=offset, data=bytes(data), fin=fin)]
-        )
+        self._send_stream(stream.stream_id, offset, bytes(data), fin)
 
     def send_datagram_frame(self, data: bytes) -> None:
         """Send unreliable application data in a DATAGRAM frame."""
+        if self.closed:
+            raise QuicConnectionError(TransportErrorCode.PROTOCOL_VIOLATION, "connection closed")
         self.statistics.datagrams_sent += 1
         self._send_app_frames([DatagramFrame(bytes(data))], reliable=False)
 
@@ -619,10 +623,8 @@ class QuicConnection:
 
         The only sender of unidirectional streams: ``chunk`` is an
         already-encoded stream payload (e.g. a MoQT subgroup chunk shared
-        across subscribers), and the packet around it is serialised directly
-        into a pooled buffer — header-patch-only per subscriber, with no
-        :class:`QuicStream`, ``StreamFrame`` or ``Packet`` object and no
-        intermediate payload copy.  The sender keeps no per-stream state;
+        across subscribers), sent as a single offset-0 FIN frame with no
+        :class:`QuicStream` behind it.  The sender keeps no per-stream state;
         loss recovery holds a compact retransmission record referencing
         ``chunk`` (which must therefore be immutable) until the packet is
         acknowledged.
@@ -634,53 +636,66 @@ class QuicConnection:
         sequence = self._next_uni_sequence
         self._next_uni_sequence = sequence + 1
         stream_id = make_stream_id(sequence, self.is_client, StreamDirection.UNIDIRECTIONAL)
+        self._send_stream(stream_id, 0, chunk, True)
+        return stream_id
+
+    def _send_stream(self, stream_id: int, offset: int, data: bytes, fin: bool) -> None:
+        """Send one STREAM frame in a packet of its own: the stream writer.
+
+        Control-stream writes and one-shot data streams both leave here.  The
+        packet is serialised directly into a pooled buffer — header template,
+        packet number, lengths, frame fields, then ``data`` — with no
+        ``StreamFrame`` object and no intermediate payload copy.  ``data`` is
+        kept by reference in the ledger record for retransmission.
+        """
         if not self.handshake_complete:
             # Rare: the frame is queued until the handshake completes, or
             # leaves as 0-RTT early data (and is requeued if that is rejected).
-            self._send_app_frames(
-                [StreamFrame(stream_id=stream_id, offset=0, data=chunk, fin=True)]
-            )
-            return stream_id
-        chunk_length = len(chunk)
-        # frame type (1) + offset varint 0 (1) + fin byte (1) = 3.
-        payload_length = 3 + varint_size(stream_id) + varint_size(chunk_length) + chunk_length
+            self._send_app_frames([StreamFrame(stream_id, offset, data, fin)])
+            return
+        data_length = len(data)
+        # frame type (1) + fin byte (1) = 2, then three varints: one or two
+        # bytes is what stream ids, offsets and lengths nearly always take,
+        # so those widths cost no call.
+        payload_length = (
+            2
+            + (1 if stream_id < 64 else 2 if stream_id < 16384 else varint_size(stream_id))
+            + (1 if offset < 64 else 2 if offset < 16384 else varint_size(offset))
+            + (1 if data_length < 64 else 2 if data_length < 16384 else varint_size(data_length))
+            + data_length
+        )
         if self._cc_active:
-            wire_size = (
-                1
-                + varint_size(self.connection_id)
-                + varint_size(self._next_packet_number)
-                + varint_size(payload_length)
-                + payload_length
-            )
+            wire_size = len(self._header_one_rtt) + payload_length
+            wire_size += varint_size(self._next_packet_number) + varint_size(payload_length)
             if self._cwnd_blocked or not self._cc.can_send(wire_size):
                 # Window full (or earlier sends already waiting — FIFO order
-                # is part of the wire contract): hold the stream back; the ID
-                # is already allocated and returned.  The flush path sends it
-                # through _send_packet, whose encoding is byte-identical to
-                # the hand-assembled bytes below.
-                self._cwnd_blocked.append(
-                    (StreamFrame(stream_id=stream_id, offset=0, data=chunk, fin=True),)
-                )
-                return stream_id
+                # is part of the wire contract): hold the frame back.  The
+                # flush path sends it through _send_packet, whose encoding is
+                # byte-identical to the hand-assembled bytes below.
+                self._cwnd_blocked.append((StreamFrame(stream_id, offset, data, fin),))
+                return
         packet_number = self._next_packet_number
         self._next_packet_number = packet_number + 1
         acquire = self._acquire_buffer
         buffer = acquire() if acquire is not None else bytearray()
         # Byte-identical to Packet(ONE_RTT, cid, pn, (StreamFrame(stream_id,
-        # offset=0, chunk, fin=True),)).encode(): the frame payload length is
-        # computed up front so header and payload share one buffer.
+        # offset, data, fin),)).encode(): the frame payload length is computed
+        # up front so header and payload share one buffer.
         buffer += self._header_one_rtt
         append_varint(buffer, packet_number)
         append_varint(buffer, payload_length)
         buffer.append(0x08)  # FrameType.STREAM
         append_varint(buffer, stream_id)
-        buffer.append(0)  # offset
-        buffer.append(1)  # fin
-        append_varint(buffer, chunk_length)
-        buffer += chunk
+        if offset < 64:
+            buffer.append(offset)
+        else:
+            append_varint(buffer, offset)
+        buffer.append(1 if fin else 0)
+        append_varint(buffer, data_length)
+        buffer += data
         size = len(buffer)
         now = self._idle_from = self._simulator.now
-        self._unacked[packet_number] = _EncodedStreamPacket(stream_id, chunk, now, size)
+        self._unacked[packet_number] = _EncodedStreamPacket(stream_id, offset, data, fin, now, size)
         if not self._loss_timer.is_running:
             self._loss_timer.start(self._probe_timeout())
         self.statistics.packets_sent += 1
@@ -688,7 +703,6 @@ class QuicConnection:
         if self._cc_active:
             self._cc.on_packet_sent(packet_number, size)
         self._send(buffer if acquire is not None else bytes(buffer), self.peer_address)
-        return stream_id
 
     # ------------------------------------------------------------ packetising
     def _can_send_app_data(self) -> bool:
@@ -707,7 +721,7 @@ class QuicConnection:
             return
         if self._cc_active and reliable:
             if self._cwnd_blocked or not self._cc.can_send(_frames_wire_estimate(frames)):
-                self._cwnd_blocked.append(tuple(frames))
+                self._cwnd_blocked.append(frames)
                 return
         self._send_packet(self._app_packet_type(), frames, reliable=reliable)
 
@@ -724,7 +738,7 @@ class QuicConnection:
             if not self._cc.can_send(_frames_wire_estimate(frames)):
                 return
             del blocked[0]
-            self._send_packet(self._app_packet_type(), list(frames))
+            self._send_packet(self._app_packet_type(), frames)
 
     def _flush_queued_app_frames(self) -> None:
         if not self._queued_app_frames or not self._can_send_app_data():
@@ -735,45 +749,54 @@ class QuicConnection:
     def _send_packet(
         self,
         packet_type: PacketType,
-        frames: "list[Frame] | tuple[Frame, ...]",
+        frames: Sequence[Frame],
         reliable: bool = True,
+        final: bool = False,
     ) -> None:
-        packet = Packet(
-            packet_type=packet_type,
-            connection_id=self.connection_id,
-            packet_number=self._next_packet_number,
-            frames=tuple(frames),
-        )
-        self._next_packet_number += 1
-        record = None
+        """Send ``frames`` in one packet: the generic writer.
+
+        Everything that is not a lone STREAM frame on an established
+        connection (:meth:`_send_stream`) or a bare ACK (:meth:`_send_ack`):
+        handshake CRYPTO, PING, the pre-handshake queue, 0-RTT, the
+        congestion-window flush, PTO retransmissions and CONNECTION_CLOSE.
+        Every caller's frames are ack-eliciting.  ``frames`` is kept by
+        reference in the ledger record, so callers hand it over.
+
+        ``final`` marks the CONNECTION_CLOSE packet: nothing follows it, so
+        it files no ledger record and arms no timer.
+        """
+        packet_number = self._next_packet_number
+        self._next_packet_number = packet_number + 1
+        acquire = self._acquire_buffer
+        buffer = acquire() if acquire is not None else bytearray()
+        # Byte-identical to Packet(packet_type, cid, pn, frames).encode().
+        # The frames go in first because their length prefixes them; the
+        # header is then slid in front — a short move, and no second buffer.
+        for frame in frames:
+            frame.encode_into(buffer)
+        header = bytearray((packet_type,))
+        header += self._header_one_rtt[1:]  # the connection id, encoded once
+        append_varint(header, packet_number)
+        append_varint(header, len(buffer))
+        buffer[:0] = header
+        size = len(buffer)
+        now = self._idle_from = self._simulator.now
         # A packet the loss machinery must repair, or that a real controller
         # is counting, has a ledger record.  An unreliable (DATAGRAM-frame)
         # packet is only ever the second kind and is filed with nothing to
         # re-send: an ACK releases its bytes, a PTO declares it lost.
-        if packet.is_ack_eliciting and (reliable or self._cc_active):
-            record = self._unacked[packet.packet_number] = _SentPacket(
-                packet_type, packet.frames if reliable else (), self._simulator.now
+        tracked = (reliable or self._cc_active) and not final
+        if tracked:
+            self._unacked[packet_number] = _SentPacket(
+                packet_type, frames if reliable else (), now, size
             )
             if not self._loss_timer.is_running:
                 self._loss_timer.start(self._probe_timeout())
-        self._transmit(packet, record)
-
-    def _transmit(self, packet: Packet, record: _SentPacket | None = None) -> None:
-        acquire = self._acquire_buffer
-        if acquire is not None:
-            payload: bytes | bytearray = acquire()
-            packet.encode_into(payload)
-        else:
-            payload = packet.encode()
-        size = len(payload)
         self.statistics.packets_sent += 1
         self.statistics.bytes_sent += size
-        if record is not None:
-            record.wire_size = size
-            if self._cc_active:
-                self._cc.on_packet_sent(packet.packet_number, size)
-        self._send(payload, self.peer_address)
-        self._idle_from = self._simulator.now
+        if tracked and self._cc_active:
+            self._cc.on_packet_sent(packet_number, size)
+        self._send(buffer if acquire is not None else bytes(buffer), self.peer_address)
 
     def _probe_timeout(self) -> float:
         return max(2.5 * self._smoothed_rtt, 0.02)
@@ -867,7 +890,7 @@ class QuicConnection:
             # Re-send the same frames in a new packet (new packet number).
             # Retransmissions bypass the congestion-window gate — a probe
             # must be able to leave even with the window full (RFC 9002
-            # §7.5) — but do re-enter bytes-in-flight via _transmit.
+            # §7.5) — but do re-enter bytes-in-flight in _send_packet.
             self.statistics.retransmissions += 1
             self._send_packet(record.packet_type, frames)
         if self._cc_active and self._cwnd_blocked and not self.closed:
@@ -1305,14 +1328,11 @@ class QuicConnection:
         """Close the connection, notifying the peer."""
         if self.closed:
             return
-        close_packet = Packet(
-            packet_type=PacketType.ONE_RTT if self.handshake_complete else PacketType.INITIAL,
-            connection_id=self.connection_id,
-            packet_number=self._next_packet_number,
-            frames=(ConnectionCloseFrame(error_code=int(code), reason=reason),),
+        self._send_packet(
+            PacketType.ONE_RTT if self.handshake_complete else PacketType.INITIAL,
+            (ConnectionCloseFrame(error_code=int(code), reason=reason),),
+            final=True,
         )
-        self._next_packet_number += 1
-        self._transmit(close_packet)
         self._handle_close(int(code), reason, send_close=False)
 
     def _handle_close(self, code: int, reason: str, send_close: bool) -> None:

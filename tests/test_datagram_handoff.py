@@ -8,8 +8,10 @@ Four things are pinned here:
   close instant);
 * the in-order receive and single-outstanding ACK shortcuts agree with the
   general ``_record_received`` / list-comprehension paths;
-* a frame budget: the number of Python-level ``quic`` + ``netsim`` calls one
-  delivered object costs, so the chain cannot silently regrow.
+* two frame budgets: the number of Python-level ``quic`` + ``netsim`` calls
+  one delivered object costs, and of ``quic`` + ``moqt`` + ``netsim`` calls one
+  attached, SUBSCRIBE_OK'd subscriber costs (``docs/quic-send.md`` § The
+  control leg), so neither chain can silently regrow.
 """
 
 from __future__ import annotations
@@ -355,15 +357,17 @@ class TestReceiveAndAckShortcuts:
 
 # ------------------------------------------------------------- the frame budget
 #: Python-level ``repro.quic`` + ``repro.netsim`` calls per delivered object on
-#: a one-relay, eight-subscriber star: 57.0 measured on CPython 3.11 (34.4 quic
+#: a one-relay, eight-subscriber star: 55.9 measured on CPython 3.11 (33.2 quic
 #: + 22.6 netsim — the chain below, the publisher -> relay hop every object
 #: also makes, and the per-wave frames eight deliveries share).  CPython 3.12
-#: inlines comprehensions and measures lower.  The parent commit measured 79.5.
+#: inlines comprehensions and measures lower.  PR 16's parent measured 79.5,
+#: PR 23's 57.0: the stream writer became a call of its own (+1) and sizes its
+#: one- and two-byte varints inline (-2).
 FRAME_BUDGET = 60
 
 _MEASURED_CHAIN = """
 per delivered object, data packet then its ACK (quic + netsim frames):
-  send:    send_encoded_stream [make_stream_id, _EncodedStreamPacket, varint_size x3,
+  send:    send_encoded_stream [make_stream_id] -> _send_stream [_EncodedStreamPacket,
            is_running, _probe_timeout, Timer.start -> call_at -> Event, acquire_buffer,
            append_varint x4] -> _send_payload -> pool.acquire -> Network.route
   link:    _transmit_batched -> (event) -> _arrive_many           [per wave, shared]
@@ -378,41 +382,121 @@ a new frame on this path must replace one, or the budget (and docs/datagram-hand
 must say why it grew"""
 
 
-def test_frames_per_delivered_object_stay_within_budget():
-    subscribers, objects = 8, 5
-    simulator = Simulator(seed=3)
+#: Python-level ``repro.quic`` + ``repro.moqt`` + ``repro.netsim`` calls per
+#: attached, SUBSCRIBE_OK'd subscriber on a one-relay, sixteen-subscriber star:
+#: 436.1 measured on CPython 3.11 in a fresh process (247.6 quic + 62.9 moqt +
+#: 125.6 netsim — the chain below, twelve datagrams long, plus a sixteenth of
+#: the relay's own upstream attach), 432.8 once the control-message decode memo
+#: is warm.  The parent commit measured 598.7 (399.6 + 73.6 + 125.6).
+ATTACH_FRAME_BUDGET = 445
+
+_MEASURED_ATTACH_CHAIN = """
+per attached subscriber: 2 handshake + 4 control packets, each answered by a bare ACK
+(quic + moqt + netsim frames):
+  connect:   endpoint.connect -> QuicConnection -> start_handshake [ClientHello.to_bytes]
+             -> _send_packet [CryptoFrame.encode_into, append_varint x2 (header), _SentPacket,
+             is_running, _probe_timeout, Timer.start -> call_at -> Event, acquire_buffer]
+             -> _send_payload -> pool.acquire -> Network.route; the server's _accept ->
+             _process_client_hello -> _send_packet likewise; MoqtSession x2, QuicStream x2
+  encode:    ControlMessage.encode -> _append_payload [append_varint per field,
+             FullTrackName.append_to -> TrackNamespace.append_to, Parameters.append_to]
+             (SUBSCRIBE, SUBSCRIBE_OK; the two SETUPs are module constants)
+  send:      MoqtSession._send_control -> send_stream_data -> QuicStream.write -> _send_stream
+             [_EncodedStreamPacket, is_running, _probe_timeout, Timer.start, acquire_buffer,
+             append_varint x4] -> _send_payload -> pool.acquire -> Network.route
+             (CLIENT_SETUP waits for the handshake: _send_app_frames -> queue ->
+             _flush_queued_app_frames -> _send_packet)
+  receive:   _deliver_final -> endpoint.datagram_received -> decode_header -> receive_packet
+             -> _packet_accepted -> _on_stream_frame -> QuicStream.receive ->
+             _ReceiveBuffer.receive -> _finished -> MoqtSession._on_stream_data ->
+             ControlStreamParser.feed -> decode_control_message [memo hit] ->
+             _handle_control_message -> _handle_<message>
+  ack:       _send_ack [acquire_buffer, append_varint x2, varint_size] -> _send_payload ->
+             pool.acquire -> route; _deliver_final -> _reclaim
+  ack rx:    _deliver_final -> datagram_received -> decode_header -> receive_packet ->
+             _packet_accepted -> _on_ack -> _apply_ack [Timer.stop -> cancel ->
+             _note_cancelled]; _deliver_final -> _reclaim
+a new frame on this path must replace one, or the budget (and docs/quic-send.md) must say
+why it grew"""
+
+
+def _star(simulator):
     network = Network(simulator, trace=NullTraceRecorder(simulator))
     publisher = build_origin(network)
     tree = RelayTreeBuilder(network, Address(ORIGIN_HOST, ORIGIN_PORT)).build(
         RelayTreeSpec.star(1)
     )
+    return publisher, tree
+
+
+class _FrameCounter:
+    """Counts Python-level calls into the named ``src/repro`` packages."""
+
+    def __init__(self, *layers):
+        self.calls = dict.fromkeys(layers, 0)
+
+    def _profile(self, frame, event, arg):
+        if event == "call":
+            filename = frame.f_code.co_filename
+            for layer in self.calls:
+                if f"/repro/{layer}/" in filename:
+                    self.calls[layer] += 1
+                    return
+
+    def __enter__(self):
+        sys.setprofile(self._profile)
+        return self
+
+    def __exit__(self, *exc_info):
+        sys.setprofile(None)
+
+    def report(self, per):
+        """``(calls per op, "layer total, layer total, ...")``."""
+        split = ", ".join(f"{layer} {count / per:.1f}" for layer, count in self.calls.items())
+        return sum(self.calls.values()) / per, split
+
+
+def test_frames_per_delivered_object_stay_within_budget():
+    subscribers, objects = 8, 5
+    simulator = Simulator(seed=3)
+    publisher, tree = _star(simulator)
     tree.attach_subscribers(subscribers)
     delivered = []
     tree.subscribe_all(TRACK, on_object=lambda subscriber, obj: delivered.append(obj.group_id))
     simulator.run(until=simulator.now + 3.0)
 
-    calls = {"quic": 0, "netsim": 0}
-
-    def profile(frame, event, arg):
-        if event == "call":
-            filename = frame.f_code.co_filename
-            if "/repro/quic/" in filename:
-                calls["quic"] += 1
-            elif "/repro/netsim/" in filename:
-                calls["netsim"] += 1
-
-    sys.setprofile(profile)
-    try:
+    with _FrameCounter("quic", "netsim") as counter:
         for update in range(objects):
             publisher.push(MoqtObject(group_id=update + 2, object_id=0, payload=b"x" * 300))
             simulator.run(until=simulator.now + 0.25)
-    finally:
-        sys.setprofile(None)
 
     assert len(delivered) == subscribers * objects
-    per_object = (calls["quic"] + calls["netsim"]) / len(delivered)
+    per_object, split = counter.report(len(delivered))
+    print(f"\nframes per delivered object: {per_object:.1f} ({split}); budget {FRAME_BUDGET}")
     assert per_object <= FRAME_BUDGET, (
-        f"{per_object:.1f} quic+netsim calls per delivered object "
-        f"(quic {calls['quic']}, netsim {calls['netsim']} over {len(delivered)} deliveries) "
-        f"exceeds the budget of {FRAME_BUDGET}.{_MEASURED_CHAIN}"
+        f"{per_object:.1f} quic+netsim calls per delivered object ({split} over "
+        f"{len(delivered)} deliveries) exceeds the budget of {FRAME_BUDGET}.{_MEASURED_CHAIN}"
+    )
+
+
+def test_frames_per_attached_subscriber_stay_within_budget():
+    subscribers = 16
+    simulator = Simulator(seed=3)
+    _, tree = _star(simulator)
+
+    with _FrameCounter("quic", "moqt", "netsim") as counter:
+        tree.attach_subscribers(subscribers)
+        subscriptions = tree.subscribe_all(TRACK, on_object=lambda subscriber, obj: None)
+        simulator.run(until=simulator.now + 3.0)
+
+    assert sum(subscription.is_active for subscription in subscriptions) == subscribers
+    per_subscriber, split = counter.report(subscribers)
+    print(
+        f"\nframes per attached subscriber: {per_subscriber:.1f} ({split}); "
+        f"budget {ATTACH_FRAME_BUDGET}"
+    )
+    assert per_subscriber <= ATTACH_FRAME_BUDGET, (
+        f"{per_subscriber:.1f} quic+moqt+netsim calls per attached subscriber ({split} over "
+        f"{subscribers} subscribers) exceeds the budget of {ATTACH_FRAME_BUDGET}."
+        f"{_MEASURED_ATTACH_CHAIN}"
     )

@@ -88,6 +88,15 @@ class TestWorkloadTopology:
 
     def test_recursive_resolver_aggregates_auth_sessions(self, workload_topology):
         topology = workload_topology
+        # Resolve what is asserted about: the fixture is module-scoped, and
+        # this test must not depend on a sibling having run lookups first.
+        domains = [d for d in topology.zones.toplist.domains() if d.has_type(RecordType.A)][:10]
+        answered = []
+        for domain in domains:
+            key = DnsQuestionKey(qname=domain.name, qtype=RecordType.A)
+            topology.forwarder.resolve(key, lambda message, version: answered.append(message))
+        topology.simulator.run(until=topology.simulator.now + 60.0)
+        assert len(answered) == len(domains) and all(answered)
         summary = topology.recursive.state_summary()
         # Root + TLD(s) + at most two auth hosts were contacted.
         assert 1 <= summary["open_sessions"] <= len(topology.moqt_servers)

@@ -37,6 +37,7 @@ from repro.moqt.messages import (
     SubscribeOk,
     Unsubscribe,
     decode_control_message,
+    _DECODERS,
 )
 from repro.moqt.objectmodel import Location, MoqtObject, ObjectStatus, TrackState
 from repro.moqt.parameters import Parameter, Parameters
@@ -53,6 +54,13 @@ def _track() -> FullTrackName:
     return FullTrackName.of(["dns", "\x01", "q"], b"\x03www\x07example\x03com\x00")
 
 
+def _wire(value) -> bytes:
+    """What a track name or parameter list appends to a message."""
+    buffer = bytearray()
+    value.append_to(buffer)
+    return bytes(buffer)
+
+
 def _roundtrip(message):
     decoded, consumed = decode_control_message(message.encode())
     assert consumed == len(message.encode())
@@ -62,12 +70,12 @@ def _roundtrip(message):
 class TestTrackNaming:
     def test_namespace_wire_roundtrip(self):
         namespace = TrackNamespace.of(b"\x10", b"\x00\x01", b"\x00\x01")
-        decoded = TrackNamespace.from_reader(VarintReader(namespace.to_wire()))
+        decoded = TrackNamespace.from_reader(VarintReader(_wire(namespace)))
         assert decoded == namespace
 
     def test_full_track_name_roundtrip(self):
         track = _track()
-        decoded = FullTrackName.from_reader(VarintReader(track.to_wire()))
+        decoded = FullTrackName.from_reader(VarintReader(_wire(track)))
         assert decoded == track
 
     def test_namespace_element_count_limits(self):
@@ -92,7 +100,7 @@ class TestParameters:
         parameters = Parameters()
         parameters.add(Parameter.varint(0x2, 77))
         parameters.add(Parameter(0x1, b"/dns"))
-        decoded = Parameters.from_reader(VarintReader(parameters.to_wire()))
+        decoded = Parameters.from_reader(VarintReader(_wire(parameters)))
         assert len(decoded) == 2
         assert decoded.get(0x2).as_varint() == 77
         assert decoded.get(0x1).value == b"/dns"
@@ -214,6 +222,163 @@ class TestControlMessages:
         for index in range(0, len(stream_bytes), 3):
             messages.extend(parser.feed(stream_bytes[index: index + 3]))
         assert [type(m) for m in messages] == [SubscribeOk, Unsubscribe]
+
+
+def _parameters() -> Parameters:
+    return Parameters([Parameter.varint(0x2, 77), Parameter(0x1, b"/dns")])
+
+
+#: Wire image of every control message type, each branch of its encoder
+#: included (optional fields, non-empty parameters, multi-byte varints,
+#: non-ASCII reasons).  The hex was generated at the parent of PR 23 — the
+#: two-``VarintWriter`` ``encode_payload`` codec — before the one-pass encoder
+#: replaced it: a round-trip cannot see an encoder / decoder pair drifting
+#: together, these can.
+GOLDEN_CONTROL_MESSAGES = [
+    ("client_setup_default", ClientSetup, "4040000a01c0000000ff00000c00"),
+    (
+        "client_setup_versions_and_parameters",
+        lambda: ClientSetup((MOQT_VERSION_DRAFT_12, 1, 70_000), _parameters()),
+        "4040001903c0000000ff00000c0180011170020202404d01042f646e73",
+    ),
+    ("server_setup_default", ServerSetup, "40410009c0000000ff00000c00"),
+    (
+        "server_setup_parameters",
+        lambda: ServerSetup(0x3FFF, _parameters()),
+        "4041000d7fff020202404d01042f646e73",
+    ),
+    (
+        "subscribe_latest_object",
+        lambda: Subscribe(
+            request_id=2, track_alias=9, full_track_name=_track(),
+            subscriber_priority=7, group_order=GroupOrder.ASCENDING,
+        ),
+        "03002202090303646e73010101711103777777076578616d706c6503636f6d000701010200",
+    ),
+    (
+        "subscribe_absolute_start",
+        lambda: Subscribe(
+            request_id=64, track_alias=16384, full_track_name=_track(), forward=False,
+            filter_type=FilterType.ABSOLUTE_START, start_group=300, start_object=5,
+            parameters=_parameters(),
+        ),
+        "0300334040800040000303646e73010101711103777777076578616d706c6503636f6d00"
+        "80000003412c05020202404d01042f646e73",
+    ),
+    (
+        "subscribe_absolute_range",
+        lambda: Subscribe(
+            request_id=4, track_alias=1, full_track_name=_track(),
+            group_order=GroupOrder.DESCENDING, filter_type=FilterType.ABSOLUTE_RANGE,
+            start_group=10, start_object=0, end_group=1 << 30,
+        ),
+        "03002c04010303646e73010101711103777777076578616d706c6503636f6d00"
+        "800201040a00c00000004000000000",
+    ),
+    ("subscribe_ok_no_content", lambda: SubscribeOk(request_id=2), "0400050200010000"),
+    (
+        "subscribe_ok_content",
+        lambda: SubscribeOk(
+            request_id=2, expires_ms=1000, group_order=GroupOrder.DESCENDING,
+            content_exists=True, largest_group_id=42, largest_object_id=7,
+            parameters=_parameters(),
+        ),
+        "0400120243e802012a07020202404d01042f646e73",
+    ),
+    (
+        "subscribe_error",
+        lambda: SubscribeError(request_id=2, error_code=4, reason="no such track", track_alias=9),
+        "05001102040d6e6f207375636820747261636b09",
+    ),
+    (
+        "subscribe_error_retry_after",
+        lambda: SubscribeError(
+            request_id=5, error_code=7, reason="admission \u2713", track_alias=3,
+            retry_after_ms=1234,
+        ),
+        "05001305070d61646d697373696f6e20e29c930344d2",
+    ),
+    ("unsubscribe", lambda: Unsubscribe(request_id=70_000), "0a000480011170"),
+    (
+        "subscribe_done",
+        lambda: SubscribeDone(request_id=3, status_code=2, stream_count=200, reason="unsubscribed"),
+        "0b0011030240c80c756e73756273637269626564",
+    ),
+    (
+        "fetch_standalone",
+        lambda: Fetch(
+            request_id=6, subscriber_priority=3, group_order=GroupOrder.DESCENDING,
+            fetch_type=FetchType.STANDALONE, full_track_name=_track(),
+            start_group=1, start_object=2, end_group=500, end_object=4,
+            parameters=_parameters(),
+        ),
+        "16002f060302010303646e73010101711103777777076578616d706c6503636f6d00"
+        "010241f404020202404d01042f646e73",
+    ),
+    (
+        "fetch_relative_joining",
+        lambda: Fetch(
+            request_id=8, fetch_type=FetchType.RELATIVE_JOINING,
+            joining_request_id=2, joining_start=1,
+        ),
+        "16000708800102020100",
+    ),
+    (
+        "fetch_absolute_joining",
+        lambda: Fetch(
+            request_id=10, fetch_type=FetchType.ABSOLUTE_JOINING,
+            joining_request_id=64, joining_start=20_000,
+        ),
+        "16000b0a800103404080004e2000",
+    ),
+    (
+        "fetch_ok",
+        lambda: FetchOk(
+            request_id=6, group_order=GroupOrder.DESCENDING, end_of_track=True,
+            largest_group_id=300, largest_object_id=1, parameters=_parameters(),
+        ),
+        "180011060201412c01020202404d01042f646e73",
+    ),
+    (
+        "fetch_error",
+        lambda: FetchError(request_id=6, error_code=2, reason="nope"),
+        "1900070602046e6f7065",
+    ),
+    ("fetch_cancel", lambda: FetchCancel(request_id=6), "17000106"),
+    (
+        "announce",
+        lambda: Announce(
+            request_id=1, namespace=TrackNamespace.of("dns", b"\x00\x01"),
+            parameters=_parameters(),
+        ),
+        "060014010203646e73020001020202404d01042f646e73",
+    ),
+    ("announce_ok", lambda: AnnounceOk(request_id=1), "07000101"),
+    ("max_request_id", lambda: MaxRequestId(request_id=1 << 20), "15000480100000"),
+    (
+        "goaway",
+        lambda: Goaway(new_session_uri="moqt://other.example/\u2202"),
+        "100019186d6f71743a2f2f6f746865722e6578616d706c652fe28882",
+    ),
+    ("goaway_empty", Goaway, "10000100"),
+]
+
+
+class TestGoldenControlMessages:
+    @pytest.mark.parametrize(
+        "build, golden",
+        [case[1:] for case in GOLDEN_CONTROL_MESSAGES],
+        ids=[case[0] for case in GOLDEN_CONTROL_MESSAGES],
+    )
+    def test_wire_image_is_frozen(self, build, golden):
+        message = build()
+        wire = bytes.fromhex(golden)
+        assert message.encode() == wire
+        assert decode_control_message(wire) == (message, len(wire))
+
+    def test_every_control_message_type_is_pinned(self):
+        pinned = {type(build()) for _, build, _ in GOLDEN_CONTROL_MESSAGES}
+        assert pinned == set(_DECODERS.values()) and len(pinned) == 15
 
 
 class TestObjectModel:

@@ -465,7 +465,7 @@ class TestAckRangesRepair:
 
     def test_exact_ack_leaves_the_dropped_packet_unacked(self):
         _, connection = self._connection()
-        connection._unacked = {pn: _EncodedStreamPacket(2, b"", 0.0, 0) for pn in (0, 1, 2, 3)}
+        connection._unacked = {pn: _EncodedStreamPacket(2, 0, b"", True, 0.0, 0) for pn in (0, 1, 2, 3)}
         connection._on_ack_ranges(3, ((0, 1), (3, 3)))
         # Packet 2 was never received by the peer: it must stay unacked so
         # the loss timer retransmits it.
@@ -473,10 +473,10 @@ class TestAckRangesRepair:
 
     def test_exact_vs_cumulative_ack_on_a_gapped_set(self):
         _, connection = self._connection()
-        connection._unacked = {pn: _EncodedStreamPacket(2, b"", 0.0, 0) for pn in (2, 4)}
+        connection._unacked = {pn: _EncodedStreamPacket(2, 0, b"", True, 0.0, 0) for pn in (2, 4)}
         connection._on_ack_ranges(4, ((0, 1), (4, 4)))
         assert set(connection._unacked) == {2}
         # The cumulative form would have acked 2 as well — the exact bug.
-        connection._unacked = {pn: _EncodedStreamPacket(2, b"", 0.0, 0) for pn in (2, 4)}
+        connection._unacked = {pn: _EncodedStreamPacket(2, 0, b"", True, 0.0, 0) for pn in (2, 4)}
         connection._on_ack(4)
         assert set(connection._unacked) == set()
