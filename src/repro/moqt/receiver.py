@@ -204,11 +204,14 @@ class TrackReceiver:
         subscription: Subscription,
     ) -> None:
         # Judged before the owner's hook runs: a relay forgets a refused
-        # subscription there.
+        # subscription there.  A hook that re-subscribed at once (a refused
+        # leaf subscriber spilling to a sibling) hands the hold-back to that
+        # newer attach instead.
         current = subscription is self.subscription
         if on_response is not None:
             on_response(subscription)
-        if not current:
+        replaced = self.subscription is not subscription and self.subscription is not None
+        if not current or replaced:
             return
         if not subscription.is_active:
             self.release()

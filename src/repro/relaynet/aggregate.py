@@ -42,7 +42,6 @@ stream.  Three populations therefore run dense:
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -50,29 +49,6 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:
     from repro.moqt.objectmodel import MoqtObject
     from repro.relaynet.topology import RelayNode, RelayTopology, TreeSubscriber
-
-
-def plan_leaf_assignments(
-    leaves: "list[RelayNode]", count: int, start_index: int
-) -> list[list[int]]:
-    """Assign subscriber indices to leaves with exact least-loaded semantics.
-
-    Returns one (ascending) index list per entry of ``leaves``.  The
-    sequential dense attach picks ``min(leaves, key=(load, index))`` once
-    per subscriber; a heap keyed the same way reproduces that choice
-    sequence exactly in O(count log leaves) without touching any
-    ``RelayNode`` state — placement under aggregation is *identical* to the
-    dense run, which is what makes per-leaf multiplicities (and therefore
-    every multiplied statistic) line up.
-    """
-    heap = [(leaf.load, leaf.index, position) for position, leaf in enumerate(leaves)]
-    heapq.heapify(heap)
-    assignments: list[list[int]] = [[] for _ in leaves]
-    for index in range(start_index, start_index + count):
-        load, leaf_index, position = heapq.heappop(heap)
-        assignments[position].append(index)
-        heapq.heappush(heap, (load + 1, leaf_index, position))
-    return assignments
 
 
 @dataclass(eq=False)
@@ -117,14 +93,6 @@ class AggregateLeaf:
         """Subscribers this group currently stands in for."""
         return len(self.member_indices)
 
-    def record_track_callback(
-        self,
-        position: int,
-        on_object: Callable[["TreeSubscriber", "MoqtObject"], None] | None,
-    ) -> None:
-        """Remember the application callback behind track ``position``."""
-        self.track_callbacks[position] = on_object
-
     # ------------------------------------------------------------ materialise
     def split(
         self, topology: "RelayTopology", subscriber_index: int, connect: bool = True
@@ -141,12 +109,10 @@ class AggregateLeaf:
         shares the representative's dying session; the failover machinery
         closes it exactly once and re-homes each member individually.
 
-        ``topology.on_subscriber_split`` fires before any new traffic, so
-        experiment callbacks can copy per-subscriber accumulator state from
-        the representative to the member.
+        ``topology.on_subscriber_split`` fires before the member's first
+        SUBSCRIBE, so experiment callbacks can copy per-subscriber
+        accumulator state from the representative to the member.
         """
-        from repro.relaynet.topology import TreeSubscriber
-
         rep = self.representative
         if rep is None:
             raise RuntimeError("aggregate group has no representative yet")
@@ -156,14 +122,24 @@ class AggregateLeaf:
             raise ValueError(
                 f"subscriber {subscriber_index} is not aggregated in this group"
             )
-        network = topology.network
-        host = network.add_host(f"{self.host_prefix}-{subscriber_index}")
-        member = TreeSubscriber(
-            index=subscriber_index,
-            host=host,
-            session=rep.session,
-            leaf=rep.leaf,
-            config=rep.config,
+        self.member_indices.remove(subscriber_index)
+        self.split_indices.add(subscriber_index)
+        rep.multiplicity = len(self.member_indices)
+        if connect:
+            # The member's unit of load leaves the group (its own session
+            # counts it again), and rep-link traffic is on behalf of one
+            # fewer member.
+            rep.leaf.load -= 1
+            ends = (rep.leaf.host.address, rep.host.address)
+            for source, destination in (ends, ends[::-1]):
+                topology.network.link(source, destination).multiplicity = rep.multiplicity
+        member = topology._new_subscriber(
+            subscriber_index,
+            self.host_prefix,
+            rep.leaf,
+            rep.config,
+            rng=random.Random(subscriber_index),
+            share=None if connect else rep.session,
         )
         member.duplicate_objects_dropped = rep.duplicate_objects_dropped
         for position, track in enumerate(rep.tracks):
@@ -176,29 +152,11 @@ class AggregateLeaf:
             clone.seen = set(track.seen)
             clone.largest = track.largest
             clone.delivered = track.delivered
-        self.member_indices.remove(subscriber_index)
-        self.split_indices.add(subscriber_index)
-        rep.multiplicity = len(self.member_indices)
         hook = topology.on_subscriber_split
         if hook is not None:
             hook(member, rep)
         if connect:
-            leaf = rep.leaf
-            if not network.has_link(leaf.host.address, host.address):
-                network.connect(leaf.host, host, topology.spec.subscriber_link)
-            config = member.config if member.config is not None else topology.session_config
-            member.session = topology._open_subscriber_session(
-                host, leaf, config, rng=random.Random(subscriber_index)
-            )
-            topology._watch_subscriber_session(member)
-            # The member was already counted in leaf.load at attach time and
-            # keeps the same leaf, so load is untouched.  Future rep-link
-            # traffic is on behalf of one fewer member:
-            self._set_representative_link_multiplicity(network, rep)
-            for track in member.tracks:
-                if track.subscription is not None and track.subscription.state == "done":
-                    continue
-                track.subscribe(member.session, recover=True)
+            topology._resubscribe(member)
         return member
 
     def dissolve(self, topology: "RelayTopology") -> "list[TreeSubscriber]":
@@ -231,14 +189,6 @@ class AggregateLeaf:
         # keep standing in for the members' dense histories.
         self.handshake_byte_deficit = 0
         return created
-
-    def _set_representative_link_multiplicity(
-        self, network, rep: "TreeSubscriber"
-    ) -> None:
-        leaf_address = rep.leaf.host.address
-        if network.has_link(leaf_address, rep.host.address):
-            network.link(leaf_address, rep.host.address).multiplicity = rep.multiplicity
-            network.link(rep.host.address, leaf_address).multiplicity = rep.multiplicity
 
 
 def expand_member_sequences(

@@ -153,12 +153,12 @@ class ScenarioRun:
         return RecoveryCounters(
             relay_duplicates_dropped=sum(s.duplicate_objects_dropped for s in relays),
             subscriber_duplicates_dropped=sum(
-                sub.duplicates_dropped * sub.multiplicity for sub in subscribers
+                sub.duplicate_objects_dropped * sub.multiplicity for sub in subscribers
             ),
             recovery_fetches=sum(s.recovery_fetches for s in relays),
             recovered_objects=sum(s.recovered_objects for s in relays),
             subscriber_gap_fetches=sum(
-                sub.gap_fetches * sub.multiplicity for sub in subscribers
+                sub.recovery_fetches * sub.multiplicity for sub in subscribers
             ),
             uplink_failures_detected=sum(s.uplink_failures_detected for s in relays),
         )

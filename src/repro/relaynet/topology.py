@@ -45,11 +45,12 @@ checks them against the closed-form model in :mod:`repro.analysis.churn`.
 
 from __future__ import annotations
 
+import heapq
 import random
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 
 from repro.moqt.errors import AdmissionRejectedError, SubscribeErrorCode
 from repro.moqt.objectmodel import MoqtObject
@@ -63,7 +64,7 @@ from repro.netsim.packet import Address
 from repro.quic.connection import ConnectionConfig
 from repro.quic.endpoint import QuicEndpoint
 from repro.relaynet.admission import AdmissionPolicy, RetryPolicy
-from repro.relaynet.aggregate import AggregateLeaf, plan_leaf_assignments
+from repro.relaynet.aggregate import AggregateLeaf
 from repro.relaynet.spec import RelayTreeSpec
 
 if TYPE_CHECKING:
@@ -107,6 +108,33 @@ class RelayNode:
         return self.relay.upstream_address.host
 
 
+# ------------------------------------------------------------------ placement
+def load_order(node: RelayNode) -> tuple[int, int]:
+    """The placement rule: fewest direct attachments first, ties to the oldest."""
+    return (node.load, node.index)
+
+
+def least_loaded(nodes: Iterable[RelayNode]) -> RelayNode | None:
+    """The node :func:`load_order` puts first (None when there is none)."""
+    return min(nodes, key=load_order, default=None)
+
+
+def plan_leaf_assignments(leaves: list[RelayNode], count: int) -> list[RelayNode]:
+    """The leaf each of ``count`` new subscribers lands on, in join order, as
+    :func:`least_loaded` would pick it after the ones before: a heap keyed by
+    :func:`load_order` (O(count log leaves), no ``RelayNode`` touched).  With
+    every leaf alive this is round-robin, so static runs keep their
+    wire-identical placement."""
+    heap = [(*load_order(leaf), position) for position, leaf in enumerate(leaves)]
+    heapq.heapify(heap)
+    placement: list[RelayNode] = []
+    for _ in range(count):
+        load, leaf_index, position = heap[0]
+        placement.append(leaves[position])
+        heapq.heapreplace(heap, (load + 1, leaf_index, position))
+    return placement
+
+
 @dataclass(eq=False, slots=True)
 class TreeSubscriber:
     """A leaf MoQT client attached below an edge relay.
@@ -121,9 +149,10 @@ class TreeSubscriber:
 
     index: int
     host: Host
-    session: MoqtSession
     leaf: RelayNode
-    config: MoqtSessionConfig | None = None
+    config: MoqtSessionConfig
+    #: None only until the topology first places the subscriber.
+    session: MoqtSession | None
     tracks: list[TrackReceiver] = field(default_factory=list)
     reattach_count: int = 0
     #: What the track receivers count: the subscriber is their ``counters``.
@@ -135,6 +164,11 @@ class TreeSubscriber:
     #: member count, and every statistic collectors read off it (bytes,
     #: objects, QUIC counters) is multiplied by this at collection time.
     multiplicity: int = 1
+    #: The admission contract it joined under (a flash crowd's, else the
+    #: default) and its latest journey through it: the storm's record, or
+    #: one opened when a SUBSCRIBE is refused after an admission.
+    retry: RetryPolicy = RetryPolicy()
+    admission: AdmissionRecord | None = None
 
     # ---------------------------------------------------------- subscriptions
     def add_track(
@@ -161,31 +195,7 @@ class TreeSubscriber:
         self.tracks.append(track)
         return track
 
-    def subscribe_track(
-        self,
-        full_track_name: FullTrackName,
-        on_object: Callable[[MoqtObject], None] | None = None,
-        on_response: Callable[[Subscription], None] | None = None,
-    ) -> Subscription:
-        """Subscribe to a track with duplicate-free delivery to ``on_object``.
-
-        ``on_response`` fires with the answered subscription — the hook the
-        topology's admission retry-with-backoff machinery hangs off.
-        """
-        track = self.add_track(full_track_name, on_object)
-        return track.subscribe(self.session, on_response=on_response)
-
     # ------------------------------------------------------------- statistics
-    @property
-    def gap_fetches(self) -> int:
-        """Gap FETCHes issued after re-attaches, across all tracks."""
-        return self.recovery_fetches
-
-    @property
-    def duplicates_dropped(self) -> int:
-        """Duplicate deliveries suppressed across all tracks."""
-        return self.duplicate_objects_dropped
-
     @property
     def objects_delivered(self) -> int:
         """Distinct objects handed to application callbacks."""
@@ -216,14 +226,9 @@ class SiblingFailover:
     def choose_parent(
         self, topology: "RelayTopology", orphan: RelayNode, dead: RelayNode
     ) -> RelayNode | None:
-        siblings = [
-            node
-            for node in topology.tiers[dead.tier_index]
-            if node.alive and node is not dead
-        ]
-        if not siblings:
-            return None
-        return min(siblings, key=lambda node: (node.load, node.index))
+        return least_loaded(
+            [node for node in topology.tiers[dead.tier_index] if node.alive and node is not dead]
+        )
 
 
 class GrandparentFailover:
@@ -284,7 +289,11 @@ class FailoverEvent:
     #: every orphan: ``"no-surviving-parent"`` (relay orphans with a dead
     #: origin as the only fallback, or subscribers with no alive leaf) or
     #: ``"no-surviving-origin"`` (an origin death with no standby left).
-    #: Stranded orphans carry an empty ``new_parent`` in their records.
+    #: Stranded orphans carry an empty ``new_parent`` in their records.  A
+    #: re-homed subscriber whose re-subscription is refused for good sets
+    #: ``"admission-exhausted"`` (its retry budget ran out) or
+    #: ``"subscribe-refused"`` (a refusal no retry can change); its record
+    #: stays un-reattached.
     error: str = ""
     #: The origin-cluster epoch this event promoted *to*, for origin-tier
     #: events that elected a successor; None everywhere else.
@@ -359,6 +368,11 @@ class AdmissionRecord:
         """Record the first accepted SUBSCRIBE (idempotent)."""
         if self.admitted_at is None:
             self.admitted_at = now
+
+    @property
+    def settled(self) -> bool:
+        """Whether this journey is over: admitted, or out of budget."""
+        return self.admitted_at is not None or self.terminal
 
     @property
     def join_latency(self) -> float | None:
@@ -680,26 +694,13 @@ class RelayTopology:
 
     # --------------------------------------------------------------- placement
     def _pick_parent(self, tier_index: int) -> RelayNode:
-        """Least-loaded alive relay in the tier above (ties: oldest first)."""
-        candidates = [node for node in self.tiers[tier_index - 1] if node.alive]
-        if not candidates:
+        """Least-loaded alive relay in the tier above."""
+        parent = least_loaded(node for node in self.tiers[tier_index - 1] if node.alive)
+        if parent is None:
             raise RuntimeError(
                 f"tier {self.spec.tiers[tier_index - 1].name!r} has no alive relays"
             )
-        return min(candidates, key=lambda node: (node.load, node.index))
-
-    def _pick_leaf(self) -> RelayNode:
-        """Least-loaded alive leaf (ties: oldest first).
-
-        With every leaf alive and subscribers only ever added, this is
-        exactly round-robin — the static fan-out experiments keep their
-        wire-identical placement — but it skips dead leaves and absorbs
-        imbalance the moment the tree churns.
-        """
-        candidates = self.alive_leaves()
-        if not candidates:
-            raise RuntimeError("no alive leaf relays to attach subscribers to")
-        return min(candidates, key=lambda node: (node.load, node.index))
+        return parent
 
     # ------------------------------------------------------------- subscribers
     def attach_subscribers(
@@ -716,80 +717,89 @@ class RelayTopology:
 
         With :attr:`aggregate_leaves` set, the same placement runs counted:
         one representative per leaf group, dense materialisation only for
-        span-sampled indices (see :meth:`_attach_subscribers_aggregate`).
+        span-sampled indices (see :meth:`_plan_counted`), connection IDs
+        from index-derived private RNG streams, leaving the global seeded
+        stream untouched (creating 1M subscribers or 26 stand-ins draws the
+        same zero values from it).
         """
         config = session_config if session_config is not None else self.session_config
-        if self.aggregate_leaves:
-            return self._attach_subscribers_aggregate(count, config, host_prefix)
+        leaves = self.alive_leaves()
+        if not leaves:
+            raise RuntimeError("no alive leaf relays to attach subscribers to")
+        start = self._subscribers_created
+        self._subscribers_created += count
+        placement = plan_leaf_assignments(leaves, count)
+        counted = self.aggregate_leaves
+        groups = self._plan_counted(leaves, placement, start, host_prefix) if counted else {}
         created: list[TreeSubscriber] = []
         # One batching region around the whole population: every subscriber's
         # first handshake flight collapses into one link-batch event instead
         # of one heap event per subscriber (the replies batch recursively).
         self.network.begin_batch()
         try:
-            for _ in range(count):
-                index = self._subscribers_created
-                self._subscribers_created += 1
-                leaf = self._pick_leaf()
-                host = self.network.add_host(f"{host_prefix}-{index}")
-                self.network.connect(leaf.host, host, self.spec.subscriber_link)
-                session = self._open_subscriber_session(host, leaf, config)
-                subscriber = TreeSubscriber(
-                    index=index, host=host, session=session, leaf=leaf, config=config
+            for index, leaf in enumerate(placement, start):
+                if counted and index not in groups:
+                    continue  # its group's representative stands in for it
+                group = groups.get(index)
+                subscriber = self._new_subscriber(
+                    index,
+                    host_prefix,
+                    leaf,
+                    config,
+                    rng=random.Random(index) if counted else None,
+                    multiplicity=group.multiplicity if group is not None else 1,
                 )
-                self._watch_subscriber_session(subscriber)
-                leaf.load += 1
+                if group is not None:
+                    group.representative = subscriber
+                    self.aggregates.append(group)
+                    self._groups_by_rep[subscriber] = group
+                    downlink = self.network.link(leaf.host.address, subscriber.host.address)
+                    downlink.multiplicity = subscriber.multiplicity
+                    # ServerHellos flow leaf -> subscriber, so the ticket-id
+                    # width correction lands on the downlink only.
+                    downlink.extra_bytes = group.handshake_byte_deficit
+                    uplink = self.network.link(subscriber.host.address, leaf.host.address)
+                    uplink.multiplicity = subscriber.multiplicity
                 created.append(subscriber)
         finally:
             self.network.end_batch()
         self.subscribers.extend(created)
         return created
 
-    def _attach_subscribers_aggregate(
-        self, count: int, config: MoqtSessionConfig, host_prefix: str
-    ) -> list[TreeSubscriber]:
-        """Counted attach: identical placement, one connection per leaf group.
+    def _plan_counted(
+        self, leaves: list[RelayNode], placement: list[RelayNode], start: int, host_prefix: str
+    ) -> dict[int, AggregateLeaf | None]:
+        """What a counted attach adds to placement: the subscribers that really
+        connect, each with the group it stands in for (None: itself only).
 
-        Placement is planned with the same (load, index) least-loaded rule
-        the dense loop applies sequentially, so per-leaf populations — and
-        therefore every multiplied statistic — match the dense run exactly.
         Span-sampled indices (``index % subscriber_sample_every == 0`` under
-        an active tracer) are materialised dense immediately so latency
-        breakdowns keep real per-subscriber delivery timestamps; everyone
-        else rides a representative with ``multiplicity = group size``.
-        Connection IDs come from index-derived private RNG streams, leaving
-        the global seeded stream untouched (creating 1M subscribers or 26
-        stand-ins draws the same zero values from it).
+        an active tracer) stay dense so latency breakdowns keep real
+        per-subscriber delivery timestamps; everyone else rides a
+        representative with ``multiplicity = group size``.
         """
-        leaves = self.alive_leaves()
-        if not leaves:
-            raise RuntimeError("no alive leaf relays to attach subscribers to")
         telemetry = getattr(self.network, "telemetry", None)
         stride = 0
         if telemetry is not None and telemetry.spans is not None:
             stride = telemetry.spans.subscriber_sample_every
-        start = self._subscribers_created
-        assignments = plan_leaf_assignments(leaves, count, start)
-        self._subscribers_created += count
-        # Per-index plan built ascending so self.subscribers keeps the dense
-        # run's ordering (ascending by index).
-        plan: dict[int, tuple[RelayNode, AggregateLeaf | None]] = {}
-        for leaf, indices in zip(leaves, assignments):
+        placed: dict[RelayNode, list[int]] = {leaf: [] for leaf in leaves}
+        for index, leaf in enumerate(placement, start):
+            placed[leaf].append(index)
+        connecting: dict[int, AggregateLeaf | None] = {}
+        for leaf, indices in placed.items():
             if not indices:
                 continue
-            leaf.load += len(indices)
             sampled = [i for i in indices if stride and i % stride == 0]
             counted = [i for i in indices if not (stride and i % stride == 0)]
             for index in sampled:
-                plan[index] = (leaf, None)
+                connecting[index] = None
             group = None
             if len(counted) == 1:
-                plan[counted[0]] = (leaf, None)
+                connecting[counted[0]] = None
             elif counted:
                 group = AggregateLeaf(
                     leaf=leaf, member_indices=counted, host_prefix=host_prefix
                 )
-                plan[counted[0]] = (leaf, group)
+                connecting[counted[0]] = group
             # Dense-identical TLS ticket issuance.  The dense run hands this
             # leaf's k-th arriving subscriber ticket id base+k; reserve
             # exactly those ids for the connections that really open here
@@ -814,41 +824,7 @@ class RelayTopology:
                 group.handshake_byte_deficit = sum(
                     len(str(dense_ticket[index])) for index in counted
                 ) - len(counted) * rep_width
-        created: list[TreeSubscriber] = []
-        self.network.begin_batch()
-        try:
-            for index in sorted(plan):
-                leaf, group = plan[index]
-                host = self.network.add_host(f"{host_prefix}-{index}")
-                self.network.connect(leaf.host, host, self.spec.subscriber_link)
-                session = self._open_subscriber_session(
-                    host, leaf, config, rng=random.Random(index)
-                )
-                multiplicity = group.multiplicity if group is not None else 1
-                subscriber = TreeSubscriber(
-                    index=index,
-                    host=host,
-                    session=session,
-                    leaf=leaf,
-                    config=config,
-                    multiplicity=multiplicity,
-                )
-                self._watch_subscriber_session(subscriber)
-                if group is not None:
-                    group.representative = subscriber
-                    self.aggregates.append(group)
-                    self._groups_by_rep[subscriber] = group
-                    downlink = self.network.link(leaf.host.address, host.address)
-                    downlink.multiplicity = multiplicity
-                    # ServerHellos flow leaf -> subscriber, so the ticket-id
-                    # width correction lands on the downlink only.
-                    downlink.extra_bytes = group.handshake_byte_deficit
-                    self.network.link(host.address, leaf.host.address).multiplicity = multiplicity
-                created.append(subscriber)
-        finally:
-            self.network.end_batch()
-        self.subscribers.extend(created)
-        return created
+        return connecting
 
     @property
     def subscriber_population(self) -> int:
@@ -872,23 +848,205 @@ class RelayTopology:
             return member
         raise ValueError(f"subscriber {subscriber_index} is not aggregated")
 
-    def _open_subscriber_session(
+    # ------------------------------------------------- the subscriber lifecycle
+    def _new_subscriber(
         self,
-        host: Host,
+        index: int,
+        host_prefix: str,
         leaf: RelayNode,
         config: MoqtSessionConfig,
         rng: random.Random | None = None,
-    ) -> MoqtSession:
-        endpoint = QuicEndpoint(host, rng=rng)
-        connection = endpoint.connect(leaf.address, self.subscriber_connection)
-        return MoqtSession(connection, is_client=True, config=config)
+        multiplicity: int = 1,
+        share: MoqtSession | None = None,
+    ) -> TreeSubscriber:
+        """The one way a subscriber comes to exist: host ``{host_prefix}-{index}``
+        placed under ``leaf`` by :meth:`_move` — or riding ``share`` (an
+        aggregate member dissolving with its leaf) until the failover moves it."""
+        host = self.network.add_host(f"{host_prefix}-{index}")
+        subscriber = TreeSubscriber(
+            index=index,
+            host=host,
+            leaf=leaf,
+            config=config,
+            session=share,
+            multiplicity=multiplicity,
+        )
+        if share is None:
+            self._move(subscriber, leaf, rng=rng)
+        return subscriber
 
-    def _watch_subscriber_session(self, subscriber: TreeSubscriber) -> None:
-        """Surface the subscriber session's in-band liveness to the topology."""
-        subscriber.session.on_liveness = (
-            lambda session, old, new, sub=subscriber: self._on_subscriber_liveness(
-                sub, session, new
+    def _move(
+        self,
+        subscriber: TreeSubscriber,
+        leaf: RelayNode,
+        reason: str = "",
+        rng: random.Random | None = None,
+    ) -> None:
+        """Give ``subscriber`` a fresh session under ``leaf``: its first
+        placement, a spill, a failover re-attach or a split.
+
+        The session it had is closed if still open (taking its admission
+        reservation with it) and its leaf gives up the load; the access link
+        is created on first use; the new session's liveness reports to
+        :meth:`report_failure`.  Re-subscribing is the caller's.
+        """
+        network = self.network
+        host = subscriber.host
+        previous = subscriber.session
+        if previous is not None:
+            if not previous.closed:
+                previous.close(reason)
+            subscriber.leaf.load -= subscriber.multiplicity
+        # A subscriber placed for the first time has no link at all yet.
+        if previous is None or not network.has_link(leaf.host.address, host.address):
+            network.connect(leaf.host, host, self.spec.subscriber_link)
+        connection = QuicEndpoint(host, rng=rng).connect(leaf.address, self.subscriber_connection)
+        session = MoqtSession(connection, is_client=True, config=subscriber.config)
+        subscriber.session = session
+        session.on_liveness = lambda session, old, new, sub=subscriber: (
+            self._on_subscriber_liveness(sub, session, new)
+        )
+        subscriber.leaf = leaf
+        leaf.load += subscriber.multiplicity
+
+    def _subscribe(
+        self,
+        subscriber: TreeSubscriber,
+        track: TrackReceiver,
+        event: FailoverEvent | None = None,
+        record: FailoverRecord | None = None,
+    ) -> None:
+        """The topology's one hooked SUBSCRIBE: resumes where ``track`` left
+        off (if anywhere), counts toward an admission in progress, and is
+        answered by :meth:`_on_answer` — completing ``record``, if given."""
+        admission = subscriber.admission
+        if admission is not None and not admission.settled:
+            admission.attempts += 1
+        track.subscribe(
+            subscriber.session,
+            recover=True,
+            on_response=partial(self._on_answer, subscriber, track, event, record),
+        )
+
+    def _resubscribe(
+        self,
+        subscriber: TreeSubscriber,
+        event: FailoverEvent | None = None,
+        record: FailoverRecord | None = None,
+    ) -> int:
+        """After a move: re-SUBSCRIBE every track still followed — not one the
+        application unsubscribed, nor one refused after admission gave up on
+        the subscriber; returns how many."""
+        admission = subscriber.admission
+        given_up = admission is not None and admission.terminal
+        restored = 0
+        for track in subscriber.tracks:
+            state = track.subscription.state if track.subscription is not None else ""
+            if state == "done" or (given_up and state == "error"):
+                continue
+            self._subscribe(subscriber, track, event, record)
+            restored += 1
+        return restored
+
+    def _on_answer(
+        self,
+        subscriber: TreeSubscriber,
+        track: TrackReceiver,
+        event: FailoverEvent | None,
+        record: FailoverRecord | None,
+        subscription: Subscription,
+    ) -> None:
+        """The admission contract, for a flash-crowd join and for every
+        re-subscribe after a move alike.
+
+        Accepted: the admission in progress is admitted, the failover record
+        re-attached.  ``TOO_MANY_SUBSCRIBERS``: spill to a sibling leaf with
+        headroom while ``retry.max_spillovers`` allows, else retry after the
+        advertised ``retry_after`` or, absent one, a jittered backoff drawn
+        from the seeded simulator RNG.  ``retry.max_attempts`` refusals — or
+        one no retry can change — are terminal, on the admission record and
+        on the failover event.
+        """
+        simulator = self.network.simulator
+        admission = subscriber.admission
+        if subscription.is_active:
+            if admission is not None and not admission.settled:
+                admission.leaf = subscriber.leaf.host.address
+                admission.mark_admitted(simulator.now)
+            if record is not None:
+                record.new_parent = subscriber.leaf.host.address  # a spill moves it
+                record.mark_reattached(simulator.now)
+            return
+        if admission is None or admission.settled:
+            # Refused after its last admission (or first policed now): a new
+            # journey, whose first attempt is the SUBSCRIBE just refused.
+            admission = subscriber.admission = AdmissionRecord(
+                name=subscriber.host.address,
+                leaf=subscriber.leaf.host.address,
+                joined_at=subscription.created_at,
+                attempts=1,
             )
+        retry = subscriber.retry
+        busy = subscription.error_code == int(SubscribeErrorCode.TOO_MANY_SUBSCRIBERS)
+        if busy and "queue" in subscription.error_reason:
+            admission.queue_rejections += 1
+        elif busy:
+            admission.rejections += 1
+        if not busy or admission.attempts >= retry.max_attempts:
+            admission.terminal = True
+            if event is not None:
+                terminal = "admission-exhausted" if busy else "subscribe-refused"
+                event.error = event.error or terminal
+            return
+        if admission.spillovers < retry.max_spillovers:
+            target = self._pick_spillover_leaf(subscriber.leaf)
+            if target is not None:
+                # Re-route to a sibling with headroom before retrying the
+                # original: the new session's handshake provides the natural
+                # pacing, no timer needed.
+                admission.spillovers += 1
+                self._move(subscriber, target, "admission spillover")
+                self._resubscribe(subscriber, event, record)
+                return
+        if subscription.retry_after_ms > 0:
+            delay = subscription.retry_after_ms / 1000.0
+        else:
+            rejections = admission.rejections + admission.queue_rejections
+            delay = retry.backoff_delay(rejections, simulator.rng)
+        admission.retry_schedule.append(simulator.now + delay)
+        simulator.call_later(delay, self._retry, subscriber, track, subscription, event, record)
+
+    def _retry(
+        self,
+        subscriber: TreeSubscriber,
+        track: TrackReceiver,
+        refused: Subscription,
+        event: FailoverEvent | None,
+        record: FailoverRecord | None,
+    ) -> None:
+        """A scheduled retry of ``refused`` — void once a move re-subscribed
+        the track, or once the session closed with nowhere to move."""
+        if track.subscription is refused and not subscriber.session.closed:
+            self._subscribe(subscriber, track, event, record)
+
+    def _pick_spillover_leaf(self, current: RelayNode) -> RelayNode | None:
+        """Least-loaded alive sibling leaf that would admit a fresh arrival.
+
+        Saturation is a pure peek at each candidate's admission controller
+        (no token consumed, no reservation made); leaves without admission
+        control are never saturated.  Returns None when every sibling is
+        saturated — the caller falls back to backoff on the current leaf.
+        """
+        now = self.network.simulator.now
+
+        def has_headroom(node: RelayNode) -> bool:
+            controller = node.relay.admission
+            return controller is None or not controller.saturated(
+                now, node.relay.pending_subscribe_count()
+            )
+
+        return least_loaded(
+            [node for node in self.alive_leaves() if node is not current and has_headroom(node)]
         )
 
     def subscribe_all(
@@ -897,7 +1055,8 @@ class RelayTopology:
         on_object: Callable[[TreeSubscriber, MoqtObject], None] | None = None,
         subscribers: list[TreeSubscriber] | None = None,
     ) -> list[Subscription]:
-        """Subscribe every (given or attached) subscriber to one track."""
+        """Subscribe every (given or attached) subscriber to one track: a
+        plain SUBSCRIBE, with no answer hook."""
         targets = subscribers if subscribers is not None else self.subscribers
         subscriptions: list[Subscription] = []
         self.network.begin_batch()
@@ -906,13 +1065,14 @@ class RelayTopology:
                 callback = None
                 if on_object is not None:
                     callback = partial(on_object, subscriber)
-                subscriptions.append(subscriber.subscribe_track(full_track_name, callback))
+                track = subscriber.add_track(full_track_name, callback)
+                subscriptions.append(track.subscribe(subscriber.session))
                 group = self._groups_by_rep.get(subscriber)
                 if group is not None:
                     # Remember the raw two-arg callback so a member
                     # materialised later delivers to the same application
                     # hook the dense subscriber would have.
-                    group.record_track_callback(len(subscriber.tracks) - 1, on_object)
+                    group.track_callbacks[len(subscriber.tracks) - 1] = on_object
         finally:
             self.network.end_batch()
         return subscriptions
@@ -936,7 +1096,8 @@ class RelayTopology:
         least-loaded alive leaf — or below ``leaf`` when one is pinned,
         modelling the geographically concentrated crowd that slams a single
         edge relay — opens a session and subscribes to ``full_track_name``
-        under the admission retry contract:
+        under the admission retry contract (:meth:`_on_answer`, which every
+        re-subscribe after a move follows too):
 
         * a ``TOO_MANY_SUBSCRIBERS`` rejection waits the advertised
           ``retry_after`` (the relay's reservation makes exactly one retry
@@ -988,129 +1149,30 @@ class RelayTopology:
         retry: RetryPolicy,
         pinned_leaf: "RelayNode | None" = None,
     ) -> None:
-        """One storm participant arrives: host, link, session, subscribe."""
+        """One storm participant arrives: a subscriber whose one SUBSCRIBE
+        runs under the storm's admission contract.  A pinned leaf that has
+        left the tree since the storm was injected no longer pins."""
         index = self._subscribers_created
         self._subscribers_created += 1
-        leaf = pinned_leaf if pinned_leaf is not None else self._pick_leaf()
-        host = self.network.add_host(f"{host_prefix}-{index}")
-        self.network.connect(leaf.host, host, self.spec.subscriber_link)
-        session = self._open_subscriber_session(host, leaf, config)
-        subscriber = TreeSubscriber(
-            index=index, host=host, session=session, leaf=leaf, config=config
-        )
-        self._watch_subscriber_session(subscriber)
-        leaf.load += 1
-        self.subscribers.append(subscriber)
-        storm.subscribers.append(subscriber)
-        record = AdmissionRecord(
-            name=host.address,
+        leaf = pinned_leaf
+        if leaf is None or not leaf.alive:
+            leaf = least_loaded(self.alive_leaves())
+            if leaf is None:
+                raise RuntimeError("no alive leaf relays to attach subscribers to")
+        subscriber = self._new_subscriber(index, host_prefix, leaf, config)
+        subscriber.retry = retry
+        subscriber.admission = record = AdmissionRecord(
+            name=subscriber.host.address,
             leaf=leaf.host.address,
             joined_at=self.network.simulator.now,
         )
+        self.subscribers.append(subscriber)
+        storm.subscribers.append(subscriber)
         storm.records.append(record)
         callback = None
         if on_object is not None:
             callback = partial(on_object, subscriber)
-        self._admission_subscribe(subscriber, storm, record, callback, retry)
-
-    def _admission_subscribe(
-        self,
-        subscriber: TreeSubscriber,
-        storm: FlashCrowdStorm,
-        record: AdmissionRecord,
-        on_object: Callable[[MoqtObject], None] | None,
-        retry: RetryPolicy,
-    ) -> None:
-        """Subscribe with the bounded retry / spillover admission contract."""
-        simulator = self.network.simulator
-        track = subscriber.add_track(storm.full_track_name, on_object)
-
-        def attempt() -> None:
-            record.attempts += 1
-            # Always subscribe on the *current* session — spillover swaps it.
-            track.subscribe(subscriber.session, on_response=on_response)
-
-        def on_response(subscription: Subscription) -> None:
-            if subscription.is_active:
-                record.leaf = subscriber.leaf.host.address
-                record.mark_admitted(simulator.now)
-                return
-            if subscription.error_code != int(SubscribeErrorCode.TOO_MANY_SUBSCRIBERS):
-                # A hard (non-admission) refusal: no amount of backoff will
-                # change the answer, so the record turns terminal at once.
-                record.terminal = True
-                return
-            if "queue" in subscription.error_reason:
-                record.queue_rejections += 1
-            else:
-                record.rejections += 1
-            if record.attempts >= retry.max_attempts:
-                record.terminal = True
-                return
-            if record.spillovers < retry.max_spillovers:
-                target = self._pick_spillover_leaf(subscriber.leaf)
-                if target is not None:
-                    # Re-route to a sibling with headroom before retrying
-                    # the original: the new session's handshake provides the
-                    # natural pacing, no timer needed.
-                    record.spillovers += 1
-                    self._spill_subscriber(subscriber, target)
-                    attempt()
-                    return
-            if subscription.retry_after_ms > 0:
-                delay = subscription.retry_after_ms / 1000.0
-            else:
-                rejections = record.rejections + record.queue_rejections
-                delay = retry.backoff_delay(rejections, simulator.rng)
-            record.retry_schedule.append(simulator.now + delay)
-            simulator.call_later(delay, attempt)
-
-        attempt()
-
-    def _pick_spillover_leaf(self, current: RelayNode) -> RelayNode | None:
-        """Least-loaded alive sibling leaf that would admit a fresh arrival.
-
-        Saturation is a pure peek at each candidate's admission controller
-        (no token consumed, no reservation made); leaves without admission
-        control are never saturated.  Returns None when every sibling is
-        saturated — the caller falls back to backoff on the current leaf.
-        """
-        now = self.network.simulator.now
-        candidates = []
-        for node in self.alive_leaves():
-            if node is current:
-                continue
-            controller = node.relay.admission
-            if controller is not None and controller.saturated(
-                now, node.relay.pending_subscribe_count()
-            ):
-                continue
-            candidates.append(node)
-        if not candidates:
-            return None
-        return min(candidates, key=lambda node: (node.load, node.index))
-
-    def _spill_subscriber(self, subscriber: TreeSubscriber, target: RelayNode) -> None:
-        """Move a not-yet-admitted subscriber under another leaf.
-
-        The admission sibling of :meth:`_reattach_subscriber`: the old
-        session closes (releasing its token reservation at the old leaf —
-        the relay forgets reservations on session close), the link to the
-        new leaf is created on first use, and loads move with the
-        subscriber.  No track re-subscription happens here — the caller
-        retries the SUBSCRIBE itself on the fresh session.
-        """
-        old_leaf = subscriber.leaf
-        if not subscriber.session.closed:
-            subscriber.session.close("admission spillover")
-        old_leaf.load -= 1
-        if not self.network.has_link(target.host.address, subscriber.host.address):
-            self.network.connect(target.host, subscriber.host, self.spec.subscriber_link)
-        config = subscriber.config if subscriber.config is not None else self.session_config
-        subscriber.session = self._open_subscriber_session(subscriber.host, target, config)
-        self._watch_subscriber_session(subscriber)
-        subscriber.leaf = target
-        target.load += 1
+        self._subscribe(subscriber, subscriber.add_track(storm.full_track_name, callback))
 
     # -------------------------------------------------------------- membership
     def add_relay(self, tier: str | int, parent: RelayNode | None = None) -> RelayNode:
@@ -1316,9 +1378,14 @@ class RelayTopology:
         self.events.append(event)
         dead_address = dead.address
         promotion = cluster.promote(via=via, detection_latency=event.detection_latency)
+        orphans = [
+            node
+            for node in self.tiers[0]
+            if node.alive and node.relay.upstream_address == dead_address
+        ]
         if promotion is None:
-            event.error = "no-surviving-origin"
-            self._strand_origin_orphans(dead_address, event, now)
+            for node in orphans:
+                self._strand(event, node, now, "no-surviving-origin")
             raise NoSurvivingParentError(
                 f"origin {dead.host.address} died with no surviving standby",
                 event,
@@ -1327,51 +1394,9 @@ class RelayTopology:
         # The topology's origin pointer follows the election: later tier-0
         # joins and grandparent fallbacks anchor on the *current* active.
         self.origin = cluster.address
-        for node in self.tiers[0]:
-            if not node.alive or node.relay.upstream_address != dead_address:
-                continue
-            record = FailoverRecord(
-                kind="relay",
-                name=node.host.address,
-                tier=node.tier_name,
-                new_parent=cluster.active.host.address,
-                detached_at=now,
-            )
-            event.records.append(record)
-            has_live_tracks = any(
-                track.downstream or track.awaiting_upstream
-                for track in node.relay.tracks().values()
-            )
-            node.relay.switch_upstream(
-                self.origin,
-                on_track_reattached=lambda track, r=record: r.mark_reattached(
-                    self.network.simulator.now
-                ),
-            )
-            if not has_live_tracks:
-                record.mark_reattached(now)
+        for node in orphans:
+            self._repoint(node, self.origin, event, now)
         return event
-
-    def _strand_origin_orphans(
-        self, dead_address: Address, event: FailoverEvent, now: float
-    ) -> None:
-        """Record and cleanly terminate tier-0 relays with no origin left."""
-        for node in self.tiers[0]:
-            if not node.alive or node.relay.upstream_address != dead_address:
-                continue
-            event.records.append(
-                FailoverRecord(
-                    kind="relay",
-                    name=node.host.address,
-                    tier=node.tier_name,
-                    new_parent="",
-                    detached_at=now,
-                )
-            )
-            # Fail the relay's pending subscribes/fetches back downstream
-            # instead of leaving them wedged on a session nobody will ever
-            # answer: subscribers observe clean terminal errors, not hangs.
-            node.relay.abandon_upstream("no surviving origin")
 
     # ---------------------------------------------------------------- failover
     def _evacuate(self, node: RelayNode, cause: str) -> FailoverEvent:
@@ -1417,59 +1442,87 @@ class RelayTopology:
             new_parent = dead.parent
         if new_parent is not None:
             upstream = new_parent.address
-            anchor: Host = new_parent.host
-            parent_name = new_parent.host.address
+            anchor: Host | None = new_parent.host
             new_parent.load += 1
         else:
             # No surviving relay above: attach straight to the origin — but
             # only to an origin that is actually there.  With a replicated
             # origin whose last member is gone, "attach to the origin" would
-            # silently wire orphans to a dead address; record the stranded
-            # orphan (the structured NoSurvivingParentError is raised by
-            # report_failure once the event is complete) and terminate the
-            # child's uplink cleanly instead.
-            origin_anchor = self._origin_anchor()
-            if origin_anchor is None:
-                event.error = event.error or "no-surviving-parent"
-                event.records.append(
-                    FailoverRecord(
-                        kind="relay",
-                        name=child.host.address,
-                        tier=child.tier_name,
-                        new_parent="",
-                        detached_at=now,
-                    )
-                )
-                child.relay.abandon_upstream("no surviving parent")
-                return
+            # silently wire orphans to a dead address; strand the orphan
+            # instead (the structured NoSurvivingParentError is raised by
+            # report_failure once the event is complete).
             upstream = self.origin
-            anchor = origin_anchor
-            parent_name = self.origin.host
+            anchor = self._origin_anchor()
+            if anchor is None:
+                self._strand(event, child, now)
+                return
         if not self.network.has_link(anchor.address, child.host.address):
             self.network.connect(anchor, child.host, self.spec.tiers[child.tier_index].uplink)
         child.parent = new_parent
-        record = FailoverRecord(
-            kind="relay",
-            name=child.host.address,
-            tier=child.tier_name,
-            new_parent=parent_name,
-            detached_at=now,
-        )
-        event.records.append(record)
+        self._repoint(child, upstream, event, now)
+
+    def _repoint(
+        self, node: RelayNode, upstream: Address, event: FailoverEvent, now: float
+    ) -> None:
+        """Switch a relay orphan's uplink to ``upstream`` and record it.
+
+        The record reads re-attached at the first accepted re-subscription
+        through the new parent — or at once for a lazy relay with nothing
+        subscribed, which has no SUBSCRIBE_OK to wait for.
+        """
+        record = self._record(event, node, upstream.host, now)
         has_live_tracks = any(
             track.downstream or track.awaiting_upstream
-            for track in child.relay.tracks().values()
+            for track in node.relay.tracks().values()
         )
-        child.relay.switch_upstream(
+        node.relay.switch_upstream(
             upstream,
             on_track_reattached=lambda track, r=record: r.mark_reattached(
                 self.network.simulator.now
             ),
         )
         if not has_live_tracks:
-            # A lazy relay with nothing subscribed has no SUBSCRIBE_OK to
-            # wait for: re-pointing its uplink completes the failover.
             record.mark_reattached(now)
+
+    def _record(
+        self,
+        event: FailoverEvent,
+        orphan: RelayNode | TreeSubscriber,
+        new_parent: str,
+        now: float,
+    ) -> FailoverRecord:
+        """File one orphan's journey on ``event``."""
+        relay = isinstance(orphan, RelayNode)
+        record = FailoverRecord(
+            kind="relay" if relay else "subscriber",
+            name=orphan.host.address,
+            tier=orphan.tier_name if relay else "subscribers",
+            new_parent=new_parent,
+            detached_at=now,
+        )
+        event.records.append(record)
+        return record
+
+    def _strand(
+        self,
+        event: FailoverEvent,
+        orphan: RelayNode | TreeSubscriber,
+        now: float,
+        error: str = "no-surviving-parent",
+    ) -> None:
+        """An orphan with nowhere alive to go: the event names the terminal
+        ``error`` and the orphan's record carries no new parent.
+
+        A relay's pending subscribes and fetches are failed back downstream
+        instead of being left wedged on a session nobody will ever answer,
+        so its subscribers observe clean terminal errors, not hangs.  Raising
+        is left to the caller, after the event is complete — never
+        mid-evacuation, with the dead relay already torn down.
+        """
+        event.error = event.error or error
+        self._record(event, orphan, new_parent="", now=now)
+        if isinstance(orphan, RelayNode):
+            orphan.relay.abandon_upstream(error.replace("-", " "))
 
     def _origin_anchor(self) -> Host | None:
         """The origin host orphans may fall back to — None when it is gone.
@@ -1494,60 +1547,19 @@ class RelayTopology:
     def _failover_subscriber(
         self, subscriber: TreeSubscriber, event: FailoverEvent, now: float
     ) -> None:
-        if not self.alive_leaves():
-            # Nowhere left to re-home: record the stranded orphan (the event
-            # honestly reads incomplete) instead of raising mid-evacuation
-            # with the dead relay already torn down.
-            event.error = event.error or "no-surviving-parent"
-            event.records.append(
-                FailoverRecord(
-                    kind="subscriber",
-                    name=subscriber.host.address,
-                    tier="subscribers",
-                    new_parent="",
-                    detached_at=now,
-                )
-            )
+        """Re-home a subscriber on the least-loaded surviving leaf: a move,
+        then every followed track re-subscribed — resuming with a gap FETCH
+        from the new leaf's cache — under the admission contract it joined
+        with."""
+        new_leaf = least_loaded(self.alive_leaves())
+        if new_leaf is None:
+            self._strand(event, subscriber, now)
             return
-        new_leaf = self._pick_leaf()
-        record = FailoverRecord(
-            kind="subscriber",
-            name=subscriber.host.address,
-            tier="subscribers",
-            new_parent=new_leaf.host.address,
-            detached_at=now,
-        )
-        event.records.append(record)
-        self._reattach_subscriber(subscriber, new_leaf, record)
-
-    def _reattach_subscriber(
-        self, subscriber: TreeSubscriber, new_leaf: RelayNode, record: FailoverRecord
-    ) -> None:
-        """Move a subscriber to a new leaf: fresh session, re-subscribe every
-        track, and fill the delivery gap with a FETCH from the leaf's cache."""
-        if not subscriber.session.closed:
-            subscriber.session.close("leaf relay lost")
-        if not self.network.has_link(new_leaf.host.address, subscriber.host.address):
-            self.network.connect(new_leaf.host, subscriber.host, self.spec.subscriber_link)
-        config = subscriber.config if subscriber.config is not None else self.session_config
-        subscriber.session = self._open_subscriber_session(subscriber.host, new_leaf, config)
-        self._watch_subscriber_session(subscriber)
-        subscriber.leaf = new_leaf
+        record = self._record(event, subscriber, new_leaf.host.address, now)
+        self._move(subscriber, new_leaf, "leaf relay lost")
         subscriber.reattach_count += 1
-        new_leaf.load += 1
-
-        def mark_reattached(subscription: Subscription) -> None:
-            if subscription.is_active:
-                record.mark_reattached(self.network.simulator.now)
-
-        restored = 0
-        for track in subscriber.tracks:
-            if track.subscription is not None and track.subscription.state == "done":
-                continue  # the application unsubscribed; nothing to restore
-            track.subscribe(subscriber.session, recover=True, on_response=mark_reattached)
-            restored += 1
-        if restored == 0:
+        if self._resubscribe(subscriber, event, record) == 0:
             # Nothing to re-subscribe: the re-homing itself completes the
             # failover (otherwise the record would wait on a SUBSCRIBE_OK
             # that will never come and the event would never read complete).
-            record.mark_reattached(self.network.simulator.now)
+            record.mark_reattached(now)

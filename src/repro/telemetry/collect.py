@@ -247,8 +247,8 @@ def collect_relay_tree(metrics: MetricsRegistry, tree) -> None:
             link = network.link(subscriber.leaf.host.address, subscriber.host.address)
             subscriber_bytes += link.statistics.bytes_sent * multiplicity + link.extra_bytes
         subscriber_objects += subscriber.objects_delivered * multiplicity
-        duplicates += subscriber.duplicates_dropped * multiplicity
-        gap_fetches += subscriber.gap_fetches * multiplicity
+        duplicates += subscriber.duplicate_objects_dropped * multiplicity
+        gap_fetches += subscriber.recovery_fetches * multiplicity
         reattaches += subscriber.reattach_count * multiplicity
         for track in subscriber.tracks:
             recovery_buffered += len(track.held or ()) * multiplicity

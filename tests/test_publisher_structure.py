@@ -25,7 +25,14 @@ An ``ast`` walk over ``src/repro`` (``docs/publishers.md``):
   ``decapsulate_response``, one dataclass has an ``updated_at`` field, one
   function constructs a ``DnsUdpEndpoint`` with a ``handler=``, one module
   touches the ``_in_flight`` table, one module names ``TRACK_DOES_NOT_EXIST``
-  and one function is called ``_ns_key``.
+  and one function is called ``_ns_key``;
+* the tree subscriber has one lifecycle (``docs/failover.md`` § Receive): one
+  function constructs a ``TreeSubscriber``, one opens a subscriber session
+  (directly, or by calling ``_open_subscriber_session``), one sends a
+  SUBSCRIBE with an answer hook under ``relaynet/``, one calls
+  ``switch_upstream``, one records an orphan with an empty ``new_parent``,
+  one builds the ``(load, index)`` placement key, and one places a new
+  population through ``plan_leaf_assignments``.
 """
 
 from __future__ import annotations
@@ -400,3 +407,128 @@ class MoqForwarder:
         ("question record", "core/forwarder.py:ForwarderRecord"),
         ("subscribe + joining FETCH", "core/forwarder.py:_lookup_upstream"),
     ]
+
+
+def lifecycle_parts(source: str, path: str) -> list[tuple[str, str]]:
+    """Every ``(part, site)`` of the tree-subscriber lifecycle and the relay
+    failover found in one module, a site being ``path:function``: the pieces
+    the topology used to write once per kind of join, move or failover."""
+    found: set[tuple[str, str]] = set()
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        site = f"{path}:{function}"
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "attr", getattr(node.func, "id", ""))
+            arguments = [*node.args, *(keyword.value for keyword in node.keywords)]
+            if callee == "TreeSubscriber":
+                found.add(("subscriber constructed", site))
+            if callee == "_open_subscriber_session" or (
+                callee == "connect"
+                and any("subscriber_connection" in _identifiers(a) for a in arguments)
+            ):
+                found.add(("subscriber session opened", site))
+            if callee == "switch_upstream":
+                found.add(("relay re-pointed", site))
+            if any(
+                keyword.arg == "new_parent"
+                and isinstance(keyword.value, ast.Constant)
+                and keyword.value.value == ""
+                for keyword in node.keywords
+            ):
+                found.add(("orphan stranded", site))
+            if callee == "subscribe" and path.startswith("relaynet/") and any(
+                keyword.arg == "on_response"
+                and not (isinstance(keyword.value, ast.Constant) and keyword.value.value is None)
+                for keyword in node.keywords
+            ):
+                found.add(("hooked SUBSCRIBE", site))
+            if callee == "plan_leaf_assignments":
+                found.add(("population placed", site))
+        if (
+            isinstance(node, ast.Tuple)
+            and len(node.elts) >= 2
+            and getattr(node.elts[0], "attr", "") == "load"
+            and getattr(node.elts[1], "attr", "") == "index"
+        ):
+            found.add(("(load, index) key", site))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_one_subscriber_lifecycle():
+    sites: dict[str, list[str]] = {}
+    for file in sorted(SRC.rglob("*.py")):
+        path = file.relative_to(SRC).as_posix()
+        for part, site in lifecycle_parts(file.read_text(), path):
+            sites.setdefault(part, []).append(site)
+    assert sites == {
+        "subscriber constructed": ["relaynet/topology.py:_new_subscriber"],
+        "subscriber session opened": ["relaynet/topology.py:_move"],
+        "hooked SUBSCRIBE": ["relaynet/topology.py:_subscribe"],
+        "relay re-pointed": ["relaynet/topology.py:_repoint"],
+        "orphan stranded": ["relaynet/topology.py:_strand"],
+        "(load, index) key": ["relaynet/topology.py:load_order"],
+        "population placed": ["relaynet/topology.py:attach_subscribers"],
+    }
+
+
+def test_guard_catches_a_second_copy_of_the_lifecycle():
+    # The shapes the topology carried before its lifecycle was written once:
+    # a subscriber made per kind of join, a session opened per kind of move,
+    # a second answer hook, re-point and strand steps per failover kind, the
+    # placement key per picker.
+    topology_copy = """
+def attach_subscribers(self, count, session_config=None, host_prefix="sub"):
+    leaf = self._pick_leaf()
+    session = self._open_subscriber_session(host, leaf, config)
+    subscriber = TreeSubscriber(index=index, host=host, session=session, leaf=leaf)
+
+def _storm_join(self, storm, config, host_prefix, on_object, retry, pinned_leaf=None):
+    subscriber = TreeSubscriber(index=index, host=host, session=session, leaf=leaf)
+
+def _pick_leaf(self):
+    return min(candidates, key=lambda node: (node.load, node.index))
+
+def _open_subscriber_session(self, host, leaf, config, rng=None):
+    connection = QuicEndpoint(host, rng=rng).connect(leaf.address, self.subscriber_connection)
+
+def _reattach_subscriber(self, subscriber, new_leaf, record):
+    subscriber.session = self._open_subscriber_session(subscriber.host, new_leaf, config)
+    track.subscribe(subscriber.session, recover=True, on_response=mark_reattached)
+
+def _reparent_relay(self, child, dead, event, now):
+    event.records.append(FailoverRecord(kind="relay", name=name, tier=tier, new_parent="", detached_at=now))
+    child.relay.switch_upstream(upstream, on_track_reattached=mark)
+
+def report_origin_failure(self, reporter, via=""):
+    node.relay.switch_upstream(self.origin, on_track_reattached=mark)
+
+def _failover_subscriber(self, subscriber, event, now):
+    event.records.append(FailoverRecord(kind="subscriber", name=name, tier=tier, new_parent="", detached_at=now))
+
+def subscribe_track(self, full_track_name, on_object=None, on_response=None):
+    return track.subscribe(self.session, on_response=on_response)
+"""
+    found: dict[str, list[str]] = {}
+    for part, site in lifecycle_parts(topology_copy, "relaynet/topology.py"):
+        found.setdefault(part, []).append(site.split(":")[1])
+    assert found == {
+        "subscriber constructed": ["_storm_join", "attach_subscribers"],
+        "subscriber session opened": [
+            "_open_subscriber_session", "_reattach_subscriber", "attach_subscribers",
+        ],
+        "hooked SUBSCRIBE": ["_reattach_subscriber", "subscribe_track"],
+        "relay re-pointed": ["_reparent_relay", "report_origin_failure"],
+        "orphan stranded": ["_failover_subscriber", "_reparent_relay"],
+        "(load, index) key": ["_pick_leaf"],
+    }
+    # A plain SUBSCRIBE is no hook; outside relaynet/ a hook is none of its business.
+    plain = "def subscribe_all(self):\n    track.subscribe(session, on_response=None)\n"
+    assert lifecycle_parts(plain, "relaynet/topology.py") == []
+    elsewhere = {part for part, _ in lifecycle_parts(topology_copy, "moqt/relay.py")}
+    assert "hooked SUBSCRIBE" not in elsewhere

@@ -310,8 +310,8 @@ class TestFailover:
         for subscriber in orphaned:
             assert subscriber.leaf is not edge0 and subscriber.leaf.alive
             assert subscriber.reattach_count == 1
-            assert subscriber.gap_fetches == 1
-            assert subscriber.duplicates_dropped > 0, "gap FETCH overlap deduped"
+            assert subscriber.recovery_fetches == 1
+            assert subscriber.duplicate_objects_dropped > 0, "gap FETCH overlap deduped"
 
     def test_reattach_latency_matches_recovery_model(self):
         spec = RelayTreeSpec.cdn(mid_relays=2, edge_per_mid=2)

@@ -19,8 +19,9 @@ release by a replaced session's completion, ``recover=False`` leaving the
 hold-back armed, a refused SUBSCRIBE leaving it armed, the ``largest + 1``
 fallback off by one, a stale SUBSCRIBE answer or one that follows a release
 issuing the FETCH, the owner's hook running after the FETCH, a plain
-SUBSCRIBE's hook being wrapped); every removal fails the schedule property or
-one of the named cases below it.
+SUBSCRIBE's hook being wrapped, a refusal releasing the hold-back its own
+hook had just handed to a newer attach); every removal fails the schedule
+property or one of the named cases below it.
 """
 
 from __future__ import annotations
@@ -404,6 +405,36 @@ class TestGuards:
         harness.answer(0, ok=False, advertised=None)
         harness.check()
         assert harness.sunk == [2, 3, 5, 6] and harness.receiver.held is None
+
+    def test_a_hook_that_resubscribes_at_once_keeps_the_hold_back(self):
+        # A refused leaf subscriber spilling to a sibling re-subscribes from
+        # inside the refusal's hook.  The refusal must leave the hold-back to
+        # that newer attach, or its answer finds nothing armed and the gap is
+        # never fetched.
+        log: list = []
+        sunk: list[int] = []
+        receiver = TrackReceiver(TRACK, lambda o: sunk.append(o.group_id), ReceiverCounters())
+        receiver.subscribe(FakeSession(log))
+        for group in (2, 3):
+            receiver.on_object(obj(group))
+        spilled = FakeSession(log)
+
+        def spill(subscription: Subscription) -> None:
+            if not subscription.is_active:
+                receiver.subscribe(spilled, recover=True)
+
+        refused = receiver.subscribe(FakeSession(log), recover=True, on_response=spill)
+        refused.state = "error"
+        refused.on_response(refused)
+        (accepted,) = spilled.subscriptions
+        accepted.state = "active"
+        accepted.on_response(accepted)
+        (fetch,) = spilled.fetches
+        assert fetch.start == Location(3, 0)
+        for group in (6, 5):
+            accepted.on_object(obj(group))
+        fetch.complete(True, [3, 4])
+        assert sunk == [2, 3, 4, 5, 6]
 
     def test_dedupe_window_stays_bounded(self):
         harness = Harness()
