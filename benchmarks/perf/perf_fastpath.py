@@ -16,8 +16,8 @@ Micro and macro layers cover the simulation fast path end to end:
 * ``cdn_macro_100k`` — the 100,000-subscriber macro-benchmark (full runs
   only; ``--smoke`` keeps the 10k run as its largest macro).  Same invariant,
   two orders of magnitude above the E11 scale, exercising the allocation-free
-  fan-out path: link-batch delivery, pooled datagrams and header-patch-only
-  per-subscriber sends;
+  fan-out path: link-batch delivery and header-patch-only per-subscriber
+  sends;
 * ``cdn_macro_1m`` — the 1,000,000-subscriber macro-benchmark (full runs
   only), running the tree in exact aggregate-leaf mode
   (``repro.relaynet.aggregate``): each edge relay's homogeneous population
@@ -146,14 +146,6 @@ CHECKED_THROUGHPUTS = (
     ("varint_roundtrip", "ops_per_second"),
 )
 
-#: Nested metric fields ``--check`` gates as *floors* (current must stay
-#: within the tolerance band *below* the reference).  Pool hit rate is
-#: deterministic for a seeded run, so any drop here is a real change to the
-#: allocation-free fan-out path, not runner jitter.
-CHECKED_METRIC_FLOORS = (
-    ("cdn_macro_10k", ("metrics", "pool_datagram_hit_rate")),
-)
-
 #: Nested metric fields ``--check`` gates as *ceilings* (current must stay
 #: within the tolerance band *above* the reference).  Events-per-wave is the
 #: scheduler cost of one pushed update's fan-out; growth here means the
@@ -260,9 +252,8 @@ def quiesced_gc(freeze: bool = False):
     """Generational GC off for the duration of a macro run.
 
     The macro benchmarks measure the simulation fast path, not the collector;
-    with the fan-out path pooled and allocation-free, leaving the cyclic GC
-    scanning hundreds of thousands of long-lived simulation objects adds
-    multi-second, randomly attributed pauses.  A full collection runs at
+    leaving the cyclic GC scanning hundreds of thousands of long-lived
+    simulation objects adds multi-second, randomly attributed pauses.  A full collection runs at
     exit, so pauses are paid between benchmarks instead of inside them.
 
     With ``freeze=True`` everything alive at entry — interpreter, harness and
@@ -381,22 +372,10 @@ def _sample_metrics_block(sample, updates: int) -> dict[str, object]:
     """The ``metrics`` sub-document of a fan-out benchmark entry.
 
     Always present (the counters are free — they are scraped, not computed),
-    so pool hit rate, heap compactions and events-per-wave are visible in
-    the committed BENCH json and gateable by ``--check``.
+    so heap compactions and events-per-wave are visible in the committed
+    BENCH json and gateable by ``--check``.
     """
-    pool = sample.pool_counters or {}
-    datagram_total = pool.get("datagrams_allocated", 0) + pool.get("datagrams_reused", 0)
-    buffer_total = pool.get("buffers_allocated", 0) + pool.get("buffers_reused", 0)
     return {
-        "pool": dict(pool),
-        "pool_datagram_hit_rate": (
-            round(pool.get("datagrams_reused", 0) / datagram_total, 6)
-            if datagram_total
-            else 0.0
-        ),
-        "pool_buffer_hit_rate": (
-            round(pool.get("buffers_reused", 0) / buffer_total, 6) if buffer_total else 0.0
-        ),
         "compactions": sample.compactions,
         # Scheduler cost of one pushed update's fan-out, with the (fixed-size)
         # setup cost amortised across the waves of this run.
@@ -465,9 +444,9 @@ def bench_cdn_macro(
     events grow with deliveries, not with per-datagram scheduling overhead),
     RSS (absolute peak, pre-run baseline and their delta — the delta is what
     the memory gates compare, so one macro's high-water mark cannot vouch
-    for another's) and a ``metrics`` block (pool hit rates, heap
-    compactions, events-per-wave, frozen-object count) so memory, allocation
-    and scheduler regressions are all visible in the JSON.
+    for another's) and a ``metrics`` block (heap compactions,
+    events-per-wave, frozen-object count) so memory, allocation and
+    scheduler regressions are all visible in the JSON.
 
     ``aggregate_leaves`` runs the tree in exact counted mode (one live
     connection per homogeneous leaf population) — the representation behind
@@ -977,8 +956,6 @@ def check_against_reference(
 
     for bench, field in CHECKED_THROUGHPUTS:
         gate(bench, (field,), "floor")
-    for bench, path in CHECKED_METRIC_FLOORS:
-        gate(bench, path, "floor")
     for bench, path in CHECKED_METRIC_CEILINGS:
         gate(bench, path, "ceiling")
     return failures

@@ -42,8 +42,6 @@ class TreeRun:
     delivered: int
     #: Total simulator events scheduled over the whole run.
     events_scheduled: int
-    #: Datagram/buffer pool allocation and reuse counters at run end.
-    pool_counters: dict[str, int]
     #: Lazy-deletion heap compactions over the whole run.
     compactions: int
     #: Fan-out waves that degraded to per-datagram transmission (must stay 0
@@ -79,7 +77,6 @@ def _run_tree(scenario: Scenario, subscribers: int, updates: int) -> TreeRun:
         origin_objects=run.origin.objects_sent - origin_before,
         delivered=delivered[0] - delivered_before,
         events_scheduled=run.simulator.events_scheduled,
-        pool_counters=run.network.datagram_pool.counters(),
         compactions=run.simulator.compactions,
         link_batch_fallback_waves=run.network.link_batch_fallback_waves,
     )
@@ -117,9 +114,6 @@ class FanoutSample:
     #: Total simulator events scheduled over the whole run (setup included) —
     #: the quantity link-batch fan-out keeps from growing with subscribers.
     events_scheduled: int = 0
-    #: Datagram/buffer pool counters at run end (allocation vs. reuse) —
-    #: surfaced so benchmarks can regress on pool hit rate.
-    pool_counters: dict[str, int] | None = None
     #: Lazy-deletion heap compactions over the run.
     compactions: int = 0
     #: Per-tier latency summary from span tracing (None when tracing is off).
@@ -259,7 +253,6 @@ def run_relay_fanout(
                 delivered_objects=run.delivered,
                 model=model,
                 events_scheduled=run.events_scheduled,
-                pool_counters=run.pool_counters,
                 compactions=run.compactions,
                 latency=latency,
                 link_batch_fallback_waves=run.link_batch_fallback_waves,

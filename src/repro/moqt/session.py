@@ -905,8 +905,15 @@ class MoqtSession:
             self.complete_fetch(message.request_id, result)
 
     def complete_fetch(self, request_id: int, result: FetchResult) -> None:
-        """Answer a (possibly deferred) incoming FETCH."""
-        message = self._pending_incoming_fetches.pop(request_id, None)
+        """Answer a (possibly deferred) incoming FETCH.
+
+        The drained table is not kept, for the reason
+        :meth:`_take_pending_subscribe` gives.
+        """
+        pending = self._pending_incoming_fetches
+        message = pending.pop(request_id, None)
+        if message is not None and not pending:
+            self._pending_incoming_fetches = _UNUSED
         if message is None or self.closed:
             return
         if not result.ok:

@@ -255,7 +255,6 @@ class Link:
         if self._loss_rate > 0.0:
             if self._simulator.rng.random() < self._loss_rate:
                 statistics.datagrams_dropped += 1
-                datagram.release()  # pooled shells recycle on drop, too
                 return
         start = max(self._simulator.now, self._busy_until)
         if self._bandwidth is not None:
@@ -350,7 +349,6 @@ class Link:
             if link._loss_rate > 0.0:
                 if simulator.rng.random() < link._loss_rate:
                     statistics.datagrams_dropped += 1
-                    entry[1].release()  # pooled shells recycle on drop, too
                     continue
             if link._bandwidth is not None:
                 start = max(now, link._busy_until)

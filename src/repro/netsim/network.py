@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import heapq
 from functools import partial
+from types import SimpleNamespace
 from typing import Iterable
 
 from repro.netsim.link import Link, LinkConfig, note_batch_fallback
 from repro.netsim.node import Host
-from repro.netsim.packet import Datagram, DatagramPool
+from repro.netsim.packet import Datagram
 from repro.netsim.simulator import Simulator
 from repro.netsim.trace import TraceRecorder
 from repro.telemetry import Telemetry
@@ -54,10 +55,11 @@ class Network:
         # Keyed by (source, destination) host-address tuples: plain tuples
         # hash faster than any wrapper object on the per-datagram route path.
         self._links: dict[tuple[str, str], Link] = {}
-        #: Shared pool of datagram shells and send buffers; endpoints sending
-        #: heavy traffic (QUIC) draw from it so the steady-state fan-out path
-        #: recycles rather than allocates.
-        self.datagram_pool = DatagramPool()
+        #: Stateless remnant of the retired datagram pool: ``acquire`` builds a
+        #: plain :class:`Datagram`.  Nothing in the library calls it; the
+        #: end-to-end benchmark's ``netsim_transmit_many_ns_per_dgram`` unit
+        #: cost still does, until ROADMAP 0(d) re-points it and deletes this.
+        self.datagram_pool = SimpleNamespace(acquire=Datagram)
         #: Master switch for fan-out batching (the determinism canary runs
         #: with it off to prove batched and unbatched delivery are identical).
         self.batching_enabled = True
@@ -273,8 +275,7 @@ class Network:
     # --------------------------------------------------------------- delivery
     def _deliver_final(self, host: Host, datagram: Datagram) -> None:
         """Hand ``datagram`` to the handler bound on ``host`` (an unbound port
-        drops it silently, as :meth:`Host.deliver` does), then drop the
-        network's reference to a pooled shell."""
+        drops it silently, as :meth:`Host.deliver` does)."""
         trace = self.trace
         if trace.enabled:
             trace.record_datagram(
@@ -287,17 +288,6 @@ class Network:
         handler = host._ports.get(datagram.destination.port)  # noqa: SLF001
         if handler is not None:
             handler.datagram_received(datagram)
-        # Pool-managed datagrams return to the pool once fully processed (the
-        # whole receive path ran synchronously above); consumers that keep the
-        # payload must have retained the datagram.  This is release() written
-        # out — the network provably holds a reference here, so the drop is a
-        # bare decrement — and plain datagrams have no pool.
-        pool = datagram._pool  # noqa: SLF001
-        if pool is not None:
-            references = datagram._refs - 1  # noqa: SLF001
-            datagram._refs = references  # noqa: SLF001
-            if references <= 0:
-                pool._reclaim(datagram)  # noqa: SLF001
 
     # ------------------------------------------------------------- statistics
     def total_link_statistics(self) -> dict[str, int]:

@@ -186,7 +186,7 @@ class _SentPacket:
 class _EncodedStreamPacket:
     """In-flight ledger record of a hand-assembled one-STREAM-frame packet.
 
-    :meth:`QuicConnection._send_stream` serialises straight into a pooled
+    :meth:`QuicConnection._send_stream` serialises straight into one
     buffer, so nothing object-shaped survives the send for the loss machinery
     to replay.  This record is the minimal substitute: it exposes the
     ``packet_type`` / ``frames`` / ``sent_at`` / ``wire_size`` surface of
@@ -262,7 +262,6 @@ class QuicConnection:
     __slots__ = (
         "_simulator",
         "_send",
-        "_acquire_buffer",
         "local_address",
         "peer_address",
         "connection_id",
@@ -328,13 +327,6 @@ class QuicConnection:
     ) -> None:
         self._simulator = simulator
         self._send = send_datagram
-        #: Installed by the endpoint when its host network provides a
-        #: :class:`~repro.netsim.packet.DatagramPool`: returns a recycled
-        #: ``bytearray`` to serialise a packet into.  Pooled packets are
-        #: handed to ``self._send`` as that bytearray (the endpoint recognises
-        #: the type and ships it zero-copy as a pool-managed datagram); when
-        #: absent, hot paths fall back to building plain ``bytes``.
-        self._acquire_buffer: Callable[[], bytearray] | None = None
         self.local_address = local_address
         self.peer_address = peer_address
         self.connection_id = connection_id
@@ -643,10 +635,10 @@ class QuicConnection:
         """Send one STREAM frame in a packet of its own: the stream writer.
 
         Control-stream writes and one-shot data streams both leave here.  The
-        packet is serialised directly into a pooled buffer — header template,
-        packet number, lengths, frame fields, then ``data`` — with no
-        ``StreamFrame`` object and no intermediate payload copy.  ``data`` is
-        kept by reference in the ledger record for retransmission.
+        packet is serialised into one buffer — header template, packet
+        number, lengths, frame fields, then ``data`` — with no
+        ``StreamFrame`` object, and leaves as one immutable ``bytes``.
+        ``data`` is kept by reference in the ledger record for retransmission.
         """
         if not self.handshake_complete:
             # Rare: the frame is queued until the handshake completes, or
@@ -676,12 +668,10 @@ class QuicConnection:
                 return
         packet_number = self._next_packet_number
         self._next_packet_number = packet_number + 1
-        acquire = self._acquire_buffer
-        buffer = acquire() if acquire is not None else bytearray()
+        buffer = bytearray(self._header_one_rtt)
         # Byte-identical to Packet(ONE_RTT, cid, pn, (StreamFrame(stream_id,
         # offset, data, fin),)).encode(): the frame payload length is computed
         # up front so header and payload share one buffer.
-        buffer += self._header_one_rtt
         append_varint(buffer, packet_number)
         append_varint(buffer, payload_length)
         buffer.append(0x08)  # FrameType.STREAM
@@ -702,7 +692,7 @@ class QuicConnection:
         self.statistics.bytes_sent += size
         if self._cc_active:
             self._cc.on_packet_sent(packet_number, size)
-        self._send(buffer if acquire is not None else bytes(buffer), self.peer_address)
+        self._send(bytes(buffer), self.peer_address)
 
     # ------------------------------------------------------------ packetising
     def _can_send_app_data(self) -> bool:
@@ -767,8 +757,7 @@ class QuicConnection:
         """
         packet_number = self._next_packet_number
         self._next_packet_number = packet_number + 1
-        acquire = self._acquire_buffer
-        buffer = acquire() if acquire is not None else bytearray()
+        buffer = bytearray()
         # Byte-identical to Packet(packet_type, cid, pn, frames).encode().
         # The frames go in first because their length prefixes them; the
         # header is then slid in front — a short move, and no second buffer.
@@ -796,7 +785,7 @@ class QuicConnection:
         self.statistics.bytes_sent += size
         if tracked and self._cc_active:
             self._cc.on_packet_sent(packet_number, size)
-        self._send(buffer if acquire is not None else bytes(buffer), self.peer_address)
+        self._send(bytes(buffer), self.peer_address)
 
     def _probe_timeout(self) -> float:
         return max(2.5 * self._smoothed_rtt, 0.02)
@@ -951,7 +940,7 @@ class QuicConnection:
         # (or runs off the buffer, an IndexError).  Two-byte varints (stream
         # ids, lengths and packet numbers from 64 to 16383) are by far the
         # common wide form, so the hot fields decode them arithmetically;
-        # slicing a pooled memoryview for ``int.from_bytes`` allocates.
+        # a slice for ``int.from_bytes`` allocates.
         while offset < end:
             try:
                 frame_type = data[offset]
@@ -997,8 +986,9 @@ class QuicConnection:
                     stop = offset + length
                     if stop > end:
                         raise PacketDecodeError("truncated STREAM frame")
-                    # The one copy: ``data`` may be a view of a pooled buffer
-                    # that is recycled when this delivery returns.
+                    # The one slice.  ``bytes`` of it is the slice itself for
+                    # a datagram's payload; a caller's memoryview is copied,
+                    # so handlers always keep immutable bytes.
                     payload = bytes(data[offset:stop])
                     offset = stop
                 elif frame_type == _ACK:
@@ -1150,15 +1140,13 @@ class QuicConnection:
         # Hand-assembled wire bytes (identical to encoding a one-AckFrame
         # Packet): an ACK rides every ack-eliciting packet, so this path runs
         # once per received data packet and skips the Packet/Frame objects.
-        # When the endpoint installed pooled sending, the bytes go straight
-        # into a recycled buffer (ACKs dominate the reverse fan-out path).
         #
         # The idle timestamp is not touched: the only caller is
         # :meth:`receive_packet`, right after :meth:`_packet_accepted` stored
         # this same instant.
-        acquire = self._acquire_buffer
-        buffer = acquire() if acquire is not None else bytearray()
-        buffer += self._header_one_rtt if self.handshake_complete else self._header_initial
+        buffer = bytearray(
+            self._header_one_rtt if self.handshake_complete else self._header_initial
+        )
         append_varint(buffer, self._next_packet_number)
         self._next_packet_number += 1
         ranges = self._received_ranges
@@ -1189,7 +1177,7 @@ class QuicConnection:
             buffer += encoded
         self.statistics.packets_sent += 1
         self.statistics.bytes_sent += len(buffer)
-        self._send(buffer if acquire is not None else bytes(buffer), self.peer_address)
+        self._send(bytes(buffer), self.peer_address)
 
     # ---------------------------------------------------------- frame handlers
     def _on_stream_frame(

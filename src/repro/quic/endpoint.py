@@ -53,8 +53,6 @@ class QuicEndpoint:
         "ticket_store",
         "_connections",
         "_next_connection_id",
-        "_pool",
-        "_acquire_buffer",
         "_rng",
         "address",
         "datagrams_malformed",
@@ -88,14 +86,6 @@ class QuicEndpoint:
         # private stream instead so creating (or skipping) them never shifts
         # the global seeded-RNG position other components draw from.
         self._rng = rng
-        # Recycle datagram shells and send buffers through the network's pool
-        # when one exists (hosts wired to links directly, as some transport
-        # tests do, fall back to plain allocation).
-        self._pool = getattr(network, "datagram_pool", None)
-        #: The pool's send-buffer source, bound once: every connection of this
-        #: endpoint serialises into buffers from it (None without a pool —
-        #: connections then build plain ``bytes``).
-        self._acquire_buffer = self._pool.acquire_buffer if self._pool is not None else None
         #: Datagrams dropped whole because they were not a well-formed packet
         #: (scraped by :func:`repro.telemetry.collect.collect_network`).
         self.datagrams_malformed = 0
@@ -126,7 +116,6 @@ class QuicEndpoint:
             ticket_store=self.ticket_store,
         )
         self._connections[connection_id] = connection
-        connection._acquire_buffer = self._acquire_buffer
         connection.start_handshake()
         return connection
 
@@ -178,26 +167,13 @@ class QuicEndpoint:
             server_tls=self._server_tls,
         )
         self._connections[connection_id] = connection
-        connection._acquire_buffer = self._acquire_buffer
         if self.on_connection is not None:
             self.on_connection(connection)
         return connection
 
     # ------------------------------------------------------------------ wiring
-    def _send_payload(self, payload: bytes | bytearray, destination: Address) -> None:
-        pool = self._pool
-        if pool is None:
-            datagram = Datagram(self.address, destination, payload, PROTOCOL_LABEL)
-        elif type(payload) is bytearray:
-            # A pool-acquired send buffer from this endpoint's connection:
-            # ship it zero-copy as a memoryview and reclaim it with the
-            # datagram after final delivery.
-            datagram = pool.acquire(
-                self.address, destination, memoryview(payload), PROTOCOL_LABEL, payload
-            )
-        else:
-            datagram = pool.acquire(self.address, destination, payload, PROTOCOL_LABEL)
-        self._route(datagram)
+    def _send_payload(self, payload: bytes, destination: Address) -> None:
+        self._route(Datagram(self.address, destination, payload, PROTOCOL_LABEL))
 
     def datagram_received(self, datagram: Datagram) -> None:
         """Entry point from the host: demultiplex to a connection.

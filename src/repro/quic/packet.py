@@ -57,7 +57,7 @@ def decode_header(data: bytes | memoryview) -> tuple[int, int, int, int, int]:
         # truncated one is caught by the read after it (or the final bounds
         # check), since offsets only move forward.  The two-byte form is
         # decoded arithmetically: it is what packet numbers and lengths
-        # mostly are, and slicing a pooled memoryview allocates.
+        # mostly are, and a slice allocates.
         connection_id = data[1]
         if connection_id < 64:
             offset = 2
@@ -102,8 +102,7 @@ class Packet:
     frames: tuple[Frame, ...] = field(default_factory=tuple)
 
     def encode_into(self, buffer: bytearray) -> None:
-        """Serialise the packet into ``buffer`` (a pooled send buffer on the
-        hot path).
+        """Serialise the packet into ``buffer``.
 
         Header and frames share the output buffer; the frame payload is
         batched separately only because its varint length prefixes it.

@@ -63,10 +63,8 @@ class _ReceiveBuffer:
             return data, self._finished()
         # Retransmissions replay frames verbatim; segments that were already
         # delivered must not re-enter the buffer (they would never drain).
-        # Retained data is copied: frame payloads may be views over pooled
-        # receive buffers that are recycled once the delivery event returns.
         if data and offset >= self.delivered:
-            self.segments[offset] = bytes(data)
+            self.segments[offset] = data
         output = bytearray()
         while self.delivered in self.segments:
             chunk = self.segments.pop(self.delivered)

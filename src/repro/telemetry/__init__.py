@@ -14,7 +14,7 @@ observability cost.  Opting in is one object::
 and everything the run recorded is available through
 :mod:`repro.telemetry.export` (Prometheus text, JSONL trace dump, summary
 tables) and :mod:`repro.telemetry.collect` (scrapers that mirror the
-simulator/pool/link/QUIC/relay counters into the registry).
+simulator/link/QUIC/relay counters into the registry).
 
 The core modules (:mod:`~repro.telemetry.metrics`,
 :mod:`~repro.telemetry.spans`) are stdlib-only so :mod:`repro.netsim` can

@@ -1,6 +1,6 @@
 """Collectors: mirror existing subsystem counters into a metrics registry.
 
-The simulator, datagram pool, links, QUIC connections and relays already
+The simulator, links, QUIC connections and relays already
 keep their own slotted counters on the hot path (incrementing a plain int
 attribute is the cheapest possible instrumentation).  Rather than rewire
 those paths through the registry — which would tax every run whether or not
@@ -35,18 +35,8 @@ def collect_simulator(metrics: MetricsRegistry, simulator) -> None:
     )
 
 
-def collect_datagram_pool(metrics: MetricsRegistry, pool) -> None:
-    """Scrape the datagram/buffer pool allocation and reuse counters."""
-    if not metrics.enabled:
-        return
-    for name, value in pool.counters().items():
-        metrics.gauge(f"pool_{name}", "DatagramPool counter (see netsim.packet)").set(
-            value
-        )
-
-
 def collect_network(metrics: MetricsRegistry, network) -> None:
-    """Scrape a network: link totals, the pool and the simulator."""
+    """Scrape a network: link totals and the simulator."""
     if not metrics.enabled:
         return
     for name, value in network.total_link_statistics().items():
@@ -55,7 +45,6 @@ def collect_network(metrics: MetricsRegistry, network) -> None:
         "net_link_batch_fallback_waves",
         "Fan-out waves degraded to per-datagram transmission (should be 0)",
     ).set(getattr(network, "link_batch_fallback_waves", 0))
-    collect_datagram_pool(metrics, network.datagram_pool)
     collect_simulator(metrics, network.simulator)
     # Malformed-datagram drops are counted per QUIC endpoint, and endpoints
     # are whatever is bound to a port; other handlers have no such counter.
@@ -391,7 +380,7 @@ def collect_dns_core(metrics: MetricsRegistry, role: str, node) -> None:
 
 
 def collect_run(metrics: MetricsRegistry, network, tree=None, origin_cluster=None) -> None:
-    """One-call scrape at the end of a run: network (+ pool + simulator)
+    """One-call scrape at the end of a run: network (+ simulator)
     and, when given, the relay tree with its QUIC transport totals and the
     replicated origin cluster the tree hangs off."""
     if not metrics.enabled:

@@ -2,8 +2,7 @@
 
 The registry unifies the counters that used to be scattered across ad-hoc
 dataclasses (``relaynet/stats.py``, ``netsim/stats.py``, the counters bolted
-onto :class:`~repro.netsim.simulator.Simulator` and
-:class:`~repro.netsim.packet.DatagramPool`) behind one uniform surface that
+onto :class:`~repro.netsim.simulator.Simulator`) behind one uniform surface that
 exporters (:mod:`repro.telemetry.export`) can walk.
 
 Design constraints, in order:
@@ -144,7 +143,7 @@ class Counter:
 
 
 class Gauge(Counter):
-    """A value that can go up and down (heap depth, RSS, pool size)."""
+    """A value that can go up and down (heap depth, RSS)."""
 
     __slots__ = ()
 

@@ -32,8 +32,8 @@ from repro.relaynet.scenario import (
 from repro.telemetry import MetricsRegistry, SpanTracer, Telemetry
 
 #: Sample fields intentionally *different* under aggregation: the whole
-#: point is to collapse scheduled events and pooled allocations.
-_COLLAPSED_FIELDS = {"events_scheduled", "pool_counters", "compactions"}
+#: point is to collapse scheduled events (and with them heap compactions).
+_COLLAPSED_FIELDS = {"events_scheduled", "compactions"}
 
 
 def _assert_dataclasses_equal(dense, aggregate, skip=()):
@@ -80,8 +80,8 @@ def test_fanout_telemetry_gauge_identity():
     aggregate, aggregate_latency = scrape(True)
     assert dense.keys() == aggregate.keys()
     for key, value in dense.items():
-        if key[0].startswith(("sim_", "pool_")):
-            continue  # scheduler/pool counters collapse by design
+        if key[0].startswith("sim_"):
+            continue  # scheduler counters collapse by design
         if key[0] == "relaynet_pending_subscribe_high_water":
             # A transient in-flight quantity, not a multiplied-out statistic:
             # a counted leaf parks ONE awaiting-upstream SUBSCRIBE where the

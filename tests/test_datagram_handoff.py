@@ -357,53 +357,54 @@ class TestReceiveAndAckShortcuts:
 
 # ------------------------------------------------------------- the frame budget
 #: Python-level ``repro.quic`` + ``repro.netsim`` calls per delivered object on
-#: a one-relay, eight-subscriber star: 55.9 measured on CPython 3.11 (33.2 quic
-#: + 22.6 netsim — the chain below, the publisher -> relay hop every object
+#: a one-relay, eight-subscriber star: 49.1 measured on CPython 3.11 (33.2 quic
+#: + 15.9 netsim — the chain below, the publisher -> relay hop every object
 #: also makes, and the per-wave frames eight deliveries share).  CPython 3.12
 #: inlines comprehensions and measures lower.  PR 16's parent measured 79.5,
 #: PR 23's 57.0: the stream writer became a call of its own (+1) and sizes its
-#: one- and two-byte varints inline (-2).
-FRAME_BUDGET = 60
+#: one- and two-byte varints inline (-2).  With the datagram pool it was 55.9:
+#: ``acquire_buffer``, ``pool.acquire`` and ``_reclaim`` per datagram.
+FRAME_BUDGET = 53
 
 _MEASURED_CHAIN = """
 per delivered object, data packet then its ACK (quic + netsim frames):
   send:    send_encoded_stream [make_stream_id] -> _send_stream [_EncodedStreamPacket,
-           is_running, _probe_timeout, Timer.start -> call_at -> Event, acquire_buffer,
-           append_varint x4] -> _send_payload -> pool.acquire -> Network.route
+           is_running, _probe_timeout, Timer.start -> call_at -> Event,
+           append_varint x4] -> _send_payload -> Network.route
   link:    _transmit_batched -> (event) -> _arrive_many           [per wave, shared]
   receive: _deliver_final -> endpoint.datagram_received -> decode_header
            -> receive_packet -> _packet_accepted -> _on_stream_frame -> (moqt)
-  ack:     _send_ack [acquire_buffer, append_varint x2, varint_size] -> _send_payload
-           -> pool.acquire -> route; _deliver_final -> _reclaim
+  ack:     _send_ack [append_varint x2, varint_size] -> _send_payload -> route
   ack rx:  _deliver_final -> datagram_received -> decode_header -> receive_packet
            -> _packet_accepted -> _on_ack -> _apply_ack [Timer.stop -> cancel
-           -> _note_cancelled] ; _deliver_final -> _reclaim
+           -> _note_cancelled]
 a new frame on this path must replace one, or the budget (and docs/datagram-handoff.md)
 must say why it grew"""
 
 
 #: Python-level ``repro.quic`` + ``repro.moqt`` + ``repro.netsim`` calls per
 #: attached, SUBSCRIBE_OK'd subscriber on a one-relay, sixteen-subscriber star:
-#: 436.1 measured on CPython 3.11 in a fresh process (247.6 quic + 62.9 moqt +
-#: 125.6 netsim — the chain below, twelve datagrams long, plus a sixteenth of
-#: the relay's own upstream attach), 432.8 once the control-message decode memo
-#: is warm.  The parent commit measured 598.7 (399.6 + 73.6 + 125.6).
-ATTACH_FRAME_BUDGET = 445
+#: 397.9 measured on CPython 3.11 in a fresh process (247.6 quic + 62.9 moqt +
+#: 87.3 netsim — the chain below, twelve datagrams long, plus a sixteenth of
+#: the relay's own upstream attach), 394.5 once the control-message decode memo
+#: is warm.  Before the one-pass control encoding it was 598.7 (399.6 + 73.6 +
+#: 125.6); with the datagram pool 432.8, three netsim calls per datagram more.
+ATTACH_FRAME_BUDGET = 406
 
 _MEASURED_ATTACH_CHAIN = """
 per attached subscriber: 2 handshake + 4 control packets, each answered by a bare ACK
 (quic + moqt + netsim frames):
   connect:   endpoint.connect -> QuicConnection -> start_handshake [ClientHello.to_bytes]
              -> _send_packet [CryptoFrame.encode_into, append_varint x2 (header), _SentPacket,
-             is_running, _probe_timeout, Timer.start -> call_at -> Event, acquire_buffer]
-             -> _send_payload -> pool.acquire -> Network.route; the server's _accept ->
+             is_running, _probe_timeout, Timer.start -> call_at -> Event]
+             -> _send_payload -> Network.route; the server's _accept ->
              _process_client_hello -> _send_packet likewise; MoqtSession x2, QuicStream x2
   encode:    ControlMessage.encode -> _append_payload [append_varint per field,
              FullTrackName.append_to -> TrackNamespace.append_to, Parameters.append_to]
              (SUBSCRIBE, SUBSCRIBE_OK; the two SETUPs are module constants)
   send:      MoqtSession._send_control -> send_stream_data -> QuicStream.write -> _send_stream
-             [_EncodedStreamPacket, is_running, _probe_timeout, Timer.start, acquire_buffer,
-             append_varint x4] -> _send_payload -> pool.acquire -> Network.route
+             [_EncodedStreamPacket, is_running, _probe_timeout, Timer.start,
+             append_varint x4] -> _send_payload -> Network.route
              (CLIENT_SETUP waits for the handshake: _send_app_frames -> queue ->
              _flush_queued_app_frames -> _send_packet)
   receive:   _deliver_final -> endpoint.datagram_received -> decode_header -> receive_packet
@@ -411,11 +412,10 @@ per attached subscriber: 2 handshake + 4 control packets, each answered by a bar
              _ReceiveBuffer.receive -> _finished -> MoqtSession._on_stream_data ->
              ControlStreamParser.feed -> decode_control_message [memo hit] ->
              _handle_control_message -> _handle_<message>
-  ack:       _send_ack [acquire_buffer, append_varint x2, varint_size] -> _send_payload ->
-             pool.acquire -> route; _deliver_final -> _reclaim
+  ack:       _send_ack [append_varint x2, varint_size] -> _send_payload -> route
   ack rx:    _deliver_final -> datagram_received -> decode_header -> receive_packet ->
              _packet_accepted -> _on_ack -> _apply_ack [Timer.stop -> cancel ->
-             _note_cancelled]; _deliver_final -> _reclaim
+             _note_cancelled]
 a new frame on this path must replace one, or the budget (and docs/quic-send.md) must say
 why it grew"""
 

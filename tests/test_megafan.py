@@ -1,7 +1,7 @@
 """Tests pinned to the megafan overhaul (allocation-free macro-scale fan-out).
 
 Covers the netsim layer (link-batch delivery via ``Link.transmit_many``,
-network batching regions, the refcounted ``DatagramPool``), the QUIC
+network batching regions, payloads a consumer keeps), the QUIC
 preassembled send path (wire identity with the ``Packet`` oracle, loss
 recovery, the one-shot receive path), MoQT publishing (``publish`` golden
 bytes, shared decode memos) and the perf-harness plumbing (``--repeat`` shapes, the regression gate).
@@ -10,14 +10,15 @@ The two headline guarantees:
 
 * batched and unbatched delivery are *byte-identical* on the same seed
   (the determinism canary below runs a real CDN tree both ways);
-* pooled datagram reuse never aliases live payloads — mutate-after-release
-  must not be observable downstream (hypothesis property below).
+* a payload a consumer keeps never changes under later sends — datagram
+  and object payloads are immutable ``bytes`` (hypothesis property below).
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,13 +31,15 @@ from repro.moqt.datastream import (
 )
 from repro.moqt.objectmodel import MoqtObject
 from repro.moqt.origin import ORIGIN_HOST, ORIGIN_PORT, TRACK, build_origin
+from repro.moqt.session import MoqtSession
 from repro.netsim.link import Link, LinkConfig
 from repro.netsim.network import Network
-from repro.netsim.packet import Address, Datagram, DatagramPool
+from repro.netsim.packet import Address, Datagram
 from repro.netsim.simulator import Simulator
 from repro.netsim.trace import NullTraceRecorder
 from repro.quic.congestion import NewRenoCongestionController
 from repro.quic.connection import ConnectionConfig, QuicConnection
+from repro.quic.endpoint import QuicEndpoint
 from repro.quic.frames import AckFrame, CryptoFrame, HandshakeDoneFrame, StreamFrame
 from repro.quic.packet import Packet, PacketType
 from repro.quic.tls import ServerHello
@@ -242,87 +245,90 @@ class TestNetworkBatching:
 
 
 # ---------------------------------------------------------------------------
-# netsim: the datagram pool
+# netsim: payloads a consumer keeps
 # ---------------------------------------------------------------------------
-class TestDatagramPool:
-    def test_shell_is_reused_after_release(self):
-        pool = DatagramPool()
-        first = pool.acquire(SRC, DST, b"one", "quic")
-        first.release()
-        second = pool.acquire(DST, SRC, b"two", "udp")
-        assert second is first  # recycled shell
-        assert second.payload == b"two"
-        assert second.protocol == "udp"
-        assert second.metadata is None
-        assert pool.datagrams_allocated == 1
-        assert pool.datagrams_reused == 1
+class _KeepingEndpoint(QuicEndpoint):
+    """Keeps every delivered datagram's payload beside a copy taken on delivery."""
 
-    def test_retain_defers_reclaim_until_last_release(self):
-        pool = DatagramPool()
-        datagram = pool.acquire(SRC, DST, b"payload", "quic")
-        datagram.retain()
-        datagram.release()  # network's in-flight reference
-        assert datagram.payload == b"payload"  # consumer still holds it
-        datagram.release()
-        replacement = pool.acquire(SRC, DST, b"next", "quic")
-        assert replacement is datagram
+    def datagram_received(self, datagram):
+        self.kept.append((datagram.payload, bytearray(datagram.payload)))
+        super().datagram_received(datagram)
 
-    def test_plain_datagrams_ignore_refcounting(self):
-        datagram = Datagram(SRC, DST, b"plain")
-        datagram.retain()
-        datagram.release()
-        datagram.release()  # must be harmless
-        assert datagram.payload == b"plain"
 
-    def test_buffer_roundtrip_is_recycled(self):
-        pool = DatagramPool()
-        buffer = pool.acquire_buffer()
-        buffer += b"wire-bytes"
-        datagram = pool.acquire(SRC, DST, memoryview(buffer), "quic", buffer=buffer)
-        datagram.release()
-        again = pool.acquire_buffer()
-        assert again is buffer
-        assert len(again) == 0  # cleared for the next writer
-        assert pool.buffers_reused == 1
+@given(st.lists(st.binary(min_size=1, max_size=64), min_size=1, max_size=10))
+@settings(max_examples=25, deadline=None)
+def test_kept_payloads_never_change_under_later_sends(payloads):
+    """A consumer that keeps ``datagram.payload`` and a MoQT object's payload
+    beyond the delivery callback, with no call to make, still sees the bytes
+    it was handed after many later sends, and both are immutable ``bytes``."""
+    simulator = Simulator(seed=3)
+    network = Network(simulator, trace=NullTraceRecorder(simulator))
+    publisher = build_origin(network)
+    network.add_host("subscriber")
+    network.connect(ORIGIN_HOST, "subscriber", LinkConfig(delay=0.005))
+    endpoint = _KeepingEndpoint(network.host("subscriber"))
+    endpoint.kept = []
+    session = MoqtSession(
+        endpoint.connect(Address(ORIGIN_HOST, ORIGIN_PORT), ConnectionConfig()), is_client=True
+    )
+    objects = []
+    session.subscribe(
+        TRACK, on_object=lambda obj: objects.append((obj.payload, bytearray(obj.payload)))
+    )
+    simulator.run(until=1.0)
+    scribbles = [b"\xee" * (len(payload) + 3) for payload in payloads]
+    for group, payload in enumerate(payloads + scribbles, start=2):
+        publisher.push(MoqtObject(group_id=group, object_id=0, payload=payload))
+        simulator.run(until=simulator.now + 0.05)
+    assert [bytes(copy) for _, copy in objects] == payloads + scribbles
+    assert len(endpoint.kept) > len(objects)
+    for payload, copy in endpoint.kept + objects:
+        assert type(payload) is bytes and payload == copy
 
-    def test_buffer_with_live_export_is_abandoned_not_reused(self):
-        pool = DatagramPool()
-        buffer = pool.acquire_buffer()
-        buffer += b"retained"
-        datagram = pool.acquire(SRC, DST, memoryview(buffer), "quic", buffer=buffer)
-        leaked_view = datagram.payload[0:]  # consumer keeps a sub-view, no retain()
-        datagram.release()
-        fresh = pool.acquire_buffer()
-        assert fresh is not buffer  # abandoned, never recycled
-        fresh += b"\xff" * 8
-        assert bytes(leaked_view) == b"retained"  # old bytes stay observable
-        assert pool.buffers_abandoned >= 1
 
-    @given(st.lists(st.binary(min_size=1, max_size=64), min_size=1, max_size=10))
-    @settings(max_examples=100)
-    def test_reuse_never_aliases_live_payloads(self, payloads):
-        """Mutate-after-release must not be observable downstream.
+class _RoutingLog(Network):
+    """A network that remembers every datagram handed to ``route``."""
 
-        Consumers either copy (the decode paths), retain the datagram, or —
-        worst case — keep a raw sub-view without retaining; in every case the
-        bytes they saw must never change under later pool writes.
-        """
-        pool = DatagramPool()
-        observed: list[tuple[bytes, memoryview]] = []
-        for index, payload in enumerate(payloads):
-            buffer = pool.acquire_buffer()
-            buffer += payload
-            datagram = pool.acquire(SRC, DST, memoryview(buffer), "quic", buffer=buffer)
-            if index % 2 == 0:
-                observed.append((bytes(payload), datagram.payload[0:]))
-            datagram.release()
-            # Next writer mutates whatever buffer the pool hands out.
-            scribble = pool.acquire_buffer()
-            scribble += b"\xee" * (len(payload) + 3)
-            scribbled = pool.acquire(SRC, DST, memoryview(scribble), "quic", buffer=scribble)
-            scribbled.release()
-        for expected, view in observed:
-            assert bytes(view) == expected
+    def __init__(self, simulator):
+        super().__init__(simulator, trace=NullTraceRecorder(simulator))
+        self.routed = []
+
+    def route(self, datagram):
+        self.routed.append(datagram)
+        super().route(datagram)
+
+
+@pytest.mark.parametrize("loss_rate", [0.0, 0.2])
+def test_every_send_path_routes_a_plain_datagram_of_bytes(loss_rate):
+    """Handshake, control, data and ACK packets — first sends and
+    retransmissions alike — each leave an endpoint as one plain
+    :class:`Datagram` whose payload is the packet's immutable ``bytes``."""
+    simulator = Simulator(seed=11)
+    network = _RoutingLog(simulator)
+    publisher = build_origin(network)
+    network.add_host("subscriber")
+    network.connect(ORIGIN_HOST, "subscriber", LinkConfig(delay=0.005, loss_rate=loss_rate))
+    endpoint = QuicEndpoint(network.host("subscriber"))
+    session = MoqtSession(
+        endpoint.connect(Address(ORIGIN_HOST, ORIGIN_PORT), ConnectionConfig()), is_client=True
+    )
+    groups = []
+    session.subscribe(TRACK, on_object=lambda obj: groups.append(obj.group_id))
+    simulator.run(until=2.0)
+    for group in range(2, 12):
+        publisher.push(MoqtObject(group_id=group, object_id=0, payload=bytes([group]) * 40))
+        simulator.run(until=simulator.now + 0.1)
+    simulator.run(until=simulator.now + 5.0)
+    assert sorted(set(groups)) == list(range(2, 12))
+
+    frame_kinds = set()
+    for datagram in network.routed:
+        assert type(datagram) is Datagram and type(datagram.payload) is bytes
+        assert datagram.protocol == "quic"
+        frame_kinds.update(type(frame) for frame in Packet.decode(datagram.payload).frames)
+    assert {CryptoFrame, StreamFrame, AckFrame} <= frame_kinds
+    if loss_rate:
+        assert network.total_link_statistics()["datagrams_dropped"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -679,3 +685,33 @@ class TestPerfHarness:
         path.write_text(json.dumps({"benchmarks": {}}))
         document = {"benchmarks": {"event_loop_churn": {"events_per_second": 1}}}
         assert harness.check_against_reference(document, path) == []
+
+    def test_check_gates_nothing_on_a_reference_pool_hit_rate(self, tmp_path):
+        """A reference written while the fan-out path had a datagram pool
+        still carries its hit rates; a run's metrics block reports none and
+        must pass, while the 10k macro's ceilings keep gating."""
+        harness = self._import_harness()
+        sample = SimpleNamespace(compactions=0, events_scheduled=50, link_batch_fallback_waves=0)
+        metrics = harness._sample_metrics_block(sample, updates=5)
+        assert metrics == {"compactions": 0, "events_per_wave": 10.0, "link_batch_fallback_waves": 0}
+        path = tmp_path / "ref.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "benchmarks": {
+                        "cdn_macro_10k": {
+                            "metrics": {
+                                "pool_datagram_hit_rate": 0.99,
+                                "pool_buffer_hit_rate": 0.98,
+                                "events_per_wave": 10.0,
+                            }
+                        }
+                    }
+                }
+            )
+        )
+        run = {"benchmarks": {"cdn_macro_10k": {"metrics": metrics}}}
+        assert harness.check_against_reference(run, path) == []
+        run["benchmarks"]["cdn_macro_10k"]["metrics"]["events_per_wave"] = 20.0
+        (failure,) = harness.check_against_reference(run, path)
+        assert failure.startswith("cdn_macro_10k.metrics.events_per_wave")

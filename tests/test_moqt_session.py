@@ -10,6 +10,7 @@ from repro.moqt.messages import FilterType
 from repro.moqt.objectmodel import Location, MoqtObject, TrackState
 from repro.moqt.relay import MoqtRelay
 from repro.moqt.session import (
+    _UNUSED,
     FetchResult,
     MoqtSession,
     MoqtSessionConfig,
@@ -250,6 +251,45 @@ class TestSubscribeAndFetch:
         assert failed.state == "error"
         assert held_at_completion == [False, False]
         assert session._fetches == {}
+
+    def test_served_fetches_leave_no_table_on_the_publisher_session(self):
+        # The publisher side defers each incoming FETCH in a table for an
+        # instant; a session that has served FETCHes keeps no drained table.
+        simulator, session, publisher_sessions, delegate = _build()
+        subscription = session.subscribe(TRACK)
+        session.joining_fetch(subscription, 1)
+        session.fetch(TRACK, Location(1, 0), Location(1, 0))
+        simulator.run(until=2.0)
+        publisher = publisher_sessions[0]
+        assert publisher.statistics.fetches_received == 2
+        assert publisher._pending_incoming_fetches is _UNUSED
+
+        delegate.defer = True
+        first = session.fetch(TRACK, Location(1, 0), Location(1, 0))
+        second = session.fetch(TRACK, Location(1, 0), Location(1, 0))
+        simulator.run(until=4.0)
+        (_, first_message, _), (_, second_message, _) = delegate.fetches[2:]
+        publisher.complete_fetch(first_message.request_id, FetchResult(ok=True))
+        assert list(publisher._pending_incoming_fetches) == [second_message.request_id]
+        publisher.complete_fetch(second_message.request_id, FetchResult(ok=True))
+        assert publisher._pending_incoming_fetches is _UNUSED
+        simulator.run(until=6.0)
+        assert first.succeeded and second.succeeded
+
+    def test_completing_an_unknown_fetch_builds_no_table(self):
+        simulator, session, publisher_sessions, delegate = _build()
+        simulator.run(until=1.0)
+        publisher = publisher_sessions[0]
+        assert publisher._pending_incoming_fetches is _UNUSED
+        publisher.complete_fetch(99, FetchResult(ok=True))  # never received
+        assert publisher._pending_incoming_fetches is _UNUSED
+        fetch = session.fetch(TRACK, Location(1, 0), Location(1, 0))
+        simulator.run(until=2.0)
+        assert fetch.succeeded and publisher.statistics.fetches_received == 1
+        (_, message, _) = delegate.fetches[0]
+        publisher.complete_fetch(message.request_id, FetchResult(ok=True))  # answered already
+        assert publisher._pending_incoming_fetches is _UNUSED
+        assert publisher.statistics.fetches_received == 1
 
     def test_fetch_error_when_no_publisher(self):
         simulator, session, publisher_sessions, _ = _build()

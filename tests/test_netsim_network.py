@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import ast
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.netsim.link import Link, LinkConfig
 from repro.netsim.network import Network, NoRouteError, UnknownHostError
 from repro.netsim.node import Host, HostNotAttachedError, PortInUseError
-from repro.netsim.packet import Address, Datagram, DatagramPool
+from repro.netsim.packet import Address, Datagram
 from repro.netsim.simulator import Simulator
 from repro.netsim.stats import Counter, SummaryStatistics, cumulative_distribution, histogram
 from repro.netsim.trace import TraceRecorder, format_sequence
 from repro.quic.endpoint import QuicEndpoint
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 class _Collector:
     """A port handler that records delivered datagrams with timestamps."""
@@ -333,53 +338,119 @@ class TestRouteOrder:
 
 
 class TestDeliveryOwnsTheNetworksReference:
-    """``_deliver_final`` drops the network's reference to a pooled shell
-    itself; the result must be what ``Datagram.release()`` would have done."""
+    """Once a datagram is delivered or dropped the network holds no reference
+    to it: what the consumer keeps is all that keeps it alive, which is the
+    state an explicit ``release()`` of the network's reference used to reach."""
 
     @staticmethod
-    def _pooled(pool):
-        buffer = pool.acquire_buffer()
-        buffer += b"wire-bytes"
-        return pool.acquire(
-            Address("10.0.0.1", 1), Address("10.0.0.2", 7), memoryview(buffer), "test", buffer
-        )
-
-    @staticmethod
-    def _state(datagram, pool):
-        return (
-            datagram._refs,
-            sum(1 for shell in pool._free if shell is datagram),
-            len(pool._free_buffers),
-            bytes(datagram.payload),
-        )
+    def _datagram():
+        return Datagram(Address("10.0.0.1", 1), Address("10.0.0.2", 7), b"wire-bytes", "test")
 
     @pytest.mark.parametrize("retains", [0, 1, 2])
     @pytest.mark.parametrize("bound", [True, False])
     def test_drop_after_delivery_equals_release(self, simulator, two_host_network, retains, bound):
         network = two_host_network
-        delivered = []
+        kept = []
 
         class Keeper:
             def datagram_received(self, datagram):
-                for _ in range(retains):
-                    datagram.retain()
-                delivered.append(bytes(datagram.payload))
+                kept.extend([datagram] * retains)
 
         if bound:
             network.host("10.0.0.2").bind(7, Keeper())
-        datagram = self._pooled(network.datagram_pool)
+        datagram = self._datagram()
         network.route(datagram)
         simulator.run_until_idle()
-        assert delivered == ([b"wire-bytes"] if bound else [])  # unbound: silent drop
+        assert len(kept) == (retains if bound else 0)  # unbound: silent drop
+        assert all(entry is datagram for entry in kept)
 
-        reference_pool = DatagramPool()
-        reference = self._pooled(reference_pool)
-        for _ in range(retains if bound else 0):
-            reference.retain()
-        reference.release()
-        assert self._state(datagram, network.datagram_pool) == self._state(
-            reference, reference_pool
+        # A datagram that never left this test, held as often as the consumer
+        # holds the delivered one, has exactly as many references.
+        reference = self._datagram()
+        held = [reference] * len(kept)
+        assert sys.getrefcount(datagram) == sys.getrefcount(reference)
+        assert datagram.payload == b"wire-bytes" and len(held) == len(kept)
+
+    @pytest.mark.parametrize("path", ["transmit", "transmit_many"])
+    def test_a_datagram_lost_on_the_link_is_not_kept(self, simulator, path):
+        delivered = []
+        link = Link(simulator, LinkConfig(delay=0.01, loss_rate=0.999999), delivered.append)
+        datagram = self._datagram()
+        if path == "transmit":
+            link.transmit(datagram)
+        else:
+            Link.transmit_many(simulator, [(link, datagram)])
+        simulator.run_until_idle()
+        assert delivered == [] and link.statistics.datagrams_dropped == 1
+        reference = self._datagram()
+        assert sys.getrefcount(datagram) == sys.getrefcount(reference)
+
+
+class TestPlainDatagrams:
+    """Every datagram is four plain fields; the stateless ``datagram_pool``
+    remnant builds one and nothing in the library calls it."""
+
+    def test_a_datagram_is_four_fields_and_nothing_else(self):
+        assert Datagram.__slots__ == ("source", "destination", "payload", "protocol")
+        for retired in ("retain", "release", "reply", "metadata", "size"):
+            assert not hasattr(Datagram, retired), retired
+        datagram = Datagram(Address("a", 1), Address("b", 2), b"x")
+        assert datagram.protocol == "udp"
+        assert not hasattr(datagram, "__dict__")
+
+    def test_the_pool_remnant_builds_a_fresh_plain_datagram(self, simulator, two_host_network):
+        network = two_host_network
+        collector = _Collector(simulator)
+        network.host("10.0.0.2").bind(7, collector)
+        source, destination = Address("10.0.0.1", 1), Address("10.0.0.2", 7)
+        first = network.datagram_pool.acquire(source, destination, b"one")
+        second = network.datagram_pool.acquire(source, destination, b"two", "quic")
+        assert type(first) is Datagram and type(second) is Datagram and first is not second
+        assert (first.source, first.destination, first.payload, first.protocol) == (
+            source, destination, b"one", "udp",
         )
+        assert second.protocol == "quic"
+        network.route(first)
+        network.route(second)
+        simulator.run_until_idle()
+        assert [datagram for _, datagram in collector.received] == [first, second]
+
+    def test_the_pool_remnant_keeps_no_state(self, simulator):
+        network = Network(simulator)
+        before = dict(vars(network.datagram_pool))
+        for index in range(100):
+            network.datagram_pool.acquire(Address("a", 1), Address("b", 2), bytes([index]))
+        assert vars(network.datagram_pool) == before == {"acquire": Datagram}
+
+    def test_the_library_never_calls_the_pool_remnant(self):
+        readers = [
+            f"{path}:{node.lineno}"
+            for path, node in _library_nodes()
+            if isinstance(node, ast.Attribute)
+            and node.attr == "datagram_pool"
+            and isinstance(node.ctx, ast.Load)
+        ]
+        assert readers == []
+
+    def test_no_pool_machinery_is_left_in_the_library(self):
+        retired = {"DatagramPool", "_POOL_FREE_LIST_CAP", "_reclaim", "acquire_buffer",
+                   "_acquire_buffer", "collect_datagram_pool", "pool_counters"}
+        found = []
+        for path, node in _library_nodes():
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = node.name
+            if name in retired:
+                found.append(f"{path}:{node.lineno}: {name}")
+        assert found == []
+
+
+def _library_nodes():
+    """Every ``ast`` node of every module under ``src/repro``, with its path."""
+    for file in sorted(SRC.rglob("*.py")):
+        path = file.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(file.read_text())):
+            yield path, node
 
 
 class TestEndpointAttachment:
@@ -403,10 +474,9 @@ class TestEndpointAttachment:
         endpoint = QuicEndpoint(host)
         endpoint.connect(Address("peer", 443))
         (initial,) = network.routed
-        assert type(initial) is Datagram and initial._pool is None
+        assert type(initial) is Datagram
         assert type(initial.payload) is bytes and initial.protocol == "quic"
         assert (initial.source, initial.destination) == (endpoint.address, Address("peer", 443))
-        initial.release()  # plain datagrams ignore the refcount calls
 
 
 class TestTraceRecorder:

@@ -109,7 +109,7 @@ class RecordingConnection(QuicConnection):
         self.calls.append(("accepted", packet_number, wire_size))
 
     def _on_stream_frame(self, packet_type, stream_id, offset, data, fin):
-        assert type(data) is bytes  # copied out of the (possibly pooled) buffer
+        assert type(data) is bytes  # sliced out, or copied from a memoryview
         self.calls.append(("stream", packet_type, stream_id, offset, data, fin))
 
     def _on_ack(self, largest):
@@ -803,6 +803,25 @@ def test_a_fragmented_stream_does_not_stall_the_floor():
     # A retransmission of either fragment is absorbed by the stream itself.
     connection.datagram_received(Packet(PacketType.ONE_RTT, 77, 4, (first,)).encode())
     assert len(chunks) == 4
+
+
+def test_a_held_fragment_survives_reuse_of_the_callers_buffer():
+    """The stream's reorder buffer keeps the frame data it is handed without a
+    copy of its own; that is sound because the receive loop hands it bytes
+    even when the caller's datagram is a view over a buffer it goes on to
+    overwrite."""
+    connection, _ = _receiver()
+    chunks = []
+    connection.on_stream_data = lambda sid, data, fin: chunks.append((data, fin))
+    stream_id = (1 << 2) | 0x2
+    late = Packet(PacketType.ONE_RTT, 77, 0, (StreamFrame(stream_id, 4, b"ment", True),)).encode()
+    buffer = bytearray(late)
+    connection.datagram_received(memoryview(buffer))
+    assert chunks == []  # offset 4 waits for offset 0
+    buffer[:] = bytes(len(buffer))  # the caller reuses its buffer
+    first = Packet(PacketType.ONE_RTT, 77, 1, (StreamFrame(stream_id, 0, b"frag", False),))
+    connection.datagram_received(first.encode())
+    assert b"".join(data for data, _ in chunks) == b"fragment" and chunks[-1][1] is True
 
 
 @settings(max_examples=60, deadline=None)

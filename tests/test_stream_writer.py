@@ -96,10 +96,10 @@ payloads = st.one_of(
 )
 
 
-def _connection(sent, connection_id=77, *, pooled=False, config=None, simulator=None):
+def _connection(sent, connection_id=77, *, config=None, simulator=None):
     connection = QuicConnection(
         simulator=simulator or Simulator(),
-        send_datagram=lambda payload, destination: sent.append(bytes(payload)),
+        send_datagram=lambda payload, destination: sent.append(payload),
         local_address=Address("local", 1),
         peer_address=Address("peer", 2),
         connection_id=connection_id,
@@ -107,8 +107,6 @@ def _connection(sent, connection_id=77, *, pooled=False, config=None, simulator=
         config=config or ConnectionConfig(),
     )
     connection.handshake_complete = True
-    if pooled:
-        connection._acquire_buffer = bytearray
     return connection
 
 
@@ -125,16 +123,17 @@ class _RecordingNewReno(NewRenoCongestionController):
 # ------------------------------------------------------------- the differential
 class TestWriterDifferential:
     @settings(max_examples=300, deadline=None)
-    @given(varints, varints, varints, varints, payloads, st.booleans(), st.booleans())
+    @given(varints, varints, varints, varints, payloads, st.booleans())
     def test_stream_writer_matches_the_codec(
-        self, connection_id, packet_number, stream_id, offset, data, fin, pooled
+        self, connection_id, packet_number, stream_id, offset, data, fin
     ):
         sent: list[bytes] = []
-        connection = _connection(sent, connection_id, pooled=pooled)
+        connection = _connection(sent, connection_id)
         connection._next_packet_number = packet_number
         connection._send_stream(stream_id, offset, data, fin)
         frame = StreamFrame(stream_id, offset, data, fin)
         assert sent == [Packet(PacketType.ONE_RTT, connection_id, packet_number, (frame,)).encode()]
+        assert type(sent[0]) is bytes  # each packet leaves as one immutable bytes
         # The ledger record replays exactly that frame, and knows its size.
         (record,) = connection._unacked.values()
         assert record.frames == (frame,) and record.packet_type is PacketType.ONE_RTT
@@ -171,16 +170,14 @@ class TestWriterDifferential:
             min_size=1,
             max_size=4,
         ),
-        st.booleans(),
     )
-    def test_generic_writer_matches_the_codec(
-        self, packet_type, connection_id, packet_number, frames, pooled
-    ):
+    def test_generic_writer_matches_the_codec(self, packet_type, connection_id, packet_number, frames):
         sent: list[bytes] = []
-        connection = _connection(sent, connection_id, pooled=pooled)
+        connection = _connection(sent, connection_id)
         connection._next_packet_number = packet_number
         connection._send_packet(packet_type, frames)
         assert sent == [Packet(packet_type, connection_id, packet_number, tuple(frames)).encode()]
+        assert type(sent[0]) is bytes
         (record,) = connection._unacked.values()
         assert tuple(record.frames) == tuple(frames) and record.packet_type is packet_type
         assert record.wire_size == len(sent[0])
