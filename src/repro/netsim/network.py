@@ -24,7 +24,7 @@ from repro.netsim.link import Link, LinkConfig, note_batch_fallback
 from repro.netsim.node import Host
 from repro.netsim.packet import Datagram
 from repro.netsim.simulator import Simulator
-from repro.netsim.trace import TraceRecorder
+from repro.netsim.trace import NullTraceRecorder, TraceRecorder
 from repro.telemetry import Telemetry
 
 
@@ -34,6 +34,17 @@ class UnknownHostError(Exception):
 
 class NoRouteError(Exception):
     """Raised when no path exists between two hosts."""
+
+
+def _record(trace: TraceRecorder, kind: str, datagram: Datagram) -> None:
+    """One trace event for ``datagram`` (``route`` and ``_deliver_final``)."""
+    trace.record(
+        kind,
+        source=str(datagram.source),
+        destination=str(datagram.destination),
+        protocol=datagram.protocol,
+        size=len(datagram.payload),
+    )
 
 
 class Network:
@@ -46,7 +57,9 @@ class Network:
         telemetry: Telemetry | None = None,
     ) -> None:
         self.simulator = simulator
-        self.trace = trace if trace is not None else TraceRecorder(simulator)
+        #: Datagram recording is opt-in (``trace=TraceRecorder(simulator)``):
+        #: a recording trace keeps two events per datagram for the whole run.
+        self.trace = trace if trace is not None else NullTraceRecorder(simulator)
         #: The observability bundle protocol layers read through
         #: ``host.network.telemetry``.  The default is free: a no-op metrics
         #: registry and no span tracer (see :mod:`repro.telemetry`).
@@ -201,13 +214,7 @@ class Network:
             raise UnknownHostError(destination)
         trace = self.trace
         if trace.enabled:
-            trace.record_datagram(
-                "datagram-sent",
-                datagram.source,
-                datagram.destination,
-                datagram.protocol,
-                len(datagram.payload),
-            )
+            _record(trace, "datagram-sent", datagram)
         if link is not None:
             if self._batch_depth and self.batching_enabled:
                 if link.batchable:
@@ -278,13 +285,7 @@ class Network:
         drops it silently, as :meth:`Host.deliver` does)."""
         trace = self.trace
         if trace.enabled:
-            trace.record_datagram(
-                "datagram-delivered",
-                datagram.source,
-                datagram.destination,
-                datagram.protocol,
-                len(datagram.payload),
-            )
+            _record(trace, "datagram-delivered", datagram)
         handler = host._ports.get(datagram.destination.port)  # noqa: SLF001
         if handler is not None:
             handler.datagram_received(datagram)

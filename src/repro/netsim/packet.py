@@ -24,7 +24,7 @@ class Address:
     port: int
 
     def __str__(self) -> str:
-        # Rendered twice per datagram by the trace layer; cache on first use.
+        # Rendered twice per datagram by a recording trace; cache on first use.
         try:
             return self._str  # type: ignore[attr-defined]
         except AttributeError:

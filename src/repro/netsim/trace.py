@@ -1,15 +1,17 @@
 """Event tracing for simulations.
 
-Every experiment records protocol-level events (datagram sent, subscription
-established, record updated, ...) through a :class:`TraceRecorder`.  Traces
-are kept in memory as :class:`TraceEvent` entries and can be filtered,
-counted and rendered as message-sequence text — the latter is how the Fig. 2
-lookup-sequence experiment prints its output.
+A :class:`TraceRecorder` keeps events (``datagram-sent`` /
+``datagram-delivered`` from the network, or any kind a caller records) in
+memory as :class:`TraceEvent` entries that can be filtered, counted and
+rendered as message-sequence text.  Recording is opt-in: a
+:class:`~repro.netsim.network.Network` is built with a
+:class:`NullTraceRecorder` unless it is handed ``trace=TraceRecorder(simulator)``,
+so a run that never reads its trace keeps no per-datagram state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.netsim.simulator import Simulator
@@ -40,10 +42,9 @@ class TraceEvent:
 class TraceRecorder:
     """Collects :class:`TraceEvent` entries during a simulation run.
 
-    Recording sits on the per-datagram fast path, so :meth:`record` and
-    :meth:`record_datagram` only append a raw tuple; :class:`TraceEvent`
-    objects (with their canonically sorted attribute tuples) are materialised
-    lazily the first time the trace is read.
+    Opt-in: a :class:`~repro.netsim.network.Network` records its datagrams
+    only when built with ``trace=TraceRecorder(simulator)``; its default is a
+    :class:`NullTraceRecorder`.
     """
 
     #: Hot callers (the network layer) may skip building record arguments
@@ -52,61 +53,21 @@ class TraceRecorder:
 
     def __init__(self, simulator: Simulator) -> None:
         self._simulator = simulator
-        #: ``(time, kind, attributes)`` from :meth:`record`, or the unformatted
-        #: ``(time, kind, source, destination, protocol, size)`` from
-        #: :meth:`record_datagram`.
-        self._raw: list[tuple] = []
-        self._materialized: list[TraceEvent] = []
+        self._events: list[TraceEvent] = []
         self._listeners: list[Callable[[TraceEvent], None]] = []
-        # Incremental per-kind tally: experiments call count(kind) in loops,
-        # which used to rescan the whole raw list every time.
+        # Per-kind tally kept as events arrive, so count(kind) never rescans.
         self._kind_counts: dict[str, int] = {}
 
     def record(self, kind: str, **attributes: Any) -> None:
         """Append an event timestamped at the current virtual time."""
-        self._append((self._simulator.now, kind, attributes))
-
-    def record_datagram(
-        self, kind: str, source: Any, destination: Any, protocol: str, size: int
-    ) -> None:
-        """Append a per-datagram event without formatting anything.
-
-        Same event as ``record(kind, source=str(source),
-        destination=str(destination), protocol=protocol, size=size)``, but
-        the address strings are only built if the trace is ever read — most
-        runs only :meth:`count` their datagram events.
-        """
-        self._append((self._simulator.now, kind, source, destination, protocol, size))
-
-    def _append(self, entry: tuple) -> None:
-        self._raw.append(entry)
+        event = TraceEvent(
+            time=self._simulator.now, kind=kind, attributes=tuple(sorted(attributes.items()))
+        )
+        self._events.append(event)
         counts = self._kind_counts
-        kind = entry[1]
         counts[kind] = counts.get(kind, 0) + 1
-        if self._listeners:
-            event = self._events_list()[-1]
-            for listener in self._listeners:
-                listener(event)
-
-    def _events_list(self) -> list[TraceEvent]:
-        """Materialise (and cache) TraceEvent objects for all raw entries."""
-        materialized = self._materialized
-        raw = self._raw
-        if len(materialized) < len(raw):
-            for entry in raw[len(materialized):]:
-                if len(entry) == 3:
-                    time, kind, attributes = entry
-                    items = tuple(sorted(attributes.items()))
-                else:
-                    time, kind, source, destination, protocol, size = entry
-                    items = (
-                        ("destination", str(destination)),
-                        ("protocol", protocol),
-                        ("size", size),
-                        ("source", str(source)),
-                    )
-                materialized.append(TraceEvent(time=time, kind=kind, attributes=items))
-        return materialized
+        for listener in self._listeners:
+            listener(event)
 
     def subscribe(self, listener: Callable[[TraceEvent], None]) -> None:
         """Register a callback invoked for every future event."""
@@ -115,24 +76,23 @@ class TraceRecorder:
     def events(self, kind: str | None = None) -> list[TraceEvent]:
         """All events, optionally filtered by kind."""
         if kind is None:
-            return list(self._events_list())
-        return [event for event in self._events_list() if event.kind == kind]
+            return list(self._events)
+        return [event for event in self._events if event.kind == kind]
 
     def count(self, kind: str | None = None) -> int:
         """Number of events of the given kind (or all events) — O(1)."""
         if kind is None:
-            return len(self._raw)
+            return len(self._events)
         return self._kind_counts.get(kind, 0)
 
     def clear(self) -> None:
         """Drop all recorded events."""
-        self._raw.clear()
-        self._materialized.clear()
+        self._events.clear()
         self._kind_counts.clear()
 
     def filter(self, predicate: Callable[[TraceEvent], bool]) -> list[TraceEvent]:
         """Events matching an arbitrary predicate."""
-        return [event for event in self._events_list() if predicate(event)]
+        return [event for event in self._events if predicate(event)]
 
     def kinds(self) -> list[str]:
         """Distinct event kinds in order of first occurrence."""
@@ -142,10 +102,9 @@ class TraceRecorder:
 
 
 class NullTraceRecorder(TraceRecorder):
-    """A recorder that drops everything.
+    """A recorder that drops everything: the network's default.
 
-    For throughput-oriented simulations (large fan-out benchmarks) that never
-    read their traces: per-datagram recording is pure overhead there.
+    A run that never reads its trace pays for no per-datagram record.
     Listeners are unsupported — subscribing raises, so silently losing events
     is impossible.
     """
@@ -153,11 +112,6 @@ class NullTraceRecorder(TraceRecorder):
     enabled = False
 
     def record(self, kind: str, **attributes: Any) -> None:
-        """Drop the event."""
-
-    def record_datagram(
-        self, kind: str, source: Any, destination: Any, protocol: str, size: int
-    ) -> None:
         """Drop the event."""
 
     def subscribe(self, listener: Callable[[TraceEvent], None]) -> None:
@@ -170,9 +124,8 @@ def format_sequence(
 ) -> str:
     """Render events as a textual message-sequence chart.
 
-    Each line shows the timestamp, the event kind and selected attributes;
-    used by the Fig. 2 experiment and the quickstart example to show the
-    recursive lookup sequence.
+    Each line shows the timestamp, the event kind and the selected
+    attributes that the event carries.
     """
     lines = []
     for event in events:

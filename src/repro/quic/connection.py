@@ -412,7 +412,8 @@ class QuicConnection:
         #: oldest-first as ACKs (or loss-driven window collapses) reopen it.
         #: The packet type is recomputed at flush time so early data queued
         #: before handshake completion upgrades to ONE_RTT.  Only a real
-        #: controller ever blocks, so only then is there a list.
+        #: controller ever blocks, so only then is there a list, and a
+        #: drained or closed connection's FIFO is ``()`` again.
         self._cwnd_blocked: list[Sequence[Frame]] | tuple[()] = [] if self._cc_active else ()
         self._consecutive_loss_timeouts = 0
         self._loss_timer = Timer(simulator, self._on_loss_timeout)
@@ -664,7 +665,7 @@ class QuicConnection:
                 # is part of the wire contract): hold the frame back.  The
                 # flush path sends it through _send_packet, whose encoding is
                 # byte-identical to the hand-assembled bytes below.
-                self._cwnd_blocked.append((StreamFrame(stream_id, offset, data, fin),))
+                self._hold_back((StreamFrame(stream_id, offset, data, fin),))
                 return
         packet_number = self._next_packet_number
         self._next_packet_number = packet_number + 1
@@ -711,16 +712,24 @@ class QuicConnection:
             return
         if self._cc_active and reliable:
             if self._cwnd_blocked or not self._cc.can_send(_frames_wire_estimate(frames)):
-                self._cwnd_blocked.append(frames)
+                self._hold_back(frames)
                 return
         self._send_packet(self._app_packet_type(), frames, reliable=reliable)
+
+    def _hold_back(self, frames: Sequence[Frame]) -> None:
+        """Queue ``frames`` behind the congestion window (FIFO)."""
+        if self._cwnd_blocked:
+            self._cwnd_blocked.append(frames)
+        else:
+            self._cwnd_blocked = [frames]
 
     def _flush_cwnd_blocked(self) -> None:
         """Send window-blocked packets, oldest first, while the window allows.
 
         Called when ACKs shrink bytes-in-flight and when a loss event clears
         the in-flight ledger; stops at the first packet that still does not
-        fit so FIFO order is never violated.
+        fit so FIFO order is never violated.  A drained FIFO is handed back
+        as ``()``: no empty list outlives the backlog.
         """
         blocked = self._cwnd_blocked
         while blocked and not self.closed:
@@ -729,6 +738,8 @@ class QuicConnection:
                 return
             del blocked[0]
             self._send_packet(self._app_packet_type(), frames)
+        if not blocked:
+            self._cwnd_blocked = ()
 
     def _flush_queued_app_frames(self) -> None:
         if not self._queued_app_frames or not self._can_send_app_data():
@@ -1341,7 +1352,8 @@ class QuicConnection:
             self.on_closed(code, reason)
 
     def _teardown(self) -> None:
-        """Stop the timers and empty the in-flight ledger (close and abandon)."""
+        """Stop the timers, drop the window-blocked packets and empty the
+        in-flight ledger (close and abandon)."""
         self._loss_timer.stop()
         wake = self._idle_wake
         if wake is not None:
@@ -1349,6 +1361,8 @@ class QuicConnection:
             self._idle_wake = None
         if self._keepalive_timer is not None:
             self._keepalive_timer.stop()
+        # Never sent, so the controller never counted them.
+        self._cwnd_blocked = ()
         # A closed connection can never retransmit, and its endpoint lists it
         # for good: drop the records (and the stream chunks they pin).
         ledger = self._unacked

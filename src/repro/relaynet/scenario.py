@@ -19,7 +19,6 @@ from repro.moqt.origin import ORIGIN_HOST, ORIGIN_PORT, TRACK, OriginPublisher, 
 from repro.netsim.network import Network
 from repro.netsim.packet import Address
 from repro.netsim.simulator import Simulator
-from repro.netsim.trace import NullTraceRecorder
 from repro.quic.connection import ConnectionConfig
 from repro.relaynet.admission import AdmissionPolicy
 from repro.relaynet.aggregate import expand_member_sequences
@@ -178,11 +177,7 @@ class ScenarioRun:
 def build_scenario(scenario: Scenario) -> ScenarioRun:
     """Stand ``scenario`` up on a fresh seeded simulator."""
     simulator = Simulator(seed=scenario.seed)
-    # Runs read link statistics, never traces; a null recorder removes two
-    # trace records per datagram from the fan-out hot path.
-    network = Network(
-        simulator, trace=NullTraceRecorder(simulator), telemetry=scenario.telemetry
-    )
+    network = Network(simulator, telemetry=scenario.telemetry)
     if scenario.telemetry is not None and scenario.telemetry.spans is not None:
         scenario.telemetry.spans.clear()
     spec = scenario.spec

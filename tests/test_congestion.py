@@ -201,6 +201,32 @@ class TestConnectionIntegration:
         assert connection.congestion.bytes_in_flight == 0
         assert connection.congestion.congestion_events == 0
 
+    def test_drained_and_closed_backlogs_are_handed_back(self) -> None:
+        """A drained FIFO is ``()``; a connection closed with packets held
+        back drops them (its endpoint lists it for good, so they used to be
+        kept, stream chunks included, with the gauge stuck above zero)."""
+        simulator, connection = _connected_pair(
+            lambda: NewRenoCongestionController(
+                initial_window_packets=2, minimum_window_packets=2
+            )
+        )
+        stream = connection.open_stream()
+
+        def burst(chunks: int) -> None:
+            for _ in range(chunks):
+                connection.send_stream_data(stream, bytes(600), fin=False)
+            assert connection.cwnd_blocked_packets > 0
+
+        burst(12)
+        simulator.run(until=simulator.now + 20 * RTT)
+        assert connection._cwnd_blocked == ()
+        burst(100)  # the window grew; blocks again after the hand-back
+        connection.close()
+        assert connection.cwnd_blocked_packets == 0 and connection._cwnd_blocked == ()
+        assert connection.congestion.bytes_in_flight == 0
+        simulator.run(until=simulator.now + 20 * RTT)
+        assert connection.cwnd_blocked_packets == 0
+
     def test_acknowledged_datagram_frames_leave_bytes_in_flight(self) -> None:
         """DATAGRAM-frame packets are counted by the controller, so an ACK
         must release them: 40 of them, each acknowledged, used to leave

@@ -26,7 +26,6 @@ from repro.moqt.origin import ORIGIN_HOST, ORIGIN_PORT, TRACK, build_origin
 from repro.netsim.network import Network
 from repro.netsim.packet import Address
 from repro.netsim.simulator import Simulator, Timer
-from repro.netsim.trace import NullTraceRecorder
 from repro.quic.congestion import NewRenoCongestionController
 from repro.quic.connection import ConnectionConfig, QuicConnection
 from repro.quic.frames import AckFrame, AckRangesFrame, PingFrame, StreamFrame
@@ -421,7 +420,7 @@ why it grew"""
 
 
 def _star(simulator):
-    network = Network(simulator, trace=NullTraceRecorder(simulator))
+    network = Network(simulator)
     publisher = build_origin(network)
     tree = RelayTreeBuilder(network, Address(ORIGIN_HOST, ORIGIN_PORT)).build(
         RelayTreeSpec.star(1)

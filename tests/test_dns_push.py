@@ -29,7 +29,6 @@ from repro.netsim.link import LinkConfig
 from repro.netsim.network import Network
 from repro.netsim.packet import Address
 from repro.netsim.simulator import Simulator
-from repro.netsim.trace import NullTraceRecorder
 from repro.quic.connection import ConnectionConfig
 from repro.quic.endpoint import QuicEndpoint
 
@@ -50,7 +49,7 @@ class World:
 
     def __init__(self, zones: list[Zone]) -> None:
         self.simulator = Simulator(seed=1)
-        self.network = Network(self.simulator, trace=NullTraceRecorder(self.simulator))
+        self.network = Network(self.simulator)
         self.network.add_host(AUTH)
         self.server = MoqAuthoritativeServer(self.network.host(AUTH), zones)
         self.clients: list[Client] = []

@@ -16,6 +16,8 @@ from repro.netsim.simulator import Simulator
 from repro.netsim.stats import Counter, SummaryStatistics, cumulative_distribution, histogram
 from repro.netsim.trace import TraceRecorder, format_sequence
 from repro.quic.endpoint import QuicEndpoint
+from repro.telemetry import MetricsRegistry
+from repro.telemetry.collect import collect_network
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -247,8 +249,11 @@ class TestNetworkRouting:
         assert totals["datagrams_delivered"] == 1
         assert totals["bytes_delivered"] == 5
 
-    def test_trace_records_send_and_delivery(self, simulator, two_host_network):
-        network = two_host_network
+    def test_trace_records_send_and_delivery(self, simulator):
+        network = Network(simulator, trace=TraceRecorder(simulator))
+        for host in ("10.0.0.1", "10.0.0.2"):
+            network.add_host(host)
+        network.connect("10.0.0.1", "10.0.0.2", LinkConfig(delay=0.010))
         collector = _Collector(simulator)
         network.host("10.0.0.2").bind(7, collector)
         network.host("10.0.0.1").send(
@@ -261,13 +266,30 @@ class TestNetworkRouting:
         assert event.attribute("protocol") == "test"
 
 
+def test_datagram_recording_is_opt_in(simulator, two_host_network):
+    """A default network keeps no per-datagram trace: on the DNS chain the
+    recording default was the largest single allocation of a run
+    (``tests/test_question_footprint.py``'s ``netsim`` row)."""
+    network = two_host_network
+    assert network.trace.enabled is False
+    network.host("10.0.0.2").bind(7, _Collector(simulator))
+    network.route(Datagram(Address("10.0.0.1", 1), Address("10.0.0.2", 7), b"x"))
+    simulator.run_until_idle()
+    assert network.total_link_statistics()["datagrams_delivered"] == 1
+    assert network.trace.count() == 0 and network.trace.kinds() == []
+    metrics = MetricsRegistry()
+    collect_network(metrics, network)
+    snapshot = metrics.snapshot()
+    assert "net_datagrams_sent" in snapshot and "trace_events" not in snapshot
+
+
 class TestRouteOrder:
     """``Network.route`` probes the direct-link table first; every input must
     still take the branch the old unknown-host / loopback / link / multi-hop
     order gave it (``docs/datagram-handoff.md``)."""
 
     def _abc(self, simulator):
-        network = Network(simulator)
+        network = Network(simulator, trace=TraceRecorder(simulator))
         for name in ("a", "b", "c"):
             network.add_host(name)
         network.connect("a", "b", LinkConfig(delay=0.01))
@@ -302,7 +324,6 @@ class TestRouteOrder:
 
     def test_trace_records_are_the_same_for_every_kind_of_route(self, simulator):
         network = self._abc(simulator)
-        assert type(network.trace) is TraceRecorder
         for host in ("a", "b", "c"):
             network.host(host).bind(80, _Collector(simulator))
         direct = Datagram(Address("a", 1), Address("b", 80), b"12", protocol="direct")
@@ -502,25 +523,6 @@ class TestTraceRecorder:
         trace.record("step", source="stub", destination="resolver")
         text = format_sequence(trace.events())
         assert "step" in text and "source=stub" in text
-
-    def test_record_datagram_reads_back_like_an_eagerly_formatted_record(self, simulator):
-        source, destination = Address("10.0.0.1", 1), Address("10.0.0.2", 7)
-        eager, lazy = TraceRecorder(simulator), TraceRecorder(simulator)
-        heard = []
-        lazy.subscribe(heard.append)
-        eager.record(
-            "datagram-sent",
-            source=str(source),
-            destination=str(destination),
-            protocol="quic",
-            size=42,
-        )
-        lazy.record_datagram("datagram-sent", source, destination, "quic", 42)
-        lazy.record("note", detail="mixed with free-form records")
-        assert lazy.count("datagram-sent") == 1 and lazy.count() == 2
-        assert lazy.events("datagram-sent") == eager.events()
-        assert heard == lazy.events()
-        assert format_sequence(lazy.events("datagram-sent")) == format_sequence(eager.events())
 
 
 class TestStatisticsHelpers:

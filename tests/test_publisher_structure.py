@@ -286,7 +286,7 @@ def run_relay_churn(subscribers, seed, origins=1, telemetry=None, aggregate_leav
     if origins < 1:
         raise ValueError(origins)
     simulator = Simulator(seed=seed)
-    network = Network(simulator, trace=NullTraceRecorder(simulator), telemetry=telemetry)
+    network = Network(simulator, telemetry=telemetry)
     origin_cluster = None
     if spec.origins > 1:
         origin_cluster = OriginCluster(network, origins=spec.origins)

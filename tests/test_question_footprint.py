@@ -8,12 +8,11 @@ nothing behind: only the question's record, its registry entry and the push
 handler on its subscription outlive it.  Pinned here:
 
 * (a) a footprint budget — live bytes and blocks per subscribed question under
-  ``src/repro/core/`` and in ``moqt/session.py``, 1,000 A questions after 200
-  warm-ups on ``build_workload_topology`` with 8 authoritative hosts, the
-  per-file table as the diagnostic (``-s`` prints it).  The experiment's
-  default ``TraceRecorder`` keeps ≈ 5.9 kB of datagram tuples per question;
-  that is the experiment's choice, not resolver state, so ``netsim`` is not
-  in the budget;
+  ``src/repro/core/``, in ``moqt/session.py`` and under ``src/repro/netsim/``,
+  1,000 A questions after 200 warm-ups on ``build_workload_topology`` with 8
+  authoritative hosts, the per-file table as the diagnostic (``-s`` prints
+  it).  The network keeps no per-question state of its own: a ``netsim`` row
+  in the kilobytes is a datagram trace recording by default again;
 * (b) retention — once the warm-up has opened a session to every upstream
   host, the numbers of live attempt, ``Timer``, ``FetchRequest`` and
   resolution-task objects do not depend on how many questions have been
@@ -77,6 +76,9 @@ SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 CORE_BYTES_BUDGET = 5_500
 CORE_BLOCKS_BUDGET = 85.0
 SESSION_BYTES_BUDGET = 2_000
+#: ``netsim/`` reads ≈ 14 B; with a recording ``TraceRecorder`` as the
+#: network's default (the parent commit) it read 5,970 B.
+NETSIM_BYTES_BUDGET = 64
 WARM_UP, QUESTIONS, CENSUS_STEP = 200, 1000, 250
 PER_LOOKUP = (SubscribeFetch, Timer, FetchRequest, _ResolutionTask)
 CENSUS = (*PER_LOOKUP, types.FunctionType, types.CellType)
@@ -144,40 +146,50 @@ def measured():
     assert topology.recursive.state_summary()["open_sessions"] == sessions, "warm-up too short"
     for node in (topology.forwarder, topology.recursive):
         assert node.state_summary()["inflight_lookups"] == 0
-    rows = sorted(
+    everything = sorted(
         (
             (stat.traceback[0].filename[len(SRC) :], stat.size_diff, stat.count_diff)
             for stat in after.compare_to(before, "filename")
-            if stat.traceback[0].filename.startswith((SRC + "core", SRC + "moqt"))
+            if stat.traceback[0].filename.startswith(SRC)
             and (stat.size_diff or stat.count_diff)
         ),
         key=lambda row: -row[1],
     )
+    rows = [row for row in everything if row[0].startswith(("core", "moqt", "netsim"))]
     lines = [f"{'file':28s} {'B/question':>10s} {'blocks/question':>15s}"]
     lines += [
         f"{name:28s} {size / QUESTIONS:10.1f} {count / QUESTIONS:15.2f}"
         for name, size, count in rows
     ]
-    return {"rows": rows, "table": "\n".join(lines), "censuses": censuses}
+    return {"rows": rows, "everything": everything, "table": "\n".join(lines), "censuses": censuses}
+
+
+def _per_question(rows, prefix: str = "") -> tuple[float, float]:
+    """Bytes and blocks per question of the rows whose file starts with ``prefix``."""
+    matching = [row for row in rows if row[0].startswith(prefix)]
+    return sum(row[1] for row in matching) / QUESTIONS, sum(row[2] for row in matching) / QUESTIONS
 
 
 def test_live_state_per_subscribed_question_stays_within_budget(measured):
     rows, table = measured["rows"], measured["table"]
-    core = [row for row in rows if row[0].startswith("core" + os.sep)]
-    core_bytes = sum(row[1] for row in core) / QUESTIONS
-    core_blocks = sum(row[2] for row in core) / QUESTIONS
-    session_bytes = sum(row[1] for row in rows if row[0] == os.path.join("moqt", "session.py"))
-    session_bytes /= QUESTIONS
+    core_bytes, core_blocks = _per_question(rows, "core" + os.sep)
+    session_bytes, _ = _per_question(rows, os.path.join("moqt", "session.py"))
+    netsim_bytes, netsim_blocks = _per_question(rows, "netsim" + os.sep)
+    total_bytes, total_blocks = _per_question(measured["everything"])
     table += f"\n{'total under core/':28s} {core_bytes:10.1f} {core_blocks:15.2f}"
+    table += f"\n{'total under netsim/':28s} {netsim_bytes:10.1f} {netsim_blocks:15.2f}"
+    table += f"\n{'total under src/repro':28s} {total_bytes:10.1f} {total_blocks:15.2f}"
     print(f"\nfootprint per subscribed question ({QUESTIONS} after {WARM_UP} warm-ups):\n{table}")
     assert (
         core_bytes <= CORE_BYTES_BUDGET
         and core_blocks <= CORE_BLOCKS_BUDGET
         and session_bytes <= SESSION_BYTES_BUDGET
+        and netsim_bytes <= NETSIM_BYTES_BUDGET
     ), (
         f"core/ {core_bytes:.0f} B in {core_blocks:.1f} blocks (budget {CORE_BYTES_BUDGET} B / "
         f"{CORE_BLOCKS_BUDGET}), moqt/session.py {session_bytes:.0f} B (budget "
-        f"{SESSION_BYTES_BUDGET} B) per question.\n{table}{_WHERE_IT_GOES}"
+        f"{SESSION_BYTES_BUDGET} B), netsim/ {netsim_bytes:.0f} B (budget "
+        f"{NETSIM_BYTES_BUDGET} B) per question.\n{table}{_WHERE_IT_GOES}"
     )
 
 
