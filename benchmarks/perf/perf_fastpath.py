@@ -18,14 +18,6 @@ Micro and macro layers cover the simulation fast path end to end:
   two orders of magnitude above the E11 scale, exercising the allocation-free
   fan-out path: link-batch delivery and header-patch-only per-subscriber
   sends;
-* ``cdn_macro_1m`` — the 1,000,000-subscriber macro-benchmark (full runs
-  only), running the tree in exact aggregate-leaf mode
-  (``repro.relaynet.aggregate``): each edge relay's homogeneous population
-  rides one counted connection, every collected statistic is multiplied out,
-  and the origin-egress invariant must hold byte-for-byte against the dense
-  1,000-subscriber reference.  Gated on wall-clock (< 300 s) and peak RSS
-  (< 8 GiB), measured in a forked child so the gate sees *this* macro's
-  memory, not the process-lifetime maximum;
 * ``relay_churn`` — the E12 churn macro-benchmark: kill a mid-tier and an
   edge relay under a live 1,000-subscriber CDN run and assert the delivery
   contract survives (every subscriber sees a gapless, duplicate-free,
@@ -136,7 +128,6 @@ CHECK_TOLERANCE = 0.35
 CHECK_TOLERANCE_OVERRIDES = {
     ("cdn_macro_10k", "seconds"): 0.75,
     ("cdn_macro_100k", "seconds"): 0.75,
-    ("cdn_macro_1m", "seconds"): 0.75,
     ("constrained_macro_100k", "seconds"): 0.75,
 }
 
@@ -159,7 +150,6 @@ CHECKED_METRIC_CEILINGS = (
     ("cdn_macro_10k", ("metrics", "link_batch_fallback_waves")),
     ("cdn_macro_10k", ("seconds",)),
     ("cdn_macro_100k", ("seconds",)),
-    ("cdn_macro_1m", ("seconds",)),
     ("constrained_macro_100k", ("seconds",)),
 )
 
@@ -181,7 +171,6 @@ BENCHMARK_KEYS = (
     "flash_crowd",
     "cdn_macro_10k",
     "cdn_macro_100k",
-    "cdn_macro_1m",
     "constrained_macro_100k",
 )
 
@@ -434,7 +423,6 @@ def bench_cdn_macro(
     subscribers: int,
     updates: int = 5,
     telemetry: Telemetry | None = None,
-    aggregate_leaves: bool = False,
 ) -> dict[str, object]:
     """CDN-tree macro-benchmark at ``subscribers`` with the egress invariant.
 
@@ -447,21 +435,13 @@ def bench_cdn_macro(
     for another's) and a ``metrics`` block (heap compactions,
     events-per-wave, frozen-object count) so memory, allocation and
     scheduler regressions are all visible in the JSON.
-
-    ``aggregate_leaves`` runs the tree in exact counted mode (one live
-    connection per homogeneous leaf population) — the representation behind
-    the 1M-subscriber macro.  Every reported statistic is multiplied out at
-    collection time and is bit-identical to the dense run's.
     """
     reference_sample = _macro_reference_sample(updates)
     rss_baseline = peak_rss_bytes()
     with quiesced_gc(freeze=True) as gc_info:
         start = time.perf_counter()
         result = run_relay_fanout(
-            subscriber_counts=(subscribers,),
-            updates=updates,
-            telemetry=telemetry,
-            aggregate_leaves=aggregate_leaves,
+            subscriber_counts=(subscribers,), updates=updates, telemetry=telemetry
         )
         elapsed = time.perf_counter() - start
     peak_rss = peak_rss_bytes()
@@ -474,7 +454,6 @@ def bench_cdn_macro(
     entry = {
         "subscribers": subscribers,
         "updates": updates,
-        "aggregate_leaves": aggregate_leaves,
         "seconds": round(elapsed, 6),
         "delivered_objects": sample.delivered_objects,
         "origin_objects": sample.measured_origin_objects,
@@ -509,22 +488,6 @@ def bench_cdn_macro_100k(
 ) -> dict[str, object]:
     """100,000-subscriber CDN-tree macro-benchmark (see :func:`bench_cdn_macro`)."""
     return bench_cdn_macro(subscribers, updates, telemetry)
-
-
-def bench_cdn_macro_1m(
-    subscribers: int = 1_000_000, updates: int = 5, telemetry: Telemetry | None = None
-) -> dict[str, object]:
-    """1,000,000-subscriber macro-benchmark in exact aggregate-leaf mode.
-
-    The only macro that runs counted: a million dense subscriber sessions
-    would spend the whole budget on identical replicated traffic.  The
-    aggregate representation keeps one live connection per leaf population
-    (plus dense materialisation for span-sampled members under
-    ``--metrics``), and the reported statistics — origin egress above all —
-    are exactly what the dense run would have measured.  Gated in
-    :func:`main` on subscribers delivered, wall-clock and RSS delta.
-    """
-    return bench_cdn_macro(subscribers, updates, telemetry, aggregate_leaves=True)
 
 
 def bench_relay_churn(
@@ -870,7 +833,6 @@ def run(
     macro_plan = [("cdn_macro_10k", bench_cdn_macro_10k)]
     if not smoke:
         macro_plan.append(("cdn_macro_100k", bench_cdn_macro_100k))
-        macro_plan.append(("cdn_macro_1m", bench_cdn_macro_1m))
     # The constrained macro runs in --smoke too: the acceptance criterion is
     # precisely that the lossy constrained regime at 100k completes inside
     # the CI smoke budget now that batching is bandwidth- and loss-aware.
@@ -977,7 +939,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--skip-macro",
         action="store_true",
-        help="skip the 10k/100k/1M-subscriber and constrained macro-benchmarks",
+        help="skip the 10k/100k-subscriber and constrained macro-benchmarks",
     )
     parser.add_argument(
         "--repeat",
@@ -1040,13 +1002,12 @@ def main(argv: list[str] | None = None) -> int:
         macro_keys = (
             "cdn_macro_10k",
             "cdn_macro_100k",
-            "cdn_macro_1m",
             "constrained_macro_100k",
         )
         if args.skip_macro:
             excluded += [key for key in macro_keys if key in only]
-        elif args.smoke:
-            excluded += [key for key in ("cdn_macro_100k", "cdn_macro_1m") if key in only]
+        elif args.smoke and "cdn_macro_100k" in only:
+            excluded.append("cdn_macro_100k")
         for key in excluded:
             print(
                 f"warning: --only selected {key} but the current mode "
@@ -1113,31 +1074,10 @@ def main(argv: list[str] | None = None) -> int:
     json.dump(document["benchmarks"], sys.stdout, indent=2)
     print()
     benchmarks = document["benchmarks"]
-    for macro_key in ("cdn_macro_10k", "cdn_macro_100k", "cdn_macro_1m"):
+    for macro_key in ("cdn_macro_10k", "cdn_macro_100k"):
         macro = benchmarks.get(macro_key)
         if macro is not None and not macro["origin_egress_invariant_ok"]:
             print(f"FAIL: {macro_key}: origin egress grew with subscriber count", file=sys.stderr)
-            return 1
-    macro_1m = benchmarks.get("cdn_macro_1m")
-    if macro_1m is not None:
-        if macro_1m["subscribers"] != 1_000_000 or macro_1m["delivered_objects"] != (
-            macro_1m["subscribers"] * macro_1m["updates"]
-        ):
-            print("FAIL: cdn_macro_1m did not deliver to 1,000,000 subscribers", file=sys.stderr)
-            return 1
-        if macro_1m["seconds"] >= 300.0:
-            print(
-                f"FAIL: cdn_macro_1m wall-clock {macro_1m['seconds']:.1f}s "
-                "breached the 300 s budget",
-                file=sys.stderr,
-            )
-            return 1
-        if macro_1m["rss_delta_bytes"] >= 8 * 1024**3:
-            print(
-                f"FAIL: cdn_macro_1m RSS delta {macro_1m['rss_delta_bytes']} "
-                "breached the 8 GiB budget",
-                file=sys.stderr,
-            )
             return 1
     churn = benchmarks.get("relay_churn")
     if churn is not None:

@@ -139,9 +139,7 @@ def _run_constrained_tree(
 
     Mirrors E11's ``_run_tree`` but keeps absolute per-delivery timestamps
     (the closed-form check compares them bit-exactly) and the network's
-    fallback-wave counter.  Always dense: counted aggregate leaves are a
-    statistics construct for ideal links and are rejected on constrained
-    ones (``Link.extra_bytes``).
+    fallback-wave counter.
     """
     run = build_scenario(scenario)
     topology, simulator = run.topology, run.simulator
@@ -151,7 +149,7 @@ def _run_constrained_tree(
     delivery_times: list[list[float]] = [[] for _ in range(updates)]
 
     def on_object(subscriber, obj) -> None:
-        delivered[0] += subscriber.multiplicity
+        delivered[0] += 1
         slot = obj.group_id - 2  # updates are groups 2.., in push order
         if 0 <= slot < len(push_times):
             delivery_times[slot].append(simulator.now)
@@ -436,7 +434,7 @@ def run_constrained_tiers(
 
 @dataclass
 class ConstrainedMacroResult:
-    """The lossy constrained regime at E11 macro scale (dense subscribers)."""
+    """The lossy constrained regime at E11 macro scale."""
 
     subscribers: int
     updates: int
@@ -466,8 +464,7 @@ def run_constrained_macro(
 ) -> ConstrainedMacroResult:
     """E11's macro population on constrained, lossy tiers.
 
-    Dense subscribers (aggregate leaves are an ideal-link construct), finite
-    bandwidth on every tier, independent loss on the access links and
+    Finite bandwidth on every tier, independent loss on the access links and
     NewReno on every relay's downstream side.  The point is scale: with the
     batch path bandwidth- and loss-aware this completes inside the perf
     smoke budget with the fallback-wave counter at zero — the regime the

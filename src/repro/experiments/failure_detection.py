@@ -283,7 +283,6 @@ def run_failure_detection(
     subscriber_idle_timeout: float = 1.5,
     origins: int = 1,
     telemetry: Telemetry | None = None,
-    aggregate_leaves: bool = False,
 ) -> FailureDetectionResult:
     """Crash relays silently under a live CDN tree; recover purely in-band.
 
@@ -299,12 +298,6 @@ def run_failure_detection(
     crashed in this experiment, so detection latencies and delivery
     sequences must be identical either way — the determinism canary the
     E14 battery locks in.
-
-    ``aggregate_leaves`` attaches the population counted.  Detection is
-    unchanged: an aggregated representative holds the same idle-deadline
-    state every dense member would, so the first (and only) idle expiry
-    fires at the same instant and the dissolved members re-attach exactly
-    as the dense orphans do.
     """
     spec = RelayTreeSpec.cdn(
         mid_relays=mid_relays, edge_per_mid=edge_per_mid, origins=origins
@@ -320,7 +313,6 @@ def run_failure_detection(
             subscriber_connection=ConnectionConfig(
                 alpn_protocols=(MOQT_ALPN,), idle_timeout=subscriber_idle_timeout
             ),
-            aggregate_leaves=aggregate_leaves,
             telemetry=telemetry,
         )
     )

@@ -202,7 +202,6 @@ def run_origin_failover(
     seed: int = 31,
     keepalive_interval: float = 0.5,
     telemetry: Telemetry | None = None,
-    aggregate_leaves: bool = False,
 ) -> OriginFailoverResult:
     """Silently crash the active origin under a live CDN tree; promote in-band.
 
@@ -232,7 +231,6 @@ def run_origin_failover(
             uplink_connection=ConnectionConfig(
                 alpn_protocols=(MOQT_ALPN,), keepalive_interval=keepalive_interval
             ),
-            aggregate_leaves=aggregate_leaves,
             telemetry=telemetry,
         )
     )

@@ -171,7 +171,6 @@ def run_relay_churn(
     kill_edge: bool = True,
     origins: int = 1,
     telemetry: Telemetry | None = None,
-    aggregate_leaves: bool = False,
 ) -> RelayChurnResult:
     """Kill relays under a live CDN tree and measure the recovery.
 
@@ -187,12 +186,6 @@ def run_relay_churn(
     singleton origin.  No origin is crashed here, so every measured output
     must be identical either way — the determinism canary the E14 battery
     locks in.
-
-    ``aggregate_leaves`` attaches the population in counted aggregate-leaf
-    mode.  A kill that touches an aggregated leaf dissolves its group —
-    exactly the affected members materialise and re-attach individually —
-    so delivery sequences, gapless counts and re-attach latencies are
-    bit-identical to the dense run.
     """
     spec = RelayTreeSpec.cdn(
         mid_relays=mid_relays, edge_per_mid=edge_per_mid, origins=origins
@@ -203,7 +196,6 @@ def run_relay_churn(
             seed=seed,
             payload_size=payload_size,
             failover_policy=failover_policy,
-            aggregate_leaves=aggregate_leaves,
             telemetry=telemetry,
         )
     )

@@ -55,13 +55,9 @@ def _run_tree(scenario: Scenario, subscribers: int, updates: int) -> TreeRun:
     topology = run.topology
     topology.attach_subscribers(subscribers)
     delivered = [0]
-    # Each delivery counts once per subscriber the receiving object stands
-    # in for (multiplicity is 1 everywhere in dense mode).
     topology.subscribe_all(
         TRACK,
-        on_object=lambda subscriber, obj: delivered.__setitem__(
-            0, delivered[0] + subscriber.multiplicity
-        ),
+        on_object=lambda subscriber, obj: delivered.__setitem__(0, delivered[0] + 1),
     )
     run.advance(3.0)
 
@@ -204,7 +200,6 @@ def run_relay_fanout(
     seed: int = 7,
     telemetry: Telemetry | None = None,
     origins: int = 1,
-    aggregate_leaves: bool = False,
 ) -> RelayFanoutResult:
     """Run the fan-out experiment over a range of subscriber counts.
 
@@ -223,13 +218,7 @@ def run_relay_fanout(
     spec = RelayTreeSpec.cdn(
         mid_relays=mid_relays, edge_per_mid=edge_per_mid, origins=origins
     )
-    scenario = Scenario(
-        spec=spec,
-        seed=seed,
-        payload_size=payload_size,
-        aggregate_leaves=aggregate_leaves,
-        telemetry=telemetry,
-    )
+    scenario = Scenario(spec=spec, seed=seed, payload_size=payload_size, telemetry=telemetry)
     samples: list[FanoutSample] = []
     for count in subscriber_counts:
         run = _run_tree(scenario, count, updates)

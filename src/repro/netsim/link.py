@@ -14,7 +14,7 @@ traffic experiments read back.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from repro.netsim.packet import Datagram
@@ -162,8 +162,6 @@ class Link:
         "_loss_rate",
         "batchable",
         "statistics",
-        "multiplicity",
-        "_extra_bytes",
     )
 
     def __init__(
@@ -193,46 +191,11 @@ class Link:
         #: :meth:`transmit` and bump the observable fallback counter.
         self.batchable = True
         self.statistics = LinkStatistics()
-        #: How many identical physical links this one stands in for.  1 for
-        #: ordinary links; an aggregate-leaf representative's access link
-        #: carries its group's member count, and network-wide totals multiply
-        #: the counters by it at collection time (per-datagram behaviour is
-        #: unaffected — the link itself stays a single FIFO).
-        self.multiplicity = 1
-        self._extra_bytes = 0
 
     @property
     def config(self) -> LinkConfig:
         """The link configuration."""
         return self._config
-
-    @property
-    def extra_bytes(self) -> int:
-        """Additive byte correction applied (once, not multiplied) on top of
-        the multiplied totals.  An aggregate representative's handshake
-        carries one concrete TLS ticket id; the counted members' dense
-        handshakes would have carried different decimal widths, and the
-        exact difference — known at attach time — lands here.
-
-        The correction is *accounting only*: it is added to byte totals at
-        collection time but never enters serialisation delay (the counted
-        members' handshakes were never on this wire).  The setter therefore
-        rejects a non-zero correction on a constrained link — there the
-        missing serialisation time would make aggregate and dense runs
-        silently diverge, so such populations must stay dense.
-        """
-        return self._extra_bytes
-
-    @extra_bytes.setter
-    def extra_bytes(self, value: int) -> None:
-        if value and (self._bandwidth is not None or self._loss_rate > 0.0):
-            raise ValueError(
-                "extra_bytes is an accounting-only correction and cannot be "
-                "applied to a bandwidth- or loss-constrained link: the "
-                "counted bytes would be missing from serialisation delay "
-                f"(bandwidth={self._bandwidth}, loss_rate={self._loss_rate})"
-            )
-        self._extra_bytes = value
 
     def transmit(
         self, datagram: Datagram, deliver: Callable[[Datagram], None] | None = None
@@ -379,29 +342,3 @@ class Link:
         finally:
             if batch_sink is not None:
                 batch_sink.end_batch()
-
-
-@dataclass
-class LinkPair:
-    """Both directions of a bidirectional link between two hosts."""
-
-    forward: Link
-    backward: Link
-
-    def statistics(self) -> dict[str, LinkStatistics]:
-        """Per-direction statistics."""
-        return {"forward": self.forward.statistics, "backward": self.backward.statistics}
-
-
-def symmetric_config(
-    rtt: float,
-    *,
-    bandwidth: float | None = None,
-    loss_rate: float = 0.0,
-) -> LinkConfig:
-    """Build a :class:`LinkConfig` whose one-way delay is half of ``rtt``.
-
-    Convenience used by experiments that are parameterised in terms of
-    round-trip time.
-    """
-    return LinkConfig(delay=rtt / 2.0, bandwidth=bandwidth, loss_rate=loss_rate)

@@ -292,12 +292,7 @@ class Network:
 
     # ------------------------------------------------------------- statistics
     def total_link_statistics(self) -> dict[str, int]:
-        """Aggregate counters over every link direction.
-
-        Counters are scaled by each link's :attr:`~repro.netsim.link.Link.multiplicity`
-        so a counted aggregate-leaf access link contributes exactly what its
-        group's N dense links would have.
-        """
+        """Aggregate counters over every link direction."""
         totals = {
             "datagrams_sent": 0,
             "datagrams_delivered": 0,
@@ -306,12 +301,6 @@ class Network:
             "bytes_delivered": 0,
         }
         for link in self._links.values():
-            multiplicity = link.multiplicity
             for key, value in link.statistics.as_dict().items():
-                totals[key] += value * multiplicity
-            # Handshake-width correction: the counted members' ServerHellos
-            # would have carried wider ticket ids than the representative's
-            # (decimal encoding), a per-group constant recorded at attach.
-            totals["bytes_sent"] += link.extra_bytes
-            totals["bytes_delivered"] += link.extra_bytes
+                totals[key] += value
         return totals

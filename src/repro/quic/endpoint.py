@@ -8,7 +8,6 @@ with an unknown connection ID arrives.
 
 from __future__ import annotations
 
-import random
 from typing import Callable
 
 from repro.netsim.node import Host, HostNotAttachedError
@@ -53,7 +52,6 @@ class QuicEndpoint:
         "ticket_store",
         "_connections",
         "_next_connection_id",
-        "_rng",
         "address",
         "datagrams_malformed",
     )
@@ -65,7 +63,6 @@ class QuicEndpoint:
         server_config: ConnectionConfig | None = None,
         server_tls: ServerTlsContext | None = None,
         on_connection: ConnectionHandler | None = None,
-        rng: "random.Random | None" = None,
     ) -> None:
         network = host.network
         if network is None:
@@ -81,11 +78,6 @@ class QuicEndpoint:
         self.ticket_store = SessionTicketStore()
         self._connections: dict[int, QuicConnection] = {}
         self._next_connection_id = 1
-        # Connection-ID randomness source.  Defaults to the simulator's
-        # seeded stream; aggregate-leaf subscribers pass an index-derived
-        # private stream instead so creating (or skipping) them never shifts
-        # the global seeded-RNG position other components draw from.
-        self._rng = rng
         #: Datagrams dropped whole because they were not a well-formed packet
         #: (scraped by :func:`repro.telemetry.collect.collect_network`).
         self.datagrams_malformed = 0
@@ -128,8 +120,9 @@ class QuicEndpoint:
         # ~60 clients).  The counter is masked to 14 bits so the composite
         # never exceeds QUIC's 62-bit varint range — past 16384 connections
         # per endpoint, uniqueness rests on the random component alone.
-        rng = self._rng if self._rng is not None else self._simulator.rng
-        connection_id = ((self._next_connection_id & 0x3FFF) << 48) | rng.randrange(1 << 48)
+        connection_id = ((self._next_connection_id & 0x3FFF) << 48) | (
+            self._simulator.rng.randrange(1 << 48)
+        )
         self._next_connection_id += 1
         return connection_id
 

@@ -166,24 +166,6 @@ class ServerTlsContext:
     alpn_protocols: tuple[str, ...]
     accept_early_data: bool = True
     _next_ticket_id: int = field(default=1, repr=False)
-    #: Ticket ids reserved for the next arrivals (FIFO), ahead of the
-    #: counter.  Aggregate-leaf attach uses this to hand each materialised
-    #: connection the exact ticket id the dense run would have issued it,
-    #: while the counter jumps past the counted population so later
-    #: reconnects also stay dense-identical.  Empty in normal operation.
-    _queued_ticket_ids: list[int] = field(default_factory=list, repr=False)
-
-    @property
-    def next_ticket_id(self) -> int:
-        """The id the counter would issue next (ignoring any queued ids)."""
-        return self._next_ticket_id
-
-    def queue_ticket_ids(self, ticket_ids: list[int], resume_at: int) -> None:
-        """Reserve explicit ids for upcoming handshakes, then resume at
-        ``resume_at``.  The queued ids are consumed in order before the
-        counter is touched again."""
-        self._queued_ticket_ids.extend(ticket_ids)
-        self._next_ticket_id = resume_at
 
     def process_client_hello(self, hello: ClientHello) -> ServerHello:
         """Negotiate ALPN and decide whether to accept early data."""
@@ -199,9 +181,6 @@ class ServerTlsContext:
         accepts = bool(
             self.accept_early_data and hello.offers_early_data and hello.session_ticket
         )
-        if self._queued_ticket_ids:
-            ticket_id = self._queued_ticket_ids.pop(0)
-        else:
-            ticket_id = self._next_ticket_id
-            self._next_ticket_id += 1
+        ticket_id = self._next_ticket_id
+        self._next_ticket_id += 1
         return ServerHello(alpn=selected, accepts_early_data=accepts, new_ticket_id=ticket_id)

@@ -166,12 +166,6 @@ class VarintReader:
         self._offset = offset + 1
         return self._view[offset]
 
-    def peek_uint8(self) -> int:
-        """The next byte without advancing the cursor."""
-        if self._offset >= self._length:
-            raise VarintError("truncated data: need 1 bytes, have 0")
-        return self._view[self._offset]
-
     def read_uint16(self) -> int:
         """Read a two-byte big-endian unsigned integer."""
         end = self._offset + 2
@@ -204,11 +198,6 @@ class VarintWriter:
     def write_varint(self, value: int) -> "VarintWriter":
         """Append one varint."""
         append_varint(self._buffer, value)
-        return self
-
-    def write_bytes(self, data: bytes) -> "VarintWriter":
-        """Append raw bytes."""
-        self._buffer += data
         return self
 
     def write_uint8(self, value: int) -> "VarintWriter":

@@ -34,14 +34,10 @@ turns that argument into an executable subsystem:
   :class:`RelayTopology`;
 * :mod:`repro.relaynet.stats` — :class:`RelayNetStats` snapshots per-tier
   relay counters, cache hit/miss totals and uplink bytes, with snapshot
-  deltas to isolate measurement windows;
-* :mod:`repro.relaynet.aggregate` — :class:`AggregateLeaf`, the exact
-  counted-leaf representation behind ``aggregate_leaves=``: each edge
-  relay's homogeneous subscriber population rides one live connection
-  with a multiplicity, statistics are multiplied out at collection time,
-  and members materialise to dense subscribers on demand (span sampling,
-  churn, explicit splits) — the machinery that makes the 1M-subscriber
-  macro (`cdn_macro_1m`) tractable without bending a single measured byte.
+  deltas to isolate measurement windows.
+
+Every tree subscriber is a real one: its own host, access link and QUIC
+session.  Fan-out at sizes no run stands up is the closed form's job.
 
 The matching analytical models live in :mod:`repro.analysis.fanout`
 (static fan-out), :mod:`repro.analysis.churn` (failover recovery) and
@@ -59,7 +55,6 @@ from repro.relaynet.admission import (
     AdmissionPolicy,
     RetryPolicy,
 )
-from repro.relaynet.aggregate import AggregateLeaf, expand_member_sequences
 from repro.relaynet.builder import RelayTreeBuilder
 from repro.relaynet.origincluster import ClusterOrigin, OriginCluster, OriginPromotion
 from repro.relaynet.stats import RelayNetStats, TierStats
@@ -78,8 +73,6 @@ from repro.relaynet.topology import (
 )
 
 __all__ = [
-    "AggregateLeaf",
-    "expand_member_sequences",
     "RelayTierSpec",
     "RelayTreeSpec",
     "RelayNode",

@@ -19,8 +19,7 @@ class RelayTreeBuilder:
     """Builds a :class:`RelayTopology` per spec below one origin.
 
     ``config`` is forwarded to the topology as is: session and connection
-    configurations, failover and admission policy, ``origin_cluster``,
-    ``aggregate_leaves``.
+    configurations, failover and admission policy, ``origin_cluster``.
     """
 
     def __init__(self, network: Network, origin: Address, **config) -> None:

@@ -21,7 +21,6 @@ from repro.netsim.packet import Address
 from repro.netsim.simulator import Simulator
 from repro.quic.connection import ConnectionConfig
 from repro.relaynet.admission import AdmissionPolicy
-from repro.relaynet.aggregate import expand_member_sequences
 from repro.relaynet.origincluster import OriginCluster
 from repro.relaynet.spec import RelayTreeSpec
 from repro.relaynet.topology import FailoverPolicy, RelayTopology
@@ -58,10 +57,6 @@ class Scenario:
     downstream_connection: ConnectionConfig | None = None
     failover_policy: FailoverPolicy | None = None
     admission: AdmissionPolicy | None = None
-    #: Attach the population in counted aggregate-leaf mode
-    #: (:mod:`repro.relaynet.aggregate`); every measured output is
-    #: bit-identical to the dense run's.
-    aggregate_leaves: bool = False
     #: Observational only: the span tracer (cleared at build, so one tracer
     #: can serve several seeded runs) records timestamps without scheduling
     #: events, drawing randomness or touching wire bytes, and metrics are
@@ -71,8 +66,7 @@ class Scenario:
 
 @dataclass(frozen=True)
 class RecoveryCounters:
-    """Loss-repair work summed over the tree, subscriber counters multiplied
-    out by the population each live subscriber stands in for."""
+    """Loss-repair work summed over the tree's relays and subscribers."""
 
     relay_duplicates_dropped: int
     subscriber_duplicates_dropped: int
@@ -96,7 +90,7 @@ class ScenarioRun:
     topology: RelayTopology
     #: Updates pushed so far; group ids run from 2 (the origin seeds group 1).
     pushed: int = 0
-    #: Delivered group ids per live subscriber index (:meth:`record_deliveries`).
+    #: Delivered group ids per subscriber index (:meth:`record_deliveries`).
     received: dict[int, list[int]] = field(default_factory=dict)
 
     def advance(self, seconds: float) -> None:
@@ -121,13 +115,6 @@ class ScenarioRun:
         """Subscribe every attached subscriber, noting the groups each gets."""
         received = self.received
         received.update({sub.index: [] for sub in self.topology.subscribers})
-        # A materialised member inherits its representative's delivery
-        # history — that history *is* the member's own under the aggregate
-        # invariant.  Copied before the member sees any new traffic; on a
-        # dense tree the hook never fires.
-        self.topology.on_subscriber_split = lambda member, rep: received.__setitem__(
-            member.index, list(received[rep.index])
-        )
         self.topology.subscribe_all(
             TRACK, on_object=lambda sub, obj: received[sub.index].append(obj.group_id)
         )
@@ -135,12 +122,11 @@ class ScenarioRun:
     def delivery_score(self) -> tuple[dict[int, list[int]], int, int]:
         """``(sequences, gapless, delivered)`` over the whole population.
 
-        ``sequences`` is keyed by every individual subscriber index (counted
-        members expanded, the identity on a dense tree); ``gapless`` counts
-        the subscribers whose sequence is exactly the pushed one —
-        duplicate-free and in publish order.
+        ``sequences`` is keyed by subscriber index; ``gapless`` counts the
+        subscribers whose sequence is exactly the pushed one — duplicate-free
+        and in publish order.
         """
-        sequences = expand_member_sequences(self.topology, self.received)
+        sequences = dict(self.received)
         expected = list(range(2, self.pushed + 2))
         gapless = sum(1 for groups in sequences.values() if groups == expected)
         return sequences, gapless, sum(len(groups) for groups in sequences.values())
@@ -152,13 +138,11 @@ class ScenarioRun:
         return RecoveryCounters(
             relay_duplicates_dropped=sum(s.duplicate_objects_dropped for s in relays),
             subscriber_duplicates_dropped=sum(
-                sub.duplicate_objects_dropped * sub.multiplicity for sub in subscribers
+                sub.duplicate_objects_dropped for sub in subscribers
             ),
             recovery_fetches=sum(s.recovery_fetches for s in relays),
             recovered_objects=sum(s.recovered_objects for s in relays),
-            subscriber_gap_fetches=sum(
-                sub.recovery_fetches * sub.multiplicity for sub in subscribers
-            ),
+            subscriber_gap_fetches=sum(sub.recovery_fetches for sub in subscribers),
             uplink_failures_detected=sum(s.uplink_failures_detected for s in relays),
         )
 
@@ -196,7 +180,6 @@ def build_scenario(scenario: Scenario) -> ScenarioRun:
         subscriber_connection=scenario.subscriber_connection,
         downstream_connection=scenario.downstream_connection,
         origin_cluster=cluster,
-        aggregate_leaves=scenario.aggregate_leaves,
         admission=scenario.admission,
     )
     return ScenarioRun(scenario, simulator, network, origin, topology)

@@ -83,36 +83,10 @@ class RelayNetStats:
 
     @classmethod
     def collect(cls, tree: RelayTopology) -> "RelayNetStats":
-        """Snapshot the tree's relay counters and uplink traffic.
-
-        Aggregate-leaf groups are multiplied out here: a representative's
-        access-link bytes and received objects count once per member, and
-        the leaf tier's per-downstream-session counters (objects forwarded,
-        subscribes received) gain the ``N - 1`` contributions the dense
-        run's extra sessions would have produced.  Both corrections are
-        linear in monotonic counters with a multiplicity that is constant
-        between the snapshots of a measurement window, so :meth:`delta`
-        arithmetic is unaffected.
-        """
+        """Snapshot the tree's relay counters and uplink traffic."""
         network = tree.network
-        groups = [
-            group
-            for group in getattr(tree, "aggregates", ())
-            if group.representative is not None
-        ]
-        leaf_objects_extra = 0
-        leaf_subscribes_extra = 0
-        for group in groups:
-            representative = group.representative
-            extra = representative.multiplicity - 1
-            if extra <= 0:
-                continue
-            statistics = representative.session.statistics
-            leaf_objects_extra += extra * statistics.objects_received
-            leaf_subscribes_extra += extra * statistics.subscribes_sent
-        leaf_tier_index = len(tree.tiers) - 1
         tier_stats: list[TierStats] = []
-        for tier_index, nodes in enumerate(tree.tiers):
+        for nodes in tree.tiers:
             uplink_bytes = 0
             uplink_datagrams = 0
             objects_received = 0
@@ -140,9 +114,6 @@ class RelayNetStats:
                     connection = session.connection
                     downstream_retransmissions += connection.statistics.retransmissions
                     congestion_events += connection.congestion.congestion_events
-            if tier_index == leaf_tier_index:
-                objects_forwarded += leaf_objects_extra
-                downstream_subscribes += leaf_subscribes_extra
             tier_stats.append(
                 TierStats(
                     tier=nodes[0].tier_name if nodes else "",
@@ -162,18 +133,13 @@ class RelayNetStats:
             )
         subscriber_link_bytes = 0
         subscriber_objects = 0
-        subscriber_count = 0
         for subscriber in tree.subscribers:
-            multiplicity = subscriber.multiplicity
             link = network.link(subscriber.leaf.host.address, subscriber.host.address)
-            subscriber_link_bytes += (
-                link.statistics.bytes_sent * multiplicity + link.extra_bytes
-            )
-            subscriber_objects += subscriber.session.statistics.objects_received * multiplicity
-            subscriber_count += multiplicity
+            subscriber_link_bytes += link.statistics.bytes_sent
+            subscriber_objects += subscriber.session.statistics.objects_received
         return cls(
             tiers=tuple(tier_stats),
-            subscriber_count=subscriber_count,
+            subscriber_count=len(tree.subscribers),
             subscriber_link_bytes=subscriber_link_bytes,
             subscriber_objects_received=subscriber_objects,
         )

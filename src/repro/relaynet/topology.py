@@ -46,8 +46,6 @@ checks them against the closed-form model in :mod:`repro.analysis.churn`.
 from __future__ import annotations
 
 import heapq
-import random
-from bisect import insort
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol
@@ -64,7 +62,6 @@ from repro.netsim.packet import Address
 from repro.quic.connection import ConnectionConfig
 from repro.quic.endpoint import QuicEndpoint
 from repro.relaynet.admission import AdmissionPolicy, RetryPolicy
-from repro.relaynet.aggregate import AggregateLeaf
 from repro.relaynet.spec import RelayTreeSpec
 
 if TYPE_CHECKING:
@@ -159,11 +156,6 @@ class TreeSubscriber:
     recovery_fetches: int = 0
     duplicate_objects_dropped: int = 0
     recovered_objects: int = 0
-    #: How many subscribers this object stands in for.  1 for every dense
-    #: subscriber; an aggregate-leaf representative carries its group's
-    #: member count, and every statistic collectors read off it (bytes,
-    #: objects, QUIC counters) is multiplied by this at collection time.
-    multiplicity: int = 1
     #: The admission contract it joined under (a flash crowd's, else the
     #: default) and its latest journey through it: the storm's record, or
     #: one opened when a SUBSCRIBE is refused after an admission.
@@ -507,7 +499,6 @@ class RelayTopology:
         subscriber_connection: ConnectionConfig | None = None,
         downstream_connection: ConnectionConfig | None = None,
         origin_cluster: "OriginCluster | None" = None,
-        aggregate_leaves: bool = False,
         admission: AdmissionPolicy | None = None,
     ) -> None:
         built = len(origin_cluster.origins) if origin_cluster is not None else 1
@@ -533,27 +524,13 @@ class RelayTopology:
         #: admit-everything behaviour with zero overhead and unchanged wire
         #: bytes; flash-crowd deployments pass a limited policy here.
         self.admission = admission
-        #: When True, :meth:`attach_subscribers` collapses each leaf's
-        #: homogeneous population into one counted representative
-        #: (:mod:`repro.relaynet.aggregate`); span-sampled indices and
-        #: churned members still run dense.
-        self.aggregate_leaves = aggregate_leaves
         self.tiers: list[list[RelayNode]] = []
         self.subscribers: list[TreeSubscriber] = []
-        #: Aggregate groups created by counted attaches (dissolved groups
-        #: stay listed, inert, so split history remains inspectable).
-        self.aggregates: list[AggregateLeaf] = []
-        #: Fired as ``hook(member, representative)`` the moment an
-        #: aggregated member is materialised, before it sees any new
-        #: traffic — experiments use it to copy per-subscriber accumulator
-        #: state (delivery sequences) from the representative.
-        self.on_subscriber_split: Callable[[TreeSubscriber, TreeSubscriber], None] | None = None
         #: Every join/leave/kill/detected failover applied to the tree, in order.
         self.events: list[FailoverEvent] = []
         self._tier_created: list[int] = []
         self._subscribers_created = 0
         self._nodes_by_relay: dict[MoqtRelay, RelayNode] = {}
-        self._groups_by_rep: dict[TreeSubscriber, AggregateLeaf] = {}
         # Fail fast if the origin host is missing rather than at first subscribe.
         network.host(origin.host)
         self._build(spec)
@@ -714,13 +691,6 @@ class RelayTopology:
         Each subscriber lands on the least-loaded alive leaf and opens an
         MoQT session to it immediately.  Call repeatedly to grow the
         population; host names continue from the total ever created.
-
-        With :attr:`aggregate_leaves` set, the same placement runs counted:
-        one representative per leaf group, dense materialisation only for
-        span-sampled indices (see :meth:`_plan_counted`), connection IDs
-        from index-derived private RNG streams, leaving the global seeded
-        stream untouched (creating 1M subscribers or 26 stand-ins draws the
-        same zero values from it).
         """
         config = session_config if session_config is not None else self.session_config
         leaves = self.alive_leaves()
@@ -729,8 +699,6 @@ class RelayTopology:
         start = self._subscribers_created
         self._subscribers_created += count
         placement = plan_leaf_assignments(leaves, count)
-        counted = self.aggregate_leaves
-        groups = self._plan_counted(leaves, placement, start, host_prefix) if counted else {}
         created: list[TreeSubscriber] = []
         # One batching region around the whole population: every subscriber's
         # first handshake flight collapses into one link-batch event instead
@@ -738,115 +706,11 @@ class RelayTopology:
         self.network.begin_batch()
         try:
             for index, leaf in enumerate(placement, start):
-                if counted and index not in groups:
-                    continue  # its group's representative stands in for it
-                group = groups.get(index)
-                subscriber = self._new_subscriber(
-                    index,
-                    host_prefix,
-                    leaf,
-                    config,
-                    rng=random.Random(index) if counted else None,
-                    multiplicity=group.multiplicity if group is not None else 1,
-                )
-                if group is not None:
-                    group.representative = subscriber
-                    self.aggregates.append(group)
-                    self._groups_by_rep[subscriber] = group
-                    downlink = self.network.link(leaf.host.address, subscriber.host.address)
-                    downlink.multiplicity = subscriber.multiplicity
-                    # ServerHellos flow leaf -> subscriber, so the ticket-id
-                    # width correction lands on the downlink only.
-                    downlink.extra_bytes = group.handshake_byte_deficit
-                    uplink = self.network.link(subscriber.host.address, leaf.host.address)
-                    uplink.multiplicity = subscriber.multiplicity
-                created.append(subscriber)
+                created.append(self._new_subscriber(index, host_prefix, leaf, config))
         finally:
             self.network.end_batch()
         self.subscribers.extend(created)
         return created
-
-    def _plan_counted(
-        self, leaves: list[RelayNode], placement: list[RelayNode], start: int, host_prefix: str
-    ) -> dict[int, AggregateLeaf | None]:
-        """What a counted attach adds to placement: the subscribers that really
-        connect, each with the group it stands in for (None: itself only).
-
-        Span-sampled indices (``index % subscriber_sample_every == 0`` under
-        an active tracer) stay dense so latency breakdowns keep real
-        per-subscriber delivery timestamps; everyone else rides a
-        representative with ``multiplicity = group size``.
-        """
-        telemetry = getattr(self.network, "telemetry", None)
-        stride = 0
-        if telemetry is not None and telemetry.spans is not None:
-            stride = telemetry.spans.subscriber_sample_every
-        placed: dict[RelayNode, list[int]] = {leaf: [] for leaf in leaves}
-        for index, leaf in enumerate(placement, start):
-            placed[leaf].append(index)
-        connecting: dict[int, AggregateLeaf | None] = {}
-        for leaf, indices in placed.items():
-            if not indices:
-                continue
-            sampled = [i for i in indices if stride and i % stride == 0]
-            counted = [i for i in indices if not (stride and i % stride == 0)]
-            for index in sampled:
-                connecting[index] = None
-            group = None
-            if len(counted) == 1:
-                connecting[counted[0]] = None
-            elif counted:
-                group = AggregateLeaf(
-                    leaf=leaf, member_indices=counted, host_prefix=host_prefix
-                )
-                connecting[counted[0]] = group
-            # Dense-identical TLS ticket issuance.  The dense run hands this
-            # leaf's k-th arriving subscriber ticket id base+k; reserve
-            # exactly those ids for the connections that really open here
-            # (ascending index = per-leaf arrival order) and jump the
-            # counter past the whole population so post-churn reconnects
-            # also draw dense-identical ids.  The ids are decimal strings
-            # on the wire, so the width difference between the counted
-            # members' dense tickets and the representative's — the one
-            # per-member heterogeneity in an otherwise replicated handshake
-            # — is recorded as this group's exact byte deficit.
-            context = leaf.relay.server_tls
-            base = context.next_ticket_id - 1
-            dense_ticket = {
-                index: base + position + 1 for position, index in enumerate(indices)
-            }
-            real = sorted(sampled + counted[:1])
-            context.queue_ticket_ids(
-                [dense_ticket[index] for index in real], base + len(indices) + 1
-            )
-            if group is not None:
-                rep_width = len(str(dense_ticket[counted[0]]))
-                group.handshake_byte_deficit = sum(
-                    len(str(dense_ticket[index])) for index in counted
-                ) - len(counted) * rep_width
-        return connecting
-
-    @property
-    def subscriber_population(self) -> int:
-        """Total subscribers represented (dense count plus multiplicities)."""
-        return sum(subscriber.multiplicity for subscriber in self.subscribers)
-
-    def split_subscriber(self, subscriber_index: int) -> TreeSubscriber:
-        """Materialise one aggregated member as a live dense subscriber.
-
-        The member gets its own host, session (index-derived connection-ID
-        stream) and cloned dedupe/recovery state, re-subscribes to every
-        live track with the standard resume-and-gap-FETCH machinery, and is
-        inserted into :attr:`subscribers` at its index position.  Raises
-        ``ValueError`` for indices that are not currently aggregated.
-        """
-        for group in self.aggregates:
-            if group.dissolved or subscriber_index not in group.member_indices:
-                continue
-            member = group.split(self, subscriber_index, connect=True)
-            insort(self.subscribers, member, key=lambda s: s.index)
-            return member
-        raise ValueError(f"subscriber {subscriber_index} is not aggregated")
 
     # ------------------------------------------------- the subscriber lifecycle
     def _new_subscriber(
@@ -855,35 +719,17 @@ class RelayTopology:
         host_prefix: str,
         leaf: RelayNode,
         config: MoqtSessionConfig,
-        rng: random.Random | None = None,
-        multiplicity: int = 1,
-        share: MoqtSession | None = None,
     ) -> TreeSubscriber:
         """The one way a subscriber comes to exist: host ``{host_prefix}-{index}``
-        placed under ``leaf`` by :meth:`_move` — or riding ``share`` (an
-        aggregate member dissolving with its leaf) until the failover moves it."""
+        placed under ``leaf`` by :meth:`_move`."""
         host = self.network.add_host(f"{host_prefix}-{index}")
-        subscriber = TreeSubscriber(
-            index=index,
-            host=host,
-            leaf=leaf,
-            config=config,
-            session=share,
-            multiplicity=multiplicity,
-        )
-        if share is None:
-            self._move(subscriber, leaf, rng=rng)
+        subscriber = TreeSubscriber(index=index, host=host, leaf=leaf, config=config, session=None)
+        self._move(subscriber, leaf)
         return subscriber
 
-    def _move(
-        self,
-        subscriber: TreeSubscriber,
-        leaf: RelayNode,
-        reason: str = "",
-        rng: random.Random | None = None,
-    ) -> None:
+    def _move(self, subscriber: TreeSubscriber, leaf: RelayNode, reason: str = "") -> None:
         """Give ``subscriber`` a fresh session under ``leaf``: its first
-        placement, a spill, a failover re-attach or a split.
+        placement, a spill or a failover re-attach.
 
         The session it had is closed if still open (taking its admission
         reservation with it) and its leaf gives up the load; the access link
@@ -896,18 +742,18 @@ class RelayTopology:
         if previous is not None:
             if not previous.closed:
                 previous.close(reason)
-            subscriber.leaf.load -= subscriber.multiplicity
+            subscriber.leaf.load -= 1
         # A subscriber placed for the first time has no link at all yet.
         if previous is None or not network.has_link(leaf.host.address, host.address):
             network.connect(leaf.host, host, self.spec.subscriber_link)
-        connection = QuicEndpoint(host, rng=rng).connect(leaf.address, self.subscriber_connection)
+        connection = QuicEndpoint(host).connect(leaf.address, self.subscriber_connection)
         session = MoqtSession(connection, is_client=True, config=subscriber.config)
         subscriber.session = session
         session.on_liveness = lambda session, old, new, sub=subscriber: (
             self._on_subscriber_liveness(sub, session, new)
         )
         subscriber.leaf = leaf
-        leaf.load += subscriber.multiplicity
+        leaf.load += 1
 
     def _subscribe(
         self,
@@ -1067,12 +913,6 @@ class RelayTopology:
                     callback = partial(on_object, subscriber)
                 track = subscriber.add_track(full_track_name, callback)
                 subscriptions.append(track.subscribe(subscriber.session))
-                group = self._groups_by_rep.get(subscriber)
-                if group is not None:
-                    # Remember the raw two-arg callback so a member
-                    # materialised later delivers to the same application
-                    # hook the dense subscriber would have.
-                    group.track_callbacks[len(subscriber.tracks) - 1] = on_object
         finally:
             self.network.end_batch()
         return subscriptions
@@ -1406,12 +1246,6 @@ class RelayTopology:
         )
         if node.parent is not None and node.parent.alive:
             node.parent.load -= 1
-        if self.aggregates:
-            # A dying leaf stops being homogeneous: dissolve its aggregate
-            # groups *before* orphan re-homing, so every member fails over
-            # individually (ascending by index — the exact order the dense
-            # run's subscriber list yields) through the standard path below.
-            self._dissolve_aggregates_on(node)
         if node.tier_index + 1 < len(self.tiers):
             for child in self.tiers[node.tier_index + 1]:
                 if child.alive and child.parent is node:
@@ -1421,18 +1255,6 @@ class RelayTopology:
                 self._failover_subscriber(subscriber, event, now)
         self.events.append(event)
         return event
-
-    def _dissolve_aggregates_on(self, node: RelayNode) -> None:
-        """Materialise every member aggregated on ``node`` (it is dying)."""
-        members: list[TreeSubscriber] = []
-        for group in self.aggregates:
-            representative = group.representative
-            if group.dissolved or representative is None or representative.leaf is not node:
-                continue
-            members.extend(group.dissolve(self))
-        if members:
-            self.subscribers.extend(members)
-            self.subscribers.sort(key=lambda subscriber: subscriber.index)
 
     def _reparent_relay(
         self, child: RelayNode, dead: RelayNode, event: FailoverEvent, now: float

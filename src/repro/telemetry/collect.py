@@ -79,9 +79,8 @@ _QUIC_STAT_FIELDS = (
 #: Congestion-controller state, exported alongside the statistics counters.
 #: ``cwnd_bytes`` / ``bytes_in_flight`` are instantaneous gauges summed over
 #: the role's connections; ``congestion_events`` is monotonic.  All three are
-#: zero under the default Null controller, so the families exist (and stay
-#: dense-vs-aggregate identical) whether or not real congestion control is
-#: installed.
+#: zero under the default Null controller, so the families exist whether or
+#: not real congestion control is installed.
 _QUIC_CC_FIELDS = (
     "cwnd_bytes",
     "bytes_in_flight",
@@ -97,16 +96,16 @@ _QUIC_CC_FIELDS = (
 _QUIC_EXPORT_FIELDS = _QUIC_STAT_FIELDS + _QUIC_CC_FIELDS + ("stream_states", "inflight_packets")
 
 
-def _scrape_quic(totals: dict[str, int], connection, scale: int = 1) -> None:
+def _scrape_quic(totals: dict[str, int], connection) -> None:
     statistics = connection.statistics
     for field in _QUIC_STAT_FIELDS:
-        totals[field] += getattr(statistics, field) * scale
+        totals[field] += getattr(statistics, field)
     congestion = connection.congestion
-    totals["cwnd_bytes"] += congestion.congestion_window * scale
-    totals["bytes_in_flight"] += congestion.bytes_in_flight * scale
-    totals["congestion_events"] += congestion.congestion_events * scale
-    totals["stream_states"] += connection.stream_states * scale
-    totals["inflight_packets"] += connection.unacked_packets * scale
+    totals["cwnd_bytes"] += congestion.congestion_window
+    totals["bytes_in_flight"] += congestion.bytes_in_flight
+    totals["congestion_events"] += congestion.congestion_events
+    totals["stream_states"] += connection.stream_states
+    totals["inflight_packets"] += connection.unacked_packets
 
 
 def collect_relay_tree(metrics: MetricsRegistry, tree) -> None:
@@ -115,37 +114,10 @@ def collect_relay_tree(metrics: MetricsRegistry, tree) -> None:
 
     ``tree`` is anything with ``tiers`` / ``subscribers`` / ``network``
     (a :class:`~repro.relaynet.topology.RelayTopology`).
-
-    Aggregate-leaf mode (``tree.aggregates`` non-empty) is transparent
-    here: every per-subscriber counter is weighted by the subscriber's
-    ``multiplicity``, the leaf tier's ``objects_forwarded`` gauge is
-    corrected for the copies the relay *would* have sent to the counted
-    members, and relay downstream QUIC totals are scaled per session via
-    the representative's connection address — so the exported gauges are
-    bit-identical to the dense run's.
     """
     if not metrics.enabled:
         return
     network = tree.network
-    # Aggregate-leaf corrections: a representative's live counters stand in
-    # for `multiplicity` identical member histories.  The relay-side scale
-    # map keys each leaf's downstream session by its peer address (= the
-    # representative session's local address).
-    leaf_objects_extra = 0
-    handshake_deficit = 0
-    downstream_scale: dict[object, int] = {}
-    for group in getattr(tree, "aggregates", ()):
-        representative = group.representative
-        if representative is None:
-            continue
-        extra = representative.multiplicity - 1
-        if extra <= 0:
-            continue
-        leaf_objects_extra += extra * representative.session.statistics.objects_received
-        handshake_deficit += group.handshake_byte_deficit
-        downstream_scale[representative.session.connection.local_address] = (
-            representative.multiplicity
-        )
     tier_gauges = {
         name: metrics.gauge(f"relaynet_{name}", help_text, labels=("tier",))
         for name, help_text in (
@@ -174,8 +146,7 @@ def collect_relay_tree(metrics: MetricsRegistry, tree) -> None:
     # Receiver state (relay tracks and subscriber tracks are the same class).
     recovery_buffered = 0
     dedupe_window = 0
-    leaf_tier_index = len(tree.tiers) - 1
-    for tier_index, nodes in enumerate(tree.tiers):
+    for nodes in tree.tiers:
         if not nodes:
             continue
         tier = nodes[0].tier_name
@@ -211,13 +182,7 @@ def collect_relay_tree(metrics: MetricsRegistry, tree) -> None:
             if uplink is not None:
                 _scrape_quic(quic_totals["relay-uplink"], uplink)
             for session in node.relay.downstream_sessions():
-                _scrape_quic(
-                    quic_totals["relay-downstream"],
-                    session.connection,
-                    downstream_scale.get(session.connection.peer_address, 1),
-                )
-        if tier_index == leaf_tier_index:
-            objects_forwarded += leaf_objects_extra
+                _scrape_quic(quic_totals["relay-downstream"], session.connection)
         tier_gauges["relays"].labels(tier).set(len(nodes))
         tier_gauges["uplink_bytes"].labels(tier).set(uplink_bytes)
         tier_gauges["objects_received"].labels(tier).set(objects_received)
@@ -226,28 +191,23 @@ def collect_relay_tree(metrics: MetricsRegistry, tree) -> None:
         tier_gauges["cache_misses"].labels(tier).set(cache_misses)
     subscriber_bytes = 0
     subscriber_objects = 0
-    subscriber_count = 0
     duplicates = 0
     gap_fetches = 0
     reattaches = 0
     for subscriber in tree.subscribers:
-        multiplicity = subscriber.multiplicity
         if network.has_link(subscriber.leaf.host.address, subscriber.host.address):
             link = network.link(subscriber.leaf.host.address, subscriber.host.address)
-            subscriber_bytes += link.statistics.bytes_sent * multiplicity + link.extra_bytes
-        subscriber_objects += subscriber.objects_delivered * multiplicity
-        duplicates += subscriber.duplicate_objects_dropped * multiplicity
-        gap_fetches += subscriber.recovery_fetches * multiplicity
-        reattaches += subscriber.reattach_count * multiplicity
+            subscriber_bytes += link.statistics.bytes_sent
+        subscriber_objects += subscriber.objects_delivered
+        duplicates += subscriber.duplicate_objects_dropped
+        gap_fetches += subscriber.recovery_fetches
+        reattaches += subscriber.reattach_count
         for track in subscriber.tracks:
-            recovery_buffered += len(track.held or ()) * multiplicity
+            recovery_buffered += len(track.held or ())
             dedupe_window = max(dedupe_window, len(track.seen))
-        subscriber_count += multiplicity
-        _scrape_quic(
-            quic_totals["subscriber"], subscriber.session.connection, multiplicity
-        )
+        _scrape_quic(quic_totals["subscriber"], subscriber.session.connection)
     metrics.gauge("relaynet_subscribers", "Subscribers attached to the tree").set(
-        subscriber_count
+        len(tree.subscribers)
     )
     metrics.gauge(
         "relaynet_subscriber_link_bytes", "Bytes over the subscriber access links"
@@ -303,11 +263,6 @@ def collect_relay_tree(metrics: MetricsRegistry, tree) -> None:
         "relaynet_pending_subscribe_high_water",
         "Largest pending-subscribe queue any relay ever held",
     ).set(pending_subscribe_high_water)
-    # The ticket-width deficit is bytes the dense handshakes would have
-    # carried beyond the multiplied representatives': sent by the leaf
-    # relays, received by the subscribers.
-    quic_totals["relay-downstream"]["bytes_sent"] += handshake_deficit
-    quic_totals["subscriber"]["bytes_received"] += handshake_deficit
     quic_gauge = {
         field: metrics.gauge(
             f"quic_{field}", "QUIC connection totals by role", labels=("role",)

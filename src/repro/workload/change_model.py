@@ -160,15 +160,3 @@ class ChangeModel:
             addresses_per_answer=addresses_per_answer,
             rng=rng,
         )
-
-    def expected_changes(self, ttl: int, observations: int = 300) -> float:
-        """Expected number of changes over a number of observations.
-
-        A population average mixing dynamic and static domains; used by the
-        traffic estimators as a sanity cross-check.
-        """
-        fraction = self.dynamic_fraction(ttl)
-        dynamic_mean = sum(self.config.dynamic_change_range) / 2.0
-        static_mean = sum(self.config.static_change_range) / 2.0
-        per_observation = fraction * dynamic_mean + (1.0 - fraction) * static_mean
-        return per_observation * observations

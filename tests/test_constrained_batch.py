@@ -7,6 +7,8 @@ delivery times (bit-exact floats), same drop set, same byte counters, same
 seeded RNG consumption.  The property tests here drive that equivalence
 with hypothesis-generated link mixes; the seeded regression pins the RNG
 draw-order contract documented on :class:`repro.netsim.link.LinkConfig`.
+The byte-counter tests hold that a link counts exactly the bytes offered to
+its wire, and that network totals are the plain sum of its links.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim.link import Link, LinkConfig
+from repro.netsim.network import Network
 from repro.netsim.packet import Address, Datagram
 from repro.netsim.simulator import Simulator
 
@@ -182,29 +185,91 @@ def test_seeded_draw_order_regression() -> None:
         assert link.statistics.datagrams_dropped == len(payloads) - len(expected)
 
 
-class TestExtraBytesGuard:
-    """``Link.extra_bytes`` is accounting-only: unconstrained links only."""
+class TestByteCountersAreTheWire:
+    """A link's counters hold the bytes offered to its wire, read as-is."""
 
-    def _link(self, config: LinkConfig) -> Link:
-        simulator = Simulator(seed=0)
-        return Link(simulator, config, lambda datagram: None)
+    PAYLOADS = [bytes([index]) * (3 * index + 1) for index in range(20)]
 
-    def test_unconstrained_link_accepts_correction(self) -> None:
-        link = self._link(LinkConfig(delay=0.001))
-        link.extra_bytes = 123
-        assert link.extra_bytes == 123
+    def _send(self, config: LinkConfig, batched: bool, seed: int = 42):
+        simulator = Simulator(seed=seed)
+        deliveries: list[tuple[float, bytes]] = []
+        link = Link(
+            simulator,
+            config,
+            lambda datagram: deliveries.append((simulator.now, bytes(datagram.payload))),
+        )
+        entries = [(link, Datagram(SRC, DST, payload)) for payload in self.PAYLOADS]
+        if batched:
+            Link.transmit_many(simulator, entries)
+        else:
+            for _, datagram in entries:
+                link.transmit(datagram)
+        simulator.run_until_idle()
+        return link.statistics, deliveries
 
-    def test_bandwidth_link_rejects_nonzero_correction(self) -> None:
-        link = self._link(LinkConfig(delay=0.001, bandwidth=1_000_000.0))
-        with pytest.raises(ValueError, match="accounting-only"):
-            link.extra_bytes = 1
+    def test_unconstrained_link_counts_every_byte_once(self) -> None:
+        total = sum(len(payload) for payload in self.PAYLOADS)
+        for batched in (True, False):
+            statistics, deliveries = self._send(LinkConfig(delay=0.001), batched)
+            assert [payload for _, payload in deliveries] == self.PAYLOADS
+            assert statistics.as_dict() == {
+                "datagrams_sent": len(self.PAYLOADS),
+                "datagrams_delivered": len(self.PAYLOADS),
+                "datagrams_dropped": 0,
+                "bytes_sent": total,
+                "bytes_delivered": total,
+            }
 
-    def test_lossy_link_rejects_nonzero_correction(self) -> None:
-        link = self._link(LinkConfig(delay=0.001, loss_rate=0.1))
-        with pytest.raises(ValueError, match="accounting-only"):
-            link.extra_bytes = 1
+    def test_bandwidth_link_serialises_exactly_the_counted_bytes(self) -> None:
+        bandwidth, delay = 64_000.0, 0.010
+        busy = 0.0
+        for payload in self.PAYLOADS:
+            busy += len(payload) * 8 / bandwidth
+        for batched in (True, False):
+            statistics, deliveries = self._send(
+                LinkConfig(delay=delay, bandwidth=bandwidth), batched
+            )
+            # The last arrival is the serialisation time of every counted
+            # byte plus one propagation delay: nothing is counted that was
+            # not on the wire, and nothing on the wire goes uncounted.
+            assert deliveries[-1][0] == busy + delay
+            assert statistics.bytes_sent == statistics.bytes_delivered
+            assert statistics.bytes_sent * 8 / bandwidth == pytest.approx(busy)
 
-    def test_zero_correction_is_always_allowed(self) -> None:
-        link = self._link(LinkConfig(delay=0.001, bandwidth=8_000.0, loss_rate=0.5))
-        link.extra_bytes = 0
-        assert link.extra_bytes == 0
+    def test_lossy_link_counts_a_dropped_datagram_as_sent_only(self) -> None:
+        total = sum(len(payload) for payload in self.PAYLOADS)
+        for batched in (True, False):
+            statistics, deliveries = self._send(
+                LinkConfig(delay=0.001, loss_rate=0.5), batched
+            )
+            delivered = [payload for _, payload in deliveries]
+            assert 0 < len(delivered) < len(self.PAYLOADS), "seed 42 must drop some"
+            assert statistics.bytes_sent == total
+            assert statistics.bytes_delivered == sum(len(payload) for payload in delivered)
+            assert statistics.datagrams_delivered == len(delivered)
+            assert statistics.datagrams_dropped == len(self.PAYLOADS) - len(delivered)
+
+    def test_network_totals_are_the_plain_sum_of_its_links(self) -> None:
+        simulator = Simulator(seed=7)
+        network = Network(simulator)
+        for address in ("a", "b", "c"):
+            network.add_host(address)
+        network.connect("a", "b", LinkConfig(delay=0.002, bandwidth=1_000_000.0))
+        network.connect("b", "c", LinkConfig(delay=0.005, loss_rate=0.25))
+        sent = [bytes([index]) * (index + 5) for index in range(16)]
+        for payload in sent:
+            network.route(Datagram(Address("a", 1), Address("c", 2), payload))
+        simulator.run_until_idle()
+
+        per_link = [
+            network.link(source, destination).statistics.as_dict()
+            for source, destination in (("a", "b"), ("b", "a"), ("b", "c"), ("c", "b"))
+        ]
+        totals = network.total_link_statistics()
+        for key, value in totals.items():
+            assert value == sum(stats[key] for stats in per_link), key
+        # Two hops: the first carries every byte, the second every byte the
+        # first delivered — each counted once, on the link that carried it.
+        first_hop = network.link("a", "b").statistics
+        assert first_hop.bytes_delivered == sum(len(payload) for payload in sent)
+        assert totals["bytes_sent"] == first_hop.bytes_sent + first_hop.bytes_delivered

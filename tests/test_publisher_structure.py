@@ -18,8 +18,7 @@ An ``ast`` walk over ``src/repro`` (``docs/publishers.md``):
 * the six E11–E16 drivers stand nothing up themselves (``docs/scenarios.md``):
   none calls ``Simulator``, ``Network``, ``OriginCluster``, ``RelayTopology``,
   ``RelayTreeBuilder``, ``build_origin`` or ``collect_run``, no ``if`` tests
-  ``aggregate_leaves`` or the origin kind, and ``relaynet/builder.py`` defines
-  one class;
+  the origin kind, and ``relaynet/builder.py`` defines one class;
 * under ``core/`` the subscribing resolver exists once (``docs/resolvers.md``):
   one function calls ``.joining_fetch(``, one module calls
   ``decapsulate_response``, one dataclass has an ``updated_at`` field, one
@@ -32,7 +31,12 @@ An ``ast`` walk over ``src/repro`` (``docs/publishers.md``):
   SUBSCRIBE with an answer hook under ``relaynet/``, one calls
   ``switch_upstream``, one records an orphan with an empty ``new_parent``,
   one builds the ``(load, index)`` placement key, and one places a new
-  population through ``plan_leaf_assignments``.
+  population through ``plan_leaf_assignments``;
+* every tree subscriber is a real one (``docs/scaling.md``): nothing under
+  ``src/repro`` defines or reads a counted-leaf name — ``multiplicity``,
+  ``extra_bytes`` as an attribute (a string result key is another thing),
+  ``queue_ticket_ids``, ``split_subscriber``, ``on_subscriber_split``,
+  ``AggregateLeaf`` or an ``aggregate_leaves`` parameter.
 """
 
 from __future__ import annotations
@@ -243,8 +247,8 @@ def handle_fetch(self, session, message, full_track_name):
 
 def scaffolding(source: str, path: str) -> list[str]:
     """Every ``path:line: why`` where a module stands a tree up by hand or
-    branches on how it was stood up (population mode, origin kind).  An ``if``
-    that only raises is argument validation, not a mode branch."""
+    branches on how it was stood up (origin kind).  An ``if`` that only
+    raises is argument validation, not a mode branch."""
     found: list[str] = []
     for node in ast.walk(ast.parse(source)):
         where = f"src/repro/{path}:{getattr(node, 'lineno', 0)}"
@@ -257,8 +261,6 @@ def scaffolding(source: str, path: str) -> list[str]:
         )
         if isinstance(node, (ast.If, ast.IfExp)) and not validation:
             names = _identifiers(node.test)
-            if "aggregate_leaves" in names:
-                found.append(f"{where}: branches on aggregate_leaves")
             if any(name == "origins" or "cluster" in name for name in names):
                 found.append(f"{where}: branches on the origin kind")
     return found
@@ -282,7 +284,7 @@ def test_drivers_stand_nothing_up():
 
 def test_guard_catches_a_private_stand_up():
     private_copy = """
-def run_relay_churn(subscribers, seed, origins=1, telemetry=None, aggregate_leaves=False):
+def run_relay_churn(subscribers, seed, origins=1, telemetry=None):
     if origins < 1:
         raise ValueError(origins)
     simulator = Simulator(seed=seed)
@@ -293,15 +295,12 @@ def run_relay_churn(subscribers, seed, origins=1, telemetry=None, aggregate_leav
     else:
         publisher = build_origin(network)
     tree = RelayTreeBuilder(network, origin, origin_cluster=origin_cluster).build(spec)
-    if aggregate_leaves:
-        tree.topology.on_subscriber_split = inherit
     (origin_cluster if origin_cluster is not None else publisher).push(obj)
     if telemetry is not None:
         collect_run(telemetry.metrics, network, tree, origin_cluster=origin_cluster)
 """
     reasons = scaffolding(private_copy, DRIVERS[1])
     assert sorted(reason.split(": ", 1)[1] for reason in reasons) == [
-        "branches on aggregate_leaves",
         "branches on the origin kind",
         "branches on the origin kind",
         "calls Network",
@@ -494,8 +493,8 @@ def _storm_join(self, storm, config, host_prefix, on_object, retry, pinned_leaf=
 def _pick_leaf(self):
     return min(candidates, key=lambda node: (node.load, node.index))
 
-def _open_subscriber_session(self, host, leaf, config, rng=None):
-    connection = QuicEndpoint(host, rng=rng).connect(leaf.address, self.subscriber_connection)
+def _open_subscriber_session(self, host, leaf, config):
+    connection = QuicEndpoint(host).connect(leaf.address, self.subscriber_connection)
 
 def _reattach_subscriber(self, subscriber, new_leaf, record):
     subscriber.session = self._open_subscriber_session(subscriber.host, new_leaf, config)
@@ -532,3 +531,96 @@ def subscribe_track(self, full_track_name, on_object=None, on_response=None):
     assert lifecycle_parts(plain, "relaynet/topology.py") == []
     elsewhere = {part for part, _ in lifecycle_parts(topology_copy, "moqt/relay.py")}
     assert "hooked SUBSCRIBE" not in elsewhere
+
+
+#: The counted-leaf mode: one subscriber standing in for many, the links and
+#: tickets that corrected for it, and the switch that turned it on.
+COUNTED_LEAF = {
+    "multiplicity", "extra_bytes", "queue_ticket_ids", "split_subscriber",
+    "on_subscriber_split", "AggregateLeaf", "aggregate_leaves",
+}
+
+
+def counted_leaf_names(source: str, path: str) -> list[str]:
+    """Every ``path:line: name`` where a module defines or reads a counted-leaf
+    name — as a variable, attribute, function, class, parameter, keyword,
+    import or ``__slots__`` entry (leading underscores ignored); a string used
+    as a dict key is not a name."""
+    found: list[str] = []
+    for node in ast.walk(ast.parse(source)):
+        names: list[str | None] = []
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            names = [node.arg]
+        elif isinstance(node, ast.alias):
+            names = [node.name.rsplit(".", 1)[-1], node.asname]
+        elif isinstance(node, ast.Assign) and any(
+            getattr(target, "id", "") == "__slots__" for target in node.targets
+        ):
+            names = [
+                child.value
+                for child in ast.walk(node.value)
+                if isinstance(child, ast.Constant) and isinstance(child.value, str)
+            ]
+        for name in names:
+            if name is not None and name.lstrip("_") in COUNTED_LEAF:
+                found.append(f"src/repro/{path}:{getattr(node, 'lineno', 0)}: {name}")
+    return found
+
+
+def test_every_tree_subscriber_is_a_real_one():
+    found = [
+        reason
+        for file in sorted(SRC.rglob("*.py"))
+        for reason in counted_leaf_names(file.read_text(), file.relative_to(SRC).as_posix())
+    ]
+    assert not found, "\n".join(["the counted-leaf mode crept back:", *found])
+    # E9's result key of the same spelling is a string, not the link attribute.
+    state_overhead = (SRC / "analysis/state_overhead.py").read_text()
+    assert '"extra_bytes"' in state_overhead
+    assert counted_leaf_names(state_overhead, "analysis/state_overhead.py") == []
+
+
+def test_guard_catches_the_counted_leaf_mode():
+    # The counted attach as it stood before the mode was deleted.
+    parent_plan_counted = """
+from repro.relaynet.aggregate import AggregateLeaf
+
+class Link:
+    __slots__ = ("_simulator", "statistics", "multiplicity", "_extra_bytes")
+
+class RelayTopology:
+    def __init__(self, network, origin, spec, aggregate_leaves=False):
+        self.aggregate_leaves = aggregate_leaves
+        self.on_subscriber_split = None
+
+    def _plan_counted(self, leaves, placement, start, host_prefix):
+        for leaf, indices in placed.items():
+            group = None
+            if len(counted) == 1:
+                connecting[counted[0]] = None
+            elif counted:
+                group = AggregateLeaf(leaf=leaf, member_indices=counted, host_prefix=host_prefix)
+                connecting[counted[0]] = group
+            context = leaf.relay.server_tls
+            base = context.next_ticket_id - 1
+            context.queue_ticket_ids([dense_ticket[index] for index in real], base + len(indices) + 1)
+        return connecting
+
+    def split_subscriber(self, subscriber_index):
+        downlink.extra_bytes = group.handshake_byte_deficit
+        return subscriber.leaf.load - subscriber.multiplicity
+"""
+    found = counted_leaf_names(parent_plan_counted, "relaynet/topology.py")
+    assert all(reason.startswith("src/repro/relaynet/topology.py:") for reason in found)
+    assert sorted(reason.rsplit(": ", 1)[1] for reason in found) == [
+        "AggregateLeaf", "AggregateLeaf", "_extra_bytes",
+        "aggregate_leaves", "aggregate_leaves", "aggregate_leaves",
+        "extra_bytes", "multiplicity", "multiplicity",
+        "on_subscriber_split", "queue_ticket_ids", "split_subscriber",
+    ]

@@ -1,7 +1,7 @@
 """Compound faults on one tree-subscriber lifecycle: admission × failover.
 
 A leaf subscriber is created, moved (admission spillover, failover
-re-attach, aggregate split) and re-subscribed through one path in
+re-attach) and re-subscribed through one path in
 ``RelayTopology`` (``docs/failover.md`` § Receive, ``docs/admission.md``
 § Client retry).  No seeded experiment combines a flash crowd with a relay
 death, so this file does, on a three-leaf star whose leaves admit two
