@@ -65,7 +65,7 @@ class ConstrainedPathModel:
         """Absolute delivery time of an update pushed at ``push_time``,
         bit-exact to the simulator.
 
-        The fold mirrors :meth:`repro.netsim.link.Link.transmit` hop by hop:
+        The fold mirrors :meth:`repro.netsim.link.Link.transmit_many` hop by hop:
         an idle FIFO starts serialising at the forwarding instant, so each
         hop contributes ``size * 8 / bandwidth`` then ``delay``, in that
         order, accumulated left to right.  Float addition is not

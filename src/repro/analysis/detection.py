@@ -148,15 +148,6 @@ class DetectionModel:
             raise ValueError(f"idle timeout must be positive: {self.idle_timeout}")
 
     @property
-    def pto_suspect_at(self) -> float | None:
-        """Absolute time of the suspect transition (None without sends)."""
-        if self.next_send_at is None:
-            return None
-        return self.next_send_at + suspect_latency(
-            self.probe_timeout, self.suspect_after, self.backoff_cap
-        )
-
-    @property
     def idle_dead_at(self) -> float:
         """When the idle timer fires if nothing is ever sent again."""
         return self.idle_deadline

@@ -80,11 +80,6 @@ class FanoutModel:
         return unicast_origin_messages(self.subscribers, self.updates)
 
     @property
-    def total_messages(self) -> int:
-        """Objects over all tree links (the tree's bandwidth cost)."""
-        return sum(self.tier_messages())
-
-    @property
     def origin_reduction_factor(self) -> float:
         """How much relay fan-out shrinks origin egress (>1 favours the tree)."""
         if self.origin_messages <= 0:

@@ -170,11 +170,6 @@ class MoqRecursiveResolver(SubscribingResolver):
             )
 
     # ------------------------------------------------------------- public API
-    @property
-    def moqt_address(self) -> Address | None:
-        """Address for MoQT clients (None when MoQT serving is off)."""
-        return self._moqt_endpoint.address if self._moqt_endpoint is not None else None
-
     def state_summary(self) -> dict[str, int]:
         """The shared accounting plus the downstream subscribers served (§5.1)."""
         summary = super().state_summary()

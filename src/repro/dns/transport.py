@@ -20,7 +20,7 @@ from typing import Callable
 
 from repro.dns.errors import DnsFormatError
 from repro.dns.message import Message, make_response
-from repro.dns.types import DNS_UDP_PORT, Rcode
+from repro.dns.types import Rcode
 from repro.netsim.node import Host
 from repro.netsim.packet import Address, Datagram
 from repro.netsim.simulator import Simulator, Timer
@@ -98,11 +98,6 @@ class DnsUdpEndpoint:
             self.address = host.bind_ephemeral(self)
         else:
             self.address = host.bind(port, self)
-
-    # -------------------------------------------------------------- server side
-    def set_handler(self, handler: RequestHandler) -> None:
-        """Install (or replace) the incoming-query handler."""
-        self._handler = handler
 
     # -------------------------------------------------------------- client side
     def allocate_message_id(self) -> int:
@@ -238,8 +233,3 @@ class DnsUdpEndpoint:
         """Unbind from the host port and cancel outstanding queries."""
         self.cancel_all()
         self._host.unbind(self.address.port)
-
-
-def server_address(host: Host) -> Address:
-    """The conventional DNS-over-UDP server address on a host (port 53)."""
-    return Address(host.address, DNS_UDP_PORT)

@@ -11,7 +11,7 @@ prescribes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.dns.name import Name
 from repro.dns.rdata import Rdata, SOARdata, parse_rdata
@@ -201,10 +201,6 @@ class Zone:
     def names(self) -> list[Name]:
         """All owner names present in the zone, in order of first appearance."""
         return list(self._owners)
-
-    def rrsets(self) -> Iterator[RRset]:
-        """Iterate over all RRsets."""
-        return iter(list(self._rrsets.values()))
 
     def __len__(self) -> int:
         return len(self._rrsets)

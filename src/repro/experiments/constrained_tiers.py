@@ -126,7 +126,8 @@ class ConstrainedRun:
     delivery_times: list[list[float]]
     #: Objects delivered to subscriber callbacks during the window.
     delivered: int
-    #: Fan-out waves degraded to per-datagram transmission (must be 0).
+    #: ``Network.link_batch_fallback_waves``: a constant 0 (every send is a
+    #: link wave), printed in the ``fallback_waves`` columns.
     link_batch_fallback_waves: int
     #: Total simulator events scheduled over the whole run.
     events_scheduled: int

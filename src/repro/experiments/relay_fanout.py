@@ -44,8 +44,8 @@ class TreeRun:
     events_scheduled: int
     #: Lazy-deletion heap compactions over the whole run.
     compactions: int
-    #: Fan-out waves that degraded to per-datagram transmission (must stay 0
-    #: now that constrained links batch; gated in the perf harness).
+    #: ``Network.link_batch_fallback_waves``: a constant 0 (every send is a
+    #: link wave), gated in the perf harness until ROADMAP 0(a) deletes it.
     link_batch_fallback_waves: int = 0
 
 
@@ -114,8 +114,8 @@ class FanoutSample:
     compactions: int = 0
     #: Per-tier latency summary from span tracing (None when tracing is off).
     latency: dict[str, object] | None = None
-    #: Fan-out waves degraded to per-datagram transmission (0 unless a link
-    #: was explicitly marked non-batchable).
+    #: ``Network.link_batch_fallback_waves``: a constant 0 (every send is a
+    #: link wave), read until ROADMAP 0(a) deletes it.
     link_batch_fallback_waves: int = 0
 
     @property

@@ -65,10 +65,6 @@ class ChangeRateResult:
     observations: int
     per_domain_counts: dict[int, list[int]] = field(default_factory=dict)
 
-    def summary_for(self, ttl: int) -> ChangeRateSummary | None:
-        """The summary for one TTL cluster, if measured."""
-        return self.summaries.get(ttl)
-
     def rows(self) -> list[dict[str, float]]:
         """Flat rows for report tables, ordered by TTL."""
         return [self.summaries[ttl].as_row() for ttl in sorted(self.summaries)]

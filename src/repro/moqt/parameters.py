@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.quic.varint import VarintReader, append_varint, encode_varint
 
@@ -47,16 +47,15 @@ class Parameter:
         return reader.read_varint()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Parameters:
-    """An ordered collection of parameters with a wire codec."""
+    """An ordered, immutable collection of parameters with a wire codec.
 
-    entries: list[Parameter] = field(default_factory=list)
+    Immutable all the way down because ``decode_control_message`` hands every
+    session the same decoded message for the same bytes.
+    """
 
-    def add(self, parameter: Parameter) -> "Parameters":
-        """Append a parameter."""
-        self.entries.append(parameter)
-        return self
+    entries: tuple[Parameter, ...] = ()
 
     def get(self, key: int) -> Parameter | None:
         """The first parameter with the given key, if any."""
@@ -85,4 +84,4 @@ class Parameters:
             key = reader.read_varint()
             value = reader.read_length_prefixed()
             entries.append(Parameter(key, value))
-        return cls(entries)
+        return cls(tuple(entries))

@@ -608,15 +608,14 @@ class MoqtRelay:
         """A track's sink: cache one distinct upstream object, then fan it out.
 
         Encode-once fan-out (§3's fan-out efficiency argument, applied to CPU
-        rather than links) is publish_to's; the per-subscriber sends are
-        collected into one link-batch event by the network's batching region
-        here.
+        rather than links) is publish_to's.  The object arrived in a link
+        delivery, which is a batching region, so the per-subscriber sends
+        leave as one link wave when the delivery ends.
         """
         track.cache.publish(obj)
-        network = self.host.network
         # Span tracing (one record per relay per object, before the fan-out
         # loop): purely observational — no events, no RNG, no wire bytes.
-        spans = network.telemetry.spans
+        spans = self.host.network.telemetry.spans
         if spans is not None:
             spans.record_hop(
                 obj.location,
@@ -625,11 +624,7 @@ class MoqtRelay:
                 self.upstream_address.host,
                 self.simulator.now,
             )
-        network.begin_batch()
-        try:
-            forwarded = publish_to(track.downstream, obj)
-        finally:
-            network.end_batch()
+        forwarded = publish_to(track.downstream, obj)
         track.objects_forwarded += forwarded
         self.statistics.objects_forwarded += forwarded
 

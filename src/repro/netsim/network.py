@@ -7,7 +7,13 @@ datagrams.  Two routing modes are supported:
   datagram traverses exactly that link;
 * multi-hop — otherwise the network computes the least-total-delay path over
   the link graph (using a simple Dijkstra over configured delays) and the
-  datagram traverses every link on the path in sequence.
+  datagram traverses every link on the path in sequence: each intermediate
+  host receives it like any delivery and passes it on to the next hop.
+
+Either way a datagram leaves through :meth:`Link.transmit_many`: collected
+into the current batching region's wave, or as a one-entry wave outside one.
+Every delivery is a batching region, so what a host sends while handling a
+datagram leaves as one wave.
 
 Multi-hop routing is what lets the deep-space and relay experiments place
 intermediaries between resolvers without modelling routers explicitly.
@@ -20,7 +26,7 @@ from functools import partial
 from types import SimpleNamespace
 from typing import Iterable
 
-from repro.netsim.link import Link, LinkConfig, note_batch_fallback
+from repro.netsim.link import Link, LinkConfig
 from repro.netsim.node import Host
 from repro.netsim.packet import Datagram
 from repro.netsim.simulator import Simulator
@@ -73,20 +79,15 @@ class Network:
         #: end-to-end benchmark's ``netsim_transmit_many_ns_per_dgram`` unit
         #: cost still does, until ROADMAP 0(d) re-points it and deletes this.
         self.datagram_pool = SimpleNamespace(acquire=Datagram)
-        #: Master switch for fan-out batching (the determinism canary runs
-        #: with it off to prove batched and unbatched delivery are identical).
-        self.batching_enabled = True
         self._batch_depth = 0
         self._batch: list[tuple[Link, Datagram]] = []
-        #: Waves (outermost batching regions) in which at least one datagram
-        #: degraded to per-datagram transmission because its link was marked
-        #: non-batchable.  Standard links are always batchable — bandwidth
-        #: and loss included — so this stays zero in every shipped scenario;
-        #: it is exported as the ``net_link_batch_fallback_waves`` gauge and
-        #: gated to zero in the perf harness so the old silent-fallback bug
-        #: cannot regress unnoticed.
+        #: Constant remnant of the retired per-datagram fallback: every send
+        #: is a link wave, so no wave can degrade and nothing writes this.
+        #: Its readers are the E11 / E15 result fields, the E15
+        #: ``fallback_waves`` columns of ``tests/golden/runner_fast.txt`` and
+        #: the end-to-end benchmark's ``no_batch_fallback_waves`` check;
+        #: ROADMAP 0(a) plus a runner re-baseline delete it.
         self.link_batch_fallback_waves = 0
-        self._batch_fallback_pending = False
 
     # ------------------------------------------------------------------ hosts
     def add_host(self, address: str) -> Host:
@@ -146,10 +147,10 @@ class Network:
         # A link's sink is the destination host itself: one bound call from
         # the link's arrival loop into _deliver_final, no forwarding frame.
         self._links[(first_addr, second_addr)] = Link(
-            self.simulator, forward_config, partial(self._deliver_final, self._hosts[second_addr])
+            forward_config, partial(self._deliver_final, self._hosts[second_addr])
         )
         self._links[(second_addr, first_addr)] = Link(
-            self.simulator, backward_config, partial(self._deliver_final, self._hosts[first_addr])
+            backward_config, partial(self._deliver_final, self._hosts[first_addr])
         )
 
     def connect_star(
@@ -181,25 +182,19 @@ class Network:
 
     # -------------------------------------------------------------- batching
     def begin_batch(self) -> None:
-        """Enter a batching region: direct-link datagrams sent over batchable
-        links are collected and flushed as link-batch events on the outermost
-        :meth:`end_batch` (see :meth:`Link.transmit_many`).  Regions nest; the
-        fan-out code paths (relay forwarding, bulk subscribe, batched arrival
-        processing) wrap their send loops in one."""
+        """Enter a batching region: datagrams sent inside it are collected
+        and leave as one :meth:`Link.transmit_many` wave on the outermost
+        :meth:`end_batch`.  Regions nest; every delivery runs in one, and the
+        sends a harness makes in bulk (origin push, subscriber attach and
+        subscribe) wrap their loops in one."""
         self._batch_depth += 1
 
     def end_batch(self) -> None:
-        """Leave a batching region, flushing on the outermost exit."""
+        """Leave a batching region, sending its wave on the outermost exit."""
         self._batch_depth -= 1
-        if self._batch_depth == 0:
-            if self._batch_fallback_pending:
-                self._batch_fallback_pending = False
-                note_batch_fallback(self)
-            if self._batch:
-                entries, self._batch = self._batch, []
-                # route() only collects batchable links, so the guard in
-                # transmit_many would be a wasted O(n) scan here.
-                Link._transmit_batched(self.simulator, entries, self)
+        if self._batch_depth == 0 and self._batch:
+            entries, self._batch = self._batch, []
+            Link.transmit_many(self.simulator, entries, self)
 
     # ---------------------------------------------------------------- routing
     def route(self, datagram: Datagram) -> None:
@@ -215,40 +210,16 @@ class Network:
         trace = self.trace
         if trace.enabled:
             _record(trace, "datagram-sent", datagram)
-        if link is not None:
-            if self._batch_depth and self.batching_enabled:
-                if link.batchable:
-                    self._batch.append((link, datagram))
-                else:
-                    # Explicitly non-batchable link inside a batching region:
-                    # transmit per-datagram now (preserving RNG draw order
-                    # relative to the surrounding sends) and mark the wave so
-                    # the outermost end_batch records one observable fallback.
-                    self._batch_fallback_pending = True
-                    link.transmit(datagram)
-            else:
-                link.transmit(datagram)
-            return
-        if source == destination:
-            # Loopback delivery happens "immediately" on the next event.
-            self.simulator.call_soon(self._deliver_final, self._hosts[destination], datagram)
-            return
-        path = self.shortest_path(source, destination)
-        self._forward_along(path, 0, datagram)
-
-    def _forward_along(self, path: list[str], index: int, datagram: Datagram) -> None:
-        """Transmit the datagram across the ``index``-th hop of ``path``."""
-        link = self.link(path[index], path[index + 1])
-        if index + 2 == len(path):
-            link.transmit(datagram)
+        if link is None:
+            if source == destination:
+                # Loopback delivery happens "immediately" on the next event.
+                self.simulator.call_soon(self._deliver_final, self._hosts[destination], datagram)
+                return
+            link = self._links[(source, self.shortest_path(source, destination)[1])]
+        if self._batch_depth:
+            self._batch.append((link, datagram))
         else:
-            # Transit hop: the link is shared with its direct traffic (same
-            # FIFO, loss draws and counters), but on arrival the datagram
-            # goes on to the next hop, not to the intermediate host.
-            def forward(d: Datagram, _next_index: int = index + 1) -> None:
-                self._forward_along(path, _next_index, d)
-
-            link.transmit(datagram, deliver=forward)
+            Link.transmit_many(self.simulator, [(link, datagram)], self)
 
     def shortest_path(self, source: str, destination: str) -> list[str]:
         """Least-total-delay path between two hosts (Dijkstra)."""
@@ -282,7 +253,22 @@ class Network:
     # --------------------------------------------------------------- delivery
     def _deliver_final(self, host: Host, datagram: Datagram) -> None:
         """Hand ``datagram`` to the handler bound on ``host`` (an unbound port
-        drops it silently, as :meth:`Host.deliver` does)."""
+        drops it silently, as :meth:`Host.deliver` does).
+
+        A datagram addressed to another host is a transit hop: it goes on
+        along the shortest path its source's :meth:`route` took, sharing the
+        next link's FIFO, loss draws and counters with that link's own
+        traffic, and leaves no trace record here."""
+        destination = datagram.destination.host
+        if destination != host.address:
+            path = self.shortest_path(datagram.source.host, destination)
+            link = self._links[(host.address, path[path.index(host.address) + 1])]
+            # A region of its own, so the hop also leaves when the wave that
+            # brought it was sent without this network as its batch sink.
+            self.begin_batch()
+            self._batch.append((link, datagram))
+            self.end_batch()
+            return
         trace = self.trace
         if trace.enabled:
             _record(trace, "datagram-delivered", datagram)

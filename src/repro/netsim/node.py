@@ -63,11 +63,6 @@ class Host:
         """Attach this host to a network (called by :class:`Network`)."""
         self.network = network
 
-    @property
-    def is_attached(self) -> bool:
-        """Whether the host is attached to a network."""
-        return self.network is not None
-
     def bind(self, port: int, handler: PortHandler) -> Address:
         """Bind ``handler`` to ``port`` and return the resulting address."""
         if port in self._ports:

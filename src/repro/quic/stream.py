@@ -149,8 +149,3 @@ class QuicStream:
         newly_finished = finished and not already_finished
         if (contiguous or newly_finished) and self._on_data is not None:
             self._on_data(self.stream_id, contiguous, newly_finished)
-
-    @property
-    def is_finished(self) -> bool:
-        """Whether both directions have been closed."""
-        return self.send_closed and self.receive_closed

@@ -90,11 +90,6 @@ class RelayTreeSpec:
         """Total number of relays across all tiers."""
         return sum(tier.relays for tier in self.tiers)
 
-    @property
-    def leaf_tier(self) -> RelayTierSpec:
-        """The tier subscribers attach to."""
-        return self.tiers[-1]
-
     def tier_sizes(self) -> tuple[int, ...]:
         """Relay counts per tier, origin-side first."""
         return tuple(tier.relays for tier in self.tiers)

@@ -41,10 +41,6 @@ def collect_network(metrics: MetricsRegistry, network) -> None:
         return
     for name, value in network.total_link_statistics().items():
         metrics.gauge(f"net_{name}", "Aggregate over every link direction").set(value)
-    metrics.gauge(
-        "net_link_batch_fallback_waves",
-        "Fan-out waves degraded to per-datagram transmission (should be 0)",
-    ).set(getattr(network, "link_batch_fallback_waves", 0))
     collect_simulator(metrics, network.simulator)
     # Malformed-datagram drops are counted per QUIC endpoint, and endpoints
     # are whatever is bound to a port; other handlers have no such counter.

@@ -1,8 +1,8 @@
-"""Batched vs per-datagram equivalence on constrained (bandwidth/loss) links.
+"""Link waves vs one-datagram sends on constrained (bandwidth/loss) links.
 
-The tentpole contract of ``Link.transmit_many``: for *any* standard link —
-bandwidth-limited, lossy or both — a batched wave is indistinguishable from
-a loop of per-datagram ``Link.transmit`` calls at the flush instant.  Same
+The contract of ``Link.transmit_many``: for *any* link — bandwidth-limited,
+lossy or both — a wave is indistinguishable from a loop of one-datagram
+sends (``link_reference.transmit``) at the instant the wave is sent.  Same
 delivery times (bit-exact floats), same drop set, same byte counters, same
 seeded RNG consumption.  The property tests here drive that equivalence
 with hypothesis-generated link mixes; the seeded regression pins the RNG
@@ -22,6 +22,8 @@ from repro.netsim.link import Link, LinkConfig
 from repro.netsim.network import Network
 from repro.netsim.packet import Address, Datagram
 from repro.netsim.simulator import Simulator
+
+from link_reference import transmit
 
 SRC = Address("src", 1)
 DST = Address("dst", 2)
@@ -55,7 +57,7 @@ def _run_wave(
         )
 
     links = [
-        Link(simulator, config, make_deliver(index))
+        Link(config, make_deliver(index))
         for index, config in enumerate(configs)
     ]
     entries = [
@@ -66,7 +68,7 @@ def _run_wave(
         Link.transmit_many(simulator, entries)
     else:
         for link, datagram in entries:
-            link.transmit(datagram)
+            transmit(simulator, link, datagram)
     simulator.run_until_idle()
     return deliveries, [link.statistics.as_dict() for link in links], simulator.events_scheduled
 
@@ -120,7 +122,6 @@ def test_successive_waves_share_the_fifo_state(seed, config, waves) -> None:
         simulator = Simulator(seed=seed)
         deliveries: list[tuple[float, bytes]] = []
         link = Link(
-            simulator,
             config,
             lambda datagram: deliveries.append((simulator.now, bytes(datagram.payload))),
         )
@@ -130,7 +131,7 @@ def test_successive_waves_share_the_fifo_state(seed, config, waves) -> None:
                 Link.transmit_many(simulator, entries)
             else:
                 for wave_link, datagram in entries:
-                    wave_link.transmit(datagram)
+                    transmit(simulator, wave_link, datagram)
             simulator.run(until=simulator.now + 0.005 * (wave_index + 1))
         simulator.run_until_idle()
         return deliveries, link.statistics.as_dict()
@@ -170,7 +171,6 @@ def test_seeded_draw_order_regression() -> None:
         simulator = Simulator(seed=seed)
         deliveries: list[tuple[float, bytes]] = []
         link = Link(
-            simulator,
             LinkConfig(delay=delay, bandwidth=bandwidth, loss_rate=loss_rate),
             lambda datagram: deliveries.append((simulator.now, bytes(datagram.payload))),
         )
@@ -179,7 +179,7 @@ def test_seeded_draw_order_regression() -> None:
             Link.transmit_many(simulator, entries)
         else:
             for _, datagram in entries:
-                link.transmit(datagram)
+                transmit(simulator, link, datagram)
         simulator.run_until_idle()
         assert deliveries == expected
         assert link.statistics.datagrams_dropped == len(payloads) - len(expected)
@@ -194,7 +194,6 @@ class TestByteCountersAreTheWire:
         simulator = Simulator(seed=seed)
         deliveries: list[tuple[float, bytes]] = []
         link = Link(
-            simulator,
             config,
             lambda datagram: deliveries.append((simulator.now, bytes(datagram.payload))),
         )
@@ -203,7 +202,7 @@ class TestByteCountersAreTheWire:
             Link.transmit_many(simulator, entries)
         else:
             for _, datagram in entries:
-                link.transmit(datagram)
+                transmit(simulator, link, datagram)
         simulator.run_until_idle()
         return link.statistics, deliveries
 

@@ -79,8 +79,8 @@ class TestDetectionModelClosedForms:
     def test_sends_restart_the_idle_timer_in_the_model(self):
         # The crash-time idle deadline is NOT final on a keepalive'd
         # connection: the PING at +0.5 (and the retransmission at +0.6)
-        # restart the idle timer, so despite idle_deadline < pto_suspect_at
-        # the suspect transition at +0.8 is what actually fires.
+        # restart the idle timer, so although the crash-time idle deadline
+        # comes first, the suspect transition at +0.8 is what actually fires.
         model = DetectionModel(
             crashed_at=10.0, probe_timeout=0.1, next_send_at=10.5,
             idle_deadline=10.6, idle_timeout=0.6,

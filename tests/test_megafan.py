@@ -8,8 +8,8 @@ bytes, shared decode memos) and the perf-harness plumbing (``--repeat`` shapes, 
 
 The two headline guarantees:
 
-* batched and unbatched delivery are *byte-identical* on the same seed
-  (the determinism canary below runs a real CDN tree both ways);
+* a real CDN tree's deliveries, link counters, final clock and event count
+  are pinned for one seed (the determinism canary below);
 * a payload a consumer keeps never changes under later sends — datagram
   and object payloads are immutable ``bytes`` (hypothesis property below).
 """
@@ -17,7 +17,7 @@ The two headline guarantees:
 from __future__ import annotations
 
 import json
-import warnings
+from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
 import pytest
@@ -44,6 +44,8 @@ from repro.quic.frames import AckFrame, CryptoFrame, HandshakeDoneFrame, StreamF
 from repro.quic.packet import Packet, PacketType
 from repro.quic.tls import ServerHello
 from repro.relaynet import RelayTreeBuilder, RelayTreeSpec
+
+from link_reference import transmit
 
 SRC = Address("src-host", 1000)
 DST = Address("dst-host", 2000)
@@ -74,12 +76,11 @@ def _stream_packet(connection, packet_number, stream_id, chunk, packet_type=Pack
 # netsim: link-batch delivery
 # ---------------------------------------------------------------------------
 class TestTransmitMany:
-    def _links(self, simulator, count, config, delivered):
+    def _links(self, count, config, delivered):
         links = []
         for index in range(count):
             links.append(
                 Link(
-                    simulator,
                     config,
                     lambda datagram, index=index: delivered.append((index, datagram)),
                 )
@@ -89,7 +90,7 @@ class TestTransmitMany:
     def test_uniform_batch_is_one_event_with_order_preserved(self):
         simulator = Simulator()
         delivered: list[tuple[int, Datagram]] = []
-        links = self._links(simulator, 8, LinkConfig(delay=0.01), delivered)
+        links = self._links(8, LinkConfig(delay=0.01), delivered)
         entries = [
             (link, Datagram(SRC, DST, bytes([index]))) for index, link in enumerate(links)
         ]
@@ -106,8 +107,8 @@ class TestTransmitMany:
     def test_mixed_delays_get_one_event_per_delay(self):
         simulator = Simulator()
         delivered: list[tuple[int, Datagram]] = []
-        fast = self._links(simulator, 2, LinkConfig(delay=0.01), delivered)
-        slow = self._links(simulator, 2, LinkConfig(delay=0.05), delivered)
+        fast = self._links(2, LinkConfig(delay=0.01), delivered)
+        slow = self._links(2, LinkConfig(delay=0.05), delivered)
         entries = [(link, Datagram(SRC, DST, b"x")) for link in (fast + slow)]
         before = simulator.events_scheduled
         Link.transmit_many(simulator, entries)
@@ -115,74 +116,12 @@ class TestTransmitMany:
         simulator.run_until_idle()
         assert len(delivered) == 4
 
-    def test_constrained_links_are_batchable(self):
-        # The old behaviour — bandwidth or loss forcing a silent per-datagram
-        # fallback — is the bug this PR fixes: standard links are always
-        # batchable now, whatever their configuration.
-        simulator = Simulator()
-        delivered: list[tuple[int, Datagram]] = []
-        lossy = self._links(
-            simulator, 1, LinkConfig(delay=0.01, bandwidth=1e6, loss_rate=0.5), delivered
-        )
-        assert lossy[0].batchable
-
-    def test_non_batchable_entries_degrade_to_per_datagram_transmit(self):
-        simulator = Simulator()
-        delivered: list[tuple[int, Datagram]] = []
-        links = self._links(simulator, 3, LinkConfig(delay=0.01), delivered)
-        links[1].batchable = False  # explicit opt-out (subclass/test hook)
-        entries = [(link, Datagram(SRC, DST, b"x")) for link in links]
-        before = simulator.events_scheduled
-
-        class Sink:
-            link_batch_fallback_waves = 0
-
-            def begin_batch(self):
-                pass
-
-            def end_batch(self):
-                pass
-
-        sink = Sink()
-        with warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
-            Link.transmit_many(simulator, entries, sink)
-        # per-datagram transmit: one event per datagram instead of one wave,
-        # and the degradation is observable on the sink counter
-        assert simulator.events_scheduled - before == 3
-        assert sum(link.statistics.datagrams_sent for link in links) == 3
-        assert sink.link_batch_fallback_waves == 1
-
-    def test_fallback_warns_once_per_process(self):
-        import repro.netsim.link as link_module
-
-        simulator = Simulator()
-        delivered: list[tuple[int, Datagram]] = []
-        links = self._links(simulator, 2, LinkConfig(delay=0.01), delivered)
-        links[0].batchable = False
-        original = link_module._fallback_warning_issued
-        link_module._fallback_warning_issued = False
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                entries = [(link, Datagram(SRC, DST, b"x")) for link in links]
-                Link.transmit_many(simulator, entries, None)
-                entries = [(link, Datagram(SRC, DST, b"y")) for link in links]
-                Link.transmit_many(simulator, entries, None)
-            fallback_warnings = [
-                w for w in caught if issubclass(w.category, RuntimeWarning)
-            ]
-            assert len(fallback_warnings) == 1
-            assert "per-datagram" in str(fallback_warnings[0].message)
-        finally:
-            link_module._fallback_warning_issued = original
-
     def test_matches_sequential_transmit_behaviour(self):
         results = []
         for batched in (False, True):
             simulator = Simulator(seed=5)
             delivered = []
-            links = self._links(simulator, 6, LinkConfig(delay=0.02), delivered)
+            links = self._links(6, LinkConfig(delay=0.02), delivered)
             entries = [
                 (link, Datagram(SRC, DST, bytes([index])))
                 for index, link in enumerate(links)
@@ -191,7 +130,7 @@ class TestTransmitMany:
                 Link.transmit_many(simulator, entries)
             else:
                 for link, datagram in entries:
-                    link.transmit(datagram)
+                    transmit(simulator, link, datagram)
             simulator.run_until_idle()
             results.append(
                 [(index, bytes(datagram.payload), simulator.now) for index, datagram in delivered]
@@ -233,15 +172,28 @@ class TestNetworkBatching:
         network.end_batch()
         assert simulator.events_scheduled == 1
 
-    def test_batching_disabled_transmits_immediately(self):
+    def test_what_a_delivery_sends_leaves_as_one_wave(self):
+        """Two packets a host sends to one peer while handling one datagram
+        share one arrival event, in the order they were sent."""
         simulator, network = self._network()
-        network.batching_enabled = False
-        network.begin_batch()
-        network.route(Datagram(Address("a", 1), Address("b", 1), b"x"))
-        assert simulator.events_scheduled == 1  # scheduled at enqueue
-        network.end_batch()
+        received = []
+
+        class Echo:
+            def datagram_received(self, datagram):
+                for suffix in (b"-1", b"-2"):
+                    network.route(Datagram(Address("b", 7), Address("a", 7), datagram.payload + suffix))
+
+        class Collect:
+            def datagram_received(self, datagram):
+                received.append((simulator.now, datagram.payload))
+
+        network.host("b").bind(7, Echo())
+        network.host("a").bind(7, Collect())
+        network.route(Datagram(Address("a", 7), Address("b", 7), b"ping"))
         simulator.run_until_idle()
-        assert network.link("a", "b").statistics.datagrams_delivered == 1
+        assert simulator.events_scheduled == 2  # the ping's arrival, the replies' arrival
+        assert received == [(pytest.approx(0.02), b"ping-1"), (pytest.approx(0.02), b"ping-2")]
+        assert network.link("b", "a").statistics.datagrams_delivered == 2
 
 
 # ---------------------------------------------------------------------------
@@ -530,14 +482,29 @@ class TestDecodeMemos:
         assert first == message
         assert second is first
 
+    def test_a_memo_hit_cannot_be_mutated(self):
+        """Every session gets the same decoded instance for the same bytes, so
+        no field of it, however deep, may change under another session."""
+        from repro.moqt.messages import ClientSetup, decode_control_message
+        from repro.moqt.parameters import Parameter, Parameters
+
+        wire = ClientSetup(parameters=Parameters((Parameter(0x1, b"/dns"),))).encode()
+        first, _ = decode_control_message(wire)
+        second, _ = decode_control_message(bytes(wire))
+        assert second is first
+        for target, name in ((first, "parameters"), (first.parameters, "entries")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(target, name, ())
+        assert type(first.parameters.entries) is tuple and not hasattr(first.parameters, "add")
+        assert decode_control_message(wire)[0].parameters.get(0x1).value == b"/dns"
+
 
 # ---------------------------------------------------------------------------
-# determinism canary: batched vs unbatched delivery
+# determinism canary: a CDN tree pinned for one seed
 # ---------------------------------------------------------------------------
-def _run_canary_tree(batching: bool):
+def _run_canary_tree():
     simulator = Simulator(seed=11)
     network = Network(simulator, trace=NullTraceRecorder(simulator))
-    network.batching_enabled = batching
     publisher = build_origin(network)
     tree = RelayTreeBuilder(network, Address(ORIGIN_HOST, ORIGIN_PORT)).build(
         RelayTreeSpec.cdn(mid_relays=2, edge_per_mid=2)
@@ -557,42 +524,26 @@ def _run_canary_tree(batching: bool):
         )
         simulator.run(until=simulator.now + 0.25)
     simulator.run(until=simulator.now + 3.0)
-    return sequences, network.total_link_statistics(), simulator.now
+    return sequences, network.total_link_statistics(), simulator.now, simulator.events_scheduled
 
 
-class TestBatchedDeliveryDeterminismCanary:
-    def test_batched_and_unbatched_runs_are_byte_identical(self):
-        batched_sequences, batched_stats, batched_now = _run_canary_tree(True)
-        plain_sequences, plain_stats, plain_now = _run_canary_tree(False)
-        assert batched_sequences == plain_sequences
-        assert any(batched_sequences.values()), "sequences were recorded"
-        assert batched_stats == plain_stats  # same bytes on every link
-        assert batched_now == plain_now
-
-    def test_batching_collapses_the_event_count(self):
-        batched = _run_canary_events(True)
-        unbatched = _run_canary_events(False)
-        # Even at 25 subscribers the batch form halves the event count; the
-        # collapse grows with fan-out (10x at 10k subscribers).
-        assert batched * 2 < unbatched
-
-
-def _run_canary_events(batching: bool) -> int:
-    simulator = Simulator(seed=11)
-    network = Network(simulator, trace=NullTraceRecorder(simulator))
-    network.batching_enabled = batching
-    publisher = build_origin(network)
-    tree = RelayTreeBuilder(network, Address(ORIGIN_HOST, ORIGIN_PORT)).build(
-        RelayTreeSpec.cdn(mid_relays=2, edge_per_mid=2)
-    )
-    tree.attach_subscribers(25)
-    tree.subscribe_all(TRACK)
-    simulator.run(until=simulator.now + 3.0)
-    for update in range(4):
-        publisher.push(MoqtObject(group_id=update + 2, object_id=0, payload=b"x" * 100))
-        simulator.run(until=simulator.now + 0.25)
-    simulator.run(until=simulator.now + 3.0)
-    return simulator.events_scheduled
+class TestDeliveryDeterminismCanary:
+    def test_canary_tree_is_pinned(self):
+        """Every subscriber gets every update in order, over the same bytes on
+        every link, in the same virtual time and the same number of heap
+        events as when a per-datagram send ran beside the link wave (411
+        events: its per-datagram mode scheduled 984)."""
+        sequences, link_totals, now, events = _run_canary_tree()
+        assert sequences == {index: [(2, 0), (3, 0), (4, 0), (5, 0)] for index in range(25)}
+        assert link_totals == {
+            "datagrams_sent": 620,
+            "datagrams_delivered": 620,
+            "datagrams_dropped": 0,
+            "bytes_sent": 28752,
+            "bytes_delivered": 28752,
+        }
+        assert now == 7.0
+        assert events == 411
 
 
 # ---------------------------------------------------------------------------

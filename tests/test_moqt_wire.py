@@ -97,9 +97,7 @@ class TestTrackNaming:
 
 class TestParameters:
     def test_roundtrip(self):
-        parameters = Parameters()
-        parameters.add(Parameter.varint(0x2, 77))
-        parameters.add(Parameter(0x1, b"/dns"))
+        parameters = Parameters((Parameter.varint(0x2, 77), Parameter(0x1, b"/dns")))
         decoded = Parameters.from_reader(VarintReader(_wire(parameters)))
         assert len(decoded) == 2
         assert decoded.get(0x2).as_varint() == 77
@@ -225,7 +223,7 @@ class TestControlMessages:
 
 
 def _parameters() -> Parameters:
-    return Parameters([Parameter.varint(0x2, 77), Parameter(0x1, b"/dns")])
+    return Parameters((Parameter.varint(0x2, 77), Parameter(0x1, b"/dns")))
 
 
 #: Wire image of every control message type, each branch of its encoder

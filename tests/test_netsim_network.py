@@ -46,11 +46,16 @@ class TestLinkConfig:
             LinkConfig(bandwidth=0)
 
 
+def _send(simulator: Simulator, link: Link, datagram: Datagram) -> None:
+    """One datagram on ``link``: a one-entry wave."""
+    Link.transmit_many(simulator, [(link, datagram)])
+
+
 class TestLink:
     def test_delivers_after_propagation_delay(self, simulator):
         delivered = []
-        link = Link(simulator, LinkConfig(delay=0.25), lambda d: delivered.append(simulator.now))
-        link.transmit(_datagram(b"x" * 10))
+        link = Link(LinkConfig(delay=0.25), lambda d: delivered.append(simulator.now))
+        _send(simulator, link, _datagram(b"x" * 10))
         simulator.run_until_idle()
         assert delivered == [0.25]
 
@@ -58,38 +63,36 @@ class TestLink:
         delivered = []
         # 8000 bits at 8000 bps -> 1 second serialisation + 0.5 propagation.
         link = Link(
-            simulator,
             LinkConfig(delay=0.5, bandwidth=8000),
             lambda d: delivered.append(simulator.now),
         )
-        link.transmit(_datagram(b"a" * 1000))
+        _send(simulator, link, _datagram(b"a" * 1000))
         simulator.run_until_idle()
         assert delivered == [pytest.approx(1.5)]
 
     def test_fifo_serialisation_queues_back_to_back(self, simulator):
         delivered = []
         link = Link(
-            simulator,
             LinkConfig(delay=0.0, bandwidth=8000),
             lambda d: delivered.append(simulator.now),
         )
-        link.transmit(_datagram(b"a" * 1000))
-        link.transmit(_datagram(b"b" * 1000))
+        _send(simulator, link, _datagram(b"a" * 1000))
+        _send(simulator, link, _datagram(b"b" * 1000))
         simulator.run_until_idle()
         assert delivered == [pytest.approx(1.0), pytest.approx(2.0)]
 
     def test_loss_drops_datagrams_and_counts_them(self, simulator):
         delivered = []
-        link = Link(simulator, LinkConfig(delay=0.01, loss_rate=0.999999), lambda d: delivered.append(d))
+        link = Link(LinkConfig(delay=0.01, loss_rate=0.999999), lambda d: delivered.append(d))
         for _ in range(20):
-            link.transmit(_datagram(b"y"))
+            _send(simulator, link, _datagram(b"y"))
         simulator.run_until_idle()
         assert delivered == []
         assert link.statistics.datagrams_dropped == 20
 
     def test_statistics_track_bytes(self, simulator):
-        link = Link(simulator, LinkConfig(delay=0.01), lambda d: None)
-        link.transmit(_datagram(b"abcd"))
+        link = Link(LinkConfig(delay=0.01), lambda d: None)
+        _send(simulator, link, _datagram(b"abcd"))
         simulator.run_until_idle()
         assert link.statistics.bytes_sent == 4
         assert link.statistics.bytes_delivered == 4
@@ -217,6 +220,40 @@ class TestNetworkRouting:
         # The link's direct traffic queues behind the transit datagrams.
         assert [time for time, _ in at_b.received] == [pytest.approx(0.024 + 0.01)]
         assert network.link("a", "b").statistics.datagrams_delivered == 3
+
+    def test_transit_hop_is_not_a_delivery_at_the_intermediate_host(self, simulator):
+        # A transit datagram reaches "b" at the same instant as a direct one.
+        # b's handler on the same port never sees it and nothing is recorded
+        # at b for it, and on b -> c (1000 B = 8 ms on the wire) it queues
+        # ahead of what b's handler sends in reply to the direct datagram.
+        network = Network(simulator, trace=TraceRecorder(simulator))
+        for name in ("a", "b", "c"):
+            network.add_host(name)
+        network.connect("a", "b", LinkConfig(delay=0.01))
+        network.connect("b", "c", LinkConfig(delay=0.02, bandwidth=1e6))
+
+        class Reply(_Collector):
+            def datagram_received(self, datagram):
+                super().datagram_received(datagram)
+                network.route(Datagram(Address("b", 80), Address("c", 80), bytes(1000)))
+
+        at_b, at_c = Reply(simulator), _Collector(simulator)
+        network.host("b").bind(80, at_b)
+        network.host("c").bind(80, at_c)
+        network.route(Datagram(Address("a", 1), Address("c", 80), bytes(1000), protocol="hops"))
+        network.route(Datagram(Address("a", 1), Address("b", 80), b"direct", protocol="direct"))
+        simulator.run_until_idle()
+        assert [datagram.payload for _, datagram in at_b.received] == [b"direct"]
+        assert [(time, datagram.source) for time, datagram in at_c.received] == [
+            (pytest.approx(0.01 + 0.008 + 0.02), Address("a", 1)),
+            (pytest.approx(0.01 + 0.016 + 0.02), Address("b", 80)),
+        ]
+        delivered = [
+            (event.attribute("source"), event.attribute("destination"))
+            for event in network.trace.events("datagram-delivered")
+        ]
+        assert delivered == [("a:1", "b:80"), ("a:1", "c:80"), ("b:80", "c:80")]
+        assert network.link("b", "c").statistics.datagrams_sent == 2
 
     def test_unknown_destination_raises(self, simulator, two_host_network):
         with pytest.raises(UnknownHostError):
@@ -392,17 +429,21 @@ class TestDeliveryOwnsTheNetworksReference:
         assert sys.getrefcount(datagram) == sys.getrefcount(reference)
         assert datagram.payload == b"wire-bytes" and len(held) == len(kept)
 
-    @pytest.mark.parametrize("path", ["transmit", "transmit_many"])
+    @pytest.mark.parametrize("path", ["route", "transmit_many"])
     def test_a_datagram_lost_on_the_link_is_not_kept(self, simulator, path):
-        delivered = []
-        link = Link(simulator, LinkConfig(delay=0.01, loss_rate=0.999999), delivered.append)
+        network = Network(simulator)
+        network.add_host("10.0.0.1")
+        network.add_host("10.0.0.2")
+        network.connect("10.0.0.1", "10.0.0.2", LinkConfig(delay=0.01, loss_rate=0.999999))
+        link = network.link("10.0.0.1", "10.0.0.2")
         datagram = self._datagram()
-        if path == "transmit":
-            link.transmit(datagram)
+        if path == "route":
+            network.route(datagram)
         else:
             Link.transmit_many(simulator, [(link, datagram)])
         simulator.run_until_idle()
-        assert delivered == [] and link.statistics.datagrams_dropped == 1
+        assert link.statistics.datagrams_delivered == 0
+        assert link.statistics.datagrams_dropped == 1
         reference = self._datagram()
         assert sys.getrefcount(datagram) == sys.getrefcount(reference)
 

@@ -36,7 +36,12 @@ An ``ast`` walk over ``src/repro`` (``docs/publishers.md``):
   ``src/repro`` defines or reads a counted-leaf name — ``multiplicity``,
   ``extra_bytes`` as an attribute (a string result key is another thing),
   ``queue_ticket_ids``, ``split_subscriber``, ``on_subscriber_split``,
-  ``AggregateLeaf`` or an ``aggregate_leaves`` parameter.
+  ``AggregateLeaf`` or an ``aggregate_leaves`` parameter;
+* a datagram leaves through one send method, ``Link.transmit_many``
+  (``docs/datagram-handoff.md``): nothing under ``src/repro`` defines a
+  ``transmit`` method, ``_forward_along`` or ``_transmit_batched``, names
+  ``batchable``, ``batching_enabled`` or ``note_batch_fallback``, or calls
+  ``.transmit(``.
 """
 
 from __future__ import annotations
@@ -541,8 +546,8 @@ COUNTED_LEAF = {
 }
 
 
-def counted_leaf_names(source: str, path: str) -> list[str]:
-    """Every ``path:line: name`` where a module defines or reads a counted-leaf
+def retired_names(source: str, path: str, retired: set[str]) -> list[str]:
+    """Every ``path:line: name`` where a module defines or reads a ``retired``
     name — as a variable, attribute, function, class, parameter, keyword,
     import or ``__slots__`` entry (leading underscores ignored); a string used
     as a dict key is not a name."""
@@ -568,7 +573,7 @@ def counted_leaf_names(source: str, path: str) -> list[str]:
                 if isinstance(child, ast.Constant) and isinstance(child.value, str)
             ]
         for name in names:
-            if name is not None and name.lstrip("_") in COUNTED_LEAF:
+            if name is not None and name.lstrip("_") in retired:
                 found.append(f"src/repro/{path}:{getattr(node, 'lineno', 0)}: {name}")
     return found
 
@@ -577,13 +582,13 @@ def test_every_tree_subscriber_is_a_real_one():
     found = [
         reason
         for file in sorted(SRC.rglob("*.py"))
-        for reason in counted_leaf_names(file.read_text(), file.relative_to(SRC).as_posix())
+        for reason in retired_names(file.read_text(), file.relative_to(SRC).as_posix(), COUNTED_LEAF)
     ]
     assert not found, "\n".join(["the counted-leaf mode crept back:", *found])
     # E9's result key of the same spelling is a string, not the link attribute.
     state_overhead = (SRC / "analysis/state_overhead.py").read_text()
     assert '"extra_bytes"' in state_overhead
-    assert counted_leaf_names(state_overhead, "analysis/state_overhead.py") == []
+    assert retired_names(state_overhead, "analysis/state_overhead.py", COUNTED_LEAF) == []
 
 
 def test_guard_catches_the_counted_leaf_mode():
@@ -616,7 +621,7 @@ class RelayTopology:
         downlink.extra_bytes = group.handshake_byte_deficit
         return subscriber.leaf.load - subscriber.multiplicity
 """
-    found = counted_leaf_names(parent_plan_counted, "relaynet/topology.py")
+    found = retired_names(parent_plan_counted, "relaynet/topology.py", COUNTED_LEAF)
     assert all(reason.startswith("src/repro/relaynet/topology.py:") for reason in found)
     assert sorted(reason.rsplit(": ", 1)[1] for reason in found) == [
         "AggregateLeaf", "AggregateLeaf", "_extra_bytes",
@@ -624,3 +629,93 @@ class RelayTopology:
         "extra_bytes", "multiplicity", "multiplicity",
         "on_subscriber_split", "queue_ticket_ids", "split_subscriber",
     ]
+
+
+#: The second send path: the per-datagram send beside the link wave, the
+#: switch and the opt-out that chose between them, and the transit-hop closure.
+SECOND_SEND_PATH = {
+    "batchable", "batching_enabled", "note_batch_fallback", "forward_along", "transmit_batched",
+}
+
+
+def second_send_path(source: str, path: str) -> list[str]:
+    """Every ``path:line: why`` where a module brings back a send beside
+    ``Link.transmit_many``: a retired name, a ``transmit`` method or a call of
+    one (``_transmit`` and ``transmit_many`` are other names)."""
+    found = retired_names(source, path, SECOND_SEND_PATH)
+    for node in ast.walk(ast.parse(source)):
+        where = f"src/repro/{path}:{getattr(node, 'lineno', 0)}"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "transmit":
+            found.append(f"{where}: def transmit")
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "transmit":
+            found.append(f"{where}: .transmit(")
+    return found
+
+
+def test_one_send_method():
+    found = [
+        reason
+        for file in sorted(SRC.rglob("*.py"))
+        for reason in second_send_path(file.read_text(), file.relative_to(SRC).as_posix())
+    ]
+    assert not found, "\n".join(["a second send path crept back:", *found])
+    # The guard must see the one send method when it looks for it.
+    link = ast.parse((SRC / "netsim/link.py").read_text())
+    (link_class,) = [node for node in link.body if isinstance(node, ast.ClassDef) and node.name == "Link"]
+    methods = [node.name for node in link_class.body if isinstance(node, ast.FunctionDef)]
+    assert [name for name in methods if "transmit" in name] == ["transmit_many"]
+
+
+def test_guard_catches_the_second_send_path():
+    # Network.route, Link.transmit_many and the transit-hop forwarder as they
+    # stood while a per-datagram send ran beside the link wave.
+    parent_route = """
+class Link:
+    __slots__ = ("_simulator", "_deliver", "batchable", "statistics")
+
+    def transmit(self, datagram, deliver=None):
+        self._simulator.call_at(arrival, self._arrive, datagram, deliver or self._deliver)
+
+    @staticmethod
+    def transmit_many(simulator, entries, batch_sink=None):
+        if not all(link.batchable for link, _ in entries):
+            note_batch_fallback(batch_sink)
+            for link, datagram in entries:
+                link.transmit(datagram)
+            return
+        Link._transmit_batched(simulator, entries, batch_sink)
+
+def route(self, datagram):
+    if link is not None:
+        if self._batch_depth and self.batching_enabled:
+            if link.batchable:
+                self._batch.append((link, datagram))
+            else:
+                self._batch_fallback_pending = True
+                link.transmit(datagram)
+        else:
+            link.transmit(datagram)
+        return
+    path = self.shortest_path(source, destination)
+    self._forward_along(path, 0, datagram)
+
+def _forward_along(self, path, index, datagram):
+    link.transmit(datagram, deliver=forward)
+"""
+    found = second_send_path(parent_route, "netsim/network.py")
+    assert all(reason.startswith("src/repro/netsim/network.py:") for reason in found)
+    assert sorted(reason.rsplit(": ", 1)[1] for reason in found) == [
+        ".transmit(", ".transmit(", ".transmit(", ".transmit(",
+        "_forward_along", "_forward_along", "_transmit_batched",
+        "batchable", "batchable", "batchable", "batching_enabled",
+        "def transmit", "note_batch_fallback",
+    ]
+    # The one send method, and the DNS transport's own ``_transmit``, are not it.
+    one_path = """
+def end_batch(self):
+    Link.transmit_many(self.simulator, entries, self)
+
+def _transmit(self, message, destination):
+    self._send(message, destination)
+"""
+    assert second_send_path(one_path, "netsim/network.py") == []
