@@ -9,7 +9,3 @@ class DnsMoqError(Exception):
 
 class MappingError(DnsMoqError):
     """Raised when a DNS question cannot be mapped to a MoQT track (or back)."""
-
-
-class UpstreamError(DnsMoqError):
-    """Raised when an upstream server cannot be reached or answers badly."""

@@ -138,8 +138,3 @@ RCODES: dict[int, Rcode] = {member.value: member for member in Rcode}
 # Well-known ports used by the simulated transports (MOQT_PORT, 4443, is
 # shared with the MoQT layer and defined beside netsim's Address).
 DNS_UDP_PORT = 53
-DNS_QUIC_PORT = 853
-
-# The default/maximum UDP payload size assumed when no EDNS is present.
-CLASSIC_UDP_LIMIT = 512
-EDNS_UDP_LIMIT = 1232

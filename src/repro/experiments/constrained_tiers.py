@@ -22,9 +22,6 @@ a NewReno congestion controller on every relay's downstream side
 (:mod:`repro.quic.congestion`), proving the loss-repair path end to end:
 all updates are delivered despite drops, retransmissions and window
 reductions are observable, and the fallback counter stays zero.
-
-:func:`run_constrained_macro` scales the lossy regime to the E11 macro
-population (100k subscribers) for the perf harness.
 """
 
 from __future__ import annotations
@@ -430,65 +427,4 @@ def run_constrained_tiers(
     )
     return ConstrainedTiersResult(
         samples=samples, loss_sample=loss_sample, wire_bytes=wire_bytes
-    )
-
-
-@dataclass
-class ConstrainedMacroResult:
-    """The lossy constrained regime at E11 macro scale."""
-
-    subscribers: int
-    updates: int
-    delivered: int
-    expected: int
-    retransmissions: int
-    congestion_events: int
-    link_batch_fallback_waves: int
-    events_scheduled: int
-
-    @property
-    def repaired(self) -> bool:
-        """Whether loss repair delivered every update to every subscriber."""
-        return self.delivered == self.expected
-
-
-def run_constrained_macro(
-    subscribers: int = 100_000,
-    updates: int = 5,
-    mid_relays: int = 4,
-    edge_per_mid: int = 4,
-    payload_size: int = 300,
-    seed: int = 7,
-    bandwidth: float = 2_000_000.0,
-    access_loss: float = 0.005,
-    telemetry: Telemetry | None = None,
-) -> ConstrainedMacroResult:
-    """E11's macro population on constrained, lossy tiers.
-
-    Finite bandwidth on every tier, independent loss on the access links and
-    NewReno on every relay's downstream side.  The point is scale: with the
-    batch path bandwidth- and loss-aware this completes inside the perf
-    smoke budget with the fallback-wave counter at zero — the regime the
-    old silent fallback made unrunnable.
-    """
-    run = _run_constrained_tree(
-        _lossy_scenario(
-            _constrained_spec(bandwidth, access_loss, mid_relays, edge_per_mid),
-            seed,
-            payload_size,
-            telemetry,
-        ),
-        subscribers,
-        updates,
-        drain=6.0,
-    )
-    return ConstrainedMacroResult(
-        subscribers=subscribers,
-        updates=updates,
-        delivered=run.delivered,
-        expected=subscribers * updates,
-        retransmissions=run.delta.downstream_retransmissions,
-        congestion_events=run.delta.congestion_events,
-        link_batch_fallback_waves=run.link_batch_fallback_waves,
-        events_scheduled=run.events_scheduled,
     )

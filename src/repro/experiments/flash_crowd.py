@@ -284,7 +284,7 @@ class FlashCrowdResult:
         return rows
 
     def summary_row(self) -> dict[str, object]:
-        """The gates the perf harness and CI check."""
+        """The gates E16's summary table prints and the tests check."""
         return {
             "baseline_high_water_grows": self.baseline_high_water_grows,
             "throttled_all_admitted": self.throttled.admitted == self.throttled.stormers,

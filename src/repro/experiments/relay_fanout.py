@@ -42,10 +42,8 @@ class TreeRun:
     delivered: int
     #: Total simulator events scheduled over the whole run.
     events_scheduled: int
-    #: Lazy-deletion heap compactions over the whole run.
-    compactions: int
     #: ``Network.link_batch_fallback_waves``: a constant 0 (every send is a
-    #: link wave), gated in the perf harness until ROADMAP 0(a) deletes it.
+    #: link wave), asserted in the tests until ROADMAP 0(a) deletes it.
     link_batch_fallback_waves: int = 0
 
 
@@ -73,7 +71,6 @@ def _run_tree(scenario: Scenario, subscribers: int, updates: int) -> TreeRun:
         origin_objects=run.origin.objects_sent - origin_before,
         delivered=delivered[0] - delivered_before,
         events_scheduled=run.simulator.events_scheduled,
-        compactions=run.simulator.compactions,
         link_batch_fallback_waves=run.network.link_batch_fallback_waves,
     )
 
@@ -110,8 +107,6 @@ class FanoutSample:
     #: Total simulator events scheduled over the whole run (setup included) —
     #: the quantity link-batch fan-out keeps from growing with subscribers.
     events_scheduled: int = 0
-    #: Lazy-deletion heap compactions over the run.
-    compactions: int = 0
     #: Per-tier latency summary from span tracing (None when tracing is off).
     latency: dict[str, object] | None = None
     #: ``Network.link_batch_fallback_waves``: a constant 0 (every send is a
@@ -242,7 +237,6 @@ def run_relay_fanout(
                 delivered_objects=run.delivered,
                 model=model,
                 events_scheduled=run.events_scheduled,
-                compactions=run.compactions,
                 latency=latency,
                 link_batch_fallback_waves=run.link_batch_fallback_waves,
             )

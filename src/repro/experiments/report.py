@@ -19,8 +19,8 @@ def format_table(rows: Sequence[dict[str, Any]], columns: Iterable[str] | None =
     """Render a list of row dictionaries as an aligned text table.
 
     Columns default to the keys of the first row, in order.  Every experiment
-    and benchmark prints its results through this helper, so the output is
-    directly comparable to ``tests/golden/runner_fast.txt``.
+    prints its results through this helper, so the output is directly
+    comparable to ``tests/golden/runner_fast.txt``.
     """
     rows = list(rows)
     if not rows:
@@ -38,11 +38,3 @@ def format_table(rows: Sequence[dict[str, Any]], columns: Iterable[str] | None =
         for line in rendered
     ]
     return "\n".join([header, separator, *body])
-
-
-def format_mapping(mapping: dict[str, Any], title: str | None = None) -> str:
-    """Render a flat mapping as ``key: value`` lines."""
-    lines = [] if title is None else [title]
-    for key, value in mapping.items():
-        lines.append(f"  {key}: {_render_value(value)}")
-    return "\n".join(lines)

@@ -101,7 +101,7 @@ class Simulator:
         self._dead_in_queue = 0
         #: Number of times the heap has been compacted (cancelled entries
         #: dropped and the queue re-heapified).  Compaction work was invisible
-        #: in the scheduler counters before this; the perf harness surfaces it.
+        #: in the scheduler counters before this; ``sim_compactions`` scrapes it.
         self.compactions = 0
         self._running = False
         self.rng = random.Random(seed)

@@ -30,11 +30,3 @@ class QuicConnectionError(QuicError):
         super().__init__(f"{code.name}: {reason}" if reason else code.name)
         self.code = code
         self.reason = reason
-
-
-class StreamError(QuicError):
-    """Raised for invalid per-stream operations."""
-
-
-class HandshakeError(QuicError):
-    """Raised when the simulated TLS handshake fails."""

@@ -1,4 +1,4 @@
-"""Unified telemetry: metrics registry, span tracing and exporters.
+"""Unified telemetry: metrics registry and span tracing.
 
 Every :class:`~repro.netsim.network.Network` owns a :class:`Telemetry`
 container.  By default it holds :data:`~repro.telemetry.metrics.NULL_METRICS`
@@ -11,15 +11,14 @@ observability cost.  Opting in is one object::
     telemetry = Telemetry(metrics=MetricsRegistry(), spans=SpanTracer())
     result = run_relay_fanout((1000,), telemetry=telemetry)
 
-and everything the run recorded is available through
-:mod:`repro.telemetry.export` (Prometheus text, JSONL trace dump, summary
-tables) and :mod:`repro.telemetry.collect` (scrapers that mirror the
+and everything the run recorded is available through the registry's
+``snapshot()``, the tracer's ``tier_breakdown()`` and
+:mod:`repro.telemetry.collect` (scrapers that mirror the
 simulator/link/QUIC/relay counters into the registry).
 
 The core modules (:mod:`~repro.telemetry.metrics`,
 :mod:`~repro.telemetry.spans`) are stdlib-only so :mod:`repro.netsim` can
-depend on them without import cycles; only the exporters reach back into
-:mod:`repro.experiments.report`, lazily.
+depend on them without import cycles.
 """
 
 from __future__ import annotations

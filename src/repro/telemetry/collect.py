@@ -6,7 +6,7 @@ attribute is the cheapest possible instrumentation).  Rather than rewire
 those paths through the registry — which would tax every run whether or not
 telemetry is on — these collectors *scrape*: called at measurement points
 (end of an experiment, end of a benchmark), they copy the live counters into
-registry instruments so the exporters see one uniform namespace.
+registry instruments so a ``snapshot()`` sees one uniform namespace.
 
 All collectors are no-ops against :data:`~repro.telemetry.metrics.NULL_METRICS`
 (`registry.enabled` is False) so callers can invoke them unconditionally.

@@ -3,7 +3,7 @@
 The registry unifies the counters that used to be scattered across ad-hoc
 dataclasses (``relaynet/stats.py``, ``netsim/stats.py``, the counters bolted
 onto :class:`~repro.netsim.simulator.Simulator`) behind one uniform surface that
-exporters (:mod:`repro.telemetry.export`) can walk.
+``snapshot()`` walks.
 
 Design constraints, in order:
 
@@ -28,24 +28,6 @@ means different things.
 from __future__ import annotations
 
 from typing import Iterator
-
-#: Default histogram bucket upper bounds, in seconds — tuned for the
-#: virtual-time latencies the experiments measure (link delays are tens of
-#: milliseconds, detection latencies are seconds).
-DEFAULT_BUCKETS = (
-    0.001,
-    0.005,
-    0.010,
-    0.025,
-    0.050,
-    0.100,
-    0.250,
-    0.500,
-    1.0,
-    2.5,
-    5.0,
-    float("inf"),
-)
 
 
 class MetricError(Exception):
@@ -163,9 +145,8 @@ class Histogram:
     """A sampled distribution with exact percentiles.
 
     Samples are retained (the repository's sample sizes are thousands, not
-    millions — span tracing is itself sampled) so ``percentile`` is exact;
-    bucket counts for the Prometheus exposition are computed at export time,
-    keeping :meth:`observe` at one append plus two adds.
+    millions — span tracing is itself sampled) so ``percentile`` is exact,
+    and :meth:`observe` stays at one append plus two adds.
     """
 
     __slots__ = (
@@ -173,7 +154,6 @@ class Histogram:
         "help",
         "label_names",
         "label_values",
-        "buckets",
         "count",
         "sum",
         "samples",
@@ -188,13 +168,11 @@ class Histogram:
         help: str = "",
         label_names: tuple[str, ...] = (),
         label_values: tuple[str, ...] = (),
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
     ) -> None:
         self.name = name
         self.help = help
         self.label_names = label_names
         self.label_values = label_values
-        self.buckets = buckets
         self.count = 0
         self.sum = 0.0
         self.samples: list[float] = []
@@ -218,7 +196,7 @@ class Histogram:
         key = tuple(str(value) for value in values)
         child = self._children.get(key)
         if child is None:
-            child = Histogram(self.name, self.help, self.label_names, key, self.buckets)
+            child = Histogram(self.name, self.help, self.label_names, key)
             self._children[key] = child
         return child
 
@@ -240,17 +218,6 @@ class Histogram:
     def percentile(self, q: float) -> float:
         """The exact ``q``-th percentile of the recorded samples."""
         return _percentile(sorted(self.samples), q)
-
-    def bucket_counts(self) -> list[tuple[float, int]]:
-        """Cumulative ``(upper_bound, count)`` pairs for text exposition."""
-        ordered = sorted(self.samples)
-        counts: list[tuple[float, int]] = []
-        index = 0
-        for bound in self.buckets:
-            while index < len(ordered) and ordered[index] <= bound:
-                index += 1
-            counts.append((bound, index))
-        return counts
 
     def summary(self) -> dict[str, float]:
         """Count/sum plus the headline percentiles."""
@@ -281,7 +248,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
 
-    def _get(self, cls, name: str, help: str, labels: tuple[str, ...], **kwargs):
+    def _get(self, cls, name: str, help: str, labels: tuple[str, ...]):
         metric = self._metrics.get(name)
         if metric is not None:
             if type(metric) is not cls:
@@ -293,7 +260,7 @@ class MetricsRegistry:
                     f"{name} already registered with labels {metric.label_names}"
                 )
             return metric
-        metric = cls(name, help, tuple(labels), **kwargs)
+        metric = cls(name, help, tuple(labels))
         self._metrics[name] = metric
         return metric
 
@@ -305,15 +272,9 @@ class MetricsRegistry:
         """Get or create a gauge."""
         return self._get(Gauge, name, help, tuple(labels))
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labels: tuple[str, ...] = (),
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> Histogram:
+    def histogram(self, name: str, help: str = "", labels: tuple[str, ...] = ()) -> Histogram:
         """Get or create a histogram."""
-        return self._get(Histogram, name, help, tuple(labels), buckets=buckets)
+        return self._get(Histogram, name, help, tuple(labels))
 
     def collect(self) -> list[Counter | Gauge | Histogram]:
         """Every registered instrument, in registration order."""
@@ -419,13 +380,7 @@ class NullMetrics(MetricsRegistry):
     def gauge(self, name: str, help: str = "", labels: tuple[str, ...] = ()) -> Gauge:
         return _NULL_GAUGE
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labels: tuple[str, ...] = (),
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> Histogram:
+    def histogram(self, name: str, help: str = "", labels: tuple[str, ...] = ()) -> Histogram:
         return _NULL_HISTOGRAM
 
     def collect(self) -> list[Counter | Gauge | Histogram]:

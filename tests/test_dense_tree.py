@@ -216,6 +216,7 @@ def test_default_failure_detection_run_is_pinned():
         ("relay-edge-0", "idle-timeout"),
     ]
     assert [sample.orphan_subscribers for sample in result.samples] == [0, 63]
+    assert all(sample.complete for sample in result.samples)
     assert result.detection_model_ok and result.reattach_model_ok
     assert (
         result.relay_duplicates_dropped,
@@ -234,6 +235,7 @@ def test_default_origin_failover_run_is_pinned():
     assert result.gapless
     assert result.delivered_objects == result.expected_objects == SUBSCRIBERS * 16
     assert result.epoch == result.promotions == 1
+    assert result.event is not None and result.event.complete
     assert result.detected_via == "pto-suspect"
     assert result.detection_model_ok and result.promotion_model_ok
     assert result.reattached_relays == 4

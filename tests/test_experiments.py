@@ -1,4 +1,9 @@
-"""Tests for the experiment drivers: each must reproduce the paper's shape."""
+"""Tests for the experiment drivers: each must reproduce the paper's shape.
+
+``TestAblations`` quantifies two design choices the drivers take for granted:
+objects on QUIC streams rather than datagrams (§4.1), and a relay in front of
+the origin (§3).
+"""
 
 from __future__ import annotations
 
@@ -6,16 +11,28 @@ import pytest
 
 from repro.dns.types import RecordType
 from repro.experiments.compatibility import run_compatibility
+from repro.experiments.constrained_tiers import run_constrained_tiers
 from repro.experiments.fig1a import PAPER_TOTALS, run_fig1a
 from repro.experiments.fig1b import run_fig1b
 from repro.experiments.fig2_sequence import run_fig2
-from repro.experiments.query_latency import run_query_latency
-from repro.experiments.report import format_mapping, format_table
+from repro.experiments.query_latency import run_query_latency, run_rtt_sweep
+from repro.experiments.report import format_table
 from repro.experiments.staleness import run_staleness
 from repro.experiments.state_overhead import run_state_overhead
 from repro.experiments.topology import SmallTopology, SmallTopologyConfig
 from repro.experiments.traffic import run_traffic
 from repro.experiments.usecases import PAPER_CDN_STUB_KBPS, PAPER_DDNS_GBPS, run_usecases
+from repro.moqt.objectmodel import MoqtObject, TrackState
+from repro.moqt.relay import MoqtRelay
+from repro.moqt.session import FetchResult, MoqtSession, MoqtSessionConfig, SubscribeResult
+from repro.moqt.track import FullTrackName
+from repro.netsim.link import LinkConfig
+from repro.netsim.network import Network
+from repro.netsim.packet import Address
+from repro.netsim.simulator import Simulator
+from repro.quic.connection import ConnectionConfig
+from repro.quic.endpoint import QuicEndpoint
+from repro.quic.tls import ServerTlsContext
 
 
 class TestReportFormatting:
@@ -28,10 +45,6 @@ class TestReportFormatting:
 
     def test_format_table_empty(self):
         assert format_table([]) == "(no rows)"
-
-    def test_format_mapping(self):
-        text = format_mapping({"key": 1.5}, title="Title")
-        assert "Title" in text and "key" in text
 
 
 class TestFig1aExperiment:
@@ -91,15 +104,22 @@ class TestQueryLatencyExperiment:
         assert reused == pytest.approx(udp)
         assert pushed == 0.0
 
+    def test_cold_lookup_pays_about_three_times_the_hop_cost_at_any_rtt(self):
+        for result in run_rtt_sweep([0.020, 0.080]):
+            cold = result.measurement("moqt-cold").measured
+            udp = result.measurement("udp-first").measured
+            assert cold > 2.5 * udp / 1.3
+
 
 @pytest.mark.slow
 class TestStalenessExperiment:
     def test_pubsub_beats_polling_by_orders_of_magnitude(self):
-        result = run_staleness(ttls=[10, 60], change_offsets=[0.5])
+        result = run_staleness(ttls=[10, 60, 300], change_offsets=[0.5])
         for sample in result.samples:
             assert sample.pubsub_staleness < 0.1
             assert sample.polling_staleness > sample.pubsub_staleness
         assert result.mean_improvement(60) > 50
+        assert result.mean_improvement(300) > result.mean_improvement(10)
 
     def test_pubsub_staleness_independent_of_ttl(self):
         result = run_staleness(ttls=[10, 60], change_offsets=[0.25])
@@ -119,6 +139,15 @@ class TestTrafficExperiment:
         result = run_traffic(configurations=[(300, 30.0)], duration=300.0)
         sample = result.samples[0]
         assert sample.measured_pubsub_messages > sample.measured_polling_queries
+
+    def test_pubsub_sends_less_whenever_records_change_slower_than_their_ttl(self):
+        configurations = [(300, 3600.0), (60, 600.0), (10, 30.0)]
+        result = run_traffic(configurations=configurations, duration=600.0)
+        assert [(s.ttl, s.change_interval) for s in result.samples] == configurations
+        for sample in result.samples:
+            assert sample.measured_pubsub_messages < sample.measured_polling_queries
+            assert abs(sample.measured_polling_queries - sample.model.polling) <= 2
+            assert abs(sample.measured_pubsub_messages - sample.model.pubsub) <= 2
 
     def test_measured_counts_close_to_model(self):
         result = run_traffic(configurations=[(10, 60.0)], duration=240.0)
@@ -141,7 +170,7 @@ class TestUseCaseExperiment:
 
 class TestStateOverheadExperiment:
     def test_policies_trade_state_for_resubscriptions(self):
-        result = run_state_overhead(questions=150, duration=3600.0)
+        result = run_state_overhead(questions=150, duration=86_400.0)
         by_name = {outcome.policy: outcome for outcome in result.policies}
         assert by_name["never"].tracked_at_end == 150
         assert by_name["never"].forced_resubscriptions == 0
@@ -149,6 +178,7 @@ class TestStateOverheadExperiment:
         for name, outcome in by_name.items():
             if name != "never":
                 assert outcome.state_bytes <= by_name["never"].state_bytes
+                assert outcome.torn_down > 0
         assert result.classic_vs_moqt["extra_bytes"] > 0
 
     def test_rows_render(self):
@@ -173,6 +203,39 @@ class TestCompatibilityExperiment:
         assert refresh.update_latency > baseline.update_latency
 
 
+class TestConstrainedTiersExperiment:
+    """E15 at its full scale (100 subscribers, 5 updates, 4 x 4 relays); the
+    runner's golden table covers the fast scale."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_constrained_tiers()
+
+    def test_every_sweep_point_is_model_exact_and_fully_delivered(self, result):
+        assert len(result.samples) == 8
+        for sample in result.samples:
+            assert sample.model_exact, sample.bandwidth
+            assert sample.delivered == sample.subscribers * sample.updates == 500
+        assert result.all_model_exact
+        assert result.total_fallback_waves == 0
+
+    def test_measured_knee_is_the_models(self, result):
+        knee = result.model_knee_index
+        assert 0 < knee < len(result.samples)
+        assert result.measured_knee_index == knee
+        assert [sample.serialisation_dominates for sample in result.samples] == [
+            index >= knee for index in range(len(result.samples))
+        ]
+
+    def test_lossy_edge_is_repaired_by_retransmission_under_newreno(self, result):
+        loss = result.loss_sample
+        assert loss.access_loss > 0
+        assert loss.repaired and loss.delivered == loss.expected == 500
+        assert loss.retransmissions > 0
+        assert loss.congestion_events > 0
+        assert loss.link_batch_fallback_waves == 0
+
+
 class TestSmallTopology:
     def test_update_record_bumps_serial_once(self):
         topology = SmallTopology()
@@ -184,3 +247,106 @@ class TestSmallTopology:
         topology = SmallTopology(SmallTopologyConfig(domain="api.service.io.", record_ttl=60))
         rrset = topology.auth_zone.get_rrset("api.service.io.", "A")
         assert rrset is not None and rrset.ttl == 60
+
+
+ABLATION_TRACK = FullTrackName.of(["dns", "a"], b"cdn.example")
+
+
+class _OneTrackPublisher:
+    """Minimal publisher delegate serving a single track."""
+
+    def __init__(self) -> None:
+        self.state = TrackState(ABLATION_TRACK)
+        self.state.publish(MoqtObject(group_id=1, object_id=0, payload=b"v1" * 64))
+
+    def handle_subscribe(self, session, message):
+        return SubscribeResult(ok=True, largest=self.state.largest)
+
+    def handle_fetch(self, session, message, full_track_name):
+        return FetchResult(ok=True, objects=self.state.latest_objects(1), largest=self.state.largest)
+
+
+def _serve(host, delegate, config=None) -> list[MoqtSession]:
+    """A MoQT server on ``host``; returns the list its sessions land in."""
+    sessions: list[MoqtSession] = []
+    QuicEndpoint(
+        host,
+        port=4443,
+        server_tls=ServerTlsContext(alpn_protocols=("moq-00",)),
+        on_connection=lambda conn: sessions.append(
+            MoqtSession(conn, is_client=False, config=config, publisher_delegate=delegate)
+        ),
+    )
+    return sessions
+
+
+def _subscribe(host, target, received, config=None) -> None:
+    connection = QuicEndpoint(host).connect(target, ConnectionConfig(alpn_protocols=("moq-00",)))
+    session = MoqtSession(connection, is_client=True, config=config)
+    session.subscribe(ABLATION_TRACK, on_object=lambda obj: received.append(obj.group_id))
+
+
+def _push(simulator, delegate, sessions, updates, payload, gap) -> None:
+    for version in range(2, updates + 2):
+        obj = MoqtObject(group_id=version, object_id=0, payload=payload)
+        delegate.state.publish(obj)
+        for session in sessions:
+            for subscription in session.publisher_subscriptions():
+                session.publish(subscription, obj)
+        simulator.run(until=simulator.now + gap)
+
+
+def _updates_arriving(use_datagrams: bool, loss_rate: float, updates: int = 50) -> int:
+    """Publish ``updates`` objects across a lossy link; return how many arrive."""
+    simulator = Simulator(seed=99)
+    network = Network(simulator)
+    network.add_host("pub")
+    network.add_host("sub")
+    network.connect("pub", "sub", LinkConfig(delay=0.02, loss_rate=loss_rate))
+    delegate = _OneTrackPublisher()
+    config = MoqtSessionConfig(use_datagrams=use_datagrams)
+    sessions = _serve(network.host("pub"), delegate, config)
+    received: list[int] = []
+    _subscribe(network.host("sub"), Address("pub", 4443), received, config)
+    simulator.run(until=5.0)
+    _push(simulator, delegate, sessions, updates, b"update" * 50, gap=1.0)
+    simulator.run(until=simulator.now + 30.0)
+    return len(set(received))
+
+
+def _origin_load(subscribers: int, via_relay: bool, updates: int = 10) -> tuple[int, int]:
+    """(objects the origin sent, objects all subscribers received)."""
+    simulator = Simulator(seed=7)
+    network = Network(simulator)
+    for name in ("origin", "relay", *(f"sub{index}" for index in range(subscribers))):
+        network.add_host(name)
+    network.connect("origin", "relay", LinkConfig(delay=0.02))
+    for index in range(subscribers):
+        network.connect("relay", f"sub{index}", LinkConfig(delay=0.01))
+        network.connect("origin", f"sub{index}", LinkConfig(delay=0.03))
+    delegate = _OneTrackPublisher()
+    sessions = _serve(network.host("origin"), delegate)
+    MoqtRelay(network.host("relay"), upstream=Address("origin", 4443))
+    target = Address("relay" if via_relay else "origin", 4443)
+    received: list[int] = []
+    for index in range(subscribers):
+        _subscribe(network.host(f"sub{index}"), target, received)
+    simulator.run(until=5.0)
+    _push(simulator, delegate, sessions, updates, b"x" * 200, gap=0.5)
+    simulator.run(until=simulator.now + 5.0)
+    return sum(session.statistics.objects_sent for session in sessions), len(received)
+
+
+class TestAblations:
+    def test_streams_deliver_every_update_under_loss_and_datagrams_do_not(self):
+        """§4.1: objects ride streams "to avoid losing messages due to the
+        unreliability of datagrams" — 50 updates over a 20 % loss link."""
+        assert _updates_arriving(use_datagrams=False, loss_rate=0.2) == 50
+        assert _updates_arriving(use_datagrams=True, loss_rate=0.2) < 50
+
+    def test_relay_aggregates_subscriptions_into_one_origin_stream(self):
+        """§3: a relay in front of eight subscribers cuts origin sends eightfold."""
+        direct_sent, direct_received = _origin_load(8, via_relay=False)
+        relayed_sent, relayed_received = _origin_load(8, via_relay=True)
+        assert direct_received == relayed_received == 8 * 10
+        assert relayed_sent * 8 <= direct_sent + 1

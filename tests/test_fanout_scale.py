@@ -7,7 +7,10 @@ multiplied out.  The pins are the seeded run's exact outputs:
 * the tier byte table (mid / edge / subscriber links) over the update window;
 * origin egress: 6,560 B and 20 objects, the same as at 10 or 1,000
   subscribers — the origin serves its direct children, not the population;
-* every subscriber is handed every update exactly once.
+* every subscriber is handed every update exactly once;
+* the scheduler's work: 130,297 events over the whole run (26,059.4 per
+  pushed update, setup amortised) — a fan-out that scheduled per datagram
+  or per subscriber again would move it.
 
 Beyond 10k the closed form in ``repro.analysis.fanout`` is the claim; this
 run is the largest the suite checks it against (≈ 6 s).
@@ -35,3 +38,4 @@ def test_dense_ten_thousand_subscriber_tree_is_pinned():
     # The model is exact here, not within a tolerance.
     assert sample.measured_tier_bytes == tuple(round(b) for b in sample.model.tier_bytes())
     assert sample.link_batch_fallback_waves == 0
+    assert sample.events_scheduled == 130_297

@@ -159,6 +159,30 @@ class TestSimulatorDeterminism:
         simulator.run_until_idle()
         assert order == list(range(20))
 
+    def test_interleaved_cancellation_churn_runs_exactly_the_live_events(self):
+        """The per-packet timer pattern: every other scheduling cancels an
+        earlier event (some of them twice) across 97 distinct deadlines."""
+        simulator = Simulator()
+        fired = []
+        events = []
+        for index in range(2_000):
+            events.append(
+                simulator.call_later(
+                    (index % 97) * 1e-4,
+                    lambda index=index: fired.append((simulator.now, index)),
+                )
+            )
+            if index % 2 == 0:
+                events[len(events) // 2].cancel()
+        live = [index for index, event in enumerate(events) if not event.cancelled]
+        assert simulator.pending_events == len(live) < len(events)
+        assert simulator.compactions >= 1
+        assert simulator.run_until_idle() == len(live)
+        # Time order, and scheduling (FIFO) order within one instant.
+        assert fired == sorted(fired)
+        assert sorted(index for _, index in fired) == live
+        assert simulator.pending_events == 0
+
     def test_compaction_shrinks_the_heap(self):
         simulator = Simulator()
         events = [simulator.call_later(1.0, lambda: None) for _ in range(200)]

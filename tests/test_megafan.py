@@ -4,7 +4,7 @@ Covers the netsim layer (link-batch delivery via ``Link.transmit_many``,
 network batching regions, payloads a consumer keeps), the QUIC
 preassembled send path (wire identity with the ``Packet`` oracle, loss
 recovery, the one-shot receive path), MoQT publishing (``publish`` golden
-bytes, shared decode memos) and the perf-harness plumbing (``--repeat`` shapes, the regression gate).
+bytes, shared decode memos) and the simulator's event and compaction counters.
 
 The two headline guarantees:
 
@@ -16,9 +16,7 @@ The two headline guarantees:
 
 from __future__ import annotations
 
-import json
 from dataclasses import FrozenInstanceError
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -547,7 +545,7 @@ class TestDeliveryDeterminismCanary:
 
 
 # ---------------------------------------------------------------------------
-# simulator counters and harness plumbing
+# simulator counters
 # ---------------------------------------------------------------------------
 class TestSimulatorCounters:
     def test_events_scheduled_counts_every_call_at(self):
@@ -566,103 +564,3 @@ class TestSimulatorCounters:
         for event in events[:150]:
             event.cancel()
         assert simulator.compactions >= 1
-
-
-class TestPerfHarness:
-    def _import_harness(self):
-        import sys
-        from pathlib import Path
-
-        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks" / "perf"))
-        import perf_fastpath
-
-        return perf_fastpath
-
-    def test_repeated_reports_min_and_median(self):
-        harness = self._import_harness()
-        calls = iter([0.5, 0.3, 0.4])
-
-        def fake_bench(**kwargs):
-            return {"seconds": next(calls), "ops_per_second": 1}
-
-        result = harness.repeated(fake_bench, 3)
-        assert result["repeat"] == 3
-        assert result["seconds"] == 0.3  # headline comes from the fastest run
-        assert result["seconds_min"] == 0.3
-        assert result["seconds_median"] == 0.4
-        assert result["seconds_all"] == [0.5, 0.3, 0.4]
-
-    def test_repeated_single_run_keeps_plain_shape(self):
-        harness = self._import_harness()
-        result = harness.repeated(lambda **kwargs: {"seconds": 1.0}, 1)
-        assert result == {"seconds": 1.0}
-
-    def test_event_loop_churn_reports_compactions(self):
-        harness = self._import_harness()
-        result = harness.bench_event_loop_churn(events=2_000)
-        assert result["compactions"] >= 1
-        assert result["timer_fired"] == 1
-
-    def test_check_against_reference_gates_on_throughput(self, tmp_path):
-        harness = self._import_harness()
-        reference = {
-            "benchmarks": {
-                "event_loop_churn": {"events_per_second": 1000},
-                "varint_roundtrip": {"ops_per_second": 1000},
-            }
-        }
-        path = tmp_path / "ref.json"
-        path.write_text(json.dumps(reference))
-        good = {
-            "benchmarks": {
-                "event_loop_churn": {"events_per_second": 900},
-                "varint_roundtrip": {"ops_per_second": 700},
-            }
-        }
-        assert harness.check_against_reference(good, path) == []
-        bad = {
-            "benchmarks": {
-                "event_loop_churn": {"events_per_second": 640},  # > 35% down
-                "varint_roundtrip": {"ops_per_second": 700},
-            }
-        }
-        failures = harness.check_against_reference(bad, path)
-        assert len(failures) == 1
-        assert "event_loop_churn" in failures[0]
-
-    def test_check_skips_benchmarks_missing_from_either_side(self, tmp_path):
-        harness = self._import_harness()
-        path = tmp_path / "ref.json"
-        path.write_text(json.dumps({"benchmarks": {}}))
-        document = {"benchmarks": {"event_loop_churn": {"events_per_second": 1}}}
-        assert harness.check_against_reference(document, path) == []
-
-    def test_check_gates_nothing_on_a_reference_pool_hit_rate(self, tmp_path):
-        """A reference written while the fan-out path had a datagram pool
-        still carries its hit rates; a run's metrics block reports none and
-        must pass, while the 10k macro's ceilings keep gating."""
-        harness = self._import_harness()
-        sample = SimpleNamespace(compactions=0, events_scheduled=50, link_batch_fallback_waves=0)
-        metrics = harness._sample_metrics_block(sample, updates=5)
-        assert metrics == {"compactions": 0, "events_per_wave": 10.0, "link_batch_fallback_waves": 0}
-        path = tmp_path / "ref.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "benchmarks": {
-                        "cdn_macro_10k": {
-                            "metrics": {
-                                "pool_datagram_hit_rate": 0.99,
-                                "pool_buffer_hit_rate": 0.98,
-                                "events_per_wave": 10.0,
-                            }
-                        }
-                    }
-                }
-            )
-        )
-        run = {"benchmarks": {"cdn_macro_10k": {"metrics": metrics}}}
-        assert harness.check_against_reference(run, path) == []
-        run["benchmarks"]["cdn_macro_10k"]["metrics"]["events_per_wave"] = 20.0
-        (failure,) = harness.check_against_reference(run, path)
-        assert failure.startswith("cdn_macro_10k.metrics.events_per_wave")

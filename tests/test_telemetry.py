@@ -4,7 +4,7 @@ Covers the metrics registry (idempotent registration, label families, the
 zero-cost ``NullMetrics`` default), virtual-time span tracing (sampling,
 chain reconstruction, the telescoping-segments invariant), the trace
 recorder satellites (O(1) ``count``/``kinds``, ``NullTraceRecorder``
-listener rejection), collectors, exporters, and the headline determinism
+listener rejection), collectors, and the headline determinism
 contract: seeded experiment outputs are bit-identical with telemetry enabled
 or disabled.
 """
@@ -45,15 +45,6 @@ from repro.telemetry.collect import (
     collect_network,
     collect_run,
     collect_simulator,
-)
-from repro.telemetry.export import (
-    render_metrics_table,
-    render_prometheus,
-    render_tier_breakdown,
-    spans_to_records,
-    write_metrics_snapshot,
-    write_prometheus,
-    write_spans_jsonl,
 )
 
 
@@ -123,8 +114,8 @@ class TestMetricsRegistry:
         with pytest.raises(MetricError):
             family.labels("only-one")
 
-    def test_histogram_percentiles_and_buckets(self):
-        hist = MetricsRegistry().histogram("lat", buckets=(0.1, 1.0, float("inf")))
+    def test_histogram_percentiles(self):
+        hist = MetricsRegistry().histogram("lat")
         for value in (0.05, 0.2, 0.5, 2.0):
             hist.observe(value)
         assert hist.count == 4
@@ -132,11 +123,28 @@ class TestMetricsRegistry:
         assert hist.percentile(0) == pytest.approx(0.05)
         assert hist.percentile(100) == pytest.approx(2.0)
         assert hist.percentile(50) == pytest.approx(0.35)
-        assert hist.bucket_counts() == [(0.1, 1), (1.0, 3), (float("inf"), 4)]
         summary = hist.summary()
         assert summary["count"] == 4
         assert summary["min"] == pytest.approx(0.05)
         assert summary["max"] == pytest.approx(2.0)
+
+    def test_snapshot_summarises_histograms_and_survives_json(self):
+        registry = MetricsRegistry()
+        registry.counter("plain").inc(3)
+        registry.gauge("per_tier", labels=("tier",)).labels("mid").set(7)
+        latency = registry.histogram("lat")
+        latency.observe(0.05)
+        latency.observe(0.2)
+        hops = registry.histogram("hop", labels=("tier", "role"))
+        hops.labels("edge", "relay").observe(0.5)
+        snapshot = registry.snapshot()
+        assert snapshot["plain"] == 3
+        assert snapshot["per_tier"] == {"tier=mid": 7}
+        assert snapshot["lat"] == latency.summary()
+        assert snapshot["lat"]["count"] == 2
+        assert snapshot["lat"]["sum"] == pytest.approx(0.25)
+        assert snapshot["hop"] == {"tier=edge,role=relay": hops.labels("edge", "relay").summary()}
+        assert json.loads(json.dumps(snapshot)) == snapshot
 
     def test_collect_preserves_registration_order(self):
         registry = MetricsRegistry()
@@ -384,70 +392,6 @@ class TestCollectors:
         assert snapshot["dns_core_inflight_lookups"] == {"role=forwarder": 0, "role=recursive": 0}
         assert snapshot["dns_core_downstream_subscribers"] == {"role=recursive": 1}
         assert snapshot["dns_core_subscribers"] == {"role=auth": 1}
-
-
-class TestExporters:
-    def _registry(self) -> MetricsRegistry:
-        registry = MetricsRegistry()
-        registry.counter("plain", "A plain counter").inc(3)
-        registry.gauge("per_tier", "By tier", labels=("tier",)).labels("mid").set(7)
-        hist = registry.histogram("lat", "Latency", buckets=(0.1, float("inf")))
-        hist.observe(0.05)
-        hist.observe(0.2)
-        return registry
-
-    def test_prometheus_exposition(self):
-        text = render_prometheus(self._registry())
-        assert "# HELP plain A plain counter" in text
-        assert "# TYPE plain counter" in text
-        assert "plain 3" in text
-        assert 'per_tier{tier="mid"} 7' in text
-        assert 'lat_bucket{le="0.1"} 1' in text
-        assert 'lat_bucket{le="+Inf"} 2' in text
-        assert "lat_sum 0.25" in text
-        assert "lat_count 2" in text
-
-    def test_prometheus_label_escaping(self):
-        registry = MetricsRegistry()
-        registry.gauge("g", labels=("name",)).labels('a"b\\c\nd').set(1)
-        text = render_prometheus(registry)
-        assert 'g{name="a\\"b\\\\c\\nd"} 1' in text
-
-    def test_write_prometheus(self, tmp_path):
-        path = tmp_path / "metrics.prom"
-        write_prometheus(self._registry(), path)
-        assert "plain 3" in path.read_text()
-
-    def test_spans_jsonl_roundtrip(self, tmp_path):
-        tracer = SpanTracer()
-        loc = Location(group_id=0, object_id=0)
-        tracer.record_push(loc, 1.0)
-        tracer.record_hop(loc, "mid", "relay", "origin", 1.5)
-        tracer.record_delivery(loc, "relay", 4, 2.0)
-        path = tmp_path / "spans.jsonl"
-        assert write_spans_jsonl(tracer, path) == 1
-        (record,) = [json.loads(line) for line in path.read_text().splitlines()]
-        assert record == spans_to_records(tracer)[0]
-        assert record["location"] == [0, 0]
-        assert record["hops"] == [
-            {"host": "relay", "tier": "mid", "upstream": "origin", "time": 1.5}
-        ]
-        assert record["deliveries"] == [{"leaf": "relay", "subscriber": 4, "time": 2.0}]
-
-    def test_metrics_snapshot_file(self, tmp_path):
-        path = tmp_path / "snapshot.json"
-        tracer = SpanTracer()
-        written = write_metrics_snapshot(self._registry(), path, spans=tracer)
-        loaded = json.loads(path.read_text())
-        assert loaded == json.loads(json.dumps(written))
-        assert loaded["metrics"]["plain"] == 3
-        assert loaded["spans"]["spans"] == 0
-
-    def test_tables_render(self):
-        table = render_metrics_table(self._registry())
-        assert "plain" in table and "tier=mid" in table
-        assert render_metrics_table(MetricsRegistry()) == "(no metrics recorded)"
-        assert render_tier_breakdown(SpanTracer()) == "(no sampled deliveries)"
 
 
 def _fanout_fingerprint(result):
