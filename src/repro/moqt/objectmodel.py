@@ -10,8 +10,10 @@ record versions (§4.2).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
+from typing import NamedTuple
 
 
 class ObjectStatus(enum.IntEnum):
@@ -23,9 +25,14 @@ class ObjectStatus(enum.IntEnum):
     END_OF_TRACK = 0x4
 
 
-@dataclass(frozen=True, order=True)
-class Location:
-    """A position in a track: group ID plus object ID."""
+class Location(NamedTuple):
+    """A position in a track: group ID plus object ID.
+
+    A tuple, so hashing and ordering run in C: the delivery path hashes and
+    compares a location several times per object per receiver.  The hash is
+    ``hash((group_id, object_id))``, exactly what a frozen dataclass computes,
+    so every set and dict keyed by locations iterates in the same order.
+    """
 
     group_id: int
     object_id: int
@@ -72,6 +79,11 @@ class TrackState:
     def __init__(self, full_track_name: object, max_retained_groups: int | None = 64) -> None:
         self.full_track_name = full_track_name
         self._objects: dict[Location, MoqtObject] = {}
+        #: The retained locations by group, each in publish order, and the
+        #: retained group ids as a min-heap: retention pops the stale groups
+        #: and ``oldest`` reads the smallest one, neither rescanning objects.
+        self._groups: dict[int, list[Location]] = {}
+        self._group_heap: list[int] = []
         self._max_retained_groups = max_retained_groups
         self.largest: Location | None = None
 
@@ -79,7 +91,14 @@ class TrackState:
         """Record a newly published object."""
         location = obj.location
         existing = self._objects.get(location)
-        if existing is not None and existing.payload != obj.payload:
+        if existing is None:
+            group = self._groups.get(location.group_id)
+            if group is None:
+                self._groups[location.group_id] = [location]
+                heappush(self._group_heap, location.group_id)
+            else:
+                group.append(location)
+        elif existing.payload != obj.payload:
             raise ValueError(
                 f"object {location} republished with different payload; "
                 "MoQT requires identical content for identical IDs"
@@ -90,14 +109,13 @@ class TrackState:
         self._enforce_retention()
 
     def _enforce_retention(self) -> None:
-        if self._max_retained_groups is None or self.largest is None:
+        if self._max_retained_groups is None:
             return
         minimum_group = self.largest.group_id - self._max_retained_groups + 1
-        if minimum_group <= 0:
-            return
-        stale = [location for location in self._objects if location.group_id < minimum_group]
-        for location in stale:
-            del self._objects[location]
+        heap = self._group_heap
+        while heap and heap[0] < minimum_group:
+            for location in self._groups.pop(heappop(heap)):
+                del self._objects[location]
 
     def get(self, location: Location) -> MoqtObject | None:
         """The object at ``location``, if still retained."""
@@ -106,7 +124,9 @@ class TrackState:
     @property
     def oldest(self) -> Location | None:
         """The oldest location still retained, if any."""
-        return min(self._objects, default=None)
+        if not self._group_heap:
+            return None
+        return min(self._groups[self._group_heap[0]])
 
     def objects_in_range(self, start: Location, end: Location | None = None) -> list[MoqtObject]:
         """Objects between ``start`` (inclusive) and ``end`` (inclusive), ordered."""

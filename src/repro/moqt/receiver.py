@@ -36,6 +36,7 @@ from typing import Callable, Iterable
 from repro.moqt.objectmodel import Location, MoqtObject
 from repro.moqt.session import FetchRequest, MoqtSession, Subscription
 from repro.moqt.track import FullTrackName
+from repro.telemetry import Telemetry
 
 #: FETCH range end meaning "everything you have" (a group id far beyond any
 #: experiment's horizon; ranges are inclusive).
@@ -81,14 +82,19 @@ class ReceiverCounters:
 class TrackReceiver:
     """Receive-side state of one followed track (see the module docstring).
 
-    ``sink`` receives every distinct object exactly once; ``counters`` is
-    any object with :class:`ReceiverCounters`' three attributes.
+    ``sink`` receives every distinct object exactly once (``None``: nobody
+    listens); ``counters`` is any object with :class:`ReceiverCounters`' three
+    attributes.  With ``telemetry`` (the network's
+    :class:`~repro.telemetry.Telemetry`), each delivery is also handed to
+    ``counters.record_delivery(spans, obj)`` whenever ``telemetry.spans`` is
+    set at that moment — a leaf subscriber's delivery span.
     """
 
     __slots__ = (
         "full_track_name",
         "sink",
         "counters",
+        "telemetry",
         "subscription",
         "session",
         "seen",
@@ -100,12 +106,14 @@ class TrackReceiver:
     def __init__(
         self,
         full_track_name: FullTrackName,
-        sink: Callable[[MoqtObject], None],
+        sink: Callable[[MoqtObject], None] | None,
         counters: ReceiverCounters,
+        telemetry: Telemetry | None = None,
     ) -> None:
         self.full_track_name = full_track_name
         self.sink = sink
         self.counters = counters
+        self.telemetry = telemetry
         #: The current (or last) subscription and the session it rides.
         self.subscription: Subscription | None = None
         self.session: MoqtSession | None = None
@@ -122,35 +130,45 @@ class TrackReceiver:
 
     # ---------------------------------------------------------------- delivery
     def on_object(self, obj: MoqtObject) -> None:
-        """A live object from the current subscription."""
+        """An object for the sink: the subscription's delivery function.
+
+        Held back while a gap FETCH is outstanding, else deduped and handed
+        on; :meth:`release` delivers through here too, after disarming.
+        """
         if self.held is not None:
             self.held.append(obj)
-        else:
-            self._deliver(obj)
-
-    def _deliver(self, obj: MoqtObject) -> None:
+            return
         location = obj.location
-        if location in self.seen:
+        seen = self.seen
+        if location in seen:
             self.counters.duplicate_objects_dropped += 1
             return
-        self.seen.add(location)
+        seen.add(location)
         self.delivered += 1
-        if self.largest is None or location > self.largest:
-            self.largest = location
-        if len(self.seen) > DEDUPE_PRUNE_THRESHOLD:
-            self.seen = prune_seen_locations(self.seen, self.largest)
-        self.sink(obj)
+        largest = self.largest
+        if largest is None or location > largest:
+            self.largest = largest = location
+        if len(seen) > DEDUPE_PRUNE_THRESHOLD:
+            self.seen = prune_seen_locations(seen, largest)
+        telemetry = self.telemetry
+        if telemetry is not None and telemetry.spans is not None:
+            self.counters.record_delivery(telemetry.spans, obj)
+        if self.sink is not None:
+            self.sink(obj)
 
     def release(self, gap: Iterable[MoqtObject] = ()) -> None:
         """Stop holding back: deliver ``gap`` (a fetched range), then what
         was held, each in location order.  Safe while following."""
         held, self.held = self.held or (), None
+        # The base class's delivery, not an override: a subclass counting
+        # what its uplink delivered must not count a release.
+        deliver = TrackReceiver.on_object
         before = self.delivered
         for obj in sorted(gap, key=_by_location):
-            self._deliver(obj)
+            deliver(self, obj)
         self.counters.recovered_objects += self.delivered - before
         for obj in sorted(held, key=_by_location):
-            self._deliver(obj)
+            deliver(self, obj)
 
     # ------------------------------------------------------------------ attach
     def subscribe(

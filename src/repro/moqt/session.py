@@ -320,7 +320,7 @@ class MoqtSession:
         self.on_closed = on_closed
         #: Observer of the transport's in-band liveness transitions
         #: (``on_liveness(session, old_state, new_state)``); see
-        #: :attr:`repro.quic.connection.QuicConnection.on_liveness`.  May be
+        #: :meth:`repro.quic.connection.ConnectionDelegate.liveness_changed`.  May be
         #: (re)assigned after construction — transitions are only ever
         #: delivered from inside the event loop.
         self.on_liveness = on_liveness
@@ -337,7 +337,7 @@ class MoqtSession:
         self._control_parser = ControlStreamParser()
         self._control_stream: QuicStream | None = None
         #: Mirror of ``_control_stream.stream_id`` so the per-frame dispatch
-        #: in :meth:`_on_stream_data` is one int compare, not two attribute
+        #: in :meth:`stream_data_received` is one int compare, not two attribute
         #: chains.
         self._control_stream_id: int | None = None
         self._next_request_id = 0 if is_client else 1
@@ -359,10 +359,8 @@ class MoqtSession:
         # Incoming data-stream reassembly (fragmented streams only).
         self._stream_parsers: dict[int, DataStreamParser] = _UNUSED
 
-        connection.on_stream_data = self._on_stream_data
-        connection.on_datagram = self._on_datagram
-        connection.on_closed = self._on_connection_closed
-        connection.on_liveness = self._on_connection_liveness
+        # The connection reports to the session itself (ConnectionDelegate).
+        connection.delegate = self
 
         if is_client:
             self._start_client()
@@ -572,11 +570,15 @@ class MoqtSession:
         ``use_datagrams``, and it must not outlive the object.  Wire bytes
         are identical with or without it.
         """
-        self._require_open()
+        # The closed check and the payload size are inline: this runs once
+        # per subscriber per object.
+        if self.closed:
+            raise SessionTerminated("session is closed")
         if not subscription.forward:
             return
-        self.statistics.objects_sent += 1
-        self.statistics.object_bytes_sent += obj.size
+        statistics = self.statistics
+        statistics.objects_sent += 1
+        statistics.object_bytes_sent += len(obj.payload)
         subscription.objects_sent += 1
         alias = subscription.track_alias
         datagrams = self.config.use_datagrams
@@ -609,12 +611,17 @@ class MoqtSession:
         if self.closed:
             return
         if self.connection.closed:
-            self._on_connection_closed(0, reason)
+            self.connection_closed(0, reason)
         else:
-            # Comes back through the transport's on_closed callback.
+            # Comes back through the delegate's connection_closed.
             self.connection.close(reason=reason)
 
-    def _on_connection_closed(self, code: int, reason: str) -> None:
+    # ------------------------------------------------- the connection's delegate
+    # The session is its connection's ConnectionDelegate: the connection
+    # calls these two and, under dispatch below, ``stream_data_received`` and
+    # ``datagram_frame_received`` on the session itself.
+    def connection_closed(self, code: int, reason: str) -> None:
+        """The transport closed (announced, detected or local)."""
         if self.closed:
             return
         self.closed = True
@@ -640,8 +647,8 @@ class MoqtSession:
         """The transport's in-band liveness state (healthy/suspect/dead)."""
         return self.connection.liveness
 
-    def _on_connection_liveness(self, connection: QuicConnection, old: str, new: str) -> None:
-        """Surface transport-detected liveness transitions to the delegate.
+    def liveness_changed(self, old: str, new: str) -> None:
+        """Surface transport-detected liveness transitions to ``on_liveness``.
 
         Fires *before* any close teardown: a ``dead`` observer (a relay
         failing over its uplink, E13) reacts while subscriptions and pending
@@ -673,7 +680,8 @@ class MoqtSession:
                 fetch_request.on_complete(fetch_request)
 
     # --------------------------------------------------------------- dispatch
-    def _on_stream_data(self, stream_id: int, data: bytes, fin: bool) -> None:
+    def stream_data_received(self, stream_id: int, data: bytes, fin: bool) -> None:
+        """Contiguous bytes of one stream, ``fin`` once it is complete."""
         if stream_id == 0 or stream_id == self._control_stream_id:
             for message in self._control_parser.feed(data):
                 if self.closed:
@@ -715,7 +723,8 @@ class MoqtSession:
         if fin:
             self._stream_parsers.pop(stream_id, None)
 
-    def _on_datagram(self, data: bytes) -> None:
+    def datagram_frame_received(self, data: bytes) -> None:
+        """The payload of one DATAGRAM frame: an object datagram."""
         try:
             track_alias, obj = decode_object_datagram(data)
         except MoqtError:
@@ -726,13 +735,17 @@ class MoqtSession:
         subscription = self._subscriptions_by_alias.get(track_alias)
         if subscription is None:
             return
-        self.statistics.objects_received += 1
-        self.statistics.object_bytes_received += obj.size
+        statistics = self.statistics
+        statistics.objects_received += 1
+        statistics.object_bytes_received += len(obj.payload)
         subscription.objects_received += 1
         subscription.last_object_at = self._simulator.now
-        if subscription.largest is None or obj.location > subscription.largest:
-            subscription.largest = obj.location
+        location = obj.location
+        if subscription.largest is None or location > subscription.largest:
+            subscription.largest = location
         if subscription.on_object is not None:
+            # A followed track's TrackReceiver.on_object: hold-back, dedupe
+            # and the sink in one call.
             subscription.on_object(obj)
 
     def _deliver_fetch_objects(

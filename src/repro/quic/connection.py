@@ -21,17 +21,17 @@ latency and state-management arguments rest on:
   them as a liveness state machine (``healthy`` → ``suspect`` after
   :data:`QuicConnection.LIVENESS_SUSPECT_AFTER` consecutive PTOs, back to
   ``healthy`` when an ACK lands, ``dead`` on idle timeout or PTO give-up)
-  with an observer callback, which is what drives relay failover without a
-  control-plane kill signal (E13).
+  reported to the connection's delegate, which is what drives relay failover
+  without a control-plane kill signal (E13).
 
-The implementation is callback-based and driven entirely by the discrete-
-event simulator.
+The connection reports to one :class:`ConnectionDelegate` and is driven
+entirely by the discrete-event simulator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Protocol, Sequence
 
 from repro.netsim.packet import Address, Datagram
 from repro.netsim.simulator import Event, Simulator, Timer
@@ -247,6 +247,34 @@ class ConnectionStatistics:
     liveness_transitions: int = 0
 
 
+class ConnectionDelegate(Protocol):
+    """The layer above a connection: the one object a connection calls.
+
+    A connection holds one delegate (:attr:`QuicConnection.delegate`, set by
+    whoever runs on top — :class:`~repro.moqt.session.MoqtSession` sets
+    itself) and calls these four methods on it directly, from inside the
+    event loop.  Until a delegate is set, received application data is
+    dropped and nothing is told.
+    """
+
+    def stream_data_received(self, stream_id: int, data: bytes, fin: bool) -> None:
+        """Contiguous bytes of one stream; ``fin`` once, with its last bytes
+        (a one-shot stream arrives whole: its bytes and ``fin`` together)."""
+
+    def datagram_frame_received(self, data: bytes) -> None:
+        """The payload of one DATAGRAM frame."""
+
+    def connection_closed(self, code: int, reason: str) -> None:
+        """The connection closed: locally, by the peer's CONNECTION_CLOSE or
+        on a detected failure.  Not called for :meth:`QuicConnection.abandon`."""
+
+    def liveness_changed(self, old: str, new: str) -> None:
+        """An in-band liveness transition.  Only transport-*detected* ones
+        (consecutive PTOs, ACK recovery, idle timeout, PTO give-up) — never
+        a locally or peer-initiated close, which is announced, not detected.
+        A ``dead`` transition comes before :meth:`connection_closed`."""
+
+
 class QuicConnection:
     """One end of a QUIC connection.
 
@@ -278,10 +306,7 @@ class QuicConnection:
         "used_0rtt",
         "early_data_accepted",
         "on_handshake_complete",
-        "on_stream_data",
-        "on_datagram",
-        "on_closed",
-        "on_liveness",
+        "delegate",
         "liveness",
         "liveness_cause",
         "suspected_at",
@@ -345,17 +370,9 @@ class QuicConnection:
         self.used_0rtt = False
         self.early_data_accepted = False
 
-        # Application callbacks.
+        # The application above: the endpoint's hook, then the delegate.
         self.on_handshake_complete: Callable[["QuicConnection"], None] | None = None
-        self.on_stream_data: Callable[[int, bytes, bool], None] | None = None
-        self.on_datagram: Callable[[bytes], None] | None = None
-        self.on_closed: Callable[[int, str], None] | None = None
-        #: Observer of in-band liveness transitions, invoked as
-        #: ``on_liveness(connection, old_state, new_state)``.  Fires only for
-        #: transport-*detected* transitions (consecutive PTOs, ACK recovery,
-        #: idle timeout, PTO give-up) — never for locally or peer-initiated
-        #: closes, which are announced, not detected.
-        self.on_liveness: Callable[["QuicConnection", str, str], None] | None = None
+        self.delegate: ConnectionDelegate | None = None
 
         # In-band liveness state (healthy / suspect / dead).
         self.liveness = LIVENESS_HEALTHY
@@ -628,7 +645,9 @@ class QuicConnection:
             raise QuicConnectionError(TransportErrorCode.PROTOCOL_VIOLATION, "connection closed")
         sequence = self._next_uni_sequence
         self._next_uni_sequence = sequence + 1
-        stream_id = make_stream_id(sequence, self.is_client, StreamDirection.UNIDIRECTIONAL)
+        # make_stream_id(sequence, is_client, UNIDIRECTIONAL), inline: one
+        # call fewer per subscriber per object.
+        stream_id = (sequence << 2) | (0x2 if self.is_client else 0x3)
         self._send_stream(stream_id, 0, chunk, True)
         return stream_id
 
@@ -850,8 +869,8 @@ class QuicConnection:
             self.suspected_at = self._simulator.now
         elif state == LIVENESS_DEAD:
             self.dead_at = self._simulator.now
-        if self.on_liveness is not None:
-            self.on_liveness(self, old, state)
+        if self.delegate is not None:
+            self.delegate.liveness_changed(old, state)
 
     def _on_loss_timeout(self) -> None:
         if self.closed or not self._unacked:
@@ -1219,19 +1238,19 @@ class QuicConnection:
                     self._peer_uni_above = {sequence}
                 else:
                     above.add(sequence)
-                if fin and offset == 0 and self.on_stream_data is not None:
+                if fin and offset == 0 and self.delegate is not None:
                     # One-shot unidirectional stream delivered whole in its
                     # first frame — the fan-out data path.  Complete it
                     # without materialising stream state; the seen-record
                     # above replaces ``receive_closed`` for duplicate
                     # suppression.
-                    self.on_stream_data(stream_id, data, True)
+                    self.delegate.stream_data_received(stream_id, data, True)
                     return
             stream = QuicStream(stream_id)
             self._streams[stream_id] = stream
-        if stream._on_data is None and self.on_stream_data is not None:
-            stream.set_data_callback(self.on_stream_data)
-        stream.receive(offset, data, fin)
+        delivered = stream.receive(offset, data, fin)
+        if delivered is not None and self.delegate is not None:
+            self.delegate.stream_data_received(stream_id, *delivered)
 
     def _on_ack(self, largest: int) -> None:
         # Cumulative ACK: the peer's received-set is gap-free from packet 0,
@@ -1269,8 +1288,8 @@ class QuicConnection:
 
     def _on_datagram_frame(self, data: bytes) -> None:
         self.statistics.datagrams_received += 1
-        if self.on_datagram is not None:
-            self.on_datagram(data)
+        if self.delegate is not None:
+            self.delegate.datagram_frame_received(data)
 
     def _apply_ack(self, acked: "list[int] | tuple[int, ...]", largest: int) -> None:
         self._consecutive_loss_timeouts = 0
@@ -1340,7 +1359,7 @@ class QuicConnection:
         self.closed = True
         self.close_reason = reason
         # An announced close (local or via CONNECTION_CLOSE) ends liveness
-        # tracking without an observer callback: nothing was *detected*.
+        # tracking without telling the delegate: nothing was *detected*.
         # The transitions that arrived here through the detectors (idle
         # expiry, PTO give-up) already stamped their cause via _set_liveness.
         if self.liveness != LIVENESS_DEAD:
@@ -1348,8 +1367,8 @@ class QuicConnection:
             self.liveness_cause = "closed"
             self.dead_at = self._simulator.now
         self._teardown()
-        if self.on_closed is not None:
-            self.on_closed(code, reason)
+        if self.delegate is not None:
+            self.delegate.connection_closed(code, reason)
 
     def _teardown(self) -> None:
         """Stop the timers, drop the window-blocked packets and empty the

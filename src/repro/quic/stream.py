@@ -11,7 +11,6 @@ opened by the publisher.
 from __future__ import annotations
 
 import enum
-from typing import Callable
 
 
 class StreamDirection(enum.Enum):
@@ -81,29 +80,23 @@ class QuicStream:
 
     The send side is an offset counter — the connection frames each write
     as it is made — and the receive side reassembles incoming ``STREAM``
-    frames and hands contiguous data to the registered callback.
+    frames and returns the contiguous data to the connection.
     """
 
     __slots__ = (
         "stream_id",
         "_send_offset",
         "_receive",
-        "_on_data",
         "send_closed",
         "receive_closed",
         "bytes_sent",
         "bytes_received",
     )
 
-    def __init__(
-        self,
-        stream_id: int,
-        on_data: Callable[[int, bytes, bool], None] | None = None,
-    ) -> None:
+    def __init__(self, stream_id: int) -> None:
         self.stream_id = stream_id
         self._send_offset = 0
         self._receive = _ReceiveBuffer()
-        self._on_data = on_data
         self.send_closed = False
         self.receive_closed = False
         self.bytes_sent = 0
@@ -115,10 +108,6 @@ class QuicStream:
         if stream_is_unidirectional(self.stream_id):
             return StreamDirection.UNIDIRECTIONAL
         return StreamDirection.BIDIRECTIONAL
-
-    def set_data_callback(self, callback: Callable[[int, bytes, bool], None]) -> None:
-        """Install the callback invoked with (stream_id, data, fin)."""
-        self._on_data = callback
 
     # ------------------------------------------------------------------- send
     def write(self, data: bytes, fin: bool = False) -> int:
@@ -133,13 +122,14 @@ class QuicStream:
         return offset
 
     # ---------------------------------------------------------------- receive
-    def receive(self, offset: int, data: bytes, fin: bool) -> None:
+    def receive(self, offset: int, data: bytes, fin: bool) -> tuple[bytes, bool] | None:
         """Process an incoming STREAM frame for this stream.
 
-        Duplicate frames (retransmissions whose original — or whose ACK — was
-        merely delayed, not lost) deliver nothing new and must not re-invoke
-        the callback: a second ``finished`` notification would make stream
-        consumers process the FIN twice.
+        Returns what it makes deliverable — ``(contiguous bytes, fin)``, which
+        the connection hands to its delegate — or ``None`` when it makes
+        nothing deliverable.  Duplicate frames (retransmissions whose original
+        — or whose ACK — was merely delayed, not lost) deliver nothing new: a
+        second ``fin`` would make stream consumers process the FIN twice.
         """
         already_finished = self.receive_closed
         contiguous, finished = self._receive.receive(offset, data, fin)
@@ -147,5 +137,6 @@ class QuicStream:
         if finished:
             self.receive_closed = True
         newly_finished = finished and not already_finished
-        if (contiguous or newly_finished) and self._on_data is not None:
-            self._on_data(self.stream_id, contiguous, newly_finished)
+        if contiguous or newly_finished:
+            return contiguous, newly_finished
+        return None

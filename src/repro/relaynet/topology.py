@@ -66,6 +66,7 @@ from repro.relaynet.spec import RelayTreeSpec
 
 if TYPE_CHECKING:
     from repro.relaynet.origincluster import ClusterOrigin, OriginCluster
+    from repro.telemetry.spans import SpanTracer
 
 
 @dataclass(eq=False)
@@ -168,24 +169,18 @@ class TreeSubscriber:
         full_track_name: FullTrackName,
         on_object: Callable[[MoqtObject], None] | None,
     ) -> TrackReceiver:
-        """A receiver for one more followed track, not yet subscribed.
-
-        Its sink records the delivery span, then calls ``on_object``.
-        """
-
-        def sink(obj: MoqtObject) -> None:
-            # Span tracing (delivery leg): observational only.
-            spans = self.host.network.telemetry.spans
-            if spans is not None:
-                spans.record_delivery(
-                    obj.location, self.leaf.host.address, self.index, self.host.simulator.now
-                )
-            if on_object is not None:
-                on_object(obj)
-
-        track = TrackReceiver(full_track_name, sink, counters=self)
+        """A receiver for one more followed track, not yet subscribed: it
+        hands each object to ``on_object`` and, while span tracing is on,
+        records the delivery through :meth:`record_delivery`."""
+        track = TrackReceiver(full_track_name, on_object, self, self.host.network.telemetry)
         self.tracks.append(track)
         return track
+
+    def record_delivery(self, spans: SpanTracer, obj: MoqtObject) -> None:
+        """Span tracing, delivery leg: observational only."""
+        spans.record_delivery(
+            obj.location, self.leaf.host.address, self.index, self.host.simulator.now
+        )
 
     # ------------------------------------------------------------- statistics
     @property

@@ -28,6 +28,8 @@ from repro.quic.connection import ConnectionConfig
 from repro.quic.endpoint import QuicEndpoint
 from repro.quic.tls import ServerTlsContext
 
+from connection_delegate import delegate_to
+
 MSS = DEFAULT_MSS
 
 
@@ -240,7 +242,9 @@ class TestConnectionIntegration:
         received: list[bytes] = []
 
         def handler(connection):
-            connection.on_stream_data = lambda stream_id, data, fin: received.append(data)
+            delegate_to(
+                connection, on_stream_data=lambda stream_id, data, fin: received.append(data)
+            )
 
         QuicEndpoint(
             network.host(SERVER),
@@ -281,8 +285,9 @@ class TestConnectionIntegration:
             received: list[bytes] = []
 
             def handler(connection):
-                connection.on_stream_data = (
-                    lambda stream_id, data, fin: received.append(bytes(data))
+                delegate_to(
+                    connection,
+                    on_stream_data=lambda stream_id, data, fin: received.append(bytes(data)),
                 )
 
             QuicEndpoint(

@@ -43,6 +43,7 @@ from repro.quic.packet import Packet, PacketType
 from repro.quic.tls import ServerHello
 from repro.relaynet import RelayTreeBuilder, RelayTreeSpec
 
+from connection_delegate import delegate_to
 from link_reference import transmit
 
 SRC = Address("src-host", 1000)
@@ -389,7 +390,10 @@ class TestOneShotReceivePath:
         _, sender = _make_connection(sent)
         _, receiver = _make_connection([], is_client=False)
         receiver.handshake_complete = True
-        receiver.on_stream_data = lambda sid, data, fin: received.append((sid, bytes(data), fin))
+        delegate_to(
+            receiver,
+            on_stream_data=lambda sid, data, fin: received.append((sid, bytes(data), fin)),
+        )
         sender.send_encoded_stream(b"stream-payload")
         receiver.datagram_received(sent[0])
         assert received == [(2, b"stream-payload", True)]
@@ -401,7 +405,7 @@ class TestOneShotReceivePath:
         simulator, sender = _make_connection(sent)
         _, receiver = _make_connection([], is_client=False)
         receiver.handshake_complete = True
-        receiver.on_stream_data = lambda sid, data, fin: received.append(bytes(data))
+        delegate_to(receiver, on_stream_data=lambda sid, data, fin: received.append(bytes(data)))
         sender.send_encoded_stream(b"once-only")
         simulator.run(until=sender.probe_timeout + 0.001)  # force a retransmit
         assert len(sent) == 2

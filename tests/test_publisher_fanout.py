@@ -603,7 +603,7 @@ def test_a_subscribe_behind_the_message_that_closed_the_session_is_dropped(make_
     (server_session,) = driver.rig.sessions()
     chunk = ClientSetup(supported_versions=(1,)).encode()
     chunk += Subscribe(request_id=0, track_alias=1, full_track_name=driver.rig.tracks[0]).encode()
-    server_session._on_stream_data(0, chunk, False)
+    server_session.stream_data_received(0, chunk, False)
     assert server_session.closed
     assert driver.rig.records(0) == []
     driver.publish(0)

@@ -13,6 +13,8 @@ from repro.quic.endpoint import QuicEndpoint
 from repro.quic.stream import StreamDirection
 from repro.quic.tls import ServerTlsContext
 
+from connection_delegate import delegate_to
+
 SERVER = "9.9.9.9"
 CLIENT = "10.0.0.1"
 RTT = 0.1
@@ -32,7 +34,7 @@ def _build(loss_rate: float = 0.0, server_accept_early: bool = True, keepalive=N
             stream = connection.get_or_create_stream(stream_id)
             connection.send_stream_data(stream, b"echo:" + data, fin=True)
 
-        connection.on_stream_data = on_data
+        delegate_to(connection, on_stream_data=on_data)
         server_connections.append(connection)
 
     server_endpoint = QuicEndpoint(
@@ -69,7 +71,9 @@ class TestHandshake:
             c.send_stream_data(stream, b"ping", fin=True)
 
         connection.on_handshake_complete = after_handshake
-        connection.on_stream_data = lambda sid, data, fin: replies.append((simulator.now, data))
+        delegate_to(
+            connection, on_stream_data=lambda sid, data, fin: replies.append((simulator.now, data))
+        )
         simulator.run(until=5.0)
         assert replies[0][0] == pytest.approx(2 * RTT)
         assert replies[0][1] == b"echo:ping"
@@ -100,7 +104,7 @@ class TestZeroRtt:
 
         second = client_ep.connect(Address(SERVER, 4443), config)
         replies = []
-        second.on_stream_data = lambda sid, data, fin: replies.append(simulator.now)
+        delegate_to(second, on_stream_data=lambda sid, data, fin: replies.append(simulator.now))
         stream = second.open_stream()
         start = simulator.now
         second.send_stream_data(stream, b"early", fin=True)
@@ -115,7 +119,9 @@ class TestZeroRtt:
         simulator.run(until=1.0)
         second = client_ep.connect(Address(SERVER, 4443), config)
         replies = []
-        second.on_stream_data = lambda sid, data, fin: replies.append((simulator.now, data))
+        delegate_to(
+            second, on_stream_data=lambda sid, data, fin: replies.append((simulator.now, data))
+        )
         start = simulator.now
         stream = second.open_stream()
         second.send_stream_data(stream, b"early", fin=True)
@@ -144,7 +150,7 @@ class TestReliabilityAndLifecycle:
             c.send_stream_data(stream, b"lossy", fin=True)
 
         connection.on_handshake_complete = after_handshake
-        connection.on_stream_data = lambda sid, data, fin: replies.append(data)
+        delegate_to(connection, on_stream_data=lambda sid, data, fin: replies.append(data))
         simulator.run(until=60.0)
         assert replies and replies[0] == b"echo:lossy"
         assert connection.statistics.retransmissions >= 0
@@ -155,7 +161,7 @@ class TestReliabilityAndLifecycle:
         received = []
         connection.on_handshake_complete = lambda c: c.send_datagram_frame(b"unreliable")
         simulator.run(until=1.0)
-        server_connections[0].on_datagram = received.append
+        delegate_to(server_connections[0], on_datagram=received.append)
         connection.send_datagram_frame(b"second")
         simulator.run(until=2.0)
         assert received == [b"second"]
@@ -166,7 +172,7 @@ class TestReliabilityAndLifecycle:
         config = ConnectionConfig(alpn_protocols=("moq-00",), idle_timeout=1.0)
         connection = client_ep.connect(Address(SERVER, 4443), config)
         closed = []
-        connection.on_closed = lambda code, reason: closed.append(reason)
+        delegate_to(connection, on_closed=lambda code, reason: closed.append(reason))
         simulator.run(until=10.0)
         assert connection.closed
         assert closed and "idle" in closed[0]
@@ -215,7 +221,7 @@ class TestTimerEdgeCases:
         config = ConnectionConfig(alpn_protocols=("moq-00",), idle_timeout=1.0)
         connection = client_ep.connect(Address(SERVER, 4443), config)
         closed_at = []
-        connection.on_closed = lambda code, reason: closed_at.append(simulator.now)
+        delegate_to(connection, on_closed=lambda code, reason: closed_at.append(simulator.now))
         simulator.run(until=0.8)
         stream = connection.open_stream()
         connection.send_stream_data(stream, b"extend", fin=True)  # deadline moves
@@ -309,7 +315,7 @@ class TestLivenessStateMachine:
         sent = []
         connection = _isolated_connection(simulator, sent)
         transitions = []
-        connection.on_liveness = lambda c, old, new: transitions.append((old, new))
+        delegate_to(connection, on_liveness=lambda old, new: transitions.append((old, new)))
         connection.start_handshake()
         self._run_ptos(
             simulator, connection, connection.LIVENESS_SUSPECT_AFTER - 1
@@ -326,8 +332,11 @@ class TestLivenessStateMachine:
         sent = []
         connection = _isolated_connection(simulator, sent)
         transitions = []
-        connection.on_liveness = lambda c, old, new: transitions.append(
-            (old, new, c.liveness_cause)
+        delegate_to(
+            connection,
+            on_liveness=lambda old, new: transitions.append(
+                (old, new, connection.liveness_cause)
+            ),
         )
         connection.start_handshake()
         self._run_ptos(simulator, connection, connection.LIVENESS_SUSPECT_AFTER)
@@ -348,7 +357,7 @@ class TestLivenessStateMachine:
         sent = []
         connection = _isolated_connection(simulator, sent)
         suspected = []
-        connection.on_liveness = lambda c, old, new: suspected.append(simulator.now)
+        delegate_to(connection, on_liveness=lambda old, new: suspected.append(simulator.now))
         connection.start_handshake()  # unacknowledged send at t=0
         pto = connection.probe_timeout
         self._run_ptos(simulator, connection, connection.LIVENESS_SUSPECT_AFTER)
@@ -359,7 +368,7 @@ class TestLivenessStateMachine:
         sent = []
         connection = _isolated_connection(simulator, sent)
         transitions = []
-        connection.on_liveness = lambda c, old, new: transitions.append((old, new))
+        delegate_to(connection, on_liveness=lambda old, new: transitions.append((old, new)))
         connection.close(reason="done")
         assert connection.liveness == "dead"
         assert transitions == [], "announced closes are not detections"
@@ -369,7 +378,7 @@ class TestLivenessStateMachine:
         sent = []
         connection = _isolated_connection(simulator, sent)
         closed = []
-        connection.on_closed = lambda code, reason: closed.append(reason)
+        delegate_to(connection, on_closed=lambda code, reason: closed.append(reason))
         connection.start_handshake()
         wire_before = len(sent)
         connection.abandon()

@@ -45,6 +45,8 @@ from repro.quic.varint import MAX_VARINT, varint_size
 from repro.telemetry.collect import collect_network
 from repro.telemetry.metrics import MetricsRegistry
 
+from connection_delegate import delegate_to
+
 SERVER = "9.9.9.9"
 CLIENT = "10.0.0.1"
 
@@ -445,8 +447,11 @@ def _connected_pair():
         Address(SERVER, 4443), ConnectionConfig(alpn_protocols=("moq-00",), idle_timeout=1e6)
     )
     delivered: list[tuple] = []
-    connection.on_stream_data = lambda sid, data, fin: delivered.append((sid, data, fin))
-    connection.on_datagram = lambda data: delivered.append(("datagram", data))
+    delegate_to(
+        connection,
+        on_stream_data=lambda sid, data, fin: delivered.append((sid, data, fin)),
+        on_datagram=lambda data: delivered.append(("datagram", data)),
+    )
     simulator.run(until=1.0)
     assert connection.handshake_complete
     return simulator, network, server, client, connection, delivered
@@ -560,7 +565,7 @@ def test_a_crypto_frame_without_a_hello_closes_the_connection():
     for hello in _hostile_hellos(SERVER_HELLO, CLIENT_HELLO):
         simulator, network, _, client, connection, _ = _connected_pair()
         closes = []
-        connection.on_closed = lambda code, reason: closes.append(code)
+        delegate_to(connection, on_closed=lambda code, reason: closes.append(code))
         packet = Packet(PacketType.HANDSHAKE, connection.connection_id, 900, (CryptoFrame(hello),))
         _inject(simulator, network, client, packet.encode())
         simulator.run_until_idle()
@@ -603,7 +608,9 @@ def _isolated(is_client=False, handshake_complete=True):
 def test_valid_frame_followed_by_a_truncated_frame_delivers_nothing():
     connection, sent = _isolated()
     delivered = []
-    connection.on_stream_data = lambda sid, data, fin: delivered.append((sid, data, fin))
+    delegate_to(
+        connection, on_stream_data=lambda sid, data, fin: delivered.append((sid, data, fin))
+    )
     good = StreamFrame(2, 0, b"would-be-delivered", True).encode()
     cut = StreamFrame(6, 0, b"never-arrives-whole", True).encode()[:-4]
     payload = good + cut
@@ -624,7 +631,7 @@ def test_frames_after_a_connection_close_are_still_walked():
     """Pinned parent behaviour: the loop does not stop at CONNECTION_CLOSE."""
     connection, sent = _isolated()
     delivered = []
-    connection.on_stream_data = lambda sid, data, fin: delivered.append(data)
+    delegate_to(connection, on_stream_data=lambda sid, data, fin: delivered.append(data))
     frames = (ConnectionCloseFrame(0, "bye"), StreamFrame(2, 0, b"after-close", True))
     connection.datagram_received(Packet(PacketType.ONE_RTT, 77, 0, frames).encode())
     assert connection.closed and connection.close_reason == "bye"
@@ -694,7 +701,7 @@ def test_only_decode_errors_are_swallowed():
     def broken(stream_id, data, fin):
         raise RuntimeError("application bug")
 
-    connection.on_stream_data = broken
+    delegate_to(connection, on_stream_data=broken)
     frame = StreamFrame(3, 0, b"payload", True)
     datagram = Packet(PacketType.ONE_RTT, connection.connection_id, 900, (frame,)).encode()
     with pytest.raises(RuntimeError, match="application bug"):
@@ -722,7 +729,7 @@ def _one_shot(sequence: int, packet_number: int, body: bytes = b"obj") -> bytes:
 def _receiver():
     connection, _ = _isolated(is_client=False)
     delivered: list[int] = []
-    connection.on_stream_data = lambda sid, data, fin: delivered.append(sid >> 2)
+    delegate_to(connection, on_stream_data=lambda sid, data, fin: delivered.append(sid >> 2))
     return connection, delivered
 
 
@@ -788,7 +795,9 @@ def test_a_gap_is_held_until_filled_and_duplicates_above_it_are_suppressed():
 def test_a_fragmented_stream_does_not_stall_the_floor():
     connection, _ = _receiver()
     chunks = []
-    connection.on_stream_data = lambda sid, data, fin: chunks.append((sid >> 2, data, fin))
+    delegate_to(
+        connection, on_stream_data=lambda sid, data, fin: chunks.append((sid >> 2, data, fin))
+    )
     connection.datagram_received(_one_shot(0, 0))
     # Stream 1 arrives in two frames: it gets real stream state ...
     first = StreamFrame((1 << 2) | 0x2, 0, b"frag", False)
@@ -812,7 +821,7 @@ def test_a_held_fragment_survives_reuse_of_the_callers_buffer():
     overwrite."""
     connection, _ = _receiver()
     chunks = []
-    connection.on_stream_data = lambda sid, data, fin: chunks.append((data, fin))
+    delegate_to(connection, on_stream_data=lambda sid, data, fin: chunks.append((data, fin)))
     stream_id = (1 << 2) | 0x2
     late = Packet(PacketType.ONE_RTT, 77, 0, (StreamFrame(stream_id, 4, b"ment", True),)).encode()
     buffer = bytearray(late)

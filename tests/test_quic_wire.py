@@ -154,20 +154,16 @@ class TestStreamIds:
 
 class TestStreamReassembly:
     def test_in_order_delivery(self):
-        received = []
-        stream = QuicStream(0, on_data=lambda sid, data, fin: received.append((data, fin)))
-        stream.receive(0, b"hello ", False)
-        stream.receive(6, b"world", True)
+        stream = QuicStream(0)
+        received = [stream.receive(0, b"hello ", False), stream.receive(6, b"world", True)]
         assert received == [(b"hello ", False), (b"world", True)]
         assert stream.receive_closed
+        assert stream.receive(6, b"world", True) is None  # a duplicate delivers nothing
 
     def test_out_of_order_reassembly(self):
-        received = []
-        stream = QuicStream(0, on_data=lambda sid, data, fin: received.append((data, fin)))
-        stream.receive(6, b"world", True)
-        assert received == []
-        stream.receive(0, b"hello ", False)
-        assert received == [(b"hello world", True)]
+        stream = QuicStream(0)
+        assert stream.receive(6, b"world", True) is None
+        assert stream.receive(0, b"hello ", False) == (b"hello world", True)
 
     def test_write_after_fin_rejected(self):
         stream = QuicStream(0)

@@ -86,6 +86,8 @@ from repro.quic.frames import (
 from repro.quic.packet import Packet, PacketType
 from repro.quic.tls import ServerTlsContext, SessionTicket, SessionTicketStore
 
+from connection_delegate import delegate_to
+
 #: Both sides of every varint width boundary, plus the extremes.
 _EDGES = (0, 1, 63, 64, 16383, 16384, (1 << 30) - 1, 1 << 30, (1 << 62) - 1)
 varints = st.one_of(st.sampled_from(_EDGES), st.integers(min_value=0, max_value=(1 << 62) - 1))
@@ -305,8 +307,11 @@ class _Pair:
             config=ConnectionConfig(initial_rtt=4 * PIPE_DELAY),
             server_tls=ServerTlsContext(("moq-00",), accept_early_data=accept_early_data),
         )
-        self.server.on_stream_data = lambda stream_id, data, fin: self.delivered.append(
-            (stream_id, data, fin)
+        delegate_to(
+            self.server,
+            on_stream_data=lambda stream_id, data, fin: self.delivered.append(
+                (stream_id, data, fin)
+            ),
         )
         self.stream = self.client.open_stream()
 

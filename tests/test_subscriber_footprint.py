@@ -60,6 +60,8 @@ from repro.quic.packet import Packet, PacketType
 from repro.quic.tls import ServerHello, SessionTicket, SessionTicketStore
 from repro.relaynet import RelayTreeBuilder, RelayTreeSpec
 
+from connection_delegate import delegate_to
+
 SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
 
@@ -75,18 +77,22 @@ def _star(seed: int = 3):
 
 # ------------------------------------------------------------------ (a) budget
 #: Live bytes / blocks one more attached subscriber keeps under ``src/`` on a
-#: one-relay star of 256: 10,323 B in 126.2 blocks measured on CPython 3.11
-#: (10,355 B while each ``Link`` also kept its simulator and a ``batchable``
-#: flag).  Other versions were last measured against 10,888 B on 3.11 (3.10
-#: read 11,268 B, 3.12 10,863 B, 3.13 10,882 B).  The budget is the 3.11
-#: figure plus 5 %.
-BYTES_BUDGET = 10_840
-BLOCKS_BUDGET = 132.5
+#: one-relay star of 256: 9,366 B in 112.1 blocks measured on CPython 3.11
+#: (3.10 reads 9,738 B, 3.12 9,341 B, 3.13 9,351 B).  10,323 B in 126.2 blocks
+#: while each session installed four bound methods as connection callbacks
+#: (8 x 64 B), each tree subscriber's receiver had a ``sink`` closure (288 B)
+#: and ``Location`` was a dataclass; 10,355 B while each ``Link`` also kept
+#: its simulator and a ``batchable`` flag.  The budget is the 3.11 figure
+#: plus 5 %.
+BYTES_BUDGET = 9_835
+BLOCKS_BUDGET = 117.7
 
 _WHERE_IT_GOES = """
 per subscriber: client host + two link directions + client endpoint (netsim, endpoint.py),
-two QuicConnections and two MoqtSessions (client side and the relay's accepted side),
-the TreeSubscriber with its TrackReceiver, the relay's PublisherSubscription.
+two QuicConnections and two MoqtSessions (client side and the relay's accepted side; each
+session is its connection's delegate, nothing is installed per connection), the
+TreeSubscriber with its TrackReceiver (which calls the application's partial itself),
+the relay's PublisherSubscription.
 A table exists once its role is played: a new container created empty in
 QuicConnection.__init__ / MoqtSession.__init__ is what this budget is for
 (docs/state.md lists what is there and what was deliberately left)."""
@@ -235,16 +241,18 @@ class TestStateFollowsRole:
         subscription = session.subscribe(TRACK, on_object=received.append)
         obj = MoqtObject(group_id=2, object_id=0, payload=b"x" * 300)
         chunk = encode_subgroup_stream_chunk(subscription.track_alias, obj)
-        session._on_stream_data(3, chunk[:7], False)
+        session.stream_data_received(3, chunk[:7], False)
         assert session._stream_parsers is not _UNUSED and list(session._stream_parsers) == [3]
-        session._on_stream_data(3, chunk[7:], True)
+        session.stream_data_received(3, chunk[7:], True)
         assert received == [obj] and not session._stream_parsers
 
     def test_a_stream_arriving_out_of_order_builds_the_set_and_draining_drops_it(self):
         delivered = []
         connection = _bare_connection(Simulator(), [], is_client=False)
         connection.handshake_complete = True
-        connection.on_stream_data = lambda stream_id, data, fin: delivered.append(stream_id)
+        delegate_to(
+            connection, on_stream_data=lambda stream_id, data, fin: delivered.append(stream_id)
+        )
         first, second, third = (2 + (sequence << 2) for sequence in range(3))
         connection._on_stream_frame(int(PacketType.ONE_RTT), third, 0, b"c", True)
         assert connection.stream_reorder_backlog == 1

@@ -21,7 +21,9 @@ fallback off by one, a stale SUBSCRIBE answer or one that follows a release
 issuing the FETCH, the owner's hook running after the FETCH, a plain
 SUBSCRIBE's hook being wrapped, a refusal releasing the hold-back its own
 hook had just handed to a newer attach); every removal fails the schedule
-property or one of the named cases below it.
+property or one of the named cases below it.  So do a release that goes
+through a subclass's ``on_object`` (a relay's uplink count repeated) and a
+delivery span decided at attach time instead of at delivery.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ from repro.moqt.receiver import (
     ReceiverCounters,
     TrackReceiver,
 )
+from repro.moqt.relay import RelayStatistics, RelayTrack
 from repro.moqt.session import Subscription
+from repro.telemetry import Telemetry
 
 
 def obj(group: int) -> MoqtObject:
@@ -435,6 +439,45 @@ class TestGuards:
             accepted.on_object(obj(group))
         fetch.complete(True, [3, 4])
         assert sunk == [2, 3, 4, 5, 6]
+
+    def test_a_release_does_not_repeat_the_uplink_count(self):
+        # RelayTrack.on_object counts what the uplink delivered, before dedupe
+        # and hold-back; the release delivers through the receiver's own
+        # on_object, so released objects are not counted again.
+        statistics = RelayStatistics()
+        forwarded: list[int] = []
+        track = RelayTrack(TRACK, lambda t, o: forwarded.append(o.group_id), statistics)
+        log: list = []
+        first = track.subscribe(FakeSession(log))
+        for group in (2, 3):
+            first.on_object(obj(group))
+        session = FakeSession(log)
+        second = track.subscribe(session, recover=True)
+        second.state = "active"
+        second.on_response(second)
+        for group in (6, 5, 6):
+            second.on_object(obj(group))
+        session.fetches[0].complete(True, [3, 4])
+        assert forwarded == [2, 3, 4, 5, 6]
+        assert statistics.objects_received == 5, "two live, three held: each counted once"
+        assert statistics.recovered_objects == 1 and statistics.duplicate_objects_dropped == 2
+
+    def test_the_delivery_span_follows_tracing_at_delivery_time(self):
+        class Owner(ReceiverCounters):
+            def record_delivery(self, spans, o):
+                spans.append(o.group_id)
+
+        telemetry = Telemetry()
+        sunk: list[int] = []
+        receiver = TrackReceiver(TRACK, lambda o: sunk.append(o.group_id), Owner(), telemetry)
+        receiver.subscribe(FakeSession([]))
+        receiver.on_object(obj(1))
+        telemetry.spans = spans = []  # switched on mid-run
+        receiver.on_object(obj(2))
+        receiver.on_object(obj(2))  # a duplicate is not delivered, so not traced
+        telemetry.spans = None
+        receiver.on_object(obj(3))
+        assert sunk == [1, 2, 3] and spans == [2]
 
     def test_dedupe_window_stays_bounded(self):
         harness = Harness()
