@@ -221,10 +221,10 @@ class MoqAuthoritativeServer:
         header = Header(message_id=0, flags=flags, opcode=key.opcode, rcode=result.rcode)
         return Message(
             header=header,
-            questions=[key.to_question()],
-            answers=list(result.answers),
-            authorities=list(result.authorities),
-            additionals=list(result.additionals),
+            questions=(key.to_question(),),
+            answers=result.answers,
+            authorities=result.authorities,
+            additionals=result.additionals,
         )
 
     @staticmethod

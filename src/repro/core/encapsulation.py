@@ -17,8 +17,6 @@ byte-identical objects, as MoQT requires.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.core.errors import MappingError
 from repro.dns.errors import DnsFormatError
 from repro.dns.message import Header, Message
@@ -33,7 +31,8 @@ def normalize_response(message: Message) -> Message:
 
     The message ID has no meaning in a pub/sub track shared by many
     subscribers; normalising it guarantees identical payloads for identical
-    record versions.
+    record versions.  The sections are immutable, so the new message shares
+    them.
     """
     header = Header(
         message_id=0,
@@ -43,10 +42,10 @@ def normalize_response(message: Message) -> Message:
     )
     return Message(
         header=header,
-        questions=list(message.questions),
-        answers=list(message.answers),
-        authorities=list(message.authorities),
-        additionals=list(message.additionals),
+        questions=message.questions,
+        answers=message.answers,
+        authorities=message.authorities,
+        additionals=message.additionals,
     )
 
 

@@ -3,7 +3,8 @@
 One :class:`QuestionRecord` per question, updated in place; one coalescer of
 concurrent lookups; one SUBSCRIBE + joining-FETCH attempt under a timeout
 (:class:`SubscribeFetch`, a Fig. 2 step); one ingest of the objects the
-subscription pushes afterwards; one classic-DNS front for unmodified stubs.
+subscription pushes afterwards, through one decode memo per simulation
+(:class:`AnswerMemo`); one classic-DNS front for unmodified stubs.
 What each role adds, and what is alive during a lookup and after it, is
 ``docs/resolvers.md``.  The rule for the latter: a finished attempt drops its
 timer, its callback and the subscription's ``on_response``, so all a question
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
+from weakref import WeakKeyDictionary
 
 from repro.core.encapsulation import decapsulate_response
 from repro.core.errors import MappingError
@@ -28,7 +30,7 @@ from repro.moqt.objectmodel import MoqtObject
 from repro.moqt.session import FetchRequest, Subscription
 from repro.netsim.node import Host
 from repro.netsim.packet import Address
-from repro.netsim.simulator import Timer
+from repro.netsim.simulator import Simulator, Timer
 
 
 @dataclass(slots=True)
@@ -47,6 +49,52 @@ class QuestionRecord:
     subscribed: bool = True
     via_moqt: bool = True
     pushed_updates: int = 0
+
+
+class AnswerMemo:
+    """Decoded responses by payload bytes, shared by the roles of one simulation.
+
+    A pushed answer crosses several roles (authoritative -> recursive ->
+    forwarder) as the same bytes.  Each role still runs its decode, but after
+    the first it is a dictionary hit that hands back the instance the first
+    parse produced.  ``Message`` is immutable, so sharing it is safe, and a
+    verdict is a function of the bytes, so the malformed-push check is kept:
+    only successful decodes are stored, and a malformed payload raises
+    :class:`MappingError` at every role on every delivery.  Epoch eviction
+    (clear when full), as in ``moqt/messages.py``.
+
+    One memo per :class:`Simulator` (:func:`answer_memo`), not per process:
+    a simulation's decodes never depend on which simulations ran before it.
+    """
+
+    __slots__ = ("_messages",)
+
+    MAX_ENTRIES = 512
+
+    def __init__(self) -> None:
+        self._messages: dict[bytes, Message] = {}
+
+    def decapsulate(self, obj: MoqtObject) -> Message:
+        """:func:`decapsulate_response`, once per distinct payload."""
+        payload = obj.payload
+        message = self._messages.get(payload)
+        if message is None:
+            message = decapsulate_response(obj)
+            if len(self._messages) >= self.MAX_ENTRIES:
+                self._messages.clear()
+            self._messages[payload] = message
+        return message
+
+
+_MEMOS: WeakKeyDictionary[Simulator, AnswerMemo] = WeakKeyDictionary()
+
+
+def answer_memo(simulator: Simulator) -> AnswerMemo:
+    """The memo every role driven by ``simulator`` decodes through."""
+    memo = _MEMOS.get(simulator)
+    if memo is None:
+        memo = _MEMOS[simulator] = AnswerMemo()
+    return memo
 
 
 class SubscribeFetch:
@@ -98,7 +146,7 @@ class SubscribeFetch:
         if fetch_request is not None and fetch_request.succeeded and fetch_request.objects:
             obj = fetch_request.objects[-1]
             try:
-                message = decapsulate_response(obj)
+                message = self.resolver.answers.decapsulate(obj)
             except MappingError:
                 pass
             else:
@@ -124,6 +172,8 @@ class SubscribingResolver:
     ) -> None:
         self.host = host
         self.simulator = host.simulator
+        # Shared with every other role of the simulation (``docs/dns-codec.md``).
+        self.answers = answer_memo(self.simulator)
         self.registry = SubscriptionRegistry(teardown_policy)
         self.sessions = UpstreamSessionManager(
             host, config=self.config.session_manager, session_config=self.config.moqt_session
@@ -213,7 +263,7 @@ class SubscribingResolver:
         """The publisher pushed a new version of a subscribed question's answer."""
         self.statistics.pushes_received += 1
         try:
-            message = decapsulate_response(obj)
+            message = self.answers.decapsulate(obj)
         except MappingError:
             return
         record = self._records.get(key)

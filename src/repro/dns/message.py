@@ -147,15 +147,20 @@ class Question:
         return f"{self.qname.to_text()} {self.qclass.to_text()} {self.qtype.to_text()}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Message:
-    """A complete DNS message."""
+    """A complete DNS message: an immutable value, sections as tuples.
+
+    One decoded instance may be shared by every role in the process that
+    received the same bytes (``core/encapsulation.py``), so nothing in it can
+    change after construction.
+    """
 
     header: Header = field(default_factory=Header)
-    questions: list[Question] = field(default_factory=list)
-    answers: list[ResourceRecord] = field(default_factory=list)
-    authorities: list[ResourceRecord] = field(default_factory=list)
-    additionals: list[ResourceRecord] = field(default_factory=list)
+    questions: tuple[Question, ...] = ()
+    answers: tuple[ResourceRecord, ...] = ()
+    authorities: tuple[ResourceRecord, ...] = ()
+    additionals: tuple[ResourceRecord, ...] = ()
 
     # ------------------------------------------------------------ convenience
     @property
@@ -229,7 +234,12 @@ class Message:
             for _ in range(count):
                 record, offset = ResourceRecord.from_wire(wire, offset, table)
                 section.append(record)
-        return cls(header, questions, *sections)
+        message = object.__new__(cls)  # filled in directly, like the header
+        fields = message.__dict__
+        fields["header"] = header
+        fields["questions"] = tuple(questions)
+        fields["answers"], fields["authorities"], fields["additionals"] = map(tuple, sections)
+        return message
 
     # ------------------------------------------------------------------- text
     def to_text(self) -> str:
@@ -273,7 +283,7 @@ def make_query(
         opcode=Opcode.QUERY,
         rcode=Rcode.NOERROR,
     )
-    return Message(header=header, questions=[Question(name, rdtype, qclass)])
+    return Message(header=header, questions=(Question(name, rdtype, qclass),))
 
 
 def make_response(
@@ -301,13 +311,13 @@ def make_response(
     )
     return Message(
         header=header,
-        questions=list(query.questions),
-        answers=list(answers),
-        authorities=list(authorities),
-        additionals=list(additionals),
+        questions=query.questions,
+        answers=tuple(answers),
+        authorities=tuple(authorities),
+        additionals=tuple(additionals),
     )
 
 
 def response_with_rrset(query: Message, rrset: RRset, **kwargs: object) -> Message:
     """Build a response whose answer section is the given RRset."""
-    return make_response(query, answers=list(rrset), **kwargs)  # type: ignore[arg-type]
+    return make_response(query, answers=tuple(rrset), **kwargs)  # type: ignore[arg-type]

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.dns.types import RecordType
 from repro.workload.toplist import SyntheticToplist, ToplistDomain
@@ -49,7 +50,12 @@ class QueryModel:
         self.toplist = toplist
         self.config = config if config is not None else QueryModelConfig()
         self._rng = random.Random(self.config.seed)
-        self._weights = self._zipf_weights(len(toplist), self.config.zipf_exponent)
+        # Cumulative, once: ``choices(weights=...)`` would re-accumulate all of
+        # them on every draw.  ``choices`` accumulates the same floats the same
+        # way, so the stream is the one ``weights=`` gives.
+        self._cum_weights = list(
+            accumulate(self._zipf_weights(len(toplist), self.config.zipf_exponent))
+        )
 
     @staticmethod
     def _zipf_weights(population: int, exponent: float) -> list[float]:
@@ -58,7 +64,9 @@ class QueryModel:
     def sample_domain(self, rng: random.Random | None = None) -> ToplistDomain:
         """Draw a domain according to Zipf popularity."""
         generator = rng if rng is not None else self._rng
-        index = generator.choices(range(len(self.toplist)), weights=self._weights, k=1)[0]
+        index = generator.choices(
+            range(len(self.toplist)), cum_weights=self._cum_weights, k=1
+        )[0]
         return self.toplist.domain(index + 1)
 
     def sample_type(self, domain: ToplistDomain, rng: random.Random | None = None) -> RecordType:

@@ -66,7 +66,7 @@ def decode_without_table(wire: bytes) -> Message:
         for _ in range(count):
             record, offset = ResourceRecord.from_wire(wire, offset)
             section.append(record)
-    return Message(header, questions, *sections)
+    return Message(header, tuple(questions), *map(tuple, sections))
 
 
 def outcome(decode, wire: bytes):
@@ -212,7 +212,9 @@ def written_messages(draw) -> tuple[bytes, Message]:
         "!HHHHHH", writer.out, 0, message_id, word, len(questions), *(map(len, sections))
     )
     flags, opcode, rcode = Flags.from_int(word)
-    return bytes(writer.out), Message(Header(message_id, flags, opcode, rcode), questions, *sections)
+    return bytes(writer.out), Message(
+        Header(message_id, flags, opcode, rcode), tuple(questions), *map(tuple, sections)
+    )
 
 
 # ------------------------------------------------------------- differential

@@ -1,0 +1,235 @@
+"""A DNS answer is decoded once per simulation (``docs/dns-codec.md`` § Lifetime).
+
+The chain ``build_workload_topology`` builds, and what one pushed answer
+costs along it::
+
+    authoritative server   encodes the new answer once, pushes the object
+          |  SUBSCRIBE (recursive -> authoritative)
+    recursive resolver     decodes it (the malformed-push check), stores the
+          |                Message, relays the same object unchanged
+          |  SUBSCRIBE (forwarder -> recursive)
+    forwarder              decodes the same bytes: a memo hit, the same Message
+
+Every role of one simulation decodes through one ``AnswerMemo``
+(``answer_memo(simulator)``), which keeps successful decodes by payload
+bytes, so the second role's decode is a dictionary hit.  Pinned here:
+
+* the decode budget: one zone change costs exactly one ``Message.from_wire``
+  in the simulation (without the memo it costs two), and a cold lookup's
+  forwarder answer is a hit on what the recursive resolver parsed;
+* the scope: each simulation has its own memo, so a simulation parses its
+  answers even when an identical one ran before it in the process;
+* memo safety: a hit cannot be mutated; a malformed payload is rejected at
+  every role on every delivery and never stored; over the codec corpus of
+  ``test_dns_codec.py`` a hit equals a fresh decode of the same bytes.
+
+Source mutations tried when this file was written, each failing a test: no
+memo (the budget, the shared-instance checks); failures stored in the memo
+(the malformed cases); a mutable ``Message`` with list sections (the frozen
+check); the memo seeded by ``encapsulate_response`` (the cold lookup's parse
+count); one memo for the whole process (the scope checks).
+"""
+
+from __future__ import annotations
+
+from dataclasses import FrozenInstanceError
+
+import pytest
+from hypothesis import given, settings
+
+from repro.core.errors import MappingError
+from repro.core.mapping import DnsQuestionKey
+from repro.core.subscribing import AnswerMemo, answer_memo
+from repro.dns.message import Message
+from repro.dns.rdata import ARdata
+from repro.dns.rr import ResourceRecord, RRset
+from repro.dns.types import RecordType
+from repro.experiments.topology import build_workload_topology
+from repro.moqt.objectmodel import MoqtObject
+from repro.moqt.session import publish_to
+from repro.workload.change_model import ChangeModel, ChangeModelConfig
+from repro.workload.toplist import SyntheticToplist, ToplistConfig
+from repro.workload.zones import WorkloadZones, ZoneBuildConfig
+from test_dns_codec import GOLDEN, MALFORMED, written_messages
+
+#: ``Message.from_wire`` calls one zone change costs the whole simulation.
+DECODES_PER_ZONE_CHANGE = 1
+SECTIONS = ("questions", "answers", "authorities", "additionals")
+
+
+def _count_decodes(monkeypatch) -> list[bytes]:
+    """Every wire ``Message.from_wire`` parses from now on."""
+    wires: list[bytes] = []
+    decode = Message.from_wire.__func__
+
+    def counting(cls, wire):
+        wires.append(bytes(wire))
+        return decode(cls, wire)
+
+    monkeypatch.setattr(Message, "from_wire", classmethod(counting))
+    return wires
+
+
+def _chain():
+    """Forwarder -> recursive -> authoritative over a small synthetic
+    hierarchy, and the names of its A records."""
+    toplist = SyntheticToplist(ToplistConfig(size=40, seed=17))
+    zones = WorkloadZones(
+        toplist,
+        change_model=ChangeModel(ChangeModelConfig(seed=17)),
+        config=ZoneBuildConfig(auth_server_count=2),
+    )
+    topology = build_workload_topology(zones, moqt_fraction=1.0)
+    names = [domain.name for domain in toplist.domains() if domain.has_type(RecordType.A)]
+    return topology, names
+
+
+def _subscribe(topology, name) -> DnsQuestionKey:
+    """The forwarder looks ``name`` up, which subscribes the whole chain."""
+    key = DnsQuestionKey(qname=name, qtype=RecordType.A)
+    answers = []
+    topology.forwarder.resolve(key, lambda message, version: answers.append(message))
+    topology.simulator.run(until=topology.simulator.now + 5.0)
+    assert answers and answers[0] is not None
+    return key
+
+
+def _addresses(message: Message) -> list[str]:
+    return [record.rdata.to_text() for record in message.answers]
+
+
+def _decapsulate_twice(wire: bytes) -> tuple[Message, Message]:
+    """Decode ``wire`` through one memo from two objects whose payloads are
+    equal, not identical."""
+    memo = AnswerMemo()
+    first = memo.decapsulate(MoqtObject(group_id=1, object_id=0, payload=wire))
+    second = memo.decapsulate(MoqtObject(group_id=2, object_id=0, payload=bytes(bytearray(wire))))
+    return first, second
+
+
+# --------------------------------------------------------------- the budget
+def test_one_zone_change_costs_one_decode_in_the_simulation(monkeypatch):
+    topology, names = _chain()
+    key = _subscribe(topology, names[0])
+    forwarder, recursive = topology.forwarder, topology.recursive
+    zone = topology.zones.assignments[key.qname].zone
+    record = ResourceRecord(key.qname, RecordType.A, ARdata("203.0.113.77"), 300)
+    wires = _count_decodes(monkeypatch)
+    zone.replace_rrset(RRset(key.qname, RecordType.A, [record]))
+    topology.simulator.run(until=topology.simulator.now + 5.0)
+    held = forwarder.record(key)
+    assert _addresses(held.message) == ["203.0.113.77"] and held.version == zone.serial
+    assert held.pushed_updates == recursive.record(key).pushed_updates == 1
+    assert held.message is recursive.record(key).message
+    assert len(wires) == DECODES_PER_ZONE_CHANGE, f"{len(wires)} decodes for one zone change"
+
+
+def test_a_cold_lookups_forwarder_answer_is_a_memo_hit(monkeypatch):
+    topology, names = _chain()
+    _subscribe(topology, names[0])  # opens the sessions to the root, TLD and auth hosts
+    wires = _count_decodes(monkeypatch)
+    key = _subscribe(topology, names[1])
+    forwarded = topology.forwarder.record(key).message
+    assert forwarded is topology.recursive.record(key).message
+    assert wires.count(forwarded.to_wire()) == 1, "the answer was not parsed exactly once"
+    assert len(wires) == len(set(wires)), "some bytes were parsed twice"
+
+
+# ------------------------------------------------------------------ scope
+def test_every_role_of_a_simulation_shares_one_memo_and_no_other():
+    topology, _ = _chain()
+    again, _ = _chain()
+    memo = answer_memo(topology.simulator)
+    assert topology.forwarder.answers is topology.recursive.answers is memo
+    assert answer_memo(again.simulator) is not memo
+
+
+def test_a_simulation_parses_its_answers_after_an_identical_one(monkeypatch):
+    """Two identical simulations in one process: the second still parses
+    every answer it ingests once, as the first did."""
+    parsed = []
+    for _ in range(2):
+        topology, names = _chain()
+        _subscribe(topology, names[0])  # opens the sessions
+        wires = _count_decodes(monkeypatch)
+        key = _subscribe(topology, names[1])
+        monkeypatch.undo()
+        assert wires.count(topology.forwarder.record(key).message.to_wire()) == 1
+        parsed.append(len(wires))
+    assert parsed[0] == parsed[1] > 0
+
+
+# ----------------------------------------------------------------- safety
+def test_a_memo_hit_cannot_be_mutated():
+    """Every role gets the same decoded instance for the same bytes, so no
+    field of it, however deep, may change under another role."""
+    first, hit = _decapsulate_twice(bytes.fromhex(GOLDEN["answer"][1]))
+    assert hit is first
+    for name in ("header", *SECTIONS):
+        with pytest.raises(FrozenInstanceError):
+            setattr(hit, name, ())
+    assert all(type(getattr(hit, name)) is tuple for name in SECTIONS)
+    for target, name in (
+        (hit.header, "message_id"),
+        (hit.question, "qname"),
+        (hit.answers[0], "ttl"),
+        (hit.answers[0].rdata, "address"),
+    ):
+        with pytest.raises(FrozenInstanceError):
+            setattr(target, name, None)
+    assert hit == Message.from_wire(bytes.fromhex(GOLDEN["answer"][1]))
+
+
+@pytest.mark.parametrize("case", ["pointer loop", "shorter than a header"])
+def test_a_malformed_push_is_dropped_at_both_roles_every_time_and_never_stored(
+    monkeypatch, case
+):
+    topology, names = _chain()
+    key = _subscribe(topology, names[0])
+    forwarder, recursive = topology.forwarder, topology.recursive
+    auth = topology.moqt_servers[topology.zones.assignments[key.qname].auth_host]
+    version = forwarder.record(key).version
+    held = [(node, node.record(key).message) for node in (forwarder, recursive)]
+    relayed = recursive.statistics.pushes_forwarded
+    bad = MALFORMED[case]
+    wires = _count_decodes(monkeypatch)
+    for push in (1, 2):
+        obj = MoqtObject(group_id=version + push, object_id=0, payload=bad)
+        received = recursive.statistics.pushes_received, forwarder.statistics.pushes_received
+        # From the authoritative end: the recursive resolver drops it and
+        # relays nothing, so the forwarder gets it from the recursive's end.
+        assert publish_to(auth._tracks[key].subscribers, obj) == 1
+        topology.simulator.run(until=topology.simulator.now + 1.0)
+        assert publish_to(recursive._downstream[key], obj) == 1
+        topology.simulator.run(until=topology.simulator.now + 1.0)
+        assert recursive.statistics.pushes_received == received[0] + 1
+        assert forwarder.statistics.pushes_received == received[1] + 1
+        assert wires.count(bad) == 2 * push, "a role skipped the check"
+    assert recursive.statistics.pushes_forwarded == relayed
+    for node, message in held:
+        assert node.record(key).message is message and node.record(key).version == version
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_a_malformed_payload_is_parsed_and_rejected_every_time(monkeypatch, case):
+    memo = AnswerMemo()
+    wires = _count_decodes(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(MappingError):
+            memo.decapsulate(MoqtObject(group_id=1, object_id=0, payload=MALFORMED[case]))
+    assert wires == [MALFORMED[case]] * 2, "a failure was kept"
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_a_hit_equals_a_fresh_decode_on_the_golden_messages(case):
+    wire = bytes.fromhex(GOLDEN[case][1])
+    first, hit = _decapsulate_twice(wire)
+    assert hit is first and hit == Message.from_wire(wire) == GOLDEN[case][0]()
+
+
+@given(written_messages())
+@settings(max_examples=100)
+def test_a_hit_equals_a_fresh_decode_on_generated_messages(written):
+    wire, expected = written
+    first, hit = _decapsulate_twice(wire)
+    assert hit is first and hit == Message.from_wire(wire) == expected

@@ -8,11 +8,12 @@ nothing behind: only the question's record, its registry entry and the push
 handler on its subscription outlive it.  Pinned here:
 
 * (a) a footprint budget — live bytes and blocks per subscribed question under
-  ``src/repro/core/``, in ``moqt/session.py`` and under ``src/repro/netsim/``,
-  1,000 A questions after 200 warm-ups on ``build_workload_topology`` with 8
-  authoritative hosts, the per-file table as the diagnostic (``-s`` prints
-  it).  The network keeps no per-question state of its own: a ``netsim`` row
-  in the kilobytes is a datagram trace recording by default again;
+  ``src/repro/core/``, in ``moqt/session.py``, under ``src/repro/dns/`` (the
+  held answers) and under ``src/repro/netsim/``, 1,000 A questions after 200
+  warm-ups on ``build_workload_topology`` with 8 authoritative hosts, the
+  per-file table as the diagnostic (``-s`` prints it).  The network keeps no
+  per-question state of its own: a ``netsim`` row in the kilobytes is a
+  datagram trace recording by default again;
 * (b) retention — once the warm-up has opened a session to every upstream
   host, the numbers of live attempt, ``Timer``, ``FetchRequest`` and
   resolution-task objects do not depend on how many questions have been
@@ -53,7 +54,9 @@ from repro.dns.rdata import ARdata
 from repro.dns.rr import ResourceRecord
 from repro.dns.types import MOQT_PORT, RecordType
 from repro.experiments.topology import SmallTopology, build_workload_topology
+from repro.moqt.datastream import _COMPLETE_STREAM_CACHE
 from repro.moqt.errors import SubscribeErrorCode
+from repro.moqt.messages import _CONTROL_MESSAGE_CACHE
 from repro.moqt.session import MOQT_ALPN, FetchRequest, FetchResult, MoqtSession, SubscribeResult
 from repro.netsim.link import LinkConfig
 from repro.netsim.network import Network
@@ -79,6 +82,13 @@ SESSION_BYTES_BUDGET = 2_000
 #: ``netsim/`` reads ≈ 14 B; with a recording ``TraceRecorder`` as the
 #: network's default (the parent commit) it read 5,970 B.
 NETSIM_BYTES_BUDGET = 64
+#: ``dns/`` — the held answers — reads 5,764 B in 112.1 blocks on CPython
+#: 3.11.  That is the simulator process's figure: the forwarder and the
+#: recursive resolver, two hosts of one simulation, share one decoded
+#: ``Message`` per answer (``core/subscribing.py``'s ``AnswerMemo``).  Each
+#: role holding its own decode, as separate hosts do, read 8,533 B in 168.1
+#: blocks.
+DNS_BYTES_BUDGET = 6_050
 WARM_UP, QUESTIONS, CENSUS_STEP = 200, 1000, 250
 PER_LOOKUP = (SubscribeFetch, Timer, FetchRequest, _ResolutionTask)
 CENSUS = (*PER_LOOKUP, types.FunctionType, types.CellType)
@@ -88,9 +98,11 @@ per question: the forwarder's and the recursive resolver's QuestionRecord and
 registry entry, three Subscriptions (stub -> recursive, recursive -> TLD,
 recursive -> authoritative) each with its push handler, the recursive
 resolver's PublisherSubscription, two authoritative servers' track state, and
-the DnsQuestionKey / FullTrackName / Message objects those name.  Anything a
-*finished* lookup still holds — a timer, a fetch, a callback — is what this
-budget is for (docs/resolvers.md)."""
+the DnsQuestionKey / FullTrackName objects those name.  The dns/ rows are the
+held answer: one decoded Message, which both QuestionRecords share (the
+simulation's AnswerMemo in core/subscribing.py), its names, records and
+rdata.  Anything a *finished* lookup still holds — a timer, a fetch, a
+callback — is what this budget is for (docs/resolvers.md)."""
 
 
 def _census() -> dict[type, int]:
@@ -130,6 +142,11 @@ def measured():
     ask(names[:WARM_UP])
     sessions = topology.recursive.state_summary()["open_sessions"]
     censuses = []
+    # The process-wide MoQT decode memos start the window empty, so what they
+    # hold does not depend on which tests ran first.  The DNS answer memo is
+    # the simulation's own (core/encapsulation.py).
+    for memo in (_CONTROL_MESSAGE_CACHE, _COMPLETE_STREAM_CACHE):
+        memo.clear()
     gc.collect()
     tracemalloc.start()
     try:
@@ -155,7 +172,7 @@ def measured():
         ),
         key=lambda row: -row[1],
     )
-    rows = [row for row in everything if row[0].startswith(("core", "moqt", "netsim"))]
+    rows = [row for row in everything if row[0].startswith(("core", "dns", "moqt", "netsim"))]
     lines = [f"{'file':28s} {'B/question':>10s} {'blocks/question':>15s}"]
     lines += [
         f"{name:28s} {size / QUESTIONS:10.1f} {count / QUESTIONS:15.2f}"
@@ -175,8 +192,10 @@ def test_live_state_per_subscribed_question_stays_within_budget(measured):
     core_bytes, core_blocks = _per_question(rows, "core" + os.sep)
     session_bytes, _ = _per_question(rows, os.path.join("moqt", "session.py"))
     netsim_bytes, netsim_blocks = _per_question(rows, "netsim" + os.sep)
+    dns_bytes, dns_blocks = _per_question(rows, "dns" + os.sep)
     total_bytes, total_blocks = _per_question(measured["everything"])
     table += f"\n{'total under core/':28s} {core_bytes:10.1f} {core_blocks:15.2f}"
+    table += f"\n{'total under dns/':28s} {dns_bytes:10.1f} {dns_blocks:15.2f}"
     table += f"\n{'total under netsim/':28s} {netsim_bytes:10.1f} {netsim_blocks:15.2f}"
     table += f"\n{'total under src/repro':28s} {total_bytes:10.1f} {total_blocks:15.2f}"
     print(f"\nfootprint per subscribed question ({QUESTIONS} after {WARM_UP} warm-ups):\n{table}")
@@ -185,11 +204,13 @@ def test_live_state_per_subscribed_question_stays_within_budget(measured):
         and core_blocks <= CORE_BLOCKS_BUDGET
         and session_bytes <= SESSION_BYTES_BUDGET
         and netsim_bytes <= NETSIM_BYTES_BUDGET
+        and dns_bytes <= DNS_BYTES_BUDGET
     ), (
         f"core/ {core_bytes:.0f} B in {core_blocks:.1f} blocks (budget {CORE_BYTES_BUDGET} B / "
         f"{CORE_BLOCKS_BUDGET}), moqt/session.py {session_bytes:.0f} B (budget "
         f"{SESSION_BYTES_BUDGET} B), netsim/ {netsim_bytes:.0f} B (budget "
-        f"{NETSIM_BYTES_BUDGET} B) per question.\n{table}{_WHERE_IT_GOES}"
+        f"{NETSIM_BYTES_BUDGET} B), dns/ {dns_bytes:.0f} B (budget {DNS_BYTES_BUDGET} B) "
+        f"per question.\n{table}{_WHERE_IT_GOES}"
     )
 
 

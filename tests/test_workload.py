@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -196,6 +197,23 @@ class TestWorkloadZones:
         assert len(hosts) >= 1 + len(zones.tld_zones)
 
 
+def _weights_reference(model: QueryModel, duration: float, client_seed: int) -> list[tuple]:
+    """The reference stream of ``QueryModel.generate``: each domain drawn with
+    ``choices(weights=...)`` over the raw Zipf weights, which ``choices``
+    accumulates afresh on every draw."""
+    config, toplist = model.config, model.toplist
+    weights = [1.0 / math.pow(rank, config.zipf_exponent) for rank in range(1, len(toplist) + 1)]
+    rng = random.Random((config.seed << 16) ^ client_seed)
+    events, now = [], 0.0
+    while True:
+        now += rng.expovariate(config.queries_per_second)
+        if now >= duration:
+            return events
+        index = rng.choices(range(len(toplist)), weights=weights, k=1)[0]
+        domain = toplist.domain(index + 1)
+        events.append((now, domain.rank, model.sample_type(domain, rng)))
+
+
 class TestQueryModel:
     def test_zipf_popularity_prefers_top_ranks(self):
         toplist = SyntheticToplist(ToplistConfig(size=500, seed=5))
@@ -227,6 +245,19 @@ class TestQueryModel:
         toplist = SyntheticToplist(ToplistConfig(size=10, seed=5))
         model = QueryModel(toplist, QueryModelConfig(queries_per_second=0.0))
         assert model.generate(10.0) == []
+
+    @pytest.mark.parametrize("size", [10, 500, 2000])
+    @pytest.mark.parametrize("seed, exponent", [(1, 1.0), (7, 1.0), (23, 0.8)])
+    def test_stream_equals_the_per_draw_weights_reference(self, size, seed, exponent):
+        toplist = SyntheticToplist(ToplistConfig(size=size, seed=5))
+        model = QueryModel(
+            toplist, QueryModelConfig(zipf_exponent=exponent, queries_per_second=20.0, seed=seed)
+        )
+        for client_seed in (0, 9):
+            events = model.generate(30.0, client_seed=client_seed)
+            assert [(e.time, e.domain.rank, e.rdtype) for e in events] == _weights_reference(
+                model, 30.0, client_seed
+            )
 
     def test_streams_deterministic_per_client_seed(self):
         toplist = SyntheticToplist(ToplistConfig(size=100, seed=5))
