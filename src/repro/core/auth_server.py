@@ -24,15 +24,15 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from repro.core.encapsulation import encapsulate_response
-from repro.core.mapping import DnsQuestionKey, no_such_track, question_to_track, track_to_question
+from repro.core.mapping import DnsQuestionKey, no_such_track, track_to_question
 from repro.core.errors import MappingError
-from repro.dns.message import Flags, Header, Message, Question
+from repro.dns.message import Flags, Header, Message
 from repro.dns.name import Name
 from repro.dns.rdata import CNAMERdata, NSRdata
-from repro.dns.types import MOQT_PORT, Opcode, Rcode, RecordType
+from repro.dns.types import MOQT_PORT, RecordType
 from repro.dns.zone import LookupResult, Zone, ZoneChange, find_zone
 from repro.moqt.messages import Fetch, Subscribe
-from repro.moqt.objectmodel import Location, MoqtObject
+from repro.moqt.objectmodel import Location
 from repro.moqt.session import (
     MOQT_ALPN,
     FetchResult,

@@ -16,7 +16,7 @@ authoritative servers that do not speak MoQT:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.mapping import DnsQuestionKey

@@ -21,8 +21,8 @@ reconnects) and applies a pluggable :class:`TeardownPolicy`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Iterable
 
 from repro.core.mapping import DnsQuestionKey
 

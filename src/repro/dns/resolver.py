@@ -15,7 +15,7 @@ simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.dns.cache import DnsCache
@@ -23,7 +23,7 @@ from repro.dns.message import Message, make_query, make_response
 from repro.dns.name import Name
 from repro.dns.rr import ResourceRecord, RRset
 from repro.dns.transport import DnsUdpEndpoint
-from repro.dns.types import DNS_UDP_PORT, DNSClass, Rcode, RecordType
+from repro.dns.types import DNS_UDP_PORT, Rcode, RecordType
 from repro.netsim.node import Host
 from repro.netsim.packet import Address
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.dns.message import Message, make_response
 from repro.dns.name import Name
-from repro.dns.transport import DnsUdpEndpoint, RequestHandler
+from repro.dns.transport import DnsUdpEndpoint
 from repro.dns.types import DNS_UDP_PORT, Rcode, RecordType
 from repro.dns.zone import LookupResult, Zone, find_zone
 from repro.netsim.node import Host

@@ -15,7 +15,7 @@ event-based; there is no asyncio involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.dns.errors import DnsFormatError

@@ -11,12 +11,12 @@ prescribes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from repro.dns.name import Name
 from repro.dns.rdata import Rdata, SOARdata, parse_rdata
 from repro.dns.rr import ResourceRecord, RRset
-from repro.dns.types import DNSClass, Rcode, RecordType
+from repro.dns.types import Rcode, RecordType
 
 
 class ZoneError(Exception):

@@ -11,7 +11,7 @@ requests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.mapping import DnsQuestionKey
 from repro.dns.name import Name

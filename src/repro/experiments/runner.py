@@ -11,7 +11,7 @@ them with their own parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.experiments.compatibility import run_compatibility
 from repro.experiments.constrained_tiers import run_constrained_tiers

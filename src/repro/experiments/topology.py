@@ -11,7 +11,7 @@ per workload assignment group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.auth_server import MoqAuthoritativeServer
 from repro.core.compatibility import CompatibilityMode, HappyEyeballsConfig

@@ -125,12 +125,22 @@ def encode_subgroup_stream_chunk(
     return bytes(buffer)
 
 
+_OBJECT_STATUSES = {int(status): status for status in ObjectStatus}
+
+
+def _object_status(value: int) -> ObjectStatus:
+    status = _OBJECT_STATUSES.get(value)
+    if status is None:
+        raise ProtocolViolation(f"unknown object status {value:#x}")
+    return status
+
+
 def decode_subgroup_object(reader: VarintReader, header: SubgroupStreamHeader) -> MoqtObject:
     """Decode one object from a subgroup stream."""
     object_id = reader.read_varint()
     extensions = reader.read_length_prefixed()
     payload = reader.read_length_prefixed()
-    status = ObjectStatus(reader.read_varint())
+    status = _object_status(reader.read_varint())
     return MoqtObject(
         group_id=header.group_id,
         object_id=object_id,
@@ -165,7 +175,7 @@ def decode_fetch_object(reader: VarintReader) -> MoqtObject:
     priority = reader.read_uint8()
     extensions = reader.read_length_prefixed()
     payload = reader.read_length_prefixed()
-    status = ObjectStatus(reader.read_varint())
+    status = _object_status(reader.read_varint())
     return MoqtObject(
         group_id=group_id,
         object_id=object_id,
@@ -232,14 +242,18 @@ _COMPLETE_STREAM_CACHE_MAX = 512
 def decode_complete_datastream(
     data: bytes,
 ) -> tuple[SubgroupStreamHeader | FetchStreamHeader | None, tuple[MoqtObject, ...]]:
-    """Decode a data stream that arrived whole (single chunk with FIN).
+    """Decode a data stream: the one decoder, since every stream arrives whole.
 
-    Returns ``(header, objects)``; a stream whose header cannot be parsed
-    yields ``(None, ())``, and trailing bytes that do not form a complete
-    object are dropped — exactly what :class:`DataStreamParser` does when fed
-    the same bytes in one call.  Results are memoised on the wire bytes so
-    the fan-out receive path decodes each distinct stream payload once per
-    process instead of once per subscriber.
+    A data stream is one STREAM frame with offset 0 and FIN (the only shape
+    :meth:`~repro.quic.connection.QuicConnection.send_encoded_stream` sends,
+    and the only one the receiving connection delivers), so there is nothing
+    to reassemble.  Returns ``(header, objects)``; a stream whose header is
+    truncated yields ``(None, ())``, and trailing bytes that do not form a
+    complete object are dropped.  An unknown stream type or object status
+    raises :class:`~repro.moqt.errors.ProtocolViolation` and memoises
+    nothing.  Results are memoised on the wire bytes so the fan-out receive
+    path decodes each distinct stream payload once per process instead of
+    once per subscriber.
     """
     if type(data) is not bytes:
         data = bytes(data)
@@ -269,65 +283,3 @@ def decode_complete_datastream(
         cache.clear()
     cache[data] = result
     return result
-
-
-class DataStreamParser:
-    """Incremental parser for one incoming unidirectional data stream.
-
-    Feed it stream chunks; it yields the header once and then complete
-    objects as they become available.  Each :meth:`feed` call parses over a
-    single snapshot of the buffer and trims consumed bytes once at the end,
-    so reassembling a stream of n objects costs O(n), not O(n²).
-    """
-
-    __slots__ = ("_buffer", "header", "finished")
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-        self.header: SubgroupStreamHeader | FetchStreamHeader | None = None
-        self.finished = False
-
-    def feed(self, data: bytes, fin: bool) -> list[MoqtObject]:
-        """Add bytes (and possibly the FIN); return completed objects."""
-        buffered = bool(self._buffer)
-        if buffered:
-            self._buffer += data
-            # Snapshot: the reader must not hold a view over the bytearray we
-            # trim afterwards (resizing an exported buffer raises).
-            source = bytes(self._buffer)
-        else:
-            # Nothing buffered (every chunk so far parsed completely): parse
-            # straight from the incoming bytes with no copy — the common case
-            # of one complete object per stream delivered in one frame.
-            source = data
-        if fin:
-            self.finished = True
-        objects: list[MoqtObject] = []
-        reader = VarintReader(source)
-        consumed = 0
-        try:
-            if self.header is None:
-                stream_type = reader.read_varint()
-                if stream_type == DataStreamType.SUBGROUP_HEADER:
-                    self.header = SubgroupStreamHeader.decode(reader)
-                elif stream_type == DataStreamType.FETCH_HEADER:
-                    self.header = FetchStreamHeader.decode(reader)
-                else:
-                    raise ProtocolViolation(f"unknown data stream type {stream_type:#x}")
-                consumed = reader.offset
-            if isinstance(self.header, SubgroupStreamHeader):
-                while not reader.at_end():
-                    objects.append(decode_subgroup_object(reader, self.header))
-                    consumed = reader.offset
-            else:
-                while not reader.at_end():
-                    objects.append(decode_fetch_object(reader))
-                    consumed = reader.offset
-        except VarintError:
-            pass  # not enough bytes for the next element yet
-        if buffered:
-            if consumed:
-                del self._buffer[:consumed]
-        elif consumed < len(source):
-            self._buffer += memoryview(source)[consumed:]
-        return objects

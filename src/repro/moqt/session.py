@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol
 
 from repro.moqt.datastream import (
-    DataStreamParser,
     FetchStreamHeader,
     SubgroupStreamHeader,
     decode_complete_datastream,
@@ -55,9 +54,7 @@ from repro.moqt.messages import (
     FetchType,
     FilterType,
     Goaway,
-    GroupOrder,
     MaxRequestId,
-    MessageType,
     MOQT_VERSION_DRAFT_12,
     SERVER_SETUP_WIRE,
     ServerSetup,
@@ -243,11 +240,11 @@ class SessionStatistics:
 class _UnusedTable(dict):
     """The table of a role a session has not played: one shared empty mapping.
 
-    A subscriber's session never files a downstream subscription, a relay's
-    downstream session never subscribes, and almost no stream arrives
-    fragmented — so those tables all start as :data:`_UNUSED`.  Every read
-    (``get``, ``pop(key, None)``, ``values``, ``clear``, ``in``, ``len``) is
-    what it would be on an empty dict, so no reader knows the difference;
+    A subscriber's session never files a downstream subscription and a
+    relay's downstream session never subscribes, so those tables all start
+    as :data:`_UNUSED`.  Every read (``get``, ``pop(key, None)``,
+    ``values``, ``clear``, ``in``, ``len``) is what it would be on an empty
+    dict, so no reader knows the difference;
     the insert sites install a real dict first, and a write that forgot to
     is refused instead of leaking into every other session.
     """
@@ -298,7 +295,6 @@ class MoqtSession:
         "_publisher_subscriptions",
         "_pending_incoming_subscribes",
         "_pending_incoming_fetches",
-        "_stream_parsers",
     )
 
     def __init__(
@@ -355,9 +351,6 @@ class MoqtSession:
         self._publisher_subscriptions: dict[int, PublisherSubscription] = _UNUSED
         self._pending_incoming_subscribes: dict[int, Subscribe] = _UNUSED
         self._pending_incoming_fetches: dict[int, Fetch] = _UNUSED
-
-        # Incoming data-stream reassembly (fragmented streams only).
-        self._stream_parsers: dict[int, DataStreamParser] = _UNUSED
 
         # The connection reports to the session itself (ConnectionDelegate).
         connection.delegate = self
@@ -690,38 +683,25 @@ class MoqtSession:
                     return
                 self._handle_control_message(message)
             return
-        parser = self._stream_parsers.get(stream_id)
-        if parser is None:
-            if fin:
-                # The stream arrived whole in its first chunk — the fan-out
-                # data path.  Decode through the process-wide memo (sibling
-                # subscribers receive byte-identical payloads) and skip the
-                # per-stream parser state entirely.
-                header, objects = decode_complete_datastream(data)
-                if header is None:
-                    return
-                if isinstance(header, SubgroupStreamHeader):
-                    track_alias = header.track_alias
-                    for obj in objects:
-                        self._deliver_subscribed_object(track_alias, obj)
-                else:
-                    self._deliver_fetch_objects(header.request_id, list(objects), True)
-                return
-            parser = DataStreamParser()
-            if self._stream_parsers is _UNUSED:
-                self._stream_parsers = {}
-            self._stream_parsers[stream_id] = parser
-        objects = parser.feed(data, fin)
-        header = parser.header
+        if not fin:
+            # A data stream arrives whole (one offset-0 FIN frame, enforced by
+            # the connection); only a peer's second bidirectional stream can
+            # come in pieces, and it carries nothing this session reads.
+            return
+        try:
+            # The process-wide memo: sibling subscribers receive
+            # byte-identical payloads.
+            header, objects = decode_complete_datastream(data)
+        except MoqtError:
+            return  # a malformed data stream is dropped, like a datagram
         if header is None:
             return
         if isinstance(header, SubgroupStreamHeader):
+            track_alias = header.track_alias
             for obj in objects:
-                self._deliver_subscribed_object(header.track_alias, obj)
+                self._deliver_subscribed_object(track_alias, obj)
         else:
-            self._deliver_fetch_objects(header.request_id, objects, parser.finished)
-        if fin:
-            self._stream_parsers.pop(stream_id, None)
+            self._deliver_fetch_objects(header.request_id, objects)
 
     def datagram_frame_received(self, data: bytes) -> None:
         """The payload of one DATAGRAM frame: an object datagram."""
@@ -748,9 +728,7 @@ class MoqtSession:
             # and the sink in one call.
             subscription.on_object(obj)
 
-    def _deliver_fetch_objects(
-        self, request_id: int, objects: list[MoqtObject], finished: bool
-    ) -> None:
+    def _deliver_fetch_objects(self, request_id: int, objects: tuple[MoqtObject, ...]) -> None:
         fetch_request = self._fetches.get(request_id)
         if fetch_request is None:
             return
@@ -762,9 +740,8 @@ class MoqtSession:
                 fetch_request.largest = obj.location
             if fetch_request.on_object is not None:
                 fetch_request.on_object(obj)
-        if finished:
-            fetch_request.stream_finished = True
-            self._maybe_complete_fetch(fetch_request)
+        fetch_request.stream_finished = True
+        self._maybe_complete_fetch(fetch_request)
 
     def _maybe_complete_fetch(self, fetch_request: FetchRequest) -> None:
         if fetch_request.state == "complete":

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
-from repro.netsim.packet import Address, Datagram
+from repro.netsim.packet import Address
 from repro.netsim.simulator import Event, Simulator, Timer
 from repro.quic.congestion import NULL_CONGESTION, CongestionController
 from repro.quic.errors import QuicConnectionError, TransportErrorCode
@@ -71,7 +71,6 @@ from repro.quic.stream import (
     QuicStream,
     StreamDirection,
     make_stream_id,
-    stream_initiator_is_client,
 )
 from repro.quic.tls import (
     AlpnMismatchError,
@@ -386,13 +385,14 @@ class QuicConnection:
         self._streams: dict[int, QuicStream] = {}
         #: Which peer-initiated unidirectional streams have been seen, by
         #: stream sequence (``stream_id >> 2``): every sequence below the
-        #: floor, plus the out-of-order arrivals above it.  The fan-out
-        #: receive path completes a one-shot stream (a single offset-0 FIN
-        #: frame) without materialising a :class:`QuicStream`; this record is
-        #: what keeps a late retransmission of that frame from being
-        #: delivered twice (the job ``receive_closed`` does for full stream
-        #: state).  In-order arrival only moves the floor, so the state is
-        #: O(reordering), not O(streams ever received).
+        #: floor, plus the out-of-order arrivals above it.  Every such
+        #: stream is one-shot (a single offset-0 FIN frame; any other shape
+        #: closes the connection) and completes without a
+        #: :class:`QuicStream`; this record is what keeps a late
+        #: retransmission of that frame from being delivered twice (the job
+        #: ``receive_closed`` does for full stream state).  In-order arrival
+        #: only moves the floor, so the state is O(reordering), not
+        #: O(streams ever received).
         #: The ``above`` set exists only while there is such an arrival: ideal
         #: links never reorder, so most connections never build it.
         self._peer_uni_floor = 0
@@ -477,8 +477,8 @@ class QuicConnection:
     def stream_states(self) -> int:
         """Streams this connection holds a :class:`QuicStream` for.
 
-        The control stream plus any peer stream that arrived fragmented;
-        sending or receiving one-shot unidirectional streams adds none.
+        The control stream and nothing else: data streams are one-shot
+        unidirectional streams, sent and received without one.
         """
         return len(self._streams)
 
@@ -1084,6 +1084,8 @@ class QuicConnection:
             if frame_type == _STREAM:
                 ack_needed = True
                 self._on_stream_frame(packet_type, stream_id, stream_offset, payload, fin == 1)
+                if self.closed:
+                    return  # the frame was refused, or its reader closed
             elif frame_type == _ACK:
                 self._on_ack(largest)
             elif frame_type == _ACK_RANGES:
@@ -1216,36 +1218,36 @@ class QuicConnection:
         if packet_type == _ZERO_RTT and not self.is_client:
             if not self.early_data_accepted and self.handshake_complete:
                 return  # rejected early data is dropped
+        if stream_id & 0x3 == (0x3 if self.is_client else 0x2):
+            # A peer-initiated unidirectional stream: a data stream, which
+            # always arrives whole (one offset-0 FIN frame, the only shape
+            # send_encoded_stream sends).  It is completed without stream
+            # state; the seen-record below is its duplicate suppression.
+            sequence = stream_id >> 2
+            floor = self._peer_uni_floor
+            above = self._peer_uni_above
+            if sequence == floor:
+                floor += 1
+                if above is not None:
+                    while floor in above:
+                        above.remove(floor)
+                        floor += 1
+                    if not above:
+                        self._peer_uni_above = None  # a set never shrinks
+                self._peer_uni_floor = floor
+            elif sequence < floor or (above is not None and sequence in above):
+                return  # late retransmission of a completed stream
+            elif above is None:
+                self._peer_uni_above = {sequence}
+            else:
+                above.add(sequence)
+            if not fin or offset:
+                self.close(TransportErrorCode.PROTOCOL_VIOLATION, "fragmented data stream")
+            elif self.delegate is not None:
+                self.delegate.stream_data_received(stream_id, data, True)
+            return
         stream = self._streams.get(stream_id)
         if stream is None:
-            # Peer-initiated and unidirectional?
-            if stream_id & 0x3 == (0x3 if self.is_client else 0x2):
-                sequence = stream_id >> 2
-                floor = self._peer_uni_floor
-                above = self._peer_uni_above
-                if sequence == floor:
-                    floor += 1
-                    if above is not None:
-                        while floor in above:
-                            above.remove(floor)
-                            floor += 1
-                        if not above:
-                            self._peer_uni_above = None  # a set never shrinks
-                    self._peer_uni_floor = floor
-                elif sequence < floor or (above is not None and sequence in above):
-                    return  # late retransmission of a completed one-shot stream
-                elif above is None:
-                    self._peer_uni_above = {sequence}
-                else:
-                    above.add(sequence)
-                if fin and offset == 0 and self.delegate is not None:
-                    # One-shot unidirectional stream delivered whole in its
-                    # first frame — the fan-out data path.  Complete it
-                    # without materialising stream state; the seen-record
-                    # above replaces ``receive_closed`` for duplicate
-                    # suppression.
-                    self.delegate.stream_data_received(stream_id, data, True)
-                    return
             stream = QuicStream(stream_id)
             self._streams[stream_id] = stream
         delivered = stream.receive(offset, data, fin)

@@ -33,7 +33,7 @@ module owns the membership, the warm caches and the election itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.moqt.objectmodel import Location, MoqtObject
 from repro.moqt.origin import (

@@ -65,7 +65,7 @@ from repro.relaynet.admission import AdmissionPolicy, RetryPolicy
 from repro.relaynet.spec import RelayTreeSpec
 
 if TYPE_CHECKING:
-    from repro.relaynet.origincluster import ClusterOrigin, OriginCluster
+    from repro.relaynet.origincluster import OriginCluster
     from repro.telemetry.spans import SpanTracer
 
 

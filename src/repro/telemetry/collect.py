@@ -84,8 +84,8 @@ _QUIC_CC_FIELDS = (
 )
 
 #: ``stream_states`` is the bounded-state gauge: ``QuicStream`` objects held,
-#: summed over the role's connections (one control stream each, plus any
-#: peer stream that arrived fragmented and has not been dropped).
+#: summed over the role's connections (the control stream, one each: a data
+#: stream arrives whole and holds none).
 #: ``inflight_packets`` is the in-flight ledger's size (records awaiting an
 #: ACK or a PTO); zero once a run has quiesced, and zero for a closed
 #: connection however it ended.

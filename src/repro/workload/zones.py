@@ -14,12 +14,12 @@ authoritative zones (which in turn triggers MoQT pushes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.dns.name import Name
-from repro.dns.rdata import SVCBRdata, HTTPSRdata
+from repro.dns.rdata import HTTPSRdata
 from repro.dns.rr import ResourceRecord, RRset
-from repro.dns.types import DNSClass, RecordType
+from repro.dns.types import RecordType
 from repro.dns.zone import Zone
 from repro.workload.change_model import ChangeModel, RecordChangeProcess
 from repro.workload.toplist import SyntheticToplist, ToplistDomain

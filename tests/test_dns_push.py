@@ -561,6 +561,23 @@ def test_zone_for_walks_suffixes_to_the_most_specific_zone():
 
 
 # ----------------------------------------------------- sender-side QUIC state
+def _only_control_streams(network: Network) -> list:
+    """Every QUIC connection of ``network``, each checked to hold exactly one
+    ``QuicStream`` (its control stream: a data stream arrives whole and holds
+    none) and never to have been closed (a data stream that is not whole
+    closes its connection with PROTOCOL_VIOLATION)."""
+    connections = [
+        connection
+        for host in network.hosts()
+        for handler in host._ports.values()
+        for connection in getattr(handler, "connections", list)()
+    ]
+    assert [connection.stream_states for connection in connections] == [1] * len(connections)
+    assert max(connection.stream_reorder_backlog for connection in connections) == 0
+    assert [connection.close_reason for connection in connections if connection.closed] == []
+    return connections
+
+
 def test_pushing_records_adds_no_stream_state():
     """500 zone changes pushed auth → recursive → forwarder leave every QUIC
     connection with its control stream and nothing else."""
@@ -576,12 +593,31 @@ def test_pushing_records_adds_no_stream_state():
         topology.update_record(f"198.51.{change // 250}.{change % 250 + 1}")
         topology.run(0.2)
     assert len(pushed) == 500
-    connections = [
-        connection
-        for host in topology.network.hosts()
-        for handler in host._ports.values()
-        for connection in getattr(handler, "connections", list)()
-    ]
+    connections = _only_control_streams(topology.network)
     assert len(connections) >= 8  # forwarder→recursive→{root, tld, auth}, both ends
-    assert max(connection.stream_states for connection in connections) <= 2
-    assert max(connection.stream_reorder_backlog for connection in connections) == 0
+
+
+def test_a_lossy_newreno_tree_adds_no_stream_state():
+    """E15's lossy-edge sample (5 % access loss, NewReno on every relay's
+    downstream side): retransmitted data streams still arrive whole, so every
+    connection holds its control stream and nothing else.  (The window never
+    holds a packet back here; ``tests/test_megafan.py`` covers that path.)"""
+    from repro.experiments.constrained_tiers import (
+        DEFAULT_BANDWIDTH_SWEEP,
+        _constrained_spec,
+        _lossy_scenario,
+    )
+    from repro.relaynet.scenario import build_scenario
+
+    bandwidth = DEFAULT_BANDWIDTH_SWEEP[len(DEFAULT_BANDWIDTH_SWEEP) // 2]
+    run = build_scenario(_lossy_scenario(_constrained_spec(bandwidth, 0.05), 7, 300, None))
+    run.topology.attach_subscribers(100)
+    run.record_deliveries()
+    run.advance(3.0)
+    run.push(5)
+    run.advance(6.0)
+    _, _, delivered = run.delivery_score()
+    assert delivered == 100 * 5  # every update repaired, as E15 requires
+    connections = _only_control_streams(run.network)
+    assert sum(connection.statistics.retransmissions for connection in connections) > 0
+    assert sum(connection.congestion.congestion_events for connection in connections) > 0

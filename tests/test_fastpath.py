@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.moqt.datastream import (
-    DataStreamParser,
     SubgroupStreamHeader,
     encode_subgroup_object,
     encode_subgroup_stream_chunk,
@@ -432,14 +431,3 @@ class TestEncodeOnceFanout:
                 publisher_priority=obj.publisher_priority,
             )
             assert fresh == header.encode() + cached
-
-    def test_parser_decodes_chunk_across_arbitrary_splits(self):
-        obj = self._object()
-        chunk = encode_subgroup_stream_chunk(9, obj, encode_subgroup_object(obj))
-        for split in range(1, len(chunk)):
-            parser = DataStreamParser()
-            objects = parser.feed(chunk[:split], fin=False)
-            objects += parser.feed(chunk[split:], fin=True)
-            assert [o.payload for o in objects] == [obj.payload]
-            assert parser.finished
-            assert parser.header is not None and parser.header.track_alias == 9

@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.moqt.datastream import (
-    DataStreamParser,
     decode_complete_datastream,
     encode_subgroup_object,
     encode_subgroup_stream_chunk,
@@ -413,6 +412,34 @@ class TestOneShotReceivePath:
             receiver.datagram_received(payload)
         assert received == [b"once-only"]
 
+    def test_held_back_and_retransmitted_streams_arrive_whole(self):
+        # The window's FIFO and the PTO resend carry each stream as it was
+        # queued, one offset-0 FIN frame: the receiver completes every one
+        # without stream state and has nothing to refuse.
+        sent = []
+        config = ConnectionConfig(
+            congestion_controller=lambda: NewRenoCongestionController(
+                initial_window_packets=2, minimum_window_packets=2
+            )
+        )
+        simulator, sender = _make_connection(sent, config=config)
+        received = []
+        _, receiver = _make_connection([], is_client=False)
+        delegate_to(
+            receiver, on_stream_data=lambda sid, data, fin: received.append((sid, data, fin))
+        )
+        chunks = [bytes([index]) * 1000 for index in range(5)]
+        stream_ids = [sender.send_encoded_stream(chunk) for chunk in chunks]
+        assert sender.cwnd_blocked_packets == 3
+        ack = Packet(PacketType.ONE_RTT, sender.connection_id, 0, (AckFrame(largest=1),))
+        sender.datagram_received(ack.encode())  # releases the three held back
+        simulator.run(until=simulator.now + 3 * sender.probe_timeout)
+        assert sender.statistics.retransmissions > 0
+        for payload in sent:
+            receiver.datagram_received(payload)
+        assert received == [(sid, chunk, True) for sid, chunk in zip(stream_ids, chunks)]
+        assert not receiver.closed and receiver.stream_states == 0
+
 
 # ---------------------------------------------------------------------------
 # MoQT: publish and shared decode memos
@@ -454,15 +481,6 @@ class TestPublishWire:
 
 
 class TestDecodeMemos:
-    def test_complete_datastream_matches_parser(self):
-        obj = MoqtObject(group_id=9, object_id=4, payload=b"memo-me", extensions=b"ee")
-        chunk = encode_subgroup_stream_chunk(3, obj, encode_subgroup_object(obj))
-        header, objects = decode_complete_datastream(chunk)
-        parser = DataStreamParser()
-        parsed = parser.feed(chunk, fin=True)
-        assert header == parser.header
-        assert list(objects) == parsed
-
     def test_identical_bytes_share_one_decode(self):
         obj = MoqtObject(group_id=9, object_id=5, payload=b"shared")
         chunk = encode_subgroup_stream_chunk(3, obj, encode_subgroup_object(obj))

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.moqt.datastream import encode_object_datagram
+from repro.moqt.datastream import (
+    _COMPLETE_STREAM_CACHE,
+    encode_object_datagram,
+    encode_subgroup_stream_chunk,
+)
 from repro.moqt.errors import SubscribeErrorCode
 from repro.moqt.messages import FilterType
 from repro.moqt.objectmodel import Location, MoqtObject, TrackState
@@ -320,6 +324,33 @@ class TestSubscribeAndFetch:
                 publisher_subscription.track_alias, obj
             )
         }
+
+    def test_a_malformed_data_stream_is_dropped(self):
+        """An unknown object status or stream type never leaves
+        ``Simulator.run``: the stream is dropped, the session stays open and
+        the decode memo keeps nothing of it."""
+        simulator, session, publisher_sessions, _ = _build()
+        pushed = []
+        subscription = session.subscribe(TRACK, on_object=pushed.append)
+        simulator.run(until=2.0)
+        publisher = publisher_sessions[0]
+        publisher_subscription = publisher.publisher_subscriptions()[0]
+        obj = MoqtObject(group_id=3, object_id=0, payload=b"v3")
+        good = encode_subgroup_stream_chunk(publisher_subscription.track_alias, obj)
+        unknown_status = good[:-1] + b"\x3e"  # the status varint is the last byte
+        unknown_type = b"\x3f\x01"
+        for payload in (unknown_status, unknown_type):
+            publisher.connection.send_encoded_stream(payload)
+        simulator.run(until=3.0)
+        assert not session.closed and not session.connection.closed
+        assert pushed == [] and subscription.objects_received == 0
+        assert session.statistics.objects_received == 0
+        assert unknown_status not in _COMPLETE_STREAM_CACHE
+        assert unknown_type not in _COMPLETE_STREAM_CACHE
+        # The session still reads the next well-formed stream.
+        publisher.publish(publisher_subscription, obj)
+        simulator.run(until=4.0)
+        assert pushed == [obj]
 
     def test_goaway_recorded(self):
         simulator, session, publisher_sessions, _ = _build()

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.moqt.datastream import (
-    DataStreamParser,
     FetchStreamHeader,
     SubgroupStreamHeader,
+    decode_complete_datastream,
     decode_object_datagram,
     encode_fetch_object,
     encode_object_datagram,
@@ -415,12 +415,9 @@ class TestDataStreamEncodings:
         header = SubgroupStreamHeader(track_alias=3, group_id=9, subgroup_id=0, publisher_priority=100)
         obj = MoqtObject(group_id=9, object_id=0, payload=b"dns-response", publisher_priority=100)
         stream_bytes = header.encode() + encode_subgroup_object(obj)
-        parser = DataStreamParser()
-        objects = parser.feed(stream_bytes, fin=True)
-        assert isinstance(parser.header, SubgroupStreamHeader)
-        assert parser.header.track_alias == 3
-        assert objects == [obj]
-        assert parser.finished
+        decoded_header, objects = decode_complete_datastream(stream_bytes)
+        assert decoded_header == header
+        assert objects == (obj,)
 
     def test_fetch_stream_roundtrip_multiple_objects(self):
         header = FetchStreamHeader(request_id=12)
@@ -429,25 +426,13 @@ class TestDataStreamEncodings:
             MoqtObject(group_id=2, object_id=0, payload=b"new"),
         ]
         stream_bytes = header.encode() + b"".join(encode_fetch_object(obj) for obj in objects)
-        parser = DataStreamParser()
-        decoded = parser.feed(stream_bytes, fin=True)
-        assert decoded == objects
-        assert isinstance(parser.header, FetchStreamHeader)
-
-    def test_parser_handles_partial_chunks(self):
-        header = SubgroupStreamHeader(track_alias=1, group_id=2)
-        obj = MoqtObject(group_id=2, object_id=0, payload=b"abcdefghij")
-        stream_bytes = header.encode() + encode_subgroup_object(obj)
-        parser = DataStreamParser()
-        collected = []
-        for index in range(0, len(stream_bytes), 4):
-            collected.extend(parser.feed(stream_bytes[index: index + 4], fin=False))
-        assert collected == [obj]
+        decoded_header, decoded = decode_complete_datastream(stream_bytes)
+        assert decoded == tuple(objects)
+        assert decoded_header == header
 
     def test_unknown_stream_type_rejected(self):
-        parser = DataStreamParser()
-        with pytest.raises(ProtocolViolation):
-            parser.feed(b"\x3f\x01", fin=False)
+        with pytest.raises(ProtocolViolation, match="unknown data stream type 0x3f"):
+            decode_complete_datastream(b"\x3f\x01")
 
     def test_object_datagram_roundtrip(self):
         obj = MoqtObject(group_id=4, object_id=0, payload=b"dgram-payload")
@@ -459,6 +444,16 @@ class TestDataStreamEncodings:
     def test_object_status_preserved(self):
         obj = MoqtObject(group_id=1, object_id=0, payload=b"", status=ObjectStatus.END_OF_TRACK)
         header = SubgroupStreamHeader(track_alias=1, group_id=1)
-        parser = DataStreamParser()
-        decoded = parser.feed(header.encode() + encode_subgroup_object(obj), fin=True)
+        _, decoded = decode_complete_datastream(header.encode() + encode_subgroup_object(obj))
         assert decoded[0].status == ObjectStatus.END_OF_TRACK
+
+    def test_unknown_object_status_rejected(self):
+        obj = MoqtObject(group_id=1, object_id=0, payload=b"x")
+        subgroup = SubgroupStreamHeader(track_alias=1, group_id=1).encode()
+        fetch = FetchStreamHeader(request_id=4).encode()
+        for stream_bytes in (
+            subgroup + encode_subgroup_object(obj)[:-1] + b"\x3e",
+            fetch + encode_fetch_object(obj)[:-1] + b"\x3e",
+        ):
+            with pytest.raises(ProtocolViolation, match="unknown object status 0x3e"):
+                decode_complete_datastream(stream_bytes)

@@ -792,37 +792,53 @@ def test_a_gap_is_held_until_filled_and_duplicates_above_it_are_suppressed():
     assert sorted(delivered) == list(range(101))
 
 
-def test_a_fragmented_stream_does_not_stall_the_floor():
-    connection, _ = _receiver()
-    chunks = []
-    delegate_to(
-        connection, on_stream_data=lambda sid, data, fin: chunks.append((sid >> 2, data, fin))
-    )
-    connection.datagram_received(_one_shot(0, 0))
-    # Stream 1 arrives in two frames: it gets real stream state ...
-    first = StreamFrame((1 << 2) | 0x2, 0, b"frag", False)
-    second = StreamFrame((1 << 2) | 0x2, 4, b"ment", True)
-    connection.datagram_received(Packet(PacketType.ONE_RTT, 77, 1, (first,)).encode())
-    connection.datagram_received(_one_shot(2, 2))
-    connection.datagram_received(Packet(PacketType.ONE_RTT, 77, 3, (second,)).encode())
-    assert chunks == [(0, b"obj", True), (1, b"frag", False), (2, b"obj", True), (1, b"ment", True)]
-    # ... and still counts as seen, so the floor moved past it.
-    assert connection._peer_uni_floor == 3 and connection.stream_reorder_backlog == 0
-    assert list(connection.streams()) == [(1 << 2) | 0x2]
-    # A retransmission of either fragment is absorbed by the stream itself.
-    connection.datagram_received(Packet(PacketType.ONE_RTT, 77, 4, (first,)).encode())
-    assert len(chunks) == 4
+def test_a_data_stream_that_is_not_whole_closes_the_connection():
+    """A peer unidirectional stream is one offset-0 FIN frame.  Any other shape
+    is refused with PROTOCOL_VIOLATION, not reassembled, and the rest of its
+    packet is not dispatched."""
+    violation = int(TransportErrorCode.PROTOCOL_VIOLATION)
+    stream_id = (1 << 2) | 0x2
+    for fragment in (
+        StreamFrame(stream_id, 0, b"frag", False),  # no FIN
+        StreamFrame(stream_id, 4, b"ment", True),  # not at offset 0
+        StreamFrame(stream_id, 4, b"ment", False),
+    ):
+        connection, sent = _isolated()
+        delivered, closes = [], []
+        delegate_to(
+            connection,
+            on_stream_data=lambda sid, data, fin: delivered.append((sid >> 2, data, fin)),
+            on_datagram=lambda data: delivered.append(("datagram", data)),
+            on_closed=lambda code, reason: closes.append(code),
+        )
+        connection.datagram_received(_one_shot(0, 0))
+        later = (
+            StreamFrame((2 << 2) | 0x2, 0, b"whole", True),
+            DatagramFrame(b"datagram"),
+            StreamFrame(0, 0, b"control", False),
+        )
+        packet = Packet(PacketType.ONE_RTT, 77, 1, (fragment, *later))
+        connection.datagram_received(packet.encode())
+        assert connection.closed and closes == [violation], fragment
+        assert delivered == [(0, b"obj", True)]
+        assert connection.streams() == {}
+        assert connection.statistics.datagrams_received == 0
+        (close,) = Packet.decode(sent[-1]).frames
+        assert close.error_code == violation
+        # A closed connection reads nothing more.
+        connection.datagram_received(_one_shot(2, 2))
+        assert delivered == [(0, b"obj", True)]
 
 
 def test_a_held_fragment_survives_reuse_of_the_callers_buffer():
-    """The stream's reorder buffer keeps the frame data it is handed without a
-    copy of its own; that is sound because the receive loop hands it bytes
-    even when the caller's datagram is a view over a buffer it goes on to
-    overwrite."""
+    """The control stream's reorder buffer keeps the frame data it is handed
+    without a copy of its own; that is sound because the receive loop hands
+    it bytes even when the caller's datagram is a view over a buffer it goes
+    on to overwrite."""
     connection, _ = _receiver()
     chunks = []
     delegate_to(connection, on_stream_data=lambda sid, data, fin: chunks.append((data, fin)))
-    stream_id = (1 << 2) | 0x2
+    stream_id = 0  # the client's first bidirectional stream: MoQT's control stream
     late = Packet(PacketType.ONE_RTT, 77, 0, (StreamFrame(stream_id, 4, b"ment", True),)).encode()
     buffer = bytearray(late)
     connection.datagram_received(memoryview(buffer))
@@ -831,6 +847,7 @@ def test_a_held_fragment_survives_reuse_of_the_callers_buffer():
     first = Packet(PacketType.ONE_RTT, 77, 1, (StreamFrame(stream_id, 0, b"frag", False),))
     connection.datagram_received(first.encode())
     assert b"".join(data for data, _ in chunks) == b"fragment" and chunks[-1][1] is True
+    assert list(connection.streams()) == [stream_id]
 
 
 @settings(max_examples=60, deadline=None)

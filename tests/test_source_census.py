@@ -19,6 +19,10 @@ An ``ast`` walk over the repository:
   reference is in ``UNREFERENCED``, with its reason, and the list is exact:
   an entry that gains a reference must leave it.
 
+* no module under ``src/repro`` imports a name it never uses (no linter is
+  installed, so this is the tool): a package ``__init__.py`` re-exports and
+  a ``# noqa: F401`` line says so, and both are exempt.
+
 The census goes by name, so it under-reports: a definition whose name is
 also used for something else passes.  Definitions referenced only from
 ``tests/`` (the other half of item 10) are not checked here.
@@ -203,6 +207,75 @@ def _write_jsonl(stream, records):
     # A name read through ``getattr``, or written in a string annotation, is used.
     hooked = 'handler = getattr(sink, "write_spans_jsonl", None)\nmacro: "run_constrained_macro | None"\n'
     assert orphans(modules, where, snippets, index({"src/repro/hooks.py": hooked})) == []
+
+
+def unused_imports(source: str, path: str) -> list[str]:
+    """Every ``path:line: name`` that ``source`` imports and never uses.
+
+    A use is the bare name anywhere, or inside a string that parses as an
+    expression (a string annotation, an ``__all__`` entry).  Imports on a
+    ``# noqa: F401`` line and ``from __future__`` are not checked.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported: list[tuple[str, int]] = []
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if any("noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                imported.append((alias.asname or alias.name.split(".")[0], node.lineno))
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if EXPRESSION.fullmatch(node.value):
+                try:
+                    expression = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                used.update(child.id for child in ast.walk(expression) if isinstance(child, ast.Name))
+    return [f"{path}:{line}: {name}" for name, line in imported if name not in used]
+
+
+def test_nothing_under_src_imports_what_it_does_not_use(repository):
+    modules, _, _ = repository
+    found = [
+        unused
+        for path, source in modules.items()
+        if not path.endswith("__init__.py")
+        for unused in unused_imports(source, f"src/repro/{path}")
+    ]
+    assert not found, "\n".join(["imported and never used (delete the import):", *found])
+
+
+def test_guard_catches_an_unused_import():
+    # quic/connection.py's imports as they stood before the guard, abridged.
+    parent_connection = """
+from __future__ import annotations
+
+from typing import Callable, Protocol
+from repro.netsim.packet import Address, Datagram
+from repro.quic.stream import (
+    QuicStream,
+    stream_initiator_is_client,
+)
+from repro.quic.tls import MOQT_ALPN  # noqa: F401 - re-exported
+
+
+class ConnectionDelegate(Protocol):
+    on_closed: "Callable[[int, str], None]"
+
+
+def open_stream(peer: Address) -> QuicStream:
+    return QuicStream(0)
+"""
+    assert unused_imports(parent_connection, "quic/connection.py") == [
+        "quic/connection.py:5: Datagram",
+        "quic/connection.py:6: stream_initiator_is_client",
+    ]
 
 
 def harness_uses(source: str, path: str) -> list[str]:

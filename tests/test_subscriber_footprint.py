@@ -16,9 +16,8 @@ the one answer to "is this packet outstanding".  Pinned here:
 * (e) a closed connection keeps no ledger record, however it ended.
 
 Source mutations, each tried when this file was written and each failing a
-test: any of the seven ``MoqtSession`` insert sites skipping the install of a
-real dict (``_UnusedTable`` raises in ``tests/test_moqt_session.py``; the
-fragmented-stream site only here, (b)); a drained
+test: any of the six ``MoqtSession`` insert sites skipping the install of a
+real dict (``_UnusedTable`` raises in ``tests/test_moqt_session.py``); a drained
 ``_pending_incoming_subscribes`` kept instead of handed back, and a drained
 ``_peer_uni_above`` kept (b); the RTT sampled from another record than the
 acknowledged one, ``sent_at`` not stored, ``wire_size`` filed from the
@@ -39,7 +38,6 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.experiments.relay_fanout import run_relay_fanout
-from repro.moqt.datastream import encode_subgroup_stream_chunk
 from repro.moqt.objectmodel import MoqtObject
 from repro.moqt.origin import ORIGIN_HOST, ORIGIN_PORT, TRACK, build_origin
 from repro.moqt.session import _UNUSED, MoqtSession
@@ -214,7 +212,6 @@ class TestStateFollowsRole:
                 session._publisher_subscriptions,
                 session._pending_incoming_subscribes,
                 session._pending_incoming_fetches,
-                session._stream_parsers,
             ):
                 assert table is _UNUSED
             assert session.connection._peer_uni_above is None
@@ -230,21 +227,8 @@ class TestStateFollowsRole:
                 # Held one SUBSCRIBE for the instant the relay took to answer.
                 session._pending_incoming_subscribes,
                 session._pending_incoming_fetches,
-                session._stream_parsers,
             ):
                 assert table is _UNUSED
-
-    def test_a_fragmented_data_stream_gets_a_parser_table_of_its_own(self):
-        connection = _bare_connection(Simulator(), [])
-        session = MoqtSession(connection, is_client=True)
-        received = []
-        subscription = session.subscribe(TRACK, on_object=received.append)
-        obj = MoqtObject(group_id=2, object_id=0, payload=b"x" * 300)
-        chunk = encode_subgroup_stream_chunk(subscription.track_alias, obj)
-        session.stream_data_received(3, chunk[:7], False)
-        assert session._stream_parsers is not _UNUSED and list(session._stream_parsers) == [3]
-        session.stream_data_received(3, chunk[7:], True)
-        assert received == [obj] and not session._stream_parsers
 
     def test_a_stream_arriving_out_of_order_builds_the_set_and_draining_drops_it(self):
         delivered = []
