@@ -5,7 +5,11 @@ The server exposes one or more zones over MoQT (§4.1/§4.2 of the paper):
 * A resolver subscribes to the track derived from its DNS question (Fig. 3)
   and issues a joining fetch with offset 1; the server answers the fetch with
   the current answer for that question, encapsulated per Fig. 4 with the
-  group ID set to the zone's version number.
+  group ID set to the zone's version number.  A subscribed track keeps that
+  object — computed at its first SUBSCRIBE, replaced by every push — and it
+  serves a FETCH while the zone's serial is still its group ID; otherwise
+  the answer is computed afresh (``docs/dns-push.md`` § One answer per zone
+  version).
 * Whenever the zone changes, the version number (the SOA serial) increases
   and the server regenerates the answer of every subscribed track that can
   read the changed owner name (each track *watches* the names its last answer
@@ -24,15 +28,16 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from repro.core.encapsulation import encapsulate_response
-from repro.core.mapping import DnsQuestionKey, no_such_track, track_to_question
+from repro.core.mapping import DnsQuestionKey, no_such_track
 from repro.core.errors import MappingError
+from repro.core.subscribing import answer_memo
 from repro.dns.message import Flags, Header, Message
 from repro.dns.name import Name
 from repro.dns.rdata import CNAMERdata, NSRdata
 from repro.dns.types import MOQT_PORT, RecordType
 from repro.dns.zone import LookupResult, Zone, ZoneChange, find_zone
 from repro.moqt.messages import Fetch, Subscribe
-from repro.moqt.objectmodel import Location
+from repro.moqt.objectmodel import Location, MoqtObject
 from repro.moqt.session import (
     MOQT_ALPN,
     FetchResult,
@@ -58,14 +63,18 @@ class _TrackSubscribers:
 
     A track exists while it has at least one subscriber.  ``order`` is its
     creation sequence number (tracks touched by one zone change publish in
-    creation order); ``subscribers`` holds the sessions' own records in
-    subscribe order, which is the push order; ``watched`` holds the owner names
-    the last answer could have read, which is where the track is filed in the
-    server's watcher index.
+    creation order); ``zone`` is the governing zone; ``current`` is the
+    encapsulated answer last computed (first SUBSCRIBE) or published, or
+    ``None`` after a re-answer that published nothing; ``subscribers`` holds
+    the sessions' own records in subscribe order, which is the push order;
+    ``watched`` holds the owner names the last answer could have read, which is
+    where the track is filed in the server's watcher index.
     """
 
     key: DnsQuestionKey
     order: int
+    zone: Zone
+    current: MoqtObject | None = None
     subscribers: list[PublisherSubscription] = field(default_factory=list)
     last_answer_fingerprint: tuple[str, ...] | None = None
     watched: tuple[Name, ...] = ()
@@ -134,6 +143,8 @@ class MoqAuthoritativeServer:
         self.simulator = host.simulator
         self.session_config = session_config if session_config is not None else MoqtSessionConfig()
         self.statistics = AuthServerStatistics()
+        # Track names are parsed through the simulation's decode memo.
+        self._decodes = answer_memo(self.simulator)
         self._zones: dict[Name, Zone] = {}
         self._tracks: dict[DnsQuestionKey, _TrackSubscribers] = {}
         self._tracks_created = 0
@@ -253,24 +264,26 @@ class MoqAuthoritativeServer:
         which is how the server gets the session's record to file.
         """
         try:
-            key = track_to_question(message.full_track_name)
+            key = self._decodes.question(message.full_track_name)
         except MappingError as error:
             self.statistics.subscribes_rejected += 1
             return no_such_track(SubscribeResult, error)
-        answer = self.answer_question(key)
-        if answer is None:
-            self.statistics.subscribes_rejected += 1
-            return no_such_track(SubscribeResult, f"not authoritative for {key.qname}")
-        response, zone = answer
         state = self._tracks.get(key)
         if state is None:
-            state = _TrackSubscribers(key=key, order=self._tracks_created)
+            answer = self.answer_question(key)
+            if answer is None:
+                self.statistics.subscribes_rejected += 1
+                return no_such_track(SubscribeResult, f"not authoritative for {key.qname}")
+            response, zone = answer
+            state = _TrackSubscribers(
+                key, self._tracks_created, zone, encapsulate_response(response, zone.serial)
+            )
             self._tracks_created += 1
             self._tracks[key] = state
             state.last_answer_fingerprint = self._fingerprint(response)
             self._watch(state, _watched_names(key, zone, response))
         subscription = session.complete_subscribe(
-            message.request_id, SubscribeResult(ok=True, largest=Location(zone.serial, 0))
+            message.request_id, SubscribeResult(ok=True, largest=Location(state.zone.serial, 0))
         )
         subscription.owner = state
         state.subscribers.append(subscription)
@@ -319,18 +332,25 @@ class MoqAuthoritativeServer:
     def handle_fetch(
         self, session: MoqtSession, message: Fetch, full_track_name: FullTrackName | None
     ) -> FetchResult:
-        """Answer a (joining) fetch with the current version of the record."""
+        """Answer a (joining) fetch with the current version of the record.
+
+        A subscribed track's ``current`` object is that version while its
+        group ID is the zone's serial (``docs/dns-push.md``).
+        """
         try:
-            key = track_to_question(full_track_name)
+            key = self._decodes.question(full_track_name)
         except MappingError as error:
             self.statistics.fetches_rejected += 1
             return no_such_track(FetchResult, error)
-        answer = self.answer_question(key)
-        if answer is None:
-            self.statistics.fetches_rejected += 1
-            return no_such_track(FetchResult, f"not authoritative for {key.qname}")
-        response, zone = answer
-        obj = encapsulate_response(response, zone.serial)
+        state = self._tracks.get(key)
+        obj = None if state is None else state.current
+        if obj is None or obj.group_id != state.zone.serial:
+            answer = self.answer_question(key)
+            if answer is None:
+                self.statistics.fetches_rejected += 1
+                return no_such_track(FetchResult, f"not authoritative for {key.qname}")
+            response, zone = answer
+            obj = encapsulate_response(response, zone.serial)
         self.statistics.fetches_served += 1
         return FetchResult(ok=True, objects=[obj], largest=obj.location)
 
@@ -341,7 +361,12 @@ class MoqAuthoritativeServer:
         self._reanswer(self._watching(change.name))
 
     def _reanswer(self, states: list[_TrackSubscribers]) -> None:
-        """Regenerate each track's answer; publish the ones that changed."""
+        """Regenerate each track's answer; publish the ones that changed.
+
+        A track that publishes nothing drops ``current``: its bytes may differ
+        from the new answer's (record order, a SOA) though the fingerprint
+        does not.
+        """
         for state in states:
             if not state.subscribers:
                 continue  # dropped while an earlier track was being published
@@ -349,18 +374,19 @@ class MoqAuthoritativeServer:
             if answer is None:
                 continue
             response, zone = answer
+            state.zone = zone
+            state.current = None
             self.statistics.tracks_evaluated += 1
             self._watch(state, _watched_names(state.key, zone, response))
             fingerprint = self._fingerprint(response)
             if fingerprint == state.last_answer_fingerprint:
                 continue
             state.last_answer_fingerprint = fingerprint
-            self._publish_update(state, response, zone.serial)
+            self._publish_update(state, response)
 
-    def _publish_update(
-        self, state: _TrackSubscribers, response: Message, version: int
-    ) -> None:
-        obj = encapsulate_response(response, version)
+    def _publish_update(self, state: _TrackSubscribers, response: Message) -> None:
+        """Push ``response`` under ``state.zone``'s serial; it becomes ``current``."""
+        obj = state.current = encapsulate_response(response, state.zone.serial)
         published = publish_to(state.subscribers, obj)
         self.statistics.updates_published += published
         self.statistics.update_bytes_published += published * obj.size
@@ -377,9 +403,9 @@ class MoqAuthoritativeServer:
         answer = self.answer_question(key)
         if answer is None:
             return 0
-        response, zone = answer
-        self._watch(state, _watched_names(key, zone, response))
+        response, state.zone = answer
+        self._watch(state, _watched_names(key, state.zone, response))
         state.last_answer_fingerprint = self._fingerprint(response)
         count = len(state.subscribers)
-        self._publish_update(state, response, zone.serial)
+        self._publish_update(state, response)
         return count

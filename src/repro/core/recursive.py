@@ -45,7 +45,7 @@ from repro.core.compatibility import (
     UpstreamCapability,
 )
 from repro.core.encapsulation import encapsulate_response
-from repro.core.mapping import DnsQuestionKey, no_such_track, track_to_question
+from repro.core.mapping import DnsQuestionKey, no_such_track
 from repro.core.errors import MappingError
 from repro.core.session_manager import SessionManagerConfig
 from repro.core.subscribing import QuestionRecord, SubscribeFetch, SubscribingResolver
@@ -371,7 +371,7 @@ class MoqRecursiveResolver(SubscribingResolver):
         """Publisher-delegate entry: answer once the question is resolved."""
         self.statistics.client_subscribes += 1
         try:
-            key = track_to_question(message.full_track_name)
+            key = self.answers.question(message.full_track_name)
         except MappingError as error:
             return no_such_track(SubscribeResult, error)
 
@@ -495,7 +495,7 @@ class MoqRecursiveResolver(SubscribingResolver):
         """Publisher-delegate entry: serve the record once it is resolved."""
         self.statistics.client_fetches += 1
         try:
-            key = track_to_question(full_track_name)
+            key = self.answers.question(full_track_name)
         except MappingError as error:
             return no_such_track(FetchResult, error)
 
@@ -505,7 +505,11 @@ class MoqRecursiveResolver(SubscribingResolver):
                     message.request_id, no_such_track(FetchResult, "resolution failed")
                 )
                 return
-            obj = encapsulate_response(outcome.message, outcome.version)
+            # The bytes the upstream sent, as a push is relayed; a §4.5
+            # classic answer never arrived as an object and is encapsulated.
+            obj = self.answers.received(outcome.message, outcome.version)
+            if obj is None:
+                obj = encapsulate_response(outcome.message, outcome.version)
             session.complete_fetch(
                 message.request_id,
                 FetchResult(ok=True, objects=[obj], largest=obj.location),

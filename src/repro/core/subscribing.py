@@ -4,7 +4,8 @@ One :class:`QuestionRecord` per question, updated in place; one coalescer of
 concurrent lookups; one SUBSCRIBE + joining-FETCH attempt under a timeout
 (:class:`SubscribeFetch`, a Fig. 2 step); one ingest of the objects the
 subscription pushes afterwards, through one decode memo per simulation
-(:class:`AnswerMemo`); one classic-DNS front for unmodified stubs.
+(:class:`AnswerMemo`, which the publishers parse track names through too);
+one classic-DNS front for unmodified stubs.
 What each role adds, and what is alive during a lookup and after it, is
 ``docs/resolvers.md``.  The rule for the latter: a finished attempt drops its
 timer, its callback and the subscription's ``on_response``, so all a question
@@ -20,7 +21,7 @@ from weakref import WeakKeyDictionary
 
 from repro.core.encapsulation import decapsulate_response
 from repro.core.errors import MappingError
-from repro.core.mapping import DnsQuestionKey, question_to_track
+from repro.core.mapping import DnsQuestionKey, question_to_track, track_to_question
 from repro.core.session_manager import UpstreamSessionManager
 from repro.core.subscription import SubscriptionRegistry, TeardownPolicy
 from repro.dns.message import Message, make_response
@@ -28,6 +29,7 @@ from repro.dns.transport import DnsUdpEndpoint
 from repro.dns.types import Rcode
 from repro.moqt.objectmodel import MoqtObject
 from repro.moqt.session import FetchRequest, Subscription
+from repro.moqt.track import FullTrackName
 from repro.netsim.node import Host
 from repro.netsim.packet import Address
 from repro.netsim.simulator import Simulator, Timer
@@ -52,27 +54,37 @@ class QuestionRecord:
 
 
 class AnswerMemo:
-    """Decoded responses by payload bytes, shared by the roles of one simulation.
+    """The decodes shared by the roles of one simulation: answers and questions.
 
     A pushed answer crosses several roles (authoritative -> recursive ->
-    forwarder) as the same bytes.  Each role still runs its decode, but after
-    the first it is a dictionary hit that hands back the instance the first
-    parse produced.  ``Message`` is immutable, so sharing it is safe, and a
-    verdict is a function of the bytes, so the malformed-push check is kept:
-    only successful decodes are stored, and a malformed payload raises
-    :class:`MappingError` at every role on every delivery.  Epoch eviction
-    (clear when full), as in ``moqt/messages.py``.
+    forwarder) as the same bytes, and a question's track name crosses the
+    recursive resolver and the authoritative servers as equal values.  Each
+    role still runs its decode, but after the first it is a dictionary hit
+    that hands back the instance the first parse produced.  ``Message`` and
+    ``DnsQuestionKey`` are immutable, so sharing them is safe, and a verdict
+    is a function of the input, so the malformed-input checks are kept: only
+    successful decodes are stored, and a malformed payload or track name
+    raises :class:`MappingError` at every role on every delivery.  Epoch
+    eviction (clear when full), as in ``moqt/messages.py``.
+
+    Each decoded answer also remembers the object it was first decoded from
+    (:meth:`received`), so a relaying role can serve those bytes instead of
+    encoding the answer again.  That record is keyed by the ``Message``
+    instance and goes when the answer does.
 
     One memo per :class:`Simulator` (:func:`answer_memo`), not per process:
     a simulation's decodes never depend on which simulations ran before it.
     """
 
-    __slots__ = ("_messages",)
+    __slots__ = ("_messages", "_sources", "_questions")
 
     MAX_ENTRIES = 512
 
     def __init__(self) -> None:
         self._messages: dict[bytes, Message] = {}
+        # id(message) -> (message, the object it was first decoded from).
+        self._sources: dict[int, tuple[Message, MoqtObject]] = {}
+        self._questions: dict[FullTrackName, DnsQuestionKey] = {}
 
     def decapsulate(self, obj: MoqtObject) -> Message:
         """:func:`decapsulate_response`, once per distinct payload."""
@@ -82,8 +94,31 @@ class AnswerMemo:
             message = decapsulate_response(obj)
             if len(self._messages) >= self.MAX_ENTRIES:
                 self._messages.clear()
+                self._sources.clear()
             self._messages[payload] = message
+            self._sources[id(message)] = (message, obj)
         return message
+
+    def received(self, message: Message, version: int) -> MoqtObject | None:
+        """The object ``message`` was decoded from, if it is ``version``'s.
+
+        ``None`` for an answer this memo did not decode (a §4.5 classic
+        answer, an evicted one) or one first received under another group.
+        """
+        source = self._sources.get(id(message))
+        if source is not None and source[0] is message and source[1].group_id == version:
+            return source[1]
+        return None
+
+    def question(self, full_track_name: FullTrackName | None) -> DnsQuestionKey:
+        """:func:`track_to_question`, once per distinct track name."""
+        key = self._questions.get(full_track_name)
+        if key is None:
+            key = track_to_question(full_track_name)
+            if len(self._questions) >= self.MAX_ENTRIES:
+                self._questions.clear()
+            self._questions[full_track_name] = key
+        return key
 
 
 _MEMOS: WeakKeyDictionary[Simulator, AnswerMemo] = WeakKeyDictionary()

@@ -274,20 +274,18 @@ class Zone:
         return None
 
     def _find_delegation(self, qname: Name) -> tuple[RRset, list[ResourceRecord]] | None:
-        """Find the closest enclosing delegation strictly below the apex."""
-        candidates = [name for name in qname.ancestors() if name.is_subdomain_of(self.origin)]
-        for candidate in candidates:
-            if candidate == self.origin:
-                continue
+        """Find the closest enclosing delegation strictly below the apex.
+
+        Walks from ``qname`` (a query exactly at the delegation point is a
+        referral too) up to, not including, the origin, building each
+        ancestor only when it is probed.
+        """
+        candidate = qname
+        for _ in range(len(qname) - len(self.origin)):
             ns_rrset = self._rrsets.get((candidate, RecordType.NS))
-            if ns_rrset is not None and candidate != qname:
-                glue = self._glue_for(ns_rrset)
-                return ns_rrset, glue
-            if ns_rrset is not None and candidate == qname:
-                # Query exactly at the delegation point is also a referral
-                # unless we are authoritative for the child.
-                glue = self._glue_for(ns_rrset)
-                return ns_rrset, glue
+            if ns_rrset is not None:
+                return ns_rrset, self._glue_for(ns_rrset)
+            candidate = candidate.parent()
         return None
 
     def _glue_for(self, ns_rrset: RRset) -> list[ResourceRecord]:

@@ -21,36 +21,58 @@ bytes, so the second role's decode is a dictionary hit.  Pinned here:
   answers even when an identical one ran before it in the process;
 * memo safety: a hit cannot be mutated; a malformed payload is rejected at
   every role on every delivery and never stored; over the codec corpus of
-  ``test_dns_codec.py`` a hit equals a fresh decode of the same bytes.
+  ``test_dns_codec.py`` a hit equals a fresh decode of the same bytes;
+* serving what arrived: over the same corpus, re-encapsulating a decoded
+  canonical payload under any version gives that payload back, which is why
+  the recursive resolver may answer a FETCH with the object it received
+  (``AnswerMemo.received``); a §4.5 classic answer never arrived as an object
+  and is still encapsulated;
+* the question table: a hit equals a fresh ``track_to_question`` of the
+  same name, and a malformed track name is refused at both publishers on
+  every request and never stored.
 
 Source mutations tried when this file was written, each failing a test: no
 memo (the budget, the shared-instance checks); failures stored in the memo
 (the malformed cases); a mutable ``Message`` with list sections (the frozen
 check); the memo seeded by ``encapsulate_response`` (the cold lookup's parse
-count); one memo for the whole process (the scope checks).
+count); one memo for the whole process (the scope checks); a source record
+kept past eviction or across groups (the ``received`` check); the question
+table storing failures (the malformed-name check).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
+import repro.core.recursive
+from repro.core.encapsulation import decapsulate_response, encapsulate_response
 from repro.core.errors import MappingError
-from repro.core.mapping import DnsQuestionKey
+from repro.core.mapping import DnsQuestionKey, question_to_track, track_to_question
 from repro.core.subscribing import AnswerMemo, answer_memo
 from repro.dns.message import Message
+from repro.dns.name import Name
 from repro.dns.rdata import ARdata
 from repro.dns.rr import ResourceRecord, RRset
-from repro.dns.types import RecordType
-from repro.experiments.topology import build_workload_topology
-from repro.moqt.objectmodel import MoqtObject
-from repro.moqt.session import publish_to
+from repro.dns.types import MOQT_PORT, RecordType
+from repro.experiments.topology import (
+    RECURSIVE_HOST, SmallTopology, SmallTopologyConfig, build_workload_topology,
+)
+from repro.moqt.objectmodel import Location, MoqtObject
+from repro.moqt.session import MOQT_ALPN, MoqtSession, publish_to
+from repro.moqt.track import FullTrackName, TrackNamespace
+from repro.netsim.link import LinkConfig
+from repro.netsim.packet import Address
+from repro.quic.connection import ConnectionConfig
+from repro.quic.endpoint import QuicEndpoint
 from repro.workload.change_model import ChangeModel, ChangeModelConfig
 from repro.workload.toplist import SyntheticToplist, ToplistConfig
 from repro.workload.zones import WorkloadZones, ZoneBuildConfig
 from test_dns_codec import GOLDEN, MALFORMED, written_messages
+from test_property_wire import question_keys
 
 #: ``Message.from_wire`` calls one zone change costs the whole simulation.
 DECODES_PER_ZONE_CHANGE = 1
@@ -233,3 +255,137 @@ def test_a_hit_equals_a_fresh_decode_on_generated_messages(written):
     wire, expected = written
     first, hit = _decapsulate_twice(wire)
     assert hit is first and hit == Message.from_wire(wire) == expected
+
+
+# ------------------------------------------------------- serving what arrived
+def _reencapsulates_to_itself(message: Message, version: int) -> None:
+    obj = encapsulate_response(message, version)
+    for other in (version, version + 1, 0):
+        assert encapsulate_response(decapsulate_response(obj), other).payload == obj.payload
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_a_decoded_canonical_payload_reencapsulates_to_itself_on_the_golden_messages(case):
+    _reencapsulates_to_itself(GOLDEN[case][0](), 7)
+
+
+@given(written_messages(), st.integers(0, 2**40))
+@settings(max_examples=100)
+def test_a_decoded_canonical_payload_reencapsulates_to_itself_on_generated_messages(
+    written, version
+):
+    _reencapsulates_to_itself(written[1], version)
+
+
+def test_the_memo_knows_which_object_an_answer_came_from(monkeypatch):
+    memo = AnswerMemo()
+    obj = encapsulate_response(GOLDEN["answer"][0](), 5)
+    message = memo.decapsulate(obj)
+    assert memo.received(message, 5) is obj
+    assert memo.received(message, 6) is None, "another group is another object"
+    # A later object with the same bytes is a hit; the record stays the first object's.
+    assert memo.decapsulate(MoqtObject(group_id=6, object_id=0, payload=obj.payload)) is message
+    assert memo.received(message, 6) is None and memo.received(message, 5) is obj
+    equal = Message.from_wire(obj.payload)  # equal, but not the instance the memo handed out
+    assert memo.received(equal, 5) is None
+    monkeypatch.setattr(AnswerMemo, "MAX_ENTRIES", 1)
+    memo.decapsulate(encapsulate_response(GOLDEN["referral"][0](), 5))  # evicts the answer
+    assert memo.received(message, 5) is None
+
+
+def test_a_fallback_answer_is_still_encapsulated_by_the_recursive_resolver(monkeypatch):
+    """§4.5: the authoritative server speaks no MoQT, so the recursive
+    resolver's answer came over UDP and was never received as bytes."""
+    topology = SmallTopology(SmallTopologyConfig(moqt_on_auth=False))
+    encapsulated = []
+
+    def spy(message, version):
+        encapsulated.append(encapsulate_response(message, version))
+        return encapsulated[-1]
+
+    monkeypatch.setattr(repro.core.recursive, "encapsulate_response", spy)
+    key = DnsQuestionKey(qname=Name.from_text(topology.config.domain), qtype=RecordType.A)
+    answers = []
+    topology.forwarder.resolve(key, lambda message, version: answers.append((message, version)))
+    topology.run(5.0)
+    ((message, version),) = answers
+    record = topology.moqt_recursive.record(key)
+    assert not record.via_moqt and _addresses(message) == [topology.config.initial_address]
+    assert topology.moqt_recursive.answers.received(record.message, record.version) is None
+    (obj,) = encapsulated  # the FETCH answer, encapsulated once
+    assert (obj.group_id, obj.payload) == (version, message.to_wire())
+
+
+# ----------------------------------------------------------- question table
+@given(question_keys())
+@settings(max_examples=100)
+def test_a_question_hit_equals_a_fresh_parse(key):
+    memo = AnswerMemo()
+    track = question_to_track(key)
+    first = memo.question(track)
+    equal = FullTrackName(
+        TrackNamespace(tuple(bytes(bytearray(element)) for element in track.namespace.elements)),
+        bytes(bytearray(track.name)),
+    )
+    hit = memo.question(equal)
+    assert hit is first and hit == track_to_question(track) == key
+
+
+BAD_TRACKS = {
+    "two namespace elements": FullTrackName(TrackNamespace((b"\x10", b"\x00\x01")), b"\x00"),
+    "unknown QTYPE": FullTrackName(
+        TrackNamespace((b"\x10", (999).to_bytes(2, "big"), b"\x00\x01")), b"\x00"
+    ),
+    "trailing bytes": FullTrackName(
+        TrackNamespace((b"\x10", b"\x00\x01", b"\x00\x01")), b"\x00\x01x"
+    ),
+}
+
+
+def wrap_track_to_question(monkeypatch, wrap) -> None:
+    """Replace ``track_to_question`` with ``wrap(track_to_question)`` in every
+    ``repro`` module that has it, so a parse is seen wherever it is called from."""
+    original = sys.modules["repro.core.mapping"].track_to_question
+    wrapped = wrap(original)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.") and getattr(module, "track_to_question", None) is original:
+            monkeypatch.setattr(module, "track_to_question", wrapped)
+
+
+def _session_to(topology, host: str, server: str) -> MoqtSession:
+    topology.network.add_host(host)
+    topology.network.connect(host, server, LinkConfig(delay=0.010))
+    connection = QuicEndpoint(topology.network.host(host)).connect(
+        Address(server, MOQT_PORT), ConnectionConfig(alpn_protocols=(MOQT_ALPN,))
+    )
+    return MoqtSession(connection, is_client=True)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRACKS))
+def test_a_malformed_track_name_is_refused_at_both_publishers_every_time(monkeypatch, case):
+    topology, _ = _chain()
+    auth_host = sorted(topology.moqt_servers)[-1]
+    sessions = [
+        _session_to(topology, "10.9.9.1", RECURSIVE_HOST),
+        _session_to(topology, "10.9.9.2", auth_host),
+    ]
+    memo = answer_memo(topology.simulator)
+    parsed = []
+
+    def counting(parse):
+        def counted(full_track_name):
+            parsed.append(full_track_name)
+            return parse(full_track_name)
+        return counted
+
+    wrap_track_to_question(monkeypatch, counting)
+    bad = BAD_TRACKS[case]
+    for attempt in (1, 2):
+        requests = []
+        for session in sessions:
+            requests.append(session.subscribe(bad))
+            requests.append(session.fetch(bad, Location(0, 0), Location(0, 0)))
+        topology.simulator.run(until=topology.simulator.now + 2.0)
+        assert [request.state for request in requests] == ["error"] * 4
+        assert len(parsed) == 4 * attempt, "a publisher skipped the check"
+        assert bad not in memo._questions

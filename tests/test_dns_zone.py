@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dns.name import Name
 from repro.dns.rdata import ARdata
@@ -191,3 +192,51 @@ txt TXT "hello world"
             "$ORIGIN example.io.\n; a comment\n\nwww A 192.0.2.5 ; trailing comment\n"
         )
         assert zone.get_rrset("www.example.io.", "A") is not None
+
+
+# ---------------------------------------------------- delegation walk, differential
+def reference_find_delegation(zone: Zone, qname: Name):
+    """``Zone._find_delegation`` as it was: every ancestor of ``qname`` built
+    and filtered by ``is_subdomain_of``, the first NS below the apex returned."""
+    candidates = [name for name in qname.ancestors() if name.is_subdomain_of(zone.origin)]
+    for candidate in candidates:
+        if candidate == zone.origin:
+            continue
+        ns_rrset = zone._rrsets.get((candidate, RecordType.NS))
+        if ns_rrset is not None:
+            return ns_rrset, zone._glue_for(ns_rrset)
+    return None
+
+
+ORIGIN = "example.com."
+# Owner and query names up to four labels below the origin, from a small
+# alphabet so that cuts, names at a cut and names below one all occur.
+relative_names = st.lists(st.sampled_from(["a", "b", "ns"]), min_size=0, max_size=4).map(
+    lambda labels: ".".join([*labels, ORIGIN]) if labels else ORIGIN
+)
+zone_records = st.lists(
+    st.one_of(
+        st.tuples(relative_names, st.just("NS"), relative_names),
+        st.tuples(relative_names, st.just("A"), st.sampled_from(["192.0.2.1", "192.0.2.2"])),
+        st.tuples(relative_names.map(lambda name: "*." + name), st.just("A"), st.just("192.0.2.9")),
+        st.tuples(relative_names, st.just("CNAME"), relative_names),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(zone_records, st.lists(relative_names, min_size=1, max_size=8))
+def test_the_delegation_walk_equals_the_ancestor_list_it_replaced(records, qnames):
+    zone = Zone(ORIGIN)
+    for owner, rdtype, rdata in records:
+        if rdtype == "CNAME" and zone.get_rrset(owner, "CNAME") is not None:
+            continue  # one CNAME per owner
+        zone.add(owner, rdtype, rdata, bump=False)
+    for text in qnames + [owner for owner, _, _ in records]:
+        qname = Name.from_text(text)
+        found, expected = zone._find_delegation(qname), reference_find_delegation(zone, qname)
+        if expected is None:
+            assert found is None, text
+        else:
+            assert found[0] is expected[0] and found[1] == expected[1], text
