@@ -30,7 +30,7 @@ from operator import attrgetter
 from repro.core.encapsulation import encapsulate_response
 from repro.core.mapping import DnsQuestionKey, no_such_track
 from repro.core.errors import MappingError
-from repro.core.subscribing import answer_memo
+from repro.core.subscribing import AnswerMemo
 from repro.dns.message import Flags, Header, Message
 from repro.dns.name import Name
 from repro.dns.rdata import CNAMERdata, NSRdata
@@ -144,7 +144,7 @@ class MoqAuthoritativeServer:
         self.session_config = session_config if session_config is not None else MoqtSessionConfig()
         self.statistics = AuthServerStatistics()
         # Track names are parsed through the simulation's decode memo.
-        self._decodes = answer_memo(self.simulator)
+        self._decodes = AnswerMemo(self.simulator)
         self._zones: dict[Name, Zone] = {}
         self._tracks: dict[DnsQuestionKey, _TrackSubscribers] = {}
         self._tracks_created = 0

@@ -3,7 +3,7 @@
 One :class:`QuestionRecord` per question, updated in place; one coalescer of
 concurrent lookups; one SUBSCRIBE + joining-FETCH attempt under a timeout
 (:class:`SubscribeFetch`, a Fig. 2 step); one ingest of the objects the
-subscription pushes afterwards, through one decode memo per simulation
+subscription pushes afterwards, through the simulation's decode memo
 (:class:`AnswerMemo`, which the publishers parse track names through too);
 one classic-DNS front for unmodified stubs.
 What each role adds, and what is alive during a lookup and after it, is
@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
-from weakref import WeakKeyDictionary
 
 from repro.core.encapsulation import decapsulate_response
 from repro.core.errors import MappingError
@@ -54,7 +53,7 @@ class QuestionRecord:
 
 
 class AnswerMemo:
-    """The decodes shared by the roles of one simulation: answers and questions.
+    """A role's view of its simulation's DNS decodes: answers and questions.
 
     A pushed answer crosses several roles (authoritative -> recursive ->
     forwarder) as the same bytes, and a question's track name crosses the
@@ -64,39 +63,33 @@ class AnswerMemo:
     ``DnsQuestionKey`` are immutable, so sharing them is safe, and a verdict
     is a function of the input, so the malformed-input checks are kept: only
     successful decodes are stored, and a malformed payload or track name
-    raises :class:`MappingError` at every role on every delivery.  Epoch
-    eviction (clear when full), as in ``moqt/messages.py``.
+    raises :class:`MappingError` at every role on every delivery.
 
+    The tables are the simulation's own (:attr:`Simulator.memos`), so a
+    simulation's decodes never depend on which simulations ran before it.
     Each decoded answer also remembers the object it was first decoded from
     (:meth:`received`), so a relaying role can serve those bytes instead of
     encoding the answer again.  That record is keyed by the ``Message``
-    instance and goes when the answer does.
-
-    One memo per :class:`Simulator` (:func:`answer_memo`), not per process:
-    a simulation's decodes never depend on which simulations ran before it.
+    instance and goes when the answer does: a miss stores one entry in each
+    of the two tables, so they fill, and are cleared, together.
     """
 
-    __slots__ = ("_messages", "_sources", "_questions")
+    __slots__ = ("_answers", "_sources", "_questions")
 
-    MAX_ENTRIES = 512
-
-    def __init__(self) -> None:
-        self._messages: dict[bytes, Message] = {}
+    def __init__(self, simulator: Simulator) -> None:
+        self._answers = simulator.memos["dns.answer"]
         # id(message) -> (message, the object it was first decoded from).
-        self._sources: dict[int, tuple[Message, MoqtObject]] = {}
-        self._questions: dict[FullTrackName, DnsQuestionKey] = {}
+        self._sources = simulator.memos["dns.source"]
+        self._questions = simulator.memos["dns.question"]
 
     def decapsulate(self, obj: MoqtObject) -> Message:
         """:func:`decapsulate_response`, once per distinct payload."""
         payload = obj.payload
-        message = self._messages.get(payload)
+        message = self._answers.get(payload)
         if message is None:
             message = decapsulate_response(obj)
-            if len(self._messages) >= self.MAX_ENTRIES:
-                self._messages.clear()
-                self._sources.clear()
-            self._messages[payload] = message
-            self._sources[id(message)] = (message, obj)
+            self._answers.keep(payload, message)
+            self._sources.keep(id(message), (message, obj))
         return message
 
     def received(self, message: Message, version: int) -> MoqtObject | None:
@@ -114,22 +107,8 @@ class AnswerMemo:
         """:func:`track_to_question`, once per distinct track name."""
         key = self._questions.get(full_track_name)
         if key is None:
-            key = track_to_question(full_track_name)
-            if len(self._questions) >= self.MAX_ENTRIES:
-                self._questions.clear()
-            self._questions[full_track_name] = key
+            key = self._questions.keep(full_track_name, track_to_question(full_track_name))
         return key
-
-
-_MEMOS: WeakKeyDictionary[Simulator, AnswerMemo] = WeakKeyDictionary()
-
-
-def answer_memo(simulator: Simulator) -> AnswerMemo:
-    """The memo every role driven by ``simulator`` decodes through."""
-    memo = _MEMOS.get(simulator)
-    if memo is None:
-        memo = _MEMOS[simulator] = AnswerMemo()
-    return memo
 
 
 class SubscribeFetch:
@@ -208,7 +187,7 @@ class SubscribingResolver:
         self.host = host
         self.simulator = host.simulator
         # Shared with every other role of the simulation (``docs/dns-codec.md``).
-        self.answers = answer_memo(self.simulator)
+        self.answers = AnswerMemo(self.simulator)
         self.registry = SubscriptionRegistry(teardown_policy)
         self.sessions = UpstreamSessionManager(
             host, config=self.config.session_manager, session_config=self.config.moqt_session

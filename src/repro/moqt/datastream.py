@@ -224,21 +224,6 @@ def decode_object_datagram(data: bytes) -> tuple[int, MoqtObject]:
     return track_alias, obj
 
 
-#: Memo of completely received one-shot data streams, keyed by wire bytes.
-#: A relay fanning one object to N subscribers sends N byte-identical stream
-#: payloads (same track alias, same body); each receiving session would
-#: otherwise re-parse the same bytes.  Values are immutable (header plus a
-#: tuple of frozen objects), so sharing them across sessions is safe.  The
-#: cache is a plain dict with epoch eviction: when full it is cleared, which
-#: is O(1) amortised and keeps the working set (the last few distinct
-#: objects in flight) hot.
-_COMPLETE_STREAM_CACHE: dict[
-    bytes,
-    tuple[SubgroupStreamHeader | FetchStreamHeader | None, tuple[MoqtObject, ...]],
-] = {}
-_COMPLETE_STREAM_CACHE_MAX = 512
-
-
 def decode_complete_datastream(
     data: bytes,
 ) -> tuple[SubgroupStreamHeader | FetchStreamHeader | None, tuple[MoqtObject, ...]]:
@@ -250,16 +235,11 @@ def decode_complete_datastream(
     to reassemble.  Returns ``(header, objects)``; a stream whose header is
     truncated yields ``(None, ())``, and trailing bytes that do not form a
     complete object are dropped.  An unknown stream type or object status
-    raises :class:`~repro.moqt.errors.ProtocolViolation` and memoises
-    nothing.  Results are memoised on the wire bytes so the fan-out receive
-    path decodes each distinct stream payload once per process instead of
-    once per subscriber.
+    raises :class:`~repro.moqt.errors.ProtocolViolation`.  The result is
+    immutable (a header and a tuple of frozen objects), which is what lets
+    the receiving session keep it in its simulation's memo and hand one
+    decode to every sibling subscriber of a fan-out.
     """
-    if type(data) is not bytes:
-        data = bytes(data)
-    cached = _COMPLETE_STREAM_CACHE.get(data)
-    if cached is not None:
-        return cached
     header: SubgroupStreamHeader | FetchStreamHeader | None = None
     objects: list[MoqtObject] = []
     reader = VarintReader(data)
@@ -277,9 +257,4 @@ def decode_complete_datastream(
             raise ProtocolViolation(f"unknown data stream type {stream_type:#x}")
     except VarintError:
         pass  # truncated trailing element: keep what parsed completely
-    result = (header, tuple(objects))
-    cache = _COMPLETE_STREAM_CACHE
-    if len(cache) >= _COMPLETE_STREAM_CACHE_MAX:
-        cache.clear()
-    cache[data] = result
-    return result
+    return header, tuple(objects)

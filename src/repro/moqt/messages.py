@@ -587,18 +587,8 @@ _DECODERS: dict[int, type[ControlMessage]] = {
 }
 
 
-#: Memo of decoded control messages keyed by ``(type, payload bytes)``.
-#: Large subscriber populations exchange byte-identical CLIENT_SETUP /
-#: SERVER_SETUP / SUBSCRIBE messages (10⁵ copies of the same SUBSCRIBE in the
-#: macro runs); messages are frozen dataclasses, so one decoded instance can
-#: serve every session — which also interns the embedded track names for
-#: free.  Epoch eviction (clear when full) keeps the dict bounded.
-_CONTROL_MESSAGE_CACHE: dict[tuple[int, bytes], "ControlMessage"] = {}
-_CONTROL_MESSAGE_CACHE_MAX = 512
-
-
-def decode_control_message(data: bytes, offset: int = 0) -> tuple[ControlMessage, int]:
-    """Decode one control message; returns ``(message, next_offset)``.
+def read_control_frame(data: bytes, offset: int = 0) -> tuple[int, bytes, int]:
+    """Frame one control message; returns ``(type, payload, next_offset)``.
 
     Raises :class:`NeedMoreData` when the buffer does not yet hold the whole
     message, which the control-stream reassembly in the session relies on.
@@ -621,17 +611,24 @@ def decode_control_message(data: bytes, offset: int = 0) -> tuple[ControlMessage
     payload = data[start:end]
     if type(payload) is not bytes:
         payload = bytes(payload)
-    key = (message_type, payload)
-    message = _CONTROL_MESSAGE_CACHE.get(key)
-    if message is None:
-        decoder = _DECODERS.get(message_type)
-        if decoder is None:
-            raise ProtocolViolation(f"unknown control message type {message_type:#x}")
-        message = decoder.decode_payload(VarintReader(payload))
-        if len(_CONTROL_MESSAGE_CACHE) >= _CONTROL_MESSAGE_CACHE_MAX:
-            _CONTROL_MESSAGE_CACHE.clear()
-        _CONTROL_MESSAGE_CACHE[key] = message
-    return message, end
+    return message_type, payload, end
+
+
+def decode_control_payload(message_type: int, payload: bytes) -> ControlMessage:
+    """Decode the payload of one framed control message of ``message_type``."""
+    decoder = _DECODERS.get(message_type)
+    if decoder is None:
+        raise ProtocolViolation(f"unknown control message type {message_type:#x}")
+    return decoder.decode_payload(VarintReader(payload))
+
+
+def decode_control_message(data: bytes, offset: int = 0) -> tuple[ControlMessage, int]:
+    """Decode one control message; returns ``(message, next_offset)``.
+
+    Raises :class:`NeedMoreData` as :func:`read_control_frame` does.
+    """
+    message_type, payload, end = read_control_frame(data, offset)
+    return decode_control_payload(message_type, payload), end
 
 
 class NeedMoreData(Exception):
@@ -639,9 +636,15 @@ class NeedMoreData(Exception):
 
 
 class ControlStreamParser:
-    """Reassembles control messages from stream data chunks."""
+    """Reassembles control messages from stream data chunks.
+
+    :meth:`decode` turns each framed message into its value; the session's
+    parser overrides it to decode through its simulation's memo.
+    """
 
     __slots__ = ("_buffer",)
+
+    decode = staticmethod(decode_control_payload)
 
     def __init__(self) -> None:
         self._buffer = bytearray()
@@ -657,15 +660,16 @@ class ControlStreamParser:
         # Otherwise — a chunk is nearly always whole messages — parse it
         # where it lies and hold over only an incomplete tail.
         messages: list[ControlMessage] = []
+        decode = self.decode
         offset = 0
         length = len(data)
         try:
             while offset < length:
                 try:
-                    message, offset = decode_control_message(data, offset)
+                    message_type, payload, offset = read_control_frame(data, offset)
                 except NeedMoreData:
                     break
-                messages.append(message)
+                messages.append(decode(message_type, payload))
         except BaseException:
             # A chunk that fails to decode stays buffered whole, as it always
             # has (what a malformed peer should cost is ROADMAP item 3(a)).

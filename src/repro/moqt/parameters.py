@@ -51,8 +51,8 @@ class Parameter:
 class Parameters:
     """An ordered, immutable collection of parameters with a wire codec.
 
-    Immutable all the way down because ``decode_control_message`` hands every
-    session the same decoded message for the same bytes.
+    Immutable all the way down because the sessions of a simulation share one
+    decoded message per distinct bytes (its decode memo).
     """
 
     entries: tuple[Parameter, ...] = ()

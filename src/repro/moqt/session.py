@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol
 
+from repro.memo import Memo
 from repro.moqt.datastream import (
     FetchStreamHeader,
     SubgroupStreamHeader,
@@ -63,6 +64,7 @@ from repro.moqt.messages import (
     SubscribeError,
     SubscribeOk,
     Unsubscribe,
+    decode_control_payload,
 )
 from repro.moqt.objectmodel import Location, MoqtObject
 from repro.moqt.track import FullTrackName
@@ -260,6 +262,30 @@ class _UnusedTable(dict):
 _UNUSED = _UnusedTable()
 
 
+class _MemoControlParser(ControlStreamParser):
+    """A session's control-stream parser: decodes through its simulation's memo.
+
+    Large subscriber populations exchange byte-identical CLIENT_SETUP /
+    SERVER_SETUP / SUBSCRIBE messages, and messages are frozen dataclasses,
+    so one decoded instance serves every session of the simulation, which
+    also interns the embedded track names.  A malformed payload raises and
+    is not stored.
+    """
+
+    __slots__ = ("_decoded",)
+
+    def __init__(self, decoded: Memo) -> None:
+        super().__init__()
+        self._decoded = decoded
+
+    def decode(self, message_type: int, payload: bytes) -> ControlMessage:
+        key = (message_type, payload)
+        message = self._decoded.get(key)
+        if message is None:
+            message = self._decoded.keep(key, decode_control_payload(message_type, payload))
+        return message
+
+
 class MoqtSession:
     """One endpoint of a MoQT session over a QUIC connection.
 
@@ -284,6 +310,7 @@ class MoqtSession:
         "goaway_uri",
         "closed",
         "_control_parser",
+        "_decoded_streams",
         "_control_stream",
         "_control_stream_id",
         "_next_request_id",
@@ -330,7 +357,9 @@ class MoqtSession:
         self.goaway_uri: str | None = None
         self.closed = False
 
-        self._control_parser = ControlStreamParser()
+        # The simulation's decode memo (``docs/dns-codec.md``), one table per kind.
+        self._control_parser = _MemoControlParser(self._simulator.memos["moqt.control"])
+        self._decoded_streams = self._simulator.memos["moqt.stream"]
         self._control_stream: QuicStream | None = None
         #: Mirror of ``_control_stream.stream_id`` so the per-frame dispatch
         #: in :meth:`stream_data_received` is one int compare, not two attribute
@@ -688,12 +717,14 @@ class MoqtSession:
             # the connection); only a peer's second bidirectional stream can
             # come in pieces, and it carries nothing this session reads.
             return
-        try:
-            # The process-wide memo: sibling subscribers receive
-            # byte-identical payloads.
-            header, objects = decode_complete_datastream(data)
-        except MoqtError:
-            return  # a malformed data stream is dropped, like a datagram
+        # Sibling subscribers of a fan-out receive byte-identical payloads.
+        decoded = self._decoded_streams.get(data)
+        if decoded is None:
+            try:
+                decoded = self._decoded_streams.keep(data, decode_complete_datastream(data))
+            except MoqtError:
+                return  # a malformed data stream is dropped, like a datagram
+        header, objects = decoded
         if header is None:
             return
         if isinstance(header, SubgroupStreamHeader):

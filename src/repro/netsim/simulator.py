@@ -24,13 +24,21 @@ benchmark, so the event queue is engineered for constant-factor speed:
   dead, so timer-churn-heavy runs (retransmission timers stopped and
   restarted on every acknowledgement) do not grow the heap without bound;
 * :attr:`Simulator.pending_events` is a live counter, not an O(n) scan.
+
+The simulator also owns the simulation's decode memo (:attr:`Simulator.memos`):
+one :class:`~repro.memo.Memo` table per decoded kind, which every role driven
+by the simulator decodes through, so what one simulation decodes never
+depends on which simulations ran before it in the process.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from collections import defaultdict
 from typing import Any, Callable
+
+from repro.memo import Memo
 
 
 class SimulationError(Exception):
@@ -105,6 +113,9 @@ class Simulator:
         self.compactions = 0
         self._running = False
         self.rng = random.Random(seed)
+        #: The simulation's decode memo: one table per decoded kind (such as
+        #: ``"moqt.control"``), made on first use.
+        self.memos: defaultdict[str, Memo] = defaultdict(Memo)
 
     @property
     def pending_events(self) -> int:

@@ -395,10 +395,12 @@ must say why it grew"""
 #: on the same star, counting the generated methods (``<string>`` frames:
 #: dataclass ``__init__`` / ``__hash__`` / ``__gt__``, a ``NamedTuple``'s
 #: ``__new__``) of those packages' classes as theirs — netsim's ``Datagram``
-#: ``__init__`` is netsim's and not counted here.  8.4 measured on CPython 3.11
-#: (7.75 in ``moqt`` files + 0.6 generated, 0 ``relaynet``: the chain below,
+#: ``__init__`` is netsim's and not counted here.  7.5 measured on CPython 3.11
+#: (6.9 in ``moqt`` files + 0.6 generated, 0 ``relaynet``: the chain below,
 #: one ``publish`` per subscriber, and an eighth of the relay's and origin's
-#: per-object frames); 7.6 if the object decode memo already held the bytes.
+#: per-object frames).  It read 8.4 while ``decode_complete_datastream`` held
+#: the decode memo, one frame per delivered object for the lookup; the session
+#: now probes its simulation's table itself.
 #: Before the session became the connection's delegate and the receiver the
 #: subscription's it was 18.9 (12.25 + 5.6 generated + 1.0 ``relaynet``):
 #: ``_deliver``, the subscriber's ``sink`` closure, ``_require_open``, ``size``
@@ -408,7 +410,7 @@ UPWARD_BUDGET = 9
 _MEASURED_UPWARD_CHAIN = """
 per delivered object, upward leg (moqt + relaynet frames, generated methods included):
   receive: (quic _on_stream_frame) -> MoqtSession.stream_data_received
-           -> decode_complete_datastream [memo hit] -> _deliver_subscribed_object
+           [the simulation's stream memo: a dict probe] -> _deliver_subscribed_object
            -> TrackReceiver.on_object [hold-back, dedupe, largest, span check]
            -> partial(on_object, subscriber) [C] -> application
   send:    publish_to -> MoqtSession.publish [closed check, len(payload), encode memo]
@@ -423,11 +425,16 @@ one, or the budget (and docs/datagram-handoff.md) must say why it grew"""
 
 #: Python-level ``repro.quic`` + ``repro.moqt`` + ``repro.netsim`` calls per
 #: attached, SUBSCRIBE_OK'd subscriber on a one-relay, sixteen-subscriber star:
-#: 395.8 measured on CPython 3.11 in a fresh process (245.5 quic + 62.9 moqt +
-#: 87.3 netsim — the chain below, twelve datagrams long, plus a sixteenth of
-#: the relay's own upstream attach), 392.4 once the control-message decode memo
-#: is warm; 397.9 / 394.5 while a control stream's data went through a callback
-#: installed on the stream.  Before the one-pass control encoding it was 598.7 (399.6 + 73.6 +
+#: 402.4 measured on CPython 3.11 (245.5 quic + 69.6 moqt + 87.3 netsim — the
+#: chain below, twelve datagrams long, plus a sixteenth of the relay's own
+#: upstream attach), in a fresh process and in a full run alike, since every
+#: simulation decodes through its own memo.  While the control-message memo
+#: was process-wide it read 395.8 in a fresh process (62.9 moqt) and 392.4 once
+#: the memo was warm: the memo lookup moved out of the pure decoder into the
+#: session's parser, so a received message is framed and then looked up in two
+#: frames instead of one (+4 per subscriber), and a session builds its parser
+#: in two (+2); 397.9 / 394.5 while a control stream's data went through a
+#: callback installed on the stream.  Before the one-pass control encoding it was 598.7 (399.6 + 73.6 +
 #: 125.6); with the datagram pool 432.8, three netsim calls per datagram more.
 ATTACH_FRAME_BUDGET = 406
 
@@ -450,7 +457,7 @@ per attached subscriber: 2 handshake + 4 control packets, each answered by a bar
   receive:   _deliver_final -> endpoint.datagram_received -> decode_header -> receive_packet
              -> _packet_accepted -> _on_stream_frame [QuicStream.receive ->
              _ReceiveBuffer.receive -> _finished] -> MoqtSession.stream_data_received ->
-             ControlStreamParser.feed -> decode_control_message [memo hit] ->
+             ControlStreamParser.feed -> read_control_frame, _MemoControlParser.decode [memo hit] ->
              _handle_control_message -> _handle_<message>
   ack:       _send_ack [append_varint x2, varint_size] -> _send_payload -> route
   ack rx:    _deliver_final -> datagram_received -> decode_header -> receive_packet ->
@@ -519,8 +526,8 @@ class _FrameCounter:
 def _fanned_out_star(counter, payload):
     """Eight subscribers on a one-relay star, five objects of ``payload``
     pushed inside ``counter``; returns the delivered group ids.  The object
-    decode memo is process-wide, so a payload another test already pushed
-    decodes from the memo and costs fewer ``moqt`` frames."""
+    decode memo is the simulation's, so what other tests pushed before does
+    not change the count."""
     subscribers, objects = 8, 5
     simulator = Simulator(seed=3)
     publisher, tree = _star(simulator)
@@ -551,8 +558,8 @@ def test_frames_per_delivered_object_stay_within_budget():
 
 def test_upward_calls_per_delivered_object_stay_within_budget():
     counter = _FrameCounter("moqt", "relaynet", generated=True)
-    # Bytes no other test pushes: the reading is the cold-memo one (8.4) in a
-    # full run too, and one more frame per object exceeds the budget.
+    # The reading (7.5) is the same in a full run, and two more frames per
+    # object exceed the budget.
     delivered = _fanned_out_star(counter, b"upward leg " * 27 + b"...")
     per_object, split = counter.report(len(delivered))
     print(

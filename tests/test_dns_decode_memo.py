@@ -10,15 +10,16 @@ costs along it::
           |  SUBSCRIBE (forwarder -> recursive)
     forwarder              decodes the same bytes: a memo hit, the same Message
 
-Every role of one simulation decodes through one ``AnswerMemo``
-(``answer_memo(simulator)``), which keeps successful decodes by payload
-bytes, so the second role's decode is a dictionary hit.  Pinned here:
+Every role of one simulation decodes through its ``AnswerMemo`` view of the
+simulation's tables (``Simulator.memos``), which keep successful decodes by
+payload bytes, so the second role's decode is a dictionary hit.  Pinned here:
 
 * the decode budget: one zone change costs exactly one ``Message.from_wire``
   in the simulation (without the memo it costs two), and a cold lookup's
   forwarder answer is a hit on what the recursive resolver parsed;
 * the scope: each simulation has its own memo, so a simulation parses its
-  answers even when an identical one ran before it in the process;
+  answers, control messages and data streams even when an identical one ran
+  before it in the process;
 * memo safety: a hit cannot be mutated; a malformed payload is rejected at
   every role on every delivery and never stored; over the codec corpus of
   ``test_dns_codec.py`` a hit equals a fresh decode of the same bytes;
@@ -52,7 +53,7 @@ import repro.core.recursive
 from repro.core.encapsulation import decapsulate_response, encapsulate_response
 from repro.core.errors import MappingError
 from repro.core.mapping import DnsQuestionKey, question_to_track, track_to_question
-from repro.core.subscribing import AnswerMemo, answer_memo
+from repro.core.subscribing import AnswerMemo
 from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rdata import ARdata
@@ -66,11 +67,14 @@ from repro.moqt.session import MOQT_ALPN, MoqtSession, publish_to
 from repro.moqt.track import FullTrackName, TrackNamespace
 from repro.netsim.link import LinkConfig
 from repro.netsim.packet import Address
+from repro.memo import Memo
+from repro.netsim.simulator import Simulator
 from repro.quic.connection import ConnectionConfig
 from repro.quic.endpoint import QuicEndpoint
 from repro.workload.change_model import ChangeModel, ChangeModelConfig
 from repro.workload.toplist import SyntheticToplist, ToplistConfig
 from repro.workload.zones import WorkloadZones, ZoneBuildConfig
+from decode_counts import count_decodes
 from test_dns_codec import GOLDEN, MALFORMED, written_messages
 from test_property_wire import question_keys
 
@@ -123,7 +127,7 @@ def _addresses(message: Message) -> list[str]:
 def _decapsulate_twice(wire: bytes) -> tuple[Message, Message]:
     """Decode ``wire`` through one memo from two objects whose payloads are
     equal, not identical."""
-    memo = AnswerMemo()
+    memo = AnswerMemo(Simulator())
     first = memo.decapsulate(MoqtObject(group_id=1, object_id=0, payload=wire))
     second = memo.decapsulate(MoqtObject(group_id=2, object_id=0, payload=bytes(bytearray(wire))))
     return first, second
@@ -161,24 +165,31 @@ def test_a_cold_lookups_forwarder_answer_is_a_memo_hit(monkeypatch):
 def test_every_role_of_a_simulation_shares_one_memo_and_no_other():
     topology, _ = _chain()
     again, _ = _chain()
-    memo = answer_memo(topology.simulator)
-    assert topology.forwarder.answers is topology.recursive.answers is memo
-    assert answer_memo(again.simulator) is not memo
+    answers = topology.simulator.memos["dns.answer"]
+    auth = next(iter(topology.moqt_servers.values()))
+    for memo in (topology.forwarder.answers, topology.recursive.answers, auth._decodes):
+        assert memo._answers is answers
+        assert memo._questions is topology.simulator.memos["dns.question"]
+    assert again.recursive.answers._answers is not answers
 
 
 def test_a_simulation_parses_its_answers_after_an_identical_one(monkeypatch):
     """Two identical simulations in one process: the second still parses
-    every answer it ingests once, as the first did."""
+    every answer, control message and data stream of a cold lookup, as the
+    first did."""
     parsed = []
     for _ in range(2):
         topology, names = _chain()
         _subscribe(topology, names[0])  # opens the sessions
         wires = _count_decodes(monkeypatch)
+        counts = count_decodes(monkeypatch)
         key = _subscribe(topology, names[1])
         monkeypatch.undo()
         assert wires.count(topology.forwarder.record(key).message.to_wire()) == 1
-        parsed.append(len(wires))
-    assert parsed[0] == parsed[1] > 0
+        assert counts["dns"] == len(wires)
+        parsed.append(dict(counts))
+    assert parsed[0] == parsed[1]
+    assert parsed[0]["control"] > 0 and parsed[0]["stream"] > 0 and parsed[0]["dns"] > 0
 
 
 # ----------------------------------------------------------------- safety
@@ -234,7 +245,7 @@ def test_a_malformed_push_is_dropped_at_both_roles_every_time_and_never_stored(
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_a_malformed_payload_is_parsed_and_rejected_every_time(monkeypatch, case):
-    memo = AnswerMemo()
+    memo = AnswerMemo(Simulator())
     wires = _count_decodes(monkeypatch)
     for _ in range(2):
         with pytest.raises(MappingError):
@@ -278,7 +289,7 @@ def test_a_decoded_canonical_payload_reencapsulates_to_itself_on_generated_messa
 
 
 def test_the_memo_knows_which_object_an_answer_came_from(monkeypatch):
-    memo = AnswerMemo()
+    memo = AnswerMemo(Simulator())
     obj = encapsulate_response(GOLDEN["answer"][0](), 5)
     message = memo.decapsulate(obj)
     assert memo.received(message, 5) is obj
@@ -288,7 +299,7 @@ def test_the_memo_knows_which_object_an_answer_came_from(monkeypatch):
     assert memo.received(message, 6) is None and memo.received(message, 5) is obj
     equal = Message.from_wire(obj.payload)  # equal, but not the instance the memo handed out
     assert memo.received(equal, 5) is None
-    monkeypatch.setattr(AnswerMemo, "MAX_ENTRIES", 1)
+    monkeypatch.setattr(Memo, "MAX_ENTRIES", 1)
     memo.decapsulate(encapsulate_response(GOLDEN["referral"][0](), 5))  # evicts the answer
     assert memo.received(message, 5) is None
 
@@ -320,7 +331,7 @@ def test_a_fallback_answer_is_still_encapsulated_by_the_recursive_resolver(monke
 @given(question_keys())
 @settings(max_examples=100)
 def test_a_question_hit_equals_a_fresh_parse(key):
-    memo = AnswerMemo()
+    memo = AnswerMemo(Simulator())
     track = question_to_track(key)
     first = memo.question(track)
     equal = FullTrackName(
@@ -369,7 +380,7 @@ def test_a_malformed_track_name_is_refused_at_both_publishers_every_time(monkeyp
         _session_to(topology, "10.9.9.1", RECURSIVE_HOST),
         _session_to(topology, "10.9.9.2", auth_host),
     ]
-    memo = answer_memo(topology.simulator)
+    questions = topology.simulator.memos["dns.question"]
     parsed = []
 
     def counting(parse):
@@ -388,4 +399,4 @@ def test_a_malformed_track_name_is_refused_at_both_publishers_every_time(monkeyp
         topology.simulator.run(until=topology.simulator.now + 2.0)
         assert [request.state for request in requests] == ["error"] * 4
         assert len(parsed) == 4 * attempt, "a publisher skipped the check"
-        assert bad not in memo._questions
+        assert bad not in questions

@@ -26,9 +26,10 @@ from repro.moqt.datastream import (
     encode_subgroup_object,
     encode_subgroup_stream_chunk,
 )
+from repro.moqt.messages import ControlMessage
 from repro.moqt.objectmodel import MoqtObject
 from repro.moqt.origin import ORIGIN_HOST, ORIGIN_PORT, TRACK, build_origin
-from repro.moqt.session import MoqtSession
+from repro.moqt.session import MoqtSession, _MemoControlParser
 from repro.netsim.link import Link, LinkConfig
 from repro.netsim.network import Network
 from repro.netsim.packet import Address, Datagram
@@ -43,6 +44,7 @@ from repro.quic.tls import ServerHello
 from repro.relaynet import RelayTreeBuilder, RelayTreeSpec
 
 from connection_delegate import delegate_to
+from decode_counts import count_decodes
 from link_reference import transmit
 
 SRC = Address("src-host", 1000)
@@ -480,27 +482,60 @@ class TestPublishWire:
         assert session.statistics.objects_sent == 0
 
 
+def _decoded_per_session(monkeypatch, run) -> list[tuple[MoqtSession, object]]:
+    """``(session, value)`` for every control message a session handled and
+    every subscribed object it delivered while ``run()`` ran."""
+    seen = []
+    for name in ("_handle_control_message", "_deliver_subscribed_object"):
+        handler = getattr(MoqtSession, name)
+
+        def recording(session, *args, handler=handler):
+            seen.append((session, args[-1]))
+            return handler(session, *args)
+
+        monkeypatch.setattr(MoqtSession, name, recording)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
 class TestDecodeMemos:
-    def test_identical_bytes_share_one_decode(self):
-        obj = MoqtObject(group_id=9, object_id=5, payload=b"shared")
-        chunk = encode_subgroup_stream_chunk(3, obj, encode_subgroup_object(obj))
-        first = decode_complete_datastream(chunk)
-        second = decode_complete_datastream(bytes(chunk))
-        assert second[1][0] is first[1][0]  # same immutable object instance
+    """Every session decodes through its simulation's memo (``Simulator.memos``)."""
+
+    def test_sessions_of_one_simulation_share_one_decode(self, monkeypatch):
+        instances: dict[object, set[int]] = {}
+        sessions: dict[object, set[int]] = {}
+        for session, value in _decoded_per_session(monkeypatch, _run_canary_tree):
+            instances.setdefault(value, set()).add(id(value))
+            sessions.setdefault(value, set()).add(id(session))
+        shared = [value for value in instances if len(sessions[value]) > 1]
+        assert any(isinstance(value, MoqtObject) for value in shared)
+        assert any(isinstance(value, ControlMessage) for value in shared)
+        assert all(len(instances[value]) == 1 for value in shared)
+
+    def test_two_simulations_do_not_share_decodes(self, monkeypatch):
+        first, second = (
+            {value: value for _, value in _decoded_per_session(monkeypatch, _run_canary_tree)}
+            for _ in range(2)
+        )
+        assert first.keys() == second.keys()
+        assert all(second[value] is not decoded for value, decoded in first.items())
+
+    def test_a_simulation_decodes_the_same_whatever_ran_before_it(self, monkeypatch):
+        """The run-order check: the canary tree (A), another tree (B), A
+        again, in one process.  A parses the same bytes both times."""
+        counts = count_decodes(monkeypatch)
+        runs = []
+        for run in (_run_canary_tree, lambda: _run_canary_tree(subscribers=3), _run_canary_tree):
+            counts.clear()
+            run()
+            runs.append(dict(counts))
+        print(f"\ndecodes per run (canary A, 3-subscriber tree B, canary A): {runs}")
+        assert runs[0] == runs[2] == {"control": 4, "stream": 4}
 
     def test_truncated_stream_yields_no_header(self):
         header, objects = decode_complete_datastream(b"")
         assert header is None and objects == ()
-
-    def test_control_message_memo_shares_instances(self):
-        from repro.moqt.messages import Subscribe, decode_control_message
-
-        message = Subscribe(request_id=0, track_alias=1, full_track_name=TRACK)
-        wire = message.encode()
-        first, _ = decode_control_message(wire)
-        second, _ = decode_control_message(bytes(wire))
-        assert first == message
-        assert second is first
 
     def test_a_memo_hit_cannot_be_mutated(self):
         """Every session gets the same decoded instance for the same bytes, so
@@ -509,8 +544,9 @@ class TestDecodeMemos:
         from repro.moqt.parameters import Parameter, Parameters
 
         wire = ClientSetup(parameters=Parameters((Parameter(0x1, b"/dns"),))).encode()
-        first, _ = decode_control_message(wire)
-        second, _ = decode_control_message(bytes(wire))
+        decoded = Simulator().memos["moqt.control"]
+        (first,) = _MemoControlParser(decoded).feed(wire)
+        (second,) = _MemoControlParser(decoded).feed(bytes(wire))
         assert second is first
         for target, name in ((first, "parameters"), (first.parameters, "entries")):
             with pytest.raises(FrozenInstanceError):
@@ -522,15 +558,15 @@ class TestDecodeMemos:
 # ---------------------------------------------------------------------------
 # determinism canary: a CDN tree pinned for one seed
 # ---------------------------------------------------------------------------
-def _run_canary_tree():
+def _run_canary_tree(subscribers: int = 25):
     simulator = Simulator(seed=11)
     network = Network(simulator, trace=NullTraceRecorder(simulator))
     publisher = build_origin(network)
     tree = RelayTreeBuilder(network, Address(ORIGIN_HOST, ORIGIN_PORT)).build(
         RelayTreeSpec.cdn(mid_relays=2, edge_per_mid=2)
     )
-    tree.attach_subscribers(25)
-    sequences: dict[int, list[tuple[int, int]]] = {index: [] for index in range(25)}
+    tree.attach_subscribers(subscribers)
+    sequences: dict[int, list[tuple[int, int]]] = {index: [] for index in range(subscribers)}
     tree.subscribe_all(
         TRACK,
         on_object=lambda subscriber, obj: sequences[subscriber.index].append(

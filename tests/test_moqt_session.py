@@ -5,12 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.moqt.datastream import (
-    _COMPLETE_STREAM_CACHE,
     encode_object_datagram,
     encode_subgroup_stream_chunk,
 )
-from repro.moqt.errors import SubscribeErrorCode
-from repro.moqt.messages import FilterType
+from repro.moqt.errors import ProtocolViolation, SubscribeErrorCode
+from repro.moqt.messages import FilterType, Subscribe
 from repro.moqt.objectmodel import Location, MoqtObject, TrackState
 from repro.moqt.relay import MoqtRelay
 from repro.moqt.session import (
@@ -28,6 +27,7 @@ from repro.netsim.simulator import Simulator
 from repro.quic.connection import ConnectionConfig
 from repro.quic.endpoint import QuicEndpoint
 from repro.quic.tls import ServerTlsContext
+from repro.quic.varint import VarintError
 
 PUBLISHER = "9.9.9.9"
 SUBSCRIBER = "10.0.0.1"
@@ -345,12 +345,35 @@ class TestSubscribeAndFetch:
         assert not session.closed and not session.connection.closed
         assert pushed == [] and subscription.objects_received == 0
         assert session.statistics.objects_received == 0
-        assert unknown_status not in _COMPLETE_STREAM_CACHE
-        assert unknown_type not in _COMPLETE_STREAM_CACHE
+        decoded = simulator.memos["moqt.stream"]
+        assert unknown_status not in decoded and unknown_type not in decoded
         # The session still reads the next well-formed stream.
         publisher.publish(publisher_subscription, obj)
         simulator.run(until=4.0)
         assert pushed == [obj]
+
+
+    @pytest.mark.parametrize(
+        "case, error",
+        [("unknown type", ProtocolViolation), ("unparsable SUBSCRIBE", VarintError)],
+    )
+    def test_a_malformed_control_payload_is_not_kept(self, case, error):
+        """The control-stream counterpart: a payload that fails to decode
+        raises out of the session's parser and the simulation's decode memo
+        keeps nothing of it."""
+        simulator, _, publisher_sessions, _ = _build()
+        simulator.run(until=2.0)
+        decoded = simulator.memos["moqt.control"]
+        held = dict(decoded)
+        assert held, "the SETUP exchange decoded through the memo"
+        subscribe = Subscribe(request_id=0, track_alias=1, full_track_name=TRACK).encode()
+        wire = {
+            "unknown type": b"\x3e\x00\x00",
+            "unparsable SUBSCRIBE": subscribe[:3] + b"\xff" * (len(subscribe) - 3),
+        }[case]
+        with pytest.raises(error):
+            publisher_sessions[0].stream_data_received(0, wire, False)
+        assert decoded == held
 
     def test_goaway_recorded(self):
         simulator, session, publisher_sessions, _ = _build()

@@ -54,9 +54,7 @@ from repro.dns.rdata import ARdata
 from repro.dns.rr import ResourceRecord
 from repro.dns.types import MOQT_PORT, RecordType
 from repro.experiments.topology import SmallTopology, build_workload_topology
-from repro.moqt.datastream import _COMPLETE_STREAM_CACHE
 from repro.moqt.errors import SubscribeErrorCode
-from repro.moqt.messages import _CONTROL_MESSAGE_CACHE
 from repro.moqt.session import MOQT_ALPN, FetchRequest, FetchResult, MoqtSession, SubscribeResult
 from repro.netsim.link import LinkConfig
 from repro.netsim.network import Network
@@ -142,11 +140,11 @@ def measured():
     ask(names[:WARM_UP])
     sessions = topology.recursive.state_summary()["open_sessions"]
     censuses = []
-    # The process-wide MoQT decode memos start the window empty, so what they
-    # hold does not depend on which tests ran first.  The DNS answer memo is
-    # the simulation's own (core/encapsulation.py).
-    for memo in (_CONTROL_MESSAGE_CACHE, _COMPLETE_STREAM_CACHE):
-        memo.clear()
+    # The simulation's MoQT decode tables start the window empty, as the
+    # window has always measured them; its DNS tables carry the warm-up's
+    # answers over (``Simulator.memos``).
+    for kind in ("moqt.control", "moqt.stream"):
+        topology.simulator.memos[kind].clear()
     gc.collect()
     tracemalloc.start()
     try:
@@ -172,7 +170,7 @@ def measured():
         ),
         key=lambda row: -row[1],
     )
-    rows = [row for row in everything if row[0].startswith(("core", "dns", "moqt", "netsim"))]
+    rows = [row for row in everything if row[0].startswith(("core", "dns", "memo", "moqt", "netsim"))]
     lines = [f"{'file':28s} {'B/question':>10s} {'blocks/question':>15s}"]
     lines += [
         f"{name:28s} {size / QUESTIONS:10.1f} {count / QUESTIONS:15.2f}"

@@ -23,6 +23,16 @@ An ``ast`` walk over the repository:
   installed, so this is the tool): a package ``__init__.py`` re-exports and
   a ``# noqa: F401`` line says so, and both are exempt.
 
+* no function under ``src/repro`` writes a module-level table: a name bound
+  at module level to a dict, list or set (a display, a comprehension or a
+  constructor call, weak mappings included) that a function stores into,
+  deletes from, or calls ``clear`` / ``pop`` / ``setdefault`` / ``update`` /
+  ``append`` / ``add`` on.  Such a table is process-wide state: what one
+  simulation leaves in it changes the next one.  State a run builds belongs
+  to an object of the run, such as the simulator's decode memo
+  (``Simulator.memos``).  Constant tables (``_DECODERS``, ``RCODES``) pass,
+  because nothing writes them.
+
 The census goes by name, so it under-reports: a definition whose name is
 also used for something else passes.  Definitions referenced only from
 ``tests/`` (the other half of item 10) are not checked here.
@@ -344,3 +354,126 @@ class TestPerfHarness:
     # The e2e benchmark's own check that it does not import the harness is not a use.
     e2e_check = 'assert not any("perf_fastpath" in module for module in imported)\n'
     assert harness_uses(e2e_check, "benchmarks/e2e/test_e2e_bench.py") == []
+
+
+#: Expressions and calls that build a mutable table when bound to a
+#: module-level name.
+TABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+TABLE_CONSTRUCTORS = {
+    "dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque",
+    "WeakKeyDictionary", "WeakValueDictionary", "WeakSet",
+}
+#: Methods that write a table.
+TABLE_WRITES = {"clear", "pop", "setdefault", "update", "append", "add"}
+
+
+def _builds_a_table(value: ast.expr | None) -> bool:
+    if isinstance(value, TABLE_DISPLAYS):
+        return True
+    if not isinstance(value, ast.Call):
+        return False
+    function = value.func
+    name = function.id if isinstance(function, ast.Name) else getattr(function, "attr", "")
+    return name in TABLE_CONSTRUCTORS
+
+
+def module_table_writes(source: str, path: str) -> list[str]:
+    """Every ``path:line: name`` where a function writes a module-level table.
+
+    A function that binds the name itself (an argument, an assignment)
+    without declaring it ``global`` writes its own local, not the table; a
+    local bound to the table itself (``cache = _CACHE``) is the table.
+    """
+    tree = ast.parse(source)
+    tables = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _builds_a_table(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            tables.update(target.id for target in targets if isinstance(target, ast.Name))
+    found = set()
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        body = list(ast.walk(function))
+        declared = {name for node in body if isinstance(node, ast.Global) for name in node.names}
+        local = {node.arg for node in body if isinstance(node, ast.arg)}
+        local |= {node.id for node in body if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        # Local name -> the table it names.
+        written = {name: name for name in tables - (local - declared)}
+        for node in body:
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name) and node.value.id in written:
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        written[target.id] = written[node.value.id]
+        for node in body:
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in TABLE_WRITES:
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in written:
+                found.add((node.lineno, written[target.id]))
+    return [f"{path}:{line}: {name}" for line, name in sorted(found)]
+
+
+def test_no_module_level_table_is_written_at_run_time(repository):
+    modules, _, _ = repository
+    found = [
+        write
+        for path, source in modules.items()
+        for write in module_table_writes(source, f"src/repro/{path}")
+    ]
+    assert not found, "\n".join(
+        ["a function writes a module-level table (process-wide state: keep it on an object of the run):"]
+        + found
+    )
+
+
+def test_guard_catches_a_process_wide_memo():
+    # The two module-level decode memos and the per-simulator registry as
+    # they stood before the decode memo became the simulator's, abridged.
+    parent_memos = """
+from weakref import WeakKeyDictionary
+
+_DECODERS = {0x20: ClientSetup, 0x21: ServerSetup}
+_CONTROL_MESSAGE_CACHE: dict[tuple[int, bytes], "ControlMessage"] = {}
+_MEMOS: WeakKeyDictionary[Simulator, AnswerMemo] = WeakKeyDictionary()
+_COMPLETE_STREAM_CACHE = {}
+
+
+def decode_control_message(key):
+    message = _CONTROL_MESSAGE_CACHE.get(key)
+    if message is None:
+        message = _DECODERS[key[0]].decode_payload(key[1])
+        if len(_CONTROL_MESSAGE_CACHE) >= 512:
+            _CONTROL_MESSAGE_CACHE.clear()
+        _CONTROL_MESSAGE_CACHE[key] = message
+    return message
+
+
+def answer_memo(simulator):
+    memo = _MEMOS.get(simulator)
+    if memo is None:
+        memo = _MEMOS[simulator] = AnswerMemo()
+    return memo
+
+
+def decode_complete_datastream(data):
+    cache = _COMPLETE_STREAM_CACHE
+    if len(cache) >= 512:
+        cache.clear()
+    cache[data] = result = _decode(data)
+    return result
+
+
+def shadowing(_DECODERS):
+    _DECODERS[0x20] = None
+"""
+    assert module_table_writes(parent_memos, "moqt/messages.py") == [
+        "moqt/messages.py:15: _CONTROL_MESSAGE_CACHE",
+        "moqt/messages.py:16: _CONTROL_MESSAGE_CACHE",
+        "moqt/messages.py:23: _MEMOS",
+        "moqt/messages.py:30: _COMPLETE_STREAM_CACHE",
+        "moqt/messages.py:31: _COMPLETE_STREAM_CACHE",
+    ]
