@@ -1,8 +1,10 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Setup shim: the project is described by ``pyproject.toml``.
 
-The project is fully described by ``pyproject.toml``; this file only exists so
-that offline environments lacking ``wheel`` can still do a legacy editable
-install (``pip install -e . --no-use-pep517 --no-build-isolation``).
+Every ``pip install`` of this project, editable or not, legacy
+(``--no-use-pep517``) or PEP 517, needs the ``wheel`` package besides
+setuptools.  Without it the repository still runs from a checkout with
+``PYTHONPATH=src`` (tests, examples, the benchmark), and
+``python setup.py build_py --build-lib DIR`` copies the package to ``DIR``.
 """
 
 from setuptools import setup

@@ -18,7 +18,7 @@ and relays can fan out one object to all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.errors import MappingError
 from repro.dns.errors import DnsFormatError
@@ -39,7 +39,7 @@ _OPCODE_MASK = 0x0F
 QNAME_BYTE_BUDGET = 4091
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DnsQuestionKey:
     """The protocol-relevant identity of a DNS question.
 
@@ -54,6 +54,7 @@ class DnsQuestionKey:
     opcode: Opcode = Opcode.QUERY
     recursion_desired: bool = True
     checking_disabled: bool = False
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(

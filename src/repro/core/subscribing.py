@@ -111,6 +111,25 @@ class AnswerMemo:
         return key
 
 
+class PushHandler:
+    """A subscription's ``on_object`` for one question: ``resolver._on_push(key, obj)``.
+
+    A question keeps one for each of its subscriptions for as long as it is
+    subscribed, so it is one slotted object, where
+    ``partial(resolver._on_push, key)`` would be four: the partial, a bound
+    method, an argument tuple and an empty keyword dict.
+    """
+
+    __slots__ = ("resolver", "key")
+
+    def __init__(self, resolver: "SubscribingResolver", key: DnsQuestionKey) -> None:
+        self.resolver = resolver
+        self.key = key
+
+    def __call__(self, obj: MoqtObject) -> None:
+        self.resolver._on_push(self.key, obj)  # noqa: SLF001 - its own core
+
+
 class SubscribeFetch:
     """One SUBSCRIBE + joining FETCH (offset 1) for a question, under a timeout.
 
@@ -139,7 +158,7 @@ class SubscribeFetch:
         session = resolver.sessions.get_session(server)
         self.subscription: Subscription | None = session.subscribe(
             question_to_track(key),
-            on_object=partial(resolver._on_push, key),  # noqa: SLF001 - its own core
+            on_object=PushHandler(resolver, key),
             on_response=on_response and partial(on_response, self),
         )
         session.joining_fetch(self.subscription, 1, on_complete=self.finish)

@@ -27,7 +27,7 @@ from typing import Iterable
 from repro.core.mapping import DnsQuestionKey
 
 
-@dataclass
+@dataclass(slots=True)
 class TrackedSubscription:
     """Bookkeeping for one subscribed DNS question."""
 

@@ -32,7 +32,7 @@ _HEADER = struct.Struct("!HHHHHH")
 _QUESTION_FIXED = struct.Struct("!HH")  # QTYPE, QCLASS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Flags:
     """The flag bits of the DNS header (QR, AA, TC, RD, RA, AD, CD)."""
 
@@ -76,7 +76,7 @@ _FLAGS_BY_BITS = {
 _FLAG_BITS = 0x87B0  # QR, AA, TC, RD, RA, AD, CD
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Header:
     """The fixed 12-byte DNS message header."""
 
@@ -99,13 +99,16 @@ class Header:
         message_id, raw_flags, qd, an, ns, ar = _HEADER.unpack_from(wire, 0)
         # Filled in directly, like the records (``ResourceRecord.from_wire``).
         header = object.__new__(cls)
-        fields = header.__dict__
-        fields["message_id"] = message_id
-        fields["flags"], fields["opcode"], fields["rcode"] = Flags.from_int(raw_flags)
+        flags, opcode, rcode = Flags.from_int(raw_flags)
+        fill = object.__setattr__
+        fill(header, "message_id", message_id)
+        fill(header, "flags", flags)
+        fill(header, "opcode", opcode)
+        fill(header, "rcode", rcode)
         return header, (qd, an, ns, ar)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Question:
     """A question section entry: QNAME, QTYPE, QCLASS."""
 
@@ -136,10 +139,10 @@ class Question:
             raise MessageError("truncated question")
         qtype_raw, qclass_raw = _QUESTION_FIXED.unpack_from(wire, offset)
         question = object.__new__(cls)  # filled in directly, like the header
-        fields = question.__dict__
-        fields["qname"] = qname
-        fields["qtype"] = RECORD_TYPES[qtype_raw]
-        fields["qclass"] = DNS_CLASSES[qclass_raw]
+        fill = object.__setattr__
+        fill(question, "qname", qname)
+        fill(question, "qtype", RECORD_TYPES[qtype_raw])
+        fill(question, "qclass", DNS_CLASSES[qclass_raw])
         return question, end
 
     def to_text(self) -> str:
@@ -147,7 +150,7 @@ class Question:
         return f"{self.qname.to_text()} {self.qclass.to_text()} {self.qtype.to_text()}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """A complete DNS message: an immutable value, sections as tuples.
 
@@ -235,10 +238,12 @@ class Message:
                 record, offset = ResourceRecord.from_wire(wire, offset, table)
                 section.append(record)
         message = object.__new__(cls)  # filled in directly, like the header
-        fields = message.__dict__
-        fields["header"] = header
-        fields["questions"] = tuple(questions)
-        fields["answers"], fields["authorities"], fields["additionals"] = map(tuple, sections)
+        fill = object.__setattr__
+        fill(message, "header", header)
+        fill(message, "questions", tuple(questions))
+        fill(message, "answers", tuple(sections[0]))
+        fill(message, "authorities", tuple(sections[1]))
+        fill(message, "additionals", tuple(sections[2]))
         return message
 
     # ------------------------------------------------------------------- text

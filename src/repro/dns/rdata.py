@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import ipaddress
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 from repro.dns.errors import RdataError
@@ -41,7 +41,7 @@ def _check_framing(cls: type[Rdata], decoded_end: int, rdata_end: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rdata:
     """Base class for all RDATA types."""
 
@@ -86,7 +86,7 @@ def _is_dotted_quad(text: object) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ARdata(Rdata):
     """IPv4 address record (type A)."""
 
@@ -117,7 +117,7 @@ class ARdata(Rdata):
         # Text formatted from wire bytes is valid by construction: filled in
         # directly, without the constructor's re-parse.
         rdata = object.__new__(cls)
-        rdata.__dict__["address"] = "%d.%d.%d.%d" % tuple(packed)
+        object.__setattr__(rdata, "address", "%d.%d.%d.%d" % tuple(packed))
         return rdata
 
     @classmethod
@@ -125,17 +125,19 @@ class ARdata(Rdata):
         return cls(text.strip())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AAAARdata(Rdata):
     """IPv6 address record (type AAAA)."""
 
     address: str
+    # What ``to_wire`` and ``to_text`` return, derived from ``address`` and
+    # left out of equality, hashing and repr: those stay on ``address`` as given.
+    _packed: bytes = field(init=False, compare=False, repr=False)
+    _text: str = field(init=False, compare=False, repr=False)
     rdtype: ClassVar[RecordType] = RecordType.AAAA
 
     def __post_init__(self) -> None:
         parsed = ipaddress.IPv6Address(self.address)
-        # Kept beside the field (not fields themselves, so equality is still
-        # on ``address`` as given): what ``to_wire`` and ``to_text`` return.
         object.__setattr__(self, "_packed", parsed.packed)
         object.__setattr__(self, "_text", str(parsed))
 
@@ -156,7 +158,10 @@ class AAAARdata(Rdata):
             raise RdataError("truncated AAAA rdata")
         text = str(ipaddress.IPv6Address(packed))
         rdata = object.__new__(cls)  # as in ARdata.from_wire
-        rdata.__dict__.update(address=text, _packed=packed, _text=text)
+        fill = object.__setattr__
+        fill(rdata, "address", text)
+        fill(rdata, "_packed", packed)
+        fill(rdata, "_text", text)
         return rdata
 
     @classmethod
@@ -164,7 +169,7 @@ class AAAARdata(Rdata):
         return cls(text.strip())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NameRdata(Rdata):
     """Base for RDATA holding a single domain name (CNAME, NS, PTR)."""
 
@@ -190,28 +195,28 @@ class NameRdata(Rdata):
         return cls(Name.from_text(text))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CNAMERdata(NameRdata):
     """Canonical-name alias record."""
 
     rdtype: ClassVar[RecordType] = RecordType.CNAME
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NSRdata(NameRdata):
     """Delegation (nameserver) record."""
 
     rdtype: ClassVar[RecordType] = RecordType.NS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PTRRdata(NameRdata):
     """Pointer record."""
 
     rdtype: ClassVar[RecordType] = RecordType.PTR
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SOARdata(Rdata):
     """Start-of-authority record; ``serial`` is the zone version number."""
 
@@ -265,7 +270,7 @@ class SOARdata(Rdata):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MXRdata(Rdata):
     """Mail-exchanger record."""
 
@@ -294,7 +299,7 @@ class MXRdata(Rdata):
         return cls(int(preference), Name.from_text(exchange))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TXTRdata(Rdata):
     """Text record: one or more character strings."""
 
@@ -342,7 +347,7 @@ class TXTRdata(Rdata):
         return cls(tuple(part.encode("utf-8") for part in parts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SRVRdata(Rdata):
     """Service-location record (RFC 2782)."""
 
@@ -388,7 +393,7 @@ _SVC_PARAM_NAMES = {
 _SVC_PARAM_KEYS = {name: key for key, name in _SVC_PARAM_NAMES.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SVCBRdata(Rdata):
     """SVCB record (RFC 9460): priority, target and service parameters.
 
@@ -490,14 +495,14 @@ class SVCBRdata(Rdata):
         return cls(priority, target, tuple(sorted(params)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HTTPSRdata(SVCBRdata):
     """HTTPS record (RFC 9460); identical to SVCB apart from the type code."""
 
     rdtype: ClassVar[RecordType] = RecordType.HTTPS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenericRdata(Rdata):
     """Opaque RDATA for record types without a dedicated class."""
 

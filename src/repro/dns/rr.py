@@ -15,7 +15,7 @@ from repro.dns.types import DNS_CLASSES, RECORD_TYPES, DNSClass, RecordType
 _FIXED = struct.Struct("!HHIH")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceRecord:
     """A single resource record: owner name, type, class, TTL and RDATA."""
 
@@ -72,12 +72,12 @@ class ResourceRecord:
         # Filled in directly: the fields come from unsigned wire integers and
         # typed decoders, so the constructor has nothing to check.
         record = object.__new__(cls)
-        fields = record.__dict__
-        fields["name"] = name
-        fields["rdtype"] = rdtype
-        fields["rdata"] = decode_rdata(rdtype, wire, rdata_offset, rdlength, table)
-        fields["ttl"] = ttl
-        fields["rdclass"] = DNS_CLASSES[rdclass_raw]
+        fill = object.__setattr__
+        fill(record, "name", name)
+        fill(record, "rdtype", rdtype)
+        fill(record, "rdata", decode_rdata(rdtype, wire, rdata_offset, rdlength, table))
+        fill(record, "ttl", ttl)
+        fill(record, "rdclass", DNS_CLASSES[rdclass_raw])
         return record, rdata_offset + rdlength
 
     def key(self) -> tuple[Name, RecordType, DNSClass]:

@@ -23,7 +23,7 @@ class ZoneError(Exception):
     """Raised for invalid zone content or operations."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LookupResult:
     """Result of an authoritative lookup.
 
@@ -49,7 +49,7 @@ class LookupResult:
     is_referral: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZoneChange:
     """A record-set change applied to a zone (used for update notifications)."""
 

@@ -42,7 +42,7 @@ class DatagramType(enum.IntEnum):
     OBJECT_DATAGRAM = 0x01
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubgroupStreamHeader:
     """Header of a subgroup data stream."""
 
@@ -70,7 +70,7 @@ class SubgroupStreamHeader:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FetchStreamHeader:
     """Header of a fetch data stream."""
 

@@ -84,7 +84,7 @@ def _append_text(buffer: bytearray, text: str) -> None:
     buffer += encoded
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ControlMessage:
     """Base class for all control messages."""
 
@@ -113,7 +113,7 @@ class ControlMessage:
         return bytes(buffer)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClientSetup(ControlMessage):
     """CLIENT_SETUP: offered versions plus setup parameters."""
 
@@ -135,7 +135,7 @@ class ClientSetup(ControlMessage):
         return cls(versions, Parameters.from_reader(reader))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServerSetup(ControlMessage):
     """SERVER_SETUP: the selected version plus setup parameters."""
 
@@ -154,7 +154,7 @@ class ServerSetup(ControlMessage):
         return cls(version, Parameters.from_reader(reader))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subscribe(ControlMessage):
     """SUBSCRIBE: request future objects of a track."""
 
@@ -218,7 +218,7 @@ class Subscribe(ControlMessage):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubscribeOk(ControlMessage):
     """SUBSCRIBE_OK: the publisher accepted the subscription."""
 
@@ -256,7 +256,7 @@ class SubscribeOk(ControlMessage):
         return cls(request_id, expires, group_order, content_exists, largest_group, largest_object, parameters)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubscribeError(ControlMessage):
     """SUBSCRIBE_ERROR: the publisher declined the subscription.
 
@@ -294,7 +294,7 @@ class SubscribeError(ControlMessage):
         return cls(request_id, error_code, reason, track_alias, retry_after_ms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unsubscribe(ControlMessage):
     """UNSUBSCRIBE: the subscriber no longer wants the track."""
 
@@ -310,7 +310,7 @@ class Unsubscribe(ControlMessage):
         return cls(reader.read_varint())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubscribeDone(ControlMessage):
     """SUBSCRIBE_DONE: the publisher finished (or aborted) a subscription."""
 
@@ -337,7 +337,7 @@ class SubscribeDone(ControlMessage):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fetch(ControlMessage):
     """FETCH: request already-published objects.
 
@@ -416,7 +416,7 @@ class Fetch(ControlMessage):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FetchOk(ControlMessage):
     """FETCH_OK: the publisher will deliver the fetched objects."""
 
@@ -449,7 +449,7 @@ class FetchOk(ControlMessage):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FetchError(ControlMessage):
     """FETCH_ERROR: the fetch cannot be served."""
 
@@ -473,7 +473,7 @@ class FetchError(ControlMessage):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FetchCancel(ControlMessage):
     """FETCH_CANCEL: the subscriber no longer wants the fetched objects."""
 
@@ -489,7 +489,7 @@ class FetchCancel(ControlMessage):
         return cls(reader.read_varint())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Announce(ControlMessage):
     """ANNOUNCE: a publisher advertises a track namespace."""
 
@@ -513,7 +513,7 @@ class Announce(ControlMessage):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnounceOk(ControlMessage):
     """ANNOUNCE_OK: the receiver accepted the announcement."""
 
@@ -529,7 +529,7 @@ class AnnounceOk(ControlMessage):
         return cls(reader.read_varint())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaxRequestId(ControlMessage):
     """MAX_REQUEST_ID: raises the peer's allowed request ID ceiling."""
 
@@ -545,7 +545,7 @@ class MaxRequestId(ControlMessage):
         return cls(reader.read_varint())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Goaway(ControlMessage):
     """GOAWAY: the server asks the client to move to a new session URI."""
 

@@ -10,8 +10,7 @@ record versions (§4.2).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import NamedTuple
 
@@ -42,7 +41,7 @@ class Location(NamedTuple):
         return Location(self.group_id + 1, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MoqtObject:
     """A single object: addressing metadata plus an opaque payload."""
 
@@ -53,13 +52,14 @@ class MoqtObject:
     publisher_priority: int = 128
     status: ObjectStatus = ObjectStatus.NORMAL
     extensions: bytes = b""
+    #: The object's location within its track, built once on construction:
+    #: the delivery and dedupe paths read it several times per hop, and a
+    #: fanned-out object is handled by thousands of receivers.  Derived from
+    #: the IDs, so it is in neither equality, hashing nor repr.
+    location: Location = field(init=False, compare=False, repr=False)
 
-    @cached_property
-    def location(self) -> Location:
-        """The object's location within its track (cached: the delivery and
-        dedupe paths read it several times per hop, and a fanned-out object
-        is handled by thousands of receivers)."""
-        return Location(self.group_id, self.object_id)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "location", Location(self.group_id, self.object_id))
 
     @property
     def size(self) -> int:

@@ -24,7 +24,7 @@ class VersionSpecificParameterType(enum.IntEnum):
     MAX_CACHE_DURATION = 0x4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Parameter:
     """A single (key, value) parameter.
 
@@ -47,7 +47,7 @@ class Parameter:
         return reader.read_varint()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Parameters:
     """An ordered, immutable collection of parameters with a wire codec.
 

@@ -22,7 +22,7 @@ class TrackNameError(ValueError):
     """Raised for invalid namespaces or track names."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrackNamespace:
     """A namespace: an ordered tuple of byte-string elements."""
 
@@ -73,7 +73,7 @@ class TrackNamespace:
         return "/".join(element.hex() for element in self.elements)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FullTrackName:
     """A namespace plus a track name, uniquely identifying a track."""
 

@@ -1312,6 +1312,9 @@ class QuicConnection:
             if self._cwnd_blocked:
                 self._flush_cwnd_blocked()
         if not ledger:
+            # A dict never shrinks: a drained one still holds the table its
+            # busiest burst grew, until it is cleared.
+            ledger.clear()
             self._loss_timer.stop()
         else:
             self._loss_timer.start(self._probe_timeout())

@@ -70,23 +70,28 @@ SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
 # ------------------------------------------------------------------ (a) budget
 #: Live bytes / blocks one more subscribed question keeps.  CPython 3.11 reads
-#: 4,431 B in 71.5 blocks under ``core/`` and 1,603 B in ``moqt/session.py``;
-#: the parent commit 9,609 B in 143.3 blocks and 2,963 B (its chain kept, per
+#: 3,296 B in 49.4 blocks under ``core/`` (3.12: 3,280 B) and 1,351 B in
+#: ``moqt/session.py``.  4,451 B in 70.4 blocks while the values were
+#: dict-backed dataclasses and the push handler a ``partial`` of a bound
+#: method; 9,609 B in 143.3 blocks and 2,963 B while the chain kept, per
 #: question, 1 finished resolution task, 3 stopped timers, 3 completed fetches
-#: with their objects, 17 closures and 29 cells).
-CORE_BYTES_BUDGET = 5_500
-CORE_BLOCKS_BUDGET = 85.0
+#: with their objects, 17 closures and 29 cells.  The budgets are the 3.11
+#: figures plus 24 % (bytes) and 19 % (blocks).
+CORE_BYTES_BUDGET = 4_100
+CORE_BLOCKS_BUDGET = 58.7
 SESSION_BYTES_BUDGET = 2_000
 #: ``netsim/`` reads ≈ 14 B; with a recording ``TraceRecorder`` as the
 #: network's default (the parent commit) it read 5,970 B.
 NETSIM_BYTES_BUDGET = 64
-#: ``dns/`` — the held answers — reads 5,764 B in 112.1 blocks on CPython
-#: 3.11.  That is the simulator process's figure: the forwarder and the
-#: recursive resolver, two hosts of one simulation, share one decoded
-#: ``Message`` per answer (``core/subscribing.py``'s ``AnswerMemo``).  Each
-#: role holding its own decode, as separate hosts do, read 8,533 B in 168.1
-#: blocks.
-DNS_BYTES_BUDGET = 6_050
+#: ``dns/`` — the held answers — reads 3,771 B in 69.3 blocks on CPython
+#: 3.11 (3.12: 3,683 B); 5,575 B in 104.2 blocks while every record, rdata,
+#: question, header and message carried an instance ``__dict__``.  That is
+#: the simulator process's figure: the forwarder and the recursive resolver,
+#: two hosts of one simulation, share one decoded ``Message`` per answer
+#: (``core/subscribing.py``'s ``AnswerMemo``).  Each role holding its own
+#: decode, as separate hosts do, read 8,533 B in 168.1 blocks with
+#: dict-backed values.  The budget is the 3.11 figure plus 5 %.
+DNS_BYTES_BUDGET = 3_960
 WARM_UP, QUESTIONS, CENSUS_STEP = 200, 1000, 250
 PER_LOOKUP = (SubscribeFetch, Timer, FetchRequest, _ResolutionTask)
 CENSUS = (*PER_LOOKUP, types.FunctionType, types.CellType)
@@ -220,7 +225,7 @@ def test_a_finished_lookup_leaves_nothing_behind(measured):
             f"{kind.__name__}: {first[kind]} live after {CENSUS_STEP} questions, "
             f"{second[kind]} after {2 * CENSUS_STEP}"
         )
-    # The push handler is a partial of a bound method: no closure per question.
+    # The push handler is one slotted object (``PushHandler``): no closure per question.
     functions = (second[types.FunctionType] - first[types.FunctionType]) / CENSUS_STEP
     cells = (second[types.CellType] - first[types.CellType]) / CENSUS_STEP
     assert functions <= 1 and cells <= 2, f"+{functions} functions, +{cells} cells per question"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.netsim.link import LinkConfig
@@ -166,6 +168,23 @@ class TestReliabilityAndLifecycle:
         simulator.run(until=2.0)
         assert received == [b"second"]
         assert connection.statistics.datagrams_sent == 2
+
+    def test_a_drained_ledger_gives_back_its_table(self):
+        # A dict never shrinks on deletion: without the clear, the ledger of
+        # a connection that once had 1,000 packets in flight keeps a table
+        # sized for them after the last one is acknowledged.
+        simulator, _server_ep, client_ep, config, _ = _build()
+        connection = client_ep.connect(Address(SERVER, 4443), config)
+        simulator.run(until=1.0)
+        assert connection.handshake_complete and connection.unacked_packets == 0
+        for _ in range(1000):
+            connection.send_stream_data(connection.open_stream(), b"burst", fin=True)
+        assert connection.unacked_packets == 1000
+        assert sys.getsizeof(connection._unacked) > sys.getsizeof({})
+        simulator.run(until=2.0)
+        assert connection.unacked_packets == 0
+        assert sys.getsizeof(connection._unacked) == sys.getsizeof({})
+        assert not connection._loss_timer.is_running
 
     def test_idle_timeout_closes_connection(self):
         simulator, server_ep, client_ep, _, _ = _build(idle=1.0)

@@ -33,6 +33,14 @@ An ``ast`` walk over the repository:
   (``Simulator.memos``).  Constant tables (``_DECODERS``, ``RCODES``) pass,
   because nothing writes them.
 
+* every value class is compact: a frozen dataclass under ``src/repro/dns``,
+  ``src/repro/moqt`` or ``src/repro/core`` is declared ``slots=True``, no
+  module there uses ``cached_property`` (it needs an instance ``__dict__``;
+  a derived attribute is an ``init=False`` field filled in
+  ``__post_init__``), and nothing under ``src/repro`` writes an instance
+  ``__dict__`` (a decoder fills slots with ``object.__setattr__``).  One
+  subscribed question holds a few dozen of these values (``docs/state.md``).
+
 The census goes by name, so it under-reports: a definition whose name is
 also used for something else passes.  Definitions referenced only from
 ``tests/`` (the other half of item 10) are not checked here.
@@ -476,4 +484,155 @@ def shadowing(_DECODERS):
         "moqt/messages.py:23: _MEMOS",
         "moqt/messages.py:30: _COMPLETE_STREAM_CACHE",
         "moqt/messages.py:31: _COMPLETE_STREAM_CACHE",
+    ]
+
+
+# ---------------------------------------------------------------- slotted values
+#: The packages whose frozen dataclasses must be slotted.
+SLOTTED_PACKAGES = ("dns", "moqt", "core")
+
+
+def _frozen_without_slots(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        if not isinstance(decorator, ast.Call):
+            continue
+        function = decorator.func
+        name = function.id if isinstance(function, ast.Name) else getattr(function, "attr", "")
+        if name != "dataclass":
+            continue
+        flags = {
+            keyword.arg: keyword.value.value
+            for keyword in decorator.keywords
+            if isinstance(keyword.value, ast.Constant)
+        }
+        return flags.get("frozen") is True and flags.get("slots") is not True
+    return False
+
+
+def _names_cached_property(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "cached_property" for alias in node.names)
+    return getattr(node, "id", None) == "cached_property" or getattr(node, "attr", None) == "cached_property"
+
+
+def _names_a_dict(node: ast.expr, aliases: set[str]) -> bool:
+    """``x.__dict__``, ``vars(x)`` or a local bound to one of them."""
+    if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+        return True
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "vars":
+        return True
+    return isinstance(node, ast.Name) and node.id in aliases
+
+
+def uncompact_values(source: str, path: str, package: str) -> list[str]:
+    """Every ``path:line: what`` that gives a value an instance ``__dict__``.
+
+    In ``SLOTTED_PACKAGES``: a frozen dataclass without ``slots=True`` and any
+    mention of ``cached_property``.  Anywhere: a function that writes an
+    instance ``__dict__`` — an item store or delete, or an in-place dict
+    method, on ``x.__dict__``, on ``vars(x)`` or on a local bound to either.
+    """
+    tree = ast.parse(source)
+    found = set()
+    if package in SLOTTED_PACKAGES:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _frozen_without_slots(node):
+                found.add((node.lineno, f"frozen dataclass {node.name} without slots=True"))
+            if _names_cached_property(node):
+                found.add((node.lineno, "cached_property"))
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        body = list(ast.walk(function))
+        aliases = {
+            target.id
+            for node in body
+            if isinstance(node, ast.Assign) and _names_a_dict(node.value, set())
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in body:
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in TABLE_WRITES:
+                target = node.func.value
+            else:
+                continue
+            if _names_a_dict(target, aliases):
+                found.add((node.lineno, "writes an instance __dict__"))
+    return [f"{path}:{line}: {what}" for line, what in sorted(found)]
+
+
+def test_every_value_is_slotted(repository):
+    modules, _, _ = repository
+    found = [
+        offence
+        for path, source in modules.items()
+        for offence in uncompact_values(source, f"src/repro/{path}", path.split("/")[0])
+    ]
+    assert not found, "\n".join(
+        ["a value with an instance __dict__ (slot it, docs/state.md § The rule):"] + found
+    )
+
+
+def test_guard_catches_a_dict_backed_value():
+    # Four values and two decoders as they stood before the values were
+    # slotted, abridged, plus a ``vars`` write.
+    parent_values = """
+from dataclasses import dataclass, field
+from functools import cached_property
+
+
+@dataclass(frozen=True)
+class MoqtObject:
+    group_id: int
+    object_id: int
+
+    @cached_property
+    def location(self):
+        return Location(self.group_id, self.object_id)
+
+
+@dataclass(frozen=True, order=True)
+class Question:
+    qname: Name
+
+    @classmethod
+    def from_wire(cls, wire, offset, table=None):
+        question = object.__new__(cls)
+        fields = question.__dict__
+        fields["qname"] = qname
+        return question, end
+
+
+@dataclass(frozen=True, slots=True)
+class Flags:
+    qr: bool = False
+
+
+@dataclass(slots=True)
+class TrackedSubscription:
+    lookups: int = 1
+
+
+def from_wire(cls, wire):
+    rdata = object.__new__(cls)
+    rdata.__dict__.update(address=text, _packed=packed, _text=text)
+    vars(rdata)["address"] = text
+    return rdata
+"""
+    assert uncompact_values(parent_values, "moqt/objectmodel.py", "moqt") == [
+        "moqt/objectmodel.py:3: cached_property",
+        "moqt/objectmodel.py:7: frozen dataclass MoqtObject without slots=True",
+        "moqt/objectmodel.py:11: cached_property",
+        "moqt/objectmodel.py:17: frozen dataclass Question without slots=True",
+        "moqt/objectmodel.py:24: writes an instance __dict__",
+        "moqt/objectmodel.py:40: writes an instance __dict__",
+        "moqt/objectmodel.py:41: writes an instance __dict__",
+    ]
+    # Outside the value packages only the ``__dict__`` writes count.
+    assert uncompact_values(parent_values, "relaynet/spec.py", "relaynet") == [
+        "relaynet/spec.py:24: writes an instance __dict__",
+        "relaynet/spec.py:40: writes an instance __dict__",
+        "relaynet/spec.py:41: writes an instance __dict__",
     ]

@@ -75,15 +75,17 @@ def _star(seed: int = 3):
 
 # ------------------------------------------------------------------ (a) budget
 #: Live bytes / blocks one more attached subscriber keeps under ``src/`` on a
-#: one-relay star of 256: 9,366 B in 112.1 blocks measured on CPython 3.11
-#: (3.10 reads 9,738 B, 3.12 9,341 B, 3.13 9,351 B).  10,323 B in 126.2 blocks
+#: one-relay star of 256: 9,056 B in 110.1 blocks measured on CPython 3.11
+#: (3.10 reads 9,149 B, 3.12 9,020 B, 3.13 9,028 B).  9,383 B in 112.2 blocks
+#: while a drained in-flight ledger kept the table its handshake burst grew
+#: and the control messages were dict-backed; 10,323 B in 126.2 blocks
 #: while each session installed four bound methods as connection callbacks
 #: (8 x 64 B), each tree subscriber's receiver had a ``sink`` closure (288 B)
 #: and ``Location`` was a dataclass; 10,355 B while each ``Link`` also kept
 #: its simulator and a ``batchable`` flag.  The budget is the 3.11 figure
 #: plus 5 %.
-BYTES_BUDGET = 9_835
-BLOCKS_BUDGET = 117.7
+BYTES_BUDGET = 9_510
+BLOCKS_BUDGET = 115.6
 
 _WHERE_IT_GOES = """
 per subscriber: client host + two link directions + client endpoint (netsim, endpoint.py),
