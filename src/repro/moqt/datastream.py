@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.moqt.errors import ProtocolViolation
 from repro.moqt.objectmodel import MoqtObject, ObjectStatus
-from repro.quic.varint import VarintError, VarintReader, VarintWriter, append_varint
+from repro.quic.varint import VarintReader, VarintWriter, append_varint
 
 
 class DataStreamType(enum.IntEnum):
@@ -203,17 +203,26 @@ def encode_object_datagram(track_alias: int, obj: MoqtObject) -> bytes:
 
 
 def decode_object_datagram(data: bytes) -> tuple[int, MoqtObject]:
-    """Decode an object datagram; returns ``(track_alias, object)``."""
+    """Decode an object datagram; returns ``(track_alias, object)``.
+
+    The datagram must be exactly one object: anything else raises
+    :class:`~repro.moqt.errors.ProtocolViolation`, and nothing else does.
+    """
     reader = VarintReader(data)
-    datagram_type = reader.read_varint()
-    if datagram_type != DatagramType.OBJECT_DATAGRAM:
-        raise ProtocolViolation(f"unexpected datagram type {datagram_type:#x}")
-    track_alias = reader.read_varint()
-    group_id = reader.read_varint()
-    object_id = reader.read_varint()
-    priority = reader.read_uint8()
-    extensions = reader.read_length_prefixed()
-    payload = reader.read_length_prefixed()
+    try:
+        datagram_type = reader.read_varint()
+        if datagram_type != DatagramType.OBJECT_DATAGRAM:
+            raise ProtocolViolation(f"unexpected datagram type {datagram_type:#x}")
+        track_alias = reader.read_varint()
+        group_id = reader.read_varint()
+        object_id = reader.read_varint()
+        priority = reader.read_uint8()
+        extensions = reader.read_length_prefixed()
+        payload = reader.read_length_prefixed()
+    except ValueError as error:
+        raise ProtocolViolation(f"malformed object datagram: {error}") from error
+    if not reader.at_end():
+        raise ProtocolViolation(f"{reader.remaining} trailing bytes after an object datagram")
     obj = MoqtObject(
         group_id=group_id,
         object_id=object_id,
@@ -226,21 +235,21 @@ def decode_object_datagram(data: bytes) -> tuple[int, MoqtObject]:
 
 def decode_complete_datastream(
     data: bytes,
-) -> tuple[SubgroupStreamHeader | FetchStreamHeader | None, tuple[MoqtObject, ...]]:
+) -> tuple[SubgroupStreamHeader | FetchStreamHeader, tuple[MoqtObject, ...]]:
     """Decode a data stream: the one decoder, since every stream arrives whole.
 
     A data stream is one STREAM frame with offset 0 and FIN (the only shape
     :meth:`~repro.quic.connection.QuicConnection.send_encoded_stream` sends,
     and the only one the receiving connection delivers), so there is nothing
-    to reassemble.  Returns ``(header, objects)``; a stream whose header is
-    truncated yields ``(None, ())``, and trailing bytes that do not form a
-    complete object are dropped.  An unknown stream type or object status
-    raises :class:`~repro.moqt.errors.ProtocolViolation`.  The result is
-    immutable (a header and a tuple of frozen objects), which is what lets
-    the receiving session keep it in its simulation's memo and hand one
-    decode to every sibling subscriber of a fan-out.
+    to reassemble and the bytes must be exactly a header followed by whole
+    objects.  Returns ``(header, objects)``.  Anything else — an unknown
+    stream type or object status, a truncated header, a truncated last
+    object — raises :class:`~repro.moqt.errors.ProtocolViolation`, and
+    nothing else does.  The result is immutable (a header and a tuple of
+    frozen objects), which is what lets the receiving session keep it in its
+    simulation's memo and hand one decode to every sibling subscriber of a
+    fan-out.
     """
-    header: SubgroupStreamHeader | FetchStreamHeader | None = None
     objects: list[MoqtObject] = []
     reader = VarintReader(data)
     try:
@@ -255,6 +264,6 @@ def decode_complete_datastream(
                 objects.append(decode_fetch_object(reader))
         else:
             raise ProtocolViolation(f"unknown data stream type {stream_type:#x}")
-    except VarintError:
-        pass  # truncated trailing element: keep what parsed completely
+    except ValueError as error:
+        raise ProtocolViolation(f"malformed data stream: {error}") from error
     return header, tuple(objects)

@@ -19,6 +19,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import ClassVar
 
+from repro.memo import Memo
 from repro.moqt.errors import ProtocolViolation
 from repro.moqt.parameters import Parameters
 from repro.moqt.track import FullTrackName, TrackNamespace
@@ -615,17 +616,34 @@ def read_control_frame(data: bytes, offset: int = 0) -> tuple[int, bytes, int]:
 
 
 def decode_control_payload(message_type: int, payload: bytes) -> ControlMessage:
-    """Decode the payload of one framed control message of ``message_type``."""
+    """Decode the payload of one framed control message of ``message_type``.
+
+    The payload must be exactly one message: anything else — an unknown type,
+    a truncated or out-of-range field, a bad track name or UTF-8 text, unread
+    trailing bytes — raises :class:`~repro.moqt.errors.ProtocolViolation`,
+    and nothing else does.  The field readers raise ``ValueError`` subclasses
+    (``VarintError``, ``TrackNameError``, ``UnicodeDecodeError``, an enum's
+    ``ValueError``), converted here in one place.
+    """
     decoder = _DECODERS.get(message_type)
     if decoder is None:
         raise ProtocolViolation(f"unknown control message type {message_type:#x}")
-    return decoder.decode_payload(VarintReader(payload))
+    reader = VarintReader(payload)
+    try:
+        message = decoder.decode_payload(reader)
+    except ValueError as error:
+        raise ProtocolViolation(f"malformed {decoder.__name__}: {error}") from error
+    if not reader.at_end():
+        raise ProtocolViolation(f"{reader.remaining} trailing bytes after {decoder.__name__}")
+    return message
 
 
 def decode_control_message(data: bytes, offset: int = 0) -> tuple[ControlMessage, int]:
     """Decode one control message; returns ``(message, next_offset)``.
 
-    Raises :class:`NeedMoreData` as :func:`read_control_frame` does.
+    Raises :class:`NeedMoreData` as :func:`read_control_frame` does, and
+    :class:`~repro.moqt.errors.ProtocolViolation` as
+    :func:`decode_control_payload` does.
     """
     message_type, payload, end = read_control_frame(data, offset)
     return decode_control_payload(message_type, payload), end
@@ -638,16 +656,22 @@ class NeedMoreData(Exception):
 class ControlStreamParser:
     """Reassembles control messages from stream data chunks.
 
-    :meth:`decode` turns each framed message into its value; the session's
-    parser overrides it to decode through its simulation's memo.
+    Each framed message is decoded through ``memo``, its simulation's
+    ``"moqt.control"`` table (:attr:`repro.netsim.simulator.Simulator.memos`),
+    keyed by ``(type, payload)``.  Large subscriber populations exchange
+    byte-identical CLIENT_SETUP / SERVER_SETUP / SUBSCRIBE messages, and
+    messages are frozen dataclasses, so one decoded instance serves every
+    session of the simulation, which also interns the embedded track names.
+    A malformed message raises :class:`~repro.moqt.errors.ProtocolViolation`
+    out of :meth:`feed`, is not stored, and ends the session: the parser is
+    not fed again.
     """
 
-    __slots__ = ("_buffer",)
+    __slots__ = ("_buffer", "_memo")
 
-    decode = staticmethod(decode_control_payload)
-
-    def __init__(self) -> None:
+    def __init__(self, memo: Memo) -> None:
         self._buffer = bytearray()
+        self._memo = memo
 
     def feed(self, data: bytes) -> list[ControlMessage]:
         """Add bytes and return every now-complete message."""
@@ -660,22 +684,17 @@ class ControlStreamParser:
         # Otherwise — a chunk is nearly always whole messages — parse it
         # where it lies and hold over only an incomplete tail.
         messages: list[ControlMessage] = []
-        decode = self.decode
+        memo = self._memo
         offset = 0
         length = len(data)
-        try:
-            while offset < length:
-                try:
-                    message_type, payload, offset = read_control_frame(data, offset)
-                except NeedMoreData:
-                    break
-                messages.append(decode(message_type, payload))
-        except BaseException:
-            # A chunk that fails to decode stays buffered whole, as it always
-            # has (what a malformed peer should cost is ROADMAP item 3(a)).
-            if not held:
-                held += data
-            raise
+        while offset < length:
+            try:
+                message_type, payload, offset = read_control_frame(data, offset)
+            except NeedMoreData:
+                break
+            key = (message_type, payload)
+            message = memo.get(key) or memo.keep(key, decode_control_payload(message_type, payload))
+            messages.append(message)
         if held:
             del held[:offset]
         elif offset < length:

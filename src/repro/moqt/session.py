@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol
 
-from repro.memo import Memo
 from repro.moqt.datastream import (
     FetchStreamHeader,
     SubgroupStreamHeader,
@@ -36,8 +35,8 @@ from repro.moqt.datastream import (
 )
 from repro.moqt.errors import (
     FetchErrorCode,
-    MoqtError,
     ProtocolViolation,
+    SessionErrorCode,
     SessionTerminated,
     SubscribeErrorCode,
 )
@@ -64,7 +63,6 @@ from repro.moqt.messages import (
     SubscribeError,
     SubscribeOk,
     Unsubscribe,
-    decode_control_payload,
 )
 from repro.moqt.objectmodel import Location, MoqtObject
 from repro.moqt.track import FullTrackName
@@ -77,7 +75,6 @@ from repro.quic.tls import MOQT_ALPN  # noqa: F401 - re-exported for the MoQT la
 class MoqtSessionConfig:
     """Per-session knobs."""
 
-    max_request_id: int = 1 << 20
     alpn_version_negotiation: bool = False
     use_datagrams: bool = False
 
@@ -262,30 +259,6 @@ class _UnusedTable(dict):
 _UNUSED = _UnusedTable()
 
 
-class _MemoControlParser(ControlStreamParser):
-    """A session's control-stream parser: decodes through its simulation's memo.
-
-    Large subscriber populations exchange byte-identical CLIENT_SETUP /
-    SERVER_SETUP / SUBSCRIBE messages, and messages are frozen dataclasses,
-    so one decoded instance serves every session of the simulation, which
-    also interns the embedded track names.  A malformed payload raises and
-    is not stored.
-    """
-
-    __slots__ = ("_decoded",)
-
-    def __init__(self, decoded: Memo) -> None:
-        super().__init__()
-        self._decoded = decoded
-
-    def decode(self, message_type: int, payload: bytes) -> ControlMessage:
-        key = (message_type, payload)
-        message = self._decoded.get(key)
-        if message is None:
-            message = self._decoded.keep(key, decode_control_payload(message_type, payload))
-        return message
-
-
 class MoqtSession:
     """One endpoint of a MoQT session over a QUIC connection.
 
@@ -298,7 +271,6 @@ class MoqtSession:
         "is_client",
         "config",
         "publisher_delegate",
-        "on_ready",
         "on_closed",
         "on_liveness",
         "statistics",
@@ -314,6 +286,7 @@ class MoqtSession:
         "_control_stream",
         "_control_stream_id",
         "_next_request_id",
+        "_next_peer_request_id",
         "_next_track_alias",
         "_subscriptions",
         "_subscriptions_by_alias",
@@ -331,7 +304,6 @@ class MoqtSession:
         is_client: bool,
         config: MoqtSessionConfig | None = None,
         publisher_delegate: PublisherDelegate | None = None,
-        on_ready: Callable[["MoqtSession"], None] | None = None,
         on_closed: Callable[["MoqtSession", str], None] | None = None,
         on_liveness: Callable[["MoqtSession", str, str], None] | None = None,
     ) -> None:
@@ -339,7 +311,6 @@ class MoqtSession:
         self.is_client = is_client
         self.config = config if config is not None else MoqtSessionConfig()
         self.publisher_delegate = publisher_delegate
-        self.on_ready = on_ready
         self.on_closed = on_closed
         #: Observer of the transport's in-band liveness transitions
         #: (``on_liveness(session, old_state, new_state)``); see
@@ -358,7 +329,7 @@ class MoqtSession:
         self.closed = False
 
         # The simulation's decode memo (``docs/dns-codec.md``), one table per kind.
-        self._control_parser = _MemoControlParser(self._simulator.memos["moqt.control"])
+        self._control_parser = ControlStreamParser(self._simulator.memos["moqt.control"])
         self._decoded_streams = self._simulator.memos["moqt.stream"]
         self._control_stream: QuicStream | None = None
         #: Mirror of ``_control_stream.stream_id`` so the per-frame dispatch
@@ -366,6 +337,10 @@ class MoqtSession:
         #: chains.
         self._control_stream_id: int | None = None
         self._next_request_id = 0 if is_client else 1
+        #: The request ID the peer's next SUBSCRIBE or FETCH must carry: the
+        #: other parity, in steps of two (what its ``_allocate_request_id``
+        #: hands out).
+        self._next_peer_request_id = 1 if is_client else 0
         self._next_track_alias = 1
 
         # Every table below is a dict once its role is played (see
@@ -374,7 +349,8 @@ class MoqtSession:
         self._subscriptions: dict[int, Subscription] = _UNUSED
         self._subscriptions_by_alias: dict[int, Subscription] = _UNUSED
         self._fetches: dict[int, FetchRequest] = _UNUSED
-        self._pending_until_ready: list[Callable[[], None]] = []
+        #: Encoded requests issued before the session was ready, in order.
+        self._pending_until_ready: list[bytes] = []
 
         # Publisher-side state.
         self._publisher_subscriptions: dict[int, PublisherSubscription] = _UNUSED
@@ -404,11 +380,9 @@ class MoqtSession:
         self.ready = True
         self.ready_at = self._simulator.now
         self.selected_version = version
-        if self.on_ready is not None:
-            self.on_ready(self)
         pending, self._pending_until_ready = self._pending_until_ready, []
-        for action in pending:
-            action()
+        for wire in pending:
+            self._send_control(wire)
 
     # --------------------------------------------------------------- plumbing
     def _require_open(self) -> None:
@@ -431,11 +405,12 @@ class MoqtSession:
         self.statistics.control_messages_sent += 1
         self.connection.send_stream_data(self._control_stream, wire)
 
-    def _when_ready(self, action: Callable[[], None]) -> None:
+    def _send_request(self, wire: bytes) -> None:
+        """Send an encoded request, or queue it until the session is ready."""
         if self.ready:
-            action()
+            self._send_control(wire)
         else:
-            self._pending_until_ready.append(action)
+            self._pending_until_ready.append(wire)
 
     # ------------------------------------------------------------- subscriber
     def subscribe(
@@ -476,7 +451,7 @@ class MoqtSession:
             filter_type=filter_type,
         )
         self.statistics.subscribes_sent += 1
-        self._when_ready(lambda: self._send_control(message.encode()))
+        self._send_request(message.encode())
         return subscription
 
     def unsubscribe(self, subscription: Subscription) -> None:
@@ -494,7 +469,7 @@ class MoqtSession:
         subscription.state = "done"
         self._subscriptions.pop(subscription.request_id, None)
         self._subscriptions_by_alias.pop(subscription.track_alias, None)
-        self._when_ready(lambda: self._send_control(Unsubscribe(subscription.request_id).encode()))
+        self._send_request(Unsubscribe(subscription.request_id).encode())
 
     def fetch(
         self,
@@ -527,7 +502,7 @@ class MoqtSession:
             end_object=end.object_id,
         )
         self.statistics.fetches_sent += 1
-        self._when_ready(lambda: self._send_control(message.encode()))
+        self._send_request(message.encode())
         return fetch_request
 
     def joining_fetch(
@@ -559,7 +534,7 @@ class MoqtSession:
             joining_start=joining_start,
         )
         self.statistics.fetches_sent += 1
-        self._when_ready(lambda: self._send_control(message.encode()))
+        self._send_request(message.encode())
         return fetch_request
 
     def subscriptions(self) -> list[Subscription]:
@@ -638,6 +613,17 @@ class MoqtSession:
             # Comes back through the delegate's connection_closed.
             self.connection.close(reason=reason)
 
+    def _protocol_violation(self, error: ProtocolViolation) -> None:
+        """The one way malformed or out-of-order peer input ends a session.
+
+        Every decoder raises :class:`ProtocolViolation` and nothing else, and
+        so do the session's own checks of what the peer sent; whatever the
+        session was handed with the offending bytes is discarded with it.
+        Peer input arrives only on an open connection, so this always closes
+        it, and the close comes back through :meth:`connection_closed`.
+        """
+        self.connection.close(SessionErrorCode.PROTOCOL_VIOLATION, str(error))
+
     # ------------------------------------------------- the connection's delegate
     # The session is its connection's ConnectionDelegate: the connection
     # calls these two and, under dispatch below, ``stream_data_received`` and
@@ -647,6 +633,7 @@ class MoqtSession:
         if self.closed:
             return
         self.closed = True
+        self._pending_until_ready.clear()
         self._fail_pending_fetches(reason)
         # Everything the publisher side still held ends with the session:
         # deferred SUBSCRIBEs first, then accepted ones, each in arrival
@@ -703,30 +690,32 @@ class MoqtSession:
 
     # --------------------------------------------------------------- dispatch
     def stream_data_received(self, stream_id: int, data: bytes, fin: bool) -> None:
-        """Contiguous bytes of one stream, ``fin`` once it is complete."""
-        if stream_id == 0 or stream_id == self._control_stream_id:
-            for message in self._control_parser.feed(data):
-                if self.closed:
-                    # An earlier message of this chunk ended the session (no
-                    # common version); a delegate never sees a closed one.
-                    return
-                self._handle_control_message(message)
+        """Contiguous bytes of one stream, ``fin`` once it is complete.
+
+        A malformed message or data stream closes the session
+        (:meth:`_protocol_violation`).
+        """
+        try:
+            if stream_id == 0 or stream_id == self._control_stream_id:
+                for message in self._control_parser.feed(data):
+                    if self.closed:
+                        # An earlier message of this chunk ended the session (no
+                        # common version); a delegate never sees a closed one.
+                        return
+                    self._handle_control_message(message)
+                return
+            if not fin:
+                # A data stream arrives whole (one offset-0 FIN frame, enforced
+                # by the connection); only a peer's second bidirectional stream
+                # can come in pieces, and it carries nothing this session reads.
+                return
+            # Sibling subscribers of a fan-out receive byte-identical payloads.
+            memo = self._decoded_streams
+            decoded = memo.get(data) or memo.keep(data, decode_complete_datastream(data))
+        except ProtocolViolation as error:
+            self._protocol_violation(error)
             return
-        if not fin:
-            # A data stream arrives whole (one offset-0 FIN frame, enforced by
-            # the connection); only a peer's second bidirectional stream can
-            # come in pieces, and it carries nothing this session reads.
-            return
-        # Sibling subscribers of a fan-out receive byte-identical payloads.
-        decoded = self._decoded_streams.get(data)
-        if decoded is None:
-            try:
-                decoded = self._decoded_streams.keep(data, decode_complete_datastream(data))
-            except MoqtError:
-                return  # a malformed data stream is dropped, like a datagram
         header, objects = decoded
-        if header is None:
-            return
         if isinstance(header, SubgroupStreamHeader):
             track_alias = header.track_alias
             for obj in objects:
@@ -735,10 +724,12 @@ class MoqtSession:
             self._deliver_fetch_objects(header.request_id, objects)
 
     def datagram_frame_received(self, data: bytes) -> None:
-        """The payload of one DATAGRAM frame: an object datagram."""
+        """The payload of one DATAGRAM frame: an object datagram (a malformed
+        one closes the session)."""
         try:
             track_alias, obj = decode_object_datagram(data)
-        except MoqtError:
+        except ProtocolViolation as error:
+            self._protocol_violation(error)
             return
         self._deliver_subscribed_object(track_alias, obj)
 
@@ -814,7 +805,15 @@ class MoqtSession:
         self._mark_ready(message.selected_version)
 
     # Publisher side of SUBSCRIBE / FETCH --------------------------------------
+    def _take_peer_request_id(self, request_id: int) -> None:
+        """A SUBSCRIBE or FETCH must carry the peer's next request ID: wrong
+        parity, a reused ID or a skipped one is a protocol violation."""
+        if request_id != self._next_peer_request_id:
+            raise ProtocolViolation(f"request ID {request_id}, expected {self._next_peer_request_id}")
+        self._next_peer_request_id += 2
+
     def _handle_subscribe(self, message: Subscribe) -> None:
+        self._take_peer_request_id(message.request_id)
         self.statistics.subscribes_received += 1
         if self.publisher_delegate is None:
             self._send_control(
@@ -891,6 +890,7 @@ class MoqtSession:
         return publisher_subscription
 
     def _handle_fetch(self, message: Fetch) -> None:
+        self._take_peer_request_id(message.request_id)
         self.statistics.fetches_received += 1
         if self.publisher_delegate is None:
             self._send_control(

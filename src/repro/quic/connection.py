@@ -1347,8 +1347,12 @@ class QuicConnection:
             self._keepalive_timer.start(self.config.keepalive_interval)
 
     # ------------------------------------------------------------------- close
-    def close(self, code: TransportErrorCode = TransportErrorCode.NO_ERROR, reason: str = "") -> None:
-        """Close the connection, notifying the peer."""
+    def close(self, code: int = TransportErrorCode.NO_ERROR, reason: str = "") -> None:
+        """Close the connection, notifying the peer.
+
+        ``code`` is a :class:`TransportErrorCode`, or the application's own
+        (a MoQT session closes with its ``SessionErrorCode``).
+        """
         if self.closed:
             return
         self._send_packet(

@@ -457,7 +457,7 @@ per attached subscriber: 2 handshake + 4 control packets, each answered by a bar
   receive:   _deliver_final -> endpoint.datagram_received -> decode_header -> receive_packet
              -> _packet_accepted -> _on_stream_frame [QuicStream.receive ->
              _ReceiveBuffer.receive -> _finished] -> MoqtSession.stream_data_received ->
-             ControlStreamParser.feed -> read_control_frame, _MemoControlParser.decode [memo hit] ->
+             ControlStreamParser.feed -> read_control_frame [memo hit] ->
              _handle_control_message -> _handle_<message>
   ack:       _send_ack [append_varint x2, varint_size] -> _send_payload -> route
   ack rx:    _deliver_final -> datagram_received -> decode_header -> receive_packet ->

@@ -26,10 +26,11 @@ from repro.moqt.datastream import (
     encode_subgroup_object,
     encode_subgroup_stream_chunk,
 )
-from repro.moqt.messages import ControlMessage
+from repro.moqt.errors import ProtocolViolation
+from repro.moqt.messages import ControlMessage, ControlStreamParser
 from repro.moqt.objectmodel import MoqtObject
 from repro.moqt.origin import ORIGIN_HOST, ORIGIN_PORT, TRACK, build_origin
-from repro.moqt.session import MoqtSession, _MemoControlParser
+from repro.moqt.session import MoqtSession
 from repro.netsim.link import Link, LinkConfig
 from repro.netsim.network import Network
 from repro.netsim.packet import Address, Datagram
@@ -534,8 +535,8 @@ class TestDecodeMemos:
         assert runs[0] == runs[2] == {"control": 4, "stream": 4}
 
     def test_truncated_stream_yields_no_header(self):
-        header, objects = decode_complete_datastream(b"")
-        assert header is None and objects == ()
+        with pytest.raises(ProtocolViolation):
+            decode_complete_datastream(b"")
 
     def test_a_memo_hit_cannot_be_mutated(self):
         """Every session gets the same decoded instance for the same bytes, so
@@ -545,8 +546,8 @@ class TestDecodeMemos:
 
         wire = ClientSetup(parameters=Parameters((Parameter(0x1, b"/dns"),))).encode()
         decoded = Simulator().memos["moqt.control"]
-        (first,) = _MemoControlParser(decoded).feed(wire)
-        (second,) = _MemoControlParser(decoded).feed(bytes(wire))
+        (first,) = ControlStreamParser(decoded).feed(wire)
+        (second,) = ControlStreamParser(decoded).feed(bytes(wire))
         assert second is first
         for target, name in ((first, "parameters"), (first.parameters, "entries")):
             with pytest.raises(FrozenInstanceError):

@@ -8,8 +8,8 @@ from repro.moqt.datastream import (
     encode_object_datagram,
     encode_subgroup_stream_chunk,
 )
-from repro.moqt.errors import ProtocolViolation, SubscribeErrorCode
-from repro.moqt.messages import FilterType, Subscribe
+from repro.moqt.errors import SubscribeErrorCode
+from repro.moqt.messages import Fetch, FilterType, Subscribe
 from repro.moqt.objectmodel import Location, MoqtObject, TrackState
 from repro.moqt.relay import MoqtRelay
 from repro.moqt.session import (
@@ -27,7 +27,6 @@ from repro.netsim.simulator import Simulator
 from repro.quic.connection import ConnectionConfig
 from repro.quic.endpoint import QuicEndpoint
 from repro.quic.tls import ServerTlsContext
-from repro.quic.varint import VarintError
 
 PUBLISHER = "9.9.9.9"
 SUBSCRIBER = "10.0.0.1"
@@ -325,10 +324,12 @@ class TestSubscribeAndFetch:
             )
         }
 
-    def test_a_malformed_data_stream_is_dropped(self):
-        """An unknown object status or stream type never leaves
-        ``Simulator.run``: the stream is dropped, the session stays open and
-        the decode memo keeps nothing of it."""
+    @pytest.mark.parametrize("case", ["unknown status", "unknown type", "truncated object"])
+    def test_a_malformed_data_stream_is_dropped(self, case):
+        """An unknown object status or stream type, or a truncated object,
+        never leaves ``Simulator.run``: the stream is dropped, the session
+        closes with ``PROTOCOL_VIOLATION`` and the decode memo keeps nothing
+        of it."""
         simulator, session, publisher_sessions, _ = _build()
         pushed = []
         subscription = session.subscribe(TRACK, on_object=pushed.append)
@@ -337,30 +338,26 @@ class TestSubscribeAndFetch:
         publisher_subscription = publisher.publisher_subscriptions()[0]
         obj = MoqtObject(group_id=3, object_id=0, payload=b"v3")
         good = encode_subgroup_stream_chunk(publisher_subscription.track_alias, obj)
-        unknown_status = good[:-1] + b"\x3e"  # the status varint is the last byte
-        unknown_type = b"\x3f\x01"
-        for payload in (unknown_status, unknown_type):
-            publisher.connection.send_encoded_stream(payload)
+        malformed = {
+            "unknown status": good[:-1] + b"\x3e",  # the status varint is the last byte
+            "unknown type": b"\x3f\x01",
+            "truncated object": good[:-1],
+        }[case]
+        closed = []
+        publisher.on_closed = lambda s, reason: closed.append(reason)
+        publisher.connection.send_encoded_stream(malformed)
         simulator.run(until=3.0)
-        assert not session.closed and not session.connection.closed
+        assert session.closed and session.connection.closed
+        assert publisher.closed and closed == [session.connection.close_reason]
         assert pushed == [] and subscription.objects_received == 0
         assert session.statistics.objects_received == 0
-        decoded = simulator.memos["moqt.stream"]
-        assert unknown_status not in decoded and unknown_type not in decoded
-        # The session still reads the next well-formed stream.
-        publisher.publish(publisher_subscription, obj)
-        simulator.run(until=4.0)
-        assert pushed == [obj]
+        assert malformed not in simulator.memos["moqt.stream"]
 
-
-    @pytest.mark.parametrize(
-        "case, error",
-        [("unknown type", ProtocolViolation), ("unparsable SUBSCRIBE", VarintError)],
-    )
-    def test_a_malformed_control_payload_is_not_kept(self, case, error):
+    @pytest.mark.parametrize("case", ["unknown type", "unparsable SUBSCRIBE", "trailing bytes"])
+    def test_a_malformed_control_payload_is_not_kept(self, case):
         """The control-stream counterpart: a payload that fails to decode
-        raises out of the session's parser and the simulation's decode memo
-        keeps nothing of it."""
+        closes the session with ``PROTOCOL_VIOLATION`` instead of raising out
+        of it, and the simulation's decode memo keeps nothing of it."""
         simulator, _, publisher_sessions, _ = _build()
         simulator.run(until=2.0)
         decoded = simulator.memos["moqt.control"]
@@ -370,10 +367,28 @@ class TestSubscribeAndFetch:
         wire = {
             "unknown type": b"\x3e\x00\x00",
             "unparsable SUBSCRIBE": subscribe[:3] + b"\xff" * (len(subscribe) - 3),
+            "trailing bytes": subscribe[:2] + bytes([subscribe[2] + 1]) + subscribe[3:] + b"\x00",
         }[case]
-        with pytest.raises(error):
-            publisher_sessions[0].stream_data_received(0, wire, False)
+        publisher = publisher_sessions[0]
+        publisher.stream_data_received(0, wire, False)
+        assert publisher.closed and publisher.connection.closed
+        assert publisher.statistics.subscribes_received == 0
         assert decoded == held
+
+    def test_a_session_closed_before_setup_keeps_no_queued_request(self):
+        simulator, session, _, _ = _build()
+        subscription = session.subscribe(TRACK)
+        fetch = session.fetch(TRACK, Location(1, 0), Location(1, 0))
+        assert session._pending_until_ready == [
+            Subscribe(request_id=0, track_alias=1, full_track_name=TRACK).encode(),
+            Fetch(request_id=2, full_track_name=TRACK, start_group=1, end_group=1).encode(),
+        ]
+        session.close("gave up")
+        assert session._pending_until_ready == []
+        assert fetch.state == "error"
+        simulator.run(until=2.0)
+        assert not session.ready and subscription.state == "pending"
+        assert session.statistics.control_messages_sent == 1  # CLIENT_SETUP only
 
     def test_goaway_recorded(self):
         simulator, session, publisher_sessions, _ = _build()

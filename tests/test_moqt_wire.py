@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.memo import Memo
 from repro.moqt.datastream import (
     FetchStreamHeader,
     SubgroupStreamHeader,
@@ -215,7 +216,7 @@ class TestControlMessages:
         first = SubscribeOk(request_id=2, content_exists=False)
         second = Unsubscribe(request_id=2)
         stream_bytes = first.encode() + second.encode()
-        parser = ControlStreamParser()
+        parser = ControlStreamParser(Memo())
         messages = []
         for index in range(0, len(stream_bytes), 3):
             messages.extend(parser.feed(stream_bytes[index: index + 3]))

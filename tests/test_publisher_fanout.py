@@ -27,7 +27,7 @@ from repro.dns.rr import ResourceRecord, RRset
 from repro.dns.types import MOQT_PORT, RecordType
 from repro.dns.zone import Zone
 from repro.experiments.topology import RECURSIVE_HOST, SmallTopology, SmallTopologyConfig
-from repro.moqt.messages import ClientSetup, Subscribe
+from repro.moqt.messages import ClientSetup, Fetch, FetchType, Subscribe
 from repro.moqt.objectmodel import MoqtObject
 from repro.moqt.origin import ORIGIN_HOST, ORIGIN_PORT, OriginPublisher, build_origin
 from repro.moqt.relay import MoqtRelay
@@ -609,6 +609,43 @@ def test_a_subscribe_behind_the_message_that_closed_the_session_is_dropped(make_
     driver.publish(0)
     driver.check()
     driver.rig.assert_quiesced()
+
+
+#: Requests whose last request ID is not the client's next one (0, 2, 4, ...).
+BAD_REQUEST_IDS = {
+    "reused": lambda track: [Subscribe(request_id=0, track_alias=1, full_track_name=track)] * 2,
+    "skipped": lambda track: [
+        Subscribe(request_id=0, track_alias=1, full_track_name=track),
+        Subscribe(request_id=4, track_alias=2, full_track_name=track),
+    ],
+    "wrong parity": lambda track: [Subscribe(request_id=1, track_alias=1, full_track_name=track)],
+    "fetch reusing": lambda track: [
+        Subscribe(request_id=0, track_alias=1, full_track_name=track),
+        Fetch(request_id=0, fetch_type=FetchType.RELATIVE_JOINING, joining_request_id=0, joining_start=1),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", BAD_REQUEST_IDS)
+@pytest.mark.parametrize("make_rig", RIGS)
+def test_a_request_id_that_is_not_the_peers_next_closes_the_session(make_rig, case):
+    # Two SUBSCRIBEs with request ID 0 used to reach the publisher twice: the
+    # second overwrote the session's record of the first, so closing the
+    # session never ended the first, which stayed in the per-track list.
+    driver = Driver(make_rig())
+    slot = driver.connect(0)
+    driver.rig.settle()
+    (server_session,) = driver.rig.sessions()
+    for message in BAD_REQUEST_IDS[case](driver.rig.tracks[0]):
+        slot.session._send_control(message.encode())
+    driver.rig.settle()
+    driver.close(0)
+    driver.rig.settle()
+    driver.rig.assert_quiesced()
+    assert server_session.closed and slot.session.closed
+    assert "request ID" in server_session.connection.close_reason
+    driver.publish(0)
+    driver.check()
 
 
 def test_relay_keeps_upstream_while_a_deferred_waiter_remains():

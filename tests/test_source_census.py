@@ -33,6 +33,12 @@ An ``ast`` walk over the repository:
   (``Simulator.memos``).  Constant tables (``_DECODERS``, ``RCODES``) pass,
   because nothing writes them.
 
+* no handler under ``src/repro/moqt`` catches ``Exception`` or
+  ``BaseException`` (or is a bare ``except:``).  A MoQT session fails one way:
+  the decoders raise ``ProtocolViolation`` and nothing else, and the session
+  catches exactly that and closes (``docs/quic-receive.md``); a blanket
+  handler would swallow a bug, or keep a chunk that failed to decode.
+
 * every value class is compact: a frozen dataclass under ``src/repro/dns``,
   ``src/repro/moqt`` or ``src/repro/core`` is declared ``slots=True``, no
   module there uses ``cached_property`` (it needs an instance ``__dict__``;
@@ -62,7 +68,6 @@ CORPUS = ("src", "tests", "examples", "benchmarks")
 UNREFERENCED = {
     "dns/types.py::DNSClass._missing_": "enum hook: Enum calls it for a value with no member (CLASS99)",
     "dns/types.py::RecordType._missing_": "enum hook: Enum calls it for a value with no member (TYPE99)",
-    "moqt/errors.py::SessionErrorCode": "session close codes, for ROADMAP 3(a)/3(b)'s typed closes",
     "moqt/parameters.py::SetupParameterType": "SETUP parameter keys (MAX_REQUEST_ID), for ROADMAP 3(b)",
     "moqt/parameters.py::VersionSpecificParameterType": "SUBSCRIBE / FETCH parameter keys, for ROADMAP 3(b)",
 }
@@ -636,3 +641,74 @@ def from_wire(cls, wire):
         "relaynet/spec.py:40: writes an instance __dict__",
         "relaynet/spec.py:41: writes an instance __dict__",
     ]
+
+
+# ------------------------------------------------------------ one failure path
+#: Where a handler may not catch everything.
+NARROW_EXCEPT_PACKAGES = ("moqt",)
+BLANKET = {"Exception", "BaseException"}
+
+
+def blanket_handlers(source: str, path: str) -> list[str]:
+    """Every ``path:line: except ...`` that catches ``Exception`` or
+    ``BaseException``, alone, in a tuple or as a bare ``except:``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = node.type
+        names = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+        if caught is None or any(isinstance(name, ast.Name) and name.id in BLANKET for name in names):
+            found.append(f"{path}:{node.lineno}: {ast.unparse(caught) if caught else 'bare except'}")
+    return found
+
+
+def test_no_blanket_except_under_moqt(repository):
+    modules, _, _ = repository
+    found = [
+        handler
+        for path, source in modules.items()
+        if path.split("/")[0] in NARROW_EXCEPT_PACKAGES
+        for handler in blanket_handlers(source, f"src/repro/{path}")
+    ]
+    assert not found, "\n".join(
+        ["a blanket handler under moqt/ (catch ProtocolViolation, docs/quic-receive.md):"] + found
+    )
+
+
+def test_guard_catches_a_blanket_except():
+    # ControlStreamParser.feed's re-buffer block as it stood before the
+    # decoders raised ProtocolViolation only, abridged, plus two variants.
+    parent_feed = """
+def feed(self, data):
+    try:
+        while offset < length:
+            try:
+                message_type, payload, offset = read_control_frame(data, offset)
+            except NeedMoreData:
+                break
+            messages.append(decode(message_type, payload))
+    except BaseException:
+        if not held:
+            held += data
+        raise
+
+
+def datagram_frame_received(self, data):
+    try:
+        track_alias, obj = decode_object_datagram(data)
+    except (MoqtError, Exception):
+        return
+    try:
+        self._deliver(track_alias, obj)
+    except:
+        pass
+"""
+    assert blanket_handlers(parent_feed, "moqt/messages.py") == [
+        "moqt/messages.py:10: BaseException",
+        "moqt/messages.py:19: (MoqtError, Exception)",
+        "moqt/messages.py:23: bare except",
+    ]
+    # A narrow handler, a name that merely contains the word, passes.
+    narrow = "try:\n    f()\nexcept (ProtocolViolation, NeedMoreData):\n    pass\nexcept MyException:\n    pass\n"
+    assert blanket_handlers(narrow, "moqt/session.py") == []

@@ -49,9 +49,11 @@ these are the tests of this file (or, where named, another) that kill it:
   ``test_moqt_wire.py::TestGoldenControlMessages`` (the four SETUP images);
 * ``ControlStreamParser.feed`` drops an incomplete tail —
   ``test_parser_holds_over_only_an_incomplete_tail``,
-  ``test_any_fragmentation_yields_the_same_messages``;
-* ``ControlStreamParser.feed`` forgets a chunk that failed to decode —
-  ``test_parser_keeps_a_chunk_that_failed_to_decode``.
+  ``test_any_fragmentation_yields_the_same_messages``.
+
+(A chunk that fails to decode is no longer kept by the parser: the session
+closes with ``PROTOCOL_VIOLATION`` and the parser is not fed again, and
+``test_moqt_hostile.py`` holds the mutants of that path.)
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.moqt.errors import ProtocolViolation
+from repro.memo import Memo
 from repro.moqt.messages import (
     ControlStreamParser,
     Fetch,
@@ -458,7 +460,7 @@ def test_route(route):
     # ... and the control stream arrives once, in order, nothing left in flight.
     assert {stream_id for stream_id, _, _ in pair.delivered} == {0}
     assert b"".join(data for _, data, _ in pair.delivered) == b"".join(pair.written)
-    parser = ControlStreamParser()
+    parser = ControlStreamParser(Memo())
     decoded = [message for _, data, _ in pair.delivered for message in parser.feed(data)]
     assert [message.encode() for message in decoded] == pair.written
     assert pair.client.unacked_packets == 0 and pair.server.unacked_packets == 0
@@ -467,13 +469,13 @@ def test_route(route):
 # ----------------------------------------------------------- the stream parser
 class TestControlStreamParser:
     def test_whole_chunks_are_parsed_where_they_lie(self):
-        parser = ControlStreamParser()
+        parser = ControlStreamParser(Memo())
         assert [m.encode() for m in parser.feed(b"".join(WIRES))] == list(WIRES)
         assert parser._buffer == b""
 
     @pytest.mark.parametrize("cut", [1, 2, 3, 10, len(WIRES[0]) - 1])
     def test_parser_holds_over_only_an_incomplete_tail(self, cut):
-        parser = ControlStreamParser()
+        parser = ControlStreamParser(Memo())
         first = parser.feed(WIRES[3] + WIRES[0][:cut])
         assert [m.encode() for m in first] == [WIRES[3]]
         assert parser._buffer == WIRES[0][:cut]
@@ -485,22 +487,10 @@ class TestControlStreamParser:
     @given(st.lists(st.integers(min_value=1, max_value=40), max_size=30))
     def test_any_fragmentation_yields_the_same_messages(self, sizes):
         stream = b"".join(WIRES[:2] + WIRES[3:])
-        parser = ControlStreamParser()
+        parser = ControlStreamParser(Memo())
         messages, offset = [], 0
         for size in sizes:
             messages += parser.feed(stream[offset: offset + size])
             offset += size
         messages += parser.feed(stream[offset:])
         assert [m.encode() for m in messages] == list(WIRES[:2] + WIRES[3:])
-
-    def test_parser_keeps_a_chunk_that_failed_to_decode(self):
-        # Unchanged behaviour (ROADMAP 3(a) decides what it should be): the
-        # bytes of a chunk that raised stay buffered, so the next feed raises
-        # the same error instead of parsing from the middle of a message.
-        parser = ControlStreamParser()
-        bad = WIRES[3] + b"\x3e\x00\x00"  # a good message, then an unknown type
-        with pytest.raises(ProtocolViolation):
-            parser.feed(bad)
-        assert parser._buffer == bad
-        with pytest.raises(ProtocolViolation):
-            parser.feed(WIRES[0])
