@@ -24,6 +24,13 @@ MAX_POINTER_JUMPS = 128
 _POINTER_MASK = 0xC0
 
 
+def _lowercase(label: bytes) -> bytes:
+    """``label`` lowercased: the very object when it already is lowercase
+    ``bytes``, so a name built from another name's labels shares them."""
+    lowered = bytes(label).lower()
+    return label if type(label) is bytes and lowered == label else lowered
+
+
 class Name:
     """An immutable, case-insensitive DNS domain name.
 
@@ -34,7 +41,7 @@ class Name:
     __slots__ = ("_labels", "_hash")
 
     def __init__(self, labels: Iterable[bytes] = ()) -> None:
-        normalized = tuple(bytes(label).lower() for label in labels)
+        normalized = tuple(map(_lowercase, labels))
         for label in normalized:
             if not label:
                 raise NameError_("empty label inside a name")

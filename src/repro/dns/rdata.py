@@ -14,6 +14,7 @@ to RDLENGTH and raises :class:`RdataError` (or ``NameError_``) otherwise.
 from __future__ import annotations
 
 import ipaddress
+import re
 import struct
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -69,21 +70,16 @@ class Rdata:
         raise NotImplementedError
 
 
+#: One octet of a dotted quad: ASCII decimal, no leading zero, at most 255.
+_OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_DOTTED_QUAD = re.compile(r"\.".join([_OCTET] * 4))
+
+
 def _is_dotted_quad(text: object) -> bool:
     """Whether ``text`` is what ``ipaddress.IPv4Address`` accepts as text:
     four ASCII-decimal octets of at most three digits, no leading zero, each
     at most 255."""
-    if type(text) is not str:
-        return False
-    octets = text.split(".")
-    if len(octets) != 4:
-        return False
-    for octet in octets:
-        if not (octet.isascii() and octet.isdigit()) or len(octet) > 3:
-            return False
-        if (octet[0] == "0" and len(octet) > 1) or int(octet) > 255:
-            return False
-    return True
+    return type(text) is str and _DOTTED_QUAD.fullmatch(text) is not None
 
 
 @dataclass(frozen=True, slots=True)

@@ -94,6 +94,8 @@ class RRset:
     samples to discount round-robin rotation.
     """
 
+    __slots__ = ("name", "rdtype", "rdclass", "_records")
+
     def __init__(
         self,
         name: Name,

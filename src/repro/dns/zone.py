@@ -73,6 +73,8 @@ class Zone:
         TTL applied to records added without an explicit TTL.
     """
 
+    __slots__ = ("origin", "default_ttl", "_rrsets", "_owners", "_listeners", "_soa_ttl")
+
     def __init__(
         self,
         origin: Name | str,
@@ -85,11 +87,11 @@ class Zone:
         # Owner name -> number of RRsets it owns, in order of first appearance
         # (the origin's first is the SOA that ``_put_soa`` stores below).
         self._owners: dict[Name, int] = {self.origin: 1}
-        self._listeners: list[Callable[[ZoneChange], None]] = []
+        self._listeners: tuple[Callable[[ZoneChange], None], ...] = ()
         if soa is None:
             soa = SOARdata(
-                mname=self.origin.child("ns1"),
-                rname=self.origin.child("hostmaster"),
+                mname=self.origin.child(b"ns1"),
+                rname=self.origin.child(b"hostmaster"),
                 serial=1,
             )
         self._soa_ttl = default_ttl
@@ -127,11 +129,17 @@ class Zone:
     # -------------------------------------------------------------- listeners
     def subscribe_changes(self, listener: Callable[[ZoneChange], None]) -> None:
         """Register a callback fired after every record-set mutation."""
-        self._listeners.append(listener)
+        self._listeners += (listener,)
 
-    def _notify(self, change: ZoneChange) -> None:
-        for listener in self._listeners:
-            listener(change)
+    def _changed(self, name: Name, rdtype: RecordType, rrset: RRset | None, bump: bool) -> None:
+        """Bump the serial if asked, then tell the listeners, if there are
+        any: a zone nobody watches builds no :class:`ZoneChange`."""
+        if bump:
+            self.bump_serial()
+        if self._listeners:
+            change = ZoneChange(self.serial, name, rdtype, rrset)
+            for listener in self._listeners:
+                listener(change)
 
     # ----------------------------------------------------------------- content
     def _check_in_zone(self, name: Name) -> None:
@@ -148,8 +156,7 @@ class Zone:
             self._rrsets[key] = rrset
             self._owners[record.name] = self._owners.get(record.name, 0) + 1
         rrset.add(record)
-        serial = self.bump_serial() if bump else self.serial
-        self._notify(ZoneChange(serial, record.name, record.rdtype, rrset))
+        self._changed(record.name, record.rdtype, rrset, bump)
 
     def add(
         self,
@@ -176,8 +183,7 @@ class Zone:
         if key not in self._rrsets:
             self._owners[rrset.name] = self._owners.get(rrset.name, 0) + 1
         self._rrsets[key] = rrset
-        serial = self.bump_serial() if bump else self.serial
-        self._notify(ZoneChange(serial, rrset.name, rrset.rdtype, rrset))
+        self._changed(rrset.name, rrset.rdtype, rrset, bump)
 
     def delete_rrset(self, name: Name, rdtype: RecordType, bump: bool = True) -> bool:
         """Delete an RRset; returns whether it existed."""
@@ -188,8 +194,7 @@ class Zone:
             del self._owners[name]
         else:
             self._owners[name] -= 1
-        serial = self.bump_serial() if bump else self.serial
-        self._notify(ZoneChange(serial, name, rdtype, None))
+        self._changed(name, rdtype, None, bump)
         return True
 
     def get_rrset(self, name: Name | str, rdtype: RecordType | str) -> RRset | None:

@@ -1256,14 +1256,21 @@ class QuicConnection:
 
     def _on_ack(self, largest: int) -> None:
         # Cumulative ACK: the peer's received-set is gap-free from packet 0,
-        # so everything at or below ``largest`` really was received.
+        # so everything at or below ``largest`` really was received.  The
+        # ledger is filed in packet-number order, so those are its oldest
+        # packets: the walk stops at the first one above ``largest`` and
+        # costs what it acknowledges, not what is in flight.
         unacked = self._unacked
         if len(unacked) == 1:
             # One packet in flight (the fan-out steady state): a compare.
             (packet_number,) = unacked
             acked = (packet_number,) if packet_number <= largest else ()
         else:
-            acked = [pn for pn in unacked if pn <= largest]
+            acked = []
+            for packet_number in unacked:
+                if packet_number > largest:
+                    break
+                acked.append(packet_number)
         self._apply_ack(acked, largest)
 
     def _on_ack_ranges(self, largest: int, ranges: tuple[tuple[int, int], ...]) -> None:

@@ -66,6 +66,11 @@ class RecordChangeProcess:
     returns whether the record set changed; ``current_addresses()`` gives the
     rendered RDATA values so measurement code can apply the paper's
     lexicographic comparison.
+
+    A process that cannot change (``change_probability <= 0``) drops its
+    generator once it has drawn the initial selection: ``advance()`` would
+    only ever draw ``random() >= 0.0`` from it, and the generator is the
+    process's own, so nothing else reads its state.
     """
 
     domain_index: int
@@ -73,7 +78,7 @@ class RecordChangeProcess:
     change_probability: float
     pool_size: int
     addresses_per_answer: int
-    rng: random.Random
+    rng: random.Random | None
     changes: int = 0
     observations: int = 0
     _current_selection: tuple[int, ...] = field(default_factory=tuple)
@@ -81,6 +86,8 @@ class RecordChangeProcess:
     def __post_init__(self) -> None:
         if not self._current_selection:
             self._current_selection = self._pick_selection()
+        if self.change_probability <= 0.0:
+            self.rng = None
 
     def _pick_selection(self) -> tuple[int, ...]:
         return tuple(
@@ -103,7 +110,7 @@ class RecordChangeProcess:
     def advance(self) -> bool:
         """Advance one observation interval; returns True if the set changed."""
         self.observations += 1
-        if self.rng.random() >= self.change_probability:
+        if self.rng is None or self.rng.random() >= self.change_probability:
             return False
         previous = self._current_selection
         for _ in range(8):

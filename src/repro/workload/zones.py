@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dns.name import Name
-from repro.dns.rdata import HTTPSRdata
+from repro.dns.rdata import ARdata, HTTPSRdata, NSRdata
 from repro.dns.rr import ResourceRecord, RRset
 from repro.dns.types import RecordType
 from repro.dns.zone import Zone
@@ -71,6 +71,8 @@ class WorkloadZones:
             f"{AUTH_SERVER_PREFIX}{index // 250}.{index % 250 + 1}"
             for index in range(self.config.auth_server_count)
         ]
+        # One glue address per authoritative host, shared by its domains.
+        self._auth_addresses = [ARdata(host) for host in self.auth_hosts]
         self.assignments: dict[Name, DomainAssignment] = {}
         self._build()
 
@@ -81,31 +83,41 @@ class WorkloadZones:
         for position, domain in enumerate(self.toplist.domains()):
             self._build_domain(domain, position)
 
+    def _delegation(
+        self, name: Name, ns_name: Name, address: ARdata
+    ) -> tuple[ResourceRecord, ResourceRecord]:
+        """The NS record delegating ``name`` to ``ns_name`` and its glue A record."""
+        ttl = self.config.infrastructure_ttl
+        return (
+            ResourceRecord(name, RecordType.NS, NSRdata(ns_name), ttl),
+            ResourceRecord(ns_name, RecordType.A, address, ttl),
+        )
+
     def _build_tld(self, tld: str, index: int) -> None:
         tld_host = f"{TLD_SERVER_PREFIX}{index + 1}"
         self.tld_hosts[tld] = tld_host
         tld_name = Name.from_text(f"{tld}.")
         ns_name = Name.from_text(f"ns.{tld}-servers.net.")
-        self.root_zone.add(tld_name, RecordType.NS, ns_name.to_text(),
-                           ttl=self.config.infrastructure_ttl, bump=False)
-        self.root_zone.add(ns_name, RecordType.A, tld_host,
-                           ttl=self.config.infrastructure_ttl, bump=False)
+        for record in self._delegation(tld_name, ns_name, ARdata(tld_host)):
+            self.root_zone.add_record(record, bump=False)
         self.tld_zones[tld] = Zone(tld_name)
 
     def _build_domain(self, domain: ToplistDomain, position: int) -> None:
         tld = domain.name.labels[-1].decode("ascii")
-        tld_zone = self.tld_zones[tld]
-        auth_host = self.auth_hosts[position % len(self.auth_hosts)]
-        ns_name = Name(( b"ns1",) + domain.name.labels)
-        tld_zone.add(domain.name, RecordType.NS, ns_name.to_text(),
-                     ttl=self.config.infrastructure_ttl, bump=False)
-        tld_zone.add(ns_name, RecordType.A, auth_host,
-                     ttl=self.config.infrastructure_ttl, bump=False)
-
+        host_index = position % len(self.auth_hosts)
+        auth_host = self.auth_hosts[host_index]
         zone = Zone(domain.name)
-        zone.add(ns_name, RecordType.A, auth_host, ttl=self.config.infrastructure_ttl, bump=False)
-        zone.add(domain.name, RecordType.NS, ns_name.to_text(),
-                 ttl=self.config.infrastructure_ttl, bump=False)
+        # The delegation names the zone's primary server (its SOA MNAME,
+        # ``ns1.<domain>``); the parent and the child zone file the same
+        # two records.
+        delegation, glue = self._delegation(
+            domain.name, zone.soa.mname, self._auth_addresses[host_index]
+        )
+        tld_zone = self.tld_zones[tld]
+        tld_zone.add_record(delegation, bump=False)
+        tld_zone.add_record(glue, bump=False)
+        zone.add_record(glue, bump=False)
+        zone.add_record(delegation, bump=False)
         change_process: RecordChangeProcess | None = None
         if domain.has_type(RecordType.A):
             ttl = domain.ttl_for(RecordType.A) or 300
@@ -141,7 +153,7 @@ class WorkloadZones:
         bump: bool,
     ) -> None:
         records = [
-            ResourceRecord(name, RecordType.A, _a_rdata(address), ttl)
+            ResourceRecord(name, RecordType.A, ARdata(address), ttl)
             for address in process.current_addresses()
         ]
         zone.replace_rrset(RRset(name, RecordType.A, records), bump=bump)
@@ -187,12 +199,6 @@ class WorkloadZones:
         """The assignment for a domain name."""
         key = name if isinstance(name, Name) else Name.from_text(name)
         return self.assignments[key]
-
-
-def _a_rdata(address: str):
-    from repro.dns.rdata import ARdata
-
-    return ARdata(address)
 
 
 def build_hierarchy(

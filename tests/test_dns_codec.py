@@ -40,6 +40,7 @@ from repro.dns.rdata import (
     SRVRdata,
     SVCBRdata,
     TXTRdata,
+    _is_dotted_quad,
     parse_rdata,
 )
 from repro.dns.rr import ResourceRecord
@@ -686,6 +687,55 @@ def test_a_rdata_accepts_exactly_what_ipaddress_accepts(text):
         assert _ipaddress_accepts(text)
         assert rdata.to_wire() == ipaddress.IPv4Address(text).packed
         assert ARdata.from_wire(rdata.to_wire(), 0, 4) == rdata
+
+
+def _is_dotted_quad_reference(text: object) -> bool:
+    """The octet-by-octet check ``_is_dotted_quad`` was before it became one
+    compiled pattern."""
+    if type(text) is not str:
+        return False
+    octets = text.split(".")
+    if len(octets) != 4:
+        return False
+    for octet in octets:
+        if not (octet.isascii() and octet.isdigit()) or len(octet) > 3:
+            return False
+        if (octet[0] == "0" and len(octet) > 1) or int(octet) > 255:
+            return False
+    return True
+
+
+@given(address_texts)
+@example("0.0.0.0")
+@example("255.255.255.255")
+@example("9.10.99.100")
+@example("249.250.199.200")
+@example("01.2.3.4")
+@example("1.2.3.00")
+@example("1.2.3.256")
+@example("1.2.300.4")
+@example("1.2.3.1000")
+@example("1.2.3.0001")
+@example("1.2.3")
+@example("1.2.3.4.5")
+@example("1.2..4")
+@example(".1.2.3")
+@example("1.2.3.")
+@example("1.2.3.4 ")
+@example(" 1.2.3.4")
+@example("1.2. 3.4")
+@example("1.2.3.4\n")
+@example("1.2.3.\u0661")
+@example("\u0661.2.3.4")
+@example("1.2.3.\u00b2")
+@settings(max_examples=500)
+def test_dotted_quad_is_the_reference_check_and_what_ipaddress_accepts(text):
+    assert _is_dotted_quad(text) == _is_dotted_quad_reference(text) == _ipaddress_accepts(text)
+
+
+def test_only_a_str_is_a_dotted_quad():
+    for other in (b"1.2.3.4", None, 1234, ["1", "2", "3", "4"]):
+        assert not _is_dotted_quad(other) and not _is_dotted_quad_reference(other)
 
 
 def test_aaaa_rdata_keeps_the_forms_it_computed_and_equality_on_the_given_text():

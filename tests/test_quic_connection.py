@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import sys
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.netsim.link import LinkConfig
 from repro.netsim.network import Network
@@ -508,3 +510,72 @@ class TestAckRangesRepair:
         connection._unacked = {pn: _EncodedStreamPacket(2, 0, b"", True, 0.0, 0) for pn in (2, 4)}
         connection._on_ack(4)
         assert set(connection._unacked) == set()
+
+
+class CountingLedger(dict):
+    """An in-flight ledger that counts the keys a walk over it inspects."""
+
+    inspected = 0
+
+    def __iter__(self):
+        for key in super().__iter__():
+            self.inspected += 1
+            yield key
+
+
+class TestCumulativeAck:
+    """A cumulative ACK costs what it acknowledges.
+
+    The ledger is filed in packet-number order, so the packets an ACK of
+    ``largest`` covers are its oldest ones: ``_on_ack`` takes them by walking
+    from the oldest and stopping at the first one above ``largest``.  It used
+    to scan the whole ledger on every ACK.  Source mutations tried, each
+    failing a test here: the walk not stopping at the first packet above
+    ``largest``, and stopping at ``largest`` itself.
+    """
+
+    def _connection(self):
+        simulator, _server_ep, client_ep, config, _ = _build()
+        connection = client_ep.connect(Address(SERVER, 4443), config)
+        simulator.run(until=5.0)
+        assert connection.handshake_complete and not connection._unacked
+        return simulator, connection
+
+    @given(
+        start=st.integers(0, 50),
+        # A step above 1 is a packet number the ledger never held: an ACK-only
+        # packet, or the jump a PTO's retransmissions make.
+        steps=st.lists(st.integers(1, 40), max_size=40),
+        data=st.data(),
+    )
+    def test_a_cumulative_ack_takes_what_the_whole_ledger_scan_took(self, start, steps, data):
+        simulator, connection = self._connection()
+        numbers = list(accumulate(steps, initial=start))[1:]
+        # Any ``largest``, and often one next to or at a packet in flight.
+        near = st.sampled_from(numbers or [0]).flatmap(lambda pn: st.sampled_from([pn - 1, pn, pn + 1]))
+        largest = data.draw(st.one_of(st.integers(-1, 1_700), near))
+        connection._unacked = {
+            pn: _EncodedStreamPacket(2, 0, b"", True, pn / 1024, 0) for pn in numbers
+        }
+        # The reference: the comprehension over the whole ledger, and the RTT
+        # samples it fed in its order.
+        acked = [pn for pn in numbers if pn <= largest]
+        rtt = connection._smoothed_rtt
+        for pn in acked:
+            rtt = 0.875 * rtt + 0.125 * (simulator.now - pn / 1024)
+        connection._on_ack(largest)
+        assert list(connection._unacked) == [pn for pn in numbers if pn > largest]
+        assert connection._smoothed_rtt == rtt
+
+    def test_a_cumulative_ack_inspects_what_it_acknowledges(self):
+        _, connection = self._connection()
+        ledger = CountingLedger(
+            (pn, _EncodedStreamPacket(2, 0, b"", True, 0.0, 0)) for pn in range(1_000)
+        )
+        connection._unacked = ledger
+        for largest in range(1_000):  # acknowledged one at a time
+            connection._on_ack(largest)
+        print(f"\n{ledger.inspected} ledger keys inspected to acknowledge 1,000 packets")
+        assert not ledger
+        # The whole-ledger scan inspected 1,000 + 999 + ... + 2 + 1 = 500,500.
+        assert ledger.inspected <= 2 * 1_000

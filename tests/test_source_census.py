@@ -46,6 +46,9 @@ An ``ast`` walk over the repository:
   ``__post_init__``), and nothing under ``src/repro`` writes an instance
   ``__dict__`` (a decoder fills slots with ``object.__setattr__``).  One
   subscribed question holds a few dozen of these values (``docs/state.md``).
+  The DNS hierarchy's containers are not dataclasses, so they are named:
+  ``Name``, ``RRset`` and ``Zone`` each declare ``__slots__`` (a simulated
+  hierarchy holds thousands of each).
 
 The census goes by name, so it under-reports: a definition whose name is
 also used for something else passes.  Definitions referenced only from
@@ -641,6 +644,79 @@ def from_wire(cls, wire):
         "relaynet/spec.py:40: writes an instance __dict__",
         "relaynet/spec.py:41: writes an instance __dict__",
     ]
+
+
+#: Classes that are not dataclasses and must declare ``__slots__``:
+#: ``path under src/repro -> class names``.
+SLOTTED_CONTAINERS = {
+    "dns/name.py": ("Name",),
+    "dns/rr.py": ("RRset",),
+    "dns/zone.py": ("Zone",),
+}
+
+
+def unslotted_containers(source: str, path: str, names: tuple[str, ...]) -> list[str]:
+    """Every ``path:line: what`` where a class in ``names`` has no ``__slots__``
+    of its own, and ``path: what`` for a class in ``names`` that is missing."""
+    found = []
+    classes = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.ClassDef)}
+    for name in names:
+        node = classes.get(name)
+        if node is None:
+            found.append(f"{path}: class {name} not found")
+            continue
+        slotted = any(
+            isinstance(statement, (ast.Assign, ast.AnnAssign))
+            and any(
+                isinstance(target, ast.Name) and target.id == "__slots__"
+                for target in (statement.targets if isinstance(statement, ast.Assign) else [statement.target])
+            )
+            for statement in node.body
+        )
+        if not slotted:
+            found.append(f"{path}:{node.lineno}: class {name} without __slots__")
+    return found
+
+
+def test_every_hierarchy_container_is_slotted(repository):
+    modules, _, _ = repository
+    found = [
+        offence
+        for path, names in SLOTTED_CONTAINERS.items()
+        for offence in unslotted_containers(modules[path], f"src/repro/{path}", names)
+    ]
+    assert not found, "\n".join(
+        ["a hierarchy container with an instance __dict__ (docs/state.md § The DNS hierarchy):"] + found
+    )
+
+
+def test_guard_catches_a_dict_backed_container():
+    # RRset and Zone as they stood before they were slotted, abridged.
+    parent_containers = """
+class RRset:
+    \"""All records sharing an owner name, type and class.\"""
+
+    def __init__(self, name, rdtype, records=(), rdclass=DNSClass.IN):
+        self.name = name
+        self._records = []
+
+
+class Zone:
+    \"""An authoritative DNS zone.\"""
+
+    slots = ("origin",)
+
+    def __init__(self, origin, soa=None, default_ttl=300):
+        self.origin = origin
+        self._listeners = []
+"""
+    assert unslotted_containers(parent_containers, "dns/zone.py", ("RRset", "Zone", "Name")) == [
+        "dns/zone.py:2: class RRset without __slots__",
+        "dns/zone.py:10: class Zone without __slots__",
+        "dns/zone.py: class Name not found",
+    ]
+    slotted = 'class Zone:\n    __slots__ = ("origin", "_rrsets")\n'
+    assert unslotted_containers(slotted, "dns/zone.py", ("Zone",)) == []
 
 
 # ------------------------------------------------------------ one failure path
