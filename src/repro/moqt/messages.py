@@ -664,23 +664,23 @@ class ControlStreamParser:
     session of the simulation, which also interns the embedded track names.
     A malformed message raises :class:`~repro.moqt.errors.ProtocolViolation`
     out of :meth:`feed`, is not stored, and ends the session: the parser is
-    not fed again.
+    not fed again.  ``_buffer`` is the incomplete tail of the last chunk,
+    ``b""`` unless a message straddles chunks.
     """
 
     __slots__ = ("_buffer", "_memo")
 
     def __init__(self, memo: Memo) -> None:
-        self._buffer = bytearray()
+        self._buffer = b""
         self._memo = memo
 
     def feed(self, data: bytes) -> list[ControlMessage]:
         """Add bytes and return every now-complete message."""
         held = self._buffer
         if held:
-            # A message straddles chunks: one snapshot of what is held plus
-            # the new bytes per feed (not per message).
-            held += data
-            data = bytes(held)
+            # A message straddles chunks: one copy of what is held plus the
+            # new bytes per feed (not per message).
+            data = held + data
         # Otherwise — a chunk is nearly always whole messages — parse it
         # where it lies and hold over only an incomplete tail.
         messages: list[ControlMessage] = []
@@ -695,8 +695,8 @@ class ControlStreamParser:
             key = (message_type, payload)
             message = memo.get(key) or memo.keep(key, decode_control_payload(message_type, payload))
             messages.append(message)
-        if held:
-            del held[:offset]
-        elif offset < length:
-            held += data[offset:]
+        if offset < length:
+            self._buffer = bytes(data[offset:])
+        elif held:
+            self._buffer = b""
         return messages

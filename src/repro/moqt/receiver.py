@@ -49,6 +49,11 @@ DEDUPE_GROUP_HORIZON = 64
 
 _by_location = attrgetter("location")
 
+#: The dedupe window of a receiver that has delivered nothing yet: one shared
+#: empty set for all of them.  Frozen, so an insert that forgot to install a
+#: set of its own fails instead of leaking into every other receiver.
+_NOTHING_SEEN: frozenset[Location] = frozenset()
+
 
 def prune_seen_locations(seen: set[Location], largest: Location) -> set[Location]:
     """Shrink a delivered-locations dedupe set to a bounded window.
@@ -117,8 +122,9 @@ class TrackReceiver:
         #: The current (or last) subscription and the session it rides.
         self.subscription: Subscription | None = None
         self.session: MoqtSession | None = None
-        #: Delivered locations, pruned to a bounded window.
-        self.seen: set[Location] = set()
+        #: Delivered locations, pruned to a bounded window; the shared
+        #: :data:`_NOTHING_SEEN` until the first delivery.
+        self.seen: set[Location] | frozenset[Location] = _NOTHING_SEEN
         #: Largest location ever delivered — the resume point.
         self.largest: Location | None = None
         #: Monotonic count of distinct objects handed to the sink (``seen``
@@ -143,7 +149,10 @@ class TrackReceiver:
         if location in seen:
             self.counters.duplicate_objects_dropped += 1
             return
-        seen.add(location)
+        if seen:
+            seen.add(location)
+        else:
+            self.seen = seen = {location}
         self.delivered += 1
         largest = self.largest
         if largest is None or location > largest:

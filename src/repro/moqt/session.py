@@ -349,8 +349,9 @@ class MoqtSession:
         self._subscriptions: dict[int, Subscription] = _UNUSED
         self._subscriptions_by_alias: dict[int, Subscription] = _UNUSED
         self._fetches: dict[int, FetchRequest] = _UNUSED
-        #: Encoded requests issued before the session was ready, in order.
-        self._pending_until_ready: list[bytes] = []
+        #: Encoded requests issued before the session was ready, in order;
+        #: ``()`` once SETUP has made it ready (or it closed before).
+        self._pending_until_ready: list[bytes] | tuple[()] = []
 
         # Publisher-side state.
         self._publisher_subscriptions: dict[int, PublisherSubscription] = _UNUSED
@@ -380,7 +381,7 @@ class MoqtSession:
         self.ready = True
         self.ready_at = self._simulator.now
         self.selected_version = version
-        pending, self._pending_until_ready = self._pending_until_ready, []
+        pending, self._pending_until_ready = self._pending_until_ready, ()
         for wire in pending:
             self._send_control(wire)
 
@@ -633,7 +634,7 @@ class MoqtSession:
         if self.closed:
             return
         self.closed = True
-        self._pending_until_ready.clear()
+        self._pending_until_ready = ()
         self._fail_pending_fetches(reason)
         # Everything the publisher side still held ends with the session:
         # deferred SUBSCRIBEs first, then accepted ones, each in arrival

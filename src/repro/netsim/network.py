@@ -81,6 +81,9 @@ class Network:
         self.datagram_pool = SimpleNamespace(acquire=Datagram)
         self._batch_depth = 0
         self._batch: list[tuple[Link, Datagram]] = []
+        #: :meth:`_deliver_final`, bound once: every link's sink is a partial
+        #: over this one method object, not over a bound method of its own.
+        self._deliver = self._deliver_final
         #: Constant remnant of the retired per-datagram fallback: every send
         #: is a link wave, so no wave can degrade and nothing writes this.
         #: Its readers are the E11 / E15 result fields, the E15
@@ -147,10 +150,10 @@ class Network:
         # A link's sink is the destination host itself: one bound call from
         # the link's arrival loop into _deliver_final, no forwarding frame.
         self._links[(first_addr, second_addr)] = Link(
-            forward_config, partial(self._deliver_final, self._hosts[second_addr])
+            forward_config, partial(self._deliver, self._hosts[second_addr])
         )
         self._links[(second_addr, first_addr)] = Link(
-            backward_config, partial(self._deliver_final, self._hosts[first_addr])
+            backward_config, partial(self._deliver, self._hosts[first_addr])
         )
 
     def connect_star(

@@ -51,7 +51,9 @@ class Event:
     Events are ordered by ``(time, sequence)`` so that simultaneous events run
     in scheduling order.  Cancelled events stay in the heap but are skipped
     when popped; the owning simulator compacts the heap when too many
-    cancelled entries accumulate.
+    cancelled entries accumulate.  A cancelled event drops its callback and
+    arguments at once, so what it would have called (a bound method, and the
+    object behind it) is not kept alive by a heap entry that will never run.
     """
 
     __slots__ = ("time", "sequence", "callback", "args", "cancelled", "_simulator")
@@ -66,7 +68,7 @@ class Event:
     ) -> None:
         self.time = time
         self.sequence = sequence
-        self.callback = callback
+        self.callback: Callable[..., None] | None = callback
         self.args = args
         self.cancelled = False
         self._simulator = simulator
@@ -76,6 +78,8 @@ class Event:
         if self.cancelled:
             return
         self.cancelled = True
+        self.callback = None
+        self.args = ()
         self._simulator._note_cancelled()
 
 

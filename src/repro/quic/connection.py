@@ -325,12 +325,12 @@ class QuicConnection:
         "_cc_active",
         "_cwnd_blocked",
         "_consecutive_loss_timeouts",
-        "_loss_timer",
+        "_loss_event",
+        "_loss_deadline",
         "_idle_from",
         "_idle_wake",
         "_keepalive_timer",
         "_header_one_rtt",
-        "_header_initial",
         "closed",
         "close_reason",
     )
@@ -403,12 +403,13 @@ class QuicConnection:
         # Packetisation and loss recovery.
         self._next_packet_number = 0
         self._largest_acked = -1
-        #: Packet numbers received from the peer, as merged inclusive
-        #: ``[start, end]`` runs in ascending order.  On loss-free links this
-        #: is always the single run ``[0, largest]`` (links deliver FIFO), so
-        #: ACKs stay in their compact cumulative form; a gap switches the
-        #: ACKs to exact ranges until pruned (see :meth:`_record_received`).
-        self._received_ranges: list[list[int]] = []
+        #: Packet numbers received from the peer, as merged inclusive runs in
+        #: ascending order, flat: ``[start, end, start, end, ...]``.  On
+        #: loss-free links this is always the single run ``[0, largest]``
+        #: (links deliver FIFO), so ACKs stay in their compact cumulative
+        #: form; a gap switches the ACKs to exact ranges until pruned (see
+        #: :meth:`_record_received`).
+        self._received_ranges: list[int] = []
         #: The in-flight ledger, ``packet number -> record``: the one answer
         #: to "is this packet outstanding".  A record (:class:`_SentPacket` or
         #: :class:`_EncodedStreamPacket`) carries when the packet left, its
@@ -433,14 +434,19 @@ class QuicConnection:
         #: drained or closed connection's FIFO is ``()`` again.
         self._cwnd_blocked: list[Sequence[Frame]] | tuple[()] = [] if self._cc_active else ()
         self._consecutive_loss_timeouts = 0
-        self._loss_timer = Timer(simulator, self._on_loss_timeout)
+        #: The probe timeout is the connection's own wake, as the idle one
+        #: is: the armed event and the deadline it serves, both ``None``
+        #: while nothing is outstanding.  The schedule is the lazy restart of
+        #: :class:`~repro.netsim.simulator.Timer` (see :meth:`_arm_loss_wake`);
+        #: per-peer state holds no callable of its own (``docs/state.md``).
+        self._loss_event: Event | None = None
+        self._loss_deadline: float | None = None
         self._keepalive_timer: Timer | None = None
-        #: Packet-type byte + connection id as they open every ONE_RTT /
-        #: INITIAL packet, encoded once: the hand-assembled send paths start
-        #: from these instead of re-encoding both per packet.
-        connection_id_bytes = encode_varint(connection_id)
-        self._header_one_rtt = bytes((PacketType.ONE_RTT,)) + connection_id_bytes
-        self._header_initial = bytes((PacketType.INITIAL,)) + connection_id_bytes
+        #: Packet-type byte + connection id as they open every ONE_RTT
+        #: packet, encoded once: the hand-assembled send paths start from
+        #: these (swapping the type byte for any other packet type) instead
+        #: of re-encoding the connection id per packet.
+        self._header_one_rtt = bytes((PacketType.ONE_RTT,)) + encode_varint(connection_id)
         self.closed = False
         self.close_reason = ""
 
@@ -706,8 +712,8 @@ class QuicConnection:
         size = len(buffer)
         now = self._idle_from = self._simulator.now
         self._unacked[packet_number] = _EncodedStreamPacket(stream_id, offset, data, fin, now, size)
-        if not self._loss_timer.is_running:
-            self._loss_timer.start(self._probe_timeout())
+        if self._loss_event is None:
+            self._arm_loss_wake(self._probe_timeout())
         self.statistics.packets_sent += 1
         self.statistics.bytes_sent += size
         if self._cc_active:
@@ -809,8 +815,8 @@ class QuicConnection:
             self._unacked[packet_number] = _SentPacket(
                 packet_type, frames if reliable else (), now, size
             )
-            if not self._loss_timer.is_running:
-                self._loss_timer.start(self._probe_timeout())
+            if self._loss_event is None:
+                self._arm_loss_wake(self._probe_timeout())
         self.statistics.packets_sent += 1
         self.statistics.bytes_sent += size
         if tracked and self._cc_active:
@@ -831,6 +837,12 @@ class QuicConnection:
         if self._idle_wake is None:  # closing cancels the wake
             return None
         return self._idle_from + self.config.idle_timeout
+
+    @property
+    def loss_deadline(self) -> float | None:
+        """Absolute time the probe timeout will fire (None while nothing is
+        outstanding)."""
+        return self._loss_deadline
 
     @property
     def keepalive_deadline(self) -> float | None:
@@ -922,7 +934,7 @@ class QuicConnection:
         # intervals (capped), so an unreachable peer is probed ever more
         # sparsely while give-up stays bounded in time.
         exponent = min(self._consecutive_loss_timeouts, self.PTO_BACKOFF_EXPONENT_CAP)
-        self._loss_timer.start(self._probe_timeout() * (2.0 ** exponent))
+        self._arm_loss_wake(self._probe_timeout() * (2.0 ** exponent))
 
     # ----------------------------------------------------------------- receive
     def datagram_received(self, payload: bytes | memoryview) -> None:
@@ -1116,8 +1128,8 @@ class QuicConnection:
         # space) lands in the received-set, so a gap in it means a real drop.
         # The next number in order just extends the top run.
         ranges = self._received_ranges
-        if ranges and packet_number == ranges[-1][1] + 1:
-            ranges[-1][1] = packet_number
+        if ranges and packet_number == ranges[-1] + 1:
+            ranges[-1] = packet_number
         else:
             self._record_received(packet_number)
 
@@ -1131,41 +1143,47 @@ class QuicConnection:
     RECEIVED_RANGES_HORIZON = 4096
 
     def _record_received(self, packet_number: int) -> None:
-        """Merge ``packet_number`` into the received-set runs."""
+        """Merge ``packet_number`` into the received-set runs.
+
+        ``ranges[i]`` / ``ranges[i + 1]`` (``i`` even) are one run's start
+        and end, so merging two neighbouring runs deletes the end of the
+        first and the start of the second.
+        """
         ranges = self._received_ranges
         if not ranges:
-            ranges.append([packet_number, packet_number])
+            ranges += (packet_number, packet_number)
             return
-        last = ranges[-1]
-        if packet_number == last[1] + 1:  # in-order fast path
-            last[1] = packet_number
+        top = ranges[-1]
+        if packet_number == top + 1:  # in-order fast path
+            ranges[-1] = packet_number
             return
-        if packet_number > last[1]:  # jumped past a freshly dropped packet
-            ranges.append([packet_number, packet_number])
-            if packet_number - ranges[0][1] > self.RECEIVED_RANGES_HORIZON:
-                while len(ranges) > 1 and ranges[-1][1] - ranges[0][1] > self.RECEIVED_RANGES_HORIZON:
-                    ranges[1][0] = ranges[0][0]
-                    del ranges[0]
+        if packet_number > top:  # jumped past a freshly dropped packet
+            ranges += (packet_number, packet_number)
+            horizon = self.RECEIVED_RANGES_HORIZON
+            if packet_number - ranges[1] > horizon:
+                while len(ranges) > 2 and ranges[-1] - ranges[1] > horizon:
+                    ranges[2] = ranges[0]  # the oldest run folds into the next
+                    del ranges[:2]
             return
         # A duplicate, or a retransmission landing below the top run.  Rare
         # (requires prior loss), so a linear walk over the few runs is fine.
-        for index, (start, end) in enumerate(ranges):
+        for index in range(0, len(ranges), 2):
+            start = ranges[index]
+            end = ranges[index + 1]
             if packet_number < start - 1:
-                ranges.insert(index, [packet_number, packet_number])
+                ranges[index:index] = (packet_number, packet_number)
                 return
             if packet_number <= end + 1:
                 if start <= packet_number <= end:
                     return  # duplicate
                 if packet_number == start - 1:
-                    ranges[index][0] = packet_number
-                    if index > 0 and ranges[index - 1][1] + 1 == packet_number:
-                        ranges[index][0] = ranges[index - 1][0]
-                        del ranges[index - 1]
+                    ranges[index] = packet_number
+                    if index > 0 and ranges[index - 1] + 1 == packet_number:
+                        del ranges[index - 1 : index + 1]  # joins the run below
                 else:  # packet_number == end + 1
-                    ranges[index][1] = packet_number
-                    if index + 1 < len(ranges) and ranges[index + 1][0] == packet_number + 1:
-                        ranges[index][1] = ranges[index + 1][1]
-                        del ranges[index + 1]
+                    ranges[index + 1] = packet_number
+                    if index + 2 < len(ranges) and ranges[index + 2] == packet_number + 1:
+                        del ranges[index + 1 : index + 3]  # joins the run above
                 return
 
     def _send_ack(self) -> None:
@@ -1176,17 +1194,17 @@ class QuicConnection:
         # The idle timestamp is not touched: the only caller is
         # :meth:`receive_packet`, right after :meth:`_packet_accepted` stored
         # this same instant.
-        buffer = bytearray(
-            self._header_one_rtt if self.handshake_complete else self._header_initial
-        )
+        buffer = bytearray(self._header_one_rtt)
+        if not self.handshake_complete:
+            buffer[0] = PacketType.INITIAL  # a handshake-time ACK
         append_varint(buffer, self._next_packet_number)
         self._next_packet_number += 1
         ranges = self._received_ranges
-        if len(ranges) == 1 and ranges[0][0] == 0:
+        if len(ranges) == 2 and ranges[0] == 0:
             # Gap-free from packet 0 (always the case on loss-free links, and
-            # then ``ranges[0][1]`` is the packet just received): cumulative
+            # then ``ranges[1]`` is the packet just received): cumulative
             # ACK, byte-identical to what this path always produced.
-            largest = ranges[0][1]
+            largest = ranges[1]
             # ACK frame: type (1 byte) + largest + delay varint 0 (1 byte) —
             # 3 to 10 bytes, so its length is always a one-byte varint.
             buffer.append(2 + varint_size(largest))
@@ -1199,9 +1217,9 @@ class QuicConnection:
             # retransmission — one double drop would become a permanent
             # delivery hole (the bug this branch exists to close).
             frame = AckRangesFrame(
-                largest=ranges[-1][1],
+                largest=ranges[-1],
                 delay_us=0,
-                ranges=tuple((start, end) for start, end in ranges),
+                ranges=tuple(zip(ranges[::2], ranges[1::2])),
             )
             encoded = bytearray()
             frame.encode_into(encoded)
@@ -1322,11 +1340,48 @@ class QuicConnection:
             # A dict never shrinks: a drained one still holds the table its
             # busiest burst grew, until it is cleared.
             ledger.clear()
-            self._loss_timer.stop()
+            self._stop_loss_wake()
         else:
-            self._loss_timer.start(self._probe_timeout())
+            self._arm_loss_wake(self._probe_timeout())
 
     # ------------------------------------------------------------------ timers
+    def _arm_loss_wake(self, delay: float) -> None:
+        """(Re)start the probe timeout to fire ``delay`` seconds from now.
+
+        Lazy, as :meth:`Timer.start <repro.netsim.simulator.Timer.start>` is:
+        pushing the deadline back (every ACK that leaves packets outstanding
+        does) only stores it, and the armed wake re-arms itself for the
+        remainder when it fires; pulling it in replaces the armed event.
+        Every ``call_at`` therefore happens at the instant, and consumes the
+        sequence number, that the timer's did.
+        """
+        deadline = self._simulator.now + delay
+        event = self._loss_event
+        self._loss_deadline = deadline
+        if event is not None:
+            if event.time <= deadline:
+                return
+            event.cancel()
+        self._loss_event = self._simulator.call_at(deadline, self._on_loss_wake)
+
+    def _stop_loss_wake(self) -> None:
+        """Disarm the probe timeout (nothing is outstanding any more)."""
+        event = self._loss_event
+        if event is not None:
+            event.cancel()
+            self._loss_event = None
+        self._loss_deadline = None
+
+    def _on_loss_wake(self) -> None:
+        deadline = self._loss_deadline
+        if deadline > self._simulator.now:
+            # The deadline was pushed back while the wake was armed.
+            self._loss_event = self._simulator.call_at(deadline, self._on_loss_wake)
+            return
+        self._loss_event = None
+        self._loss_deadline = None
+        self._on_loss_timeout()
+
     def _on_idle_wake(self) -> None:
         deadline = self._idle_from + self.config.idle_timeout
         if deadline > self._simulator.now:
@@ -1389,7 +1444,7 @@ class QuicConnection:
     def _teardown(self) -> None:
         """Stop the timers, drop the window-blocked packets and empty the
         in-flight ledger (close and abandon)."""
-        self._loss_timer.stop()
+        self._stop_loss_wake()
         wake = self._idle_wake
         if wake is not None:
             wake.cancel()

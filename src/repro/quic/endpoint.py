@@ -44,7 +44,7 @@ class QuicEndpoint:
 
     __slots__ = (
         "_host",
-        "_route",
+        "_network",
         "_simulator",
         "_server_config",
         "_server_tls",
@@ -70,7 +70,7 @@ class QuicEndpoint:
         self._host = host
         #: Outgoing datagrams go straight to the network (what ``Host.send``
         #: would do after its attachment check, made once above).
-        self._route = network.route
+        self._network = network
         self._simulator = host.simulator
         self._server_config = server_config
         self._server_tls = server_tls
@@ -166,7 +166,7 @@ class QuicEndpoint:
 
     # ------------------------------------------------------------------ wiring
     def _send_payload(self, payload: bytes, destination: Address) -> None:
-        self._route(Datagram(self.address, destination, payload, PROTOCOL_LABEL))
+        self._network.route(Datagram(self.address, destination, payload, PROTOCOL_LABEL))
 
     def datagram_received(self, datagram: Datagram) -> None:
         """Entry point from the host: demultiplex to a connection.

@@ -40,53 +40,22 @@ def stream_is_unidirectional(stream_id: int) -> bool:
     return stream_id & 0x2 != 0
 
 
-class _ReceiveBuffer:
-    """Reassembles stream data received possibly out of order."""
-
-    __slots__ = ("segments", "delivered", "fin_offset")
-
-    def __init__(self) -> None:
-        self.segments: dict[int, bytes] = {}
-        self.delivered = 0
-        self.fin_offset: int | None = None
-
-    def receive(self, offset: int, data: bytes, fin: bool) -> tuple[bytes, bool]:
-        """Insert one frame and return newly contiguous data plus FIN state."""
-        if fin:
-            self.fin_offset = offset + len(data)
-        # Fast path: in-order data with nothing buffered (the overwhelmingly
-        # common case on a loss-free link) is contiguous as-is — no segment
-        # dict traffic and no reassembly copy.
-        if offset == self.delivered and not self.segments:
-            self.delivered = offset + len(data)
-            return data, self._finished()
-        # Retransmissions replay frames verbatim; segments that were already
-        # delivered must not re-enter the buffer (they would never drain).
-        if data and offset >= self.delivered:
-            self.segments[offset] = data
-        output = bytearray()
-        while self.delivered in self.segments:
-            chunk = self.segments.pop(self.delivered)
-            output += chunk
-            self.delivered += len(chunk)
-        return bytes(output), self._finished()
-
-    def _finished(self) -> bool:
-        return self.fin_offset is not None and self.delivered >= self.fin_offset
-
-
 class QuicStream:
     """One stream of a connection.
 
     The send side is an offset counter — the connection frames each write
     as it is made — and the receive side reassembles incoming ``STREAM``
-    frames and returns the contiguous data to the connection.
+    frames and returns the contiguous data to the connection: two counters,
+    plus a table of out-of-order segments that exists only while one is
+    held.
     """
 
     __slots__ = (
         "stream_id",
         "_send_offset",
-        "_receive",
+        "_delivered",
+        "_fin_offset",
+        "_segments",
         "send_closed",
         "receive_closed",
         "bytes_sent",
@@ -96,7 +65,12 @@ class QuicStream:
     def __init__(self, stream_id: int) -> None:
         self.stream_id = stream_id
         self._send_offset = 0
-        self._receive = _ReceiveBuffer()
+        #: Receive side: the offset delivered up to, where the FIN puts the
+        #: end, and the segments that arrived ahead of ``_delivered`` (None
+        #: until one does: a loss-free link delivers every frame in order).
+        self._delivered = 0
+        self._fin_offset: int | None = None
+        self._segments: dict[int, bytes] | None = None
         self.send_closed = False
         self.receive_closed = False
         self.bytes_sent = 0
@@ -132,8 +106,32 @@ class QuicStream:
         second ``fin`` would make stream consumers process the FIN twice.
         """
         already_finished = self.receive_closed
-        contiguous, finished = self._receive.receive(offset, data, fin)
+        if fin:
+            self._fin_offset = offset + len(data)
+        segments = self._segments
+        if offset == self._delivered and segments is None:
+            # In order with nothing held (the overwhelmingly common case on
+            # a loss-free link): contiguous as-is, no table, no copy.
+            contiguous = data
+            self._delivered = offset + len(data)
+        else:
+            # Retransmissions replay frames verbatim; segments that were
+            # already delivered must not be held (they would never drain).
+            if data and offset >= self._delivered:
+                if segments is None:
+                    self._segments = segments = {}
+                segments[offset] = data
+            output = bytearray()
+            if segments:
+                while self._delivered in segments:
+                    chunk = segments.pop(self._delivered)
+                    output += chunk
+                    self._delivered += len(chunk)
+                if not segments:
+                    self._segments = None
+            contiguous = bytes(output)
         self.bytes_received += len(contiguous)
+        finished = self._fin_offset is not None and self._delivered >= self._fin_offset
         if finished:
             self.receive_closed = True
         newly_finished = finished and not already_finished

@@ -526,6 +526,9 @@ class RelayTopology:
         self._tier_created: list[int] = []
         self._subscribers_created = 0
         self._nodes_by_relay: dict[MoqtRelay, RelayNode] = {}
+        #: :meth:`_on_subscriber_liveness`, bound once: each subscriber
+        #: session's liveness hook is a partial over this one method object.
+        self._subscriber_liveness = self._on_subscriber_liveness
         # Fail fast if the origin host is missing rather than at first subscribe.
         network.host(origin.host)
         self._build(spec)
@@ -727,8 +730,10 @@ class RelayTopology:
         placement, a spill or a failover re-attach.
 
         The session it had is closed if still open (taking its admission
-        reservation with it) and its leaf gives up the load; the access link
-        is created on first use; the new session's liveness reports to
+        reservation with it), the endpoint it rode releases its port (and
+        with it the last reference to that endpoint, its connection and its
+        session) and its leaf gives up the load; the access link is created
+        on first use; the new session's liveness reports to
         :meth:`report_failure`.  Re-subscribing is the caller's.
         """
         network = self.network
@@ -737,6 +742,7 @@ class RelayTopology:
         if previous is not None:
             if not previous.closed:
                 previous.close(reason)
+            host.unbind(previous.connection.local_address.port)
             subscriber.leaf.load -= 1
         # A subscriber placed for the first time has no link at all yet.
         if previous is None or not network.has_link(leaf.host.address, host.address):
@@ -744,9 +750,7 @@ class RelayTopology:
         connection = QuicEndpoint(host).connect(leaf.address, self.subscriber_connection)
         session = MoqtSession(connection, is_client=True, config=subscriber.config)
         subscriber.session = session
-        session.on_liveness = lambda session, old, new, sub=subscriber: (
-            self._on_subscriber_liveness(sub, session, new)
-        )
+        session.on_liveness = partial(self._subscriber_liveness, subscriber)
         subscriber.leaf = leaf
         leaf.load += 1
 
@@ -1115,7 +1119,7 @@ class RelayTopology:
             pass
 
     def _on_subscriber_liveness(
-        self, subscriber: TreeSubscriber, session: MoqtSession, new: str
+        self, subscriber: TreeSubscriber, session: MoqtSession, old: str, new: str
     ) -> None:
         if session is not subscriber.session or new == "healthy":
             return

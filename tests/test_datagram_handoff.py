@@ -1,11 +1,14 @@
 """The per-datagram hand-off: send -> link -> receive (``docs/datagram-handoff.md``).
 
-Four things are pinned here:
+Five things are pinned here:
 
 * the per-connection header template produces exactly ``Packet.encode()``;
 * the idle timestamp schedules exactly what a ``netsim`` ``Timer`` restarted
   on every packet would (same deadlines, same ``call_at`` instants, same
   close instant);
+* the connection's own probe-timeout wake schedules exactly what the
+  ``Timer`` it replaced did, driven by the same arm / stop calls (same
+  deadlines, same ``call_at`` instants, same fire instants, same packets);
 * the in-order receive and single-outstanding ACK shortcuts agree with the
   general ``_record_received`` / list-comprehension paths;
 * three call budgets: the number of Python-level ``quic`` + ``netsim`` calls
@@ -90,7 +93,7 @@ class TestHeaderTemplate:
         connection = _connection(Simulator(), sent, connection_id)
         connection.handshake_complete = handshake_complete
         connection._next_packet_number = boundary
-        connection._received_ranges = [[0, boundary - 1]]
+        connection._received_ranges = [0, boundary - 1]
         packet_type = PacketType.ONE_RTT if handshake_complete else PacketType.INITIAL
         for step in range(2):
             connection.datagram_received(
@@ -109,7 +112,7 @@ class TestHeaderTemplate:
         sent: list[bytes] = []
         connection = _connection(Simulator(), sent, connection_id)
         connection._next_packet_number = boundary
-        connection._received_ranges = [[0, 5], [8, boundary - 1]]  # 6 and 7 dropped
+        connection._received_ranges = [0, 5, 8, boundary - 1]  # 6 and 7 dropped
         for step in range(2):
             connection.datagram_received(
                 Packet(
@@ -285,16 +288,137 @@ class TestIdleTimestamp:
         assert connection.closed and connection.liveness_cause == "idle-timeout"
 
 
+# --------------------------------------------------- (b') probe-timeout wake
+class _LossLog(QuicConnection):
+    """A connection that notes the instant of every probe timeout."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.fired: list[float] = []
+
+    def _on_loss_timeout(self):
+        self.fired.append(self._simulator.now)
+        super()._on_loss_timeout()
+
+
+class _TimerLoss(_LossLog):
+    """The reference: the probe timeout as the restartable ``Timer`` it was
+    before the connection owned its wake, driven by the same arm / stop
+    calls.  ``_loss_event`` mirrors "the timer is running", which is what the
+    send paths test before arming."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.timer = Timer(self._simulator, self._timer_fired)
+
+    def _arm_loss_wake(self, delay):
+        self.timer.start(delay)
+        self._loss_event = self.timer._event
+
+    def _stop_loss_wake(self):
+        self.timer.stop()
+        self._loss_event = None
+
+    def _timer_fired(self):
+        self._loss_event = None
+        self._on_loss_timeout()
+
+    @property
+    def loss_deadline(self):
+        return self.timer.deadline
+
+
+_LOSS_STEP = st.one_of(
+    st.just(("stream",)),
+    st.just(("datagram",)),
+    st.tuples(st.just("wait"), st.sampled_from([0.0, 0.01, 0.05, 0.125, 0.25, 0.6])),
+    st.tuples(st.just("ack"), st.integers(min_value=-1, max_value=3)),
+    st.tuples(st.just("ack_ranges"), st.integers(min_value=1, max_value=15)),
+)
+
+
+class TestLossWake:
+    @settings(max_examples=150, deadline=None)
+    @given(st.booleans(), st.lists(_LOSS_STEP, max_size=30))
+    def test_deadlines_wakes_and_fire_instants_match_a_restarted_timer(
+        self, congestion_control, steps
+    ):
+        config = ConnectionConfig(
+            initial_rtt=0.05,
+            idle_timeout=1e6,
+            congestion_controller=NewRenoCongestionController if congestion_control else None,
+        )
+        sides = []
+        for cls in (_LossLog, _TimerLoss):
+            simulator = _RecordingSimulator()
+            sent: list[tuple[float, bytes]] = []
+            connection = cls(
+                simulator=simulator,
+                send_datagram=lambda payload, destination, sent=sent, simulator=simulator: (
+                    sent.append((simulator.now, bytes(payload)))
+                ),
+                local_address=Address("local", 1),
+                peer_address=Address("peer", 2),
+                connection_id=77,
+                is_client=True,
+                config=config,
+            )
+            connection.handshake_complete = True
+            sides.append((simulator, connection, sent))
+        (_, owned, owned_sent), (_, reference, reference_sent) = sides
+        peer_packet_number = 0
+        for step in steps:
+            outstanding = sorted(owned._unacked)
+            frame = None
+            if step[0] == "ack":
+                base = outstanding[0] if outstanding else owned._next_packet_number
+                frame = AckFrame(max(0, base + step[1]), 0)
+            elif step[0] == "ack_ranges":
+                chosen = [pn for bit, pn in enumerate(outstanding[:4]) if step[1] >> bit & 1]
+                if chosen:
+                    frame = AckRangesFrame(chosen[-1], 0, tuple((pn, pn) for pn in chosen))
+            for simulator, connection, _ in sides:
+                if connection.closed:
+                    continue
+                if step[0] == "stream":
+                    connection.send_encoded_stream(b"chunk" * 20)
+                elif step[0] == "datagram":
+                    connection.send_datagram_frame(b"d" * 40)
+                elif step[0] == "wait":
+                    simulator.run(until=simulator.now + step[1])
+                elif frame is not None:
+                    connection.datagram_received(
+                        Packet(PacketType.ONE_RTT, 77, peer_packet_number, (frame,)).encode()
+                    )
+            if frame is not None:
+                peer_packet_number += 1
+            assert owned.loss_deadline == reference.loss_deadline
+            assert owned.fired == reference.fired and owned_sent == reference_sent
+        for simulator, _, _ in sides:
+            # Long enough for eight backed-off probes at any RTT a wait can
+            # sample: every probe fires, and the wake ends acknowledged or
+            # given up.
+            simulator.run(until=simulator.now + 1000.0)
+        assert owned.fired == reference.fired and owned_sent == reference_sent
+        assert owned.loss_deadline is None and reference.loss_deadline is None
+        # The same wakes at the same instants, hence as many events: the
+        # owned wake consumed exactly the sequence numbers the timer did.
+        (owned_simulator, _, _), (reference_simulator, _, _) = sides
+        assert owned_simulator.instants(owned, "_on_loss_wake") == reference_simulator.instants(
+            reference.timer, "_fire"
+        )
+        assert owned_simulator.events_scheduled == reference_simulator.events_scheduled
+
+
 # --------------------------------------- (c) in-order / single-outstanding paths
 def _loss_state(connection):
-    timer = connection._loss_timer
     return (
         sorted((pn, record.sent_at) for pn, record in connection._unacked.items()),
         connection._smoothed_rtt,
         connection._largest_acked,
         connection._consecutive_loss_timeouts,
-        timer.is_running,
-        timer.deadline,
+        connection.loss_deadline is not None,
+        connection.loss_deadline,
         connection.congestion.bytes_in_flight,
         connection.congestion.congestion_window,
     )
@@ -372,20 +496,24 @@ class TestReceiveAndAckShortcuts:
 #: ``acquire_buffer``, ``pool.acquire`` and ``_reclaim`` per datagram.  With the
 #: relay's own batching region inside the delivery's it was 49.1.  Before the
 #: session became the connection's delegate, with ``make_stream_id`` a call, it
-#: was 48.9 (33.2 quic) against a budget of 52; now 47.8 (32.1 quic).
+#: was 48.9 (33.2 quic) against a budget of 52; then 47.8 (32.1 quic + 15.6
+#: netsim).  Now 46.6 (34.4 + 12.3): the probe timeout is the connection's own
+#: wake, so a data packet's ``is_running`` + ``Timer.start`` and its ACK's
+#: ``Timer.stop`` (three netsim frames) became ``_arm_loss_wake`` and
+#: ``_stop_loss_wake`` (two quic frames).
 FRAME_BUDGET = 51
 
 _MEASURED_CHAIN = """
 per delivered object, data packet then its ACK (quic + netsim frames):
   send:    send_encoded_stream -> _send_stream [_EncodedStreamPacket,
-           is_running, _probe_timeout, Timer.start -> call_at -> Event,
+           _probe_timeout, _arm_loss_wake -> call_at -> Event,
            append_varint x4] -> _send_payload -> Network.route
   link:    transmit_many -> (event) -> _arrive_many               [per wave, shared]
   receive: _deliver_final -> endpoint.datagram_received -> decode_header
            -> receive_packet -> _packet_accepted -> _on_stream_frame -> (moqt)
   ack:     _send_ack [append_varint x2, varint_size] -> _send_payload -> route
   ack rx:  _deliver_final -> datagram_received -> decode_header -> receive_packet
-           -> _packet_accepted -> _on_ack -> _apply_ack [Timer.stop -> cancel
+           -> _packet_accepted -> _on_ack -> _apply_ack [_stop_loss_wake -> cancel
            -> _note_cancelled]
 a new frame on this path must replace one, or the budget (and docs/datagram-handoff.md)
 must say why it grew"""
@@ -436,6 +564,11 @@ one, or the budget (and docs/datagram-handoff.md) must say why it grew"""
 #: in two (+2); 397.9 / 394.5 while a control stream's data went through a
 #: callback installed on the stream.  Before the one-pass control encoding it was 598.7 (399.6 + 73.6 +
 #: 125.6); with the datagram pool 432.8, three netsim calls per datagram more.
+#: It read 393.0 (242.5 + 63.2 + 87.3) before the connection owned its probe
+#: timeout and a stream kept its receive state itself; now 373.9 (241.4 +
+#: 63.2 + 69.3): the ``Timer`` frames (netsim) are gone, the owned wake's
+#: (quic) replace them one for one or less, and a received control message no
+#: longer passes ``_ReceiveBuffer.receive`` and ``_finished``.
 ATTACH_FRAME_BUDGET = 406
 
 _MEASURED_ATTACH_CHAIN = """
@@ -443,25 +576,25 @@ per attached subscriber: 2 handshake + 4 control packets, each answered by a bar
 (quic + moqt + netsim frames):
   connect:   endpoint.connect -> QuicConnection -> start_handshake [ClientHello.to_bytes]
              -> _send_packet [CryptoFrame.encode_into, append_varint x2 (header), _SentPacket,
-             is_running, _probe_timeout, Timer.start -> call_at -> Event]
+             _probe_timeout, _arm_loss_wake -> call_at -> Event]
              -> _send_payload -> Network.route; the server's _accept ->
              _process_client_hello -> _send_packet likewise; MoqtSession x2, QuicStream x2
   encode:    ControlMessage.encode -> _append_payload [append_varint per field,
              FullTrackName.append_to -> TrackNamespace.append_to, Parameters.append_to]
              (SUBSCRIBE, SUBSCRIBE_OK; the two SETUPs are module constants)
   send:      MoqtSession._send_control -> send_stream_data -> QuicStream.write -> _send_stream
-             [_EncodedStreamPacket, is_running, _probe_timeout, Timer.start,
+             [_EncodedStreamPacket, _probe_timeout, _arm_loss_wake,
              append_varint x4] -> _send_payload -> Network.route
              (CLIENT_SETUP waits for the handshake: _send_app_frames -> queue ->
              _flush_queued_app_frames -> _send_packet)
   receive:   _deliver_final -> endpoint.datagram_received -> decode_header -> receive_packet
-             -> _packet_accepted -> _on_stream_frame [QuicStream.receive ->
-             _ReceiveBuffer.receive -> _finished] -> MoqtSession.stream_data_received ->
+             -> _packet_accepted -> _on_stream_frame [QuicStream.receive]
+             -> MoqtSession.stream_data_received ->
              ControlStreamParser.feed -> read_control_frame [memo hit] ->
              _handle_control_message -> _handle_<message>
   ack:       _send_ack [append_varint x2, varint_size] -> _send_payload -> route
   ack rx:    _deliver_final -> datagram_received -> decode_header -> receive_packet ->
-             _packet_accepted -> _on_ack -> _apply_ack [Timer.stop -> cancel ->
+             _packet_accepted -> _on_ack -> _apply_ack [_stop_loss_wake -> cancel ->
              _note_cancelled]
 a new frame on this path must replace one, or the budget (and docs/quic-send.md) must say
 why it grew"""

@@ -366,7 +366,7 @@ class TestAckWireIdentity:
             is_client=True,
             config=ConnectionConfig(),
         )
-        connection._received_ranges = [[0, 77]]
+        connection._received_ranges = [0, 77]
         for handshake_complete in (False, True):
             connection.handshake_complete = handshake_complete
             expected_pn = connection._next_packet_number
@@ -397,7 +397,7 @@ class TestAckWireIdentity:
             config=ConnectionConfig(),
         )
         connection.handshake_complete = True
-        connection._received_ranges = [[0, 4], [6, 9], [12, 12]]
+        connection._received_ranges = [0, 4, 6, 9, 12, 12]
         expected_pn = connection._next_packet_number
         connection._send_ack()
         reference = Packet(

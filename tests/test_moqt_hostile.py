@@ -347,7 +347,7 @@ class _Pair:
 
     def assert_nothing_pending(self) -> None:
         for session in (self.client, self.server):
-            assert session._pending_until_ready == []
+            assert session._pending_until_ready == ()  # handed back at SETUP
             assert not session._fetches
             assert not session._pending_incoming_subscribes
             assert not session._pending_incoming_fetches

@@ -384,7 +384,7 @@ class TestSubscribeAndFetch:
             Fetch(request_id=2, full_track_name=TRACK, start_group=1, end_group=1).encode(),
         ]
         session.close("gave up")
-        assert session._pending_until_ready == []
+        assert session._pending_until_ready == ()
         assert fetch.state == "error"
         simulator.run(until=2.0)
         assert not session.ready and subscription.state == "pending"

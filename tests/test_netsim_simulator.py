@@ -43,6 +43,18 @@ class TestSimulatorScheduling:
         simulator.run_until_idle()
         assert seen == []
 
+    def test_a_cancelled_event_keeps_nothing_it_would_have_called(self):
+        # Its heap entry stays until popped or compacted; what it would have
+        # called, and the object behind a bound method, must not stay with it.
+        simulator = Simulator()
+        seen = []
+        event = simulator.call_later(1.0, seen.append, "fired")
+        event.cancel()
+        assert event.callback is None and event.args == ()
+        assert simulator._queue[0][2] is event  # still queued, holding nothing
+        simulator.run_until_idle()
+        assert seen == []
+
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             Simulator().call_later(-0.1, lambda: None)

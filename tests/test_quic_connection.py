@@ -186,7 +186,7 @@ class TestReliabilityAndLifecycle:
         simulator.run(until=2.0)
         assert connection.unacked_packets == 0
         assert sys.getsizeof(connection._unacked) == sys.getsizeof({})
-        assert not connection._loss_timer.is_running
+        assert connection.loss_deadline is None
 
     def test_idle_timeout_closes_connection(self):
         simulator, server_ep, client_ep, _, _ = _build(idle=1.0)
@@ -327,7 +327,7 @@ class TestLivenessStateMachine:
     def _run_ptos(self, simulator, connection, count):
         """Let exactly ``count`` consecutive loss timeouts fire."""
         for _ in range(count):
-            deadline = connection._loss_timer.deadline
+            deadline = connection.loss_deadline
             assert deadline is not None
             simulator.run(until=deadline)
 
@@ -460,18 +460,18 @@ class TestAckRangesRepair:
         connection._received_ranges = []
         for packet_number in range(5):
             connection._record_received(packet_number)
-        assert connection._received_ranges == [[0, 4]]
+        assert connection._received_ranges == [0, 4]
 
     def test_gap_opens_a_second_run_and_fill_merges_it(self):
         _, connection = self._connection()
         connection._received_ranges = []
         for packet_number in (0, 1, 3):
             connection._record_received(packet_number)
-        assert connection._received_ranges == [[0, 1], [3, 3]]
+        assert connection._received_ranges == [0, 1, 3, 3]
         connection._record_received(2)  # the retransmission lands
-        assert connection._received_ranges == [[0, 3]]
+        assert connection._received_ranges == [0, 3]
         connection._record_received(2)  # duplicate: no change
-        assert connection._received_ranges == [[0, 3]]
+        assert connection._received_ranges == [0, 3]
 
     def test_retransmission_below_the_top_run_merges_both_sides(self):
         _, connection = self._connection()
@@ -479,9 +479,9 @@ class TestAckRangesRepair:
         for packet_number in (0, 1, 2, 3, 10):
             connection._record_received(packet_number)
         connection._record_received(5)
-        assert connection._received_ranges == [[0, 3], [5, 5], [10, 10]]
+        assert connection._received_ranges == [0, 3, 5, 5, 10, 10]
         connection._record_received(4)
-        assert connection._received_ranges == [[0, 5], [10, 10]]
+        assert connection._received_ranges == [0, 5, 10, 10]
 
     def test_horizon_prune_merges_the_oldest_runs(self):
         _, connection = self._connection()
@@ -491,7 +491,7 @@ class TestAckRangesRepair:
         connection._record_received(far)
         # The stale bottom run is folded in: the sender re-numbers on PTO,
         # so packet numbers that far behind can no longer be retransmitted.
-        assert connection._received_ranges == [[0, far]]
+        assert connection._received_ranges == [0, far]
 
     def test_exact_ack_leaves_the_dropped_packet_unacked(self):
         _, connection = self._connection()

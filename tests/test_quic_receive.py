@@ -461,7 +461,7 @@ def _snapshot(connection: QuicConnection, delivered: list) -> tuple:
     return (
         dataclasses.astuple(connection.statistics),
         connection.idle_deadline,
-        [list(run) for run in connection._received_ranges],
+        list(connection._received_ranges),
         sorted(connection.streams()),
         connection._peer_uni_floor,
         sorted(connection._peer_uni_above or ()),
@@ -643,7 +643,7 @@ def test_empty_packet_is_accepted_and_not_acknowledged():
     connection, sent = _isolated()
     connection.datagram_received(Packet(PacketType.ONE_RTT, 77, 0, ()).encode())
     assert connection.statistics.packets_received == 1
-    assert connection._received_ranges == [[0, 0]]
+    assert connection._received_ranges == [0, 0]
     assert sent == []
 
 

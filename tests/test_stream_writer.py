@@ -229,7 +229,7 @@ class TestCloseAndClosed:
             Packet(packet_type, 300, 9, (ConnectionCloseFrame(0, "bye ✓"),)).encode()
         ]
         assert simulator.events_scheduled == scheduled
-        assert connection.unacked_packets == 0 and not connection._loss_timer.is_running
+        assert connection.unacked_packets == 0 and connection.loss_deadline is None
         if controller is not None:
             assert connection.congestion.sent == [] and connection.congestion.bytes_in_flight == 0
         assert connection.statistics.packets_sent == 1
