@@ -153,6 +153,9 @@ class Subscription:
     track_alias: int
     full_track_name: FullTrackName
     on_object: Callable[[MoqtObject], None] | None = None
+    #: One-shot: the session drops it before calling it with the SUBSCRIBE_OK
+    #: or SUBSCRIBE_ERROR, so what it closes over (a failover record, a
+    #: relay's waiters) is not kept for the subscription's whole life.
     on_response: Callable[["Subscription"], None] | None = None
     state: str = "pending"
     largest: Location | None = None
@@ -995,8 +998,10 @@ class MoqtSession:
         subscription.content_exists = message.content_exists
         if message.content_exists:
             subscription.largest = Location(message.largest_group_id, message.largest_object_id)
-        if subscription.on_response is not None:
-            subscription.on_response(subscription)
+        on_response = subscription.on_response
+        if on_response is not None:
+            subscription.on_response = None
+            on_response(subscription)
 
     def _handle_subscribe_error(self, message: SubscribeError) -> None:
         subscription = self._subscriptions.get(message.request_id)
@@ -1011,8 +1016,10 @@ class MoqtSession:
         # from the routing maps so retry churn cannot accumulate state.
         self._subscriptions.pop(message.request_id, None)
         self._subscriptions_by_alias.pop(subscription.track_alias, None)
-        if subscription.on_response is not None:
-            subscription.on_response(subscription)
+        on_response = subscription.on_response
+        if on_response is not None:
+            subscription.on_response = None
+            on_response(subscription)
 
     def _handle_subscribe_done(self, message: SubscribeDone) -> None:
         subscription = self._subscriptions.get(message.request_id)

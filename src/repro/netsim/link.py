@@ -115,8 +115,10 @@ class Link:
     config:
         Delay / bandwidth / loss parameters.
     deliver:
-        Callback invoked with each datagram that survives the link, after the
-        configured delays.
+        Called with each datagram that survives the link, after the
+        configured delays.  A :class:`~repro.netsim.network.Network` passes
+        the destination :class:`~repro.netsim.node.Host`, whose call is the
+        one delivery body; any other one-argument callable works the same.
 
     A link has one send method, :meth:`transmit_many`; a lone datagram is a
     one-entry wave.

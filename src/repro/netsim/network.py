@@ -8,12 +8,14 @@ datagrams.  Two routing modes are supported:
 * multi-hop — otherwise the network computes the least-total-delay path over
   the link graph (using a simple Dijkstra over configured delays) and the
   datagram traverses every link on the path in sequence: each intermediate
-  host receives it like any delivery and passes it on to the next hop.
+  host receives it like any delivery and hands it back to :meth:`Network.forward`
+  for the next hop.
 
 Either way a datagram leaves through :meth:`Link.transmit_many`: collected
 into the current batching region's wave, or as a one-entry wave outside one.
 Every delivery is a batching region, so what a host sends while handling a
-datagram leaves as one wave.
+datagram leaves as one wave.  A link's sink is its destination
+:class:`~repro.netsim.node.Host`, which holds the one delivery body.
 
 Multi-hop routing is what lets the deep-space and relay experiments place
 intermediaries between resolvers without modelling routers explicitly.
@@ -22,7 +24,6 @@ intermediaries between resolvers without modelling routers explicitly.
 from __future__ import annotations
 
 import heapq
-from functools import partial
 from types import SimpleNamespace
 from typing import Iterable
 
@@ -40,17 +41,6 @@ class UnknownHostError(Exception):
 
 class NoRouteError(Exception):
     """Raised when no path exists between two hosts."""
-
-
-def _record(trace: TraceRecorder, kind: str, datagram: Datagram) -> None:
-    """One trace event for ``datagram`` (``route`` and ``_deliver_final``)."""
-    trace.record(
-        kind,
-        source=str(datagram.source),
-        destination=str(datagram.destination),
-        protocol=datagram.protocol,
-        size=len(datagram.payload),
-    )
 
 
 class Network:
@@ -81,9 +71,6 @@ class Network:
         self.datagram_pool = SimpleNamespace(acquire=Datagram)
         self._batch_depth = 0
         self._batch: list[tuple[Link, Datagram]] = []
-        #: :meth:`_deliver_final`, bound once: every link's sink is a partial
-        #: over this one method object, not over a bound method of its own.
-        self._deliver = self._deliver_final
         #: Constant remnant of the retired per-datagram fallback: every send
         #: is a link wave, so no wave can degrade and nothing writes this.
         #: Its readers are the E11 / E15 result fields, the E15
@@ -147,14 +134,10 @@ class Network:
             raise ValueError(f"cannot link a host to itself: {first_addr}")
         forward_config = config if config is not None else LinkConfig()
         backward_config = reverse_config if reverse_config is not None else forward_config
-        # A link's sink is the destination host itself: one bound call from
-        # the link's arrival loop into _deliver_final, no forwarding frame.
-        self._links[(first_addr, second_addr)] = Link(
-            forward_config, partial(self._deliver, self._hosts[second_addr])
-        )
-        self._links[(second_addr, first_addr)] = Link(
-            backward_config, partial(self._deliver, self._hosts[first_addr])
-        )
+        # A link's sink is the destination host itself: the link's arrival
+        # loop calls it, and its one frame is the delivery body (Host.__call__).
+        self._links[(first_addr, second_addr)] = Link(forward_config, self._hosts[second_addr])
+        self._links[(second_addr, first_addr)] = Link(backward_config, self._hosts[first_addr])
 
     def connect_star(
         self,
@@ -212,11 +195,11 @@ class Network:
             raise UnknownHostError(destination)
         trace = self.trace
         if trace.enabled:
-            _record(trace, "datagram-sent", datagram)
+            trace.record_datagram("datagram-sent", datagram)
         if link is None:
             if source == destination:
                 # Loopback delivery happens "immediately" on the next event.
-                self.simulator.call_soon(self._deliver_final, self._hosts[destination], datagram)
+                self.simulator.call_soon(self._hosts[destination], datagram)
                 return
             link = self._links[(source, self.shortest_path(source, destination)[1])]
         if self._batch_depth:
@@ -253,31 +236,21 @@ class Network:
         path.reverse()
         return path
 
-    # --------------------------------------------------------------- delivery
-    def _deliver_final(self, host: Host, datagram: Datagram) -> None:
-        """Hand ``datagram`` to the handler bound on ``host`` (an unbound port
-        drops it silently, as :meth:`Host.deliver` does).
+    # ---------------------------------------------------------------- transit
+    def forward(self, host: Host, datagram: Datagram) -> None:
+        """A transit hop: ``datagram`` reached ``host`` (its link's sink) on
+        the way to another host.
 
-        A datagram addressed to another host is a transit hop: it goes on
-        along the shortest path its source's :meth:`route` took, sharing the
-        next link's FIFO, loss draws and counters with that link's own
-        traffic, and leaves no trace record here."""
-        destination = datagram.destination.host
-        if destination != host.address:
-            path = self.shortest_path(datagram.source.host, destination)
-            link = self._links[(host.address, path[path.index(host.address) + 1])]
-            # A region of its own, so the hop also leaves when the wave that
-            # brought it was sent without this network as its batch sink.
-            self.begin_batch()
-            self._batch.append((link, datagram))
-            self.end_batch()
-            return
-        trace = self.trace
-        if trace.enabled:
-            _record(trace, "datagram-delivered", datagram)
-        handler = host._ports.get(datagram.destination.port)  # noqa: SLF001
-        if handler is not None:
-            handler.datagram_received(datagram)
+        It goes on along the shortest path its source's :meth:`route` took,
+        sharing the next link's FIFO, loss draws and counters with that
+        link's own traffic, and leaves no trace record here."""
+        path = self.shortest_path(datagram.source.host, datagram.destination.host)
+        link = self._links[(host.address, path[path.index(host.address) + 1])]
+        # A region of its own, so the hop also leaves when the wave that
+        # brought it was sent without this network as its batch sink.
+        self.begin_batch()
+        self._batch.append((link, datagram))
+        self.end_batch()
 
     # ------------------------------------------------------------- statistics
     def total_link_statistics(self) -> dict[str, int]:

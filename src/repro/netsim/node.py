@@ -4,6 +4,8 @@ A :class:`Host` is an endpoint in the simulated network.  Protocol endpoints
 (a classic DNS server, a QUIC endpoint, ...) bind to numbered ports on a host
 by registering a :class:`PortHandler`; incoming datagrams addressed to that
 port are dispatched to the handler's :meth:`PortHandler.datagram_received`.
+The host itself is the one delivery body: calling it with a datagram
+delivers it, and it is the sink of every link into it.
 """
 
 from __future__ import annotations
@@ -12,13 +14,21 @@ from typing import Protocol
 
 from repro.netsim.packet import Address, Datagram
 from repro.netsim.simulator import Simulator
+from repro.netsim.trace import TraceRecorder
 
 
 class NetworkInterface(Protocol):
     """Interface the host uses to hand datagrams to the network."""
 
+    #: Where a delivery is recorded (a recording trace or the null default).
+    trace: TraceRecorder
+
     def route(self, datagram: Datagram) -> None:
         """Deliver ``datagram`` towards its destination."""
+
+    def forward(self, host: "Host", datagram: Datagram) -> None:
+        """Send ``datagram``, which arrived at ``host`` for another host, on
+        along its path (a transit hop)."""
 
 
 class PortHandler(Protocol):
@@ -92,12 +102,24 @@ class Host:
             raise HostNotAttachedError(f"host {self.address} is not attached")
         self.network.route(datagram)
 
-    def deliver(self, datagram: Datagram) -> None:
-        """Deliver an incoming datagram to the bound handler, if any.
+    def __call__(self, datagram: Datagram) -> None:
+        """Deliver an incoming datagram: the sink of every link into this host.
 
-        Datagrams for unbound ports are silently dropped, mirroring a closed
-        UDP port with ICMP suppressed; counting such drops is left to traces.
+        A datagram addressed to another host is a transit hop, handed back
+        to the network (:meth:`NetworkInterface.forward`) with no trace
+        record here.  Otherwise the network's trace records the delivery and
+        the handler bound on the destination port receives it; a datagram
+        for an unbound port is silently dropped, mirroring a closed UDP port
+        with ICMP suppressed (counting such drops is left to traces).
         """
-        handler = self._ports.get(datagram.destination.port)
+        destination = datagram.destination
+        network = self.network
+        if destination.host != self.address:
+            network.forward(self, datagram)
+            return
+        trace = network.trace
+        if trace.enabled:
+            trace.record_datagram("datagram-delivered", datagram)
+        handler = self._ports.get(destination.port)
         if handler is not None:
             handler.datagram_received(datagram)

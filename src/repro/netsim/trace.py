@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
+from repro.netsim.packet import Datagram
 from repro.netsim.simulator import Simulator
 
 
@@ -68,6 +69,17 @@ class TraceRecorder:
         counts[kind] = counts.get(kind, 0) + 1
         for listener in self._listeners:
             listener(event)
+
+    def record_datagram(self, kind: str, datagram: Datagram) -> None:
+        """One event for ``datagram`` (the network's ``datagram-sent`` and the
+        host's ``datagram-delivered``); hot callers check :attr:`enabled` first."""
+        self.record(
+            kind,
+            source=str(datagram.source),
+            destination=str(datagram.destination),
+            protocol=datagram.protocol,
+            size=len(datagram.payload),
+        )
 
     def subscribe(self, listener: Callable[[TraceEvent], None]) -> None:
         """Register a callback invoked for every future event."""

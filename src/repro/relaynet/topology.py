@@ -133,6 +133,28 @@ def plan_leaf_assignments(leaves: list[RelayNode], count: int) -> list[RelayNode
     return placement
 
 
+class SubscriberSink:
+    """A followed track's sink: the application's ``on_object(subscriber, obj)``.
+
+    One slotted object per followed track, where
+    ``partial(on_object, subscriber)`` would be three blocks: the partial, its
+    argument tuple and an empty keyword dict.
+    """
+
+    __slots__ = ("on_object", "subscriber")
+
+    def __init__(
+        self,
+        on_object: Callable[["TreeSubscriber", MoqtObject], None],
+        subscriber: "TreeSubscriber",
+    ) -> None:
+        self.on_object = on_object
+        self.subscriber = subscriber
+
+    def __call__(self, obj: MoqtObject) -> None:
+        self.on_object(self.subscriber, obj)
+
+
 @dataclass(eq=False, slots=True)
 class TreeSubscriber:
     """A leaf MoQT client attached below an edge relay.
@@ -143,6 +165,9 @@ class TreeSubscriber:
     leaf's live stream back until the gap FETCH has been delivered, so the
     application callback observes every object exactly once, in order, no
     matter how many relays died in between.
+
+    The subscriber is its session's liveness hook (:meth:`__call__`), so a
+    subscriber keeps no callable of its own for it.
     """
 
     index: int
@@ -151,6 +176,8 @@ class TreeSubscriber:
     config: MoqtSessionConfig
     #: None only until the topology first places the subscriber.
     session: MoqtSession | None
+    #: The topology that placed it: where a dead leaf is reported.
+    topology: "RelayTopology" = field(repr=False)
     tracks: list[TrackReceiver] = field(default_factory=list)
     reattach_count: int = 0
     #: What the track receivers count: the subscriber is their ``counters``.
@@ -167,12 +194,13 @@ class TreeSubscriber:
     def add_track(
         self,
         full_track_name: FullTrackName,
-        on_object: Callable[[MoqtObject], None] | None,
+        on_object: Callable[["TreeSubscriber", MoqtObject], None] | None,
     ) -> TrackReceiver:
         """A receiver for one more followed track, not yet subscribed: it
-        hands each object to ``on_object`` and, while span tracing is on,
-        records the delivery through :meth:`record_delivery`."""
-        track = TrackReceiver(full_track_name, on_object, self, self.host.network.telemetry)
+        hands each object to ``on_object(subscriber, obj)`` and, while span
+        tracing is on, records the delivery through :meth:`record_delivery`."""
+        sink = SubscriberSink(on_object, self) if on_object is not None else None
+        track = TrackReceiver(full_track_name, sink, self, self.host.network.telemetry)
         self.tracks.append(track)
         return track
 
@@ -181,6 +209,18 @@ class TreeSubscriber:
         spans.record_delivery(
             obj.location, self.leaf.host.address, self.index, self.host.simulator.now
         )
+
+    # --------------------------------------------------------------- liveness
+    def __call__(self, session: MoqtSession, old: str, new: str) -> None:
+        """``session.on_liveness``: a current session turning suspect or dead
+        reports the leaf it rides as failed (an old session's late word is
+        ignored)."""
+        if session is not self.session or new == "healthy":
+            return
+        try:
+            self.topology.report_failure(self.leaf, via=session.connection.liveness_cause)
+        except NoSurvivingParentError:
+            pass
 
     # ------------------------------------------------------------- statistics
     @property
@@ -526,9 +566,6 @@ class RelayTopology:
         self._tier_created: list[int] = []
         self._subscribers_created = 0
         self._nodes_by_relay: dict[MoqtRelay, RelayNode] = {}
-        #: :meth:`_on_subscriber_liveness`, bound once: each subscriber
-        #: session's liveness hook is a partial over this one method object.
-        self._subscriber_liveness = self._on_subscriber_liveness
         # Fail fast if the origin host is missing rather than at first subscribe.
         network.host(origin.host)
         self._build(spec)
@@ -721,7 +758,9 @@ class RelayTopology:
         """The one way a subscriber comes to exist: host ``{host_prefix}-{index}``
         placed under ``leaf`` by :meth:`_move`."""
         host = self.network.add_host(f"{host_prefix}-{index}")
-        subscriber = TreeSubscriber(index=index, host=host, leaf=leaf, config=config, session=None)
+        subscriber = TreeSubscriber(
+            index=index, host=host, leaf=leaf, config=config, session=None, topology=self
+        )
         self._move(subscriber, leaf)
         return subscriber
 
@@ -733,8 +772,9 @@ class RelayTopology:
         reservation with it), the endpoint it rode releases its port (and
         with it the last reference to that endpoint, its connection and its
         session) and its leaf gives up the load; the access link is created
-        on first use; the new session's liveness reports to
-        :meth:`report_failure`.  Re-subscribing is the caller's.
+        on first use; the new session's liveness hook is the subscriber
+        itself, which reports to :meth:`report_failure`.  Re-subscribing is
+        the caller's.
         """
         network = self.network
         host = subscriber.host
@@ -750,7 +790,7 @@ class RelayTopology:
         connection = QuicEndpoint(host).connect(leaf.address, self.subscriber_connection)
         session = MoqtSession(connection, is_client=True, config=subscriber.config)
         subscriber.session = session
-        session.on_liveness = partial(self._subscriber_liveness, subscriber)
+        session.on_liveness = subscriber
         subscriber.leaf = leaf
         leaf.load += 1
 
@@ -907,10 +947,7 @@ class RelayTopology:
         self.network.begin_batch()
         try:
             for subscriber in targets:
-                callback = None
-                if on_object is not None:
-                    callback = partial(on_object, subscriber)
-                track = subscriber.add_track(full_track_name, callback)
+                track = subscriber.add_track(full_track_name, on_object)
                 subscriptions.append(track.subscribe(subscriber.session))
         finally:
             self.network.end_batch()
@@ -1008,10 +1045,7 @@ class RelayTopology:
         self.subscribers.append(subscriber)
         storm.subscribers.append(subscriber)
         storm.records.append(record)
-        callback = None
-        if on_object is not None:
-            callback = partial(on_object, subscriber)
-        self._subscribe(subscriber, subscriber.add_track(storm.full_track_name, callback))
+        self._subscribe(subscriber, subscriber.add_track(storm.full_track_name, on_object))
 
     # -------------------------------------------------------------- membership
     def add_relay(self, tier: str | int, parent: RelayNode | None = None) -> RelayNode:
@@ -1115,16 +1149,6 @@ class RelayTopology:
                 # paths handle the dead uplink.
                 return
             self.report_failure(node.parent, via=cause)
-        except NoSurvivingParentError:
-            pass
-
-    def _on_subscriber_liveness(
-        self, subscriber: TreeSubscriber, session: MoqtSession, old: str, new: str
-    ) -> None:
-        if session is not subscriber.session or new == "healthy":
-            return
-        try:
-            self.report_failure(subscriber.leaf, via=session.connection.liveness_cause)
         except NoSurvivingParentError:
             pass
 

@@ -509,10 +509,10 @@ per delivered object, data packet then its ACK (quic + netsim frames):
            _probe_timeout, _arm_loss_wake -> call_at -> Event,
            append_varint x4] -> _send_payload -> Network.route
   link:    transmit_many -> (event) -> _arrive_many               [per wave, shared]
-  receive: _deliver_final -> endpoint.datagram_received -> decode_header
+  receive: Host.__call__ (the link's sink) -> endpoint.datagram_received -> decode_header
            -> receive_packet -> _packet_accepted -> _on_stream_frame -> (moqt)
   ack:     _send_ack [append_varint x2, varint_size] -> _send_payload -> route
-  ack rx:  _deliver_final -> datagram_received -> decode_header -> receive_packet
+  ack rx:  Host.__call__ -> datagram_received -> decode_header -> receive_packet
            -> _packet_accepted -> _on_ack -> _apply_ack [_stop_loss_wake -> cancel
            -> _note_cancelled]
 a new frame on this path must replace one, or the budget (and docs/datagram-handoff.md)
@@ -523,10 +523,13 @@ must say why it grew"""
 #: on the same star, counting the generated methods (``<string>`` frames:
 #: dataclass ``__init__`` / ``__hash__`` / ``__gt__``, a ``NamedTuple``'s
 #: ``__new__``) of those packages' classes as theirs — netsim's ``Datagram``
-#: ``__init__`` is netsim's and not counted here.  7.5 measured on CPython 3.11
-#: (6.9 in ``moqt`` files + 0.6 generated, 0 ``relaynet``: the chain below,
+#: ``__init__`` is netsim's and not counted here.  8.5 measured on CPython 3.11
+#: (6.9 in ``moqt`` files + 0.6 generated + 1.0 ``relaynet``: the chain below,
 #: one ``publish`` per subscriber, and an eighth of the relay's and origin's
-#: per-object frames).  It read 8.4 while ``decode_complete_datastream`` held
+#: per-object frames).  It read 7.5, no ``relaynet`` frame, while the
+#: application sink was ``partial(on_object, subscriber)``, called in C; the
+#: ``SubscriberSink`` that replaced it, one slotted object per followed track
+#: instead of three blocks, is one frame.  It read 8.4 while ``decode_complete_datastream`` held
 #: the decode memo, one frame per delivered object for the lookup; the session
 #: now probes its simulation's table itself.
 #: Before the session became the connection's delegate and the receiver the
@@ -540,7 +543,7 @@ per delivered object, upward leg (moqt + relaynet frames, generated methods incl
   receive: (quic _on_stream_frame) -> MoqtSession.stream_data_received
            [the simulation's stream memo: a dict probe] -> _deliver_subscribed_object
            -> TrackReceiver.on_object [hold-back, dedupe, largest, span check]
-           -> partial(on_object, subscriber) [C] -> application
+           -> SubscriberSink.__call__ -> application
   send:    publish_to -> MoqtSession.publish [closed check, len(payload), encode memo]
            -> (quic send_encoded_stream)                        [per subscriber, at the relay]
   relay:   stream_data_received -> decode -> _deliver_subscribed_object -> RelayTrack.on_object
@@ -587,13 +590,13 @@ per attached subscriber: 2 handshake + 4 control packets, each answered by a bar
              append_varint x4] -> _send_payload -> Network.route
              (CLIENT_SETUP waits for the handshake: _send_app_frames -> queue ->
              _flush_queued_app_frames -> _send_packet)
-  receive:   _deliver_final -> endpoint.datagram_received -> decode_header -> receive_packet
+  receive:   Host.__call__ -> endpoint.datagram_received -> decode_header -> receive_packet
              -> _packet_accepted -> _on_stream_frame [QuicStream.receive]
              -> MoqtSession.stream_data_received ->
              ControlStreamParser.feed -> read_control_frame [memo hit] ->
              _handle_control_message -> _handle_<message>
   ack:       _send_ack [append_varint x2, varint_size] -> _send_payload -> route
-  ack rx:    _deliver_final -> datagram_received -> decode_header -> receive_packet ->
+  ack rx:    Host.__call__ -> datagram_received -> decode_header -> receive_packet ->
              _packet_accepted -> _on_ack -> _apply_ack [_stop_loss_wake -> cancel ->
              _note_cancelled]
 a new frame on this path must replace one, or the budget (and docs/quic-send.md) must say
@@ -691,8 +694,8 @@ def test_frames_per_delivered_object_stay_within_budget():
 
 def test_upward_calls_per_delivered_object_stay_within_budget():
     counter = _FrameCounter("moqt", "relaynet", generated=True)
-    # The reading (7.5) is the same in a full run, and two more frames per
-    # object exceed the budget.
+    # The reading (8.5) is the same in a full run, and one more frame per
+    # object exceeds the budget.
     delivered = _fanned_out_star(counter, b"upward leg " * 27 + b"...")
     per_object, split = counter.report(len(delivered))
     print(

@@ -100,11 +100,12 @@ class TestLink:
 
 class TestHost:
     def test_bind_and_deliver(self, simulator):
-        host = Host(simulator, "h1")
+        # A host delivers through the one body every link calls: itself.
+        host = Network(simulator).add_host("h1")
         collector = _Collector(simulator)
         address = host.bind(53, collector)
         assert address == Address("h1", 53)
-        host.deliver(_datagram(b"q", destination=address))
+        host(_datagram(b"q", destination=address))
         assert len(collector.received) == 1
 
     def test_double_bind_rejected(self, simulator):
@@ -120,8 +121,8 @@ class TestHost:
         assert first.port != second.port
 
     def test_unbound_port_drops_silently(self, simulator):
-        host = Host(simulator, "h1")
-        host.deliver(_datagram(b"q", destination=Address("h1", 9)))  # no exception
+        host = Network(simulator).add_host("h1")
+        host(_datagram(b"q", destination=Address("h1", 9)))  # no exception
 
     def test_send_requires_attachment(self, simulator):
         host = Host(simulator, "h1")
