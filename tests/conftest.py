@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
@@ -22,6 +28,26 @@ def shared_empty_table_stays_empty():
     played (``docs/state.md``); whatever a test did, nothing leaked into it."""
     yield
     assert len(_UNUSED) == 0
+
+
+@pytest.fixture(scope="session")
+def exact_costs() -> tuple[dict, str]:
+    """``(rows, per-file tables)`` of the exact-cost collector
+    (``tests/exact/collect.py``), run once per session in a fresh process, so
+    the rows are the same whatever ran before.  Coverage's subprocess hooks
+    are not passed on: a traced collector would count coverage's frames."""
+    repo = Path(__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items() if not key.startswith(("COV_", "COVERAGE_"))}
+    collector = subprocess.run(
+        [sys.executable, str(repo / "tests" / "exact" / "collect.py")],
+        capture_output=True,
+        text=True,
+        cwd=repo,
+        env={**env, "PYTHONPATH": str(repo / "src")},
+    )
+    if collector.returncode:
+        pytest.fail(f"the exact-cost collector failed:\n{collector.stderr}")
+    return json.loads(collector.stdout), collector.stderr
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """The per-datagram hand-off: send -> link -> receive (``docs/datagram-handoff.md``).
 
-Five things are pinned here:
+Four things are pinned here (the calls one delivered object and one attached
+subscriber cost are rows of the exact-cost ledger, ``tests/exact/``):
 
 * the per-connection header template produces exactly ``Packet.encode()``;
 * the idle timestamp schedules exactly what a ``netsim`` ``Timer`` restarted
@@ -10,32 +11,20 @@ Five things are pinned here:
   ``Timer`` it replaced did, driven by the same arm / stop calls (same
   deadlines, same ``call_at`` instants, same fire instants, same packets);
 * the in-order receive and single-outstanding ACK shortcuts agree with the
-  general ``_record_received`` / list-comprehension paths;
-* three call budgets: the number of Python-level ``quic`` + ``netsim`` calls
-  one delivered object costs, of ``moqt`` + ``relaynet`` calls (their
-  dataclass- and ``NamedTuple``-generated methods included) the same object
-  costs on its way up to the application (the upward leg), and of ``quic`` +
-  ``moqt`` + ``netsim`` calls one attached, SUBSCRIBE_OK'd subscriber costs
-  (``docs/quic-send.md`` § The control leg), so no chain can silently regrow.
+  general ``_record_received`` / list-comprehension paths.
 """
 
 from __future__ import annotations
 
-import sys
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.moqt.objectmodel import MoqtObject
-from repro.moqt.origin import ORIGIN_HOST, ORIGIN_PORT, TRACK, build_origin
-from repro.netsim.network import Network
 from repro.netsim.packet import Address
 from repro.netsim.simulator import Simulator, Timer
 from repro.quic.congestion import NewRenoCongestionController
 from repro.quic.connection import ConnectionConfig, QuicConnection
 from repro.quic.frames import AckFrame, AckRangesFrame, PingFrame, StreamFrame
 from repro.quic.packet import Packet, PacketType
-from repro.relaynet import RelayTreeBuilder, RelayTreeSpec
 
 from connection_delegate import delegate_to
 
@@ -483,250 +472,3 @@ class TestReceiveAndAckShortcuts:
                 fast._on_ack(largest)
                 general._apply_ack([pn for pn in general._unacked if pn <= largest], largest)
             assert _loss_state(fast) == _loss_state(general)
-
-
-# ------------------------------------------------------------- the frame budget
-#: Python-level ``repro.quic`` + ``repro.netsim`` calls per delivered object on
-#: a one-relay, eight-subscriber star: 48.9 measured on CPython 3.11 (33.2 quic
-#: + 15.6 netsim — the chain below, the publisher -> relay hop every object
-#: also makes, and the per-wave frames eight deliveries share).  CPython 3.12
-#: inlines comprehensions and measures lower.  PR 16's parent measured 79.5,
-#: PR 23's 57.0: the stream writer became a call of its own (+1) and sizes its
-#: one- and two-byte varints inline (-2).  With the datagram pool it was 55.9:
-#: ``acquire_buffer``, ``pool.acquire`` and ``_reclaim`` per datagram.  With the
-#: relay's own batching region inside the delivery's it was 49.1.  Before the
-#: session became the connection's delegate, with ``make_stream_id`` a call, it
-#: was 48.9 (33.2 quic) against a budget of 52; then 47.8 (32.1 quic + 15.6
-#: netsim).  Now 46.6 (34.4 + 12.3): the probe timeout is the connection's own
-#: wake, so a data packet's ``is_running`` + ``Timer.start`` and its ACK's
-#: ``Timer.stop`` (three netsim frames) became ``_arm_loss_wake`` and
-#: ``_stop_loss_wake`` (two quic frames).
-FRAME_BUDGET = 51
-
-_MEASURED_CHAIN = """
-per delivered object, data packet then its ACK (quic + netsim frames):
-  send:    send_encoded_stream -> _send_stream [_EncodedStreamPacket,
-           _probe_timeout, _arm_loss_wake -> call_at -> Event,
-           append_varint x4] -> _send_payload -> Network.route
-  link:    transmit_many -> (event) -> _arrive_many               [per wave, shared]
-  receive: Host.__call__ (the link's sink) -> endpoint.datagram_received -> decode_header
-           -> receive_packet -> _packet_accepted -> _on_stream_frame -> (moqt)
-  ack:     _send_ack [append_varint x2, varint_size] -> _send_payload -> route
-  ack rx:  Host.__call__ -> datagram_received -> decode_header -> receive_packet
-           -> _packet_accepted -> _on_ack -> _apply_ack [_stop_loss_wake -> cancel
-           -> _note_cancelled]
-a new frame on this path must replace one, or the budget (and docs/datagram-handoff.md)
-must say why it grew"""
-
-
-#: Python-level ``repro.moqt`` + ``repro.relaynet`` calls per delivered object
-#: on the same star, counting the generated methods (``<string>`` frames:
-#: dataclass ``__init__`` / ``__hash__`` / ``__gt__``, a ``NamedTuple``'s
-#: ``__new__``) of those packages' classes as theirs — netsim's ``Datagram``
-#: ``__init__`` is netsim's and not counted here.  8.5 measured on CPython 3.11
-#: (6.9 in ``moqt`` files + 0.6 generated + 1.0 ``relaynet``: the chain below,
-#: one ``publish`` per subscriber, and an eighth of the relay's and origin's
-#: per-object frames).  It read 7.5, no ``relaynet`` frame, while the
-#: application sink was ``partial(on_object, subscriber)``, called in C; the
-#: ``SubscriberSink`` that replaced it, one slotted object per followed track
-#: instead of three blocks, is one frame.  It read 8.4 while ``decode_complete_datastream`` held
-#: the decode memo, one frame per delivered object for the lookup; the session
-#: now probes its simulation's table itself.
-#: Before the session became the connection's delegate and the receiver the
-#: subscription's it was 18.9 (12.25 + 5.6 generated + 1.0 ``relaynet``):
-#: ``_deliver``, the subscriber's ``sink`` closure, ``_require_open``, ``size``
-#: x2, and ``Location``'s dataclass ``__hash__`` / ``__gt__`` (five per object).
-UPWARD_BUDGET = 9
-
-_MEASURED_UPWARD_CHAIN = """
-per delivered object, upward leg (moqt + relaynet frames, generated methods included):
-  receive: (quic _on_stream_frame) -> MoqtSession.stream_data_received
-           [the simulation's stream memo: a dict probe] -> _deliver_subscribed_object
-           -> TrackReceiver.on_object [hold-back, dedupe, largest, span check]
-           -> SubscriberSink.__call__ -> application
-  send:    publish_to -> MoqtSession.publish [closed check, len(payload), encode memo]
-           -> (quic send_encoded_stream)                        [per subscriber, at the relay]
-  relay:   stream_data_received -> decode -> _deliver_subscribed_object -> RelayTrack.on_object
-           -> TrackReceiver.on_object -> _forward_to_downstream -> TrackState.publish
-           -> _enforce_retention; encode_subgroup_stream_chunk   [per object, shared]
-  origin:  push -> TrackState.publish -> publish_to -> publish -> encode   [per object, shared]
-Location hashes and compares in C (a NamedTuple); a new frame on this path must replace
-one, or the budget (and docs/datagram-handoff.md) must say why it grew"""
-
-
-#: Python-level ``repro.quic`` + ``repro.moqt`` + ``repro.netsim`` calls per
-#: attached, SUBSCRIBE_OK'd subscriber on a one-relay, sixteen-subscriber star:
-#: 402.4 measured on CPython 3.11 (245.5 quic + 69.6 moqt + 87.3 netsim — the
-#: chain below, twelve datagrams long, plus a sixteenth of the relay's own
-#: upstream attach), in a fresh process and in a full run alike, since every
-#: simulation decodes through its own memo.  While the control-message memo
-#: was process-wide it read 395.8 in a fresh process (62.9 moqt) and 392.4 once
-#: the memo was warm: the memo lookup moved out of the pure decoder into the
-#: session's parser, so a received message is framed and then looked up in two
-#: frames instead of one (+4 per subscriber), and a session builds its parser
-#: in two (+2); 397.9 / 394.5 while a control stream's data went through a
-#: callback installed on the stream.  Before the one-pass control encoding it was 598.7 (399.6 + 73.6 +
-#: 125.6); with the datagram pool 432.8, three netsim calls per datagram more.
-#: It read 393.0 (242.5 + 63.2 + 87.3) before the connection owned its probe
-#: timeout and a stream kept its receive state itself; now 373.9 (241.4 +
-#: 63.2 + 69.3): the ``Timer`` frames (netsim) are gone, the owned wake's
-#: (quic) replace them one for one or less, and a received control message no
-#: longer passes ``_ReceiveBuffer.receive`` and ``_finished``.
-ATTACH_FRAME_BUDGET = 406
-
-_MEASURED_ATTACH_CHAIN = """
-per attached subscriber: 2 handshake + 4 control packets, each answered by a bare ACK
-(quic + moqt + netsim frames):
-  connect:   endpoint.connect -> QuicConnection -> start_handshake [ClientHello.to_bytes]
-             -> _send_packet [CryptoFrame.encode_into, append_varint x2 (header), _SentPacket,
-             _probe_timeout, _arm_loss_wake -> call_at -> Event]
-             -> _send_payload -> Network.route; the server's _accept ->
-             _process_client_hello -> _send_packet likewise; MoqtSession x2, QuicStream x2
-  encode:    ControlMessage.encode -> _append_payload [append_varint per field,
-             FullTrackName.append_to -> TrackNamespace.append_to, Parameters.append_to]
-             (SUBSCRIBE, SUBSCRIBE_OK; the two SETUPs are module constants)
-  send:      MoqtSession._send_control -> send_stream_data -> QuicStream.write -> _send_stream
-             [_EncodedStreamPacket, _probe_timeout, _arm_loss_wake,
-             append_varint x4] -> _send_payload -> Network.route
-             (CLIENT_SETUP waits for the handshake: _send_app_frames -> queue ->
-             _flush_queued_app_frames -> _send_packet)
-  receive:   Host.__call__ -> endpoint.datagram_received -> decode_header -> receive_packet
-             -> _packet_accepted -> _on_stream_frame [QuicStream.receive]
-             -> MoqtSession.stream_data_received ->
-             ControlStreamParser.feed -> read_control_frame [memo hit] ->
-             _handle_control_message -> _handle_<message>
-  ack:       _send_ack [append_varint x2, varint_size] -> _send_payload -> route
-  ack rx:    Host.__call__ -> datagram_received -> decode_header -> receive_packet ->
-             _packet_accepted -> _on_ack -> _apply_ack [_stop_loss_wake -> cancel ->
-             _note_cancelled]
-a new frame on this path must replace one, or the budget (and docs/quic-send.md) must say
-why it grew"""
-
-
-def _star(simulator):
-    network = Network(simulator)
-    publisher = build_origin(network)
-    tree = RelayTreeBuilder(network, Address(ORIGIN_HOST, ORIGIN_PORT)).build(
-        RelayTreeSpec.star(1)
-    )
-    return publisher, tree
-
-
-def _generated_owner(frame):
-    """The ``repro`` package of the class a generated method belongs to (its
-    first argument is an instance or, for ``__new__``, the class), else None."""
-    code = frame.f_code
-    if not code.co_argcount:
-        return None
-    first = frame.f_locals.get(code.co_varnames[0])
-    owner = first if isinstance(first, type) else type(first)
-    parts = owner.__module__.split(".")
-    return parts[1] if len(parts) > 2 and parts[0] == "repro" else None
-
-
-class _FrameCounter:
-    """Counts Python-level calls into the named ``src/repro`` packages; with
-    ``generated``, also the generated methods of those packages' classes."""
-
-    def __init__(self, *layers, generated=False):
-        self.layers = layers
-        self.calls = dict.fromkeys(layers, 0)
-        if generated:
-            self.calls["generated"] = 0
-
-    def _profile(self, frame, event, arg):
-        if event == "call":
-            filename = frame.f_code.co_filename
-            if filename == "<string>":
-                if "generated" in self.calls and _generated_owner(frame) in self.layers:
-                    self.calls["generated"] += 1
-                return
-            for layer in self.layers:
-                if f"/repro/{layer}/" in filename:
-                    self.calls[layer] += 1
-                    return
-
-    def __enter__(self):
-        sys.setprofile(self._profile)
-        return self
-
-    def __exit__(self, *exc_info):
-        sys.setprofile(None)
-
-    def report(self, per):
-        """``(calls per op, "layer total, layer total, ...")``."""
-        split = ", ".join(f"{layer} {count / per:.2f}" for layer, count in self.calls.items())
-        return sum(self.calls.values()) / per, split
-
-
-def _fanned_out_star(counter, payload):
-    """Eight subscribers on a one-relay star, five objects of ``payload``
-    pushed inside ``counter``; returns the delivered group ids.  The object
-    decode memo is the simulation's, so what other tests pushed before does
-    not change the count."""
-    subscribers, objects = 8, 5
-    simulator = Simulator(seed=3)
-    publisher, tree = _star(simulator)
-    tree.attach_subscribers(subscribers)
-    delivered = []
-    tree.subscribe_all(TRACK, on_object=lambda subscriber, obj: delivered.append(obj.group_id))
-    simulator.run(until=simulator.now + 3.0)
-
-    with counter:
-        for update in range(objects):
-            publisher.push(MoqtObject(group_id=update + 2, object_id=0, payload=payload))
-            simulator.run(until=simulator.now + 0.25)
-
-    assert len(delivered) == subscribers * objects
-    return delivered
-
-
-def test_frames_per_delivered_object_stay_within_budget():
-    counter = _FrameCounter("quic", "netsim")
-    delivered = _fanned_out_star(counter, b"x" * 300)
-    per_object, split = counter.report(len(delivered))
-    print(f"\nframes per delivered object: {per_object:.1f} ({split}); budget {FRAME_BUDGET}")
-    assert per_object <= FRAME_BUDGET, (
-        f"{per_object:.1f} quic+netsim calls per delivered object ({split} over "
-        f"{len(delivered)} deliveries) exceeds the budget of {FRAME_BUDGET}.{_MEASURED_CHAIN}"
-    )
-
-
-def test_upward_calls_per_delivered_object_stay_within_budget():
-    counter = _FrameCounter("moqt", "relaynet", generated=True)
-    # The reading (8.5) is the same in a full run, and one more frame per
-    # object exceeds the budget.
-    delivered = _fanned_out_star(counter, b"upward leg " * 27 + b"...")
-    per_object, split = counter.report(len(delivered))
-    print(
-        f"\nupward calls per delivered object: {per_object:.2f} ({split}); "
-        f"budget {UPWARD_BUDGET}"
-    )
-    assert per_object <= UPWARD_BUDGET, (
-        f"{per_object:.2f} moqt+relaynet calls per delivered object ({split} over "
-        f"{len(delivered)} deliveries) exceeds the budget of {UPWARD_BUDGET}."
-        f"{_MEASURED_UPWARD_CHAIN}"
-    )
-
-
-def test_frames_per_attached_subscriber_stay_within_budget():
-    subscribers = 16
-    simulator = Simulator(seed=3)
-    _, tree = _star(simulator)
-
-    with _FrameCounter("quic", "moqt", "netsim") as counter:
-        tree.attach_subscribers(subscribers)
-        subscriptions = tree.subscribe_all(TRACK, on_object=lambda subscriber, obj: None)
-        simulator.run(until=simulator.now + 3.0)
-
-    assert sum(subscription.is_active for subscription in subscriptions) == subscribers
-    per_subscriber, split = counter.report(subscribers)
-    print(
-        f"\nframes per attached subscriber: {per_subscriber:.1f} ({split}); "
-        f"budget {ATTACH_FRAME_BUDGET}"
-    )
-    assert per_subscriber <= ATTACH_FRAME_BUDGET, (
-        f"{per_subscriber:.1f} quic+moqt+netsim calls per attached subscriber ({split} over "
-        f"{subscribers} subscribers) exceeds the budget of {ATTACH_FRAME_BUDGET}."
-        f"{_MEASURED_ATTACH_CHAIN}"
-    )

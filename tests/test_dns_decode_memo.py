@@ -157,6 +157,7 @@ def test_a_cold_lookups_forwarder_answer_is_a_memo_hit(monkeypatch):
     key = _subscribe(topology, names[1])
     forwarded = topology.forwarder.record(key).message
     assert forwarded is topology.recursive.record(key).message
+    assert {record.name for record in forwarded.answers} == {key.qname}
     assert wires.count(forwarded.to_wire()) == 1, "the answer was not parsed exactly once"
     assert len(wires) == len(set(wires)), "some bytes were parsed twice"
 

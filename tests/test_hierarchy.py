@@ -7,8 +7,8 @@ parent's label objects, ``RRset`` and ``Zone`` are slotted, a change process
 that cannot change drops its generator, and a zone nobody watches builds no
 change notification.  Pinned here:
 
-* (a) a footprint budget — live bytes and blocks per domain of a 500-domain
-  hierarchy, the per-file table as the diagnostic (``-s`` prints it);
+* (a) live bytes and blocks per domain of a 500-domain hierarchy, per layer,
+  are rows of the exact-cost ledger (``tests/exact/``, ``domain.*``);
 * (b) the build is the same zones — against the text-based build kept below
   as the reference, for two top-list sizes and two change seeds: every
   zone's text, every lookup of every domain and type, every change process's
@@ -21,16 +21,15 @@ child zone's delegation and glue built a second time (b: the identity check);
 the NS target or the glue address pointing at another host (b: the zone texts
 and the lookups differ); the generator dropped for a process that can change
 (b: ``advance()`` raises); a process that cannot change drawing on with a
-generator it no longer has (b); ``Name.__init__`` copying labels again (a, c),
-keeping a ``bytearray`` label (c), or skipping the empty-label, 63-byte or
-255-byte check (c); ``RRset`` without ``__slots__`` (a).
+generator it no longer has (b); ``Name.__init__`` copying labels again (the
+ledger's ``domain.*`` rows, c), keeping a ``bytearray`` label (c), or skipping
+the empty-label, 63-byte or 255-byte check (c); ``RRset`` without
+``__slots__`` (``domain.*``).
 """
 
 from __future__ import annotations
 
-import gc
 import random
-import tracemalloc
 
 import pytest
 
@@ -44,65 +43,6 @@ from repro.workload.toplist import SyntheticToplist, ToplistConfig, ToplistDomai
 from repro.workload.zones import TLD_SERVER_PREFIX, DomainAssignment, WorkloadZones
 
 DOMAINS = 500
-
-# ------------------------------------------------------------------ (a) budget
-#: Live bytes / blocks one more domain of a 500-domain hierarchy keeps (every
-#: file, ``tracemalloc``'s own excepted): 4,764 B in 61.3 blocks measured on
-#: CPython 3.11 (3.12 reads 4,714 B).  7,858 B in 100.3 blocks while each
-#: change process that could not change kept its generator, each delegation's
-#: NS and glue records were parsed from text for both zones, names copied
-#: their parent's labels, ``Zone`` and ``RRset`` carried a ``__dict__`` and
-#: every mutation built a ``ZoneChange`` nobody read.  The budget is the 3.11
-#: figure plus 5 %.
-BYTES_BUDGET = 5_000
-BLOCKS_BUDGET = 64.3
-
-_WHERE_IT_GOES = """
-per domain: its zone (SOA, NS, glue, A / AAAA / HTTPS RRsets, the owner and RRset tables),
-the TLD zone's delegation entries (the same NS and glue records the child zone files), the
-DomainAssignment, and the A record's change process — with its private generator only if
-the record can change (workload/change_model.py, random.py).
-A new per-domain copy of a value another zone or name already holds is what this budget is
-for (docs/state.md § The DNS hierarchy)."""
-
-
-def _footprint(domains: int) -> tuple[float, float, str]:
-    """(bytes, blocks, per-file table) per domain of one ``WorkloadZones`` build."""
-    toplist = SyntheticToplist(ToplistConfig(size=domains))
-    model = ChangeModel(ChangeModelConfig(seed=7))
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.take_snapshot()
-        zones = WorkloadZones(toplist, model)
-        gc.collect()
-        after = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
-    assert len(zones.assignments) == domains
-    rows = []
-    for stat in after.compare_to(before, "filename"):
-        filename = stat.traceback[0].filename.replace("\\", "/")
-        if filename.endswith("/tracemalloc.py") or not (stat.size_diff or stat.count_diff):
-            continue
-        name = filename.split("/repro/", 1)[1] if "/repro/" in filename else filename.rsplit("/", 1)[-1]
-        rows.append((name, stat.size_diff, stat.count_diff))
-    rows.sort(key=lambda row: -row[1])
-    total_bytes = sum(row[1] for row in rows) / domains
-    total_blocks = sum(row[2] for row in rows) / domains
-    lines = [f"{'file':28s} {'B/domain':>9s} {'blocks/domain':>13s}"]
-    lines += [f"{name:28s} {size / domains:9.1f} {count / domains:13.2f}" for name, size, count in rows]
-    lines.append(f"{'total':28s} {total_bytes:9.1f} {total_blocks:13.2f}")
-    return total_bytes, total_blocks, "\n".join(lines)
-
-
-def test_live_state_per_domain_stays_within_budget():
-    per_domain_bytes, per_domain_blocks, table = _footprint(DOMAINS)
-    print(f"\nhierarchy footprint per domain ({DOMAINS}-domain WorkloadZones):\n{table}")
-    assert per_domain_bytes <= BYTES_BUDGET and per_domain_blocks <= BLOCKS_BUDGET, (
-        f"{per_domain_bytes:.0f} B in {per_domain_blocks:.1f} blocks per domain "
-        f"exceeds the budget of {BYTES_BUDGET} B / {BLOCKS_BUDGET} blocks.\n{table}{_WHERE_IT_GOES}"
-    )
 
 
 # ------------------------------------------------------- (b) the same zones

@@ -7,17 +7,17 @@ or forwarder, recursive resolver — shares one core
 nothing behind: only the question's record, its registry entry and the push
 handler on its subscription outlive it.  Pinned here:
 
-* (a) a footprint budget — live bytes and blocks per subscribed question under
-  ``src/repro/core/``, in ``moqt/session.py``, under ``src/repro/dns/`` (the
-  held answers) and under ``src/repro/netsim/``, 1,000 A questions after 200
-  warm-ups on ``build_workload_topology`` with 8 authoritative hosts, the
-  per-file table as the diagnostic (``-s`` prints it).  The network keeps no
-  per-question state of its own: a ``netsim`` row in the kilobytes is a
+* (a) live bytes and blocks per subscribed question, per layer — 1,000 A
+  questions after 200 warm-ups on ``build_workload_topology`` with 8
+  authoritative hosts — are rows of the exact-cost ledger
+  (``tests/exact/``, ``question.*``).  The network keeps no per-question
+  state of its own: a ``question.bytes.netsim`` row in the kilobytes is a
   datagram trace recording by default again;
-* (b) retention — once the warm-up has opened a session to every upstream
-  host, the numbers of live attempt, ``Timer``, ``FetchRequest`` and
-  resolution-task objects do not depend on how many questions have been
-  resolved, and no closure graph is parked per question;
+* (b) retention, read from the same run — once the warm-up has opened a
+  session to every upstream host, the numbers of live attempt, ``Timer``,
+  ``FetchRequest`` and resolution-task objects do not depend on how many
+  questions have been resolved, no closure graph is parked per question and
+  no lookup is left in flight;
 * (c) ``run_teardown`` on both roles: teardown → re-lookup → zone change ends
   with the current answer in the one record;
 * (d) the two SUBSCRIBE_ERROR policies, against an upstream that declines the
@@ -27,208 +27,48 @@ handler on its subscription outlive it.  Pinned here:
 Source mutations tried when this file was written, each failing a test: the
 attempt keeping its callback after finishing (d: the outcome is reported
 twice) or leaving itself on the subscription's ``on_response`` (b); a
-completed or errored fetch left in ``MoqtSession._fetches`` (a, b); a fresh
-record built per push (c, and ``test_core_servers.py``); the forwarder handed
-the recursive's ``on_response`` and the reverse (d).
+completed or errored fetch left in ``MoqtSession._fetches`` (the ledger's
+``question.*`` rows, b); a fresh record built per push (c, and
+``test_core_servers.py``); the forwarder handed the recursive's
+``on_response`` and the reverse (d).
 """
 
 from __future__ import annotations
 
-import gc
-import os
-import tracemalloc
-import types
-
 import pytest
 
-import repro
 from repro.core.encapsulation import encapsulate_response
 from repro.core.forwarder import MoqForwarder
 from repro.core.mapping import DnsQuestionKey, track_to_question
-from repro.core.recursive import MoqRecursiveResolver, _ResolutionTask
-from repro.core.subscribing import SubscribeFetch
+from repro.core.recursive import MoqRecursiveResolver
 from repro.core.subscription import IdleTimeoutPolicy
 from repro.dns.message import make_query, make_response
 from repro.dns.name import Name
 from repro.dns.rdata import ARdata
 from repro.dns.rr import ResourceRecord
 from repro.dns.types import MOQT_PORT, RecordType
-from repro.experiments.topology import SmallTopology, build_workload_topology
+from repro.experiments.topology import SmallTopology
 from repro.moqt.errors import SubscribeErrorCode
-from repro.moqt.session import MOQT_ALPN, FetchRequest, FetchResult, MoqtSession, SubscribeResult
+from repro.moqt.session import MOQT_ALPN, FetchResult, MoqtSession, SubscribeResult
 from repro.netsim.link import LinkConfig
 from repro.netsim.network import Network
 from repro.netsim.packet import Address
-from repro.netsim.simulator import Simulator, Timer
+from repro.netsim.simulator import Simulator
 from repro.quic.endpoint import QuicEndpoint
 from repro.quic.tls import ServerTlsContext
-from repro.workload.change_model import ChangeModel, ChangeModelConfig
-from repro.workload.toplist import SyntheticToplist, ToplistConfig
-from repro.workload.zones import WorkloadZones, ZoneBuildConfig
-
-SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
-
-# ------------------------------------------------------------------ (a) budget
-#: Live bytes / blocks one more subscribed question keeps.  CPython 3.11 reads
-#: 3,296 B in 49.4 blocks under ``core/`` (3.12: 3,280 B) and 1,351 B in
-#: ``moqt/session.py``.  4,451 B in 70.4 blocks while the values were
-#: dict-backed dataclasses and the push handler a ``partial`` of a bound
-#: method; 9,609 B in 143.3 blocks and 2,963 B while the chain kept, per
-#: question, 1 finished resolution task, 3 stopped timers, 3 completed fetches
-#: with their objects, 17 closures and 29 cells.  The budgets are the 3.11
-#: figures plus 24 % (bytes) and 19 % (blocks).
-CORE_BYTES_BUDGET = 4_100
-CORE_BLOCKS_BUDGET = 58.7
-SESSION_BYTES_BUDGET = 2_000
-#: ``netsim/`` reads ≈ 14 B; with a recording ``TraceRecorder`` as the
-#: network's default (the parent commit) it read 5,970 B.
-NETSIM_BYTES_BUDGET = 64
-#: ``dns/`` — the held answers — reads 3,771 B in 69.3 blocks on CPython
-#: 3.11 (3.12: 3,683 B); 5,575 B in 104.2 blocks while every record, rdata,
-#: question, header and message carried an instance ``__dict__``.  That is
-#: the simulator process's figure: the forwarder and the recursive resolver,
-#: two hosts of one simulation, share one decoded ``Message`` per answer
-#: (``core/subscribing.py``'s ``AnswerMemo``).  Each role holding its own
-#: decode, as separate hosts do, read 8,533 B in 168.1 blocks with
-#: dict-backed values.  The budget is the 3.11 figure plus 5 %.
-DNS_BYTES_BUDGET = 3_960
-WARM_UP, QUESTIONS, CENSUS_STEP = 200, 1000, 250
-PER_LOOKUP = (SubscribeFetch, Timer, FetchRequest, _ResolutionTask)
-CENSUS = (*PER_LOOKUP, types.FunctionType, types.CellType)
-
-_WHERE_IT_GOES = """
-per question: the forwarder's and the recursive resolver's QuestionRecord and
-registry entry, three Subscriptions (stub -> recursive, recursive -> TLD,
-recursive -> authoritative) each with its push handler, the recursive
-resolver's PublisherSubscription, two authoritative servers' track state, and
-the DnsQuestionKey / FullTrackName objects those name.  The dns/ rows are the
-held answer: one decoded Message, which both QuestionRecords share (the
-simulation's AnswerMemo in core/subscribing.py), its names, records and
-rdata.  Anything a *finished* lookup still holds — a timer, a fetch, a
-callback — is what this budget is for (docs/resolvers.md)."""
 
 
-def _census() -> dict[type, int]:
-    gc.collect()
-    counts = dict.fromkeys(CENSUS, 0)
-    for obj in gc.get_objects():
-        if type(obj) in counts:
-            counts[type(obj)] += 1
-    return counts
-
-
-@pytest.fixture(scope="module")
-def measured():
-    """One run: warm-up, then ``QUESTIONS`` cold questions under ``tracemalloc``
-    with an object census after the first and the second ``CENSUS_STEP``."""
-    toplist = SyntheticToplist(ToplistConfig(size=2 * (WARM_UP + QUESTIONS), seed=17))
-    zones = WorkloadZones(
-        toplist,
-        change_model=ChangeModel(ChangeModelConfig(seed=17)),
-        config=ZoneBuildConfig(auth_server_count=8),
-    )
-    topology = build_workload_topology(zones, moqt_fraction=1.0)
-    names = [d.name for d in toplist.domains() if d.has_type(RecordType.A)]
-    names = names[: WARM_UP + QUESTIONS]
-    assert len(names) == WARM_UP + QUESTIONS
-    answered = []
-
-    def ask(batch) -> None:
-        for name in batch:
-            topology.forwarder.resolve(
-                DnsQuestionKey(qname=name, qtype=RecordType.A),
-                lambda message, version: answered.append(message is not None),
-            )
-        # Long enough for every attempt's (cancelled) timeout event to leave the heap.
-        topology.simulator.run(until=topology.simulator.now + 30.0)
-
-    ask(names[:WARM_UP])
-    sessions = topology.recursive.state_summary()["open_sessions"]
-    censuses = []
-    # The simulation's MoQT decode tables start the window empty, as the
-    # window has always measured them; its DNS tables carry the warm-up's
-    # answers over (``Simulator.memos``).
-    for kind in ("moqt.control", "moqt.stream"):
-        topology.simulator.memos[kind].clear()
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.take_snapshot()
-        for start in range(WARM_UP, WARM_UP + QUESTIONS, CENSUS_STEP):
-            ask(names[start : start + CENSUS_STEP])
-            if len(censuses) < 2:
-                censuses.append(_census())
-        gc.collect()
-        after = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
-    assert all(answered) and len(answered) == WARM_UP + QUESTIONS
-    assert topology.recursive.state_summary()["open_sessions"] == sessions, "warm-up too short"
-    for node in (topology.forwarder, topology.recursive):
-        assert node.state_summary()["inflight_lookups"] == 0
-    everything = sorted(
-        (
-            (stat.traceback[0].filename[len(SRC) :], stat.size_diff, stat.count_diff)
-            for stat in after.compare_to(before, "filename")
-            if stat.traceback[0].filename.startswith(SRC)
-            and (stat.size_diff or stat.count_diff)
-        ),
-        key=lambda row: -row[1],
-    )
-    rows = [row for row in everything if row[0].startswith(("core", "dns", "memo", "moqt", "netsim"))]
-    lines = [f"{'file':28s} {'B/question':>10s} {'blocks/question':>15s}"]
-    lines += [
-        f"{name:28s} {size / QUESTIONS:10.1f} {count / QUESTIONS:15.2f}"
-        for name, size, count in rows
-    ]
-    return {"rows": rows, "everything": everything, "table": "\n".join(lines), "censuses": censuses}
-
-
-def _per_question(rows, prefix: str = "") -> tuple[float, float]:
-    """Bytes and blocks per question of the rows whose file starts with ``prefix``."""
-    matching = [row for row in rows if row[0].startswith(prefix)]
-    return sum(row[1] for row in matching) / QUESTIONS, sum(row[2] for row in matching) / QUESTIONS
-
-
-def test_live_state_per_subscribed_question_stays_within_budget(measured):
-    rows, table = measured["rows"], measured["table"]
-    core_bytes, core_blocks = _per_question(rows, "core" + os.sep)
-    session_bytes, _ = _per_question(rows, os.path.join("moqt", "session.py"))
-    netsim_bytes, netsim_blocks = _per_question(rows, "netsim" + os.sep)
-    dns_bytes, dns_blocks = _per_question(rows, "dns" + os.sep)
-    total_bytes, total_blocks = _per_question(measured["everything"])
-    table += f"\n{'total under core/':28s} {core_bytes:10.1f} {core_blocks:15.2f}"
-    table += f"\n{'total under dns/':28s} {dns_bytes:10.1f} {dns_blocks:15.2f}"
-    table += f"\n{'total under netsim/':28s} {netsim_bytes:10.1f} {netsim_blocks:15.2f}"
-    table += f"\n{'total under src/repro':28s} {total_bytes:10.1f} {total_blocks:15.2f}"
-    print(f"\nfootprint per subscribed question ({QUESTIONS} after {WARM_UP} warm-ups):\n{table}")
-    assert (
-        core_bytes <= CORE_BYTES_BUDGET
-        and core_blocks <= CORE_BLOCKS_BUDGET
-        and session_bytes <= SESSION_BYTES_BUDGET
-        and netsim_bytes <= NETSIM_BYTES_BUDGET
-        and dns_bytes <= DNS_BYTES_BUDGET
-    ), (
-        f"core/ {core_bytes:.0f} B in {core_blocks:.1f} blocks (budget {CORE_BYTES_BUDGET} B / "
-        f"{CORE_BLOCKS_BUDGET}), moqt/session.py {session_bytes:.0f} B (budget "
-        f"{SESSION_BYTES_BUDGET} B), netsim/ {netsim_bytes:.0f} B (budget "
-        f"{NETSIM_BYTES_BUDGET} B), dns/ {dns_bytes:.0f} B (budget {DNS_BYTES_BUDGET} B) "
-        f"per question.\n{table}{_WHERE_IT_GOES}"
-    )
-
-
-# --------------------------------------------------------------- (b) retention
-def test_a_finished_lookup_leaves_nothing_behind(measured):
-    first, second = measured["censuses"]
-    for kind in PER_LOOKUP:
-        assert second[kind] == first[kind], (
-            f"{kind.__name__}: {first[kind]} live after {CENSUS_STEP} questions, "
-            f"{second[kind]} after {2 * CENSUS_STEP}"
-        )
+# ---------------------------------------------------------- (b) retention
+def test_a_finished_lookup_leaves_nothing_behind(exact_costs):
+    """The ledger's question scenario (``tests/exact/collect.py``) counts the
+    live objects of each kind after 250 and after 500 of its 1,000 questions:
+    the difference per question is what a finished lookup leaves."""
+    rows, _ = exact_costs
+    for kind in ("SubscribeFetch", "Timer", "FetchRequest", "_ResolutionTask"):
+        assert rows[f"question.retained.{kind}"] == 0, kind
     # The push handler is one slotted object (``PushHandler``): no closure per question.
-    functions = (second[types.FunctionType] - first[types.FunctionType]) / CENSUS_STEP
-    cells = (second[types.CellType] - first[types.CellType]) / CENSUS_STEP
-    assert functions <= 1 and cells <= 2, f"+{functions} functions, +{cells} cells per question"
+    assert rows["question.retained.function"] <= 1 and rows["question.retained.cell"] <= 2
+    assert rows["question.inflight_lookups"] == 0
 
 
 # ---------------------------------------------------------------- (c) teardown

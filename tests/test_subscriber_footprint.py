@@ -4,11 +4,11 @@ Per-peer state follows the role the peer plays: a table exists once its role
 is played, reads never branch on whether it does, and the in-flight ledger is
 the one answer to "is this packet outstanding".  Pinned here:
 
-* (a) a footprint budget — live bytes and blocks per attached, SUBSCRIBE_OK'd,
-  idle subscriber under ``src/``, with the per-file table as the diagnostic;
-  a budget on the attach wave's ``tracemalloc`` peak per subscriber; and an
-  exact census of the GC-tracked objects per subscriber, every type pinned
-  (``docs/state.md`` rule 8, no callable of its own);
+* (a) what one attached, SUBSCRIBE_OK'd, idle subscriber keeps — live bytes
+  and blocks per layer, the attach wave's ``tracemalloc`` peak and the census
+  of GC-tracked objects by type (``docs/state.md`` rule 8, no callable of its
+  own) — are rows of the exact-cost ledger (``tests/exact/``); pinned here,
+  every subscriber of the measured stars is active;
 * (b) structure — which containers a fresh connection / session pair owns,
   and which tables are still the shared empty one after SUBSCRIBE_OK (the
   dedupe window until the first object, the SETUP queue, the control
@@ -31,25 +31,18 @@ acknowledged one, ``sent_at`` not stored, ``wire_size`` filed from the
 admission estimate or not at all, a DATAGRAM-frame record re-sent on PTO or
 not filed under a controller, rejected 0-RTT records keeping their bytes, the
 loss timer re-armed with nothing outstanding (d); the ledger kept, or the
-controller not told, on close (e).  Tried with the census and wave-peak
-budgets: the SETUP queue left a list at SETUP, a link sink over a bound method
-of its own, the liveness hook over a fresh bound method, a link sink as a
-partial over its host, the liveness hook as a slotted object of its own (a
-type outside the census's old eight names: census, a); a drained reorder
-table kept (b); ``_move`` not unbinding the port it left (f).
+controller not told, on close (e); a drained reorder table kept (b);
+``_move`` not unbinding the port it left (f).  The mutants the ledger's
+``subscriber.*`` rows kill are listed in ``tests/exact/collect.py``.
 """
 
 from __future__ import annotations
 
 import gc
-import os
-import tracemalloc
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro
 from repro.experiments.relay_fanout import run_relay_fanout
 from repro.moqt.objectmodel import MoqtObject
 from repro.moqt.origin import ORIGIN_HOST, ORIGIN_PORT, TRACK, build_origin
@@ -76,12 +69,10 @@ from repro.relaynet import RelayTreeBuilder, RelayTreeSpec
 
 from connection_delegate import delegate_to
 
-SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
-
-def _star(seed: int = 3):
-    simulator = Simulator(seed=seed)
-    network = Network(simulator, trace=NullTraceRecorder(simulator))
+def _star():
+    simulator = Simulator(seed=3)
+    network = Network(simulator)
     publisher = build_origin(network)
     tree = RelayTreeBuilder(network, Address(ORIGIN_HOST, ORIGIN_PORT)).build(
         RelayTreeSpec.star(1)
@@ -89,222 +80,13 @@ def _star(seed: int = 3):
     return simulator, network, publisher, tree
 
 
-# ------------------------------------------------------------------ (a) budget
-#: Live bytes / blocks one more attached subscriber keeps under ``src/`` on a
-#: one-relay star of 256: 6,887 B in 76.0 blocks measured on CPython 3.11.
-#: 7,600 B in 87.0 blocks (outside pytest 7,591 B on 3.11, 7,954 B on 3.10,
-#: 7,559 B on 3.12 and 7,568 B on 3.13) while the two link sinks, the
-#: liveness hook and the receiver's sink were four ``functools.partial`` at
-#: 192 B and 3 blocks each; a link's sink is now its destination ``Host``, the
-#: liveness hook the ``TreeSubscriber`` (one slot more) and the receiver's
-#: sink a 48-B ``SubscriberSink``.  9,056 B in 110.1 blocks
-#: while each connection's loss wake was a ``Timer`` with its bound method,
-#: each link sink a partial over a bound method of its own, the liveness hook
-#: a lambda, each control stream a ``_ReceiveBuffer`` with an empty dict, the
-#: dedupe window an empty set, each received-set a list of lists, and the
-#: SETUP queue, the control parser's buffer, the INITIAL header and the
-#: endpoint's ``network.route`` were each kept per peer.  9,383 B in 112.2 blocks
-#: while a drained in-flight ledger kept the table its handshake burst grew
-#: and the control messages were dict-backed; 10,323 B in 126.2 blocks
-#: while each session installed four bound methods as connection callbacks
-#: (8 x 64 B), each tree subscriber's receiver had a ``sink`` closure (288 B)
-#: and ``Location`` was a dataclass; 10,355 B while each ``Link`` also kept
-#: its simulator and a ``batchable`` flag.  The budget is the 3.11 figure
-#: plus 5 %.
-BYTES_BUDGET = 7_231
-BLOCKS_BUDGET = 79.8
-
-_WHERE_IT_GOES = """
-per subscriber: client host + two link directions + client endpoint (netsim, endpoint.py),
-two QuicConnections and two MoqtSessions (client side and the relay's accepted side; each
-session is its connection's delegate, nothing is installed per connection), the
-TreeSubscriber (its session's liveness hook) with its TrackReceiver (whose sink is one
-SubscriberSink), the relay's PublisherSubscription.
-A table exists once its role is played: a new container created empty in
-QuicConnection.__init__ / MoqtSession.__init__ is what this budget is for
-(docs/state.md lists what is there and what was deliberately left)."""
-
-
-def _footprint(subscribers: int) -> tuple[float, float, str]:
-    """(bytes, blocks, per-file table) per subscriber for attach + subscribe + settle."""
-    simulator, _, _, tree = _star()
-    delivered = []
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.take_snapshot()
-        tree.attach_subscribers(subscribers)
-        subscriptions = tree.subscribe_all(
-            TRACK, on_object=lambda subscriber, obj: delivered.append(obj.group_id)
-        )
-        simulator.run(until=simulator.now + 3.0)
-        gc.collect()
-        after = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
-    assert all(subscription.is_active for subscription in subscriptions)
-    rows = [
-        (stat.traceback[0].filename[len(SRC) :], stat.size_diff, stat.count_diff)
-        for stat in after.compare_to(before, "filename")
-        if stat.traceback[0].filename.startswith(SRC) and (stat.size_diff or stat.count_diff)
-    ]
-    rows.sort(key=lambda row: -row[1])
-    total_bytes = sum(row[1] for row in rows) / subscribers
-    total_blocks = sum(row[2] for row in rows) / subscribers
-    lines = [f"{'file':28s} {'B/sub':>9s} {'blocks/sub':>10s}"]
-    lines += [
-        f"{name:28s} {size / subscribers:9.1f} {count / subscribers:10.2f}"
-        for name, size, count in rows
-    ]
-    lines.append(f"{'total under src/repro':28s} {total_bytes:9.1f} {total_blocks:10.2f}")
-    return total_bytes, total_blocks, "\n".join(lines)
-
-
-def test_live_state_per_attached_subscriber_stays_within_budget():
-    per_subscriber_bytes, per_subscriber_blocks, table = _footprint(256)
-    print(f"\nfootprint per attached subscriber (256-subscriber star):\n{table}")
-    assert per_subscriber_bytes <= BYTES_BUDGET and per_subscriber_blocks <= BLOCKS_BUDGET, (
-        f"{per_subscriber_bytes:.0f} B in {per_subscriber_blocks:.1f} blocks per subscriber "
-        f"exceeds the budget of {BYTES_BUDGET} B / {BLOCKS_BUDGET} blocks.\n{table}{_WHERE_IT_GOES}"
-    )
-
-
-#: ``tracemalloc``'s peak above the start of the wave, per subscriber, over the
-#: same attach + subscribe + settle (every file, not only ``src/``): what the
-#: heap holds at the wave's busiest instant, settled state included.  This is
-#: what ``tree_attach``'s ``peak_rss_mib`` follows, and the settled budget
-#: above cannot see it: at 25 virtual ms of that workload the heap holds 35,001
-#: entries, 15,000 of them cancelled loss wakes, which kept their bound methods
-#: (and the timers behind them) until a cancelled event dropped its callback.
-#: 9,049 B on CPython 3.11; 9,761 B (outside pytest 9,752 B on 3.11, 9,932 B
-#: on 3.10, 9,720 B on 3.12, 9,728 B on 3.13) while the settled budget's four
-#: partials were per subscriber; 11,405 B while each
-#: connection's loss wake was a ``Timer``, a cancelled event kept its callback
-#: and the callables and tables of the settled budget's note were per
-#: subscriber.  The budget is the 3.11 figure plus 5 %.
-WAVE_PEAK_BUDGET = 9_502
-
-
-def _wave_peak(subscribers: int) -> float:
-    simulator, _, _, tree = _star()
-    gc.collect()
-    tracemalloc.start()
-    try:
-        start, _ = tracemalloc.get_traced_memory()
-        tree.attach_subscribers(subscribers)
-        subscriptions = tree.subscribe_all(TRACK, on_object=lambda subscriber, obj: None)
-        simulator.run(until=simulator.now + 3.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert all(subscription.is_active for subscription in subscriptions)
-    return (peak - start) / subscribers
-
-
-def test_attach_wave_peak_per_subscriber_stays_within_budget():
-    peak = _wave_peak(256)
-    print(f"\nattach wave peak per subscriber (256-subscriber star): {peak:.1f} B")
-    assert peak <= WAVE_PEAK_BUDGET, (
-        f"the attach wave peaks at {peak:.0f} B per subscriber, over the budget of "
-        f"{WAVE_PEAK_BUDGET} B: something transient (a heap entry, an event, a datagram "
-        f"in flight) holds more than it did, or longer.{_WHERE_IT_GOES}"
-    )
-
-
-#: GC-tracked objects one more attached, SUBSCRIBE_OK'd, idle subscriber keeps,
-#: by type, every type: the difference between a 256- and a 128-subscriber
-#: star over 128, so what a simulation or a process allocates once cancels out
-#: and every count is a whole number (after a warm-up star: the first one a
-#: process builds also fills a few lazily made tables).  ``docs/state.md``
-#: rule 8: per-peer state holds no callable of its own.  A type missing here
-#: must keep a count of zero, so a replacement object cannot pass unseen.
-#: The six bound methods are the two armed idle wakes' callbacks, the two
-#: connections' ``send_datagram`` (the endpoint's ``_send_payload``), the
-#: subscription's delivery function (the receiver's ``on_object``) and the
-#: relay's ``on_closed`` hook on its downstream session.  Each link's sink is
-#: its destination ``Host`` and the session's liveness hook is the
-#: ``TreeSubscriber``; the receiver's sink is the one ``SubscriberSink``.  The
-#: eight dicts are the tables a role fills (the host's ports, the endpoint's
-#: connections, the ticket store's tickets, each connection's streams, the
-#: sessions' subscription maps); the three lists are the two received-sets and
-#: the subscriber's list of tracks; the two ``Event`` are the armed idle wakes
-#: and the two tuples their heap entries.
-#: Measured on CPython 3.11: 48 tracked objects per subscriber in all.  Before
-#: rule 8: 71.3, of which 11 bound methods, 1 function and 1 cell (the liveness
-#: lambda), 3 partials, 2 ``Timer``, 2 ``_ReceiveBuffer``, 1 set (the empty
-#: dedupe window) and 7 lists; 55 while the two link sinks, the liveness hook
-#: and the receiver's sink were four partials (with four argument tuples).
-CENSUS = {
-    # netsim: the client host, two link directions, the idle wakes, the
-    # client endpoint's address.
-    "Host": 1,
-    "Link": 2,
-    "LinkStatistics": 2,
-    "Event": 2,
-    "Address": 1,
-    # quic: the client endpoint and the two ends of the connection.
-    "QuicEndpoint": 1,
-    "SessionTicketStore": 1,
-    "SessionTicket": 1,
-    "QuicConnection": 2,
-    "ConnectionStatistics": 2,
-    "QuicStream": 2,
-    # moqt: the two sessions, the subscription and the relay's record of it.
-    "MoqtSession": 2,
-    "SessionStatistics": 2,
-    "ControlStreamParser": 2,
-    "Subscription": 1,
-    "PublisherSubscription": 1,
-    "Location": 1,
-    "TrackReceiver": 1,
-    # relaynet
-    "TreeSubscriber": 1,
-    "SubscriberSink": 1,
-    # the containers and the bound methods named above
-    "dict": 8,
-    "list": 3,
-    "tuple": 2,
-    "method": 6,
-    # retired per peer by rule 8, pinned at zero by name
-    "function": 0,
-    "cell": 0,
-    "partial": 0,
-    "Timer": 0,
-    "_ReceiveBuffer": 0,
-    "set": 0,
-}
-
-
-def _census(subscribers: int) -> Counter:
-    simulator, _, _, tree = _star()
-    gc.collect()
-    before = Counter(type(obj).__name__ for obj in gc.get_objects())
-    tree.attach_subscribers(subscribers)
-    subscriptions = tree.subscribe_all(TRACK, on_object=lambda subscriber, obj: None)
-    simulator.run(until=simulator.now + 3.0)
-    gc.collect()
-    after = Counter(type(obj).__name__ for obj in gc.get_objects())
-    assert all(subscription.is_active for subscription in subscriptions)
-    after.subtract(before)
-    return after
-
-
-def test_census_of_tracked_objects_per_attached_subscriber_is_exact():
-    _census(1)  # what the first star of a process builds once (a warm-up)
-    small, large = _census(128), _census(256)
-    names = sorted(CENSUS.keys() | small.keys() | large.keys())
-    per_subscriber = {name: (large[name] - small[name]) / 128 for name in names}
-    held = {name: count for name, count in per_subscriber.items() if count}
-    print(f"\nGC-tracked objects per attached subscriber ({sum(held.values()):g}): {held}")
-    moved = [
-        f"{name} moved {CENSUS.get(name, 0)} → {per_subscriber[name]:g}"
-        for name in names
-        if per_subscriber[name] != CENSUS.get(name, 0)
-    ]
-    assert not moved, (
-        "per attached subscriber: " + "; ".join(moved) + " (a closure, a bound method or a "
-        "table created per peer: docs/state.md rule 8; an intended move edits CENSUS)"
-    )
+# ------------------------------------------------------------ (a) measured
+def test_every_subscriber_of_the_measured_stars_is_active(exact_costs):
+    """The ledger's stars (``tests/exact/collect.py``) price attached,
+    SUBSCRIBE_OK'd subscribers: every subscription of every one is active."""
+    rows, _ = exact_costs
+    for scenario in ("deliver", "attach", "subscriber"):
+        assert rows[f"{scenario}.active_share"] == 1.0, scenario
 
 
 # --------------------------------------------------------------- (b) structure
