@@ -33,10 +33,8 @@ from repro.analysis.latency_model import (
     LatencyBreakdown,
 )
 from repro.analysis.staleness import (
-    worst_case_staleness,
     expected_staleness_polling,
     pubsub_staleness,
-    staleness_reduction_factor,
 )
 from repro.analysis.traffic import (
     polling_requests,
@@ -65,11 +63,9 @@ from repro.analysis.fanout import (
 from repro.analysis.churn import (
     RecoveryModel,
     recovery_model,
-    expected_gap_objects,
 )
 from repro.analysis.detection import (
     DetectionModel,
-    give_up_latency,
     pto_fire_offsets,
     suspect_latency,
 )
@@ -85,10 +81,8 @@ __all__ = [
     "lookup_latency",
     "recursive_lookup_latency",
     "LatencyBreakdown",
-    "worst_case_staleness",
     "expected_staleness_polling",
     "pubsub_staleness",
-    "staleness_reduction_factor",
     "polling_requests",
     "pubsub_messages",
     "traffic_comparison",
@@ -107,9 +101,7 @@ __all__ = [
     "relative_deviation",
     "RecoveryModel",
     "recovery_model",
-    "expected_gap_objects",
     "DetectionModel",
-    "give_up_latency",
     "pto_fire_offsets",
     "suspect_latency",
     "ELECTION_LATENCY",

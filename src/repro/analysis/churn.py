@@ -29,7 +29,6 @@ re-attach latencies against this model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 #: Round trips consumed before the re-SUBSCRIBE can be sent.
@@ -80,29 +79,7 @@ class RecoveryModel:
         """Seconds from failover start to an accepted re-subscription."""
         return self.reattach_round_trips * self.rtt
 
-    def gap_fill_latency(self, upstream_rtt: float = 0.0) -> float:
-        """Seconds until the gap FETCH has been answered.
-
-        The FETCH goes out when SUBSCRIBE_OK arrives and costs one more
-        RTT against a warm cache; ``upstream_rtt`` accounts for a cold
-        cache forwarding it one tier up.
-        """
-        return self.reattach_latency + self.rtt + upstream_rtt
-
 
 def recovery_model(link_delay: float, alpn_version_negotiation: bool = False) -> RecoveryModel:
     """Model an orphan re-homing over a link with the given one-way delay."""
     return RecoveryModel(link_delay=link_delay, alpn_version_negotiation=alpn_version_negotiation)
-
-
-def expected_gap_objects(outage: float, update_interval: float) -> int:
-    """Upper bound on objects published while an orphan was detached.
-
-    ``outage`` is the window between losing the old parent and the first
-    live delivery from the new one (re-attach latency plus any in-flight
-    slack); with updates every ``update_interval`` seconds at most
-    ``ceil(outage / update_interval)`` objects need recovering via FETCH.
-    """
-    if outage < 0 or update_interval <= 0:
-        raise ValueError("outage must be >= 0 and update_interval > 0")
-    return math.ceil(outage / update_interval)

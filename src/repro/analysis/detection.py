@@ -47,7 +47,6 @@ from repro.analysis.churn import RecoveryModel, recovery_model
 #: ``PTO_BACKOFF_EXPONENT_CAP`` / ``MAX_CONSECUTIVE_LOSS_TIMEOUTS``.
 DEFAULT_SUSPECT_AFTER = 2
 DEFAULT_BACKOFF_CAP = 3
-DEFAULT_MAX_TIMEOUTS = 8
 
 
 def pto_fire_offsets(
@@ -83,19 +82,6 @@ def suspect_latency(
     threshold of two consecutive probe timeouts.
     """
     return pto_fire_offsets(pto, suspect_after, backoff_cap)[-1]
-
-
-def give_up_latency(
-    pto: float,
-    max_timeouts: int = DEFAULT_MAX_TIMEOUTS,
-    backoff_cap: int = DEFAULT_BACKOFF_CAP,
-) -> float:
-    """Seconds from an unacknowledged send to the PTO give-up (*dead*).
-
-    The connection abandons the peer on the ``max_timeouts + 1``-th
-    consecutive firing.
-    """
-    return pto_fire_offsets(pto, max_timeouts + 1, backoff_cap)[-1]
 
 
 @dataclass(frozen=True)
@@ -189,14 +175,6 @@ class DetectionModel:
     def detection_latency(self) -> float:
         """Seconds from the silent crash to the first in-band signal."""
         return self.detected_at - self.crashed_at
-
-    def failover_latency(
-        self, link_delay: float, alpn_version_negotiation: bool = False
-    ) -> float:
-        """Detection stacked on the 3-RTT re-attach floor of :mod:`~repro.analysis.churn`."""
-        return self.detection_latency + self.reattach_model(
-            link_delay, alpn_version_negotiation
-        ).reattach_latency
 
     @staticmethod
     def reattach_model(

@@ -100,17 +100,3 @@ def recursive_lookup_latency(
         return LatencyBreakdown(stub_to_recursive=downstream, recursive_to_authorities=0.0)
     upstream = sum(lookup_latency(scenario, rtt) for rtt in upstream_rtts)
     return LatencyBreakdown(stub_to_recursive=downstream, recursive_to_authorities=upstream)
-
-
-def scenario_table(rtt: float, levels: int = 3) -> dict[str, float]:
-    """First-lookup latency of every scenario for a uniform per-hop RTT.
-
-    ``levels`` is the number of authorities contacted (root, TLD,
-    authoritative = 3).  Used by the §5.2 experiment to print the comparison
-    table next to the simulated measurements.
-    """
-    table = {}
-    for scenario in TransportScenario:
-        breakdown = recursive_lookup_latency(scenario, rtt, [rtt] * levels)
-        table[scenario.value] = breakdown.total
-    return table

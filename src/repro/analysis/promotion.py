@@ -24,7 +24,7 @@ So the subscriber-visible promotion latency is ``detection + election +
 the whole population below tier 0 rides along untouched, which is what
 makes a replicated origin free at CDN scale.  The gap the tier-0 relays'
 FETCH must fill against the standby's warm cache is bounded by the publish
-rate times that window (:func:`repro.analysis.churn.expected_gap_objects`).
+rate times that window.
 
 The measured counterpart is :mod:`repro.experiments.origin_failover`,
 which silently crashes the active origin under a live 1,000-subscriber CDN
@@ -82,11 +82,6 @@ class PromotionModel:
     def path(self) -> str:
         """The winning detection path (``"pto-suspect"`` / ``"idle-timeout"``)."""
         return self.detection.path
-
-    @property
-    def promoted_at(self) -> float:
-        """Absolute virtual time the standby holds the active role."""
-        return self.detection.detected_at + self.election_latency
 
     @property
     def reattach_latency(self) -> float:

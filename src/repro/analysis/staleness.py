@@ -12,19 +12,6 @@ hop.
 from __future__ import annotations
 
 
-def worst_case_staleness(ttl: float, cache_layers: int = 1) -> float:
-    """Worst-case age of a record under TTL caching (§1).
-
-    Each cache layer can have refreshed its copy just before the upstream
-    copy changed, so the ages add up: ``cache_layers * ttl``.
-    """
-    if ttl < 0:
-        raise ValueError(f"TTL must be non-negative: {ttl}")
-    if cache_layers < 1:
-        raise ValueError(f"cache_layers must be at least 1: {cache_layers}")
-    return cache_layers * ttl
-
-
 def expected_staleness_polling(ttl: float, cache_layers: int = 1) -> float:
     """Expected time until a caching resolver learns about a change.
 
@@ -49,19 +36,3 @@ def pubsub_staleness(propagation_delays: list[float]) -> float:
     if any(delay < 0 for delay in propagation_delays):
         raise ValueError("propagation delays must be non-negative")
     return sum(propagation_delays)
-
-
-def staleness_reduction_factor(
-    ttl: float, propagation_delays: list[float], cache_layers: int = 1
-) -> float:
-    """How much faster pub/sub delivers the latest version than polling.
-
-    Defined as expected polling staleness divided by pub/sub staleness; a
-    factor of 100 means a subscribed resolver is up to date two orders of
-    magnitude sooner.
-    """
-    push = pubsub_staleness(propagation_delays)
-    poll = expected_staleness_polling(ttl, cache_layers)
-    if push <= 0:
-        return float("inf")
-    return poll / push

@@ -55,13 +55,6 @@ class TrafficComparison:
     pubsub: float
 
     @property
-    def reduction_factor(self) -> float:
-        """Polling messages divided by pub/sub messages (>1 favours pub/sub)."""
-        if self.pubsub <= 0:
-            return float("inf")
-        return self.polling / self.pubsub
-
-    @property
     def pubsub_wins(self) -> bool:
         """Whether pub/sub needs fewer messages over the period."""
         return self.pubsub < self.polling
@@ -83,15 +76,3 @@ def traffic_comparison(
         polling=polling_requests(duration, ttl, resolvers),
         pubsub=pubsub_messages(duration, change_interval, resolvers, include_setup),
     )
-
-
-def crossover_change_interval(ttl: float) -> float:
-    """The change interval at which pub/sub and polling send equal traffic.
-
-    Ignoring the one-off subscription setup, pub/sub sends fewer messages as
-    soon as the record changes less often than once per TTL; the crossover is
-    therefore at ``change_interval == ttl``.
-    """
-    if ttl <= 0:
-        raise ValueError(f"ttl must be positive: {ttl}")
-    return ttl

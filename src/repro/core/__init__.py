@@ -17,7 +17,7 @@ three roles of the prototype described in §5 of the paper:
   classic DNS queries (e.g. from an unmodified OS stub resolver on the same
   host) and forwards them over MoQT to a recursive resolver.
 
-Supporting modules implement the resolver core the forwarder, the stub and the
+Supporting modules implement the resolver core the forwarder and the
 recursive resolver share (:mod:`repro.core.subscribing`), the query↔track
 mapping of Fig. 3 (:mod:`repro.core.mapping`), the response encapsulation of Fig. 4
 (:mod:`repro.core.encapsulation`), upstream session reuse and 0-RTT
@@ -31,7 +31,6 @@ from repro.core.encapsulation import encapsulate_response, decapsulate_response
 from repro.core.auth_server import MoqAuthoritativeServer
 from repro.core.recursive import MoqRecursiveResolver
 from repro.core.forwarder import MoqForwarder
-from repro.core.stub import MoqStubResolver
 from repro.core.session_manager import UpstreamSessionManager
 from repro.core.subscription import (
     SubscriptionRegistry,
@@ -52,7 +51,6 @@ __all__ = [
     "MoqAuthoritativeServer",
     "MoqRecursiveResolver",
     "MoqForwarder",
-    "MoqStubResolver",
     "UpstreamSessionManager",
     "SubscriptionRegistry",
     "TeardownPolicy",

@@ -390,22 +390,3 @@ class MoqAuthoritativeServer:
         published = publish_to(state.subscribers, obj)
         self.statistics.updates_published += published
         self.statistics.update_bytes_published += published * obj.size
-
-    def force_publish(self, key: DnsQuestionKey) -> int:
-        """Re-publish the current answer for a track regardless of changes.
-
-        Returns the number of subscribers the object was pushed to.  Used by
-        tests and by the periodic-refresh compatibility mode.
-        """
-        state = self._tracks.get(key)
-        if state is None or not state.subscribers:
-            return 0
-        answer = self.answer_question(key)
-        if answer is None:
-            return 0
-        response, state.zone = answer
-        self._watch(state, _watched_names(key, state.zone, response))
-        state.last_answer_fingerprint = self._fingerprint(response)
-        count = len(state.subscribers)
-        self._publish_update(state, response)
-        return count

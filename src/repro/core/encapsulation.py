@@ -67,8 +67,3 @@ def decapsulate_response(obj: MoqtObject) -> Message:
         return Message.from_wire(obj.payload)
     except DnsFormatError as error:
         raise MappingError(f"object payload is not a DNS message: {error}") from None
-
-
-def response_version(obj: MoqtObject) -> int:
-    """The zone version a DNS object was published under (its group ID)."""
-    return obj.group_id

@@ -37,8 +37,7 @@ class ForwarderConfig:
     """Behavioural knobs of the forwarder.
 
     ``listen_port`` may be ``None`` to disable the classic DNS listener, in
-    which case the instance acts as a pure library-level MoQT stub resolver
-    (see :class:`repro.core.stub.MoqStubResolver`).
+    which case the instance acts as a pure library-level MoQT stub resolver.
     """
 
     listen_port: int | None = DNS_UDP_PORT

@@ -173,8 +173,3 @@ def no_such_track(
     """A DNS publisher's answer to a SUBSCRIBE or FETCH whose track names no
     question it can answer: not a Fig. 3 name, outside its zones, unresolvable."""
     return result_type(ok=False, error_code=_NO_SUCH_TRACK[result_type], reason=str(reason))
-
-
-def track_for_query(message: Message) -> FullTrackName:
-    """Convenience: the track a query message maps to."""
-    return question_to_track(DnsQuestionKey.from_message(message))

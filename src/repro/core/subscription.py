@@ -51,11 +51,6 @@ class TrackedSubscription:
         if self.last_group_id is None or group_id > self.last_group_id:
             self.last_group_id = group_id
 
-    def lookup_rate(self, now: float) -> float:
-        """Average lookups per second since creation."""
-        elapsed = max(now - self.created_at, 1e-9)
-        return self.lookups / elapsed
-
 
 class TeardownPolicy:
     """Decides which subscriptions to drop; subclasses override :meth:`select_victims`."""

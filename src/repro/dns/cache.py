@@ -150,28 +150,6 @@ class DnsCache:
         self.statistics.hits += 1
         return entry
 
-    def peek(
-        self,
-        name: Name,
-        rdtype: RecordType,
-        rdclass: DNSClass = DNSClass.IN,
-    ) -> CacheEntry | None:
-        """Look up without affecting statistics or evicting expired entries."""
-        return self._entries.get(self._key(name, rdtype, rdclass))
-
-    def fresh_rrset(
-        self,
-        name: Name,
-        rdtype: RecordType,
-        rdclass: DNSClass = DNSClass.IN,
-    ) -> RRset | None:
-        """The cached RRset with its TTL decremented by the elapsed time."""
-        entry = self.get(name, rdtype, rdclass)
-        if entry is None or entry.rrset is None:
-            return None
-        remaining = int(entry.remaining_ttl(self._simulator.now))
-        return entry.rrset.with_ttl(max(0, remaining))
-
     # ------------------------------------------------------------- maintenance
     def flush(self) -> None:
         """Drop every entry."""
@@ -180,15 +158,6 @@ class DnsCache:
     def remove(self, name: Name, rdtype: RecordType, rdclass: DNSClass = DNSClass.IN) -> bool:
         """Remove a single entry; returns whether it was present."""
         return self._entries.pop(self._key(name, rdtype, rdclass), None) is not None
-
-    def purge_expired(self) -> int:
-        """Remove all expired entries; returns how many were purged."""
-        now = self._simulator.now
-        expired = [key for key, entry in self._entries.items() if entry.is_expired(now)]
-        for key in expired:
-            del self._entries[key]
-        self.statistics.expirations += len(expired)
-        return len(expired)
 
     def entries(self) -> dict[tuple[Name, RecordType, DNSClass], CacheEntry]:
         """A shallow copy of the cache content (for inspection in tests)."""

@@ -321,8 +321,3 @@ def make_response(
         authorities=tuple(authorities),
         additionals=tuple(additionals),
     )
-
-
-def response_with_rrset(query: Message, rrset: RRset, **kwargs: object) -> Message:
-    """Build a response whose answer section is the given RRset."""
-    return make_response(query, answers=tuple(rrset), **kwargs)  # type: ignore[arg-type]

@@ -138,12 +138,6 @@ class Name:
             return True
         return self._labels[len(self) - len(other):] == other._labels
 
-    def relativize(self, origin: "Name") -> tuple[bytes, ...]:
-        """Labels of ``self`` below ``origin`` (raises if not a subdomain)."""
-        if not self.is_subdomain_of(origin):
-            raise NameError_(f"{self} is not a subdomain of {origin}")
-        return self._labels[: len(self) - len(origin)]
-
     def ancestors(self) -> list["Name"]:
         """All names from ``self`` up to and including the root."""
         labels = self._labels

@@ -547,11 +547,6 @@ _RDATA_CLASSES: dict[RecordType, type[Rdata]] = {
 }
 
 
-def rdata_class_for(rdtype: RecordType) -> type[Rdata] | None:
-    """The RDATA class registered for ``rdtype``, if any."""
-    return _RDATA_CLASSES.get(rdtype)
-
-
 def decode_rdata(
     rdtype: RecordType, wire: bytes, offset: int, length: int, table: NameTable | None = None
 ) -> Rdata:

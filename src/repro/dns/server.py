@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro.dns.message import Message, make_response
 from repro.dns.name import Name
 from repro.dns.transport import DnsUdpEndpoint
-from repro.dns.types import DNS_UDP_PORT, Rcode, RecordType
+from repro.dns.types import DNS_UDP_PORT, Rcode
 from repro.dns.zone import LookupResult, Zone, find_zone
 from repro.netsim.node import Host
 from repro.netsim.packet import Address
@@ -102,10 +102,3 @@ class AuthoritativeServer:
             rcode=result.rcode,
             authoritative=not result.is_referral,
         )
-
-    def resolve_locally(self, qname: Name, qtype: RecordType) -> LookupResult:
-        """Answer a query without going through the network (for tests)."""
-        zone = self.zone_for(qname)
-        if zone is None:
-            return LookupResult(rcode=Rcode.REFUSED)
-        return zone.lookup(qname, qtype)

@@ -185,18 +185,6 @@ class Zone:
         self._rrsets[key] = rrset
         self._changed(rrset.name, rrset.rdtype, rrset, bump)
 
-    def delete_rrset(self, name: Name, rdtype: RecordType, bump: bool = True) -> bool:
-        """Delete an RRset; returns whether it existed."""
-        removed = self._rrsets.pop((name, rdtype), None)
-        if removed is None:
-            return False
-        if self._owners[name] == 1:
-            del self._owners[name]
-        else:
-            self._owners[name] -= 1
-        self._changed(name, rdtype, None, bump)
-        return True
-
     def get_rrset(self, name: Name | str, rdtype: RecordType | str) -> RRset | None:
         """Fetch the RRset for an exact (name, type) pair."""
         owner = name if isinstance(name, Name) else Name.from_text(name)

@@ -7,21 +7,18 @@ serialisation on top of its propagation delay, and as the swept bandwidth
 drops there is a knee where the serialisation sum overtakes the propagation
 sum — below it, link capacity (not distance) dominates delivery latency.
 
-Two checks make the sweep trustworthy:
-
-* the measured push-to-delivery time of every update at every subscriber
-  must equal :class:`repro.analysis.constrained.ConstrainedPathModel`'s
-  closed form **bit-exactly** (the model replays the simulator's float
-  fold, see the module docstring there);
-* the whole sweep must run without a single ``transmit_many`` fallback
-  wave — constrained links batching is the tentpole bugfix this experiment
-  exists to exercise.
+The measured push-to-delivery time of every update at every subscriber
+must equal :class:`repro.analysis.constrained.ConstrainedPathModel`'s closed
+form **bit-exactly** (the model replays the simulator's float fold, see the
+module docstring there).  The ``fallback_waves`` columns print
+``Network.link_batch_fallback_waves``, a constant 0: every send is a link
+wave, so no wave can fall back to per-datagram sends.
 
 A separate lossy sample puts independent random loss on the access tier and
 a NewReno congestion controller on every relay's downstream side
 (:mod:`repro.quic.congestion`), proving the loss-repair path end to end:
-all updates are delivered despite drops, retransmissions and window
-reductions are observable, and the fallback counter stays zero.
+all updates are delivered despite drops, and retransmissions and window
+reductions are observable.
 """
 
 from __future__ import annotations

@@ -201,9 +201,3 @@ def run_query_latency(
     return QueryLatencyResult(
         stub_rtt=stub_rtt, upstream_rtt=upstream_rtt, measurements=measurements
     )
-
-
-def run_rtt_sweep(rtts: list[float] | None = None) -> list[QueryLatencyResult]:
-    """Run the latency comparison across several upstream RTTs."""
-    values = rtts if rtts is not None else [0.010, 0.040, 0.100]
-    return [run_query_latency(stub_rtt=0.010, upstream_rtt=rtt) for rtt in values]

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import ClassVar
+from types import MappingProxyType
+from typing import ClassVar, NoReturn
 
 from repro.memo import Memo
 from repro.moqt.errors import ProtocolViolation
@@ -76,6 +77,27 @@ class FetchType(enum.IntEnum):
     STANDALONE = 0x1
     RELATIVE_JOINING = 0x2
     ABSOLUTE_JOINING = 0x3
+
+
+class _Members(dict):
+    """Wire value -> member of one enum, read without a Python frame.  A
+    value with no member raises ``ValueError``, as calling the enum would,
+    and ``decode_control_payload`` turns it into ``ProtocolViolation``."""
+
+    __slots__ = ("_enum",)
+
+    def __init__(self, members: type[enum.IntEnum]) -> None:
+        super().__init__((member.value, member) for member in members)
+        self._enum = members
+
+    def __missing__(self, value: object) -> NoReturn:
+        raise ValueError(f"{value!r} is not a valid {self._enum.__name__}")
+
+
+#: What a payload's group order, filter type and fetch type decode to.
+GROUP_ORDERS = MappingProxyType(_Members(GroupOrder))
+FILTER_TYPES = MappingProxyType(_Members(FilterType))
+FETCH_TYPES = MappingProxyType(_Members(FetchType))
 
 
 def _append_text(buffer: bytearray, text: str) -> None:
@@ -194,9 +216,9 @@ class Subscribe(ControlMessage):
         track_alias = reader.read_varint()
         full_track_name = FullTrackName.from_reader(reader)
         priority = reader.read_uint8()
-        group_order = GroupOrder(reader.read_uint8())
+        group_order = GROUP_ORDERS[reader.read_uint8()]
         forward = reader.read_uint8() == 1
-        filter_type = FilterType(reader.read_varint())
+        filter_type = FILTER_TYPES[reader.read_varint()]
         start_group = start_object = end_group = 0
         if filter_type in (FilterType.ABSOLUTE_START, FilterType.ABSOLUTE_RANGE):
             start_group = reader.read_varint()
@@ -247,7 +269,7 @@ class SubscribeOk(ControlMessage):
     def decode_payload(cls, reader: VarintReader) -> "SubscribeOk":
         request_id = reader.read_varint()
         expires = reader.read_varint()
-        group_order = GroupOrder(reader.read_uint8())
+        group_order = GROUP_ORDERS[reader.read_uint8()]
         content_exists = reader.read_uint8() == 1
         largest_group = largest_object = 0
         if content_exists:
@@ -386,8 +408,8 @@ class Fetch(ControlMessage):
     def decode_payload(cls, reader: VarintReader) -> "Fetch":
         request_id = reader.read_varint()
         priority = reader.read_uint8()
-        group_order = GroupOrder(reader.read_uint8())
-        fetch_type = FetchType(reader.read_varint())
+        group_order = GROUP_ORDERS[reader.read_uint8()]
+        fetch_type = FETCH_TYPES[reader.read_varint()]
         full_track_name = None
         start_group = start_object = end_group = end_object = 0
         joining_request_id = joining_start = 0
@@ -442,7 +464,7 @@ class FetchOk(ControlMessage):
     def decode_payload(cls, reader: VarintReader) -> "FetchOk":
         return cls(
             reader.read_varint(),
-            GroupOrder(reader.read_uint8()),
+            GROUP_ORDERS[reader.read_uint8()],
             reader.read_uint8() == 1,
             reader.read_varint(),
             reader.read_varint(),
@@ -622,8 +644,8 @@ def decode_control_payload(message_type: int, payload: bytes) -> ControlMessage:
     a truncated or out-of-range field, a bad track name or UTF-8 text, unread
     trailing bytes — raises :class:`~repro.moqt.errors.ProtocolViolation`,
     and nothing else does.  The field readers raise ``ValueError`` subclasses
-    (``VarintError``, ``TrackNameError``, ``UnicodeDecodeError``, an enum's
-    ``ValueError``), converted here in one place.
+    (``VarintError``, ``TrackNameError``, ``UnicodeDecodeError``, the
+    ``ValueError`` of a value with no enum member), converted here in one place.
     """
     decoder = _DECODERS.get(message_type)
     if decoder is None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.quic.varint import VarintReader, append_varint, encode_varint
+from repro.quic.varint import VarintReader, append_varint
 
 
 class SetupParameterType(enum.IntEnum):
@@ -35,16 +35,6 @@ class Parameter:
 
     key: int
     value: bytes
-
-    @classmethod
-    def varint(cls, key: int, value: int) -> "Parameter":
-        """Build a parameter whose value is a varint."""
-        return cls(key, encode_varint(value))
-
-    def as_varint(self) -> int:
-        """Interpret the value as a varint."""
-        reader = VarintReader(self.value)
-        return reader.read_varint()
 
 
 @dataclass(frozen=True, slots=True)

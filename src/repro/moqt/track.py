@@ -63,12 +63,6 @@ class TrackNamespace:
             raise TrackNameError(f"invalid namespace element count: {count}")
         return cls(tuple(reader.read_length_prefixed() for _ in range(count)))
 
-    def is_prefix_of(self, other: "TrackNamespace") -> bool:
-        """Whether this namespace is a prefix of ``other`` (used by ANNOUNCE)."""
-        if len(self.elements) > len(other.elements):
-            return False
-        return other.elements[: len(self.elements)] == self.elements
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return "/".join(element.hex() for element in self.elements)
 

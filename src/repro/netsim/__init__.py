@@ -17,7 +17,7 @@ from repro.netsim.link import Link, LinkConfig
 from repro.netsim.node import Host, PortHandler
 from repro.netsim.network import Network
 from repro.netsim.trace import TraceRecorder, TraceEvent
-from repro.netsim.stats import Counter, SummaryStatistics
+from repro.netsim.stats import SummaryStatistics
 
 __all__ = [
     "Simulator",
@@ -31,6 +31,5 @@ __all__ = [
     "Network",
     "TraceRecorder",
     "TraceEvent",
-    "Counter",
     "SummaryStatistics",
 ]

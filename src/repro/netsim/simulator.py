@@ -225,10 +225,6 @@ class Simulator:
             self.now = until
         return executed
 
-    def run_until_idle(self, max_events: int = 1_000_000) -> int:
-        """Run until no events remain (bounded by ``max_events``)."""
-        return self.run(max_events=max_events)
-
     def advance(self, delta: float) -> int:
         """Advance the clock by ``delta`` seconds, running due events."""
         if delta < 0:
@@ -357,16 +353,3 @@ class PeriodicTask:
         # arming a second chain on top of that one would double-fire.
         if not self._stopped and self._event is None:
             self._event = self._simulator.call_later(self._interval, self._tick)
-
-
-def format_time(seconds: float) -> str:
-    """Render a virtual timestamp as a human-readable string.
-
-    >>> format_time(0.01)
-    '10.000ms'
-    >>> format_time(12.5)
-    '12.500s'
-    """
-    if seconds < 1.0:
-        return f"{seconds * 1000:.3f}ms"
-    return f"{seconds:.3f}s"

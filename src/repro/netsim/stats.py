@@ -12,30 +12,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 
-class Counter:
-    """A named group of integer counters."""
-
-    def __init__(self) -> None:
-        self._values: dict[str, int] = {}
-
-    def increment(self, name: str, amount: int = 1) -> int:
-        """Add ``amount`` to the counter and return the new value."""
-        self._values[name] = self._values.get(name, 0) + amount
-        return self._values[name]
-
-    def get(self, name: str) -> int:
-        """Current value of a counter (0 if never incremented)."""
-        return self._values.get(name, 0)
-
-    def as_dict(self) -> dict[str, int]:
-        """Snapshot of all counters."""
-        return dict(self._values)
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self._values.clear()
-
-
 @dataclass
 class SummaryStatistics:
     """Streaming summary of a sample: count, mean, min/max and percentiles.
@@ -77,15 +53,6 @@ class SummaryStatistics:
         """Largest sample (0.0 when empty)."""
         return max(self.samples) if self.samples else 0.0
 
-    @property
-    def stddev(self) -> float:
-        """Population standard deviation (0.0 for fewer than two samples)."""
-        if len(self.samples) < 2:
-            return 0.0
-        mean = self.mean
-        variance = sum((x - mean) ** 2 for x in self.samples) / len(self.samples)
-        return math.sqrt(variance)
-
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile (0 <= q <= 100) with linear interpolation."""
         if not self.samples:
@@ -119,31 +86,3 @@ class SummaryStatistics:
             "p99": self.percentile(99),
             "max": self.maximum,
         }
-
-
-def cumulative_distribution(samples: Iterable[float]) -> list[tuple[float, float]]:
-    """Empirical CDF as a list of ``(value, fraction <= value)`` points."""
-    ordered = sorted(samples)
-    if not ordered:
-        return []
-    total = len(ordered)
-    points: list[tuple[float, float]] = []
-    for index, value in enumerate(ordered, start=1):
-        if points and points[-1][0] == value:
-            points[-1] = (value, index / total)
-        else:
-            points.append((value, index / total))
-    return points
-
-
-def histogram(samples: Iterable[float], bins: Iterable[float]) -> dict[float, int]:
-    """Count samples equal to each bin value (exact matching).
-
-    The TTL experiment uses this for clustered TTL values; it is not a
-    range-based histogram.
-    """
-    counts = {bin_value: 0 for bin_value in bins}
-    for sample in samples:
-        if sample in counts:
-            counts[sample] += 1
-    return counts

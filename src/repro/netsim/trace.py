@@ -12,7 +12,7 @@ so a run that never reads its trace keeps no per-datagram state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.netsim.packet import Datagram
 from repro.netsim.simulator import Simulator
@@ -128,23 +128,3 @@ class NullTraceRecorder(TraceRecorder):
 
     def subscribe(self, listener: Callable[[TraceEvent], None]) -> None:
         raise RuntimeError("NullTraceRecorder drops events; attach a TraceRecorder instead")
-
-
-def format_sequence(
-    events: Iterable[TraceEvent],
-    columns: tuple[str, ...] = ("source", "destination", "detail"),
-) -> str:
-    """Render events as a textual message-sequence chart.
-
-    Each line shows the timestamp, the event kind and the selected
-    attributes that the event carries.
-    """
-    lines = []
-    for event in events:
-        parts = [f"{event.time * 1000:9.3f}ms", f"{event.kind:<24}"]
-        for column in columns:
-            value = event.attribute(column)
-            if value is not None:
-                parts.append(f"{column}={value}")
-        lines.append("  ".join(parts))
-    return "\n".join(lines)

@@ -83,7 +83,6 @@ from repro.quic.tls import (
     SessionTicketStore,
 )
 
-PROTOCOL_LABEL = "quic"
 
 #: Liveness states of the in-band failure detector.
 LIVENESS_HEALTHY = "healthy"

@@ -30,11 +30,6 @@ def make_stream_id(sequence: int, is_client: bool, direction: StreamDirection) -
     return stream_id
 
 
-def stream_initiator_is_client(stream_id: int) -> bool:
-    """Whether the stream was opened by the client."""
-    return stream_id & 0x1 == 0
-
-
 def stream_is_unidirectional(stream_id: int) -> bool:
     """Whether the stream is unidirectional."""
     return stream_id & 0x2 != 0

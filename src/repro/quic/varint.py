@@ -166,29 +166,14 @@ class VarintReader:
         self._offset = offset + 1
         return self._view[offset]
 
-    def read_uint16(self) -> int:
-        """Read a two-byte big-endian unsigned integer."""
-        end = self._offset + 2
-        if end > self._length:
-            raise VarintError(f"truncated data: need 2 bytes, have {self.remaining}")
-        value = int.from_bytes(self._view[self._offset: end], "big")
-        self._offset = end
-        return value
-
     def read_length_prefixed(self) -> bytes:
         """Read a varint length followed by that many bytes."""
         length = self.read_varint()
         return self.read_bytes(length)
 
-    def read_remaining(self) -> bytes:
-        """Read everything left."""
-        chunk = self._view[self._offset:]
-        self._offset = self._length
-        return chunk if type(chunk) is bytes else bytes(chunk)
-
 
 class VarintWriter:
-    """Builds byte strings out of varints and length-prefixed chunks."""
+    """Builds byte strings out of varints."""
 
     __slots__ = ("_buffer",)
 
@@ -198,26 +183,6 @@ class VarintWriter:
     def write_varint(self, value: int) -> "VarintWriter":
         """Append one varint."""
         append_varint(self._buffer, value)
-        return self
-
-    def write_uint8(self, value: int) -> "VarintWriter":
-        """Append a single byte."""
-        if not 0 <= value <= 0xFF:
-            raise VarintError(f"uint8 out of range: {value}")
-        self._buffer.append(value)
-        return self
-
-    def write_uint16(self, value: int) -> "VarintWriter":
-        """Append a two-byte big-endian unsigned integer."""
-        if not 0 <= value <= 0xFFFF:
-            raise VarintError(f"uint16 out of range: {value}")
-        self._buffer += value.to_bytes(2, "big")
-        return self
-
-    def write_length_prefixed(self, data: bytes) -> "VarintWriter":
-        """Append a varint length followed by the data."""
-        append_varint(self._buffer, len(data))
-        self._buffer += data
         return self
 
     def getvalue(self) -> bytes:

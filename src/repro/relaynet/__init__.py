@@ -12,8 +12,8 @@ turns that argument into an executable subsystem:
   origin/mid/edge hierarchy, each tier with its own link configuration;
 * :mod:`repro.relaynet.topology` — :class:`RelayTopology`, the live
   membership registry: dynamic join/leave (`add_relay`/`remove_relay`),
-  crash failover (`kill_relay`) with pluggable policies
-  (:class:`SiblingFailover`, :class:`GrandparentFailover`), in-band
+  crash failover (`kill_relay`) with a pluggable policy
+  (:class:`SiblingFailover` by default), in-band
   failure detection (`crash_relay` + `report_failure`, driven by QUIC
   liveness instead of a control-plane kill signal), load-aware subscriber
   placement, and FETCH-based gap recovery so established subscriptions
@@ -49,7 +49,6 @@ measured-vs-model experiments are :mod:`repro.experiments.relay_fanout`
 
 from repro.relaynet.spec import RelayTierSpec, RelayTreeSpec
 from repro.relaynet.admission import (
-    UNLIMITED,
     AdmissionController,
     AdmissionDecision,
     AdmissionPolicy,
@@ -64,7 +63,6 @@ from repro.relaynet.topology import (
     FailoverPolicy,
     FailoverRecord,
     FlashCrowdStorm,
-    GrandparentFailover,
     NoSurvivingParentError,
     RelayNode,
     RelayTopology,
@@ -89,12 +87,10 @@ __all__ = [
     "AdmissionPolicy",
     "AdmissionRecord",
     "RetryPolicy",
-    "UNLIMITED",
     "FlashCrowdStorm",
     "FailoverPolicy",
     "FailoverEvent",
     "FailoverRecord",
     "NoSurvivingParentError",
     "SiblingFailover",
-    "GrandparentFailover",
 ]

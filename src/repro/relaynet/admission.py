@@ -116,11 +116,6 @@ class AdmissionPolicy:
         return self.subscribe_rate is not None or self.max_pending_subscribes is not None
 
 
-#: The do-nothing default: every relay built without an explicit policy
-#: admits exactly as it always has (no controller is even instantiated).
-UNLIMITED = AdmissionPolicy()
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """The client half of the admission contract: bounded retry-with-backoff.

@@ -7,12 +7,10 @@ one above — without naming hosts or touching a network.  The
 :class:`~repro.moqt.relay.MoqtRelay` instances on a simulated
 :class:`~repro.netsim.network.Network`.
 
-Three canonical shapes cover the paper's §3/§5.3 scenarios:
+Two canonical shapes cover the paper's §3/§5.3 scenarios:
 
 * :meth:`RelayTreeSpec.star` — one tier of relays directly below the origin,
   the minimal fan-out the ablation benchmark measures;
-* :meth:`RelayTreeSpec.kary` — a balanced k-ary tree of a given depth, the
-  shape used to study how origin egress scales with branching factor;
 * :meth:`RelayTreeSpec.cdn` — the origin / mid / edge hierarchy of a CDN,
   with fast core links, metro links to the mid tier and access links to the
   edge, which is the §5.3 CDN load-balancing deployment.
@@ -80,16 +78,6 @@ class RelayTreeSpec:
         if self.origins < 1:
             raise ValueError(f"a relay tree needs at least one origin: {self.origins}")
 
-    @property
-    def depth(self) -> int:
-        """Number of relay tiers between origin and subscribers."""
-        return len(self.tiers)
-
-    @property
-    def relay_count(self) -> int:
-        """Total number of relays across all tiers."""
-        return sum(tier.relays for tier in self.tiers)
-
     def tier_sizes(self) -> tuple[int, ...]:
         """Relay counts per tier, origin-side first."""
         return tuple(tier.relays for tier in self.tiers)
@@ -107,26 +95,6 @@ class RelayTreeSpec:
             tiers=(RelayTierSpec("relay", relays, uplink or LinkConfig()),),
             subscriber_link=subscriber_link or LinkConfig(delay=0.005),
         )
-
-    @classmethod
-    def kary(
-        cls,
-        depth: int,
-        branching: int,
-        uplink: LinkConfig | None = None,
-        subscriber_link: LinkConfig | None = None,
-    ) -> "RelayTreeSpec":
-        """A balanced k-ary tree: tier ``i`` holds ``branching ** (i + 1)`` relays."""
-        if depth <= 0:
-            raise ValueError(f"depth must be positive: {depth}")
-        if branching <= 0:
-            raise ValueError(f"branching must be positive: {branching}")
-        link = uplink or LinkConfig()
-        tiers = tuple(
-            RelayTierSpec(f"tier{index}", branching ** (index + 1), link)
-            for index in range(depth)
-        )
-        return cls(tiers=tiers, subscriber_link=subscriber_link or LinkConfig(delay=0.005))
 
     @classmethod
     def cdn(

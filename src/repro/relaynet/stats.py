@@ -183,11 +183,6 @@ class RelayNetStats:
         """Congestion-window reductions across every tier's downstream side."""
         return sum(tier.congestion_events for tier in self.tiers)
 
-    @property
-    def total_link_bytes(self) -> int:
-        """Bytes over every tier uplink plus the subscriber access links."""
-        return sum(tier.uplink_bytes for tier in self.tiers) + self.subscriber_link_bytes
-
     def tier_uplink_bytes(self) -> tuple[int, ...]:
         """Per-tier uplink bytes, origin-side tier first."""
         return tuple(tier.uplink_bytes for tier in self.tiers)

@@ -258,17 +258,6 @@ class SiblingFailover:
         )
 
 
-class GrandparentFailover:
-    """Always re-home orphans under the dead relay's own parent (or the
-    origin).  Shortens the orphan's path at the price of concentrating load
-    one tier up — the policy to compare sibling failover against."""
-
-    def choose_parent(
-        self, topology: "RelayTopology", orphan: RelayNode, dead: RelayNode
-    ) -> RelayNode | None:
-        return None
-
-
 @dataclass
 class FailoverRecord:
     """One orphan's journey to its new parent."""

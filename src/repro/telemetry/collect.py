@@ -314,22 +314,6 @@ def collect_origin_cluster(metrics: MetricsRegistry, cluster) -> None:
         quic_gauge[field].labels("origin").set(value)
 
 
-def collect_dns_core(metrics: MetricsRegistry, role: str, node) -> None:
-    """Scrape one DNS-over-MoQT node's §5.1 state: ``dns_core_<key>{role}``.
-
-    ``node`` is anything with ``state_summary()`` — a forwarder, stub or
-    recursive resolver (records, tracked questions, open sessions,
-    subscriptions, in-flight lookups) or an authoritative server (zones,
-    tracks, subscribers, watched names); one gauge per key it reports.
-    """
-    if not metrics.enabled:
-        return
-    for key, value in node.state_summary().items():
-        metrics.gauge(
-            f"dns_core_{key}", "DNS-over-MoQT node state (state_summary)", labels=("role",)
-        ).labels(role).set(value)
-
-
 def collect_run(metrics: MetricsRegistry, network, tree=None, origin_cluster=None) -> None:
     """One-call scrape at the end of a run: network (+ simulator)
     and, when given, the relay tree with its QUIC transport totals and the

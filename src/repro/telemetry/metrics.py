@@ -1,14 +1,14 @@
 """Metrics registry: counters, gauges and histograms with label sets.
 
 The registry unifies the counters that used to be scattered across ad-hoc
-dataclasses (``relaynet/stats.py``, ``netsim/stats.py``, the counters bolted
-onto :class:`~repro.netsim.simulator.Simulator`) behind one uniform surface that
+dataclasses (``relaynet/stats.py``, the counters bolted onto
+:class:`~repro.netsim.simulator.Simulator`) behind one uniform surface that
 ``snapshot()`` walks.
 
 Design constraints, in order:
 
-* **hot-path increments are O(1)** — ``Counter.inc`` is one attribute add,
-  ``Gauge.set`` one store, ``Histogram.observe`` one append plus two adds.
+* **hot-path updates are O(1)** — ``Counter.set`` / ``Gauge.set`` is one
+  store, ``Histogram.observe`` one append plus two adds.
   No locking (the simulator is single-threaded), no string formatting, no
   dict lookups: call sites hold the instrument handle, not the name;
 * **disabled telemetry costs nothing** — :data:`NULL_METRICS` is the default
@@ -17,7 +17,7 @@ Design constraints, in order:
   code never needs an ``if metrics is not None`` guard;
 * **labels are cheap after the first use** — ``instrument.labels(...)``
   caches the child per label-value tuple, so steady-state labelled
-  increments are one dict hit plus the O(1) update.
+  updates are one dict hit plus the O(1) update.
 
 Instruments are created (and idempotently re-fetched) through
 :class:`MetricsRegistry`; re-registering a name with a different type or
@@ -50,11 +50,11 @@ def _percentile(ordered: list[float], q: float) -> float:
 
 
 class Counter:
-    """A monotonically increasing counter.
+    """A monotonically increasing counter, scraped from one a subsystem keeps.
 
     With ``label_names`` declared, the parent is a family: values live on the
-    children returned by :meth:`labels`, and incrementing the parent directly
-    is an error (it would silently merge every label set into one number).
+    children returned by :meth:`labels`, and setting the parent directly is
+    an error (it would silently merge every label set into one number).
     """
 
     __slots__ = ("name", "help", "label_names", "label_values", "value", "_children")
@@ -104,20 +104,12 @@ class Counter:
         else:
             yield from self._children.values()
 
-    def inc(self, amount: float = 1) -> None:
-        """Add ``amount`` (one attribute add — the hot path)."""
-        if self._children is not None:
-            raise MetricError(f"{self.name} is labelled; use .labels(...) first")
-        if amount < 0:
-            raise MetricError(f"counter {self.name} cannot decrease (inc {amount})")
-        self.value += amount
-
     def set(self, value: float) -> None:
         """Set the absolute value — for scraping an external monotonic counter.
 
         Collectors (:mod:`repro.telemetry.collect`) mirror counters that
-        other subsystems already maintain; forcing them through ``inc`` would
-        require the collector to remember the previous scrape.
+        other subsystems already maintain, so a scrape stores the value and
+        remembers nothing of the previous one.
         """
         if self._children is not None:
             raise MetricError(f"{self.name} is labelled; use .labels(...) first")
@@ -130,15 +122,6 @@ class Gauge(Counter):
     __slots__ = ()
 
     kind = "gauge"
-
-    def inc(self, amount: float = 1) -> None:
-        if self._children is not None:
-            raise MetricError(f"{self.name} is labelled; use .labels(...) first")
-        self.value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        """Subtract ``amount``."""
-        self.inc(-amount)
 
 
 class Histogram:
@@ -317,9 +300,6 @@ class _NullCounter(Counter):
     def labels(self, *values: object) -> "Counter":
         return self
 
-    def inc(self, amount: float = 1) -> None:
-        pass
-
     def set(self, value: float) -> None:
         pass
 
@@ -334,9 +314,6 @@ class _NullGauge(Gauge):
 
     def labels(self, *values: object) -> "Gauge":
         return self
-
-    def inc(self, amount: float = 1) -> None:
-        pass
 
     def set(self, value: float) -> None:
         pass
@@ -365,7 +342,7 @@ _NULL_HISTOGRAM = _NullHistogram()
 class NullMetrics(MetricsRegistry):
     """The disabled registry: every instrument is a shared no-op singleton.
 
-    Instrumented code keeps its handles and its ``inc``/``observe`` calls;
+    Instrumented code keeps its handles and its ``set``/``observe`` calls;
     nothing is recorded, nothing is allocated (``labels`` returns the same
     singleton), and :meth:`snapshot` is always empty.  This is the default
     registry on every :class:`~repro.netsim.network.Network`, so telemetry

@@ -24,7 +24,7 @@ population is synthesised:
 from repro.workload.toplist import SyntheticToplist, ToplistDomain, ToplistConfig
 from repro.workload.ttl_model import TtlModel, TTL_CLUSTERS
 from repro.workload.change_model import ChangeModel, RecordChangeProcess, ChangeModelConfig
-from repro.workload.zones import WorkloadZones, ZoneBuildConfig, build_hierarchy
+from repro.workload.zones import WorkloadZones, ZoneBuildConfig
 from repro.workload.queries import QueryModel, QueryModelConfig
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "ChangeModelConfig",
     "WorkloadZones",
     "ZoneBuildConfig",
-    "build_hierarchy",
     "QueryModel",
     "QueryModelConfig",
 ]

@@ -121,12 +121,6 @@ class RecordChangeProcess:
                 return True
         return False
 
-    def mean_change_interval(self) -> float:
-        """Expected seconds between changes (infinite for static records)."""
-        if self.change_probability <= 0.0:
-            return float("inf")
-        return self.ttl / self.change_probability
-
 
 class ChangeModel:
     """Creates calibrated :class:`RecordChangeProcess` instances per domain."""

@@ -101,7 +101,3 @@ class QueryModel:
             rdtype = self.sample_type(domain, rng)
             events.append(QueryEvent(time=now, domain=domain, rdtype=rdtype))
         return events
-
-    def unique_domains(self, events: list[QueryEvent]) -> int:
-        """Number of distinct domains appearing in a query stream."""
-        return len({event.domain.name for event in events})

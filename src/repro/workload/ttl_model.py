@@ -59,11 +59,3 @@ class TtlModel:
         mixture = self.weights.get(rdtype, self.weights[RecordType.A])
         total = sum(mixture.values())
         return mixture.get(ttl, 0.0) / total
-
-    def expected_counts(self, rdtype: RecordType, population: int) -> dict[int, float]:
-        """Expected number of records per TTL cluster for a population size."""
-        return {
-            ttl: self.probability(rdtype, ttl) * population
-            for ttl in TTL_CLUSTERS
-            if self.probability(rdtype, ttl) > 0
-        }

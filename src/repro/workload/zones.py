@@ -199,12 +199,3 @@ class WorkloadZones:
         """The assignment for a domain name."""
         key = name if isinstance(name, Name) else Name.from_text(name)
         return self.assignments[key]
-
-
-def build_hierarchy(
-    toplist: SyntheticToplist,
-    change_model: ChangeModel | None = None,
-    config: ZoneBuildConfig | None = None,
-) -> WorkloadZones:
-    """Convenience wrapper returning a fully built :class:`WorkloadZones`."""
-    return WorkloadZones(toplist, change_model, config)

@@ -284,12 +284,14 @@ def subscriber(rows: dict, tables: list) -> None:
     rows["subscriber.active_share"] = _active_share([*small_subscriptions, *large_subscriptions])
 
 
-def question(rows: dict, tables: list) -> None:
-    """1,000 A questions after 200 warm-ups, 8 authoritative hosts: per question."""
-    warm_up, questions, step = 200, 1000, 250
-    kinds = (SubscribeFetch, Timer, FetchRequest, _ResolutionTask, types.FunctionType, types.CellType)
-    topology, names = _chain(2 * (warm_up + questions), auth_hosts=8)
-    names = names[: warm_up + questions]
+#: The question scenarios: warm-up lookups, measured lookups, lookups per batch.
+WARM_UP, QUESTIONS, STEP = 200, 1000, 250
+
+
+def _asking_chain():
+    """The question scenarios' chain, warmed up: the topology, the measured
+    names, ``ask(batch)`` and the answers so far."""
+    topology, names = _chain(2 * (WARM_UP + QUESTIONS), auth_hosts=8)
     answered = []
 
     def ask(batch) -> None:
@@ -301,6 +303,37 @@ def question(rows: dict, tables: list) -> None:
         # Long enough for every attempt's (cancelled) timeout event to leave the heap.
         topology.simulator.run(until=topology.simulator.now + 30.0)
 
+    ask(names[:WARM_UP])
+    # The simulation's MoQT decode tables start the window empty; its DNS
+    # tables carry the warm-up's answers over (``Simulator.memos``).
+    for kind in ("moqt.control", "moqt.stream"):
+        topology.simulator.memos[kind].clear()
+    return topology, names[WARM_UP : WARM_UP + QUESTIONS], ask, answered
+
+
+def question(rows: dict, tables: list) -> None:
+    """1,000 A questions after 200 warm-ups, 8 authoritative hosts: per question."""
+    topology, names, ask, answered = _asking_chain()
+    sessions = topology.recursive.state_summary()["open_sessions"]
+    with Heap() as heap:
+        for start in range(0, QUESTIONS, STEP):
+            ask(names[start : start + STEP])
+    assert answered == [True] * (WARM_UP + QUESTIONS)
+    assert topology.recursive.state_summary()["open_sessions"] == sessions, "warm-up too short"
+    title = f"per subscribed question ({QUESTIONS} after {WARM_UP} warm-ups)"
+    rows.update(heap_rows("question", heap.bytes, heap.blocks, QUESTIONS, title, tables))
+    rows["question.inflight_lookups"] = sum(
+        node.state_summary()["inflight_lookups"] for node in (topology.forwarder, topology.recursive)
+    )
+
+
+def question_census(rows: dict, tables: list) -> None:
+    """What the question scenario's second batch leaves alive, by kind: per
+    question.  A census collects, so it runs on a chain of its own, built
+    the same way, outside any heap window."""
+    kinds = (SubscribeFetch, Timer, FetchRequest, _ResolutionTask, types.FunctionType, types.CellType)
+    _, names, ask, _ = _asking_chain()
+
     def census() -> dict:
         gc.collect()
         counts = dict.fromkeys(kinds, 0)
@@ -309,27 +342,12 @@ def question(rows: dict, tables: list) -> None:
                 counts[type(obj)] += 1
         return counts
 
-    ask(names[:warm_up])
-    sessions = topology.recursive.state_summary()["open_sessions"]
-    # The simulation's MoQT decode tables start the window empty; its DNS
-    # tables carry the warm-up's answers over (``Simulator.memos``).
-    for kind in ("moqt.control", "moqt.stream"):
-        topology.simulator.memos[kind].clear()
     censuses = []
-    with Heap() as heap:
-        for start in range(warm_up, warm_up + questions, step):
-            ask(names[start : start + step])
-            if len(censuses) < 2:
-                censuses.append(census())
-    assert answered == [True] * (warm_up + questions)
-    assert topology.recursive.state_summary()["open_sessions"] == sessions, "warm-up too short"
-    title = f"per subscribed question ({questions} after {warm_up} warm-ups)"
-    rows.update(heap_rows("question", heap.bytes, heap.blocks, questions, title, tables))
+    for start in (0, STEP):
+        ask(names[start : start + STEP])
+        censuses.append(census())
     for kind in kinds:
-        rows[f"question.retained.{kind.__name__}"] = (censuses[1][kind] - censuses[0][kind]) / step
-    rows["question.inflight_lookups"] = sum(
-        node.state_summary()["inflight_lookups"] for node in (topology.forwarder, topology.recursive)
-    )
+        rows[f"question.retained.{kind.__name__}"] = (censuses[1][kind] - censuses[0][kind]) / STEP
 
 
 def domain(rows: dict, tables: list) -> None:
@@ -378,7 +396,7 @@ if __name__ == "__main__":
         os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": "0"})
     rows: dict = {}
     tables: list[str] = []
-    for scenario in (deliver, attach, subscriber, question, domain, cold_lookup):
+    for scenario in (deliver, attach, subscriber, question, domain, cold_lookup, question_census):
         scenario(rows, tables)
     print("\n\n".join(tables), file=sys.stderr)
     print(json.dumps(rows, indent=1, sort_keys=True))

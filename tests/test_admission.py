@@ -17,7 +17,6 @@ from repro.moqt.origin import TRACK
 from repro.netsim.link import LinkConfig
 from repro.quic.connection import ConnectionConfig
 from repro.relaynet import (
-    UNLIMITED,
     AdmissionController,
     AdmissionPolicy,
     RelayTreeSpec,
@@ -67,18 +66,18 @@ class TestPolicyValidation:
             RetryPolicy(max_spillovers=-1)
 
     def test_unlimited_policy_needs_no_controller(self):
-        assert not UNLIMITED.limited
+        assert not AdmissionPolicy().limited
         assert AdmissionPolicy(subscribe_rate=10.0).limited
         assert AdmissionPolicy(max_pending_subscribes=5).limited
         with pytest.raises(ValueError):
-            AdmissionController(UNLIMITED)
+            AdmissionController(AdmissionPolicy())
 
     def test_model_preconditions(self):
         limited = AdmissionPolicy(subscribe_rate=10.0)
         with pytest.raises(ValueError):
             AdmissionModel(count=0, window=1.0, start=0.0, policy=limited, link_delay=0.005)
         with pytest.raises(ValueError):
-            AdmissionModel(count=1, window=1.0, start=0.0, policy=UNLIMITED, link_delay=0.005)
+            AdmissionModel(count=1, window=1.0, start=0.0, policy=AdmissionPolicy(), link_delay=0.005)
         with pytest.raises(ValueError):
             AdmissionModel(
                 count=1, window=1.0, start=0.0, link_delay=0.005,
@@ -407,9 +406,9 @@ class TestDefaultOffDeterminism:
 
     def test_none_and_unlimited_policy_are_bit_identical(self):
         # The frozen-determinism contract: a relay built with the default
-        # UNLIMITED policy instantiates no controller, draws no randomness
+        # (unlimited) policy instantiates no controller, draws no randomness
         # and emits the exact bytes of a build with admission=None.
-        assert self._measured_run(None) == self._measured_run(UNLIMITED)
+        assert self._measured_run(None) == self._measured_run(AdmissionPolicy())
 
     def test_generous_limited_policy_changes_no_bytes(self):
         # A limited policy that never rejects gates inline without

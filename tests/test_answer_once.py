@@ -8,9 +8,9 @@ existing track reads the serial from the track's zone.  Pinned here:
 * exactness: a property test drives a two-zone server through record
   changes with and without a serial bump, at watched and at unwatched names
   (a CNAME re-point, a wildcard, a delegation with glue, re-ordered
-  RRsets), a late ``add_zone`` of a more specific zone, SUBSCRIBE, joining
-  FETCH, standalone FETCH and UNSUBSCRIBE from two sessions and
-  ``force_publish``.  Every FETCH object's ``(group_id, payload)`` and every
+  RRsets, a cleared RRset), a late ``add_zone`` of a more specific zone,
+  SUBSCRIBE, joining FETCH, standalone FETCH and UNSUBSCRIBE from two
+  sessions.  Every FETCH object's ``(group_id, payload)`` and every
   SUBSCRIBE_OK's largest location must equal :func:`reference` — a fresh
   lookup on the governing zone, encapsulated, reading no server state — at
   that instant;
@@ -83,7 +83,7 @@ TWO_RECORD_SETS = [(PARENT, "a.example."), (CHILD, "a.sub.example.")]
 
 questions = st.sampled_from(QUESTIONS)
 changes = st.tuples(
-    st.sampled_from(["add", "replace", "delete"]), owners, rdatas, st.booleans()
+    st.sampled_from(["add", "replace", "clear"]), owners, rdatas, st.booleans()
 )
 reorders = st.tuples(
     st.just("reorder"), st.sampled_from(TWO_RECORD_SETS), st.just((RecordType.A, None)),
@@ -97,7 +97,6 @@ operations = st.one_of(
     st.tuples(st.just("join"), st.integers(0, 1), st.integers(0, 50)),
     st.tuples(st.just("fetch"), st.integers(0, 1), questions),
     st.tuples(st.just("unsubscribe"), st.integers(0, 1), st.integers(0, 50)),
-    st.tuples(st.just("force_publish"), st.integers(0, 50)),
     st.tuples(st.just("add_child")),
 )
 
@@ -110,8 +109,8 @@ def change(zones: dict[str, Zone], operation: tuple) -> None:
     elif kind == "replace":
         record = ResourceRecord(owner, rdtype, rdata, 300)
         zone.replace_rrset(RRset(owner, rdtype, [record]), bump=bump)
-    elif kind == "delete":
-        zone.delete_rrset(owner, rdtype, bump=bump)
+    elif kind == "clear":
+        zone.replace_rrset(RRset(owner, rdtype), bump=bump)
     else:
         rrset = zone.get_rrset(owner, rdtype)
         if rrset is not None and len(rrset) > 1:
@@ -194,9 +193,6 @@ def test_every_fetch_and_subscribe_ok_equals_a_fresh_answer(script):
                 session.join(served, key)
             elif key is not None:
                 session.client.unsubscribe(key)
-        elif kind == "force_publish":
-            if server._tracks:
-                server.force_publish(list(server._tracks)[operation[1] % len(server._tracks)])
         elif kind == "add_child" and len(served) == 1:
             served.append(zones[CHILD])
             server.add_zone(zones[CHILD])

@@ -69,7 +69,7 @@ def _run_wave(
     else:
         for link, datagram in entries:
             transmit(simulator, link, datagram)
-    simulator.run_until_idle()
+    simulator.run()
     return deliveries, [link.statistics.as_dict() for link in links], simulator.events_scheduled
 
 
@@ -133,7 +133,7 @@ def test_successive_waves_share_the_fifo_state(seed, config, waves) -> None:
                 for wave_link, datagram in entries:
                     transmit(simulator, wave_link, datagram)
             simulator.run(until=simulator.now + 0.005 * (wave_index + 1))
-        simulator.run_until_idle()
+        simulator.run()
         return deliveries, link.statistics.as_dict()
 
     assert run(batched=True) == run(batched=False)
@@ -180,7 +180,7 @@ def test_seeded_draw_order_regression() -> None:
         else:
             for _, datagram in entries:
                 transmit(simulator, link, datagram)
-        simulator.run_until_idle()
+        simulator.run()
         assert deliveries == expected
         assert link.statistics.datagrams_dropped == len(payloads) - len(expected)
 
@@ -203,7 +203,7 @@ class TestByteCountersAreTheWire:
         else:
             for _, datagram in entries:
                 transmit(simulator, link, datagram)
-        simulator.run_until_idle()
+        simulator.run()
         return link.statistics, deliveries
 
     def test_unconstrained_link_counts_every_byte_once(self) -> None:
@@ -258,7 +258,7 @@ class TestByteCountersAreTheWire:
         sent = [bytes([index]) * (index + 5) for index in range(16)]
         for payload in sent:
             network.route(Datagram(Address("a", 1), Address("c", 2), payload))
-        simulator.run_until_idle()
+        simulator.run()
 
         per_link = [
             network.link(source, destination).statistics.as_dict()

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.auth_server import MoqAuthoritativeServer
 from repro.core.compatibility import CompatibilityMode
-from repro.core.forwarder import MoqForwarder
+from repro.core.forwarder import ForwarderConfig, MoqForwarder
 from repro.core.mapping import DnsQuestionKey
 from repro.core.recursive import MoqRecursiveResolver
 from repro.dns.message import make_query
@@ -125,13 +125,6 @@ class TestMoqAuthoritativeServer:
         topology.run(2.0)
         assert pushed, "creating the record must push an update to the subscriber"
         assert decapsulate_response(pushed[-1]).rcode == Rcode.NOERROR
-
-    def test_force_publish_counts_subscribers(self):
-        topology = SmallTopology()
-        _subscribe_directly(topology, _key())
-        topology.run(5.0)
-        assert topology.moqt_auth.force_publish(_key()) == 1
-        assert topology.moqt_auth.force_publish(_key("absent.example.com.")) == 0
 
 
 class TestMoqRecursiveResolver:
@@ -332,6 +325,74 @@ class TestMoqForwarder:
         summary = topology.forwarder.state_summary()
         assert summary["records"] == 1
         assert summary["open_sessions"] == 1
+
+    def test_no_udp_listener_is_bound_without_a_listen_port(self):
+        topology = SmallTopology()
+        # The topology's forwarder owns port 53 on the stub host; a second
+        # one with no listen port binds no UDP port and still resolves.
+        forwarder = MoqForwarder(
+            topology.network.host(STUB_HOST),
+            recursive_moqt_address=Address(RECURSIVE_HOST, MOQT_PORT),
+            config=ForwarderConfig(listen_port=None),
+        )
+        assert forwarder.address is None
+        answers = []
+        forwarder.resolve(_key(), lambda m, v: answers.append(m))
+        topology.run(5.0)
+        assert [r.rdata.to_text() for r in answers[0].answers] == ["192.0.2.10"]
+        assert forwarder.statistics.client_queries == 0
+
+    def test_missing_name_is_answered_nxdomain(self):
+        topology = SmallTopology()
+        answers = []
+        topology.forwarder.resolve(_key("missing.example.com."), lambda m, v: answers.append(m))
+        topology.run(5.0)
+        assert answers[0].rcode == Rcode.NXDOMAIN
+        assert answers[0].answers == ()
+        assert topology.forwarder.statistics.failures == 0
+
+    def test_missing_aaaa_is_answered_nodata(self):
+        topology = SmallTopology()
+        answers = []
+        topology.forwarder.resolve(_key(rdtype=RecordType.AAAA), lambda m, v: answers.append(m))
+        topology.run(5.0)
+        assert answers[0].rcode == Rcode.NOERROR
+        assert answers[0].answers == ()
+
+    def test_https_record_reaches_the_client_with_its_alpn_list(self):
+        topology = SmallTopology()
+        topology.auth_zone.add("www.example.com.", "HTTPS", "1 . alpn=h2,h3", ttl=300)
+        answers = []
+        topology.forwarder.resolve(_key(rdtype=RecordType.HTTPS), lambda m, v: answers.append(m))
+        topology.run(5.0)
+        assert [record.rdata.alpns() for record in answers[0].answers] == [["h2", "h3"]]
+
+    def test_classic_client_gets_nxdomain_through_the_listener(self):
+        topology = SmallTopology()
+        client = DnsUdpEndpoint(topology.network.host(STUB_HOST))
+        responses = []
+        client.query(
+            make_query("missing.example.com.", "A"), Address(STUB_HOST, 53), responses.append,
+            timeout=5.0,
+        )
+        topology.run(10.0)
+        assert responses[0] is not None and responses[0].rcode == Rcode.NXDOMAIN
+        assert topology.forwarder.statistics.client_queries == 1
+
+    def test_pushed_updates_keep_answers_current_without_lookups(self):
+        topology = SmallTopology()
+        key = _key()
+        topology.forwarder.resolve(key, lambda m, v: None)
+        topology.run(5.0)
+        topology.update_record("203.0.113.200")
+        topology.run(2.0)
+        datagrams_before = topology.network.total_link_statistics()["datagrams_sent"]
+        fresh = []
+        topology.forwarder.resolve(key, lambda m, v: fresh.append(m))
+        assert [r.rdata.to_text() for r in fresh[0].answers] == ["203.0.113.200"]
+        assert topology.network.total_link_statistics()["datagrams_sent"] == datagrams_before
+        assert topology.forwarder.statistics.pushes_received >= 1
+        assert topology.forwarder.statistics.upstream_lookups == 1
 
 
 class TestCompatibilityModes:

@@ -109,11 +109,6 @@ class TestPolicies:
         with pytest.raises(ValueError):
             AdaptivePolicy(base_retention=0)
 
-    def test_lookup_rate(self):
-        subscription = TrackedSubscription(key=_key(1), created_at=0.0, last_lookup_at=0.0)
-        subscription.record_lookup(10.0)
-        assert subscription.lookup_rate(now=10.0) == pytest.approx(0.2)
-
 
 class TestSessionManager:
     def _build(self, config: SessionManagerConfig | None = None):

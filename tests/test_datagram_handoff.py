@@ -242,7 +242,7 @@ class TestIdleTimestamp:
                     connection.send_datagram_frame(b"payload")
             for side in sides:
                 _assert_same_deadline(*side)
-        simulator.run_until_idle()
+        simulator.run()
         for index, (connection, model) in enumerate(sides):
             assert connection.close_reason == "idle timeout"
             assert closed_at[index] == [model.fired_at]

@@ -45,13 +45,30 @@ class TestCacheBasics:
         assert cache.get(name, RecordType.A) is None
         assert cache.statistics.expirations == 1
 
-    def test_fresh_rrset_decrements_ttl(self, simulator, cache):
+    def test_remaining_ttl_follows_the_simulated_clock(self, simulator, cache):
         name = Name.from_text("www.example.com.")
         cache.put(name, RecordType.A, _rrset("www.example.com.", ["192.0.2.1"], ttl=100))
         simulator.advance(40.0)
-        fresh = cache.fresh_rrset(name, RecordType.A)
-        assert fresh is not None
-        assert fresh.ttl == 60
+        entry = cache.get(name, RecordType.A)
+        assert entry is not None
+        assert entry.remaining_ttl(simulator.now) == 60.0
+        assert entry.remaining_ttl(simulator.now + 100.0) == 0.0
+
+    def test_expired_entries_are_dropped_when_looked_up(self, simulator, cache):
+        for index in range(5):
+            cache.put(
+                Name.from_text(f"h{index}.example.com."),
+                RecordType.A,
+                _rrset(f"h{index}.example.com.", ["192.0.2.9"], ttl=10 + index),
+            )
+        simulator.advance(12.5)
+        found = [
+            cache.get(Name.from_text(f"h{index}.example.com."), RecordType.A) is not None
+            for index in range(5)
+        ]
+        assert found == [False, False, False, True, True]
+        assert len(cache) == 2
+        assert cache.statistics.expirations == 3
 
     def test_negative_entries_require_ttl(self, cache):
         name = Name.from_text("nope.example.com.")
@@ -60,12 +77,6 @@ class TestCacheBasics:
         cache.put(name, RecordType.A, None, rcode=Rcode.NXDOMAIN, ttl=30)
         entry = cache.get(name, RecordType.A)
         assert entry is not None and entry.rcode == Rcode.NXDOMAIN
-
-    def test_peek_does_not_affect_statistics(self, cache):
-        name = Name.from_text("www.example.com.")
-        cache.put(name, RecordType.A, _rrset("www.example.com.", ["192.0.2.1"]))
-        cache.peek(name, RecordType.A)
-        assert cache.statistics.lookups == 0
 
     def test_remove_and_flush(self, cache):
         name = Name.from_text("www.example.com.")
@@ -96,20 +107,8 @@ class TestCacheBounds:
             RecordType.A,
             _rrset("third.example.com.", ["192.0.2.3"], ttl=500),
         )
-        assert cache.peek(short, RecordType.A) is None
-        assert cache.peek(long_lived, RecordType.A) is not None
-
-    def test_purge_expired_bulk(self, simulator, cache):
-        for index in range(5):
-            cache.put(
-                Name.from_text(f"h{index}.example.com."),
-                RecordType.A,
-                _rrset(f"h{index}.example.com.", ["192.0.2.9"], ttl=10 + index),
-            )
-        simulator.advance(12.5)
-        purged = cache.purge_expired()
-        assert purged == 3
-        assert len(cache) == 2
+        assert cache.get(short, RecordType.A) is None
+        assert cache.get(long_lived, RecordType.A) is not None
 
     def test_pushed_updates_counted(self, cache):
         name = Name.from_text("www.example.com.")

@@ -46,7 +46,7 @@ from repro.dns.rdata import (
 from repro.dns.rr import ResourceRecord
 from repro.dns.transport import DnsUdpEndpoint
 from repro.dns.types import DNSClass, Opcode, Rcode, RecordType
-from repro.dns.zonefile import parse_zone_text
+from repro.dns.zone import Zone
 from repro.moqt.objectmodel import MoqtObject
 from repro.netsim.packet import Address, Datagram
 
@@ -568,7 +568,8 @@ def test_records_of_unknown_type_and_class_round_trip_byte_exact():
     for text in ("TYPE", "TYPE65536", "TYPE-1", "TYPE1x", "CLASS1"):
         with pytest.raises(ValueError):
             RecordType.from_text(text)
-    zone = parse_zone_text("$ORIGIN example.com.\n@ 60 IN SOA ns hm 1 2 3 4 5\nhost 60 TYPE99 \\# 2 0102\n")
+    zone = Zone("example.com.")
+    zone.add("host.example.com.", "TYPE99", "\\# 2 0102", ttl=60)
     assert zone.get_rrset(N("host.example.com."), RecordType(99)).records[0].rdata == opaque.rdata
 
 

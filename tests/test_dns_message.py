@@ -12,7 +12,6 @@ from repro.dns.message import (
     Question,
     make_query,
     make_response,
-    response_with_rrset,
 )
 from repro.dns.name import Name
 from repro.dns.rdata import ARdata, CNAMERdata, SOARdata
@@ -127,16 +126,6 @@ class TestMessageHelpers:
         rrset = response.answer_rrset(RecordType.A)
         assert rrset is not None and len(rrset) == 1
         assert response.answer_rrset(RecordType.AAAA) is None
-
-    def test_response_with_rrset(self):
-        query = make_query("www.example.com", "A")
-        rrset = RRset(
-            Name.from_text("www.example.com"),
-            RecordType.A,
-            [_a_record("www.example.com", "192.0.2.7")],
-        )
-        response = response_with_rrset(query, rrset)
-        assert [record.rdata.to_text() for record in response.answers] == ["192.0.2.7"]
 
     def test_to_text_contains_sections(self):
         query = make_query("www.example.com", "A")

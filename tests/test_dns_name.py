@@ -74,12 +74,6 @@ class TestNameRelations:
         assert name.parent().parent().parent() == Name.root()
         assert Name.root().ancestors() == [Name.root()]
 
-    def test_relativize(self):
-        name = Name.from_text("www.example.com")
-        assert name.relativize(Name.from_text("example.com")) == (b"www",)
-        with pytest.raises(NameError_):
-            name.relativize(Name.from_text("example.org"))
-
     def test_canonical_ordering_is_root_first(self):
         first = Name.from_text("a.example.com")
         second = Name.from_text("b.example.com")

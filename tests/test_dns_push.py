@@ -234,14 +234,13 @@ keys = st.builds(_key, st.sampled_from(QNAMES), st.sampled_from(QTYPES))
 mutations = st.one_of(
     st.tuples(st.just("add"), owners, rdatas),
     st.tuples(st.just("replace"), owners, st.lists(rdatas, max_size=2)),
-    st.tuples(st.just("delete"), owners, st.sampled_from(QTYPES)),
+    st.tuples(st.just("clear"), owners, st.sampled_from(QTYPES)),
 )
 operations = st.one_of(
     mutations,
     mutations,
     st.tuples(st.just("subscribe"), st.integers(0, 1), keys),
     st.tuples(st.just("unsubscribe"), st.integers(0, 1), st.integers(0, 50)),
-    st.tuples(st.just("force_publish"), st.integers(0, 50)),
     st.tuples(st.just("add_child")),
     st.tuples(st.just("close_client"), st.integers(0, 1)),
 )
@@ -261,7 +260,7 @@ def mutate(zones: dict[str, Zone], operation: tuple) -> None:
         ]
         zone.replace_rrset(RRset(owner, rdtype, records))
     else:
-        zone.delete_rrset(owner, argument)
+        zone.replace_rrset(RRset(owner, argument))
 
 
 @settings(max_examples=200, deadline=None)
@@ -309,11 +308,6 @@ def test_indexed_push_equals_a_full_rescan(child_from_start, initial, presubscri
                 key = list(client.subscriptions)[operation[2] % len(client.subscriptions)]
                 client.unsubscribe(key)
                 oracle.unsubscribe(key, client.index)
-        elif kind == "force_publish":
-            if oracle.tracks:
-                key = list(oracle.tracks)[operation[1] % len(oracle.tracks)]
-                oracle.push(key, expected)
-                assert server.force_publish(key) == len(oracle.tracks[key].clients)
         elif kind == "add_child":
             if not child_served:
                 child_served = True
@@ -474,41 +468,6 @@ def test_resubscribing_after_the_track_was_dropped_starts_from_the_current_answe
     world.settle()
     assert client.take() == []  # a stale fingerprint would push here
     zone.add("www.example.", "A", "192.0.2.4")
-    world.settle()
-    assert len(client.take()) == 1
-
-
-def test_force_publish_keeps_the_index_current():
-    zone = Zone("example.")
-    zone.add("alias.example.", "CNAME", "old.example.")
-    zone.add("old.example.", "A", "192.0.2.1")
-    zone.add("new.example.", "A", "192.0.2.2")
-    world = World([zone])
-    client = world.client()
-    key = _key("alias.example.")
-    client.subscribe(key)
-    world.settle()
-    state = world.server._tracks[key]
-    assert _name("old.example.") in state.watched
-
-    # Repoint the alias behind the server's back (a listener-less edit), then
-    # force a publish: the track must now watch the new target, not the old.
-    listeners, zone._listeners = zone._listeners, []
-    record = ResourceRecord(_name("alias.example."), RecordType.CNAME,
-                            CNAMERdata(_name("new.example.")), 300)
-    zone.replace_rrset(RRset(_name("alias.example."), RecordType.CNAME, [record]))
-    zone._listeners = listeners
-    assert world.server.force_publish(key) == 1
-    world.settle()
-    assert len(client.take()) == 1
-    assert _name("new.example.") in state.watched
-    assert _name("old.example.") not in state.watched
-    check_index(world.server)
-
-    zone.add("old.example.", "A", "192.0.2.9")
-    world.settle()
-    assert client.take() == []
-    zone.add("new.example.", "A", "192.0.2.10")
     world.settle()
     assert len(client.take()) == 1
 

@@ -20,7 +20,6 @@ from repro.dns.rdata import (
     TXTRdata,
     decode_rdata,
     parse_rdata,
-    rdata_class_for,
 )
 from repro.dns.types import RecordType
 
@@ -173,7 +172,3 @@ class TestGenericAndRegistry:
     def test_generic_text_roundtrip(self):
         rdata = GenericRdata(0, b"\xde\xad\xbe\xef")
         assert GenericRdata.from_text(rdata.to_text()).data == b"\xde\xad\xbe\xef"
-
-    def test_registry_lookup(self):
-        assert rdata_class_for(RecordType.A) is ARdata
-        assert rdata_class_for(RecordType.OPT) is None

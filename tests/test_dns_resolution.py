@@ -59,7 +59,7 @@ class TestUdpTransport:
         DnsUdpEndpoint(network.host("10.0.0.2"), port=53, handler=handler)
         client = DnsUdpEndpoint(network.host("10.0.0.1"))
         client.query(make_query("x.example.", "A"), Address("10.0.0.2", 53), answers.append)
-        simulator.run_until_idle()
+        simulator.run()
         assert len(answers) == 1 and answers[0] is not None
         assert client.statistics.responses_received == 1
 
@@ -69,7 +69,7 @@ class TestUdpTransport:
         client = DnsUdpEndpoint(network.host("10.0.0.1"), query_timeout=0.5, retries=1)
         # Port 53 on the peer is not bound: the query is silently dropped.
         client.query(make_query("x.example.", "A"), Address("10.0.0.2", 53), answers.append)
-        simulator.run_until_idle()
+        simulator.run()
         assert answers == [None]
         assert client.statistics.timeouts == 1
         assert client.statistics.retransmissions == 1
@@ -80,17 +80,17 @@ class TestUdpTransport:
         DnsUdpEndpoint(network.host("10.0.0.2"), port=53)  # no handler installed
         client = DnsUdpEndpoint(network.host("10.0.0.1"))
         client.query(make_query("x.example.", "A"), Address("10.0.0.2", 53), answers.append)
-        simulator.run_until_idle()
+        simulator.run()
         assert answers[0] is not None and answers[0].rcode == Rcode.REFUSED
 
 
 class TestAuthoritativeServer:
     def test_serves_answers_and_referrals(self):
         simulator, network, recursive, stub, auth_server, _ = _build_hierarchy()
-        result = auth_server.resolve_locally(Name.from_text("www.example.com."), RecordType.A)
+        www = Name.from_text("www.example.com.")
+        result = auth_server.zone_for(www).lookup(www, RecordType.A)
         assert result.rcode == Rcode.NOERROR and result.answers
-        refused = auth_server.resolve_locally(Name.from_text("www.other.org."), RecordType.A)
-        assert refused.rcode == Rcode.REFUSED
+        assert auth_server.zone_for(Name.from_text("www.other.org.")) is None
 
     def test_zone_for_picks_most_specific(self):
         simulator = Simulator()
@@ -108,7 +108,7 @@ class TestRecursiveResolution:
         simulator, network, recursive, stub, _, _ = _build_hierarchy()
         outcomes = []
         stub.resolve("www.example.com.", "A", outcomes.append)
-        simulator.run_until_idle()
+        simulator.run()
         outcome = outcomes[0]
         assert outcome.rcode == Rcode.NOERROR
         assert outcome.rrset is not None
@@ -121,12 +121,12 @@ class TestRecursiveResolution:
     def test_second_lookup_served_from_recursive_cache(self):
         simulator, network, recursive, stub, _, _ = _build_hierarchy()
         stub.resolve("www.example.com.", "A", lambda o: None)
-        simulator.run_until_idle()
+        simulator.run()
         upstream_before = recursive.statistics.upstream_queries
         outcomes = []
         other_stub = StubResolver(network.host(STUB), Address(REC, 53))
         other_stub.resolve("www.example.com.", "A", outcomes.append)
-        simulator.run_until_idle()
+        simulator.run()
         assert outcomes[0].rcode == Rcode.NOERROR
         assert recursive.statistics.upstream_queries == upstream_before
         assert outcomes[0].duration == pytest.approx(0.01, abs=1e-6)
@@ -134,7 +134,7 @@ class TestRecursiveResolution:
     def test_stub_cache_hit_avoids_network(self):
         simulator, network, recursive, stub, _, _ = _build_hierarchy()
         stub.resolve("www.example.com.", "A", lambda o: None)
-        simulator.run_until_idle()
+        simulator.run()
         outcomes = []
         stub.resolve("www.example.com.", "A", outcomes.append)
         assert outcomes[0].from_cache is True
@@ -143,14 +143,14 @@ class TestRecursiveResolution:
         simulator, network, recursive, stub, _, _ = _build_hierarchy()
         outcomes = []
         stub.resolve("missing.example.com.", "A", outcomes.append)
-        simulator.run_until_idle()
+        simulator.run()
         assert outcomes[0].rcode == Rcode.NXDOMAIN
 
     def test_nodata_answer_is_noerror_without_records(self):
         simulator, network, recursive, stub, _, _ = _build_hierarchy()
         outcomes = []
         stub.resolve("www.example.com.", "TXT", outcomes.append)
-        simulator.run_until_idle()
+        simulator.run()
         assert outcomes[0].rcode == Rcode.NOERROR
         assert outcomes[0].rrset is None
 
@@ -158,14 +158,14 @@ class TestRecursiveResolution:
         simulator, network, recursive, stub, _, _ = _build_hierarchy()
         outcomes = []
         stub.resolve("www.example.com.", "AAAA", outcomes.append)
-        simulator.run_until_idle()
+        simulator.run()
         assert outcomes[0].rrset.sorted_rdata_texts() == ["2001:db8::10"]
 
     def test_resolution_survives_moderate_loss(self):
         simulator, network, recursive, stub, _, _ = _build_hierarchy(loss_rate=0.15)
         outcomes = []
         stub.resolve("www.example.com.", "A", outcomes.append)
-        simulator.run_until_idle()
+        simulator.run()
         # Retries should eventually succeed despite 15% loss on every link.
         assert outcomes and outcomes[0].rcode in (Rcode.NOERROR, Rcode.SERVFAIL)
 
@@ -179,10 +179,10 @@ class TestRecursiveResolution:
     def test_cache_expiry_triggers_refetch(self):
         simulator, network, recursive, stub, _, _ = _build_hierarchy(record_ttl=30)
         stub.resolve("www.example.com.", "A", lambda o: None)
-        simulator.run_until_idle()
+        simulator.run()
         upstream_before = recursive.statistics.upstream_queries
         simulator.advance(31.0)
         fresh_stub = StubResolver(network.host(STUB), Address(REC, 53))
         fresh_stub.resolve("www.example.com.", "A", lambda o: None)
-        simulator.run_until_idle()
+        simulator.run()
         assert recursive.statistics.upstream_queries > upstream_before

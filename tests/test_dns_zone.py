@@ -10,7 +10,6 @@ from repro.dns.rdata import ARdata
 from repro.dns.rr import ResourceRecord, RRset
 from repro.dns.types import Rcode, RecordType
 from repro.dns.zone import Zone, ZoneChange, ZoneError
-from repro.dns.zonefile import ZoneFileError, parse_zone_text, serialize_zone
 
 
 @pytest.fixture
@@ -32,7 +31,7 @@ class TestZoneContent:
         start = zone.serial
         zone.add("new.example.com.", "A", "192.0.2.10")
         assert zone.serial == start + 1
-        zone.delete_rrset(Name.from_text("new.example.com."), RecordType.A)
+        zone.add("new.example.com.", "A", "192.0.2.11")
         assert zone.serial == start + 2
 
     def test_serial_monotonically_increases(self, zone):
@@ -65,9 +64,6 @@ class TestZoneContent:
         assert stored is not None
         assert [record.rdata.to_text() for record in stored] == ["198.51.100.1"]
 
-    def test_delete_missing_rrset_returns_false(self, zone):
-        assert zone.delete_rrset(Name.from_text("missing.example.com."), RecordType.A) is False
-
     def test_names_and_len(self, zone):
         assert Name.from_text("www.example.com.") in zone.names()
         assert len(zone) > 5
@@ -81,22 +77,29 @@ class TestZoneContent:
         zone.add("www.example.com.", "AAAA", "2001:db8::1")
         assert [name.to_text() for name in zone.names()] == texts
 
-    def test_owner_disappears_with_its_last_rrset(self, zone):
+    def test_a_cleared_rrset_keeps_its_owner(self, zone):
         www = Name.from_text("www.example.com.")
-        zone.add(www, "AAAA", "2001:db8::1")
-        assert zone.delete_rrset(www, RecordType.A)
-        assert www in zone.names()
-        assert zone.lookup(www, RecordType.A).rcode == Rcode.NOERROR  # NODATA: AAAA remains
-        assert zone.delete_rrset(www, RecordType.AAAA)
-        assert www not in zone.names()
-        assert zone.lookup(www, RecordType.A).rcode == Rcode.NXDOMAIN
-        zone.replace_rrset(RRset(www, RecordType.A))  # an empty RRset still owns the name
+        start = zone.serial
         zone.replace_rrset(RRset(www, RecordType.A))
-        assert zone.names()[-1] == www
-        assert zone.lookup(www, RecordType.AAAA).rcode == Rcode.NOERROR
-        assert zone.delete_rrset(www, RecordType.A)
-        assert zone.lookup(www, RecordType.AAAA).rcode == Rcode.NXDOMAIN
+        assert zone.serial == start + 1
+        assert www in zone.names()
+        result = zone.lookup(www, RecordType.A)
+        assert result.rcode == Rcode.NOERROR and not result.answers  # NODATA, not NXDOMAIN
 
+    def test_add_uses_the_default_ttl_unless_given(self, zone):
+        assert zone.add("a.example.com.", "A", "192.0.2.20").ttl == 300
+        assert zone.add("b.example.com.", "A", "192.0.2.21", ttl=30).ttl == 30
+
+    def test_unknown_type_rejected(self, zone):
+        with pytest.raises(ValueError):
+            zone.add("www.example.com.", "BOGUS", "1")
+
+    def test_to_text_renders_origin_and_soa_first(self, zone):
+        lines = zone.to_text().splitlines()
+        assert lines[0] == "$ORIGIN example.com."
+        assert " SOA " in lines[1]
+        assert any(line.startswith("alias.example.com.") and " CNAME " in line for line in lines)
+        assert sum(" A 192.0.2." in line for line in lines) == 4
 
 class TestZoneLookup:
     def test_exact_match(self, zone):
@@ -147,51 +150,6 @@ class TestZoneLookup:
         result = zone.lookup(Name.from_text("example.com."), RecordType.NS)
         assert not result.is_referral
         assert result.answers[0].rdtype == RecordType.NS
-
-
-class TestZoneFile:
-    def test_parse_and_serialize_roundtrip(self):
-        text = """
-$ORIGIN example.org.
-$TTL 600
-@ SOA ns1.example.org. hostmaster.example.org. 17 3600 600 86400 300
-@ NS ns1.example.org.
-ns1 A 192.0.2.53
-www 300 IN A 192.0.2.80
-www A 192.0.2.81
-api CNAME www.example.org.
-txt TXT "hello world"
-"""
-        zone = parse_zone_text(text)
-        assert zone.origin == Name.from_text("example.org.")
-        assert zone.serial == 17
-        www = zone.get_rrset("www.example.org.", "A")
-        assert www is not None and len(www) == 2
-        assert www.records[0].ttl == 300
-        ns1 = zone.get_rrset("ns1.example.org.", "A")
-        assert ns1 is not None and ns1.records[0].ttl == 600
-        rendered = serialize_zone(zone)
-        reparsed = parse_zone_text(rendered)
-        assert reparsed.serial == 17
-        assert reparsed.get_rrset("api.example.org.", "CNAME") is not None
-
-    def test_origin_argument_used_when_no_directive(self):
-        zone = parse_zone_text("www A 192.0.2.1\n", origin="example.net.")
-        assert zone.get_rrset("www.example.net.", "A") is not None
-
-    def test_missing_origin_rejected(self):
-        with pytest.raises(ZoneFileError):
-            parse_zone_text("www A 192.0.2.1\n")
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ZoneFileError):
-            parse_zone_text("$ORIGIN x.\nwww BOGUS 1\n")
-
-    def test_comments_and_blank_lines_ignored(self):
-        zone = parse_zone_text(
-            "$ORIGIN example.io.\n; a comment\n\nwww A 192.0.2.5 ; trailing comment\n"
-        )
-        assert zone.get_rrset("www.example.io.", "A") is not None
 
 
 # ---------------------------------------------------- delegation walk, differential

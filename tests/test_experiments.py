@@ -15,7 +15,7 @@ from repro.experiments.constrained_tiers import run_constrained_tiers
 from repro.experiments.fig1a import PAPER_TOTALS, run_fig1a
 from repro.experiments.fig1b import run_fig1b
 from repro.experiments.fig2_sequence import run_fig2
-from repro.experiments.query_latency import run_query_latency, run_rtt_sweep
+from repro.experiments.query_latency import run_query_latency
 from repro.experiments.report import format_table
 from repro.experiments.staleness import run_staleness
 from repro.experiments.state_overhead import run_state_overhead
@@ -105,7 +105,8 @@ class TestQueryLatencyExperiment:
         assert pushed == 0.0
 
     def test_cold_lookup_pays_about_three_times_the_hop_cost_at_any_rtt(self):
-        for result in run_rtt_sweep([0.020, 0.080]):
+        for rtt in (0.020, 0.080):
+            result = run_query_latency(stub_rtt=0.010, upstream_rtt=rtt)
             cold = result.measurement("moqt-cold").measured
             udp = result.measurement("udp-first").measured
             assert cold > 2.5 * udp / 1.3

@@ -7,10 +7,8 @@ import pytest
 from repro.analysis.churn import recovery_model
 from repro.analysis.detection import (
     DEFAULT_BACKOFF_CAP,
-    DEFAULT_MAX_TIMEOUTS,
     DEFAULT_SUSPECT_AFTER,
     DetectionModel,
-    give_up_latency,
     pto_fire_offsets,
     suspect_latency,
 )
@@ -24,7 +22,6 @@ class TestDetectionModelClosedForms:
         # forms restate the transport's constants; this is the drift alarm.
         assert DEFAULT_SUSPECT_AFTER == QuicConnection.LIVENESS_SUSPECT_AFTER
         assert DEFAULT_BACKOFF_CAP == QuicConnection.PTO_BACKOFF_EXPONENT_CAP
-        assert DEFAULT_MAX_TIMEOUTS == QuicConnection.MAX_CONSECUTIVE_LOSS_TIMEOUTS
 
     def test_pto_fire_offsets_double_then_cap(self):
         # pto, then 2x, 4x, 8x, and capped at 2**3 = 8 probe intervals.
@@ -36,11 +33,6 @@ class TestDetectionModelClosedForms:
         # 3 x pto at the transport's default threshold of two PTOs.
         assert QuicConnection.LIVENESS_SUSPECT_AFTER == 2
         assert suspect_latency(0.1) == pytest.approx(0.3)
-
-    def test_give_up_latency_is_bounded_by_the_backoff_cap(self):
-        # 9 firings at the default max of 8 consecutive timeouts:
-        # 1 + 2 + 4 + 8 + 8*5 = 55 probe intervals.
-        assert give_up_latency(0.1) == pytest.approx(5.5)
 
     def test_rejects_nonsense_inputs(self):
         with pytest.raises(ValueError):
@@ -97,15 +89,6 @@ class TestDetectionModelClosedForms:
         # Last restart at the +0.6 retransmission, expiry 0.15 later —
         # before the second PTO firing at +0.8.
         assert gappy.detection_latency == pytest.approx(0.75)
-
-    def test_failover_latency_stacks_on_the_reattach_floor(self):
-        model = DetectionModel(
-            crashed_at=0.0, probe_timeout=0.1, next_send_at=0.2, idle_deadline=30.0
-        )
-        floor = recovery_model(0.010).reattach_latency
-        assert model.failover_latency(0.010) == pytest.approx(0.5 + floor)
-        alpn = model.failover_latency(0.010, alpn_version_negotiation=True)
-        assert alpn == pytest.approx(0.5 + recovery_model(0.010, True).reattach_latency)
 
 
 class TestFailureDetectionExperiment:

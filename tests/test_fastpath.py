@@ -106,10 +106,7 @@ class TestVarintProperties:
     @given(st.binary(min_size=0, max_size=64), st.binary(min_size=0, max_size=64))
     @settings(max_examples=200)
     def test_length_prefixed_roundtrip(self, first, second):
-        writer = VarintWriter()
-        writer.write_length_prefixed(first)
-        writer.write_length_prefixed(second)
-        reader = VarintReader(writer.getvalue())
+        reader = VarintReader(encode_varint(len(first)) + first + encode_varint(len(second)) + second)
         assert reader.read_length_prefixed() == first
         assert reader.read_length_prefixed() == second
         assert reader.remaining == 0
@@ -131,7 +128,7 @@ def _run_labelled_schedule(seed: int) -> list[tuple[str, float]]:
     # Same-instant events must keep scheduling (FIFO) order.
     for index in range(10):
         simulator.call_at(2.0, lambda index=index, s=simulator: order.append((f"tie-{index}", s.now)))
-    simulator.run_until_idle()
+    simulator.run()
     return order
 
 
@@ -155,7 +152,7 @@ class TestSimulatorDeterminism:
         for event in cancelled:
             event.cancel()  # >50% of the heap dead: triggers compaction
         del live
-        simulator.run_until_idle()
+        simulator.run()
         assert order == list(range(20))
 
     def test_interleaved_cancellation_churn_runs_exactly_the_live_events(self):
@@ -176,7 +173,7 @@ class TestSimulatorDeterminism:
         live = [index for index, event in enumerate(events) if not event.cancelled]
         assert simulator.pending_events == len(live) < len(events)
         assert simulator.compactions >= 1
-        assert simulator.run_until_idle() == len(live)
+        assert simulator.run() == len(live)
         # Time order, and scheduling (FIFO) order within one instant.
         assert fired == sorted(fired)
         assert sorted(index for _, index in fired) == live
@@ -192,7 +189,7 @@ class TestSimulatorDeterminism:
         # entries present at compaction time) rather than retaining all 200.
         assert simulator.pending_events == 50
         assert len(simulator._queue) < 150
-        assert simulator.run_until_idle() == 50
+        assert simulator.run() == 50
 
     def test_pending_events_is_live_through_cancel_and_run(self):
         simulator = Simulator()
@@ -203,14 +200,14 @@ class TestSimulatorDeterminism:
         assert simulator.pending_events == 1
         first.cancel()  # idempotent: must not double-decrement
         assert simulator.pending_events == 1
-        simulator.run_until_idle()
+        simulator.run()
         assert simulator.pending_events == 0
 
     def test_event_args_are_passed_to_callback(self):
         simulator = Simulator()
         seen = []
         simulator.call_later(0.5, seen.append, "payload")
-        simulator.run_until_idle()
+        simulator.run()
         assert seen == ["payload"]
 
 
@@ -233,7 +230,7 @@ class TestTimerLazyRestart:
         simulator.run(until=0.5)
         timer.start(1.0)  # deadline moves to 1.5
         assert timer.deadline == 1.5
-        simulator.run_until_idle()
+        simulator.run()
         assert fired == [1.5]
 
     def test_shortened_deadline_fires_early(self):
@@ -242,7 +239,7 @@ class TestTimerLazyRestart:
         timer = Timer(simulator, lambda: fired.append(simulator.now))
         timer.start(5.0)
         timer.start(1.0)
-        simulator.run_until_idle()
+        simulator.run()
         assert fired == [1.0]
 
     def test_stop_after_extension_cancels(self):
@@ -252,7 +249,7 @@ class TestTimerLazyRestart:
         timer.start(1.0)
         timer.start(3.0)
         timer.stop()
-        simulator.run_until_idle()
+        simulator.run()
         assert fired == []
         assert simulator.pending_events == 0
 

@@ -109,7 +109,7 @@ class TestWorkloadTopology:
         )
         assignment = topology.zones.assignment(domain.name)
         classic = topology.classic_servers[assignment.auth_host]
-        result = classic.resolve_locally(domain.name, RecordType.A)
+        result = classic.zone_for(domain.name).lookup(domain.name, RecordType.A)
         moqt_server = topology.moqt_servers[assignment.auth_host]
         answer = moqt_server.answer_question(DnsQuestionKey(domain.name, RecordType.A))
         assert answer is not None

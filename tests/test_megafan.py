@@ -98,7 +98,7 @@ class TestTransmitMany:
         before = simulator.events_scheduled
         Link.transmit_many(simulator, entries)
         assert simulator.events_scheduled == before + 1  # one event for all 8
-        simulator.run_until_idle()
+        simulator.run()
         assert [index for index, _ in delivered] == list(range(8))
         assert simulator.now == pytest.approx(0.01)
         for link in links:
@@ -114,7 +114,7 @@ class TestTransmitMany:
         before = simulator.events_scheduled
         Link.transmit_many(simulator, entries)
         assert simulator.events_scheduled == before + 2
-        simulator.run_until_idle()
+        simulator.run()
         assert len(delivered) == 4
 
     def test_matches_sequential_transmit_behaviour(self):
@@ -132,7 +132,7 @@ class TestTransmitMany:
             else:
                 for link, datagram in entries:
                     transmit(simulator, link, datagram)
-            simulator.run_until_idle()
+            simulator.run()
             results.append(
                 [(index, bytes(datagram.payload), simulator.now) for index, datagram in delivered]
             )
@@ -159,7 +159,7 @@ class TestNetworkBatching:
         assert simulator.events_scheduled == before  # nothing scheduled yet
         network.end_batch()
         assert simulator.events_scheduled == before + 1
-        simulator.run_until_idle()
+        simulator.run()
         assert network.link("a", "b").statistics.datagrams_delivered == 1
         assert network.link("a", "c").statistics.datagrams_delivered == 1
 
@@ -191,7 +191,7 @@ class TestNetworkBatching:
         network.host("b").bind(7, Echo())
         network.host("a").bind(7, Collect())
         network.route(Datagram(Address("a", 7), Address("b", 7), b"ping"))
-        simulator.run_until_idle()
+        simulator.run()
         assert simulator.events_scheduled == 2  # the ping's arrival, the replies' arrival
         assert received == [(pytest.approx(0.02), b"ping-1"), (pytest.approx(0.02), b"ping-2")]
         assert network.link("b", "a").statistics.datagrams_delivered == 2
@@ -613,7 +613,7 @@ class TestSimulatorCounters:
         simulator.call_later(0.1, lambda: None)
         simulator.call_soon(lambda: None)
         assert simulator.events_scheduled == 2
-        simulator.run_until_idle()
+        simulator.run()
         assert simulator.events_scheduled == 2  # running does not schedule
 
     def test_compactions_counter_tracks_heap_rebuilds(self):

@@ -20,7 +20,10 @@ handler and closes with ``SessionErrorCode.PROTOCOL_VIOLATION``
   receiving session (and, by CONNECTION_CLOSE, its peer) with
   ``PROTOCOL_VIOLATION``, nothing escapes, the decode memo keeps nothing of
   it and the pending tables are empty; and random bytes down each path never
-  escape.
+  escape;
+* one case per site that decodes an enum (a group order, a filter type, a
+  fetch type): a value with no member closes the receiving session with
+  ``PROTOCOL_VIOLATION``, as the decoder's ``ValueError`` does everywhere.
 
 Mutation list — each change below was made to ``src/`` in turn and this file
 run against it; every mutant dies, killed by the tests named:
@@ -54,6 +57,9 @@ run against it; every mutant dies, killed by the tests named:
 * ``MoqtSession.datagram_frame_received`` dropping the datagram instead of
   closing (the old ``except MoqtError: return``) —
   ``test_a_malformed_input_closes_the_receiving_session[datagram]``;
+* the enum decode tables raising a bare ``KeyError`` for a value with no
+  member — ``test_an_enum_value_with_no_member_closes_the_receiving_session``
+  (all six cases);
 * ``MoqtSession._protocol_violation`` closing with ``NO_ERROR`` —
   ``test_a_malformed_input_closes_the_receiving_session`` and
   ``test_random_bytes_never_escape_the_simulator``, all three paths of each.
@@ -84,9 +90,15 @@ from repro.moqt.datastream import (
 from repro.moqt.errors import ProtocolViolation, SessionErrorCode
 from repro.moqt.messages import (
     ControlStreamParser,
+    Fetch,
+    FetchOk,
+    FetchType,
+    FilterType,
+    GroupOrder,
     MessageType,
     NeedMoreData,
     Subscribe,
+    SubscribeOk,
     _DECODERS,
     decode_control_message,
     decode_control_payload,
@@ -404,6 +416,61 @@ def test_a_malformed_input_closes_the_receiving_session(monkeypatch, case):
     assert pair.received == [] and pair.client.statistics.objects_received == 0
     assert key not in pair.simulator.memos[table]
     pair.assert_nothing_pending()
+
+
+def _with_value(build, good, other, bad: int) -> bytes:
+    """``build(good)``'s payload with the one byte where it differs from
+    ``build(other)``'s set to ``bad``: the field the two values fill."""
+    _, payload, _ = read_control_frame(build(good).encode())
+    _, changed, _ = read_control_frame(build(other).encode())
+    (offset,) = [index for index, (a, b) in enumerate(zip(payload, changed)) if a != b]
+    return payload[:offset] + bytes([bad]) + payload[offset + 1 :]
+
+
+#: Each site that decodes an enum: the message with the field as argument,
+#: two valid values, a value with no member, and whether the client sends it.
+UNKNOWN_MEMBERS = {
+    "Subscribe.group_order": (
+        lambda value: Subscribe(request_id=4, track_alias=2, full_track_name=TRACK, group_order=value),
+        GroupOrder.PUBLISHER_DEFAULT, GroupOrder.ASCENDING, 3, True,
+    ),
+    "Subscribe.filter_type": (
+        lambda value: Subscribe(request_id=4, track_alias=2, full_track_name=TRACK, filter_type=value),
+        FilterType.NEXT_GROUP_START, FilterType.LATEST_OBJECT, 5, True,
+    ),
+    "SubscribeOk.group_order": (
+        lambda value: SubscribeOk(request_id=0, group_order=value),
+        GroupOrder.ASCENDING, GroupOrder.DESCENDING, 3, False,
+    ),
+    "Fetch.group_order": (
+        lambda value: Fetch(request_id=4, group_order=value, fetch_type=FetchType.RELATIVE_JOINING),
+        GroupOrder.ASCENDING, GroupOrder.DESCENDING, 3, True,
+    ),
+    "Fetch.fetch_type": (
+        lambda value: Fetch(request_id=4, fetch_type=value),
+        FetchType.RELATIVE_JOINING, FetchType.ABSOLUTE_JOINING, 7, True,
+    ),
+    "FetchOk.group_order": (
+        lambda value: FetchOk(request_id=2, group_order=value),
+        GroupOrder.ASCENDING, GroupOrder.DESCENDING, 3, False,
+    ),
+}
+
+
+@pytest.mark.parametrize("site", UNKNOWN_MEMBERS)
+def test_an_enum_value_with_no_member_closes_the_receiving_session(monkeypatch, site):
+    build, good, other, bad, from_client = UNKNOWN_MEMBERS[site]
+    message_type, payload = build(good).TYPE, _with_value(build, good, other, bad)
+    with pytest.raises(ProtocolViolation):
+        decode_control_payload(message_type, payload)
+    pair = _Pair(monkeypatch)
+    sender, receiver = (pair.client, pair.server) if from_client else (pair.server, pair.client)
+    sender._send_control(frame(message_type, payload))
+    pair.run(1.0)  # nothing escapes
+    (first, second) = pair.closes
+    assert first[0] is receiver and first[1] == SessionErrorCode.PROTOCOL_VIOLATION
+    assert second == (sender, SessionErrorCode.PROTOCOL_VIOLATION, first[2])
+    assert (message_type, payload) not in pair.simulator.memos["moqt.control"]
 
 
 @pytest.mark.parametrize("path", ["control", "data stream", "datagram"])

@@ -13,8 +13,8 @@ from repro.netsim.network import Network, NoRouteError, UnknownHostError
 from repro.netsim.node import Host, HostNotAttachedError, PortInUseError
 from repro.netsim.packet import Address, Datagram
 from repro.netsim.simulator import Simulator
-from repro.netsim.stats import Counter, SummaryStatistics, cumulative_distribution, histogram
-from repro.netsim.trace import TraceRecorder, format_sequence
+from repro.netsim.stats import SummaryStatistics
+from repro.netsim.trace import TraceRecorder
 from repro.quic.endpoint import QuicEndpoint
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.collect import collect_network
@@ -56,7 +56,7 @@ class TestLink:
         delivered = []
         link = Link(LinkConfig(delay=0.25), lambda d: delivered.append(simulator.now))
         _send(simulator, link, _datagram(b"x" * 10))
-        simulator.run_until_idle()
+        simulator.run()
         assert delivered == [0.25]
 
     def test_serialisation_delay_applies_with_bandwidth(self, simulator):
@@ -67,7 +67,7 @@ class TestLink:
             lambda d: delivered.append(simulator.now),
         )
         _send(simulator, link, _datagram(b"a" * 1000))
-        simulator.run_until_idle()
+        simulator.run()
         assert delivered == [pytest.approx(1.5)]
 
     def test_fifo_serialisation_queues_back_to_back(self, simulator):
@@ -78,7 +78,7 @@ class TestLink:
         )
         _send(simulator, link, _datagram(b"a" * 1000))
         _send(simulator, link, _datagram(b"b" * 1000))
-        simulator.run_until_idle()
+        simulator.run()
         assert delivered == [pytest.approx(1.0), pytest.approx(2.0)]
 
     def test_loss_drops_datagrams_and_counts_them(self, simulator):
@@ -86,14 +86,14 @@ class TestLink:
         link = Link(LinkConfig(delay=0.01, loss_rate=0.999999), lambda d: delivered.append(d))
         for _ in range(20):
             _send(simulator, link, _datagram(b"y"))
-        simulator.run_until_idle()
+        simulator.run()
         assert delivered == []
         assert link.statistics.datagrams_dropped == 20
 
     def test_statistics_track_bytes(self, simulator):
         link = Link(LinkConfig(delay=0.01), lambda d: None)
         _send(simulator, link, _datagram(b"abcd"))
-        simulator.run_until_idle()
+        simulator.run()
         assert link.statistics.bytes_sent == 4
         assert link.statistics.bytes_delivered == 4
 
@@ -171,7 +171,7 @@ class TestNetworkRouting:
         network.host("10.0.0.1").send(
             Datagram(Address("10.0.0.1", 1000), Address("10.0.0.2", 7), b"ping")
         )
-        simulator.run_until_idle()
+        simulator.run()
         assert [time for time, _ in collector.received] == [pytest.approx(0.010)]
 
     def test_loopback_delivery(self, simulator):
@@ -182,7 +182,7 @@ class TestNetworkRouting:
         network.host("solo").send(
             Datagram(Address("solo", 9), Address("solo", 5), b"self")
         )
-        simulator.run_until_idle()
+        simulator.run()
         assert len(collector.received) == 1
 
     def test_multi_hop_routing_uses_shortest_delay_path(self, simulator):
@@ -194,7 +194,7 @@ class TestNetworkRouting:
         collector = _Collector(simulator)
         network.host("c").bind(80, collector)
         network.host("a").send(Datagram(Address("a", 1), Address("c", 80), b"via-b"))
-        simulator.run_until_idle()
+        simulator.run()
         assert [time for time, _ in collector.received] == [pytest.approx(0.03)]
         assert network.shortest_path("a", "c") == ["a", "b", "c"]
 
@@ -213,7 +213,7 @@ class TestNetworkRouting:
             network.host("a").send(
                 Datagram(Address("a", 1), Address(destination, 80), bytes(1000))
             )
-        simulator.run_until_idle()
+        simulator.run()
         assert [time for time, _ in at_c.received] == [
             pytest.approx(0.008 + 0.01 + 0.02),
             pytest.approx(0.016 + 0.01 + 0.02),
@@ -243,7 +243,7 @@ class TestNetworkRouting:
         network.host("c").bind(80, at_c)
         network.route(Datagram(Address("a", 1), Address("c", 80), bytes(1000), protocol="hops"))
         network.route(Datagram(Address("a", 1), Address("b", 80), b"direct", protocol="direct"))
-        simulator.run_until_idle()
+        simulator.run()
         assert [datagram.payload for _, datagram in at_b.received] == [b"direct"]
         assert [(time, datagram.source) for time, datagram in at_c.received] == [
             (pytest.approx(0.01 + 0.008 + 0.02), Address("a", 1)),
@@ -282,7 +282,7 @@ class TestNetworkRouting:
         network.host("10.0.0.1").send(
             Datagram(Address("10.0.0.1", 1), Address("10.0.0.2", 7), b"12345")
         )
-        simulator.run_until_idle()
+        simulator.run()
         totals = network.total_link_statistics()
         assert totals["datagrams_delivered"] == 1
         assert totals["bytes_delivered"] == 5
@@ -297,7 +297,7 @@ class TestNetworkRouting:
         network.host("10.0.0.1").send(
             Datagram(Address("10.0.0.1", 1), Address("10.0.0.2", 7), b"x", protocol="test")
         )
-        simulator.run_until_idle()
+        simulator.run()
         assert network.trace.count("datagram-sent") == 1
         assert network.trace.count("datagram-delivered") == 1
         event = network.trace.events("datagram-sent")[0]
@@ -312,7 +312,7 @@ def test_datagram_recording_is_opt_in(simulator, two_host_network):
     assert network.trace.enabled is False
     network.host("10.0.0.2").bind(7, _Collector(simulator))
     network.route(Datagram(Address("10.0.0.1", 1), Address("10.0.0.2", 7), b"x"))
-    simulator.run_until_idle()
+    simulator.run()
     assert network.total_link_statistics()["datagrams_delivered"] == 1
     assert network.trace.count() == 0 and network.trace.kinds() == []
     metrics = MetricsRegistry()
@@ -348,7 +348,7 @@ class TestRouteOrder:
         simulator.run(until=0.5)
         network.route(Datagram(Address("a", 9), Address("a", 5), b"self"))
         assert collector.received == [] and simulator.pending_events == 1
-        assert simulator.run_until_idle() == 1
+        assert simulator.run() == 1
         assert [time for time, _ in collector.received] == [0.5]
         assert network.link("a", "b").statistics.datagrams_sent == 0
 
@@ -370,7 +370,7 @@ class TestRouteOrder:
         unbound = Datagram(Address("a", 1), Address("b", 81), b"12345", protocol="drop")
         for datagram in (direct, loopback, multi_hop, unbound):
             network.route(datagram)
-        simulator.run_until_idle()
+        simulator.run()
         records = [
             (
                 event.time,
@@ -419,7 +419,7 @@ class TestDeliveryOwnsTheNetworksReference:
             network.host("10.0.0.2").bind(7, Keeper())
         datagram = self._datagram()
         network.route(datagram)
-        simulator.run_until_idle()
+        simulator.run()
         assert len(kept) == (retains if bound else 0)  # unbound: silent drop
         assert all(entry is datagram for entry in kept)
 
@@ -442,7 +442,7 @@ class TestDeliveryOwnsTheNetworksReference:
             network.route(datagram)
         else:
             Link.transmit_many(simulator, [(link, datagram)])
-        simulator.run_until_idle()
+        simulator.run()
         assert link.statistics.datagrams_delivered == 0
         assert link.statistics.datagrams_dropped == 1
         reference = self._datagram()
@@ -475,7 +475,7 @@ class TestPlainDatagrams:
         assert second.protocol == "quic"
         network.route(first)
         network.route(second)
-        simulator.run_until_idle()
+        simulator.run()
         assert [datagram for _, datagram in collector.received] == [first, second]
 
     def test_the_pool_remnant_keeps_no_state(self, simulator):
@@ -560,21 +560,8 @@ class TestTraceRecorder:
         trace.record("x")
         assert seen == ["x"]
 
-    def test_format_sequence_contains_attributes(self, simulator):
-        trace = TraceRecorder(simulator)
-        trace.record("step", source="stub", destination="resolver")
-        text = format_sequence(trace.events())
-        assert "step" in text and "source=stub" in text
-
 
 class TestStatisticsHelpers:
-    def test_counter_increment_and_reset(self):
-        counter = Counter()
-        counter.increment("queries")
-        counter.increment("queries", 2)
-        assert counter.get("queries") == 3
-        counter.reset()
-        assert counter.get("queries") == 0
 
     def test_summary_statistics_percentiles(self):
         stats = SummaryStatistics()
@@ -590,21 +577,12 @@ class TestStatisticsHelpers:
         stats = SummaryStatistics()
         assert stats.mean == 0.0
         assert stats.percentile(99) == 0.0
-        assert stats.stddev == 0.0
 
     def test_percentile_out_of_range_rejected(self):
         stats = SummaryStatistics()
         stats.add(1.0)
         with pytest.raises(ValueError):
             stats.percentile(101)
-
-    def test_cumulative_distribution(self):
-        cdf = cumulative_distribution([1.0, 1.0, 2.0, 4.0])
-        assert cdf == [(1.0, 0.5), (2.0, 0.75), (4.0, 1.0)]
-
-    def test_histogram_counts_exact_bins(self):
-        counts = histogram([300, 300, 60, 999], bins=[60, 300, 3600])
-        assert counts == {60: 1, 300: 2, 3600: 0}
 
 
 def _datagram(payload: bytes, destination: Address | None = None) -> Datagram:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.netsim.simulator import PeriodicTask, SimulationError, Simulator, Timer, format_time
+from repro.netsim.simulator import PeriodicTask, SimulationError, Simulator, Timer
 
 
 class TestSimulatorScheduling:
@@ -15,7 +15,7 @@ class TestSimulatorScheduling:
         simulator = Simulator()
         seen = []
         simulator.call_later(1.5, lambda: seen.append(simulator.now))
-        simulator.run_until_idle()
+        simulator.run()
         assert seen == [1.5]
         assert simulator.now == 1.5
 
@@ -24,7 +24,7 @@ class TestSimulatorScheduling:
         order = []
         simulator.call_later(2.0, lambda: order.append("late"))
         simulator.call_later(1.0, lambda: order.append("early"))
-        simulator.run_until_idle()
+        simulator.run()
         assert order == ["early", "late"]
 
     def test_simultaneous_events_fire_in_scheduling_order(self):
@@ -32,7 +32,7 @@ class TestSimulatorScheduling:
         order = []
         for label in ("first", "second", "third"):
             simulator.call_at(1.0, lambda label=label: order.append(label))
-        simulator.run_until_idle()
+        simulator.run()
         assert order == ["first", "second", "third"]
 
     def test_cancelled_event_does_not_fire(self):
@@ -40,7 +40,7 @@ class TestSimulatorScheduling:
         seen = []
         event = simulator.call_later(1.0, lambda: seen.append("fired"))
         event.cancel()
-        simulator.run_until_idle()
+        simulator.run()
         assert seen == []
 
     def test_a_cancelled_event_keeps_nothing_it_would_have_called(self):
@@ -52,7 +52,7 @@ class TestSimulatorScheduling:
         event.cancel()
         assert event.callback is None and event.args == ()
         assert simulator._queue[0][2] is event  # still queued, holding nothing
-        simulator.run_until_idle()
+        simulator.run()
         assert seen == []
 
     def test_negative_delay_rejected(self):
@@ -62,7 +62,7 @@ class TestSimulatorScheduling:
     def test_scheduling_in_the_past_rejected(self):
         simulator = Simulator()
         simulator.call_later(1.0, lambda: None)
-        simulator.run_until_idle()
+        simulator.run()
         with pytest.raises(SimulationError):
             simulator.call_at(0.5, lambda: None)
 
@@ -74,7 +74,7 @@ class TestSimulatorScheduling:
         simulator.run(until=2.0)
         assert seen == [1.0]
         assert simulator.now == 2.0
-        simulator.run_until_idle()
+        simulator.run()
         assert seen == [1.0, 5.0]
 
     def test_events_scheduled_during_run_execute(self):
@@ -85,7 +85,7 @@ class TestSimulatorScheduling:
             simulator.call_later(1.0, lambda: seen.append("inner"))
 
         simulator.call_later(1.0, outer)
-        simulator.run_until_idle()
+        simulator.run()
         assert seen == ["inner"]
         assert simulator.now == 2.0
 
@@ -127,7 +127,7 @@ class TestTimer:
         fired = []
         timer = Timer(simulator, lambda: fired.append(simulator.now))
         timer.start(2.0)
-        simulator.run_until_idle()
+        simulator.run()
         assert fired == [2.0]
 
     def test_stop_prevents_firing(self):
@@ -136,7 +136,7 @@ class TestTimer:
         timer = Timer(simulator, lambda: fired.append(True))
         timer.start(2.0)
         timer.stop()
-        simulator.run_until_idle()
+        simulator.run()
         assert fired == []
 
     def test_restart_replaces_deadline(self):
@@ -145,7 +145,7 @@ class TestTimer:
         timer = Timer(simulator, lambda: fired.append(simulator.now))
         timer.start(2.0)
         timer.start(5.0)
-        simulator.run_until_idle()
+        simulator.run()
         assert fired == [5.0]
 
     def test_is_running_reflects_state(self):
@@ -155,7 +155,7 @@ class TestTimer:
         timer.start(1.0)
         assert timer.is_running
         assert timer.deadline == 1.0
-        simulator.run_until_idle()
+        simulator.run()
         assert not timer.is_running
 
 
@@ -181,8 +181,3 @@ class TestPeriodicTask:
         task.start(initial_delay=1.0)
         simulator.run(until=7.0)
         assert fired == [1.0, 6.0]
-
-
-def test_format_time_renders_ms_and_seconds():
-    assert format_time(0.010) == "10.000ms"
-    assert format_time(2.0) == "2.000s"

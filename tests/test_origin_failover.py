@@ -100,13 +100,11 @@ class TestPromotionModel:
         assert model.promotion_latency == pytest.approx(
             detection.detection_latency + floor
         )
-        assert model.promoted_at == pytest.approx(detection.detected_at)
 
     def test_explicit_election_latency_lands_between_detect_and_reattach(self):
         model = promotion_model(self._detection(), 0.020, election_latency=0.1)
         base = promotion_model(self._detection(), 0.020)
         assert model.promotion_latency == pytest.approx(base.promotion_latency + 0.1)
-        assert model.promoted_at == pytest.approx(base.promoted_at + 0.1)
 
     def test_alpn_negotiation_shaves_a_round_trip(self):
         slow = promotion_model(self._detection(), 0.020)

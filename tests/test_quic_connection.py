@@ -403,7 +403,7 @@ class TestLivenessStateMachine:
         connection.start_handshake()
         wire_before = len(sent)
         connection.abandon()
-        simulator.run_until_idle()
+        simulator.run()
         assert connection.closed and connection.close_reason == "abandoned"
         assert len(sent) == wire_before, "no close frame escapes a crash"
         assert closed == [], "no callback observes the crash"

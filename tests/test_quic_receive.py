@@ -568,7 +568,7 @@ def test_a_crypto_frame_without_a_hello_closes_the_connection():
         delegate_to(connection, on_closed=lambda code, reason: closes.append(code))
         packet = Packet(PacketType.HANDSHAKE, connection.connection_id, 900, (CryptoFrame(hello),))
         _inject(simulator, network, client, packet.encode())
-        simulator.run_until_idle()
+        simulator.run()
         assert connection.closed and closes == [violation], hello
         assert client.datagrams_malformed == 0  # the packet itself was fine
     for hello in _hostile_hellos(CLIENT_HELLO, SERVER_HELLO):
@@ -582,7 +582,7 @@ def test_a_crypto_frame_without_a_hello_closes_the_connection():
                 protocol="quic",
             )
         )
-        simulator.run_until_idle()
+        simulator.run()
         (connection,) = accepted
         assert connection.closed and not connection.handshake_complete, hello
         assert connection.close_reason in ("malformed ClientHello", "not a ClientHello")

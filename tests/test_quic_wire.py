@@ -21,7 +21,6 @@ from repro.quic.stream import (
     QuicStream,
     StreamDirection,
     make_stream_id,
-    stream_initiator_is_client,
     stream_is_unidirectional,
 )
 from repro.quic.tls import (
@@ -72,26 +71,32 @@ class TestVarints:
             decode_varint(encode_varint(70_000)[:2])
 
     def test_reader_writer_roundtrip(self):
-        writer = VarintWriter()
-        writer.write_varint(1234).write_uint8(7).write_uint16(600).write_length_prefixed(b"abc")
-        reader = VarintReader(writer.getvalue())
+        writer = VarintWriter().write_varint(1234)
+        reader = VarintReader(writer.getvalue() + b"\x07" + encode_varint(3) + b"abc")
         assert reader.read_varint() == 1234
         assert reader.read_uint8() == 7
-        assert reader.read_uint16() == 600
         assert reader.read_length_prefixed() == b"abc"
         assert reader.at_end()
 
-    def test_reader_remaining_and_read_remaining(self):
+    def test_reader_remaining(self):
         reader = VarintReader(b"\x01\x02\x03")
         reader.read_uint8()
         assert reader.remaining == 2
-        assert reader.read_remaining() == b"\x02\x03"
 
-    def test_writer_rejects_out_of_range_fixed_ints(self):
+    def test_writer_rejects_out_of_range_varints(self):
         with pytest.raises(VarintError):
-            VarintWriter().write_uint8(256)
+            VarintWriter().write_varint(MAX_VARINT + 1)
         with pytest.raises(VarintError):
-            VarintWriter().write_uint16(70_000)
+            VarintWriter().write_varint(-1)
+
+    def test_reader_rejects_reads_past_the_end(self):
+        with pytest.raises(VarintError):
+            VarintReader(b"").read_uint8()
+        with pytest.raises(VarintError):
+            VarintReader(b"\x01\x02\x03").read_bytes(4)
+        reader = VarintReader(encode_varint(4) + b"abc")
+        with pytest.raises(VarintError):
+            reader.read_length_prefixed()
 
 
 class TestFrames:
@@ -146,8 +151,6 @@ class TestStreamIds:
         assert make_stream_id(0, False, StreamDirection.UNIDIRECTIONAL) == 3
 
     def test_stream_id_predicates(self):
-        assert stream_initiator_is_client(4)
-        assert not stream_initiator_is_client(5)
         assert stream_is_unidirectional(2)
         assert not stream_is_unidirectional(0)
 

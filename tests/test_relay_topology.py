@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.churn import RecoveryModel, expected_gap_objects, recovery_model
+from repro.analysis.churn import RecoveryModel, recovery_model
 from repro.moqt.objectmodel import Location, MoqtObject
 from repro.moqt.origin import (
     ORIGIN_HOST as ORIGIN,
@@ -34,7 +34,6 @@ from repro.netsim.network import Network
 from repro.netsim.packet import Address
 from repro.netsim.simulator import Simulator
 from repro.relaynet import (
-    GrandparentFailover,
     RelayTreeBuilder,
     RelayTreeSpec,
     SiblingFailover,
@@ -268,11 +267,11 @@ class TestFailover:
         assert event.orphans("subscriber")
         assert event.complete
 
-    def test_grandparent_policy_reattaches_to_origin(self):
-        spec = RelayTreeSpec.cdn(mid_relays=2, edge_per_mid=2)
-        simulator, _, publisher, tree = build_scene(
-            spec, failover_policy=GrandparentFailover()
-        )
+    def test_a_tier_with_no_survivor_reattaches_to_origin(self):
+        # The sibling policy finds no surviving mid relay, so it falls back
+        # to the dead relay's own parent: for tier 0, the origin.
+        spec = RelayTreeSpec.cdn(mid_relays=1, edge_per_mid=2)
+        simulator, _, publisher, tree = build_scene(spec)
         tree.attach_subscribers(4)
         received, _ = subscribe_recording(tree)
         simulator.run(until=simulator.now + 3.0)
@@ -282,9 +281,10 @@ class TestFailover:
         simulator.run(until=simulator.now + 5.0)
 
         # Mid-0's edges now subscribe directly at the origin.
+        assert len(event.orphans("relay")) == 2
         for record in event.orphans("relay"):
             assert record.new_parent == ORIGIN
-        for index in (0, 2):
+        for index in (0, 1):
             assert tree.tier("edge")[index].relay.upstream_address.host == ORIGIN
             assert tree.tier("edge")[index].parent is None
         assert all(groups == [2, 3, 4] for groups in received.values())
@@ -733,16 +733,10 @@ class TestChurnExperimentAndModel:
         assert model.rtt == pytest.approx(0.020)
         assert model.reattach_round_trips == 3
         assert model.reattach_latency == pytest.approx(0.060)
-        assert model.gap_fill_latency() == pytest.approx(0.080)
-        assert model.gap_fill_latency(upstream_rtt=0.040) == pytest.approx(0.120)
         alpn = RecoveryModel(link_delay=0.010, alpn_version_negotiation=True)
         assert alpn.reattach_round_trips == 2
-        assert expected_gap_objects(0.06, 0.25) == 1
-        assert expected_gap_objects(0.0, 0.25) == 0
         with pytest.raises(ValueError):
             recovery_model(-1.0)
-        with pytest.raises(ValueError):
-            expected_gap_objects(1.0, 0.0)
 
     def test_relay_churn_experiment_small(self):
         from repro.experiments.relay_churn import run_relay_churn

@@ -57,9 +57,8 @@ def build_scene(spec: RelayTreeSpec, seed: int = 5):
 
 
 class TestSpec:
-    def test_star_kary_and_cdn_shapes(self):
+    def test_star_and_cdn_shapes(self):
         assert RelayTreeSpec.star(3).tier_sizes() == (3,)
-        assert RelayTreeSpec.kary(depth=2, branching=3).tier_sizes() == (3, 9)
         assert RelayTreeSpec.cdn(mid_relays=4, edge_per_mid=4).tier_sizes() == (4, 16)
 
     def test_spec_validation(self):
@@ -69,8 +68,6 @@ class TestSpec:
             RelayTreeSpec(tiers=())
         with pytest.raises(ValueError):
             RelayTreeSpec(tiers=(RelayTierSpec("a", 1), RelayTierSpec("a", 2)))
-        with pytest.raises(ValueError):
-            RelayTreeSpec.kary(depth=0, branching=2)
 
     def test_tier_uplink_configs_are_kept(self):
         spec = RelayTreeSpec.cdn(core_link=LinkConfig(delay=0.2), metro_link=LinkConfig(delay=0.1))
@@ -306,7 +303,6 @@ class TestStatsAndModel:
         assert delta.tiers[1].objects_received == 4
         assert delta.subscriber_objects_received == 4
         assert delta.tiers[0].downstream_subscribes == 0, "setup excluded from the window"
-        assert delta.total_link_bytes == sum(delta.tier_uplink_bytes()) + delta.subscriber_link_bytes
 
     def test_fanout_model_closed_forms(self):
         assert unicast_origin_messages(1000, 5) == 5000

@@ -1,4 +1,4 @@
-"""Structural guards: one benchmark system, and no definition nothing uses.
+"""Structural guards: one benchmark system, and src/ holds what runs.
 
 An ``ast`` walk over the repository:
 
@@ -9,15 +9,19 @@ An ``ast`` walk over the repository:
   ``benchmarks/`` outside ``e2e/`` is ``perf/ack_census.py`` (until ROADMAP
   0(g) turns its count into a metric).  The gates the retired harness ran are
   tier-1 tests; ``CHANGES.md`` maps each to its test;
-* no definition under ``src/repro`` is referenced by nothing (ROADMAP item
-  10, its zero-reference half): every module-level function, class and name,
-  and every method, is named somewhere under ``src/``, ``tests/``,
-  ``examples/`` or ``benchmarks/`` outside its own definition — as a name, an
-  attribute, an import, or inside a string that parses as an expression
-  (``getattr`` names, string annotations, ``__all__``).  Docstrings do not
-  count and dunder names are the interpreter's.  What is kept without a
-  reference is in ``UNREFERENCED``, with its reason, and the list is exact:
-  an entry that gains a reference must leave it.
+* no definition under ``src/repro`` is used by nothing, and none is used by
+  tests alone.  :class:`Census` says where the corpus uses every module-level
+  function, class and name and every method (dunder names are the
+  interpreter's): a method wherever its name appears, a module-level name only
+  where it is imported from its own module and named, read off its module, or
+  named in its own module; a package re-export or an ``__all__`` entry is no
+  use.  The census iterates to a fixpoint: a use inside a definition it found
+  does not count, so what only a test-only definition reaches is test-only
+  too.  Over ``src/``, ``tests/``, ``examples/`` and ``benchmarks/`` it finds
+  only ``UNREFERENCED``; over what runs (no ``tests/``, no ``test_*.py``) it
+  finds only those and ``TEST_ONLY``, each entry an observer, an oracle or
+  wiring a ROADMAP item adds.  Both lists are exact: an entry that gains a
+  use must leave its list.
 
 * no module under ``src/repro`` imports a name it never uses (no linter is
   installed, so this is the tool): a package ``__init__.py`` re-exports and
@@ -50,22 +54,25 @@ An ``ast`` walk over the repository:
   ``Name``, ``RRset`` and ``Zone`` each declare ``__slots__`` (a simulated
   hierarchy holds thousands of each).
 
-The census goes by name, so it under-reports: a definition whose name is
-also used for something else passes.  Definitions referenced only from
-``tests/`` (the other half of item 10) are not checked here.
+Methods go by name, so the census under-reports them: a method whose name
+another class's method or attribute shares passes.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+from functools import lru_cache
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
 CORPUS = ("src", "tests", "examples", "benchmarks")
+#: What runs: the corpus without the tests.
+RUNS = ("src", "examples", "benchmarks")
 
 #: ``path::qualname`` under ``src/repro`` kept with no reference, and why.
 UNREFERENCED = {
@@ -74,6 +81,51 @@ UNREFERENCED = {
     "moqt/parameters.py::SetupParameterType": "SETUP parameter keys (MAX_REQUEST_ID), for ROADMAP 3(b)",
     "moqt/parameters.py::VersionSpecificParameterType": "SUBSCRIBE / FETCH parameter keys, for ROADMAP 3(b)",
 }
+
+#: ``path::qualname`` under ``src/repro`` that only tests reach, and why:
+#: ``observer`` (a read-only accessor tests assert through), ``oracle`` (a
+#: closed form or reference codec tests compare the system against) or
+#: ``ROADMAP n`` (wiring the open item adds).
+TEST_ONLY: dict[str, str] = {
+    "analysis/detection.py::suspect_latency": "oracle: the PTO suspect time test_quic_connection.py checks the connection against",
+    "core/compatibility.py::CapabilityMemo.known_moqt_hosts": "observer: the hosts the memo believes speak MoQT",
+    "core/compatibility.py::RefreshScheduler.refresh_counts": "observer: refreshes per question",
+    "core/forwarder.py::MoqForwarder._torn_down": "ROADMAP 7(b), 8: called by run_teardown",
+    "core/recursive.py::MoqRecursiveResolver._torn_down": "ROADMAP 7(b), 8: called by run_teardown",
+    "core/session_manager.py::UpstreamSessionManager.session_count": "observer: open upstream sessions",
+    "core/subscribing.py::SubscribingResolver.run_teardown": "ROADMAP 7(b), 8: the teardown policy no run applies yet",
+    "dns/cache.py::CacheStatistics.hit_ratio": "observer: hits per lookup",
+    "experiments/staleness.py::StalenessResult.mean_improvement": "observer: E7's improvement per TTL",
+    "experiments/usecases.py::UseCaseResult.cdn_simulation_relative_error": "observer: E10's simulated CDN rate against the closed form",
+    "moqt/origin.py::OriginPublisher.high_water": "observer: the publisher's largest location",
+    "moqt/relay.py::MoqtRelay.shutdown": "ROADMAP 16: called by remove_relay",
+    "moqt/relay.py::RelayTrack.upstream_subscription": "observer: the track's upstream subscription",
+    "moqt/session.py::MoqtSession.goaway": "ROADMAP 16: GOAWAY that a relay acts on",
+    "moqt/session.py::MoqtSession.publisher_subscriptions": "observer: the session's downstream subscriptions",
+    "netsim/node.py::Host.bound_ports": "observer: ports with a handler",
+    "netsim/trace.py::TraceEvent.attribute": "observer: one attribute of a trace event",
+    "quic/congestion.py::NewRenoCongestionController.in_slow_start": "observer: cwnd below ssthresh",
+    "quic/congestion.py::NewRenoCongestionController.ssthresh": "observer: the slow-start threshold",
+    "quic/connection.py::QuicConnection.cwnd_blocked_packets": "observer: packets held by the congestion window",
+    "quic/connection.py::QuicConnection.handshake_rtts": "observer: round trips before the first request",
+    "quic/connection.py::QuicConnection.loss_deadline": "observer: when the probe timeout fires",
+    "quic/connection.py::QuicConnection.smoothed_rtt": "observer: the RTT estimate",
+    "quic/connection.py::QuicConnection.stream_reorder_backlog": "observer: peer streams held ahead of a gap",
+    "quic/connection.py::QuicConnection.streams": "observer: the open streams",
+    "quic/frames.py::decode_frames": "oracle: the frame-list codec the wire round trips run every frame through",
+    "quic/frames.py::encode_frames": "oracle: the frame-list codec the wire round trips run every frame through",
+    "quic/packet.py::Packet.is_ack_eliciting": "oracle: the reference receive model's ACK rule (test_quic_receive.py)",
+    "relaynet/admission.py::AdmissionController.outstanding_reservations": "observer: rate-rejected sessions not yet retried",
+    "relaynet/origincluster.py::ClusterOrigin.high_water": "observer: the origin's largest location",
+    "relaynet/topology.py::RelayTopology._tier_index": "ROADMAP 16: called by add_relay",
+    "relaynet/topology.py::RelayTopology.add_relay": "ROADMAP 16: a relay joining the running tree",
+    "relaynet/topology.py::RelayTopology.alive_nodes": "observer: called by alive_relay_count",
+    "relaynet/topology.py::RelayTopology.alive_relay_count": "observer: relays in the tree",
+    "relaynet/topology.py::RelayTopology.relay_count": "observer: relays ever built",
+    "relaynet/topology.py::RelayTopology.remove_relay": "ROADMAP 16: the controller-driven leave GOAWAY replaces",
+    "workload/toplist.py::SyntheticToplist.count_by_type": "observer: domains per record type (the Fig. 1a totals)",
+}
+TEST_REASON = re.compile(r"observer|oracle|ROADMAP \d+(\([a-z]\))?(, \d+(\([a-z]\))?)*")
 
 #: A string that may be an expression naming something: a ``getattr`` name,
 #: a string annotation, an ``__all__`` entry.
@@ -87,106 +139,261 @@ def _dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def definitions(source: str, path: str) -> list[tuple[str, str, int, int]]:
-    """``(path::qualname, name, first line, last line)`` of every module-level
-    function, class and assigned name and every method of ``source``."""
-    found: list[tuple[str, str, int, int]] = []
+def module_of(path: str) -> str:
+    """``repro.a.b`` for ``path`` ``a/b.py`` (relative to ``src/repro``)."""
+    parts = path.removesuffix(".py").split("/")
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(["repro", *parts])
+
+
+@lru_cache(maxsize=None)
+def _nodes(source: str) -> tuple[ast.AST, ...]:
+    """Every node of ``source``'s tree, the module first."""
+    return tuple(ast.walk(ast.parse(source)))
+
+
+def definitions(source: str, path: str) -> list[tuple[str, str, int, int, bool]]:
+    """``(path::qualname, name, first line, last line, module level?)`` of
+    every module-level function, class and assigned name and every method
+    of ``source``.  A definition's lines include its decorators."""
+    found: list[tuple[str, str, int, int, bool]] = []
 
     def visit(body: list[ast.stmt], prefix: str) -> None:
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                first = min([node.lineno, *(decorator.lineno for decorator in node.decorator_list)])
                 if not _dunder(node.name):
-                    found.append((f"{path}::{prefix}{node.name}", node.name, node.lineno, node.end_lineno))
+                    found.append((f"{path}::{prefix}{node.name}", node.name, first, node.end_lineno, not prefix))
                 if isinstance(node, ast.ClassDef):
                     visit(node.body, f"{prefix}{node.name}.")
             elif not prefix and isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for target in targets:
                     if isinstance(target, ast.Name) and not _dunder(target.id):
-                        found.append((f"{path}::{target.id}", target.id, node.lineno, node.end_lineno))
+                        found.append((f"{path}::{target.id}", target.id, node.lineno, node.end_lineno, True))
 
-    visit(ast.parse(source).body, "")
+    visit(_nodes(source)[0].body, "")
     return found
 
 
-def references(source: str) -> list[tuple[str, int]]:
-    """Every ``(name, line)`` ``source`` refers to, docstrings aside."""
-    tree = ast.parse(source)
-    docstrings = {
-        id(node.value)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
-    }
-    found: list[tuple[str, int]] = []
+def _dotted(node: ast.expr) -> str | None:
+    """``a.b.c`` for a chain of names and attributes, else ``None``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return None if head is None else f"{head}.{node.attr}"
+    return None
 
-    def names(node: ast.AST, line: int) -> None:
-        for child in ast.walk(node):
-            if isinstance(child, ast.Name):
-                found.append((child.id, line))
-            elif isinstance(child, ast.Attribute):
-                found.append((child.attr, line))
 
-    for node in ast.walk(tree):
-        if isinstance(node, ast.alias):
-            found.append((node.name.rsplit(".", 1)[-1], node.lineno))
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if id(node) in docstrings or not EXPRESSION.fullmatch(node.value):
+def _imports(nodes: tuple[ast.AST, ...], packages: set[str]) -> tuple[dict[str, str], dict[str, tuple[str, str]]]:
+    """What the imports among ``nodes`` bind: ``(local dotted name -> module,
+    local name -> (module, name))``.  ``packages`` are the dotted names of
+    the modules under ``src/repro``."""
+    modules: dict[str, str] = {}
+    names: dict[str, tuple[str, str]] = {}
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in packages:
+                    modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                full = f"{node.module}.{alias.name}"
+                if full in packages:
+                    modules[alias.asname or alias.name] = full
+                elif node.module in packages:
+                    names[alias.asname or alias.name] = (node.module, alias.name)
+    return modules, names
+
+
+class Census:
+    """Where the corpus (``path`` relative to the repository -> source) uses
+    each definition under ``src/repro``.
+
+    A method is used wherever its name is: a name, an attribute, an import,
+    or inside a string that parses as an expression (``getattr`` names,
+    string annotations).  A module-level name is used only where it is
+    imported from its own module and then named, where its module is
+    imported and the attribute read (``module.name``, ``getattr(module,
+    "name")``), or where its own module names it.  An import re-exporting it
+    (a package ``__init__``, a ``# noqa: F401`` line) only forwards it, and
+    an ``__all__`` entry is not a use.  Docstrings do not count.
+    """
+
+    def __init__(self, corpus: dict[str, str]) -> None:
+        nodes = {path: _nodes(source) for path, source in corpus.items()}
+        # Dotted module -> its path relative to the repository.
+        modules = {
+            module_of(path.removeprefix("src/repro/")): path
+            for path in corpus
+            if path.startswith("src/repro/")
+        }
+        packages = set(modules)
+        self.top = {
+            module: {name for _, name, _, _, top in definitions(corpus[path], path) if top}
+            for module, path in modules.items()
+        }
+        self.imported = {module: _imports(nodes[path], packages)[1] for module, path in modules.items()}
+        #: ``name -> [(path, line)]`` and ``(module, name) -> [(path, line)]``.
+        self.names: dict[str, list[tuple[str, int]]] = {}
+        self.uses: dict[tuple[str, str], list[tuple[str, int]]] = {}
+        for path, found in nodes.items():
+            self._scan(path, found, packages)
+
+    def origin(self, module: str, name: str) -> tuple[str, str] | None:
+        """The ``(module, name)`` that defines what ``module.name`` is,
+        following re-exports; ``None`` for what is defined outside."""
+        seen = set()
+        while (module, name) not in seen:
+            seen.add((module, name))
+            if name in self.top.get(module, ()):
+                return module, name
+            forwarded = self.imported.get(module, {}).get(name)
+            if forwarded is None:
+                return None
+            module, name = forwarded
+        return None
+
+    def _use(self, module: str, name: str, path: str, line: int) -> None:
+        found = self.origin(module, name)
+        if found is not None:
+            self.uses.setdefault(found, []).append((path, line))
+
+    def _scan(self, path: str, nodes: tuple[ast.AST, ...], packages: set[str]) -> None:
+        own = module_of(path.removeprefix("src/repro/")) if path.startswith("src/repro/") else None
+        modules, names = _imports(nodes, packages)
+        skipped = set()
+        for node in nodes:
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+                skipped.add(id(node.value))  # a docstring
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                skipped.update(id(child) for child in ast.walk(node.value))
+
+        def refer(node: ast.AST, line: int) -> None:
+            if isinstance(node, ast.Name):
+                self.names.setdefault(node.id, []).append((path, line))
+                if node.id in names:
+                    self._use(*names[node.id], path, line)
+                elif own is not None:
+                    self._use(own, node.id, path, line)
+            elif isinstance(node, ast.Attribute):
+                self.names.setdefault(node.attr, []).append((path, line))
+                module = modules.get(_dotted(node.value) or "")
+                if module is not None:
+                    self._use(module, node.attr, path, line)
+            elif isinstance(node, ast.alias):
+                self.names.setdefault(node.name.rsplit(".", 1)[-1], []).append((path, node.lineno))
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "getattr"
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+                and isinstance(node.args[1].value, str)
+            ):
+                module = modules.get(_dotted(node.args[0]) or "")
+                if module is not None:
+                    self._use(module, node.args[1].value, path, line)
+
+        for node in nodes:
+            if id(node) in skipped:
                 continue
-            try:
-                names(ast.parse(node.value, mode="eval"), node.lineno)
-            except SyntaxError:
-                pass
-        elif isinstance(node, ast.Name):
-            found.append((node.id, node.lineno))
-        elif isinstance(node, ast.Attribute):
-            found.append((node.attr, node.lineno))
-    return found
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if not EXPRESSION.fullmatch(node.value):
+                    continue
+                try:
+                    expression = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                for child in ast.walk(expression):
+                    refer(child, node.lineno)
+            else:
+                refer(node, getattr(node, "lineno", 0))
+
+    def unused(self, modules: dict[str, str], kept: Iterable[str] = ()) -> list[str]:
+        """``path::qualname`` of every definition in ``modules`` (``path``
+        relative to ``src/repro``) that the corpus uses nowhere but inside
+        itself or inside another such definition: the census iterates to a
+        fixpoint.  What a ``kept`` definition uses counts (the interpreter
+        runs it).  A definition inside a found one is not listed again."""
+        kept = set(kept)
+        candidates = [
+            (qualname, f"src/repro/{path}", module_of(path), name, first, last, top)
+            for path, source in modules.items()
+            for qualname, name, first, last, top in definitions(source, path)
+        ]
+        found: set[str] = set()
+        while True:
+            dead: dict[str, list[tuple[int, int]]] = {}
+            for qualname, own, _, _, first, last, _ in candidates:
+                if qualname in found and qualname not in kept:
+                    dead.setdefault(own, []).append((first, last))
+            now = set()
+            for qualname, own, module, name, first, last, top in candidates:
+                places = self.uses.get((module, name), ()) if top else self.names.get(name, ())
+                if not any(
+                    (file != own or not first <= line <= last)
+                    and not any(start <= line <= end for start, end in dead.get(file, ()))
+                    for file, line in places
+                ):
+                    now.add(qualname)
+            if now == found:
+                break
+            found = now
+        return sorted(
+            qualname
+            for qualname in found
+            if not any(qualname.startswith(f"{outer}.") for outer in found)
+        )
 
 
-def index(corpus: dict[str, str]) -> dict[str, list[tuple[str, int]]]:
-    """``name -> [(path, line), ...]``: where ``corpus`` (``path`` relative to
-    the repository) refers to each name."""
-    where: dict[str, list[tuple[str, int]]] = {}
-    for path, source in corpus.items():
-        for name, line in references(source):
-            where.setdefault(name, []).append((path, line))
-    return where
-
-
-def orphans(modules: dict[str, str], *indexes: dict[str, list[tuple[str, int]]]) -> list[str]:
-    """``path::qualname`` of every definition in ``modules`` (``path`` relative
-    to ``src/repro``) that no index refers to outside the definition itself."""
-    found = []
-    for path, source in modules.items():
-        own = f"src/repro/{path}"
-        for qualname, name, first, last in definitions(source, path):
-            places = [place for where in indexes for place in where.get(name, ())]
-            if not any(file != own or not first <= line <= last for file, line in places):
-                found.append(qualname)
-    return sorted(found)
+def _corpus(roots: tuple[str, ...]) -> dict[str, str]:
+    """``path`` (relative to the repository) -> source of every Python file
+    under ``roots``; outside ``tests/`` a ``test_*.py`` or ``conftest.py``
+    file is a test and left out."""
+    return {
+        file.relative_to(REPO).as_posix(): file.read_text()
+        for root in roots
+        for file in sorted((REPO / root).rglob("*.py"))
+        if root == "tests" or not (file.name.startswith("test_") or file.name == "conftest.py")
+    }
 
 
 @pytest.fixture(scope="module")
 def repository():
-    """``(modules under src/repro, corpus, index of the corpus)``."""
+    """``(modules under src/repro, the whole corpus, what runs)``."""
     modules = {file.relative_to(SRC).as_posix(): file.read_text() for file in sorted(SRC.rglob("*.py"))}
-    corpus = {
-        file.relative_to(REPO).as_posix(): file.read_text()
-        for root in CORPUS
-        for file in sorted((REPO / root).rglob("*.py"))
-    }
-    return modules, corpus, index(corpus)
+    return modules, _corpus(CORPUS), _corpus(RUNS)
+
+
+def _exact(found: list[str], listed: dict[str, str], what: str) -> None:
+    assert found == sorted(listed), "\n".join(
+        [f"{what} (delete it, or list it with its reason):"]
+        + [name for name in found if name not in listed]
+        + ["listed but used now:"]
+        + [name for name in listed if name not in found]
+    )
 
 
 def test_nothing_under_src_is_referenced_by_nothing(repository):
-    modules, _, where = repository
-    found = orphans(modules, where)
-    assert found == sorted(UNREFERENCED), "\n".join(
-        ["referenced by nothing (delete it, or list it in UNREFERENCED with its reason):"]
-        + [name for name in found if name not in UNREFERENCED]
-        + ["listed in UNREFERENCED but referenced now:"]
-        + [name for name in UNREFERENCED if name not in found]
-    )
+    modules, corpus, _ = repository
+    found = Census(corpus).unused(modules, kept=UNREFERENCED)
+    _exact(found, UNREFERENCED, "referenced by nothing (UNREFERENCED)")
+
+
+def test_nothing_under_src_is_reached_only_by_tests(repository):
+    modules, _, runs = repository
+    found = [name for name in Census(runs).unused(modules, kept=UNREFERENCED) if name not in UNREFERENCED]
+    _exact(found, TEST_ONLY, "reached only by tests (TEST_ONLY)")
+    assert not [name for name, why in TEST_ONLY.items() if not TEST_REASON.fullmatch(why.split(":")[0])]
+    counts: dict[str, int] = {}
+    for why in TEST_ONLY.values():
+        reason = why.split(":")[0]
+        counts[reason] = counts.get(reason, 0) + 1
+    print("TEST_ONLY by reason:", ", ".join(f"{reason} {count}" for reason, count in sorted(counts.items())))
 
 
 def test_census_catches_what_the_retired_harness_alone_called(repository):
@@ -224,16 +431,77 @@ def _write_jsonl(stream, records):
         "experiments/constrained_macro.py": parent_constrained,
         "telemetry/export.py": parent_export,
     }
-    _, _, where = repository
-    snippets = index({f"src/repro/{path}": source for path, source in modules.items()})
-    assert orphans(modules, where, snippets) == [
+    _, _, runs = repository
+    planted = {**runs, **{f"src/repro/{path}": source for path, source in modules.items()}}
+    # The result class and the writer's helper are reached only from the
+    # two: the census iterates to a fixpoint and catches them too.
+    assert Census(planted).unused(modules) == [
+        "experiments/constrained_macro.py::ConstrainedMacroResult",
         "experiments/constrained_macro.py::run_constrained_macro",
+        "telemetry/export.py::_write_jsonl",
         "telemetry/export.py::write_spans_jsonl",
     ]
-    # A name read through ``getattr``, or written in a string annotation, is used.
-    hooked = 'handler = getattr(sink, "write_spans_jsonl", None)\nmacro: "run_constrained_macro | None"\n'
-    assert orphans(modules, where, snippets, index({"src/repro/hooks.py": hooked})) == []
+    # A name read through ``getattr`` on its module, or imported and named
+    # in a string annotation, is used.
+    hooked = (
+        "from repro.telemetry import export\n"
+        "from repro.experiments.constrained_macro import run_constrained_macro\n"
+        'handler = getattr(export, "write_spans_jsonl", None)\n'
+        'macro: "run_constrained_macro | None"\n'
+    )
+    assert Census({**planted, "src/repro/hooks.py": hooked}).unused(modules) == []
 
+
+def test_census_follows_imports_and_iterates(repository):
+    # netsim/stats.py and its package as they stood before the census
+    # followed imports, abridged.  ``Counter`` is re-exported by the package
+    # alone and shares its name with telemetry.metrics.Counter; ``histogram``
+    # shares its name with MetricsRegistry.histogram; ``_bins`` is reached
+    # only from ``histogram``.  The name-based census passed all three.
+    # ``SummaryStatistics`` is imported from its module and used
+    # (measurement/change_rate.py).
+    parent_stats = '''
+class Counter:
+    """A named group of integer counters."""
+
+
+class SummaryStatistics:
+    def __init__(self, samples=()):
+        self.samples = list(samples)
+
+
+def histogram(samples, bins):
+    counts = _bins(bins)
+    for sample in samples:
+        counts[sample] += 1
+    return counts
+
+
+def _bins(bins):
+    return {value: 0 for value in bins}
+'''
+    parent_package = '''
+from repro.netsim.stats import Counter, SummaryStatistics
+
+__all__ = ["Counter", "SummaryStatistics"]
+'''
+    modules = {"netsim/stats.py": parent_stats}
+    _, _, runs = repository
+    planted = {**runs, "src/repro/netsim/stats.py": parent_stats, "src/repro/netsim/__init__.py": parent_package}
+    assert Census(planted).unused(modules) == [
+        "netsim/stats.py::Counter",
+        "netsim/stats.py::_bins",
+        "netsim/stats.py::histogram",
+    ]
+    # Imported through the package and named, or read as an attribute of
+    # its module, a definition is used, and so is what it reaches.
+    through = (
+        "from repro.netsim import Counter\n"
+        "import repro.netsim.stats as stats\n"
+        "COUNTS = Counter()\n"
+        "TABLE = stats.histogram([], [])\n"
+    )
+    assert Census({**planted, "src/repro/uses.py": through}).unused(modules) == []
 
 def unused_imports(source: str, path: str) -> list[str]:
     """Every ``path:line: name`` that ``source`` imports and never uses.

@@ -16,14 +16,10 @@ import tracemalloc
 
 import pytest
 
-from repro.core.mapping import DnsQuestionKey
-from repro.dns.name import Name
-from repro.dns.types import RecordType
 from repro.experiments.constrained_tiers import run_constrained_tiers
 from repro.experiments.failure_detection import run_failure_detection
 from repro.experiments.relay_churn import run_relay_churn
 from repro.experiments.relay_fanout import run_relay_fanout
-from repro.experiments.topology import SmallTopology
 from repro.moqt.objectmodel import Location
 from repro.moqt.receiver import DEDUPE_PRUNE_THRESHOLD
 from repro.netsim.network import Network
@@ -41,7 +37,6 @@ from repro.telemetry import (
     Telemetry,
 )
 from repro.telemetry.collect import (
-    collect_dns_core,
     collect_network,
     collect_run,
     collect_simulator,
@@ -49,11 +44,10 @@ from repro.telemetry.collect import (
 
 
 class TestMetricsRegistry:
-    def test_counter_inc_and_snapshot(self):
+    def test_counter_set_and_snapshot(self):
         registry = MetricsRegistry()
         counter = registry.counter("requests", "Total requests")
-        counter.inc()
-        counter.inc(4)
+        counter.set(5)
         assert counter.value == 5
         assert registry.snapshot() == {"requests": 5}
 
@@ -77,17 +71,6 @@ class TestMetricsRegistry:
         with pytest.raises(MetricError):
             registry.counter("labelled", labels=("role",))
 
-    def test_counter_rejects_decrease(self):
-        counter = MetricsRegistry().counter("mono")
-        with pytest.raises(MetricError):
-            counter.inc(-1)
-
-    def test_gauge_moves_both_ways(self):
-        gauge = MetricsRegistry().gauge("depth")
-        gauge.inc(10)
-        gauge.dec(3)
-        gauge.set(4)
-        assert gauge.value == 4
 
     def test_labels_cached_per_value_tuple(self):
         registry = MetricsRegistry()
@@ -96,13 +79,13 @@ class TestMetricsRegistry:
         child = family.labels("mid")
         assert family.labels("mid") is child
         assert family.labels("edge") is not child
-        child.inc(2)
+        child.set(2)
         assert registry.snapshot() == {"per_tier": {"tier=mid": 2, "tier=edge": 0}}
 
-    def test_family_parent_rejects_direct_inc(self):
+    def test_family_parent_rejects_direct_set(self):
         family = MetricsRegistry().counter("fam", labels=("a",))
         with pytest.raises(MetricError):
-            family.inc()
+            family.set(1)
 
     def test_unlabelled_rejects_labels(self):
         counter = MetricsRegistry().counter("plain")
@@ -130,7 +113,7 @@ class TestMetricsRegistry:
 
     def test_snapshot_summarises_histograms_and_survives_json(self):
         registry = MetricsRegistry()
-        registry.counter("plain").inc(3)
+        registry.counter("plain").set(3)
         registry.gauge("per_tier", labels=("tier",)).labels("mid").set(7)
         latency = registry.histogram("lat")
         latency.observe(0.05)
@@ -168,7 +151,6 @@ class TestNullMetrics:
 
     def test_null_instruments_record_nothing(self):
         counter = NULL_METRICS.counter("c")
-        counter.inc(100)
         counter.set(7)
         assert counter.value == 0
         hist = NULL_METRICS.histogram("h")
@@ -183,8 +165,8 @@ class TestNullMetrics:
         spins = list(range(1000))
         tracemalloc.start()
         for _ in spins:
-            counter.inc()
-            counter.labels("tier").inc()
+            counter.set(1)
+            counter.labels("tier").set(1)
             gauge.set(5)
             hist.observe(1.0)
         current, peak = tracemalloc.get_traced_memory()
@@ -353,45 +335,6 @@ class TestCollectors:
         assert "net_datagrams_sent" in snapshot
         assert not [name for name in snapshot if name.startswith("pool_")]
         assert snapshot["trace_events"] == {"kind=custom-kind": 1}
-
-    @staticmethod
-    def _dns_chain_run(metrics):
-        """Lookup + zone change on the small DNS chain, scraped into ``metrics``."""
-        topology = SmallTopology()
-        key = DnsQuestionKey(qname=Name.from_text(topology.config.domain), qtype=RecordType.A)
-        answers = []
-        topology.forwarder.resolve(key, lambda message, version: answers.append(version))
-        topology.run(5.0)
-        answers.append(topology.update_record("203.0.113.4"))
-        topology.run(5.0)
-        nodes = {
-            "forwarder": topology.forwarder,
-            "recursive": topology.moqt_recursive,
-            "auth": topology.moqt_auth,
-        }
-        for role, node in nodes.items():
-            collect_dns_core(metrics, role, node)
-        summaries = {role: node.state_summary() for role, node in nodes.items()}
-        return answers, topology.simulator.events_scheduled, summaries
-
-    def test_collect_dns_core_mirrors_state_summary_and_changes_nothing(self):
-        metrics = MetricsRegistry()
-        on = self._dns_chain_run(metrics)
-        assert on == self._dns_chain_run(NULL_METRICS)
-        assert NULL_METRICS.snapshot() == {}
-        snapshot = metrics.snapshot()
-        _, _, summaries = on
-        for role, summary in summaries.items():
-            for key, value in summary.items():
-                assert snapshot[f"dns_core_{key}"][f"role={role}"] == value
-        # One gauge per state_summary() key, nothing per role in the collector.
-        assert {name for name in snapshot if name.startswith("dns_core_")} == {
-            f"dns_core_{key}" for summary in summaries.values() for key in summary
-        }
-        assert snapshot["dns_core_records"] == {"role=forwarder": 1, "role=recursive": 3}
-        assert snapshot["dns_core_inflight_lookups"] == {"role=forwarder": 0, "role=recursive": 0}
-        assert snapshot["dns_core_downstream_subscribers"] == {"role=recursive": 1}
-        assert snapshot["dns_core_subscribers"] == {"role=auth": 1}
 
 
 def _fanout_fingerprint(result):

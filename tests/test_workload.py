@@ -44,11 +44,6 @@ class TestTtlModel:
         with pytest.raises(ValueError):
             TtlModel(weights={RecordType.A: {42: 1.0}})
 
-    def test_expected_counts_scale_with_population(self):
-        model = TtlModel()
-        counts = model.expected_counts(RecordType.A, 1000)
-        assert sum(counts.values()) == pytest.approx(1000)
-
 
 class TestToplist:
     def test_population_size_and_ranks(self, toplist):
@@ -125,17 +120,6 @@ class TestChangeModel:
             second.advance()
         assert first.current_sorted() == second.current_sorted()
         assert first.changes == second.changes
-
-    def test_mean_change_interval(self):
-        model = ChangeModel()
-        process = model.process_for(2, ttl=300)
-        if process.change_probability > 0:
-            assert process.mean_change_interval() == pytest.approx(
-                300 / process.change_probability
-            )
-        static = ChangeModelConfig(dynamic_fraction_low_ttl=0.0)
-        static_process = ChangeModel(static).process_for(2, ttl=300)
-        assert static_process.mean_change_interval() == float("inf")
 
     def test_dynamic_fraction_threshold(self):
         model = ChangeModel()
@@ -230,7 +214,7 @@ class TestQueryModel:
         assert times == sorted(times)
         assert all(0 <= time < 60.0 for time in times)
         assert 100 < len(events) < 600
-        assert model.unique_domains(events) <= 100
+        assert len({event.domain.name for event in events}) <= 100
 
     def test_sample_type_respects_domain_capabilities(self):
         toplist = SyntheticToplist(ToplistConfig(size=200, seed=5))

@@ -141,7 +141,7 @@ SAMPLES: dict[type, tuple[object, object | None]] = {
     AnnounceOk: (AnnounceOk(1), AnnounceOk(2)),
     MaxRequestId: (MaxRequestId(10), MaxRequestId(20)),
     Goaway: (Goaway(), Goaway("moqt://elsewhere")),
-    Parameter: (Parameter(2, b"\x05"), Parameter.varint(2, 6)),
+    Parameter: (Parameter(2, b"\x05"), Parameter(2, b"\x06")),
     Parameters: (PARAMETERS, Parameters()),
     TrackNamespace: (NAMESPACE, TrackNamespace.of("dns")),
     FullTrackName: (TRACK, FullTrackName.of(["dns"], "www")),
