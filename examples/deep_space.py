@@ -72,9 +72,11 @@ def main() -> None:
             # paper cites): no keepalives, effectively no idle timeout, and a
             # retransmission timer seeded with the real path RTT.
             session_manager=SessionManagerConfig(
-                keepalive_interval=None,
-                idle_timeout=1e9,
-                initial_rtt=2 * ONE_WAY_DELAY,
+                connection=ConnectionConfig(
+                    keepalive_interval=None,
+                    idle_timeout=1e9,
+                    initial_rtt=2 * ONE_WAY_DELAY,
+                ),
             ),
         ),
     )

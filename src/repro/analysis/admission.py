@@ -60,8 +60,6 @@ from repro.relaynet.admission import AdmissionController, AdmissionPolicy
 #: One-way link trips from a join firing to its SUBSCRIBE arriving at the
 #: relay: QUIC handshake (2) + MoQT setup (2) + the SUBSCRIBE itself (1).
 TRIPS_TO_SUBSCRIBE = 5
-#: Trips with ALPN version negotiation folding the setup round trip away.
-TRIPS_TO_SUBSCRIBE_ALPN = 3
 
 
 @dataclass(frozen=True)
@@ -97,13 +95,10 @@ class AdmissionModel:
         (``start`` is the absolute simulator time the storm was injected —
         passed through so float folds match the measured run).
     policy:
-        The leaf relay's admission policy; must rate-limit and advertise
-        ``retry_after`` for the reservation replay to apply.
+        The leaf relay's admission policy; must rate-limit for the
+        reservation replay to apply.
     link_delay:
         One-way delay of the subscriber <-> leaf link, in seconds.
-    alpn_version_negotiation:
-        Whether MoQT version negotiation rides the QUIC/TLS ALPN, removing
-        the dedicated SETUP round trip.
     """
 
     count: int
@@ -111,7 +106,6 @@ class AdmissionModel:
     start: float
     policy: AdmissionPolicy
     link_delay: float
-    alpn_version_negotiation: bool = False
 
     def __post_init__(self) -> None:
         if self.count < 1:
@@ -122,15 +116,6 @@ class AdmissionModel:
             raise ValueError(f"link delay must be non-negative: {self.link_delay}")
         if self.policy.subscribe_rate is None:
             raise ValueError("the admission model needs a rate-limited policy")
-        if not self.policy.advertise_retry_after:
-            raise ValueError("the reservation replay needs advertised retry_after")
-
-    @property
-    def trips_to_subscribe(self) -> int:
-        """One-way trips from a join to its SUBSCRIBE arriving at the relay."""
-        if self.alpn_version_negotiation:
-            return TRIPS_TO_SUBSCRIBE_ALPN
-        return TRIPS_TO_SUBSCRIBE
 
     def joins(self) -> list[StormJoin]:
         """Replay the storm: per-join reserved slots and admission times.
@@ -147,7 +132,7 @@ class AdmissionModel:
             # Event times accumulate one hop at a time, exactly as the
             # simulator schedules them (each hop is a separate addition).
             arrival = joined_at
-            for _ in range(self.trips_to_subscribe):
+            for _ in range(TRIPS_TO_SUBSCRIBE):
                 arrival += delay
             decision = controller.decide(index, arrival, 0)
             if decision.admitted:

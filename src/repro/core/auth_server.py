@@ -42,7 +42,6 @@ from repro.moqt.session import (
     MOQT_ALPN,
     FetchResult,
     MoqtSession,
-    MoqtSessionConfig,
     PublisherSubscription,
     SubscribeResult,
     publish_to,
@@ -137,11 +136,9 @@ class MoqAuthoritativeServer:
         host: Host,
         zones: list[Zone] | None = None,
         port: int = MOQT_PORT,
-        session_config: MoqtSessionConfig | None = None,
     ) -> None:
         self.host = host
         self.simulator = host.simulator
-        self.session_config = session_config if session_config is not None else MoqtSessionConfig()
         self.statistics = AuthServerStatistics()
         # Track names are parsed through the simulation's decode memo.
         self._decodes = AnswerMemo(self.simulator)
@@ -190,7 +187,6 @@ class MoqAuthoritativeServer:
         session = MoqtSession(
             connection,
             is_client=False,
-            config=self.session_config,
             publisher_delegate=self,
         )
         self._sessions.append(session)

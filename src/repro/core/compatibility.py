@@ -5,8 +5,8 @@ authoritative servers that do not speak MoQT:
 
 * :class:`CapabilityMemo` remembers which upstream hosts support MoQT so the
   happy-eyeballs race is only run the first time a server is contacted;
-* :class:`HappyEyeballsConfig` controls the race between the MoQT attempt and
-  the classic DNS-over-UDP query;
+* :data:`MOQT_TIMEOUT` bounds the MoQT attempt that races the classic
+  DNS-over-UDP query;
 * :class:`RefreshScheduler` implements the alternative described in the
   paper: instead of declining the downstream subscription, the recursive
   resolver re-requests the record from the non-MoQT authoritative server once
@@ -38,26 +38,9 @@ class CompatibilityMode(enum.Enum):
     PERIODIC_REFRESH = "periodic-refresh"
 
 
-@dataclass
-class HappyEyeballsConfig:
-    """Parameters of the MoQT-vs-UDP race (§4.5).
-
-    Attributes
-    ----------
-    enabled:
-        When False, the resolver only attempts MoQT and falls back to UDP
-        after ``moqt_timeout``.
-    moqt_timeout:
-        Seconds after which an unanswered MoQT attempt is abandoned.
-    udp_head_start:
-        Seconds by which the UDP query is delayed relative to the MoQT
-        attempt; 0 races them simultaneously as the paper suggests.
-    """
-
-    enabled: bool = True
-    moqt_timeout: float = 1.0
-    udp_head_start: float = 0.0
-
+#: Seconds after which an unanswered MoQT attempt at an upstream is
+#: abandoned (and, without the happy-eyeballs race, UDP tried instead).
+MOQT_TIMEOUT = 1.0
 
 class CapabilityMemo:
     """Per-host memory of upstream MoQT support."""
@@ -76,10 +59,6 @@ class CapabilityMemo:
     def note_udp_only(self, host: str) -> None:
         """Record that a host only answered over classic DNS."""
         self._capabilities[host] = UpstreamCapability.UDP_ONLY
-
-    def forget(self, host: str) -> None:
-        """Drop the memo for a host (e.g. after an operator hint)."""
-        self._capabilities.pop(host, None)
 
     def known_moqt_hosts(self) -> list[str]:
         """Hosts currently believed to support MoQT."""
@@ -145,11 +124,6 @@ class RefreshScheduler:
             return False
         entry.task.stop()
         return True
-
-    def cancel_all(self) -> None:
-        """Stop every refresh loop."""
-        for key in list(self._entries):
-            self.cancel(key)
 
     def refresh_counts(self) -> dict[DnsQuestionKey, int]:
         """Number of refreshes performed per question."""

@@ -27,23 +27,18 @@ from repro.core.subscription import TeardownPolicy
 from repro.dns.message import Message
 from repro.dns.types import DNS_UDP_PORT
 from repro.moqt.objectmodel import MoqtObject
-from repro.moqt.session import MoqtSessionConfig
 from repro.netsim.node import Host
 from repro.netsim.packet import Address
 
 
 @dataclass
 class ForwarderConfig:
-    """Behavioural knobs of the forwarder.
+    """Behavioural knobs of the forwarder; ``listen_port`` is where
+    unmodified clients send classic DNS queries."""
 
-    ``listen_port`` may be ``None`` to disable the classic DNS listener, in
-    which case the instance acts as a pure library-level MoQT stub resolver.
-    """
-
-    listen_port: int | None = DNS_UDP_PORT
+    listen_port: int = DNS_UDP_PORT
     upstream_timeout: float = 3.0
     session_manager: SessionManagerConfig = field(default_factory=SessionManagerConfig)
-    moqt_session: MoqtSessionConfig = field(default_factory=MoqtSessionConfig)
 
 
 @dataclass
@@ -76,8 +71,8 @@ class MoqForwarder(SubscribingResolver):
         super().__init__(host, self.config.listen_port, teardown_policy)
 
     @property
-    def address(self) -> Address | None:
-        """Address classic clients should query (None when UDP serving is off)."""
+    def address(self) -> Address:
+        """Address classic clients should query."""
         return self.udp_address
 
     # ---------------------------------------------------------------- lookups

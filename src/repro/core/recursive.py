@@ -40,7 +40,7 @@ from typing import Callable
 from repro.core.compatibility import (
     CapabilityMemo,
     CompatibilityMode,
-    HappyEyeballsConfig,
+    MOQT_TIMEOUT,
     RefreshScheduler,
     UpstreamCapability,
 )
@@ -61,7 +61,6 @@ from repro.moqt.session import (
     MOQT_ALPN,
     FetchResult,
     MoqtSession,
-    MoqtSessionConfig,
     PublisherSubscription,
     SubscribeResult,
     Subscription,
@@ -75,21 +74,25 @@ from repro.quic.endpoint import QuicEndpoint
 from repro.quic.tls import ServerTlsContext
 
 MAX_RESOLUTION_STEPS = 12
+#: Seconds a negative answer without an SOA stays fresh.
+DEFAULT_NEGATIVE_TTL = 60.0
 
 
 @dataclass
 class ResolverConfig:
-    """Behavioural knobs of the recursive MoQT resolver."""
+    """Behavioural knobs of the recursive MoQT resolver.
 
-    serve_moqt: bool = True
-    serve_udp: bool = True
+    It serves stubs on ``moqt_port`` and classic clients on ``udp_port``.
+    With ``happy_eyeballs`` it races MoQT against UDP towards an upstream
+    whose support is unknown (§4.5); without, it tries MoQT alone for
+    :data:`~repro.core.compatibility.MOQT_TIMEOUT` before falling back.
+    """
+
     moqt_port: int = MOQT_PORT
     udp_port: int = DNS_UDP_PORT
-    happy_eyeballs: HappyEyeballsConfig = field(default_factory=HappyEyeballsConfig)
+    happy_eyeballs: bool = True
     compatibility_mode: CompatibilityMode = CompatibilityMode.PERIODIC_REFRESH
-    default_negative_ttl: float = 60.0
     session_manager: SessionManagerConfig = field(default_factory=SessionManagerConfig)
-    moqt_session: MoqtSessionConfig = field(default_factory=MoqtSessionConfig)
     #: QUIC parameters applied to *downstream* (stub-facing) connections.
     #: Long-delay deployments (deep space) raise the idle timeout and the
     #: initial RTT here so accepted connections survive the path delay.
@@ -151,23 +154,19 @@ class MoqRecursiveResolver(SubscribingResolver):
         self.statistics = RecursiveStatistics()
         self.capabilities = CapabilityMemo()
         self.refresher = RefreshScheduler(host.simulator)
-        super().__init__(
-            host, self.config.udp_port if self.config.serve_udp else None, teardown_policy
-        )
+        super().__init__(host, self.config.udp_port, teardown_policy)
         # Question -> the downstream sessions' records, in accept order; a
         # question leaves the dict with its last subscriber.
         self._downstream: dict[DnsQuestionKey, list[PublisherSubscription]] = {}
         self._udp_client = DnsUdpEndpoint(host)
-        self._moqt_endpoint: QuicEndpoint | None = None
         self._downstream_sessions: list[MoqtSession] = []
-        if self.config.serve_moqt:
-            self._moqt_endpoint = QuicEndpoint(
-                host,
-                port=self.config.moqt_port,
-                server_config=self.config.downstream_connection,
-                server_tls=ServerTlsContext(alpn_protocols=(MOQT_ALPN,)),
-                on_connection=self._on_downstream_connection,
-            )
+        self._moqt_endpoint = QuicEndpoint(
+            host,
+            port=self.config.moqt_port,
+            server_config=self.config.downstream_connection,
+            server_tls=ServerTlsContext(alpn_protocols=(MOQT_ALPN,)),
+            on_connection=self._on_downstream_connection,
+        )
 
     # ------------------------------------------------------------- public API
     def state_summary(self) -> dict[str, int]:
@@ -232,7 +231,7 @@ class MoqRecursiveResolver(SubscribingResolver):
         ]
         if soa_minimums:
             return float(min(soa_minimums))
-        return self.config.default_negative_ttl
+        return DEFAULT_NEGATIVE_TTL
 
     # ------------------------------------------------ upstream subscribe+fetch
     def moqt_subscribe_fetch(
@@ -248,7 +247,7 @@ class MoqRecursiveResolver(SubscribingResolver):
         """
         self.statistics.upstream_subscribe_fetch += 1
         SubscribeFetch(
-            self, server, key, self.config.happy_eyeballs.moqt_timeout, callback, _fail_if_declined
+            self, server, key, MOQT_TIMEOUT, callback, _fail_if_declined
         )
 
     def udp_query(
@@ -278,7 +277,7 @@ class MoqRecursiveResolver(SubscribingResolver):
             self.statistics.udp_fallbacks += 1
             self.udp_query(server, key, lambda message: callback(message, 0, False))
             return
-        if capability is UpstreamCapability.MOQT or not self.config.happy_eyeballs.enabled:
+        if capability is UpstreamCapability.MOQT or not self.config.happy_eyeballs:
             def moqt_done(message: Message | None, version: int) -> None:
                 if message is not None:
                     self.capabilities.note_moqt_success(server.host)
@@ -322,14 +321,9 @@ class MoqRecursiveResolver(SubscribingResolver):
         def udp_done(message: Message | None) -> None:
             finish(message, 0, False)
 
+        # Both attempts start at once, as the paper suggests.
         self.moqt_subscribe_fetch(server, key, moqt_done)
-        if self.config.happy_eyeballs.udp_head_start > 0:
-            self.simulator.call_later(
-                self.config.happy_eyeballs.udp_head_start,
-                lambda: None if finished["done"] else self.udp_query(server, key, udp_done),
-            )
-        else:
-            self.udp_query(server, key, udp_done)
+        self.udp_query(server, key, udp_done)
 
     # ------------------------------------------------- the shared core's hooks
     def _handle_udp_query(self, query: Message, source: Address, respond) -> None:
@@ -356,7 +350,6 @@ class MoqRecursiveResolver(SubscribingResolver):
         session = MoqtSession(
             connection,
             is_client=False,
-            config=self.config.moqt_session,
             publisher_delegate=self,
         )
         self._downstream_sessions.append(session)

@@ -17,27 +17,31 @@ SERVER_SETUP (§5.2, third optimisation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.moqt.session import MOQT_ALPN, MoqtSession, MoqtSessionConfig
+from repro.moqt.session import MoqtSession
 from repro.netsim.node import Host
 from repro.netsim.packet import Address
 from repro.quic.connection import ConnectionConfig
 from repro.quic.endpoint import QuicEndpoint
 
 
+def _upstream_connection() -> ConnectionConfig:
+    return ConnectionConfig(keepalive_interval=15.0, idle_timeout=60.0)
+
+
 @dataclass
 class SessionManagerConfig:
-    """Behavioural knobs of the session manager."""
+    """How the manager connects upstream.
 
-    reuse_sessions: bool = True
-    enable_0rtt: bool = True
+    ``connection`` configures every upstream QUIC connection: MoQT's ALPN,
+    keepalives every 15 s and a 60 s idle timeout unless given (a
+    very-high-delay path, deep space, raises the idle timeout and seeds the
+    retransmission timer with the real RTT).  It is validated when built.
+    """
+
+    connection: ConnectionConfig = field(default_factory=_upstream_connection)
     alpn_version_negotiation: bool = False
-    keepalive_interval: float | None = 15.0
-    idle_timeout: float = 60.0
-    #: Seed for the QUIC retransmission timer; raise it for very-high-delay
-    #: paths (deep space) so handshakes are not retransmitted prematurely.
-    initial_rtt: float = 0.1
 
 
 @dataclass
@@ -53,18 +57,10 @@ class SessionManagerStatistics:
 class UpstreamSessionManager:
     """Manages MoQT client sessions to upstream servers."""
 
-    def __init__(
-        self,
-        host: Host,
-        config: SessionManagerConfig | None = None,
-        session_config: MoqtSessionConfig | None = None,
-    ) -> None:
+    def __init__(self, host: Host, config: SessionManagerConfig | None = None) -> None:
         self.host = host
         self.simulator = host.simulator
         self.config = config if config is not None else SessionManagerConfig()
-        self._session_config = session_config if session_config is not None else MoqtSessionConfig(
-            alpn_version_negotiation=self.config.alpn_version_negotiation
-        )
         self.statistics = SessionManagerStatistics()
         self._endpoint = QuicEndpoint(host)
         self._sessions: dict[Address, MoqtSession] = {}
@@ -85,7 +81,7 @@ class UpstreamSessionManager:
     def get_session(self, upstream: Address) -> MoqtSession:
         """Return an open session to ``upstream``, creating one if needed."""
         session = self._sessions.get(upstream)
-        if session is not None and not session.closed and self.config.reuse_sessions:
+        if session is not None and not session.closed:
             self.statistics.sessions_reused += 1
             return session
         if session is not None and session.closed:
@@ -96,19 +92,12 @@ class UpstreamSessionManager:
 
     def _create_session(self, upstream: Address) -> MoqtSession:
         had_ticket = self._endpoint.ticket_store.get(upstream.host, self.simulator.now) is not None
-        connection = self._endpoint.connect(
-            upstream,
-            ConnectionConfig(
-                alpn_protocols=(MOQT_ALPN,),
-                enable_0rtt=self.config.enable_0rtt,
-                keepalive_interval=self.config.keepalive_interval,
-                idle_timeout=self.config.idle_timeout,
-                initial_rtt=self.config.initial_rtt,
-            ),
-        )
-        if had_ticket and self.config.enable_0rtt:
+        connection = self._endpoint.connect(upstream, self.config.connection)
+        if had_ticket:
             self.statistics.zero_rtt_attempts += 1
-        session = MoqtSession(connection, is_client=True, config=self._session_config)
+        session = MoqtSession(
+            connection, is_client=True, alpn_version_negotiation=self.config.alpn_version_negotiation
+        )
         self.statistics.sessions_created += 1
         return session
 

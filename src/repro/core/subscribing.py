@@ -192,39 +192,32 @@ class SubscribeFetch:
 class SubscribingResolver:
     """Question records, lookup coalescing, push ingest and the classic front.
 
-    ``udp_port`` is where unmodified stubs are served (``None``: nowhere).  A
-    role sets ``config`` (with ``session_manager`` / ``moqt_session``) and
-    ``statistics`` (with ``pushes_received``) first, and provides ``resolve``
+    ``udp_port`` is where unmodified stubs are served.  A role sets
+    ``config`` (with ``session_manager``) and ``statistics`` (with ``pushes_received``) first, and provides ``resolve``
     and three hooks: ``_answer_client(key, answered)`` resolves for a classic
     client and calls ``answered(message)``; ``_pushed(key, record, obj)``
     follows up a stored push; ``_torn_down(key)`` models the unsubscribe.
     """
 
     def __init__(
-        self, host: Host, udp_port: int | None, teardown_policy: TeardownPolicy | None
+        self, host: Host, udp_port: int, teardown_policy: TeardownPolicy | None
     ) -> None:
         self.host = host
         self.simulator = host.simulator
         # Shared with every other role of the simulation (``docs/dns-codec.md``).
         self.answers = AnswerMemo(self.simulator)
         self.registry = SubscriptionRegistry(teardown_policy)
-        self.sessions = UpstreamSessionManager(
-            host, config=self.config.session_manager, session_config=self.config.moqt_session
-        )
+        self.sessions = UpstreamSessionManager(host, config=self.config.session_manager)
         self._records: dict[DnsQuestionKey, QuestionRecord] = {}
         # Question -> the callbacks waiting for the one lookup in flight for it.
         self._in_flight: dict[DnsQuestionKey, list[Callable[..., None]]] = {}
-        self._udp_server: DnsUdpEndpoint | None = None
-        if udp_port is not None:
-            self._udp_server = DnsUdpEndpoint(
-                host, port=udp_port, handler=self._handle_udp_query
-            )
+        self._udp_server = DnsUdpEndpoint(host, port=udp_port, handler=self._handle_udp_query)
 
     # ---------------------------------------------------------------- records
     @property
-    def udp_address(self) -> Address | None:
-        """Address for classic DNS clients (None when UDP serving is off)."""
-        return self._udp_server.address if self._udp_server is not None else None
+    def udp_address(self) -> Address:
+        """Address for classic DNS clients."""
+        return self._udp_server.address
 
     def record(self, key: DnsQuestionKey) -> QuestionRecord | None:
         """The resolver's current record for a question, if any."""

@@ -66,20 +66,13 @@ class CacheStatistics:
 
 
 class DnsCache:
-    """An RRset cache driven by the simulator clock.
+    """An RRset cache driven by the simulator clock (``simulator`` provides
+    the virtual clock used for TTL expiry); an expired entry leaves when it
+    is next looked up."""
 
-    Parameters
-    ----------
-    simulator:
-        Provides the virtual clock used for TTL expiry.
-    max_entries:
-        Optional bound; when exceeded, the entry closest to expiry is evicted.
-    """
-
-    def __init__(self, simulator: Simulator, max_entries: int | None = None) -> None:
+    def __init__(self, simulator: Simulator) -> None:
         self._simulator = simulator
         self._entries: dict[tuple[Name, RecordType, DNSClass], CacheEntry] = {}
-        self._max_entries = max_entries
         self.statistics = CacheStatistics()
 
     def __len__(self) -> int:
@@ -115,19 +108,11 @@ class DnsCache:
         entry = CacheEntry(
             rrset=rrset, rcode=rcode, inserted_at=self._simulator.now, ttl=float(ttl)
         )
-        if self._max_entries is not None and len(self._entries) >= self._max_entries:
-            self._evict_one()
         self._entries[self._key(name, rdtype, rdclass)] = entry
         self.statistics.insertions += 1
         if pushed:
             self.statistics.pushed_updates += 1
         return entry
-
-    def _evict_one(self) -> None:
-        if not self._entries:
-            return
-        victim = min(self._entries.items(), key=lambda item: item[1].expires_at())
-        del self._entries[victim[0]]
 
     # ------------------------------------------------------------------- read
     def get(
@@ -154,10 +139,6 @@ class DnsCache:
     def flush(self) -> None:
         """Drop every entry."""
         self._entries.clear()
-
-    def remove(self, name: Name, rdtype: RecordType, rdclass: DNSClass = DNSClass.IN) -> bool:
-        """Remove a single entry; returns whether it was present."""
-        return self._entries.pop(self._key(name, rdtype, rdclass), None) is not None
 
     def entries(self) -> dict[tuple[Name, RecordType, DNSClass], CacheEntry]:
         """A shallow copy of the cache content (for inspection in tests)."""

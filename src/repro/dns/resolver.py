@@ -100,14 +100,13 @@ class RecursiveResolver:
         host: Host,
         root_servers: list[Address],
         serve_port: int | None = DNS_UDP_PORT,
-        cache: DnsCache | None = None,
     ) -> None:
         if not root_servers:
             raise ResolutionError("at least one root server address is required")
         self.host = host
         self.simulator = host.simulator
         self.root_servers = list(root_servers)
-        self.cache = cache if cache is not None else DnsCache(host.simulator)
+        self.cache = DnsCache(host.simulator)
         self.statistics = ResolverStatistics()
         self._client = DnsUdpEndpoint(host)
         self._server: DnsUdpEndpoint | None = None
@@ -326,12 +325,11 @@ class StubResolver:
         self,
         host: Host,
         recursive_address: Address,
-        cache: DnsCache | None = None,
     ) -> None:
         self.host = host
         self.simulator = host.simulator
         self.recursive_address = recursive_address
-        self.cache = cache if cache is not None else DnsCache(host.simulator)
+        self.cache = DnsCache(host.simulator)
         self.statistics = StubStatistics()
         self._endpoint = DnsUdpEndpoint(host)
 

@@ -74,8 +74,9 @@ class DnsUdpEndpoint:
     handler:
         Optional request handler for incoming queries.  The handler receives
         the query, the client address and a ``respond`` callable.
-    query_timeout / retries:
-        Retransmission behaviour for outgoing queries.
+
+    An outgoing query is retransmitted ``DEFAULT_RETRIES`` times, each after
+    ``DEFAULT_QUERY_TIMEOUT`` seconds without an answer.
     """
 
     def __init__(
@@ -83,14 +84,10 @@ class DnsUdpEndpoint:
         host: Host,
         port: int | None = None,
         handler: RequestHandler | None = None,
-        query_timeout: float = DEFAULT_QUERY_TIMEOUT,
-        retries: int = DEFAULT_RETRIES,
     ) -> None:
         self._host = host
         self._simulator: Simulator = host.simulator
         self._handler = handler
-        self._query_timeout = query_timeout
-        self._retries = retries
         self._pending: dict[tuple[int, Address], PendingQuery] = {}
         self._next_message_id = 1
         self.statistics = TransportStatistics()
@@ -139,12 +136,12 @@ class DnsUdpEndpoint:
             query=message,
             callback=callback,
             timer=timer,
-            retries_left=self._retries,
+            retries_left=DEFAULT_RETRIES,
             sent_at=self._simulator.now,
         )
         self._pending[key] = pending
         self._transmit(pending)
-        timer.start(timeout if timeout is not None else self._query_timeout)
+        timer.start(timeout if timeout is not None else DEFAULT_QUERY_TIMEOUT)
         self.statistics.queries_sent += 1
         return pending
 
@@ -169,7 +166,7 @@ class DnsUdpEndpoint:
             pending.attempts += 1
             self.statistics.retransmissions += 1
             self._transmit(pending)
-            pending.timer.start(self._query_timeout)
+            pending.timer.start(DEFAULT_QUERY_TIMEOUT)
             return
         del self._pending[key]
         self.statistics.timeouts += 1

@@ -18,6 +18,9 @@ from repro.dns.rdata import Rdata, SOARdata, parse_rdata
 from repro.dns.rr import ResourceRecord, RRset
 from repro.dns.types import Rcode, RecordType
 
+#: TTL of a zone's SOA and of a record added without one.
+DEFAULT_TTL = 300
+
 
 class ZoneError(Exception):
     """Raised for invalid zone content or operations."""
@@ -60,46 +63,32 @@ class ZoneChange:
 
 
 class Zone:
-    """An authoritative DNS zone.
+    """An authoritative DNS zone below ``origin``, the apex name.
 
-    Parameters
-    ----------
-    origin:
-        The zone apex name.
-    soa:
-        The initial SOA RDATA; when omitted a default SOA with serial 1 is
-        created.
-    default_ttl:
-        TTL applied to records added without an explicit TTL.
+    It starts with an SOA of serial 1 (``ns1`` and ``hostmaster`` below the
+    apex); a record added without a TTL, and the SOA, get ``DEFAULT_TTL``.
     """
 
-    __slots__ = ("origin", "default_ttl", "_rrsets", "_owners", "_listeners", "_soa_ttl")
+    __slots__ = ("origin", "_rrsets", "_owners", "_listeners")
 
-    def __init__(
-        self,
-        origin: Name | str,
-        soa: SOARdata | None = None,
-        default_ttl: int = 300,
-    ) -> None:
+    def __init__(self, origin: Name | str) -> None:
         self.origin = origin if isinstance(origin, Name) else Name.from_text(origin)
-        self.default_ttl = default_ttl
         self._rrsets: dict[tuple[Name, RecordType], RRset] = {}
-        # Owner name -> number of RRsets it owns, in order of first appearance
-        # (the origin's first is the SOA that ``_put_soa`` stores below).
-        self._owners: dict[Name, int] = {self.origin: 1}
+        # The owner names, in order of first appearance (a dict used as an
+        # ordered set; the origin owns the SOA that ``_put_soa`` stores below).
+        self._owners: dict[Name, None] = {self.origin: None}
         self._listeners: tuple[Callable[[ZoneChange], None], ...] = ()
-        if soa is None:
-            soa = SOARdata(
+        self._put_soa(
+            SOARdata(
                 mname=self.origin.child(b"ns1"),
                 rname=self.origin.child(b"hostmaster"),
                 serial=1,
             )
-        self._soa_ttl = default_ttl
-        self._put_soa(soa)
+        )
 
     # -------------------------------------------------------------- SOA state
     def _put_soa(self, soa: SOARdata) -> None:
-        record = ResourceRecord(self.origin, RecordType.SOA, soa, self._soa_ttl)
+        record = ResourceRecord(self.origin, RecordType.SOA, soa, DEFAULT_TTL)
         self._rrsets[(self.origin, RecordType.SOA)] = RRset(
             self.origin, RecordType.SOA, [record]
         )
@@ -154,7 +143,7 @@ class Zone:
         if rrset is None:
             rrset = RRset(record.name, record.rdtype, rdclass=record.rdclass)
             self._rrsets[key] = rrset
-            self._owners[record.name] = self._owners.get(record.name, 0) + 1
+            self._owners[record.name] = None
         rrset.add(record)
         self._changed(record.name, record.rdtype, rrset, bump)
 
@@ -171,7 +160,7 @@ class Zone:
         record_type = rdtype if isinstance(rdtype, RecordType) else RecordType.from_text(rdtype)
         rdata = rdata_text if isinstance(rdata_text, Rdata) else parse_rdata(record_type, rdata_text)
         record = ResourceRecord(
-            owner, record_type, rdata, self.default_ttl if ttl is None else ttl
+            owner, record_type, rdata, DEFAULT_TTL if ttl is None else ttl
         )
         self.add_record(record, bump=bump)
         return record
@@ -180,8 +169,7 @@ class Zone:
         """Replace (or create) the RRset for the given name and type."""
         self._check_in_zone(rrset.name)
         key = (rrset.name, rrset.rdtype)
-        if key not in self._rrsets:
-            self._owners[rrset.name] = self._owners.get(rrset.name, 0) + 1
+        self._owners[rrset.name] = None
         self._rrsets[key] = rrset
         self._changed(rrset.name, rrset.rdtype, rrset, bump)
 

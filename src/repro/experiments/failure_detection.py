@@ -374,7 +374,7 @@ def run_failure_detection(
     control_plane_kills = sum(
         1 for event in topology.events if event.cause in ("kill", "leave")
     )
-    reattach = reattach_models(spec, topology.session_config.alpn_version_negotiation)
+    reattach = reattach_models(spec)
     samples = []
     for (crashed_at, models, node) in crashes:
         if node.failure_event is not None:

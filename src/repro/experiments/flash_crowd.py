@@ -26,10 +26,9 @@ three regimes on the deterministic simulator:
    sibling, spreading a local hotspot across the tier while still
    admitting everyone.
 
-Determinism: the storms draw nothing from the RNG when ``retry_after`` is
-advertised (retries are reservation-scheduled), so repeated runs with one
-seed are bit-identical; the jittered-backoff path (no hint) draws from
-the seeded simulator RNG and is equally reproducible.
+Determinism: the storms draw nothing from the RNG (every rejection
+advertises ``retry_after`` and retries are reservation-scheduled), so
+repeated runs with one seed are bit-identical.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 
 from repro.analysis.admission import AdmissionModel, percentile
 from repro.moqt.origin import TRACK
-from repro.relaynet import AdmissionPolicy, RelayTreeSpec, RetryPolicy
+from repro.relaynet import AdmissionPolicy, RelayTreeSpec
 from repro.relaynet.scenario import Scenario, ScenarioRun, build_scenario
 from repro.telemetry import Telemetry
 
@@ -170,7 +169,6 @@ def _run_throttled(
         start=start,
         policy=policy,
         link_delay=tree.spec.subscriber_link.delay,
-        alpn_version_negotiation=tree.session_config.alpn_version_negotiation,
     )
     measured_latencies = sorted(record.join_latency for record in storm.records)
     modelled_latencies = sorted(model.join_latencies())
@@ -235,13 +233,7 @@ def _run_spillover(
         seed, relays=leaves, admission=policy, prewarm=leaves, telemetry=telemetry
     )
     tree = run.topology
-    storm = tree.flash_crowd(
-        stormers,
-        window,
-        TRACK,
-        retry=RetryPolicy(max_spillovers=1),
-        leaf=tree.leaves()[0],
-    )
+    storm = tree.flash_crowd(stormers, window, TRACK, leaf=tree.leaves()[0])
     run.advance(DRAIN)
     storm.raise_for_failures()
     run.collect()

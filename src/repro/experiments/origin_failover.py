@@ -250,11 +250,7 @@ def run_origin_failover(
     )
     crashed_at = simulator.now
     cluster.crash_active()
-    model = promotion_model(
-        min(models, key=lambda m: m.detected_at),
-        spec.tiers[0].uplink.delay,
-        topology.session_config.alpn_version_negotiation,
-    )
+    model = promotion_model(min(models, key=lambda m: m.detected_at), spec.tiers[0].uplink.delay)
     run.push(updates_between)
     run.push(updates_after)
     run.advance(3.0)

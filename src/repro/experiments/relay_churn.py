@@ -125,19 +125,12 @@ class RelayChurnResult:
         }
 
 
-def reattach_models(
-    spec: RelayTreeSpec, alpn_version_negotiation: bool
-) -> dict[str, RecoveryModel]:
+def reattach_models(spec: RelayTreeSpec) -> dict[str, RecoveryModel]:
     """The 3-RTT re-attach prediction per orphan tier: orphans of a relay
     tier re-home over their own uplink class, subscribers over the access
-    link."""
-    models = {
-        tier.name: recovery_model(tier.uplink.delay, alpn_version_negotiation)
-        for tier in spec.tiers
-    }
-    models["subscribers"] = recovery_model(
-        spec.subscriber_link.delay, alpn_version_negotiation
-    )
+    link (a relay tree's sessions wait for SERVER_SETUP)."""
+    models = {tier.name: recovery_model(tier.uplink.delay) for tier in spec.tiers}
+    models["subscribers"] = recovery_model(spec.subscriber_link.delay)
     return models
 
 
@@ -221,7 +214,7 @@ def run_relay_churn(
 
     sequences, gapless, delivered = run.delivery_score()
     counters = run.recovery_counters()
-    models = reattach_models(spec, topology.session_config.alpn_version_negotiation)
+    models = reattach_models(spec)
     run.collect()
     return RelayChurnResult(
         subscribers=subscribers,

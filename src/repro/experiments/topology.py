@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.auth_server import MoqAuthoritativeServer
-from repro.core.compatibility import CompatibilityMode, HappyEyeballsConfig
+from repro.core.compatibility import CompatibilityMode
 from repro.core.forwarder import ForwarderConfig, MoqForwarder
 from repro.core.recursive import MoqRecursiveResolver, ResolverConfig
 from repro.core.session_manager import SessionManagerConfig
@@ -23,7 +23,6 @@ from repro.dns.server import AuthoritativeServer
 from repro.dns.resolver import RecursiveResolver, StubResolver
 from repro.dns.types import DNS_UDP_PORT, MOQT_PORT
 from repro.dns.zone import Zone
-from repro.moqt.session import MoqtSessionConfig
 from repro.netsim.link import LinkConfig
 from repro.netsim.network import Network
 from repro.netsim.packet import Address
@@ -46,21 +45,18 @@ class SmallTopologyConfig:
     initial_address: str = "192.0.2.10"
     stub_rtt: float = 0.010
     upstream_rtt: float = 0.040
-    #: Which authorities additionally run a MoQT server.
-    moqt_on_root: bool = True
-    moqt_on_tld: bool = True
+    #: Whether the authoritative server for the domain additionally runs a
+    #: MoQT server (the root and the TLD always do).
     moqt_on_auth: bool = True
     #: Whether the recursive resolver races UDP against MoQT (§4.5).
     happy_eyeballs: bool = False
     compatibility_mode: CompatibilityMode = CompatibilityMode.PERIODIC_REFRESH
-    #: Session manager behaviour (reuse / 0-RTT) for the MoQT resolver chain.
-    reuse_sessions: bool = True
-    enable_0rtt: bool = True
+    #: Whether the MoQT resolver chain's sessions negotiate the version in
+    #: ALPN (§5.2's third optimisation).
     alpn_version_negotiation: bool = False
     #: Optional QUIC parameters for connections the recursive resolver accepts
     #: from stubs (used by the deep-space example to survive long delays).
     resolver_downstream_connection: object | None = None
-    seed: int = 42
 
 
 class SmallTopology:
@@ -68,7 +64,7 @@ class SmallTopology:
 
     def __init__(self, config: SmallTopologyConfig | None = None) -> None:
         self.config = config if config is not None else SmallTopologyConfig()
-        self.simulator = Simulator(seed=self.config.seed)
+        self.simulator = Simulator(seed=42)
         self.network = Network(self.simulator)
         self._build_hosts()
         self._build_zones()
@@ -110,16 +106,8 @@ class SmallTopology:
         self.classic_root = AuthoritativeServer(self.network.host(ROOT_HOST), [self.root_zone])
         self.classic_tld = AuthoritativeServer(self.network.host(TLD_HOST), [self.tld_zone])
         self.classic_auth = AuthoritativeServer(self.network.host(AUTH_HOST), [self.auth_zone])
-        self.moqt_root = (
-            MoqAuthoritativeServer(self.network.host(ROOT_HOST), [self.root_zone])
-            if self.config.moqt_on_root
-            else None
-        )
-        self.moqt_tld = (
-            MoqAuthoritativeServer(self.network.host(TLD_HOST), [self.tld_zone])
-            if self.config.moqt_on_tld
-            else None
-        )
+        self.moqt_root = MoqAuthoritativeServer(self.network.host(ROOT_HOST), [self.root_zone])
+        self.moqt_tld = MoqAuthoritativeServer(self.network.host(TLD_HOST), [self.tld_zone])
         self.moqt_auth = (
             MoqAuthoritativeServer(self.network.host(AUTH_HOST), [self.auth_zone])
             if self.config.moqt_on_auth
@@ -128,16 +116,10 @@ class SmallTopology:
 
     def _build_resolvers(self) -> None:
         config = self.config
-        session_manager = SessionManagerConfig(
-            reuse_sessions=config.reuse_sessions,
-            enable_0rtt=config.enable_0rtt,
-            alpn_version_negotiation=config.alpn_version_negotiation,
-        )
         resolver_config = ResolverConfig(
-            happy_eyeballs=HappyEyeballsConfig(enabled=config.happy_eyeballs),
+            happy_eyeballs=config.happy_eyeballs,
             compatibility_mode=config.compatibility_mode,
-            session_manager=session_manager,
-            moqt_session=MoqtSessionConfig(
+            session_manager=SessionManagerConfig(
                 alpn_version_negotiation=config.alpn_version_negotiation
             ),
             downstream_connection=config.resolver_downstream_connection,
@@ -155,13 +137,7 @@ class SmallTopology:
             serve_port=5353,
         )
         forwarder_config = ForwarderConfig(
-            listen_port=DNS_UDP_PORT,
             session_manager=SessionManagerConfig(
-                reuse_sessions=config.reuse_sessions,
-                enable_0rtt=config.enable_0rtt,
-                alpn_version_negotiation=config.alpn_version_negotiation,
-            ),
-            moqt_session=MoqtSessionConfig(
                 alpn_version_negotiation=config.alpn_version_negotiation
             ),
         )
@@ -243,7 +219,7 @@ def build_workload_topology(
         network.host(RECURSIVE_HOST),
         root_servers=[Address(ROOT_SERVER_ADDRESS, MOQT_PORT)],
         config=ResolverConfig(
-            happy_eyeballs=HappyEyeballsConfig(enabled=moqt_fraction < 1.0),
+            happy_eyeballs=moqt_fraction < 1.0,
         ),
     )
     forwarder = MoqForwarder(

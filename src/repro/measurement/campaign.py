@@ -27,11 +27,6 @@ class CampaignConfig:
 
     #: Number of consecutive observations per record (the paper uses 300).
     observations: int = 300
-    #: Record types analysed for the TTL distribution.
-    record_types: tuple[RecordType, ...] = (RecordType.A, RecordType.AAAA, RecordType.HTTPS)
-    #: Record type analysed for change rates (the paper reports A; it notes
-    #: AAAA behaves the same and HTTPS like A at TTL 300).
-    change_rate_type: RecordType = RecordType.A
     #: Cap on domains per TTL cluster for the change-rate study (None = all).
     max_domains_per_ttl: int | None = None
 
@@ -88,7 +83,7 @@ class MeasurementCampaign:
         """Record-type coverage and TTL histograms (Fig. 1a)."""
         totals: dict[RecordType, int] = {}
         histograms: dict[RecordType, dict[int, int]] = {}
-        for rdtype in self.config.record_types:
+        for rdtype in (RecordType.A, RecordType.AAAA, RecordType.HTTPS):
             domains = self.toplist.domains_with_type(rdtype)
             totals[rdtype] = len(domains)
             histograms[rdtype] = self.toplist.ttl_histogram(rdtype)
@@ -106,7 +101,9 @@ class MeasurementCampaign:
         compared and the changes counted, then summarised per TTL cluster.
         """
         per_ttl_counts: dict[int, list[int]] = {ttl: [] for ttl in TTL_CLUSTERS}
-        rdtype = self.config.change_rate_type
+        # The paper reports A; it notes AAAA behaves the same and HTTPS like
+        # A at TTL 300.
+        rdtype = RecordType.A
         per_ttl_domains: dict[int, int] = {ttl: 0 for ttl in TTL_CLUSTERS}
         for domain in self.toplist.domains_with_type(rdtype):
             ttl = domain.ttl_for(rdtype)

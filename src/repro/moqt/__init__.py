@@ -31,7 +31,6 @@ from repro.moqt.track import TrackNamespace, FullTrackName, MAX_FULL_TRACK_NAME_
 from repro.moqt.objectmodel import MoqtObject, ObjectStatus, Location
 from repro.moqt.session import (
     MoqtSession,
-    MoqtSessionConfig,
     Subscription,
     FetchRequest,
     PublisherDelegate,
@@ -50,7 +49,6 @@ __all__ = [
     "ObjectStatus",
     "Location",
     "MoqtSession",
-    "MoqtSessionConfig",
     "Subscription",
     "FetchRequest",
     "PublisherDelegate",

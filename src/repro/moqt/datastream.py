@@ -1,9 +1,8 @@
-"""Encodings of objects on unidirectional data streams and in datagrams.
+"""Encodings of objects on unidirectional data streams.
 
-MoQT delivers objects either on unidirectional QUIC streams or in QUIC
-DATAGRAM frames.  The paper's prototype uses streams exclusively, to avoid
-losing record updates to datagram unreliability (§4.1); the datagram
-encoding is implemented anyway so the design choice can be ablated.
+MoQT can deliver objects on unidirectional QUIC streams or in QUIC DATAGRAM
+frames.  The paper's prototype uses streams exclusively, to avoid losing
+record updates to datagram unreliability (§4.1), and so does this model.
 
 Two stream flavours exist:
 
@@ -34,12 +33,6 @@ class DataStreamType(enum.IntEnum):
 
     SUBGROUP_HEADER = 0x04
     FETCH_HEADER = 0x05
-
-
-class DatagramType(enum.IntEnum):
-    """First varint of an object datagram."""
-
-    OBJECT_DATAGRAM = 0x01
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,52 +178,6 @@ def decode_fetch_object(reader: VarintReader) -> MoqtObject:
         status=status,
         extensions=extensions,
     )
-
-
-def encode_object_datagram(track_alias: int, obj: MoqtObject) -> bytes:
-    """Encode an object as a single datagram payload."""
-    buffer = bytearray()
-    append_varint(buffer, DatagramType.OBJECT_DATAGRAM)
-    append_varint(buffer, track_alias)
-    append_varint(buffer, obj.group_id)
-    append_varint(buffer, obj.object_id)
-    buffer.append(obj.publisher_priority)
-    append_varint(buffer, len(obj.extensions))
-    buffer += obj.extensions
-    append_varint(buffer, len(obj.payload))
-    buffer += obj.payload
-    return bytes(buffer)
-
-
-def decode_object_datagram(data: bytes) -> tuple[int, MoqtObject]:
-    """Decode an object datagram; returns ``(track_alias, object)``.
-
-    The datagram must be exactly one object: anything else raises
-    :class:`~repro.moqt.errors.ProtocolViolation`, and nothing else does.
-    """
-    reader = VarintReader(data)
-    try:
-        datagram_type = reader.read_varint()
-        if datagram_type != DatagramType.OBJECT_DATAGRAM:
-            raise ProtocolViolation(f"unexpected datagram type {datagram_type:#x}")
-        track_alias = reader.read_varint()
-        group_id = reader.read_varint()
-        object_id = reader.read_varint()
-        priority = reader.read_uint8()
-        extensions = reader.read_length_prefixed()
-        payload = reader.read_length_prefixed()
-    except ValueError as error:
-        raise ProtocolViolation(f"malformed object datagram: {error}") from error
-    if not reader.at_end():
-        raise ProtocolViolation(f"{reader.remaining} trailing bytes after an object datagram")
-    obj = MoqtObject(
-        group_id=group_id,
-        object_id=object_id,
-        payload=payload,
-        publisher_priority=priority,
-        extensions=extensions,
-    )
-    return track_alias, obj
 
 
 def decode_complete_datastream(

@@ -67,16 +67,21 @@ class MoqtObject:
         return len(self.payload)
 
 
+#: How many of its newest groups a track keeps for FETCH.
+MAX_RETAINED_GROUPS = 64
+
+
 class TrackState:
     """Publisher-side state of one track: the objects published so far.
 
     The DNS-over-MoQT authoritative server stores one ``TrackState`` per DNS
     question track.  Objects are retained so FETCH requests for earlier
     versions can be answered; ``largest`` tracks the newest location for
-    SUBSCRIBE_OK / FETCH_OK responses.
+    SUBSCRIBE_OK / FETCH_OK responses.  The newest ``MAX_RETAINED_GROUPS``
+    groups are retained.
     """
 
-    def __init__(self, full_track_name: object, max_retained_groups: int | None = 64) -> None:
+    def __init__(self, full_track_name: object) -> None:
         self.full_track_name = full_track_name
         self._objects: dict[Location, MoqtObject] = {}
         #: The retained locations by group, each in publish order, and the
@@ -84,7 +89,6 @@ class TrackState:
         #: and ``oldest`` reads the smallest one, neither rescanning objects.
         self._groups: dict[int, list[Location]] = {}
         self._group_heap: list[int] = []
-        self._max_retained_groups = max_retained_groups
         self.largest: Location | None = None
 
     def publish(self, obj: MoqtObject) -> None:
@@ -109,9 +113,7 @@ class TrackState:
         self._enforce_retention()
 
     def _enforce_retention(self) -> None:
-        if self._max_retained_groups is None:
-            return
-        minimum_group = self.largest.group_id - self._max_retained_groups + 1
+        minimum_group = self.largest.group_id - MAX_RETAINED_GROUPS + 1
         heap = self._group_heap
         while heap and heap[0] < minimum_group:
             for location in self._groups.pop(heappop(heap)):

@@ -43,7 +43,6 @@ from repro.moqt.session import (
     MOQT_ALPN,
     FetchResult,
     MoqtSession,
-    MoqtSessionConfig,
     PublisherSubscription,
     SubscribeResult,
     Subscription,
@@ -119,8 +118,6 @@ class RelayStatistics:
     admission_rejections: int = 0
     #: SUBSCRIBEs rejected because the pending-subscribe queue hit its bound.
     admission_queue_rejections: int = 0
-    #: SUBSCRIBEs that bypassed admission control on subscriber priority.
-    admission_priority_bypasses: int = 0
     #: Deepest the pending-subscribe queue (downstream subscribes deferred
     #: awaiting the upstream answer) ever got — the quantity an unlimited
     #: policy lets grow linearly with storm size (the E16 baseline
@@ -162,7 +159,6 @@ class MoqtRelay:
         host: Host,
         upstream: Address,
         port: int = DEFAULT_MOQT_PORT,
-        session_config: MoqtSessionConfig | None = None,
         tier: str = "",
         upstream_connection: ConnectionConfig | None = None,
         downstream_connection: ConnectionConfig | None = None,
@@ -172,7 +168,6 @@ class MoqtRelay:
         self.simulator = host.simulator
         self.upstream_address = upstream
         self.tier = tier
-        self.session_config = session_config if session_config is not None else MoqtSessionConfig()
         self.upstream_connection_config = upstream_connection
         #: Hook a topology controller installs to learn, in-band, that this
         #: relay's uplink is dying: ``on_uplink_dying(relay, cause)`` with
@@ -224,7 +219,6 @@ class MoqtRelay:
         session = MoqtSession(
             connection,
             is_client=False,
-            config=self.session_config,
             publisher_delegate=self,
             on_closed=self._on_downstream_closed,
         )
@@ -256,7 +250,6 @@ class MoqtRelay:
         self._upstream_session = MoqtSession(
             connection,
             is_client=True,
-            config=self.session_config,
             on_closed=self._on_upstream_closed,
             on_liveness=self._on_upstream_liveness,
         )
@@ -470,16 +463,7 @@ class MoqtRelay:
             # when the error goes out.  It also only ever polices arrivals —
             # established subscriptions are structurally beyond its reach
             # (never shed to admit new ones).
-            policy = admission.policy
-            threshold = policy.priority_admit_threshold
-            if threshold is not None and message.subscriber_priority <= threshold:
-                self.statistics.admission_priority_bypasses += 1
-            decision = admission.decide(
-                session,
-                self.simulator.now,
-                self.pending_subscribe_count(),
-                message.subscriber_priority,
-            )
+            decision = admission.decide(session, self.simulator.now, self.pending_subscribe_count())
             if not decision.admitted:
                 if decision.cause == "queue":
                     self.statistics.admission_queue_rejections += 1

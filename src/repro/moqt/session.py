@@ -4,8 +4,8 @@ A :class:`MoqtSession` runs on top of one :class:`~repro.quic.connection.QuicCon
 The client opens the bidirectional control stream and sends ``CLIENT_SETUP``;
 the server answers with ``SERVER_SETUP``.  Only then may requests be issued —
 this is the extra round trip the paper's §5.2 attributes to MoQT session
-establishment.  Setting
-:attr:`MoqtSessionConfig.alpn_version_negotiation` models the future
+establishment.  A client session built with
+``alpn_version_negotiation=True`` models the future
 optimisation the paper mentions (version negotiation moved into the QUIC/TLS
 ALPN), which lets the client send requests immediately after the QUIC
 handshake (or in 0-RTT data).
@@ -29,9 +29,7 @@ from repro.moqt.datastream import (
     SubgroupStreamHeader,
     decode_complete_datastream,
     encode_fetch_object,
-    encode_object_datagram,
     encode_subgroup_stream_chunk,
-    decode_object_datagram,
 )
 from repro.moqt.errors import (
     FetchErrorCode,
@@ -69,14 +67,6 @@ from repro.moqt.track import FullTrackName
 from repro.quic.connection import QuicConnection
 from repro.quic.stream import QuicStream
 from repro.quic.tls import MOQT_ALPN  # noqa: F401 - re-exported for the MoQT layers
-
-
-@dataclass
-class MoqtSessionConfig:
-    """Per-session knobs."""
-
-    alpn_version_negotiation: bool = False
-    use_datagrams: bool = False
 
 
 @dataclass
@@ -272,7 +262,6 @@ class MoqtSession:
     __slots__ = (
         "connection",
         "is_client",
-        "config",
         "publisher_delegate",
         "on_closed",
         "on_liveness",
@@ -305,14 +294,13 @@ class MoqtSession:
         connection: QuicConnection,
         *,
         is_client: bool,
-        config: MoqtSessionConfig | None = None,
+        alpn_version_negotiation: bool = False,
         publisher_delegate: PublisherDelegate | None = None,
         on_closed: Callable[["MoqtSession", str], None] | None = None,
         on_liveness: Callable[["MoqtSession", str, str], None] | None = None,
     ) -> None:
         self.connection = connection
         self.is_client = is_client
-        self.config = config if config is not None else MoqtSessionConfig()
         self.publisher_delegate = publisher_delegate
         self.on_closed = on_closed
         #: Observer of the transport's in-band liveness transitions
@@ -365,15 +353,15 @@ class MoqtSession:
         connection.delegate = self
 
         if is_client:
-            self._start_client()
+            self._start_client(alpn_version_negotiation)
         # The server side waits for the client's control stream.
 
     # ----------------------------------------------------------------- setup
-    def _start_client(self) -> None:
+    def _start_client(self, alpn_version_negotiation: bool) -> None:
         self._control_stream = self.connection.open_stream()
         self._control_stream_id = self._control_stream.stream_id
         self._send_control(CLIENT_SETUP_WIRE)
-        if self.config.alpn_version_negotiation:
+        if alpn_version_negotiation:
             # Future MoQT: the version is negotiated in ALPN, so the client
             # may send requests without waiting for SERVER_SETUP.
             self._mark_ready(MOQT_VERSION_DRAFT_12)
@@ -559,17 +547,14 @@ class MoqtSession:
         """Push one object to a downstream subscription.
 
         The paper's prototype sends every object on its own unidirectional
-        stream (one group per stream, streams not datagrams); with
-        ``use_datagrams`` enabled the object is sent unreliably instead, which
-        the ablation benchmark compares.
+        stream (one group per stream, streams not datagrams, §4.1).
 
         ``encoded`` is the memo :func:`publish_to` shares across one fan-out
         of ``obj``: the payload is serialised once per track alias instead of
         once per subscriber — subscribers overwhelmingly share one alias, so
         a relay encodes each object once for its whole tier.  The memo holds
-        wire payloads, so the sessions sharing it must agree on
-        ``use_datagrams``, and it must not outlive the object.  Wire bytes
-        are identical with or without it.
+        wire payloads and must not outlive the object.  Wire bytes are
+        identical with or without it.
         """
         # The closed check and the payload size are inline: this runs once
         # per subscriber per object.
@@ -582,17 +567,12 @@ class MoqtSession:
         statistics.object_bytes_sent += len(obj.payload)
         subscription.objects_sent += 1
         alias = subscription.track_alias
-        datagrams = self.config.use_datagrams
         payload = encoded.get(alias) if encoded is not None else None
         if payload is None:
-            encode = encode_object_datagram if datagrams else encode_subgroup_stream_chunk
-            payload = encode(alias, obj)
+            payload = encode_subgroup_stream_chunk(alias, obj)
             if encoded is not None:
                 encoded[alias] = payload
-        if datagrams:
-            self.connection.send_datagram_frame(payload)
-        else:
-            self.connection.send_encoded_stream(payload)
+        self.connection.send_encoded_stream(payload)
 
     def _send_fetch_objects(self, request_id: int, objects: list[MoqtObject]) -> None:
         payload = FetchStreamHeader(request_id=request_id).encode()
@@ -630,8 +610,8 @@ class MoqtSession:
 
     # ------------------------------------------------- the connection's delegate
     # The session is its connection's ConnectionDelegate: the connection
-    # calls these two and, under dispatch below, ``stream_data_received`` and
-    # ``datagram_frame_received`` on the session itself.
+    # calls these two and, under dispatch below, ``stream_data_received`` on
+    # the session itself.
     def connection_closed(self, code: int, reason: str) -> None:
         """The transport closed (announced, detected or local)."""
         if self.closed:
@@ -726,16 +706,6 @@ class MoqtSession:
                 self._deliver_subscribed_object(track_alias, obj)
         else:
             self._deliver_fetch_objects(header.request_id, objects)
-
-    def datagram_frame_received(self, data: bytes) -> None:
-        """The payload of one DATAGRAM frame: an object datagram (a malformed
-        one closes the session)."""
-        try:
-            track_alias, obj = decode_object_datagram(data)
-        except ProtocolViolation as error:
-            self._protocol_violation(error)
-            return
-        self._deliver_subscribed_object(track_alias, obj)
 
     def _deliver_subscribed_object(self, track_alias: int, obj: MoqtObject) -> None:
         subscription = self._subscriptions_by_alias.get(track_alias)

@@ -20,7 +20,7 @@ class SummaryStatistics:
     sizes in this repository (thousands of values) make that affordable.
     """
 
-    samples: list[float] = field(default_factory=list)
+    samples: list[float] = field(default_factory=list, init=False)
 
     def add(self, value: float) -> None:
         """Add a sample."""

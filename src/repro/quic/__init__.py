@@ -1,6 +1,6 @@
 """Simulated QUIC transport.
 
-This package implements the subset of QUIC (RFC 9000/9221) that the paper's
+This package implements the subset of QUIC (RFC 9000) that the paper's
 latency and pub/sub arguments depend on, running over the discrete-event
 simulator:
 
@@ -10,8 +10,9 @@ simulator:
   (:mod:`repro.quic.frames`, :mod:`repro.quic.packet`);
 * a TLS-like handshake with session tickets enabling 0-RTT resumption
   (:mod:`repro.quic.tls`);
-* ordered, reliable bidirectional and unidirectional streams plus unreliable
-  DATAGRAM frames (:mod:`repro.quic.stream`);
+* ordered, reliable bidirectional and unidirectional streams
+  (:mod:`repro.quic.stream`); the optional DATAGRAM extension (RFC 9221) is
+  not modelled, since the paper's prototype sends objects on streams only;
 * the connection state machine with handshake round trips, loss recovery,
   ACKs and idle timeouts (:mod:`repro.quic.connection`);
 * endpoints that bind to simulated hosts and multiplex connections

@@ -192,23 +192,11 @@ class NewRenoCongestionController(CongestionController):
         "_congestion_events",
     )
 
-    def __init__(
-        self,
-        mss: int = DEFAULT_MSS,
-        initial_window_packets: int = INITIAL_WINDOW_PACKETS,
-        minimum_window_packets: int = MINIMUM_WINDOW_PACKETS,
-    ) -> None:
-        if mss <= 0:
-            raise ValueError(f"mss must be positive: {mss}")
-        if initial_window_packets < minimum_window_packets:
-            raise ValueError(
-                "initial window smaller than minimum window: "
-                f"{initial_window_packets} < {minimum_window_packets}"
-            )
-        self._mss = mss
-        self._cwnd = mss * initial_window_packets
+    def __init__(self) -> None:
+        self._mss = DEFAULT_MSS
+        self._cwnd = DEFAULT_MSS * INITIAL_WINDOW_PACKETS
         self._ssthresh = float("inf")
-        self._minimum_window = mss * minimum_window_packets
+        self._minimum_window = DEFAULT_MSS * MINIMUM_WINDOW_PACKETS
         self._bytes_in_flight = 0
         # Packet numbers <= _recovery_until were sent before (or during) the
         # current recovery epoch; their loss is attributed to the reduction

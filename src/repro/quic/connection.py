@@ -41,7 +41,6 @@ from repro.quic.frames import (
     AckRangesFrame,
     ConnectionCloseFrame,
     CryptoFrame,
-    DatagramFrame,
     Frame,
     HandshakeDoneFrame,
     PacketDecodeError,
@@ -52,7 +51,6 @@ from repro.quic.frames import (
     _ACK_RANGES,
     _CONNECTION_CLOSE,
     _CRYPTO,
-    _DATAGRAM,
     _HANDSHAKE_DONE,
     _PADDING,
     _PING,
@@ -109,8 +107,6 @@ class ConnectionConfig:
     keepalive_interval:
         When set, PING frames are sent at this interval to keep the
         connection (and NAT bindings) alive; §5.1 discusses this trade-off.
-    enable_0rtt:
-        Whether the client attempts 0-RTT resumption when it has a ticket.
     initial_rtt:
         Seed for the retransmission timer before an RTT sample exists.
     liveness_suspect_after:
@@ -137,7 +133,6 @@ class ConnectionConfig:
     alpn_protocols: tuple[str, ...] = (MOQT_ALPN,)
     idle_timeout: float = 30.0
     keepalive_interval: float | None = None
-    enable_0rtt: bool = True
     initial_rtt: float = 0.1
     liveness_suspect_after: int | None = None
     congestion_controller: Callable[[], CongestionController] | None = None
@@ -165,9 +160,7 @@ class _SentPacket:
 
     What a retransmission needs (``packet_type`` + ``frames``) plus the two
     facts every ledger record carries: ``sent_at`` for the RTT sample and
-    ``wire_size`` for the congestion controller.  A DATAGRAM-frame packet is
-    filed with no frames: there is nothing to re-send, only bytes in flight
-    to release.
+    ``wire_size`` for the congestion controller.
     """
 
     __slots__ = ("packet_type", "frames", "sent_at", "wire_size")
@@ -237,8 +230,6 @@ class ConnectionStatistics:
     bytes_sent: int = 0
     bytes_received: int = 0
     retransmissions: int = 0
-    datagrams_sent: int = 0
-    datagrams_received: int = 0
     pings_sent: int = 0
     #: Liveness state changes (healthy/suspect/dead in either direction) —
     #: the per-connection signal behind in-band failure detection (E13).
@@ -250,7 +241,7 @@ class ConnectionDelegate(Protocol):
 
     A connection holds one delegate (:attr:`QuicConnection.delegate`, set by
     whoever runs on top — :class:`~repro.moqt.session.MoqtSession` sets
-    itself) and calls these four methods on it directly, from inside the
+    itself) and calls these three methods on it directly, from inside the
     event loop.  Until a delegate is set, received application data is
     dropped and nothing is told.
     """
@@ -258,9 +249,6 @@ class ConnectionDelegate(Protocol):
     def stream_data_received(self, stream_id: int, data: bytes, fin: bool) -> None:
         """Contiguous bytes of one stream; ``fin`` once, with its last bytes
         (a one-shot stream arrives whole: its bytes and ``fin`` together)."""
-
-    def datagram_frame_received(self, data: bytes) -> None:
-        """The payload of one DATAGRAM frame."""
 
     def connection_closed(self, code: int, reason: str) -> None:
         """The connection closed: locally, by the peer's CONNECTION_CLOSE or
@@ -518,7 +506,7 @@ class QuicConnection:
             )
         self.handshake_started_at = self._simulator.now
         ticket = None
-        if self._ticket_store is not None and self.config.enable_0rtt:
+        if self._ticket_store is not None:
             ticket = self._ticket_store.get(self.server_name, self._simulator.now)
         offers_early = ticket is not None
         hello = ClientHello(
@@ -626,13 +614,6 @@ class QuicConnection:
         offset = stream.write(data, fin)
         self._send_stream(stream.stream_id, offset, bytes(data), fin)
 
-    def send_datagram_frame(self, data: bytes) -> None:
-        """Send unreliable application data in a DATAGRAM frame."""
-        if self.closed:
-            raise QuicConnectionError(TransportErrorCode.PROTOCOL_VIOLATION, "connection closed")
-        self.statistics.datagrams_sent += 1
-        self._send_app_frames([DatagramFrame(bytes(data))], reliable=False)
-
     def send_encoded_stream(self, chunk: bytes) -> int:
         """Send ``chunk`` as a complete one-shot unidirectional stream.
 
@@ -730,15 +711,15 @@ class QuicConnection:
             return PacketType.ONE_RTT
         return PacketType.ZERO_RTT
 
-    def _send_app_frames(self, frames: list[Frame], reliable: bool = True) -> None:
+    def _send_app_frames(self, frames: list[Frame]) -> None:
         if not self._can_send_app_data():
             self._queued_app_frames = [*self._queued_app_frames, *frames]
             return
-        if self._cc_active and reliable:
+        if self._cc_active:
             if self._cwnd_blocked or not self._cc.can_send(_frames_wire_estimate(frames)):
                 self._hold_back(frames)
                 return
-        self._send_packet(self._app_packet_type(), frames, reliable=reliable)
+        self._send_packet(self._app_packet_type(), frames)
 
     def _hold_back(self, frames: Sequence[Frame]) -> None:
         """Queue ``frames`` behind the congestion window (FIFO)."""
@@ -775,7 +756,6 @@ class QuicConnection:
         self,
         packet_type: PacketType,
         frames: Sequence[Frame],
-        reliable: bool = True,
         final: bool = False,
     ) -> None:
         """Send ``frames`` in one packet: the generic writer.
@@ -805,20 +785,15 @@ class QuicConnection:
         buffer[:0] = header
         size = len(buffer)
         now = self._idle_from = self._simulator.now
-        # A packet the loss machinery must repair, or that a real controller
-        # is counting, has a ledger record.  An unreliable (DATAGRAM-frame)
-        # packet is only ever the second kind and is filed with nothing to
-        # re-send: an ACK releases its bytes, a PTO declares it lost.
-        tracked = (reliable or self._cc_active) and not final
-        if tracked:
-            self._unacked[packet_number] = _SentPacket(
-                packet_type, frames if reliable else (), now, size
-            )
+        # Every packet but the final CONNECTION_CLOSE has a ledger record:
+        # the loss machinery repairs it, and a real controller counts it.
+        if not final:
+            self._unacked[packet_number] = _SentPacket(packet_type, frames, now, size)
             if self._loss_event is None:
                 self._arm_loss_wake(self._probe_timeout())
         self.statistics.packets_sent += 1
         self.statistics.bytes_sent += size
-        if tracked and self._cc_active:
+        if not final and self._cc_active:
             self._cc.on_packet_sent(packet_number, size)
         self._send(bytes(buffer), self.peer_address)
 
@@ -914,21 +889,16 @@ class QuicConnection:
                 [(packet_number, record.wire_size) for packet_number, record in lost]
             )
         for _, record in lost:
-            frames = record.frames
-            if not frames:
-                continue  # a DATAGRAM-frame packet: lost is lost
             # Re-send the same frames in a new packet (new packet number).
             # Retransmissions bypass the congestion-window gate — a probe
             # must be able to leave even with the window full (RFC 9002
             # §7.5) — but do re-enter bytes-in-flight in _send_packet.
             self.statistics.retransmissions += 1
-            self._send_packet(record.packet_type, frames)
+            self._send_packet(record.packet_type, record.frames)
         if self._cc_active and self._cwnd_blocked and not self.closed:
             # The loss event cleared the in-flight ledger; the (halved)
             # window may have room for packets it previously blocked.
             self._flush_cwnd_blocked()
-        if not self._unacked:
-            return  # only DATAGRAM-frame packets were outstanding
         # Exponential backoff: the n-th consecutive timeout waits 2**n probe
         # intervals (capped), so an unreachable peer is probed ever more
         # sparsely while give-up stays bounded in time.
@@ -1061,7 +1031,7 @@ class QuicConnection:
                 elif frame_type == _PADDING:
                     while offset < end and data[offset] == 0:
                         offset += 1
-                elif frame_type == _CRYPTO or frame_type == _DATAGRAM:
+                elif frame_type == _CRYPTO:
                     length, offset = decode_varint(data, offset)
                     stop = offset + length
                     if stop > end:
@@ -1105,8 +1075,6 @@ class QuicConnection:
                 ack_needed = True
                 if frame_type == _CRYPTO:
                     self._on_crypto(payload)
-                elif frame_type == _DATAGRAM:
-                    self._on_datagram_frame(payload)
                 elif frame_type == _CONNECTION_CLOSE:
                     self._handle_close(code, reason, send_close=False)
                 # PING and HANDSHAKE_DONE carry nothing: the ACK suffices.
@@ -1311,11 +1279,6 @@ class QuicConnection:
             self._process_server_hello(hello)
         else:
             self._process_client_hello(hello)
-
-    def _on_datagram_frame(self, data: bytes) -> None:
-        self.statistics.datagrams_received += 1
-        if self.delegate is not None:
-            self.delegate.datagram_frame_received(data)
 
     def _apply_ack(self, acked: "list[int] | tuple[int, ...]", largest: int) -> None:
         self._consecutive_loss_timeouts = 0

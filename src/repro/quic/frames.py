@@ -3,8 +3,9 @@
 Only the frames the simulated stack needs are implemented: PADDING, PING,
 ACK, CRYPTO, NEW_TOKEN-style session tickets are folded into CRYPTO payloads,
 STREAM (with offset/length/fin), MAX_DATA-style flow control is omitted (the
-simulation does not model flow-control blocking), DATAGRAM (RFC 9221),
-CONNECTION_CLOSE and HANDSHAKE_DONE.
+simulation does not model flow-control blocking), CONNECTION_CLOSE and
+HANDSHAKE_DONE.  DATAGRAM (RFC 9221, an optional extension) is not
+negotiated, so a received DATAGRAM frame is an unknown frame type.
 
 Serialisation is batched: every frame writes itself into a shared
 ``bytearray`` via :meth:`Frame.encode_into`, so a packet's frames are encoded
@@ -50,7 +51,6 @@ class FrameType(enum.IntEnum):
     STREAM = 0x08  # with offset, length and fin bits encoded separately
     CONNECTION_CLOSE = 0x1C
     HANDSHAKE_DONE = 0x1E
-    DATAGRAM = 0x30
 
 
 @dataclass(slots=True)
@@ -167,18 +167,6 @@ class StreamFrame(Frame):
 
 
 @dataclass(slots=True)
-class DatagramFrame(Frame):
-    """DATAGRAM (RFC 9221): unreliable application data."""
-
-    data: bytes
-
-    def encode_into(self, buffer: bytearray) -> None:
-        append_varint(buffer, FrameType.DATAGRAM)
-        append_varint(buffer, len(self.data))
-        buffer += self.data
-
-
-@dataclass(slots=True)
 class ConnectionCloseFrame(Frame):
     """CONNECTION_CLOSE: terminates the connection."""
 
@@ -229,7 +217,6 @@ _ACK_RANGES = int(FrameType.ACK_RANGES)
 _PADDING = int(FrameType.PADDING)
 _PING = int(FrameType.PING)
 _CRYPTO = int(FrameType.CRYPTO)
-_DATAGRAM = int(FrameType.DATAGRAM)
 _CONNECTION_CLOSE = int(FrameType.CONNECTION_CLOSE)
 _HANDSHAKE_DONE = int(FrameType.HANDSHAKE_DONE)
 
@@ -318,8 +305,6 @@ def decode_frames_range(
                 frames.append(PingFrame())
             elif frame_type == _CRYPTO:
                 frames.append(CryptoFrame(read_length_prefixed()))
-            elif frame_type == _DATAGRAM:
-                frames.append(DatagramFrame(read_length_prefixed()))
             elif frame_type == _CONNECTION_CLOSE:
                 code = read_varint()
                 reason = read_length_prefixed().decode("utf-8")
@@ -373,7 +358,7 @@ def scan_frames(data: bytes | memoryview, offset: int, end: int) -> None:
             elif frame_type == _PADDING:
                 while offset < end and data[offset] == 0:
                     offset += 1
-            elif frame_type == _CRYPTO or frame_type == _DATAGRAM:
+            elif frame_type == _CRYPTO:
                 length, offset = decode_varint(data, offset)
                 offset += length
             elif frame_type == _CONNECTION_CLOSE:

@@ -111,12 +111,12 @@ class VarintReader:
 
     __slots__ = ("_view", "_length", "_offset")
 
-    def __init__(self, data: bytes | bytearray | memoryview, offset: int = 0) -> None:
+    def __init__(self, data: bytes | bytearray | memoryview) -> None:
         if type(data) is not bytes and type(data) is not memoryview:
             data = memoryview(data)
         self._view = data
         self._length = len(data)
-        self._offset = offset
+        self._offset = 0
 
     @property
     def offset(self) -> int:

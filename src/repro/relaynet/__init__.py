@@ -52,7 +52,6 @@ from repro.relaynet.admission import (
     AdmissionController,
     AdmissionDecision,
     AdmissionPolicy,
-    RetryPolicy,
 )
 from repro.relaynet.builder import RelayTreeBuilder
 from repro.relaynet.origincluster import ClusterOrigin, OriginCluster, OriginPromotion
@@ -86,7 +85,6 @@ __all__ = [
     "AdmissionDecision",
     "AdmissionPolicy",
     "AdmissionRecord",
-    "RetryPolicy",
     "FlashCrowdStorm",
     "FailoverPolicy",
     "FailoverEvent",

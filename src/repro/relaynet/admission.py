@@ -21,11 +21,8 @@ relay.  This module is the overload-protection layer:
   the session's retry unconditionally once the slot's time has passed — so
   a storm drains in deterministic FIFO order with exactly one retry per
   rejected subscriber instead of a thundering-herd collision cascade.
-* Priority-aware shedding: admission only ever polices *new* SUBSCRIBEs —
-  established subscriptions are structurally untouchable — and subscribes
-  whose ``subscriber_priority`` is at or above (numerically at or below,
-  MoQT priorities are lowest-wins) ``priority_admit_threshold`` bypass the
-  limiter entirely, so an operator's control subscriptions cut the line.
+* Admission only ever polices *new* SUBSCRIBEs: established
+  subscriptions are structurally untouchable.
 
 The token bucket is the virtual-scheduling (GCRA-like) formulation: the
 bucket was last observed full at an *anchor* time and has granted ``k``
@@ -37,9 +34,10 @@ loops, no drift — which is what lets :mod:`repro.analysis.admission`
 replay the exact fold and predict the measured admission-completion time
 bit-for-bit (E16).
 
-The client half of the contract (jittered exponential backoff honoring
-``retry_after``, bounded retry budget, spillover placement) lives in
-:meth:`repro.relaynet.topology.RelayTopology.flash_crowd`.
+The client half of the contract (waiting the advertised ``retry_after``,
+a bounded retry budget, spillover placement) lives in
+:meth:`repro.relaynet.topology.RelayTopology.flash_crowd`.  Every
+rejection advertises a hint of at least 1 ms.
 """
 
 from __future__ import annotations
@@ -80,23 +78,12 @@ class AdmissionPolicy:
         Unlike rate rejections the queue drains on an upstream *answer*,
         not on a clock, so the hint is a fixed policy quantum rather than
         a computed slot.
-    priority_admit_threshold:
-        Subscribes with ``subscriber_priority`` at or below this value
-        (MoQT priorities are lowest-wins; 0 is the most urgent) bypass
-        admission control entirely.  ``None`` disables the bypass.
-    advertise_retry_after:
-        When False, rejections carry no ``retry_after`` hint; clients fall
-        back to jittered exponential backoff (the path the determinism
-        property tests exercise).  Reservations are still kept, so a
-        backing-off client's eventual retry is still admitted.
     """
 
     subscribe_rate: float | None = None
     bucket_depth: int = 1
     max_pending_subscribes: int | None = None
     queue_retry_after: float = 0.05
-    priority_admit_threshold: int | None = None
-    advertise_retry_after: bool = True
 
     def __post_init__(self) -> None:
         if self.subscribe_rate is not None and self.subscribe_rate <= 0:
@@ -116,71 +103,12 @@ class AdmissionPolicy:
         return self.subscribe_rate is not None or self.max_pending_subscribes is not None
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """The client half of the admission contract: bounded retry-with-backoff.
-
-    A rejected subscriber waits the advertised ``retry_after`` when the
-    relay provided one (the deterministic reservation path), else a
-    jittered exponential backoff whose jitter is drawn from the *seeded
-    simulator RNG* — two runs of the same storm under the same seed
-    produce identical retry schedules.  The budget is hard: once
-    ``max_attempts`` SUBSCRIBEs have been rejected the subscriber's
-    admission record turns terminal and
-    :meth:`repro.relaynet.topology.FlashCrowdStorm.raise_for_failures`
-    surfaces :class:`repro.moqt.errors.AdmissionRejectedError` instead of
-    retrying (or hanging) forever.
-
-    ``max_spillovers`` bounds how many times the topology may re-route
-    this subscriber to a less-loaded sibling leaf before pinning it to
-    wherever it last landed.
-    """
-
-    max_attempts: int = 8
-    base_delay: float = 0.05
-    multiplier: float = 2.0
-    max_delay: float = 5.0
-    jitter: float = 0.5
-    max_spillovers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be at least 1: {self.max_attempts}")
-        if self.base_delay <= 0:
-            raise ValueError(f"base_delay must be positive: {self.base_delay}")
-        if self.multiplier < 1.0:
-            raise ValueError(f"multiplier must be at least 1: {self.multiplier}")
-        if self.max_delay < self.base_delay:
-            raise ValueError(
-                f"max_delay {self.max_delay} must be at least base_delay {self.base_delay}"
-            )
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1): {self.jitter}")
-        if self.max_spillovers < 0:
-            raise ValueError(f"max_spillovers must be non-negative: {self.max_spillovers}")
-
-    def backoff_delay(self, rejection: int, rng) -> float:
-        """Delay before the retry following the ``rejection``-th rejection
-        (1-based), used only when the relay sent no ``retry_after`` hint.
-
-        ``rng`` must be the seeded simulator RNG — the draw participates in
-        the frozen event ordering, so storms replay bit-identically.
-        """
-        delay = self.base_delay * self.multiplier ** max(0, rejection - 1)
-        if delay > self.max_delay:
-            delay = self.max_delay
-        if self.jitter:
-            delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return delay
-
-
 @dataclass(frozen=True, slots=True)
 class AdmissionDecision:
     """One SUBSCRIBE's verdict.
 
-    ``retry_after`` is in seconds (0.0 when admitted or when the policy
-    does not advertise hints); ``cause`` is ``""`` when admitted, else
-    ``"rate"`` or ``"queue"``.
+    ``retry_after`` is in seconds (0.0 when admitted); ``cause`` is ``""``
+    when admitted, else ``"rate"`` or ``"queue"``.
     """
 
     admitted: bool
@@ -234,7 +162,6 @@ class AdmissionController:
         session: object,
         now: float,
         pending: int,
-        subscriber_priority: int = 128,
     ) -> AdmissionDecision:
         """Admit or reject one SUBSCRIBE arriving at ``now``.
 
@@ -243,13 +170,11 @@ class AdmissionController:
         the identity reservations are keyed on.
         """
         policy = self.policy
-        threshold = policy.priority_admit_threshold
-        if threshold is not None and subscriber_priority <= threshold:
-            return _ADMITTED
         bound = policy.max_pending_subscribes
         if bound is not None and pending >= bound:
-            hint = policy.queue_retry_after if policy.advertise_retry_after else 0.0
-            return AdmissionDecision(admitted=False, retry_after=hint, cause="queue")
+            return AdmissionDecision(
+                admitted=False, retry_after=policy.queue_retry_after, cause="queue"
+            )
         if policy.subscribe_rate is None:
             return _ADMITTED
         reserved = self._reservations.pop(session, None)
@@ -259,8 +184,7 @@ class AdmissionController:
             # Retried before its slot (an impatient client): keep the
             # reservation and restate the remaining wait.
             self._reservations[session] = reserved
-            hint = (reserved - now) if policy.advertise_retry_after else 0.0
-            return AdmissionDecision(admitted=False, retry_after=hint, cause="rate")
+            return AdmissionDecision(admitted=False, retry_after=reserved - now, cause="rate")
         slot = self._take_slot(now)
         if slot <= now:
             return _ADMITTED
@@ -268,8 +192,7 @@ class AdmissionController:
         # reservation, so its retry cannot lose a race against later
         # arrivals (they reserved later slots).
         self._reservations[session] = slot
-        hint = (slot - now) if policy.advertise_retry_after else 0.0
-        return AdmissionDecision(admitted=False, retry_after=hint, cause="rate")
+        return AdmissionDecision(admitted=False, retry_after=slot - now, cause="rate")
 
     def _take_slot(self, now: float) -> float:
         """Consume the next token slot: the virtual time its token is free.

@@ -135,13 +135,11 @@ class OriginCluster:
     standby_link:
         Link between each standby and the active (and between standbys, so
         a second promotion never has to create topology mid-failover).
-    standby_connection:
-        QUIC configuration for the standbys' warm-subscription uplinks.
-        The default is the plain MoQT-ALPN configuration: standbys are
-        *not* detectors — tier-0 relays are — so no keepalives are needed.
-    replay_window:
-        Size of the publisher-side replay ring (see
-        :data:`DEFAULT_REPLAY_WINDOW`).
+
+    The standbys' warm-subscription uplinks use the plain MoQT-ALPN
+    configuration: standbys are *not* detectors — tier-0 relays are — so no
+    keepalives are needed.  The publisher-side replay ring holds
+    :data:`DEFAULT_REPLAY_WINDOW` objects.
     """
 
     def __init__(
@@ -152,8 +150,6 @@ class OriginCluster:
         port: int = ORIGIN_PORT,
         track: FullTrackName = TRACK,
         standby_link: LinkConfig | None = None,
-        standby_connection: ConnectionConfig | None = None,
-        replay_window: int = DEFAULT_REPLAY_WINDOW,
     ) -> None:
         if origins < 1:
             raise ValueError(f"a cluster needs at least one origin: {origins}")
@@ -161,8 +157,6 @@ class OriginCluster:
         self.track = track
         self.port = port
         self.standby_link = standby_link if standby_link is not None else LinkConfig(delay=0.020)
-        self.standby_connection = standby_connection
-        self.replay_window = replay_window
         #: Monotonic promotion epoch: 0 until the first promotion.
         self.epoch = 0
         self.promotions: list[OriginPromotion] = []
@@ -251,8 +245,8 @@ class OriginCluster:
         FETCHes recover the outage window and subscribers stay gapless.
         """
         self._replay.append(obj)
-        if len(self._replay) > self.replay_window:
-            del self._replay[: len(self._replay) - self.replay_window]
+        if len(self._replay) > DEFAULT_REPLAY_WINDOW:
+            del self._replay[: len(self._replay) - DEFAULT_REPLAY_WINDOW]
         self._active.publisher.push(obj)
 
     # --------------------------------------------------------- fault injection
@@ -368,10 +362,9 @@ class OriginCluster:
         filled by the receiver's gap FETCH, so the cache stays contiguous.
         """
         self._drop_uplink(standby)
-        config = self.standby_connection
-        if config is None:
-            config = ConnectionConfig(alpn_protocols=(MOQT_ALPN,))
         assert standby.client_endpoint is not None and standby.receiver is not None
-        connection = standby.client_endpoint.connect(self._active.address, config)
+        connection = standby.client_endpoint.connect(
+            self._active.address, ConnectionConfig(alpn_protocols=(MOQT_ALPN,))
+        )
         standby.uplink_session = MoqtSession(connection, is_client=True)
         standby.receiver.subscribe(standby.uplink_session, recover=True)

@@ -10,7 +10,7 @@ one above — without naming hosts or touching a network.  The
 Two canonical shapes cover the paper's §3/§5.3 scenarios:
 
 * :meth:`RelayTreeSpec.star` — one tier of relays directly below the origin,
-  the minimal fan-out the ablation benchmark measures;
+  the minimal fan-out (E16's flash crowds run on it);
 * :meth:`RelayTreeSpec.cdn` — the origin / mid / edge hierarchy of a CDN,
   with fast core links, metro links to the mid tier and access links to the
   edge, which is the §5.3 CDN load-balancing deployment.

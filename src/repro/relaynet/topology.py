@@ -54,19 +54,25 @@ from repro.moqt.errors import AdmissionRejectedError, SubscribeErrorCode
 from repro.moqt.objectmodel import MoqtObject
 from repro.moqt.receiver import TrackReceiver
 from repro.moqt.relay import DEFAULT_MOQT_PORT, MOQT_ALPN, MoqtRelay
-from repro.moqt.session import MoqtSession, MoqtSessionConfig, Subscription
+from repro.moqt.session import MoqtSession, Subscription
 from repro.moqt.track import FullTrackName
 from repro.netsim.network import Network
 from repro.netsim.node import Host
 from repro.netsim.packet import Address
 from repro.quic.connection import ConnectionConfig
 from repro.quic.endpoint import QuicEndpoint
-from repro.relaynet.admission import AdmissionPolicy, RetryPolicy
+from repro.relaynet.admission import AdmissionPolicy
 from repro.relaynet.spec import RelayTreeSpec
 
 if TYPE_CHECKING:
     from repro.relaynet.origincluster import OriginCluster
     from repro.telemetry.spans import SpanTracer
+
+#: The client half of the admission contract: SUBSCRIBEs refused in one
+#: journey before it turns terminal, and moves to a sibling leaf before the
+#: subscriber retries where it landed.
+MAX_ADMISSION_ATTEMPTS = 8
+MAX_SPILLOVERS = 1
 
 
 @dataclass(eq=False)
@@ -173,7 +179,6 @@ class TreeSubscriber:
     index: int
     host: Host
     leaf: RelayNode
-    config: MoqtSessionConfig
     #: None only until the topology first places the subscriber.
     session: MoqtSession | None
     #: The topology that placed it: where a dead leaf is reported.
@@ -184,10 +189,8 @@ class TreeSubscriber:
     recovery_fetches: int = 0
     duplicate_objects_dropped: int = 0
     recovered_objects: int = 0
-    #: The admission contract it joined under (a flash crowd's, else the
-    #: default) and its latest journey through it: the storm's record, or
-    #: one opened when a SUBSCRIBE is refused after an admission.
-    retry: RetryPolicy = RetryPolicy()
+    #: Its latest journey through the admission contract: the storm's
+    #: record, or one opened when a SUBSCRIBE is refused after an admission.
     admission: AdmissionRecord | None = None
 
     # ---------------------------------------------------------- subscriptions
@@ -479,9 +482,6 @@ class RelayTopology:
         Address of the origin MoQT publisher; its host must already exist.
     spec:
         The declarative shape to instantiate initially.
-    session_config:
-        MoQT session configuration shared by relays (and, by default, by
-        subscribers attached later).
     port:
         Port every relay accepts downstream sessions on.
     failover_policy:
@@ -516,7 +516,6 @@ class RelayTopology:
         network: Network,
         origin: Address,
         spec: RelayTreeSpec,
-        session_config: MoqtSessionConfig | None = None,
         port: int = DEFAULT_MOQT_PORT,
         failover_policy: FailoverPolicy | None = None,
         uplink_connection: ConnectionConfig | None = None,
@@ -532,7 +531,6 @@ class RelayTopology:
         self.origin = origin
         self.origin_cluster = origin_cluster
         self.spec = spec
-        self.session_config = session_config if session_config is not None else MoqtSessionConfig()
         self.port = port
         self.failover_policy = failover_policy if failover_policy is not None else SiblingFailover()
         self.uplink_connection = uplink_connection
@@ -599,7 +597,6 @@ class RelayTopology:
             host,
             upstream=upstream,
             port=self.port,
-            session_config=self.session_config,
             tier=tier_spec.name,
             upstream_connection=self.uplink_connection,
             downstream_connection=self.downstream_connection,
@@ -707,7 +704,6 @@ class RelayTopology:
     def attach_subscribers(
         self,
         count: int,
-        session_config: MoqtSessionConfig | None = None,
         host_prefix: str = "sub",
     ) -> list[TreeSubscriber]:
         """Create ``count`` subscriber hosts below the leaf tier.
@@ -716,7 +712,6 @@ class RelayTopology:
         MoQT session to it immediately.  Call repeatedly to grow the
         population; host names continue from the total ever created.
         """
-        config = session_config if session_config is not None else self.session_config
         leaves = self.alive_leaves()
         if not leaves:
             raise RuntimeError("no alive leaf relays to attach subscribers to")
@@ -730,7 +725,7 @@ class RelayTopology:
         self.network.begin_batch()
         try:
             for index, leaf in enumerate(placement, start):
-                created.append(self._new_subscriber(index, host_prefix, leaf, config))
+                created.append(self._new_subscriber(index, host_prefix, leaf))
         finally:
             self.network.end_batch()
         self.subscribers.extend(created)
@@ -742,13 +737,12 @@ class RelayTopology:
         index: int,
         host_prefix: str,
         leaf: RelayNode,
-        config: MoqtSessionConfig,
     ) -> TreeSubscriber:
         """The one way a subscriber comes to exist: host ``{host_prefix}-{index}``
         placed under ``leaf`` by :meth:`_move`."""
         host = self.network.add_host(f"{host_prefix}-{index}")
         subscriber = TreeSubscriber(
-            index=index, host=host, leaf=leaf, config=config, session=None, topology=self
+            index=index, host=host, leaf=leaf, session=None, topology=self
         )
         self._move(subscriber, leaf)
         return subscriber
@@ -777,7 +771,7 @@ class RelayTopology:
         if previous is None or not network.has_link(leaf.host.address, host.address):
             network.connect(leaf.host, host, self.spec.subscriber_link)
         connection = QuicEndpoint(host).connect(leaf.address, self.subscriber_connection)
-        session = MoqtSession(connection, is_client=True, config=subscriber.config)
+        session = MoqtSession(connection, is_client=True)
         subscriber.session = session
         session.on_liveness = subscriber
         subscriber.leaf = leaf
@@ -835,9 +829,8 @@ class RelayTopology:
 
         Accepted: the admission in progress is admitted, the failover record
         re-attached.  ``TOO_MANY_SUBSCRIBERS``: spill to a sibling leaf with
-        headroom while ``retry.max_spillovers`` allows, else retry after the
-        advertised ``retry_after`` or, absent one, a jittered backoff drawn
-        from the seeded simulator RNG.  ``retry.max_attempts`` refusals — or
+        headroom while ``MAX_SPILLOVERS`` allows, else retry after the
+        advertised ``retry_after``.  ``MAX_ADMISSION_ATTEMPTS`` refusals — or
         one no retry can change — are terminal, on the admission record and
         on the failover event.
         """
@@ -860,19 +853,18 @@ class RelayTopology:
                 joined_at=subscription.created_at,
                 attempts=1,
             )
-        retry = subscriber.retry
         busy = subscription.error_code == int(SubscribeErrorCode.TOO_MANY_SUBSCRIBERS)
         if busy and "queue" in subscription.error_reason:
             admission.queue_rejections += 1
         elif busy:
             admission.rejections += 1
-        if not busy or admission.attempts >= retry.max_attempts:
+        if not busy or admission.attempts >= MAX_ADMISSION_ATTEMPTS:
             admission.terminal = True
             if event is not None:
                 terminal = "admission-exhausted" if busy else "subscribe-refused"
                 event.error = event.error or terminal
             return
-        if admission.spillovers < retry.max_spillovers:
+        if admission.spillovers < MAX_SPILLOVERS:
             target = self._pick_spillover_leaf(subscriber.leaf)
             if target is not None:
                 # Re-route to a sibling with headroom before retrying the
@@ -882,11 +874,7 @@ class RelayTopology:
                 self._move(subscriber, target, "admission spillover")
                 self._resubscribe(subscriber, event, record)
                 return
-        if subscription.retry_after_ms > 0:
-            delay = subscription.retry_after_ms / 1000.0
-        else:
-            rejections = admission.rejections + admission.queue_rejections
-            delay = retry.backoff_delay(rejections, simulator.rng)
+        delay = subscription.retry_after_ms / 1000.0
         admission.retry_schedule.append(simulator.now + delay)
         simulator.call_later(delay, self._retry, subscriber, track, subscription, event, record)
 
@@ -909,7 +897,7 @@ class RelayTopology:
         Saturation is a pure peek at each candidate's admission controller
         (no token consumed, no reservation made); leaves without admission
         control are never saturated.  Returns None when every sibling is
-        saturated — the caller falls back to backoff on the current leaf.
+        saturated — the caller retries on the current leaf.
         """
         now = self.network.simulator.now
 
@@ -949,9 +937,7 @@ class RelayTopology:
         window: float,
         full_track_name: FullTrackName,
         on_object: Callable[[TreeSubscriber, MoqtObject], None] | None = None,
-        session_config: MoqtSessionConfig | None = None,
         host_prefix: str = "storm",
-        retry: RetryPolicy | None = None,
         leaf: "RelayNode | None" = None,
     ) -> FlashCrowdStorm:
         """Inject a subscribe storm: ``count`` joins inside ``window`` seconds.
@@ -966,13 +952,12 @@ class RelayTopology:
 
         * a ``TOO_MANY_SUBSCRIBERS`` rejection waits the advertised
           ``retry_after`` (the relay's reservation makes exactly one retry
-          sufficient) or, absent a hint, a jittered exponential backoff
-          drawn from the seeded simulator RNG;
+          sufficient);
         * before retrying the original leaf, the subscriber spills to the
-          least-loaded *non-saturated* sibling leaf (bounded by
-          ``retry.max_spillovers``), turning local overload into tree-wide
+          least-loaded *non-saturated* sibling leaf (at most
+          ``MAX_SPILLOVERS`` times), turning local overload into tree-wide
           load spreading;
-        * ``retry.max_attempts`` rejections turn the record terminal —
+        * ``MAX_ADMISSION_ATTEMPTS`` rejections turn the record terminal —
           :meth:`FlashCrowdStorm.raise_for_failures` surfaces
           :class:`~repro.moqt.errors.AdmissionRejectedError` after the run.
 
@@ -984,8 +969,6 @@ class RelayTopology:
         if window < 0:
             raise ValueError(f"storm window must be non-negative: {window}")
         simulator = self.network.simulator
-        config = session_config if session_config is not None else self.session_config
-        policy = retry if retry is not None else RetryPolicy()
         storm = FlashCrowdStorm(
             count=count,
             window=window,
@@ -997,10 +980,8 @@ class RelayTopology:
                 (index * window) / count,
                 self._storm_join,
                 storm,
-                config,
                 host_prefix,
                 on_object,
-                policy,
                 leaf,
             )
         return storm
@@ -1008,10 +989,8 @@ class RelayTopology:
     def _storm_join(
         self,
         storm: FlashCrowdStorm,
-        config: MoqtSessionConfig,
         host_prefix: str,
         on_object: Callable[[TreeSubscriber, MoqtObject], None] | None,
-        retry: RetryPolicy,
         pinned_leaf: "RelayNode | None" = None,
     ) -> None:
         """One storm participant arrives: a subscriber whose one SUBSCRIBE
@@ -1024,8 +1003,7 @@ class RelayTopology:
             leaf = least_loaded(self.alive_leaves())
             if leaf is None:
                 raise RuntimeError("no alive leaf relays to attach subscribers to")
-        subscriber = self._new_subscriber(index, host_prefix, leaf, config)
-        subscriber.retry = retry
+        subscriber = self._new_subscriber(index, host_prefix, leaf)
         subscriber.admission = record = AdmissionRecord(
             name=subscriber.host.address,
             leaf=leaf.host.address,

@@ -66,8 +66,6 @@ _QUIC_STAT_FIELDS = (
     "bytes_sent",
     "bytes_received",
     "retransmissions",
-    "datagrams_sent",
-    "datagrams_received",
     "pings_sent",
     "liveness_transitions",
 )
@@ -137,7 +135,6 @@ def collect_relay_tree(metrics: MetricsRegistry, tree) -> None:
     upstream_switches = 0
     admission_rejections = 0
     admission_queue_rejections = 0
-    admission_priority_bypasses = 0
     pending_subscribe_high_water = 0
     # Receiver state (relay tracks and subscriber tracks are the same class).
     recovery_buffered = 0
@@ -168,7 +165,6 @@ def collect_relay_tree(metrics: MetricsRegistry, tree) -> None:
             upstream_switches += statistics.upstream_switches
             admission_rejections += statistics.admission_rejections
             admission_queue_rejections += statistics.admission_queue_rejections
-            admission_priority_bypasses += statistics.admission_priority_bypasses
             if statistics.pending_subscribe_high_water > pending_subscribe_high_water:
                 pending_subscribe_high_water = statistics.pending_subscribe_high_water
             for track in node.relay.tracks().values():
@@ -251,10 +247,6 @@ def collect_relay_tree(metrics: MetricsRegistry, tree) -> None:
         "relaynet_admission_queue_rejections",
         "SUBSCRIBEs rejected because the pending-subscribe queue was full",
     ).set(admission_queue_rejections)
-    metrics.gauge(
-        "relaynet_admission_priority_bypasses",
-        "High-priority SUBSCRIBEs admitted past the policy",
-    ).set(admission_priority_bypasses)
     metrics.gauge(
         "relaynet_pending_subscribe_high_water",
         "Largest pending-subscribe queue any relay ever held",

@@ -30,32 +30,26 @@ from repro.dns.types import RecordType
 DYNAMIC_TTL_THRESHOLD = 300
 
 
+#: The calibration of the per-TTL change behaviour.  Fraction of domains
+#: that behave dynamically, per TTL regime: high-TTL records are almost
+#: always static, as the paper observes zero changes up to the 90th
+#: percentile for TTLs of 600 s and above.
+DYNAMIC_FRACTION_LOW_TTL = 0.60
+DYNAMIC_FRACTION_HIGH_TTL = 0.05
+#: Per-observation change probability range for dynamic domains.
+DYNAMIC_CHANGE_RANGE = (0.25, 0.95)
+#: Per-observation change probability range for static domains (zero: a
+#: static record simply does not change between observations).
+STATIC_CHANGE_RANGE = (0.0, 0.0)
+#: Number of distinct addresses a dynamic domain rotates through.
+ADDRESS_POOL = 64
+
+
 @dataclass
 class ChangeModelConfig:
-    """Calibration of the per-TTL change behaviour."""
+    """The seed of the change processes."""
 
-    #: Fraction of domains that behave dynamically, per TTL regime.  High-TTL
-    #: records are almost always static: the paper observes zero changes up
-    #: to the 90th percentile for TTLs of 600 s and above.
-    dynamic_fraction_low_ttl: float = 0.60
-    dynamic_fraction_high_ttl: float = 0.05
-    #: Per-observation change probability range for dynamic domains.
-    dynamic_change_range: tuple[float, float] = (0.25, 0.95)
-    #: Per-observation change probability range for static domains (zero:
-    #: a static record simply does not change between observations).
-    static_change_range: tuple[float, float] = (0.0, 0.0)
-    #: Number of distinct addresses a dynamic domain rotates through.
-    address_pool: int = 64
     seed: int = 20250624
-
-    def __post_init__(self) -> None:
-        for low, high in (self.dynamic_change_range, self.static_change_range):
-            if not 0.0 <= low <= high <= 1.0:
-                raise ValueError(f"invalid probability range: ({low}, {high})")
-        if not 0.0 <= self.dynamic_fraction_low_ttl <= 1.0:
-            raise ValueError("dynamic_fraction_low_ttl out of range")
-        if not 0.0 <= self.dynamic_fraction_high_ttl <= 1.0:
-            raise ValueError("dynamic_fraction_high_ttl out of range")
 
 
 @dataclass
@@ -132,15 +126,15 @@ class ChangeModel:
     def dynamic_fraction(self, ttl: int) -> float:
         """Fraction of domains with this TTL that behave dynamically."""
         if ttl <= DYNAMIC_TTL_THRESHOLD:
-            return self.config.dynamic_fraction_low_ttl
-        return self.config.dynamic_fraction_high_ttl
+            return DYNAMIC_FRACTION_LOW_TTL
+        return DYNAMIC_FRACTION_HIGH_TTL
 
     def change_probability(self, ttl: int, rng: random.Random) -> float:
         """Draw a per-observation change probability for one domain."""
         if rng.random() < self.dynamic_fraction(ttl):
-            low, high = self.config.dynamic_change_range
+            low, high = DYNAMIC_CHANGE_RANGE
         else:
-            low, high = self.config.static_change_range
+            low, high = STATIC_CHANGE_RANGE
         return rng.uniform(low, high)
 
     def process_for(
@@ -157,7 +151,7 @@ class ChangeModel:
             domain_index=domain_index,
             ttl=ttl,
             change_probability=probability,
-            pool_size=self.config.address_pool,
+            pool_size=ADDRESS_POOL,
             addresses_per_answer=addresses_per_answer,
             rng=rng,
         )

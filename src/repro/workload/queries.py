@@ -17,20 +17,18 @@ from repro.dns.types import RecordType
 from repro.workload.toplist import SyntheticToplist, ToplistDomain
 
 
+#: Zipf exponent for domain popularity (1.0 is the classic web value).
+ZIPF_EXPONENT = 1.0
+#: Share of queries per record type.
+TYPE_MIX = ((RecordType.A, 0.70), (RecordType.AAAA, 0.20), (RecordType.HTTPS, 0.10))
+
+
 @dataclass
 class QueryModelConfig:
     """Parameters of the query arrival model."""
 
-    #: Zipf exponent for domain popularity (1.0 is the classic web value).
-    zipf_exponent: float = 1.0
     #: Mean queries per second issued by one client.
     queries_per_second: float = 1.0
-    #: Share of queries per record type.
-    type_mix: tuple[tuple[RecordType, float], ...] = (
-        (RecordType.A, 0.70),
-        (RecordType.AAAA, 0.20),
-        (RecordType.HTTPS, 0.10),
-    )
     seed: int = 7
 
 
@@ -54,7 +52,7 @@ class QueryModel:
         # them on every draw.  ``choices`` accumulates the same floats the same
         # way, so the stream is the one ``weights=`` gives.
         self._cum_weights = list(
-            accumulate(self._zipf_weights(len(toplist), self.config.zipf_exponent))
+            accumulate(self._zipf_weights(len(toplist), ZIPF_EXPONENT))
         )
 
     @staticmethod
@@ -74,7 +72,7 @@ class QueryModel:
         generator = rng if rng is not None else self._rng
         candidates = [
             (rdtype, weight)
-            for rdtype, weight in self.config.type_mix
+            for rdtype, weight in TYPE_MIX
             if domain.has_type(rdtype)
         ]
         if not candidates:

@@ -11,7 +11,7 @@ query models can apply Zipf popularity.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.dns.name import Name
 from repro.dns.types import RecordType
@@ -56,16 +56,10 @@ class ToplistConfig:
 
     size: int = 10_000
     seed: int = 2025_06_24
-    coverage: dict[RecordType, float] = field(default_factory=lambda: dict(PAPER_COVERAGE))
-    tlds: tuple[tuple[str, float], ...] = DEFAULT_TLDS
-    ttl_model: TtlModel = field(default_factory=TtlModel)
 
     def __post_init__(self) -> None:
         if self.size <= 0:
             raise ValueError(f"toplist size must be positive: {self.size}")
-        for rdtype, fraction in self.coverage.items():
-            if not 0.0 <= fraction <= 1.0:
-                raise ValueError(f"coverage for {rdtype} out of range: {fraction}")
 
 
 class SyntheticToplist:
@@ -78,12 +72,13 @@ class SyntheticToplist:
         self._generate()
 
     def _pick_tld(self) -> str:
-        names = [name for name, _ in self.config.tlds]
-        weights = [weight for _, weight in self.config.tlds]
+        names = [name for name, _ in DEFAULT_TLDS]
+        weights = [weight for _, weight in DEFAULT_TLDS]
         return self._rng.choices(names, weights=weights, k=1)[0]
 
     def _generate(self) -> None:
-        coverage = self.config.coverage
+        coverage = PAPER_COVERAGE
+        ttl_model = TtlModel()
         for rank in range(1, self.config.size + 1):
             tld = self._pick_tld()
             name = Name.from_text(f"site{rank:05d}.{tld}.")
@@ -99,7 +94,7 @@ class SyntheticToplist:
             if self._rng.random() < coverage.get(RecordType.HTTPS, 0.0):
                 record_types.append(RecordType.HTTPS)
             ttls = tuple(
-                (rdtype, self.config.ttl_model.sample(rdtype, self._rng))
+                (rdtype, ttl_model.sample(rdtype, self._rng))
                 for rdtype in record_types
             )
             self._domains.append(

@@ -12,7 +12,6 @@ paper, so they are chosen to give the familiar shape of public TTL studies
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from repro.dns.types import RecordType
 
@@ -28,22 +27,11 @@ DEFAULT_TTL_WEIGHTS: dict[RecordType, dict[int, float]] = {
 }
 
 
-@dataclass
 class TtlModel:
-    """Samples TTLs per record type from calibrated cluster mixtures."""
+    """Samples TTLs per record type from :data:`DEFAULT_TTL_WEIGHTS` (a type
+    with no mixture of its own draws from A's)."""
 
-    weights: dict[RecordType, dict[int, float]] = field(
-        default_factory=lambda: {k: dict(v) for k, v in DEFAULT_TTL_WEIGHTS.items()}
-    )
-
-    def __post_init__(self) -> None:
-        for rdtype, mixture in self.weights.items():
-            total = sum(mixture.values())
-            if total <= 0:
-                raise ValueError(f"TTL mixture for {rdtype} has non-positive mass")
-            for ttl in mixture:
-                if ttl not in TTL_CLUSTERS:
-                    raise ValueError(f"TTL {ttl} is not one of the observed clusters")
+    weights = DEFAULT_TTL_WEIGHTS
 
     def sample(self, rdtype: RecordType, rng: random.Random) -> int:
         """Draw a TTL for a record of the given type."""

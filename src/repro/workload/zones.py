@@ -28,6 +28,10 @@ from repro.workload.toplist import SyntheticToplist, ToplistDomain
 ROOT_SERVER_ADDRESS = "198.41.0.4"
 TLD_SERVER_PREFIX = "192.5.6."
 AUTH_SERVER_PREFIX = "93.184."
+#: TTL of infrastructure (NS / glue) records.
+INFRASTRUCTURE_TTL = 3600
+#: Addresses per A answer.
+ADDRESSES_PER_ANSWER = 4
 
 
 @dataclass
@@ -36,10 +40,6 @@ class ZoneBuildConfig:
 
     #: Number of distinct authoritative server hosts to spread domains over.
     auth_server_count: int = 8
-    #: Default TTL for infrastructure (NS/glue) records.
-    infrastructure_ttl: int = 3600
-    #: Addresses per A answer.
-    addresses_per_answer: int = 4
 
 
 @dataclass
@@ -87,7 +87,7 @@ class WorkloadZones:
         self, name: Name, ns_name: Name, address: ARdata
     ) -> tuple[ResourceRecord, ResourceRecord]:
         """The NS record delegating ``name`` to ``ns_name`` and its glue A record."""
-        ttl = self.config.infrastructure_ttl
+        ttl = INFRASTRUCTURE_TTL
         return (
             ResourceRecord(name, RecordType.NS, NSRdata(ns_name), ttl),
             ResourceRecord(ns_name, RecordType.A, address, ttl),
@@ -122,7 +122,7 @@ class WorkloadZones:
         if domain.has_type(RecordType.A):
             ttl = domain.ttl_for(RecordType.A) or 300
             change_process = self.change_model.process_for(
-                domain.rank, ttl, RecordType.A, self.config.addresses_per_answer
+                domain.rank, ttl, RecordType.A, ADDRESSES_PER_ANSWER
             )
             self._apply_addresses(zone, domain.name, ttl, change_process, bump=False)
         if domain.has_type(RecordType.AAAA):

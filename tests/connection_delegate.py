@@ -10,28 +10,22 @@ from __future__ import annotations
 
 from typing import Callable
 
-CALLBACKS = ("on_stream_data", "on_datagram", "on_closed", "on_liveness")
+CALLBACKS = ("on_stream_data", "on_closed", "on_liveness")
 
 
 class CallbackDelegate:
     """``stream_data_received`` -> ``on_stream_data(stream_id, data, fin)``,
-    ``datagram_frame_received`` -> ``on_datagram(data)``, ``connection_closed``
-    -> ``on_closed(code, reason)``, ``liveness_changed`` -> ``on_liveness(old,
-    new)``."""
+    ``connection_closed`` -> ``on_closed(code, reason)``, ``liveness_changed``
+    -> ``on_liveness(old, new)``."""
 
     def __init__(self) -> None:
         self.on_stream_data: Callable[[int, bytes, bool], None] | None = None
-        self.on_datagram: Callable[[bytes], None] | None = None
         self.on_closed: Callable[[int, str], None] | None = None
         self.on_liveness: Callable[[str, str], None] | None = None
 
     def stream_data_received(self, stream_id: int, data: bytes, fin: bool) -> None:
         if self.on_stream_data is not None:
             self.on_stream_data(stream_id, data, fin)
-
-    def datagram_frame_received(self, data: bytes) -> None:
-        if self.on_datagram is not None:
-            self.on_datagram(data)
 
     def connection_closed(self, code: int, reason: str) -> None:
         if self.on_closed is not None:

@@ -20,8 +20,8 @@ from repro.relaynet import (
     AdmissionController,
     AdmissionPolicy,
     RelayTreeSpec,
-    RetryPolicy,
 )
+from repro.relaynet import topology as topology_module
 from repro.relaynet.scenario import Scenario, build_scenario
 
 
@@ -51,20 +51,6 @@ class TestPolicyValidation:
         with pytest.raises(ValueError):
             AdmissionPolicy(queue_retry_after=0.0)
 
-    def test_retry_policy_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_delay=0.01, base_delay=0.05)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_spillovers=-1)
-
     def test_unlimited_policy_needs_no_controller(self):
         assert not AdmissionPolicy().limited
         assert AdmissionPolicy(subscribe_rate=10.0).limited
@@ -78,11 +64,6 @@ class TestPolicyValidation:
             AdmissionModel(count=0, window=1.0, start=0.0, policy=limited, link_delay=0.005)
         with pytest.raises(ValueError):
             AdmissionModel(count=1, window=1.0, start=0.0, policy=AdmissionPolicy(), link_delay=0.005)
-        with pytest.raises(ValueError):
-            AdmissionModel(
-                count=1, window=1.0, start=0.0, link_delay=0.005,
-                policy=AdmissionPolicy(subscribe_rate=10.0, advertise_retry_after=False),
-            )
 
     def test_retry_after_to_ms_rounds_up_and_floors_at_one(self):
         assert retry_after_to_ms(0.0001) == 1
@@ -172,28 +153,6 @@ class TestTokenBucket:
         assert rejected.retry_after == 0.07
         assert controller.saturated(0.0, 2)
 
-    def test_priority_bypass(self):
-        policy = AdmissionPolicy(
-            subscribe_rate=10.0, bucket_depth=1, priority_admit_threshold=10
-        )
-        controller = AdmissionController(policy)
-        assert controller.decide("a", 0.0, 0).admitted
-        assert not controller.decide("b", 0.0, 0, subscriber_priority=128).admitted
-        # MoQT priorities are lowest-wins: 5 <= 10 cuts the line.
-        assert controller.decide("c", 0.0, 0, subscriber_priority=5).admitted
-
-    def test_no_hint_when_not_advertised(self):
-        policy = AdmissionPolicy(
-            subscribe_rate=10.0, bucket_depth=1, advertise_retry_after=False
-        )
-        controller = AdmissionController(policy)
-        controller.decide("a", 0.0, 0)
-        rejected = controller.decide("b", 0.0, 0)
-        assert not rejected.admitted
-        assert rejected.retry_after == 0.0 and rejected.retry_after_ms == 0
-        # The reservation is still kept for the backing-off client.
-        assert controller.outstanding_reservations == 1
-
 
 class TestRelayGate:
     def test_rejected_subscribe_leaves_no_dangling_state(self):
@@ -222,22 +181,6 @@ class TestRelayGate:
         # No dangling client-side state either.
         assert not late.session._pending_incoming_subscribes
         assert subscription.request_id not in late.session._subscriptions
-
-    def test_priority_bypass_counts_and_admits_through_relay(self):
-        policy = AdmissionPolicy(
-            subscribe_rate=0.1, bucket_depth=1, priority_admit_threshold=16
-        )
-        simulator, _, tree = build_tree(admission=policy, prewarm=1)
-        relay = tree.leaves()[0].relay
-        urgent = tree.attach_subscribers(1)[0]
-        responses = []
-        urgent.session.subscribe(
-            TRACK, on_response=responses.append, subscriber_priority=1
-        )
-        simulator.run(until=simulator.now + 2.0)
-        assert responses[0].is_active
-        assert relay.statistics.admission_priority_bypasses == 1
-        assert relay.statistics.admission_rejections == 0
 
     def test_queue_bound_counts_queue_rejections(self):
         # Cold track: every SUBSCRIBE during the upstream round trip queues;
@@ -286,12 +229,12 @@ class TestFlashCrowd:
         # Every admitted stormer gets the post-storm push exactly once.
         assert sorted(delivered) == sorted(sub.index for sub in storm.subscribers)
 
-    def test_retry_budget_exhaustion_is_terminal_and_raises(self):
+    def test_retry_budget_exhaustion_is_terminal_and_raises(self, monkeypatch):
+        monkeypatch.setattr(topology_module, "MAX_ADMISSION_ATTEMPTS", 1)
+        monkeypatch.setattr(topology_module, "MAX_SPILLOVERS", 0)
         policy = AdmissionPolicy(subscribe_rate=1.0, bucket_depth=1)
         simulator, _, tree = build_tree(admission=policy, prewarm=1)
-        storm = tree.flash_crowd(
-            5, 0.001, TRACK, retry=RetryPolicy(max_attempts=1, max_spillovers=0)
-        )
+        storm = tree.flash_crowd(5, 0.001, TRACK)
         simulator.run(until=simulator.now + 5.0)
         assert storm.admitted < 5
         terminal = [record for record in storm.records if record.terminal]
@@ -304,10 +247,7 @@ class TestFlashCrowd:
     def test_pinned_storm_spills_to_siblings(self):
         policy = AdmissionPolicy(subscribe_rate=50.0, bucket_depth=2)
         simulator, _, tree = build_tree(relays=3, admission=policy, prewarm=3)
-        storm = tree.flash_crowd(
-            18, 0.02, TRACK, retry=RetryPolicy(max_spillovers=1),
-            leaf=tree.leaves()[0],
-        )
+        storm = tree.flash_crowd(18, 0.02, TRACK, leaf=tree.leaves()[0])
         simulator.run(until=simulator.now + 10.0)
         storm.raise_for_failures()
         assert storm.complete and storm.spillovers > 0
@@ -420,20 +360,13 @@ class TestDefaultOffDeterminism:
 class TestSeededStormProperty:
     @given(seed=st.integers(min_value=0, max_value=2**16), count=st.integers(2, 6))
     @settings(max_examples=8, deadline=None)
-    def test_backoff_storms_replay_bit_identically(self, seed, count):
-        # Satellite: with no retry_after hint the client backoff draws its
-        # jitter from the seeded simulator RNG — two runs of the same storm
-        # must produce identical retry schedules, admission orders and
-        # admission records.
+    def test_storms_replay_bit_identically(self, seed, count):
+        # Two runs of the same storm must produce identical retry
+        # schedules, admission orders and admission records.
         def run_once():
-            policy = AdmissionPolicy(
-                subscribe_rate=20.0, bucket_depth=1, advertise_retry_after=False
-            )
+            policy = AdmissionPolicy(subscribe_rate=20.0, bucket_depth=1)
             simulator, _, tree = build_tree(seed=seed, admission=policy, prewarm=1)
-            storm = tree.flash_crowd(
-                count, 0.01, TRACK,
-                retry=RetryPolicy(base_delay=0.02, max_attempts=12, max_spillovers=0),
-            )
+            storm = tree.flash_crowd(count, 0.01, TRACK)
             simulator.run(until=simulator.now + 20.0)
             records = [
                 (

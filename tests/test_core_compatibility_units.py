@@ -7,7 +7,6 @@ import pytest
 from repro.core.compatibility import (
     CapabilityMemo,
     CompatibilityMode,
-    HappyEyeballsConfig,
     RefreshScheduler,
     UpstreamCapability,
 )
@@ -35,12 +34,6 @@ class TestCapabilityMemo:
         assert memo.get("1.2.3.4") is UpstreamCapability.MOQT
         assert memo.known_moqt_hosts() == ["1.2.3.4"]
 
-    def test_forget(self):
-        memo = CapabilityMemo()
-        memo.note_moqt_success("1.2.3.4")
-        memo.forget("1.2.3.4")
-        assert memo.get("1.2.3.4") is UpstreamCapability.UNKNOWN
-
 
 class TestRefreshScheduler:
     def test_refreshes_at_interval_until_cancelled(self):
@@ -65,14 +58,10 @@ class TestRefreshScheduler:
         assert len(refreshed) == 1
         assert len(scheduler) == 1
 
-    def test_cancel_unknown_returns_false_and_cancel_all(self):
+    def test_cancel_unknown_returns_false(self):
         simulator = Simulator()
         scheduler = RefreshScheduler(simulator)
         assert scheduler.cancel(_key("missing.example.")) is False
-        scheduler.schedule(_key("a.example."), 5.0, lambda key: None)
-        scheduler.schedule(_key("b.example."), 5.0, lambda key: None)
-        scheduler.cancel_all()
-        assert len(scheduler) == 0
 
     def test_is_scheduled(self):
         simulator = Simulator()
@@ -82,13 +71,7 @@ class TestRefreshScheduler:
         assert scheduler.is_scheduled(_key("a.example."))
 
 
-class TestHappyEyeballsConfig:
-    def test_defaults_race_simultaneously(self):
-        config = HappyEyeballsConfig()
-        assert config.enabled
-        assert config.udp_head_start == 0.0
-        assert config.moqt_timeout > 0
-
+class TestCompatibilityMode:
     def test_modes_enumerated(self):
         assert CompatibilityMode.DECLINE_SUBSCRIPTION.value == "decline"
         assert CompatibilityMode.PERIODIC_REFRESH.value == "periodic-refresh"

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.auth_server import MoqAuthoritativeServer
 from repro.core.compatibility import CompatibilityMode
-from repro.core.forwarder import ForwarderConfig, MoqForwarder
+from repro.core.forwarder import MoqForwarder
 from repro.core.mapping import DnsQuestionKey
 from repro.core.recursive import MoqRecursiveResolver
 from repro.dns.message import make_query
@@ -325,22 +325,6 @@ class TestMoqForwarder:
         summary = topology.forwarder.state_summary()
         assert summary["records"] == 1
         assert summary["open_sessions"] == 1
-
-    def test_no_udp_listener_is_bound_without_a_listen_port(self):
-        topology = SmallTopology()
-        # The topology's forwarder owns port 53 on the stub host; a second
-        # one with no listen port binds no UDP port and still resolves.
-        forwarder = MoqForwarder(
-            topology.network.host(STUB_HOST),
-            recursive_moqt_address=Address(RECURSIVE_HOST, MOQT_PORT),
-            config=ForwarderConfig(listen_port=None),
-        )
-        assert forwarder.address is None
-        answers = []
-        forwarder.resolve(_key(), lambda m, v: answers.append(m))
-        topology.run(5.0)
-        assert [r.rdata.to_text() for r in answers[0].answers] == ["192.0.2.10"]
-        assert forwarder.statistics.client_queries == 0
 
     def test_missing_name_is_answered_nxdomain(self):
         topology = SmallTopology()

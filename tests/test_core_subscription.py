@@ -22,6 +22,7 @@ from repro.netsim.link import LinkConfig
 from repro.netsim.network import Network
 from repro.netsim.packet import Address
 from repro.netsim.simulator import Simulator
+from repro.quic.connection import ConnectionConfig
 from repro.quic.endpoint import QuicEndpoint
 from repro.quic.tls import ServerTlsContext
 
@@ -154,13 +155,15 @@ class TestSessionManager:
         assert manager.statistics.zero_rtt_attempts == 1
         assert second.connection.used_0rtt
 
-    def test_reuse_can_be_disabled(self):
-        simulator, manager = self._build(SessionManagerConfig(reuse_sessions=False))
-        upstream = Address("2.2.2.2", 4443)
-        first = manager.get_session(upstream)
-        second = manager.get_session(upstream)
-        assert first is not second
-        assert manager.statistics.sessions_created == 2
+    def test_upstream_connections_are_configured_once_and_checked_when_built(self):
+        # One ConnectionConfig, validated when the manager's config is
+        # built; every upstream connection uses it as given.
+        with pytest.raises(ValueError, match="idle_timeout"):
+            SessionManagerConfig(connection=ConnectionConfig(idle_timeout=0))
+        connection = ConnectionConfig(keepalive_interval=None, idle_timeout=1e9, initial_rtt=1.0)
+        simulator, manager = self._build(SessionManagerConfig(connection=connection))
+        session = manager.get_session(Address("2.2.2.2", 4443))
+        assert session.connection.config is connection
 
     def test_state_summary_counts_open_sessions(self):
         simulator, manager = self._build()

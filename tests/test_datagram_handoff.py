@@ -23,7 +23,7 @@ from repro.netsim.packet import Address
 from repro.netsim.simulator import Simulator, Timer
 from repro.quic.congestion import NewRenoCongestionController
 from repro.quic.connection import ConnectionConfig, QuicConnection
-from repro.quic.frames import AckFrame, AckRangesFrame, PingFrame, StreamFrame
+from repro.quic.frames import AckFrame, AckRangesFrame, PaddingFrame, PingFrame, StreamFrame
 from repro.quic.packet import Packet, PacketType
 
 from connection_delegate import delegate_to
@@ -221,25 +221,18 @@ class TestIdleTimestamp:
     @settings(max_examples=120, deadline=None)
     @given(
         st.lists(
-            st.tuples(
-                st.sampled_from(GAPS),
-                st.integers(min_value=0, max_value=1),
-                st.sampled_from(["stream", "datagram"]),
-            ),
+            st.tuples(st.sampled_from(GAPS), st.integers(min_value=0, max_value=1)),
             max_size=14,
         )
     )
     def test_deadlines_wakes_and_close_instants_match_a_restarted_timer(self, schedule):
         simulator = _RecordingSimulator()
         sides, closed_at = _idle_pair(simulator)
-        for gap, index, kind in schedule:
+        for gap, index in schedule:
             simulator.run(until=simulator.now + gap)
             connection = sides[index][0]
             if not connection.closed:
-                if kind == "stream":
-                    connection.send_encoded_stream(b"payload")
-                else:
-                    connection.send_datagram_frame(b"payload")
+                connection.send_encoded_stream(b"payload")
             for side in sides:
                 _assert_same_deadline(*side)
         simulator.run()
@@ -264,11 +257,12 @@ class TestIdleTimestamp:
         assert simulator.pending_events == 0
         assert connection.idle_deadline is None
 
-    def test_send_restarts_the_deadline_without_scheduling(self):
+    def test_a_received_packet_restarts_the_deadline_without_scheduling(self):
         simulator = Simulator()
         connection = _connection(simulator, [], config=ConnectionConfig(idle_timeout=4.0))
         simulator.run(until=1.5)
-        connection.send_datagram_frame(b"x")  # unreliable: arms no loss timer
+        # Padding only: nothing to acknowledge, so nothing is sent back.
+        connection.datagram_received(Packet(PacketType.ONE_RTT, 77, 0, (PaddingFrame(1),)).encode())
         assert connection.idle_deadline == 5.5
         assert simulator.events_scheduled == 1
         simulator.run(until=4.5)
@@ -319,7 +313,6 @@ class _TimerLoss(_LossLog):
 
 _LOSS_STEP = st.one_of(
     st.just(("stream",)),
-    st.just(("datagram",)),
     st.tuples(st.just("wait"), st.sampled_from([0.0, 0.01, 0.05, 0.125, 0.25, 0.6])),
     st.tuples(st.just("ack"), st.integers(min_value=-1, max_value=3)),
     st.tuples(st.just("ack_ranges"), st.integers(min_value=1, max_value=15)),
@@ -371,8 +364,6 @@ class TestLossWake:
                     continue
                 if step[0] == "stream":
                     connection.send_encoded_stream(b"chunk" * 20)
-                elif step[0] == "datagram":
-                    connection.send_datagram_frame(b"d" * 40)
                 elif step[0] == "wait":
                     simulator.run(until=simulator.now + step[1])
                 elif frame is not None:

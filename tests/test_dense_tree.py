@@ -156,9 +156,7 @@ def test_leaf_kill_rehomes_exactly_the_dead_leafs_subscribers():
     assert all(groups == [2, 3, 4, 5, 6] for groups in received.values())
     # Each orphan re-attached on the closed form: three round trips on its
     # access link.
-    model = recovery_model(
-        tree.spec.subscriber_link.delay, tree.session_config.alpn_version_negotiation
-    )
+    model = recovery_model(tree.spec.subscriber_link.delay)
     latencies = event.latencies_by_tier()["subscribers"]
     assert len(latencies) == len(orphans)
     assert all(latency == pytest.approx(model.reattach_latency) for latency in latencies)

@@ -78,11 +78,8 @@ class TestCacheBasics:
         entry = cache.get(name, RecordType.A)
         assert entry is not None and entry.rcode == Rcode.NXDOMAIN
 
-    def test_remove_and_flush(self, cache):
+    def test_flush(self, cache):
         name = Name.from_text("www.example.com.")
-        cache.put(name, RecordType.A, _rrset("www.example.com.", ["192.0.2.1"]))
-        assert cache.remove(name, RecordType.A) is True
-        assert cache.remove(name, RecordType.A) is False
         cache.put(name, RecordType.A, _rrset("www.example.com.", ["192.0.2.1"]))
         cache.flush()
         assert len(cache) == 0
@@ -96,20 +93,6 @@ class TestCacheBasics:
 
 
 class TestCacheBounds:
-    def test_eviction_prefers_earliest_expiry(self, simulator):
-        cache = DnsCache(simulator, max_entries=2)
-        short = Name.from_text("short.example.com.")
-        long_lived = Name.from_text("long.example.com.")
-        cache.put(short, RecordType.A, _rrset("short.example.com.", ["192.0.2.1"], ttl=10))
-        cache.put(long_lived, RecordType.A, _rrset("long.example.com.", ["192.0.2.2"], ttl=1000))
-        cache.put(
-            Name.from_text("third.example.com."),
-            RecordType.A,
-            _rrset("third.example.com.", ["192.0.2.3"], ttl=500),
-        )
-        assert cache.get(short, RecordType.A) is None
-        assert cache.get(long_lived, RecordType.A) is not None
-
     def test_pushed_updates_counted(self, cache):
         name = Name.from_text("www.example.com.")
         cache.put(name, RecordType.A, _rrset("www.example.com.", ["192.0.2.1"]), pushed=True)

@@ -8,7 +8,7 @@ from repro.dns.message import make_query
 from repro.dns.name import Name
 from repro.dns.resolver import RecursiveResolver, ResolutionError, StubResolver
 from repro.dns.server import AuthoritativeServer
-from repro.dns.transport import DnsUdpEndpoint
+from repro.dns.transport import DEFAULT_QUERY_TIMEOUT, DEFAULT_RETRIES, DnsUdpEndpoint
 from repro.dns.types import Rcode, RecordType
 from repro.dns.zone import Zone
 from repro.netsim.link import LinkConfig
@@ -66,13 +66,14 @@ class TestUdpTransport:
     def test_timeout_invokes_callback_with_none(self, simulator, two_host_network):
         network = two_host_network
         answers = []
-        client = DnsUdpEndpoint(network.host("10.0.0.1"), query_timeout=0.5, retries=1)
+        client = DnsUdpEndpoint(network.host("10.0.0.1"))
         # Port 53 on the peer is not bound: the query is silently dropped.
         client.query(make_query("x.example.", "A"), Address("10.0.0.2", 53), answers.append)
         simulator.run()
         assert answers == [None]
         assert client.statistics.timeouts == 1
-        assert client.statistics.retransmissions == 1
+        assert client.statistics.retransmissions == DEFAULT_RETRIES
+        assert simulator.now == pytest.approx((DEFAULT_RETRIES + 1) * DEFAULT_QUERY_TIMEOUT)
 
     def test_unbound_handler_refuses_queries(self, simulator, two_host_network):
         network = two_host_network

@@ -14,7 +14,7 @@ from repro.dns.zone import Zone, ZoneChange, ZoneError
 
 @pytest.fixture
 def zone() -> Zone:
-    zone = Zone("example.com.", default_ttl=300)
+    zone = Zone("example.com.")
     zone.add("www.example.com.", "A", "192.0.2.1", bump=False)
     zone.add("www.example.com.", "A", "192.0.2.2", bump=False)
     zone.add("example.com.", "NS", "ns1.example.com.", bump=False)

@@ -24,7 +24,7 @@ from repro.experiments.traffic import run_traffic
 from repro.experiments.usecases import PAPER_CDN_STUB_KBPS, PAPER_DDNS_GBPS, run_usecases
 from repro.moqt.objectmodel import MoqtObject, TrackState
 from repro.moqt.relay import MoqtRelay
-from repro.moqt.session import FetchResult, MoqtSession, MoqtSessionConfig, SubscribeResult
+from repro.moqt.session import FetchResult, MoqtSession, SubscribeResult
 from repro.moqt.track import FullTrackName
 from repro.netsim.link import LinkConfig
 from repro.netsim.network import Network
@@ -267,7 +267,7 @@ class _OneTrackPublisher:
         return FetchResult(ok=True, objects=self.state.latest_objects(1), largest=self.state.largest)
 
 
-def _serve(host, delegate, config=None) -> list[MoqtSession]:
+def _serve(host, delegate) -> list[MoqtSession]:
     """A MoQT server on ``host``; returns the list its sessions land in."""
     sessions: list[MoqtSession] = []
     QuicEndpoint(
@@ -275,15 +275,15 @@ def _serve(host, delegate, config=None) -> list[MoqtSession]:
         port=4443,
         server_tls=ServerTlsContext(alpn_protocols=("moq-00",)),
         on_connection=lambda conn: sessions.append(
-            MoqtSession(conn, is_client=False, config=config, publisher_delegate=delegate)
+            MoqtSession(conn, is_client=False, publisher_delegate=delegate)
         ),
     )
     return sessions
 
 
-def _subscribe(host, target, received, config=None) -> None:
+def _subscribe(host, target, received) -> None:
     connection = QuicEndpoint(host).connect(target, ConnectionConfig(alpn_protocols=("moq-00",)))
-    session = MoqtSession(connection, is_client=True, config=config)
+    session = MoqtSession(connection, is_client=True)
     session.subscribe(ABLATION_TRACK, on_object=lambda obj: received.append(obj.group_id))
 
 
@@ -297,7 +297,7 @@ def _push(simulator, delegate, sessions, updates, payload, gap) -> None:
         simulator.run(until=simulator.now + gap)
 
 
-def _updates_arriving(use_datagrams: bool, loss_rate: float, updates: int = 50) -> int:
+def _updates_arriving(loss_rate: float, updates: int = 50) -> int:
     """Publish ``updates`` objects across a lossy link; return how many arrive."""
     simulator = Simulator(seed=99)
     network = Network(simulator)
@@ -305,10 +305,9 @@ def _updates_arriving(use_datagrams: bool, loss_rate: float, updates: int = 50) 
     network.add_host("sub")
     network.connect("pub", "sub", LinkConfig(delay=0.02, loss_rate=loss_rate))
     delegate = _OneTrackPublisher()
-    config = MoqtSessionConfig(use_datagrams=use_datagrams)
-    sessions = _serve(network.host("pub"), delegate, config)
+    sessions = _serve(network.host("pub"), delegate)
     received: list[int] = []
-    _subscribe(network.host("sub"), Address("pub", 4443), received, config)
+    _subscribe(network.host("sub"), Address("pub", 4443), received)
     simulator.run(until=5.0)
     _push(simulator, delegate, sessions, updates, b"update" * 50, gap=1.0)
     simulator.run(until=simulator.now + 30.0)
@@ -339,11 +338,10 @@ def _origin_load(subscribers: int, via_relay: bool, updates: int = 10) -> tuple[
 
 
 class TestAblations:
-    def test_streams_deliver_every_update_under_loss_and_datagrams_do_not(self):
+    def test_streams_deliver_every_update_under_loss(self):
         """§4.1: objects ride streams "to avoid losing messages due to the
         unreliability of datagrams" — 50 updates over a 20 % loss link."""
-        assert _updates_arriving(use_datagrams=False, loss_rate=0.2) == 50
-        assert _updates_arriving(use_datagrams=True, loss_rate=0.2) < 50
+        assert _updates_arriving(loss_rate=0.2) == 50
 
     def test_relay_aggregates_subscriptions_into_one_origin_stream(self):
         """§3: a relay in front of eight subscribers cuts origin sends eightfold."""

@@ -38,9 +38,15 @@ from repro.dns.rdata import ARdata, HTTPSRdata
 from repro.dns.rr import ResourceRecord, RRset
 from repro.dns.types import RecordType
 from repro.dns.zone import Zone
-from repro.workload.change_model import ChangeModel, ChangeModelConfig, RecordChangeProcess
+from repro.workload.change_model import ADDRESS_POOL, ChangeModel, ChangeModelConfig, RecordChangeProcess
 from repro.workload.toplist import SyntheticToplist, ToplistConfig, ToplistDomain
-from repro.workload.zones import TLD_SERVER_PREFIX, DomainAssignment, WorkloadZones
+from repro.workload.zones import (
+    ADDRESSES_PER_ANSWER,
+    INFRASTRUCTURE_TTL,
+    TLD_SERVER_PREFIX,
+    DomainAssignment,
+    WorkloadZones,
+)
 
 DOMAINS = 500
 
@@ -63,7 +69,7 @@ class RngKeepingModel(ChangeModel):
             domain_index=domain_index,
             ttl=ttl,
             change_probability=probability,
-            pool_size=self.config.address_pool,
+            pool_size=ADDRESS_POOL,
             addresses_per_answer=addresses_per_answer,
             rng=rng,
         )
@@ -82,9 +88,9 @@ class TextBuiltZones(WorkloadZones):
         tld_name = Name.from_text(f"{tld}.")
         ns_name = Name.from_text(f"ns.{tld}-servers.net.")
         self.root_zone.add(tld_name, RecordType.NS, ns_name.to_text(),
-                           ttl=self.config.infrastructure_ttl, bump=False)
+                           ttl=INFRASTRUCTURE_TTL, bump=False)
         self.root_zone.add(ns_name, RecordType.A, tld_host,
-                           ttl=self.config.infrastructure_ttl, bump=False)
+                           ttl=INFRASTRUCTURE_TTL, bump=False)
         self.tld_zones[tld] = Zone(tld_name)
 
     def _build_domain(self, domain: ToplistDomain, position: int) -> None:
@@ -93,19 +99,19 @@ class TextBuiltZones(WorkloadZones):
         auth_host = self.auth_hosts[position % len(self.auth_hosts)]
         ns_name = Name((b"ns1",) + domain.name.labels)
         tld_zone.add(domain.name, RecordType.NS, ns_name.to_text(),
-                     ttl=self.config.infrastructure_ttl, bump=False)
+                     ttl=INFRASTRUCTURE_TTL, bump=False)
         tld_zone.add(ns_name, RecordType.A, auth_host,
-                     ttl=self.config.infrastructure_ttl, bump=False)
+                     ttl=INFRASTRUCTURE_TTL, bump=False)
 
         zone = Zone(domain.name)
-        zone.add(ns_name, RecordType.A, auth_host, ttl=self.config.infrastructure_ttl, bump=False)
+        zone.add(ns_name, RecordType.A, auth_host, ttl=INFRASTRUCTURE_TTL, bump=False)
         zone.add(domain.name, RecordType.NS, ns_name.to_text(),
-                 ttl=self.config.infrastructure_ttl, bump=False)
+                 ttl=INFRASTRUCTURE_TTL, bump=False)
         change_process = None
         if domain.has_type(RecordType.A):
             ttl = domain.ttl_for(RecordType.A) or 300
             change_process = self.change_model.process_for(
-                domain.rank, ttl, RecordType.A, self.config.addresses_per_answer
+                domain.rank, ttl, RecordType.A, ADDRESSES_PER_ANSWER
             )
             records = [
                 ResourceRecord(domain.name, RecordType.A, ARdata(address), ttl)

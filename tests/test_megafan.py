@@ -36,7 +36,6 @@ from repro.netsim.network import Network
 from repro.netsim.packet import Address, Datagram
 from repro.netsim.simulator import Simulator
 from repro.netsim.trace import NullTraceRecorder
-from repro.quic.congestion import NewRenoCongestionController
 from repro.quic.connection import ConnectionConfig, QuicConnection
 from repro.quic.endpoint import QuicEndpoint
 from repro.quic.frames import AckFrame, CryptoFrame, HandshakeDoneFrame, StreamFrame
@@ -45,6 +44,7 @@ from repro.quic.tls import ServerHello
 from repro.relaynet import RelayTreeBuilder, RelayTreeSpec
 
 from connection_delegate import delegate_to
+from test_congestion import small_window_controller
 from decode_counts import count_decodes
 from link_reference import transmit
 
@@ -345,9 +345,7 @@ class TestSendEncodedStream:
     def test_cwnd_blocked_streams_leave_in_fifo_order(self):
         sent = []
         config = ConnectionConfig(
-            congestion_controller=lambda: NewRenoCongestionController(
-                initial_window_packets=2, minimum_window_packets=2
-            )
+            congestion_controller=small_window_controller
         )
         _, connection = _make_connection(sent, config=config)
         chunks = [bytes([index]) * 1000 for index in range(5)]
@@ -421,9 +419,7 @@ class TestOneShotReceivePath:
         # without stream state and has nothing to refuse.
         sent = []
         config = ConnectionConfig(
-            congestion_controller=lambda: NewRenoCongestionController(
-                initial_window_packets=2, minimum_window_packets=2
-            )
+            congestion_controller=small_window_controller
         )
         simulator, sender = _make_connection(sent, config=config)
         received = []

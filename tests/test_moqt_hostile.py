@@ -1,14 +1,12 @@
 """MoQT decoders and sessions against hostile bytes: one way to fail.
 
-``decode_control_payload``, ``decode_complete_datastream`` and
-``decode_object_datagram`` return a value or raise ``ProtocolViolation``, and
-nothing else, for any input; ``MoqtSession`` catches exactly that in one
+``decode_control_payload`` and ``decode_complete_datastream`` return a value
+or raise ``ProtocolViolation``, and nothing else, for any input; ``MoqtSession`` catches exactly that in one
 handler and closes with ``SessionErrorCode.PROTOCOL_VIOLATION``
 (``docs/quic-receive.md`` § One way a session fails).  These tests pin it:
 
 * random payloads behind a valid frame header, for each of the 15 control
-  message types, and random and damaged data streams and datagrams: each
-  decoder returns or raises ``ProtocolViolation``.  What is accepted is whole
+  message types, and random and damaged data streams: each decoder returns or raises ``ProtocolViolation``.  What is accepted is whole
   (a control payload with no unread byte) and re-decodes equal after
   ``encode``, which is the oracle;
 * every golden control image (``test_moqt_wire.py``) and every data stream
@@ -16,11 +14,14 @@ handler and closes with ``SessionErrorCode.PROTOCOL_VIOLATION``
   the decoder raises ``ProtocolViolation``, or the cut removed exactly an
   optional trailing field or whole objects;
 * through ``Simulator.run`` on a live pair, one case each for the control
-  stream, a data stream and a datagram: the malformed input closes the
-  receiving session (and, by CONNECTION_CLOSE, its peer) with
+  stream and a data stream: the malformed input closes the receiving session (and, by CONNECTION_CLOSE, its peer) with
   ``PROTOCOL_VIOLATION``, nothing escapes, the decode memo keeps nothing of
   it and the pending tables are empty; and random bytes down each path never
   escape;
+* objects ride streams only (§4.1), so a QUIC DATAGRAM frame (0x30 or 0x31,
+  RFC 9221, never negotiated) is an unknown frame type: the packet carrying
+  one is refused whole as a ``PacketDecodeError``, and the connection and
+  the session stay open and deliver what comes next;
 * one case per site that decodes an enum (a group order, a filter type, a
   fetch type): a value with no member closes the receiving session with
   ``PROTOCOL_VIOLATION``, as the decoder's ``ValueError`` does everywhere.
@@ -44,25 +45,20 @@ run against it; every mutant dies, killed by the tests named:
   old ``except VarintError: pass``) —
   ``test_truncated_data_streams_are_violations_or_whole_objects``,
   ``test_a_malformed_input_closes_the_receiving_session[data stream]``;
-* ``decode_object_datagram`` without its ``except ValueError`` —
-  ``test_a_datagram_decodes_or_is_a_violation``,
-  ``test_a_malformed_input_closes_the_receiving_session[datagram]``,
-  ``test_random_bytes_never_escape_the_simulator[datagram]``;
-* ``decode_object_datagram`` without the trailing-bytes check —
-  ``test_a_datagram_decodes_or_is_a_violation``;
 * ``MoqtSession.stream_data_received`` without its ``except
   ProtocolViolation`` — ``test_a_malformed_input_closes_the_receiving_session``
   and ``test_random_bytes_never_escape_the_simulator``, ``[control]`` and
   ``[data stream]`` of each;
-* ``MoqtSession.datagram_frame_received`` dropping the datagram instead of
-  closing (the old ``except MoqtError: return``) —
-  ``test_a_malformed_input_closes_the_receiving_session[datagram]``;
+* the receive loop and ``scan_frames`` reading 0x30 as a length-prefixed
+  frame and handing its payload up (the DATAGRAM path) —
+  ``test_a_datagram_frame_is_a_malformed_packet_and_changes_nothing``
+  (the ``0x30 with a length`` cases and ``empty-0x30``);
 * the enum decode tables raising a bare ``KeyError`` for a value with no
   member — ``test_an_enum_value_with_no_member_closes_the_receiving_session``
   (all six cases);
 * ``MoqtSession._protocol_violation`` closing with ``NO_ERROR`` —
   ``test_a_malformed_input_closes_the_receiving_session`` and
-  ``test_random_bytes_never_escape_the_simulator``, all three paths of each.
+  ``test_random_bytes_never_escape_the_simulator``, both paths of each.
 
 Two more mutants of the same change die elsewhere: ``connection_closed``
 keeping the requests queued behind SETUP —
@@ -74,6 +70,8 @@ no request-ID check on a received SUBSCRIBE / FETCH —
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -82,9 +80,7 @@ from repro.moqt.datastream import (
     FetchStreamHeader,
     SubgroupStreamHeader,
     decode_complete_datastream,
-    decode_object_datagram,
     encode_fetch_object,
-    encode_object_datagram,
     encode_subgroup_object,
 )
 from repro.moqt.errors import ProtocolViolation, SessionErrorCode
@@ -105,7 +101,7 @@ from repro.moqt.messages import (
     read_control_frame,
 )
 from repro.moqt.objectmodel import Location, MoqtObject, ObjectStatus
-from repro.moqt.session import MOQT_ALPN, MoqtSession, MoqtSessionConfig, SubscribeResult
+from repro.moqt.session import MOQT_ALPN, MoqtSession, SubscribeResult
 from repro.moqt.track import FullTrackName
 from repro.netsim.link import LinkConfig
 from repro.netsim.network import Network
@@ -113,6 +109,8 @@ from repro.netsim.packet import Address
 from repro.netsim.simulator import Simulator
 from repro.quic.connection import ConnectionConfig
 from repro.quic.endpoint import QuicEndpoint
+from repro.quic.frames import PacketDecodeError
+from repro.quic.packet import Packet, PacketType
 from repro.quic.tls import ServerTlsContext
 from repro.quic.varint import VarintReader, encode_varint
 
@@ -274,27 +272,6 @@ def test_truncated_data_streams_are_violations_or_whole_objects(stream):
         assert result == (header, whole[: boundaries[cut]])
 
 
-# --------------------------------------------------------------- datagrams
-valid_datagrams = st.builds(encode_object_datagram, st.integers(0, 1 << 14), objects)
-
-
-@settings(max_examples=600, deadline=None)
-@given(st.one_of(st.binary(max_size=48), damaged(valid_datagrams)))
-def test_a_datagram_decodes_or_is_a_violation(data):
-    try:
-        alias, obj = decode_object_datagram(data)
-    except ProtocolViolation:
-        return
-    reader = VarintReader(data)
-    for _ in range(4):  # type, alias, group, object
-        reader.read_varint()
-    reader.read_uint8()
-    reader.read_length_prefixed()
-    reader.read_length_prefixed()
-    assert reader.at_end(), "an accepted datagram has no trailing bytes"
-    assert decode_object_datagram(encode_object_datagram(alias, obj)) == (alias, obj)
-
-
 # ------------------------------------------------- a live pair, Simulator.run
 class _Publisher:
     """Accepts every SUBSCRIBE; defers every FETCH, so one is always pending."""
@@ -319,7 +296,7 @@ class _Pair:
     """A client subscribed to and fetching from a server, one instant after
     SUBSCRIBE_OK, every close recorded as ``(session, code, reason)``."""
 
-    def __init__(self, monkeypatch, use_datagrams: bool = False) -> None:
+    def __init__(self, monkeypatch) -> None:
         self.closes = []
         connection_closed = MoqtSession.connection_closed
 
@@ -333,7 +310,6 @@ class _Pair:
         network.add_host("server")
         network.add_host("client")
         network.connect("server", "client", LinkConfig(delay=0.01))
-        config = MoqtSessionConfig(use_datagrams=use_datagrams)
         self.publisher = _Publisher()
         servers = []
         QuicEndpoint(
@@ -341,11 +317,11 @@ class _Pair:
             port=4443,
             server_tls=ServerTlsContext(alpn_protocols=(MOQT_ALPN,)),
             on_connection=lambda connection: servers.append(
-                MoqtSession(connection, is_client=False, config=config, publisher_delegate=self.publisher)
+                MoqtSession(connection, is_client=False, publisher_delegate=self.publisher)
             ),
         )
         connection = QuicEndpoint(network.host("client")).connect(Address("server", 4443), ConnectionConfig())
-        self.client = MoqtSession(connection, is_client=True, config=config)
+        self.client = MoqtSession(connection, is_client=True)
         self.received = []
         self.subscription = self.client.subscribe(TRACK, on_object=self.received.append)
         self.fetch = self.client.fetch(TRACK, Location(0, 0), Location(1, 0))
@@ -384,27 +360,14 @@ def _truncated_stream(pair: _Pair) -> tuple[MoqtSession, str, object]:
     return pair.client, "moqt.stream", malformed
 
 
-def _truncated_datagram(pair: _Pair) -> tuple[MoqtSession, str, object]:
-    # Datagrams are not memoised: nothing to keep.
-    obj = MoqtObject(group_id=5, object_id=0, payload=b"v5")
-    malformed = encode_object_datagram(pair.record.track_alias, obj)[:-1]
-    pair.server.connection.send_datagram_frame(malformed)
-    return pair.client, "moqt.stream", malformed
-
-
-#: How each path is fed a malformed input, and whether the pair sends objects
-#: as datagrams.
-CASES = {
-    "control": (_truncated_subscribe, False),
-    "data stream": (_truncated_stream, False),
-    "datagram": (_truncated_datagram, True),
-}
+#: How each path is fed a malformed input.
+CASES = {"control": _truncated_subscribe, "data stream": _truncated_stream}
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_a_malformed_input_closes_the_receiving_session(monkeypatch, case):
-    inject, use_datagrams = CASES[case]
-    pair = _Pair(monkeypatch, use_datagrams=use_datagrams)
+    inject = CASES[case]
+    pair = _Pair(monkeypatch)
     receiver, table, key = inject(pair)
     pair.run(1.0)  # nothing escapes
     peer = pair.server if receiver is pair.client else pair.client
@@ -473,22 +436,67 @@ def test_an_enum_value_with_no_member_closes_the_receiving_session(monkeypatch, 
     assert (message_type, payload) not in pair.simulator.memos["moqt.control"]
 
 
-@pytest.mark.parametrize("path", ["control", "data stream", "datagram"])
+@pytest.mark.parametrize("path", ["control", "data stream"])
 @settings(max_examples=30, deadline=None)
 @given(message_type=st.sampled_from(sorted(_DECODERS)), data=st.binary(max_size=40))
 def test_random_bytes_never_escape_the_simulator(path, message_type, data):
     """On the control stream the bytes are framed as one message of a random
     type (unframed, they would mostly wait for more)."""
     with pytest.MonkeyPatch.context() as patch:
-        pair = _Pair(patch, use_datagrams=path == "datagram")
+        pair = _Pair(patch)
         if path == "control":
             pair.client._send_control(frame(message_type, data))
-        elif path == "data stream":
-            pair.server.connection.send_encoded_stream(data)
         else:
-            pair.server.connection.send_datagram_frame(data)
+            pair.server.connection.send_encoded_stream(data)
         pair.run(1.0)
     for session, code, reason in pair.closes:
         assert code == SessionErrorCode.PROTOCOL_VIOLATION or reason == "no common MoQT version"
     if pair.closes:
         pair.assert_nothing_pending()
+
+
+class _RawFrame:
+    """Frame bytes as they are, for :class:`Packet` to frame."""
+
+    def __init__(self, raw: bytes) -> None:
+        self.raw = raw
+
+    def encode_into(self, buffer: bytearray) -> None:
+        buffer += self.raw
+
+
+def _object_datagram(track_alias: int) -> bytes:
+    """An object datagram of group 5 (type 0x01, alias, group, object,
+    priority, no extensions, payload), as a MoQT peer would send it."""
+    return b"".join(
+        (encode_varint(1), encode_varint(track_alias), encode_varint(5), encode_varint(0),
+         bytes([128]), encode_varint(0), encode_varint(2), b"v5")
+    )
+
+
+#: A DATAGRAM frame's type and whether its payload is length-prefixed:
+#: RFC 9221's 0x30 runs to the end of the packet and 0x31 carries a length;
+#: a 0x30 with a length is what this model's senders once wrote.
+DATAGRAM_FRAMES = {"0x30": (0x30, False), "0x30 with a length": (0x30, True), "0x31": (0x31, True)}
+
+
+@pytest.mark.parametrize("frame", DATAGRAM_FRAMES)
+@pytest.mark.parametrize("payload", ["object", "truncated object", "empty"])
+def test_a_datagram_frame_is_a_malformed_packet_and_changes_nothing(monkeypatch, frame, payload):
+    pair = _Pair(monkeypatch)
+    image = _object_datagram(pair.record.track_alias)
+    data = {"object": image, "truncated object": image[:-1], "empty": b""}[payload]
+    frame_type, prefixed = DATAGRAM_FRAMES[frame]
+    raw = bytes([frame_type]) + (encode_varint(len(data)) if prefixed else b"") + data
+    connection = pair.client.connection
+    before = dataclasses.astuple(connection.statistics)
+    with pytest.raises(PacketDecodeError, match="unknown frame type"):
+        connection.datagram_received(Packet(PacketType.ONE_RTT, 0, 1 << 20, (_RawFrame(raw),)).encode())
+    assert dataclasses.astuple(connection.statistics) == before
+    pair.run(1.0)
+    assert pair.closes == [] and not connection.closed
+    assert pair.received == []
+    # Still open: the next object arrives on its stream.
+    pair.server.publish(pair.record, MoqtObject(group_id=5, object_id=0, payload=b"v5"))
+    pair.run(1.0)
+    assert [obj.group_id for obj in pair.received] == [5]

@@ -4,10 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.moqt.datastream import (
-    encode_object_datagram,
-    encode_subgroup_stream_chunk,
-)
+from repro.moqt.datastream import encode_subgroup_stream_chunk
 from repro.moqt.errors import SubscribeErrorCode
 from repro.moqt.messages import Fetch, FilterType, Subscribe
 from repro.moqt.objectmodel import Location, MoqtObject, TrackState
@@ -16,7 +13,6 @@ from repro.moqt.session import (
     _UNUSED,
     FetchResult,
     MoqtSession,
-    MoqtSessionConfig,
     SubscribeResult,
 )
 from repro.moqt.track import FullTrackName
@@ -63,7 +59,7 @@ class RecordingPublisher:
         return FetchResult(ok=True, objects=self.state.latest_objects(1), largest=self.state.largest)
 
 
-def _build(publisher_delegate=None, session_config=None):
+def _build(publisher_delegate=None, alpn_version_negotiation=False):
     simulator = Simulator(seed=21)
     network = Network(simulator)
     network.add_host(PUBLISHER)
@@ -77,7 +73,6 @@ def _build(publisher_delegate=None, session_config=None):
             MoqtSession(
                 connection,
                 is_client=False,
-                config=session_config or MoqtSessionConfig(),
                 publisher_delegate=delegate,
             )
         )
@@ -93,7 +88,7 @@ def _build(publisher_delegate=None, session_config=None):
         Address(PUBLISHER, 4443), ConnectionConfig(alpn_protocols=("moq-00",))
     )
     client_session = MoqtSession(
-        connection, is_client=True, config=session_config or MoqtSessionConfig()
+        connection, is_client=True, alpn_version_negotiation=alpn_version_negotiation
     )
     return simulator, client_session, publisher_sessions, delegate
 
@@ -108,9 +103,7 @@ class TestSessionSetup:
         assert session.selected_version is not None
 
     def test_alpn_version_negotiation_makes_client_ready_immediately(self):
-        simulator, session, _, _ = _build(
-            session_config=MoqtSessionConfig(alpn_version_negotiation=True)
-        )
+        simulator, session, _, _ = _build(alpn_version_negotiation=True)
         assert session.ready
         assert session.ready_at == 0.0
 
@@ -302,27 +295,6 @@ class TestSubscribeAndFetch:
         subscription = session.subscribe(TRACK, on_response=lambda s: results.append(s.state))
         simulator.run(until=3.0)
         assert results == ["error"]
-
-    def test_datagram_object_delivery(self):
-        simulator, session, publisher_sessions, delegate = _build(
-            session_config=MoqtSessionConfig(use_datagrams=True)
-        )
-        pushed = []
-        session.subscribe(TRACK, on_object=lambda obj: pushed.append(obj.payload))
-        simulator.run(until=2.0)
-        publisher = publisher_sessions[0]
-        publisher_subscription = publisher.publisher_subscriptions()[0]
-        obj = MoqtObject(group_id=3, object_id=0, payload=b"dg")
-        encoded = {}  # the fan-out memo holds datagram payloads in this mode
-        publisher.publish(publisher_subscription, obj, encoded)
-        publisher.publish(publisher_subscription, obj, encoded)
-        simulator.run(until=3.0)
-        assert pushed == [b"dg", b"dg"]
-        assert encoded == {
-            publisher_subscription.track_alias: encode_object_datagram(
-                publisher_subscription.track_alias, obj
-            )
-        }
 
     @pytest.mark.parametrize("case", ["unknown status", "unknown type", "truncated object"])
     def test_a_malformed_data_stream_is_dropped(self, case):

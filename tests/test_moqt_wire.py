@@ -9,9 +9,7 @@ from repro.moqt.datastream import (
     FetchStreamHeader,
     SubgroupStreamHeader,
     decode_complete_datastream,
-    decode_object_datagram,
     encode_fetch_object,
-    encode_object_datagram,
     encode_subgroup_object,
 )
 from repro.moqt.errors import ProtocolViolation
@@ -43,7 +41,7 @@ from repro.moqt.messages import (
     decode_control_message,
     _DECODERS,
 )
-from repro.moqt.objectmodel import Location, MoqtObject, ObjectStatus, TrackState
+from repro.moqt.objectmodel import MAX_RETAINED_GROUPS, Location, MoqtObject, ObjectStatus, TrackState
 from repro.moqt.parameters import Parameter, Parameters
 from repro.moqt.track import (
     FullTrackName,
@@ -448,12 +446,12 @@ class TestObjectModel:
         assert [obj.group_id for obj in state.latest_objects(2)] == [2, 5]
 
     def test_track_state_retention_limit(self):
-        state = TrackState(_track(), max_retained_groups=3)
-        for version in range(1, 11):
+        state = TrackState(_track())
+        for version in range(1, MAX_RETAINED_GROUPS + 11):
             state.publish(MoqtObject(group_id=version, object_id=0, payload=b"x"))
-        assert len(state) == 3
-        assert state.get(Location(1, 0)) is None
-        assert state.get(Location(10, 0)) is not None
+        assert len(state) == MAX_RETAINED_GROUPS
+        assert state.get(Location(10, 0)) is None
+        assert state.get(Location(11, 0)) is not None
 
     def test_location_ordering(self):
         assert Location(1, 0) < Location(2, 0)
@@ -484,13 +482,6 @@ class TestDataStreamEncodings:
     def test_unknown_stream_type_rejected(self):
         with pytest.raises(ProtocolViolation, match="unknown data stream type 0x3f"):
             decode_complete_datastream(b"\x3f\x01")
-
-    def test_object_datagram_roundtrip(self):
-        obj = MoqtObject(group_id=4, object_id=0, payload=b"dgram-payload")
-        alias, decoded = decode_object_datagram(encode_object_datagram(7, obj))
-        assert alias == 7
-        assert decoded.payload == b"dgram-payload"
-        assert decoded.group_id == 4
 
     def test_object_status_preserved(self):
         obj = MoqtObject(group_id=1, object_id=0, payload=b"", status=ObjectStatus.END_OF_TRACK)

@@ -44,6 +44,7 @@ from repro.relaynet import (
     OriginCluster,
     RelayTreeSpec,
 )
+from repro.relaynet import origincluster
 from repro.relaynet.scenario import Scenario, build_scenario
 from repro.relaynet.topology import RelayTopology
 from repro.telemetry import MetricsRegistry, SpanTracer, Telemetry
@@ -202,10 +203,10 @@ class TestOriginCluster:
         assert cluster.promote(via="test") is None
         assert cluster.epoch == 1, "a failed election must not burn an epoch"
 
-    def test_replay_ring_is_bounded(self):
+    def test_replay_ring_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(origincluster, "DEFAULT_REPLAY_WINDOW", 4)
         simulator, network, _ = build_cluster(origins=1)
-        cluster = OriginCluster(network, origins=1, host="o2", port=4553,
-                                replay_window=4)
+        cluster = OriginCluster(network, origins=1, host="o2", port=4553)
         simulator.run(until=simulator.now + 1.0)
         push_groups(simulator, cluster, range(2, 12), interval=0.01)
         assert len(cluster._replay) == 4

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.compatibility import MOQT_TIMEOUT
 from repro.core.encapsulation import encapsulate_response
 from repro.core.forwarder import MoqForwarder
 from repro.core.mapping import DnsQuestionKey, track_to_question
@@ -180,5 +181,5 @@ def test_recursive_fails_the_step_at_once_when_the_subscription_is_declined():
     assert (message, version) == (None, 0)
     # Handshake + SETUP + the SUBSCRIBE_ERROR: long before the 1 s timeout, and
     # the FETCH answer that followed changed nothing.
-    assert at < resolver.config.happy_eyeballs.moqt_timeout / 2
+    assert at < MOQT_TIMEOUT / 2
     assert resolver.record(KEY) is None

@@ -134,14 +134,6 @@ class TestZeroRtt:
         assert replies and replies[0][1] == b"echo:early"
         assert replies[0][0] - start >= 2 * RTT - 1e-9
 
-    def test_0rtt_disabled_by_config(self):
-        simulator, server_ep, client_ep, _, _ = _build()
-        config = ConnectionConfig(alpn_protocols=("moq-00",), enable_0rtt=False)
-        client_ep.connect(Address(SERVER, 4443), config)
-        simulator.run(until=1.0)
-        second = client_ep.connect(Address(SERVER, 4443), config)
-        assert not second.used_0rtt
-
 
 class TestReliabilityAndLifecycle:
     def test_streams_survive_packet_loss(self):
@@ -158,18 +150,6 @@ class TestReliabilityAndLifecycle:
         simulator.run(until=60.0)
         assert replies and replies[0] == b"echo:lossy"
         assert connection.statistics.retransmissions >= 0
-
-    def test_datagrams_are_delivered_unreliably_but_work_without_loss(self):
-        simulator, server_ep, client_ep, config, server_connections = _build()
-        connection = client_ep.connect(Address(SERVER, 4443), config)
-        received = []
-        connection.on_handshake_complete = lambda c: c.send_datagram_frame(b"unreliable")
-        simulator.run(until=1.0)
-        delegate_to(server_connections[0], on_datagram=received.append)
-        connection.send_datagram_frame(b"second")
-        simulator.run(until=2.0)
-        assert received == [b"second"]
-        assert connection.statistics.datagrams_sent == 2
 
     def test_a_drained_ledger_gives_back_its_table(self):
         # A dict never shrinks on deletion: without the clear, the ledger of

@@ -32,7 +32,6 @@ from repro.quic.frames import (
     AckRangesFrame,
     ConnectionCloseFrame,
     CryptoFrame,
-    DatagramFrame,
     HandshakeDoneFrame,
     PacketDecodeError,
     PaddingFrame,
@@ -78,8 +77,6 @@ def oracle_calls(datagram: bytes) -> list[tuple]:
             calls.append(("ack_ranges", frame.largest, frame.ranges))
         elif isinstance(frame, CryptoFrame):
             calls.append(("crypto", frame.data))
-        elif isinstance(frame, DatagramFrame):
-            calls.append(("datagram", frame.data))
         elif isinstance(frame, ConnectionCloseFrame):
             calls.append(("close", frame.error_code, frame.reason, False))
         else:
@@ -123,10 +120,6 @@ class RecordingConnection(QuicConnection):
     def _on_crypto(self, data):
         assert type(data) is bytes
         self.calls.append(("crypto", data))
-
-    def _on_datagram_frame(self, data):
-        assert type(data) is bytes
-        self.calls.append(("datagram", data))
 
     def _handle_close(self, code, reason, send_close):
         self.calls.append(("close", code, reason, send_close))
@@ -176,7 +169,6 @@ FRAME_KINDS = (
     "ack",
     "ack_ranges",
     "crypto",
-    "datagram",
     "close",
     "ping",
     "handshake_done",
@@ -205,9 +197,9 @@ def frame_wire(draw, kinds=FRAME_KINDS) -> bytes:
         count = draw(st.integers(0, 4))
         body = b"".join(v() + v() for _ in range(count))
         return const(0x03) + v() + v() + const(count) + body
-    if kind in ("crypto", "datagram"):
+    if kind == "crypto":
         data = draw(st.binary(max_size=70))
-        return const(0x06 if kind == "crypto" else 0x30) + const(len(data)) + data
+        return const(0x06) + const(len(data)) + data
     if kind == "close":
         reason = draw(st.text(max_size=20)).encode("utf-8")
         return const(0x1C) + v() + const(len(reason)) + reason
@@ -279,7 +271,6 @@ def test_walker_matches_oracle_on_codec_encoded_packets(data):
         ),
         st.builds(AckFrame, largest=varint_values, delay_us=varint_values),
         st.builds(CryptoFrame, st.binary(max_size=40)),
-        st.builds(DatagramFrame, st.binary(max_size=40)),
         st.builds(ConnectionCloseFrame, error_code=varint_values, reason=st.text(max_size=12)),
         st.just(PingFrame()),
         st.just(HandshakeDoneFrame()),
@@ -348,7 +339,7 @@ CORPUS = (
     (AckFrame(4242, 17),),
     (AckRangesFrame(largest=300, delay_us=0, ranges=((0, 3), (70, 70), (290, 300))),),
     (CryptoFrame(b"SH|moq-00|1|12"), HandshakeDoneFrame()),
-    (DatagramFrame(b"unreliable"), PingFrame()),
+    (PingFrame(),),
     (ConnectionCloseFrame(0x100, "going away ✓"),),
     (
         StreamFrame(6, 70000, b"x" * 70, False),
@@ -450,7 +441,6 @@ def _connected_pair():
     delegate_to(
         connection,
         on_stream_data=lambda sid, data, fin: delivered.append((sid, data, fin)),
-        on_datagram=lambda data: delivered.append(("datagram", data)),
     )
     simulator.run(until=1.0)
     assert connection.handshake_complete
@@ -808,13 +798,11 @@ def test_a_data_stream_that_is_not_whole_closes_the_connection():
         delegate_to(
             connection,
             on_stream_data=lambda sid, data, fin: delivered.append((sid >> 2, data, fin)),
-            on_datagram=lambda data: delivered.append(("datagram", data)),
             on_closed=lambda code, reason: closes.append(code),
         )
         connection.datagram_received(_one_shot(0, 0))
         later = (
             StreamFrame((2 << 2) | 0x2, 0, b"whole", True),
-            DatagramFrame(b"datagram"),
             StreamFrame(0, 0, b"control", False),
         )
         packet = Packet(PacketType.ONE_RTT, 77, 1, (fragment, *later))
@@ -822,7 +810,6 @@ def test_a_data_stream_that_is_not_whole_closes_the_connection():
         assert connection.closed and closes == [violation], fragment
         assert delivered == [(0, b"obj", True)]
         assert connection.streams() == {}
-        assert connection.statistics.datagrams_received == 0
         (close,) = Packet.decode(sent[-1]).frames
         assert close.error_code == violation
         # A closed connection reads nothing more.

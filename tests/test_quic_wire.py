@@ -8,7 +8,6 @@ from repro.quic.frames import (
     AckFrame,
     ConnectionCloseFrame,
     CryptoFrame,
-    DatagramFrame,
     HandshakeDoneFrame,
     PaddingFrame,
     PingFrame,
@@ -106,7 +105,6 @@ class TestFrames:
             AckFrame(largest=12, delay_us=30),
             CryptoFrame(b"hello-tls"),
             StreamFrame(stream_id=4, offset=10, data=b"payload", fin=True),
-            DatagramFrame(b"dgram"),
             ConnectionCloseFrame(error_code=3, reason="bye"),
             HandshakeDoneFrame(),
         ]

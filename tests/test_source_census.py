@@ -55,7 +55,17 @@ An ``ast`` walk over the repository:
   hierarchy holds thousands of each).
 
 Methods go by name, so the census under-reports them: a method whose name
-another class's method or attribute shares passes.
+another class's method or attribute shares passes.  Of 891 methods under
+``src/repro``, 466 share a name (the count prints with the test); the ones
+tests name were checked by hand against what runs, and what only tests
+reach is in ``HIDDEN_BY_NAME``.
+
+* every option has two values in what runs: a defaulted field of a config
+  dataclass or a defaulted ``__init__`` parameter under ``src/repro`` is
+  passed a second value somewhere in ``src/``, ``examples/`` or
+  ``benchmarks/`` (:func:`one_valued`), or it is in ``ONE_VALUE`` with its
+  reason: ``deployment``, ``peer behaviour`` or the ``ROADMAP`` item that
+  sets it.  Any other option with one value in use is a constant.
 """
 
 from __future__ import annotations
@@ -120,12 +130,37 @@ TEST_ONLY: dict[str, str] = {
     "relaynet/topology.py::RelayTopology._tier_index": "ROADMAP 16: called by add_relay",
     "relaynet/topology.py::RelayTopology.add_relay": "ROADMAP 16: a relay joining the running tree",
     "relaynet/topology.py::RelayTopology.alive_nodes": "observer: called by alive_relay_count",
+    "relaynet/topology.py::FlashCrowdStorm.retries": "observer: retry SUBSCRIBEs the storm issued",
     "relaynet/topology.py::RelayTopology.alive_relay_count": "observer: relays in the tree",
     "relaynet/topology.py::RelayTopology.relay_count": "observer: relays ever built",
     "relaynet/topology.py::RelayTopology.remove_relay": "ROADMAP 16: the controller-driven leave GOAWAY replaces",
     "workload/toplist.py::SyntheticToplist.count_by_type": "observer: domains per record type (the Fig. 1a totals)",
 }
 TEST_REASON = re.compile(r"observer|oracle|ROADMAP \d+(\([a-z]\))?(, \d+(\([a-z]\))?)*")
+
+#: Methods under ``src/repro`` that only tests reach but that the census
+#: cannot see, because another definition or attribute there shares the
+#: name; with ``TEST_ONLY``'s reasons.  Found by hand: every name-shared
+#: method a test names, checked against a profile of what runs (the
+#: runner, the examples and the five benchmark workloads) and then a grep
+#: of each name's uses there.
+HIDDEN_BY_NAME: dict[str, str] = {
+    "analysis/usecases.py::UseCaseEstimate.as_dict": "observer: E10's estimate as a row",
+    "core/auth_server.py::MoqAuthoritativeServer.zones": "observer: the zones served",
+    "core/subscription.py::SubscriptionRegistry.active": "observer: the tracked subscriptions",
+    "dns/cache.py::DnsCache.entries": "observer: the cache content",
+    "dns/server.py::AuthoritativeServer.zones": "observer: the zones served",
+    "experiments/failure_detection.py::FailureDetectionResult.gapless": "observer: every delivered sequence is gapless",
+    "experiments/origin_failover.py::OriginFailoverResult.gapless": "observer: every delivered sequence is gapless",
+    "experiments/relay_churn.py::RelayChurnResult.gapless": "observer: every delivered sequence is gapless",
+    "moqt/session.py::MoqtSession.liveness": "observer: the transport's liveness state",
+    "moqt/track.py::FullTrackName.encoded_length": "oracle: the MoQT track-name length the mapping tests bound",
+    "netsim/trace.py::TraceEvent.as_dict": "observer: one trace event as a row",
+    "relaynet/topology.py::FlashCrowdStorm.join_latencies": "observer: each stormer's join latency",
+    "telemetry/metrics.py::Histogram.observe": "ROADMAP 4(b): a histogram the journal's runs fill",
+    "telemetry/metrics.py::MetricsRegistry.counter": "ROADMAP 4(b): a counter the journal's runs register",
+    "telemetry/metrics.py::MetricsRegistry.histogram": "ROADMAP 4(b): a histogram the journal's runs register",
+}
 
 #: A string that may be an expression naming something: a ``getattr`` name,
 #: a string annotation, an ``__all__`` entry.
@@ -396,6 +431,44 @@ def test_nothing_under_src_is_reached_only_by_tests(repository):
     print("TEST_ONLY by reason:", ", ".join(f"{reason} {count}" for reason, count in sorted(counts.items())))
 
 
+def name_shared_methods(modules: dict[str, str]) -> list[str]:
+    """``path::qualname`` of every method under ``src/repro`` whose name
+    another definition there, or an attribute assigned or declared there,
+    also has: the census counts a use of either as a use of the method."""
+    found = [
+        (qualname, name, top)
+        for path, source in modules.items()
+        for qualname, name, _, _, top in definitions(source, path)
+    ]
+    owners: dict[str, int] = {}
+    for _, name, _ in found:
+        owners[name] = owners.get(name, 0) + 1
+    attributes = set()
+    for source in modules.values():
+        for node in _nodes(source):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                attributes.update(
+                    statement.target.id
+                    for statement in node.body
+                    if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)
+                )
+    return sorted(qualname for qualname, name, top in found if not top and (owners[name] > 1 or name in attributes))
+
+
+def test_the_methods_the_census_cannot_see_are_counted_and_checked(repository):
+    modules, corpus, runs = repository
+    shared = name_shared_methods(modules)
+    methods = sum(not top for path, source in modules.items() for *_, top in definitions(source, path))
+    print(f"methods: {methods}, {len(shared)} share a name; HIDDEN_BY_NAME {len(HIDDEN_BY_NAME)}")
+    # Each listed method is hidden, is named by a test, and has a reason.
+    assert sorted(HIDDEN_BY_NAME) == [name for name in shared if name in HIDDEN_BY_NAME]
+    tests = Census({path: source for path, source in corpus.items() if path not in runs})
+    assert all(name.rsplit(".", 1)[1] in tests.names for name in HIDDEN_BY_NAME)
+    assert not [name for name, why in HIDDEN_BY_NAME.items() if not TEST_REASON.fullmatch(why.split(":")[0])]
+
+
 def test_census_catches_what_the_retired_harness_alone_called(repository):
     # E15's 100k macro (experiments/constrained_tiers.py) and one exporter,
     # abridged from the parent, where the harness was their only caller.
@@ -502,6 +575,401 @@ __all__ = ["Counter", "SummaryStatistics"]
         "TABLE = stats.histogram([], [])\n"
     )
     assert Census({**planted, "src/repro/uses.py": through}).unused(modules) == []
+
+
+# ------------------------------------------------------------ one-valued options
+#: ``path::Class.field`` or ``path::Class(parameter)`` under ``src/repro``
+#: that what runs passes no second value, and why it stays an option:
+#: ``deployment`` (a port, host or address), ``peer behaviour`` (the other
+#: value makes this program act as a peer the code must still handle) or
+#: ``ROADMAP n`` (the open item that sets it).
+ONE_VALUE: dict[str, str] = {
+    "analysis/state_overhead.py::StateModel.bytes_per_cache_entry": "ROADMAP 8: E9's guessed byte costs, which leave src/ when E9 is measured",
+    "analysis/state_overhead.py::StateModel.bytes_per_connection": "ROADMAP 8: E9's guessed byte costs, which leave src/ when E9 is measured",
+    "analysis/state_overhead.py::StateModel.bytes_per_session": "ROADMAP 8: E9's guessed byte costs, which leave src/ when E9 is measured",
+    "analysis/state_overhead.py::StateModel.bytes_per_subscription": "ROADMAP 8: E9's guessed byte costs, which leave src/ when E9 is measured",
+    "core/auth_server.py::MoqAuthoritativeServer(port)": "deployment: the MoQT port",
+    "core/forwarder.py::ForwarderConfig.listen_port": "deployment: the classic DNS port",
+    "core/forwarder.py::MoqForwarder(teardown_policy)": "ROADMAP 7(b), 8: the teardown policy no run applies yet",
+    "core/recursive.py::MoqRecursiveResolver(teardown_policy)": "ROADMAP 7(b), 8: the teardown policy no run applies yet",
+    "core/recursive.py::ResolverConfig.moqt_port": "deployment: the MoQT port",
+    "core/recursive.py::ResolverConfig.udp_port": "deployment: the classic DNS port",
+    "core/subscription.py::AdaptivePolicy(base_retention)": "ROADMAP 8: a teardown policy's parameter, which E9 on the running system sweeps",
+    "core/subscription.py::AdaptivePolicy(cap)": "ROADMAP 8: a teardown policy's parameter, which E9 on the running system sweeps",
+    "core/subscription.py::IdleTimeoutPolicy(idle_timeout)": "ROADMAP 8: a teardown policy's parameter, which E9 on the running system sweeps",
+    "dns/rr.py::RRset(rdclass)": "peer behaviour: a record from the wire carries its own class",
+    "dns/rr.py::ResourceRecord.rdclass": "peer behaviour: a record from the wire carries its own class (the decoder fills it)",
+    "dns/server.py::AuthoritativeServer(port)": "deployment: the classic DNS port",
+    "experiments/relay_fanout.py::FanoutSample.link_batch_fallback_waves": "ROADMAP 0(a): the constant 0 E11 prints goes with the benchmark's read of it",
+    "experiments/relay_fanout.py::TreeRun.link_batch_fallback_waves": "ROADMAP 0(a): the constant 0 E11 prints goes with the benchmark's read of it",
+    "moqt/origin.py::OriginPublisher(track)": "deployment: the name the track is published at",
+    "quic/tls.py::ServerTlsContext.accept_early_data": "peer behaviour: a server that refuses 0-RTT",
+    "quic/tls.py::SessionTicket.lifetime": "peer behaviour: a server whose tickets expire",
+    "relaynet/admission.py::AdmissionPolicy.max_pending_subscribes": "ROADMAP 3(c): the pending-subscribe cap 3(c) makes binding",
+    "relaynet/admission.py::AdmissionPolicy.queue_retry_after": "ROADMAP 3(c): the hint the pending-subscribe cap quotes",
+    "relaynet/origincluster.py::OriginCluster(host)": "deployment: the active origin's host",
+    "relaynet/origincluster.py::OriginCluster(port)": "deployment: the origins' port",
+    "relaynet/origincluster.py::OriginCluster(track)": "deployment: the name the track is published at",
+    "relaynet/spec.py::RelayTreeSpec.host_prefix": "deployment: the relays' host names",
+    "relaynet/topology.py::RelayTopology(port)": "deployment: the relays' port",
+    "telemetry/__init__.py::Telemetry(metrics)": "ROADMAP 4(b): a run's own registry, which the journal's runs pass",
+    "telemetry/__init__.py::Telemetry(spans)": "ROADMAP 4(b): a run's own tracer, which the journal's runs pass",
+    "telemetry/spans.py::SpanTracer(max_spans)": "ROADMAP 4(b): the flight-recorder cap of a traced run",
+    "telemetry/spans.py::SpanTracer(sample_every)": "ROADMAP 4(b): span sampling of a traced run",
+    "telemetry/spans.py::SpanTracer(subscriber_sample_every)": "ROADMAP 4(b): span sampling of a traced run",
+}
+ONE_VALUE_REASON = re.compile(r"deployment|peer behaviour|ROADMAP \d+(\([a-z]\))?(, \d+(\([a-z]\))?)*")
+
+
+def _callee(node: ast.expr) -> str | None:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _dataclass(node: ast.ClassDef) -> str | None:
+    """``"frozen"`` or ``"dataclass"`` for a dataclass, else ``None``."""
+    for decorator in node.decorator_list:
+        call = decorator if isinstance(decorator, ast.Call) else None
+        if _callee(call.func if call else decorator) == "dataclass":
+            frozen = call and any(k.arg == "frozen" and getattr(k.value, "value", None) is True for k in call.keywords)
+            return "frozen" if frozen else "dataclass"
+    return None
+
+
+def _fields(node: ast.ClassDef) -> list[tuple[str, ast.expr | None]]:
+    """``(name, default)`` of each ``__init__`` field of a dataclass, in
+    order; the default is the ``field(default=...)`` or ``default_factory``
+    expression, ``None`` when there is none."""
+    found = []
+    for statement in node.body:
+        if not isinstance(statement, ast.AnnAssign) or not isinstance(statement.target, ast.Name):
+            continue
+        if "ClassVar" in ast.unparse(statement.annotation):
+            continue
+        default = statement.value
+        if isinstance(default, ast.Call) and _callee(default.func) == "field":
+            keywords = {keyword.arg: keyword.value for keyword in default.keywords}
+            if getattr(keywords.get("init"), "value", True) is False:
+                continue
+            default = keywords.get("default", keywords.get("default_factory"))
+        found.append((statement.target.id, default))
+    return found
+
+
+class Option:
+    """One defaulted field or ``__init__`` parameter: where it is, and the
+    class whose construction sets it."""
+
+    def __init__(self, qualname: str, owner: str, name: str, position: int | None, default: ast.expr) -> None:
+        self.qualname = qualname
+        self.owner = owner
+        self.name = name
+        self.position = position
+        self.default = ast.dump(default)
+        self.field = "(" not in qualname
+
+
+def options(modules: dict[str, str]) -> list[Option]:
+    """Every option under ``src/repro`` (``path`` relative to it -> source).
+
+    An option is a defaulted field of a dataclass whose public fields are
+    never assigned after construction (``self.field = ...`` in one of its
+    own methods other than ``__post_init__``, or ``anything.field = ...``
+    outside the class: a counter or a state record is not configured), or
+    a defaulted ``__init__`` parameter.  A field named ``_...`` is the
+    object's own state, never an option.
+    """
+    trees = {path: _nodes(source) for path, source in modules.items()}
+    stored: set[str] = set()
+    own: dict[str, set[str]] = {}
+    for nodes in trees.values():
+        for node in nodes:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and method.name != "__post_init__":
+                    own.setdefault(node.name, set()).update(
+                        target.attr
+                        for target in ast.walk(method)
+                        if isinstance(target, ast.Attribute)
+                        and isinstance(target.ctx, ast.Store)
+                        and getattr(target.value, "id", None) == "self"
+                    )
+        stored.update(
+            node.attr
+            for node in nodes
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and getattr(node.value, "id", None) != "self"
+        )
+    found = []
+    for path, nodes in trees.items():
+        for node in nodes:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            kind = _dataclass(node)
+            if kind:
+                fields = _fields(node)
+                public = {name for name, _ in fields if not name.startswith("_")}
+                if kind == "frozen" or not public & (stored | own.get(node.name, set())):
+                    found += [
+                        Option(f"{path}::{node.name}.{name}", node.name, name, position, default)
+                        for position, (name, default) in enumerate(fields)
+                        if default is not None and not name.startswith("_")
+                    ]
+            for init in node.body:
+                if not isinstance(init, ast.FunctionDef) or init.name != "__init__":
+                    continue
+                arguments = init.args
+                positional = arguments.posonlyargs + arguments.args
+                defaults = [None] * (len(positional) - len(arguments.defaults)) + list(arguments.defaults)
+                found += [
+                    Option(f"{path}::{node.name}({argument.arg})", node.name, argument.arg, position - 1, default)
+                    for position, (argument, default) in enumerate(zip(positional, defaults))
+                    if default is not None
+                ]
+                found += [
+                    Option(f"{path}::{node.name}({argument.arg})", node.name, argument.arg, None, default)
+                    for argument, default in zip(arguments.kwonlyargs, arguments.kw_defaults)
+                    if default is not None
+                ]
+    return found
+
+
+#: What a call passes an option: the expression, or ``None`` for a value the
+#: census cannot read (``*args``, ``**`` of a table it cannot see into).
+Passed = tuple[str, "ast.expr | None"]
+
+
+def _scopes(nodes: tuple[ast.AST, ...]) -> dict[int, tuple[ast.ClassDef | None, ast.FunctionDef | None]]:
+    """``id(node) -> (innermost class, innermost function)`` around it."""
+    scopes: dict[int, tuple[ast.ClassDef | None, ast.FunctionDef | None]] = {}
+
+    def visit(node: ast.AST, cls: ast.ClassDef | None, function: ast.FunctionDef | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            scopes[id(child)] = (cls, function)
+            if isinstance(child, ast.ClassDef):
+                visit(child, child, None)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls, child)
+            else:
+                visit(child, cls, function)
+
+    visit(nodes[0], None, None)
+    return scopes
+
+
+def _passed(
+    node: ast.Call, function: ast.FunctionDef | None, tree: ast.AST
+) -> tuple[list[Passed], ast.expr | None]:
+    """What ``node`` passes by keyword (``name``) and by position (``"0"``,
+    ...; ``"*n"`` for a ``*`` argument at ``n``), and the one ``**``
+    argument the census could not read into, if any.  A ``**`` of a dict
+    display, or of a name ``function`` binds only to dict displays, is
+    read."""
+    passed: list[Passed] = []
+    unread = None
+    for keyword in node.keywords:
+        if keyword.arg is not None:
+            passed.append((keyword.arg, keyword.value))
+            continue
+        table = keyword.value
+        if isinstance(table, ast.Name):
+            bound = [
+                statement.value
+                for statement in ast.walk(function or tree)
+                if isinstance(statement, ast.Assign)
+                and any(getattr(target, "id", None) == table.id for target in statement.targets)
+            ]
+            if bound:
+                table = bound
+        tables = table if isinstance(table, list) else [table]
+        if all(isinstance(one, ast.Dict) and all(isinstance(key, ast.Constant) for key in one.keys) for one in tables):
+            passed.extend((key.value, value) for one in tables for key, value in zip(one.keys, one.values))
+        else:
+            unread = keyword.value
+    for position, argument in enumerate(node.args):
+        if isinstance(argument, ast.Starred):
+            passed.append((f"*{position}", None))
+            break
+        passed.append((str(position), argument))
+    return passed, unread
+
+
+def passed_values(runs: dict[str, str], owners: set[str]) -> tuple[dict[str, list[Passed]], dict[str, list[Passed]]]:
+    """What the corpus ``runs`` passes each class in ``owners`` when it
+    constructs one, and each field through ``dataclasses.replace``:
+    ``(class -> [(keyword or position, expression)], field -> [...])``.
+
+    A call counts when its callee is named like the class (``Class(...)``,
+    ``module.Class(...)``), when it is ``cls(...)`` in a classmethod or
+    ``type(self)(...)`` inside the class, or ``super().__init__(...)`` in a
+    subclass.  Two shapes are followed to the class they reach: a function
+    that calls a class its caller passes it (``_get(Counter, ...)`` calling
+    ``cls(name, ...)``), and a ``**`` argument that forwards the enclosing
+    function's ``**`` parameter (directly, or kept as ``self.attribute`` by
+    ``__init__``): what the function's callers pass it is passed on.  Any
+    other ``**`` passes every option of the class a value the census cannot
+    read.
+    """
+    constructed: dict[str, list[Passed]] = {}
+    replaced: dict[str, list[Passed]] = {}
+    #: function or class name -> the classes its ``**`` parameter reaches.
+    forwards: dict[str, list[str]] = {}
+    #: function name -> [(the class parameter's position, the call, its scope)].
+    chosen: dict[str, list[tuple[int, ast.Call, ast.FunctionDef]]] = {}
+    every: list[tuple[ast.Call, ast.FunctionDef | None, ast.AST]] = []
+    for source in runs.values():
+        nodes = _nodes(source)
+        scopes = _scopes(nodes)
+        for node in nodes:
+            if not isinstance(node, ast.Call):
+                continue
+            cls, function = scopes[id(node)]
+            every.append((node, function, nodes[0]))
+            callee = _callee(node.func)
+            parameters = [argument.arg for argument in function.args.args] if function else []
+            classmethod_ = bool(function) and any(
+                _callee(decorator) == "classmethod" for decorator in function.decorator_list
+            )
+            if isinstance(node.func, ast.Name) and callee in parameters and not (callee == "cls" and classmethod_):
+                chosen.setdefault(function.name, []).append((parameters.index(callee), node, function))
+                continue
+            if callee == "cls" and cls is not None:
+                callee = cls.name
+            elif isinstance(node.func, ast.Call) and _callee(node.func.func) == "type" and cls is not None:
+                callee = cls.name
+            elif (
+                callee == "__init__"
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Call)
+                and _callee(node.func.value.func) == "super"
+                and cls is not None
+                and cls.bases
+            ):
+                callee = _callee(cls.bases[0])
+            if callee != "replace" and callee not in owners:
+                continue
+            passed, unread = _passed(node, function, nodes[0])
+            if unread is not None:
+                forwarded, scope = getattr(unread, "id", None), function
+                if isinstance(unread, ast.Attribute) and getattr(unread.value, "id", None) == "self" and cls:
+                    scope = next((item for item in cls.body if getattr(item, "name", None) == "__init__"), None)
+                    kept = [
+                        statement.value.id
+                        for statement in ast.walk(scope or cls)
+                        if isinstance(statement, ast.Assign)
+                        and isinstance(statement.value, ast.Name)
+                        and any(_dotted(target) == _dotted(unread) for target in statement.targets)
+                    ]
+                    forwarded = kept[0] if kept else None
+                if scope is not None and scope.args.kwarg and forwarded == scope.args.kwarg.arg:
+                    name = cls.name if scope.name == "__init__" and cls is not None else scope.name
+                    forwards.setdefault(name, []).append(callee)
+                else:
+                    passed.append(("**", None))
+            if callee == "replace":
+                for key, value in passed:
+                    replaced.setdefault(key, []).append((key, value))
+            else:
+                constructed.setdefault(callee, []).extend(passed)
+    for node, function, tree in every:
+        name = _callee(node.func) or ""
+        # Keywords given to a forwarder reach the class it forwards to.
+        for target in forwards.get(name, ()):
+            constructed.setdefault(target, []).extend(
+                (key, value) for key, value in _passed(node, function, tree)[0] if not key[0].isdigit()
+            )
+        # A class handed to a function that constructs it.
+        for position, call, scope in chosen.get(name, ()):
+            offset = 1 if isinstance(node.func, ast.Attribute) and scope.args.args[0].arg == "self" else 0
+            if position - offset < len(node.args):
+                target = _callee(node.args[position - offset])
+                if target in owners:
+                    constructed.setdefault(target, []).extend(_passed(call, scope, tree)[0])
+    return constructed, replaced
+
+
+def one_valued(modules: dict[str, str], runs: dict[str, str]) -> tuple[list[Option], list[str]]:
+    """``(every option, the qualnames of those what runs passes no second
+    value)``.  A second value is any expression other than the default's
+    own, except one that forwards another option: a parameter of the
+    enclosing ``__init__`` that is itself an option, or an attribute read
+    named like an option (``config.idle_timeout``).  Those count once the
+    option they forward has a second value: the census iterates to a
+    fixpoint."""
+    found = options(modules)
+    constructed, replaced = passed_values(runs, {option.owner for option in found})
+    by_name: dict[str, list[Option]] = {}
+    for option in found:
+        by_name.setdefault(option.name, []).append(option)
+    sources = {}
+    for source in runs.values():
+        nodes = _nodes(source)
+        for node, (cls, function) in _scopes(nodes).items():
+            sources[node] = (cls, function)
+    values: dict[str, list[ast.expr | None]] = {}
+    for option in found:
+        passed = [
+            value
+            for key, value in constructed.get(option.owner, ())
+            if key == option.name
+            or key == "**"
+            or (option.position is not None and key == str(option.position))
+            or (key.startswith("*") and key != "**" and option.position is not None and int(key[1:]) <= option.position)
+        ]
+        if option.field:
+            passed += [value for _, value in replaced.get(option.name, ())]
+        values[option.qualname] = passed
+
+    def forwarded(option: Option, value: ast.expr) -> list[Option] | None:
+        if isinstance(value, ast.Attribute):
+            others = [other for other in by_name.get(value.attr, ()) if other is not option]
+            return others or None
+        if isinstance(value, ast.Name):
+            cls, function = sources.get(id(value), (None, None))
+            if function is not None and function.name == "__init__" and cls is not None:
+                return [
+                    other
+                    for other in by_name.get(value.id, ())
+                    if other.owner == cls.name and not other.field and other is not option
+                ] or None
+        return None
+
+    second: set[str] = set()
+    while True:
+        grown = {
+            option.qualname
+            for option in found
+            if any(
+                value is None
+                or (
+                    ast.dump(value) != option.default
+                    and (
+                        (others := forwarded(option, value)) is None
+                        or any(other.qualname in second for other in others)
+                    )
+                )
+                for value in values[option.qualname]
+            )
+        }
+        if grown == second:
+            break
+        second = grown
+    return found, sorted(option.qualname for option in found if option.qualname not in second)
+
+
+def test_every_option_has_two_values_in_what_runs(repository):
+    modules, _, runs = repository
+    found, one = one_valued(modules, runs)
+    _exact(one, ONE_VALUE, "an option what runs sets to one value only (ONE_VALUE; make it a constant)")
+    assert not [name for name, why in ONE_VALUE.items() if not ONE_VALUE_REASON.fullmatch(why.split(":")[0])]
+    counts: dict[str, int] = {}
+    for why in ONE_VALUE.values():
+        reason = why.split(":")[0]
+        counts[reason] = counts.get(reason, 0) + 1
+    print(f"options: {len(found)} settable values, {len(one)} with one value in what runs")
+    print("ONE_VALUE by reason:", ", ".join(f"{reason} {count}" for reason, count in sorted(counts.items())))
+
 
 def unused_imports(source: str, path: str) -> list[str]:
     """Every ``path:line: name`` that ``source`` imports and never uses.

@@ -38,11 +38,11 @@ these are the tests of this file (or, where named, another) that kill it:
   ``test_generic_writer_matches_the_codec`` and every route;
 * ``_send_packet`` files a ledger record for the ``final`` packet —
   ``test_connection_close_files_no_record_and_arms_no_timer``;
-* ``_send_packet`` files none for a reliable packet —
+* ``_send_packet`` files no record for a packet that is not ``final`` —
   ``test_generic_writer_matches_the_codec`` (and the liveness / 0-RTT tests of
   ``test_quic_connection.py``);
-* ``send_datagram_frame`` without the ``closed`` guard —
-  ``test_no_send_puts_a_packet_on_the_wire_after_close``;
+* ``send_stream_data`` or ``send_encoded_stream`` without the ``closed``
+  guard — ``test_no_send_puts_a_packet_on_the_wire_after_close``;
 * ``ControlMessage.encode`` does not patch the length in —
   ``test_moqt_wire.py::TestGoldenControlMessages`` (all 24 images);
 * ``decode_control_message`` assumes a one-byte type —
@@ -80,7 +80,6 @@ from repro.quic.errors import QuicConnectionError
 from repro.quic.frames import (
     ConnectionCloseFrame,
     CryptoFrame,
-    DatagramFrame,
     HandshakeDoneFrame,
     PingFrame,
     StreamFrame,
@@ -89,6 +88,7 @@ from repro.quic.packet import Packet, PacketType
 from repro.quic.tls import ServerTlsContext, SessionTicket, SessionTicketStore
 
 from connection_delegate import delegate_to
+from test_congestion import small_window_controller
 
 #: Both sides of every varint width boundary, plus the extremes.
 _EDGES = (0, 1, 63, 64, 16383, 16384, (1 << 30) - 1, 1 << 30, (1 << 62) - 1)
@@ -168,7 +168,6 @@ class TestWriterDifferential:
                 st.just(PingFrame()),
                 st.just(HandshakeDoneFrame()),
                 st.builds(StreamFrame, varints, varints, payloads, st.booleans()),
-                st.builds(DatagramFrame, st.binary(max_size=80)),
                 st.builds(ConnectionCloseFrame, varints, st.text(max_size=20)),
             ),
             min_size=1,
@@ -237,31 +236,20 @@ class TestCloseAndClosed:
 
     @pytest.mark.parametrize("end", ["close", "abandon"])
     def test_no_send_puts_a_packet_on_the_wire_after_close(self, end):
-        # send_datagram_frame had no guard: after close() it still sent a
-        # packet and bumped packets_sent / bytes_sent / datagrams_sent.
         sent: list[bytes] = []
         connection = _connection(sent)
         stream = connection.open_stream()
         getattr(connection, end)()
         on_the_wire = len(sent)
-        before = (
-            connection.statistics.packets_sent,
-            connection.statistics.bytes_sent,
-            connection.statistics.datagrams_sent,
-        )
+        before = (connection.statistics.packets_sent, connection.statistics.bytes_sent)
         for send in (
-            lambda: connection.send_datagram_frame(b"late"),
             lambda: connection.send_stream_data(stream, b"late"),
             lambda: connection.send_encoded_stream(b"late"),
         ):
             with pytest.raises(QuicConnectionError):
                 send()
         assert len(sent) == on_the_wire
-        assert before == (
-            connection.statistics.packets_sent,
-            connection.statistics.bytes_sent,
-            connection.statistics.datagrams_sent,
-        )
+        assert before == (connection.statistics.packets_sent, connection.statistics.bytes_sent)
 
 
 # -------------------------------------------------------------------- the routes
@@ -441,7 +429,7 @@ ROUTES = {
     "zero_rtt_rejected": (_zero_rtt_rejected, {"ticket": True, "accept_early_data": False}),
     "cwnd_blocked": (
         _cwnd_blocked,
-        {"controller": lambda: NewRenoCongestionController(initial_window_packets=2)},
+        {"controller": small_window_controller},
     ),
     "lost": (_lost, {}),
 }

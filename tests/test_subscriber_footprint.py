@@ -58,7 +58,6 @@ from repro.quic.frames import (
     AckFrame,
     AckRangesFrame,
     CryptoFrame,
-    DatagramFrame,
     HandshakeDoneFrame,
 )
 from repro.quic.endpoint import QuicEndpoint
@@ -247,7 +246,6 @@ SERVER_NAME = "peer"
 _STEP = st.one_of(
     st.just(("stream",)),
     st.just(("control",)),
-    st.just(("datagram",)),
     st.tuples(st.just("wait"), st.sampled_from([0.0, 0.01, 0.03, 0.07, 0.2, 0.6])),
     st.tuples(st.just("ack"), st.integers(min_value=-1, max_value=3)),
     st.tuples(st.just("ack_ranges"), st.integers(min_value=1, max_value=31)),
@@ -266,7 +264,6 @@ class _LedgerOracle:
         self.simulator = Simulator()
         self.sent_at: dict[int, float] = {}
         self.wire_size: dict[int, int] = {}
-        self.datagram_packets = 0
         tickets = SessionTicketStore()
         tickets.put(SessionTicket(server_name=SERVER_NAME, alpn="moq-00", issued_at=0.0, ticket_id=3))
         self.connection = _bare_connection(
@@ -282,7 +279,6 @@ class _LedgerOracle:
         self.controlled = congestion_control
         self.smoothed_rtt = 0.05
         self.peer_packet_number = 0
-        self.datagrams_asked = 0
         self.hello_seen = False
         self.connection.start_handshake()
         assert self.connection.used_0rtt
@@ -293,7 +289,6 @@ class _LedgerOracle:
         packet = Packet.decode(payload)
         self.sent_at[packet.packet_number] = self.simulator.now
         self.wire_size[packet.packet_number] = len(payload)
-        self.datagram_packets += sum(isinstance(f, DatagramFrame) for f in packet.frames)
 
     def receive(self, packet_type: PacketType, *frames) -> None:
         self.connection.datagram_received(
@@ -316,9 +311,6 @@ class _LedgerOracle:
             connection.send_encoded_stream(b"chunk" * 20)
         elif kind == "control":
             connection.send_stream_data(self.stream, b"control" * 3)
-        elif kind == "datagram":
-            self.datagrams_asked += 1
-            connection.send_datagram_frame(b"d" * 40)
         elif kind == "wait":
             # Waits straddle the probe timeout (0.125 s and its backoff), so
             # PTOs fire with zero, one and several packets outstanding.
@@ -351,11 +343,7 @@ class _LedgerOracle:
         in_flight = sum(record.wire_size for record in ledger.values())
         assert connection.congestion.bytes_in_flight == (in_flight if self.controlled else 0)
         assert connection.smoothed_rtt == self.smoothed_rtt
-        # Unreliable means sent once: no DATAGRAM frame is ever re-sent, and
-        # only a real controller files one (it is counting its bytes).
-        assert self.datagram_packets == self.datagrams_asked
-        if not self.controlled:
-            assert all(record.frames for record in ledger.values())
+        assert all(record.frames for record in ledger.values())
         assert connection.loss_deadline is not None or not ledger
 
 
@@ -383,30 +371,6 @@ class TestLedgerInvariant:
         packets = connection.statistics.packets_sent
         oracle.step(("wait", 5.0))
         assert connection.statistics.packets_sent == packets
-
-    @pytest.mark.parametrize("congestion_control", [False, True])
-    def test_a_lost_datagram_frame_is_declared_lost_not_resent(self, congestion_control):
-        oracle = _LedgerOracle(congestion_control)
-        oracle.step(("server_hello", True))
-        oracle.step(("ack", 10_000))
-        connection = oracle.connection
-        assert connection.unacked_packets == 0
-        oracle.step(("datagram",))
-        assert connection.unacked_packets == (1 if congestion_control else 0)
-        assert (connection.congestion.bytes_in_flight > 0) == congestion_control
-        retransmissions = connection.statistics.retransmissions
-        packets = connection.statistics.packets_sent
-        oracle.step(("wait", 0.15))  # past the probe timeout: never acknowledged
-        oracle.check()
-        # Nothing is left to probe for, so the loss timer is not re-armed.
-        assert connection.loss_deadline is None
-        oracle.step(("wait", 0.45))
-        assert connection.unacked_packets == 0
-        assert connection.congestion.bytes_in_flight == 0
-        assert connection.statistics.retransmissions == retransmissions
-        assert connection.statistics.packets_sent == packets
-        assert oracle.datagram_packets == 1
-
 
 # ------------------------------------------- (e) a dead connection keeps nothing
 def _all_connections(network):

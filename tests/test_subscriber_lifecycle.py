@@ -10,8 +10,8 @@ SUBSCRIBEs per second:
 * two named cases, each a bug of the two-path design (a re-attach refused by
   the new leaf's admission control stranded the subscriber for good; a retry
   timer armed before a move subscribed the track a second time after it);
-* a property drawing storm size, bucket depth, retry budget, spillover,
-  retry-after hints, a pinned or unpinned storm and the kill time (during the
+* a property drawing storm size, bucket depth, retry budget, spillover, a
+  pinned or unpinned storm and the kill time (during the
   joins, with retries pending, during the retries, after them), which lets
   the run quiesce and checks what the E-series states one fault at a time:
   every subscriber still being served holds exactly one live subscription
@@ -31,21 +31,29 @@ storm pinned to a leaf that has since died.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.moqt.origin import TRACK
-from repro.relaynet import AdmissionPolicy, RelayTreeSpec, RetryPolicy
+from repro.relaynet import AdmissionPolicy, RelayTreeSpec
+from repro.relaynet import topology as topology_module
 from repro.relaynet.scenario import Scenario, ScenarioRun, build_scenario
 
 
-def storm_under_admission(relays: int, bucket_depth: int, seed: int = 11, **policy) -> ScenarioRun:
+def retry_budget(patch: pytest.MonkeyPatch, attempts: int = 8, spillovers: int = 1) -> None:
+    """Set the client half of the admission contract for one test."""
+    patch.setattr(topology_module, "MAX_ADMISSION_ATTEMPTS", attempts)
+    patch.setattr(topology_module, "MAX_SPILLOVERS", spillovers)
+
+
+def storm_under_admission(relays: int, bucket_depth: int, seed: int = 11) -> ScenarioRun:
     """A star whose leaves admit two SUBSCRIBEs a second, two subscribers
     settled on it (delivery recorded), nothing else yet."""
     run = build_scenario(
         Scenario(
             spec=RelayTreeSpec.star(relays=relays),
             seed=seed,
-            admission=AdmissionPolicy(subscribe_rate=2.0, bucket_depth=bucket_depth, **policy),
+            admission=AdmissionPolicy(subscribe_rate=2.0, bucket_depth=bucket_depth),
         )
     )
     run.topology.attach_subscribers(2)
@@ -65,18 +73,16 @@ def live_subscriptions(subscriber) -> list:
 
 
 class TestNamedCompoundFaults:
-    def test_a_reattach_refused_by_admission_is_retried_not_stranded(self):
+    def test_a_reattach_refused_by_admission_is_retried_not_stranded(self, monkeypatch):
         # storm-2 was admitted at leaf 0; its recovery SUBSCRIBE is refused by
         # leaf 1's rate limit.  Nothing used to retry it: zero subscriptions,
         # and the event never completed — storm-3..5's records included,
         # although their own storm retries were later admitted at leaf 1.
+        retry_budget(monkeypatch, spillovers=0)
         run = storm_under_admission(relays=2, bucket_depth=1)
         topology = run.topology
         leaf = topology.leaves()[0]
-        storm = topology.flash_crowd(
-            4, 0.001, TRACK, on_object=record_storm(run),
-            retry=RetryPolicy(max_spillovers=0), leaf=leaf,
-        )
+        storm = topology.flash_crowd(4, 0.001, TRACK, on_object=record_storm(run), leaf=leaf)
         run.advance(0.1)
         event = topology.kill_relay(leaf)
         run.advance(10.0)
@@ -90,18 +96,16 @@ class TestNamedCompoundFaults:
         for subscriber in topology.subscribers:
             assert run.received[subscriber.index][-3:] == [2, 3, 4]
 
-    def test_a_retry_armed_before_a_move_does_not_subscribe_twice(self):
+    def test_a_retry_armed_before_a_move_does_not_subscribe_twice(self, monkeypatch):
         # storm-4 was refused at leaf 0 with a retry armed for +0.5 s; its
         # re-attach was accepted on relay-1, then the old timer fired and
         # SUBSCRIBEd again on the same session: two live subscriptions, and
         # every object crossed the access link twice.
+        retry_budget(monkeypatch, spillovers=0)
         run = storm_under_admission(relays=3, bucket_depth=2)
         topology = run.topology
         leaf = topology.leaves()[0]
-        topology.flash_crowd(
-            3, 0.001, TRACK, on_object=record_storm(run),
-            retry=RetryPolicy(max_spillovers=0), leaf=leaf,
-        )
+        topology.flash_crowd(3, 0.001, TRACK, on_object=record_storm(run), leaf=leaf)
         run.advance(0.1)
         topology.kill_relay(leaf)
         run.advance(3.0)
@@ -112,18 +116,16 @@ class TestNamedCompoundFaults:
             assert run.received[subscriber.index] == list(range(2, 10))
             assert subscriber.duplicate_objects_dropped == before[subscriber.index]
 
-    def test_a_reattach_out_of_budget_is_a_recorded_terminal_failure(self):
+    def test_a_reattach_out_of_budget_is_a_recorded_terminal_failure(self, monkeypatch):
         # One attempt each: storm-2 was admitted at leaf 0, storm-3..5 gave up
         # there.  storm-2's re-attach is refused by leaf 1 — a new journey,
         # out of budget at once; the given-up stormers are moved but not
         # re-subscribed.
+        retry_budget(monkeypatch, attempts=1, spillovers=0)
         run = storm_under_admission(relays=2, bucket_depth=1)
         topology = run.topology
         leaf = topology.leaves()[0]
-        storm = topology.flash_crowd(
-            4, 0.001, TRACK, on_object=record_storm(run),
-            retry=RetryPolicy(max_attempts=1, max_spillovers=0), leaf=leaf,
-        )
+        storm = topology.flash_crowd(4, 0.001, TRACK, on_object=record_storm(run), leaf=leaf)
         run.advance(0.1)
         event = topology.kill_relay(leaf)
         run.advance(10.0)
@@ -142,26 +144,27 @@ class TestNamedCompoundFaults:
             assert subscriber.admission.terminal and live_subscriptions(subscriber) == []
 
     def test_a_refused_reattach_that_spills_completes_where_it_is_admitted(self):
-        # storm-3 joins leaf 0 in the instant it dies; its re-attach is refused
-        # by relay-2 and spills to relay-1, where it is admitted — the failover
-        # record follows it there and completes.
-        run = storm_under_admission(relays=3, bucket_depth=1, advertise_retry_after=False)
+        # sub-0's leaf dies.  The least-loaded sibling, relay-2, spent its one
+        # token on storm-3 a moment ago and refuses the re-attach; relay-1,
+        # more loaded but refilled, has headroom, so sub-0 spills there and
+        # is admitted: the failover record follows it and completes.
+        run = storm_under_admission(relays=3, bucket_depth=1)
         topology = run.topology
-        leaf = topology.leaves()[0]
-        topology.flash_crowd(
-            2, 0.001, TRACK, on_object=record_storm(run), retry=RetryPolicy(max_spillovers=1)
-        )
-        run.simulator.call_later(0.0005, topology.kill_relay, leaf)
+        relay_1, relay_2 = topology.leaves()[1:]
+        topology.flash_crowd(1, 0.0, TRACK, on_object=record_storm(run), leaf=relay_1)
+        run.advance(1.0)  # relay-1's bucket refills
+        topology.flash_crowd(1, 0.0, TRACK, on_object=record_storm(run), leaf=relay_2)
+        run.advance(0.1)
+        event = topology.kill_relay(topology.leaves()[0])
         run.advance(10.0)
-        (event,) = topology.events
         assert event.complete and event.error == ""
-        record = event.records[-1]
-        stormer = topology.subscribers[-1]
-        assert record.name == stormer.host.address == "storm-3"
-        assert stormer.admission.spillovers == 1
-        assert record.new_parent == stormer.leaf.host.address == "relay-relay-1"
+        (record,) = event.records
+        subscriber = topology.subscribers[0]
+        assert record.name == subscriber.host.address == "sub-0"
+        assert (subscriber.admission.rejections, subscriber.admission.spillovers) == (1, 1)
+        assert record.new_parent == subscriber.leaf.host.address == "relay-relay-1"
         run.push(3)
-        assert run.received[stormer.index] == [2, 3, 4]
+        assert run.received[subscriber.index][-3:] == [2, 3, 4]
 
 
 #: Kill times after the storm starts: during the joins (later pinned joins
@@ -178,28 +181,25 @@ class TestCompoundFaultProperty:
         kill_at=KILL_AT,
         max_attempts=st.sampled_from([1, 2, 8]),
         max_spillovers=st.integers(min_value=0, max_value=1),
-        hinted=st.booleans(),
         seed=st.sampled_from([5, 11, 23]),
     )
     @settings(max_examples=150, deadline=None)
     def test_storm_and_leaf_death_quiesce_clean(
-        self, size, bucket_depth, pinned, kill_at, max_attempts, max_spillovers, hinted, seed
+        self, size, bucket_depth, pinned, kill_at, max_attempts, max_spillovers, seed
     ):
-        run = storm_under_admission(
-            relays=3, bucket_depth=bucket_depth, seed=seed, advertise_retry_after=hinted
-        )
-        topology = run.topology
-        leaf = topology.leaves()[0]
-        storm = topology.flash_crowd(
-            size, 0.001, TRACK, on_object=record_storm(run),
-            retry=RetryPolicy(max_attempts=max_attempts, max_spillovers=max_spillovers),
-            leaf=leaf if pinned else None,
-        )
-        run.simulator.call_later(kill_at, topology.kill_relay, leaf)
-        run.push(16)  # four seconds of updates, across the kill
-        run.advance(10.0)
-        run.push(2)
-        run.advance(2.0)
+        with pytest.MonkeyPatch.context() as patch:
+            retry_budget(patch, max_attempts, max_spillovers)
+            run = storm_under_admission(relays=3, bucket_depth=bucket_depth, seed=seed)
+            topology = run.topology
+            leaf = topology.leaves()[0]
+            storm = topology.flash_crowd(
+                size, 0.001, TRACK, on_object=record_storm(run), leaf=leaf if pinned else None
+            )
+            run.simulator.call_later(kill_at, topology.kill_relay, leaf)
+            run.push(16)  # four seconds of updates, across the kill
+            run.advance(10.0)
+            run.push(2)
+            run.advance(2.0)
 
         last = run.pushed + 1
         assert all(record.settled for record in storm.records)

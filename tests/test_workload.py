@@ -10,7 +10,7 @@ import pytest
 from repro.dns.name import Name
 from repro.dns.types import RecordType
 from repro.workload.change_model import ChangeModel, ChangeModelConfig, DYNAMIC_TTL_THRESHOLD
-from repro.workload.queries import QueryModel, QueryModelConfig
+from repro.workload.queries import ZIPF_EXPONENT, QueryModel, QueryModelConfig
 from repro.workload.toplist import PAPER_COVERAGE, SyntheticToplist, ToplistConfig
 from repro.workload.ttl_model import TTL_CLUSTERS, TtlModel
 from repro.workload.zones import WorkloadZones, ZoneBuildConfig
@@ -39,10 +39,6 @@ class TestTtlModel:
         model = TtlModel()
         total = sum(model.probability(RecordType.A, ttl) for ttl in TTL_CLUSTERS)
         assert total == pytest.approx(1.0)
-
-    def test_invalid_cluster_rejected(self):
-        with pytest.raises(ValueError):
-            TtlModel(weights={RecordType.A: {42: 1.0}})
 
 
 class TestToplist:
@@ -75,8 +71,6 @@ class TestToplist:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             ToplistConfig(size=0)
-        with pytest.raises(ValueError):
-            ToplistConfig(coverage={RecordType.A: 1.5})
 
 
 class TestChangeModel:
@@ -104,11 +98,15 @@ class TestChangeModel:
         assert first == tuple(sorted(process.current_addresses()))
 
     def test_change_produces_different_address_set(self):
-        model = ChangeModel(ChangeModelConfig(seed=1, dynamic_fraction_low_ttl=1.0,
-                                              dynamic_change_range=(1.0, 1.0)))
-        process = model.process_for(3, ttl=60)
+        model = ChangeModel(ChangeModelConfig(seed=1))
+        process = next(
+            process
+            for process in (model.process_for(index, ttl=60) for index in range(100))
+            if process.change_probability > 0
+        )
         before = process.current_sorted()
-        assert process.advance() is True
+        while not process.advance():
+            pass
         assert process.current_sorted() != before
 
     def test_processes_are_deterministic_per_domain(self):
@@ -124,10 +122,6 @@ class TestChangeModel:
     def test_dynamic_fraction_threshold(self):
         model = ChangeModel()
         assert model.dynamic_fraction(DYNAMIC_TTL_THRESHOLD) > model.dynamic_fraction(600)
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            ChangeModelConfig(dynamic_change_range=(0.9, 0.1))
 
 
 class TestWorkloadZones:
@@ -186,7 +180,7 @@ def _weights_reference(model: QueryModel, duration: float, client_seed: int) -> 
     ``choices(weights=...)`` over the raw Zipf weights, which ``choices``
     accumulates afresh on every draw."""
     config, toplist = model.config, model.toplist
-    weights = [1.0 / math.pow(rank, config.zipf_exponent) for rank in range(1, len(toplist) + 1)]
+    weights = [1.0 / math.pow(rank, ZIPF_EXPONENT) for rank in range(1, len(toplist) + 1)]
     rng = random.Random((config.seed << 16) ^ client_seed)
     events, now = [], 0.0
     while True:
@@ -231,12 +225,10 @@ class TestQueryModel:
         assert model.generate(10.0) == []
 
     @pytest.mark.parametrize("size", [10, 500, 2000])
-    @pytest.mark.parametrize("seed, exponent", [(1, 1.0), (7, 1.0), (23, 0.8)])
-    def test_stream_equals_the_per_draw_weights_reference(self, size, seed, exponent):
+    @pytest.mark.parametrize("seed", [1, 7, 23])
+    def test_stream_equals_the_per_draw_weights_reference(self, size, seed):
         toplist = SyntheticToplist(ToplistConfig(size=size, seed=5))
-        model = QueryModel(
-            toplist, QueryModelConfig(zipf_exponent=exponent, queries_per_second=20.0, seed=seed)
-        )
+        model = QueryModel(toplist, QueryModelConfig(queries_per_second=20.0, seed=seed))
         for client_seed in (0, 9):
             events = model.generate(30.0, client_seed=client_seed)
             assert [(e.time, e.domain.rank, e.rdtype) for e in events] == _weights_reference(
