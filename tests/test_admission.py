@@ -153,6 +153,35 @@ class TestTokenBucket:
         assert rejected.retry_after == 0.07
         assert controller.saturated(0.0, 2)
 
+    @given(
+        rate=st.floats(min_value=0.5, max_value=500.0),
+        depth=st.integers(1, 4),
+        arrivals=st.lists(
+            st.tuples(st.integers(0, 5), st.floats(0.0, 2.0), st.integers(0, 3)),
+            max_size=30,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_rejection_carries_a_hint(self, rate, depth, arrivals):
+        # A busy relay always says when to come back: rate and queue
+        # rejections, and an impatient retry's restated wait, carry a
+        # positive retry-after of at least 1 ms on the wire, rounded up.
+        policy = AdmissionPolicy(
+            subscribe_rate=rate, bucket_depth=depth,
+            max_pending_subscribes=3, queue_retry_after=0.05,
+        )
+        controller = AdmissionController(policy)
+        now = 0.0
+        for session, gap, pending in arrivals:
+            now += gap
+            decision = controller.decide(session, now, pending)
+            if decision.admitted:
+                assert decision.retry_after == 0.0 and decision.retry_after_ms == 0
+                continue
+            assert decision.retry_after > 0.0
+            assert decision.retry_after_ms >= 1
+            assert decision.retry_after_ms / 1000.0 >= decision.retry_after
+
 
 class TestRelayGate:
     def test_rejected_subscribe_leaves_no_dangling_state(self):
@@ -181,6 +210,22 @@ class TestRelayGate:
         # No dangling client-side state either.
         assert not late.session._pending_incoming_subscribes
         assert subscription.request_id not in late.session._subscriptions
+
+    def test_an_urgent_subscribe_is_refused_like_any_other(self):
+        # Admission ignores the subscriber priority: with the only token
+        # held, a SUBSCRIBE at the most urgent priority bounces with a hint.
+        policy = AdmissionPolicy(subscribe_rate=0.1, bucket_depth=1)
+        simulator, _, tree = build_tree(admission=policy, prewarm=1)
+        relay = tree.leaves()[0].relay
+        urgent = tree.attach_subscribers(1)[0]
+        responses = []
+        urgent.session.subscribe(TRACK, on_response=responses.append, subscriber_priority=0)
+        simulator.run(until=simulator.now + 2.0)
+        (subscription,) = responses
+        assert subscription.state == "error"
+        assert subscription.error_code == SubscribeErrorCode.TOO_MANY_SUBSCRIBERS
+        assert subscription.retry_after_ms > 0
+        assert relay.statistics.admission_rejections == 1
 
     def test_queue_bound_counts_queue_rejections(self):
         # Cold track: every SUBSCRIBE during the upstream round trip queues;

@@ -225,6 +225,22 @@ class TestConnectionIntegration:
         simulator.run(until=simulator.now + 20 * RTT)
         assert connection.cwnd_blocked_packets == 0
 
+    def test_acknowledged_stream_packets_leave_no_bytes_in_flight(self) -> None:
+        """Forty kilobyte packets, each acknowledged before the next: the
+        controller releases every byte and slow start grows the window."""
+        simulator, connection = _connected_pair(NewRenoCongestionController)
+        stream = connection.open_stream()
+        window = connection.congestion.congestion_window
+        for _ in range(40):
+            connection.send_stream_data(stream, bytes(1000), fin=False)
+            assert connection.congestion.bytes_in_flight > 0
+            simulator.run(until=simulator.now + 2 * RTT)
+            assert connection.congestion.bytes_in_flight == 0
+        assert connection.unacked_packets == 0
+        assert connection.statistics.retransmissions == 0
+        assert connection.cwnd_blocked_packets == 0
+        assert connection.congestion.congestion_window > window + 40_000
+
     def test_newreno_connection_reaches_the_same_payload(self) -> None:
         """Same delivered stream bytes with and without a tight window —
         congestion control delays, never drops."""

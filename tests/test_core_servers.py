@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.auth_server import MoqAuthoritativeServer
 from repro.core.compatibility import CompatibilityMode
-from repro.core.forwarder import MoqForwarder
+from repro.core.forwarder import ForwarderConfig, MoqForwarder
 from repro.core.mapping import DnsQuestionKey
 from repro.core.recursive import MoqRecursiveResolver
 from repro.dns.message import make_query
@@ -278,6 +278,28 @@ class TestMoqForwarder:
         assert responses[0].rcode == Rcode.NOERROR
         assert responses[0].answers[0].rdata.to_text() == "192.0.2.10"
         assert topology.forwarder.statistics.client_queries == 1
+
+    def test_the_classic_listener_is_bound_at_the_listen_port(self):
+        topology = SmallTopology()
+        assert topology.forwarder.address == Address(STUB_HOST, 53)
+        # A second forwarder on the same host listens where it is told and
+        # answers classic clients there, over its own MoQT session.
+        forwarder = MoqForwarder(
+            topology.network.host(STUB_HOST),
+            recursive_moqt_address=Address(RECURSIVE_HOST, MOQT_PORT),
+            config=ForwarderConfig(listen_port=5353),
+        )
+        assert forwarder.address == Address(STUB_HOST, 5353)
+        client = DnsUdpEndpoint(topology.network.host(STUB_HOST))
+        responses = []
+        client.query(
+            make_query("www.example.com.", "A"), Address(STUB_HOST, 5353), responses.append,
+            timeout=5.0,
+        )
+        topology.run(10.0)
+        assert responses[0].answers[0].rdata.to_text() == "192.0.2.10"
+        assert forwarder.statistics.client_queries == 1
+        assert topology.forwarder.statistics.client_queries == 0
 
     def test_repeat_queries_answered_locally_without_network(self):
         topology = SmallTopology()

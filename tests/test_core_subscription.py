@@ -165,6 +165,15 @@ class TestSessionManager:
         session = manager.get_session(Address("2.2.2.2", 4443))
         assert session.connection.config is connection
 
+    @pytest.mark.parametrize(
+        "timer", [{"idle_timeout": -1.0}, {"keepalive_interval": 0.0}, {"initial_rtt": 0.0}]
+    )
+    def test_a_bad_timer_fails_where_the_config_is_written(self, timer):
+        # No manager, no session: the connection config refuses the timer.
+        (name,) = timer
+        with pytest.raises(ValueError, match=name):
+            SessionManagerConfig(connection=ConnectionConfig(**timer))
+
     def test_state_summary_counts_open_sessions(self):
         simulator, manager = self._build()
         manager.get_session(Address("2.2.2.2", 4443))

@@ -78,6 +78,17 @@ class TestCacheBasics:
         entry = cache.get(name, RecordType.A)
         assert entry is not None and entry.rcode == Rcode.NXDOMAIN
 
+    def test_put_replaces_the_entry_and_restarts_its_ttl(self, simulator, cache):
+        name = Name.from_text("www.example.com.")
+        cache.put(name, RecordType.A, _rrset("www.example.com.", ["192.0.2.1"], ttl=10))
+        simulator.advance(8.0)
+        cache.put(name, RecordType.A, _rrset("www.example.com.", ["192.0.2.2"], ttl=10))
+        simulator.advance(8.0)
+        entry = cache.get(name, RecordType.A)
+        assert entry is not None and entry.inserted_at == 8.0
+        assert [record.rdata.to_text() for record in entry.rrset] == ["192.0.2.2"]
+        assert len(cache) == 1 and cache.statistics.insertions == 2
+
     def test_flush(self, cache):
         name = Name.from_text("www.example.com.")
         cache.put(name, RecordType.A, _rrset("www.example.com.", ["192.0.2.1"]))
@@ -93,6 +104,17 @@ class TestCacheBasics:
 
 
 class TestCacheBounds:
+    def test_live_entries_are_never_evicted(self, simulator, cache):
+        # The cache has no size bound: only a lookup past the TTL drops an
+        # entry, whatever the number or lifetimes of the others.
+        names = [Name.from_text(f"h{index}.example.com.") for index in range(300)]
+        for index, name in enumerate(names):
+            cache.put(name, RecordType.A, _rrset(name.to_text(), ["192.0.2.1"], ttl=10 + index))
+        assert len(cache) == 300
+        simulator.advance(9.0)
+        assert all(cache.get(name, RecordType.A) is not None for name in names)
+        assert cache.statistics.expirations == 0 and len(cache) == 300
+
     def test_pushed_updates_counted(self, cache):
         name = Name.from_text("www.example.com.")
         cache.put(name, RecordType.A, _rrset("www.example.com.", ["192.0.2.1"]), pushed=True)

@@ -117,6 +117,19 @@ class TestZeroRtt:
         assert second.handshake_rtts == 0.0
         assert replies[0] - start == pytest.approx(RTT)
 
+    def test_only_a_ticket_gates_early_data(self):
+        # 0-RTT is always offered: the first connection has no ticket and
+        # waits a round trip; every later one resumes with early data.
+        simulator, server_ep, client_ep, config, _ = _build()
+        assert client_ep.ticket_store.get(SERVER, simulator.now) is None
+        first = client_ep.connect(Address(SERVER, 4443), config)
+        simulator.run(until=1.0)
+        assert not first.used_0rtt and first.handshake_rtts == 1.0
+        for _ in range(2):
+            later = client_ep.connect(Address(SERVER, 4443), config)
+            simulator.run(until=simulator.now + 1.0)
+            assert later.used_0rtt and later.early_data_accepted
+
     def test_server_rejecting_early_data_still_delivers_after_handshake(self):
         simulator, server_ep, client_ep, config, _ = _build(server_accept_early=False)
         first = client_ep.connect(Address(SERVER, 4443), config)

@@ -372,6 +372,31 @@ class TestLedgerInvariant:
         oracle.step(("wait", 5.0))
         assert connection.statistics.packets_sent == packets
 
+    @pytest.mark.parametrize("congestion_control", [False, True])
+    def test_a_lost_stream_frame_is_declared_lost_and_resent(self, congestion_control):
+        oracle = _LedgerOracle(congestion_control)
+        oracle.step(("server_hello", True))
+        oracle.step(("ack", 10_000))
+        connection = oracle.connection
+        assert connection.unacked_packets == 0
+        oracle.step(("stream",))
+        oracle.check()
+        assert connection.unacked_packets == 1
+        assert (connection.congestion.bytes_in_flight > 0) == congestion_control
+        retransmissions = connection.statistics.retransmissions
+        oracle.step(("wait", 0.15))  # past the probe timeout: never acknowledged
+        oracle.check()
+        # The frame went out again in a new packet, filed in the ledger.
+        assert connection.statistics.retransmissions > retransmissions
+        assert connection.unacked_packets >= 1
+        assert connection.loss_deadline is not None
+        oracle.step(("ack", 10_000))
+        oracle.check()
+        assert connection.unacked_packets == 0
+        assert connection.congestion.bytes_in_flight == 0
+        assert connection.loss_deadline is None
+
+
 # ------------------------------------------- (e) a dead connection keeps nothing
 def _all_connections(network):
     for host in network.hosts():

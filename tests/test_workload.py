@@ -9,10 +9,15 @@ import pytest
 
 from repro.dns.name import Name
 from repro.dns.types import RecordType
-from repro.workload.change_model import ChangeModel, ChangeModelConfig, DYNAMIC_TTL_THRESHOLD
+from repro.workload.change_model import (
+    DYNAMIC_CHANGE_RANGE,
+    DYNAMIC_TTL_THRESHOLD,
+    ChangeModel,
+    ChangeModelConfig,
+)
 from repro.workload.queries import ZIPF_EXPONENT, QueryModel, QueryModelConfig
 from repro.workload.toplist import PAPER_COVERAGE, SyntheticToplist, ToplistConfig
-from repro.workload.ttl_model import TTL_CLUSTERS, TtlModel
+from repro.workload.ttl_model import DEFAULT_TTL_WEIGHTS, TTL_CLUSTERS, TtlModel
 from repro.workload.zones import WorkloadZones, ZoneBuildConfig
 
 
@@ -39,6 +44,22 @@ class TestTtlModel:
         model = TtlModel()
         total = sum(model.probability(RecordType.A, ttl) for ttl in TTL_CLUSTERS)
         assert total == pytest.approx(1.0)
+
+    def test_every_mixture_weights_exactly_the_clusters(self):
+        # Each record type's mixture names every cluster and nothing else,
+        # with non-negative weights that sum to one.
+        for rdtype, mixture in DEFAULT_TTL_WEIGHTS.items():
+            assert tuple(mixture) == TTL_CLUSTERS, rdtype
+            assert all(weight >= 0.0 for weight in mixture.values()), rdtype
+            assert sum(mixture.values()) == pytest.approx(1.0), rdtype
+
+    def test_a_type_without_a_mixture_draws_from_a(self):
+        model = TtlModel()
+        first, second = random.Random(4), random.Random(4)
+        assert RecordType.TXT not in DEFAULT_TTL_WEIGHTS
+        draws = [model.sample(RecordType.TXT, first) for _ in range(200)]
+        assert draws == [model.sample(RecordType.A, second) for _ in range(200)]
+        assert model.probability(RecordType.TXT, 300) == model.probability(RecordType.A, 300)
 
 
 class TestToplist:
@@ -122,6 +143,18 @@ class TestChangeModel:
     def test_dynamic_fraction_threshold(self):
         model = ChangeModel()
         assert model.dynamic_fraction(DYNAMIC_TTL_THRESHOLD) > model.dynamic_fraction(600)
+
+
+    def test_change_probabilities_come_from_the_calibrated_ranges(self):
+        # A dynamic domain changes with a probability inside
+        # DYNAMIC_CHANGE_RANGE; a static one never changes.
+        model = ChangeModel(ChangeModelConfig(seed=3))
+        low, high = DYNAMIC_CHANGE_RANGE
+        for ttl in (60, 3600):
+            probabilities = [model.process_for(index, ttl=ttl).change_probability for index in range(400)]
+            assert all(p == 0.0 or low <= p <= high for p in probabilities)
+            dynamic = sum(p > 0.0 for p in probabilities) / len(probabilities)
+            assert abs(dynamic - model.dynamic_fraction(ttl)) < 0.08, ttl
 
 
 class TestWorkloadZones:
