@@ -29,9 +29,7 @@ def main() -> None:
           "(the paper observes them 'almost exclusively' at 300 s)\n")
 
     print("== Fig. 1b — A-record changes over 300 TTL-spaced observations ==\n")
-    fig1b = run_fig1b(
-        population=min(population, 3000), observations=300, max_domains_per_ttl=150
-    )
+    fig1b = run_fig1b(population=min(population, 3000), max_domains_per_ttl=150)
     print(format_table(fig1b.rows()))
     print(
         "\nPaper's headline: TTLs <= 300 s show >= 71 changes at the 90th percentile, "

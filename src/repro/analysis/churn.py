@@ -6,12 +6,11 @@ On the simulated stack that costs a fixed number of round trips on the
 orphan <-> new-parent link:
 
 1. QUIC handshake — 1 RTT;
-2. MoQT session setup (CLIENT_SETUP / SERVER_SETUP) — 1 RTT, elided when
-   version negotiation rides the QUIC/TLS ALPN (§5.2's optimisation);
+2. MoQT session setup (CLIENT_SETUP / SERVER_SETUP) — 1 RTT (a relay
+   negotiates the version in SETUP, not in ALPN);
 3. SUBSCRIBE / SUBSCRIBE_OK — 1 RTT.
 
-So re-attach latency is ``3 x RTT`` (or ``2 x RTT`` with ALPN version
-negotiation), independent of tree size — which is what makes relay churn
+So re-attach latency is ``3 x RTT``, independent of tree size — which is what makes relay churn
 tolerable at CDN scale: killing a mid-tier relay under 1,000 subscribers
 costs each orphaned edge the same three metro round trips it would cost
 under ten.
@@ -45,13 +44,9 @@ class RecoveryModel:
     ----------
     link_delay:
         One-way delay of the orphan <-> new-parent link, in seconds.
-    alpn_version_negotiation:
-        Whether MoQT version negotiation rides the QUIC/TLS ALPN, removing
-        the dedicated SETUP round trip.
     """
 
     link_delay: float
-    alpn_version_negotiation: bool = False
 
     def __post_init__(self) -> None:
         if self.link_delay < 0:
@@ -63,16 +58,9 @@ class RecoveryModel:
         return 2.0 * self.link_delay
 
     @property
-    def setup_round_trips(self) -> int:
-        """Round trips before the orphan can re-SUBSCRIBE."""
-        if self.alpn_version_negotiation:
-            return QUIC_HANDSHAKE_RTTS
-        return QUIC_HANDSHAKE_RTTS + MOQT_SETUP_RTTS
-
-    @property
     def reattach_round_trips(self) -> int:
         """Round trips until the new parent has accepted the subscription."""
-        return self.setup_round_trips + SUBSCRIBE_RTTS
+        return QUIC_HANDSHAKE_RTTS + MOQT_SETUP_RTTS + SUBSCRIBE_RTTS
 
     @property
     def reattach_latency(self) -> float:
@@ -80,6 +68,6 @@ class RecoveryModel:
         return self.reattach_round_trips * self.rtt
 
 
-def recovery_model(link_delay: float, alpn_version_negotiation: bool = False) -> RecoveryModel:
+def recovery_model(link_delay: float) -> RecoveryModel:
     """Model an orphan re-homing over a link with the given one-way delay."""
-    return RecoveryModel(link_delay=link_delay, alpn_version_negotiation=alpn_version_negotiation)
+    return RecoveryModel(link_delay=link_delay)

@@ -22,7 +22,7 @@ the peer dies:
 Failover stacks on top: once detected, re-attaching through a new parent
 costs the 3-RTT floor (QUIC handshake, MoQT SETUP, SUBSCRIBE) modelled by
 :mod:`repro.analysis.churn` — so the subscriber-visible outage is
-``detection + 3 x RTT`` (2 RTT with ALPN version negotiation), and the gap
+``detection + 3 x RTT``, and the gap
 that the recovery FETCH must fill is bounded by the publish rate times that
 window.
 
@@ -35,8 +35,6 @@ against this model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.analysis.churn import RecoveryModel, recovery_model
 
 #: The transport's defaults, restated here as independent closed-form
 #: constants (this package deliberately never imports the implementation,
@@ -175,10 +173,3 @@ class DetectionModel:
     def detection_latency(self) -> float:
         """Seconds from the silent crash to the first in-band signal."""
         return self.detected_at - self.crashed_at
-
-    @staticmethod
-    def reattach_model(
-        link_delay: float, alpn_version_negotiation: bool = False
-    ) -> RecoveryModel:
-        """The re-attach floor an orphan pays after detection."""
-        return recovery_model(link_delay, alpn_version_negotiation)

@@ -15,8 +15,7 @@ three phases, each already modelled in this package:
    round — would land exactly here, and the model should name the seam.
 3. **Re-attach** — every tier-0 relay switches its uplink to the promoted
    standby over the pre-established link, paying the same 3-RTT floor
-   (QUIC handshake, MoQT SETUP, SUBSCRIBE — 2 RTT with ALPN version
-   negotiation) as any relay-tier failover:
+   (QUIC handshake, MoQT SETUP, SUBSCRIBE) as any relay-tier failover:
    :class:`repro.analysis.churn.RecoveryModel`.
 
 So the subscriber-visible promotion latency is ``detection + election +
@@ -57,21 +56,13 @@ class PromotionModel:
         first detector wins, exactly like the implementation).
     reattach:
         The re-attach floor a tier-0 relay pays against the promoted
-        standby (3-RTT on the origin link; 2-RTT with ALPN negotiation).
-    election_latency:
-        Seconds between the detection signal and the completed role swap;
-        :data:`ELECTION_LATENCY` (zero) for the synchronous local election.
+        standby (3-RTT on the origin link).
+
+    The election between them costs :data:`ELECTION_LATENCY`.
     """
 
     detection: DetectionModel
     reattach: RecoveryModel
-    election_latency: float = ELECTION_LATENCY
-
-    def __post_init__(self) -> None:
-        if self.election_latency < 0:
-            raise ValueError(
-                f"election latency must be non-negative: {self.election_latency}"
-            )
 
     @property
     def detection_latency(self) -> float:
@@ -92,19 +83,10 @@ class PromotionModel:
     def promotion_latency(self) -> float:
         """Seconds from the silent crash to tier-0 re-subscribed through
         the promoted standby: detection + election + the re-attach floor."""
-        return self.detection_latency + self.election_latency + self.reattach_latency
+        return self.detection_latency + ELECTION_LATENCY + self.reattach_latency
 
 
-def promotion_model(
-    detection: DetectionModel,
-    link_delay: float,
-    alpn_version_negotiation: bool = False,
-    election_latency: float = ELECTION_LATENCY,
-) -> PromotionModel:
+def promotion_model(detection: DetectionModel, link_delay: float) -> PromotionModel:
     """Model a promotion detected by ``detection`` with tier-0 relays
     re-attaching over a link with the given one-way delay."""
-    return PromotionModel(
-        detection=detection,
-        reattach=recovery_model(link_delay, alpn_version_negotiation),
-        election_latency=election_latency,
-    )
+    return PromotionModel(detection=detection, reattach=recovery_model(link_delay))

@@ -160,7 +160,8 @@ class MoqRecursiveResolver(SubscribingResolver):
         self._downstream: dict[DnsQuestionKey, list[PublisherSubscription]] = {}
         self._udp_client = DnsUdpEndpoint(host)
         self._downstream_sessions: list[MoqtSession] = []
-        self._moqt_endpoint = QuicEndpoint(
+        # The listener binds the MoQT port; the host's port table holds it.
+        QuicEndpoint(
             host,
             port=self.config.moqt_port,
             server_config=self.config.downstream_connection,

@@ -86,7 +86,7 @@ LOSSY_SUSPECT_AFTER = 6
 
 
 def _lossy_scenario(
-    spec: RelayTreeSpec, seed: int, payload_size: int, telemetry: Telemetry | None
+    spec: RelayTreeSpec, seed: int, telemetry: Telemetry | None
 ) -> Scenario:
     """The lossy-edge regime on ``spec``: NewReno on every relay's downstream
     (fan-out sender) side and the same desensitised failure detector (see
@@ -94,7 +94,6 @@ def _lossy_scenario(
     return Scenario(
         spec=spec,
         seed=seed,
-        payload_size=payload_size,
         downstream_connection=ConnectionConfig(
             alpn_protocols=(MOQT_ALPN,),
             liveness_suspect_after=LOSSY_SUSPECT_AFTER,
@@ -170,7 +169,7 @@ def _run_constrained_tree(
     )
 
 
-def calibrate_wire_bytes(payload_size: int, updates: int = 4, seed: int = 17) -> int:
+def calibrate_wire_bytes(updates: int = 4, seed: int = 17) -> int:
     """Exact on-the-wire bytes of one pushed update (one datagram per hop).
 
     Same minimal one-relay, one-subscriber calibration as E11's byte model,
@@ -178,7 +177,7 @@ def calibrate_wire_bytes(payload_size: int, updates: int = 4, seed: int = 17) ->
     needs — a non-integral result would mean the framing is not constant
     per update, which would invalidate the closed form, so it raises.
     """
-    value = calibrate_bytes_per_update(payload_size, updates=updates, seed=seed)
+    value = calibrate_bytes_per_update(updates=updates, seed=seed)
     if not float(value).is_integer():
         raise RuntimeError(f"per-update wire size is not constant: {value}")
     return int(value)
@@ -333,7 +332,6 @@ def run_constrained_tiers(
     updates: int = 5,
     mid_relays: int = 4,
     edge_per_mid: int = 4,
-    payload_size: int = 300,
     seed: int = 7,
     access_loss: float = 0.05,
     telemetry: Telemetry | None = None,
@@ -347,7 +345,7 @@ def run_constrained_tiers(
     """
     if list(bandwidths) != sorted(bandwidths, reverse=True):
         raise ValueError(f"bandwidth sweep must descend: {bandwidths}")
-    wire_bytes = calibrate_wire_bytes(payload_size, seed=seed + 1)
+    wire_bytes = calibrate_wire_bytes(seed=seed + 1)
     samples: list[ConstrainedTierSample] = []
     for bandwidth in bandwidths:
         model = ConstrainedPathModel(
@@ -369,7 +367,6 @@ def run_constrained_tiers(
                     bandwidth, mid_relays=mid_relays, edge_per_mid=edge_per_mid
                 ),
                 seed=seed,
-                payload_size=payload_size,
                 telemetry=telemetry,
             ),
             subscribers,
@@ -403,7 +400,6 @@ def run_constrained_tiers(
         _lossy_scenario(
             _constrained_spec(loss_bandwidth, access_loss, mid_relays, edge_per_mid),
             seed,
-            payload_size,
             telemetry,
         ),
         subscribers,

@@ -277,7 +277,6 @@ def run_failure_detection(
     updates_before: int = 4,
     updates_between: int = 6,
     updates_after: int = 6,
-    payload_size: int = 300,
     seed: int = 29,
     keepalive_interval: float = 0.5,
     subscriber_idle_timeout: float = 1.5,
@@ -306,7 +305,6 @@ def run_failure_detection(
         Scenario(
             spec=spec,
             seed=seed,
-            payload_size=payload_size,
             uplink_connection=ConnectionConfig(
                 alpn_protocols=(MOQT_ALPN,), keepalive_interval=keepalive_interval
             ),

@@ -26,7 +26,6 @@ class Fig1bResult:
     """Measured Fig. 1b data."""
 
     change_rates: ChangeRateResult
-    observations: int
 
     def rows(self) -> list[dict[str, float]]:
         """Per-TTL percentile rows."""
@@ -60,7 +59,6 @@ class Fig1bResult:
 
 def run_fig1b(
     population: int = 2_000,
-    observations: int = 300,
     max_domains_per_ttl: int | None = 150,
     seed: int = 20250624,
 ) -> Fig1bResult:
@@ -70,13 +68,11 @@ def run_fig1b(
     study needs 300 observations per domain; the per-TTL cap keeps the run
     short while leaving enough domains per cluster for stable percentiles.
     """
-    toplist = SyntheticToplist(ToplistConfig(size=population, seed=seed))
+    toplist = SyntheticToplist(ToplistConfig(size=population))
     change_model = ChangeModel(ChangeModelConfig(seed=seed))
     campaign = MeasurementCampaign(
         toplist,
         change_model=change_model,
-        config=CampaignConfig(
-            observations=observations, max_domains_per_ttl=max_domains_per_ttl
-        ),
+        config=CampaignConfig(max_domains_per_ttl=max_domains_per_ttl),
     )
-    return Fig1bResult(change_rates=campaign.change_rates(), observations=observations)
+    return Fig1bResult(change_rates=campaign.change_rates())

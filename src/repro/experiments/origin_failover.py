@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.promotion import PromotionModel, promotion_model
+from repro.analysis.promotion import ELECTION_LATENCY, PromotionModel, promotion_model
 from repro.experiments.failure_detection import MODEL_TOLERANCE, _snapshot_models
 from repro.moqt.relay import MOQT_ALPN
 from repro.quic.connection import ConnectionConfig
@@ -144,7 +144,7 @@ class OriginFailoverResult:
                 "phase": "elect",
                 "via": f"epoch {self.epoch}",
                 "measured_ms": 0.0,
-                "model_ms": round(self.model.election_latency * 1000, 3),
+                "model_ms": round(ELECTION_LATENCY * 1000, 3),
             },
             {
                 "phase": "reattach",
@@ -198,7 +198,6 @@ def run_origin_failover(
     updates_before: int = 4,
     updates_between: int = 6,
     updates_after: int = 6,
-    payload_size: int = 300,
     seed: int = 31,
     keepalive_interval: float = 0.5,
     telemetry: Telemetry | None = None,
@@ -227,7 +226,6 @@ def run_origin_failover(
         Scenario(
             spec=spec,
             seed=seed,
-            payload_size=payload_size,
             uplink_connection=ConnectionConfig(
                 alpn_protocols=(MOQT_ALPN,), keepalive_interval=keepalive_interval
             ),

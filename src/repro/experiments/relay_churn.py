@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from repro.analysis.churn import RecoveryModel, recovery_model
 from repro.relaynet import FailoverEvent, RelayTreeSpec
 from repro.relaynet.scenario import Scenario, build_scenario
-from repro.relaynet.topology import FailoverPolicy
 from repro.telemetry import Telemetry
 
 
@@ -158,9 +157,7 @@ def run_relay_churn(
     updates_before: int = 4,
     updates_between: int = 4,
     updates_after: int = 4,
-    payload_size: int = 300,
     seed: int = 23,
-    failover_policy: FailoverPolicy | None = None,
     kill_edge: bool = True,
     origins: int = 1,
     telemetry: Telemetry | None = None,
@@ -187,8 +184,6 @@ def run_relay_churn(
         Scenario(
             spec=spec,
             seed=seed,
-            payload_size=payload_size,
-            failover_policy=failover_policy,
             telemetry=telemetry,
         )
     )

@@ -75,7 +75,7 @@ def _run_tree(scenario: Scenario, subscribers: int, updates: int) -> TreeRun:
     )
 
 
-def calibrate_bytes_per_update(payload_size: int, updates: int = 4, seed: int = 17) -> float:
+def calibrate_bytes_per_update(updates: int = 4, seed: int = 17) -> float:
     """Measure the wire bytes of one pushed update on a minimal tree.
 
     A one-relay, one-subscriber star carries exactly one copy of every update
@@ -83,9 +83,7 @@ def calibrate_bytes_per_update(payload_size: int, updates: int = 4, seed: int = 
     divided by the update count is the per-update wire size (payload plus
     subgroup-stream and QUIC framing) the fan-out model scales up.
     """
-    scenario = Scenario(
-        spec=RelayTreeSpec.star(relays=1), seed=seed, payload_size=payload_size
-    )
+    scenario = Scenario(spec=RelayTreeSpec.star(relays=1), seed=seed)
     run = _run_tree(scenario, 1, updates)
     if run.delivered != updates:
         raise RuntimeError(f"calibration run lost updates: {run.delivered}/{updates}")
@@ -191,7 +189,6 @@ def run_relay_fanout(
     updates: int = 5,
     mid_relays: int = 4,
     edge_per_mid: int = 4,
-    payload_size: int = 300,
     seed: int = 7,
     telemetry: Telemetry | None = None,
     origins: int = 1,
@@ -209,11 +206,11 @@ def run_relay_fanout(
     end (later samples overwrite earlier gauges).  Measured byte counts are
     unaffected — the calibration run deliberately stays telemetry-free.
     """
-    bytes_per_update = calibrate_bytes_per_update(payload_size, seed=seed + 1)
+    bytes_per_update = calibrate_bytes_per_update(seed=seed + 1)
     spec = RelayTreeSpec.cdn(
         mid_relays=mid_relays, edge_per_mid=edge_per_mid, origins=origins
     )
-    scenario = Scenario(spec=spec, seed=seed, payload_size=payload_size, telemetry=telemetry)
+    scenario = Scenario(spec=spec, seed=seed, telemetry=telemetry)
     samples: list[FanoutSample] = []
     for count in subscriber_counts:
         run = _run_tree(scenario, count, updates)

@@ -21,12 +21,14 @@ from repro.workload.toplist import SyntheticToplist
 from repro.workload.ttl_model import TTL_CLUSTERS
 
 
+#: Number of consecutive observations per record (the paper's 300).
+OBSERVATIONS = 300
+
+
 @dataclass
 class CampaignConfig:
     """Parameters of the measurement campaign."""
 
-    #: Number of consecutive observations per record (the paper uses 300).
-    observations: int = 300
     #: Cap on domains per TTL cluster for the change-rate study (None = all).
     max_domains_per_ttl: int | None = None
 
@@ -96,7 +98,7 @@ class MeasurementCampaign:
         """Change counts over TTL-spaced observations per TTL cluster (Fig. 1b).
 
         For each domain publishing the analysed record type, the domain's
-        change process is observed ``observations`` times at TTL spacing; the
+        change process is observed :data:`OBSERVATIONS` times at TTL spacing; the
         lexicographically ordered RDATA of consecutive observations are
         compared and the changes counted, then summarised per TTL cluster.
         """
@@ -117,17 +119,17 @@ class MeasurementCampaign:
             per_ttl_domains[ttl] += 1
             process = self.change_model.process_for(domain.rank, ttl, rdtype)
             samples = [process.current_sorted()]
-            for _ in range(self.config.observations - 1):
+            for _ in range(OBSERVATIONS - 1):
                 process.advance()
                 samples.append(process.current_sorted())
             per_ttl_counts[ttl].append(count_changes(samples))
         summaries = {
-            ttl: summarize_change_counts(ttl, counts, self.config.observations)
+            ttl: summarize_change_counts(ttl, counts, OBSERVATIONS)
             for ttl, counts in per_ttl_counts.items()
             if counts
         }
         return ChangeRateResult(
             summaries=summaries,
-            observations=self.config.observations,
+            observations=OBSERVATIONS,
             per_domain_counts={ttl: counts for ttl, counts in per_ttl_counts.items() if counts},
         )

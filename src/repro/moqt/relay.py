@@ -549,6 +549,7 @@ class MoqtRelay:
                 if subscription.error_code in SubscribeErrorCode._value2member_map_
                 else SubscribeErrorCode.INTERNAL_ERROR,
                 reason=subscription.error_reason,
+                retry_after_ms=subscription.retry_after_ms,
             )
             track.subscription = None
         for waiter in waiting:

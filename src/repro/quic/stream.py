@@ -30,11 +30,6 @@ def make_stream_id(sequence: int, is_client: bool, direction: StreamDirection) -
     return stream_id
 
 
-def stream_is_unidirectional(stream_id: int) -> bool:
-    """Whether the stream is unidirectional."""
-    return stream_id & 0x2 != 0
-
-
 class QuicStream:
     """One stream of a connection.
 
@@ -70,13 +65,6 @@ class QuicStream:
         self.receive_closed = False
         self.bytes_sent = 0
         self.bytes_received = 0
-
-    @property
-    def direction(self) -> StreamDirection:
-        """Directionality derived from the stream ID."""
-        if stream_is_unidirectional(self.stream_id):
-            return StreamDirection.UNIDIRECTIONAL
-        return StreamDirection.BIDIRECTIONAL
 
     # ------------------------------------------------------------------- send
     def write(self, data: bytes, fin: bool = False) -> int:

@@ -12,8 +12,7 @@ turns that argument into an executable subsystem:
   origin/mid/edge hierarchy, each tier with its own link configuration;
 * :mod:`repro.relaynet.topology` — :class:`RelayTopology`, the live
   membership registry: dynamic join/leave (`add_relay`/`remove_relay`),
-  crash failover (`kill_relay`) with a pluggable policy
-  (:class:`SiblingFailover` by default), in-band
+  crash failover (`kill_relay`) to the least-loaded surviving sibling, in-band
   failure detection (`crash_relay` + `report_failure`, driven by QUIC
   liveness instead of a control-plane kill signal), load-aware subscriber
   placement, and FETCH-based gap recovery so established subscriptions
@@ -59,13 +58,11 @@ from repro.relaynet.stats import RelayNetStats, TierStats
 from repro.relaynet.topology import (
     AdmissionRecord,
     FailoverEvent,
-    FailoverPolicy,
     FailoverRecord,
     FlashCrowdStorm,
     NoSurvivingParentError,
     RelayNode,
     RelayTopology,
-    SiblingFailover,
     TreeSubscriber,
 )
 
@@ -86,9 +83,7 @@ __all__ = [
     "AdmissionPolicy",
     "AdmissionRecord",
     "FlashCrowdStorm",
-    "FailoverPolicy",
     "FailoverEvent",
     "FailoverRecord",
     "NoSurvivingParentError",
-    "SiblingFailover",
 ]

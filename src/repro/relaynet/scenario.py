@@ -23,7 +23,7 @@ from repro.quic.connection import ConnectionConfig
 from repro.relaynet.admission import AdmissionPolicy
 from repro.relaynet.origincluster import OriginCluster
 from repro.relaynet.spec import RelayTreeSpec
-from repro.relaynet.topology import FailoverPolicy, RelayTopology
+from repro.relaynet.topology import RelayTopology
 from repro.telemetry import Telemetry
 from repro.telemetry.collect import collect_run
 
@@ -31,11 +31,14 @@ from repro.telemetry.collect import collect_run
 #: traces without affecting byte counts on unconstrained links).
 UPDATE_INTERVAL = 0.25
 
+#: Bytes of one pushed record update.
+PAYLOAD_SIZE = 300
 
-def update_payload(group_id: int, payload_size: int) -> bytes:
-    """The ``payload_size``-byte record update pushed as group ``group_id``."""
+
+def update_payload(group_id: int) -> bytes:
+    """The :data:`PAYLOAD_SIZE`-byte record update pushed as group ``group_id``."""
     stem = f"update-{group_id}-".encode()
-    return (stem * (payload_size // len(stem) + 1))[:payload_size]
+    return (stem * (PAYLOAD_SIZE // len(stem) + 1))[:PAYLOAD_SIZE]
 
 
 @dataclass(frozen=True)
@@ -48,14 +51,12 @@ class Scenario:
     #: traffic on any tree link, so measured tier tables are bit-identical.
     spec: RelayTreeSpec
     seed: int
-    payload_size: int = 300
     #: QUIC configurations handed to the topology (relay uplinks, subscriber
     #: sessions, the relays' accepted downstream side); None keeps the
     #: historical wire-identical defaults.
     uplink_connection: ConnectionConfig | None = None
     subscriber_connection: ConnectionConfig | None = None
     downstream_connection: ConnectionConfig | None = None
-    failover_policy: FailoverPolicy | None = None
     admission: AdmissionPolicy | None = None
     #: Observational only: the span tracer (cleared at build, so one tracer
     #: can serve several seeded runs) records timestamps without scheduling
@@ -105,7 +106,7 @@ class ScenarioRun:
                 MoqtObject(
                     group_id=group_id,
                     object_id=0,
-                    payload=update_payload(group_id, self.scenario.payload_size),
+                    payload=update_payload(group_id),
                 )
             )
             self.pushed += 1
@@ -175,7 +176,6 @@ def build_scenario(scenario: Scenario) -> ScenarioRun:
         network,
         Address(ORIGIN_HOST, ORIGIN_PORT),
         spec,
-        failover_policy=scenario.failover_policy,
         uplink_connection=scenario.uplink_connection,
         subscriber_connection=scenario.subscriber_connection,
         downstream_connection=scenario.downstream_connection,

@@ -12,9 +12,8 @@ registry a running tree lives in:
   then the relay shuts down;
 * :meth:`RelayTopology.kill_relay` simulates a crash with a control-plane
   oracle: the relay vanishes silently and the topology re-homes every
-  orphan in the same instant through a pluggable :class:`FailoverPolicy` —
-  the least-loaded *sibling* of the dead relay by default, its
-  *grandparent* (or the origin) when no sibling survives;
+  orphan in the same instant — under the least-loaded *sibling* of the
+  dead relay, its *grandparent* (or the origin) when no sibling survives;
 * :meth:`RelayTopology.crash_relay` is the oracle-free fault injector: the
   relay vanishes and *nobody is told*.  Failover waits until some orphan's
   QUIC transport notices — consecutive probe timeouts on a keepalive'd
@@ -48,7 +47,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.moqt.errors import AdmissionRejectedError, SubscribeErrorCode
 from repro.moqt.objectmodel import MoqtObject
@@ -233,34 +232,6 @@ class TreeSubscriber:
 
 
 # ------------------------------------------------------------------- failover
-class FailoverPolicy(Protocol):
-    """Chooses the new parent for a relay orphaned by a failed node.
-
-    Returning ``None`` delegates to the structural fallback: the dead
-    relay's own parent (the orphan's grandparent), or the origin when the
-    dead relay sat directly below it.
-    """
-
-    def choose_parent(
-        self, topology: "RelayTopology", orphan: RelayNode, dead: RelayNode
-    ) -> RelayNode | None:
-        """Pick a new parent for ``orphan`` after ``dead`` failed."""
-
-
-class SiblingFailover:
-    """Re-home orphans under the least-loaded surviving sibling of the dead
-    relay (same tier), falling back to the grandparent when the whole tier
-    is gone.  Keeps the tree's depth — and therefore its fan-out arithmetic —
-    intact across failures."""
-
-    def choose_parent(
-        self, topology: "RelayTopology", orphan: RelayNode, dead: RelayNode
-    ) -> RelayNode | None:
-        return least_loaded(
-            [node for node in topology.tiers[dead.tier_index] if node.alive and node is not dead]
-        )
-
-
 @dataclass
 class FailoverRecord:
     """One orphan's journey to its new parent."""
@@ -484,8 +455,6 @@ class RelayTopology:
         The declarative shape to instantiate initially.
     port:
         Port every relay accepts downstream sessions on.
-    failover_policy:
-        How orphans pick a new parent; :class:`SiblingFailover` by default.
     uplink_connection:
         QUIC configuration for every relay's uplink.  In-band failure
         detection (E13) enables keepalives here so a silently crashed parent
@@ -517,7 +486,6 @@ class RelayTopology:
         origin: Address,
         spec: RelayTreeSpec,
         port: int = DEFAULT_MOQT_PORT,
-        failover_policy: FailoverPolicy | None = None,
         uplink_connection: ConnectionConfig | None = None,
         subscriber_connection: ConnectionConfig | None = None,
         downstream_connection: ConnectionConfig | None = None,
@@ -532,7 +500,6 @@ class RelayTopology:
         self.origin_cluster = origin_cluster
         self.spec = spec
         self.port = port
-        self.failover_policy = failover_policy if failover_policy is not None else SiblingFailover()
         self.uplink_connection = uplink_connection
         #: One instance for every subscriber session the topology opens.
         self.subscriber_connection = (
@@ -1249,7 +1216,12 @@ class RelayTopology:
     def _reparent_relay(
         self, child: RelayNode, dead: RelayNode, event: FailoverEvent, now: float
     ) -> None:
-        new_parent = self.failover_policy.choose_parent(self, child, dead)
+        # The least-loaded surviving sibling of the dead relay keeps the
+        # tree's depth, and so its fan-out arithmetic; with the whole tier
+        # gone, the grandparent (or the origin) takes the orphan.
+        new_parent = least_loaded(
+            [node for node in self.tiers[dead.tier_index] if node.alive and node is not dead]
+        )
         if new_parent is None and dead.parent is not None and dead.parent.alive:
             new_parent = dead.parent
         if new_parent is not None:

@@ -34,7 +34,7 @@ one modulo (push) or one failed dict lookup (hop/delivery).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.telemetry.metrics import _percentile
 
@@ -57,27 +57,6 @@ class ObjectSpan:
         #: (leaf relay host, subscriber index, delivery time) per sampled
         #: subscriber delivery.
         self.deliveries: list[tuple[str, int, float]] = []
-
-    def segments(self, origin_host: str | None = None) -> Iterator[tuple[tuple[str, ...], float]]:
-        """Per-delivery tier segments, each telescoping to end-to-end.
-
-        Yields ``(tier_path, end_to_end)`` implicitly via
-        :meth:`delivery_segments`; kept on the span for test introspection.
-        """
-        for leaf_host, _index, time in self.deliveries:
-            result = self.delivery_segments(leaf_host, time)
-            if result is not None:
-                yield result
-
-    def delivery_segments(
-        self, leaf_host: str, delivery_time: float
-    ) -> tuple[tuple[str, ...], float] | None:
-        """(Used via :meth:`SpanTracer.tier_breakdown`; see there.)"""
-        chain = self._chain(leaf_host)
-        if chain is None:
-            return None
-        tiers = tuple(tier for tier, _time in chain)
-        return tiers, delivery_time - self.push_time
 
     def _chain(self, leaf_host: str) -> list[tuple[str, float]] | None:
         """The relay chain for one delivery, origin-side first.

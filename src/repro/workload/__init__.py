@@ -22,7 +22,7 @@ population is synthesised:
 """
 
 from repro.workload.toplist import SyntheticToplist, ToplistDomain, ToplistConfig
-from repro.workload.ttl_model import TtlModel, TTL_CLUSTERS
+from repro.workload.ttl_model import TTL_CLUSTERS
 from repro.workload.change_model import ChangeModel, RecordChangeProcess, ChangeModelConfig
 from repro.workload.zones import WorkloadZones, ZoneBuildConfig
 from repro.workload.queries import QueryModel, QueryModelConfig
@@ -31,7 +31,6 @@ __all__ = [
     "SyntheticToplist",
     "ToplistDomain",
     "ToplistConfig",
-    "TtlModel",
     "TTL_CLUSTERS",
     "ChangeModel",
     "RecordChangeProcess",

@@ -4,7 +4,7 @@ The paper resolves the Tranco top-10k from 2025-06-24 and finds 8435 domains
 with A records, 2870 with AAAA records and 1835 with HTTPS records.  The
 synthetic list reproduces those coverage ratios (scaled to the configured
 population), assigns each domain a TTL per record type from the
-:class:`~repro.workload.ttl_model.TtlModel`, and gives every domain a rank so
+:func:`~repro.workload.ttl_model.sample_ttl`, and gives every domain a rank so
 query models can apply Zipf popularity.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.dns.name import Name
 from repro.dns.types import RecordType
-from repro.workload.ttl_model import TtlModel
+from repro.workload.ttl_model import sample_ttl
 
 #: Record-type coverage observed in the paper (fraction of the top-10k).
 PAPER_COVERAGE = {
@@ -50,12 +50,15 @@ class ToplistDomain:
         return rdtype in self.record_types
 
 
+#: The top list's RNG seed: the date of the paper's Tranco list.
+SEED = 2025_06_24
+
+
 @dataclass
 class ToplistConfig:
     """Parameters of the synthetic top list."""
 
     size: int = 10_000
-    seed: int = 2025_06_24
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -67,7 +70,7 @@ class SyntheticToplist:
 
     def __init__(self, config: ToplistConfig | None = None) -> None:
         self.config = config if config is not None else ToplistConfig()
-        self._rng = random.Random(self.config.seed)
+        self._rng = random.Random(SEED)
         self._domains: list[ToplistDomain] = []
         self._generate()
 
@@ -78,7 +81,6 @@ class SyntheticToplist:
 
     def _generate(self) -> None:
         coverage = PAPER_COVERAGE
-        ttl_model = TtlModel()
         for rank in range(1, self.config.size + 1):
             tld = self._pick_tld()
             name = Name.from_text(f"site{rank:05d}.{tld}.")
@@ -94,7 +96,7 @@ class SyntheticToplist:
             if self._rng.random() < coverage.get(RecordType.HTTPS, 0.0):
                 record_types.append(RecordType.HTTPS)
             ttls = tuple(
-                (rdtype, ttl_model.sample(rdtype, self._rng))
+                (rdtype, sample_ttl(rdtype, self._rng))
                 for rdtype in record_types
             )
             self._domains.append(

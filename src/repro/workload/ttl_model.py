@@ -27,23 +27,13 @@ DEFAULT_TTL_WEIGHTS: dict[RecordType, dict[int, float]] = {
 }
 
 
-class TtlModel:
-    """Samples TTLs per record type from :data:`DEFAULT_TTL_WEIGHTS` (a type
-    with no mixture of its own draws from A's)."""
-
-    weights = DEFAULT_TTL_WEIGHTS
-
-    def sample(self, rdtype: RecordType, rng: random.Random) -> int:
-        """Draw a TTL for a record of the given type."""
-        mixture = self.weights.get(rdtype)
-        if mixture is None:
-            mixture = self.weights[RecordType.A]
-        values = list(mixture.keys())
-        weights = [mixture[value] for value in values]
-        return rng.choices(values, weights=weights, k=1)[0]
-
-    def probability(self, rdtype: RecordType, ttl: int) -> float:
-        """The probability mass of a TTL cluster for a record type."""
-        mixture = self.weights.get(rdtype, self.weights[RecordType.A])
-        total = sum(mixture.values())
-        return mixture.get(ttl, 0.0) / total
+def sample_ttl(rdtype: RecordType, rng: random.Random) -> int:
+    """Draw a TTL for a record of the given type from
+    :data:`DEFAULT_TTL_WEIGHTS` (a type with no mixture of its own draws
+    from A's)."""
+    mixture = DEFAULT_TTL_WEIGHTS.get(rdtype)
+    if mixture is None:
+        mixture = DEFAULT_TTL_WEIGHTS[RecordType.A]
+    values = list(mixture.keys())
+    weights = [mixture[value] for value in values]
+    return rng.choices(values, weights=weights, k=1)[0]

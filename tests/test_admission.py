@@ -309,6 +309,33 @@ class TestFlashCrowd:
             for subscriber in spilled
         )
 
+    def test_a_mid_tier_refusal_reaches_the_subscriber_with_its_hint(self, monkeypatch):
+        # Three leaves below one mid relay: the mid's bucket admits two
+        # upstream SUBSCRIBEs and refuses the third leaf, which passes the
+        # refusal on.  The subscriber must wait the mid's hint (the reserved
+        # slot then admits its single retry), not retry at once and herd.
+        monkeypatch.setattr(topology_module, "MAX_SPILLOVERS", 0)
+        policy = AdmissionPolicy(subscribe_rate=2.0, bucket_depth=2)
+        run = build_scenario(
+            Scenario(
+                spec=RelayTreeSpec.cdn(mid_relays=1, edge_per_mid=3),
+                seed=11,
+                admission=policy,
+            )
+        )
+        tree = run.topology
+        run.advance(3.0)
+        storm = tree.flash_crowd(3, 0.001, TRACK)
+        run.advance(10.0)
+        storm.raise_for_failures()
+        assert storm.admitted == 3
+        assert tree.tiers[0][0].relay.statistics.admission_rejections == 1
+        assert all(leaf.relay.statistics.admission_rejections == 0 for leaf in tree.leaves())
+        (refused,) = [record for record in storm.records if record.rejections]
+        assert refused.attempts == 2 and refused.rejections == 1
+        (retry_at,) = refused.retry_schedule
+        assert retry_at >= refused.joined_at + 1 / policy.subscribe_rate
+
     def test_unlimited_baseline_high_water_equals_storm_size(self):
         simulator, _, tree = build_tree()
         storm = tree.flash_crowd(16, 0.001, TRACK)

@@ -120,7 +120,7 @@ def _subscribe_and_push(simulator, publisher, tree, groups):
 def _push(simulator, publisher, groups):
     for group_id in groups:
         publisher.push(
-            MoqtObject(group_id=group_id, object_id=0, payload=update_payload(group_id, 300))
+            MoqtObject(group_id=group_id, object_id=0, payload=update_payload(group_id))
         )
         simulator.run(until=simulator.now + UPDATE_INTERVAL)
 

@@ -99,7 +99,7 @@ def _count_decodes(monkeypatch) -> list[bytes]:
 def _chain():
     """Forwarder -> recursive -> authoritative over a small synthetic
     hierarchy, and the names of its A records."""
-    toplist = SyntheticToplist(ToplistConfig(size=40, seed=17))
+    toplist = SyntheticToplist(ToplistConfig(size=40))
     zones = WorkloadZones(
         toplist,
         change_model=ChangeModel(ChangeModelConfig(seed=17)),

@@ -63,13 +63,13 @@ class TestFig1aExperiment:
 
 class TestFig1bExperiment:
     def test_change_rate_shape_matches_paper(self):
-        result = run_fig1b(population=800, observations=300, max_domains_per_ttl=50)
+        result = run_fig1b(population=800, max_domains_per_ttl=50)
         assert result.matches_paper_shape()
         assert result.low_ttl_p90_minimum() >= 71
         assert result.high_ttl_p90_maximum() == 0
 
     def test_rows_cover_low_and_high_ttls(self):
-        result = run_fig1b(population=600, observations=120, max_domains_per_ttl=40)
+        result = run_fig1b(population=600, max_domains_per_ttl=40)
         ttls = [row["ttl"] for row in result.rows()]
         assert any(ttl <= 300 for ttl in ttls)
         assert any(ttl >= 600 for ttl in ttls)

@@ -15,7 +15,7 @@ from repro.workload.zones import WorkloadZones, ZoneBuildConfig
 
 @pytest.fixture(scope="module")
 def workload_topology():
-    toplist = SyntheticToplist(ToplistConfig(size=30, seed=17))
+    toplist = SyntheticToplist(ToplistConfig(size=30))
     zones = WorkloadZones(
         toplist,
         change_model=ChangeModel(ChangeModelConfig(seed=17)),
@@ -122,7 +122,7 @@ class TestWorkloadTopology:
 @pytest.mark.slow
 class TestMixedDeployment:
     def test_partial_moqt_deployment_still_resolves_everything(self):
-        toplist = SyntheticToplist(ToplistConfig(size=12, seed=23))
+        toplist = SyntheticToplist(ToplistConfig(size=12))
         zones = WorkloadZones(toplist, config=ZoneBuildConfig(auth_server_count=2))
         topology = build_workload_topology(zones, moqt_fraction=0.5)
         domains = [d for d in toplist.domains() if d.has_type(RecordType.A)][:6]

@@ -28,7 +28,7 @@ from repro.analysis.usecases import (
     deep_space_update_traffic_bps,
 )
 from repro.dns.types import RecordType
-from repro.measurement.campaign import CampaignConfig, MeasurementCampaign
+from repro.measurement.campaign import OBSERVATIONS, CampaignConfig, MeasurementCampaign
 from repro.measurement.change_rate import count_changes, summarize_change_counts
 from repro.workload.toplist import SyntheticToplist, ToplistConfig
 
@@ -58,9 +58,9 @@ class TestChangeCounting:
 class TestMeasurementCampaign:
     @pytest.fixture(scope="class")
     def campaign(self):
-        toplist = SyntheticToplist(ToplistConfig(size=800, seed=13))
+        toplist = SyntheticToplist(ToplistConfig(size=800))
         return MeasurementCampaign(
-            toplist, config=CampaignConfig(observations=100, max_domains_per_ttl=30)
+            toplist, config=CampaignConfig(max_domains_per_ttl=30)
         )
 
     def test_ttl_distribution_totals_match_toplist(self, campaign):
@@ -78,7 +78,7 @@ class TestMeasurementCampaign:
         assert low and high
         assert min(s.p90 for s in low) > 0.2 * 100
         assert max(s.p90 for s in high) == 0
-        assert all(s.observations == 100 for s in result.summaries.values())
+        assert all(s.observations == OBSERVATIONS for s in result.summaries.values())
 
     def test_max_domains_per_ttl_cap_respected(self, campaign):
         result = campaign.change_rates()

@@ -26,7 +26,7 @@ import pytest
 
 from repro.analysis.churn import recovery_model
 from repro.analysis.detection import DetectionModel
-from repro.analysis.promotion import ELECTION_LATENCY, PromotionModel, promotion_model
+from repro.analysis.promotion import ELECTION_LATENCY, promotion_model
 from repro.experiments.failure_detection import run_failure_detection
 from repro.experiments.origin_failover import run_origin_failover
 from repro.experiments.relay_churn import run_relay_churn
@@ -96,29 +96,11 @@ class TestPromotionModel:
         floor = recovery_model(0.020).reattach_latency
         assert model.detection_latency == detection.detection_latency
         assert model.path == "pto-suspect"
-        assert model.election_latency == ELECTION_LATENCY == 0.0
+        assert ELECTION_LATENCY == 0.0
         assert model.reattach_latency == pytest.approx(floor)
         assert model.promotion_latency == pytest.approx(
             detection.detection_latency + floor
         )
-
-    def test_explicit_election_latency_lands_between_detect_and_reattach(self):
-        model = promotion_model(self._detection(), 0.020, election_latency=0.1)
-        base = promotion_model(self._detection(), 0.020)
-        assert model.promotion_latency == pytest.approx(base.promotion_latency + 0.1)
-
-    def test_alpn_negotiation_shaves_a_round_trip(self):
-        slow = promotion_model(self._detection(), 0.020)
-        fast = promotion_model(self._detection(), 0.020, alpn_version_negotiation=True)
-        assert fast.promotion_latency < slow.promotion_latency
-
-    def test_negative_election_latency_is_rejected(self):
-        with pytest.raises(ValueError):
-            PromotionModel(
-                detection=self._detection(),
-                reattach=recovery_model(0.020),
-                election_latency=-0.1,
-            )
 
 
 class TestOriginCluster:

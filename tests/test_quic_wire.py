@@ -20,7 +20,6 @@ from repro.quic.stream import (
     QuicStream,
     StreamDirection,
     make_stream_id,
-    stream_is_unidirectional,
 )
 from repro.quic.tls import (
     AlpnMismatchError,
@@ -147,10 +146,6 @@ class TestStreamIds:
         assert make_stream_id(0, False, StreamDirection.BIDIRECTIONAL) == 1
         assert make_stream_id(0, True, StreamDirection.UNIDIRECTIONAL) == 2
         assert make_stream_id(0, False, StreamDirection.UNIDIRECTIONAL) == 3
-
-    def test_stream_id_predicates(self):
-        assert stream_is_unidirectional(2)
-        assert not stream_is_unidirectional(0)
 
 
 class TestStreamReassembly:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.churn import RecoveryModel, recovery_model
+from repro.analysis.churn import recovery_model
 from repro.moqt.objectmodel import Location, MoqtObject
 from repro.moqt.origin import (
     ORIGIN_HOST as ORIGIN,
@@ -36,14 +36,13 @@ from repro.netsim.simulator import Simulator
 from repro.relaynet import (
     RelayTreeBuilder,
     RelayTreeSpec,
-    SiblingFailover,
 )
 from repro.relaynet.scenario import Scenario, build_scenario
 
 
-def build_scene(spec: RelayTreeSpec, seed: int = 5, failover_policy=None):
+def build_scene(spec: RelayTreeSpec, seed: int = 5):
     """An origin publisher plus a built relay tree on a fresh network."""
-    run = build_scenario(Scenario(spec=spec, seed=seed, failover_policy=failover_policy))
+    run = build_scenario(Scenario(spec=spec, seed=seed))
     return run.simulator, run.network, run.origin, run.topology
 
 
@@ -733,8 +732,6 @@ class TestChurnExperimentAndModel:
         assert model.rtt == pytest.approx(0.020)
         assert model.reattach_round_trips == 3
         assert model.reattach_latency == pytest.approx(0.060)
-        alpn = RecoveryModel(link_delay=0.010, alpn_version_negotiation=True)
-        assert alpn.reattach_round_trips == 2
         with pytest.raises(ValueError):
             recovery_model(-1.0)
 

@@ -18,6 +18,7 @@ from repro.moqt.origin import OriginPublisher
 from repro.netsim.trace import NullTraceRecorder
 from repro.relaynet import OriginCluster, RelayTreeSpec
 from repro.relaynet.scenario import (
+    PAYLOAD_SIZE,
     UPDATE_INTERVAL,
     Scenario,
     build_scenario,
@@ -56,7 +57,7 @@ def test_build_installs_telemetry_and_starts_the_tracer_empty():
 @pytest.mark.parametrize("origins", [1, 2])
 def test_push_numbers_groups_from_two_an_interval_apart(origins):
     run = build_scenario(
-        Scenario(spec=RelayTreeSpec.cdn(origins=origins, **SMALL), seed=3, payload_size=40)
+        Scenario(spec=RelayTreeSpec.cdn(origins=origins, **SMALL), seed=3)
     )
     run.topology.attach_subscribers(4)
     run.record_deliveries()
@@ -75,7 +76,7 @@ def test_push_numbers_groups_from_two_an_interval_apart(origins):
         # is the only copy of an outage window.
         ring = run.origin._replay
         assert [obj.group_id for obj in ring] == [2, 3, 4]
-        assert ring[0].payload == update_payload(2, 40) and len(ring[0].payload) == 40
+        assert ring[0].payload == update_payload(2) and len(ring[0].payload) == PAYLOAD_SIZE
 
 
 def test_score_and_counters_after_a_leaf_kill():

@@ -55,17 +55,21 @@ An ``ast`` walk over the repository:
   hierarchy holds thousands of each).
 
 Methods go by name, so the census under-reports them: a method whose name
-another class's method or attribute shares passes.  Of 891 methods under
-``src/repro``, 466 share a name (the count prints with the test); the ones
-tests name were checked by hand against what runs, and what only tests
-reach is in ``HIDDEN_BY_NAME``.
+another class's method or attribute, or a bare name in what runs (a local,
+a parameter, a builtin), shares passes.  Of 882 methods under
+``src/repro``, 498 share a name (the count prints with the test).  Those
+that what runs names only as a bare name are found mechanically
+(:func:`bare_named_methods`); the others that tests name were checked by
+hand against what runs.  What only tests reach is in ``HIDDEN_BY_NAME``.
 
 * every option has two values in what runs: a defaulted field of a config
   dataclass or a defaulted ``__init__`` parameter under ``src/repro`` is
   passed a second value somewhere in ``src/``, ``examples/`` or
   ``benchmarks/`` (:func:`one_valued`), or it is in ``ONE_VALUE`` with its
   reason: ``deployment``, ``peer behaviour`` or the ``ROADMAP`` item that
-  sets it.  Any other option with one value in use is a constant.
+  sets it.  Any other option with one value in use is a constant.  A value
+  forwarded through a function's parameter is followed to the function's
+  callers.
 """
 
 from __future__ import annotations
@@ -150,16 +154,22 @@ HIDDEN_BY_NAME: dict[str, str] = {
     "core/subscription.py::SubscriptionRegistry.active": "observer: the tracked subscriptions",
     "dns/cache.py::DnsCache.entries": "observer: the cache content",
     "dns/server.py::AuthoritativeServer.zones": "observer: the zones served",
+    "dns/zone.py::Zone.names": "observer: the owner names in order of first appearance",
+    "experiments/compatibility.py::CompatibilityResult.outcome": "observer: one deployment scenario by mode",
     "experiments/failure_detection.py::FailureDetectionResult.gapless": "observer: every delivered sequence is gapless",
     "experiments/origin_failover.py::OriginFailoverResult.gapless": "observer: every delivered sequence is gapless",
+    "experiments/query_latency.py::QueryLatencyResult.measurement": "observer: one E4 scenario by name",
     "experiments/relay_churn.py::RelayChurnResult.gapless": "observer: every delivered sequence is gapless",
     "moqt/session.py::MoqtSession.liveness": "observer: the transport's liveness state",
     "moqt/track.py::FullTrackName.encoded_length": "oracle: the MoQT track-name length the mapping tests bound",
     "netsim/trace.py::TraceEvent.as_dict": "observer: one trace event as a row",
+    "netsim/trace.py::TraceRecorder.filter": "observer: the events a predicate selects",
+    "quic/endpoint.py::QuicEndpoint.connections": "observer: every connection the endpoint has seen",
     "relaynet/topology.py::FlashCrowdStorm.join_latencies": "observer: each stormer's join latency",
     "telemetry/metrics.py::Histogram.observe": "ROADMAP 4(b): a histogram the journal's runs fill",
     "telemetry/metrics.py::MetricsRegistry.counter": "ROADMAP 4(b): a counter the journal's runs register",
     "telemetry/metrics.py::MetricsRegistry.histogram": "ROADMAP 4(b): a histogram the journal's runs register",
+    "telemetry/metrics.py::NullMetrics.histogram": "ROADMAP 4(b): the null twin of a histogram the journal's runs register",
 }
 
 #: A string that may be an expression naming something: a ``getattr`` name,
@@ -431,10 +441,11 @@ def test_nothing_under_src_is_reached_only_by_tests(repository):
     print("TEST_ONLY by reason:", ", ".join(f"{reason} {count}" for reason, count in sorted(counts.items())))
 
 
-def name_shared_methods(modules: dict[str, str]) -> list[str]:
+def name_shared_methods(modules: dict[str, str], runs: dict[str, str]) -> list[str]:
     """``path::qualname`` of every method under ``src/repro`` whose name
-    another definition there, or an attribute assigned or declared there,
-    also has: the census counts a use of either as a use of the method."""
+    another definition there, an attribute assigned or declared there, or a
+    bare name in what runs (a variable, a parameter, a builtin) also has:
+    the census counts a use of any of them as a use of the method."""
     found = [
         (qualname, name, top)
         for path, source in modules.items()
@@ -454,14 +465,50 @@ def name_shared_methods(modules: dict[str, str]) -> list[str]:
                     for statement in node.body
                     if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)
                 )
+    for source in runs.values():
+        for node in _nodes(source):
+            if isinstance(node, ast.Name):
+                attributes.add(node.id)
+            elif isinstance(node, ast.arg):
+                attributes.add(node.arg)
     return sorted(qualname for qualname, name, top in found if not top and (owners[name] > 1 or name in attributes))
+
+
+def bare_named_methods(modules: dict[str, str], runs: dict[str, str]) -> list[str]:
+    """Methods under ``src/repro`` that what runs names, but never as an
+    attribute (``x.method``) nor in their own class body: only a bare name
+    shares the method's name, so nothing that runs reaches it."""
+    attributes = {node.attr for source in runs.values() for node in _nodes(source) if isinstance(node, ast.Attribute)}
+    names = {node.id for source in runs.values() for node in _nodes(source) if isinstance(node, ast.Name)}
+    found = []
+    for path, source in modules.items():
+        for node in _nodes(source):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            body = {
+                name.id
+                for statement in node.body
+                if not isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for name in ast.walk(statement)
+                if isinstance(name, ast.Name)
+            }
+            found += [
+                f"{path}::{node.name}.{method.name}"
+                for method in node.body
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not _dunder(method.name)
+                and method.name in names - attributes - body
+            ]
+    return sorted(found)
 
 
 def test_the_methods_the_census_cannot_see_are_counted_and_checked(repository):
     modules, corpus, runs = repository
-    shared = name_shared_methods(modules)
+    shared = name_shared_methods(modules, runs)
     methods = sum(not top for path, source in modules.items() for *_, top in definitions(source, path))
     print(f"methods: {methods}, {len(shared)} share a name; HIDDEN_BY_NAME {len(HIDDEN_BY_NAME)}")
+    # Those only a local name in what runs shares are found mechanically.
+    assert [name for name in bare_named_methods(modules, runs) if name not in HIDDEN_BY_NAME] == []
     # Each listed method is hidden, is named by a test, and has a reason.
     assert sorted(HIDDEN_BY_NAME) == [name for name in shared if name in HIDDEN_BY_NAME]
     tests = Census({path: source for path, source in corpus.items() if path not in runs})
@@ -603,6 +650,8 @@ ONE_VALUE: dict[str, str] = {
     "experiments/relay_fanout.py::FanoutSample.link_batch_fallback_waves": "ROADMAP 0(a): the constant 0 E11 prints goes with the benchmark's read of it",
     "experiments/relay_fanout.py::TreeRun.link_batch_fallback_waves": "ROADMAP 0(a): the constant 0 E11 prints goes with the benchmark's read of it",
     "moqt/origin.py::OriginPublisher(track)": "deployment: the name the track is published at",
+    "moqt/receiver.py::TrackReceiver(telemetry)": "ROADMAP 4(b): the telemetry of a traced run",
+    "netsim/network.py::Network(telemetry)": "ROADMAP 4(b): the telemetry of a traced run",
     "quic/tls.py::ServerTlsContext.accept_early_data": "peer behaviour: a server that refuses 0-RTT",
     "quic/tls.py::SessionTicket.lifetime": "peer behaviour: a server whose tickets expire",
     "relaynet/admission.py::AdmissionPolicy.max_pending_subscribes": "ROADMAP 3(c): the pending-subscribe cap 3(c) makes binding",
@@ -610,6 +659,7 @@ ONE_VALUE: dict[str, str] = {
     "relaynet/origincluster.py::OriginCluster(host)": "deployment: the active origin's host",
     "relaynet/origincluster.py::OriginCluster(port)": "deployment: the origins' port",
     "relaynet/origincluster.py::OriginCluster(track)": "deployment: the name the track is published at",
+    "relaynet/scenario.py::Scenario.telemetry": "ROADMAP 4(b): the telemetry of a traced run",
     "relaynet/spec.py::RelayTreeSpec.host_prefix": "deployment: the relays' host names",
     "relaynet/topology.py::RelayTopology(port)": "deployment: the relays' port",
     "telemetry/__init__.py::Telemetry(metrics)": "ROADMAP 4(b): a run's own registry, which the journal's runs pass",
@@ -896,17 +946,76 @@ def one_valued(modules: dict[str, str], runs: dict[str, str]) -> tuple[list[Opti
     enclosing ``__init__`` that is itself an option, or an attribute read
     named like an option (``config.idle_timeout``).  Those count once the
     option they forward has a second value: the census iterates to a
-    fixpoint."""
+    fixpoint.  A parameter of any other function is followed to what the
+    function's callers pass it (its default where a call leaves it out),
+    through as many functions as forward it; a function that what runs
+    also names without calling it (a callback) passes an unreadable value."""
     found = options(modules)
     constructed, replaced = passed_values(runs, {option.owner for option in found})
     by_name: dict[str, list[Option]] = {}
     for option in found:
         by_name.setdefault(option.name, []).append(option)
     sources = {}
+    #: function name -> [(a call naming it, the call's function, its tree)].
+    calls: dict[str, list[tuple[ast.Call, ast.FunctionDef | None, ast.AST]]] = {}
+    #: names what runs reads other than as a call's callee or a local.
+    referenced: set[str] = set()
+    local: dict[int, set[str]] = {}
     for source in runs.values():
         nodes = _nodes(source)
         for node, (cls, function) in _scopes(nodes).items():
             sources[node] = (cls, function)
+        callees = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
+        for node in nodes:
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node.func) or "", []).append((node, sources[id(node)][1], nodes[0]))
+            elif isinstance(node, ast.Attribute) and id(node) not in callees:
+                referenced.add(node.attr)
+            elif isinstance(node, ast.Name) and id(node) not in callees:
+                function = sources[id(node)][1]
+                if function is not None and id(function) not in local:
+                    local[id(function)] = {argument.arg for argument in ast.walk(function.args) if isinstance(argument, ast.arg)} | {
+                        name.id for name in ast.walk(function) if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                    }
+                if function is None or node.id not in local[id(function)]:
+                    referenced.add(node.id)
+
+    def received(value: ast.expr | None, seen: frozenset[int] = frozenset()) -> list[ast.expr | None]:
+        """``value``, or what reaches it when it is a parameter of a plain
+        function: each caller's argument, or the parameter's default."""
+        if not isinstance(value, ast.Name):
+            return [value]
+        cls, function = sources.get(id(value), (None, None))
+        if function is None or function.name == "__init__" or id(function) in seen:
+            return [value]
+        arguments = function.args
+        positional = arguments.posonlyargs + arguments.args
+        defaults = dict(zip(positional[len(positional) - len(arguments.defaults):], arguments.defaults))
+        defaults.update((argument, default) for argument, default in zip(arguments.kwonlyargs, arguments.kw_defaults) if default)
+        parameter = next((argument for argument in positional + arguments.kwonlyargs if argument.arg == value.id), None)
+        if parameter is None:
+            return [value]
+        if function.name in referenced:
+            return [None]
+        bound = cls is not None and positional and positional[0].arg in ("self", "cls")
+        index = positional.index(parameter) if parameter in positional else None
+        found: list[ast.expr | None] = []
+        for call, scope, tree in calls.get(function.name, ()):
+            offset = 1 if bound and isinstance(call.func, ast.Attribute) else 0
+            passed, unread = _passed(call, scope, tree)
+            given = [
+                argument
+                for key, argument in passed
+                if key == parameter.arg
+                or (index is not None and key == str(index - offset))
+                or (key.startswith("*") and index is not None and int(key[1:]) <= index - offset)
+            ]
+            if unread is not None:
+                given.append(None)
+            for argument in given or [defaults.get(parameter)]:
+                found += received(argument, seen | {id(function)})
+        return found
+
     values: dict[str, list[ast.expr | None]] = {}
     for option in found:
         passed = [
@@ -919,7 +1028,7 @@ def one_valued(modules: dict[str, str], runs: dict[str, str]) -> tuple[list[Opti
         ]
         if option.field:
             passed += [value for _, value in replaced.get(option.name, ())]
-        values[option.qualname] = passed
+        values[option.qualname] = [value for one in passed for value in received(one)]
 
     def forwarded(option: Option, value: ast.expr) -> list[Option] | None:
         if isinstance(value, ast.Attribute):
@@ -969,6 +1078,38 @@ def test_every_option_has_two_values_in_what_runs(repository):
         counts[reason] = counts.get(reason, 0) + 1
     print(f"options: {len(found)} settable values, {len(one)} with one value in what runs")
     print("ONE_VALUE by reason:", ", ".join(f"{reason} {count}" for reason, count in sorted(counts.items())))
+
+
+def test_option_census_follows_a_parameter_to_the_callers():
+    # The re-attach model's ALPN flag as it stood: set only through the
+    # factory's own parameter, whose callers never pass it.
+    model = '''
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class RecoveryModel:
+    link_delay: float
+    alpn_version_negotiation: bool = False
+
+
+def recovery_model(link_delay, alpn_version_negotiation=False):
+    return RecoveryModel(link_delay=link_delay, alpn_version_negotiation=alpn_version_negotiation)
+'''
+    modules = {"analysis/churn.py": model}
+
+    def one(caller: str) -> list[str]:
+        runs = {"src/repro/analysis/churn.py": model, "src/repro/experiments/run.py": caller}
+        return one_valued(modules, runs)[1]
+
+    flag = ["analysis/churn.py::RecoveryModel.alpn_version_negotiation"]
+    assert one("def run():\n    return recovery_model(0.01)\n") == flag
+    # A parameter is followed through every function that forwards it.
+    assert one("def run(alpn):\n    return recovery_model(0.01, alpn)\n") == flag
+    assert one("def run(config):\n    return recovery_model(0.01, config.alpn)\n") == []
+    assert one("def run():\n    return recovery_model(0.01, alpn_version_negotiation=True)\n") == []
+    # Handed on as a callback, the function's calls are out of sight.
+    assert one("def run(schedule):\n    schedule(recovery_model)\n") == []
 
 
 def unused_imports(source: str, path: str) -> list[str]:

@@ -17,33 +17,26 @@ from repro.workload.change_model import (
 )
 from repro.workload.queries import ZIPF_EXPONENT, QueryModel, QueryModelConfig
 from repro.workload.toplist import PAPER_COVERAGE, SyntheticToplist, ToplistConfig
-from repro.workload.ttl_model import DEFAULT_TTL_WEIGHTS, TTL_CLUSTERS, TtlModel
+from repro.workload.ttl_model import DEFAULT_TTL_WEIGHTS, TTL_CLUSTERS, sample_ttl
 from repro.workload.zones import WorkloadZones, ZoneBuildConfig
 
 
 @pytest.fixture(scope="module")
 def toplist() -> SyntheticToplist:
-    return SyntheticToplist(ToplistConfig(size=2000, seed=7))
+    return SyntheticToplist(ToplistConfig(size=2000))
 
 
 class TestTtlModel:
     def test_samples_come_from_observed_clusters(self):
-        model = TtlModel()
         rng = random.Random(1)
         for rdtype in (RecordType.A, RecordType.AAAA, RecordType.HTTPS):
             for _ in range(200):
-                assert model.sample(rdtype, rng) in TTL_CLUSTERS
+                assert sample_ttl(rdtype, rng) in TTL_CLUSTERS
 
     def test_https_ttls_cluster_at_300(self):
-        model = TtlModel()
         rng = random.Random(2)
-        samples = [model.sample(RecordType.HTTPS, rng) for _ in range(500)]
+        samples = [sample_ttl(RecordType.HTTPS, rng) for _ in range(500)]
         assert samples.count(300) / len(samples) > 0.9
-
-    def test_probability_normalised(self):
-        model = TtlModel()
-        total = sum(model.probability(RecordType.A, ttl) for ttl in TTL_CLUSTERS)
-        assert total == pytest.approx(1.0)
 
     def test_every_mixture_weights_exactly_the_clusters(self):
         # Each record type's mixture names every cluster and nothing else,
@@ -54,12 +47,10 @@ class TestTtlModel:
             assert sum(mixture.values()) == pytest.approx(1.0), rdtype
 
     def test_a_type_without_a_mixture_draws_from_a(self):
-        model = TtlModel()
         first, second = random.Random(4), random.Random(4)
         assert RecordType.TXT not in DEFAULT_TTL_WEIGHTS
-        draws = [model.sample(RecordType.TXT, first) for _ in range(200)]
-        assert draws == [model.sample(RecordType.A, second) for _ in range(200)]
-        assert model.probability(RecordType.TXT, 300) == model.probability(RecordType.A, 300)
+        draws = [sample_ttl(RecordType.TXT, first) for _ in range(200)]
+        assert draws == [sample_ttl(RecordType.A, second) for _ in range(200)]
 
 
 class TestToplist:
@@ -75,8 +66,8 @@ class TestToplist:
             assert abs(observed - fraction) < 0.04, rdtype
 
     def test_deterministic_given_seed(self):
-        first = SyntheticToplist(ToplistConfig(size=100, seed=3))
-        second = SyntheticToplist(ToplistConfig(size=100, seed=3))
+        first = SyntheticToplist(ToplistConfig(size=100))
+        second = SyntheticToplist(ToplistConfig(size=100))
         assert [d.name for d in first] == [d.name for d in second]
         assert [d.ttls for d in first] == [d.ttls for d in second]
 
@@ -160,7 +151,7 @@ class TestChangeModel:
 class TestWorkloadZones:
     @pytest.fixture(scope="class")
     def zones(self) -> WorkloadZones:
-        toplist = SyntheticToplist(ToplistConfig(size=50, seed=3))
+        toplist = SyntheticToplist(ToplistConfig(size=50))
         return WorkloadZones(toplist, config=ZoneBuildConfig(auth_server_count=3))
 
     def test_root_zone_delegates_every_tld(self, zones):
@@ -227,14 +218,14 @@ def _weights_reference(model: QueryModel, duration: float, client_seed: int) -> 
 
 class TestQueryModel:
     def test_zipf_popularity_prefers_top_ranks(self):
-        toplist = SyntheticToplist(ToplistConfig(size=500, seed=5))
+        toplist = SyntheticToplist(ToplistConfig(size=500))
         model = QueryModel(toplist, QueryModelConfig(seed=1))
         samples = [model.sample_domain().rank for _ in range(3000)]
         top_100 = sum(1 for rank in samples if rank <= 100)
         assert top_100 / len(samples) > 0.5
 
     def test_generated_stream_is_sorted_and_bounded(self):
-        toplist = SyntheticToplist(ToplistConfig(size=100, seed=5))
+        toplist = SyntheticToplist(ToplistConfig(size=100))
         model = QueryModel(toplist, QueryModelConfig(queries_per_second=5.0, seed=2))
         events = model.generate(duration=60.0, client_seed=1)
         times = [event.time for event in events]
@@ -244,7 +235,7 @@ class TestQueryModel:
         assert len({event.domain.name for event in events}) <= 100
 
     def test_sample_type_respects_domain_capabilities(self):
-        toplist = SyntheticToplist(ToplistConfig(size=200, seed=5))
+        toplist = SyntheticToplist(ToplistConfig(size=200))
         model = QueryModel(toplist)
         for domain in toplist.domains()[:50]:
             if not domain.record_types:
@@ -253,14 +244,14 @@ class TestQueryModel:
             assert rdtype in domain.record_types
 
     def test_zero_rate_yields_empty_stream(self):
-        toplist = SyntheticToplist(ToplistConfig(size=10, seed=5))
+        toplist = SyntheticToplist(ToplistConfig(size=10))
         model = QueryModel(toplist, QueryModelConfig(queries_per_second=0.0))
         assert model.generate(10.0) == []
 
     @pytest.mark.parametrize("size", [10, 500, 2000])
     @pytest.mark.parametrize("seed", [1, 7, 23])
     def test_stream_equals_the_per_draw_weights_reference(self, size, seed):
-        toplist = SyntheticToplist(ToplistConfig(size=size, seed=5))
+        toplist = SyntheticToplist(ToplistConfig(size=size))
         model = QueryModel(toplist, QueryModelConfig(queries_per_second=20.0, seed=seed))
         for client_seed in (0, 9):
             events = model.generate(30.0, client_seed=client_seed)
@@ -269,7 +260,7 @@ class TestQueryModel:
             )
 
     def test_streams_deterministic_per_client_seed(self):
-        toplist = SyntheticToplist(ToplistConfig(size=100, seed=5))
+        toplist = SyntheticToplist(ToplistConfig(size=100))
         model = QueryModel(toplist, QueryModelConfig(seed=3))
         first = model.generate(30.0, client_seed=9)
         second = model.generate(30.0, client_seed=9)
