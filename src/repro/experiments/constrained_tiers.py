@@ -34,7 +34,6 @@ from repro.quic.congestion import NewRenoCongestionController
 from repro.quic.connection import ConnectionConfig
 from repro.relaynet import RelayNetStats, RelayTreeSpec
 from repro.relaynet.scenario import UPDATE_INTERVAL, Scenario, build_scenario
-from repro.telemetry import Telemetry
 
 #: Per-tier propagation delays — identical to the unconstrained E11 CDN
 #: defaults, so the only variable the sweep moves is bandwidth.
@@ -85,9 +84,7 @@ def _constrained_spec(
 LOSSY_SUSPECT_AFTER = 6
 
 
-def _lossy_scenario(
-    spec: RelayTreeSpec, seed: int, telemetry: Telemetry | None
-) -> Scenario:
+def _lossy_scenario(spec: RelayTreeSpec, seed: int) -> Scenario:
     """The lossy-edge regime on ``spec``: NewReno on every relay's downstream
     (fan-out sender) side and the same desensitised failure detector (see
     :data:`LOSSY_SUSPECT_AFTER`) at both ends of the access links."""
@@ -103,7 +100,6 @@ def _lossy_scenario(
             alpn_protocols=(MOQT_ALPN,),
             liveness_suspect_after=LOSSY_SUSPECT_AFTER,
         ),
-        telemetry=telemetry,
     )
 
 
@@ -158,7 +154,6 @@ def _run_constrained_tree(
         run.push(1)
     run.advance(drain)
     delta = RelayNetStats.collect(topology).delta(before)
-    run.collect()
     return ConstrainedRun(
         delta=delta,
         push_times=push_times,
@@ -169,7 +164,7 @@ def _run_constrained_tree(
     )
 
 
-def calibrate_wire_bytes(updates: int = 4, seed: int = 17) -> int:
+def calibrate_wire_bytes(seed: int) -> int:
     """Exact on-the-wire bytes of one pushed update (one datagram per hop).
 
     Same minimal one-relay, one-subscriber calibration as E11's byte model,
@@ -177,7 +172,7 @@ def calibrate_wire_bytes(updates: int = 4, seed: int = 17) -> int:
     needs — a non-integral result would mean the framing is not constant
     per update, which would invalidate the closed form, so it raises.
     """
-    value = calibrate_bytes_per_update(updates=updates, seed=seed)
+    value = calibrate_bytes_per_update(seed=seed)
     if not float(value).is_integer():
         raise RuntimeError(f"per-update wire size is not constant: {value}")
     return int(value)
@@ -334,14 +329,12 @@ def run_constrained_tiers(
     edge_per_mid: int = 4,
     seed: int = 7,
     access_loss: float = 0.05,
-    telemetry: Telemetry | None = None,
 ) -> ConstrainedTiersResult:
     """Run the E15 bandwidth sweep plus one lossy-edge sample.
 
     ``bandwidths`` must descend: the knee indices are defined as *first
     index where serialisation dominates*, which is only meaningful on a
-    monotone sweep.  ``telemetry`` is threaded into every run and scraped at
-    each one's end, so the gauges left standing are the lossy run's.
+    monotone sweep.
     """
     if list(bandwidths) != sorted(bandwidths, reverse=True):
         raise ValueError(f"bandwidth sweep must descend: {bandwidths}")
@@ -367,7 +360,6 @@ def run_constrained_tiers(
                     bandwidth, mid_relays=mid_relays, edge_per_mid=edge_per_mid
                 ),
                 seed=seed,
-                telemetry=telemetry,
             ),
             subscribers,
             updates,
@@ -400,7 +392,6 @@ def run_constrained_tiers(
         _lossy_scenario(
             _constrained_spec(loss_bandwidth, access_loss, mid_relays, edge_per_mid),
             seed,
-            telemetry,
         ),
         subscribers,
         updates,

@@ -49,7 +49,6 @@ from repro.quic.connection import ConnectionConfig
 from repro.relaynet import FailoverEvent, RelayTreeSpec
 from repro.relaynet.scenario import Scenario, build_scenario
 from repro.relaynet.topology import RelayNode
-from repro.telemetry import Telemetry
 
 #: Floating-point slack when comparing simulator timestamps against the
 #: closed-form model (the simulator and the model associate the same sums
@@ -281,7 +280,6 @@ def run_failure_detection(
     keepalive_interval: float = 0.5,
     subscriber_idle_timeout: float = 1.5,
     origins: int = 1,
-    telemetry: Telemetry | None = None,
 ) -> FailureDetectionResult:
     """Crash relays silently under a live CDN tree; recover purely in-band.
 
@@ -311,7 +309,6 @@ def run_failure_detection(
             subscriber_connection=ConnectionConfig(
                 alpn_protocols=(MOQT_ALPN,), idle_timeout=subscriber_idle_timeout
             ),
-            telemetry=telemetry,
         )
     )
     topology, simulator = run.topology, run.simulator
@@ -377,7 +374,6 @@ def run_failure_detection(
     for (crashed_at, models, node) in crashes:
         if node.failure_event is not None:
             samples.append(_sample(node.failure_event, crashed_at, models, reattach))
-    run.collect()
     return FailureDetectionResult(
         subscribers=subscribers,
         updates=run.pushed,

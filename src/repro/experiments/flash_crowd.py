@@ -39,7 +39,6 @@ from repro.analysis.admission import AdmissionModel, percentile
 from repro.moqt.origin import TRACK
 from repro.relaynet import AdmissionPolicy, RelayTreeSpec
 from repro.relaynet.scenario import Scenario, ScenarioRun, build_scenario
-from repro.telemetry import Telemetry
 
 #: Virtual seconds given to tree setup / pre-warm before a storm fires.
 SETTLE = 3.0
@@ -48,11 +47,7 @@ DRAIN = 10.0
 
 
 def _settled_star(
-    seed: int,
-    relays: int,
-    admission: AdmissionPolicy | None,
-    prewarm: int,
-    telemetry: Telemetry | None,
+    seed: int, relays: int, admission: AdmissionPolicy | None, prewarm: int
 ) -> ScenarioRun:
     """One star tree below the origin, optionally pre-warmed, and settled."""
     run = build_scenario(
@@ -60,7 +55,6 @@ def _settled_star(
             spec=RelayTreeSpec.star(relays=relays),
             seed=seed,
             admission=admission,
-            telemetry=telemetry,
         )
     )
     if prewarm:
@@ -92,13 +86,10 @@ class BaselineSample:
         }
 
 
-def _run_baseline(
-    stormers: int, window: float, seed: int, telemetry: Telemetry | None
-) -> BaselineSample:
-    run = _settled_star(seed, relays=1, admission=None, prewarm=0, telemetry=telemetry)
+def _run_baseline(stormers: int, window: float, seed: int) -> BaselineSample:
+    run = _settled_star(seed, relays=1, admission=None, prewarm=0)
     storm = run.topology.flash_crowd(stormers, window, TRACK)
     run.advance(DRAIN)
-    run.collect()
     relay = run.topology.leaves()[0].relay
     return BaselineSample(
         stormers=stormers,
@@ -151,18 +142,16 @@ def _run_throttled(
     window: float,
     policy: AdmissionPolicy,
     seed: int,
-    telemetry: Telemetry | None,
 ) -> ThrottledSample:
     # Pre-warm one subscriber so the storm's track is live at the relay and
     # every admitted SUBSCRIBE is answered synchronously — the model's
     # no-upstream-round-trip precondition.
-    run = _settled_star(seed, relays=1, admission=policy, prewarm=1, telemetry=telemetry)
+    run = _settled_star(seed, relays=1, admission=policy, prewarm=1)
     tree = run.topology
     start = run.simulator.now
     storm = tree.flash_crowd(stormers, window, TRACK)
     run.advance(DRAIN)
     storm.raise_for_failures()
-    run.collect()
     model = AdmissionModel(
         count=stormers,
         window=window,
@@ -227,16 +216,12 @@ def _run_spillover(
     leaves: int,
     policy: AdmissionPolicy,
     seed: int,
-    telemetry: Telemetry | None,
 ) -> SpilloverSample:
-    run = _settled_star(
-        seed, relays=leaves, admission=policy, prewarm=leaves, telemetry=telemetry
-    )
+    run = _settled_star(seed, relays=leaves, admission=policy, prewarm=leaves)
     tree = run.topology
     storm = tree.flash_crowd(stormers, window, TRACK, leaf=tree.leaves()[0])
     run.advance(DRAIN)
     storm.raise_for_failures()
-    run.collect()
     admitted_on = {node.host.address: 0 for node in tree.leaves()}
     for record in storm.records:
         admitted_on[record.leaf] += 1
@@ -296,7 +281,6 @@ def run_flash_crowd(
     baseline_stormers: tuple[int, ...] = (16, 48),
     spillover_leaves: int = 3,
     seed: int = 11,
-    telemetry: Telemetry | None = None,
 ) -> FlashCrowdResult:
     """Run E16: baseline pathology, model-exact throttling, spillover.
 
@@ -305,18 +289,12 @@ def run_flash_crowd(
     must admit every stormer with at least one rejection and match
     :class:`~repro.analysis.admission.AdmissionModel` bit-exactly; the
     spillover scenario must admit every stormer while moving some of them
-    off the pinned hotspot leaf.  ``telemetry`` reaches every regime: spans
-    are cleared per run and each run is scraped at its end, so the gauges
-    left standing are the spillover run's.
+    off the pinned hotspot leaf.
     """
     policy = AdmissionPolicy(subscribe_rate=subscribe_rate, bucket_depth=bucket_depth)
-    baselines = [
-        _run_baseline(count, window, seed, telemetry) for count in baseline_stormers
-    ]
-    throttled = _run_throttled(stormers, window, policy, seed, telemetry)
-    spillover = _run_spillover(
-        stormers, window, spillover_leaves, policy, seed, telemetry
-    )
+    baselines = [_run_baseline(count, window, seed) for count in baseline_stormers]
+    throttled = _run_throttled(stormers, window, policy, seed)
+    spillover = _run_spillover(stormers, window, spillover_leaves, policy, seed)
     return FlashCrowdResult(
         baselines=baselines, throttled=throttled, spillover=spillover
     )

@@ -50,7 +50,6 @@ from repro.moqt.relay import MOQT_ALPN
 from repro.quic.connection import ConnectionConfig
 from repro.relaynet import FailoverEvent, RelayTreeSpec
 from repro.relaynet.scenario import Scenario, build_scenario
-from repro.telemetry import Telemetry
 
 
 @dataclass
@@ -200,7 +199,6 @@ def run_origin_failover(
     updates_after: int = 6,
     seed: int = 31,
     keepalive_interval: float = 0.5,
-    telemetry: Telemetry | None = None,
 ) -> OriginFailoverResult:
     """Silently crash the active origin under a live CDN tree; promote in-band.
 
@@ -229,7 +227,6 @@ def run_origin_failover(
             uplink_connection=ConnectionConfig(
                 alpn_protocols=(MOQT_ALPN,), keepalive_interval=keepalive_interval
             ),
-            telemetry=telemetry,
         )
     )
     topology, cluster, simulator = run.topology, run.origin, run.simulator
@@ -274,7 +271,6 @@ def run_origin_failover(
     control_plane_kills = sum(
         1 for run_event in topology.events if run_event.cause in ("kill", "leave")
     )
-    run.collect()
     return OriginFailoverResult(
         subscribers=subscribers,
         updates=run.pushed,

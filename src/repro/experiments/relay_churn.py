@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from repro.analysis.churn import RecoveryModel, recovery_model
 from repro.relaynet import FailoverEvent, RelayTreeSpec
 from repro.relaynet.scenario import Scenario, build_scenario
-from repro.telemetry import Telemetry
 
 
 @dataclass
@@ -160,7 +159,6 @@ def run_relay_churn(
     seed: int = 23,
     kill_edge: bool = True,
     origins: int = 1,
-    telemetry: Telemetry | None = None,
 ) -> RelayChurnResult:
     """Kill relays under a live CDN tree and measure the recovery.
 
@@ -180,13 +178,7 @@ def run_relay_churn(
     spec = RelayTreeSpec.cdn(
         mid_relays=mid_relays, edge_per_mid=edge_per_mid, origins=origins
     )
-    run = build_scenario(
-        Scenario(
-            spec=spec,
-            seed=seed,
-            telemetry=telemetry,
-        )
-    )
+    run = build_scenario(Scenario(spec=spec, seed=seed))
     topology = run.topology
     topology.attach_subscribers(subscribers)
     run.record_deliveries()
@@ -210,7 +202,6 @@ def run_relay_churn(
     sequences, gapless, delivered = run.delivery_score()
     counters = run.recovery_counters()
     models = reattach_models(spec)
-    run.collect()
     return RelayChurnResult(
         subscribers=subscribers,
         updates=run.pushed,

@@ -27,7 +27,9 @@ from repro.analysis.fanout import FanoutModel, fanout_model, relative_deviation
 from repro.moqt.origin import TRACK
 from repro.relaynet import RelayNetStats, RelayTreeSpec
 from repro.relaynet.scenario import Scenario, build_scenario
-from repro.telemetry import Telemetry
+
+#: Updates the calibration run pushes.
+CALIBRATION_UPDATES = 4
 
 
 @dataclass
@@ -65,7 +67,6 @@ def _run_tree(scenario: Scenario, subscribers: int, updates: int) -> TreeRun:
     run.push(updates)
     run.advance(3.0)
     delta = RelayNetStats.collect(topology).delta(before)
-    run.collect()
     return TreeRun(
         delta=delta,
         origin_objects=run.origin.objects_sent - origin_before,
@@ -75,7 +76,7 @@ def _run_tree(scenario: Scenario, subscribers: int, updates: int) -> TreeRun:
     )
 
 
-def calibrate_bytes_per_update(updates: int = 4, seed: int = 17) -> float:
+def calibrate_bytes_per_update(seed: int) -> float:
     """Measure the wire bytes of one pushed update on a minimal tree.
 
     A one-relay, one-subscriber star carries exactly one copy of every update
@@ -84,10 +85,12 @@ def calibrate_bytes_per_update(updates: int = 4, seed: int = 17) -> float:
     subgroup-stream and QUIC framing) the fan-out model scales up.
     """
     scenario = Scenario(spec=RelayTreeSpec.star(relays=1), seed=seed)
-    run = _run_tree(scenario, 1, updates)
-    if run.delivered != updates:
-        raise RuntimeError(f"calibration run lost updates: {run.delivered}/{updates}")
-    return run.delta.subscriber_link_bytes / updates
+    run = _run_tree(scenario, 1, CALIBRATION_UPDATES)
+    if run.delivered != CALIBRATION_UPDATES:
+        raise RuntimeError(
+            f"calibration run lost updates: {run.delivered}/{CALIBRATION_UPDATES}"
+        )
+    return run.delta.subscriber_link_bytes / CALIBRATION_UPDATES
 
 
 @dataclass
@@ -105,8 +108,6 @@ class FanoutSample:
     #: Total simulator events scheduled over the whole run (setup included) —
     #: the quantity link-batch fan-out keeps from growing with subscribers.
     events_scheduled: int = 0
-    #: Per-tier latency summary from span tracing (None when tracing is off).
-    latency: dict[str, object] | None = None
     #: ``Network.link_batch_fallback_waves``: a constant 0 (every send is a
     #: link wave), read until ROADMAP 0(a) deletes it.
     link_batch_fallback_waves: int = 0
@@ -190,7 +191,6 @@ def run_relay_fanout(
     mid_relays: int = 4,
     edge_per_mid: int = 4,
     seed: int = 7,
-    telemetry: Telemetry | None = None,
     origins: int = 1,
 ) -> RelayFanoutResult:
     """Run the fan-out experiment over a range of subscriber counts.
@@ -199,18 +199,12 @@ def run_relay_fanout(
     relays, ``mid_relays * edge_per_mid`` edge relays), so origin egress
     staying flat across samples while subscribers grow two orders of
     magnitude is the tree doing its job.
-
-    ``telemetry`` (optional) is threaded into every sample's network: the
-    span tracer is cleared per sample and its per-tier latency summary lands
-    on :attr:`FanoutSample.latency`; metrics are scraped at each sample's
-    end (later samples overwrite earlier gauges).  Measured byte counts are
-    unaffected — the calibration run deliberately stays telemetry-free.
     """
     bytes_per_update = calibrate_bytes_per_update(seed=seed + 1)
     spec = RelayTreeSpec.cdn(
         mid_relays=mid_relays, edge_per_mid=edge_per_mid, origins=origins
     )
-    scenario = Scenario(spec=spec, seed=seed, telemetry=telemetry)
+    scenario = Scenario(spec=spec, seed=seed)
     samples: list[FanoutSample] = []
     for count in subscriber_counts:
         run = _run_tree(scenario, count, updates)
@@ -220,9 +214,6 @@ def run_relay_fanout(
             delta.subscriber_objects_received,
         )
         model = fanout_model(count, updates, spec.tier_sizes(), bytes_per_update)
-        latency = None
-        if telemetry is not None and telemetry.spans is not None:
-            latency = telemetry.spans.summary()
         samples.append(
             FanoutSample(
                 subscribers=count,
@@ -234,7 +225,6 @@ def run_relay_fanout(
                 delivered_objects=run.delivered,
                 model=model,
                 events_scheduled=run.events_scheduled,
-                latency=latency,
                 link_batch_fallback_waves=run.link_batch_fallback_waves,
             )
         )

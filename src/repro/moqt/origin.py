@@ -114,11 +114,6 @@ class OriginPublisher:
         self.state.publish(obj)
         network = self.network
         if network is not None:
-            spans = network.telemetry.spans
-            if spans is not None:
-                # Span root: every tier hop and delivery of this object is
-                # measured from this virtual-time instant.
-                spans.record_push(obj.location, network.simulator.now)
             network.begin_batch()
         try:
             publish_to(self.subscriptions, obj)

@@ -36,7 +36,6 @@ from typing import Callable, Iterable
 from repro.moqt.objectmodel import Location, MoqtObject
 from repro.moqt.session import FetchRequest, MoqtSession, Subscription
 from repro.moqt.track import FullTrackName
-from repro.telemetry import Telemetry
 
 #: FETCH range end meaning "everything you have" (a group id far beyond any
 #: experiment's horizon; ranges are inclusive).
@@ -89,17 +88,13 @@ class TrackReceiver:
 
     ``sink`` receives every distinct object exactly once (``None``: nobody
     listens); ``counters`` is any object with :class:`ReceiverCounters`' three
-    attributes.  With ``telemetry`` (the network's
-    :class:`~repro.telemetry.Telemetry`), each delivery is also handed to
-    ``counters.record_delivery(spans, obj)`` whenever ``telemetry.spans`` is
-    set at that moment — a leaf subscriber's delivery span.
+    attributes.
     """
 
     __slots__ = (
         "full_track_name",
         "sink",
         "counters",
-        "telemetry",
         "subscription",
         "session",
         "seen",
@@ -113,12 +108,10 @@ class TrackReceiver:
         full_track_name: FullTrackName,
         sink: Callable[[MoqtObject], None] | None,
         counters: ReceiverCounters,
-        telemetry: Telemetry | None = None,
     ) -> None:
         self.full_track_name = full_track_name
         self.sink = sink
         self.counters = counters
-        self.telemetry = telemetry
         #: The current (or last) subscription and the session it rides.
         self.subscription: Subscription | None = None
         self.session: MoqtSession | None = None
@@ -159,9 +152,6 @@ class TrackReceiver:
             self.largest = largest = location
         if len(seen) > DEDUPE_PRUNE_THRESHOLD:
             self.seen = prune_seen_locations(seen, largest)
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.spans is not None:
-            self.counters.record_delivery(telemetry.spans, obj)
         if self.sink is not None:
             self.sink(obj)
 

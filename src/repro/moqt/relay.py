@@ -137,10 +137,6 @@ class MoqtRelay:
         relay — relays compose into trees).
     port:
         Port to accept downstream sessions on.
-    tier:
-        Optional label naming the relay's tier in a hierarchy (e.g. ``"edge"``
-        or ``"mid"``); purely informational, used by
-        :class:`repro.relaynet.RelayNetStats` to aggregate counters per tier.
     upstream_connection:
         QUIC connection configuration for the uplink.  Deployments that rely
         on in-band failure detection (E13) enable keepalives and tune the
@@ -159,7 +155,6 @@ class MoqtRelay:
         host: Host,
         upstream: Address,
         port: int = DEFAULT_MOQT_PORT,
-        tier: str = "",
         upstream_connection: ConnectionConfig | None = None,
         downstream_connection: ConnectionConfig | None = None,
         admission: "AdmissionPolicy | None" = None,
@@ -167,7 +162,6 @@ class MoqtRelay:
         self.host = host
         self.simulator = host.simulator
         self.upstream_address = upstream
-        self.tier = tier
         self.upstream_connection_config = upstream_connection
         #: Hook a topology controller installs to learn, in-band, that this
         #: relay's uplink is dying: ``on_uplink_dying(relay, cause)`` with
@@ -598,17 +592,6 @@ class MoqtRelay:
         leave as one link wave when the delivery ends.
         """
         track.cache.publish(obj)
-        # Span tracing (one record per relay per object, before the fan-out
-        # loop): purely observational — no events, no RNG, no wire bytes.
-        spans = self.host.network.telemetry.spans
-        if spans is not None:
-            spans.record_hop(
-                obj.location,
-                self.tier,
-                self.host.address,
-                self.upstream_address.host,
-                self.simulator.now,
-            )
         forwarded = publish_to(track.downstream, obj)
         track.objects_forwarded += forwarded
         self.statistics.objects_forwarded += forwarded

@@ -32,7 +32,6 @@ from repro.netsim.node import Host
 from repro.netsim.packet import Datagram
 from repro.netsim.simulator import Simulator
 from repro.netsim.trace import NullTraceRecorder, TraceRecorder
-from repro.telemetry import Telemetry
 
 
 class UnknownHostError(Exception):
@@ -46,20 +45,11 @@ class NoRouteError(Exception):
 class Network:
     """A set of hosts connected by point-to-point links."""
 
-    def __init__(
-        self,
-        simulator: Simulator,
-        trace: TraceRecorder | None = None,
-        telemetry: Telemetry | None = None,
-    ) -> None:
+    def __init__(self, simulator: Simulator, trace: TraceRecorder | None = None) -> None:
         self.simulator = simulator
         #: Datagram recording is opt-in (``trace=TraceRecorder(simulator)``):
         #: a recording trace keeps two events per datagram for the whole run.
         self.trace = trace if trace is not None else NullTraceRecorder(simulator)
-        #: The observability bundle protocol layers read through
-        #: ``host.network.telemetry``.  The default is free: a no-op metrics
-        #: registry and no span tracer (see :mod:`repro.telemetry`).
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._hosts: dict[str, Host] = {}
         # Keyed by (source, destination) host-address tuples: plain tuples
         # hash faster than any wrapper object on the per-datagram route path.

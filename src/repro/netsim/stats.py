@@ -74,15 +74,3 @@ class SummaryStatistics:
     def median(self) -> float:
         """The 50th percentile."""
         return self.percentile(50.0)
-
-    def summary(self) -> dict[str, float]:
-        """A dictionary of the common summary values."""
-        return {
-            "count": float(self.count),
-            "mean": self.mean,
-            "min": self.minimum,
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p99": self.percentile(99),
-            "max": self.maximum,
-        }

@@ -100,12 +100,12 @@ class CongestionController:
     # ---------------------------------------------------------------- stats
     @property
     def congestion_window(self) -> int:
-        """Current congestion window in bytes (telemetry gauge)."""
+        """Current congestion window in bytes (a scraped gauge)."""
         raise NotImplementedError
 
     @property
     def bytes_in_flight(self) -> int:
-        """Ack-eliciting bytes sent but not yet acked/lost (telemetry gauge)."""
+        """Ack-eliciting bytes sent but not yet acked/lost (a scraped gauge)."""
         raise NotImplementedError
 
     @property

@@ -458,7 +458,7 @@ class QuicConnection:
 
     @property
     def congestion(self) -> CongestionController:
-        """The installed congestion controller (telemetry reads its gauges)."""
+        """The installed congestion controller (the end-of-run scrape reads its gauges)."""
         return self._cc
 
     @property

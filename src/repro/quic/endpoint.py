@@ -79,7 +79,7 @@ class QuicEndpoint:
         self._connections: dict[int, QuicConnection] = {}
         self._next_connection_id = 1
         #: Datagrams dropped whole because they were not a well-formed packet
-        #: (scraped by :func:`repro.telemetry.collect.collect_network`).
+        #: (the end-of-run scrape's ``quic_datagrams_malformed`` gauge).
         self.datagrams_malformed = 0
         if port is None:
             self.address = host.bind_ephemeral(self)

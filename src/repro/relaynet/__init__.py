@@ -26,7 +26,7 @@ turns that argument into an executable subsystem:
 * :mod:`repro.relaynet.scenario` — :class:`~repro.relaynet.scenario.Scenario`
   and :func:`~repro.relaynet.scenario.build_scenario`, the one way the
   E11–E16 drivers stand up simulator, network, origin and tree, push
-  updates, score deliveries and scrape (``docs/scenarios.md``);
+  updates and score deliveries (``docs/scenarios.md``);
 * :mod:`repro.relaynet.builder` — :class:`RelayTreeBuilder`, the older
   construction front (benchmarks, tests, examples): instantiates a spec on
   a :class:`~repro.netsim.network.Network` and returns the

@@ -312,15 +312,6 @@ class OriginCluster:
             replayed_objects=replayed,
         )
         self.promotions.append(promotion)
-        spans = self.network.telemetry.spans
-        if spans is not None and hasattr(spans, "record_promotion"):
-            spans.record_promotion(
-                epoch=self.epoch,
-                old_active=promotion.old_active,
-                new_active=promotion.new_active,
-                at=now,
-                detection_latency=detection_latency,
-            )
         for standby in self.standbys():
             self._attach_standby(standby)
         return promotion

@@ -1,9 +1,9 @@
 """One way to stand up, load and score a relay tree (``docs/scenarios.md``).
 
-Every tree experiment (E11–E16) is the same four moves around its own
+Every tree experiment (E11–E16) is the same three moves around its own
 fault schedule: stand up simulator + network + origin + tree, push a
-stream of record updates, note what each subscriber was delivered, and
-scrape.  A frozen :class:`Scenario` says *what* is stood up;
+stream of record updates, and note what each subscriber was delivered.
+A frozen :class:`Scenario` says *what* is stood up;
 :func:`build_scenario` stands it up once and returns the live
 :class:`ScenarioRun`, which owns the moves.  What stays in a driver is what
 differs between experiments: the schedule, the closed-form model, the
@@ -24,8 +24,6 @@ from repro.relaynet.admission import AdmissionPolicy
 from repro.relaynet.origincluster import OriginCluster
 from repro.relaynet.spec import RelayTreeSpec
 from repro.relaynet.topology import RelayTopology
-from repro.telemetry import Telemetry
-from repro.telemetry.collect import collect_run
 
 #: Virtual time between pushed updates (keeps pushes distinguishable in
 #: traces without affecting byte counts on unconstrained links).
@@ -58,11 +56,6 @@ class Scenario:
     subscriber_connection: ConnectionConfig | None = None
     downstream_connection: ConnectionConfig | None = None
     admission: AdmissionPolicy | None = None
-    #: Observational only: the span tracer (cleared at build, so one tracer
-    #: can serve several seeded runs) records timestamps without scheduling
-    #: events, drawing randomness or touching wire bytes, and metrics are
-    #: scraped by :meth:`ScenarioRun.collect`.
-    telemetry: Telemetry | None = None
 
 
 @dataclass(frozen=True)
@@ -147,24 +140,11 @@ class ScenarioRun:
             uplink_failures_detected=sum(s.uplink_failures_detected for s in relays),
         )
 
-    def collect(self) -> None:
-        """The end-of-run scrape into the scenario's telemetry, if any."""
-        telemetry = self.scenario.telemetry
-        if telemetry is not None:
-            collect_run(
-                telemetry.metrics,
-                self.network,
-                self.topology,
-                origin_cluster=self.topology.origin_cluster,
-            )
-
 
 def build_scenario(scenario: Scenario) -> ScenarioRun:
     """Stand ``scenario`` up on a fresh seeded simulator."""
     simulator = Simulator(seed=scenario.seed)
-    network = Network(simulator, telemetry=scenario.telemetry)
-    if scenario.telemetry is not None and scenario.telemetry.spans is not None:
-        scenario.telemetry.spans.clear()
+    network = Network(simulator)
     spec = scenario.spec
     if spec.origins > 1:
         origin = cluster = OriginCluster(

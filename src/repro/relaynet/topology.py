@@ -65,7 +65,6 @@ from repro.relaynet.spec import RelayTreeSpec
 
 if TYPE_CHECKING:
     from repro.relaynet.origincluster import OriginCluster
-    from repro.telemetry.spans import SpanTracer
 
 #: The client half of the admission contract: SUBSCRIBEs refused in one
 #: journey before it turns terminal, and moves to a sibling leaf before the
@@ -199,18 +198,11 @@ class TreeSubscriber:
         on_object: Callable[["TreeSubscriber", MoqtObject], None] | None,
     ) -> TrackReceiver:
         """A receiver for one more followed track, not yet subscribed: it
-        hands each object to ``on_object(subscriber, obj)`` and, while span
-        tracing is on, records the delivery through :meth:`record_delivery`."""
+        hands each object to ``on_object(subscriber, obj)``."""
         sink = SubscriberSink(on_object, self) if on_object is not None else None
-        track = TrackReceiver(full_track_name, sink, self, self.host.network.telemetry)
+        track = TrackReceiver(full_track_name, sink, self)
         self.tracks.append(track)
         return track
-
-    def record_delivery(self, spans: SpanTracer, obj: MoqtObject) -> None:
-        """Span tracing, delivery leg: observational only."""
-        spans.record_delivery(
-            obj.location, self.leaf.host.address, self.index, self.host.simulator.now
-        )
 
     # --------------------------------------------------------------- liveness
     def __call__(self, session: MoqtSession, old: str, new: str) -> None:
@@ -564,7 +556,6 @@ class RelayTopology:
             host,
             upstream=upstream,
             port=self.port,
-            tier=tier_spec.name,
             upstream_connection=self.uplink_connection,
             downstream_connection=self.downstream_connection,
             admission=self.admission,

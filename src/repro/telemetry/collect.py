@@ -1,15 +1,10 @@
 """Collectors: mirror existing subsystem counters into a metrics registry.
 
-The simulator, links, QUIC connections and relays already
-keep their own slotted counters on the hot path (incrementing a plain int
-attribute is the cheapest possible instrumentation).  Rather than rewire
-those paths through the registry — which would tax every run whether or not
-telemetry is on — these collectors *scrape*: called at measurement points
-(end of an experiment, end of a benchmark), they copy the live counters into
-registry instruments so a ``snapshot()`` sees one uniform namespace.
-
-All collectors are no-ops against :data:`~repro.telemetry.metrics.NULL_METRICS`
-(`registry.enabled` is False) so callers can invoke them unconditionally.
+The simulator, links, QUIC connections and relays already keep their own
+slotted counters on the hot path (incrementing a plain int attribute is the
+cheapest possible instrumentation).  These collectors *scrape*: called at a
+measurement point (the end of a benchmark trial), they copy the live
+counters into gauges so a ``snapshot()`` sees one uniform namespace.
 """
 
 from __future__ import annotations
@@ -19,8 +14,6 @@ from repro.telemetry.metrics import MetricsRegistry
 
 def collect_simulator(metrics: MetricsRegistry, simulator) -> None:
     """Scrape the event-loop counters (heap depth, compactions, clock)."""
-    if not metrics.enabled:
-        return
     metrics.gauge("sim_virtual_time_seconds", "Simulated clock at scrape time").set(
         simulator.now
     )
@@ -37,8 +30,6 @@ def collect_simulator(metrics: MetricsRegistry, simulator) -> None:
 
 def collect_network(metrics: MetricsRegistry, network) -> None:
     """Scrape a network: link totals and the simulator."""
-    if not metrics.enabled:
-        return
     for name, value in network.total_link_statistics().items():
         metrics.gauge(f"net_{name}", "Aggregate over every link direction").set(value)
     collect_simulator(metrics, network.simulator)
@@ -52,12 +43,6 @@ def collect_network(metrics: MetricsRegistry, network) -> None:
         "quic_datagrams_malformed",
         "Datagrams dropped whole by bound QUIC endpoints as not a well-formed packet",
     ).set(malformed)
-    trace = network.trace
-    if trace.enabled:
-        for kind in trace.kinds():
-            metrics.gauge(
-                "trace_events", "Recorded TraceRecorder events", labels=("kind",)
-            ).labels(kind).set(trace.count(kind))
 
 
 _QUIC_STAT_FIELDS = (
@@ -109,8 +94,6 @@ def collect_relay_tree(metrics: MetricsRegistry, tree) -> None:
     ``tree`` is anything with ``tiers`` / ``subscribers`` / ``network``
     (a :class:`~repro.relaynet.topology.RelayTopology`).
     """
-    if not metrics.enabled:
-        return
     network = tree.network
     tier_gauges = {
         name: metrics.gauge(f"relaynet_{name}", help_text, labels=("tier",))
@@ -262,58 +245,9 @@ def collect_relay_tree(metrics: MetricsRegistry, tree) -> None:
             quic_gauge[field].labels(role).set(value)
 
 
-def collect_origin_cluster(metrics: MetricsRegistry, cluster) -> None:
-    """Scrape a replicated origin: membership, promotion history and the
-    origin-role QUIC transport totals.
-
-    ``cluster`` is an :class:`~repro.relaynet.origincluster.OriginCluster`.
-    The QUIC totals aggregate every origin's downstream (serving) sessions
-    plus the standbys' warm-subscription uplinks under the ``"origin"``
-    role, completing the role families :func:`collect_relay_tree` exports.
-    """
-    if not metrics.enabled:
-        return
-    metrics.gauge("origin_cluster_size", "Origin instances ever built").set(
-        len(cluster.origins)
-    )
-    metrics.gauge(
-        "origin_cluster_alive", "Origins still alive (active + standbys)"
-    ).set(sum(1 for origin in cluster.origins if origin.alive))
-    metrics.gauge("origin_epoch", "Current promotion epoch (0 = initial active)").set(
-        cluster.epoch
-    )
-    metrics.gauge("origin_promotions", "Promotions the cluster has run").set(
-        len(cluster.promotions)
-    )
-    replayed = sum(promotion.replayed_objects for promotion in cluster.promotions)
-    metrics.gauge(
-        "origin_replayed_objects",
-        "Outage-window objects seeded from the replay ring at promotion",
-    ).set(replayed)
-    totals = {field: 0 for field in _QUIC_EXPORT_FIELDS}
-    for origin in cluster.origins:
-        for session in origin.publisher.sessions:
-            _scrape_quic(totals, session.connection)
-        if origin.uplink_session is not None:
-            _scrape_quic(totals, origin.uplink_session.connection)
-    quic_gauge = {
-        field: metrics.gauge(
-            f"quic_{field}", "QUIC connection totals by role", labels=("role",)
-        )
-        for field in _QUIC_EXPORT_FIELDS
-    }
-    for field, value in totals.items():
-        quic_gauge[field].labels("origin").set(value)
-
-
-def collect_run(metrics: MetricsRegistry, network, tree=None, origin_cluster=None) -> None:
-    """One-call scrape at the end of a run: network (+ simulator)
-    and, when given, the relay tree with its QUIC transport totals and the
-    replicated origin cluster the tree hangs off."""
-    if not metrics.enabled:
-        return
+def collect_run(metrics: MetricsRegistry, network, tree=None) -> None:
+    """One-call scrape at the end of a run: network (+ simulator) and, when
+    given, the relay tree with its QUIC transport totals."""
     collect_network(metrics, network)
     if tree is not None:
         collect_relay_tree(metrics, tree)
-    if origin_cluster is not None:
-        collect_origin_cluster(metrics, origin_cluster)

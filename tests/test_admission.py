@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.admission import AdmissionModel, percentile
 from repro.relaynet.admission import retry_after_to_ms
-from repro.telemetry import MetricsRegistry, Telemetry
+from repro.experiments import flash_crowd
 from repro.experiments.flash_crowd import run_flash_crowd
 from repro.moqt.errors import AdmissionRejectedError, SubscribeErrorCode
 from repro.moqt.objectmodel import MoqtObject
@@ -23,6 +23,7 @@ from repro.relaynet import (
 )
 from repro.relaynet import topology as topology_module
 from repro.relaynet.scenario import Scenario, build_scenario
+from scenario_runs import captured_runs, scrape
 
 
 def build_tree(seed=11, relays=1, admission=None, prewarm=0, settle=3.0):
@@ -354,11 +355,10 @@ class TestFlashCrowd:
 
 
 class TestExperiment:
-    def test_run_flash_crowd_gates(self):
-        telemetry = Telemetry(metrics=MetricsRegistry())
+    def test_run_flash_crowd_gates(self, monkeypatch):
+        runs = captured_runs(monkeypatch, flash_crowd)
         result = run_flash_crowd(
-            stormers=12, subscribe_rate=150.0, bucket_depth=3,
-            baseline_stormers=(8, 16), telemetry=telemetry,
+            stormers=12, subscribe_rate=150.0, bucket_depth=3, baseline_stormers=(8, 16),
         )
         summary = result.summary_row()
         assert summary["baseline_high_water_grows"]
@@ -368,35 +368,20 @@ class TestExperiment:
         assert summary["spillover_all_admitted"]
         assert summary["spillovers"] > 0
         assert len(result.rows()) == 4
+        # Two baselines, the throttled run, the three-leaf spillover run.
+        assert [len(run.topology.leaves()) for run in runs] == [1, 1, 1, 3]
+        gauges = [scrape(run) for run in runs]
+        assert [g["relaynet_pending_subscribe_high_water"] for g in gauges[:2]] == [
+            sample.pending_high_water for sample in result.baselines
+        ]
+        assert gauges[2]["relaynet_admission_rejections"] == result.throttled.rejections
+        assert gauges[2]["relaynet_pending_subscribe_high_water"] == result.throttled.pending_high_water
         # The spillover storm quiesced: retries and re-routes left no
-        # receiver holding objects back.
-        snapshot = telemetry.metrics.snapshot()
-        assert snapshot["relaynet_recovery_buffered"] == 0
+        # receiver holding objects back ...
+        assert gauges[3]["relaynet_recovery_buffered"] == 0
         # ... and no connection a packet outstanding.
-        assert set(snapshot["quic_inflight_packets"].values()) == {0}
-        assert set(snapshot["quic_bytes_in_flight"].values()) == {0}
-
-    def test_telemetry_reaches_every_regime_and_changes_nothing(self, monkeypatch):
-        from repro.relaynet import scenario
-
-        scraped = []
-        collect_run = scenario.collect_run
-
-        def spy(metrics, network, tree, **kwargs):
-            scraped.append((network.telemetry, len(tree.leaves())))
-            collect_run(metrics, network, tree, **kwargs)
-
-        monkeypatch.setattr(scenario, "collect_run", spy)
-        kwargs = dict(stormers=12, subscribe_rate=150.0, bucket_depth=3,
-                      baseline_stormers=(8, 16))
-        telemetry = Telemetry(metrics=MetricsRegistry())
-        traced = run_flash_crowd(telemetry=telemetry, **kwargs)
-        # Two baselines, the throttled run, the three-leaf spillover run: each
-        # built with the telemetry installed, each scraped at its end.
-        assert [leaves for _, leaves in scraped] == [1, 1, 1, 3]
-        assert all(installed is telemetry for installed, _ in scraped)
-        assert traced.rows() == run_flash_crowd(**kwargs).rows()
-        assert len(scraped) == 4, "a telemetry-free run scrapes nothing"
+        assert set(gauges[3]["quic_inflight_packets"].values()) == {0}
+        assert set(gauges[3]["quic_bytes_in_flight"].values()) == {0}
 
 
 class TestDefaultOffDeterminism:

@@ -4,8 +4,7 @@ Every tree subscriber is a real one: its own host, access link and QUIC
 session.  These tests hold what that buys at 1,000 subscribers, the size the
 E11–E14 drivers run by default:
 
-* E11's tier byte table and the telemetry gauges read the counts as-is;
-* span sampling is observational — the traced run is the untraced one;
+* E11's tier byte table and the end-of-run gauge scrape read the counts as-is;
 * attaching places one subscriber per host, spread evenly over the leaves;
 * a leaf crash or a graceful leaf leave re-homes exactly that leaf's
   subscribers, on the closed-form re-attach latency, with every subscriber's
@@ -18,7 +17,6 @@ The pinned values are the seeded runs' exact outputs.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -27,6 +25,7 @@ from repro.analysis.churn import recovery_model
 from repro.experiments.failure_detection import run_failure_detection
 from repro.experiments.origin_failover import run_origin_failover
 from repro.experiments.relay_churn import run_relay_churn
+from repro.experiments import relay_fanout
 from repro.experiments.relay_fanout import run_relay_fanout
 from repro.moqt.objectmodel import MoqtObject
 from repro.moqt.origin import TRACK
@@ -37,24 +36,10 @@ from repro.relaynet.scenario import (
     build_scenario,
     update_payload,
 )
-from repro.telemetry import MetricsRegistry, SpanTracer, Telemetry
+from scenario_runs import captured_runs, scrape
 
 SUBSCRIBERS = 1000
 UPDATES = 5
-
-
-def _traced_fanout():
-    telemetry = Telemetry(
-        metrics=MetricsRegistry(), spans=SpanTracer(subscriber_sample_every=101)
-    )
-    (sample,) = run_relay_fanout(
-        subscriber_counts=(SUBSCRIBERS,), updates=UPDATES, telemetry=telemetry
-    ).samples
-    gauges = {}
-    for instrument in telemetry.metrics.collect():
-        for child in instrument.children():
-            gauges[(instrument.name, child.label_values)] = child.value
-    return sample, gauges
 
 
 # --------------------------------------------------------------------- E11
@@ -68,34 +53,21 @@ def test_dense_thousand_subscriber_tree_is_pinned():
     assert sample.measured_tier_bytes == tuple(round(b) for b in sample.model.tier_bytes())
 
 
-def test_fanout_gauges_read_the_dense_counts():
-    sample, gauges = _traced_fanout()
-    assert gauges[("relaynet_subscribers", ())] == SUBSCRIBERS
-    assert gauges[("relaynet_subscriber_objects_delivered", ())] == sample.delivered_objects
-    assert gauges[("relaynet_relays", ("mid",))] == 4
-    assert gauges[("relaynet_relays", ("edge",))] == 16
-    assert gauges[("relaynet_objects_received", ("mid",))] == sample.measured_tier_objects[0]
-    assert gauges[("relaynet_objects_received", ("edge",))] == sample.measured_tier_objects[1]
-    assert gauges[("relaynet_objects_forwarded", ("edge",))] == sample.measured_tier_objects[2]
-    assert gauges[("quic_stream_states", ("subscriber",))] == SUBSCRIBERS
+def test_fanout_gauges_read_the_dense_counts(monkeypatch):
+    runs = captured_runs(monkeypatch, relay_fanout)
+    (sample,) = run_relay_fanout(subscriber_counts=(SUBSCRIBERS,), updates=UPDATES).samples
+    gauges = scrape(runs[-1])
+    assert gauges["relaynet_subscribers"] == SUBSCRIBERS
+    assert gauges["relaynet_subscriber_objects_delivered"] == sample.delivered_objects
+    assert gauges["relaynet_relays"] == {"tier=mid": 4, "tier=edge": 16}
+    assert gauges["relaynet_objects_received"]["tier=mid"] == sample.measured_tier_objects[0]
+    assert gauges["relaynet_objects_received"]["tier=edge"] == sample.measured_tier_objects[1]
+    assert gauges["relaynet_objects_forwarded"]["tier=edge"] == sample.measured_tier_objects[2]
+    assert gauges["quic_stream_states"]["role=subscriber"] == SUBSCRIBERS
     # What the subscribers' sessions received is what their links delivered.
-    assert (
-        gauges[("quic_bytes_received", ("subscriber",))]
-        == gauges[("relaynet_subscriber_link_bytes", ())]
-    )
-    assert gauges[("net_bytes_sent", ())] == gauges[("net_bytes_delivered", ())]
-    assert gauges[("net_datagrams_dropped", ())] == 0
-
-
-def test_span_sampling_is_observational():
-    traced, _ = _traced_fanout()
-    (bare,) = run_relay_fanout(subscriber_counts=(SUBSCRIBERS,), updates=UPDATES).samples
-    assert bare.latency is None
-    assert dataclasses.replace(traced, latency=None) == bare
-    # Every 101st subscriber is sampled: 10 of them, each seeing every update.
-    assert traced.latency["subscriber_sample_every"] == 101
-    assert traced.latency["deliveries"] == 10 * UPDATES
-    assert traced.latency["dropped_spans"] == 0
+    assert gauges["quic_bytes_received"]["role=subscriber"] == gauges["relaynet_subscriber_link_bytes"]
+    assert gauges["net_bytes_sent"] == gauges["net_bytes_delivered"]
+    assert gauges["net_datagrams_dropped"] == 0
 
 
 # ---------------------------------------------------------- topology layer

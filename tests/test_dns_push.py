@@ -569,7 +569,7 @@ def test_a_lossy_newreno_tree_adds_no_stream_state():
     from repro.relaynet.scenario import build_scenario
 
     bandwidth = DEFAULT_BANDWIDTH_SWEEP[len(DEFAULT_BANDWIDTH_SWEEP) // 2]
-    run = build_scenario(_lossy_scenario(_constrained_spec(bandwidth, 0.05), 7, None))
+    run = build_scenario(_lossy_scenario(_constrained_spec(bandwidth, 0.05), 7))
     run.topology.attach_subscribers(100)
     run.record_deliveries()
     run.advance(3.0)

@@ -17,7 +17,8 @@ Covers the failsafe origin end to end:
 * determinism canaries — configuring (but never crashing) a replicated
   origin must leave the E11/E12/E13 seeded outputs identical, and E14
   itself must be seeded-repeatable;
-* telemetry — the origin-cluster collector and the promotion span segment.
+* quiescence — after a promotion no receiver holds anything back and no
+  connection, the dead origin's included, has a packet in flight.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.analysis.churn import recovery_model
 from repro.analysis.detection import DetectionModel
 from repro.analysis.promotion import ELECTION_LATENCY, promotion_model
 from repro.experiments.failure_detection import run_failure_detection
+from repro.experiments import origin_failover
 from repro.experiments.origin_failover import run_origin_failover
 from repro.experiments.relay_churn import run_relay_churn
 from repro.experiments.relay_fanout import run_relay_fanout
@@ -47,7 +49,7 @@ from repro.relaynet import (
 from repro.relaynet import origincluster
 from repro.relaynet.scenario import Scenario, build_scenario
 from repro.relaynet.topology import RelayTopology
-from repro.telemetry import MetricsRegistry, SpanTracer, Telemetry
+from scenario_runs import captured_runs, scrape
 
 
 def build_cluster(origins: int = 2, seed: int = 7):
@@ -467,46 +469,30 @@ class TestReplicationDeterminismCanary:
         ]
 
 
-class TestOriginTelemetry:
-    def test_collector_and_promotion_span_segment(self):
-        telemetry = Telemetry(metrics=MetricsRegistry(), spans=SpanTracer())
+class TestQuiescence:
+    def test_the_promoted_run_quiesces(self, monkeypatch):
+        runs = captured_runs(monkeypatch, origin_failover)
         result = run_origin_failover(
             subscribers=12, mid_relays=2, edge_per_mid=2,
             updates_before=2, updates_between=3, updates_after=3,
-            telemetry=telemetry,
         )
-        snapshot = telemetry.metrics.snapshot()
-        assert snapshot["origin_cluster_size"] == 2
-        assert snapshot["origin_cluster_alive"] == 1
-        assert snapshot["origin_epoch"] == 1
-        assert snapshot["origin_promotions"] == 1
-        assert snapshot["origin_replayed_objects"] == result.replayed_objects
-        assert snapshot["quic_packets_sent"]["role=origin"] > 0
-        promotions = telemetry.spans.summary()["promotions"]
-        assert len(promotions) == 1
-        assert promotions[0]["epoch"] == 1
-        assert promotions[0]["old_active"] == ORIGIN
-        assert promotions[0]["detection_latency"] == result.detection_latency
-
-    def test_telemetry_does_not_perturb_the_seeded_run(self):
-        telemetry = Telemetry(metrics=MetricsRegistry(), spans=SpanTracer())
-        traced = run_origin_failover(
-            subscribers=12, mid_relays=2, edge_per_mid=2,
-            updates_before=2, updates_between=3, updates_after=3,
-            telemetry=telemetry,
-        )
-        bare = run_origin_failover(
-            subscribers=12, mid_relays=2, edge_per_mid=2,
-            updates_before=2, updates_between=3, updates_after=3,
-        )
-        assert traced.delivery_sequences == bare.delivery_sequences
-        assert traced.detection_latency == bare.detection_latency
-        assert traced.promotion_latency == bare.promotion_latency
-        # Quiesced: no receiver still holds objects back, windows bounded.
-        snapshot = telemetry.metrics.snapshot()
+        (run,) = runs
+        assert run.origin.epoch == 1 and len(run.origin.promotions) == 1
+        assert result.replayed_objects == run.origin.promotions[0].replayed_objects
+        # No receiver still holds objects back, windows bounded.
+        snapshot = scrape(run)
         assert snapshot["relaynet_recovery_buffered"] == 0
         assert 0 < snapshot["relaynet_dedupe_window"] <= DEDUPE_PRUNE_THRESHOLD
-        # The dead origin's connections included: a closed connection keeps
-        # no in-flight record.
         assert set(snapshot["quic_inflight_packets"].values()) == {0}
         assert set(snapshot["quic_bytes_in_flight"].values()) == {0}
+        # The origins' connections, the dead origin's included: a closed
+        # connection keeps no in-flight record.
+        connections = [
+            session.connection
+            for origin in run.origin.origins
+            for session in [*origin.publisher.sessions, origin.uplink_session]
+            if session is not None
+        ]
+        assert connections
+        assert {connection.unacked_packets for connection in connections} == {0}
+        assert {connection.congestion.bytes_in_flight for connection in connections} == {0}

@@ -58,7 +58,7 @@ LOOKUPS = {"get", "pop", "setdefault", "publisher_subscription"}
 RECEIVER = "moqt/receiver.py"
 #: A downstream FETCH forwarded upstream as "everything so far".
 COLD_FORWARD = ("moqt/relay.py", "handle_fetch")
-#: The drivers whose tree is stood up, loaded and scraped by SCENARIO.
+#: The drivers whose tree is stood up and loaded by SCENARIO.
 DRIVERS = [
     f"experiments/{name}.py"
     for name in (
@@ -280,7 +280,7 @@ def test_drivers_stand_nothing_up():
     owned = {reason.split(": ", 1)[1] for reason in scaffolding((SRC / SCENARIO).read_text(), SCENARIO)}
     assert owned == {
         "calls Simulator", "calls Network", "calls OriginCluster", "calls RelayTopology",
-        "calls build_origin", "calls collect_run", "branches on the origin kind",
+        "calls build_origin", "branches on the origin kind",
     }
     builder = ast.parse((SRC / "relaynet/builder.py").read_text())
     classes = [node.name for node in ast.walk(builder) if isinstance(node, ast.ClassDef)]
@@ -289,11 +289,11 @@ def test_drivers_stand_nothing_up():
 
 def test_guard_catches_a_private_stand_up():
     private_copy = """
-def run_relay_churn(subscribers, seed, origins=1, telemetry=None):
+def run_relay_churn(subscribers, seed, origins=1):
     if origins < 1:
         raise ValueError(origins)
     simulator = Simulator(seed=seed)
-    network = Network(simulator, telemetry=telemetry)
+    network = Network(simulator)
     origin_cluster = None
     if spec.origins > 1:
         origin_cluster = OriginCluster(network, origins=spec.origins)
@@ -301,8 +301,7 @@ def run_relay_churn(subscribers, seed, origins=1, telemetry=None):
         publisher = build_origin(network)
     tree = RelayTreeBuilder(network, origin, origin_cluster=origin_cluster).build(spec)
     (origin_cluster if origin_cluster is not None else publisher).push(obj)
-    if telemetry is not None:
-        collect_run(telemetry.metrics, network, tree, origin_cluster=origin_cluster)
+    collect_run(MetricsRegistry(), network, tree)
 """
     reasons = scaffolding(private_copy, DRIVERS[1])
     assert sorted(reason.split(": ", 1)[1] for reason in reasons) == [

@@ -90,7 +90,7 @@ class TestBuilder:
             assert mid.upstream_host == ORIGIN
             assert network.has_link(ORIGIN, mid.host.address)
         for edge in edges:
-            assert edge.relay.tier == "edge"
+            assert edge.tier_name == "edge"
             assert network.has_link(edge.parent.host.address, edge.host.address)
 
     def test_origin_host_must_exist(self):

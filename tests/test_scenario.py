@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.moqt.objectmodel import Location
 from repro.moqt.origin import OriginPublisher
 from repro.netsim.trace import NullTraceRecorder
 from repro.relaynet import OriginCluster, RelayTreeSpec
@@ -24,7 +23,7 @@ from repro.relaynet.scenario import (
     build_scenario,
     update_payload,
 )
-from repro.telemetry import MetricsRegistry, SpanTracer, Telemetry
+from scenario_runs import scrape
 
 SMALL = dict(mid_relays=2, edge_per_mid=2)
 
@@ -39,19 +38,12 @@ def test_the_origin_is_what_the_spec_declares():
     assert replicated.topology.origin_cluster is replicated.origin
 
 
-def test_build_installs_telemetry_and_starts_the_tracer_empty():
-    telemetry = Telemetry(metrics=MetricsRegistry(), spans=SpanTracer())
-    telemetry.spans.record_push(Location(9, 0), 1.0)  # a previous run's span
-    run = build_scenario(
-        Scenario(spec=RelayTreeSpec.star(relays=1), seed=3, telemetry=telemetry)
-    )
-    assert run.network.telemetry is telemetry
+def test_build_records_no_trace_and_the_scrape_reads_the_bare_tree():
+    run = build_scenario(Scenario(spec=RelayTreeSpec.star(relays=1), seed=3))
     assert isinstance(run.network.trace, NullTraceRecorder)
-    assert telemetry.spans.summary()["spans"] == 0
-    run.collect()
-    assert telemetry.metrics.snapshot()["relaynet_subscribers"] == 0
-    # Without telemetry the scrape is a no-op, not an error.
-    build_scenario(Scenario(spec=RelayTreeSpec.star(relays=1), seed=3)).collect()
+    gauges = scrape(run)
+    assert gauges["relaynet_subscribers"] == 0
+    assert gauges["relaynet_relays"] == {"tier=relay": 1}
 
 
 @pytest.mark.parametrize("origins", [1, 2])

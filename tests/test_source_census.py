@@ -164,12 +164,9 @@ HIDDEN_BY_NAME: dict[str, str] = {
     "moqt/track.py::FullTrackName.encoded_length": "oracle: the MoQT track-name length the mapping tests bound",
     "netsim/trace.py::TraceEvent.as_dict": "observer: one trace event as a row",
     "netsim/trace.py::TraceRecorder.filter": "observer: the events a predicate selects",
+    "netsim/trace.py::TraceRecorder.kinds": "observer: the event kinds recorded, in order of first occurrence",
     "quic/endpoint.py::QuicEndpoint.connections": "observer: every connection the endpoint has seen",
     "relaynet/topology.py::FlashCrowdStorm.join_latencies": "observer: each stormer's join latency",
-    "telemetry/metrics.py::Histogram.observe": "ROADMAP 4(b): a histogram the journal's runs fill",
-    "telemetry/metrics.py::MetricsRegistry.counter": "ROADMAP 4(b): a counter the journal's runs register",
-    "telemetry/metrics.py::MetricsRegistry.histogram": "ROADMAP 4(b): a histogram the journal's runs register",
-    "telemetry/metrics.py::NullMetrics.histogram": "ROADMAP 4(b): the null twin of a histogram the journal's runs register",
 }
 
 #: A string that may be an expression naming something: a ``getattr`` name,
@@ -650,8 +647,6 @@ ONE_VALUE: dict[str, str] = {
     "experiments/relay_fanout.py::FanoutSample.link_batch_fallback_waves": "ROADMAP 0(a): the constant 0 E11 prints goes with the benchmark's read of it",
     "experiments/relay_fanout.py::TreeRun.link_batch_fallback_waves": "ROADMAP 0(a): the constant 0 E11 prints goes with the benchmark's read of it",
     "moqt/origin.py::OriginPublisher(track)": "deployment: the name the track is published at",
-    "moqt/receiver.py::TrackReceiver(telemetry)": "ROADMAP 4(b): the telemetry of a traced run",
-    "netsim/network.py::Network(telemetry)": "ROADMAP 4(b): the telemetry of a traced run",
     "quic/tls.py::ServerTlsContext.accept_early_data": "peer behaviour: a server that refuses 0-RTT",
     "quic/tls.py::SessionTicket.lifetime": "peer behaviour: a server whose tickets expire",
     "relaynet/admission.py::AdmissionPolicy.max_pending_subscribes": "ROADMAP 3(c): the pending-subscribe cap 3(c) makes binding",
@@ -659,14 +654,8 @@ ONE_VALUE: dict[str, str] = {
     "relaynet/origincluster.py::OriginCluster(host)": "deployment: the active origin's host",
     "relaynet/origincluster.py::OriginCluster(port)": "deployment: the origins' port",
     "relaynet/origincluster.py::OriginCluster(track)": "deployment: the name the track is published at",
-    "relaynet/scenario.py::Scenario.telemetry": "ROADMAP 4(b): the telemetry of a traced run",
     "relaynet/spec.py::RelayTreeSpec.host_prefix": "deployment: the relays' host names",
     "relaynet/topology.py::RelayTopology(port)": "deployment: the relays' port",
-    "telemetry/__init__.py::Telemetry(metrics)": "ROADMAP 4(b): a run's own registry, which the journal's runs pass",
-    "telemetry/__init__.py::Telemetry(spans)": "ROADMAP 4(b): a run's own tracer, which the journal's runs pass",
-    "telemetry/spans.py::SpanTracer(max_spans)": "ROADMAP 4(b): the flight-recorder cap of a traced run",
-    "telemetry/spans.py::SpanTracer(sample_every)": "ROADMAP 4(b): span sampling of a traced run",
-    "telemetry/spans.py::SpanTracer(subscriber_sample_every)": "ROADMAP 4(b): span sampling of a traced run",
 }
 ONE_VALUE_REASON = re.compile(r"deployment|peer behaviour|ROADMAP \d+(\([a-z]\))?(, \d+(\([a-z]\))?)*")
 
@@ -815,7 +804,9 @@ def _passed(
     ...; ``"*n"`` for a ``*`` argument at ``n``), and the one ``**``
     argument the census could not read into, if any.  A ``**`` of a dict
     display, or of a name ``function`` binds only to dict displays, is
-    read."""
+    read.  So is a ``**`` of a comprehension over ``fields(...)`` (a copy
+    or a delta of an instance's own values, ``TierStats.delta``): it passes
+    each field nothing the fields do not already hold, so nothing."""
     passed: list[Passed] = []
     unread = None
     for keyword in node.keywords:
@@ -835,7 +826,11 @@ def _passed(
         tables = table if isinstance(table, list) else [table]
         if all(isinstance(one, ast.Dict) and all(isinstance(key, ast.Constant) for key in one.keys) for one in tables):
             passed.extend((key.value, value) for one in tables for key, value in zip(one.keys, one.values))
-        else:
+        elif not all(
+            isinstance(one, ast.DictComp)
+            and all(isinstance(loop.iter, ast.Call) and _callee(loop.iter.func) == "fields" for loop in one.generators)
+            for one in tables
+        ):
             unread = keyword.value
     for position, argument in enumerate(node.args):
         if isinstance(argument, ast.Starred):
@@ -1110,6 +1105,38 @@ def recovery_model(link_delay, alpn_version_negotiation=False):
     assert one("def run():\n    return recovery_model(0.01, alpn_version_negotiation=True)\n") == []
     # Handed on as a callback, the function's calls are out of sight.
     assert one("def run(schedule):\n    schedule(recovery_model)\n") == []
+
+
+def test_option_census_reads_the_double_star_calls():
+    # The two ``**`` shapes under src/: a delta over the class's own fields
+    # (``TierStats.delta``) and a local forwarder (E4's ``topology(**overrides)``).
+    stats = '''
+from dataclasses import dataclass, fields
+
+
+@dataclass(frozen=True)
+class TierStats:
+    tier: str
+    retransmissions: int = 0
+
+    def delta(self, earlier):
+        changes = {f.name: getattr(self, f.name) - getattr(earlier, f.name) for f in fields(self) if f.name != "tier"}
+        return TierStats(tier=self.tier, **changes)
+'''
+    modules = {"relaynet/stats.py": stats}
+
+    def one(caller: str) -> list[str]:
+        runs = {"src/repro/relaynet/stats.py": stats, "src/repro/experiments/run.py": caller}
+        return one_valued(modules, runs)[1]
+
+    flag = ["relaynet/stats.py::TierStats.retransmissions"]
+    # Read, the delta passes nothing new: the default alone is one value.
+    assert one("def run():\n    return TierStats('edge').delta(TierStats('edge'))\n") == flag
+    assert one("def run():\n    return TierStats('edge', retransmissions=3)\n") == []
+    # A local forwarder's ``**`` carries what its own calls pass.
+    forwarder = "def run():\n    def stats(**overrides):\n        return TierStats('edge', **overrides)\n    return stats({})\n"
+    assert one(forwarder.replace("({})", "()")) == flag
+    assert one(forwarder.replace("({})", "(retransmissions=3)")) == []
 
 
 def unused_imports(source: str, path: str) -> list[str]:

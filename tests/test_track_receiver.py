@@ -40,7 +40,6 @@ from repro.moqt.receiver import (
 )
 from repro.moqt.relay import RelayStatistics, RelayTrack
 from repro.moqt.session import Subscription
-from repro.telemetry import Telemetry
 
 
 def obj(group: int) -> MoqtObject:
@@ -461,23 +460,6 @@ class TestGuards:
         assert forwarded == [2, 3, 4, 5, 6]
         assert statistics.objects_received == 5, "two live, three held: each counted once"
         assert statistics.recovered_objects == 1 and statistics.duplicate_objects_dropped == 2
-
-    def test_the_delivery_span_follows_tracing_at_delivery_time(self):
-        class Owner(ReceiverCounters):
-            def record_delivery(self, spans, o):
-                spans.append(o.group_id)
-
-        telemetry = Telemetry()
-        sunk: list[int] = []
-        receiver = TrackReceiver(TRACK, lambda o: sunk.append(o.group_id), Owner(), telemetry)
-        receiver.subscribe(FakeSession([]))
-        receiver.on_object(obj(1))
-        telemetry.spans = spans = []  # switched on mid-run
-        receiver.on_object(obj(2))
-        receiver.on_object(obj(2))  # a duplicate is not delivered, so not traced
-        telemetry.spans = None
-        receiver.on_object(obj(3))
-        assert sunk == [1, 2, 3] and spans == [2]
 
     def test_dedupe_window_stays_bounded(self):
         harness = Harness()
