@@ -128,8 +128,9 @@ class TrackReceiver:
         self.held: list[MoqtObject] | None = None
 
     # ---------------------------------------------------------------- delivery
-    def on_object(self, obj: MoqtObject) -> None:
-        """An object for the sink: the subscription's delivery function.
+    def __call__(self, obj: MoqtObject) -> None:
+        """An object for the sink: the receiver is its subscription's
+        ``on_object``, so a subscribe makes no bound method.
 
         Held back while a gap FETCH is outstanding, else deduped and handed
         on; :meth:`release` delivers through here too, after disarming.
@@ -161,7 +162,7 @@ class TrackReceiver:
         held, self.held = self.held or (), None
         # The base class's delivery, not an override: a subclass counting
         # what its uplink delivered must not count a release.
-        deliver = TrackReceiver.on_object
+        deliver = TrackReceiver.__call__
         before = self.delivered
         for obj in sorted(gap, key=_by_location):
             deliver(self, obj)
@@ -194,7 +195,7 @@ class TrackReceiver:
             on_response = partial(self._on_answer, resume_from, on_response)
         self.session = session
         self.subscription = session.subscribe(
-            self.full_track_name, on_object=self.on_object, on_response=on_response
+            self.full_track_name, on_object=self, on_response=on_response
         )
         return self.subscription
 

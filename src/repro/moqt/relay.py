@@ -87,10 +87,10 @@ class RelayTrack(TrackReceiver):
         """The live (or pending) upstream subscription, None when detached."""
         return self.subscription
 
-    def on_object(self, obj: MoqtObject) -> None:
+    def __call__(self, obj: MoqtObject) -> None:
         # Counted before dedupe and hold-back: what the uplink delivered.
         self.counters.objects_received += 1
-        super().on_object(obj)
+        super().__call__(obj)
 
 
 @dataclass
@@ -184,6 +184,8 @@ class MoqtRelay:
         self.statistics = RelayStatistics()
         self._tracks: dict[FullTrackName, RelayTrack] = {}
         self._downstream_sessions: list[MoqtSession] = []
+        #: Bound once: every downstream session's ``on_closed`` hook.
+        self._downstream_closed = self._on_downstream_closed
         self._upstream_session: MoqtSession | None = None
         #: Uplink session whose failure has already been reported (resets on
         #: recovery), so one dying uplink raises exactly one report.
@@ -214,7 +216,7 @@ class MoqtRelay:
             connection,
             is_client=False,
             publisher_delegate=self,
-            on_closed=self._on_downstream_closed,
+            on_closed=self._downstream_closed,
         )
         self._downstream_sessions.append(session)
         self.statistics.downstream_sessions += 1

@@ -276,7 +276,6 @@ class MoqtSession:
         "_control_parser",
         "_decoded_streams",
         "_control_stream",
-        "_control_stream_id",
         "_next_request_id",
         "_next_peer_request_id",
         "_next_track_alias",
@@ -322,11 +321,8 @@ class MoqtSession:
         # The simulation's decode memo (``docs/dns-codec.md``), one table per kind.
         self._control_parser = ControlStreamParser(self._simulator.memos["moqt.control"])
         self._decoded_streams = self._simulator.memos["moqt.stream"]
+        #: The connection's one bidirectional stream, stream 0.
         self._control_stream: QuicStream | None = None
-        #: Mirror of ``_control_stream.stream_id`` so the per-frame dispatch
-        #: in :meth:`stream_data_received` is one int compare, not two attribute
-        #: chains.
-        self._control_stream_id: int | None = None
         self._next_request_id = 0 if is_client else 1
         #: The request ID the peer's next SUBSCRIBE or FETCH must carry: the
         #: other parity, in steps of two (what its ``_allocate_request_id``
@@ -359,7 +355,6 @@ class MoqtSession:
     # ----------------------------------------------------------------- setup
     def _start_client(self, alpn_version_negotiation: bool) -> None:
         self._control_stream = self.connection.open_stream()
-        self._control_stream_id = self._control_stream.stream_id
         self._send_control(CLIENT_SETUP_WIRE)
         if alpn_version_negotiation:
             # Future MoQT: the version is negotiated in ALPN, so the client
@@ -391,9 +386,8 @@ class MoqtSession:
         if self.closed:
             raise SessionTerminated("session is closed")
         if self._control_stream is None:
-            # Server side: the control stream is the peer's stream 0.
-            self._control_stream = self.connection.get_or_create_stream(0)
-            self._control_stream_id = 0
+            # Server side: the client's stream 0, which its SETUP came on.
+            self._control_stream = self.connection.open_stream()
         self.statistics.control_messages_sent += 1
         self.connection.send_stream_data(self._control_stream, wire)
 
@@ -680,7 +674,7 @@ class MoqtSession:
         (:meth:`_protocol_violation`).
         """
         try:
-            if stream_id == 0 or stream_id == self._control_stream_id:
+            if stream_id == 0:
                 for message in self._control_parser.feed(data):
                     if self.closed:
                         # An earlier message of this chunk ended the session (no
@@ -688,12 +682,10 @@ class MoqtSession:
                         return
                     self._handle_control_message(message)
                 return
-            if not fin:
-                # A data stream arrives whole (one offset-0 FIN frame, enforced
-                # by the connection); only a peer's second bidirectional stream
-                # can come in pieces, and it carries nothing this session reads.
-                return
-            # Sibling subscribers of a fan-out receive byte-identical payloads.
+            # Any other stream is a data stream, which arrives whole: one
+            # offset-0 FIN frame (the connection closes on any other shape,
+            # and on any bidirectional stream but stream 0).  Sibling
+            # subscribers of a fan-out receive byte-identical payloads.
             memo = self._decoded_streams
             decoded = memo.get(data) or memo.keep(data, decode_complete_datastream(data))
         except ProtocolViolation as error:
@@ -720,7 +712,7 @@ class MoqtSession:
         if subscription.largest is None or location > subscription.largest:
             subscription.largest = location
         if subscription.on_object is not None:
-            # A followed track's TrackReceiver.on_object: hold-back, dedupe
+            # A followed track's TrackReceiver itself: hold-back, dedupe
             # and the sink in one call.
             subscription.on_object(obj)
 

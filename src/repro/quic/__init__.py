@@ -27,7 +27,7 @@ adds no extra round trips.
 from repro.quic.varint import encode_varint, decode_varint, varint_size
 from repro.quic.connection import ConnectionConfig, QuicConnection, QuicConnectionError
 from repro.quic.endpoint import QuicEndpoint
-from repro.quic.stream import QuicStream, StreamDirection
+from repro.quic.stream import QuicStream
 from repro.quic.tls import SessionTicket, SessionTicketStore
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "QuicConnectionError",
     "QuicEndpoint",
     "QuicStream",
-    "StreamDirection",
     "SessionTicket",
     "SessionTicketStore",
 ]

@@ -65,11 +65,7 @@ from repro.quic.varint import (
     varint_size,
     _VALUE_MASK,
 )
-from repro.quic.stream import (
-    QuicStream,
-    StreamDirection,
-    make_stream_id,
-)
+from repro.quic.stream import QuicStream
 from repro.quic.tls import (
     AlpnMismatchError,
     ClientHello,
@@ -297,10 +293,9 @@ class QuicConnection:
         "liveness_cause",
         "suspected_at",
         "dead_at",
-        "_streams",
+        "_stream",
         "_peer_uni_floor",
         "_peer_uni_above",
-        "_next_bidi_sequence",
         "_next_uni_sequence",
         "_next_packet_number",
         "_largest_acked",
@@ -369,7 +364,11 @@ class QuicConnection:
         self.dead_at: float | None = None
 
         # Streams.
-        self._streams: dict[int, QuicStream] = {}
+        #: The connection's one bidirectional stream, stream 0 (MoQT's
+        #: control stream): opened by the client's :meth:`open_stream`,
+        #: created on a server by the client's first frame.  A frame on any
+        #: other bidirectional stream closes the connection.
+        self._stream: QuicStream | None = None
         #: Which peer-initiated unidirectional streams have been seen, by
         #: stream sequence (``stream_id >> 2``): every sequence below the
         #: floor, plus the out-of-order arrivals above it.  Every such
@@ -384,7 +383,6 @@ class QuicConnection:
         #: links never reorder, so most connections never build it.
         self._peer_uni_floor = 0
         self._peer_uni_above: set[int] | None = None
-        self._next_bidi_sequence = 0
         self._next_uni_sequence = 0
 
         # Packetisation and loss recovery.
@@ -468,12 +466,12 @@ class QuicConnection:
 
     @property
     def stream_states(self) -> int:
-        """Streams this connection holds a :class:`QuicStream` for.
+        """Streams this connection holds a :class:`QuicStream` for: 0 or 1.
 
-        The control stream and nothing else: data streams are one-shot
-        unidirectional streams, sent and received without one.
+        The one bidirectional stream and nothing else: data streams are
+        one-shot unidirectional streams, sent and received without one.
         """
-        return len(self._streams)
+        return 0 if self._stream is None else 1
 
     @property
     def stream_reorder_backlog(self) -> int:
@@ -546,7 +544,14 @@ class QuicConnection:
         self._flush_queued_app_frames()
 
     def _process_server_hello(self, server_hello: ServerHello) -> None:
-        self.negotiated_alpn = server_hello.alpn
+        offered = self.config.alpn_protocols
+        if server_hello.alpn not in offered:
+            reason = f"ALPN not offered: {server_hello.alpn}"
+            self.close(TransportErrorCode.CONNECTION_REFUSED, reason)
+            return
+        # The configured string, not the hello's decoded copy: the connection
+        # (and its session ticket) keeps it for life.
+        self.negotiated_alpn = offered[offered.index(server_hello.alpn)]
         if self.used_0rtt and not server_hello.accepts_early_data:
             self.early_data_accepted = False
             # 0-RTT was rejected: requeue everything that was sent early.
@@ -555,7 +560,7 @@ class QuicConnection:
             self._ticket_store.put(
                 SessionTicket(
                     server_name=self.server_name,
-                    alpn=server_hello.alpn,
+                    alpn=self.negotiated_alpn,
                     issued_at=self._simulator.now,
                     ticket_id=server_hello.new_ticket_id,
                 )
@@ -583,29 +588,18 @@ class QuicConnection:
 
     # ---------------------------------------------------------------- streams
     def open_stream(self) -> QuicStream:
-        """Open a new locally initiated bidirectional stream.
+        """The connection's one bidirectional stream, stream 0.
 
-        Unidirectional streams are one-shot and have no stream object on the
-        sending side: see :meth:`send_encoded_stream`.
+        The client opens it; on a server it is the client's stream, created
+        here if the server writes before the client's first frame arrived.
+        Every later call returns the same stream.  Unidirectional streams
+        are one-shot and have no stream object on the sending side: see
+        :meth:`send_encoded_stream`.
         """
-        sequence = self._next_bidi_sequence
-        self._next_bidi_sequence = sequence + 1
-        stream_id = make_stream_id(sequence, self.is_client, StreamDirection.BIDIRECTIONAL)
-        stream = QuicStream(stream_id)
-        self._streams[stream_id] = stream
-        return stream
-
-    def get_or_create_stream(self, stream_id: int) -> QuicStream:
-        """Look up a stream, creating state for peer-initiated streams."""
-        stream = self._streams.get(stream_id)
+        stream = self._stream
         if stream is None:
-            stream = QuicStream(stream_id)
-            self._streams[stream_id] = stream
+            stream = self._stream = QuicStream(0)
         return stream
-
-    def streams(self) -> dict[int, QuicStream]:
-        """All streams keyed by ID."""
-        return dict(self._streams)
 
     def send_stream_data(self, stream: QuicStream, data: bytes, fin: bool = False) -> None:
         """Write data on a stream and transmit it as soon as allowed."""
@@ -631,8 +625,8 @@ class QuicConnection:
             raise QuicConnectionError(TransportErrorCode.PROTOCOL_VIOLATION, "connection closed")
         sequence = self._next_uni_sequence
         self._next_uni_sequence = sequence + 1
-        # make_stream_id(sequence, is_client, UNIDIRECTIONAL), inline: one
-        # call fewer per subscriber per object.
+        # RFC 9000 §2.1: the sequence, the initiator bit and the
+        # unidirectional bit.
         stream_id = (sequence << 2) | (0x2 if self.is_client else 0x3)
         self._send_stream(stream_id, 0, chunk, True)
         return stream_id
@@ -1231,10 +1225,19 @@ class QuicConnection:
             elif self.delegate is not None:
                 self.delegate.stream_data_received(stream_id, data, True)
             return
-        stream = self._streams.get(stream_id)
-        if stream is None:
-            stream = QuicStream(stream_id)
-            self._streams[stream_id] = stream
+        stream = self._stream
+        if stream is None or stream_id:
+            if stream_id == 0 and not self.is_client:
+                # The client's first frame opens the one stream.
+                stream = self._stream = QuicStream(0)
+            elif stream_id & 0x1 == (0 if self.is_client else 0x1):
+                # RFC 9000 §19.8: a locally initiated stream never opened.
+                self.close(TransportErrorCode.STREAM_STATE_ERROR, f"stream {stream_id} not opened")
+                return
+            else:
+                # RFC 9000 §4.6: the peer may open one bidirectional stream.
+                self.close(TransportErrorCode.STREAM_LIMIT_ERROR, f"stream {stream_id} over limit")
+                return
         delivered = stream.receive(offset, data, fin)
         if delivered is not None and self.delegate is not None:
             self.delegate.stream_data_received(stream_id, *delivered)

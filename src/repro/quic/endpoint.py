@@ -48,6 +48,7 @@ class QuicEndpoint:
         "_simulator",
         "_server_config",
         "_server_tls",
+        "_send_datagram",
         "on_connection",
         "ticket_store",
         "_connections",
@@ -74,6 +75,9 @@ class QuicEndpoint:
         self._simulator = host.simulator
         self._server_config = server_config
         self._server_tls = server_tls
+        #: Bound once: every connection of the endpoint sends through this
+        #: one object (a relay serving thousands holds one, not thousands).
+        self._send_datagram = self._send_payload
         self.on_connection = on_connection
         self.ticket_store = SessionTicketStore()
         self._connections: dict[int, QuicConnection] = {}
@@ -98,7 +102,7 @@ class QuicEndpoint:
         connection_id = self._allocate_connection_id()
         connection = QuicConnection(
             simulator=self._simulator,
-            send_datagram=self._send_payload,
+            send_datagram=self._send_datagram,
             local_address=self.address,
             peer_address=peer,
             connection_id=connection_id,
@@ -151,7 +155,7 @@ class QuicEndpoint:
             config = self._server_config = ConnectionConfig()
         connection = QuicConnection(
             simulator=self._simulator,
-            send_datagram=self._send_payload,
+            send_datagram=self._send_datagram,
             local_address=self.address,
             peer_address=source,
             connection_id=connection_id,

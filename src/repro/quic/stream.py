@@ -5,29 +5,12 @@ Stream identifiers follow RFC 9000: the two low bits encode the initiator
 bidirectional streams are 0, 4, 8, ... and server unidirectional streams are
 3, 7, 11, ...  MoQT relies on this: the control channel is the first client
 bidirectional stream, while objects are delivered on unidirectional streams
-opened by the publisher.
+opened by the publisher.  A connection holds one :class:`QuicStream`, stream
+0, and closes on a frame for any other bidirectional stream; a
+unidirectional data stream arrives whole and needs none.
 """
 
 from __future__ import annotations
-
-import enum
-
-
-class StreamDirection(enum.Enum):
-    """Directionality of a stream."""
-
-    BIDIRECTIONAL = "bidi"
-    UNIDIRECTIONAL = "uni"
-
-
-def make_stream_id(sequence: int, is_client: bool, direction: StreamDirection) -> int:
-    """Compose a stream ID from its sequence number, initiator and direction."""
-    stream_id = sequence << 2
-    if not is_client:
-        stream_id |= 0x1
-    if direction is StreamDirection.UNIDIRECTIONAL:
-        stream_id |= 0x2
-    return stream_id
 
 
 class QuicStream:

@@ -169,14 +169,16 @@ class ServerTlsContext:
 
     def process_client_hello(self, hello: ClientHello) -> ServerHello:
         """Negotiate ALPN and decide whether to accept early data."""
-        selected = None
+        supported = self.alpn_protocols
         for candidate in hello.alpn_protocols:
-            if candidate in self.alpn_protocols:
-                selected = candidate
+            if candidate in supported:
+                # The configured string, not the hello's decoded copy: the
+                # connection keeps it for life.
+                selected = supported[supported.index(candidate)]
                 break
-        if selected is None:
+        else:
             raise AlpnMismatchError(
-                f"no common ALPN: client={hello.alpn_protocols} server={self.alpn_protocols}"
+                f"no common ALPN: client={hello.alpn_protocols} server={supported}"
             )
         accepts = bool(
             self.accept_early_data and hello.offers_early_data and hello.session_ticket

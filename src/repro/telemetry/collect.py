@@ -67,8 +67,9 @@ _QUIC_CC_FIELDS = (
 )
 
 #: ``stream_states`` is the bounded-state gauge: ``QuicStream`` objects held,
-#: summed over the role's connections (the control stream, one each: a data
-#: stream arrives whole and holds none).
+#: summed over the role's connections (at most one each, the control stream:
+#: a connection closes on any other bidirectional stream, and a data stream
+#: arrives whole and holds none).
 #: ``inflight_packets`` is the in-flight ledger's size (records awaiting an
 #: ACK or a PTO); zero once a run has quiesced, and zero for a closed
 #: connection however it ended.

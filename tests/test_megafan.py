@@ -397,7 +397,7 @@ class TestOneShotReceivePath:
         sender.send_encoded_stream(b"stream-payload")
         receiver.datagram_received(sent[0])
         assert received == [(2, b"stream-payload", True)]
-        assert 2 not in receiver.streams()  # no QuicStream materialised
+        assert receiver.stream_states == 0  # no QuicStream materialised
 
     def test_retransmitted_duplicate_is_suppressed(self):
         sent = []

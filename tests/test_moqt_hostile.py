@@ -24,7 +24,12 @@ handler and closes with ``SessionErrorCode.PROTOCOL_VIOLATION``
   the session stay open and deliver what comes next;
 * one case per site that decodes an enum (a group order, a filter type, a
   fetch type): a value with no member closes the receiving session with
-  ``PROTOCOL_VIOLATION``, as the decoder's ``ValueError`` does everywhere.
+  ``PROTOCOL_VIOLATION``, as the decoder's ``ValueError`` does everywhere;
+* a connection holds one bidirectional stream, stream 0: a STREAM frame on
+  any other bidirectional id, from either end of the live pair, closes the
+  receiving connection with a typed transport error (``STREAM_LIMIT_ERROR``
+  for a peer's id, ``STREAM_STATE_ERROR`` for an unopened local or a
+  send-only one), and a burst of 1,000 leaves one stream state.
 
 Mutation list — each change below was made to ``src/`` in turn and this file
 run against it; every mutant dies, killed by the tests named:
@@ -58,7 +63,14 @@ run against it; every mutant dies, killed by the tests named:
   (all six cases);
 * ``MoqtSession._protocol_violation`` closing with ``NO_ERROR`` —
   ``test_a_malformed_input_closes_the_receiving_session`` and
-  ``test_random_bytes_never_escape_the_simulator``, both paths of each.
+  ``test_random_bytes_never_escape_the_simulator``, both paths of each;
+* ``QuicConnection._on_stream_frame`` reading every bidirectional frame into
+  stream 0 — ``test_a_frame_on_another_stream_closes_with_a_typed_error``
+  (all five cases) and ``test_a_burst_of_peer_streams_leaves_one_stream_state``;
+  the same with the two error codes swapped — all six; a server opening a
+  fresh stream 0 for a frame on any bidirectional id —
+  ``test_a_frame_on_another_stream_closes_with_a_typed_error`` (``client's
+  second bidirectional``, ``server's own, never opened``) and the burst test.
 
 Two more mutants of the same change die elsewhere: ``connection_closed``
 keeping the requests queued behind SETUP —
@@ -109,6 +121,7 @@ from repro.netsim.packet import Address
 from repro.netsim.simulator import Simulator
 from repro.quic.connection import ConnectionConfig
 from repro.quic.endpoint import QuicEndpoint
+from repro.quic.errors import TransportErrorCode
 from repro.quic.frames import PacketDecodeError
 from repro.quic.packet import Packet, PacketType
 from repro.quic.tls import ServerTlsContext
@@ -500,3 +513,52 @@ def test_a_datagram_frame_is_a_malformed_packet_and_changes_nothing(monkeypatch,
     pair.server.publish(pair.record, MoqtObject(group_id=5, object_id=0, payload=b"v5"))
     pair.run(1.0)
     assert [obj.group_id for obj in pair.received] == [5]
+
+
+# ------------------------------------------ one bidirectional stream, stream 0
+#: A STREAM frame on a stream other than the control stream: who sends it, on
+#: which id, and the transport error the receiving connection closes with.
+#: The peer may open one bidirectional stream (RFC 9000 §4.6); a frame on a
+#: locally initiated stream never opened, or on a send-only one, is a state
+#: error (§19.8).
+OTHER_STREAMS = {
+    "client's second bidirectional": ("client", 4, TransportErrorCode.STREAM_LIMIT_ERROR),
+    "server-initiated bidirectional": ("server", 1, TransportErrorCode.STREAM_LIMIT_ERROR),
+    "server's own, never opened": ("client", 1, TransportErrorCode.STREAM_STATE_ERROR),
+    "client's own, never opened": ("server", 4, TransportErrorCode.STREAM_STATE_ERROR),
+    "client's send-only": ("server", 2, TransportErrorCode.STREAM_STATE_ERROR),
+}
+
+
+@pytest.mark.parametrize("case", OTHER_STREAMS)
+def test_a_frame_on_another_stream_closes_with_a_typed_error(monkeypatch, case):
+    sender_name, stream_id, code = OTHER_STREAMS[case]
+    pair = _Pair(monkeypatch)
+    sender, receiver = (
+        (pair.client, pair.server) if sender_name == "client" else (pair.server, pair.client)
+    )
+    sender.connection._send_stream(stream_id, 0, b"hello", False)
+    pair.run(1.0)  # nothing escapes
+    (first, second) = pair.closes
+    assert first[0] is receiver and first[1] == code
+    # The code and the reason reach the peer in the CONNECTION_CLOSE.
+    assert second == (sender, code, first[2])
+    assert receiver.connection.closed and sender.connection.closed
+    assert receiver.connection.stream_states == 1  # the control stream, nothing more
+    pair.assert_nothing_pending()
+
+
+def test_a_burst_of_peer_streams_leaves_one_stream_state(monkeypatch):
+    """1,000 frames on the client's bidirectional ids 4 … 4000: the server's
+    connection closes at the first and holds the control stream alone."""
+    pair = _Pair(monkeypatch)
+    for sequence in range(1, 1001):
+        pair.client.connection._send_stream(sequence << 2, 0, b"x", False)
+    pair.run(1.0)
+    connection = pair.server.connection
+    print(f"server stream_states after 1,000 peer streams: {connection.stream_states}")
+    assert connection.stream_states <= 1
+    assert connection.closed and pair.closes[0][:2] == (
+        pair.server,
+        TransportErrorCode.STREAM_LIMIT_ERROR,
+    )

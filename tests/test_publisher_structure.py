@@ -200,7 +200,7 @@ def test_one_receiver():
     inside = violations((SRC / RECEIVER).read_text(), "moqt/elsewhere.py")
     sites = sorted(reason.split(": ", 1)[1] for reason in inside)
     assert sites == [
-        "dedupe window pruned outside the receiver (in on_object)",
+        "dedupe window pruned outside the receiver (in __call__)",
         "objects sorted by location outside the receiver (in release)",
         "objects sorted by location outside the receiver (in release)",
         "open-ended FETCH range outside the receiver (in _on_answer)",

@@ -14,7 +14,6 @@ from repro.netsim.packet import Address
 from repro.netsim.simulator import Simulator
 from repro.quic.connection import ConnectionConfig, _EncodedStreamPacket
 from repro.quic.endpoint import QuicEndpoint
-from repro.quic.stream import StreamDirection
 from repro.quic.tls import ServerTlsContext
 
 from connection_delegate import delegate_to
@@ -35,8 +34,8 @@ def _build(loss_rate: float = 0.0, server_accept_early: bool = True, keepalive=N
 
     def echo_handler(connection):
         def on_data(stream_id, data, fin):
-            stream = connection.get_or_create_stream(stream_id)
-            connection.send_stream_data(stream, b"echo:" + data, fin=True)
+            # The reply goes back on the one stream, finished with the request.
+            connection.send_stream_data(connection.open_stream(), b"echo:" + data, fin=fin)
 
         delegate_to(connection, on_stream_data=on_data)
         server_connections.append(connection)
@@ -154,9 +153,14 @@ class TestReliabilityAndLifecycle:
         connection = client_ep.connect(Address(SERVER, 4443), config)
         replies = []
 
+        completions = []
+
         def after_handshake(c):
-            stream = c.open_stream()
-            c.send_stream_data(stream, b"lossy", fin=True)
+            # A retransmitted ServerHello completes the handshake again; the
+            # request goes out once, on the one stream.
+            completions.append(simulator.now)
+            if len(completions) == 1:
+                c.send_stream_data(c.open_stream(), b"lossy", fin=True)
 
         connection.on_handshake_complete = after_handshake
         delegate_to(connection, on_stream_data=lambda sid, data, fin: replies.append(data))
@@ -172,8 +176,9 @@ class TestReliabilityAndLifecycle:
         connection = client_ep.connect(Address(SERVER, 4443), config)
         simulator.run(until=1.0)
         assert connection.handshake_complete and connection.unacked_packets == 0
+        stream = connection.open_stream()
         for _ in range(1000):
-            connection.send_stream_data(connection.open_stream(), b"burst", fin=True)
+            connection.send_stream_data(stream, b"burst")
         assert connection.unacked_packets == 1000
         assert sys.getsizeof(connection._unacked) > sys.getsizeof({})
         simulator.run(until=2.0)

@@ -452,7 +452,7 @@ def _snapshot(connection: QuicConnection, delivered: list) -> tuple:
         dataclasses.astuple(connection.statistics),
         connection.idle_deadline,
         list(connection._received_ranges),
-        sorted(connection.streams()),
+        connection.stream_states,
         connection._peer_uni_floor,
         sorted(connection._peer_uni_above or ()),
         sorted(connection._unacked),
@@ -577,6 +577,30 @@ def test_a_crypto_frame_without_a_hello_closes_the_connection():
         assert connection.closed and not connection.handshake_complete, hello
         assert connection.close_reason in ("malformed ClientHello", "not a ClientHello")
         assert server.datagrams_malformed == 0
+
+
+def test_the_negotiated_alpn_is_the_configured_string():
+    """Each end keeps the entry of its own configuration, not the copy it
+    decoded from the peer's hello: one string per process, not per
+    connection (the ticket keeps the same one)."""
+    simulator, network, server, client, connection, _ = _connected_pair()
+    (accepted,) = server.connections()
+    assert connection.negotiated_alpn is connection.config.alpn_protocols[0]
+    assert accepted.negotiated_alpn is server.server_tls.alpn_protocols[0]
+    ticket = client.ticket_store.get(SERVER, simulator.now)
+    assert ticket.alpn is connection.negotiated_alpn
+
+
+def test_a_server_hello_naming_an_alpn_not_offered_closes_the_connection():
+    simulator, network, _, client, connection, _ = _connected_pair()
+    closes = []
+    delegate_to(connection, on_closed=lambda code, reason: closes.append((code, reason)))
+    hello = CryptoFrame(b"SH|h3|0|2")
+    packet = Packet(PacketType.HANDSHAKE, connection.connection_id, 900, (hello,))
+    _inject(simulator, network, client, packet.encode())
+    simulator.run()
+    assert closes == [(int(TransportErrorCode.CONNECTION_REFUSED), "ALPN not offered: h3")]
+    assert connection.negotiated_alpn == "moq-00"
 
 
 # ------------------------------------------------------------ (c) atomicity
@@ -730,7 +754,7 @@ def test_in_order_streams_keep_no_state():
     assert delivered == list(range(10_000))
     assert connection.stream_reorder_backlog == 0
     assert connection._peer_uni_floor == 10_000
-    assert connection.streams() == {}  # no QuicStream materialised either
+    assert connection.stream_states == 0  # no QuicStream materialised either
     # Late retransmissions of any of them are suppressed.
     for sequence in (0, 1, 4999, 9999):
         connection.datagram_received(_one_shot(sequence, 20_000 + sequence))
@@ -809,12 +833,26 @@ def test_a_data_stream_that_is_not_whole_closes_the_connection():
         connection.datagram_received(packet.encode())
         assert connection.closed and closes == [violation], fragment
         assert delivered == [(0, b"obj", True)]
-        assert connection.streams() == {}
+        assert connection.stream_states == 0
         (close,) = Packet.decode(sent[-1]).frames
         assert close.error_code == violation
         # A closed connection reads nothing more.
         connection.datagram_received(_one_shot(2, 2))
         assert delivered == [(0, b"obj", True)]
+
+
+def test_a_client_refuses_a_frame_on_its_stream_0_before_opening_it():
+    """Stream 0 is the client's to open: a peer frame on it first is a
+    STREAM_STATE_ERROR (RFC 9000 §19.8), and no stream is created for it."""
+    connection, sent = _isolated(is_client=True)
+    closes = []
+    delegate_to(connection, on_closed=lambda code, reason: closes.append(code))
+    frame = StreamFrame(0, 0, b"early", False)
+    connection.datagram_received(Packet(PacketType.ONE_RTT, 77, 0, (frame,)).encode())
+    assert closes == [int(TransportErrorCode.STREAM_STATE_ERROR)]
+    assert connection.stream_states == 0
+    (close,) = Packet.decode(sent[-1]).frames
+    assert close.error_code == TransportErrorCode.STREAM_STATE_ERROR
 
 
 def test_a_held_fragment_survives_reuse_of_the_callers_buffer():
@@ -834,7 +872,7 @@ def test_a_held_fragment_survives_reuse_of_the_callers_buffer():
     first = Packet(PacketType.ONE_RTT, 77, 1, (StreamFrame(stream_id, 0, b"frag", False),))
     connection.datagram_received(first.encode())
     assert b"".join(data for data, _ in chunks) == b"fragment" and chunks[-1][1] is True
-    assert list(connection.streams()) == [stream_id]
+    assert connection.stream_states == 1 and connection._stream.stream_id == stream_id
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.netsim.packet import Address
+from repro.netsim.simulator import Simulator
+from repro.quic.connection import ConnectionConfig, QuicConnection
 from repro.quic.frames import (
     AckFrame,
     ConnectionCloseFrame,
@@ -16,11 +19,7 @@ from repro.quic.frames import (
     encode_frames,
 )
 from repro.quic.packet import Packet, PacketType
-from repro.quic.stream import (
-    QuicStream,
-    StreamDirection,
-    make_stream_id,
-)
+from repro.quic.stream import QuicStream
 from repro.quic.tls import (
     AlpnMismatchError,
     ClientHello,
@@ -141,11 +140,26 @@ class TestPackets:
 
 class TestStreamIds:
     def test_stream_id_composition(self):
-        assert make_stream_id(0, True, StreamDirection.BIDIRECTIONAL) == 0
-        assert make_stream_id(1, True, StreamDirection.BIDIRECTIONAL) == 4
-        assert make_stream_id(0, False, StreamDirection.BIDIRECTIONAL) == 1
-        assert make_stream_id(0, True, StreamDirection.UNIDIRECTIONAL) == 2
-        assert make_stream_id(0, False, StreamDirection.UNIDIRECTIONAL) == 3
+        # RFC 9000 §2.1: the sequence over the initiator bit (0x1, server)
+        # and the unidirectional bit (0x2).  The one bidirectional stream is
+        # the client's first; each side's data streams count up from its own
+        # unidirectional base.
+        ids = {}
+        for is_client in (True, False):
+            connection = QuicConnection(
+                simulator=Simulator(),
+                send_datagram=lambda payload, destination: None,
+                local_address=Address("a", 1),
+                peer_address=Address("b", 2),
+                connection_id=1,
+                is_client=is_client,
+                config=ConnectionConfig(),
+            )
+            bidirectional = connection.open_stream().stream_id
+            ids[is_client] = [bidirectional] + [
+                connection.send_encoded_stream(b"x") for _ in range(2)
+            ]
+        assert ids == {True: [0, 2, 6], False: [0, 3, 7]}
 
 
 class TestStreamReassembly:

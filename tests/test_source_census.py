@@ -125,7 +125,6 @@ TEST_ONLY: dict[str, str] = {
     "quic/connection.py::QuicConnection.loss_deadline": "observer: when the probe timeout fires",
     "quic/connection.py::QuicConnection.smoothed_rtt": "observer: the RTT estimate",
     "quic/connection.py::QuicConnection.stream_reorder_backlog": "observer: peer streams held ahead of a gap",
-    "quic/connection.py::QuicConnection.streams": "observer: the open streams",
     "quic/frames.py::decode_frames": "oracle: the frame-list codec the wire round trips run every frame through",
     "quic/frames.py::encode_frames": "oracle: the frame-list codec the wire round trips run every frame through",
     "quic/packet.py::Packet.is_ack_eliciting": "oracle: the reference receive model's ACK rule (test_quic_receive.py)",

@@ -91,10 +91,9 @@ def test_every_subscriber_of_the_measured_stars_is_active(exact_costs):
 # --------------------------------------------------------------- (b) structure
 #: Containers that may be empty on a connection / session that has done
 #: nothing yet.  Each is written within the first round trip of every
-#: connection (stream 0, the first packet sent, the first packet received,
-#: the first request queued behind SETUP), so creating them lazily would buy
-#: nothing.
-MAY_BE_EMPTY = {"_streams", "_unacked", "_received_ranges", "_pending_until_ready"}
+#: connection (the first packet sent, the first packet received, the first
+#: request queued behind SETUP), so creating them lazily would buy nothing.
+MAY_BE_EMPTY = {"_unacked", "_received_ranges", "_pending_until_ready"}
 
 
 def _empty_containers(instance) -> set[str]:
@@ -172,7 +171,8 @@ class TestStateFollowsRole:
         for session in [*downstream, *(subscriber.session for subscriber in subscribers)]:
             # SETUP handed the queue back; no message straddles two chunks.
             assert session._pending_until_ready == () and session._control_parser._buffer == b""
-            (control_stream,) = session.connection.streams().values()
+            control_stream = session.connection._stream
+            assert control_stream is session._control_stream
             assert control_stream._segments is None  # it arrived in order: no reorder table
         for session in downstream:
             assert len(session._publisher_subscriptions) == 1

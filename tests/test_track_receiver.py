@@ -22,7 +22,7 @@ issuing the FETCH, the owner's hook running after the FETCH, a plain
 SUBSCRIBE's hook being wrapped, a refusal releasing the hold-back its own
 hook had just handed to a newer attach); every removal fails the schedule
 property or one of the named cases below it.  So do a release that goes
-through a subclass's ``on_object`` (a relay's uplink count repeated) and a
+through a subclass's ``__call__`` (a relay's uplink count repeated) and a
 delivery span decided at attach time instead of at delivery.
 """
 
@@ -174,7 +174,7 @@ class Harness:
         on_response = (lambda subscription: self.log.append("hook")) if hook else None
         subscription = self.receiver.subscribe(session, recover=recover, on_response=on_response)
         assert subscription is session.subscriptions[-1] is self.receiver.subscription
-        assert subscription.on_object == self.receiver.on_object
+        assert subscription.on_object is self.receiver  # the receiver delivers itself
         if self.resume is None:
             assert subscription.on_response is on_response, "plain subscribe: hook untouched"
 
@@ -419,7 +419,7 @@ class TestGuards:
         receiver = TrackReceiver(TRACK, lambda o: sunk.append(o.group_id), ReceiverCounters())
         receiver.subscribe(FakeSession(log))
         for group in (2, 3):
-            receiver.on_object(obj(group))
+            receiver(obj(group))
         spilled = FakeSession(log)
 
         def spill(subscription: Subscription) -> None:
@@ -440,9 +440,9 @@ class TestGuards:
         assert sunk == [2, 3, 4, 5, 6]
 
     def test_a_release_does_not_repeat_the_uplink_count(self):
-        # RelayTrack.on_object counts what the uplink delivered, before dedupe
+        # RelayTrack.__call__ counts what the uplink delivered, before dedupe
         # and hold-back; the release delivers through the receiver's own
-        # on_object, so released objects are not counted again.
+        # __call__, so released objects are not counted again.
         statistics = RelayStatistics()
         forwarded: list[int] = []
         track = RelayTrack(TRACK, lambda t, o: forwarded.append(o.group_id), statistics)
@@ -465,6 +465,6 @@ class TestGuards:
         harness = Harness()
         harness.subscribe(recover=False, close_old=False, hook=False)
         for group in range(1, 3 * DEDUPE_PRUNE_THRESHOLD):
-            harness.receiver.on_object(obj(group))
+            harness.receiver(obj(group))
             assert len(harness.receiver.seen) <= DEDUPE_PRUNE_THRESHOLD
         assert harness.receiver.delivered == 3 * DEDUPE_PRUNE_THRESHOLD - 1
