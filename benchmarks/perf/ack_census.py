@@ -2,7 +2,7 @@
 
 Item 6(b) — "the ACK rides the response" — would move every wire-byte and
 datagram-count pin on a request / response path, so the ROADMAP asks for a
-count first: per end-to-end workload and per E1–E16 fast run, how many QUIC
+count first: per end-to-end workload and per E1–E16 run, how many QUIC
 datagrams are *bare ACKs* (every frame an ACK or ACK_RANGES) that leave in the
 same virtual instant, from the same endpoint on the same connection, as a
 packet carrying something else — the ACKs a bundling sender would not send.
@@ -119,7 +119,7 @@ def e2e_rows(census: Census, names: list[str], seed: int):
 
 
 def experiment_rows(census: Census):
-    """One row per ``run_*`` call of ``run_all(fast=True)``, in report order."""
+    """One row per ``run_*`` call of ``run_all()``, in report order."""
     calls: list[tuple[int, int, int, float]] = []
 
     def counted(function):
@@ -140,7 +140,7 @@ def experiment_rows(census: Census):
     for name, function in originals.items():
         setattr(runner, name, counted(function))
     try:
-        reports = runner.run_all(fast=True)
+        reports = runner.run_all()
     finally:
         for name, function in originals.items():
             setattr(runner, name, function)

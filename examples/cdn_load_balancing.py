@@ -41,7 +41,7 @@ def main() -> None:
     )
 
     print("-- Staleness when the record changes (lower is fresher) --")
-    staleness = run_staleness(ttls=[ttl], change_offsets=[0.25, 0.5, 0.75])
+    staleness = run_staleness(ttls=[ttl])
     print(format_table(staleness.rows()))
     print(
         f"\n  subscribed resolvers are ~{staleness.model_pubsub * 1000:.0f} ms behind the origin;"
@@ -49,10 +49,9 @@ def main() -> None:
     )
 
     print("-- Scaling to a whole stub (the paper's §5.3 estimate) --")
-    estimate = cdn_stub_traffic_bps(subscribed_domains=1000, update_interval_seconds=10.0)
+    estimate = cdn_stub_traffic_bps(subscribed_domains=1000)
     print(f"  1000 subscribed domains x 1 update/10 s x 300 B = {estimate.kbps:.0f} kbit/s per stub")
-    model = traffic_comparison(duration=86400, ttl=ttl, change_interval=change_interval,
-                               resolvers=1000, include_setup=False)
+    model = traffic_comparison(duration=86400, ttl=ttl, change_interval=change_interval, resolvers=1000)
     print(
         f"  over a day, 1000 interested resolvers would poll {model.polling:.0f} times; "
         f"pub/sub pushes {model.pubsub:.0f} objects"

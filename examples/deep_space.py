@@ -109,12 +109,7 @@ def main() -> None:
           "plus several round trips of re-resolution)")
 
     print("\n-- 4. Throttled update traffic towards the deep-space site --")
-    estimate = deep_space_update_traffic_bps(
-        subscribed_domains=10_000,
-        update_interval_seconds=3600.0,
-        throttled_fraction=0.9,
-        throttled_interval_seconds=86_400.0,
-    )
+    estimate = deep_space_update_traffic_bps()
     print(
         "  10k subscribed domains, 90% throttled to daily forwarding: "
         f"{estimate.kbps:.2f} kbit/s across the deep-space link"

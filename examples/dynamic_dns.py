@@ -73,8 +73,7 @@ def main() -> None:
           f"({auth_stats.update_bytes_published} bytes) for 2 address changes")
 
     print("\n== Scaling to the paper's global estimate ==")
-    estimate = ddns_update_traffic_bps(users=100e6, interested_per_user=1000,
-                                       updates_per_day=2, update_size_bytes=300)
+    estimate = ddns_update_traffic_bps()
     print(
         "100M users x 2 updates/day x 1000 interested parties x 300 B "
         f"= {estimate.gbps:.2f} Gbit/s globally (paper: ~5.5 Gbit/s) — negligible at global scale"

@@ -23,7 +23,6 @@ def main() -> None:
     config = SmallTopologyConfig(
         domain="www.example.com.",
         record_ttl=300,
-        stub_rtt=0.010,       # 10 ms between stub and recursive resolver
         upstream_rtt=0.040,   # 40 ms between resolver and each authority
     )
     topology = SmallTopology(config)

@@ -47,11 +47,7 @@ DEFAULT_SUSPECT_AFTER = 2
 DEFAULT_BACKOFF_CAP = 3
 
 
-def pto_fire_offsets(
-    pto: float,
-    count: int,
-    backoff_cap: int = DEFAULT_BACKOFF_CAP,
-) -> tuple[float, ...]:
+def pto_fire_offsets(pto: float, count: int, backoff_cap: int) -> tuple[float, ...]:
     """Offsets (after the unacknowledged send) of consecutive PTO firings.
 
     The first probe fires ``pto`` after the send; each later one waits twice
@@ -69,17 +65,13 @@ def pto_fire_offsets(
     return tuple(offsets)
 
 
-def suspect_latency(
-    pto: float,
-    suspect_after: int = DEFAULT_SUSPECT_AFTER,
-    backoff_cap: int = DEFAULT_BACKOFF_CAP,
-) -> float:
+def suspect_latency(pto: float) -> float:
     """Seconds from an unacknowledged send to the *suspect* transition.
 
-    ``pto * (2**n - 1)`` below the backoff cap — ``3 x pto`` at the default
+    ``pto * (2**n - 1)`` below the backoff cap — ``3 x pto`` at the
     threshold of two consecutive probe timeouts.
     """
-    return pto_fire_offsets(pto, suspect_after, backoff_cap)[-1]
+    return pto_fire_offsets(pto, DEFAULT_SUSPECT_AFTER, DEFAULT_BACKOFF_CAP)[-1]
 
 
 @dataclass(frozen=True)

@@ -106,7 +106,7 @@ def fanout_model(
     subscribers: int,
     updates: int,
     tier_sizes: tuple[int, ...],
-    bytes_per_update: float = DEFAULT_BYTES_PER_UPDATE,
+    bytes_per_update: float,
 ) -> FanoutModel:
     """Model a tree whose relay tiers have ``tier_sizes`` nodes (top-down).
 

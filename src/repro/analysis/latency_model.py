@@ -74,7 +74,6 @@ def recursive_lookup_latency(
     stub_rtt: float,
     upstream_rtts: list[float],
     recursive_cache_hit: bool = False,
-    stub_scenario: TransportScenario | None = None,
 ) -> LatencyBreakdown:
     """Stub-observed latency of a recursive lookup.
 
@@ -90,12 +89,10 @@ def recursive_lookup_latency(
         contact, in resolution order; empty when the answer is cached.
     recursive_cache_hit:
         When True the upstream segment is skipped entirely.
-    stub_scenario:
-        Transport scenario on the stub-to-recursive hop; defaults to the same
-        scenario as upstream.
+
+    The stub-to-recursive hop uses the same transport scenario as upstream.
     """
-    stub = stub_scenario if stub_scenario is not None else scenario
-    downstream = lookup_latency(stub, stub_rtt)
+    downstream = lookup_latency(scenario, stub_rtt)
     if recursive_cache_hit:
         return LatencyBreakdown(stub_to_recursive=downstream, recursive_to_authorities=0.0)
     upstream = sum(lookup_latency(scenario, rtt) for rtt in upstream_rtts)

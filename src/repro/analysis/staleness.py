@@ -12,19 +12,16 @@ hop.
 from __future__ import annotations
 
 
-def expected_staleness_polling(ttl: float, cache_layers: int = 1) -> float:
+def expected_staleness_polling(ttl: float) -> float:
     """Expected time until a caching resolver learns about a change.
 
     A change happens at a time uniformly distributed within the resolver's
     current TTL window, so the resolver re-fetches after ``ttl / 2`` on
-    average; with several independent cache layers the expected residual
-    waits add up layer by layer.
+    average.
     """
     if ttl < 0:
         raise ValueError(f"TTL must be non-negative: {ttl}")
-    if cache_layers < 1:
-        raise ValueError(f"cache_layers must be at least 1: {cache_layers}")
-    return cache_layers * ttl / 2.0
+    return ttl / 2.0
 
 
 def pubsub_staleness(propagation_delays: list[float]) -> float:

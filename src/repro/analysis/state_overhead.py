@@ -26,25 +26,24 @@ def endpoint_state_bytes(
     connections: int,
     sessions: int,
     subscriptions: int,
-    cache_entries: int = 0,
-    model: StateModel | None = None,
+    cache_entries: int,
+    model: StateModel,
 ) -> int:
     """Approximate state held by one endpoint."""
-    sizes = model if model is not None else StateModel()
     if min(connections, sessions, subscriptions, cache_entries) < 0:
         raise ValueError("state counts must be non-negative")
     return (
-        connections * sizes.bytes_per_connection
-        + sessions * sizes.bytes_per_session
-        + subscriptions * sizes.bytes_per_subscription
-        + cache_entries * sizes.bytes_per_cache_entry
+        connections * model.bytes_per_connection
+        + sessions * model.bytes_per_session
+        + subscriptions * model.bytes_per_subscription
+        + cache_entries * model.bytes_per_cache_entry
     )
 
 
 def state_comparison(
     tracked_questions: int,
     upstream_servers: int,
-    model: StateModel | None = None,
+    model: StateModel,
 ) -> dict[str, int]:
     """State of a resolver under classic DNS vs. DNS over MoQT.
 
@@ -52,14 +51,13 @@ def state_comparison(
     connection and session per upstream server plus a subscription per
     tracked question (§5.1).
     """
-    sizes = model if model is not None else StateModel()
-    classic = endpoint_state_bytes(0, 0, 0, cache_entries=tracked_questions, model=sizes)
+    classic = endpoint_state_bytes(0, 0, 0, cache_entries=tracked_questions, model=model)
     moqt = endpoint_state_bytes(
         connections=upstream_servers,
         sessions=upstream_servers,
         subscriptions=tracked_questions,
         cache_entries=tracked_questions,
-        model=sizes,
+        model=model,
     )
     return {
         "classic_bytes": classic,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 
-def polling_requests(duration: float, ttl: float, resolvers: int = 1) -> float:
+def polling_requests(duration: float, ttl: float, resolvers: int) -> float:
     """Number of upstream requests under TTL-driven polling.
 
     Each continuously interested resolver issues ``ceil(duration / ttl)``
@@ -25,13 +25,11 @@ def polling_requests(duration: float, ttl: float, resolvers: int = 1) -> float:
     return resolvers * math.ceil(duration / ttl)
 
 
-def pubsub_messages(
-    duration: float, change_interval: float, resolvers: int = 1, include_setup: bool = True
-) -> float:
+def pubsub_messages(duration: float, change_interval: float, resolvers: int) -> float:
     """Number of messages under pub/sub for the same period.
 
-    One push per record change per subscribed resolver, plus (optionally) the
-    initial subscribe+fetch exchange per resolver.
+    One push per record change per subscribed resolver; the initial
+    subscribe+fetch exchange is not counted.
     """
     if duration < 0 or resolvers < 0:
         raise ValueError("duration >= 0 and resolvers >= 0 required")
@@ -39,8 +37,7 @@ def pubsub_messages(
         changes = 0.0
     else:
         changes = math.floor(duration / change_interval)
-    setup = resolvers if include_setup else 0
-    return resolvers * changes + setup
+    return resolvers * changes
 
 
 @dataclass(frozen=True)
@@ -64,8 +61,7 @@ def traffic_comparison(
     duration: float,
     ttl: float,
     change_interval: float,
-    resolvers: int = 1,
-    include_setup: bool = True,
+    resolvers: int,
 ) -> TrafficComparison:
     """Compare polling and pub/sub message counts for one record."""
     return TrafficComparison(
@@ -74,5 +70,5 @@ def traffic_comparison(
         change_interval=change_interval,
         resolvers=resolvers,
         polling=polling_requests(duration, ttl, resolvers),
-        pubsub=pubsub_messages(duration, change_interval, resolvers, include_setup),
+        pubsub=pubsub_messages(duration, change_interval, resolvers),
     )

@@ -13,8 +13,7 @@ The paper works through three deployment scenarios:
   high-update-rate domains, since load-balancing freshness is pointless at
   interplanetary RTTs.
 
-The estimators below reproduce those numbers exactly and expose every input
-so the experiments can sweep them.
+The estimators below reproduce those numbers exactly and expose every input.
 """
 
 from __future__ import annotations
@@ -22,6 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 SECONDS_PER_DAY = 86_400.0
+#: Bytes per pushed update in all three scenarios.
+UPDATE_SIZE_BYTES = 300.0
+#: The CDN scenario's update interval: the lowest observed clustered TTL.
+CDN_UPDATE_INTERVAL_SECONDS = 10.0
 
 
 @dataclass(frozen=True)
@@ -49,91 +52,72 @@ class UseCaseEstimate:
         return result
 
 
-def ddns_update_traffic_bps(
-    users: float = 100e6,
-    interested_per_user: float = 1_000.0,
-    relay_hops: float = 1.0,
-    updates_per_day: float = 2.0,
-    update_size_bytes: float = 300.0,
-) -> UseCaseEstimate:
+def ddns_update_traffic_bps() -> UseCaseEstimate:
     """Global application-layer update traffic for the Dynamic DNS scenario.
 
     The paper's 5.5 Gbit/s figure counts each update delivered once per
     interested party (100 M users x 2 updates/day x 1 000 interested x 300 B
     x 8 / 86 400 s ≈ 5.5 Gbit/s); the 5 MoQ relays describe the distribution
-    path but do not multiply the delivered volume in that arithmetic, so
-    ``relay_hops`` defaults to 1.  Set it higher to count every relay-hop
-    transmission instead.
+    path but do not multiply the delivered volume in that arithmetic.
     """
+    users, interested_per_user, updates_per_day = 100e6, 1_000.0, 2.0
     updates_per_second = users * updates_per_day / SECONDS_PER_DAY
-    bits_per_update_delivery = update_size_bytes * 8.0
-    bits_per_second = (
-        updates_per_second * interested_per_user * relay_hops * bits_per_update_delivery
-    )
+    bits_per_second = updates_per_second * interested_per_user * (UPDATE_SIZE_BYTES * 8.0)
     return UseCaseEstimate(
         name="ddns-global-update-traffic",
         bits_per_second=bits_per_second,
         inputs=(
             ("users", users),
             ("interested_per_user", interested_per_user),
-            ("relay_hops", relay_hops),
             ("updates_per_day", updates_per_day),
-            ("update_size_bytes", update_size_bytes),
+            ("update_size_bytes", UPDATE_SIZE_BYTES),
         ),
     )
 
 
 def cdn_stub_traffic_bps(
     subscribed_domains: float = 1_000.0,
-    update_interval_seconds: float = 10.0,
-    update_size_bytes: float = 300.0,
+    update_size_bytes: float = UPDATE_SIZE_BYTES,
 ) -> UseCaseEstimate:
     """Downstream update traffic at one stub for the CDN scenario.
 
     Conservatively assumes every subscribed domain is updated once per
-    ``update_interval_seconds`` (the lowest observed clustered TTL).
+    ``CDN_UPDATE_INTERVAL_SECONDS`` (the lowest observed clustered TTL).
     """
-    if update_interval_seconds <= 0:
-        raise ValueError("update interval must be positive")
-    updates_per_second = subscribed_domains / update_interval_seconds
+    updates_per_second = subscribed_domains / CDN_UPDATE_INTERVAL_SECONDS
     bits_per_second = updates_per_second * update_size_bytes * 8.0
     return UseCaseEstimate(
         name="cdn-stub-update-traffic",
         bits_per_second=bits_per_second,
         inputs=(
             ("subscribed_domains", subscribed_domains),
-            ("update_interval_seconds", update_interval_seconds),
+            ("update_interval_seconds", CDN_UPDATE_INTERVAL_SECONDS),
             ("update_size_bytes", update_size_bytes),
         ),
     )
 
 
-def deep_space_update_traffic_bps(
-    subscribed_domains: float = 10_000.0,
-    update_interval_seconds: float = 3_600.0,
-    update_size_bytes: float = 300.0,
-    throttled_fraction: float = 0.9,
-    throttled_interval_seconds: float = 86_400.0,
-) -> UseCaseEstimate:
+def deep_space_update_traffic_bps() -> UseCaseEstimate:
     """Update traffic towards a deep-space site with throttling.
 
     A fraction of domains (those with high update rates, e.g. CDN load
     balancing) is throttled down to a much longer forwarding interval, as
     §5.3 suggests, since choosing the closest CDN node is meaningless at
-    interplanetary distances.
+    interplanetary distances: 10 000 subscribed domains updated hourly, 90 %
+    of them forwarded once a day.
     """
-    if not 0.0 <= throttled_fraction <= 1.0:
-        raise ValueError("throttled_fraction must be within [0, 1]")
+    subscribed_domains, update_interval_seconds = 10_000.0, 3_600.0
+    throttled_fraction, throttled_interval_seconds = 0.9, SECONDS_PER_DAY
     unthrottled = subscribed_domains * (1.0 - throttled_fraction) / update_interval_seconds
     throttled = subscribed_domains * throttled_fraction / throttled_interval_seconds
-    bits_per_second = (unthrottled + throttled) * update_size_bytes * 8.0
+    bits_per_second = (unthrottled + throttled) * UPDATE_SIZE_BYTES * 8.0
     return UseCaseEstimate(
         name="deep-space-update-traffic",
         bits_per_second=bits_per_second,
         inputs=(
             ("subscribed_domains", subscribed_domains),
             ("update_interval_seconds", update_interval_seconds),
-            ("update_size_bytes", update_size_bytes),
+            ("update_size_bytes", UPDATE_SIZE_BYTES),
             ("throttled_fraction", throttled_fraction),
             ("throttled_interval_seconds", throttled_interval_seconds),
         ),

@@ -271,24 +271,20 @@ class Message:
         return len(self.to_wire())
 
 
-def make_query(
-    qname: Name | str,
-    qtype: RecordType | str,
-    message_id: int = 0,
-    recursion_desired: bool = True,
-    checking_disabled: bool = False,
-    qclass: DNSClass = DNSClass.IN,
-) -> Message:
-    """Build a standard query message."""
+def make_query(qname: Name | str, qtype: RecordType | str, recursion_desired: bool = True) -> Message:
+    """Build a standard query message.
+
+    Its id is 0: the transport that sends it assigns one.
+    """
     name = qname if isinstance(qname, Name) else Name.from_text(qname)
     rdtype = qtype if isinstance(qtype, RecordType) else RecordType.from_text(qtype)
     header = Header(
-        message_id=message_id,
-        flags=Flags(qr=False, rd=recursion_desired, cd=checking_disabled),
+        message_id=0,
+        flags=Flags(qr=False, rd=recursion_desired),
         opcode=Opcode.QUERY,
         rcode=Rcode.NOERROR,
     )
-    return Message(header=header, questions=(Question(name, rdtype, qclass),))
+    return Message(header=header, questions=(Question(name, rdtype),))
 
 
 def make_response(

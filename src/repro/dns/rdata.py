@@ -548,7 +548,7 @@ _RDATA_CLASSES: dict[RecordType, type[Rdata]] = {
 
 
 def decode_rdata(
-    rdtype: RecordType, wire: bytes, offset: int, length: int, table: NameTable | None = None
+    rdtype: RecordType, wire: bytes, offset: int, length: int, table: NameTable | None
 ) -> Rdata:
     """Decode RDATA of the given type; unknown types become GenericRdata."""
     klass = _RDATA_CLASSES.get(rdtype)

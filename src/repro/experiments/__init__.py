@@ -5,7 +5,7 @@ discrete-event simulator (or take the workload models directly), run the
 scenario, and return a small result dataclass whose fields correspond to the
 rows/series the paper reports.  The benchmarks in ``benchmarks/`` call these
 drivers; :mod:`repro.experiments.runner` prints every table, and
-``tests/golden/runner_fast.txt`` records its fast-mode output.  E11–E16 run
+``tests/golden/runner.txt`` records its output.  E11–E16 run
 on a relay tree stood up through :mod:`repro.relaynet.scenario`.
 
 | Experiment | Paper artefact | Module |

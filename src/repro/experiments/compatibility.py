@@ -23,6 +23,9 @@ from repro.dns.name import Name
 from repro.dns.types import RecordType
 from repro.experiments.topology import SmallTopology, SmallTopologyConfig
 
+#: The record TTL of every scenario, in seconds.
+TTL = 10
+
 
 @dataclass
 class CompatibilityOutcome:
@@ -68,11 +71,9 @@ class CompatibilityResult:
         raise KeyError(mode)
 
 
-def _run_scenario(
-    mode: CompatibilityMode, ttl: int, moqt_on_auth: bool
-) -> CompatibilityOutcome:
+def _run_scenario(mode: CompatibilityMode, moqt_on_auth: bool) -> CompatibilityOutcome:
     config = SmallTopologyConfig(
-        record_ttl=ttl,
+        record_ttl=TTL,
         moqt_on_auth=moqt_on_auth,
         happy_eyeballs=True,
         compatibility_mode=mode,
@@ -100,7 +101,7 @@ def _run_scenario(
     )
     change_time = simulator.now
     topology.update_record("192.0.2.123")
-    topology.run(ttl * 2.0 + 5.0)
+    topology.run(TTL * 2.0 + 5.0)
 
     latency, resolved = lookup_results[0] if lookup_results else (float("nan"), False)
     return CompatibilityOutcome(
@@ -113,16 +114,16 @@ def _run_scenario(
     )
 
 
-def run_compatibility(ttl: int = 30) -> CompatibilityResult:
-    """Run the compatibility scenarios.
+def run_compatibility() -> CompatibilityResult:
+    """Run the compatibility scenarios at a record TTL of ``TTL`` seconds.
 
     The MoQT-everywhere case is included as the baseline so the table shows
     how much update timeliness the fallback sacrifices (one TTL instead of
     one propagation delay).
     """
-    baseline = _run_scenario(CompatibilityMode.PERIODIC_REFRESH, ttl, moqt_on_auth=True)
-    decline = _run_scenario(CompatibilityMode.DECLINE_SUBSCRIPTION, ttl, moqt_on_auth=False)
-    refresh = _run_scenario(CompatibilityMode.PERIODIC_REFRESH, ttl, moqt_on_auth=False)
+    baseline = _run_scenario(CompatibilityMode.PERIODIC_REFRESH, moqt_on_auth=True)
+    decline = _run_scenario(CompatibilityMode.DECLINE_SUBSCRIPTION, moqt_on_auth=False)
+    refresh = _run_scenario(CompatibilityMode.PERIODIC_REFRESH, moqt_on_auth=False)
     outcomes = [
         CompatibilityOutcome(
             mode="moqt-everywhere (baseline)",

@@ -44,7 +44,7 @@ ACCESS_DELAY = 0.005
 #: Descending bandwidth sweep (bits/s), applied to all three hops.  With the
 #: calibrated 328 B per update the serialisation sum crosses the 35 ms
 #: propagation sum between 250 and 200 kbit/s, so the knee lands mid-sweep.
-DEFAULT_BANDWIDTH_SWEEP = (
+BANDWIDTH_SWEEP = (
     10_000_000.0,
     2_000_000.0,
     1_000_000.0,
@@ -54,19 +54,23 @@ DEFAULT_BANDWIDTH_SWEEP = (
     100_000.0,
     50_000.0,
 )
+#: The tree (``MID_RELAYS`` mid relays, ``EDGE_PER_MID`` edge relays under
+#: each), its population, the updates pushed at every sweep point, the
+#: lossy sample's access-link loss rate and the runs' seed.
+MID_RELAYS = 2
+EDGE_PER_MID = 2
+SUBSCRIBERS = 20
+UPDATES = 3
+ACCESS_LOSS = 0.05
+SEED = 7
 
 
-def _constrained_spec(
-    bandwidth: float | None,
-    access_loss: float = 0.0,
-    mid_relays: int = 4,
-    edge_per_mid: int = 4,
-) -> RelayTreeSpec:
+def _constrained_spec(bandwidth: float, access_loss: float = 0.0) -> RelayTreeSpec:
     """The E11 CDN shape with finite per-tier bandwidth (and optional loss
     on the access tier — the lossy-edge regime)."""
     return RelayTreeSpec.cdn(
-        mid_relays=mid_relays,
-        edge_per_mid=edge_per_mid,
+        mid_relays=MID_RELAYS,
+        edge_per_mid=EDGE_PER_MID,
         core_link=LinkConfig(delay=CORE_DELAY, bandwidth=bandwidth),
         metro_link=LinkConfig(delay=METRO_DELAY, bandwidth=bandwidth),
         access_link=LinkConfig(
@@ -321,26 +325,15 @@ class ConstrainedTiersResult:
         }
 
 
-def run_constrained_tiers(
-    bandwidths: tuple[float, ...] = DEFAULT_BANDWIDTH_SWEEP,
-    subscribers: int = 100,
-    updates: int = 5,
-    mid_relays: int = 4,
-    edge_per_mid: int = 4,
-    seed: int = 7,
-    access_loss: float = 0.05,
-) -> ConstrainedTiersResult:
+def run_constrained_tiers() -> ConstrainedTiersResult:
     """Run the E15 bandwidth sweep plus one lossy-edge sample.
 
-    ``bandwidths`` must descend: the knee indices are defined as *first
-    index where serialisation dominates*, which is only meaningful on a
-    monotone sweep.
+    The knee indices are defined as *first index where serialisation
+    dominates*, which is meaningful because ``BANDWIDTH_SWEEP`` descends.
     """
-    if list(bandwidths) != sorted(bandwidths, reverse=True):
-        raise ValueError(f"bandwidth sweep must descend: {bandwidths}")
-    wire_bytes = calibrate_wire_bytes(seed=seed + 1)
+    wire_bytes = calibrate_wire_bytes(seed=SEED + 1)
     samples: list[ConstrainedTierSample] = []
-    for bandwidth in bandwidths:
+    for bandwidth in BANDWIDTH_SWEEP:
         model = ConstrainedPathModel(
             hops=(
                 HopSpec(delay=CORE_DELAY, bandwidth=bandwidth),
@@ -355,14 +348,9 @@ def run_constrained_tiers(
                 f"interval {UPDATE_INTERVAL}; the closed form would not apply"
             )
         run = _run_constrained_tree(
-            Scenario(
-                spec=_constrained_spec(
-                    bandwidth, mid_relays=mid_relays, edge_per_mid=edge_per_mid
-                ),
-                seed=seed,
-            ),
-            subscribers,
-            updates,
+            Scenario(spec=_constrained_spec(bandwidth), seed=SEED),
+            SUBSCRIBERS,
+            UPDATES,
         )
         exact = True
         latency_total = 0.0
@@ -377,33 +365,30 @@ def run_constrained_tiers(
         samples.append(
             ConstrainedTierSample(
                 bandwidth=bandwidth,
-                subscribers=subscribers,
-                updates=updates,
+                subscribers=SUBSCRIBERS,
+                updates=UPDATES,
                 model=model,
                 measured_latency=latency_total / latency_count if latency_count else 0.0,
-                model_exact=exact and latency_count == subscribers * updates,
+                model_exact=exact and latency_count == SUBSCRIBERS * UPDATES,
                 delivered=run.delivered,
                 link_batch_fallback_waves=run.link_batch_fallback_waves,
                 events_scheduled=run.events_scheduled,
             )
         )
-    loss_bandwidth = bandwidths[len(bandwidths) // 2]
+    loss_bandwidth = BANDWIDTH_SWEEP[len(BANDWIDTH_SWEEP) // 2]
     loss_run = _run_constrained_tree(
-        _lossy_scenario(
-            _constrained_spec(loss_bandwidth, access_loss, mid_relays, edge_per_mid),
-            seed,
-        ),
-        subscribers,
-        updates,
+        _lossy_scenario(_constrained_spec(loss_bandwidth, ACCESS_LOSS), SEED),
+        SUBSCRIBERS,
+        UPDATES,
         drain=6.0,
     )
     loss_sample = ConstrainedLossSample(
         bandwidth=loss_bandwidth,
-        access_loss=access_loss,
-        subscribers=subscribers,
-        updates=updates,
+        access_loss=ACCESS_LOSS,
+        subscribers=SUBSCRIBERS,
+        updates=UPDATES,
         delivered=loss_run.delivered,
-        expected=subscribers * updates,
+        expected=SUBSCRIBERS * UPDATES,
         retransmissions=loss_run.delta.downstream_retransmissions,
         congestion_events=loss_run.delta.congestion_events,
         link_batch_fallback_waves=loss_run.link_batch_fallback_waves,

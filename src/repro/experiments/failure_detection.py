@@ -54,6 +54,8 @@ from repro.relaynet.topology import RelayNode
 #: closed-form model (the simulator and the model associate the same sums
 #: differently).
 MODEL_TOLERANCE = 1e-9
+#: The detection run's seed.
+SEED = 29
 
 
 @dataclass
@@ -276,7 +278,6 @@ def run_failure_detection(
     updates_before: int = 4,
     updates_between: int = 6,
     updates_after: int = 6,
-    seed: int = 29,
     keepalive_interval: float = 0.5,
     subscriber_idle_timeout: float = 1.5,
     origins: int = 1,
@@ -302,7 +303,7 @@ def run_failure_detection(
     run = build_scenario(
         Scenario(
             spec=spec,
-            seed=seed,
+            seed=SEED,
             uplink_connection=ConnectionConfig(
                 alpn_protocols=(MOQT_ALPN,), keepalive_interval=keepalive_interval
             ),

@@ -56,7 +56,7 @@ class Fig1aResult:
         return histogram.get(300, 0) / total
 
 
-def run_fig1a(population: int = 10_000) -> Fig1aResult:
+def run_fig1a(population: int) -> Fig1aResult:
     """Run the Fig. 1a experiment for a toplist of the given size."""
     toplist = SyntheticToplist(ToplistConfig(size=population))
     campaign = MeasurementCampaign(toplist, config=CampaignConfig())

@@ -19,6 +19,8 @@ from repro.workload.toplist import SyntheticToplist, ToplistConfig
 PAPER_P90_LOW_TTL_MIN_CHANGES = 71
 PAPER_HIGH_TTL_P90_CHANGES = 0
 LOW_TTL_THRESHOLD = 300
+#: The change model's seed.
+SEED = 20250624
 
 
 @dataclass
@@ -57,19 +59,15 @@ class Fig1bResult:
         )
 
 
-def run_fig1b(
-    population: int = 2_000,
-    max_domains_per_ttl: int | None = 150,
-    seed: int = 20250624,
-) -> Fig1bResult:
+def run_fig1b(population: int, max_domains_per_ttl: int) -> Fig1bResult:
     """Run the Fig. 1b experiment.
 
-    The default population is smaller than the full 10k because the change
-    study needs 300 observations per domain; the per-TTL cap keeps the run
-    short while leaving enough domains per cluster for stable percentiles.
+    The per-TTL cap keeps the run short (the change study needs 300
+    observations per domain) while leaving enough domains per cluster for
+    stable percentiles.
     """
     toplist = SyntheticToplist(ToplistConfig(size=population))
-    change_model = ChangeModel(ChangeModelConfig(seed=seed))
+    change_model = ChangeModel(ChangeModelConfig(seed=SEED))
     campaign = MeasurementCampaign(
         toplist,
         change_model=change_model,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from repro.core.mapping import DnsQuestionKey
 from repro.dns.name import Name
 from repro.dns.types import RecordType
-from repro.experiments.topology import SmallTopology, SmallTopologyConfig
+from repro.experiments.topology import SmallTopology
 
 
 @dataclass
@@ -53,9 +53,9 @@ class Fig2Result:
         return [step.as_row() for step in self.steps]
 
 
-def run_fig2(config: SmallTopologyConfig | None = None) -> Fig2Result:
+def run_fig2() -> Fig2Result:
     """Run the Fig. 2 lookup-sequence experiment."""
-    topology = SmallTopology(config)
+    topology = SmallTopology()
     simulator = topology.simulator
     steps: list[SequenceStep] = []
     key = DnsQuestionKey(

@@ -44,6 +44,12 @@ from repro.relaynet.scenario import Scenario, ScenarioRun, build_scenario
 SETTLE = 3.0
 #: Virtual seconds the simulator runs after the last join to drain retries.
 DRAIN = 10.0
+#: Virtual seconds a storm's joins are spread over, the storm sizes of the
+#: unbounded baselines, the leaves of the spillover tree and the runs' seed.
+WINDOW = 0.05
+BASELINE_STORMERS = (16, 48)
+SPILLOVER_LEAVES = 3
+SEED = 11
 
 
 def _settled_star(
@@ -275,12 +281,8 @@ class FlashCrowdResult:
 
 def run_flash_crowd(
     stormers: int = 24,
-    window: float = 0.05,
     subscribe_rate: float = 200.0,
     bucket_depth: int = 4,
-    baseline_stormers: tuple[int, ...] = (16, 48),
-    spillover_leaves: int = 3,
-    seed: int = 11,
 ) -> FlashCrowdResult:
     """Run E16: baseline pathology, model-exact throttling, spillover.
 
@@ -292,9 +294,9 @@ def run_flash_crowd(
     off the pinned hotspot leaf.
     """
     policy = AdmissionPolicy(subscribe_rate=subscribe_rate, bucket_depth=bucket_depth)
-    baselines = [_run_baseline(count, window, seed) for count in baseline_stormers]
-    throttled = _run_throttled(stormers, window, policy, seed)
-    spillover = _run_spillover(stormers, window, spillover_leaves, policy, seed)
+    baselines = [_run_baseline(count, WINDOW, SEED) for count in BASELINE_STORMERS]
+    throttled = _run_throttled(stormers, WINDOW, policy, SEED)
+    spillover = _run_spillover(stormers, WINDOW, SPILLOVER_LEAVES, policy, SEED)
     return FlashCrowdResult(
         baselines=baselines, throttled=throttled, spillover=spillover
     )

@@ -51,6 +51,12 @@ from repro.quic.connection import ConnectionConfig
 from repro.relaynet import FailoverEvent, RelayTreeSpec
 from repro.relaynet.scenario import Scenario, build_scenario
 
+#: The failover run's seed, its origins (the active one and a standby) and
+#: the keepalive interval of the tier-0 relays' uplinks.
+SEED = 31
+ORIGINS = 2
+KEEPALIVE_INTERVAL = 0.5
+
 
 @dataclass
 class OriginFailoverResult:
@@ -193,12 +199,9 @@ def run_origin_failover(
     subscribers: int = 1000,
     mid_relays: int = 4,
     edge_per_mid: int = 4,
-    origins: int = 2,
     updates_before: int = 4,
     updates_between: int = 6,
     updates_after: int = 6,
-    seed: int = 31,
-    keepalive_interval: float = 0.5,
 ) -> OriginFailoverResult:
     """Silently crash the active origin under a live CDN tree; promote in-band.
 
@@ -212,20 +215,18 @@ def run_origin_failover(
     Subscriber connections keep their default (long) idle timeout: the
     subscribers' leaves never die in this scenario, so nothing below tier 0
     should ever trigger — any failover event except the origin promotion
-    counts as a false positive.  ``origins`` must be at least 2: with no
-    standby there is nothing to promote.
+    counts as a false positive.  The cluster is an active origin and one
+    standby.
     """
-    if origins < 2:
-        raise ValueError(f"origin failover needs a standby to promote: origins={origins}")
     spec = RelayTreeSpec.cdn(
-        mid_relays=mid_relays, edge_per_mid=edge_per_mid, origins=origins
+        mid_relays=mid_relays, edge_per_mid=edge_per_mid, origins=ORIGINS
     )
     run = build_scenario(
         Scenario(
             spec=spec,
-            seed=seed,
+            seed=SEED,
             uplink_connection=ConnectionConfig(
-                alpn_protocols=(MOQT_ALPN,), keepalive_interval=keepalive_interval
+                alpn_protocols=(MOQT_ALPN,), keepalive_interval=KEEPALIVE_INTERVAL
             ),
         )
     )
@@ -274,7 +275,7 @@ def run_origin_failover(
     return OriginFailoverResult(
         subscribers=subscribers,
         updates=run.pushed,
-        origins=origins,
+        origins=ORIGINS,
         event=event,
         epoch=cluster.epoch,
         promotions=len(cluster.promotions),

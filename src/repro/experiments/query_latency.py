@@ -26,7 +26,7 @@ from repro.analysis.latency_model import TransportScenario, recursive_lookup_lat
 from repro.core.mapping import DnsQuestionKey
 from repro.dns.name import Name
 from repro.dns.types import RecordType
-from repro.experiments.topology import SmallTopology, SmallTopologyConfig
+from repro.experiments.topology import STUB_RTT, SmallTopology, SmallTopologyConfig
 
 #: Number of authority levels contacted on a cold lookup (root, TLD, auth).
 AUTHORITY_LEVELS = 3
@@ -150,15 +150,13 @@ def _predictions(stub_rtt: float, upstream_rtt: float) -> dict[str, float]:
     }
 
 
-def run_query_latency(
-    stub_rtt: float = 0.010, upstream_rtt: float = 0.040
-) -> QueryLatencyResult:
-    """Measure every scenario for one RTT configuration."""
-    predictions = _predictions(stub_rtt, upstream_rtt)
+def run_query_latency(upstream_rtt: float = 0.040) -> QueryLatencyResult:
+    """Measure every scenario for one upstream RTT."""
+    predictions = _predictions(STUB_RTT, upstream_rtt)
     measurements: list[LatencyMeasurement] = []
 
     def topology(**overrides) -> SmallTopology:
-        config = SmallTopologyConfig(stub_rtt=stub_rtt, upstream_rtt=upstream_rtt, **overrides)
+        config = SmallTopologyConfig(upstream_rtt=upstream_rtt, **overrides)
         return SmallTopology(config)
 
     measurements.append(
@@ -199,5 +197,5 @@ def run_query_latency(
         )
     )
     return QueryLatencyResult(
-        stub_rtt=stub_rtt, upstream_rtt=upstream_rtt, measurements=measurements
+        stub_rtt=STUB_RTT, upstream_rtt=upstream_rtt, measurements=measurements
     )

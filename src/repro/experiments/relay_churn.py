@@ -37,6 +37,9 @@ from repro.analysis.churn import RecoveryModel, recovery_model
 from repro.relaynet import FailoverEvent, RelayTreeSpec
 from repro.relaynet.scenario import Scenario, build_scenario
 
+#: The churn run's seed.
+SEED = 23
+
 
 @dataclass
 class KillSample:
@@ -156,8 +159,6 @@ def run_relay_churn(
     updates_before: int = 4,
     updates_between: int = 4,
     updates_after: int = 4,
-    seed: int = 23,
-    kill_edge: bool = True,
     origins: int = 1,
 ) -> RelayChurnResult:
     """Kill relays under a live CDN tree and measure the recovery.
@@ -166,8 +167,6 @@ def run_relay_churn(
     (its whole edge subtree re-homes and gap-fills via FETCH), pushes
     ``updates_between`` more, kills an edge relay (its subscribers
     re-attach to surviving leaves), and pushes ``updates_after`` more.
-    Set ``kill_edge=False`` for the single mid-tier kill of the E12
-    acceptance run.
 
     ``origins > 1`` publishes through a replicated
     :class:`~repro.relaynet.origincluster.OriginCluster` instead of the
@@ -178,7 +177,7 @@ def run_relay_churn(
     spec = RelayTreeSpec.cdn(
         mid_relays=mid_relays, edge_per_mid=edge_per_mid, origins=origins
     )
-    run = build_scenario(Scenario(spec=spec, seed=seed))
+    run = build_scenario(Scenario(spec=spec, seed=SEED))
     topology = run.topology
     topology.attach_subscribers(subscribers)
     run.record_deliveries()
@@ -191,11 +190,10 @@ def run_relay_churn(
     mid_victims = [node for node in topology.tier("mid") if node.alive]
     events.append(topology.kill_relay(mid_victims[len(mid_victims) // 2]))
     run.push(updates_between)
-    if kill_edge:
-        # Then kill an edge relay: its subscribers re-attach to surviving
-        # leaves and gap-fill from their caches.
-        edge_victims = [node for node in topology.tier("edge") if node.alive]
-        events.append(topology.kill_relay(edge_victims[0]))
+    # Then kill an edge relay: its subscribers re-attach to surviving
+    # leaves and gap-fill from their caches.
+    edge_victims = [node for node in topology.tier("edge") if node.alive]
+    events.append(topology.kill_relay(edge_victims[0]))
     run.push(updates_after)
     run.advance(5.0)
 

@@ -30,6 +30,8 @@ from repro.relaynet.scenario import Scenario, build_scenario
 
 #: Updates the calibration run pushes.
 CALIBRATION_UPDATES = 4
+#: The fan-out runs' seed (the calibration run takes the next one).
+SEED = 7
 
 
 @dataclass
@@ -186,11 +188,10 @@ class RelayFanoutResult:
 
 
 def run_relay_fanout(
-    subscriber_counts: tuple[int, ...] = (10, 100, 1000),
-    updates: int = 5,
+    subscriber_counts: tuple[int, ...],
+    updates: int,
     mid_relays: int = 4,
     edge_per_mid: int = 4,
-    seed: int = 7,
     origins: int = 1,
 ) -> RelayFanoutResult:
     """Run the fan-out experiment over a range of subscriber counts.
@@ -200,11 +201,11 @@ def run_relay_fanout(
     staying flat across samples while subscribers grow two orders of
     magnitude is the tree doing its job.
     """
-    bytes_per_update = calibrate_bytes_per_update(seed=seed + 1)
+    bytes_per_update = calibrate_bytes_per_update(seed=SEED + 1)
     spec = RelayTreeSpec.cdn(
         mid_relays=mid_relays, edge_per_mid=edge_per_mid, origins=origins
     )
-    scenario = Scenario(spec=spec, seed=seed)
+    scenario = Scenario(spec=spec, seed=SEED)
     samples: list[FanoutSample] = []
     for count in subscriber_counts:
         run = _run_tree(scenario, count, updates)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 
 def _render_value(value: Any) -> str:
@@ -15,17 +15,17 @@ def _render_value(value: Any) -> str:
     return str(value)
 
 
-def format_table(rows: Sequence[dict[str, Any]], columns: Iterable[str] | None = None) -> str:
+def format_table(rows: Sequence[dict[str, Any]]) -> str:
     """Render a list of row dictionaries as an aligned text table.
 
-    Columns default to the keys of the first row, in order.  Every experiment
+    The columns are the keys of the first row, in order.  Every experiment
     prints its results through this helper, so the output is directly
-    comparable to ``tests/golden/runner_fast.txt``.
+    comparable to ``tests/golden/runner.txt``.
     """
     rows = list(rows)
     if not rows:
         return "(no rows)"
-    column_names = list(columns) if columns is not None else list(rows[0].keys())
+    column_names = list(rows[0].keys())
     rendered = [[_render_value(row.get(name, "")) for name in column_names] for row in rows]
     widths = [
         max(len(name), *(len(line[index]) for line in rendered))

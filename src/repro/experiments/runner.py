@@ -1,11 +1,9 @@
 """Run every experiment and render a combined report.
 
-``python -m repro.experiments.runner`` executes all experiments with fast
-default parameters and prints their tables.  The output is deterministic —
-byte for byte, across processes and hash seeds — and committed as
-``tests/golden/runner_fast.txt``, which the test suite compares against.
-Individual experiments are importable functions, so the benchmarks can run
-them with their own parameters.
+``python -m repro.experiments.runner`` executes all experiments and prints
+their tables.  The output is deterministic — byte for byte, across processes
+and hash seeds — and committed as ``tests/golden/runner.txt``, which the test
+suite compares against.  Individual experiments are importable functions.
 """
 
 from __future__ import annotations
@@ -41,19 +39,16 @@ class ExperimentReport:
     result: Any
 
 
-def run_all(fast: bool = True) -> list[ExperimentReport]:
-    """Run every experiment; ``fast`` shrinks populations and durations."""
+def run_all() -> list[ExperimentReport]:
+    """Run every experiment at the runner's populations and durations."""
     reports: list[ExperimentReport] = []
 
-    fig1a = run_fig1a(population=2_000 if fast else 10_000)
+    fig1a = run_fig1a(population=2_000)
     reports.append(
         ExperimentReport("E1", "Fig. 1a — record types and TTL distribution",
                          format_table(fig1a.total_rows()), fig1a)
     )
-    fig1b = run_fig1b(
-        population=1_000 if fast else 10_000,
-        max_domains_per_ttl=60 if fast else None,
-    )
+    fig1b = run_fig1b(population=1_000, max_domains_per_ttl=60)
     reports.append(
         ExperimentReport("E2", "Fig. 1b — change rate per TTL",
                          format_table(fig1b.rows()), fig1b)
@@ -68,49 +63,48 @@ def run_all(fast: bool = True) -> list[ExperimentReport]:
         ExperimentReport("E4", "§5.2 — query latency per transport scenario",
                          format_table(latency.rows()), latency)
     )
-    staleness = run_staleness(ttls=[10, 60] if fast else [10, 60, 300])
+    staleness = run_staleness(ttls=[10, 60])
     reports.append(
         ExperimentReport("E5", "§5 — update timeliness (staleness)",
                          format_table(staleness.rows()), staleness)
     )
-    traffic = run_traffic(duration=120.0 if fast else 600.0,
-                          configurations=[(10, 30.0), (60, 600.0)] if fast else None)
+    traffic = run_traffic(configurations=[(10, 30.0), (60, 600.0)], duration=120.0)
     reports.append(
         ExperimentReport("E6", "§5 — upstream message counts (polling vs pub/sub)",
                          format_table(traffic.rows()), traffic)
     )
-    usecases = run_usecases(simulated_duration=30.0 if fast else 120.0)
+    usecases = run_usecases()
     reports.append(
         ExperimentReport("E7/E8", "§5.3 — use-case traffic estimates",
                          format_table(usecases.rows()), usecases)
     )
-    state = run_state_overhead(questions=200 if fast else 1000)
+    state = run_state_overhead()
     reports.append(
         ExperimentReport("E9", "§5.1 — state overhead and teardown policies",
                          format_table(state.rows()), state)
     )
-    compatibility = run_compatibility(ttl=10 if fast else 30)
+    compatibility = run_compatibility()
     reports.append(
         ExperimentReport("E10", "§4.5 — compatibility / incremental deployment",
                          format_table(compatibility.rows()), compatibility)
     )
     fanout = run_relay_fanout(
-        subscriber_counts=(10, 50) if fast else (10, 100, 1000),
-        updates=3 if fast else 5,
-        mid_relays=2 if fast else 4,
-        edge_per_mid=2 if fast else 4,
+        subscriber_counts=(10, 50),
+        updates=3,
+        mid_relays=2,
+        edge_per_mid=2,
     )
     reports.append(
         ExperimentReport("E11", "§3/§5.3 — relay fan-out: origin egress vs subscribers",
                          format_table(fanout.rows()), fanout)
     )
     churn = run_relay_churn(
-        subscribers=60 if fast else 1000,
-        mid_relays=2 if fast else 4,
-        edge_per_mid=2 if fast else 4,
-        updates_before=2 if fast else 4,
-        updates_between=2 if fast else 4,
-        updates_after=2 if fast else 4,
+        subscribers=60,
+        mid_relays=2,
+        edge_per_mid=2,
+        updates_before=2,
+        updates_between=2,
+        updates_after=2,
     )
     churn_table = "\n\n".join(
         [format_table(churn.rows()), format_table([churn.summary_row()])]
@@ -120,12 +114,12 @@ def run_all(fast: bool = True) -> list[ExperimentReport]:
                          churn_table, churn)
     )
     detection = run_failure_detection(
-        subscribers=60 if fast else 1000,
-        mid_relays=2 if fast else 4,
-        edge_per_mid=2 if fast else 4,
-        updates_before=2 if fast else 4,
-        updates_between=4 if fast else 6,
-        updates_after=4 if fast else 6,
+        subscribers=60,
+        mid_relays=2,
+        edge_per_mid=2,
+        updates_before=2,
+        updates_between=4,
+        updates_after=4,
     )
     detection_table = "\n\n".join(
         [format_table(detection.rows()), format_table([detection.summary_row()])]
@@ -135,12 +129,12 @@ def run_all(fast: bool = True) -> list[ExperimentReport]:
                          detection_table, detection)
     )
     failover = run_origin_failover(
-        subscribers=60 if fast else 1000,
-        mid_relays=2 if fast else 4,
-        edge_per_mid=2 if fast else 4,
-        updates_before=2 if fast else 4,
-        updates_between=4 if fast else 6,
-        updates_after=4 if fast else 6,
+        subscribers=60,
+        mid_relays=2,
+        edge_per_mid=2,
+        updates_before=2,
+        updates_between=4,
+        updates_after=4,
     )
     failover_table = "\n\n".join(
         [format_table(failover.rows()), format_table([failover.summary_row()])]
@@ -149,12 +143,7 @@ def run_all(fast: bool = True) -> list[ExperimentReport]:
         ExperimentReport("E14", "§3/§5.3 — origin failover: replicated origin, in-band promotion",
                          failover_table, failover)
     )
-    constrained = run_constrained_tiers(
-        subscribers=20 if fast else 100,
-        updates=3 if fast else 5,
-        mid_relays=2 if fast else 4,
-        edge_per_mid=2 if fast else 4,
-    )
+    constrained = run_constrained_tiers()
     constrained_table = "\n\n".join(
         [
             format_table(constrained.rows()),
@@ -166,10 +155,7 @@ def run_all(fast: bool = True) -> list[ExperimentReport]:
         ExperimentReport("E15", "§3/§5.3 — constrained tiers: the serialisation-vs-propagation knee",
                          constrained_table, constrained)
     )
-    crowd = run_flash_crowd(
-        stormers=24 if fast else 100,
-        baseline_stormers=(16, 48) if fast else (50, 200),
-    )
+    crowd = run_flash_crowd()
     crowd_table = "\n\n".join(
         [
             format_table([sample.as_row() for sample in crowd.baselines]),
@@ -195,7 +181,7 @@ def render(reports: list[ExperimentReport]) -> str:
 
 def main() -> None:
     """Entry point for ``python -m repro.experiments.runner``."""
-    print(render(run_all(fast=True)), end="")
+    print(render(run_all()), end="")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,10 @@ from repro.analysis.staleness import expected_staleness_polling, pubsub_stalenes
 from repro.core.mapping import DnsQuestionKey
 from repro.dns.name import Name
 from repro.dns.types import RecordType
-from repro.experiments.topology import SmallTopology, SmallTopologyConfig
+from repro.experiments.topology import STUB_RTT, SmallTopology, SmallTopologyConfig
+
+#: When in the recursive resolver's TTL window each record change happens.
+CHANGE_OFFSETS = (0.25, 0.5, 0.75)
 
 
 @dataclass
@@ -74,10 +77,8 @@ class StalenessResult:
         return sum(factors) / len(factors) if factors else float("inf")
 
 
-def _measure_one(
-    ttl: int, change_offset_fraction: float, stub_rtt: float, upstream_rtt: float
-) -> StalenessSample:
-    config = SmallTopologyConfig(record_ttl=ttl, stub_rtt=stub_rtt, upstream_rtt=upstream_rtt)
+def _measure_one(ttl: int, change_offset_fraction: float) -> StalenessSample:
+    config = SmallTopologyConfig(record_ttl=ttl)
     topology = SmallTopology(config)
     simulator = topology.simulator
     key = DnsQuestionKey(qname=Name.from_text(config.domain), qtype=RecordType.A)
@@ -140,22 +141,11 @@ def _measure_one(
     )
 
 
-def run_staleness(
-    ttls: list[int] | None = None,
-    change_offsets: list[float] | None = None,
-    stub_rtt: float = 0.010,
-    upstream_rtt: float = 0.040,
-) -> StalenessResult:
+def run_staleness(ttls: list[int]) -> StalenessResult:
     """Run the update-timeliness experiment across TTLs and change offsets."""
-    ttl_values = ttls if ttls is not None else [10, 60, 300]
-    offsets = change_offsets if change_offsets is not None else [0.25, 0.5, 0.75]
-    samples = [
-        _measure_one(ttl, offset, stub_rtt, upstream_rtt)
-        for ttl in ttl_values
-        for offset in offsets
-    ]
-    model_polling = {ttl: expected_staleness_polling(ttl, cache_layers=1) for ttl in ttl_values}
-    model_push = pubsub_staleness([upstream_rtt / 2.0, stub_rtt / 2.0])
+    samples = [_measure_one(ttl, offset) for ttl in ttls for offset in CHANGE_OFFSETS]
+    model_polling = {ttl: expected_staleness_polling(ttl) for ttl in ttls}
+    model_push = pubsub_staleness([SmallTopologyConfig.upstream_rtt / 2.0, STUB_RTT / 2.0])
     return StalenessResult(
         samples=samples, model_expected_polling=model_polling, model_pubsub=model_push
     )

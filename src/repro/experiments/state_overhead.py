@@ -27,6 +27,14 @@ from repro.core.subscription import (
 from repro.dns.name import Name
 from repro.dns.types import RecordType
 
+#: Distinct questions in the lookup history, its length in virtual seconds
+#: (one day), the history's seed and the upstream servers a resolver keeps
+#: sessions with.
+QUESTIONS = 200
+DURATION = 86_400.0
+SEED = 11
+UPSTREAM_SERVERS = 8
+
 
 @dataclass
 class PolicyOutcome:
@@ -69,12 +77,7 @@ def _question(index: int) -> DnsQuestionKey:
 
 
 def _run_policy(
-    policy: TeardownPolicy,
-    questions: int,
-    duration: float,
-    lookups_per_question: dict[int, list[float]],
-    model: StateModel,
-    upstream_servers: int,
+    policy: TeardownPolicy, lookups_per_question: dict[int, list[float]], model: StateModel
 ) -> PolicyOutcome:
     registry = SubscriptionRegistry(policy)
     forced_resubscriptions = 0
@@ -84,7 +87,7 @@ def _run_policy(
         for time in times
     ]
     events.sort()
-    maintenance_interval = duration / 50.0
+    maintenance_interval = DURATION / 50.0
     next_maintenance = maintenance_interval
     torn_down = 0
     for time, index in events:
@@ -96,10 +99,10 @@ def _run_policy(
             forced_resubscriptions += 1
         registry.record_lookup(key, time)
         registry.record_update(key, time, group_id=int(time))
-    torn_down += len(registry.collect_victims(duration))
+    torn_down += len(registry.collect_victims(DURATION))
     state_bytes = endpoint_state_bytes(
-        connections=upstream_servers,
-        sessions=upstream_servers,
+        connections=UPSTREAM_SERVERS,
+        sessions=UPSTREAM_SERVERS,
         subscriptions=registry.state_size(),
         cache_entries=registry.state_size(),
         model=model,
@@ -113,39 +116,32 @@ def _run_policy(
     )
 
 
-def run_state_overhead(
-    questions: int = 1000,
-    duration: float = 86_400.0,
-    seed: int = 11,
-    upstream_servers: int = 8,
-) -> StateOverheadResult:
+def run_state_overhead() -> StateOverheadResult:
     """Run the state-overhead experiment.
 
-    A synthetic one-day lookup history is generated with Zipf-like skew (a
-    few hot questions looked up many times, a long tail looked up once or
-    twice), then each §4.4 policy is replayed over it.
+    A synthetic one-day lookup history of ``QUESTIONS`` questions is
+    generated with Zipf-like skew (a few hot questions looked up many times,
+    a long tail looked up once or twice), then each §4.4 policy is replayed
+    over it.
     """
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     lookups_per_question: dict[int, list[float]] = {}
-    for index in range(questions):
+    for index in range(QUESTIONS):
         # Rank-dependent lookup counts: hot questions get many lookups.
         rate = max(1, int(50 / (1 + index // 20)))
-        times = sorted(rng.uniform(0, duration) for _ in range(rate))
+        times = sorted(rng.uniform(0, DURATION) for _ in range(rate))
         lookups_per_question[index] = times
 
     model = StateModel()
     policies: list[TeardownPolicy] = [
         NeverTearDown(),
         IdleTimeoutPolicy(idle_timeout=3600.0),
-        LruBudgetPolicy(budget=max(10, questions // 4)),
+        LruBudgetPolicy(budget=max(10, QUESTIONS // 4)),
         AdaptivePolicy(base_retention=600.0),
     ]
-    outcomes = [
-        _run_policy(policy, questions, duration, lookups_per_question, model, upstream_servers)
-        for policy in policies
-    ]
+    outcomes = [_run_policy(policy, lookups_per_question, model) for policy in policies]
     return StateOverheadResult(
         policies=outcomes,
-        classic_vs_moqt=state_comparison(questions, upstream_servers, model),
-        questions=questions,
+        classic_vs_moqt=state_comparison(QUESTIONS, UPSTREAM_SERVERS, model),
+        questions=QUESTIONS,
     )

@@ -34,6 +34,8 @@ RECURSIVE_HOST = "10.0.0.53"
 ROOT_HOST = "198.41.0.4"
 TLD_HOST = "192.5.6.30"
 AUTH_HOST = "93.184.216.1"
+#: RTT between the stub and the recursive resolver of a :class:`SmallTopology`.
+STUB_RTT = 0.010
 
 
 @dataclass
@@ -43,7 +45,6 @@ class SmallTopologyConfig:
     domain: str = "www.example.com."
     record_ttl: int = 300
     initial_address: str = "192.0.2.10"
-    stub_rtt: float = 0.010
     upstream_rtt: float = 0.040
     #: Whether the authoritative server for the domain additionally runs a
     #: MoQT server (the root and the TLD always do).
@@ -75,7 +76,7 @@ class SmallTopology:
     def _build_hosts(self) -> None:
         for host in (STUB_HOST, RECURSIVE_HOST, ROOT_HOST, TLD_HOST, AUTH_HOST):
             self.network.add_host(host)
-        stub_link = LinkConfig(delay=self.config.stub_rtt / 2.0)
+        stub_link = LinkConfig(delay=STUB_RTT / 2.0)
         upstream_link = LinkConfig(delay=self.config.upstream_rtt / 2.0)
         self.network.connect(STUB_HOST, RECURSIVE_HOST, stub_link)
         for upstream in (ROOT_HOST, TLD_HOST, AUTH_HOST):
@@ -189,15 +190,10 @@ def build_workload_topology(
     zones: WorkloadZones,
     stub_rtt: float = 0.010,
     upstream_rtt: float = 0.040,
-    moqt_fraction: float = 1.0,
     seed: int = 42,
 ) -> WorkloadTopology:
-    """Build a topology serving a synthetic workload.
-
-    ``moqt_fraction`` controls which share of authoritative hosts (beyond the
-    root, which always supports MoQT) also run a MoQT server — the knob for
-    the incremental-deployment experiment.
-    """
+    """Build a topology serving a synthetic workload: every authoritative
+    host runs a classic DNS server and a MoQT server."""
     simulator = Simulator(seed=seed)
     network = Network(simulator)
     network.add_host(STUB_HOST)
@@ -206,21 +202,16 @@ def build_workload_topology(
 
     moqt_servers: dict[str, MoqAuthoritativeServer] = {}
     classic_servers: dict[str, AuthoritativeServer] = {}
-    host_zones = zones.all_hosts()
-    moqt_hosts = _select_moqt_hosts(host_zones, moqt_fraction)
-    for host_address, served_zones in host_zones.items():
+    for host_address, served_zones in zones.all_hosts().items():
         host = network.add_host(host_address)
         network.connect(RECURSIVE_HOST, host_address, LinkConfig(delay=upstream_rtt / 2.0))
         classic_servers[host_address] = AuthoritativeServer(host, list(served_zones))
-        if host_address in moqt_hosts:
-            moqt_servers[host_address] = MoqAuthoritativeServer(host, list(served_zones))
+        moqt_servers[host_address] = MoqAuthoritativeServer(host, list(served_zones))
 
     recursive = MoqRecursiveResolver(
         network.host(RECURSIVE_HOST),
         root_servers=[Address(ROOT_SERVER_ADDRESS, MOQT_PORT)],
-        config=ResolverConfig(
-            happy_eyeballs=moqt_fraction < 1.0,
-        ),
+        config=ResolverConfig(happy_eyeballs=False),
     )
     forwarder = MoqForwarder(
         network.host(STUB_HOST), recursive_moqt_address=Address(RECURSIVE_HOST, MOQT_PORT)
@@ -235,13 +226,3 @@ def build_workload_topology(
         forwarder=forwarder,
     )
 
-
-def _select_moqt_hosts(host_zones: dict[str, list[Zone]], fraction: float) -> set[str]:
-    hosts = sorted(host_zones)
-    if fraction >= 1.0:
-        return set(hosts)
-    selected = {ROOT_SERVER_ADDRESS}
-    remaining = [host for host in hosts if host != ROOT_SERVER_ADDRESS]
-    count = int(round(fraction * len(remaining)))
-    selected.update(remaining[:count])
-    return selected

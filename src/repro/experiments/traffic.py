@@ -122,7 +122,6 @@ def _measure_one(ttl: int, change_interval: float, duration: float) -> TrafficSa
         ttl=ttl,
         change_interval=change_interval,
         resolvers=1,
-        include_setup=False,
     )
     return TrafficSample(
         ttl=ttl,
@@ -134,21 +133,13 @@ def _measure_one(ttl: int, change_interval: float, duration: float) -> TrafficSa
     )
 
 
-def run_traffic(
-    configurations: list[tuple[int, float]] | None = None, duration: float = 600.0
-) -> TrafficResult:
+def run_traffic(configurations: list[tuple[int, float]], duration: float) -> TrafficResult:
     """Run the traffic experiment.
 
-    ``configurations`` is a list of ``(ttl, change_interval)`` pairs; the
-    defaults cover the regimes the paper discusses — records that change
-    slower than their TTL (pub/sub wins) and records that change much faster
-    (pub/sub pushes more messages than polling but keeps resolvers current).
+    ``configurations`` is a list of ``(ttl, change_interval)`` pairs, such as
+    records that change slower than their TTL (pub/sub wins) and records that
+    change much faster (pub/sub pushes more messages than polling but keeps
+    resolvers current).
     """
-    pairs = configurations if configurations is not None else [
-        (300, 3600.0),   # rarely changing record, typical TTL
-        (60, 600.0),     # moderately changing record, low TTL
-        (10, 30.0),      # CDN-style: TTL 10 s, changes every 30 s
-        (300, 60.0),     # hot record changing faster than its TTL
-    ]
-    samples = [_measure_one(ttl, interval, duration) for ttl, interval in pairs]
+    samples = [_measure_one(ttl, interval, duration) for ttl, interval in configurations]
     return TrafficResult(samples=samples)

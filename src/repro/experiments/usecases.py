@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.usecases import (
+    CDN_UPDATE_INTERVAL_SECONDS,
     UseCaseEstimate,
     cdn_stub_traffic_bps,
     ddns_update_traffic_bps,
@@ -25,6 +26,9 @@ from repro.experiments.topology import SmallTopology, SmallTopologyConfig
 #: The figures quoted in §5.3 of the paper.
 PAPER_DDNS_GBPS = 5.5
 PAPER_CDN_STUB_KBPS = 240.0
+#: The scaled-down CDN scenario: domains and virtual seconds simulated.
+SIMULATED_DOMAINS = 20
+SIMULATED_DURATION = 30.0
 
 
 @dataclass
@@ -75,15 +79,14 @@ class UseCaseResult:
         )
 
 
-def _simulate_cdn_stub(
-    domains: int, update_interval: float, duration: float
-) -> tuple[int, float]:
+def _simulate_cdn_stub() -> tuple[int, float]:
     """Push updates for several subscribed domains and measure stub bytes.
 
     Uses one domain track per simulated topology for isolation from the other
     experiments; the per-domain byte counts add up linearly, so the result is
-    ``domains`` times the single-domain measurement.
+    ``SIMULATED_DOMAINS`` times the single-domain measurement.
     """
+    update_interval = CDN_UPDATE_INTERVAL_SECONDS
     config = SmallTopologyConfig(record_ttl=int(update_interval))
     topology = SmallTopology(config)
     simulator = topology.simulator
@@ -98,47 +101,38 @@ def _simulate_cdn_stub(
     start = simulator.now
     address_counter = 0
     next_change = start + update_interval
-    while next_change <= start + duration:
+    while next_change <= start + SIMULATED_DURATION:
         topology.run(next_change - simulator.now)
         address_counter += 1
         topology.update_record(f"198.51.100.{address_counter % 250 + 1}")
         next_change += update_interval
-    topology.run(start + duration - simulator.now + 1.0)
+    topology.run(start + SIMULATED_DURATION - simulator.now + 1.0)
     bytes_received = forwarder_session.statistics.object_bytes_received - bytes_before
-    per_domain_bps = bytes_received * 8.0 / duration
-    return bytes_received * domains, per_domain_bps * domains
+    per_domain_bps = bytes_received * 8.0 / SIMULATED_DURATION
+    return bytes_received * SIMULATED_DOMAINS, per_domain_bps * SIMULATED_DOMAINS
 
 
-def run_usecases(
-    simulated_domains: int = 20,
-    simulated_update_interval: float = 10.0,
-    simulated_duration: float = 120.0,
-) -> UseCaseResult:
+def run_usecases() -> UseCaseResult:
     """Compute the §5.3 estimates and run the small-scale CDN cross-check."""
     ddns = ddns_update_traffic_bps()
     cdn = cdn_stub_traffic_bps()
     deep_space = deep_space_update_traffic_bps()
-    update_bytes, simulated_bps = _simulate_cdn_stub(
-        simulated_domains, simulated_update_interval, simulated_duration
-    )
+    update_bytes, simulated_bps = _simulate_cdn_stub()
     # The closed form for the scaled-down scenario uses the actual observed
     # object size (DNS response + MoQT framing) rather than the paper's
     # assumed 300 B.
-    updates = int(simulated_duration // simulated_update_interval)
-    observed_update_size = (
-        update_bytes / (simulated_domains * updates) if updates else 0.0
-    )
+    updates = int(SIMULATED_DURATION // CDN_UPDATE_INTERVAL_SECONDS)
+    observed_update_size = update_bytes / (SIMULATED_DOMAINS * updates)
     predicted_small = cdn_stub_traffic_bps(
-        subscribed_domains=simulated_domains,
-        update_interval_seconds=simulated_update_interval,
+        subscribed_domains=SIMULATED_DOMAINS,
         update_size_bytes=observed_update_size,
     ).bits_per_second
     return UseCaseResult(
         ddns=ddns,
         cdn_stub=cdn,
         deep_space=deep_space,
-        simulated_cdn_domains=simulated_domains,
-        simulated_cdn_duration=simulated_duration,
+        simulated_cdn_domains=SIMULATED_DOMAINS,
+        simulated_cdn_duration=SIMULATED_DURATION,
         simulated_cdn_update_bytes=update_bytes,
         simulated_cdn_bps=simulated_bps,
         predicted_small_scale_bps=predicted_small,

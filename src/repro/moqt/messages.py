@@ -610,7 +610,7 @@ _DECODERS: dict[int, type[ControlMessage]] = {
 }
 
 
-def read_control_frame(data: bytes, offset: int = 0) -> tuple[int, bytes, int]:
+def read_control_frame(data: bytes, offset: int) -> tuple[int, bytes, int]:
     """Frame one control message; returns ``(type, payload, next_offset)``.
 
     Raises :class:`NeedMoreData` when the buffer does not yet hold the whole
@@ -660,14 +660,15 @@ def decode_control_payload(message_type: int, payload: bytes) -> ControlMessage:
     return message
 
 
-def decode_control_message(data: bytes, offset: int = 0) -> tuple[ControlMessage, int]:
-    """Decode one control message; returns ``(message, next_offset)``.
+def decode_control_message(data: bytes) -> tuple[ControlMessage, int]:
+    """Decode the control message at the start of ``data``; returns
+    ``(message, next_offset)``.
 
     Raises :class:`NeedMoreData` as :func:`read_control_frame` does, and
     :class:`~repro.moqt.errors.ProtocolViolation` as
     :func:`decode_control_payload` does.
     """
-    message_type, payload, end = read_control_frame(data, offset)
+    message_type, payload, end = read_control_frame(data, 0)
     return decode_control_payload(message_type, payload), end
 
 

@@ -141,12 +141,8 @@ def build_origin_endpoint(
     )
 
 
-def build_origin(network: Network, publisher: OriginPublisher | None = None) -> OriginPublisher:
-    """Create the origin host with a MoQT server wired to ``publisher``."""
-    host = network.add_host(ORIGIN_HOST)
-    if publisher is None:
-        publisher = OriginPublisher(network)
-    elif publisher.network is None:
-        publisher.network = network
-    build_origin_endpoint(host, publisher)
+def build_origin(network: Network) -> OriginPublisher:
+    """Create the origin host with a MoQT server wired to a new publisher."""
+    publisher = OriginPublisher(network)
+    build_origin_endpoint(network.add_host(ORIGIN_HOST), publisher)
     return publisher

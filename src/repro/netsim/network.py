@@ -64,7 +64,7 @@ class Network:
         #: Constant remnant of the retired per-datagram fallback: every send
         #: is a link wave, so no wave can degrade and nothing writes this.
         #: Its readers are the E11 / E15 result fields, the E15
-        #: ``fallback_waves`` columns of ``tests/golden/runner_fast.txt`` and
+        #: ``fallback_waves`` columns of ``tests/golden/runner.txt`` and
         #: the end-to-end benchmark's ``no_batch_fallback_waves`` check;
         #: ROADMAP 0(a) plus a runner re-baseline delete it.
         self.link_batch_fallback_waves = 0

@@ -246,9 +246,9 @@ def collect_relay_tree(metrics: MetricsRegistry, tree) -> None:
             quic_gauge[field].labels(role).set(value)
 
 
-def collect_run(metrics: MetricsRegistry, network, tree=None) -> None:
-    """One-call scrape at the end of a run: network (+ simulator) and, when
-    given, the relay tree with its QUIC transport totals."""
+def collect_run(metrics: MetricsRegistry, network, tree) -> None:
+    """One-call scrape at the end of a run: network (+ simulator) and, unless
+    ``tree`` is ``None``, the relay tree with its QUIC transport totals."""
     collect_network(metrics, network)
     if tree is not None:
         collect_relay_tree(metrics, tree)

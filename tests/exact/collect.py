@@ -208,7 +208,7 @@ def _chain(domains: int, auth_hosts: int):
         config=ZoneBuildConfig(auth_server_count=auth_hosts),
     )
     names = [domain.name for domain in toplist.domains() if domain.has_type(RecordType.A)]
-    return build_workload_topology(zones, moqt_fraction=1.0), names
+    return build_workload_topology(zones), names
 
 
 def _active_share(subscriptions) -> float:

@@ -358,7 +358,7 @@ class TestExperiment:
     def test_run_flash_crowd_gates(self, monkeypatch):
         runs = captured_runs(monkeypatch, flash_crowd)
         result = run_flash_crowd(
-            stormers=12, subscribe_rate=150.0, bucket_depth=3, baseline_stormers=(8, 16),
+            stormers=12, subscribe_rate=150.0, bucket_depth=3,
         )
         summary = result.summary_row()
         assert summary["baseline_high_water_grows"]

@@ -24,6 +24,7 @@ from repro.dns.rr import ResourceRecord
 from repro.dns.types import DNSClass, Opcode, Rcode, RecordType
 from repro.moqt.objectmodel import MoqtObject
 from repro.moqt.track import FullTrackName, TrackNamespace
+from dns_queries import query_with_id
 
 
 class TestQuestionToTrack:
@@ -68,8 +69,8 @@ class TestQuestionToTrack:
         assert track_to_question(question_to_track(key)) == key
 
     def test_same_question_maps_to_same_track_regardless_of_message_id(self):
-        first = make_query("cdn.example.com", "A", message_id=111)
-        second = make_query("CDN.example.COM", "A", message_id=222)
+        first = query_with_id("cdn.example.com", "A", 111)
+        second = query_with_id("CDN.example.COM", "A", 222)
         assert question_to_track(DnsQuestionKey.from_message(first)) == question_to_track(
             DnsQuestionKey.from_message(second)
         )
@@ -117,7 +118,7 @@ class TestTrackToQuestion:
 
 class TestEncapsulation:
     def _response(self, message_id: int = 55) -> tuple:
-        query = make_query("www.example.com", "A", message_id=message_id)
+        query = query_with_id("www.example.com", "A", message_id)
         record = ResourceRecord(
             Name.from_text("www.example.com"), RecordType.A, ARdata("192.0.2.4"), 300
         )

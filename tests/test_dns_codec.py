@@ -49,6 +49,8 @@ from repro.dns.types import DNSClass, Opcode, Rcode, RecordType
 from repro.dns.zone import Zone
 from repro.moqt.objectmodel import MoqtObject
 from repro.netsim.packet import Address, Datagram
+from dns_queries import query_with_id
+
 
 N = Name.from_text
 
@@ -274,7 +276,7 @@ def _rr(name, rdtype, rdata, ttl):
 
 
 def golden_referral() -> Message:
-    query = make_query("www.example.com.", RecordType.A, message_id=0x1234, recursion_desired=False)
+    query = query_with_id("www.example.com.", RecordType.A, 0x1234, recursion_desired=False)
     return make_response(
         query,
         authorities=[
@@ -299,7 +301,7 @@ def golden_answer() -> Message:
 
 
 def golden_nxdomain() -> Message:
-    query = make_query("missing.example.com.", RecordType.AAAA, message_id=7)
+    query = query_with_id("missing.example.com.", RecordType.AAAA, 7)
     soa = SOARdata(N("ns1.example.com."), N("hostmaster.example.com."), 2024010101)
     return make_response(
         query,
@@ -524,7 +526,7 @@ def test_udp_endpoint_drops_malformed_datagrams_and_lets_bugs_through(two_host_n
     for wire in MALFORMED.values():
         deliver(wire)
     assert received == []
-    deliver(make_query("www.example.com.", RecordType.A, message_id=9).to_wire())
+    deliver(query_with_id("www.example.com.", RecordType.A, 9).to_wire())
     assert len(received) == 1
 
     def broken(wire):
@@ -621,7 +623,8 @@ def test_equal_names_hash_equal_across_every_constructor(labels, data):
 )
 def test_equal_question_keys_hash_equal_across_every_constructor(labels, qtype, rd, cd):
     key = DnsQuestionKey(Name(labels), qtype, recursion_desired=rd, checking_disabled=cd)
-    query = make_query(Name(labels), qtype, recursion_desired=rd, checking_disabled=cd)
+    query = make_query(Name(labels), qtype, recursion_desired=rd)
+    query = replace(query, header=replace(query.header, flags=replace(query.header.flags, cd=cd)))
     built = [
         DnsQuestionKey(Name.from_text(key.qname.to_text().upper()), qtype, DNSClass.IN, Opcode.QUERY, rd, cd),
         DnsQuestionKey.from_message(query),

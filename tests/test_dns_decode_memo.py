@@ -105,7 +105,7 @@ def _chain():
         change_model=ChangeModel(ChangeModelConfig(seed=17)),
         config=ZoneBuildConfig(auth_server_count=2),
     )
-    topology = build_workload_topology(zones, moqt_fraction=1.0)
+    topology = build_workload_topology(zones)
     names = [domain.name for domain in toplist.domains() if domain.has_type(RecordType.A)]
     return topology, names
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.dns.message import (
@@ -17,6 +19,7 @@ from repro.dns.name import Name
 from repro.dns.rdata import ARdata, CNAMERdata, SOARdata
 from repro.dns.rr import ResourceRecord, RRset
 from repro.dns.types import DNSClass, Opcode, Rcode, RecordType
+from dns_queries import query_with_id
 
 
 def _a_record(name: str, address: str, ttl: int = 300) -> ResourceRecord:
@@ -44,7 +47,7 @@ class TestFlagsAndHeader:
 
 class TestMessageWireFormat:
     def test_query_roundtrip(self):
-        query = make_query("www.example.com", "A", message_id=4711)
+        query = query_with_id("www.example.com", "A", 4711)
         decoded = Message.from_wire(query.to_wire())
         assert decoded.header.message_id == 4711
         assert decoded.question.qname == Name.from_text("www.example.com")
@@ -53,7 +56,7 @@ class TestMessageWireFormat:
         assert not decoded.is_response
 
     def test_response_roundtrip_with_all_sections(self):
-        query = make_query("www.example.com", "A", message_id=9)
+        query = query_with_id("www.example.com", "A", 9)
         soa = ResourceRecord(
             Name.from_text("example.com"),
             RecordType.SOA,
@@ -91,14 +94,15 @@ class TestMessageWireFormat:
         assert Message.from_wire(wire).answers[1].name == Name.from_text("www.example.com")
 
     def test_message_id_mirrored_in_response(self):
-        query = make_query("a.example.", "AAAA", message_id=77)
+        query = query_with_id("a.example.", "AAAA", 77)
         response = make_response(query, rcode=Rcode.NXDOMAIN)
         assert response.header.message_id == 77
         assert response.rcode == Rcode.NXDOMAIN
         assert response.questions == query.questions
 
     def test_rd_and_cd_flags_copied_from_query(self):
-        query = make_query("a.example.", "A", recursion_desired=False, checking_disabled=True)
+        query = make_query("a.example.", "A", recursion_desired=False)
+        query = replace(query, header=replace(query.header, flags=replace(query.header.flags, cd=True)))
         response = make_response(query)
         assert response.header.flags.rd is False
         assert response.header.flags.cd is True

@@ -562,21 +562,25 @@ def test_a_lossy_newreno_tree_adds_no_stream_state():
     connection holds its control stream and nothing else.  (The window never
     holds a packet back here; ``tests/test_megafan.py`` covers that path.)"""
     from repro.experiments.constrained_tiers import (
-        DEFAULT_BANDWIDTH_SWEEP,
+        ACCESS_LOSS,
+        BANDWIDTH_SWEEP,
+        SEED,
+        SUBSCRIBERS,
+        UPDATES,
         _constrained_spec,
         _lossy_scenario,
     )
     from repro.relaynet.scenario import build_scenario
 
-    bandwidth = DEFAULT_BANDWIDTH_SWEEP[len(DEFAULT_BANDWIDTH_SWEEP) // 2]
-    run = build_scenario(_lossy_scenario(_constrained_spec(bandwidth, 0.05), 7))
-    run.topology.attach_subscribers(100)
+    bandwidth = BANDWIDTH_SWEEP[len(BANDWIDTH_SWEEP) // 2]
+    run = build_scenario(_lossy_scenario(_constrained_spec(bandwidth, ACCESS_LOSS), SEED))
+    run.topology.attach_subscribers(SUBSCRIBERS)
     run.record_deliveries()
     run.advance(3.0)
-    run.push(5)
+    run.push(UPDATES)
     run.advance(6.0)
     _, _, delivered = run.delivery_score()
-    assert delivered == 100 * 5  # every update repaired, as E15 requires
+    assert delivered == SUBSCRIBERS * UPDATES  # every update repaired, as E15 requires
     connections = _only_control_streams(run.network)
     assert sum(connection.statistics.retransmissions for connection in connections) > 0
     assert sum(connection.congestion.congestion_events for connection in connections) > 0

@@ -26,7 +26,7 @@ from repro.dns.types import RecordType
 
 def _roundtrip(rdata, rdtype):
     wire = rdata.to_wire()
-    decoded = decode_rdata(rdtype, wire, 0, len(wire))
+    decoded = decode_rdata(rdtype, wire, 0, len(wire), None)
     return decoded
 
 
@@ -165,7 +165,7 @@ class TestSvcbHttpsRdata:
 
 class TestGenericAndRegistry:
     def test_generic_preserves_unknown_type_bytes(self):
-        decoded = decode_rdata(RecordType.ANY, b"\x01\x02\x03", 0, 3)
+        decoded = decode_rdata(RecordType.ANY, b"\x01\x02\x03", 0, 3, None)
         assert isinstance(decoded, GenericRdata)
         assert decoded.data == b"\x01\x02\x03"
 

@@ -11,10 +11,10 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLES_DIR = REPO / "examples"
-#: ``python -m repro.experiments.runner``'s fast-mode output, byte for byte.  It
+#: ``python -m repro.experiments.runner``'s output, byte for byte.  It
 #: is deterministic across processes, hash seeds and CPython 3.11 / 3.12; a
 #: PR that moves a table re-generates this file, so its diff is the old → new list.
-GOLDEN = REPO / "tests" / "golden" / "runner_fast.txt"
+GOLDEN = REPO / "tests" / "golden" / "runner.txt"
 #: Where a failed comparison leaves what the runner printed (CI uploads it).
 ACTUAL = REPO / "runner_output.txt"
 #: Each example's stdout, byte for byte, as ``tests/golden/examples/<name>.txt``
@@ -76,10 +76,10 @@ class TestExamples:
 
 @pytest.mark.slow
 class TestRunner:
-    def test_run_all_fast_produces_every_experiment(self):
+    def test_run_all_produces_every_experiment(self):
         from repro.experiments.runner import render, run_all
 
-        reports = run_all(fast=True)
+        reports = run_all()
         identifiers = [report.experiment_id for report in reports]
         assert identifiers == [
             "E1", "E2", "E3", "E4", "E5", "E6", "E7/E8", "E9", "E10", "E11", "E12",

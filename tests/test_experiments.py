@@ -18,7 +18,7 @@ from repro.experiments.fig2_sequence import run_fig2
 from repro.experiments.query_latency import run_query_latency
 from repro.experiments.report import format_table
 from repro.experiments.staleness import run_staleness
-from repro.experiments.state_overhead import run_state_overhead
+from repro.experiments.state_overhead import QUESTIONS, run_state_overhead
 from repro.experiments.topology import SmallTopology, SmallTopologyConfig
 from repro.experiments.traffic import run_traffic
 from repro.experiments.usecases import PAPER_CDN_STUB_KBPS, PAPER_DDNS_GBPS, run_usecases
@@ -89,12 +89,12 @@ class TestFig2Experiment:
 
 class TestQueryLatencyExperiment:
     def test_all_scenarios_match_round_trip_model(self):
-        result = run_query_latency(stub_rtt=0.010, upstream_rtt=0.040)
+        result = run_query_latency(upstream_rtt=0.040)
         for measurement in result.measurements:
             assert measurement.relative_error < 0.02, measurement.scenario
 
     def test_scenario_ordering_matches_paper(self):
-        result = run_query_latency(stub_rtt=0.010, upstream_rtt=0.040)
+        result = run_query_latency(upstream_rtt=0.040)
         cold = result.measurement("moqt-cold").measured
         resumed = result.measurement("moqt-0rtt").measured
         reused = result.measurement("moqt-reused").measured
@@ -106,7 +106,7 @@ class TestQueryLatencyExperiment:
 
     def test_cold_lookup_pays_about_three_times_the_hop_cost_at_any_rtt(self):
         for rtt in (0.020, 0.080):
-            result = run_query_latency(stub_rtt=0.010, upstream_rtt=rtt)
+            result = run_query_latency(upstream_rtt=rtt)
             cold = result.measurement("moqt-cold").measured
             udp = result.measurement("udp-first").measured
             assert cold > 2.5 * udp / 1.3
@@ -115,7 +115,7 @@ class TestQueryLatencyExperiment:
 @pytest.mark.slow
 class TestStalenessExperiment:
     def test_pubsub_beats_polling_by_orders_of_magnitude(self):
-        result = run_staleness(ttls=[10, 60, 300], change_offsets=[0.5])
+        result = run_staleness(ttls=[10, 60, 300])
         for sample in result.samples:
             assert sample.pubsub_staleness < 0.1
             assert sample.polling_staleness > sample.pubsub_staleness
@@ -123,7 +123,7 @@ class TestStalenessExperiment:
         assert result.mean_improvement(300) > result.mean_improvement(10)
 
     def test_pubsub_staleness_independent_of_ttl(self):
-        result = run_staleness(ttls=[10, 60], change_offsets=[0.25])
+        result = run_staleness(ttls=[10, 60])
         values = [sample.pubsub_staleness for sample in result.samples]
         assert max(values) - min(values) < 0.01
 
@@ -159,23 +159,23 @@ class TestTrafficExperiment:
 
 class TestUseCaseExperiment:
     def test_closed_form_estimates_match_paper(self):
-        result = run_usecases(simulated_duration=20.0, simulated_update_interval=5.0)
+        result = run_usecases()
         assert result.ddns.gbps == pytest.approx(PAPER_DDNS_GBPS, rel=0.05)
         assert result.cdn_stub.kbps == pytest.approx(PAPER_CDN_STUB_KBPS, rel=0.01)
 
     def test_simulation_cross_check_agrees_with_formula(self):
-        result = run_usecases(simulated_duration=30.0, simulated_update_interval=5.0)
+        result = run_usecases()
         assert result.cdn_simulation_relative_error < 0.05
         assert result.simulated_cdn_update_bytes > 0
 
 
 class TestStateOverheadExperiment:
     def test_policies_trade_state_for_resubscriptions(self):
-        result = run_state_overhead(questions=150, duration=86_400.0)
+        result = run_state_overhead()
         by_name = {outcome.policy: outcome for outcome in result.policies}
-        assert by_name["never"].tracked_at_end == 150
+        assert by_name["never"].tracked_at_end == QUESTIONS
         assert by_name["never"].forced_resubscriptions == 0
-        assert by_name["lru-budget"].tracked_at_end <= 150 // 4 + 1
+        assert by_name["lru-budget"].tracked_at_end <= QUESTIONS // 4 + 1
         for name, outcome in by_name.items():
             if name != "never":
                 assert outcome.state_bytes <= by_name["never"].state_bytes
@@ -183,14 +183,14 @@ class TestStateOverheadExperiment:
         assert result.classic_vs_moqt["extra_bytes"] > 0
 
     def test_rows_render(self):
-        result = run_state_overhead(questions=50, duration=600.0)
+        result = run_state_overhead()
         assert len(result.rows()) == 4
 
 
 @pytest.mark.slow
 class TestCompatibilityExperiment:
     def test_fallback_resolves_and_refresh_delivers_updates(self):
-        result = run_compatibility(ttl=10)
+        result = run_compatibility()
         baseline = result.outcome("moqt-everywhere (baseline)")
         decline = result.outcome("decline (auth UDP-only)")
         refresh = result.outcome("periodic-refresh (auth UDP-only)")
@@ -205,8 +205,7 @@ class TestCompatibilityExperiment:
 
 
 class TestConstrainedTiersExperiment:
-    """E15 at its full scale (100 subscribers, 5 updates, 4 x 4 relays); the
-    runner's golden table covers the fast scale."""
+    """E15 as the runner runs it (20 subscribers, 3 updates, 2 x 2 relays)."""
 
     @pytest.fixture(scope="class")
     def result(self):
@@ -216,7 +215,7 @@ class TestConstrainedTiersExperiment:
         assert len(result.samples) == 8
         for sample in result.samples:
             assert sample.model_exact, sample.bandwidth
-            assert sample.delivered == sample.subscribers * sample.updates == 500
+            assert sample.delivered == sample.subscribers * sample.updates == 60
         assert result.all_model_exact
         assert result.total_fallback_waves == 0
 
@@ -231,7 +230,7 @@ class TestConstrainedTiersExperiment:
     def test_lossy_edge_is_repaired_by_retransmission_under_newreno(self, result):
         loss = result.loss_sample
         assert loss.access_loss > 0
-        assert loss.repaired and loss.delivered == loss.expected == 500
+        assert loss.repaired and loss.delivered == loss.expected == 60
         assert loss.retransmissions > 0
         assert loss.congestion_events > 0
         assert loss.link_batch_fallback_waves == 0

@@ -36,9 +36,9 @@ class TestDetectionModelClosedForms:
 
     def test_rejects_nonsense_inputs(self):
         with pytest.raises(ValueError):
-            pto_fire_offsets(0.0, 1)
+            pto_fire_offsets(0.0, 1, DEFAULT_BACKOFF_CAP)
         with pytest.raises(ValueError):
-            pto_fire_offsets(0.1, 0)
+            pto_fire_offsets(0.1, 0, DEFAULT_BACKOFF_CAP)
         with pytest.raises(ValueError):
             DetectionModel(
                 crashed_at=1.0, probe_timeout=0.1, next_send_at=None, idle_deadline=0.5

@@ -21,7 +21,7 @@ def workload_topology():
         change_model=ChangeModel(ChangeModelConfig(seed=17)),
         config=ZoneBuildConfig(auth_server_count=2),
     )
-    return build_workload_topology(zones, moqt_fraction=1.0)
+    return build_workload_topology(zones)
 
 
 @pytest.mark.slow
@@ -117,24 +117,3 @@ class TestWorkloadTopology:
         assert sorted(r.rdata.to_text() for r in result.answers) == sorted(
             r.rdata.to_text() for r in moqt_message.answers
         )
-
-
-@pytest.mark.slow
-class TestMixedDeployment:
-    def test_partial_moqt_deployment_still_resolves_everything(self):
-        toplist = SyntheticToplist(ToplistConfig(size=12))
-        zones = WorkloadZones(toplist, config=ZoneBuildConfig(auth_server_count=2))
-        topology = build_workload_topology(zones, moqt_fraction=0.5)
-        domains = [d for d in toplist.domains() if d.has_type(RecordType.A)][:6]
-        answers = {}
-        for domain in domains:
-            key = DnsQuestionKey(qname=domain.name, qtype=RecordType.A)
-            topology.forwarder.resolve(
-                key, lambda message, version, name=domain.name: answers.__setitem__(name, message)
-            )
-        topology.simulator.run(until=90.0)
-        assert len(answers) == len(domains)
-        assert all(message is not None for message in answers.values())
-        # With only part of the hierarchy speaking MoQT, some lookups must
-        # have used the UDP fallback.
-        assert topology.recursive.statistics.upstream_udp_queries > 0

@@ -115,9 +115,8 @@ class TestLatencyModel:
 
 class TestStalenessModel:
 
-    def test_expected_polling_is_half_ttl_per_layer(self):
+    def test_expected_polling_is_half_ttl(self):
         assert expected_staleness_polling(300) == 150
-        assert expected_staleness_polling(300, cache_layers=2) == 300
 
     def test_pubsub_is_sum_of_propagation_delays(self):
         assert pubsub_staleness([0.02, 0.005]) == pytest.approx(0.025)
@@ -127,20 +126,20 @@ class TestStalenessModel:
 
 class TestTrafficModel:
     def test_polling_counts_one_request_per_ttl(self):
-        assert polling_requests(duration=3600, ttl=300) == 12
+        assert polling_requests(duration=3600, ttl=300, resolvers=1) == 12
         assert polling_requests(duration=3600, ttl=300, resolvers=10) == 120
         with pytest.raises(ValueError):
-            polling_requests(10, 0)
+            polling_requests(10, 0, 1)
 
-    def test_pubsub_counts_changes_plus_setup(self):
-        assert pubsub_messages(duration=3600, change_interval=600) == 7  # 6 pushes + setup
-        assert pubsub_messages(3600, 600, include_setup=False) == 6
-        assert pubsub_messages(3600, 0, include_setup=False) == 0
+    def test_pubsub_counts_one_push_per_change(self):
+        assert pubsub_messages(duration=3600, change_interval=600, resolvers=1) == 6
+        assert pubsub_messages(3600, 600, resolvers=10) == 60
+        assert pubsub_messages(3600, 0, 1) == 0
 
     def test_comparison_and_crossover(self):
-        wins = traffic_comparison(3600, ttl=300, change_interval=3600)
+        wins = traffic_comparison(3600, ttl=300, change_interval=3600, resolvers=1)
         assert wins.pubsub_wins
-        loses = traffic_comparison(3600, ttl=3600, change_interval=60, include_setup=False)
+        loses = traffic_comparison(3600, ttl=3600, change_interval=60, resolvers=1)
         assert not loses.pubsub_wins
 
     def test_comparison_scales_with_resolvers(self):
@@ -159,21 +158,15 @@ class TestUseCaseEstimates:
         assert estimate.kbps == pytest.approx(240.0, rel=0.01)
 
     def test_deep_space_throttling_reduces_traffic(self):
-        throttled = deep_space_update_traffic_bps(throttled_fraction=0.9)
-        unthrottled = deep_space_update_traffic_bps(throttled_fraction=0.0)
-        assert throttled.bits_per_second < unthrottled.bits_per_second
+        throttled = deep_space_update_traffic_bps()
+        unthrottled = 10_000 / 3_600 * 300 * 8
+        assert throttled.bits_per_second == pytest.approx(unthrottled * (0.1 + 0.9 / 24))
 
     def test_estimates_expose_inputs(self):
         estimate = cdn_stub_traffic_bps()
         as_dict = estimate.as_dict()
         assert as_dict["subscribed_domains"] == 1000
         assert as_dict["bits_per_second"] == estimate.bits_per_second
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            cdn_stub_traffic_bps(update_interval_seconds=0)
-        with pytest.raises(ValueError):
-            deep_space_update_traffic_bps(throttled_fraction=1.5)
 
 
 class TestStateOverheadModel:
@@ -186,10 +179,10 @@ class TestStateOverheadModel:
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
-            endpoint_state_bytes(-1, 0, 0)
+            endpoint_state_bytes(-1, 0, 0, 0, StateModel())
 
     def test_moqt_always_costs_more_than_classic(self):
-        comparison = state_comparison(tracked_questions=1000, upstream_servers=10)
+        comparison = state_comparison(tracked_questions=1000, upstream_servers=10, model=StateModel())
         assert comparison["moqt_bytes"] > comparison["classic_bytes"]
         assert comparison["extra_bytes"] == comparison["moqt_bytes"] - comparison["classic_bytes"]
 

@@ -159,7 +159,7 @@ def damaged(valid: st.SearchStrategy[bytes]) -> st.SearchStrategy[bytes]:
 #: The golden payloads of each message type, the seeds of the damaged ones.
 GOLDEN_PAYLOADS: dict[int, list[bytes]] = {}
 for _wire in GOLDEN_WIRES:
-    _type, _payload, _ = read_control_frame(_wire)
+    _type, _payload, _ = read_control_frame(_wire, 0)
     GOLDEN_PAYLOADS.setdefault(_type, []).append(_payload)
 
 
@@ -192,11 +192,11 @@ def test_a_control_payload_decodes_or_is_a_violation(message_type, data):
 
 @pytest.mark.parametrize("wire", GOLDEN_WIRES, ids=[name for name, _, _ in GOLDEN_CONTROL_MESSAGES])
 def test_truncated_control_images_need_more_data_or_are_violations(wire):
-    message_type, payload, _ = read_control_frame(wire)
+    message_type, payload, _ = read_control_frame(wire, 0)
     whole = decode_control_payload(message_type, payload)
     for cut in range(len(wire)):
         with pytest.raises(NeedMoreData):
-            read_control_frame(wire[:cut])
+            read_control_frame(wire[:cut], 0)
         parser = ControlStreamParser(Memo())
         assert parser.feed(wire[:cut]) == [] and parser.feed(wire[cut:]) == [whole]
     for cut in range(len(payload)):
@@ -360,7 +360,7 @@ class _Pair:
 def _truncated_subscribe(pair: _Pair) -> tuple[MoqtSession, str, object]:
     """A SUBSCRIBE whose last four bytes are cut off, framed as whole."""
     wire = Subscribe(request_id=4, track_alias=2, full_track_name=TRACK).encode()
-    _, payload, _ = read_control_frame(wire)
+    _, payload, _ = read_control_frame(wire, 0)
     malformed = payload[:-4]
     pair.client._send_control(frame(MessageType.SUBSCRIBE, malformed))
     return pair.server, "moqt.control", (MessageType.SUBSCRIBE, malformed)
@@ -397,8 +397,8 @@ def test_a_malformed_input_closes_the_receiving_session(monkeypatch, case):
 def _with_value(build, good, other, bad: int) -> bytes:
     """``build(good)``'s payload with the one byte where it differs from
     ``build(other)``'s set to ``bad``: the field the two values fill."""
-    _, payload, _ = read_control_frame(build(good).encode())
-    _, changed, _ = read_control_frame(build(other).encode())
+    _, payload, _ = read_control_frame(build(good).encode(), 0)
+    _, changed, _ = read_control_frame(build(other).encode(), 0)
     (offset,) = [index for index, (a, b) in enumerate(zip(payload, changed)) if a != b]
     return payload[:offset] + bytes([bad]) + payload[offset + 1 :]
 

@@ -387,10 +387,6 @@ class TestOriginFailoverExperiment:
             "outage-window objects exist only in the replay ring"
         )
 
-    def test_a_singleton_origin_has_nothing_to_promote(self):
-        with pytest.raises(ValueError, match="standby"):
-            run_origin_failover(origins=1)
-
     def test_seeded_runs_are_bit_identical(self):
         first = run_origin_failover(
             subscribers=16, mid_relays=2, edge_per_mid=2,

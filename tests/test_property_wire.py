@@ -18,6 +18,7 @@ from repro.moqt.messages import Subscribe, SubscribeOk, decode_control_message
 from repro.moqt.track import FullTrackName, TrackNamespace
 from repro.quic.frames import StreamFrame, decode_frames, encode_frames
 from repro.quic.varint import MAX_VARINT, decode_varint, encode_varint
+from dns_queries import query_with_id
 
 # ----------------------------------------------------------------- strategies
 
@@ -102,7 +103,7 @@ def test_subdomain_of_parent_holds(name):
 
 @given(domain_names, record_types, st.integers(0, 65535), st.booleans())
 def test_query_wire_roundtrip(name, rdtype, message_id, rd):
-    query = make_query(name, rdtype, message_id=message_id, recursion_desired=rd)
+    query = query_with_id(name, rdtype, message_id, recursion_desired=rd)
     decoded = Message.from_wire(query.to_wire())
     assert decoded.question.qname == name
     assert decoded.question.qtype == rdtype
@@ -116,7 +117,7 @@ def test_query_wire_roundtrip(name, rdtype, message_id, rd):
     st.integers(0, 86400),
 )
 def test_response_wire_roundtrip_preserves_answers(name, addresses, ttl):
-    query = make_query(name, RecordType.A, message_id=1)
+    query = query_with_id(name, RecordType.A, 1)
     records = [
         ResourceRecord(name, RecordType.A, ARdata(address), ttl) for address in addresses
     ]
@@ -164,7 +165,7 @@ def test_distinct_questions_map_to_distinct_tracks(first, second):
     st.integers(min_value=0, max_value=2**40),
 )
 def test_encapsulation_roundtrip(key, addresses, version):
-    query = make_query(key.qname, key.qtype, message_id=999)
+    query = query_with_id(key.qname, key.qtype, 999)
     records = [
         ResourceRecord(key.qname, RecordType.A, ARdata(address), 300) for address in addresses
     ]

@@ -29,7 +29,7 @@ from repro.dns.zone import Zone
 from repro.experiments.topology import RECURSIVE_HOST, SmallTopology, SmallTopologyConfig
 from repro.moqt.messages import ClientSetup, Fetch, FetchType, Subscribe
 from repro.moqt.objectmodel import MoqtObject
-from repro.moqt.origin import ORIGIN_HOST, ORIGIN_PORT, OriginPublisher, build_origin
+from repro.moqt.origin import ORIGIN_HOST, ORIGIN_PORT, OriginPublisher, build_origin_endpoint
 from repro.moqt.relay import MoqtRelay
 from repro.moqt.session import (
     MOQT_ALPN,
@@ -264,7 +264,8 @@ class OriginRig(Rig):
         self.simulator = Simulator(seed=7)
         self.network = Network(self.simulator)
         self.tracks = [FullTrackName.of(["fanout"], name) for name in (b"t0", b"t1")]
-        self.publisher = build_origin(self.network, OriginPublisher(track=self.tracks[0]))
+        self.publisher = OriginPublisher(self.network, track=self.tracks[0])
+        build_origin_endpoint(self.network.add_host(ORIGIN_HOST), self.publisher)
         self.network.add_host(CLIENTS)
         self.network.connect(ORIGIN_HOST, CLIENTS, LinkConfig(delay=0.005))
         self.address = Address(ORIGIN_HOST, ORIGIN_PORT)

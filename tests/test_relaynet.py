@@ -11,7 +11,7 @@ from repro.moqt.origin import (
     ORIGIN_PORT,
     TRACK,
     OriginPublisher as BaseOriginPublisher,
-    build_origin,
+    build_origin_endpoint,
 )
 from repro.netsim.link import LinkConfig
 from repro.netsim.network import Network
@@ -28,8 +28,8 @@ from repro.relaynet import (
 class OriginPublisher(BaseOriginPublisher):
     """Origin delegate recording every subscribe/fetch it answers."""
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, network: Network) -> None:
+        super().__init__(network)
         self.subscribes: list[object] = []
         self.fetches: list[object] = []
 
@@ -51,7 +51,8 @@ def build_scene(spec: RelayTreeSpec, seed: int = 5):
     """An origin publisher plus a built relay tree on a fresh network."""
     simulator = Simulator(seed=seed)
     network = Network(simulator)
-    publisher = build_origin(network, OriginPublisher())
+    publisher = OriginPublisher(network)
+    build_origin_endpoint(network.add_host(ORIGIN), publisher)
     tree = RelayTreeBuilder(network, Address(ORIGIN, ORIGIN_PORT)).build(spec)
     return simulator, network, publisher, tree
 
@@ -312,7 +313,7 @@ class TestStatsAndModel:
         assert model.origin_reduction_factor == 250.0
         assert model.tier_bytes()[0] == 2000.0
         # Sparse population: idle relays receive nothing.
-        sparse = fanout_model(subscribers=10, updates=5, tier_sizes=(4, 16))
+        sparse = fanout_model(subscribers=10, updates=5, tier_sizes=(4, 16), bytes_per_update=100)
         assert sparse.tier_receivers == (4, 10, 10)
         assert relative_deviation(110, 100) == pytest.approx(0.10)
         assert relative_deviation(0, 0) == 0.0

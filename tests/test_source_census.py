@@ -63,13 +63,16 @@ that what runs names only as a bare name are found mechanically
 hand against what runs.  What only tests reach is in ``HIDDEN_BY_NAME``.
 
 * every option has two values in what runs: a defaulted field of a config
-  dataclass or a defaulted ``__init__`` parameter under ``src/repro`` is
-  passed a second value somewhere in ``src/``, ``examples/`` or
-  ``benchmarks/`` (:func:`one_valued`), or it is in ``ONE_VALUE`` with its
-  reason: ``deployment``, ``peer behaviour`` or the ``ROADMAP`` item that
-  sets it.  Any other option with one value in use is a constant.  A value
-  forwarded through a function's parameter is followed to the function's
-  callers.
+  dataclass, a defaulted ``__init__`` parameter or a defaulted parameter of
+  a module-level function under ``src/repro`` is passed a second value
+  somewhere in ``src/``, ``examples/`` or ``benchmarks/``
+  (:func:`one_valued`), or it is in ``ONE_VALUE`` with its reason:
+  ``deployment``, ``peer behaviour``, the ``canary`` test that runs it at
+  another value or the ``ROADMAP`` item that sets it.  Any other option with
+  one value in use is a constant.  A function parameter's default is a value
+  only where a call leaves it in place: one every call overrides is dead
+  (drop it).  A value forwarded through a function's parameter is followed
+  to the function's callers.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ import ast
 import re
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import pytest
 
@@ -621,11 +624,14 @@ __all__ = ["Counter", "SummaryStatistics"]
 
 
 # ------------------------------------------------------------ one-valued options
-#: ``path::Class.field`` or ``path::Class(parameter)`` under ``src/repro``
-#: that what runs passes no second value, and why it stays an option:
-#: ``deployment`` (a port, host or address), ``peer behaviour`` (the other
-#: value makes this program act as a peer the code must still handle) or
-#: ``ROADMAP n`` (the open item that sets it).
+#: ``path::Class.field``, ``path::Class(parameter)`` or
+#: ``path::function(parameter)`` under ``src/repro`` that what runs passes no
+#: second value (or, for a function, always passes: its default is dead), and
+#: why it stays an option: ``deployment`` (a port, host or address), ``peer
+#: behaviour`` (the other value makes this program act as a peer the code
+#: must still handle), ``canary: <test files>`` (a Ground-rules canary runs
+#: at a value what runs never passes) or ``ROADMAP n`` (the open item that
+#: sets it).
 ONE_VALUE: dict[str, str] = {
     "analysis/state_overhead.py::StateModel.bytes_per_cache_entry": "ROADMAP 8: E9's guessed byte costs, which leave src/ when E9 is measured",
     "analysis/state_overhead.py::StateModel.bytes_per_connection": "ROADMAP 8: E9's guessed byte costs, which leave src/ when E9 is measured",
@@ -643,9 +649,40 @@ ONE_VALUE: dict[str, str] = {
     "dns/rr.py::RRset(rdclass)": "peer behaviour: a record from the wire carries its own class",
     "dns/rr.py::ResourceRecord.rdclass": "peer behaviour: a record from the wire carries its own class (the decoder fills it)",
     "dns/server.py::AuthoritativeServer(port)": "deployment: the classic DNS port",
+    "experiments/failure_detection.py::run_failure_detection(edge_per_mid)": "canary: tests/test_dense_tree.py, tests/test_telemetry.py: the 4 x 4 tree of the 1k default run and the 200-subscriber run",
+    "experiments/failure_detection.py::run_failure_detection(keepalive_interval)": "ROADMAP 21: E13's detection latency over the keepalive",
+    "experiments/failure_detection.py::run_failure_detection(mid_relays)": "canary: tests/test_dense_tree.py, tests/test_telemetry.py: the 4 x 4 tree of the 1k default run and the 200-subscriber run",
+    "experiments/failure_detection.py::run_failure_detection(origins)": "canary: tests/test_origin_failover.py: the replication canary's idle standby",
+    "experiments/failure_detection.py::run_failure_detection(subscriber_idle_timeout)": "ROADMAP 21: E13's detection latency over the idle timeout (test_failure_detection.py sweeps it)",
+    "experiments/failure_detection.py::run_failure_detection(subscribers)": "canary: tests/test_dense_tree.py, tests/test_telemetry.py: the 1k default run and the 200-subscriber run",
+    "experiments/failure_detection.py::run_failure_detection(updates_after)": "canary: tests/test_dense_tree.py, tests/test_telemetry.py: the default run's updates",
+    "experiments/failure_detection.py::run_failure_detection(updates_before)": "canary: tests/test_dense_tree.py, tests/test_telemetry.py: the default run's updates",
+    "experiments/failure_detection.py::run_failure_detection(updates_between)": "canary: tests/test_dense_tree.py, tests/test_telemetry.py: the default run's updates",
+    "experiments/flash_crowd.py::run_flash_crowd(bucket_depth)": "ROADMAP 21: E16's admission schedule over the bucket depth (test_admission.py sweeps it)",
+    "experiments/flash_crowd.py::run_flash_crowd(stormers)": "ROADMAP 21: E16's admission schedule over the storm size (test_admission.py sweeps it)",
+    "experiments/flash_crowd.py::run_flash_crowd(subscribe_rate)": "ROADMAP 21: E16's admission schedule over the rate (test_admission.py sweeps it)",
+    "experiments/origin_failover.py::run_origin_failover(edge_per_mid)": "canary: tests/test_dense_tree.py, tests/test_telemetry.py: the 4 x 4 tree of the 1k default run and the 200-subscriber run",
+    "experiments/origin_failover.py::run_origin_failover(mid_relays)": "canary: tests/test_dense_tree.py, tests/test_telemetry.py: the 4 x 4 tree of the 1k default run and the 200-subscriber run",
+    "experiments/origin_failover.py::run_origin_failover(subscribers)": "canary: tests/test_dense_tree.py, tests/test_telemetry.py: the 1k default run and the 200-subscriber run",
+    "experiments/origin_failover.py::run_origin_failover(updates_after)": "canary: tests/test_dense_tree.py, tests/test_telemetry.py: the default run's updates",
+    "experiments/origin_failover.py::run_origin_failover(updates_before)": "canary: tests/test_dense_tree.py, tests/test_telemetry.py: the default run's updates",
+    "experiments/origin_failover.py::run_origin_failover(updates_between)": "canary: tests/test_dense_tree.py, tests/test_telemetry.py: the default run's updates",
+    "experiments/query_latency.py::run_query_latency(upstream_rtt)": "ROADMAP 21: E4's latencies over the upstream RTT (test_experiments.py sweeps it)",
+    "experiments/relay_churn.py::run_relay_churn(edge_per_mid)": "canary: tests/test_dense_tree.py: the 4 x 4 tree of the 1k default run",
+    "experiments/relay_churn.py::run_relay_churn(mid_relays)": "canary: tests/test_dense_tree.py: the 4 x 4 tree of the 1k default run",
+    "experiments/relay_churn.py::run_relay_churn(origins)": "canary: tests/test_origin_failover.py: the replication canary's idle standby",
+    "experiments/relay_churn.py::run_relay_churn(subscribers)": "canary: tests/test_dense_tree.py: the 1k default run",
+    "experiments/relay_churn.py::run_relay_churn(updates_after)": "canary: tests/test_dense_tree.py: the default run's updates",
+    "experiments/relay_churn.py::run_relay_churn(updates_before)": "canary: tests/test_dense_tree.py: the default run's updates",
+    "experiments/relay_churn.py::run_relay_churn(updates_between)": "canary: tests/test_dense_tree.py: the default run's updates",
     "experiments/relay_fanout.py::FanoutSample.link_batch_fallback_waves": "ROADMAP 0(a): the constant 0 E11 prints goes with the benchmark's read of it",
     "experiments/relay_fanout.py::TreeRun.link_batch_fallback_waves": "ROADMAP 0(a): the constant 0 E11 prints goes with the benchmark's read of it",
+    "experiments/relay_fanout.py::run_relay_fanout(origins)": "canary: tests/test_origin_failover.py: the replication canary's idle standby",
+    "experiments/topology.py::build_workload_topology(seed)": "ROADMAP 0: benchmarks/e2e passes the workload's seed",
+    "experiments/topology.py::build_workload_topology(stub_rtt)": "ROADMAP 0: benchmarks/e2e passes the workload's RTTs",
+    "experiments/topology.py::build_workload_topology(upstream_rtt)": "ROADMAP 0: benchmarks/e2e passes the workload's RTTs",
     "moqt/origin.py::OriginPublisher(track)": "deployment: the name the track is published at",
+    "moqt/origin.py::build_origin_endpoint(port)": "deployment: the origins' port",
     "quic/tls.py::ServerTlsContext.accept_early_data": "peer behaviour: a server that refuses 0-RTT",
     "quic/tls.py::SessionTicket.lifetime": "peer behaviour: a server whose tickets expire",
     "relaynet/admission.py::AdmissionPolicy.max_pending_subscribes": "ROADMAP 3(c): the pending-subscribe cap 3(c) makes binding",
@@ -656,7 +693,7 @@ ONE_VALUE: dict[str, str] = {
     "relaynet/spec.py::RelayTreeSpec.host_prefix": "deployment: the relays' host names",
     "relaynet/topology.py::RelayTopology(port)": "deployment: the relays' port",
 }
-ONE_VALUE_REASON = re.compile(r"deployment|peer behaviour|ROADMAP \d+(\([a-z]\))?(, \d+(\([a-z]\))?)*")
+ONE_VALUE_REASON = re.compile(r"deployment|peer behaviour|canary|ROADMAP \d+(\([a-z]\))?(, \d+(\([a-z]\))?)*")
 
 
 def _callee(node: ast.expr) -> str | None:
@@ -694,16 +731,31 @@ def _fields(node: ast.ClassDef) -> list[tuple[str, ast.expr | None]]:
 
 
 class Option:
-    """One defaulted field or ``__init__`` parameter: where it is, and the
-    class whose construction sets it."""
+    """One defaulted field, ``__init__`` parameter or module-level function
+    parameter: where it is, and the class or function whose call sets it."""
 
-    def __init__(self, qualname: str, owner: str, name: str, position: int | None, default: ast.expr) -> None:
+    def __init__(
+        self, qualname: str, owner: str, name: str, position: int | None, default: ast.expr, function: bool = False
+    ) -> None:
         self.qualname = qualname
         self.owner = owner
         self.name = name
         self.position = position
         self.default = ast.dump(default)
         self.field = "(" not in qualname
+        self.function = function
+
+
+def _defaulted(arguments: ast.arguments, first: int = 0) -> list[tuple[str, int | None, ast.expr]]:
+    """``(name, position, default)`` of each defaulted parameter; positions
+    count from ``first`` (``-1`` skips ``self``), a keyword-only one has none."""
+    positional = arguments.posonlyargs + arguments.args
+    defaults = [None] * (len(positional) - len(arguments.defaults)) + list(arguments.defaults)
+    return [
+        (argument.arg, position + first, default)
+        for position, (argument, default) in enumerate(zip(positional, defaults))
+        if default is not None
+    ] + [(argument.arg, None, default) for argument, default in zip(arguments.kwonlyargs, arguments.kw_defaults) if default]
 
 
 def options(modules: dict[str, str]) -> list[Option]:
@@ -714,7 +766,8 @@ def options(modules: dict[str, str]) -> list[Option]:
     own methods other than ``__post_init__``, or ``anything.field = ...``
     outside the class: a counter or a state record is not configured), or
     a defaulted ``__init__`` parameter.  A field named ``_...`` is the
-    object's own state, never an option.
+    object's own state, never an option.  So is a defaulted parameter of a
+    module-level function, owned by the function.
     """
     trees = {path: _nodes(source) for path, source in modules.items()}
     stored: set[str] = set()
@@ -755,20 +808,16 @@ def options(modules: dict[str, str]) -> list[Option]:
                         if default is not None and not name.startswith("_")
                     ]
             for init in node.body:
-                if not isinstance(init, ast.FunctionDef) or init.name != "__init__":
-                    continue
-                arguments = init.args
-                positional = arguments.posonlyargs + arguments.args
-                defaults = [None] * (len(positional) - len(arguments.defaults)) + list(arguments.defaults)
+                if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                    found += [
+                        Option(f"{path}::{node.name}({name})", node.name, name, position, default)
+                        for name, position, default in _defaulted(init.args, -1)
+                    ]
+        for function in nodes[0].body:
+            if isinstance(function, ast.FunctionDef):
                 found += [
-                    Option(f"{path}::{node.name}({argument.arg})", node.name, argument.arg, position - 1, default)
-                    for position, (argument, default) in enumerate(zip(positional, defaults))
-                    if default is not None
-                ]
-                found += [
-                    Option(f"{path}::{node.name}({argument.arg})", node.name, argument.arg, None, default)
-                    for argument, default in zip(arguments.kwonlyargs, arguments.kw_defaults)
-                    if default is not None
+                    Option(f"{path}::{function.name}({name})", function.name, name, position, default, True)
+                    for name, position, default in _defaulted(function.args)
                 ]
     return found
 
@@ -839,10 +888,12 @@ def _passed(
     return passed, unread
 
 
-def passed_values(runs: dict[str, str], owners: set[str]) -> tuple[dict[str, list[Passed]], dict[str, list[Passed]]]:
-    """What the corpus ``runs`` passes each class in ``owners`` when it
-    constructs one, and each field through ``dataclasses.replace``:
-    ``(class -> [(keyword or position, expression)], field -> [...])``.
+def passed_values(
+    runs: dict[str, str], owners: set[str]
+) -> tuple[dict[str, list[list[Passed]]], dict[str, list[Passed]]]:
+    """What the corpus ``runs`` passes each class or function in ``owners``
+    at each call, and each field through ``dataclasses.replace``: ``(owner
+    -> [[(keyword or position, expression)] per call], field -> [...])``.
 
     A call counts when its callee is named like the class (``Class(...)``,
     ``module.Class(...)``), when it is ``cls(...)`` in a classmethod or
@@ -855,7 +906,7 @@ def passed_values(runs: dict[str, str], owners: set[str]) -> tuple[dict[str, lis
     other ``**`` passes every option of the class a value the census cannot
     read.
     """
-    constructed: dict[str, list[Passed]] = {}
+    constructed: dict[str, list[list[Passed]]] = {}
     replaced: dict[str, list[Passed]] = {}
     #: function or class name -> the classes its ``**`` parameter reaches.
     forwards: dict[str, list[str]] = {}
@@ -915,13 +966,13 @@ def passed_values(runs: dict[str, str], owners: set[str]) -> tuple[dict[str, lis
                 for key, value in passed:
                     replaced.setdefault(key, []).append((key, value))
             else:
-                constructed.setdefault(callee, []).extend(passed)
+                constructed.setdefault(callee, []).append(passed)
     for node, function, tree in every:
         name = _callee(node.func) or ""
         # Keywords given to a forwarder reach the class it forwards to.
         for target in forwards.get(name, ()):
-            constructed.setdefault(target, []).extend(
-                (key, value) for key, value in _passed(node, function, tree)[0] if not key[0].isdigit()
+            constructed.setdefault(target, []).append(
+                [(key, value) for key, value in _passed(node, function, tree)[0] if not key[0].isdigit()]
             )
         # A class handed to a function that constructs it.
         for position, call, scope in chosen.get(name, ()):
@@ -929,13 +980,14 @@ def passed_values(runs: dict[str, str], owners: set[str]) -> tuple[dict[str, lis
             if position - offset < len(node.args):
                 target = _callee(node.args[position - offset])
                 if target in owners:
-                    constructed.setdefault(target, []).extend(_passed(call, scope, tree)[0])
+                    constructed.setdefault(target, []).append(_passed(call, scope, tree)[0])
     return constructed, replaced
 
 
-def one_valued(modules: dict[str, str], runs: dict[str, str]) -> tuple[list[Option], list[str]]:
-    """``(every option, the qualnames of those what runs passes no second
-    value)``.  A second value is any expression other than the default's
+def one_valued(modules: dict[str, str], runs: dict[str, str]) -> OptionCensus:
+    """Every option, and the qualnames of those what runs passes no second
+    value, or (a function's parameter) whose default no call leaves in
+    place.  A second value is any expression other than the default's
     own, except one that forwards another option: a parameter of the
     enclosing ``__init__`` that is itself an option, or an attribute read
     named like an option (``config.idle_timeout``).  Those count once the
@@ -1011,22 +1063,32 @@ def one_valued(modules: dict[str, str], runs: dict[str, str]) -> tuple[list[Opti
         return found
 
     values: dict[str, list[ast.expr | None]] = {}
+    #: options some call leaves at their default (a call out of sight may).
+    live: set[str] = set()
     for option in found:
-        passed = [
-            value
-            for key, value in constructed.get(option.owner, ())
-            if key == option.name
-            or key == "**"
-            or (option.position is not None and key == str(option.position))
-            or (key.startswith("*") and key != "**" and option.position is not None and int(key[1:]) <= option.position)
-        ]
+        passed: list[ast.expr | None] = []
+        for call in constructed.get(option.owner, ()):
+            given = [
+                value
+                for key, value in call
+                if key == option.name
+                or key == "**"
+                or (option.position is not None and key == str(option.position))
+                or (key.startswith("*") and key != "**" and option.position is not None and int(key[1:]) <= option.position)
+            ]
+            if not given:
+                live.add(option.qualname)
+            passed += given
         if option.field:
             passed += [value for _, value in replaced.get(option.name, ())]
+        if option.function and option.owner in referenced:
+            passed.append(None)
+            live.add(option.qualname)
         values[option.qualname] = [value for one in passed for value in received(one)]
 
     def forwarded(option: Option, value: ast.expr) -> list[Option] | None:
         if isinstance(value, ast.Attribute):
-            others = [other for other in by_name.get(value.attr, ()) if other is not option]
+            others = [other for other in by_name.get(value.attr, ()) if other is not option and not other.function]
             return others or None
         if isinstance(value, ast.Name):
             cls, function = sources.get(id(value), (None, None))
@@ -1034,7 +1096,7 @@ def one_valued(modules: dict[str, str], runs: dict[str, str]) -> tuple[list[Opti
                 return [
                     other
                     for other in by_name.get(value.id, ())
-                    if other.owner == cls.name and not other.field and other is not option
+                    if other.owner == cls.name and not other.field and not other.function and other is not option
                 ] or None
         return None
 
@@ -1058,20 +1120,99 @@ def one_valued(modules: dict[str, str], runs: dict[str, str]) -> tuple[list[Opti
         if grown == second:
             break
         second = grown
-    return found, sorted(option.qualname for option in found if option.qualname not in second)
+    # Options whose second value is only a forwarded attribute read, linked
+    # to another option by its name alone.
+    linked = {
+        option.qualname
+        for option in found
+        if option.qualname in second
+        and all(
+            value is not None and (ast.dump(value) == option.default or isinstance(value, ast.Attribute) and forwarded(option, value))
+            for value in values[option.qualname]
+        )
+    }
+    dead = {option.qualname for option in found if option.qualname not in live}
+    flagged = sorted(
+        option.qualname
+        for option in found
+        if option.qualname not in second or (option.function and option.qualname in dead)
+    )
+    return OptionCensus(found, flagged, second, dead, linked)
+
+
+class OptionCensus(NamedTuple):
+    """What :func:`one_valued` finds: every option, the flagged ones, those
+    with a second value, those no call leaves at their default, and those
+    whose second value is linked by name only."""
+
+    options: list[Option]
+    flagged: list[str]
+    second: set[str]
+    dead: set[str]
+    linked: set[str]
+
+
+def method_parameters(modules: dict[str, str]) -> list[str]:
+    """``path::Class.method(parameter)`` of every defaulted parameter of a
+    method other than ``__init__`` under ``src/repro``: options the census
+    does not follow, since a method is called by name on any object."""
+    return [
+        f"{path}::{node.name}.{method.name}({name})"
+        for path, source in modules.items()
+        for node in _nodes(source)
+        if isinstance(node, ast.ClassDef)
+        for method in node.body
+        if isinstance(method, ast.FunctionDef) and method.name != "__init__"
+        for name, _, _ in _defaulted(method.args)
+    ]
 
 
 def test_every_option_has_two_values_in_what_runs(repository):
+    """Every option has two values in what runs, or is listed in ONE_VALUE.
+
+    Printed with the test, what the census still cannot see:
+
+    * options whose second value is only an attribute read named like another
+      option (``Foo(x=config.x)``): the by-name link counts it once any option
+      named ``x`` has a second value, so one forwarded from an unrelated class
+      can hide;
+    * defaulted parameters of methods other than ``__init__``
+      (:func:`method_parameters`), which are not options to it;
+    * class options no construction in what runs leaves at their default: the
+      dead-default rule holds for function parameters only, and most of these
+      are per-message wire fields (``SubscribeError.request_id``), which are
+      data, not options.
+    """
     modules, _, runs = repository
-    found, one = one_valued(modules, runs)
-    _exact(one, ONE_VALUE, "an option what runs sets to one value only (ONE_VALUE; make it a constant)")
+    census = one_valued(modules, runs)
+    _exact(census.flagged, ONE_VALUE, "an option what runs sets to one value only (ONE_VALUE; make it a constant)")
     assert not [name for name, why in ONE_VALUE.items() if not ONE_VALUE_REASON.fullmatch(why.split(":")[0])]
+    # A canary names the test files that run it.
+    for why in ONE_VALUE.values():
+        if why.startswith("canary:"):
+            assert all((REPO / file).is_file() for file in why.split(":")[1].strip().split(", ")), why
     counts: dict[str, int] = {}
     for why in ONE_VALUE.values():
         reason = why.split(":")[0]
         counts[reason] = counts.get(reason, 0) + 1
-    print(f"options: {len(found)} settable values, {len(one)} with one value in what runs")
+    functions = [option for option in census.options if option.function]
+    classes = [option for option in census.options if not option.function]
+    methods = method_parameters(modules)
+    print(
+        f"options: {len(classes)} of classes, {len(functions)} function parameters; "
+        f"{len(census.flagged)} with one value in what runs"
+    )
+    print(
+        "function parameters: "
+        f"{sum(option.qualname not in census.second for option in functions)} passed no second value, "
+        f"{sum(option.qualname in census.flagged for option in functions)} flagged once a dead default counts"
+    )
     print("ONE_VALUE by reason:", ", ".join(f"{reason} {count}" for reason, count in sorted(counts.items())))
+    print(
+        f"not seen: {len(census.linked)} options linked by name only; "
+        f"{len(methods)} defaulted parameters of {len({name.split('(')[0] for name in methods})} other methods; "
+        f"{sum(option.qualname in census.dead for option in classes)} class options no construction leaves at the default"
+    )
 
 
 def test_option_census_follows_a_parameter_to_the_callers():
@@ -1094,7 +1235,7 @@ def recovery_model(link_delay, alpn_version_negotiation=False):
 
     def one(caller: str) -> list[str]:
         runs = {"src/repro/analysis/churn.py": model, "src/repro/experiments/run.py": caller}
-        return one_valued(modules, runs)[1]
+        return [name for name in one_valued(modules, runs).flagged if "::RecoveryModel." in name]
 
     flag = ["analysis/churn.py::RecoveryModel.alpn_version_negotiation"]
     assert one("def run():\n    return recovery_model(0.01)\n") == flag
@@ -1104,6 +1245,43 @@ def recovery_model(link_delay, alpn_version_negotiation=False):
     assert one("def run():\n    return recovery_model(0.01, alpn_version_negotiation=True)\n") == []
     # Handed on as a callback, the function's calls are out of sight.
     assert one("def run(schedule):\n    schedule(recovery_model)\n") == []
+
+
+def test_option_census_sees_function_parameters():
+    # Driver shapes as they stood with the runner's second mode gone: a
+    # population the runner passes, a knob forwarded to a helper.
+    drivers = """
+def run_fig1a(population=10_000):
+    return population
+
+
+def _calibrate(count, seed=7):
+    return count + seed
+
+
+def run_fanout(seed=7):
+    return _calibrate(1) + _calibrate(2, seed=seed)
+"""
+    modules = {"experiments/drivers.py": drivers}
+
+    def census(caller: str) -> OptionCensus:
+        return one_valued(modules, {"src/repro/experiments/drivers.py": drivers, "src/repro/experiments/runner.py": caller})
+
+    population = "experiments/drivers.py::run_fig1a(population)"
+    # Every call passes one literal: one value, and the default is dead.
+    assert population in census("def main():\n    run_fig1a(population=2_000)\n").flagged
+    # One call leaves the default, another passes a literal: two values.
+    assert population not in census("def main():\n    run_fig1a()\n    run_fig1a(population=2_000)\n").flagged
+    # Every call passes a run-time value: it has values, but its default is dead.
+    found = census("def main(argv):\n    size = len(argv)\n    run_fig1a(size)\n")
+    assert population in found.second and population in found.dead and population in found.flagged
+    # A driver forwarding its parameter to a helper is followed to the
+    # driver's callers: left at its default, the helper's seed is one value ...
+    flagged = [name for name in census("def main():\n    run_fanout()\n").flagged if name != population]
+    assert flagged == ["experiments/drivers.py::_calibrate(seed)", "experiments/drivers.py::run_fanout(seed)"]
+    # ... and given another, two; the driver's own default is then dead.
+    flagged = [name for name in census("def main():\n    run_fanout(seed=3)\n").flagged if name != population]
+    assert flagged == ["experiments/drivers.py::run_fanout(seed)"]
 
 
 def test_option_census_reads_the_double_star_calls():

@@ -237,7 +237,7 @@ class TestSharedEmptyTable:
         assert _UNUSED == {}
 
     def test_still_empty_after_an_e11_run(self):
-        run_relay_fanout(subscriber_counts=(10,))
+        run_relay_fanout(subscriber_counts=(10,), updates=3)
         assert len(_UNUSED) == 0
 
 

@@ -18,6 +18,7 @@ import pytest
 
 import repro.experiments.constrained_tiers as e15
 import repro.experiments.failure_detection as e13
+import repro.experiments.origin_failover as e14
 import repro.experiments.relay_churn as e12
 import repro.experiments.relay_fanout as e11
 from repro.moqt.receiver import DEDUPE_PRUNE_THRESHOLD
@@ -281,7 +282,7 @@ class TestCollectors:
     def test_collect_run_without_a_tree_scrapes_no_tree_gauges(self):
         network = Network(Simulator(seed=1))
         metrics = MetricsRegistry()
-        collect_run(metrics, network)
+        collect_run(metrics, network, None)
         names = set(metrics.snapshot())
         assert names and not [name for name in names if name.startswith("relaynet_")]
         assert names == {name for name in names if name.startswith(("sim_", "net_", "quic_"))}
@@ -480,7 +481,7 @@ class TestRunsQuiesce:
 
     def test_e11(self, monkeypatch):
         runs = captured_runs(monkeypatch, e11)
-        result = e11.run_relay_fanout(subscriber_counts=(10, 100))
+        result = e11.run_relay_fanout(subscriber_counts=(10, 100), updates=5)
         # The E11 acceptance canaries (see ROADMAP): 20 origin objects and
         # 6560 origin-egress bytes, independent of subscriber count.
         first = result.samples[0]
@@ -502,8 +503,10 @@ class TestRunsQuiesce:
     def test_e13(self, monkeypatch):
         runs = captured_runs(monkeypatch, e13)
         result = e13.run_failure_detection(subscribers=200)
-        # The E13 acceptance canary: PTO-path detection at 544.277 ms.
+        # The E13 acceptance canaries: PTO-path detection at 544.277 ms and
+        # idle-path detection at 1285.0 ms.
         assert round(result.samples[0].detection_latency * 1000, 3) == 544.277
+        assert round(result.samples[1].detection_latency * 1000, 3) == 1285.0
         # Scraped before every connection to a crashed relay has timed out:
         # relay-mid-0 still holds its downstream connection to the silently
         # crashed relay-edge-0 open (suspect, neither idle-timed-out nor given
@@ -511,12 +514,21 @@ class TestRunsQuiesce:
         # Every other connection, closed ones included, has nothing in flight.
         _assert_receivers_quiesced(scrape(runs[-1]), still_probing={"role=relay-downstream": 6})
 
+    def test_e14(self, monkeypatch):
+        runs = captured_runs(monkeypatch, e14)
+        result = e14.run_origin_failover(subscribers=200)
+        # The E14 acceptance canary: the standby is promoted 696.958 ms after
+        # the active origin's silent crash.
+        assert round(result.promotion_latency * 1000, 3) == 696.958
+        assert result.gapless
+        _assert_receivers_quiesced(scrape(runs[-1]))
+
     def test_e15(self, monkeypatch):
         runs = captured_runs(monkeypatch, e15)
-        result = e15.run_constrained_tiers(subscribers=40, mid_relays=2, edge_per_mid=2)
+        result = e15.run_constrained_tiers()
         # The last run is the lossy one: loss repair left nothing held back
         # or in flight.
         assert result.loss_sample.retransmissions > 0
         snapshot = scrape(runs[-1])
-        assert snapshot["relaynet_subscribers"] == 40
+        assert snapshot["relaynet_subscribers"] == e15.SUBSCRIBERS
         _assert_receivers_quiesced(snapshot)
