@@ -187,6 +187,14 @@ class TestOriginCluster:
         assert cluster.promote(via="test") is None
         assert cluster.epoch == 1, "a failed election must not burn an epoch"
 
+    def test_a_singleton_origin_has_nothing_to_promote(self):
+        simulator, _, cluster = build_cluster(origins=1)
+        assert cluster.standbys() == []
+        victim = cluster.crash_active()
+        assert cluster.promote(via="test") is None
+        assert cluster.epoch == 0 and cluster.promotions == []
+        assert cluster.active is victim and victim.role == "deposed"
+
     def test_replay_ring_is_bounded(self, monkeypatch):
         monkeypatch.setattr(origincluster, "DEFAULT_REPLAY_WINDOW", 4)
         simulator, network, _ = build_cluster(origins=1)
