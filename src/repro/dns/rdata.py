@@ -295,6 +295,56 @@ class MXRdata(Rdata):
         return cls(int(preference), Name.from_text(exchange))
 
 
+#: RFC 1035 §5.1 presentation of a byte inside a character-string, keyed by
+#: the byte's Latin-1 code point (for ``str.translate``): printable ASCII as
+#: itself, ``"`` and ``\\`` backslash-escaped, any other byte as ``\\DDD``.
+_TEXT_ESCAPES = {
+    **{byte: f"\\{byte:03d}" for byte in (*range(0x20), *range(0x7F, 0x100))},
+    ord('"'): '\\"',
+    ord("\\"): "\\\\",
+}
+#: An ALPN id in an unquoted SVCB value list: a space as ``\\032`` and a
+#: comma inside the id as ``\\,`` (RFC 9460 Appendix A.1).
+_ALPN_ESCAPES = {**_TEXT_ESCAPES, ord(" "): "\\032", ord(","): "\\,"}
+#: One id of an SVCB ALPN value list, escapes included.
+_ALPN_ID = re.compile(r"(?:[^,\\]|\\.)+", re.DOTALL)
+_ALPN_LIST = re.compile(rf"{_ALPN_ID.pattern}(?:,{_ALPN_ID.pattern})*", re.DOTALL)
+_ESCAPE = re.compile(r"\\(?:([0-9]{3})|(.))", re.DOTALL)
+#: A TXT rdata's character-strings: quoted (escapes inside) or bare words.
+_TXT_STRING = re.compile(r'\s*(?:"((?:[^"\\]|\\.)*)"|((?:[^\s"\\]|\\.)+))', re.DOTALL)
+
+
+def _alpn_ids(value: bytes) -> list[bytes]:
+    """The ids of an encoded ALPN SvcParamValue, each length-prefixed."""
+    ids = []
+    cursor = 0
+    while cursor < len(value):
+        size = value[cursor]
+        cursor += 1
+        ids.append(value[cursor : cursor + size])
+        cursor += size
+    return ids
+
+
+def _unescaped(text: str) -> bytes:
+    """The bytes presentation-format ``text`` spells: ``\\DDD`` is one byte,
+    ``\\X`` is ``X``, anything else is its UTF-8 encoding."""
+    output = bytearray()
+    cursor = 0
+    for escape in _ESCAPE.finditer(text):
+        output += text[cursor : escape.start()].encode("utf-8")
+        decimal, character = escape.groups()
+        if decimal is None:
+            output += character.encode("utf-8")
+        elif int(decimal) > 255:
+            raise RdataError(f"escape \\{decimal} is not a byte")
+        else:
+            output.append(int(decimal))
+        cursor = escape.end()
+    output += text[cursor:].encode("utf-8")
+    return bytes(output)
+
+
 @dataclass(frozen=True, slots=True)
 class TXTRdata(Rdata):
     """Text record: one or more character strings."""
@@ -315,7 +365,7 @@ class TXTRdata(Rdata):
         return bytes(output)
 
     def to_text(self) -> str:
-        return " ".join('"' + item.decode("utf-8", "replace") + '"' for item in self.strings)
+        return " ".join(f'"{item.decode("latin-1").translate(_TEXT_ESCAPES)}"' for item in self.strings)
 
     @classmethod
     def from_wire(
@@ -335,12 +385,16 @@ class TXTRdata(Rdata):
 
     @classmethod
     def from_text(cls, text: str) -> "TXTRdata":
-        stripped = text.strip()
-        if stripped.startswith('"'):
-            parts = [part for part in stripped.split('"') if part.strip(" ")]
-        else:
-            parts = stripped.split()
-        return cls(tuple(part.encode("utf-8") for part in parts))
+        strings: list[bytes] = []
+        cursor, end = 0, len(text.rstrip())
+        while cursor < end:
+            match = _TXT_STRING.match(text, cursor)
+            if match is None:
+                raise RdataError(f"malformed TXT character-string at {cursor}: {text!r}")
+            quoted, bare = match.groups()
+            strings.append(_unescaped(bare if quoted is None else quoted))
+            cursor = match.end()
+        return cls(tuple(strings))
 
 
 @dataclass(frozen=True, slots=True)
@@ -420,14 +474,7 @@ class SVCBRdata(Rdata):
         """Decode the ALPN parameter, if present."""
         for key, value in self.params:
             if key == SVC_PARAM_ALPN:
-                result = []
-                cursor = 0
-                while cursor < len(value):
-                    size = value[cursor]
-                    cursor += 1
-                    result.append(value[cursor: cursor + size].decode("ascii"))
-                    cursor += size
-                return result
+                return [alpn.decode("ascii") for alpn in _alpn_ids(value)]
         return []
 
     def to_wire(self) -> bytes:
@@ -443,7 +490,8 @@ class SVCBRdata(Rdata):
         for key, value in sorted(self.params):
             name = _SVC_PARAM_NAMES.get(key, f"key{key}")
             if key == SVC_PARAM_ALPN:
-                parts.append(f"{name}={','.join(self.alpns())}")
+                ids = [alpn.decode("latin-1").translate(_ALPN_ESCAPES) for alpn in _alpn_ids(value)]
+                parts.append(f"{name}={','.join(ids)}")
             else:
                 parts.append(f"{name}={value.hex()}")
         return " ".join(parts)
@@ -478,9 +526,11 @@ class SVCBRdata(Rdata):
         for token in parts[2:]:
             name, _, value = token.partition("=")
             if name == "alpn":
+                if not _ALPN_LIST.fullmatch(value):
+                    raise RdataError(f"malformed ALPN list: {value!r}")
                 encoded = bytearray()
-                for alpn in value.split(","):
-                    raw = alpn.encode("ascii")
+                for alpn in _ALPN_ID.findall(value):
+                    raw = _unescaped(alpn)
                     encoded.append(len(raw))
                     encoded += raw
                 params.append((SVC_PARAM_ALPN, bytes(encoded)))

@@ -7,7 +7,8 @@ re-pointed at a promoted active — needs the same four things, and
 
 * **dedupe** — an object whose location was already delivered is dropped
   (a new upstream re-sends territory the old one covered; dedupe is
-  receive-side only, nothing changes on the wire);
+  receive-side only, nothing changes on the wire); the delivered locations
+  are a bounded :class:`DedupeWindow`, one bit per group;
 * **resume point** — the largest location delivered, or, when nothing was
   delivered yet, one object past the previous subscription's live position;
 * **gap FETCH** — once the new upstream accepts the SUBSCRIBE, one FETCH from
@@ -45,28 +46,114 @@ OPEN_RANGE_END = Location(1 << 40, 0)
 #: than the group horizon go first, newest-first truncation caps the rest.
 DEDUPE_PRUNE_THRESHOLD = 4096
 DEDUPE_GROUP_HORIZON = 64
+#: The widest a window's bitmap grows, in groups (1 KiB of int): an in-order
+#: stream of one object per group stays inside it between prunes, and a
+#: location further from the base than this goes to the overflow set.
+DEDUPE_WINDOW_GROUPS = 2 * DEDUPE_PRUNE_THRESHOLD
 
 _by_location = attrgetter("location")
 
 #: The dedupe window of a receiver that has delivered nothing yet: one shared
 #: empty set for all of them.  Frozen, so an insert that forgot to install a
-#: set of its own fails instead of leaking into every other receiver.
+#: window of its own fails instead of leaking into every other receiver.
 _NOTHING_SEEN: frozenset[Location] = frozenset()
 
 
-def prune_seen_locations(seen: set[Location], largest: Location) -> set[Location]:
-    """Shrink a delivered-locations dedupe set to a bounded window.
+class DedupeWindow:
+    """The locations a receiver has delivered, pruned to a bounded window.
 
-    Drops locations older than :data:`DEDUPE_GROUP_HORIZON` groups behind
-    ``largest``; if everything is recent (many objects per group), keeps the
-    newest half of :data:`DEDUPE_PRUNE_THRESHOLD` so the set stays bounded
-    and pruning does not re-trigger on every insert.
+    Object 0 of group ``base + i`` is bit ``i`` of the int ``bits``; any
+    other location (a non-zero object id, a group below ``base`` or
+    :data:`DEDUPE_WINDOW_GROUPS` or more above it) is in the ``overflow``
+    set.  A location is in one of the two, never both, and ``count`` is how
+    many are remembered.  Membership, ``len()`` and :meth:`prune` answer what
+    a set of the same locations pruned by the same rule answers, so a stream
+    of one object per group costs bits, not a ``Location`` and a hash-table
+    slot per object.  Built on a receiver's first delivery.
     """
-    horizon = largest.group_id - DEDUPE_GROUP_HORIZON
-    pruned = {location for location in seen if location.group_id >= horizon}
-    if len(pruned) > DEDUPE_PRUNE_THRESHOLD:
-        pruned = set(sorted(pruned)[-DEDUPE_PRUNE_THRESHOLD // 2 :])
-    return pruned
+
+    __slots__ = ("base", "bits", "overflow", "count")
+
+    def __init__(self, location: Location) -> None:
+        group_id, object_id = location
+        self.base = group_id
+        self.bits = 0 if object_id else 1
+        self.overflow: set[Location] | frozenset[Location] = (
+            {location} if object_id else _NOTHING_SEEN
+        )
+        self.count = 1
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __contains__(self, location: Location) -> bool:
+        group_id, object_id = location
+        offset = group_id - self.base
+        if not object_id and offset >= 0 and self.bits >> offset & 1:
+            return True
+        return location in self.overflow
+
+    def add(self, location: Location) -> None:
+        """Remember ``location``, which the window does not hold."""
+        self.count += 1
+        group_id, object_id = location
+        if not object_id:
+            if not self.bits:
+                # An empty bitmap starts wherever it is needed.
+                self.base, self.bits = group_id, 1
+                return
+            offset = group_id - self.base
+            if 0 <= offset < DEDUPE_WINDOW_GROUPS:
+                self.bits |= 1 << offset
+                return
+        if not self.overflow:
+            self.overflow = set()
+        self.overflow.add(location)
+
+    def prune(self, largest: Location) -> None:
+        """Shrink to a bounded window.
+
+        Drops locations older than :data:`DEDUPE_GROUP_HORIZON` groups behind
+        ``largest`` (a shift of the bitmap); if everything is recent (many
+        objects per group), keeps the newest half of
+        :data:`DEDUPE_PRUNE_THRESHOLD` so the window stays bounded and
+        pruning does not re-trigger on every insert.  Builds no locations.
+        """
+        horizon = largest.group_id - DEDUPE_GROUP_HORIZON
+        if horizon > self.base:
+            self.bits >>= horizon - self.base
+            self.base = horizon
+        overflow = self.overflow
+        if overflow:
+            overflow = {location for location in overflow if location.group_id >= horizon}
+            self.overflow = overflow or _NOTHING_SEEN
+        self.count = self.bits.bit_count() + len(overflow)
+        if self.count > DEDUPE_PRUNE_THRESHOLD:
+            self._keep_newest(DEDUPE_PRUNE_THRESHOLD // 2)
+
+    def _keep_newest(self, keep: int) -> None:
+        """Keep the ``keep`` largest locations: merge the bitmap's groups,
+        highest first, with the overflow set's locations sorted."""
+        overflow = sorted(self.overflow, reverse=True)
+        bits, base = self.bits, self.base
+        taken = 0
+        lowest = None
+        for _ in range(keep):
+            top = bits.bit_length() - 1
+            # (g, 0) is above (h, o) exactly when g > h: a location is never
+            # in both halves.
+            if top >= 0 and (taken == len(overflow) or base + top > overflow[taken].group_id):
+                bits ^= 1 << top
+                lowest = top
+            else:
+                taken += 1
+        if lowest is None:
+            self.bits = 0
+        else:
+            self.bits >>= lowest
+            self.base = base + lowest
+        self.overflow = set(overflow[:taken]) or _NOTHING_SEEN
+        self.count = keep
 
 
 @dataclass
@@ -117,7 +204,7 @@ class TrackReceiver:
         self.session: MoqtSession | None = None
         #: Delivered locations, pruned to a bounded window; the shared
         #: :data:`_NOTHING_SEEN` until the first delivery.
-        self.seen: set[Location] | frozenset[Location] = _NOTHING_SEEN
+        self.seen: DedupeWindow | frozenset[Location] = _NOTHING_SEEN
         #: Largest location ever delivered — the resume point.
         self.largest: Location | None = None
         #: Monotonic count of distinct objects handed to the sink (``seen``
@@ -139,20 +226,30 @@ class TrackReceiver:
             self.held.append(obj)
             return
         location = obj.location
-        seen = self.seen
-        if location in seen:
-            self.counters.duplicate_objects_dropped += 1
-            return
-        if seen:
-            seen.add(location)
-        else:
-            self.seen = seen = {location}
-        self.delivered += 1
         largest = self.largest
-        if largest is None or location > largest:
+        seen = self.seen
+        if largest is None:
+            self.seen = seen = DedupeWindow(location)
             self.largest = largest = location
-        if len(seen) > DEDUPE_PRUNE_THRESHOLD:
-            self.seen = prune_seen_locations(seen, largest)
+        else:
+            if location > largest:
+                # Above everything delivered, so not delivered yet: no probe.
+                self.largest = largest = location
+            elif location in seen:
+                self.counters.duplicate_objects_dropped += 1
+                return
+            # DedupeWindow.add, inlined for object 0 of a group the bitmap
+            # spans.
+            group_id, object_id = location
+            offset = group_id - seen.base
+            if object_id or not 0 <= offset < DEDUPE_WINDOW_GROUPS:
+                seen.add(location)
+            else:
+                seen.bits |= 1 << offset
+                seen.count += 1
+            if seen.count > DEDUPE_PRUNE_THRESHOLD:
+                seen.prune(largest)
+        self.delivered += 1
         if self.sink is not None:
             self.sink(obj)
 

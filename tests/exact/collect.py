@@ -51,6 +51,7 @@ from repro.dns.zone import Zone
 from repro.experiments.topology import build_workload_topology
 from repro.moqt.objectmodel import MoqtObject
 from repro.moqt.origin import ORIGIN_HOST, ORIGIN_PORT, TRACK, build_origin
+from repro.moqt.receiver import ReceiverCounters, TrackReceiver
 from repro.moqt.session import FetchRequest
 from repro.netsim.network import Network
 from repro.netsim.packet import Address
@@ -389,6 +390,26 @@ def cold_lookup(rows: dict, tables: list) -> None:
     rows.update({f"cold_lookup.{label}": window.calls[label] / 3 for label in work.values()})
 
 
+def window(rows: dict, tables: list) -> None:
+    """One receiver's dedupe window: the bytes it holds after 70 and after
+    4,096 in-order objects, and after 70 then the hostile group ids 2**40
+    and 2**62.  The objects are built outside the heap windows."""
+    stories = {
+        "after_70": range(1, 71),
+        "after_4096": range(1, 4097),
+        "after_jump": [*range(1, 71), 2**40, 2**62],
+    }
+    for name, groups in stories.items():
+        objects = [MoqtObject(group_id=group, object_id=0, payload=b"") for group in groups]
+        receiver = TrackReceiver(TRACK, None, ReceiverCounters())
+        with Heap() as heap:
+            for obj in objects:
+                receiver(obj)
+        assert receiver.delivered == len(objects)
+        title = f"one receiver's dedupe window, {name.replace('_', ' ')}"
+        rows.update(heap_rows(f"window.{name}", heap.bytes, heap.blocks, 1, title, tables))
+
+
 if __name__ == "__main__":
     if os.environ.get("PYTHONHASHSEED") != "0":
         # A name or a question caches its hash, an int whose size in bytes
@@ -397,7 +418,7 @@ if __name__ == "__main__":
         os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": "0"})
     rows: dict = {}
     tables: list[str] = []
-    for scenario in (deliver, attach, subscriber, question, domain, cold_lookup, question_census):
+    for scenario in (deliver, attach, subscriber, question, domain, cold_lookup, question_census, window):
         scenario(rows, tables)
     print("\n\n".join(tables), file=sys.stderr)
     print(json.dumps(rows, indent=1, sort_keys=True))

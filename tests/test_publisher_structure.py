@@ -11,7 +11,7 @@ An ``ast`` walk over ``src/repro`` (``docs/publishers.md``):
   accepted subscription is its record, which carries the session, and a
   deferred one (the relay's ``awaiting_upstream``) is its SUBSCRIBE message;
 * outside ``moqt/receiver.py`` no module of ``moqt/`` or ``relaynet/`` carries a
-  piece of the gapless-receive algorithm (``docs/failover.md``): none prunes a
+  piece of the gapless-receive algorithm (``docs/failover.md``): none builds a
   dedupe window, none puts objects in location order (``TrackState`` range
   reads in ``moqt/objectmodel.py`` aside), and none names the open FETCH range
   end except the relay's cold-cache forward in ``handle_fetch``;
@@ -131,8 +131,8 @@ def violations(source: str, path: str) -> list[str]:
         if guarded_receive:
             if isinstance(node, ast.Call):
                 callee = getattr(node.func, "attr", getattr(node.func, "id", ""))
-                if callee == "prune_seen_locations":
-                    found.append(f"{where}: dedupe window pruned outside the receiver (in {function})")
+                if callee == "DedupeWindow":
+                    found.append(f"{where}: dedupe window built outside the receiver (in {function})")
                 if callee in ("sorted", "sort") and _by_location(node) and path != "moqt/objectmodel.py":
                     found.append(f"{where}: objects sorted by location outside the receiver (in {function})")
             if (
@@ -200,7 +200,7 @@ def test_one_receiver():
     inside = violations((SRC / RECEIVER).read_text(), "moqt/elsewhere.py")
     sites = sorted(reason.split(": ", 1)[1] for reason in inside)
     assert sites == [
-        "dedupe window pruned outside the receiver (in __call__)",
+        "dedupe window built outside the receiver (in __call__)",
         "objects sorted by location outside the receiver (in release)",
         "objects sorted by location outside the receiver (in release)",
         "open-ended FETCH range outside the receiver (in _on_answer)",
@@ -224,7 +224,7 @@ def _on_recovery_fetched(self, track, fetch_request, session):
         self._deliver_upstream_object(track, obj)
 
 def _record_forwarded(self, track, location):
-    track.forwarded = prune_seen_locations(track.forwarded, track.largest_forwarded)
+    track.forwarded = DedupeWindow(location)
 
 def release(self, deliver):
     for obj in sorted(buffered, key=attrgetter("location")):
@@ -237,7 +237,7 @@ def handle_fetch(self, session, message, full_track_name):
     assert [reason.split(": ")[1].split(" (")[0] for reason in reasons] == [
         "open-ended FETCH range outside the receiver",
         "objects sorted by location outside the receiver",
-        "dedupe window pruned outside the receiver",
+        "dedupe window built outside the receiver",
         "objects sorted by location outside the receiver",
     ]
     assert all(reason.startswith("src/repro/moqt/relay.py:") for reason in reasons)

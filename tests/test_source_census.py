@@ -155,6 +155,7 @@ HIDDEN_BY_NAME: dict[str, str] = {
     "core/auth_server.py::MoqAuthoritativeServer.zones": "observer: the zones served",
     "core/subscription.py::SubscriptionRegistry.active": "observer: the tracked subscriptions",
     "dns/cache.py::DnsCache.entries": "observer: the cache content",
+    "dns/rdata.py::SVCBRdata.alpns": "observer: the ALPN ids a record advertises",
     "dns/server.py::AuthoritativeServer.zones": "observer: the zones served",
     "dns/zone.py::Zone.names": "observer: the owner names in order of first appearance",
     "experiments/compatibility.py::CompatibilityResult.outcome": "observer: one deployment scenario by mode",
@@ -741,7 +742,7 @@ class Option:
         self.owner = owner
         self.name = name
         self.position = position
-        self.default = ast.dump(default)
+        self.default = default
         self.field = "(" not in qualname
         self.function = function
 
@@ -984,20 +985,97 @@ def passed_values(
     return constructed, replaced
 
 
+def _number(node: ast.expr) -> int | float | None:
+    """The value of a numeric literal (``7``, ``7.0``, ``-7``), else ``None``."""
+    negative = isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+    operand = node.operand if negative else node
+    if isinstance(operand, ast.Constant) and type(operand.value) in (int, float):
+        return -operand.value if negative else operand.value
+    return None
+
+
+def spelling(runs: dict[str, str]):
+    """``spell(expression) -> str``: what the option census compares a
+    passed value with a default by.  A numeric literal is its number, so
+    ``7`` and ``7.0`` are one value; a module constant (a name bound once at
+    the top of a module of what runs, read in that module, imported from it
+    or read off it, and not a local) is its value's spelling, so
+    ``seed=SEED`` with ``SEED = 7`` is ``seed=7``; anything else is its
+    ``ast.dump``."""
+    packages = {module_of(path.removeprefix("src/repro/")): path for path in runs if path.startswith("src/repro/")}
+    dotted = set(packages)
+    where: dict[int, str] = {}
+    scopes: dict[int, tuple[ast.ClassDef | None, ast.FunctionDef | None]] = {}
+    constants: dict[str, dict[str, ast.expr]] = {}
+    imports: dict[str, tuple[dict[str, str], dict[str, tuple[str, str]]]] = {}
+    for path, source in runs.items():
+        nodes = _nodes(source)
+        found = _scopes(nodes)
+        scopes.update(found)
+        where.update(dict.fromkeys(found, path))
+        bound = [
+            (target.id, statement.value)
+            for statement in nodes[0].body
+            if isinstance(statement, (ast.Assign, ast.AnnAssign)) and statement.value is not None
+            for target in (statement.targets if isinstance(statement, ast.Assign) else [statement.target])
+            if isinstance(target, ast.Name)
+        ]
+        once = [name for name, _ in bound]
+        constants[path] = {name: value for name, value in bound if once.count(name) == 1}
+        imports[path] = _imports(nodes, dotted)
+
+    @lru_cache(maxsize=None)
+    def local(function: ast.FunctionDef) -> set[str]:
+        return {argument.arg for argument in ast.walk(function.args) if isinstance(argument, ast.arg)} | {
+            name.id for name in ast.walk(function) if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+        }
+
+    def constant(node: ast.expr) -> ast.expr | None:
+        head = node.value if isinstance(node, ast.Attribute) else node
+        if not isinstance(head, ast.Name) or id(head) not in where:
+            return None
+        path, function = where[id(head)], scopes[id(head)][1]
+        if function is not None and head.id in local(function):
+            return None
+        modules, names = imports[path]
+        if isinstance(node, ast.Attribute):
+            module = modules.get(head.id)
+            return constants.get(packages.get(module, ""), {}).get(node.attr)
+        if head.id in constants[path]:
+            return constants[path][head.id]
+        module, name = names.get(head.id, ("", ""))
+        return constants.get(packages.get(module, ""), {}).get(name)
+
+    def spell(node: ast.expr, depth: int = 0) -> str:
+        number = _number(node)
+        if number is not None:
+            try:
+                return f"number {float(number)!r}" if float(number) == number else f"number {number!r}"
+            except OverflowError:
+                return f"number {number!r}"
+        value = constant(node) if depth < 8 else None
+        return ast.dump(node) if value is None else spell(value, depth + 1)
+
+    return spell
+
+
 def one_valued(modules: dict[str, str], runs: dict[str, str]) -> OptionCensus:
     """Every option, and the qualnames of those what runs passes no second
     value, or (a function's parameter) whose default no call leaves in
-    place.  A second value is any expression other than the default's
-    own, except one that forwards another option: a parameter of the
-    enclosing ``__init__`` that is itself an option, or an attribute read
-    named like an option (``config.idle_timeout``).  Those count once the
-    option they forward has a second value: the census iterates to a
-    fixpoint.  A parameter of any other function is followed to what the
-    function's callers pass it (its default where a call leaves it out),
-    through as many functions as forward it; a function that what runs
-    also names without calling it (a callback) passes an unreadable value."""
+    place.  A second value is any expression that does not spell the
+    default's value (:func:`spelling`), except one that forwards another
+    option: a parameter of the enclosing ``__init__`` that is itself an
+    option, or an attribute read named like an option
+    (``config.idle_timeout``).  Those count once the option they forward has
+    a second value: the census iterates to a fixpoint.  A parameter of any
+    other function is followed to what the function's callers pass it (its
+    default where a call leaves it out), through as many functions as
+    forward it; a function that what runs also names without calling it (a
+    callback) passes an unreadable value."""
     found = options(modules)
     constructed, replaced = passed_values(runs, {option.owner for option in found})
+    spell = spelling(runs)
+    defaults = {option.qualname: spell(option.default) for option in found}
     by_name: dict[str, list[Option]] = {}
     for option in found:
         by_name.setdefault(option.name, []).append(option)
@@ -1108,7 +1186,7 @@ def one_valued(modules: dict[str, str], runs: dict[str, str]) -> OptionCensus:
             if any(
                 value is None
                 or (
-                    ast.dump(value) != option.default
+                    spell(value) != defaults[option.qualname]
                     and (
                         (others := forwarded(option, value)) is None
                         or any(other.qualname in second for other in others)
@@ -1127,7 +1205,7 @@ def one_valued(modules: dict[str, str], runs: dict[str, str]) -> OptionCensus:
         for option in found
         if option.qualname in second
         and all(
-            value is not None and (ast.dump(value) == option.default or isinstance(value, ast.Attribute) and forwarded(option, value))
+            value is not None and (spell(value) == defaults[option.qualname] or isinstance(value, ast.Attribute) and forwarded(option, value))
             for value in values[option.qualname]
         )
     }
@@ -1282,6 +1360,34 @@ def run_fanout(seed=7):
     # ... and given another, two; the driver's own default is then dead.
     flagged = [name for name in census("def main():\n    run_fanout(seed=3)\n").flagged if name != population]
     assert flagged == ["experiments/drivers.py::run_fanout(seed)"]
+
+
+def test_option_census_folds_constants_and_numbers():
+    # One value in two spellings: a module constant for the default's
+    # literal, an int for a float default.
+    drivers = """
+SEED = 7
+
+
+def run(seed=7, rate=10_000.0):
+    return seed * rate
+"""
+    modules = {"experiments/drivers.py": drivers}
+
+    def flagged(caller: str) -> list[str]:
+        runs = {"src/repro/experiments/drivers.py": drivers, "examples/caller.py": caller}
+        return one_valued(modules, runs).flagged
+
+    seed, rate = "experiments/drivers.py::run(seed)", "experiments/drivers.py::run(rate)"
+    imported = "from repro.experiments import drivers\nfrom repro.experiments.drivers import SEED, run\n"
+    assert flagged(imported + "run()\nrun(seed=SEED, rate=10_000)\n") == [rate, seed]
+    assert flagged(imported + "run()\nrun(seed=drivers.SEED, rate=10_000)\n") == [rate, seed]
+    assert flagged(imported + "run()\nrun(seed=7.0, rate=1e4)\n") == [rate, seed]
+    # A constant of the caller's own, and another value, are second values;
+    # a local of the same name is not the constant.
+    assert flagged("from repro.experiments.drivers import run\nSEED = 8\nrun()\nrun(seed=SEED, rate=2.0)\n") == []
+    shadowed = "from repro.experiments.drivers import SEED, run\ndef main(argv):\n    SEED = len(argv)\n    run()\n    run(seed=SEED, rate=2)\n"
+    assert flagged(shadowed) == []
 
 
 def test_option_census_reads_the_double_star_calls():

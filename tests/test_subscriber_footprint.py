@@ -46,7 +46,7 @@ from hypothesis import given, settings, strategies as st
 from repro.experiments.relay_fanout import run_relay_fanout
 from repro.moqt.objectmodel import MoqtObject
 from repro.moqt.origin import ORIGIN_HOST, ORIGIN_PORT, TRACK, build_origin
-from repro.moqt.receiver import _NOTHING_SEEN
+from repro.moqt.receiver import _NOTHING_SEEN, DedupeWindow
 from repro.moqt.session import _UNUSED, MoqtSession
 from repro.netsim.network import Network
 from repro.netsim.packet import Address
@@ -154,7 +154,7 @@ class TestStateFollowsRole:
         simulator.run(until=simulator.now + 1.0)
         assert all(subscriber.objects_delivered == 1 for subscriber in subscribers)
         for subscriber in subscribers:
-            assert type(subscriber.tracks[0].seen) is set and len(subscriber.tracks[0].seen) == 1
+            assert type(subscriber.tracks[0].seen) is DedupeWindow and len(subscriber.tracks[0].seen) == 1
             session = subscriber.session
             assert len(session._subscriptions) == len(session._subscriptions_by_alias) == 1
             for table in (
