@@ -74,7 +74,7 @@ def edge_cache_walkthrough() -> None:
     late = MoqtSession(connection, is_client=True)
     fetched = []
     subscription = late.subscribe(TRACK)
-    late.joining_fetch(subscription, 1, on_complete=lambda f: fetched.append(f))
+    late.joining_fetch(subscription, on_complete=lambda f: fetched.append(f))
     simulator.run(until=simulator.now + 2.0)
 
     stats = RelayNetStats.collect(tree)

@@ -32,7 +32,7 @@ class HopSpec:
     """One fan-out hop: propagation delay plus optional bandwidth."""
 
     delay: float
-    bandwidth: float | None = None
+    bandwidth: float | None
 
     def __post_init__(self) -> None:
         if self.delay < 0:

@@ -111,9 +111,9 @@ class DetectionModel:
     probe_timeout: float
     next_send_at: float | None
     idle_deadline: float
-    suspect_after: int = DEFAULT_SUSPECT_AFTER
-    backoff_cap: int = DEFAULT_BACKOFF_CAP
-    idle_timeout: float | None = None
+    suspect_after: int
+    backoff_cap: int
+    idle_timeout: float | None
 
     def __post_init__(self) -> None:
         if self.idle_deadline < self.crashed_at:

@@ -19,10 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Default on-the-wire size of one pushed update: a ~300 B DNS response
-#: object plus subgroup-stream header and QUIC packet framing.
-DEFAULT_BYTES_PER_UPDATE = 340.0
-
 
 def tier_ingress_messages(receivers: int, updates: int) -> int:
     """Objects entering a tier: one per receiving node per update."""
@@ -51,7 +47,7 @@ class FanoutModel:
     subscribers: int
     updates: int
     tier_receivers: tuple[int, ...]
-    bytes_per_update: float = DEFAULT_BYTES_PER_UPDATE
+    bytes_per_update: float
 
     def __post_init__(self) -> None:
         if not self.tier_receivers:

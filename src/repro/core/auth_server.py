@@ -134,7 +134,7 @@ class MoqAuthoritativeServer:
     def __init__(
         self,
         host: Host,
-        zones: list[Zone] | None = None,
+        zones: list[Zone],
         port: int = MOQT_PORT,
     ) -> None:
         self.host = host

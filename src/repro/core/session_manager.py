@@ -101,13 +101,13 @@ class UpstreamSessionManager:
         self.statistics.sessions_created += 1
         return session
 
-    def close_session(self, upstream: Address, reason: str = "teardown") -> bool:
+    def close_session(self, upstream: Address) -> bool:
         """Close the session to ``upstream`` if one exists."""
         session = self._sessions.pop(upstream, None)
         if session is None:
             return False
         if not session.closed:
-            session.close(reason)
+            session.close("teardown")
         self.statistics.sessions_closed += 1
         return True
 

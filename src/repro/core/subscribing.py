@@ -161,7 +161,7 @@ class SubscribeFetch:
             on_object=PushHandler(resolver, key),
             on_response=on_response and partial(on_response, self),
         )
-        session.joining_fetch(self.subscription, 1, on_complete=self.finish)
+        session.joining_fetch(self.subscription, on_complete=self.finish)
         self.timer: Timer | None = Timer(resolver.simulator, self.finish)
         self.timer.start(timeout)
 

@@ -100,7 +100,7 @@ class LruBudgetPolicy(TeardownPolicy):
 
     name = "lru-budget"
 
-    def __init__(self, budget: int = 1000) -> None:
+    def __init__(self, budget: int) -> None:
         if budget <= 0:
             raise ValueError(f"budget must be positive: {budget}")
         self.budget = budget
@@ -163,7 +163,7 @@ class SubscriptionRegistry:
     fetch from that version (§4.4).
     """
 
-    def __init__(self, policy: TeardownPolicy | None = None) -> None:
+    def __init__(self, policy: TeardownPolicy | None) -> None:
         self.policy = policy if policy is not None else NeverTearDown()
         self.statistics = RegistryStatistics()
         self._active: dict[DnsQuestionKey, TrackedSubscription] = {}

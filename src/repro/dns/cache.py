@@ -1,6 +1,6 @@
 """A TTL-driven DNS cache bound to the simulated clock.
 
-The cache stores RRsets keyed by (name, type, class) along with the virtual
+The cache stores RRsets keyed by (name, type) along with the virtual
 time at which they were inserted.  Lookups return ``None`` once the TTL has
 expired; returned RRsets have their TTL reduced by the time already spent in
 the cache, exactly like a real resolver cache.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from repro.dns.name import Name
 from repro.dns.rr import RRset
-from repro.dns.types import DNSClass, Rcode, RecordType
+from repro.dns.types import Rcode, RecordType
 from repro.netsim.simulator import Simulator
 
 
@@ -50,7 +50,6 @@ class CacheStatistics:
     misses: int = 0
     expirations: int = 0
     insertions: int = 0
-    pushed_updates: int = 0
 
     @property
     def lookups(self) -> int:
@@ -72,16 +71,11 @@ class DnsCache:
 
     def __init__(self, simulator: Simulator) -> None:
         self._simulator = simulator
-        self._entries: dict[tuple[Name, RecordType, DNSClass], CacheEntry] = {}
+        self._entries: dict[tuple[Name, RecordType], CacheEntry] = {}
         self.statistics = CacheStatistics()
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def _key(
-        self, name: Name, rdtype: RecordType, rdclass: DNSClass
-    ) -> tuple[Name, RecordType, DNSClass]:
-        return (name, rdtype, rdclass)
 
     # ------------------------------------------------------------------ write
     def put(
@@ -91,15 +85,11 @@ class DnsCache:
         rrset: RRset | None,
         rcode: Rcode = Rcode.NOERROR,
         ttl: float | None = None,
-        rdclass: DNSClass = DNSClass.IN,
-        pushed: bool = False,
     ) -> CacheEntry:
         """Insert or replace an entry.
 
         ``ttl`` defaults to the RRset's minimum TTL; negative answers must
-        provide an explicit TTL (usually the SOA minimum).  ``pushed`` marks
-        entries that were updated by a MoQT push rather than a lookup, which
-        the traffic experiments count separately.
+        provide an explicit TTL (usually the SOA minimum).
         """
         if ttl is None:
             if rrset is None:
@@ -108,21 +98,14 @@ class DnsCache:
         entry = CacheEntry(
             rrset=rrset, rcode=rcode, inserted_at=self._simulator.now, ttl=float(ttl)
         )
-        self._entries[self._key(name, rdtype, rdclass)] = entry
+        self._entries[(name, rdtype)] = entry
         self.statistics.insertions += 1
-        if pushed:
-            self.statistics.pushed_updates += 1
         return entry
 
     # ------------------------------------------------------------------- read
-    def get(
-        self,
-        name: Name,
-        rdtype: RecordType,
-        rdclass: DNSClass = DNSClass.IN,
-    ) -> CacheEntry | None:
+    def get(self, name: Name, rdtype: RecordType) -> CacheEntry | None:
         """Look up a fresh entry; expired entries are removed and counted."""
-        key = self._key(name, rdtype, rdclass)
+        key = (name, rdtype)
         entry = self._entries.get(key)
         if entry is None:
             self.statistics.misses += 1
@@ -140,6 +123,6 @@ class DnsCache:
         """Drop every entry."""
         self._entries.clear()
 
-    def entries(self) -> dict[tuple[Name, RecordType, DNSClass], CacheEntry]:
+    def entries(self) -> dict[tuple[Name, RecordType], CacheEntry]:
         """A shallow copy of the cache content (for inspection in tests)."""
         return dict(self._entries)

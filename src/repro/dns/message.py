@@ -116,10 +116,10 @@ class Question:
     qtype: RecordType
     qclass: DNSClass = DNSClass.IN
 
-    def to_wire(self, compress: dict[Name, int] | None = None, offset: int = 0) -> bytes:
-        """Encode the question."""
+    def to_wire(self) -> bytes:
+        """Encode the question, uncompressed."""
         output = bytearray()
-        self._append_wire(output, compress, offset)
+        self._append_wire(output, None, 0)
         return bytes(output)
 
     def _append_wire(self, output: bytearray, compress: dict[Name, int] | None, base: int) -> None:
@@ -183,15 +183,12 @@ class Message:
         """Whether the QR bit is set."""
         return self.header.flags.qr
 
-    def answer_rrset(self, rdtype: RecordType | None = None) -> RRset | None:
-        """Collect answer records (optionally of one type) into an RRset."""
-        if not self.answers:
-            return None
-        wanted = rdtype if rdtype is not None else self.answers[0].rdtype
-        matching = [record for record in self.answers if record.rdtype == wanted]
+    def answer_rrset(self, rdtype: RecordType) -> RRset | None:
+        """Collect the answer records of type ``rdtype`` into an RRset."""
+        matching = [record for record in self.answers if record.rdtype == rdtype]
         if not matching:
             return None
-        rrset = RRset(matching[0].name, wanted, rdclass=matching[0].rdclass)
+        rrset = RRset(matching[0].name, rdtype, rdclass=matching[0].rdclass)
         for record in matching:
             rrset.add(record)
         return rrset

@@ -40,7 +40,7 @@ class Name:
 
     __slots__ = ("_labels", "_hash")
 
-    def __init__(self, labels: Iterable[bytes] = ()) -> None:
+    def __init__(self, labels: Iterable[bytes]) -> None:
         normalized = tuple(map(_lowercase, labels))
         for label in normalized:
             if not label:
@@ -155,20 +155,19 @@ class Name:
         return ".".join(label.decode("ascii") for label in self._labels) + "."
 
     # ------------------------------------------------------------------- wire
-    def to_wire(self, compress: dict["Name", int] | None = None, offset: int = 0) -> bytes:
-        """Encode to wire format.
-
-        When ``compress`` is provided it maps already-emitted names to their
-        offsets in the enclosing message; suffixes found there are replaced by
-        a compression pointer and new suffixes are added at ``offset``.
-        """
+    def to_wire(self) -> bytes:
+        """Encode to wire format, uncompressed."""
         output = bytearray()
-        self._append_wire(output, compress, offset)
+        self._append_wire(output, None, 0)
         return bytes(output)
 
     def _append_wire(self, output: bytearray, compress: dict["Name", int] | None, base: int) -> None:
         """Append the encoding to ``output``, whose first byte sits at offset
-        ``base`` of the enclosing message (0 when ``output`` is the message)."""
+        ``base`` of the enclosing message (0 when ``output`` is the message).
+
+        When ``compress`` is provided it maps already-emitted names to their
+        offsets in the message; suffixes found there are replaced by a
+        compression pointer and new suffixes are added to it."""
         labels = self._labels
         if compress is None:
             for label in labels:

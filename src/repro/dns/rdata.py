@@ -454,7 +454,7 @@ class SVCBRdata(Rdata):
 
     priority: int
     target: Name
-    params: tuple[tuple[int, bytes], ...] = ()
+    params: tuple[tuple[int, bytes], ...]
     rdtype: ClassVar[RecordType] = RecordType.SVCB
 
     @classmethod

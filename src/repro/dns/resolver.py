@@ -91,15 +91,14 @@ class RecursiveResolver:
     root_servers:
         Addresses of root authoritative servers (classic DNS/UDP).
     serve_port:
-        Port on which stub queries are accepted (53 by default); pass ``None``
-        to disable serving and use the resolver as a pure client library.
+        Port on which stub queries are accepted.
     """
 
     def __init__(
         self,
         host: Host,
         root_servers: list[Address],
-        serve_port: int | None = DNS_UDP_PORT,
+        serve_port: int,
     ) -> None:
         if not root_servers:
             raise ResolutionError("at least one root server address is required")
@@ -109,14 +108,12 @@ class RecursiveResolver:
         self.cache = DnsCache(host.simulator)
         self.statistics = ResolverStatistics()
         self._client = DnsUdpEndpoint(host)
-        self._server: DnsUdpEndpoint | None = None
-        if serve_port is not None:
-            self._server = DnsUdpEndpoint(host, port=serve_port, handler=self._handle_client_query)
+        self._server = DnsUdpEndpoint(host, port=serve_port, handler=self._handle_client_query)
 
     @property
-    def address(self) -> Address | None:
-        """The address stub resolvers should use (None when not serving)."""
-        return self._server.address if self._server is not None else None
+    def address(self) -> Address:
+        """The address stub resolvers should use."""
+        return self._server.address
 
     # --------------------------------------------------------------- serving
     def _handle_client_query(self, query: Message, source: Address, respond) -> None:

@@ -22,7 +22,7 @@ class ResourceRecord:
     name: Name
     rdtype: RecordType
     rdata: Rdata
-    ttl: int = 300
+    ttl: int
     rdclass: DNSClass = DNSClass.IN
 
     def __post_init__(self) -> None:
@@ -40,10 +40,10 @@ class ResourceRecord:
             f"{self.rdtype.to_text()} {self.rdata.to_text()}"
         )
 
-    def to_wire(self, compress: dict[Name, int] | None = None, offset: int = 0) -> bytes:
-        """Encode the record, optionally using name compression."""
+    def to_wire(self) -> bytes:
+        """Encode the record, uncompressed."""
         output = bytearray()
-        self._append_wire(output, compress, offset)
+        self._append_wire(output, None, 0)
         return bytes(output)
 
     def _append_wire(self, output: bytearray, compress: dict[Name, int] | None, base: int) -> None:

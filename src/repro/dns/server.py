@@ -44,12 +44,12 @@ class AuthoritativeServer:
         UDP port to listen on (53 by default).
     """
 
-    def __init__(self, host: Host, zones: list[Zone] | None = None, port: int = DNS_UDP_PORT) -> None:
+    def __init__(self, host: Host, zones: list[Zone], port: int = DNS_UDP_PORT) -> None:
         self.host = host
         self._zones: dict[Name, Zone] = {}
         self.statistics = ServerStatistics()
         self.endpoint = DnsUdpEndpoint(host, port=port, handler=self._handle_query)
-        for zone in zones or []:
+        for zone in zones:
             self.add_zone(zone)
 
     @property

@@ -15,7 +15,7 @@ event-based; there is no asyncio involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.dns.errors import DnsFormatError
@@ -108,7 +108,6 @@ class DnsUdpEndpoint:
         message: Message,
         destination: Address,
         callback: QueryCallback,
-        timeout: float | None = None,
     ) -> PendingQuery:
         """Send ``message`` to ``destination`` and invoke ``callback`` once.
 
@@ -116,18 +115,8 @@ class DnsUdpEndpoint:
         retransmission timed out.
         """
         if message.header.message_id == 0:
-            message = Message(
-                header=type(message.header)(
-                    message_id=self.allocate_message_id(),
-                    flags=message.header.flags,
-                    opcode=message.header.opcode,
-                    rcode=message.header.rcode,
-                ),
-                questions=message.questions,
-                answers=message.answers,
-                authorities=message.authorities,
-                additionals=message.additionals,
-            )
+            header = replace(message.header, message_id=self.allocate_message_id())
+            message = replace(message, header=header)
         key = (message.header.message_id, destination)
         timer = Timer(self._simulator, lambda: self._on_timeout(key))
         pending = PendingQuery(
@@ -141,7 +130,7 @@ class DnsUdpEndpoint:
         )
         self._pending[key] = pending
         self._transmit(pending)
-        timer.start(timeout if timeout is not None else DEFAULT_QUERY_TIMEOUT)
+        timer.start(DEFAULT_QUERY_TIMEOUT)
         self.statistics.queries_sent += 1
         return pending
 

@@ -135,7 +135,7 @@ class Zone:
         if not name.is_subdomain_of(self.origin):
             raise ZoneError(f"{name} is not within zone {self.origin}")
 
-    def add_record(self, record: ResourceRecord, bump: bool = True) -> None:
+    def add_record(self, record: ResourceRecord, bump: bool) -> None:
         """Add a record, creating its RRset if needed."""
         self._check_in_zone(record.name)
         key = (record.name, record.rdtype)

@@ -45,7 +45,7 @@ from repro.analysis.churn import RecoveryModel
 from repro.analysis.detection import DetectionModel
 from repro.experiments.relay_churn import reattach_models
 from repro.moqt.relay import MOQT_ALPN
-from repro.quic.connection import ConnectionConfig
+from repro.quic.connection import ConnectionConfig, QuicConnection
 from repro.relaynet import FailoverEvent, RelayTreeSpec
 from repro.relaynet.scenario import Scenario, build_scenario
 from repro.relaynet.topology import RelayNode
@@ -192,7 +192,7 @@ class FailureDetectionResult:
         }
 
 
-def detection_model_for_connection(connection, crashed_at: float) -> DetectionModel:
+def detection_model_for_connection(connection: QuicConnection, crashed_at: float) -> DetectionModel:
     """Snapshot a live connection's detector inputs at crash time.
 
     The bridge between the implementation-independent closed forms in

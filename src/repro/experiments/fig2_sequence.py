@@ -46,7 +46,7 @@ class Fig2Result:
     lookup_latency: float
     answer_addresses: list[str]
     upstream_subscribe_fetch_operations: int
-    push_latency: float | None = None
+    push_latency: float | None
 
     def rows(self) -> list[dict[str, object]]:
         """The sequence as table rows."""

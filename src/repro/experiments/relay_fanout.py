@@ -109,7 +109,7 @@ class FanoutSample:
     model: FanoutModel
     #: Total simulator events scheduled over the whole run (setup included) —
     #: the quantity link-batch fan-out keeps from growing with subscribers.
-    events_scheduled: int = 0
+    events_scheduled: int
     #: ``Network.link_batch_fallback_waves``: a constant 0 (every send is a
     #: link wave), read until ROADMAP 0(a) deletes it.
     link_batch_fallback_waves: int = 0

@@ -12,7 +12,7 @@ measurement study against the synthetic workload:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.dns.types import RecordType
 from repro.measurement.change_rate import ChangeRateSummary, count_changes, summarize_change_counts
@@ -60,7 +60,7 @@ class ChangeRateResult:
 
     summaries: dict[int, ChangeRateSummary]
     observations: int
-    per_domain_counts: dict[int, list[int]] = field(default_factory=dict)
+    per_domain_counts: dict[int, list[int]]
 
     def rows(self) -> list[dict[str, float]]:
         """Flat rows for report tables, ordered by TTL."""
@@ -73,12 +73,12 @@ class MeasurementCampaign:
     def __init__(
         self,
         toplist: SyntheticToplist,
+        config: CampaignConfig,
         change_model: ChangeModel | None = None,
-        config: CampaignConfig | None = None,
     ) -> None:
         self.toplist = toplist
         self.change_model = change_model if change_model is not None else ChangeModel()
-        self.config = config if config is not None else CampaignConfig()
+        self.config = config
 
     # ------------------------------------------------------------------ Fig 1a
     def ttl_distribution(self) -> TtlDistributionResult:
@@ -117,7 +117,7 @@ class MeasurementCampaign:
             ):
                 continue
             per_ttl_domains[ttl] += 1
-            process = self.change_model.process_for(domain.rank, ttl, rdtype)
+            process = self.change_model.process_for(domain.rank, ttl)
             samples = [process.current_sorted()]
             for _ in range(OBSERVATIONS - 1):
                 process.advance()

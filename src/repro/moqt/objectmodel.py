@@ -130,8 +130,9 @@ class TrackState:
             return None
         return min(self._groups[self._group_heap[0]])
 
-    def objects_in_range(self, start: Location, end: Location | None = None) -> list[MoqtObject]:
-        """Objects between ``start`` (inclusive) and ``end`` (inclusive), ordered."""
+    def objects_in_range(self, start: Location, end: Location | None) -> list[MoqtObject]:
+        """Objects between ``start`` (inclusive) and ``end`` (inclusive, or
+        open when ``None``), ordered."""
         selected = [
             obj
             for location, obj in self._objects.items()

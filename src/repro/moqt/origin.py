@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from repro.moqt.messages import FetchType
 from repro.moqt.objectmodel import Location, MoqtObject, TrackState
-from repro.moqt.relay import DEFAULT_MOQT_PORT, MOQT_ALPN
+from repro.moqt.relay import MOQT_ALPN
 from repro.moqt.session import (
     FetchResult,
     MoqtSession,
@@ -35,12 +35,13 @@ from repro.moqt.session import (
 )
 from repro.moqt.track import FullTrackName
 from repro.netsim.network import Network
+from repro.netsim.packet import MOQT_PORT
 from repro.quic.endpoint import QuicEndpoint
 from repro.quic.tls import ServerTlsContext
 
 TRACK = FullTrackName.of(["dns", "a"], b"cdn.example")
 ORIGIN_HOST = "origin"
-ORIGIN_PORT = DEFAULT_MOQT_PORT
+ORIGIN_PORT = MOQT_PORT
 
 
 class OriginPublisher:
@@ -49,8 +50,8 @@ class OriginPublisher:
     Parameters
     ----------
     network:
-        The network the origin host lives on, when known — enables
-        link-batched fan-out in :meth:`push`.
+        The network the origin host lives on: :meth:`push` fans out in one
+        of its batching regions.
     track:
         The full track name this origin serves.
     seed_initial:
@@ -62,7 +63,7 @@ class OriginPublisher:
 
     def __init__(
         self,
-        network: Network | None = None,
+        network: Network,
         track: FullTrackName = TRACK,
         seed_initial: bool = True,
     ) -> None:
@@ -112,14 +113,11 @@ class OriginPublisher:
     def push(self, obj: MoqtObject) -> None:
         """Record and push one update to every direct (top-tier) subscriber."""
         self.state.publish(obj)
-        network = self.network
-        if network is not None:
-            network.begin_batch()
+        self.network.begin_batch()
         try:
             publish_to(self.subscriptions, obj)
         finally:
-            if network is not None:
-                network.end_batch()
+            self.network.end_batch()
 
     @property
     def objects_sent(self) -> int:

@@ -50,7 +50,7 @@ from repro.moqt.session import (
 )
 from repro.moqt.track import FullTrackName
 from repro.netsim.node import Host
-from repro.netsim.packet import MOQT_PORT as DEFAULT_MOQT_PORT, Address
+from repro.netsim.packet import Address
 from repro.quic.connection import ConnectionConfig, QuicConnection
 from repro.quic.endpoint import QuicEndpoint
 from repro.quic.tls import ServerTlsContext
@@ -154,10 +154,10 @@ class MoqtRelay:
         self,
         host: Host,
         upstream: Address,
-        port: int = DEFAULT_MOQT_PORT,
-        upstream_connection: ConnectionConfig | None = None,
-        downstream_connection: ConnectionConfig | None = None,
-        admission: "AdmissionPolicy | None" = None,
+        port: int,
+        upstream_connection: ConnectionConfig | None,
+        downstream_connection: ConnectionConfig | None,
+        admission: "AdmissionPolicy | None",
     ) -> None:
         self.host = host
         self.simulator = host.simulator
@@ -326,15 +326,14 @@ class MoqtRelay:
     def switch_upstream(
         self,
         new_upstream: Address,
-        recover: bool = True,
-        on_track_reattached: Callable[[RelayTrack], None] | None = None,
+        on_track_reattached: Callable[[RelayTrack], None],
     ) -> None:
         """Re-point the relay's uplink at a new parent on live tracks.
 
         Established downstream subscribers keep their sessions and
         subscriptions; every track that still has (or awaits) downstream
-        interest is re-subscribed through the new parent.  With ``recover``
-        the gap between the last object forwarded downstream and the first
+        interest is re-subscribed through the new parent, recovering: the
+        gap between the last object forwarded downstream and the first
         live object from the new parent is filled with a FETCH against the
         new parent's cache (forwarded further upstream on a cold cache), and
         live objects are buffered until the fetch answer has been delivered
@@ -357,7 +356,7 @@ class MoqtRelay:
             old_session.close("switching upstream")
         for track in self._tracks.values():
             if track.downstream or track.awaiting_upstream:
-                self._subscribe_upstream(track, recover, on_track_reattached)
+                self._subscribe_upstream(track, True, on_track_reattached)
             else:
                 track.subscription = None
                 track.release()
@@ -379,7 +378,7 @@ class MoqtRelay:
             on_response=partial(self._on_upstream_response, track, on_reattached),
         )
 
-    def abandon_upstream(self, reason: str = "no surviving parent") -> None:
+    def abandon_upstream(self, reason: str) -> None:
         """Tear the uplink down with *no* replacement: fail waiters cleanly.
 
         The terminal counterpart of :meth:`switch_upstream`, used by the

@@ -50,7 +50,6 @@ from repro.moqt.messages import (
     FetchError,
     FetchOk,
     FetchType,
-    FilterType,
     Goaway,
     MaxRequestId,
     MOQT_VERSION_DRAFT_12,
@@ -171,8 +170,7 @@ class FetchRequest:
 
     request_id: int
     full_track_name: FullTrackName | None
-    on_object: Callable[[MoqtObject], None] | None = None
-    on_complete: Callable[["FetchRequest"], None] | None = None
+    on_complete: Callable[["FetchRequest"], None]
     state: str = "pending"
     objects: list[MoqtObject] = field(default_factory=list)
     largest: Location | None = None
@@ -404,10 +402,9 @@ class MoqtSession:
         full_track_name: FullTrackName,
         on_object: Callable[[MoqtObject], None] | None = None,
         on_response: Callable[[Subscription], None] | None = None,
-        filter_type: FilterType = FilterType.LATEST_OBJECT,
-        subscriber_priority: int = 128,
     ) -> Subscription:
-        """Subscribe to future objects of a track.
+        """Subscribe to future objects of a track, from the latest object on,
+        at the default priority.
 
         The SUBSCRIBE message is sent once the session is ready; callbacks
         fire when the publisher answers and whenever an object arrives.
@@ -433,8 +430,6 @@ class MoqtSession:
             request_id=request_id,
             track_alias=track_alias,
             full_track_name=full_track_name,
-            subscriber_priority=subscriber_priority,
-            filter_type=filter_type,
         )
         self.statistics.subscribes_sent += 1
         self._send_request(message.encode())
@@ -462,8 +457,7 @@ class MoqtSession:
         full_track_name: FullTrackName,
         start: Location,
         end: Location,
-        on_object: Callable[[MoqtObject], None] | None = None,
-        on_complete: Callable[[FetchRequest], None] | None = None,
+        on_complete: Callable[[FetchRequest], None],
     ) -> FetchRequest:
         """Standalone fetch of an absolute object range."""
         self._require_open()
@@ -471,7 +465,6 @@ class MoqtSession:
         fetch_request = FetchRequest(
             request_id=request_id,
             full_track_name=full_track_name,
-            on_object=on_object,
             on_complete=on_complete,
             created_at=self._simulator.now,
         )
@@ -494,19 +487,15 @@ class MoqtSession:
     def joining_fetch(
         self,
         subscription: Subscription,
-        joining_start: int = 1,
-        on_object: Callable[[MoqtObject], None] | None = None,
-        on_complete: Callable[[FetchRequest], None] | None = None,
+        on_complete: Callable[[FetchRequest], None],
     ) -> FetchRequest:
-        """Relative joining fetch: objects starting ``joining_start`` groups
-        before the subscription's start (§4.1 uses an offset of one to get the
-        current record version)."""
+        """Relative joining fetch: objects starting one group before the
+        subscription's start (§4.1: the current record version)."""
         self._require_open()
         request_id = self._allocate_request_id()
         fetch_request = FetchRequest(
             request_id=request_id,
             full_track_name=subscription.full_track_name,
-            on_object=on_object,
             on_complete=on_complete,
             created_at=self._simulator.now,
         )
@@ -517,7 +506,7 @@ class MoqtSession:
             request_id=request_id,
             fetch_type=FetchType.RELATIVE_JOINING,
             joining_request_id=subscription.request_id,
-            joining_start=joining_start,
+            joining_start=1,
         )
         self.statistics.fetches_sent += 1
         self._send_request(message.encode())
@@ -663,8 +652,7 @@ class MoqtSession:
             fetch_request.responded_at = self._simulator.now
             fetch_request.error_code = int(FetchErrorCode.INTERNAL_ERROR)
             fetch_request.error_reason = message
-            if fetch_request.on_complete is not None:
-                fetch_request.on_complete(fetch_request)
+            fetch_request.on_complete(fetch_request)
 
     # --------------------------------------------------------------- dispatch
     def stream_data_received(self, stream_id: int, data: bytes, fin: bool) -> None:
@@ -726,8 +714,6 @@ class MoqtSession:
             fetch_request.objects.append(obj)
             if fetch_request.largest is None or obj.location > fetch_request.largest:
                 fetch_request.largest = obj.location
-            if fetch_request.on_object is not None:
-                fetch_request.on_object(obj)
         fetch_request.stream_finished = True
         self._maybe_complete_fetch(fetch_request)
 
@@ -740,8 +726,7 @@ class MoqtSession:
             # Out of the table before anyone is told: the objects and the
             # ``on_complete`` graph live as long as the caller keeps them.
             self._fetches.pop(fetch_request.request_id, None)
-            if fetch_request.on_complete is not None:
-                fetch_request.on_complete(fetch_request)
+            fetch_request.on_complete(fetch_request)
 
     # ------------------------------------------------------- control handling
     def _handle_control_message(self, message: ControlMessage) -> None:
@@ -1009,8 +994,7 @@ class MoqtSession:
         fetch_request.responded_at = self._simulator.now
         fetch_request.error_code = message.error_code
         fetch_request.error_reason = message.reason
-        if fetch_request.on_complete is not None:
-            fetch_request.on_complete(fetch_request)
+        fetch_request.on_complete(fetch_request)
 
 
 #: What a session does with each control message the codec can produce, by

@@ -154,7 +154,7 @@ class Link:
     def transmit_many(
         simulator: Simulator,
         entries: list[tuple["Link", Datagram]],
-        batch_sink: "BatchSink | None" = None,
+        batch_sink: BatchSink,
     ) -> None:
         """Send a wave of (link, datagram) pairs, one heap event per arrival slot.
 
@@ -177,10 +177,10 @@ class Link:
         edge relay pushing one object to N subscribers over N
         same-configuration links schedules a single event.
 
-        ``batch_sink`` (the owning :class:`~repro.netsim.network.Network`)
-        is entered around each group's deliveries, so everything sent while
-        handling them — ACKs, handshake replies, relay fan-out, a transit
-        hop's next hop — leaves as the next wave.
+        ``batch_sink`` (the :class:`~repro.netsim.network.Network` the links
+        belong to) is entered around each group's deliveries, so everything
+        sent while handling them — ACKs, handshake replies, relay fan-out, a
+        transit hop's next hop — leaves as the next wave.
         """
         groups: dict[float, list[tuple[Link, Datagram]]] = {}
         now = simulator.now
@@ -210,10 +210,9 @@ class Link:
 
     @staticmethod
     def _arrive_many(
-        entries: list[tuple["Link", Datagram]], batch_sink: "BatchSink | None"
+        entries: list[tuple["Link", Datagram]], batch_sink: BatchSink
     ) -> None:
-        if batch_sink is not None:
-            batch_sink.begin_batch()
+        batch_sink.begin_batch()
         try:
             for link, datagram in entries:
                 statistics = link.statistics
@@ -221,5 +220,4 @@ class Link:
                 statistics.bytes_delivered += len(datagram.payload)
                 link._deliver(datagram)
         finally:
-            if batch_sink is not None:
-                batch_sink.end_batch()
+            batch_sink.end_batch()

@@ -106,13 +106,9 @@ class Network:
         first: str | Host,
         second: str | Host,
         config: LinkConfig | None = None,
-        reverse_config: LinkConfig | None = None,
     ) -> None:
-        """Create a bidirectional link between two hosts.
-
-        ``config`` applies to the ``first -> second`` direction and, unless
-        ``reverse_config`` is given, to the reverse direction as well.
-        """
+        """Create a bidirectional link between two hosts; ``config`` applies
+        to both directions."""
         first_addr = first.address if isinstance(first, Host) else first
         second_addr = second.address if isinstance(second, Host) else second
         for address in (first_addr, second_addr):
@@ -122,28 +118,22 @@ class Network:
             # Loopback needs no link (see route()), and route() relies on a
             # direct-link hit meaning "another, known host".
             raise ValueError(f"cannot link a host to itself: {first_addr}")
-        forward_config = config if config is not None else LinkConfig()
-        backward_config = reverse_config if reverse_config is not None else forward_config
+        config = config if config is not None else LinkConfig()
         # A link's sink is the destination host itself: the link's arrival
         # loop calls it, and its one frame is the delivery body (Host.__call__).
-        self._links[(first_addr, second_addr)] = Link(forward_config, self._hosts[second_addr])
-        self._links[(second_addr, first_addr)] = Link(backward_config, self._hosts[first_addr])
+        self._links[(first_addr, second_addr)] = Link(config, self._hosts[second_addr])
+        self._links[(second_addr, first_addr)] = Link(config, self._hosts[first_addr])
 
     def connect_star(
         self,
         hub: str | Host,
         peripherals: Iterable[str | Host],
-        config: LinkConfig | None = None,
-        reverse_config: LinkConfig | None = None,
+        config: LinkConfig,
     ) -> None:
-        """Connect every peripheral host to ``hub`` with identical links.
-
-        ``config`` applies hub -> peripheral (the fan-out direction) and, as
-        in :meth:`connect`, to the reverse direction unless ``reverse_config``
-        is given.
-        """
+        """Connect every peripheral host to ``hub`` with identical links,
+        ``config`` both ways."""
         for peripheral in peripherals:
-            self.connect(hub, peripheral, config, reverse_config)
+            self.connect(hub, peripheral, config)
 
     def link(self, source: str, destination: str) -> Link:
         """The link carrying traffic from ``source`` to ``destination``."""

@@ -177,16 +177,14 @@ class Simulator:
         """Schedule ``callback(*args)`` to run at the current virtual time."""
         return self.call_at(self.now, callback, *args)
 
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        """Run events until the queue drains or a bound is hit.
+    def run(self, until: float | None = None) -> int:
+        """Run events until the queue drains or the next is due after ``until``.
 
         Parameters
         ----------
         until:
             Stop once the next event would occur strictly after this time.
             The clock is advanced to ``until`` when provided.
-        max_events:
-            Safety bound on the number of events executed.
 
         Returns
         -------
@@ -201,8 +199,6 @@ class Simulator:
         pop = heapq.heappop
         try:
             while queue:
-                if max_events is not None and executed >= max_events:
-                    break
                 time, _, event = queue[0]
                 if event.cancelled:
                     pop(queue)

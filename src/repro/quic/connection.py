@@ -287,7 +287,6 @@ class QuicConnection:
         "negotiated_alpn",
         "used_0rtt",
         "early_data_accepted",
-        "on_handshake_complete",
         "delegate",
         "liveness",
         "liveness_cause",
@@ -351,8 +350,7 @@ class QuicConnection:
         self.used_0rtt = False
         self.early_data_accepted = False
 
-        # The application above: the endpoint's hook, then the delegate.
-        self.on_handshake_complete: Callable[["QuicConnection"], None] | None = None
+        # The application above.
         self.delegate: ConnectionDelegate | None = None
 
         # In-band liveness state (healthy / suspect / dead).
@@ -539,8 +537,6 @@ class QuicConnection:
             PacketType.HANDSHAKE,
             [CryptoFrame(server_hello.to_bytes()), HandshakeDoneFrame()],
         )
-        if self.on_handshake_complete is not None:
-            self.on_handshake_complete(self)
         self._flush_queued_app_frames()
 
     def _process_server_hello(self, server_hello: ServerHello) -> None:
@@ -567,8 +563,6 @@ class QuicConnection:
             )
         self.handshake_complete = True
         self.handshake_completed_at = self._simulator.now
-        if self.on_handshake_complete is not None:
-            self.on_handshake_complete(self)
         self._flush_queued_app_frames()
 
     def _requeue_zero_rtt(self) -> None:
@@ -601,12 +595,13 @@ class QuicConnection:
             stream = self._stream = QuicStream(0)
         return stream
 
-    def send_stream_data(self, stream: QuicStream, data: bytes, fin: bool = False) -> None:
-        """Write data on a stream and transmit it as soon as allowed."""
+    def send_stream_data(self, stream: QuicStream, data: bytes) -> None:
+        """Write data on a stream (no FIN: the stream stays open) and
+        transmit it as soon as allowed."""
         if self.closed:
             raise QuicConnectionError(TransportErrorCode.PROTOCOL_VIOLATION, "connection closed")
-        offset = stream.write(data, fin)
-        self._send_stream(stream.stream_id, offset, bytes(data), fin)
+        offset = stream.write(data)
+        self._send_stream(stream.stream_id, offset, bytes(data), False)
 
     def send_encoded_stream(self, chunk: bytes) -> int:
         """Send ``chunk`` as a complete one-shot unidirectional stream.

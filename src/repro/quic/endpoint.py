@@ -94,11 +94,9 @@ class QuicEndpoint:
     def connect(
         self,
         peer: Address,
-        config: ConnectionConfig | None = None,
-        server_name: str | None = None,
+        config: ConnectionConfig,
     ) -> QuicConnection:
         """Open a client connection and start its handshake immediately."""
-        connection_config = config if config is not None else ConnectionConfig()
         connection_id = self._allocate_connection_id()
         connection = QuicConnection(
             simulator=self._simulator,
@@ -107,8 +105,8 @@ class QuicEndpoint:
             peer_address=peer,
             connection_id=connection_id,
             is_client=True,
-            config=connection_config,
-            server_name=server_name or peer.host,
+            config=config,
+            server_name=peer.host,
             ticket_store=self.ticket_store,
         )
         self._connections[connection_id] = connection

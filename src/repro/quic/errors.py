@@ -26,7 +26,7 @@ class QuicError(Exception):
 class QuicConnectionError(QuicError):
     """A connection-fatal error, carrying a transport error code."""
 
-    def __init__(self, code: TransportErrorCode, reason: str = "") -> None:
+    def __init__(self, code: TransportErrorCode, reason: str) -> None:
         super().__init__(f"{code.name}: {reason}" if reason else code.name)
         self.code = code
         self.reason = reason

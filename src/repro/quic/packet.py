@@ -10,7 +10,7 @@ not modelled because it does not change round-trip counts.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.quic.frames import (
     AckFrame,
@@ -99,7 +99,7 @@ class Packet:
     packet_type: PacketType
     connection_id: int
     packet_number: int
-    frames: tuple[Frame, ...] = field(default_factory=tuple)
+    frames: tuple[Frame, ...]
 
     def encode_into(self, buffer: bytearray) -> None:
         """Serialise the packet into ``buffer``.

@@ -29,7 +29,6 @@ class QuicStream:
         "_delivered",
         "_fin_offset",
         "_segments",
-        "send_closed",
         "receive_closed",
         "bytes_sent",
         "bytes_received",
@@ -44,21 +43,16 @@ class QuicStream:
         self._delivered = 0
         self._fin_offset: int | None = None
         self._segments: dict[int, bytes] | None = None
-        self.send_closed = False
         self.receive_closed = False
         self.bytes_sent = 0
         self.bytes_received = 0
 
     # ------------------------------------------------------------------- send
-    def write(self, data: bytes, fin: bool = False) -> int:
-        """Account for ``data`` (and optionally a FIN); returns its offset."""
-        if self.send_closed:
-            raise ValueError(f"stream {self.stream_id} send side already closed")
+    def write(self, data: bytes) -> int:
+        """Account for ``data``; returns its offset."""
         offset = self._send_offset
         self._send_offset = offset + len(data)
         self.bytes_sent += len(data)
-        if fin:
-            self.send_closed = True
         return offset
 
     # ---------------------------------------------------------------- receive

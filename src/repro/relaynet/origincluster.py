@@ -145,18 +145,18 @@ class OriginCluster:
     def __init__(
         self,
         network: Network,
-        origins: int = 2,
+        origins: int,
+        standby_link: LinkConfig,
         host: str = ORIGIN_HOST,
         port: int = ORIGIN_PORT,
         track: FullTrackName = TRACK,
-        standby_link: LinkConfig | None = None,
     ) -> None:
         if origins < 1:
             raise ValueError(f"a cluster needs at least one origin: {origins}")
         self.network = network
         self.track = track
         self.port = port
-        self.standby_link = standby_link if standby_link is not None else LinkConfig(delay=0.020)
+        self.standby_link = standby_link
         #: Monotonic promotion epoch: 0 until the first promotion.
         self.epoch = 0
         self.promotions: list[OriginPromotion] = []
@@ -274,11 +274,7 @@ class OriginCluster:
         return active
 
     # --------------------------------------------------------------- election
-    def promote(
-        self,
-        via: str = "",
-        detection_latency: float | None = None,
-    ) -> OriginPromotion | None:
+    def promote(self, via: str, detection_latency: float | None) -> OriginPromotion | None:
         """Depose the active origin and elect its successor (one epoch step).
 
         Deterministic: the lowest-index alive standby wins.  Returns None

@@ -18,7 +18,7 @@ Two canonical shapes cover the paper's §3/§5.3 scenarios:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.netsim.link import LinkConfig
 
@@ -40,7 +40,7 @@ class RelayTierSpec:
 
     name: str
     relays: int
-    uplink: LinkConfig = field(default_factory=LinkConfig)
+    uplink: LinkConfig
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -60,7 +60,7 @@ class RelayTreeSpec:
     """
 
     tiers: tuple[RelayTierSpec, ...]
-    subscriber_link: LinkConfig = field(default_factory=lambda: LinkConfig(delay=0.005))
+    subscriber_link: LinkConfig
     host_prefix: str = "relay"
     #: Origin instances the tree hangs off: 1 for the historical singleton,
     #: ``n >= 2`` for a replicated origin (1 active + ``n - 1`` warm
@@ -84,23 +84,19 @@ class RelayTreeSpec:
 
     # ------------------------------------------------------------- factories
     @classmethod
-    def star(
-        cls,
-        relays: int,
-        uplink: LinkConfig | None = None,
-        subscriber_link: LinkConfig | None = None,
-    ) -> "RelayTreeSpec":
-        """A single tier of ``relays`` relays directly below the origin."""
+    def star(cls, relays: int) -> "RelayTreeSpec":
+        """A single tier of ``relays`` relays directly below the origin, on
+        ideal uplinks, with 5 ms access links."""
         return cls(
-            tiers=(RelayTierSpec("relay", relays, uplink or LinkConfig()),),
-            subscriber_link=subscriber_link or LinkConfig(delay=0.005),
+            tiers=(RelayTierSpec("relay", relays, LinkConfig()),),
+            subscriber_link=LinkConfig(delay=0.005),
         )
 
     @classmethod
     def cdn(
         cls,
-        mid_relays: int = 4,
-        edge_per_mid: int = 4,
+        mid_relays: int,
+        edge_per_mid: int,
         core_link: LinkConfig | None = None,
         metro_link: LinkConfig | None = None,
         access_link: LinkConfig | None = None,

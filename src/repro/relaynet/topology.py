@@ -52,12 +52,12 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from repro.moqt.errors import AdmissionRejectedError, SubscribeErrorCode
 from repro.moqt.objectmodel import MoqtObject
 from repro.moqt.receiver import TrackReceiver
-from repro.moqt.relay import DEFAULT_MOQT_PORT, MOQT_ALPN, MoqtRelay
+from repro.moqt.relay import MOQT_ALPN, MoqtRelay
 from repro.moqt.session import MoqtSession, Subscription
 from repro.moqt.track import FullTrackName
 from repro.netsim.network import Network
 from repro.netsim.node import Host
-from repro.netsim.packet import Address
+from repro.netsim.packet import MOQT_PORT, Address
 from repro.quic.connection import ConnectionConfig
 from repro.quic.endpoint import QuicEndpoint
 from repro.relaynet.admission import AdmissionPolicy
@@ -286,10 +286,8 @@ class FailoverEvent:
         """Whether every orphan has re-attached."""
         return all(record.reattached_at is not None for record in self.records)
 
-    def orphans(self, kind: str | None = None) -> list[FailoverRecord]:
-        """All orphan records, optionally filtered by kind."""
-        if kind is None:
-            return list(self.records)
+    def orphans(self, kind: str) -> list[FailoverRecord]:
+        """The orphan records of one kind (``"relay"``, ``"subscriber"``)."""
         return [record for record in self.records if record.kind == kind]
 
     def latencies_by_tier(self) -> dict[str, list[float]]:
@@ -477,7 +475,7 @@ class RelayTopology:
         network: Network,
         origin: Address,
         spec: RelayTreeSpec,
-        port: int = DEFAULT_MOQT_PORT,
+        port: int = MOQT_PORT,
         uplink_connection: ConnectionConfig | None = None,
         subscriber_connection: ConnectionConfig | None = None,
         downstream_connection: ConnectionConfig | None = None,
@@ -659,12 +657,8 @@ class RelayTopology:
         return parent
 
     # ------------------------------------------------------------- subscribers
-    def attach_subscribers(
-        self,
-        count: int,
-        host_prefix: str = "sub",
-    ) -> list[TreeSubscriber]:
-        """Create ``count`` subscriber hosts below the leaf tier.
+    def attach_subscribers(self, count: int) -> list[TreeSubscriber]:
+        """Create ``count`` subscriber hosts (``sub-{index}``) below the leaf tier.
 
         Each subscriber lands on the least-loaded alive leaf and opens an
         MoQT session to it immediately.  Call repeatedly to grow the
@@ -683,7 +677,7 @@ class RelayTopology:
         self.network.begin_batch()
         try:
             for index, leaf in enumerate(placement, start):
-                created.append(self._new_subscriber(index, host_prefix, leaf))
+                created.append(self._new_subscriber(index, "sub", leaf))
         finally:
             self.network.end_batch()
         self.subscribers.extend(created)
@@ -757,8 +751,8 @@ class RelayTopology:
     def _resubscribe(
         self,
         subscriber: TreeSubscriber,
-        event: FailoverEvent | None = None,
-        record: FailoverRecord | None = None,
+        event: FailoverEvent | None,
+        record: FailoverRecord | None,
     ) -> int:
         """After a move: re-SUBSCRIBE every track still followed — not one the
         application unsubscribed, nor one refused after admission gave up on
@@ -873,15 +867,13 @@ class RelayTopology:
         self,
         full_track_name: FullTrackName,
         on_object: Callable[[TreeSubscriber, MoqtObject], None] | None = None,
-        subscribers: list[TreeSubscriber] | None = None,
     ) -> list[Subscription]:
-        """Subscribe every (given or attached) subscriber to one track: a
-        plain SUBSCRIBE, with no answer hook."""
-        targets = subscribers if subscribers is not None else self.subscribers
+        """Subscribe every attached subscriber to one track: a plain
+        SUBSCRIBE, with no answer hook."""
         subscriptions: list[Subscription] = []
         self.network.begin_batch()
         try:
-            for subscriber in targets:
+            for subscriber in self.subscribers:
                 track = subscriber.add_track(full_track_name, on_object)
                 subscriptions.append(track.subscribe(subscriber.session))
         finally:
@@ -895,13 +887,13 @@ class RelayTopology:
         window: float,
         full_track_name: FullTrackName,
         on_object: Callable[[TreeSubscriber, MoqtObject], None] | None = None,
-        host_prefix: str = "storm",
         leaf: "RelayNode | None" = None,
     ) -> FlashCrowdStorm:
         """Inject a subscribe storm: ``count`` joins inside ``window`` seconds.
 
         Join ``i`` fires at ``now + (i * window) / count`` (evenly spaced,
-        all strictly inside the window); each join creates a host below the
+        all strictly inside the window); each join creates a host
+        (``storm-{index}``) below the
         least-loaded alive leaf — or below ``leaf`` when one is pinned,
         modelling the geographically concentrated crowd that slams a single
         edge relay — opens a session and subscribes to ``full_track_name``
@@ -938,7 +930,6 @@ class RelayTopology:
                 (index * window) / count,
                 self._storm_join,
                 storm,
-                host_prefix,
                 on_object,
                 leaf,
             )
@@ -947,9 +938,8 @@ class RelayTopology:
     def _storm_join(
         self,
         storm: FlashCrowdStorm,
-        host_prefix: str,
         on_object: Callable[[TreeSubscriber, MoqtObject], None] | None,
-        pinned_leaf: "RelayNode | None" = None,
+        pinned_leaf: "RelayNode | None",
     ) -> None:
         """One storm participant arrives: a subscriber whose one SUBSCRIBE
         runs under the storm's admission contract.  A pinned leaf that has
@@ -961,7 +951,7 @@ class RelayTopology:
             leaf = least_loaded(self.alive_leaves())
             if leaf is None:
                 raise RuntimeError("no alive leaf relays to attach subscribers to")
-        subscriber = self._new_subscriber(index, host_prefix, leaf)
+        subscriber = self._new_subscriber(index, "storm", leaf)
         subscriber.admission = record = AdmissionRecord(
             name=subscriber.host.address,
             leaf=leaf.host.address,
@@ -1012,7 +1002,7 @@ class RelayTopology:
         node.relay.shutdown(reason)
         return event
 
-    def kill_relay(self, node: RelayNode, reason: str = "relay crashed") -> FailoverEvent:
+    def kill_relay(self, node: RelayNode) -> FailoverEvent:
         """Crash a relay mid-stream and fail its subtree over immediately.
 
         The crash itself is silent — the relay vanishes without a close
@@ -1022,7 +1012,7 @@ class RelayTopology:
         re-attach latency is the pure 3-RTT floor with zero detection cost.
         Use :meth:`crash_relay` (fault injection only) plus in-band liveness
         reporting (:meth:`report_failure`) when detection itself is under
-        test (E13).  ``reason`` is recorded on the returned event — the
+        test (E13).  The returned event's reason is ``"relay crashed"``; the
         crash itself is silent, so no reason ever reaches the wire.
         """
         self._check_alive(node)
@@ -1030,7 +1020,7 @@ class RelayTopology:
         node.crashed_at = self.network.simulator.now
         node.relay.crash()
         event = self._evacuate(node, cause="kill")
-        event.reason = reason
+        event.reason = "relay crashed"
         node.failure_event = event
         return event
 
@@ -1077,7 +1067,7 @@ class RelayTopology:
         except NoSurvivingParentError:
             pass
 
-    def report_failure(self, dead: RelayNode, via: str = "") -> FailoverEvent | None:
+    def report_failure(self, dead: RelayNode, via: str) -> FailoverEvent | None:
         """Some orphan's transport says ``dead`` is gone: run the failover.
 
         This is the in-band entry point to the same evacuation machinery the
@@ -1117,9 +1107,7 @@ class RelayTopology:
             )
         return event
 
-    def report_origin_failure(
-        self, reporter: RelayNode, via: str = ""
-    ) -> FailoverEvent | None:
+    def report_origin_failure(self, reporter: RelayNode, via: str) -> FailoverEvent | None:
         """A tier-0 relay's transport says its *origin* is gone: promote.
 
         The origin-tier twin of :meth:`report_failure`, with the same

@@ -87,7 +87,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: dict[str, Gauge] = {}
 
-    def gauge(self, name: str, help: str = "", labels: tuple[str, ...] = ()) -> Gauge:
+    def gauge(self, name: str, help: str, labels: tuple[str, ...] = ()) -> Gauge:
         """Get or create a gauge."""
         labels = tuple(labels)
         metric = self._metrics.get(name)

@@ -43,6 +43,8 @@ DYNAMIC_CHANGE_RANGE = (0.25, 0.95)
 STATIC_CHANGE_RANGE = (0.0, 0.0)
 #: Number of distinct addresses a dynamic domain rotates through.
 ADDRESS_POOL = 64
+#: Addresses per A answer.
+ADDRESSES_PER_ANSWER = 4
 
 
 @dataclass
@@ -137,21 +139,15 @@ class ChangeModel:
             low, high = STATIC_CHANGE_RANGE
         return rng.uniform(low, high)
 
-    def process_for(
-        self,
-        domain_index: int,
-        ttl: int,
-        rdtype: RecordType = RecordType.A,
-        addresses_per_answer: int = 4,
-    ) -> RecordChangeProcess:
-        """Build the change process for one domain/record type."""
-        rng = random.Random((self.config.seed << 20) ^ (domain_index * 2654435761) ^ int(rdtype))
+    def process_for(self, domain_index: int, ttl: int) -> RecordChangeProcess:
+        """Build the change process of one domain's A record."""
+        rng = random.Random((self.config.seed << 20) ^ (domain_index * 2654435761) ^ int(RecordType.A))
         probability = self.change_probability(ttl, rng)
         return RecordChangeProcess(
             domain_index=domain_index,
             ttl=ttl,
             change_probability=probability,
             pool_size=ADDRESS_POOL,
-            addresses_per_answer=addresses_per_answer,
+            addresses_per_answer=ADDRESSES_PER_ANSWER,
             rng=rng,
         )

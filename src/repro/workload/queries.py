@@ -28,8 +28,8 @@ class QueryModelConfig:
     """Parameters of the query arrival model."""
 
     #: Mean queries per second issued by one client.
-    queries_per_second: float = 1.0
-    seed: int = 7
+    queries_per_second: float
+    seed: int
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,9 @@ class QueryEvent:
 class QueryModel:
     """Generates query streams over a synthetic top list."""
 
-    def __init__(self, toplist: SyntheticToplist, config: QueryModelConfig | None = None) -> None:
+    def __init__(self, toplist: SyntheticToplist, config: QueryModelConfig) -> None:
         self.toplist = toplist
-        self.config = config if config is not None else QueryModelConfig()
-        self._rng = random.Random(self.config.seed)
+        self.config = config
         # Cumulative, once: ``choices(weights=...)`` would re-accumulate all of
         # them on every draw.  ``choices`` accumulates the same floats the same
         # way, so the stream is the one ``weights=`` gives.
@@ -59,17 +58,15 @@ class QueryModel:
     def _zipf_weights(population: int, exponent: float) -> list[float]:
         return [1.0 / math.pow(rank, exponent) for rank in range(1, population + 1)]
 
-    def sample_domain(self, rng: random.Random | None = None) -> ToplistDomain:
+    def sample_domain(self, rng: random.Random) -> ToplistDomain:
         """Draw a domain according to Zipf popularity."""
-        generator = rng if rng is not None else self._rng
-        index = generator.choices(
+        index = rng.choices(
             range(len(self.toplist)), cum_weights=self._cum_weights, k=1
         )[0]
         return self.toplist.domain(index + 1)
 
-    def sample_type(self, domain: ToplistDomain, rng: random.Random | None = None) -> RecordType:
+    def sample_type(self, domain: ToplistDomain, rng: random.Random) -> RecordType:
         """Draw a record type the domain actually publishes."""
-        generator = rng if rng is not None else self._rng
         candidates = [
             (rdtype, weight)
             for rdtype, weight in TYPE_MIX
@@ -81,11 +78,11 @@ class QueryModel:
             return domain.record_types[0] if domain.record_types else RecordType.A
         types = [rdtype for rdtype, _ in candidates]
         weights = [weight for _, weight in candidates]
-        return generator.choices(types, weights=weights, k=1)[0]
+        return rng.choices(types, weights=weights, k=1)[0]
 
-    def generate(self, duration: float, client_seed: int = 0) -> list[QueryEvent]:
+    def generate(self, duration: float) -> list[QueryEvent]:
         """Generate the query stream of one client over ``duration`` seconds."""
-        rng = random.Random((self.config.seed << 16) ^ client_seed)
+        rng = random.Random(self.config.seed << 16)
         events: list[QueryEvent] = []
         now = 0.0
         rate = self.config.queries_per_second

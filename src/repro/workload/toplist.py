@@ -36,7 +36,7 @@ class ToplistDomain:
     rank: int
     record_types: tuple[RecordType, ...]
     ttls: tuple[tuple[RecordType, int], ...]
-    address_pool_size: int = 4
+    address_pool_size: int
 
     def ttl_for(self, rdtype: RecordType) -> int | None:
         """The TTL assigned to a record type (None if the type is absent)."""
@@ -58,7 +58,7 @@ SEED = 2025_06_24
 class ToplistConfig:
     """Parameters of the synthetic top list."""
 
-    size: int = 10_000
+    size: int
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -68,8 +68,8 @@ class ToplistConfig:
 class SyntheticToplist:
     """Generates and holds the synthetic domain population."""
 
-    def __init__(self, config: ToplistConfig | None = None) -> None:
-        self.config = config if config is not None else ToplistConfig()
+    def __init__(self, config: ToplistConfig) -> None:
+        self.config = config
         self._rng = random.Random(SEED)
         self._domains: list[ToplistDomain] = []
         self._generate()

@@ -30,8 +30,6 @@ TLD_SERVER_PREFIX = "192.5.6."
 AUTH_SERVER_PREFIX = "93.184."
 #: TTL of infrastructure (NS / glue) records.
 INFRASTRUCTURE_TTL = 3600
-#: Addresses per A answer.
-ADDRESSES_PER_ANSWER = 4
 
 
 @dataclass
@@ -39,7 +37,7 @@ class ZoneBuildConfig:
     """Parameters of the hierarchy builder."""
 
     #: Number of distinct authoritative server hosts to spread domains over.
-    auth_server_count: int = 8
+    auth_server_count: int
 
 
 @dataclass
@@ -58,12 +56,12 @@ class WorkloadZones:
     def __init__(
         self,
         toplist: SyntheticToplist,
-        change_model: ChangeModel | None = None,
-        config: ZoneBuildConfig | None = None,
+        change_model: ChangeModel,
+        config: ZoneBuildConfig,
     ) -> None:
         self.toplist = toplist
-        self.change_model = change_model if change_model is not None else ChangeModel()
-        self.config = config if config is not None else ZoneBuildConfig()
+        self.change_model = change_model
+        self.config = config
         self.root_zone = Zone(".")
         self.tld_zones: dict[str, Zone] = {}
         self.tld_hosts: dict[str, str] = {}
@@ -121,9 +119,7 @@ class WorkloadZones:
         change_process: RecordChangeProcess | None = None
         if domain.has_type(RecordType.A):
             ttl = domain.ttl_for(RecordType.A) or 300
-            change_process = self.change_model.process_for(
-                domain.rank, ttl, RecordType.A, ADDRESSES_PER_ANSWER
-            )
+            change_process = self.change_model.process_for(domain.rank, ttl)
             self._apply_addresses(zone, domain.name, ttl, change_process, bump=False)
         if domain.has_type(RecordType.AAAA):
             ttl = domain.ttl_for(RecordType.AAAA) or 300

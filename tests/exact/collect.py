@@ -356,7 +356,7 @@ def domain(rows: dict, tables: list) -> None:
     toplist = SyntheticToplist(ToplistConfig(size=500))
     model = ChangeModel(ChangeModelConfig(seed=7))
     with Heap() as heap:
-        zones = WorkloadZones(toplist, model)
+        zones = WorkloadZones(toplist, model, ZoneBuildConfig(auth_server_count=8))
     assert len(zones.assignments) == 500
     rows.update(
         heap_rows("domain", heap.bytes, heap.blocks, 500, "per domain (500-domain WorkloadZones)", tables)

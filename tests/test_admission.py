@@ -212,22 +212,6 @@ class TestRelayGate:
         assert not late.session._pending_incoming_subscribes
         assert subscription.request_id not in late.session._subscriptions
 
-    def test_an_urgent_subscribe_is_refused_like_any_other(self):
-        # Admission ignores the subscriber priority: with the only token
-        # held, a SUBSCRIBE at the most urgent priority bounces with a hint.
-        policy = AdmissionPolicy(subscribe_rate=0.1, bucket_depth=1)
-        simulator, _, tree = build_tree(admission=policy, prewarm=1)
-        relay = tree.leaves()[0].relay
-        urgent = tree.attach_subscribers(1)[0]
-        responses = []
-        urgent.session.subscribe(TRACK, on_response=responses.append, subscriber_priority=0)
-        simulator.run(until=simulator.now + 2.0)
-        (subscription,) = responses
-        assert subscription.state == "error"
-        assert subscription.error_code == SubscribeErrorCode.TOO_MANY_SUBSCRIBERS
-        assert subscription.retry_after_ms > 0
-        assert relay.statistics.admission_rejections == 1
-
     def test_queue_bound_counts_queue_rejections(self):
         # Cold track: every SUBSCRIBE during the upstream round trip queues;
         # past the bound the relay rejects with the queue quantum.

@@ -134,11 +134,13 @@ class Session:
             self.join(served, key)
 
     def join(self, served: list[Zone], key: DnsQuestionKey) -> None:
-        fetch = self.client.session.joining_fetch(self.client.subscriptions[key], 1)
+        fetch = self.client.session.joining_fetch(self.client.subscriptions[key], on_complete=lambda fetch: None)
         self.checks.append(("fetch", fetch, reference(served, key)))
 
     def fetch(self, served: list[Zone], key: DnsQuestionKey) -> None:
-        fetch = self.client.session.fetch(question_to_track(key), Location(0, 0), Location(0, 0))
+        fetch = self.client.session.fetch(
+            question_to_track(key), Location(0, 0), Location(0, 0), on_complete=lambda fetch: None
+        )
         self.checks.append(("fetch", fetch, reference(served, key)))
 
     def active(self, index: int) -> DnsQuestionKey | None:

@@ -192,7 +192,7 @@ class TestConnectionIntegration:
         # Far more than two packets' worth of data: the window must hold
         # some packets back immediately after the burst.
         for chunk in range(12):
-            connection.send_stream_data(stream, bytes(600), fin=False)
+            connection.send_stream_data(stream, bytes(600))
         assert connection.cwnd_blocked_packets > 0
         assert connection.congestion.bytes_in_flight > 0
         # ACKs open the window; the backlog must drain completely.
@@ -212,7 +212,7 @@ class TestConnectionIntegration:
 
         def burst(chunks: int) -> None:
             for _ in range(chunks):
-                connection.send_stream_data(stream, bytes(600), fin=False)
+                connection.send_stream_data(stream, bytes(600))
             assert connection.cwnd_blocked_packets > 0
 
         burst(12)
@@ -232,7 +232,7 @@ class TestConnectionIntegration:
         stream = connection.open_stream()
         window = connection.congestion.congestion_window
         for _ in range(40):
-            connection.send_stream_data(stream, bytes(1000), fin=False)
+            connection.send_stream_data(stream, bytes(1000))
             assert connection.congestion.bytes_in_flight > 0
             simulator.run(until=simulator.now + 2 * RTT)
             assert connection.congestion.bytes_in_flight == 0
@@ -275,7 +275,7 @@ class TestConnectionIntegration:
             simulator.run(until=1.0)
             stream = connection.open_stream()
             for chunk in range(20):
-                connection.send_stream_data(stream, bytes([chunk]) * 400, fin=False)
+                connection.send_stream_data(stream, bytes([chunk]) * 400)
             simulator.run(until=simulator.now + 30 * RTT)
             return b"".join(received)
 

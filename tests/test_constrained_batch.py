@@ -65,7 +65,7 @@ def _run_wave(
         for link_index, payload in assignments
     ]
     if batched:
-        Link.transmit_many(simulator, entries)
+        Link.transmit_many(simulator, entries, Network(simulator))
     else:
         for link, datagram in entries:
             transmit(simulator, link, datagram)
@@ -128,7 +128,7 @@ def test_successive_waves_share_the_fifo_state(seed, config, waves) -> None:
         for wave_index, wave in enumerate(waves):
             entries = [(link, Datagram(SRC, DST, payload)) for payload in wave]
             if batched:
-                Link.transmit_many(simulator, entries)
+                Link.transmit_many(simulator, entries, Network(simulator))
             else:
                 for wave_link, datagram in entries:
                     transmit(simulator, wave_link, datagram)
@@ -176,7 +176,7 @@ def test_seeded_draw_order_regression() -> None:
         )
         entries = [(link, Datagram(SRC, DST, payload)) for payload in payloads]
         if batched:
-            Link.transmit_many(simulator, entries)
+            Link.transmit_many(simulator, entries, Network(simulator))
         else:
             for _, datagram in entries:
                 transmit(simulator, link, datagram)
@@ -199,7 +199,7 @@ class TestByteCountersAreTheWire:
         )
         entries = [(link, Datagram(SRC, DST, payload)) for payload in self.PAYLOADS]
         if batched:
-            Link.transmit_many(simulator, entries)
+            Link.transmit_many(simulator, entries, Network(simulator))
         else:
             for _, datagram in entries:
                 transmit(simulator, link, datagram)

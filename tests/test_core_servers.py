@@ -49,7 +49,7 @@ def _subscribe_directly(topology: SmallTopology, key: DnsQuestionKey):
         question_to_track(key), on_object=pushed.append,
         on_response=lambda s: fetched.append(("sub", s.state)),
     )
-    session.joining_fetch(subscription, 1, on_complete=lambda f: fetched.append(("fetch", f)))
+    session.joining_fetch(subscription, on_complete=lambda f: fetched.append(("fetch", f)))
     return session, subscription, pushed, fetched
 
 
@@ -270,8 +270,7 @@ class TestMoqForwarder:
         client = DnsUdpEndpoint(topology.network.host(STUB_HOST))
         responses = []
         client.query(
-            make_query("www.example.com.", "A"), Address(STUB_HOST, 53), responses.append,
-            timeout=5.0,
+            make_query("www.example.com.", "A"), Address(STUB_HOST, 53), responses.append
         )
         topology.run(10.0)
         assert responses[0] is not None
@@ -293,8 +292,7 @@ class TestMoqForwarder:
         client = DnsUdpEndpoint(topology.network.host(STUB_HOST))
         responses = []
         client.query(
-            make_query("www.example.com.", "A"), Address(STUB_HOST, 5353), responses.append,
-            timeout=5.0,
+            make_query("www.example.com.", "A"), Address(STUB_HOST, 5353), responses.append
         )
         topology.run(10.0)
         assert responses[0].answers[0].rdata.to_text() == "192.0.2.10"
@@ -378,8 +376,7 @@ class TestMoqForwarder:
         client = DnsUdpEndpoint(topology.network.host(STUB_HOST))
         responses = []
         client.query(
-            make_query("missing.example.com.", "A"), Address(STUB_HOST, 53), responses.append,
-            timeout=5.0,
+            make_query("missing.example.com.", "A"), Address(STUB_HOST, 53), responses.append
         )
         topology.run(10.0)
         assert responses[0] is not None and responses[0].rcode == Rcode.NXDOMAIN

@@ -33,7 +33,7 @@ def _key(index: int) -> DnsQuestionKey:
 
 class TestRegistry:
     def test_record_lookup_creates_and_updates(self):
-        registry = SubscriptionRegistry()
+        registry = SubscriptionRegistry(None)
         first = registry.record_lookup(_key(1), now=0.0)
         again = registry.record_lookup(_key(1), now=5.0)
         assert first is again
@@ -41,7 +41,7 @@ class TestRegistry:
         assert registry.state_size() == 1
 
     def test_record_update_tracks_group_ids(self):
-        registry = SubscriptionRegistry()
+        registry = SubscriptionRegistry(None)
         registry.record_lookup(_key(1), now=0.0)
         registry.record_update(_key(1), now=1.0, group_id=4)
         registry.record_update(_key(1), now=2.0, group_id=9)

@@ -114,8 +114,3 @@ class TestCacheBounds:
         simulator.advance(9.0)
         assert all(cache.get(name, RecordType.A) is not None for name in names)
         assert cache.statistics.expirations == 0 and len(cache) == 300
-
-    def test_pushed_updates_counted(self, cache):
-        name = Name.from_text("www.example.com.")
-        cache.put(name, RecordType.A, _rrset("www.example.com.", ["192.0.2.1"]), pushed=True)
-        assert cache.statistics.pushed_updates == 1

@@ -345,12 +345,6 @@ def test_to_wire_is_pinned(case):
     wire = message.to_wire()
     assert wire.hex() == pinned
     assert Message.from_wire(wire) == message == decode_without_table(wire)
-    # The per-class encoders agree with the one pass, given the same table.
-    compress: dict[Name, int] = {}
-    pieces = bytearray(wire[:12])
-    for item in [*message.questions, *message.records()]:
-        pieces += item.to_wire(compress, len(pieces))
-    assert bytes(pieces) == wire
 
 
 # ----------------------------------------------------- the malformed corpus

@@ -396,7 +396,7 @@ def test_a_malformed_track_name_is_refused_at_both_publishers_every_time(monkeyp
         requests = []
         for session in sessions:
             requests.append(session.subscribe(bad))
-            requests.append(session.fetch(bad, Location(0, 0), Location(0, 0)))
+            requests.append(session.fetch(bad, Location(0, 0), Location(0, 0), on_complete=lambda fetch: None))
         topology.simulator.run(until=topology.simulator.now + 2.0)
         assert [request.state for request in requests] == ["error"] * 4
         assert len(parsed) == 4 * attempt, "a publisher skipped the check"

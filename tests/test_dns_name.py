@@ -95,14 +95,15 @@ class TestNameWireFormat:
 
     def test_compression_reuses_suffix(self):
         compress: dict[Name, int] = {}
-        first = Name.from_text("www.example.com").to_wire(compress, offset=0)
-        second = Name.from_text("mail.example.com").to_wire(compress, offset=len(first))
+        buffer = bytearray()
+        Name.from_text("www.example.com")._append_wire(buffer, compress, 0)
+        first = len(buffer)
+        Name.from_text("mail.example.com")._append_wire(buffer, compress, 0)
         # The second name should be shorter than its uncompressed form because
         # "example.com" is emitted as a 2-byte pointer.
-        assert len(second) < len(Name.from_text("mail.example.com").to_wire())
-        buffer = first + second
-        decoded_first, _ = Name.from_wire(buffer, 0)
-        decoded_second, _ = Name.from_wire(buffer, len(first))
+        assert len(buffer) - first < len(Name.from_text("mail.example.com").to_wire())
+        decoded_first, _ = Name.from_wire(bytes(buffer), 0)
+        decoded_second, _ = Name.from_wire(bytes(buffer), first)
         assert decoded_first == Name.from_text("www.example.com")
         assert decoded_second == Name.from_text("mail.example.com")
 

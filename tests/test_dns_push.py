@@ -251,7 +251,7 @@ def mutate(zones: dict[str, Zone], operation: tuple) -> None:
     zone, owner = zones[zone_name], _name(owner_text)
     if kind == "add":
         rdtype, rdata = argument
-        zone.add_record(ResourceRecord(owner, rdtype, rdata, 300))
+        zone.add_record(ResourceRecord(owner, rdtype, rdata, 300), bump=True)
     elif kind == "replace":
         # One RRset per call: every drawn record of the first record's type.
         rdtype = argument[0][0] if argument else RecordType.A

@@ -41,7 +41,7 @@ def _build_hierarchy(loss_rate: float = 0.0, record_ttl: int = 300):
     AuthoritativeServer(network.host(ROOT), [root_zone])
     AuthoritativeServer(network.host(TLD), [tld_zone])
     auth_server = AuthoritativeServer(network.host(AUTH), [auth_zone])
-    recursive = RecursiveResolver(network.host(REC), [Address(ROOT, 53)])
+    recursive = RecursiveResolver(network.host(REC), [Address(ROOT, 53)], serve_port=53)
     stub = StubResolver(network.host(STUB), Address(REC, 53))
     return simulator, network, recursive, stub, auth_server, auth_zone
 
@@ -175,7 +175,7 @@ class TestRecursiveResolution:
         network = Network(simulator)
         host = network.add_host("9.9.9.9")
         with pytest.raises(ResolutionError):
-            RecursiveResolver(host, [])
+            RecursiveResolver(host, [], serve_port=53)
 
     def test_cache_expiry_triggers_refetch(self):
         simulator, network, recursive, stub, _, _ = _build_hierarchy(record_ttl=30)

@@ -325,7 +325,10 @@ def _origin_load(subscribers: int, via_relay: bool, updates: int = 10) -> tuple[
         network.connect("origin", f"sub{index}", LinkConfig(delay=0.03))
     delegate = _OneTrackPublisher()
     sessions = _serve(network.host("origin"), delegate)
-    MoqtRelay(network.host("relay"), upstream=Address("origin", 4443))
+    MoqtRelay(
+        network.host("relay"), Address("origin", 4443), 4443,
+        upstream_connection=None, downstream_connection=None, admission=None,
+    )
     target = Address("relay" if via_relay else "origin", 4443)
     received: list[int] = []
     for index in range(subscribers):

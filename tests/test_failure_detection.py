@@ -41,30 +41,35 @@ class TestDetectionModelClosedForms:
             pto_fire_offsets(0.1, 0, DEFAULT_BACKOFF_CAP)
         with pytest.raises(ValueError):
             DetectionModel(
-                crashed_at=1.0, probe_timeout=0.1, next_send_at=None, idle_deadline=0.5
+                crashed_at=1.0, probe_timeout=0.1, next_send_at=None, idle_deadline=0.5,
+                suspect_after=DEFAULT_SUSPECT_AFTER, backoff_cap=DEFAULT_BACKOFF_CAP, idle_timeout=None,
             )
         with pytest.raises(ValueError):
             DetectionModel(
-                crashed_at=1.0, probe_timeout=0.1, next_send_at=0.5, idle_deadline=2.0
+                crashed_at=1.0, probe_timeout=0.1, next_send_at=0.5, idle_deadline=2.0,
+                suspect_after=DEFAULT_SUSPECT_AFTER, backoff_cap=DEFAULT_BACKOFF_CAP, idle_timeout=None,
             )
 
     def test_path_selection_pto_vs_idle(self):
         # Keepalives soon + short suspect window: the PTO path wins.
         pto = DetectionModel(
-            crashed_at=10.0, probe_timeout=0.1, next_send_at=10.2, idle_deadline=40.0
+            crashed_at=10.0, probe_timeout=0.1, next_send_at=10.2, idle_deadline=40.0,
+            suspect_after=DEFAULT_SUSPECT_AFTER, backoff_cap=DEFAULT_BACKOFF_CAP, idle_timeout=None,
         )
         assert pto.path == "pto-suspect"
         assert pto.detection_latency == pytest.approx(0.2 + 0.3)
         # No sends ever: only the idle timer can fire.
         idle = DetectionModel(
-            crashed_at=10.0, probe_timeout=0.1, next_send_at=None, idle_deadline=11.4
+            crashed_at=10.0, probe_timeout=0.1, next_send_at=None, idle_deadline=11.4,
+            suspect_after=DEFAULT_SUSPECT_AFTER, backoff_cap=DEFAULT_BACKOFF_CAP, idle_timeout=None,
         )
         assert idle.path == "idle-timeout"
         assert idle.detection_latency == pytest.approx(1.4)
         # Keepalive scheduled after the idle deadline: idle fires first and
         # the PING never happens.
         late = DetectionModel(
-            crashed_at=10.0, probe_timeout=0.1, next_send_at=11.5, idle_deadline=11.4
+            crashed_at=10.0, probe_timeout=0.1, next_send_at=11.5, idle_deadline=11.4,
+            suspect_after=DEFAULT_SUSPECT_AFTER, backoff_cap=DEFAULT_BACKOFF_CAP, idle_timeout=None,
         )
         assert late.path == "idle-timeout"
 
@@ -76,6 +81,7 @@ class TestDetectionModelClosedForms:
         model = DetectionModel(
             crashed_at=10.0, probe_timeout=0.1, next_send_at=10.5,
             idle_deadline=10.6, idle_timeout=0.6,
+            suspect_after=DEFAULT_SUSPECT_AFTER, backoff_cap=DEFAULT_BACKOFF_CAP,
         )
         assert model.path == "pto-suspect"
         assert model.detection_latency == pytest.approx(0.8)
@@ -84,6 +90,7 @@ class TestDetectionModelClosedForms:
         gappy = DetectionModel(
             crashed_at=10.0, probe_timeout=0.1, next_send_at=10.5,
             idle_deadline=10.65, idle_timeout=0.15,
+            suspect_after=DEFAULT_SUSPECT_AFTER, backoff_cap=DEFAULT_BACKOFF_CAP,
         )
         assert gappy.path == "idle-timeout"
         # Last restart at the +0.6 retransmission, expiry 0.15 later —

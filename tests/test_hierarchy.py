@@ -41,11 +41,11 @@ from repro.dns.zone import Zone
 from repro.workload.change_model import ADDRESS_POOL, ChangeModel, ChangeModelConfig, RecordChangeProcess
 from repro.workload.toplist import SyntheticToplist, ToplistConfig, ToplistDomain
 from repro.workload.zones import (
-    ADDRESSES_PER_ANSWER,
     INFRASTRUCTURE_TTL,
     TLD_SERVER_PREFIX,
     DomainAssignment,
     WorkloadZones,
+    ZoneBuildConfig,
 )
 
 DOMAINS = 500
@@ -110,9 +110,7 @@ class TextBuiltZones(WorkloadZones):
         change_process = None
         if domain.has_type(RecordType.A):
             ttl = domain.ttl_for(RecordType.A) or 300
-            change_process = self.change_model.process_for(
-                domain.rank, ttl, RecordType.A, ADDRESSES_PER_ANSWER
-            )
+            change_process = self.change_model.process_for(domain.rank, ttl)
             records = [
                 ResourceRecord(domain.name, RecordType.A, ARdata(address), ttl)
                 for address in change_process.current_addresses()
@@ -133,8 +131,8 @@ class TextBuiltZones(WorkloadZones):
 def _both(size: int, seed: int) -> tuple[WorkloadZones, WorkloadZones]:
     toplist = SyntheticToplist(ToplistConfig(size=size))
     return (
-        WorkloadZones(toplist, ChangeModel(ChangeModelConfig(seed=seed))),
-        TextBuiltZones(toplist, RngKeepingModel(ChangeModelConfig(seed=seed))),
+        WorkloadZones(toplist, ChangeModel(ChangeModelConfig(seed=seed)), ZoneBuildConfig(auth_server_count=8)),
+        TextBuiltZones(toplist, RngKeepingModel(ChangeModelConfig(seed=seed)), ZoneBuildConfig(auth_server_count=8)),
     )
 
 

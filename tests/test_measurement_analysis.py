@@ -245,8 +245,8 @@ class TestConstrainedPathModel:
         with pytest.raises(ValueError, match="at least one hop"):
             ConstrainedPathModel(hops=(), wire_bytes=100)
         with pytest.raises(ValueError, match="wire_bytes"):
-            ConstrainedPathModel(hops=(HopSpec(delay=0.01),), wire_bytes=0)
+            ConstrainedPathModel(hops=(HopSpec(delay=0.01, bandwidth=None),), wire_bytes=0)
         with pytest.raises(ValueError, match="bandwidth"):
             HopSpec(delay=0.01, bandwidth=0.0)
         with pytest.raises(ValueError, match="delay"):
-            HopSpec(delay=-0.01)
+            HopSpec(delay=-0.01, bandwidth=None)

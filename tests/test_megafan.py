@@ -96,7 +96,7 @@ class TestTransmitMany:
             (link, Datagram(SRC, DST, bytes([index]))) for index, link in enumerate(links)
         ]
         before = simulator.events_scheduled
-        Link.transmit_many(simulator, entries)
+        Link.transmit_many(simulator, entries, Network(simulator))
         assert simulator.events_scheduled == before + 1  # one event for all 8
         simulator.run()
         assert [index for index, _ in delivered] == list(range(8))
@@ -112,7 +112,7 @@ class TestTransmitMany:
         slow = self._links(2, LinkConfig(delay=0.05), delivered)
         entries = [(link, Datagram(SRC, DST, b"x")) for link in (fast + slow)]
         before = simulator.events_scheduled
-        Link.transmit_many(simulator, entries)
+        Link.transmit_many(simulator, entries, Network(simulator))
         assert simulator.events_scheduled == before + 2
         simulator.run()
         assert len(delivered) == 4
@@ -128,7 +128,7 @@ class TestTransmitMany:
                 for index, link in enumerate(links)
             ]
             if batched:
-                Link.transmit_many(simulator, entries)
+                Link.transmit_many(simulator, entries, Network(simulator))
             else:
                 for link, datagram in entries:
                     transmit(simulator, link, datagram)

@@ -337,7 +337,7 @@ class _Pair:
         self.client = MoqtSession(connection, is_client=True)
         self.received = []
         self.subscription = self.client.subscribe(TRACK, on_object=self.received.append)
-        self.fetch = self.client.fetch(TRACK, Location(0, 0), Location(1, 0))
+        self.fetch = self.client.fetch(TRACK, Location(0, 0), Location(1, 0), on_complete=lambda fetch: None)
         self.run(1.0)
         (self.server,) = servers
         assert self.subscription.is_active and self.publisher.fetches == [2]

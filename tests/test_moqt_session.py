@@ -122,7 +122,7 @@ class TestSubscribeAndFetch:
         pushed = []
         fetched = []
         subscription = session.subscribe(TRACK, on_object=lambda obj: pushed.append(obj))
-        session.joining_fetch(subscription, 1, on_complete=lambda f: fetched.append(f))
+        session.joining_fetch(subscription, on_complete=lambda f: fetched.append(f))
         simulator.run(until=2.0)
         assert subscription.is_active
         assert fetched[0].succeeded
@@ -153,7 +153,7 @@ class TestSubscribeAndFetch:
         states = []
         fetch_results = []
         subscription = session.subscribe(TRACK, on_response=lambda s: states.append(s.state))
-        session.joining_fetch(subscription, 1, on_complete=lambda f: fetch_results.append(f.succeeded))
+        session.joining_fetch(subscription, on_complete=lambda f: fetch_results.append(f.succeeded))
         simulator.run(until=2.0)
         assert states == [] and fetch_results == []
         publisher = publisher_sessions[0]
@@ -253,16 +253,16 @@ class TestSubscribeAndFetch:
         # instant; a session that has served FETCHes keeps no drained table.
         simulator, session, publisher_sessions, delegate = _build()
         subscription = session.subscribe(TRACK)
-        session.joining_fetch(subscription, 1)
-        session.fetch(TRACK, Location(1, 0), Location(1, 0))
+        session.joining_fetch(subscription, on_complete=lambda fetch: None)
+        session.fetch(TRACK, Location(1, 0), Location(1, 0), on_complete=lambda fetch: None)
         simulator.run(until=2.0)
         publisher = publisher_sessions[0]
         assert publisher.statistics.fetches_received == 2
         assert publisher._pending_incoming_fetches is _UNUSED
 
         delegate.defer = True
-        first = session.fetch(TRACK, Location(1, 0), Location(1, 0))
-        second = session.fetch(TRACK, Location(1, 0), Location(1, 0))
+        first = session.fetch(TRACK, Location(1, 0), Location(1, 0), on_complete=lambda fetch: None)
+        second = session.fetch(TRACK, Location(1, 0), Location(1, 0), on_complete=lambda fetch: None)
         simulator.run(until=4.0)
         (_, first_message, _), (_, second_message, _) = delegate.fetches[2:]
         publisher.complete_fetch(first_message.request_id, FetchResult(ok=True))
@@ -279,7 +279,7 @@ class TestSubscribeAndFetch:
         assert publisher._pending_incoming_fetches is _UNUSED
         publisher.complete_fetch(99, FetchResult(ok=True))  # never received
         assert publisher._pending_incoming_fetches is _UNUSED
-        fetch = session.fetch(TRACK, Location(1, 0), Location(1, 0))
+        fetch = session.fetch(TRACK, Location(1, 0), Location(1, 0), on_complete=lambda fetch: None)
         simulator.run(until=2.0)
         assert fetch.succeeded and publisher.statistics.fetches_received == 1
         (_, message, _) = delegate.fetches[0]
@@ -350,7 +350,7 @@ class TestSubscribeAndFetch:
     def test_a_session_closed_before_setup_keeps_no_queued_request(self):
         simulator, session, _, _ = _build()
         subscription = session.subscribe(TRACK)
-        fetch = session.fetch(TRACK, Location(1, 0), Location(1, 0))
+        fetch = session.fetch(TRACK, Location(1, 0), Location(1, 0), on_complete=lambda fetch: None)
         assert session._pending_until_ready == [
             Subscribe(request_id=0, track_alias=1, full_track_name=TRACK).encode(),
             Fetch(request_id=2, full_track_name=TRACK, start_group=1, end_group=1).encode(),
@@ -404,7 +404,10 @@ class TestRelay:
             server_tls=ServerTlsContext(alpn_protocols=("moq-00",)),
             on_connection=on_connection,
         )
-        relay = MoqtRelay(network.host(RELAY), upstream=Address(PUBLISHER, 4443))
+        relay = MoqtRelay(
+            network.host(RELAY), Address(PUBLISHER, 4443), 4443,
+            upstream_connection=None, downstream_connection=None, admission=None,
+        )
 
         def subscriber(host_address: str):
             endpoint = QuicEndpoint(network.host(host_address))
@@ -451,7 +454,7 @@ class TestRelay:
         fetches = []
         late = make_subscriber(SUBSCRIBER)
         late_subscription = late.subscribe(TRACK)
-        late.joining_fetch(late_subscription, 1, on_complete=lambda f: fetches.append(f))
+        late.joining_fetch(late_subscription, on_complete=lambda f: fetches.append(f))
         simulator.run(until=8.0)
         assert fetches and fetches[0].succeeded
         assert [obj.payload for obj in fetches[0].objects] == [b"v2"]
@@ -572,7 +575,10 @@ class TestRelay:
                 MoqtSession(conn, is_client=False, publisher_delegate=delegate)
             ),
         )
-        relay = MoqtRelay(network.host(RELAY), upstream=Address(PUBLISHER, 4443))
+        relay = MoqtRelay(
+            network.host(RELAY), Address(PUBLISHER, 4443), 4443,
+            upstream_connection=None, downstream_connection=None, admission=None,
+        )
 
         def make_subscriber():
             endpoint = QuicEndpoint(network.host(SUBSCRIBER))
@@ -642,7 +648,7 @@ class TestRelay:
         subscriber = make_subscriber(SUBSCRIBER)
         fetches = []
         subscription = subscriber.subscribe(TRACK)
-        subscriber.joining_fetch(subscription, 1, on_complete=lambda f: fetches.append(f))
+        subscriber.joining_fetch(subscription, on_complete=lambda f: fetches.append(f))
         simulator.run(until=5.0)
         assert fetches and fetches[0].succeeded
         assert [obj.payload for obj in fetches[0].objects] == [b"v1"]

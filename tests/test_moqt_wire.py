@@ -441,7 +441,7 @@ class TestObjectModel:
         for version in (1, 2, 5):
             state.publish(MoqtObject(group_id=version, object_id=0, payload=f"v{version}".encode()))
         assert state.largest == Location(5, 0)
-        objects = state.objects_in_range(Location(2, 0))
+        objects = state.objects_in_range(Location(2, 0), None)
         assert [obj.group_id for obj in objects] == [2, 5]
         assert [obj.group_id for obj in state.latest_objects(2)] == [2, 5]
 

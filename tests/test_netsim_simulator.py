@@ -89,16 +89,6 @@ class TestSimulatorScheduling:
         assert seen == ["inner"]
         assert simulator.now == 2.0
 
-    def test_max_events_bound(self):
-        simulator = Simulator()
-
-        def reschedule():
-            simulator.call_later(0.1, reschedule)
-
-        simulator.call_later(0.1, reschedule)
-        executed = simulator.run(max_events=25)
-        assert executed == 25
-
     def test_pending_events_counts_uncancelled(self):
         simulator = Simulator()
         event = simulator.call_later(1.0, lambda: None)

@@ -163,7 +163,7 @@ def _same(state, reference, probes):
     assert state.oldest == reference.oldest
     for start, end in probes:
         assert state.objects_in_range(start, end) == reference.objects_in_range(start, end)
-        assert state.objects_in_range(start) == reference.objects_in_range(start)
+        assert state.objects_in_range(start, None) == reference.objects_in_range(start, None)
     for count in (1, 2, 5, 1000):
         assert state.latest_objects(count) == reference.latest_objects(count)
 

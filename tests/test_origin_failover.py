@@ -26,7 +26,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.churn import recovery_model
-from repro.analysis.detection import DetectionModel
+from repro.analysis.detection import DEFAULT_BACKOFF_CAP, DEFAULT_SUSPECT_AFTER, DetectionModel
 from repro.analysis.promotion import ELECTION_LATENCY, promotion_model
 from repro.experiments.failure_detection import run_failure_detection
 from repro.experiments import origin_failover
@@ -37,6 +37,7 @@ from repro.moqt.objectmodel import MoqtObject
 from repro.moqt.origin import ORIGIN_HOST as ORIGIN, ORIGIN_PORT, TRACK, build_origin
 from repro.moqt.receiver import DEDUPE_PRUNE_THRESHOLD
 from repro.moqt.relay import MOQT_ALPN
+from repro.netsim.link import LinkConfig
 from repro.netsim.network import Network
 from repro.netsim.packet import Address
 from repro.netsim.simulator import Simulator
@@ -56,7 +57,7 @@ def build_cluster(origins: int = 2, seed: int = 7):
     """A bare origin cluster on a fresh network, warm after 1 s."""
     simulator = Simulator(seed=seed)
     network = Network(simulator)
-    cluster = OriginCluster(network, origins=origins)
+    cluster = OriginCluster(network, origins=origins, standby_link=LinkConfig(delay=0.020))
     simulator.run(until=simulator.now + 1.0)
     return simulator, network, cluster
 
@@ -89,7 +90,8 @@ def build_cluster_tree(origins: int = 2, seed: int = 7, mid_relays: int = 2,
 class TestPromotionModel:
     def _detection(self) -> DetectionModel:
         return DetectionModel(
-            crashed_at=10.0, probe_timeout=0.1, next_send_at=10.2, idle_deadline=40.0
+            crashed_at=10.0, probe_timeout=0.1, next_send_at=10.2, idle_deadline=40.0,
+            suspect_after=DEFAULT_SUSPECT_AFTER, backoff_cap=DEFAULT_BACKOFF_CAP, idle_timeout=None,
         )
 
     def test_promotion_is_detection_plus_election_plus_reattach(self):
@@ -119,31 +121,31 @@ class TestOriginCluster:
         simulator = Simulator(seed=3)
         network = Network(simulator)
         with pytest.raises(ValueError):
-            OriginCluster(network, origins=0)
+            OriginCluster(network, origins=0, standby_link=LinkConfig(delay=0.020))
         with pytest.raises(ValueError):
-            RelayTreeSpec.cdn(origins=0)
+            RelayTreeSpec.cdn(4, 4, origins=0)
 
     def test_spec_declaring_a_replicated_origin_needs_the_cluster(self):
         network = Network(Simulator(seed=3))
         build_origin(network)
         with pytest.raises(ValueError, match="declares 2 origin"):
-            RelayTopology(network, Address(ORIGIN, ORIGIN_PORT), RelayTreeSpec.cdn(origins=2))
+            RelayTopology(network, Address(ORIGIN, ORIGIN_PORT), RelayTreeSpec.cdn(4, 4, origins=2))
 
     def test_cluster_larger_than_the_spec_declares_is_refused(self):
         network = Network(Simulator(seed=3))
-        cluster = OriginCluster(network, origins=3)
+        cluster = OriginCluster(network, origins=3, standby_link=LinkConfig(delay=0.020))
         for declared in (1, 2):
             with pytest.raises(ValueError, match="3 built"):
                 RelayTopology(
                     network,
                     Address(ORIGIN, ORIGIN_PORT),
-                    RelayTreeSpec.cdn(origins=declared),
+                    RelayTreeSpec.cdn(4, 4, origins=declared),
                     origin_cluster=cluster,
                 )
         tree = RelayTopology(
             network,
             Address(ORIGIN, ORIGIN_PORT),
-            RelayTreeSpec.cdn(origins=3),
+            RelayTreeSpec.cdn(4, 4, origins=3),
             origin_cluster=cluster,
         )
         assert tree.origin_cluster is cluster
@@ -167,7 +169,7 @@ class TestOriginCluster:
         simulator, _, cluster = build_cluster(origins=3)
         push_groups(simulator, cluster, [2, 3])
         cluster.crash_active()
-        promotion = cluster.promote(via="test")
+        promotion = cluster.promote(via="test", detection_latency=None)
         assert promotion is not None and promotion.epoch == cluster.epoch == 1
         assert cluster.active is cluster.origins[1], "lowest surviving index wins"
         assert cluster.origins[0].role == "deposed"
@@ -181,24 +183,24 @@ class TestOriginCluster:
     def test_promote_with_no_survivors_returns_none(self):
         simulator, _, cluster = build_cluster(origins=2)
         cluster.crash_active()
-        first = cluster.promote(via="test")
+        first = cluster.promote(via="test", detection_latency=None)
         assert first is not None and first.epoch == 1
         cluster.crash_active()
-        assert cluster.promote(via="test") is None
+        assert cluster.promote(via="test", detection_latency=None) is None
         assert cluster.epoch == 1, "a failed election must not burn an epoch"
 
     def test_a_singleton_origin_has_nothing_to_promote(self):
         simulator, _, cluster = build_cluster(origins=1)
         assert cluster.standbys() == []
         victim = cluster.crash_active()
-        assert cluster.promote(via="test") is None
+        assert cluster.promote(via="test", detection_latency=None) is None
         assert cluster.epoch == 0 and cluster.promotions == []
         assert cluster.active is victim and victim.role == "deposed"
 
     def test_replay_ring_is_bounded(self, monkeypatch):
         monkeypatch.setattr(origincluster, "DEFAULT_REPLAY_WINDOW", 4)
         simulator, network, _ = build_cluster(origins=1)
-        cluster = OriginCluster(network, origins=1, host="o2", port=4553)
+        cluster = OriginCluster(network, origins=1, standby_link=LinkConfig(delay=0.020), host="o2", port=4553)
         simulator.run(until=simulator.now + 1.0)
         push_groups(simulator, cluster, range(2, 12), interval=0.01)
         assert len(cluster._replay) == 4
@@ -254,7 +256,7 @@ class TestOriginFailureReporting:
         nobody = SimpleNamespace(
             relay=SimpleNamespace(upstream_address=Address("relay-mid-0", 4443))
         )
-        assert topology.report_origin_failure(nobody) is None
+        assert topology.report_origin_failure(nobody, via="idle-timeout") is None
 
     def test_simultaneous_detectors_elect_exactly_once(self):
         # Both tier-0 uplinks share a keepalive schedule, so their liveness
@@ -302,11 +304,7 @@ class TestOriginFailureReporting:
         late = topology.attach_subscribers(1)[0]
         assert late.leaf is new_edge, "fresh edge is the least-loaded leaf"
         late_groups: list[int] = []
-        topology.subscribe_all(
-            TRACK,
-            on_object=lambda sub, obj: late_groups.append(obj.group_id),
-            subscribers=[late],
-        )
+        late.add_track(TRACK, lambda sub, obj: late_groups.append(obj.group_id)).subscribe(late.session)
         simulator.run(until=simulator.now + 2.0)
         assert cluster.epoch == 1
         assert new_mid.relay.upstream_address == cluster.active.address
@@ -336,7 +334,7 @@ class TestOriginFailureReporting:
         stranded = event.orphans("relay")
         assert stranded and all(record.new_parent == "" for record in stranded)
         # A direct report of the same death is idempotent, not a re-raise.
-        assert topology.report_origin_failure(topology.tiers[0][0]) is event
+        assert topology.report_origin_failure(topology.tiers[0][0], via="idle-timeout") is event
 
     def test_direct_report_of_terminal_death_raises_after_recording(self):
         simulator, _, cluster, topology = build_cluster_tree(origins=2)

@@ -83,9 +83,9 @@ def test_name_wire_roundtrip(name):
 def test_name_compression_roundtrip(first, second):
     compress = {}
     buffer = bytearray()
-    buffer += first.to_wire(compress, 0)
+    first._append_wire(buffer, compress, 0)
     second_offset = len(buffer)
-    buffer += second.to_wire(compress, second_offset)
+    second._append_wire(buffer, compress, 0)
     decoded_first, _ = Name.from_wire(bytes(buffer), 0)
     decoded_second, _ = Name.from_wire(bytes(buffer), second_offset)
     assert decoded_first == first

@@ -220,7 +220,10 @@ class RelayRig(Rig):
         self.relay = MoqtRelay(
             self.network.host("relay"),
             upstream=Address("upstream", MOQT_PORT),
+            port=4443,
             upstream_connection=CLIENT_CONFIG,
+            downstream_connection=None,
+            admission=None,
         )
         self.address = self.relay.address
         self.tracks = [FullTrackName.of(["fanout"], name) for name in (b"t0", b"t1")]

@@ -34,8 +34,8 @@ def _build(loss_rate: float = 0.0, server_accept_early: bool = True, keepalive=N
 
     def echo_handler(connection):
         def on_data(stream_id, data, fin):
-            # The reply goes back on the one stream, finished with the request.
-            connection.send_stream_data(connection.open_stream(), b"echo:" + data, fin=fin)
+            # The reply goes back on the one stream.
+            connection.send_stream_data(connection.open_stream(), b"echo:" + data)
 
         delegate_to(connection, on_stream_data=on_data)
         server_connections.append(connection)
@@ -57,10 +57,8 @@ class TestHandshake:
     def test_handshake_takes_one_rtt(self):
         simulator, server_ep, client_ep, config, _ = _build()
         connection = client_ep.connect(Address(SERVER, 4443), config)
-        times = []
-        connection.on_handshake_complete = lambda c: times.append(simulator.now)
         simulator.run(until=5.0)
-        assert times == [pytest.approx(RTT)]
+        assert connection.handshake_completed_at == pytest.approx(RTT)
         assert connection.negotiated_alpn == "moq-00"
         assert connection.handshake_rtts == 1.0
 
@@ -68,12 +66,8 @@ class TestHandshake:
         simulator, server_ep, client_ep, config, _ = _build()
         connection = client_ep.connect(Address(SERVER, 4443), config)
         replies = []
-
-        def after_handshake(c):
-            stream = c.open_stream()
-            c.send_stream_data(stream, b"ping", fin=True)
-
-        connection.on_handshake_complete = after_handshake
+        # Sent before the handshake: the request waits for it, then leaves.
+        connection.send_stream_data(connection.open_stream(), b"ping")
         delegate_to(
             connection, on_stream_data=lambda sid, data, fin: replies.append((simulator.now, data))
         )
@@ -110,7 +104,7 @@ class TestZeroRtt:
         delegate_to(second, on_stream_data=lambda sid, data, fin: replies.append(simulator.now))
         stream = second.open_stream()
         start = simulator.now
-        second.send_stream_data(stream, b"early", fin=True)
+        second.send_stream_data(stream, b"early")
         simulator.run(until=start + 5.0)
         assert second.used_0rtt and second.early_data_accepted
         assert second.handshake_rtts == 0.0
@@ -140,7 +134,7 @@ class TestZeroRtt:
         )
         start = simulator.now
         stream = second.open_stream()
-        second.send_stream_data(stream, b"early", fin=True)
+        second.send_stream_data(stream, b"early")
         simulator.run(until=start + 5.0)
         assert second.used_0rtt and not second.early_data_accepted
         assert replies and replies[0][1] == b"echo:early"
@@ -152,17 +146,9 @@ class TestReliabilityAndLifecycle:
         simulator, server_ep, client_ep, config, _ = _build(loss_rate=0.25)
         connection = client_ep.connect(Address(SERVER, 4443), config)
         replies = []
-
-        completions = []
-
-        def after_handshake(c):
-            # A retransmitted ServerHello completes the handshake again; the
-            # request goes out once, on the one stream.
-            completions.append(simulator.now)
-            if len(completions) == 1:
-                c.send_stream_data(c.open_stream(), b"lossy", fin=True)
-
-        connection.on_handshake_complete = after_handshake
+        # Queued until the handshake completes; a retransmitted ServerHello
+        # does not send it again.
+        connection.send_stream_data(connection.open_stream(), b"lossy")
         delegate_to(connection, on_stream_data=lambda sid, data, fin: replies.append(data))
         simulator.run(until=60.0)
         assert replies and replies[0] == b"echo:lossy"
@@ -243,7 +229,7 @@ class TestTimerEdgeCases:
         delegate_to(connection, on_closed=lambda code, reason: closed_at.append(simulator.now))
         simulator.run(until=0.8)
         stream = connection.open_stream()
-        connection.send_stream_data(stream, b"extend", fin=True)  # deadline moves
+        connection.send_stream_data(stream, b"extend")  # deadline moves
         last_activity = simulator.now + RTT  # the echo reply restarts it again
         simulator.run(until=10.0)
         assert connection.closed

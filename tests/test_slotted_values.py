@@ -62,7 +62,7 @@ def test_aaaa_compares_on_the_address_as_given():
     assert short.to_text() == long.to_text() == "::1"
     # A decoded AAAA record carries the canonical text, and its slots.
     name = Name.from_text("v6.example.")
-    record = ResourceRecord(name, RecordType.AAAA, long)
+    record = ResourceRecord(name, RecordType.AAAA, long, 300)
     wire = make_response(make_query(name, RecordType.AAAA), answers=[record]).to_wire()
     (decoded,) = Message.from_wire(wire).answers
     assert decoded.rdata == short and decoded.rdata.to_wire() == long.to_wire()

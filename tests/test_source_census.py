@@ -63,16 +63,25 @@ that what runs names only as a bare name are found mechanically
 hand against what runs.  What only tests reach is in ``HIDDEN_BY_NAME``.
 
 * every option has two values in what runs: a defaulted field of a config
-  dataclass, a defaulted ``__init__`` parameter or a defaulted parameter of
-  a module-level function under ``src/repro`` is passed a second value
-  somewhere in ``src/``, ``examples/`` or ``benchmarks/``
+  dataclass, a defaulted ``__init__`` parameter, or a defaulted parameter of
+  a module-level function or of a method under ``src/repro`` is passed a
+  second value somewhere in ``src/``, ``examples/`` or ``benchmarks/``
   (:func:`one_valued`), or it is in ``ONE_VALUE`` with its reason:
   ``deployment``, ``peer behaviour``, the ``canary`` test that runs it at
   another value or the ``ROADMAP`` item that sets it.  Any other option with
-  one value in use is a constant.  A function parameter's default is a value
-  only where a call leaves it in place: one every call overrides is dead
-  (drop it).  A value forwarded through a function's parameter is followed
-  to the function's callers.
+  one value in use is a constant.  A default is a value only where a call or
+  construction leaves it in place: one every call overrides is dead (drop
+  it); the fields of the wire messages and values (``WIRE_MODULES``) are
+  data and exempt.  A method is called by name on any object, so any call
+  ``x.method(...)`` sets its parameters (by position after ``self``, from 0
+  for a staticmethod), one handed on by reference has them all set, and one
+  only tests reach has none.  A value forwarded through a function's
+  parameter is followed to the function's callers; an attribute read is
+  followed to its owner's option where the owner is evident (``self``, a
+  parameter annotated with a class, a local bound to one), else linked by
+  name and listed in ``LINKED_BY_NAME``.  The test prints what it cannot
+  see: those by-name links, method parameters outside the census (none) and
+  the wire fields every construction sets.
 """
 
 from __future__ import annotations
@@ -104,6 +113,8 @@ UNREFERENCED = {
 #: closed form or reference codec tests compare the system against) or
 #: ``ROADMAP n`` (wiring the open item adds).
 TEST_ONLY: dict[str, str] = {
+    "analysis/detection.py::DEFAULT_BACKOFF_CAP": "oracle: the PTO backoff cap suspect_latency assumes (test_failure_detection.py pins it to the transport's)",
+    "analysis/detection.py::DEFAULT_SUSPECT_AFTER": "oracle: the PTOs to suspicion suspect_latency assumes (test_failure_detection.py pins it to the transport's)",
     "analysis/detection.py::suspect_latency": "oracle: the PTO suspect time test_quic_connection.py checks the connection against",
     "core/compatibility.py::CapabilityMemo.known_moqt_hosts": "observer: the hosts the memo believes speak MoQT",
     "core/compatibility.py::RefreshScheduler.refresh_counts": "observer: refreshes per question",
@@ -684,15 +695,20 @@ ONE_VALUE: dict[str, str] = {
     "experiments/topology.py::build_workload_topology(upstream_rtt)": "ROADMAP 0: benchmarks/e2e passes the workload's RTTs",
     "moqt/origin.py::OriginPublisher(track)": "deployment: the name the track is published at",
     "moqt/origin.py::build_origin_endpoint(port)": "deployment: the origins' port",
+    "netsim/packet.py::Datagram.protocol": "canary: tests/test_megafan.py, tests/test_constrained_batch.py: the delivery canary and the constrained equivalence send bare datagrams, labelled with the default",
+    "netsim/simulator.py::Simulator(seed)": "canary: tests/test_fastpath.py, tests/test_megafan.py: the determinism pins and the delivery canary run at the default seed",
     "quic/tls.py::ServerTlsContext.accept_early_data": "peer behaviour: a server that refuses 0-RTT",
     "quic/tls.py::SessionTicket.lifetime": "peer behaviour: a server whose tickets expire",
+    "relaynet/admission.py::AdmissionPolicy.bucket_depth": "canary: tests/test_admission.py: admission on/off identity runs the unlimited AdmissionPolicy()",
     "relaynet/admission.py::AdmissionPolicy.max_pending_subscribes": "ROADMAP 3(c): the pending-subscribe cap 3(c) makes binding",
     "relaynet/admission.py::AdmissionPolicy.queue_retry_after": "ROADMAP 3(c): the hint the pending-subscribe cap quotes",
+    "relaynet/admission.py::AdmissionPolicy.subscribe_rate": "canary: tests/test_admission.py: admission on/off identity runs the unlimited AdmissionPolicy()",
     "relaynet/origincluster.py::OriginCluster(host)": "deployment: the active origin's host",
     "relaynet/origincluster.py::OriginCluster(port)": "deployment: the origins' port",
     "relaynet/origincluster.py::OriginCluster(track)": "deployment: the name the track is published at",
     "relaynet/spec.py::RelayTreeSpec.host_prefix": "deployment: the relays' host names",
     "relaynet/topology.py::RelayTopology(port)": "deployment: the relays' port",
+    "relaynet/topology.py::RelayTopology.flash_crowd(on_object)": "ROADMAP 4(c): E17's generator checks that every stormer's delivery is gapless (test_subscriber_lifecycle.py records it)",
 }
 ONE_VALUE_REASON = re.compile(r"deployment|peer behaviour|canary|ROADMAP \d+(\([a-z]\))?(, \d+(\([a-z]\))?)*")
 
@@ -732,8 +748,10 @@ def _fields(node: ast.ClassDef) -> list[tuple[str, ast.expr | None]]:
 
 
 class Option:
-    """One defaulted field, ``__init__`` parameter or module-level function
-    parameter: where it is, and the class or function whose call sets it."""
+    """One defaulted field, ``__init__`` parameter, module-level function
+    parameter or method parameter: where it is, and the class, function or
+    method whose call sets it (a method's owner is ``.name``: any call
+    ``x.name(...)`` sets it)."""
 
     def __init__(
         self, qualname: str, owner: str, name: str, position: int | None, default: ast.expr, function: bool = False
@@ -744,6 +762,7 @@ class Option:
         self.position = position
         self.default = default
         self.field = "(" not in qualname
+        self.method = owner.startswith(".")
         self.function = function
 
 
@@ -768,9 +787,12 @@ def options(modules: dict[str, str]) -> list[Option]:
     outside the class: a counter or a state record is not configured), or
     a defaulted ``__init__`` parameter.  A field named ``_...`` is the
     object's own state, never an option.  So is a defaulted parameter of a
-    module-level function, owned by the function.
+    module-level function, owned by the function, and one of a method other
+    than ``__init__``, owned by every call of the method's name, unless only
+    tests reach the method (``TEST_ONLY``, ``HIDDEN_BY_NAME``).
     """
     trees = {path: _nodes(source) for path, source in modules.items()}
+    tested = {*TEST_ONLY, *HIDDEN_BY_NAME}
     stored: set[str] = set()
     own: dict[str, set[str]] = {}
     for nodes in trees.values():
@@ -808,12 +830,20 @@ def options(modules: dict[str, str]) -> list[Option]:
                         for position, (name, default) in enumerate(fields)
                         if default is not None and not name.startswith("_")
                     ]
-            for init in node.body:
-                if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+            for method in node.body:
+                if not isinstance(method, ast.FunctionDef) or f"{path}::{node.name}.{method.name}" in tested:
+                    continue
+                if method.name == "__init__":
                     found += [
                         Option(f"{path}::{node.name}({name})", node.name, name, position, default)
-                        for name, position, default in _defaulted(init.args, -1)
+                        for name, position, default in _defaulted(method.args, -1)
                     ]
+                    continue
+                static = any(_callee(decorator) == "staticmethod" for decorator in method.decorator_list)
+                found += [
+                    Option(f"{path}::{node.name}.{method.name}({name})", f".{method.name}", name, position, default)
+                    for name, position, default in _defaulted(method.args, 0 if static else -1)
+                ]
         for function in nodes[0].body:
             if isinstance(function, ast.FunctionDef):
                 found += [
@@ -897,7 +927,8 @@ def passed_values(
     -> [[(keyword or position, expression)] per call], field -> [...])``.
 
     A call counts when its callee is named like the class (``Class(...)``,
-    ``module.Class(...)``), when it is ``cls(...)`` in a classmethod or
+    ``module.Class(...)``, a bare ``field(default_factory=Class)``), when it
+    is ``cls(...)`` in a classmethod or
     ``type(self)(...)`` inside the class, or ``super().__init__(...)`` in a
     subclass.  Two shapes are followed to the class they reach: a function
     that calls a class its caller passes it (``_get(Counter, ...)`` calling
@@ -922,6 +953,16 @@ def passed_values(
                 continue
             cls, function = scopes[id(node)]
             every.append((node, function, nodes[0]))
+            if _callee(node.func) == "field":
+                # ``field(default_factory=Class)`` constructs the class bare.
+                factory = next((k.value for k in node.keywords if k.arg == "default_factory"), None)
+                if isinstance(factory, (ast.Name, ast.Attribute)) and _callee(factory) in owners:
+                    constructed.setdefault(_callee(factory), []).append([])
+            if isinstance(node.func, ast.Attribute) and f".{node.func.attr}" in owners:
+                passed, unread = _passed(node, function, nodes[0])
+                if unread is not None:
+                    passed.append(("**", None))
+                constructed.setdefault(f".{node.func.attr}", []).append(passed)
             callee = _callee(node.func)
             parameters = [argument.arg for argument in function.args.args] if function else []
             classmethod_ = bool(function) and any(
@@ -1059,15 +1100,73 @@ def spelling(runs: dict[str, str]):
     return spell
 
 
+def _annotated(annotation: ast.expr | None, classes: set[str]) -> str | None:
+    """The class under ``src/repro`` an annotation names (``Foo``,
+    ``"Foo"``, ``Foo | None``, ``Optional[Foo]``), else ``None``."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        try:
+            annotation = ast.parse(annotation.value, mode="eval").body
+        except SyntaxError:
+            return None
+    if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
+        sides = [side for side in (annotation.left, annotation.right) if getattr(side, "value", 0) is not None]
+        return _annotated(sides[0], classes) if len(sides) == 1 else None
+    if isinstance(annotation, ast.Subscript) and _callee(annotation.value) == "Optional":
+        return _annotated(annotation.slice, classes)
+    name = _callee(annotation) if isinstance(annotation, (ast.Name, ast.Attribute)) else None
+    return name if name in classes else None
+
+
+def attribute_classes(modules: dict[str, str]) -> tuple[set[str], dict[tuple[str, str], str]]:
+    """``(class names under src/repro, (class, attribute) -> the class the
+    attribute holds)``, where that is evident: a field or ``self.attribute``
+    annotated with a class, or ``self.attribute`` bound in a method to a
+    parameter annotated with one, or to a construction of one."""
+    trees = [_nodes(source) for source in modules.values()]
+    classes = {node.name for nodes in trees for node in nodes if isinstance(node, ast.ClassDef)}
+    held: dict[tuple[str, str], str] = {}
+    for nodes in trees:
+        for node in nodes:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for statement in node.body:
+                if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+                    found = _annotated(statement.annotation, classes)
+                    if found:
+                        held[(node.name, statement.target.id)] = found
+            for method in node.body:
+                if not isinstance(method, ast.FunctionDef):
+                    continue
+                parameters = {argument.arg: argument.annotation for argument in ast.walk(method.args) if isinstance(argument, ast.arg)}
+                for statement in ast.walk(method):
+                    if isinstance(statement, ast.AnnAssign):
+                        targets, found = [statement.target], _annotated(statement.annotation, classes)
+                    elif isinstance(statement, ast.Assign):
+                        value = statement.value.body if isinstance(statement.value, ast.IfExp) else statement.value
+                        if isinstance(value, ast.Name):
+                            found = _annotated(parameters.get(value.id), classes)
+                        else:
+                            found = _callee(value.func) if isinstance(value, ast.Call) else None
+                        targets = statement.targets
+                    else:
+                        continue
+                    for target in targets:
+                        if found in classes and isinstance(target, ast.Attribute) and getattr(target.value, "id", None) == "self":
+                            held.setdefault((node.name, target.attr), found)
+    return classes, held
+
+
 def one_valued(modules: dict[str, str], runs: dict[str, str]) -> OptionCensus:
     """Every option, and the qualnames of those what runs passes no second
-    value, or (a function's parameter) whose default no call leaves in
-    place.  A second value is any expression that does not spell the
-    default's value (:func:`spelling`), except one that forwards another
+    value, or whose default no call leaves in place (outside
+    ``WIRE_MODULES``).  A second value is any expression that does not spell
+    the default's value (:func:`spelling`), except one that forwards another
     option: a parameter of the enclosing ``__init__`` that is itself an
-    option, or an attribute read named like an option
-    (``config.idle_timeout``).  Those count once the option they forward has
-    a second value: the census iterates to a fixpoint.  A parameter of any
+    option, or an attribute read (``config.idle_timeout``) of the option of
+    that name on the read object's class where that is evident
+    (:func:`attribute_classes`), else of any option of that name.  Those
+    count once the option they forward has a second value: the census
+    iterates to a fixpoint; reading an option's own value is none.  A parameter of any
     other function is followed to what the function's callers pass it (its
     default where a call leaves it out), through as many functions as
     forward it; a function that what runs also names without calling it (a
@@ -1159,63 +1258,112 @@ def one_valued(modules: dict[str, str], runs: dict[str, str]) -> OptionCensus:
             passed += given
         if option.field:
             passed += [value for _, value in replaced.get(option.name, ())]
-        if option.function and option.owner in referenced:
+        if (option.function or option.method) and option.owner.lstrip(".") in referenced:
             passed.append(None)
             live.add(option.qualname)
         values[option.qualname] = [value for one in passed for value in received(one)]
 
+    classes, held = attribute_classes(modules)
+
+    def owner_of(node: ast.expr, depth: int = 0) -> str | None:
+        """The class ``node`` evidently holds: ``self`` in a class, a
+        parameter annotated with a class, a local bound once to a
+        construction or to another such expression, or an attribute of any
+        of these that :func:`attribute_classes` knows."""
+        if isinstance(node, ast.Call):
+            return _callee(node.func) if _callee(node.func) in classes else None
+        if isinstance(node, ast.Attribute):
+            owner = owner_of(node.value, depth)
+            return held.get((owner, node.attr)) if owner else None
+        if not isinstance(node, ast.Name):
+            return None
+        cls, function = sources.get(id(node), (None, None))
+        if node.id == "self":
+            return cls.name if cls is not None else None
+        if function is None:
+            return None
+        arguments = function.args
+        for argument in arguments.posonlyargs + arguments.args + arguments.kwonlyargs:
+            if argument.arg == node.id:
+                return _annotated(argument.annotation, classes)
+        bound = [
+            statement.value
+            for statement in ast.walk(function)
+            if isinstance(statement, ast.Assign)
+            and any(getattr(target, "id", None) == node.id for target in statement.targets)
+        ]
+        return owner_of(bound[0], depth + 1) if len(bound) == 1 and depth < 4 else None
+
     def forwarded(option: Option, value: ast.expr) -> list[Option] | None:
         if isinstance(value, ast.Attribute):
-            others = [other for other in by_name.get(value.attr, ()) if other is not option and not other.function]
-            return others or None
+            owner = owner_of(value.value)
+            others = [
+                other
+                for other in by_name.get(value.attr, ())
+                if not other.function and not other.method and owner in (None, other.owner)
+            ]
+            if owner is not None and others:
+                # The owner's own option, the one read: forwarding itself is no new value.
+                return [other for other in others if other is not option]
+            return [other for other in others if other is not option] or None
         if isinstance(value, ast.Name):
             cls, function = sources.get(id(value), (None, None))
             if function is not None and function.name == "__init__" and cls is not None:
                 return [
                     other
                     for other in by_name.get(value.id, ())
-                    if other.owner == cls.name and not other.field and not other.function and other is not option
+                    if other.owner == cls.name and not other.field and not other.function and not other.method and other is not option
                 ] or None
         return None
 
+    def seconds(option: Option, second: set[str]) -> list[ast.expr | None]:
+        """The values of ``option`` that are a second value, given the
+        options known to have one."""
+        return [
+            value
+            for value in values[option.qualname]
+            if value is None
+            or (
+                spell(value) != defaults[option.qualname]
+                and ((others := forwarded(option, value)) is None or any(other.qualname in second for other in others))
+            )
+        ]
+
     second: set[str] = set()
     while True:
-        grown = {
-            option.qualname
-            for option in found
-            if any(
-                value is None
-                or (
-                    spell(value) != defaults[option.qualname]
-                    and (
-                        (others := forwarded(option, value)) is None
-                        or any(other.qualname in second for other in others)
-                    )
-                )
-                for value in values[option.qualname]
-            )
-        }
+        grown = {option.qualname for option in found if seconds(option, second)}
         if grown == second:
             break
         second = grown
-    # Options whose second value is only a forwarded attribute read, linked
-    # to another option by its name alone.
+    # Options whose every second value is an attribute read linked to
+    # another option by its name alone.
     linked = {
         option.qualname
         for option in found
         if option.qualname in second
         and all(
-            value is not None and (spell(value) == defaults[option.qualname] or isinstance(value, ast.Attribute) and forwarded(option, value))
-            for value in values[option.qualname]
+            isinstance(value, ast.Attribute) and owner_of(value.value) is None and forwarded(option, value)
+            for value in seconds(option, second)
         )
     }
     dead = {option.qualname for option in found if option.qualname not in live}
     flagged = sorted(
         option.qualname
         for option in found
-        if option.qualname not in second or (option.function and option.qualname in dead)
+        if option.qualname not in second or (option.qualname in dead and not _wire(option))
     )
     return OptionCensus(found, flagged, second, dead, linked)
+
+
+#: Modules whose classes are wire messages and values: a field every
+#: construction sets is data, not an option with a dead default.
+WIRE_MODULES = ("moqt/messages.py", "moqt/datastream.py", "dns/message.py", "quic/frames.py", "quic/tls.py")
+
+
+def _wire(option: Option) -> bool:
+    """Whether ``option`` is a field or ``__init__`` parameter of a class in
+    ``WIRE_MODULES``."""
+    return not (option.function or option.method) and option.qualname.split("::")[0] in WIRE_MODULES
 
 
 class OptionCensus(NamedTuple):
@@ -1232,8 +1380,7 @@ class OptionCensus(NamedTuple):
 
 def method_parameters(modules: dict[str, str]) -> list[str]:
     """``path::Class.method(parameter)`` of every defaulted parameter of a
-    method other than ``__init__`` under ``src/repro``: options the census
-    does not follow, since a method is called by name on any object."""
+    method other than ``__init__`` under ``src/repro``."""
     return [
         f"{path}::{node.name}.{method.name}({name})"
         for path, source in modules.items()
@@ -1245,25 +1392,38 @@ def method_parameters(modules: dict[str, str]) -> list[str]:
     ]
 
 
+#: Options whose second value is an attribute read the census can only link
+#: to an option by its name (the owner of the object read is not evident),
+#: and why that link is the right one.
+LINKED_BY_NAME = {
+    "core/session_manager.py::UpstreamSessionManager(config)": (
+        "self.config.session_manager in SubscribingResolver: self.config is the role's "
+        "ResolverConfig or ForwarderConfig, each with its own session_manager"
+    ),
+}
+
+
 def test_every_option_has_two_values_in_what_runs(repository):
     """Every option has two values in what runs, or is listed in ONE_VALUE.
 
     Printed with the test, what the census still cannot see:
 
-    * options whose second value is only an attribute read named like another
-      option (``Foo(x=config.x)``): the by-name link counts it once any option
-      named ``x`` has a second value, so one forwarded from an unrelated class
-      can hide;
-    * defaulted parameters of methods other than ``__init__``
-      (:func:`method_parameters`), which are not options to it;
-    * class options no construction in what runs leaves at their default: the
-      dead-default rule holds for function parameters only, and most of these
-      are per-message wire fields (``SubscribeError.request_id``), which are
-      data, not options.
+    * options whose second value is only an attribute read whose owner is not
+      evident (``Foo(x=thing.x)``, ``thing`` neither ``self``, a parameter
+      annotated with a class, nor a local bound to one): the by-name link
+      counts it once any option named ``x`` has a second value.  Each is in
+      ``LINKED_BY_NAME`` with its reason;
+    * defaulted method parameters outside the census: none, since a method
+      only tests reach has no options;
+    * fields of the wire messages and values (``WIRE_MODULES``) that no
+      construction in what runs leaves at their default: per-message data
+      (``SubscribeError.request_id``), not options, so the dead-default rule
+      passes them.
     """
     modules, _, runs = repository
     census = one_valued(modules, runs)
     _exact(census.flagged, ONE_VALUE, "an option what runs sets to one value only (ONE_VALUE; make it a constant)")
+    _exact(sorted(census.linked), LINKED_BY_NAME, "an option linked to another by name only (LINKED_BY_NAME)")
     assert not [name for name, why in ONE_VALUE.items() if not ONE_VALUE_REASON.fullmatch(why.split(":")[0])]
     # A canary names the test files that run it.
     for why in ONE_VALUE.values():
@@ -1273,23 +1433,33 @@ def test_every_option_has_two_values_in_what_runs(repository):
     for why in ONE_VALUE.values():
         reason = why.split(":")[0]
         counts[reason] = counts.get(reason, 0) + 1
-    functions = [option for option in census.options if option.function]
-    classes = [option for option in census.options if not option.function]
-    methods = method_parameters(modules)
+    kinds = {
+        "of classes": [option for option in census.options if not option.function and not option.method],
+        "function parameters": [option for option in census.options if option.function],
+        "method parameters": [option for option in census.options if option.method],
+    }
     print(
-        f"options: {len(classes)} of classes, {len(functions)} function parameters; "
-        f"{len(census.flagged)} with one value in what runs"
+        "options: "
+        + ", ".join(f"{len(found)} {kind}" for kind, found in kinds.items())
+        + f"; {len(census.flagged)} with one value in what runs"
     )
-    print(
-        "function parameters: "
-        f"{sum(option.qualname not in census.second for option in functions)} passed no second value, "
-        f"{sum(option.qualname in census.flagged for option in functions)} flagged once a dead default counts"
-    )
+    for kind in ("function parameters", "method parameters"):
+        print(
+            f"{kind}: "
+            f"{sum(option.qualname not in census.second for option in kinds[kind])} passed no second value, "
+            f"{sum(option.qualname in census.flagged for option in kinds[kind])} flagged once a dead default counts"
+        )
     print("ONE_VALUE by reason:", ", ".join(f"{reason} {count}" for reason, count in sorted(counts.items())))
+    seen = {option.qualname for option in census.options}
+    tested = {*TEST_ONLY, *HIDDEN_BY_NAME}
+    outside = [name for name in method_parameters(modules) if name not in seen and name.split("(")[0] not in tested]
+    assert outside == []
+    wire = [option for option in census.options if _wire(option) and option.qualname in census.dead]
     print(
         f"not seen: {len(census.linked)} options linked by name only; "
-        f"{len(methods)} defaulted parameters of {len({name.split('(')[0] for name in methods})} other methods; "
-        f"{sum(option.qualname in census.dead for option in classes)} class options no construction leaves at the default"
+        f"{len(outside)} method parameters outside the census "
+        f"({len(method_parameters(modules)) - len(kinds['method parameters'])} of methods only tests reach); "
+        f"{len(wire)} wire-message fields no construction leaves at the default"
     )
 
 
@@ -1308,6 +1478,10 @@ class RecoveryModel:
 
 def recovery_model(link_delay, alpn_version_negotiation=False):
     return RecoveryModel(link_delay=link_delay, alpn_version_negotiation=alpn_version_negotiation)
+
+
+def baseline(link_delay):
+    return RecoveryModel(link_delay=link_delay)
 '''
     modules = {"analysis/churn.py": model}
 
@@ -1420,6 +1594,174 @@ class TierStats:
     forwarder = "def run():\n    def stats(**overrides):\n        return TierStats('edge', **overrides)\n    return stats({})\n"
     assert one(forwarder.replace("({})", "()")) == flag
     assert one(forwarder.replace("({})", "(retransmissions=3)")) == []
+
+
+def _census(modules: dict[str, str], caller: str) -> OptionCensus:
+    """The option census of planted ``modules`` (under ``src/repro``) and
+    one caller module."""
+    runs = {f"src/repro/{path}": source for path, source in modules.items()}
+    return one_valued(modules, {**runs, "src/repro/experiments/run.py": caller})
+
+
+def test_option_census_matches_a_method_call_by_name():
+    # Simulator.run as it stood, with a second class's ``run``: a call of
+    # either name on any object passes both, by position after ``self``.
+    simulator = """
+class Simulator:
+    def run(self, until=None, max_events=None):
+        return until, max_events
+
+
+class SmallTopology:
+    def run(self, seconds):
+        return seconds
+"""
+    modules = {"netsim/simulator.py": simulator}
+    until, max_events = "netsim/simulator.py::Simulator.run(until)", "netsim/simulator.py::Simulator.run(max_events)"
+    found = _census(modules, "def main(simulator):\n    simulator.run()\n    simulator.run(until=5.0)\n")
+    assert max_events in found.flagged and until not in found.flagged
+    # ``topology.run(10.0)`` is matched by name: its first argument is a
+    # second value of ``until``, and one of ``max_events`` nowhere.
+    found = _census(modules, "def main(simulator, topology):\n    simulator.run()\n    topology.run(10.0)\n")
+    assert until in found.second and max_events in found.flagged
+    found = _census(modules, "def main(simulator):\n    simulator.run()\n    simulator.run(1.0, 25)\n")
+    assert found.flagged == []
+
+
+def test_option_census_counts_a_method_handed_on_as_set():
+    # RelayTopology's storm join as it stood: scheduled by reference, so the
+    # census cannot see its calls and every parameter counts as set.
+    topology = """
+class RelayTopology:
+    def flash_crowd(self, count, host_prefix="storm"):
+        for index in range(count):
+            self.simulator.call_later(0.001 * index, self._storm_join, host_prefix)
+
+    def _storm_join(self, host_prefix="storm", pinned_leaf=None):
+        return host_prefix, pinned_leaf
+"""
+    modules = {"relaynet/topology.py": topology}
+    found = _census(modules, "def main(topology):\n    topology.flash_crowd(4)\n")
+    assert found.flagged == ["relaynet/topology.py::RelayTopology.flash_crowd(host_prefix)"]
+    assert "relaynet/topology.py::RelayTopology._storm_join(pinned_leaf)" in found.second
+
+
+def test_option_census_counts_a_staticmethods_positions_from_zero():
+    # Link.transmit_many as it stood: positions start at ``simulator``.
+    link = """
+class Link:
+    @staticmethod
+    def transmit_many(simulator, entries, batch_sink=None):
+        return simulator, entries, batch_sink
+"""
+    modules = {"netsim/link.py": link}
+    sink = "netsim/link.py::Link.transmit_many(batch_sink)"
+    # Every call passes the sink: one value, and its default is dead.
+    found = _census(modules, "def main(simulator, entries):\n    Link.transmit_many(simulator, entries, Network(simulator))\n")
+    assert found.flagged == [sink] and sink in found.second and sink in found.dead
+    # A two-entry call leaves it out: counted from ``self``, ``entries``
+    # would have been the sink and the default dead still.
+    found = _census(
+        modules,
+        "def main(simulator, entries):\n"
+        "    Link.transmit_many(simulator, entries, Network(simulator))\n    Link.transmit_many(simulator, entries)\n",
+    )
+    assert found.flagged == []
+
+
+def test_option_census_flags_a_dead_method_default():
+    # MoqtRelay.abandon_upstream as it stood: its one call passes a reason.
+    relay = """
+class MoqtRelay:
+    def abandon_upstream(self, reason="no surviving parent"):
+        return reason
+"""
+    modules = {"moqt/relay.py": relay}
+    reason = "moqt/relay.py::MoqtRelay.abandon_upstream(reason)"
+    found = _census(modules, "def main(relay, error):\n    relay.abandon_upstream(error.replace('-', ' '))\n")
+    assert found.flagged == [reason] and reason in found.second and reason in found.dead
+    found = _census(modules, "def main(relay, error):\n    relay.abandon_upstream(str(error))\n    relay.abandon_upstream()\n")
+    assert found.flagged == []
+
+
+def test_option_census_gives_a_method_only_tests_reach_no_options():
+    # MoqtRelay.shutdown is in TEST_ONLY: its reason is no option, while
+    # the same shape on a method what runs calls is one.
+    relay = """
+class MoqtRelay:
+    def shutdown(self, reason="relay shutting down"):
+        return reason
+
+    def abandon_upstream(self, reason="no surviving parent"):
+        return reason
+"""
+    modules = {"moqt/relay.py": relay}
+    found = _census(modules, "def main(relay):\n    relay.abandon_upstream()\n")
+    assert [option.qualname for option in found.options] == ["moqt/relay.py::MoqtRelay.abandon_upstream(reason)"]
+    assert found.flagged == ["moqt/relay.py::MoqtRelay.abandon_upstream(reason)"]
+
+
+def test_option_census_follows_an_attribute_read_to_its_evident_owner():
+    # A relay's port as the topology forwarded it, next to an unrelated
+    # ``port`` with two values: the by-name link counted that one for both.
+    relay = """
+class MoqtRelay:
+    def __init__(self, host, port=4443):
+        self.port = port
+
+
+class RelayTopology:
+    def __init__(self, network, port=4443):
+        self.port = port
+
+    def add(self, host):
+        return MoqtRelay(host, port=self.port)
+
+
+class DnsServer:
+    def __init__(self, host, port=53):
+        self.port = port
+"""
+    modules = {"moqt/relay.py": relay}
+    caller = (
+        "def main(network, host):\n    RelayTopology(network).add(host)\n    MoqtRelay(host)\n"
+        "    DnsServer(host)\n    DnsServer(host, 5353)\n"
+    )
+    found = _census(modules, caller)
+    assert found.flagged == ["moqt/relay.py::MoqtRelay(port)", "moqt/relay.py::RelayTopology(port)"]
+    assert found.linked == set()
+    # Read off an object of no evident class, the value is linked by name.
+    unknown = caller + "\ndef other(thing, host):\n    MoqtRelay(host, port=thing.port)\n"
+    found = _census(modules, unknown)
+    assert found.flagged == ["moqt/relay.py::RelayTopology(port)"]
+    assert found.linked == {"moqt/relay.py::MoqtRelay(port)"}
+
+
+def test_option_census_flags_a_dead_class_default_outside_the_wire_messages():
+    # A result field every construction sets (Fig2Result.push_latency as
+    # it stood), and a wire message's field every construction sets.
+    result = """
+from dataclasses import dataclass
+
+
+@dataclass
+class Fig2Result:
+    lookup_latency: float
+    push_latency: float | None = None
+"""
+    message = """
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Unsubscribe:
+    request_id: int = 0
+"""
+    modules = {"experiments/fig2_sequence.py": result, "moqt/messages.py": message}
+    caller = "def main(latency, push, request):\n    Fig2Result(latency, push_latency=float(push))\n    Unsubscribe(int(request))\n"
+    found = _census(modules, caller)
+    assert found.flagged == ["experiments/fig2_sequence.py::Fig2Result.push_latency"]
+    assert "moqt/messages.py::Unsubscribe.request_id" in found.dead
 
 
 def unused_imports(source: str, path: str) -> list[str]:

@@ -144,17 +144,17 @@ class TestWriterDifferential:
         assert record.wire_size == len(sent[0]) == connection.statistics.bytes_sent
 
     @settings(max_examples=100, deadline=None)
-    @given(varints, varints, st.integers(min_value=0, max_value=1 << 40), payloads, st.booleans())
+    @given(varints, varints, st.integers(min_value=0, max_value=1 << 40), payloads)
     def test_send_stream_data_frames_each_write_at_the_stream_offset(
-        self, connection_id, packet_number, offset, data, fin
+        self, connection_id, packet_number, offset, data
     ):
         sent: list[bytes] = []
         connection = _connection(sent, connection_id)
         connection._next_packet_number = packet_number
         stream = connection.open_stream()
         stream._send_offset = offset
-        connection.send_stream_data(stream, data, fin)
-        frame = StreamFrame(stream.stream_id, offset, data, fin)
+        connection.send_stream_data(stream, data)
+        frame = StreamFrame(stream.stream_id, offset, data, False)
         assert sent == [Packet(PacketType.ONE_RTT, connection_id, packet_number, (frame,)).encode()]
 
     @settings(max_examples=200, deadline=None)

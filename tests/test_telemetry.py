@@ -56,19 +56,19 @@ class TestMetricsRegistry:
 
     def test_registration_is_idempotent(self):
         registry = MetricsRegistry()
-        assert registry.gauge("hits") is registry.gauge("hits")
+        assert registry.gauge("hits", "") is registry.gauge("hits", "")
 
     def test_label_mismatch_raises(self):
         registry = MetricsRegistry()
-        registry.gauge("labelled", labels=("tier",))
+        registry.gauge("labelled", "", labels=("tier",))
         with pytest.raises(MetricError):
-            registry.gauge("labelled", labels=("role",))
+            registry.gauge("labelled", "", labels=("role",))
         with pytest.raises(MetricError):
-            registry.gauge("labelled")
+            registry.gauge("labelled", "")
 
     def test_labels_cached_per_value_tuple(self):
         registry = MetricsRegistry()
-        family = registry.gauge("per_tier", labels=("tier",))
+        family = registry.gauge("per_tier", "", labels=("tier",))
         assert family.is_family
         child = family.labels("mid")
         assert family.labels("mid") is child
@@ -77,24 +77,24 @@ class TestMetricsRegistry:
         assert registry.snapshot() == {"per_tier": {"tier=mid": 2, "tier=edge": 0}}
 
     def test_family_parent_rejects_direct_set(self):
-        family = MetricsRegistry().gauge("fam", labels=("a",))
+        family = MetricsRegistry().gauge("fam", "", labels=("a",))
         with pytest.raises(MetricError):
             family.set(1)
 
     def test_unlabelled_rejects_labels(self):
-        gauge = MetricsRegistry().gauge("plain")
+        gauge = MetricsRegistry().gauge("plain", "")
         with pytest.raises(MetricError):
             gauge.labels("x")
 
     def test_wrong_label_arity_raises(self):
-        family = MetricsRegistry().gauge("fam", labels=("a", "b"))
+        family = MetricsRegistry().gauge("fam", "", labels=("a", "b"))
         with pytest.raises(MetricError):
             family.labels("only-one")
 
     def test_snapshot_survives_json(self):
         registry = MetricsRegistry()
-        registry.gauge("plain").set(3)
-        registry.gauge("hop", labels=("tier", "role")).labels("edge", "relay").set(0.5)
+        registry.gauge("plain", "").set(3)
+        registry.gauge("hop", "", labels=("tier", "role")).labels("edge", "relay").set(0.5)
         snapshot = registry.snapshot()
         assert snapshot == {"plain": 3, "hop": {"tier=edge,role=relay": 0.5}}
         assert json.loads(json.dumps(snapshot)) == snapshot
@@ -103,26 +103,26 @@ class TestMetricsRegistry:
     def test_snapshot_preserves_registration_order(self):
         registry = MetricsRegistry()
         for name in ("c", "a", "b"):
-            registry.gauge(name)
+            registry.gauge(name, "")
         assert list(registry.snapshot()) == ["c", "a", "b"]
 
     def test_set_replaces_the_value(self):
-        gauge = MetricsRegistry().gauge("scraped")
+        gauge = MetricsRegistry().gauge("scraped", "")
         gauge.set(5)
         gauge.set(3)
         assert gauge.value == 3
 
     def test_label_values_are_stringified(self):
         registry = MetricsRegistry()
-        family = registry.gauge("per_index", labels=("index",))
+        family = registry.gauge("per_index", "", labels=("index",))
         assert family.labels(1) is family.labels("1")
         family.labels(1).set(4)
         assert registry.snapshot() == {"per_index": {"index=1": 4}}
 
     def test_family_registration_is_idempotent_for_any_label_sequence(self):
         registry = MetricsRegistry()
-        family = registry.gauge("fam", labels=("tier",))
-        assert registry.gauge("fam", labels=["tier"]) is family
+        family = registry.gauge("fam", "", labels=("tier",))
+        assert registry.gauge("fam", "", labels=["tier"]) is family
 
     def test_first_help_text_stays(self):
         registry = MetricsRegistry()
@@ -132,17 +132,17 @@ class TestMetricsRegistry:
     def test_empty_registry_and_empty_family(self):
         registry = MetricsRegistry()
         assert registry.snapshot() == {}
-        registry.gauge("fam", labels=("a",))
+        registry.gauge("fam", "", labels=("a",))
         assert registry.snapshot() == {"fam": {}}
 
     def test_children_in_first_use_order(self):
-        family = MetricsRegistry().gauge("fam", labels=("a",))
+        family = MetricsRegistry().gauge("fam", "", labels=("a",))
         for value in ("z", "x", "y", "x"):
             family.labels(value)
         assert [child.label_values for child in family.children()] == [("z",), ("x",), ("y",)]
 
     def test_child_rejects_further_labels(self):
-        child = MetricsRegistry().gauge("fam", labels=("a",)).labels("x")
+        child = MetricsRegistry().gauge("fam", "", labels=("a",)).labels("x")
         assert not child.is_family
         with pytest.raises(MetricError):
             child.labels("y")

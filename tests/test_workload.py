@@ -152,7 +152,7 @@ class TestWorkloadZones:
     @pytest.fixture(scope="class")
     def zones(self) -> WorkloadZones:
         toplist = SyntheticToplist(ToplistConfig(size=50))
-        return WorkloadZones(toplist, config=ZoneBuildConfig(auth_server_count=3))
+        return WorkloadZones(toplist, ChangeModel(), ZoneBuildConfig(auth_server_count=3))
 
     def test_root_zone_delegates_every_tld(self, zones):
         for tld in zones.toplist.tld_names():
@@ -199,13 +199,13 @@ class TestWorkloadZones:
         assert len(hosts) >= 1 + len(zones.tld_zones)
 
 
-def _weights_reference(model: QueryModel, duration: float, client_seed: int) -> list[tuple]:
+def _weights_reference(model: QueryModel, duration: float) -> list[tuple]:
     """The reference stream of ``QueryModel.generate``: each domain drawn with
     ``choices(weights=...)`` over the raw Zipf weights, which ``choices``
     accumulates afresh on every draw."""
     config, toplist = model.config, model.toplist
     weights = [1.0 / math.pow(rank, ZIPF_EXPONENT) for rank in range(1, len(toplist) + 1)]
-    rng = random.Random((config.seed << 16) ^ client_seed)
+    rng = random.Random(config.seed << 16)
     events, now = [], 0.0
     while True:
         now += rng.expovariate(config.queries_per_second)
@@ -219,15 +219,16 @@ def _weights_reference(model: QueryModel, duration: float, client_seed: int) -> 
 class TestQueryModel:
     def test_zipf_popularity_prefers_top_ranks(self):
         toplist = SyntheticToplist(ToplistConfig(size=500))
-        model = QueryModel(toplist, QueryModelConfig(seed=1))
-        samples = [model.sample_domain().rank for _ in range(3000)]
+        model = QueryModel(toplist, QueryModelConfig(queries_per_second=1.0, seed=1))
+        rng = random.Random(1)
+        samples = [model.sample_domain(rng).rank for _ in range(3000)]
         top_100 = sum(1 for rank in samples if rank <= 100)
         assert top_100 / len(samples) > 0.5
 
     def test_generated_stream_is_sorted_and_bounded(self):
         toplist = SyntheticToplist(ToplistConfig(size=100))
         model = QueryModel(toplist, QueryModelConfig(queries_per_second=5.0, seed=2))
-        events = model.generate(duration=60.0, client_seed=1)
+        events = model.generate(duration=60.0)
         times = [event.time for event in events]
         assert times == sorted(times)
         assert all(0 <= time < 60.0 for time in times)
@@ -236,16 +237,17 @@ class TestQueryModel:
 
     def test_sample_type_respects_domain_capabilities(self):
         toplist = SyntheticToplist(ToplistConfig(size=200))
-        model = QueryModel(toplist)
+        model = QueryModel(toplist, QueryModelConfig(queries_per_second=1.0, seed=7))
+        rng = random.Random(0)
         for domain in toplist.domains()[:50]:
             if not domain.record_types:
                 continue
-            rdtype = model.sample_type(domain)
+            rdtype = model.sample_type(domain, rng)
             assert rdtype in domain.record_types
 
     def test_zero_rate_yields_empty_stream(self):
         toplist = SyntheticToplist(ToplistConfig(size=10))
-        model = QueryModel(toplist, QueryModelConfig(queries_per_second=0.0))
+        model = QueryModel(toplist, QueryModelConfig(queries_per_second=0.0, seed=7))
         assert model.generate(10.0) == []
 
     @pytest.mark.parametrize("size", [10, 500, 2000])
@@ -253,17 +255,14 @@ class TestQueryModel:
     def test_stream_equals_the_per_draw_weights_reference(self, size, seed):
         toplist = SyntheticToplist(ToplistConfig(size=size))
         model = QueryModel(toplist, QueryModelConfig(queries_per_second=20.0, seed=seed))
-        for client_seed in (0, 9):
-            events = model.generate(30.0, client_seed=client_seed)
-            assert [(e.time, e.domain.rank, e.rdtype) for e in events] == _weights_reference(
-                model, 30.0, client_seed
-            )
+        events = model.generate(30.0)
+        assert [(e.time, e.domain.rank, e.rdtype) for e in events] == _weights_reference(model, 30.0)
 
-    def test_streams_deterministic_per_client_seed(self):
+    def test_streams_deterministic_per_seed(self):
         toplist = SyntheticToplist(ToplistConfig(size=100))
-        model = QueryModel(toplist, QueryModelConfig(seed=3))
-        first = model.generate(30.0, client_seed=9)
-        second = model.generate(30.0, client_seed=9)
+        model = QueryModel(toplist, QueryModelConfig(queries_per_second=1.0, seed=3))
+        first = model.generate(30.0)
+        second = model.generate(30.0)
         assert [(e.time, e.domain.rank, e.rdtype) for e in first] == [
             (e.time, e.domain.rank, e.rdtype) for e in second
         ]

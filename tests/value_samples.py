@@ -84,7 +84,7 @@ from repro.moqt.track import FullTrackName, TrackNamespace
 WWW = Name.from_text("www.example.com.")
 MAIL = Name.from_text("mail.example.com.")
 RECORD = ResourceRecord(WWW, RecordType.A, ARdata("192.0.2.1"), ttl=60)
-OTHER_RECORD = ResourceRecord(MAIL, RecordType.A, ARdata("192.0.2.2"))
+OTHER_RECORD = ResourceRecord(MAIL, RecordType.A, ARdata("192.0.2.2"), 300)
 NAMESPACE = TrackNamespace((b"\x10", b"\x00\x01", b"\x00\x01"))
 TRACK = FullTrackName(NAMESPACE, WWW.to_wire())
 PARAMETERS = Parameters((Parameter(2, b"\x05"),))
@@ -104,8 +104,8 @@ SAMPLES: dict[type, tuple[object, object | None]] = {
     MXRdata: (MXRdata(10, MAIL), MXRdata(20, MAIL)),
     TXTRdata: (TXTRdata((b"v=spf1",)), TXTRdata((b"a", b"b"))),
     SRVRdata: (SRVRdata(1, 2, 443, WWW), SRVRdata(1, 2, 8443, WWW)),
-    SVCBRdata: (SVCBRdata.with_alpn(1, WWW, ["h3"]), SVCBRdata(1, WWW)),
-    HTTPSRdata: (HTTPSRdata.with_alpn(1, WWW, ["h3", "moq-00"]), HTTPSRdata(2, WWW)),
+    SVCBRdata: (SVCBRdata.with_alpn(1, WWW, ["h3"]), SVCBRdata(1, WWW, ())),
+    HTTPSRdata: (HTTPSRdata.with_alpn(1, WWW, ["h3", "moq-00"]), HTTPSRdata(2, WWW, ())),
     GenericRdata: (GenericRdata(99, b"\x01"), GenericRdata(99, b"\x02")),
     ResourceRecord: (RECORD, RECORD.with_ttl(61)),
     Flags: (Flags(), Flags(qr=True, aa=True)),
