@@ -119,12 +119,12 @@ class Question:
     def to_wire(self) -> bytes:
         """Encode the question, uncompressed."""
         output = bytearray()
-        self._append_wire(output, None, 0)
+        self._append_wire(output, None)
         return bytes(output)
 
-    def _append_wire(self, output: bytearray, compress: dict[Name, int] | None, base: int) -> None:
+    def _append_wire(self, output: bytearray, compress: dict[Name, int] | None) -> None:
         """Append the encoding to ``output`` (see ``Name._append_wire``)."""
-        self.qname._append_wire(output, compress, base)
+        self.qname._append_wire(output, compress)
         output += _QUESTION_FIXED.pack(self.qtype, self.qclass)
 
     @classmethod
@@ -209,10 +209,10 @@ class Message:
         output = bytearray(self.header.to_wire(counts))
         compress: dict[Name, int] = {}  # the name table: name -> offset written at
         for question in self.questions:
-            question._append_wire(output, compress, 0)
+            question._append_wire(output, compress)
         for section in (self.answers, self.authorities, self.additionals):
             for record in section:
-                record._append_wire(output, compress, 0)
+                record._append_wire(output, compress)
         return bytes(output)
 
     @classmethod

@@ -158,16 +158,16 @@ class Name:
     def to_wire(self) -> bytes:
         """Encode to wire format, uncompressed."""
         output = bytearray()
-        self._append_wire(output, None, 0)
+        self._append_wire(output, None)
         return bytes(output)
 
-    def _append_wire(self, output: bytearray, compress: dict["Name", int] | None, base: int) -> None:
-        """Append the encoding to ``output``, whose first byte sits at offset
-        ``base`` of the enclosing message (0 when ``output`` is the message).
+    def _append_wire(self, output: bytearray, compress: dict["Name", int] | None) -> None:
+        """Append the encoding to ``output``.
 
         When ``compress`` is provided it maps already-emitted names to their
-        offsets in the message; suffixes found there are replaced by a
-        compression pointer and new suffixes are added to it."""
+        offsets in the message, and ``output`` is the message itself, so a
+        new suffix sits at ``len(output)``; suffixes found there are replaced
+        by a compression pointer and new suffixes are added to it."""
         labels = self._labels
         if compress is None:
             for label in labels:
@@ -182,7 +182,7 @@ class Name:
                 output.append(_POINTER_MASK | (pointer >> 8))
                 output.append(pointer & 0xFF)
                 return
-            position = base + len(output)
+            position = len(output)
             if position < 0x4000:
                 compress[suffix] = position
             output.append(len(label))

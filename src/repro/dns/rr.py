@@ -43,12 +43,12 @@ class ResourceRecord:
     def to_wire(self) -> bytes:
         """Encode the record, uncompressed."""
         output = bytearray()
-        self._append_wire(output, None, 0)
+        self._append_wire(output, None)
         return bytes(output)
 
-    def _append_wire(self, output: bytearray, compress: dict[Name, int] | None, base: int) -> None:
+    def _append_wire(self, output: bytearray, compress: dict[Name, int] | None) -> None:
         """Append the encoding to ``output`` (see ``Name._append_wire``)."""
-        self.name._append_wire(output, compress, base)
+        self.name._append_wire(output, compress)
         rdata = self.rdata.to_wire()
         output += _FIXED.pack(self.rdtype, self.rdclass, self.ttl, len(rdata))
         output += rdata

@@ -4,6 +4,8 @@ default-off determinism guarantee (E16)."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,8 +14,10 @@ from repro.relaynet.admission import retry_after_to_ms
 from repro.experiments import flash_crowd
 from repro.experiments.flash_crowd import run_flash_crowd
 from repro.moqt.errors import AdmissionRejectedError, SubscribeErrorCode
+from repro.moqt.messages import Subscribe
 from repro.moqt.objectmodel import MoqtObject
 from repro.moqt.origin import TRACK
+from repro.moqt.relay import MoqtRelay
 from repro.netsim.link import LinkConfig
 from repro.quic.connection import ConnectionConfig
 from repro.relaynet import (
@@ -211,6 +215,37 @@ class TestRelayGate:
         # No dangling client-side state either.
         assert not late.session._pending_incoming_subscribes
         assert subscription.request_id not in late.session._subscriptions
+
+    def test_an_urgent_subscribe_is_refused_like_any_other(self, monkeypatch):
+        # Admission ignores the subscriber priority: with the only token
+        # held, a peer's SUBSCRIBE at the most urgent priority bounces with a
+        # hint.  This program always asks at the default priority, so the
+        # request is re-encoded at priority 0 on its way to the wire.
+        policy = AdmissionPolicy(subscribe_rate=0.1, bucket_depth=1)
+        simulator, _, tree = build_tree(admission=policy, prewarm=1)
+        relay = tree.leaves()[0].relay
+        urgent = tree.attach_subscribers(1)[0]
+        encode = Subscribe.encode
+        monkeypatch.setattr(
+            Subscribe, "encode", lambda message: encode(replace(message, subscriber_priority=0))
+        )
+        gated = []
+        handle_subscribe = MoqtRelay.handle_subscribe
+
+        def recording(self, session, message):
+            gated.append(message.subscriber_priority)
+            return handle_subscribe(self, session, message)
+
+        monkeypatch.setattr(MoqtRelay, "handle_subscribe", recording)
+        responses = []
+        urgent.session.subscribe(TRACK, on_response=responses.append)
+        simulator.run(until=simulator.now + 2.0)
+        assert gated == [0]
+        (subscription,) = responses
+        assert subscription.state == "error"
+        assert subscription.error_code == SubscribeErrorCode.TOO_MANY_SUBSCRIBERS
+        assert subscription.retry_after_ms > 0
+        assert relay.statistics.admission_rejections == 1
 
     def test_queue_bound_counts_queue_rejections(self):
         # Cold track: every SUBSCRIBE during the upstream round trip queues;

@@ -96,9 +96,9 @@ class TestNameWireFormat:
     def test_compression_reuses_suffix(self):
         compress: dict[Name, int] = {}
         buffer = bytearray()
-        Name.from_text("www.example.com")._append_wire(buffer, compress, 0)
+        Name.from_text("www.example.com")._append_wire(buffer, compress)
         first = len(buffer)
-        Name.from_text("mail.example.com")._append_wire(buffer, compress, 0)
+        Name.from_text("mail.example.com")._append_wire(buffer, compress)
         # The second name should be shorter than its uncompressed form because
         # "example.com" is emitted as a 2-byte pointer.
         assert len(buffer) - first < len(Name.from_text("mail.example.com").to_wire())

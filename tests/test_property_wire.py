@@ -83,9 +83,9 @@ def test_name_wire_roundtrip(name):
 def test_name_compression_roundtrip(first, second):
     compress = {}
     buffer = bytearray()
-    first._append_wire(buffer, compress, 0)
+    first._append_wire(buffer, compress)
     second_offset = len(buffer)
-    second._append_wire(buffer, compress, 0)
+    second._append_wire(buffer, compress)
     decoded_first, _ = Name.from_wire(bytes(buffer), 0)
     decoded_second, _ = Name.from_wire(bytes(buffer), second_offset)
     assert decoded_first == first

@@ -199,11 +199,11 @@ class TestFailover:
         for groups in received.values():
             assert groups == [2, 3, 4, 5, 6], received
 
-    def test_a_second_switch_mid_recovery_does_not_wedge_the_buffer(self):
-        # A switch that arms recovery followed immediately by another must
-        # leave the buffer released once the second gap FETCH completes:
-        # nothing else ever would, and the track would swallow live objects
-        # forever.
+    @staticmethod
+    def switch_twice():
+        """Edge 0 switches mid 0 -> mid 1 -> mid 0 back to back (the second
+        while the first's gap FETCH is in flight), then groups 4 and 5 are
+        pushed; returns what each subscriber behind edge 0 received."""
         spec = RelayTreeSpec.cdn(mid_relays=2, edge_per_mid=1)
         simulator, _, publisher, tree = build_scene(spec)
         tree.attach_subscribers(2)
@@ -216,15 +216,26 @@ class TestFailover:
         edge0.relay.switch_upstream(mids[0].address, on_track_reattached=lambda track: None)
         push_groups(simulator, publisher, [4, 5])
         simulator.run(until=simulator.now + 5.0)
+        assert edge0.relay.tracks()[TRACK].held is None
+        return [received[sub.index] for sub in tree.subscribers if sub.leaf is edge0]
 
-        track = edge0.relay.tracks()[TRACK]
-        assert track.held is None
-        behind_edge0 = [sub.index for sub in tree.subscribers if sub.leaf is edge0]
-        for index in behind_edge0:
-            # What must not happen is the buffer swallowing the live stream
-            # afterwards.  (Group 4, pushed while the second attach was in
-            # flight, is not recovered either: CHANGES.md names that gap.)
-            assert received[index][:2] == [2, 3] and received[index][-1] == 5, "live delivery resumed"
+    def test_a_second_switch_mid_recovery_does_not_wedge_the_buffer(self):
+        # A switch that arms recovery followed immediately by another must
+        # leave the buffer released once the second gap FETCH completes:
+        # nothing else ever would, and the track would swallow live objects
+        # forever.  Group 4 is lost today (see the strict xfail below).
+        for groups in self.switch_twice():
+            assert groups == [2, 3, 5], "live delivery resumed"
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="mid 0 dropped its idle upstream subscription during the "
+        "first switch and answers the second gap FETCH from a cache that "
+        "missed group 4 (the FOUND line on MoqtRelay.handle_fetch in CHANGES.md)",
+    )
+    def test_a_second_switch_mid_recovery_recovers_the_gap(self):
+        for groups in self.switch_twice():
+            assert groups == [2, 3, 4, 5]
 
     def test_kill_with_trackless_child_relay_still_completes(self):
         # A freshly joined (lazy, track-less) relay orphaned by its parent's
