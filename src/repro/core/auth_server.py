@@ -110,7 +110,6 @@ class AuthServerStatistics:
     subscribes_accepted: int = 0
     subscribes_rejected: int = 0
     fetches_served: int = 0
-    fetches_rejected: int = 0
     updates_published: int = 0
     update_bytes_published: int = 0
     zone_changes_seen: int = 0
@@ -336,14 +335,12 @@ class MoqAuthoritativeServer:
         try:
             key = self._decodes.question(full_track_name)
         except MappingError as error:
-            self.statistics.fetches_rejected += 1
             return no_such_track(FetchResult, error)
         state = self._tracks.get(key)
         obj = None if state is None else state.current
         if obj is None or obj.group_id != state.zone.serial:
             answer = self.answer_question(key)
             if answer is None:
-                self.statistics.fetches_rejected += 1
                 return no_such_track(FetchResult, f"not authoritative for {key.qname}")
             response, zone = answer
             obj = encapsulate_response(response, zone.serial)

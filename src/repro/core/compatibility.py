@@ -78,7 +78,6 @@ class _RefreshEntry:
 
     key: DnsQuestionKey
     task: PeriodicTask
-    interval: float
     refreshes: int = 0
 
 
@@ -107,7 +106,7 @@ class RefreshScheduler:
         """Start refreshing ``key`` every ``interval`` seconds."""
         if key in self._entries:
             return
-        entry = _RefreshEntry(key=key, task=None, interval=interval)  # type: ignore[arg-type]
+        entry = _RefreshEntry(key=key, task=None)  # type: ignore[arg-type]
 
         def tick() -> None:
             entry.refreshes += 1

@@ -110,7 +110,6 @@ class MoqResolveOutcome:
     from_cache: bool = False
     via_moqt: bool = True
     upstream_operations: int = 0
-    duration: float = 0.0
 
     @property
     def is_success(self) -> bool:
@@ -123,18 +122,13 @@ class RecursiveStatistics:
     """Counters kept by the recursive resolver."""
 
     client_queries_udp: int = 0
-    client_subscribes: int = 0
-    client_fetches: int = 0
-    lookups: int = 0
     cache_hits: int = 0
     upstream_subscribe_fetch: int = 0
     upstream_udp_queries: int = 0
-    udp_fallbacks: int = 0
     pushes_received: int = 0
     pushes_forwarded: int = 0
     subscriptions_declined: int = 0
     refresh_republishes: int = 0
-    failures: int = 0
 
 
 class MoqRecursiveResolver(SubscribingResolver):
@@ -182,7 +176,6 @@ class MoqRecursiveResolver(SubscribingResolver):
         callback: Callable[[MoqResolveOutcome], None],
     ) -> None:
         """Resolve a question, preferring fresh local state over the network."""
-        self.statistics.lookups += 1
         self.registry.record_lookup(key, self.simulator.now)
         record = self._records.get(key)
         if record is not None and self._is_fresh(record):
@@ -275,7 +268,6 @@ class MoqRecursiveResolver(SubscribingResolver):
         """
         capability = self.capabilities.get(server.host)
         if capability is UpstreamCapability.UDP_ONLY:
-            self.statistics.udp_fallbacks += 1
             self.udp_query(server, key, lambda message: callback(message, 0, False))
             return
         if capability is UpstreamCapability.MOQT or not self.config.happy_eyeballs:
@@ -285,7 +277,6 @@ class MoqRecursiveResolver(SubscribingResolver):
                 elif capability is UpstreamCapability.UNKNOWN:
                     # MoQT failed on an unknown server: fall back to UDP.
                     self.capabilities.note_udp_only(server.host)
-                    self.statistics.udp_fallbacks += 1
                     self.udp_query(server, key, lambda m: callback(m, 0, False))
                     return
                 callback(message, version, message is not None)
@@ -363,7 +354,6 @@ class MoqRecursiveResolver(SubscribingResolver):
         self, session: MoqtSession, message: Subscribe
     ) -> SubscribeResult | None:
         """Publisher-delegate entry: answer once the question is resolved."""
-        self.statistics.client_subscribes += 1
         try:
             key = self.answers.question(message.full_track_name)
         except MappingError as error:
@@ -463,7 +453,6 @@ class MoqRecursiveResolver(SubscribingResolver):
                 return
             # The resolver versions a classic upstream's answers itself.
             stored = self._store(key, message, record.version + 1, via_moqt=False)
-            stored.pushed_updates += 1
             self.statistics.refresh_republishes += 1
             self._pushed(key, stored, encapsulate_response(message, stored.version))
 
@@ -487,7 +476,6 @@ class MoqRecursiveResolver(SubscribingResolver):
         self, session: MoqtSession, message: Fetch, full_track_name: FullTrackName | None
     ) -> FetchResult | None:
         """Publisher-delegate entry: serve the record once it is resolved."""
-        self.statistics.client_fetches += 1
         try:
             key = self.answers.question(full_track_name)
         except MappingError as error:
@@ -565,7 +553,6 @@ class _ResolutionTask:
     def __init__(self, resolver: MoqRecursiveResolver, key: DnsQuestionKey) -> None:
         self._resolver = resolver
         self._key = key
-        self._started_at = resolver.simulator.now
         self._operations = 0
         self._steps = 0
         self._servers: list[Address] = list(resolver.root_servers)
@@ -680,10 +667,7 @@ class _ResolutionTask:
             rcode=rcode,
             via_moqt=via_moqt,
             upstream_operations=self._operations,
-            duration=resolver.simulator.now - self._started_at,
         )
-        if not outcome.is_success:
-            resolver.statistics.failures += 1
         resolver._finish_lookup(self._key, outcome)  # noqa: SLF001
 
 

@@ -51,7 +51,6 @@ class SessionManagerStatistics:
     sessions_created: int = 0
     sessions_reused: int = 0
     zero_rtt_attempts: int = 0
-    sessions_closed: int = 0
 
 
 class UpstreamSessionManager:
@@ -84,8 +83,6 @@ class UpstreamSessionManager:
         if session is not None and not session.closed:
             self.statistics.sessions_reused += 1
             return session
-        if session is not None and session.closed:
-            self.statistics.sessions_closed += 1
         session = self._create_session(upstream)
         self._sessions[upstream] = session
         return session
@@ -108,7 +105,6 @@ class UpstreamSessionManager:
             return False
         if not session.closed:
             session.close("teardown")
-        self.statistics.sessions_closed += 1
         return True
 
     def close_all(self) -> None:

@@ -49,7 +49,6 @@ class QuestionRecord:
     updated_at: float
     subscribed: bool = True
     via_moqt: bool = True
-    pushed_updates: int = 0
 
 
 class AnswerMemo:
@@ -185,7 +184,7 @@ class SubscribeFetch:
             else:
                 version = obj.group_id
                 resolver = self.resolver
-                resolver.registry.record_update(self.key, resolver.simulator.now, version)
+                resolver.registry.record_update(self.key, version)
         callback(message, version)
 
 
@@ -296,8 +295,7 @@ class SubscribingResolver:
         if record is not None and record.via_moqt and obj.group_id <= record.version:
             return
         record = self._store(key, message, obj.group_id)
-        record.pushed_updates += 1
-        self.registry.record_update(key, self.simulator.now, obj.group_id)
+        self.registry.record_update(key, obj.group_id)
         self._pushed(key, record, obj)
 
     # ------------------------------------------------------ classic-UDP front

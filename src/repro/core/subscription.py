@@ -32,11 +32,8 @@ class TrackedSubscription:
     """Bookkeeping for one subscribed DNS question."""
 
     key: DnsQuestionKey
-    created_at: float
     last_lookup_at: float
     lookups: int = 1
-    updates_received: int = 0
-    last_update_at: float | None = None
     last_group_id: int | None = None
 
     def record_lookup(self, now: float) -> None:
@@ -44,10 +41,8 @@ class TrackedSubscription:
         self.lookups += 1
         self.last_lookup_at = now
 
-    def record_update(self, now: float, group_id: int) -> None:
+    def record_update(self, group_id: int) -> None:
         """Note a pushed update for this question."""
-        self.updates_received += 1
-        self.last_update_at = now
         if self.last_group_id is None or group_id > self.last_group_id:
             self.last_group_id = group_id
 
@@ -184,7 +179,7 @@ class SubscriptionRegistry:
         """Record a client lookup, creating the tracking entry if needed."""
         subscription = self._active.get(key)
         if subscription is None:
-            subscription = TrackedSubscription(key=key, created_at=now, last_lookup_at=now)
+            subscription = TrackedSubscription(key=key, last_lookup_at=now)
             self._active[key] = subscription
             self.statistics.tracked += 1
             if key in self._last_known_group:
@@ -194,11 +189,11 @@ class SubscriptionRegistry:
             subscription.record_lookup(now)
         return subscription
 
-    def record_update(self, key: DnsQuestionKey, now: float, group_id: int) -> None:
+    def record_update(self, key: DnsQuestionKey, group_id: int) -> None:
         """Record a pushed update for a question (ignored if not tracked)."""
         subscription = self._active.get(key)
         if subscription is not None:
-            subscription.record_update(now, group_id)
+            subscription.record_update(group_id)
         self._last_known_group[key] = max(self._last_known_group.get(key, -1), group_id)
 
     def collect_victims(self, now: float) -> list[TrackedSubscription]:

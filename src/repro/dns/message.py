@@ -129,7 +129,7 @@ class Question:
 
     @classmethod
     def from_wire(
-        cls, wire: bytes, offset: int, table: NameTable | None = None
+        cls, wire: bytes, offset: int, table: NameTable | None
     ) -> tuple["Question", int]:
         """Decode a question starting at ``offset``; ``table`` is the name
         table of the message ``wire`` holds (``Name.from_wire``)."""

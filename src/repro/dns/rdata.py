@@ -58,7 +58,7 @@ class Rdata:
 
     @classmethod
     def from_wire(
-        cls, wire: bytes, offset: int, length: int, table: NameTable | None = None
+        cls, wire: bytes, offset: int, length: int, table: NameTable | None
     ) -> "Rdata":
         """Decode RDATA occupying ``wire[offset:offset + length]``; ``table``
         is the name table of the message ``wire`` holds, if it is one."""
@@ -103,7 +103,7 @@ class ARdata(Rdata):
 
     @classmethod
     def from_wire(
-        cls, wire: bytes, offset: int, length: int, table: NameTable | None = None
+        cls, wire: bytes, offset: int, length: int, table: NameTable | None
     ) -> "ARdata":
         if length != 4:
             raise RdataError(f"A rdata must be 4 bytes, got {length}")
@@ -145,7 +145,7 @@ class AAAARdata(Rdata):
 
     @classmethod
     def from_wire(
-        cls, wire: bytes, offset: int, length: int, table: NameTable | None = None
+        cls, wire: bytes, offset: int, length: int, table: NameTable | None
     ) -> "AAAARdata":
         if length != 16:
             raise RdataError(f"AAAA rdata must be 16 bytes, got {length}")
@@ -179,7 +179,7 @@ class NameRdata(Rdata):
 
     @classmethod
     def from_wire(
-        cls, wire: bytes, offset: int, length: int, table: NameTable | None = None
+        cls, wire: bytes, offset: int, length: int, table: NameTable | None
     ) -> "NameRdata":
         end = _framed_end(wire, offset, length)
         target, cursor = Name.from_wire(wire, offset, table)
@@ -242,7 +242,7 @@ class SOARdata(Rdata):
 
     @classmethod
     def from_wire(
-        cls, wire: bytes, offset: int, length: int, table: NameTable | None = None
+        cls, wire: bytes, offset: int, length: int, table: NameTable | None
     ) -> "SOARdata":
         end = _framed_end(wire, offset, length)
         mname, cursor = Name.from_wire(wire, offset, table)
@@ -282,7 +282,7 @@ class MXRdata(Rdata):
 
     @classmethod
     def from_wire(
-        cls, wire: bytes, offset: int, length: int, table: NameTable | None = None
+        cls, wire: bytes, offset: int, length: int, table: NameTable | None
     ) -> "MXRdata":
         end = _framed_end(wire, offset, length)
         exchange, cursor = Name.from_wire(wire, offset + 2, table)
@@ -369,7 +369,7 @@ class TXTRdata(Rdata):
 
     @classmethod
     def from_wire(
-        cls, wire: bytes, offset: int, length: int, table: NameTable | None = None
+        cls, wire: bytes, offset: int, length: int, table: NameTable | None
     ) -> "TXTRdata":
         end = _framed_end(wire, offset, length)
         strings: list[bytes] = []
@@ -415,7 +415,7 @@ class SRVRdata(Rdata):
 
     @classmethod
     def from_wire(
-        cls, wire: bytes, offset: int, length: int, table: NameTable | None = None
+        cls, wire: bytes, offset: int, length: int, table: NameTable | None
     ) -> "SRVRdata":
         end = _framed_end(wire, offset, length)
         target, cursor = Name.from_wire(wire, offset + 6, table)
@@ -498,7 +498,7 @@ class SVCBRdata(Rdata):
 
     @classmethod
     def from_wire(
-        cls, wire: bytes, offset: int, length: int, table: NameTable | None = None
+        cls, wire: bytes, offset: int, length: int, table: NameTable | None
     ) -> "SVCBRdata":
         end = _framed_end(wire, offset, length)
         target, cursor = Name.from_wire(wire, offset + 2, table)
@@ -564,7 +564,7 @@ class GenericRdata(Rdata):
 
     @classmethod
     def from_wire(
-        cls, wire: bytes, offset: int, length: int, table: NameTable | None = None
+        cls, wire: bytes, offset: int, length: int, table: NameTable | None
     ) -> "GenericRdata":
         return cls(0, bytes(wire[offset: _framed_end(wire, offset, length)]))
 

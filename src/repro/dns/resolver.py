@@ -51,8 +51,6 @@ class ResolutionOutcome:
         The full answer section (including CNAME chain records).
     from_cache:
         Whether the answer was served from cache without upstream queries.
-    upstream_queries:
-        Number of upstream query/response exchanges performed.
     duration:
         Virtual seconds from request to completion.
     """
@@ -61,7 +59,6 @@ class ResolutionOutcome:
     rrset: RRset | None = None
     answers: tuple[ResourceRecord, ...] = ()
     from_cache: bool = False
-    upstream_queries: int = 0
     duration: float = 0.0
 
     @property
@@ -74,10 +71,8 @@ class ResolutionOutcome:
 class ResolverStatistics:
     """Counters kept by the recursive resolver."""
 
-    client_queries: int = 0
     cache_hits: int = 0
     upstream_queries: int = 0
-    failures: int = 0
     referrals_followed: int = 0
 
 
@@ -117,7 +112,6 @@ class RecursiveResolver:
 
     # --------------------------------------------------------------- serving
     def _handle_client_query(self, query: Message, source: Address, respond) -> None:
-        self.statistics.client_queries += 1
         if not query.questions:
             respond(make_response(query, rcode=Rcode.FORMERR))
             return
@@ -197,7 +191,6 @@ class _ResolutionTask:
         self._started_at = started_at
         self._servers: list[Address] = list(resolver.root_servers)
         self._referrals = 0
-        self._upstream = 0
         self._answers: list[ResourceRecord] = []
 
     def start(self) -> None:
@@ -209,11 +202,8 @@ class _ResolutionTask:
             rcode=rcode,
             rrset=rrset,
             answers=tuple(self._answers),
-            upstream_queries=self._upstream,
             duration=self._resolver.simulator.now - self._started_at,
         )
-        if not outcome.is_success:
-            self._resolver.statistics.failures += 1
         self._callback(outcome)
 
     def _query_next(self) -> None:
@@ -222,7 +212,6 @@ class _ResolutionTask:
             return
         destination = self._servers[0]
         query = make_query(self._qname, self._qtype, recursion_desired=False)
-        self._upstream += 1
         self._resolver.send_upstream(query, destination, self._on_response)
 
     def _on_response(self, response: Message | None) -> None:
@@ -310,9 +299,7 @@ class _ResolutionTask:
 class StubStatistics:
     """Counters kept by a stub resolver."""
 
-    queries: int = 0
     cache_hits: int = 0
-    failures: int = 0
 
 
 class StubResolver:
@@ -339,7 +326,6 @@ class StubResolver:
         """Resolve via the configured recursive resolver (cache first)."""
         name = qname if isinstance(qname, Name) else Name.from_text(qname)
         rdtype = qtype if isinstance(qtype, RecordType) else RecordType.from_text(qtype)
-        self.statistics.queries += 1
         started_at = self.simulator.now
 
         cached = self.cache.get(name, rdtype)
@@ -359,7 +345,6 @@ class StubResolver:
         def on_response(response: Message | None) -> None:
             duration = self.simulator.now - started_at
             if response is None:
-                self.statistics.failures += 1
                 callback(ResolutionOutcome(rcode=Rcode.SERVFAIL, duration=duration))
                 return
             rrset = response.answer_rrset(rdtype)
@@ -370,7 +355,6 @@ class StubResolver:
                     rcode=response.rcode,
                     rrset=rrset,
                     answers=tuple(response.answers),
-                    upstream_queries=1,
                     duration=duration,
                 )
             )

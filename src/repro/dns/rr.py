@@ -55,7 +55,7 @@ class ResourceRecord:
 
     @classmethod
     def from_wire(
-        cls, wire: bytes, offset: int, table: NameTable | None = None
+        cls, wire: bytes, offset: int, table: NameTable | None
     ) -> tuple["ResourceRecord", int]:
         """Decode one record starting at ``offset``; returns (record, next offset).
 

@@ -26,9 +26,6 @@ class ServerStatistics:
 
     queries: int = 0
     answers: int = 0
-    referrals: int = 0
-    negative_answers: int = 0
-    refused: int = 0
 
 
 class AuthoritativeServer:
@@ -79,21 +76,14 @@ class AuthoritativeServer:
         question = query.question
         zone = self.zone_for(question.qname)
         if zone is None:
-            self.statistics.refused += 1
             respond(make_response(query, rcode=Rcode.REFUSED))
             return
         result = zone.lookup(question.qname, question.qtype)
         respond(self._build_response(query, result))
 
     def _build_response(self, query: Message, result: LookupResult) -> Message:
-        if result.rcode == Rcode.NXDOMAIN:
-            self.statistics.negative_answers += 1
-        elif result.is_referral:
-            self.statistics.referrals += 1
-        elif result.answers:
+        if result.answers and result.rcode != Rcode.NXDOMAIN and not result.is_referral:
             self.statistics.answers += 1
-        else:
-            self.statistics.negative_answers += 1
         return make_response(
             query,
             answers=result.answers,

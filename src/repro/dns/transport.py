@@ -37,7 +37,6 @@ PROTOCOL_LABEL = "udp-dns"
 class PendingQuery:
     """An outstanding query awaiting a response or timeout."""
 
-    message_id: int
     destination: Address
     query: Message
     callback: QueryCallback
@@ -51,10 +50,7 @@ class PendingQuery:
 class TransportStatistics:
     """Message/byte counters of a UDP DNS endpoint."""
 
-    queries_sent: int = 0
     responses_received: int = 0
-    queries_received: int = 0
-    responses_sent: int = 0
     timeouts: int = 0
     retransmissions: int = 0
     bytes_sent: int = 0
@@ -120,7 +116,6 @@ class DnsUdpEndpoint:
         key = (message.header.message_id, destination)
         timer = Timer(self._simulator, lambda: self._on_timeout(key))
         pending = PendingQuery(
-            message_id=message.header.message_id,
             destination=destination,
             query=message,
             callback=callback,
@@ -131,7 +126,6 @@ class DnsUdpEndpoint:
         self._pending[key] = pending
         self._transmit(pending)
         timer.start(DEFAULT_QUERY_TIMEOUT)
-        self.statistics.queries_sent += 1
         return pending
 
     def _transmit(self, pending: PendingQuery) -> None:
@@ -191,7 +185,6 @@ class DnsUdpEndpoint:
         pending.callback(message)
 
     def _handle_query(self, message: Message, source: Address) -> None:
-        self.statistics.queries_received += 1
         if self._handler is None:
             refusal = make_response(message, rcode=Rcode.REFUSED)
             self._send_response(refusal, source)
@@ -204,7 +197,6 @@ class DnsUdpEndpoint:
 
     def _send_response(self, response: Message, destination: Address) -> None:
         payload = response.to_wire()
-        self.statistics.responses_sent += 1
         self.statistics.bytes_sent += len(payload)
         self._host.send(
             Datagram(

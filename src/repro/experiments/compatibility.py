@@ -57,7 +57,6 @@ class CompatibilityResult:
     """Outcomes of all compatibility scenarios."""
 
     outcomes: list[CompatibilityOutcome]
-    moqt_baseline_update_latency: float | None
 
     def rows(self) -> list[dict[str, object]]:
         """Table rows."""
@@ -136,6 +135,4 @@ def run_compatibility() -> CompatibilityResult:
         decline,
         refresh,
     ]
-    return CompatibilityResult(
-        outcomes=outcomes, moqt_baseline_update_latency=baseline.update_latency
-    )
+    return CompatibilityResult(outcomes=outcomes)

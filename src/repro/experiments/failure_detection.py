@@ -63,7 +63,6 @@ class DetectionSample:
     """One silent crash: how it was detected, how fast, and the failover."""
 
     killed: str
-    killed_tier: str
     crashed_at: float
     #: Which in-band signal the first reporter raised ("pto-suspect" /
     #: "idle-timeout" / "pto-give-up").
@@ -257,7 +256,6 @@ def _sample(
     best = min(models, key=lambda model: model.detected_at)
     return DetectionSample(
         killed=event.node,
-        killed_tier=event.tier,
         crashed_at=crashed_at,
         detected_via=event.detected_via,
         model_path=best.path,

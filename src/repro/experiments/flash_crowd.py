@@ -111,8 +111,6 @@ class ThrottledSample:
     """One storm against a rate-limited relay, measured vs. the model."""
 
     stormers: int
-    window: float
-    policy: AdmissionPolicy
     admitted: int
     rejections: int
     measured_completion: float
@@ -172,8 +170,6 @@ def _run_throttled(
     relay = tree.leaves()[0].relay
     return ThrottledSample(
         stormers=stormers,
-        window=window,
-        policy=policy,
         admitted=storm.admitted,
         rejections=relay.statistics.admission_rejections,
         measured_completion=measured_completion,

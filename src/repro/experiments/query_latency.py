@@ -61,7 +61,6 @@ class LatencyMeasurement:
 class QueryLatencyResult:
     """All scenario measurements for one (stub RTT, upstream RTT) point."""
 
-    stub_rtt: float
     upstream_rtt: float
     measurements: list[LatencyMeasurement]
 
@@ -196,6 +195,4 @@ def run_query_latency(upstream_rtt: float = 0.040) -> QueryLatencyResult:
             "moqt-pushed", _measure_moqt(topology(), "moqt-pushed"), predictions["moqt-pushed"]
         )
     )
-    return QueryLatencyResult(
-        stub_rtt=STUB_RTT, upstream_rtt=upstream_rtt, measurements=measurements
-    )
+    return QueryLatencyResult(upstream_rtt=upstream_rtt, measurements=measurements)

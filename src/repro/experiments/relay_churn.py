@@ -47,8 +47,6 @@ class KillSample:
 
     cause: str
     killed: str
-    killed_tier: str
-    at: float
     orphan_relays: int
     orphan_subscribers: int
     #: Measured re-attach latencies grouped by the orphan's tier.
@@ -142,8 +140,6 @@ def _kill_sample(
     return KillSample(
         cause=event.cause,
         killed=event.node,
-        killed_tier=event.tier,
-        at=event.at,
         orphan_relays=len(event.orphans("relay")),
         orphan_subscribers=len(event.orphans("subscriber")),
         latencies_by_tier=event.latencies_by_tier(),

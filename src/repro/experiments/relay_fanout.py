@@ -171,12 +171,9 @@ class FanoutSample:
 
 @dataclass
 class RelayFanoutResult:
-    """All samples of the fan-out experiment plus the calibrated unit size."""
+    """All samples of the fan-out experiment."""
 
     samples: list[FanoutSample]
-    bytes_per_update: float
-    mid_relays: int
-    edge_per_mid: int
 
     def rows(self) -> list[dict[str, object]]:
         """Per-sample summary rows."""
@@ -229,9 +226,4 @@ def run_relay_fanout(
                 link_batch_fallback_waves=run.link_batch_fallback_waves,
             )
         )
-    return RelayFanoutResult(
-        samples=samples,
-        bytes_per_update=bytes_per_update,
-        mid_relays=mid_relays,
-        edge_per_mid=edge_per_mid,
-    )
+    return RelayFanoutResult(samples=samples)

@@ -9,7 +9,6 @@ suite compares against.  Individual experiments are importable functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.experiments.compatibility import run_compatibility
 from repro.experiments.constrained_tiers import run_constrained_tiers
@@ -36,7 +35,6 @@ class ExperimentReport:
     experiment_id: str
     title: str
     table: str
-    result: Any
 
 
 def run_all() -> list[ExperimentReport]:
@@ -46,47 +44,47 @@ def run_all() -> list[ExperimentReport]:
     fig1a = run_fig1a(population=2_000)
     reports.append(
         ExperimentReport("E1", "Fig. 1a — record types and TTL distribution",
-                         format_table(fig1a.total_rows()), fig1a)
+                         format_table(fig1a.total_rows()))
     )
     fig1b = run_fig1b(population=1_000, max_domains_per_ttl=60)
     reports.append(
         ExperimentReport("E2", "Fig. 1b — change rate per TTL",
-                         format_table(fig1b.rows()), fig1b)
+                         format_table(fig1b.rows()))
     )
     fig2 = run_fig2()
     reports.append(
         ExperimentReport("E3", "Fig. 2 — recursive DNS-over-MoQT lookup sequence",
-                         format_table(fig2.rows()), fig2)
+                         format_table(fig2.rows()))
     )
     latency = run_query_latency()
     reports.append(
         ExperimentReport("E4", "§5.2 — query latency per transport scenario",
-                         format_table(latency.rows()), latency)
+                         format_table(latency.rows()))
     )
     staleness = run_staleness(ttls=[10, 60])
     reports.append(
         ExperimentReport("E5", "§5 — update timeliness (staleness)",
-                         format_table(staleness.rows()), staleness)
+                         format_table(staleness.rows()))
     )
     traffic = run_traffic(configurations=[(10, 30.0), (60, 600.0)], duration=120.0)
     reports.append(
         ExperimentReport("E6", "§5 — upstream message counts (polling vs pub/sub)",
-                         format_table(traffic.rows()), traffic)
+                         format_table(traffic.rows()))
     )
     usecases = run_usecases()
     reports.append(
         ExperimentReport("E7/E8", "§5.3 — use-case traffic estimates",
-                         format_table(usecases.rows()), usecases)
+                         format_table(usecases.rows()))
     )
     state = run_state_overhead()
     reports.append(
         ExperimentReport("E9", "§5.1 — state overhead and teardown policies",
-                         format_table(state.rows()), state)
+                         format_table(state.rows()))
     )
     compatibility = run_compatibility()
     reports.append(
         ExperimentReport("E10", "§4.5 — compatibility / incremental deployment",
-                         format_table(compatibility.rows()), compatibility)
+                         format_table(compatibility.rows()))
     )
     fanout = run_relay_fanout(
         subscriber_counts=(10, 50),
@@ -96,7 +94,7 @@ def run_all() -> list[ExperimentReport]:
     )
     reports.append(
         ExperimentReport("E11", "§3/§5.3 — relay fan-out: origin egress vs subscribers",
-                         format_table(fanout.rows()), fanout)
+                         format_table(fanout.rows()))
     )
     churn = run_relay_churn(
         subscribers=60,
@@ -111,7 +109,7 @@ def run_all() -> list[ExperimentReport]:
     )
     reports.append(
         ExperimentReport("E12", "§3/§5.3 — relay churn: failover and FETCH gap recovery",
-                         churn_table, churn)
+                         churn_table)
     )
     detection = run_failure_detection(
         subscribers=60,
@@ -126,7 +124,7 @@ def run_all() -> list[ExperimentReport]:
     )
     reports.append(
         ExperimentReport("E13", "§3/§5.3 — in-band failure detection: PTO/idle-driven failover",
-                         detection_table, detection)
+                         detection_table)
     )
     failover = run_origin_failover(
         subscribers=60,
@@ -141,7 +139,7 @@ def run_all() -> list[ExperimentReport]:
     )
     reports.append(
         ExperimentReport("E14", "§3/§5.3 — origin failover: replicated origin, in-band promotion",
-                         failover_table, failover)
+                         failover_table)
     )
     constrained = run_constrained_tiers()
     constrained_table = "\n\n".join(
@@ -153,7 +151,7 @@ def run_all() -> list[ExperimentReport]:
     )
     reports.append(
         ExperimentReport("E15", "§3/§5.3 — constrained tiers: the serialisation-vs-propagation knee",
-                         constrained_table, constrained)
+                         constrained_table)
     )
     crowd = run_flash_crowd()
     crowd_table = "\n\n".join(
@@ -166,7 +164,7 @@ def run_all() -> list[ExperimentReport]:
     )
     reports.append(
         ExperimentReport("E16", "§3 robustness — flash-crowd admission: bounded relays vs unbounded queues",
-                         crowd_table, crowd)
+                         crowd_table)
     )
     return reports
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.staleness import expected_staleness_polling, pubsub_staleness
+from repro.analysis.staleness import pubsub_staleness
 from repro.core.mapping import DnsQuestionKey
 from repro.dns.name import Name
 from repro.dns.types import RecordType
@@ -60,7 +60,6 @@ class StalenessResult:
     """Samples across TTLs plus the model predictions."""
 
     samples: list[StalenessSample]
-    model_expected_polling: dict[int, float]
     model_pubsub: float
 
     def rows(self) -> list[dict[str, object]]:
@@ -144,8 +143,5 @@ def _measure_one(ttl: int, change_offset_fraction: float) -> StalenessSample:
 def run_staleness(ttls: list[int]) -> StalenessResult:
     """Run the update-timeliness experiment across TTLs and change offsets."""
     samples = [_measure_one(ttl, offset) for ttl in ttls for offset in CHANGE_OFFSETS]
-    model_polling = {ttl: expected_staleness_polling(ttl) for ttl in ttls}
     model_push = pubsub_staleness([SmallTopologyConfig.upstream_rtt / 2.0, STUB_RTT / 2.0])
-    return StalenessResult(
-        samples=samples, model_expected_polling=model_polling, model_pubsub=model_push
-    )
+    return StalenessResult(samples=samples, model_pubsub=model_push)

@@ -63,7 +63,6 @@ class StateOverheadResult:
 
     policies: list[PolicyOutcome]
     classic_vs_moqt: dict[str, int]
-    questions: int
 
     def rows(self) -> list[dict[str, object]]:
         """Table rows."""
@@ -98,7 +97,7 @@ def _run_policy(
         if registry.get(key) is None and registry.last_known_group(key) is not None:
             forced_resubscriptions += 1
         registry.record_lookup(key, time)
-        registry.record_update(key, time, group_id=int(time))
+        registry.record_update(key, group_id=int(time))
     torn_down += len(registry.collect_victims(DURATION))
     state_bytes = endpoint_state_bytes(
         connections=UPSTREAM_SERVERS,
@@ -143,5 +142,4 @@ def run_state_overhead() -> StateOverheadResult:
     return StateOverheadResult(
         policies=outcomes,
         classic_vs_moqt=state_comparison(QUESTIONS, UPSTREAM_SERVERS, model),
-        questions=QUESTIONS,
     )

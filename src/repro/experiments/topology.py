@@ -104,11 +104,12 @@ class SmallTopology:
         )
 
     def _build_servers(self) -> None:
-        self.classic_root = AuthoritativeServer(self.network.host(ROOT_HOST), [self.root_zone])
-        self.classic_tld = AuthoritativeServer(self.network.host(TLD_HOST), [self.tld_zone])
+        # The root and TLD servers are reached through their hosts' ports only.
+        AuthoritativeServer(self.network.host(ROOT_HOST), [self.root_zone])
+        AuthoritativeServer(self.network.host(TLD_HOST), [self.tld_zone])
         self.classic_auth = AuthoritativeServer(self.network.host(AUTH_HOST), [self.auth_zone])
-        self.moqt_root = MoqAuthoritativeServer(self.network.host(ROOT_HOST), [self.root_zone])
-        self.moqt_tld = MoqAuthoritativeServer(self.network.host(TLD_HOST), [self.tld_zone])
+        MoqAuthoritativeServer(self.network.host(ROOT_HOST), [self.root_zone])
+        MoqAuthoritativeServer(self.network.host(TLD_HOST), [self.tld_zone])
         self.moqt_auth = (
             MoqAuthoritativeServer(self.network.host(AUTH_HOST), [self.auth_zone])
             if self.config.moqt_on_auth

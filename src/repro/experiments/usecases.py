@@ -38,8 +38,6 @@ class UseCaseResult:
     ddns: UseCaseEstimate
     cdn_stub: UseCaseEstimate
     deep_space: UseCaseEstimate
-    simulated_cdn_domains: int
-    simulated_cdn_duration: float
     simulated_cdn_update_bytes: int
     simulated_cdn_bps: float
     predicted_small_scale_bps: float
@@ -131,8 +129,6 @@ def run_usecases() -> UseCaseResult:
         ddns=ddns,
         cdn_stub=cdn,
         deep_space=deep_space,
-        simulated_cdn_domains=SIMULATED_DOMAINS,
-        simulated_cdn_duration=SIMULATED_DURATION,
         simulated_cdn_update_bytes=update_bytes,
         simulated_cdn_bps=simulated_bps,
         predicted_small_scale_bps=predicted_small,

@@ -59,8 +59,6 @@ class ChangeRateResult:
     """Fig. 1b data: change-count summaries per TTL cluster."""
 
     summaries: dict[int, ChangeRateSummary]
-    observations: int
-    per_domain_counts: dict[int, list[int]]
 
     def rows(self) -> list[dict[str, float]]:
         """Flat rows for report tables, ordered by TTL."""
@@ -130,6 +128,4 @@ class MeasurementCampaign:
         }
         return ChangeRateResult(
             summaries=summaries,
-            observations=OBSERVATIONS,
-            per_domain_counts={ttl: counts for ttl, counts in per_ttl_counts.items() if counts},
         )

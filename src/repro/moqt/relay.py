@@ -573,13 +573,16 @@ class MoqtRelay:
 
         Without this, every track a subscriber ever asked for would keep one
         upstream subscription alive forever — exactly the state leak §5.1
-        warns about.  The cached objects are kept so a returning subscriber's
-        FETCH can still be served locally.
+        warns about.  The cache ends with the subscription: what the track
+        publishes while detached never reaches it, so a later FETCH it
+        answered would skip those objects.  A FETCH with no cache goes
+        upstream (:meth:`handle_fetch`).
         """
         if track.downstream or track.awaiting_upstream or track.subscription is None:
             return
         subscription = track.subscription
         track.subscription = None
+        track.cache = TrackState(track.full_track_name)
         self.statistics.upstream_unsubscribes += 1
         if self._upstream_session is not None and not self._upstream_session.closed:
             self._upstream_session.unsubscribe(subscription)

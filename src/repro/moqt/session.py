@@ -134,7 +134,7 @@ class PublisherDelegate(Protocol):
     # (§5.1 state clean-up); see ``docs/publishers.md``.
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Subscription:
     """Subscriber-side state of one subscription."""
 
@@ -151,11 +151,8 @@ class Subscription:
     error_code: int = 0
     error_reason: str = ""
     retry_after_ms: int = 0
-    expires_ms: int = 0
-    content_exists: bool = False
     created_at: float = 0.0
     responded_at: float | None = None
-    last_object_at: float | None = None
     objects_received: int = 0
 
     @property
@@ -176,9 +173,7 @@ class FetchRequest:
     largest: Location | None = None
     error_code: int = 0
     error_reason: str = ""
-    created_at: float = 0.0
     responded_at: float | None = None
-    completed_at: float | None = None
     stream_finished: bool = False
     ok_received: bool = False
 
@@ -202,7 +197,6 @@ class PublisherSubscription:
     full_track_name: FullTrackName
     subscriber_priority: int = 128
     forward: bool = True
-    accepted_at: float = 0.0
     objects_sent: int = 0
     session: "MoqtSession | None" = None
     #: The publisher's own per-track state this record is filed in, so the
@@ -219,12 +213,7 @@ class SessionStatistics:
     control_messages_received: int = 0
     objects_sent: int = 0
     objects_received: int = 0
-    object_bytes_sent: int = 0
     object_bytes_received: int = 0
-    subscribes_sent: int = 0
-    subscribes_received: int = 0
-    fetches_sent: int = 0
-    fetches_received: int = 0
 
 
 class _UnusedTable(dict):
@@ -266,9 +255,6 @@ class MoqtSession:
         "statistics",
         "_simulator",
         "ready",
-        "ready_at",
-        "created_at",
-        "selected_version",
         "goaway_uri",
         "closed",
         "_control_parser",
@@ -310,9 +296,6 @@ class MoqtSession:
         self._simulator = connection._simulator  # noqa: SLF001 - same package family
 
         self.ready = False
-        self.ready_at: float | None = None
-        self.created_at = self._simulator.now
-        self.selected_version: int | None = None
         self.goaway_uri: str | None = None
         self.closed = False
 
@@ -357,14 +340,12 @@ class MoqtSession:
         if alpn_version_negotiation:
             # Future MoQT: the version is negotiated in ALPN, so the client
             # may send requests without waiting for SERVER_SETUP.
-            self._mark_ready(MOQT_VERSION_DRAFT_12)
+            self._mark_ready()
 
-    def _mark_ready(self, version: int) -> None:
+    def _mark_ready(self) -> None:
         if self.ready:
             return
         self.ready = True
-        self.ready_at = self._simulator.now
-        self.selected_version = version
         pending, self._pending_until_ready = self._pending_until_ready, ()
         for wire in pending:
             self._send_control(wire)
@@ -431,7 +412,6 @@ class MoqtSession:
             track_alias=track_alias,
             full_track_name=full_track_name,
         )
-        self.statistics.subscribes_sent += 1
         self._send_request(message.encode())
         return subscription
 
@@ -466,7 +446,6 @@ class MoqtSession:
             request_id=request_id,
             full_track_name=full_track_name,
             on_complete=on_complete,
-            created_at=self._simulator.now,
         )
         if self._fetches is _UNUSED:
             self._fetches = {}
@@ -480,7 +459,6 @@ class MoqtSession:
             end_group=end.group_id,
             end_object=end.object_id,
         )
-        self.statistics.fetches_sent += 1
         self._send_request(message.encode())
         return fetch_request
 
@@ -497,7 +475,6 @@ class MoqtSession:
             request_id=request_id,
             full_track_name=subscription.full_track_name,
             on_complete=on_complete,
-            created_at=self._simulator.now,
         )
         if self._fetches is _UNUSED:
             self._fetches = {}
@@ -508,7 +485,6 @@ class MoqtSession:
             joining_request_id=subscription.request_id,
             joining_start=1,
         )
-        self.statistics.fetches_sent += 1
         self._send_request(message.encode())
         return fetch_request
 
@@ -545,9 +521,7 @@ class MoqtSession:
             raise SessionTerminated("session is closed")
         if not subscription.forward:
             return
-        statistics = self.statistics
-        statistics.objects_sent += 1
-        statistics.object_bytes_sent += len(obj.payload)
+        self.statistics.objects_sent += 1
         subscription.objects_sent += 1
         alias = subscription.track_alias
         payload = encoded.get(alias) if encoded is not None else None
@@ -562,7 +536,6 @@ class MoqtSession:
         for obj in objects:
             payload += encode_fetch_object(obj)
             self.statistics.objects_sent += 1
-            self.statistics.object_bytes_sent += obj.size
         self.connection.send_encoded_stream(payload)
 
     # ------------------------------------------------------------- goaway/close
@@ -695,7 +668,6 @@ class MoqtSession:
         statistics.objects_received += 1
         statistics.object_bytes_received += len(obj.payload)
         subscription.objects_received += 1
-        subscription.last_object_at = self._simulator.now
         location = obj.location
         if subscription.largest is None or location > subscription.largest:
             subscription.largest = location
@@ -722,7 +694,6 @@ class MoqtSession:
             return
         if fetch_request.stream_finished and fetch_request.ok_received:
             fetch_request.state = "complete"
-            fetch_request.completed_at = self._simulator.now
             # Out of the table before anyone is told: the objects and the
             # ``on_complete`` graph live as long as the caller keeps them.
             self._fetches.pop(fetch_request.request_id, None)
@@ -748,12 +719,12 @@ class MoqtSession:
             self.close("no common MoQT version")
             return
         self._send_control(SERVER_SETUP_WIRE)
-        self._mark_ready(MOQT_VERSION_DRAFT_12)
+        self._mark_ready()
 
     def _handle_server_setup(self, message: ServerSetup) -> None:
         if not self.is_client:
             raise ProtocolViolation("server received SERVER_SETUP")
-        self._mark_ready(message.selected_version)
+        self._mark_ready()
 
     # Publisher side of SUBSCRIBE / FETCH --------------------------------------
     def _take_peer_request_id(self, request_id: int) -> None:
@@ -765,7 +736,6 @@ class MoqtSession:
 
     def _handle_subscribe(self, message: Subscribe) -> None:
         self._take_peer_request_id(message.request_id)
-        self.statistics.subscribes_received += 1
         if self.publisher_delegate is None:
             self._send_control(
                 SubscribeError(
@@ -823,7 +793,6 @@ class MoqtSession:
             full_track_name=message.full_track_name,
             subscriber_priority=message.subscriber_priority,
             forward=message.forward,
-            accepted_at=self._simulator.now,
             session=self,
         )
         if self._publisher_subscriptions is _UNUSED:
@@ -842,7 +811,6 @@ class MoqtSession:
 
     def _handle_fetch(self, message: Fetch) -> None:
         self._take_peer_request_id(message.request_id)
-        self.statistics.fetches_received += 1
         if self.publisher_delegate is None:
             self._send_control(
                 FetchError(
@@ -941,8 +909,6 @@ class MoqtSession:
             return
         subscription.state = "active"
         subscription.responded_at = self._simulator.now
-        subscription.expires_ms = message.expires_ms
-        subscription.content_exists = message.content_exists
         if message.content_exists:
             subscription.largest = Location(message.largest_group_id, message.largest_object_id)
         on_response = subscription.on_response

@@ -105,7 +105,7 @@ class Network:
         self,
         first: str | Host,
         second: str | Host,
-        config: LinkConfig | None = None,
+        config: LinkConfig,
     ) -> None:
         """Create a bidirectional link between two hosts; ``config`` applies
         to both directions."""
@@ -118,7 +118,6 @@ class Network:
             # Loopback needs no link (see route()), and route() relies on a
             # direct-link hit meaning "another, known host".
             raise ValueError(f"cannot link a host to itself: {first_addr}")
-        config = config if config is not None else LinkConfig()
         # A link's sink is the destination host itself: the link's arrival
         # loop calls it, and its one frame is the delivery body (Host.__call__).
         self._links[(first_addr, second_addr)] = Link(config, self._hosts[second_addr])

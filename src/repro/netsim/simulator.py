@@ -56,18 +56,16 @@ class Event:
     object behind it) is not kept alive by a heap entry that will never run.
     """
 
-    __slots__ = ("time", "sequence", "callback", "args", "cancelled", "_simulator")
+    __slots__ = ("time", "callback", "args", "cancelled", "_simulator")
 
     def __init__(
         self,
         time: float,
-        sequence: int,
         callback: Callable[..., None],
         args: tuple[Any, ...],
         simulator: "Simulator",
     ) -> None:
         self.time = time
-        self.sequence = sequence
         self.callback: Callable[..., None] | None = callback
         self.args = args
         self.cancelled = False
@@ -162,7 +160,7 @@ class Simulator:
             )
         sequence = self._sequence
         self._sequence = sequence + 1
-        event = Event(when, sequence, callback, args, self)
+        event = Event(when, callback, args, self)
         heapq.heappush(self._queue, (when, sequence, event))
         self._pending += 1
         return event

@@ -274,7 +274,6 @@ class QuicConnection:
         "_send",
         "local_address",
         "peer_address",
-        "connection_id",
         "is_client",
         "config",
         "server_name",
@@ -282,22 +281,17 @@ class QuicConnection:
         "_server_tls",
         "statistics",
         "handshake_complete",
-        "handshake_started_at",
-        "handshake_completed_at",
         "negotiated_alpn",
         "used_0rtt",
         "early_data_accepted",
         "delegate",
         "liveness",
         "liveness_cause",
-        "suspected_at",
-        "dead_at",
         "_stream",
         "_peer_uni_floor",
         "_peer_uni_above",
         "_next_uni_sequence",
         "_next_packet_number",
-        "_largest_acked",
         "_received_ranges",
         "_unacked",
         "_queued_app_frames",
@@ -313,7 +307,6 @@ class QuicConnection:
         "_keepalive_timer",
         "_header_one_rtt",
         "closed",
-        "close_reason",
     )
 
     def __init__(
@@ -334,7 +327,6 @@ class QuicConnection:
         self._send = send_datagram
         self.local_address = local_address
         self.peer_address = peer_address
-        self.connection_id = connection_id
         self.is_client = is_client
         self.config = config
         self.server_name = server_name or peer_address.host
@@ -344,8 +336,6 @@ class QuicConnection:
 
         # Handshake state.
         self.handshake_complete = False
-        self.handshake_started_at: float | None = None
-        self.handshake_completed_at: float | None = None
         self.negotiated_alpn: str | None = None
         self.used_0rtt = False
         self.early_data_accepted = False
@@ -358,8 +348,6 @@ class QuicConnection:
         #: What caused the latest liveness transition: ``"pto-suspect"``,
         #: ``"recovered"``, ``"idle-timeout"`` or ``"pto-give-up"``.
         self.liveness_cause = ""
-        self.suspected_at: float | None = None
-        self.dead_at: float | None = None
 
         # Streams.
         #: The connection's one bidirectional stream, stream 0 (MoQT's
@@ -385,7 +373,6 @@ class QuicConnection:
 
         # Packetisation and loss recovery.
         self._next_packet_number = 0
-        self._largest_acked = -1
         #: Packet numbers received from the peer, as merged inclusive runs in
         #: ascending order, flat: ``[start, end, start, end, ...]``.  On
         #: loss-free links this is always the single run ``[0, largest]``
@@ -431,7 +418,6 @@ class QuicConnection:
         #: of re-encoding the connection id per packet.
         self._header_one_rtt = bytes((PacketType.ONE_RTT,)) + encode_varint(connection_id)
         self.closed = False
-        self.close_reason = ""
 
         #: The idle timeout is a timestamp: every packet sent or accepted
         #: stores "now" here and nothing else.  The one armed wake
@@ -447,6 +433,12 @@ class QuicConnection:
             self._keepalive_timer.start(config.keepalive_interval)
 
     # ------------------------------------------------------------------ stats
+    @property
+    def connection_id(self) -> int:
+        """The id the connection's packets carry, read back off the header
+        every ONE_RTT packet starts with (the connection keeps no copy)."""
+        return decode_varint(self._header_one_rtt, 1)[0]
+
     @property
     def smoothed_rtt(self) -> float:
         """The current RTT estimate."""
@@ -500,7 +492,6 @@ class QuicConnection:
             raise QuicConnectionError(
                 TransportErrorCode.PROTOCOL_VIOLATION, "server cannot start handshake"
             )
-        self.handshake_started_at = self._simulator.now
         ticket = None
         if self._ticket_store is not None:
             ticket = self._ticket_store.get(self.server_name, self._simulator.now)
@@ -519,7 +510,6 @@ class QuicConnection:
 
     def _process_client_hello(self, hello: ClientHello) -> None:
         assert self._server_tls is not None, "server connection lacks a TLS context"
-        self.handshake_started_at = self._simulator.now
         try:
             server_hello = self._server_tls.process_client_hello(hello)
         except AlpnMismatchError as error:
@@ -532,7 +522,6 @@ class QuicConnection:
             # 1-RTT data; we simply never deliver the 0-RTT packets.
             pass
         self.handshake_complete = True
-        self.handshake_completed_at = self._simulator.now
         self._send_packet(
             PacketType.HANDSHAKE,
             [CryptoFrame(server_hello.to_bytes()), HandshakeDoneFrame()],
@@ -562,7 +551,6 @@ class QuicConnection:
                 )
             )
         self.handshake_complete = True
-        self.handshake_completed_at = self._simulator.now
         self._flush_queued_app_frames()
 
     def _requeue_zero_rtt(self) -> None:
@@ -840,10 +828,6 @@ class QuicConnection:
         old, self.liveness = self.liveness, state
         self.liveness_cause = cause
         self.statistics.liveness_transitions += 1
-        if state == LIVENESS_SUSPECT:
-            self.suspected_at = self._simulator.now
-        elif state == LIVENESS_DEAD:
-            self.dead_at = self._simulator.now
         if self.delegate is not None:
             self.delegate.liveness_changed(old, state)
 
@@ -1059,7 +1043,7 @@ class QuicConnection:
             elif frame_type == _ACK:
                 self._on_ack(largest)
             elif frame_type == _ACK_RANGES:
-                self._on_ack_ranges(largest, ranges)
+                self._on_ack_ranges(ranges)
             elif frame_type != _PADDING:
                 ack_needed = True
                 if frame_type == _CRYPTO:
@@ -1254,9 +1238,9 @@ class QuicConnection:
                 if packet_number > largest:
                     break
                 acked.append(packet_number)
-        self._apply_ack(acked, largest)
+        self._apply_ack(acked)
 
-    def _on_ack_ranges(self, largest: int, ranges: tuple[tuple[int, int], ...]) -> None:
+    def _on_ack_ranges(self, ranges: tuple[tuple[int, int], ...]) -> None:
         # Exact ACK: the peer saw a gap; acknowledge only the listed ranges
         # so the dropped numbers stay unacked and the PTO machinery repairs
         # them.
@@ -1265,7 +1249,7 @@ class QuicConnection:
             for pn in self._unacked
             if any(start <= pn <= end for start, end in ranges)
         ]
-        self._apply_ack(acked, largest)
+        self._apply_ack(acked)
 
     def _on_crypto(self, data: bytes) -> None:
         try:
@@ -1278,12 +1262,11 @@ class QuicConnection:
         else:
             self._process_client_hello(hello)
 
-    def _apply_ack(self, acked: "list[int] | tuple[int, ...]", largest: int) -> None:
+    def _apply_ack(self, acked: "list[int] | tuple[int, ...]") -> None:
         self._consecutive_loss_timeouts = 0
         if self.liveness == LIVENESS_SUSPECT:
             # The peer answered after all: the suspicion was a false positive.
             self._set_liveness(LIVENESS_HEALTHY, "recovered")
-        self._largest_acked = max(self._largest_acked, largest)
         ledger = self._unacked
         now = self._simulator.now
         acked_pairs: list[tuple[int, int]] | None = [] if self._cc_active else None
@@ -1388,7 +1371,6 @@ class QuicConnection:
         if self.closed:
             return
         self.closed = True
-        self.close_reason = reason
         # An announced close (local or via CONNECTION_CLOSE) ends liveness
         # tracking without telling the delegate: nothing was *detected*.
         # The transitions that arrived here through the detectors (idle
@@ -1396,7 +1378,6 @@ class QuicConnection:
         if self.liveness != LIVENESS_DEAD:
             self.liveness = LIVENESS_DEAD
             self.liveness_cause = "closed"
-            self.dead_at = self._simulator.now
         self._teardown()
         if self.delegate is not None:
             self.delegate.connection_closed(code, reason)
@@ -1434,9 +1415,7 @@ class QuicConnection:
         if self.closed:
             return
         self.closed = True
-        self.close_reason = "abandoned"
         if self.liveness != LIVENESS_DEAD:
             self.liveness = LIVENESS_DEAD
             self.liveness_cause = "abandoned"
-            self.dead_at = self._simulator.now
         self._teardown()

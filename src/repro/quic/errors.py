@@ -28,5 +28,3 @@ class QuicConnectionError(QuicError):
 
     def __init__(self, code: TransportErrorCode, reason: str) -> None:
         super().__init__(f"{code.name}: {reason}" if reason else code.name)
-        self.code = code
-        self.reason = reason

@@ -107,9 +107,6 @@ class OriginPromotion:
     """One epoch transition: which standby took over, when, and why."""
 
     epoch: int
-    old_active: str
-    new_active: str
-    at: float
     detected_via: str = ""
     detection_latency: float | None = None
     #: Objects the publisher-side replay ring seeded into the new active's
@@ -154,7 +151,6 @@ class OriginCluster:
         if origins < 1:
             raise ValueError(f"a cluster needs at least one origin: {origins}")
         self.network = network
-        self.track = track
         self.port = port
         self.standby_link = standby_link
         #: Monotonic promotion epoch: 0 until the first promotion.
@@ -285,7 +281,6 @@ class OriginCluster:
         (with its own gap FETCH), so a *second* promotion finds warm caches
         again.
         """
-        now = self.network.simulator.now
         old = self._active
         old.alive = False
         old.role = "deposed"
@@ -300,9 +295,6 @@ class OriginCluster:
         replayed = self._drain_replay_into(new)
         promotion = OriginPromotion(
             epoch=self.epoch,
-            old_active=old.host.address,
-            new_active=new.host.address,
-            at=now,
             detected_via=via,
             detection_latency=detection_latency,
             replayed_objects=replayed,

@@ -257,9 +257,6 @@ class FailoverEvent:
     tier: str
     at: float
     records: list[FailoverRecord] = field(default_factory=list)
-    #: Operator-supplied diagnostic for announced kills/leaves (a silent
-    #: crash sends no reason anywhere — that is its defining property).
-    reason: str = ""
     #: How the failure surfaced when ``cause == "detected"``: the transport
     #: liveness cause of the first orphan to notice (``"pto-suspect"``,
     #: ``"idle-timeout"`` or ``"pto-give-up"``).
@@ -367,7 +364,6 @@ class FlashCrowdStorm:
     """Everything one :meth:`RelayTopology.flash_crowd` injection produced."""
 
     count: int
-    window: float
     started_at: float
     full_track_name: FullTrackName
     records: list[AdmissionRecord] = field(default_factory=list)
@@ -921,7 +917,6 @@ class RelayTopology:
         simulator = self.network.simulator
         storm = FlashCrowdStorm(
             count=count,
-            window=window,
             started_at=simulator.now,
             full_track_name=full_track_name,
         )
@@ -997,7 +992,6 @@ class RelayTopology:
         self._check_alive(node)
         node.alive = False
         event = self._evacuate(node, cause="leave")
-        event.reason = reason
         node.failure_event = event
         node.relay.shutdown(reason)
         return event
@@ -1012,15 +1006,14 @@ class RelayTopology:
         re-attach latency is the pure 3-RTT floor with zero detection cost.
         Use :meth:`crash_relay` (fault injection only) plus in-band liveness
         reporting (:meth:`report_failure`) when detection itself is under
-        test (E13).  The returned event's reason is ``"relay crashed"``; the
-        crash itself is silent, so no reason ever reaches the wire.
+        test (E13).  The crash itself is silent: no reason ever reaches the
+        wire.
         """
         self._check_alive(node)
         node.alive = False
         node.crashed_at = self.network.simulator.now
         node.relay.crash()
         event = self._evacuate(node, cause="kill")
-        event.reason = "relay crashed"
         node.failure_event = event
         return event
 

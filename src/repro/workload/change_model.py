@@ -76,7 +76,6 @@ class RecordChangeProcess:
     addresses_per_answer: int
     rng: random.Random | None
     changes: int = 0
-    observations: int = 0
     _current_selection: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
@@ -105,7 +104,6 @@ class RecordChangeProcess:
 
     def advance(self) -> bool:
         """Advance one observation interval; returns True if the set changed."""
-        self.observations += 1
         if self.rng is None or self.rng.random() >= self.change_probability:
             return False
         previous = self._current_selection
@@ -123,7 +121,6 @@ class ChangeModel:
 
     def __init__(self, config: ChangeModelConfig | None = None) -> None:
         self.config = config if config is not None else ChangeModelConfig()
-        self._rng = random.Random(self.config.seed)
 
     def dynamic_fraction(self, ttl: int) -> float:
         """Fraction of domains with this TTL that behave dynamically."""

@@ -43,16 +43,16 @@ class TestRegistry:
     def test_record_update_tracks_group_ids(self):
         registry = SubscriptionRegistry(None)
         registry.record_lookup(_key(1), now=0.0)
-        registry.record_update(_key(1), now=1.0, group_id=4)
-        registry.record_update(_key(1), now=2.0, group_id=9)
-        registry.record_update(_key(1), now=3.0, group_id=7)  # stale, ignored for max
+        registry.record_update(_key(1), group_id=4)
+        registry.record_update(_key(1), group_id=9)
+        registry.record_update(_key(1), group_id=7)  # stale, ignored for max
         assert registry.get(_key(1)).last_group_id == 9
         assert registry.last_known_group(_key(1)) == 9
 
     def test_teardown_keeps_last_known_group_for_resumption(self):
         registry = SubscriptionRegistry(IdleTimeoutPolicy(idle_timeout=10.0))
         registry.record_lookup(_key(1), now=0.0)
-        registry.record_update(_key(1), now=1.0, group_id=5)
+        registry.record_update(_key(1), group_id=5)
         victims = registry.collect_victims(now=100.0)
         assert [victim.key for victim in victims] == [_key(1)]
         assert registry.state_size() == 0
@@ -73,7 +73,7 @@ class TestRegistry:
 class TestPolicies:
     def _subscriptions(self, count: int, last_lookup: float = 0.0) -> list[TrackedSubscription]:
         return [
-            TrackedSubscription(key=_key(i), created_at=0.0, last_lookup_at=last_lookup + i)
+            TrackedSubscription(key=_key(i), last_lookup_at=last_lookup + i)
             for i in range(count)
         ]
 
@@ -96,8 +96,8 @@ class TestPolicies:
 
     def test_adaptive_policy_retains_hot_questions_longer(self):
         policy = AdaptivePolicy(base_retention=10.0, cap=10)
-        cold = TrackedSubscription(key=_key(1), created_at=0.0, last_lookup_at=0.0, lookups=1)
-        hot = TrackedSubscription(key=_key(2), created_at=0.0, last_lookup_at=0.0, lookups=8)
+        cold = TrackedSubscription(key=_key(1), last_lookup_at=0.0, lookups=1)
+        hot = TrackedSubscription(key=_key(2), last_lookup_at=0.0, lookups=8)
         victims = policy.select_victims([cold, hot], now=50.0)
         assert cold in victims and hot not in victims
         assert policy.retention_for(hot) == 80.0

@@ -237,7 +237,7 @@ class TestIdleTimestamp:
                 _assert_same_deadline(*side)
         simulator.run()
         for index, (connection, model) in enumerate(sides):
-            assert connection.close_reason == "idle timeout"
+            assert connection.closed and connection.liveness_cause == "idle-timeout"
             assert closed_at[index] == [model.fired_at]
             # The same wakes at the same instants, hence as many events: the
             # connection consumed exactly the sequence numbers the timer did,
@@ -395,7 +395,6 @@ def _loss_state(connection):
     return (
         sorted((pn, record.sent_at) for pn, record in connection._unacked.items()),
         connection._smoothed_rtt,
-        connection._largest_acked,
         connection._consecutive_loss_timeouts,
         connection.loss_deadline is not None,
         connection.loss_deadline,
@@ -461,5 +460,5 @@ class TestReceiveAndAckShortcuts:
                 oldest = min(fast._unacked, default=fast._next_packet_number)
                 largest = max(0, oldest + step[1])
                 fast._on_ack(largest)
-                general._apply_ack([pn for pn in general._unacked if pn <= largest], largest)
+                general._apply_ack([pn for pn in general._unacked if pn <= largest])
             assert _loss_state(fast) == _loss_state(general)

@@ -1,7 +1,7 @@
 """The one-pass DNS message codec (``docs/dns-codec.md``).
 
 * differential: decoding over the per-message name table equals the
-  table-less walk (the per-class ``from_wire(wire, offset)`` calls, which stay
+  table-less walk (the per-class ``from_wire(wire, offset, None)`` calls, which stay
   the oracle) on generated messages that compress in every way the wire
   format allows, and on mutations of them;
 * golden-hex pins of ``to_wire`` so the encoder's compression choices stay
@@ -62,12 +62,12 @@ def decode_without_table(wire: bytes) -> Message:
     offset = 12
     questions = []
     for _ in range(counts[0]):
-        question, offset = Question.from_wire(wire, offset)
+        question, offset = Question.from_wire(wire, offset, None)
         questions.append(question)
     sections = [[], [], []]
     for section, count in zip(sections, counts[1:]):
         for _ in range(count):
-            record, offset = ResourceRecord.from_wire(wire, offset)
+            record, offset = ResourceRecord.from_wire(wire, offset, None)
             section.append(record)
     return Message(header, tuple(questions), *map(tuple, sections))
 
@@ -471,7 +471,7 @@ def test_typed_errors_share_one_base_and_stay_value_errors():
     with pytest.raises(RdataError):
         Message.from_wire(MALFORMED["NS whose RDLENGTH is one more than its name"])
     with pytest.raises(RdataError):
-        NSRdata.from_wire(b"\x01a\x00\x00", 0, 4)
+        NSRdata.from_wire(b"\x01a\x00\x00", 0, 4, None)
 
 
 # -------------------------------------- callers catch the typed error only
@@ -550,7 +550,7 @@ def test_records_of_unknown_type_and_class_round_trip_byte_exact():
     assert rrsig.rdata == GenericRdata(46, b"\xc0\x0c\x07")  # not read as a name
     assert opaque.to_text() == "host.example.com. 3600 CLASS77 TYPE99 \\# 2 0102"
     assert message.to_wire() == wire
-    assert ResourceRecord.from_wire(opaque.to_wire(), 0)[0] == opaque
+    assert ResourceRecord.from_wire(opaque.to_wire(), 0, None)[0] == opaque
 
     # RFC 3597 text forms parse back to the same values.
     assert RecordType.from_text("TYPE99") == opaque.rdtype == RecordType(99)
@@ -684,7 +684,7 @@ def test_a_rdata_accepts_exactly_what_ipaddress_accepts(text):
     else:
         assert _ipaddress_accepts(text)
         assert rdata.to_wire() == ipaddress.IPv4Address(text).packed
-        assert ARdata.from_wire(rdata.to_wire(), 0, 4) == rdata
+        assert ARdata.from_wire(rdata.to_wire(), 0, 4, None) == rdata
 
 
 def _is_dotted_quad_reference(text: object) -> bool:
@@ -742,7 +742,7 @@ def test_aaaa_rdata_keeps_the_forms_it_computed_and_equality_on_the_given_text()
     assert rdata.address == given_text
     assert rdata.to_text() == "2001:db8::1"
     assert rdata.to_wire() == ipaddress.IPv6Address(given_text).packed
-    decoded = AAAARdata.from_wire(rdata.to_wire(), 0, 16)
+    decoded = AAAARdata.from_wire(rdata.to_wire(), 0, 16, None)
     assert decoded == AAAARdata("2001:db8::1") and decoded != rdata
     assert (decoded.to_wire(), decoded.to_text()) == (rdata.to_wire(), rdata.to_text())
     moved = replace(rdata, address="::2")

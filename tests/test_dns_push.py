@@ -533,7 +533,7 @@ def _only_control_streams(network: Network) -> list:
     ]
     assert [connection.stream_states for connection in connections] == [1] * len(connections)
     assert max(connection.stream_reorder_backlog for connection in connections) == 0
-    assert [connection.close_reason for connection in connections if connection.closed] == []
+    assert [connection for connection in connections if connection.closed] == []
     return connections
 
 

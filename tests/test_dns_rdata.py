@@ -43,7 +43,7 @@ class TestAddressRdata:
 
     def test_a_wrong_length_rejected(self):
         with pytest.raises(RdataError):
-            ARdata.from_wire(b"\x01\x02", 0, 2)
+            ARdata.from_wire(b"\x01\x02", 0, 2, None)
 
     def test_aaaa_roundtrip_and_canonical_text(self):
         rdata = AAAARdata("2001:DB8::1")
@@ -52,24 +52,24 @@ class TestAddressRdata:
 
     def test_decoding_yields_the_value_the_constructor_would(self):
         for packed in (bytes([0, 0, 0, 0]), bytes([10, 0, 200, 255]), bytes([255] * 4)):
-            decoded = ARdata.from_wire(b"\xff" + packed, 1, 4)
+            decoded = ARdata.from_wire(b"\xff" + packed, 1, 4, None)
             built = ARdata(decoded.address)
             assert decoded == built and hash(decoded) == hash(built)
             assert decoded.to_wire() == packed
         for packed in (bytes(16), bytes(range(16)), bytes([0x20, 1, 0x0D, 0xB8] + [0] * 11 + [1])):
-            decoded = AAAARdata.from_wire(packed, 0, 16)
+            decoded = AAAARdata.from_wire(packed, 0, 16, None)
             assert decoded == AAAARdata(decoded.address)
             assert decoded.to_text() == decoded.address and decoded.to_wire() == packed
 
     def test_truncated_or_mislabelled_address_rejected(self):
         with pytest.raises(RdataError):
-            ARdata.from_wire(b"\x01\x02\x03", 0, 4)
+            ARdata.from_wire(b"\x01\x02\x03", 0, 4, None)
         with pytest.raises(RdataError):
-            ARdata.from_wire(bytes(5), 0, 5)
+            ARdata.from_wire(bytes(5), 0, 5, None)
         with pytest.raises(RdataError):
-            AAAARdata.from_wire(bytes(15), 0, 16)
+            AAAARdata.from_wire(bytes(15), 0, 16, None)
         with pytest.raises(RdataError):
-            AAAARdata.from_wire(bytes(16), 0, 4)
+            AAAARdata.from_wire(bytes(16), 0, 4, None)
 
     def test_constructor_and_from_text_still_validate(self):
         for bad in ("256.0.0.1", "1.2.3", "01.2.3.4"):

@@ -96,16 +96,17 @@ def _build(publisher_delegate=None, alpn_version_negotiation=False):
 class TestSessionSetup:
     def test_session_ready_after_two_rtts(self):
         simulator, session, publisher_sessions, _ = _build()
-        simulator.run(until=2.0)
+        # The handshake's round trip, then CLIENT_SETUP -> SERVER_SETUP.
+        simulator.run(until=2 * RTT * 0.99)
+        assert not session.ready
+        simulator.run(until=2 * RTT * 1.01)
         assert session.ready
-        assert session.ready_at == pytest.approx(2 * RTT)
+        simulator.run(until=2.0)
         assert publisher_sessions[0].ready
-        assert session.selected_version is not None
 
     def test_alpn_version_negotiation_makes_client_ready_immediately(self):
         simulator, session, _, _ = _build(alpn_version_negotiation=True)
-        assert session.ready
-        assert session.ready_at == 0.0
+        assert simulator.now == 0.0 and session.ready
 
     def test_requests_queued_until_ready_are_sent(self):
         simulator, session, _, delegate = _build()
@@ -257,7 +258,7 @@ class TestSubscribeAndFetch:
         session.fetch(TRACK, Location(1, 0), Location(1, 0), on_complete=lambda fetch: None)
         simulator.run(until=2.0)
         publisher = publisher_sessions[0]
-        assert publisher.statistics.fetches_received == 2
+        assert len(delegate.fetches) == 2
         assert publisher._pending_incoming_fetches is _UNUSED
 
         delegate.defer = True
@@ -281,11 +282,11 @@ class TestSubscribeAndFetch:
         assert publisher._pending_incoming_fetches is _UNUSED
         fetch = session.fetch(TRACK, Location(1, 0), Location(1, 0), on_complete=lambda fetch: None)
         simulator.run(until=2.0)
-        assert fetch.succeeded and publisher.statistics.fetches_received == 1
+        assert fetch.succeeded and len(delegate.fetches) == 1
         (_, message, _) = delegate.fetches[0]
         publisher.complete_fetch(message.request_id, FetchResult(ok=True))  # answered already
         assert publisher._pending_incoming_fetches is _UNUSED
-        assert publisher.statistics.fetches_received == 1
+        assert len(delegate.fetches) == 1 and fetch.state == "complete"
 
     def test_fetch_error_when_no_publisher(self):
         simulator, session, publisher_sessions, _ = _build()
@@ -315,12 +316,13 @@ class TestSubscribeAndFetch:
             "unknown type": b"\x3f\x01",
             "truncated object": good[:-1],
         }[case]
-        closed = []
+        closed, own = [], []
         publisher.on_closed = lambda s, reason: closed.append(reason)
+        session.on_closed = lambda s, reason: own.append(reason)
         publisher.connection.send_encoded_stream(malformed)
         simulator.run(until=3.0)
         assert session.closed and session.connection.closed
-        assert publisher.closed and closed == [session.connection.close_reason]
+        assert publisher.closed and len(own) == 1 and closed == own
         assert pushed == [] and subscription.objects_received == 0
         assert session.statistics.objects_received == 0
         assert malformed not in simulator.memos["moqt.stream"]
@@ -330,7 +332,7 @@ class TestSubscribeAndFetch:
         """The control-stream counterpart: a payload that fails to decode
         closes the session with ``PROTOCOL_VIOLATION`` instead of raising out
         of it, and the simulation's decode memo keeps nothing of it."""
-        simulator, _, publisher_sessions, _ = _build()
+        simulator, _, publisher_sessions, delegate = _build()
         simulator.run(until=2.0)
         decoded = simulator.memos["moqt.control"]
         held = dict(decoded)
@@ -344,7 +346,7 @@ class TestSubscribeAndFetch:
         publisher = publisher_sessions[0]
         publisher.stream_data_received(0, wire, False)
         assert publisher.closed and publisher.connection.closed
-        assert publisher.statistics.subscribes_received == 0
+        assert delegate.subscribes == []
         assert decoded == held
 
     def test_a_session_closed_before_setup_keeps_no_queued_request(self):

@@ -345,7 +345,7 @@ class TestRouteOrder:
         # take loopback traffic off the next-event path.
         network = self._abc(simulator)
         with pytest.raises(ValueError):
-            network.connect("a", "a")
+            network.connect("a", "a", LinkConfig())
         assert not network.has_link("a", "a")
 
     def test_trace_records_are_the_same_for_every_kind_of_route(self, simulator):

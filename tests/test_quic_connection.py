@@ -57,8 +57,12 @@ class TestHandshake:
     def test_handshake_takes_one_rtt(self):
         simulator, server_ep, client_ep, config, _ = _build()
         connection = client_ep.connect(Address(SERVER, 4443), config)
+        # The ServerHello lands one round trip after the ClientHello left.
+        simulator.run(until=RTT * 0.99)
+        assert not connection.handshake_complete
+        simulator.run(until=RTT * 1.01)
+        assert connection.handshake_complete
         simulator.run(until=5.0)
-        assert connection.handshake_completed_at == pytest.approx(RTT)
         assert connection.negotiated_alpn == "moq-00"
         assert connection.handshake_rtts == 1.0
 
@@ -250,6 +254,8 @@ class TestTimerEdgeCases:
         network.connect(CLIENT, SERVER, LinkConfig(delay=0.01))
         endpoint = QuicEndpoint(network.host(CLIENT))
         connection = endpoint.connect(Address(SERVER, 4443), ConnectionConfig(initial_rtt=0.04))
+        closed = []
+        delegate_to(connection, on_closed=lambda code, reason: closed.append(reason))
         send_times = []
         original = connection._send
         connection._send = lambda payload, destination: (
@@ -257,7 +263,7 @@ class TestTimerEdgeCases:
             original(payload, destination),
         )
         simulator.run(until=120.0)
-        assert connection.closed and connection.close_reason == "peer unreachable"
+        assert connection.closed and closed == ["peer unreachable"]
         pto = max(2.5 * 0.04, 0.02)
         # send_times holds the retransmissions only (the original INITIAL
         # left before the capture hook was installed); the n-th and n+1-th
@@ -340,17 +346,16 @@ class TestLivenessStateMachine:
         delegate_to(
             connection,
             on_liveness=lambda old, new: transitions.append(
-                (old, new, connection.liveness_cause)
+                (old, new, connection.liveness_cause, simulator.now)
             ),
         )
         connection.start_handshake()
         self._run_ptos(simulator, connection, connection.LIVENESS_SUSPECT_AFTER)
         assert connection.liveness == "suspect"
-        assert connection.suspected_at == simulator.now
-        assert transitions == [("healthy", "suspect", "pto-suspect")]
+        assert transitions == [("healthy", "suspect", "pto-suspect", simulator.now)]
         _ack_everything(connection)
         assert connection.liveness == "healthy"
-        assert transitions[-1] == ("suspect", "healthy", "recovered")
+        assert transitions[-1][:3] == ("suspect", "healthy", "recovered")
         assert not connection.closed, "suspicion alone never closes"
 
     def test_suspect_fires_at_the_modelled_offset(self):
@@ -388,7 +393,7 @@ class TestLivenessStateMachine:
         wire_before = len(sent)
         connection.abandon()
         simulator.run()
-        assert connection.closed and connection.close_reason == "abandoned"
+        assert connection.closed and connection.liveness_cause == "abandoned"
         assert len(sent) == wire_before, "no close frame escapes a crash"
         assert closed == [], "no callback observes the crash"
         assert simulator.pending_events == 0, "all timers died with the process"
@@ -480,7 +485,7 @@ class TestAckRangesRepair:
     def test_exact_ack_leaves_the_dropped_packet_unacked(self):
         _, connection = self._connection()
         connection._unacked = {pn: _EncodedStreamPacket(2, 0, b"", True, 0.0, 0) for pn in (0, 1, 2, 3)}
-        connection._on_ack_ranges(3, ((0, 1), (3, 3)))
+        connection._on_ack_ranges(((0, 1), (3, 3)))
         # Packet 2 was never received by the peer: it must stay unacked so
         # the loss timer retransmits it.
         assert set(connection._unacked) == {2}
@@ -488,7 +493,7 @@ class TestAckRangesRepair:
     def test_exact_vs_cumulative_ack_on_a_gapped_set(self):
         _, connection = self._connection()
         connection._unacked = {pn: _EncodedStreamPacket(2, 0, b"", True, 0.0, 0) for pn in (2, 4)}
-        connection._on_ack_ranges(4, ((0, 1), (4, 4)))
+        connection._on_ack_ranges(((0, 1), (4, 4)))
         assert set(connection._unacked) == {2}
         # The cumulative form would have acked 2 as well — the exact bug.
         connection._unacked = {pn: _EncodedStreamPacket(2, 0, b"", True, 0.0, 0) for pn in (2, 4)}

@@ -74,7 +74,7 @@ def oracle_calls(datagram: bytes) -> list[tuple]:
         elif isinstance(frame, AckFrame):
             calls.append(("ack", frame.largest))
         elif isinstance(frame, AckRangesFrame):
-            calls.append(("ack_ranges", frame.largest, frame.ranges))
+            calls.append(("ack_ranges", frame.ranges))
         elif isinstance(frame, CryptoFrame):
             calls.append(("crypto", frame.data))
         elif isinstance(frame, ConnectionCloseFrame):
@@ -114,8 +114,8 @@ class RecordingConnection(QuicConnection):
     def _on_ack(self, largest):
         self.calls.append(("ack", largest))
 
-    def _on_ack_ranges(self, largest, ranges):
-        self.calls.append(("ack_ranges", largest, ranges))
+    def _on_ack_ranges(self, ranges):
+        self.calls.append(("ack_ranges", ranges))
 
     def _on_crypto(self, data):
         assert type(data) is bytes
@@ -457,7 +457,6 @@ def _snapshot(connection: QuicConnection, delivered: list) -> tuple:
         sorted(connection._peer_uni_above or ()),
         sorted(connection._unacked),
         connection._next_packet_number,
-        connection._largest_acked,
         connection.closed,
         list(delivered),
     )
@@ -563,6 +562,11 @@ def test_a_crypto_frame_without_a_hello_closes_the_connection():
         assert client.datagrams_malformed == 0  # the packet itself was fine
     for hello in _hostile_hellos(CLIENT_HELLO, SERVER_HELLO):
         simulator, network, server, accepted = _server_endpoint()
+        reasons = []
+        server.on_connection = lambda connection: (
+            accepted.append(connection),
+            delegate_to(connection, on_closed=lambda code, reason: reasons.append(reason)),
+        )
         packet = Packet(PacketType.INITIAL, 123456, 0, (CryptoFrame(hello),))
         network.host(CLIENT).send(
             Datagram(
@@ -575,7 +579,7 @@ def test_a_crypto_frame_without_a_hello_closes_the_connection():
         simulator.run()
         (connection,) = accepted
         assert connection.closed and not connection.handshake_complete, hello
-        assert connection.close_reason in ("malformed ClientHello", "not a ClientHello")
+        assert len(reasons) == 1 and reasons[0] in ("malformed ClientHello", "not a ClientHello")
         assert server.datagrams_malformed == 0
 
 
@@ -644,11 +648,15 @@ def test_valid_frame_followed_by_a_truncated_frame_delivers_nothing():
 def test_frames_after_a_connection_close_are_still_walked():
     """Pinned parent behaviour: the loop does not stop at CONNECTION_CLOSE."""
     connection, sent = _isolated()
-    delivered = []
-    delegate_to(connection, on_stream_data=lambda sid, data, fin: delivered.append(data))
+    delivered, reasons = [], []
+    delegate_to(
+        connection,
+        on_stream_data=lambda sid, data, fin: delivered.append(data),
+        on_closed=lambda code, reason: reasons.append(reason),
+    )
     frames = (ConnectionCloseFrame(0, "bye"), StreamFrame(2, 0, b"after-close", True))
     connection.datagram_received(Packet(PacketType.ONE_RTT, 77, 0, frames).encode())
-    assert connection.closed and connection.close_reason == "bye"
+    assert connection.closed and reasons == ["bye"]
     assert delivered == [b"after-close"]
     assert sent == []  # a closed connection sends no ACK
 

@@ -223,17 +223,14 @@ class TestFailover:
         # A switch that arms recovery followed immediately by another must
         # leave the buffer released once the second gap FETCH completes:
         # nothing else ever would, and the track would swallow live objects
-        # forever.  Group 4 is lost today (see the strict xfail below).
+        # forever.
         for groups in self.switch_twice():
-            assert groups == [2, 3, 5], "live delivery resumed"
+            assert groups == [2, 3, 4, 5], "live delivery resumed"
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="mid 0 dropped its idle upstream subscription during the "
-        "first switch and answers the second gap FETCH from a cache that "
-        "missed group 4 (the FOUND line on MoqtRelay.handle_fetch in CHANGES.md)",
-    )
     def test_a_second_switch_mid_recovery_recovers_the_gap(self):
+        # Mid 0 dropped its idle upstream subscription during the first
+        # switch, and its cache with it: the second gap FETCH goes upstream
+        # instead of being answered from a cache that missed group 4.
         for groups in self.switch_twice():
             assert groups == [2, 3, 4, 5]
 

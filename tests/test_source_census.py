@@ -72,16 +72,31 @@ hand against what runs.  What only tests reach is in ``HIDDEN_BY_NAME``.
   one value in use is a constant.  A default is a value only where a call or
   construction leaves it in place: one every call overrides is dead (drop
   it); the fields of the wire messages and values (``WIRE_MODULES``) are
-  data and exempt.  A method is called by name on any object, so any call
-  ``x.method(...)`` sets its parameters (by position after ``self``, from 0
-  for a staticmethod), one handed on by reference has them all set, and one
-  only tests reach has none.  A value forwarded through a function's
+  data and exempt.  A call ``x.method(...)`` sets the parameters (by
+  position after ``self``, from 0 for a staticmethod) of the method of
+  ``x``'s class and its family where that class is evident and defines the
+  method (:class:`Owners`), else of every method of that name; one handed
+  on by reference has them all set, and one only tests reach has none.  A
+  value forwarded through a function's
   parameter is followed to the function's callers; an attribute read is
   followed to its owner's option where the owner is evident (``self``, a
   parameter annotated with a class, a local bound to one), else linked by
   name and listed in ``LINKED_BY_NAME``.  The test prints what it cannot
   see: those by-name links, method parameters outside the census (none) and
   the wire fields every construction sets.
+
+* every field is read in what runs: an instance attribute a method assigns
+  on ``self``, a ``__slots__`` entry or a dataclass field under
+  ``src/repro`` is read somewhere in ``src/``, ``examples/`` or
+  ``benchmarks/`` (:func:`unread_fields`), or it is in ``UNREAD`` with
+  ``TEST_ONLY``'s or ``ONE_VALUE``'s reasons.  A read off an object of
+  evident class (:class:`Owners`) counts for that class's family, one off
+  any other object for every field of the name.  A ``getattr`` of a name
+  string (a constant, or a loop over a tuple of names), ``fields(x)`` /
+  ``asdict(x)`` and comparing or hashing a dataclass that is compared (see
+  :func:`field_reads`) are reads; a field's own update (``x += 1``,
+  ``x = max(x, ...)``, a subscript store, an in-place method called as a
+  statement) is not.
 """
 
 from __future__ import annotations
@@ -116,6 +131,7 @@ TEST_ONLY: dict[str, str] = {
     "analysis/detection.py::DEFAULT_BACKOFF_CAP": "oracle: the PTO backoff cap suspect_latency assumes (test_failure_detection.py pins it to the transport's)",
     "analysis/detection.py::DEFAULT_SUSPECT_AFTER": "oracle: the PTOs to suspicion suspect_latency assumes (test_failure_detection.py pins it to the transport's)",
     "analysis/detection.py::suspect_latency": "oracle: the PTO suspect time test_quic_connection.py checks the connection against",
+    "analysis/staleness.py::expected_staleness_polling": "oracle: a poller's mean staleness, half the TTL, that E5's pub/sub staleness is set against",
     "core/compatibility.py::CapabilityMemo.known_moqt_hosts": "observer: the hosts the memo believes speak MoQT",
     "core/compatibility.py::RefreshScheduler.refresh_counts": "observer: refreshes per question",
     "core/forwarder.py::MoqForwarder._torn_down": "ROADMAP 7(b), 8: called by run_teardown",
@@ -179,6 +195,7 @@ HIDDEN_BY_NAME: dict[str, str] = {
     "netsim/trace.py::TraceEvent.as_dict": "observer: one trace event as a row",
     "netsim/trace.py::TraceRecorder.filter": "observer: the events a predicate selects",
     "netsim/trace.py::TraceRecorder.kinds": "observer: the event kinds recorded, in order of first occurrence",
+    "quic/connection.py::QuicConnection.connection_id": "observer: the id a crafted packet is addressed to",
     "quic/endpoint.py::QuicEndpoint.connections": "observer: every connection the endpoint has seen",
     "relaynet/topology.py::FlashCrowdStorm.join_latencies": "observer: each stormer's join latency",
 }
@@ -764,6 +781,8 @@ class Option:
         self.field = "(" not in qualname
         self.method = owner.startswith(".")
         self.function = function
+        #: A method's class: the calls typed to its family set it.
+        self.cls = qualname.split("::")[1].split(".")[0] if self.method else None
 
 
 def _defaulted(arguments: ast.arguments, first: int = 0) -> list[tuple[str, int | None, ast.expr]]:
@@ -920,7 +939,7 @@ def _passed(
 
 
 def passed_values(
-    runs: dict[str, str], owners: set[str]
+    runs: dict[str, str], owners: set[str], typing: "Owners"
 ) -> tuple[dict[str, list[list[Passed]]], dict[str, list[Passed]]]:
     """What the corpus ``runs`` passes each class or function in ``owners``
     at each call, and each field through ``dataclasses.replace``: ``(owner
@@ -962,7 +981,7 @@ def passed_values(
                 passed, unread = _passed(node, function, nodes[0])
                 if unread is not None:
                     passed.append(("**", None))
-                constructed.setdefault(f".{node.func.attr}", []).append(passed)
+                constructed.setdefault(typing.method_key(node.func), []).append(passed)
             callee = _callee(node.func)
             parameters = [argument.arg for argument in function.args.args] if function else []
             classmethod_ = bool(function) and any(
@@ -1156,6 +1175,80 @@ def attribute_classes(modules: dict[str, str]) -> tuple[set[str], dict[tuple[str
     return classes, held
 
 
+class Owners:
+    """``owners(node) -> str | None``: the class under ``src/repro`` an
+    expression of what runs evidently holds: ``self`` in a class, a
+    parameter annotated with a class, a local bound once to a construction
+    or to another such expression, or an attribute of any of these that
+    :func:`attribute_classes` knows.  The option census resolves the object
+    a method is called on and an option's value is read off with it, and
+    the field census the object a field is read off."""
+
+    def __init__(self, modules: dict[str, str], runs: dict[str, str]) -> None:
+        self.classes, self.held = attribute_classes(modules)
+        self.scopes: dict[int, tuple[ast.ClassDef | None, ast.FunctionDef | None]] = {}
+        for source in runs.values():
+            self.scopes.update(_scopes(_nodes(source)))
+        #: class -> the names of its bases under ``src/repro``, and its methods.
+        self.bases: dict[str, set[str]] = {}
+        self.methods: dict[str, set[str]] = {}
+        for source in modules.values():
+            for node in _nodes(source):
+                if isinstance(node, ast.ClassDef):
+                    self.bases.setdefault(node.name, set()).update(
+                        _callee(base) for base in node.bases if _callee(base) in self.classes
+                    )
+                    self.methods.setdefault(node.name, set()).update(
+                        item.name for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    )
+
+    def method_key(self, func: ast.Attribute) -> str:
+        """Whose method a call ``x.method(...)`` calls: ``Class.method`` where
+        ``x`` is a class, or evidently holds one whose family defines the
+        method, else ``.method`` (any class's of that name)."""
+        receiver = func.value
+        cls = receiver.id if isinstance(receiver, ast.Name) and receiver.id in self.classes else self(receiver)
+        if cls and any(func.attr in self.methods.get(one, ()) for one in self.family(cls)):
+            return f"{cls}.{func.attr}"
+        return f".{func.attr}"
+
+    def family(self, cls: str) -> set[str]:
+        """``cls``, the classes it derives from and those derived from it:
+        an object typed as one may be any of them."""
+        found, frontier = {cls}, [cls]
+        while frontier:
+            one = frontier.pop()
+            related = self.bases.get(one, set()) | {other for other, bases in self.bases.items() if one in bases}
+            frontier += related - found
+            found |= related
+        return found
+
+    def __call__(self, node: ast.expr, depth: int = 0) -> str | None:
+        if isinstance(node, ast.Call):
+            return _callee(node.func) if _callee(node.func) in self.classes else None
+        if isinstance(node, ast.Attribute):
+            owner = self(node.value, depth)
+            return self.held.get((owner, node.attr)) if owner else None
+        if not isinstance(node, ast.Name):
+            return None
+        cls, function = self.scopes.get(id(node), (None, None))
+        if node.id == "self":
+            return cls.name if cls is not None else None
+        if function is None:
+            return None
+        arguments = function.args
+        for argument in arguments.posonlyargs + arguments.args + arguments.kwonlyargs:
+            if argument.arg == node.id:
+                return _annotated(argument.annotation, self.classes)
+        bound = [
+            statement.value
+            for statement in ast.walk(function)
+            if isinstance(statement, ast.Assign)
+            and any(getattr(target, "id", None) == node.id for target in statement.targets)
+        ]
+        return self(bound[0], depth + 1) if len(bound) == 1 and depth < 4 else None
+
+
 def one_valued(modules: dict[str, str], runs: dict[str, str]) -> OptionCensus:
     """Every option, and the qualnames of those what runs passes no second
     value, or whose default no call leaves in place (outside
@@ -1172,7 +1265,8 @@ def one_valued(modules: dict[str, str], runs: dict[str, str]) -> OptionCensus:
     forward it; a function that what runs also names without calling it (a
     callback) passes an unreadable value."""
     found = options(modules)
-    constructed, replaced = passed_values(runs, {option.owner for option in found})
+    owner_of = Owners(modules, runs)
+    constructed, replaced = passed_values(runs, {option.owner for option in found}, owner_of)
     spell = spelling(runs)
     defaults = {option.qualname: spell(option.default) for option in found}
     by_name: dict[str, list[Option]] = {}
@@ -1181,7 +1275,8 @@ def one_valued(modules: dict[str, str], runs: dict[str, str]) -> OptionCensus:
     sources = {}
     #: function name -> [(a call naming it, the call's function, its tree)].
     calls: dict[str, list[tuple[ast.Call, ast.FunctionDef | None, ast.AST]]] = {}
-    #: names what runs reads other than as a call's callee or a local.
+    #: names what runs reads other than as a call's callee or a local, and
+    #: ``Class.method`` read off an object of evident class.
     referenced: set[str] = set()
     local: dict[int, set[str]] = {}
     for source in runs.values():
@@ -1193,8 +1288,14 @@ def one_valued(modules: dict[str, str], runs: dict[str, str]) -> OptionCensus:
             if isinstance(node, ast.Call):
                 calls.setdefault(_callee(node.func) or "", []).append((node, sources[id(node)][1], nodes[0]))
             elif isinstance(node, ast.Attribute) and id(node) not in callees:
-                referenced.add(node.attr)
-            elif isinstance(node, ast.Name) and id(node) not in callees:
+                # Off an object of evident class, a method of its family
+                # handed on, or no method at all (a field read).
+                held = owner_of(node.value)
+                if held is None:
+                    referenced.add(node.attr)
+                elif any(node.attr in owner_of.methods.get(one, ()) for one in owner_of.family(held)):
+                    referenced.add(f"{held}.{node.attr}")
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and id(node) not in callees:
                 function = sources[id(node)][1]
                 if function is not None and id(function) not in local:
                     local[id(function)] = {argument.arg for argument in ast.walk(function.args) if isinstance(argument, ast.arg)} | {
@@ -1218,7 +1319,9 @@ def one_valued(modules: dict[str, str], runs: dict[str, str]) -> OptionCensus:
         parameter = next((argument for argument in positional + arguments.kwonlyargs if argument.arg == value.id), None)
         if parameter is None:
             return [value]
-        if function.name in referenced:
+        if function.name in referenced or (
+            cls is not None and any(f"{one}.{function.name}" in referenced for one in owner_of.family(cls.name))
+        ):
             return [None]
         bound = cls is not None and positional and positional[0].arg in ("self", "cls")
         index = positional.index(parameter) if parameter in positional else None
@@ -1244,7 +1347,10 @@ def one_valued(modules: dict[str, str], runs: dict[str, str]) -> OptionCensus:
     live: set[str] = set()
     for option in found:
         passed: list[ast.expr | None] = []
-        for call in constructed.get(option.owner, ()):
+        calls_ = list(constructed.get(option.owner, ()))
+        if option.method:
+            calls_ += [call for cls in owner_of.family(option.cls) for call in constructed.get(f"{cls}{option.owner}", ())]
+        for call in calls_:
             given = [
                 value
                 for key, value in call
@@ -1258,41 +1364,13 @@ def one_valued(modules: dict[str, str], runs: dict[str, str]) -> OptionCensus:
             passed += given
         if option.field:
             passed += [value for _, value in replaced.get(option.name, ())]
-        if (option.function or option.method) and option.owner.lstrip(".") in referenced:
+        if (option.function or option.method) and (
+            option.owner.lstrip(".") in referenced
+            or (option.method and any(f"{one}{option.owner}" in referenced for one in owner_of.family(option.cls)))
+        ):
             passed.append(None)
             live.add(option.qualname)
         values[option.qualname] = [value for one in passed for value in received(one)]
-
-    classes, held = attribute_classes(modules)
-
-    def owner_of(node: ast.expr, depth: int = 0) -> str | None:
-        """The class ``node`` evidently holds: ``self`` in a class, a
-        parameter annotated with a class, a local bound once to a
-        construction or to another such expression, or an attribute of any
-        of these that :func:`attribute_classes` knows."""
-        if isinstance(node, ast.Call):
-            return _callee(node.func) if _callee(node.func) in classes else None
-        if isinstance(node, ast.Attribute):
-            owner = owner_of(node.value, depth)
-            return held.get((owner, node.attr)) if owner else None
-        if not isinstance(node, ast.Name):
-            return None
-        cls, function = sources.get(id(node), (None, None))
-        if node.id == "self":
-            return cls.name if cls is not None else None
-        if function is None:
-            return None
-        arguments = function.args
-        for argument in arguments.posonlyargs + arguments.args + arguments.kwonlyargs:
-            if argument.arg == node.id:
-                return _annotated(argument.annotation, classes)
-        bound = [
-            statement.value
-            for statement in ast.walk(function)
-            if isinstance(statement, ast.Assign)
-            and any(getattr(target, "id", None) == node.id for target in statement.targets)
-        ]
-        return owner_of(bound[0], depth + 1) if len(bound) == 1 and depth < 4 else None
 
     def forwarded(option: Option, value: ast.expr) -> list[Option] | None:
         if isinstance(value, ast.Attribute):
@@ -1628,6 +1706,58 @@ class SmallTopology:
     assert found.flagged == []
 
 
+def test_option_census_types_the_object_a_method_is_called_on():
+    # The same two ``run`` methods: a call on an object of evident class
+    # sets its class's parameters alone (Name.from_wire's call in
+    # core/mapping.py hid the dead ``table`` default of every other
+    # ``from_wire`` until calls were typed).
+    simulator = """
+class Simulator:
+    def run(self, until=None):
+        return until
+
+
+class SmallTopology:
+    def run(self, seconds=None):
+        return seconds
+"""
+    modules = {"netsim/simulator.py": simulator}
+    until, seconds = "netsim/simulator.py::Simulator.run(until)", "netsim/simulator.py::SmallTopology.run(seconds)"
+    typed = "def main(simulator: Simulator, topology: SmallTopology):\n    simulator.run()\n    topology.run(10.0)\n"
+    assert _census(modules, typed).flagged == [until, seconds]
+    local = "def main():\n    topology = SmallTopology()\n    topology.run()\n    topology.run(10.0)\n"
+    assert _census(modules, local + "    Simulator().run()\n").flagged == [until]
+    # Called on a construction.
+    assert _census(modules, "def main(topology):\n    Simulator().run(5.0)\n    Simulator().run()\n").flagged == [seconds]
+
+
+def test_option_census_types_the_object_a_method_is_read_off():
+    # DnsUdpEndpoint.query(timeout) as it stood: one value in what runs, yet
+    # unflagged while ``pending.query`` (a PendingQuery field) counted as
+    # the method handed on by reference.
+    transport = """
+from dataclasses import dataclass
+
+
+class DnsUdpEndpoint:
+    def query(self, message, timeout=2.0):
+        return message, timeout
+
+
+@dataclass(eq=False)
+class PendingQuery:
+    query: bytes
+"""
+    modules = {"dns/transport.py": transport}
+    timeout = "dns/transport.py::DnsUdpEndpoint.query(timeout)"
+    caller = "def main(endpoint: DnsUdpEndpoint, pending: PendingQuery):\n    endpoint.query(b'q')\n    return pending.query\n"
+    assert _census(modules, caller).flagged == [timeout]
+    # Read off an object of no evident class, the name may be the method's.
+    assert _census(modules, caller.replace("pending: PendingQuery", "pending")).flagged == []
+    # Handed on off the endpoint itself, every parameter counts as set.
+    assert _census(modules, caller.replace("return pending.query", "return endpoint.query")).flagged == []
+
+
 def test_option_census_counts_a_method_handed_on_as_set():
     # RelayTopology's storm join as it stood: scheduled by reference, so the
     # census cannot see its calls and every parameter counts as set.
@@ -1762,6 +1892,419 @@ class Unsubscribe:
     found = _census(modules, caller)
     assert found.flagged == ["experiments/fig2_sequence.py::Fig2Result.push_latency"]
     assert "moqt/messages.py::Unsubscribe.request_id" in found.dead
+
+
+class Field(NamedTuple):
+    """One field under ``src/repro``: ``path::Class.name``, its class and name."""
+
+    qualname: str
+    cls: str
+    name: str
+
+
+#: Methods that change a container in place; called as a statement on a
+#: field, the field is updated, not read.
+UPDATES = {"append", "appendleft", "add", "update", "setdefault", "extend", "clear", "pop", "popleft", "discard", "remove", "insert"}
+#: Calls that read every field of the dataclass they are given.
+READ_ALL = {"fields", "asdict", "astuple"}
+#: Annotations whose arguments are hashed.
+HASHED = {"dict", "Dict", "set", "Set", "frozenset", "FrozenSet", "defaultdict", "Counter", "Mapping", "MutableMapping"}
+
+
+def instance_fields(modules: dict[str, str]) -> tuple[list[Field], dict[str, list[str]], set[str]]:
+    """Every field under ``src/repro`` (each instance attribute a method
+    assigns on ``self``, ``__slots__`` entry and dataclass or named-tuple
+    field; a ``Protocol``'s declarations are none), the fields each
+    dataclass's generated ``__eq__`` compares (none with ``eq=False``), and
+    the classes always compared: a named tuple, a dataclass declared
+    ``order=True``, and a frozen one (hashable: a value is a key)."""
+    found: list[Field] = []
+    compares: dict[str, list[str]] = {}
+    always: set[str] = set()
+    for path, source in modules.items():
+        for node in _nodes(source):
+            if not isinstance(node, ast.ClassDef) or any(_callee(base) == "Protocol" for base in node.bases):
+                continue
+            names: dict[str, None] = {}
+            methods = {item.name for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+            kind = _dataclass(node)
+            tupled = any(_callee(base) == "NamedTuple" for base in node.bases)
+            declared = []
+            for statement in node.body:
+                if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+                    if "ClassVar" not in ast.unparse(statement.annotation):
+                        declared.append(statement)
+                        names[statement.target.id] = None
+                elif isinstance(statement, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in statement.targets):
+                    names.update(
+                        (item.value, None)
+                        for item in ast.walk(statement.value)
+                        if isinstance(item, ast.Constant) and isinstance(item.value, str)
+                    )
+            for method in node.body:
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.update(
+                        (target.attr, None)
+                        for target in ast.walk(method)
+                        if isinstance(target, ast.Attribute)
+                        and isinstance(target.ctx, ast.Store)
+                        and getattr(target.value, "id", None) == "self"
+                    )
+            found += [Field(f"{path}::{node.name}.{name}", node.name, name) for name in names if not _dunder(name) and name not in methods]
+            decorator = next(
+                (d for d in node.decorator_list if _callee(d.func if isinstance(d, ast.Call) else d) == "dataclass"), None
+            )
+            keywords = {k.arg: k.value.value for k in getattr(decorator, "keywords", ()) if isinstance(k.value, ast.Constant)}
+            if (kind and keywords.get("eq", True)) or tupled:
+                compares[node.name] = [
+                    statement.target.id
+                    for statement in declared
+                    if not (
+                        isinstance(statement.value, ast.Call)
+                        and _callee(statement.value.func) == "field"
+                        and any(k.arg == "compare" and getattr(k.value, "value", True) is False for k in statement.value.keywords)
+                    )
+                ]
+                if keywords.get("order") or kind == "frozen" or tupled:
+                    always.add(node.name)
+    return found, compares, always
+
+
+def _names_iterated(node: ast.expr, function: ast.FunctionDef | None, tree: ast.AST, depth: int = 0) -> list[str]:
+    """The strings ``node`` may hold: a string constant, or a loop variable
+    over a tuple of them (a display, or a module-level name bound to one
+    or to a sum of such)."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if depth > 4:
+        return []
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return [name for item in node.elts for name in _names_iterated(item, function, tree, depth + 1)]
+    if isinstance(node, ast.BinOp):
+        return _names_iterated(node.left, function, tree, depth + 1) + _names_iterated(node.right, function, tree, depth + 1)
+    if not isinstance(node, ast.Name):
+        return []
+    found = []
+    for statement in ast.walk(function or tree):
+        if isinstance(statement, (ast.For, ast.comprehension)) and getattr(statement.target, "id", None) == node.id:
+            found += _names_iterated(statement.iter, function, tree, depth + 1)
+    for statement in tree.body:
+        if isinstance(statement, ast.Assign) and any(getattr(t, "id", None) == node.id for t in statement.targets):
+            found += _names_iterated(statement.value, None, tree, depth + 1)
+    return found
+
+
+def field_reads(
+    modules: dict[str, str], runs: dict[str, str], owners: Owners
+) -> tuple[set[tuple[str, str]], set[str], set[str]]:
+    """What ``runs`` reads: ``({(class, field)} read off an object of
+    evident class, {field names} read off an object of no evident class,
+    {classes} compared by value)``.
+
+    A read is an attribute load, a ``getattr`` of a name string (a
+    constant, or a loop variable over a tuple of names), or ``fields(x)`` /
+    ``asdict(x)`` / ``astuple(x)`` (every field of ``x``'s class).  A
+    dataclass is compared where what runs compares (``==``, ``in``, an
+    ordering) or hashes (a subscript, an annotation ``dict[C, ...]`` /
+    ``set[C]``) an object of evident class, and a frozen (hashable) one,
+    one declared ``order=True`` or a named tuple always are.  A field's own
+    update is no read: the load of ``self.x`` in ``self.x = max(self.x, y)``,
+    a subscript store or delete ``self.x[k] = v``, and a statement calling
+    an in-place method (``UPDATES``) on it."""
+    typed: set[tuple[str, str]] = set()
+    untyped: set[str] = set()
+    compared: set[str] = set()
+    members: dict[str, set[str]] = {}
+    found, _, always = instance_fields(modules)
+    compared.update(always)
+    for field in found:
+        members.setdefault(field.cls, set()).add(field.name)
+    for source in modules.values():
+        for node in _nodes(source):
+            if isinstance(node, ast.ClassDef):
+                members.setdefault(node.name, set()).update(
+                    target.id if isinstance(target, ast.Name) else getattr(target, "name", "")
+                    for item in node.body
+                    for target in getattr(item, "targets", None) or [getattr(item, "target", item)]
+                )
+            elif isinstance(node, ast.Subscript) and _callee(node.value) in HASHED:
+                key = node.slice.elts[0] if isinstance(node.slice, ast.Tuple) else node.slice
+                if _annotated(key, owners.classes):
+                    compared.add(_annotated(key, owners.classes))
+
+    def read(obj: ast.expr, name: str) -> None:
+        owner = owners(obj)
+        family = owners.family(owner) if owner else set()
+        if family and any(name in members.get(cls, ()) for cls in family):
+            typed.update((cls, name) for cls in family)
+        else:
+            untyped.add(name)
+
+    def compare(node: ast.expr) -> None:
+        for item in node.elts if isinstance(node, ast.Tuple) else [node]:
+            owner = owners(item)
+            if owner:
+                compared.update(owners.family(owner))
+
+    for source in runs.values():
+        nodes = _nodes(source)
+        updates: set[int] = set()
+        for node in nodes:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 and _dotted(node.targets[0]):
+                own = _dotted(node.targets[0])
+                updates.update(id(item) for item in ast.walk(node.value) if isinstance(item, ast.Attribute) and _dotted(item) == own)
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
+                for target in node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]:
+                    if isinstance(target, ast.Subscript) and isinstance(target.value, ast.Attribute):
+                        updates.add(id(target.value))
+            elif (
+                isinstance(node, ast.Expr)
+                and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Attribute)
+                and node.value.func.attr in UPDATES
+                and isinstance(node.value.func.value, ast.Attribute)
+            ):
+                updates.add(id(node.value.func.value))
+        for node in nodes:
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in updates:
+                read(node.value, node.attr)
+            elif isinstance(node, ast.Call) and node.args:
+                callee = _callee(node.func)
+                if callee == "getattr" and len(node.args) >= 2:
+                    function = owners.scopes.get(id(node), (None, None))[1]
+                    for name in _names_iterated(node.args[1], function, nodes[0]):
+                        read(node.args[0], name)
+                elif callee == "attrgetter":
+                    untyped.update(name for argument in node.args for name in _names_iterated(argument, None, nodes[0]))
+                elif callee in READ_ALL:
+                    target = node.args[0]
+                    if isinstance(target, ast.Call) and _callee(target.func) == "type" and target.args:
+                        target = target.args[0]
+                    owner = _callee(target) if isinstance(target, ast.Name) and target.id in owners.classes else owners(target)
+                    assert owner, f"{callee}() of an object of no evident class: {ast.unparse(node)}"
+                    typed.update((cls, name) for cls in owners.family(owner) for name in members.get(cls, ()))
+                elif callee in ("remove", "index", "count", "hash"):
+                    compare(node.args[0])
+            elif isinstance(node, ast.Compare) and not all(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+                for operand in [node.left, *node.comparators]:
+                    compare(operand)
+            elif isinstance(node, ast.Subscript):
+                compare(node.slice)
+    return typed, untyped, compared
+
+
+def unread_fields(modules: dict[str, str], runs: dict[str, str]) -> list[str]:
+    """``path::Class.field`` of every field under ``src/repro`` that
+    nothing in ``runs`` reads (:func:`field_reads`)."""
+    found, compares, _ = instance_fields(modules)
+    owners = Owners(modules, runs)
+    typed, untyped, compared = field_reads(modules, runs, owners)
+    for cls in compared:
+        typed.update((one, name) for one in owners.family(cls) for name in compares.get(cls, ()))
+    return sorted(field.qualname for field in found if (field.cls, field.name) not in typed and field.name not in untyped)
+
+
+#: ``path::Class.field`` under ``src/repro`` that nothing in what runs reads,
+#: and why it is kept: ``TEST_ONLY``'s and ``ONE_VALUE``'s reasons.
+UNREAD: dict[str, str] = {
+    "core/auth_server.py::AuthServerStatistics.subscribes_accepted": "observer: SUBSCRIBEs the server answered with an object",
+    "core/auth_server.py::AuthServerStatistics.subscribes_rejected": "observer: SUBSCRIBEs refused for a question it is not authoritative for",
+    "core/auth_server.py::AuthServerStatistics.tracks_evaluated": "observer: tracks a zone change re-answered (the push fan-in test_dns_push.py bounds)",
+    "core/auth_server.py::AuthServerStatistics.zone_changes_seen": "observer: zone changes the server was told of",
+    "core/forwarder.py::ForwarderStatistics.client_queries": "observer: stub queries the forwarder took",
+    "core/forwarder.py::ForwarderStatistics.failures": "observer: stub queries answered SERVFAIL",
+    "core/forwarder.py::ForwarderStatistics.pushes_received": "observer: pushed objects the forwarder received",
+    "core/recursive.py::MoqResolveOutcome.from_cache": "observer: a resolution answered from a held record",
+    "core/recursive.py::MoqResolveOutcome.upstream_operations": "observer: SUBSCRIBE + FETCH pairs one resolution sent (Fig. 2's count)",
+    "core/recursive.py::RecursiveStatistics.client_queries_udp": "observer: classic UDP queries from downstream",
+    "core/recursive.py::RecursiveStatistics.pushes_received": "observer: pushed objects the resolver received",
+    "core/recursive.py::RecursiveStatistics.refresh_republishes": "observer: classic-upstream changes the refresher republished",
+    "core/recursive.py::RecursiveStatistics.subscriptions_declined": "observer: downstream SUBSCRIBEs answered without a subscription",
+    "core/recursive.py::RecursiveStatistics.upstream_udp_queries": "observer: classic UDP queries sent upstream (the leak checks read its delta)",
+    "core/session_manager.py::SessionManagerStatistics.sessions_created": "observer: upstream sessions opened",
+    "core/session_manager.py::SessionManagerStatistics.sessions_reused": "observer: lookups that reused an open session",
+    "core/session_manager.py::SessionManagerStatistics.zero_rtt_attempts": "observer: sessions opened with a resumption ticket",
+    "core/subscription.py::RegistryStatistics.resumptions": "observer: questions re-tracked from their last known group",
+    "core/subscription.py::RegistryStatistics.torn_down": "observer: subscriptions a teardown policy removed",
+    "core/subscription.py::RegistryStatistics.tracked": "observer: questions ever tracked",
+    "dns/cache.py::CacheStatistics.expirations": "observer: entries dropped on expiry",
+    "dns/cache.py::CacheStatistics.insertions": "observer: entries stored",
+    "dns/resolver.py::ResolutionOutcome.duration": "observer: virtual seconds from request to answer",
+    "dns/resolver.py::ResolutionOutcome.from_cache": "observer: an answer served from the cache",
+    "dns/resolver.py::ResolverStatistics.referrals_followed": "observer: referrals one iterative resolution walked",
+    "dns/resolver.py::ResolverStatistics.upstream_queries": "observer: queries sent upstream",
+    "dns/transport.py::TransportStatistics.responses_received": "observer: responses matched to a pending query",
+    "dns/transport.py::TransportStatistics.timeouts": "observer: queries that ran out of retries",
+    "experiments/constrained_tiers.py::ConstrainedLossSample.updates": "observer: E15's published updates (delivered = subscribers x updates)",
+    "experiments/constrained_tiers.py::ConstrainedTierSample.updates": "observer: E15's published updates (delivered = subscribers x updates)",
+    "experiments/failure_detection.py::DetectionSample.orphan_relays": "observer: relays one E13 crash orphaned",
+    "experiments/failure_detection.py::DetectionSample.orphan_subscribers": "observer: subscribers one E13 crash orphaned",
+    "experiments/failure_detection.py::FailureDetectionResult.delivery_sequences": "canary: tests/test_fastpath.py, tests/test_origin_failover.py: E13's delivered sequences, compared run to run",
+    "experiments/failure_detection.py::FailureDetectionResult.false_positive_events": "observer: E13 suspicions that recovered",
+    "experiments/fig2_sequence.py::Fig2Result.answer_addresses": "observer: the addresses Fig. 2's lookup returned",
+    "experiments/fig2_sequence.py::Fig2Result.push_latency": "observer: Fig. 2's change-to-forwarder latency",
+    "experiments/fig2_sequence.py::Fig2Result.upstream_subscribe_fetch_operations": "observer: SUBSCRIBE + FETCH pairs of Fig. 2's lookup",
+    "experiments/origin_failover.py::OriginFailoverResult.delivery_sequences": "canary: tests/test_fastpath.py, tests/test_origin_failover.py: E14's delivered sequences, compared run to run",
+    "experiments/origin_failover.py::OriginFailoverResult.duplicates_dropped": "observer: E14 objects a receiver's dedupe window dropped",
+    "experiments/origin_failover.py::OriginFailoverResult.false_positive_events": "observer: E14 suspicions that recovered",
+    "experiments/relay_churn.py::KillSample.orphan_relays": "observer: relays one E12 kill orphaned",
+    "experiments/relay_churn.py::KillSample.orphan_subscribers": "observer: subscribers one E12 kill orphaned",
+    "experiments/relay_churn.py::RelayChurnResult.delivery_sequences": "canary: tests/test_fastpath.py, tests/test_origin_failover.py: E12's delivered sequences, compared run to run",
+    "experiments/state_overhead.py::StateOverheadResult.classic_vs_moqt": "observer: E9's classic-vs-MoQT state comparison",
+    "experiments/topology.py::WorkloadTopology.classic_servers": "observer: the classic servers a workload host runs beside its MoQT one",
+    "experiments/topology.py::WorkloadTopology.zones": "observer: the workload served (tests look up a question's zone and host)",
+    "experiments/usecases.py::UseCaseResult.simulated_cdn_update_bytes": "observer: E10's simulated update bytes",
+    "moqt/relay.py::RelayStatistics.downstream_unsubscribes": "observer: UNSUBSCRIBEs the relay received",
+    "moqt/session.py::MoqtSession.goaway_uri": "ROADMAP 16: the GOAWAY URI a relay acts on",
+    "relaynet/topology.py::AdmissionRecord.retry_schedule": "observer: when a refused subscriber retried (E16)",
+    "relaynet/topology.py::FailoverEvent.at": "observer: when a kill or leave happened",
+    "relaynet/topology.py::FailoverRecord.new_parent": "observer: where an orphan re-attached",
+    "relaynet/topology.py::NoSurvivingParentError.event": "observer: the failover that found no parent",
+    "workload/change_model.py::RecordChangeProcess.changes": "observer: changes a record made",
+}
+UNREAD_REASON = re.compile(r"observer|oracle|deployment|peer behaviour|canary|ROADMAP \d+(\([a-z]\))?(, \d+(\([a-z]\))?)*")
+
+
+def test_every_field_is_read_in_what_runs(repository):
+    modules, _, runs = repository
+    found = unread_fields(modules, runs)
+    _exact(found, UNREAD, "a field nothing in what runs reads (UNREAD; delete it with the writes that feed it)")
+    assert not [name for name, why in UNREAD.items() if not UNREAD_REASON.fullmatch(why.split(":")[0])]
+    for why in UNREAD.values():
+        if why.startswith("canary:"):
+            assert all((REPO / file).is_file() for file in why.split(":")[1].strip().split(", ")), why
+    counts: dict[str, int] = {}
+    for why in UNREAD.values():
+        reason = why.split(":")[0]
+        counts[reason] = counts.get(reason, 0) + 1
+    print(f"fields: {len(instance_fields(modules)[0])}, {len(found)} unread in what runs")
+    print("UNREAD by reason:", ", ".join(f"{reason} {count}" for reason, count in sorted(counts.items())))
+
+
+def _unread(modules: dict[str, str], caller: str = "") -> list[str]:
+    """The field census of planted ``modules`` (under ``src/repro``) and
+    one caller module."""
+    runs = {f"src/repro/{path}": source for path, source in modules.items()}
+    return unread_fields(modules, {**runs, "src/repro/experiments/run.py": caller})
+
+
+def test_field_census_does_not_count_a_fields_own_update_as_a_read():
+    # QuicConnection's ``_largest_acked`` and SessionStatistics as they stood:
+    # written on every ACK or publish, read by nothing.
+    connection = """
+class QuicConnection:
+    def __init__(self):
+        self.objects_sent = 0
+        self._largest_acked = -1
+        self._acked = []
+
+    def _apply_ack(self, largest):
+        self.objects_sent += 1
+        self._largest_acked = max(self._largest_acked, largest)
+        self._acked.append(largest)
+"""
+    modules = {"quic/connection.py": connection}
+    flagged = [f"quic/connection.py::QuicConnection.{name}" for name in ("_acked", "_largest_acked", "objects_sent")]
+    assert _unread(modules) == flagged
+    assert _unread(modules, "def report(connection: QuicConnection):\n    return connection.objects_sent\n") == flagged[:2]
+    assert _unread(modules, "def newest(connection: QuicConnection):\n    return connection._acked[-1]\n") == flagged[1:]
+
+
+def test_field_census_resolves_the_owner_of_a_read():
+    # Two ``created_at`` fields: a read off a typed object counts for its
+    # class alone, a read off an object of no evident class for both.
+    sessions = """
+class SessionTicket:
+    def __init__(self, now):
+        self.created_at = now
+
+
+class MoqtSession:
+    def __init__(self, now):
+        self.created_at = now
+"""
+    modules = {"moqt/session.py": sessions}
+    typed = "def age(ticket: SessionTicket, now):\n    return now - ticket.created_at\n"
+    assert _unread(modules, typed) == ["moqt/session.py::MoqtSession.created_at"]
+    assert _unread(modules, "def age(ticket, now):\n    return now - ticket.created_at\n") == []
+    local = "def age(now):\n    ticket = SessionTicket(now)\n    return now - ticket.created_at\n"
+    assert _unread(modules, local) == ["moqt/session.py::MoqtSession.created_at"]
+
+
+def test_field_census_reads_a_getattr_name():
+    # telemetry/collect.py's shape: counters read only through a tuple of names.
+    statistics = """
+from dataclasses import dataclass
+
+
+@dataclass(slots=True, eq=False)
+class ConnectionStatistics:
+    packets_sent: int = 0
+    retransmissions: int = 0
+
+
+_QUIC_STAT_FIELDS = ("packets_sent",)
+
+
+def scrape(totals, statistics):
+    for field in _QUIC_STAT_FIELDS:
+        totals[field] += getattr(statistics, field)
+"""
+    modules = {"quic/connection.py": statistics}
+    assert _unread(modules) == ["quic/connection.py::ConnectionStatistics.retransmissions"]
+    summed = statistics.replace('("packets_sent",)', '("packets_sent",) + ("retransmissions",)')
+    assert _unread({"quic/connection.py": summed}) == []
+    assert _unread(modules, "def lost(statistics):\n    return getattr(statistics, 'retransmissions')\n") == []
+
+
+def test_field_census_reads_every_field_through_fields_and_asdict():
+    # relaynet/stats.py's shape: a delta over ``fields(self)``.
+    stats = """
+from dataclasses import dataclass
+
+
+@dataclass(eq=False)
+class TierStats:
+    tier: str
+    retransmissions: int = 0
+
+    def row(self):
+        return {"tier": self.tier}
+"""
+    modules = {"relaynet/stats.py": stats}
+    assert _unread(modules) == ["relaynet/stats.py::TierStats.retransmissions"]
+    every = stats.replace('{"tier": self.tier}', "{f.name: getattr(self, f.name) for f in fields(self)}")
+    assert _unread({"relaynet/stats.py": every.replace("import dataclass", "import dataclass, fields")}) == []
+    assert _unread(modules, "from dataclasses import asdict\n\ndef row(stats: TierStats):\n    return asdict(stats)\n") == []
+
+
+def test_field_census_reads_the_fields_a_compared_dataclass_compares():
+    # Subscription as it stood, compared by value, beside a hashed value.
+    values = """
+from dataclasses import dataclass
+
+
+@dataclass(slots=True)
+class Subscription:
+    request_id: int
+    last_object_at: float = 0.0
+
+
+@dataclass(frozen=True, slots=True)
+class Location:
+    group_id: int
+    object_id: int
+"""
+    modules = {"moqt/session.py": values}
+    unread = ["moqt/session.py::Subscription.last_object_at", "moqt/session.py::Subscription.request_id"]
+    # A frozen value is hashable, so hashed: every field is read.
+    assert _unread(modules) == unread
+    compared = "def same(a: Subscription, b: Subscription):\n    return a == b\n"
+    assert _unread(modules, compared) == []
+    assert _unread(modules, "def drop(table, subscription: Subscription):\n    table.remove(subscription)\n") == []
+    # Identity reads no field, and nor does ``==`` once ``eq=False``.
+    assert _unread(modules, compared.replace("==", "is")) == unread
+    assert _unread({"moqt/session.py": values.replace("(slots=True)", "(slots=True, eq=False)")}, compared) == unread
 
 
 def unused_imports(source: str, path: str) -> list[str]:

@@ -22,6 +22,7 @@ import repro.experiments.origin_failover as e14
 import repro.experiments.relay_churn as e12
 import repro.experiments.relay_fanout as e11
 from repro.moqt.receiver import DEDUPE_PRUNE_THRESHOLD
+from repro.netsim.link import LinkConfig
 from repro.netsim.network import Network
 from repro.netsim.packet import Address, Datagram
 from repro.netsim.simulator import Simulator
@@ -255,7 +256,7 @@ class TestCollectors:
         network = Network(simulator)
         for name in ("a", "b"):
             network.add_host(name)
-        network.connect("a", "b")
+        network.connect("a", "b", LinkConfig())
         network.host("b").bind(7, _Sink())
         for payload in (b"123", b"4567"):
             network.route(Datagram(Address("a", 1), Address("b", 7), payload))

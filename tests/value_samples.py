@@ -121,7 +121,7 @@ SAMPLES: dict[type, tuple[object, object | None]] = {
         ZoneChange(4, WWW, RecordType.A, None),
     ),
     DnsQuestionKey: (KEY, DnsQuestionKey(WWW, RecordType.A, recursion_desired=False)),
-    TrackedSubscription: (TrackedSubscription(KEY, 1.0, 2.0), TrackedSubscription(KEY, 1.0, 2.0, 3)),
+    TrackedSubscription: (TrackedSubscription(KEY, 2.0), TrackedSubscription(KEY, 2.0, 3)),
     ControlMessage: (ControlMessage(), None),
     ClientSetup: (ClientSetup(), ClientSetup((1, 2), PARAMETERS)),
     ServerSetup: (ServerSetup(), ServerSetup(1)),
