@@ -10,8 +10,7 @@ any network traffic at all — the "browser can start loading immediately"
 scenario of §5.2.
 
 On top of the shared :class:`~repro.core.subscribing.SubscribingResolver` it
-adds one fixed upstream, the ``on_record_updated`` listeners and a teardown
-that forgets the record.
+adds one fixed upstream and the ``on_record_updated`` listeners.
 """
 
 from __future__ import annotations
@@ -23,10 +22,10 @@ from typing import Callable
 from repro.core.mapping import DnsQuestionKey
 from repro.core.session_manager import SessionManagerConfig
 from repro.core.subscribing import QuestionRecord, SubscribeFetch, SubscribingResolver
-from repro.core.subscription import TeardownPolicy
 from repro.dns.message import Message
 from repro.dns.types import DNS_UDP_PORT
 from repro.moqt.objectmodel import MoqtObject
+from repro.moqt.session import Subscription
 from repro.netsim.node import Host
 from repro.netsim.packet import Address
 
@@ -60,7 +59,6 @@ class MoqForwarder(SubscribingResolver):
         host: Host,
         recursive_moqt_address: Address,
         config: ForwarderConfig | None = None,
-        teardown_policy: TeardownPolicy | None = None,
     ) -> None:
         self.config = config if config is not None else ForwarderConfig()
         self.upstream_address = recursive_moqt_address
@@ -68,7 +66,7 @@ class MoqForwarder(SubscribingResolver):
         #: Callbacks invoked with (key, record) whenever a pushed update arrives;
         #: applications (and the staleness experiment) can watch record changes.
         self.on_record_updated: list[Callable[[DnsQuestionKey, QuestionRecord], None]] = []
-        super().__init__(host, self.config.listen_port, teardown_policy)
+        super().__init__(host, self.config.listen_port)
 
     @property
     def address(self) -> Address:
@@ -79,33 +77,30 @@ class MoqForwarder(SubscribingResolver):
     def resolve(
         self, key: DnsQuestionKey, callback: Callable[[Message | None, int], None]
     ) -> None:
-        """Look a question up: from the held record, else upstream (coalesced)."""
+        """Look a question up: from a fresh held record, else upstream (coalesced)."""
         self.registry.record_lookup(key, self.simulator.now)
         record = self._records.get(key)
-        if record is not None:
-            # Subscribed questions are always up to date: answer locally.
+        if record is not None and self._is_fresh(record):
             self.statistics.local_answers += 1
             callback(record.message, record.version)
         elif self._join_lookup(key, callback):
             self.statistics.upstream_lookups += 1
-            # No ``on_response``: the recursive resolver may decline the
-            # subscription (§4.5) and still answer the joining FETCH with a
-            # one-shot record, so a SUBSCRIBE_ERROR decides nothing here.
             SubscribeFetch(
                 self,
                 self.upstream_address,
                 key,
                 self.config.upstream_timeout,
                 partial(self._upstream_answered, key),
+                _one_shot_if_declined,
             )
 
     def _upstream_answered(
-        self, key: DnsQuestionKey, message: Message | None, version: int
+        self, key: DnsQuestionKey, message: Message | None, version: int, subscribed: bool = True
     ) -> None:
         if message is None:
             self.statistics.failures += 1
         else:
-            self._store(key, message, version)
+            self._store(key, message, version, subscribed)
         self._finish_lookup(key, message, version)
 
     # ------------------------------------------------- the shared core's hooks
@@ -119,5 +114,13 @@ class MoqForwarder(SubscribingResolver):
         for listener in self.on_record_updated:
             listener(key, record)
 
-    def _torn_down(self, key: DnsQuestionKey) -> None:
-        self._records.pop(key, None)
+
+def _one_shot_if_declined(attempt: SubscribeFetch, subscription: Subscription) -> None:
+    """The forwarder's SUBSCRIBE_ERROR policy: wait for the joining FETCH.
+
+    Under §4.5 the recursive resolver may decline the subscription and still
+    answer the FETCH with a one-shot record.  Nothing will push a newer one,
+    so the answer is filed unsubscribed and ages by its TTL.
+    """
+    if subscription.state == "error":
+        attempt.callback = partial(attempt.callback, subscribed=False)

@@ -48,8 +48,7 @@ from repro.core.encapsulation import encapsulate_response
 from repro.core.mapping import DnsQuestionKey, no_such_track
 from repro.core.errors import MappingError
 from repro.core.session_manager import SessionManagerConfig
-from repro.core.subscribing import QuestionRecord, SubscribeFetch, SubscribingResolver
-from repro.core.subscription import TeardownPolicy
+from repro.core.subscribing import DEFAULT_NEGATIVE_TTL, QuestionRecord, SubscribeFetch, SubscribingResolver
 from repro.dns.message import Message, make_query
 from repro.dns.name import Name
 from repro.dns.transport import DnsUdpEndpoint
@@ -74,8 +73,6 @@ from repro.quic.endpoint import QuicEndpoint
 from repro.quic.tls import ServerTlsContext
 
 MAX_RESOLUTION_STEPS = 12
-#: Seconds a negative answer without an SOA stays fresh.
-DEFAULT_NEGATIVE_TTL = 60.0
 
 
 @dataclass
@@ -139,7 +136,6 @@ class MoqRecursiveResolver(SubscribingResolver):
         host: Host,
         root_servers: list[Address],
         config: ResolverConfig | None = None,
-        teardown_policy: TeardownPolicy | None = None,
     ) -> None:
         if not root_servers:
             raise ValueError("at least one root server address is required")
@@ -148,10 +144,7 @@ class MoqRecursiveResolver(SubscribingResolver):
         self.statistics = RecursiveStatistics()
         self.capabilities = CapabilityMemo()
         self.refresher = RefreshScheduler(host.simulator)
-        super().__init__(host, self.config.udp_port, teardown_policy)
-        # Question -> the downstream sessions' records, in accept order; a
-        # question leaves the dict with its last subscriber.
-        self._downstream: dict[DnsQuestionKey, list[PublisherSubscription]] = {}
+        super().__init__(host, self.config.udp_port)
         self._udp_client = DnsUdpEndpoint(host)
         self._downstream_sessions: list[MoqtSession] = []
         # The listener binds the MoQT port; the host's port table holds it.
@@ -194,12 +187,6 @@ class MoqRecursiveResolver(SubscribingResolver):
             _ResolutionTask(self, key).start()
 
     # ------------------------------------------------------------------ records
-    def _is_fresh(self, record: QuestionRecord) -> bool:
-        """Subscribed records are always fresh; others respect the answer's TTL."""
-        return record.subscribed or (
-            self.simulator.now < record.updated_at + self._answer_ttl(record.message)
-        )
-
     def _store_answer(
         self, key: DnsQuestionKey, message: Message, version: int, via_moqt: bool
     ) -> QuestionRecord:
@@ -213,19 +200,6 @@ class MoqRecursiveResolver(SubscribingResolver):
             if known is not None and not known.via_moqt:
                 version = known.version
         return self._store(key, message, version, subscribed=via_moqt, via_moqt=via_moqt)
-
-    def _answer_ttl(self, message: Message) -> float:
-        answer_ttls = [record.ttl for record in message.answers]
-        if answer_ttls:
-            return float(min(answer_ttls))
-        soa_minimums = [
-            min(record.ttl, record.rdata.minimum)  # type: ignore[attr-defined]
-            for record in message.authorities
-            if record.rdtype == RecordType.SOA
-        ]
-        if soa_minimums:
-            return float(min(soa_minimums))
-        return DEFAULT_NEGATIVE_TTL
 
     # ------------------------------------------------ upstream subscribe+fetch
     def moqt_subscribe_fetch(
@@ -331,12 +305,6 @@ class MoqRecursiveResolver(SubscribingResolver):
         """An upstream push was stored: relay the object to downstream subscribers."""
         self.statistics.pushes_forwarded += publish_to(self._downstream.get(key, ()), obj)
 
-    def _torn_down(self, key: DnsQuestionKey) -> None:
-        """The subscription is modelled as gone: the record ages by its TTL again."""
-        record = self._records.get(key)
-        if record is not None:
-            record.subscribed = False
-
     # ------------------------------------------------------ downstream: MoQT
     def _on_downstream_connection(self, connection: QuicConnection) -> None:
         session = MoqtSession(
@@ -371,6 +339,11 @@ class MoqRecursiveResolver(SubscribingResolver):
                 return
             self._accept_downstream(session, message, key, outcome)
 
+        record = self._records.get(key)
+        if record is not None and record.via_moqt and not record.subscribed:
+            # Torn down (§4.4): a subscriber is owed pushes, so the question
+            # is resolved, and subscribed upstream, again.
+            del self._records[key]
         self.resolve(key, finished)
         return None
 
@@ -432,7 +405,7 @@ class MoqRecursiveResolver(SubscribingResolver):
             return
         if not self.refresher.is_scheduled(key):
             ttl = self._answer_ttl(outcome.message)
-            interval = ttl if ttl > 0 else self.config.default_negative_ttl
+            interval = ttl if ttl > 0 else DEFAULT_NEGATIVE_TTL
             self.refresher.schedule(key, interval, self._refresh_fallback_record)
 
     def _refresh_fallback_record(self, key: DnsQuestionKey) -> None:

@@ -25,13 +25,16 @@ from repro.core.session_manager import UpstreamSessionManager
 from repro.core.subscription import SubscriptionRegistry, TeardownPolicy
 from repro.dns.message import Message, make_response
 from repro.dns.transport import DnsUdpEndpoint
-from repro.dns.types import Rcode
+from repro.dns.types import Rcode, RecordType
 from repro.moqt.objectmodel import MoqtObject
-from repro.moqt.session import FetchRequest, Subscription
+from repro.moqt.session import FetchRequest, PublisherSubscription, Subscription
 from repro.moqt.track import FullTrackName
 from repro.netsim.node import Host
 from repro.netsim.packet import Address
 from repro.netsim.simulator import Simulator, Timer
+
+#: Seconds a negative answer without an SOA stays fresh.
+DEFAULT_NEGATIVE_TTL = 60.0
 
 
 @dataclass(slots=True)
@@ -136,8 +139,8 @@ class SubscribeFetch:
     current answer and its group ID, or with ``(None, 0)`` when the FETCH
     failed, carried no DNS message or nothing came back in ``timeout`` seconds.
     ``on_response(attempt, subscription)`` is the caller's SUBSCRIBE_OK /
-    SUBSCRIBE_ERROR policy (``None``: the FETCH alone decides), handed to
-    ``session.subscribe``; a policy that gives up calls :meth:`finish`.
+    SUBSCRIBE_ERROR policy, handed to ``session.subscribe``; a policy that
+    gives up calls :meth:`finish`.
     """
 
     __slots__ = ("resolver", "key", "callback", "subscription", "timer")
@@ -149,7 +152,7 @@ class SubscribeFetch:
         key: DnsQuestionKey,
         timeout: float,
         callback: Callable[[Message | None, int], None],
-        on_response: Callable[["SubscribeFetch", Subscription], None] | None = None,
+        on_response: Callable[["SubscribeFetch", Subscription], None],
     ) -> None:
         self.resolver = resolver
         self.key = key
@@ -158,7 +161,7 @@ class SubscribeFetch:
         self.subscription: Subscription | None = session.subscribe(
             question_to_track(key),
             on_object=PushHandler(resolver, key),
-            on_response=on_response and partial(on_response, self),
+            on_response=partial(on_response, self),
         )
         session.joining_fetch(self.subscription, on_complete=self.finish)
         self.timer: Timer | None = Timer(resolver.simulator, self.finish)
@@ -189,27 +192,30 @@ class SubscribeFetch:
 
 
 class SubscribingResolver:
-    """Question records, lookup coalescing, push ingest and the classic front.
+    """Question records, freshness, lookup coalescing, push ingest, teardown
+    and the classic front.
 
     ``udp_port`` is where unmodified stubs are served.  A role sets
     ``config`` (with ``session_manager``) and ``statistics`` (with ``pushes_received``) first, and provides ``resolve``
-    and three hooks: ``_answer_client(key, answered)`` resolves for a classic
+    and two hooks: ``_answer_client(key, answered)`` resolves for a classic
     client and calls ``answered(message)``; ``_pushed(key, record, obj)``
-    follows up a stored push; ``_torn_down(key)`` models the unsubscribe.
+    follows up a stored push.
     """
 
-    def __init__(
-        self, host: Host, udp_port: int, teardown_policy: TeardownPolicy | None
-    ) -> None:
+    def __init__(self, host: Host, udp_port: int) -> None:
         self.host = host
         self.simulator = host.simulator
         # Shared with every other role of the simulation (``docs/dns-codec.md``).
         self.answers = AnswerMemo(self.simulator)
-        self.registry = SubscriptionRegistry(teardown_policy)
+        self.registry = SubscriptionRegistry()
         self.sessions = UpstreamSessionManager(host, config=self.config.session_manager)
         self._records: dict[DnsQuestionKey, QuestionRecord] = {}
         # Question -> the callbacks waiting for the one lookup in flight for it.
         self._in_flight: dict[DnsQuestionKey, list[Callable[..., None]]] = {}
+        # Question -> the downstream MoQT subscribers' records, in accept
+        # order (only the recursive resolver serves any); a question leaves
+        # the dict with its last subscriber, and teardown spares it until then.
+        self._downstream: dict[DnsQuestionKey, list[PublisherSubscription]] = {}
         self._udp_server = DnsUdpEndpoint(host, port=udp_port, handler=self._handle_udp_query)
 
     # ---------------------------------------------------------------- records
@@ -238,16 +244,45 @@ class SubscribingResolver:
         summary["inflight_lookups"] = len(self._in_flight)
         return summary
 
-    def run_teardown(self) -> int:
-        """Apply the teardown policy (§4.4); returns the subscriptions dropped.
+    def run_teardown(self, policy: TeardownPolicy) -> int:
+        """Apply a teardown policy (§4.4); returns the questions dropped.
 
-        Unsubscribing is modelled by the role's :meth:`_torn_down`; the next
-        lookup re-subscribes, resuming from the registry's last known group.
+        The policy picks among the tracked questions that no lookup in flight
+        and no downstream subscriber holds.  Each pick leaves the registry,
+        every live upstream subscription to its track is ended with
+        UNSUBSCRIBE, and its record, if any, is marked unsubscribed: it ages
+        by its TTL, and the first lookup after that subscribes again.
         """
-        victims = self.registry.collect_victims(self.simulator.now)
+        pinned = self._downstream.keys() | self._in_flight.keys()
+        victims = self.registry.collect_victims(self.simulator.now, policy, pinned)
+        tracks = {question_to_track(victim.key) for victim in victims}
+        for session in self.sessions.sessions().values():
+            if not session.closed:
+                for subscription in session.subscriptions():
+                    if subscription.full_track_name in tracks:
+                        session.unsubscribe(subscription)
         for victim in victims:
-            self._torn_down(victim.key)
+            record = self._records.get(victim.key)
+            if record is not None:
+                record.subscribed = False
         return len(victims)
+
+    def _is_fresh(self, record: QuestionRecord) -> bool:
+        """A subscribed record is always fresh; any other lives by its answer's TTL."""
+        return record.subscribed or (
+            self.simulator.now < record.updated_at + self._answer_ttl(record.message)
+        )
+
+    def _answer_ttl(self, message: Message) -> float:
+        """The answer's TTL; for a negative answer its SOA's, else the default."""
+        if message.answers:
+            return float(min(record.ttl for record in message.answers))
+        soa_minimums = (
+            min(record.ttl, record.rdata.minimum)  # type: ignore[attr-defined]
+            for record in message.authorities
+            if record.rdtype == RecordType.SOA
+        )
+        return float(min(soa_minimums, default=DEFAULT_NEGATIVE_TTL))
 
     def _store(
         self,

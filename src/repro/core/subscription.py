@@ -8,7 +8,7 @@ subscription on the next lookup.
 
 :class:`SubscriptionRegistry` keeps per-track bookkeeping (lookup counts,
 last use, last pushed update, last known group ID for resumption after
-reconnects) and applies a pluggable :class:`TeardownPolicy`:
+reconnects); a :class:`TeardownPolicy` picks what to drop:
 
 * :class:`NeverTearDown` — keep everything (maximum freshness, maximum state);
 * :class:`IdleTimeoutPolicy` — drop tracks not looked up for a fixed period;
@@ -22,7 +22,7 @@ reconnects) and applies a pluggable :class:`TeardownPolicy`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Container, Iterable
 
 from repro.core.mapping import DnsQuestionKey
 
@@ -152,20 +152,16 @@ class SubscriptionRegistry:
     """Tracks the DNS questions a resolver is subscribed to.
 
     The registry is passive: the resolver records lookups and updates, and
-    periodically calls :meth:`collect_victims` with the configured policy to
-    learn which subscriptions to unsubscribe.  The last known group ID is
-    retained even after teardown so a later re-subscription can resume with a
-    fetch from that version (§4.4).
+    calls :meth:`collect_victims` with a teardown policy to learn which
+    subscriptions to unsubscribe.  The last known group ID is retained even
+    after teardown so a later re-subscription can resume with a fetch from
+    that version (§4.4).
     """
 
-    def __init__(self, policy: TeardownPolicy | None) -> None:
-        self.policy = policy if policy is not None else NeverTearDown()
+    def __init__(self) -> None:
         self.statistics = RegistryStatistics()
         self._active: dict[DnsQuestionKey, TrackedSubscription] = {}
         self._last_known_group: dict[DnsQuestionKey, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._active)
 
     def active(self) -> list[TrackedSubscription]:
         """All currently tracked subscriptions."""
@@ -196,13 +192,14 @@ class SubscriptionRegistry:
             subscription.record_update(group_id)
         self._last_known_group[key] = max(self._last_known_group.get(key, -1), group_id)
 
-    def collect_victims(self, now: float) -> list[TrackedSubscription]:
-        """Apply the policy and remove (and return) the victims."""
-        victims = self.policy.select_victims(self._active.values(), now)
+    def collect_victims(
+        self, now: float, policy: TeardownPolicy, pinned: Container[DnsQuestionKey]
+    ) -> list[TrackedSubscription]:
+        """Apply ``policy`` to the tracked questions not ``pinned``; remove and
+        return its picks."""
+        victims = policy.select_victims([s for s in self._active.values() if s.key not in pinned], now)
         for victim in victims:
-            self._active.pop(victim.key, None)
-            if victim.last_group_id is not None:
-                self._last_known_group[victim.key] = victim.last_group_id
+            del self._active[victim.key]
             self.statistics.torn_down += 1
         return victims
 

@@ -78,7 +78,7 @@ def _question(index: int) -> DnsQuestionKey:
 def _run_policy(
     policy: TeardownPolicy, lookups_per_question: dict[int, list[float]], model: StateModel
 ) -> PolicyOutcome:
-    registry = SubscriptionRegistry(policy)
+    registry = SubscriptionRegistry()
     forced_resubscriptions = 0
     events: list[tuple[float, int]] = [
         (time, index)
@@ -91,14 +91,14 @@ def _run_policy(
     torn_down = 0
     for time, index in events:
         while time >= next_maintenance:
-            torn_down += len(registry.collect_victims(next_maintenance))
+            torn_down += len(registry.collect_victims(next_maintenance, policy, ()))
             next_maintenance += maintenance_interval
         key = _question(index)
         if registry.get(key) is None and registry.last_known_group(key) is not None:
             forced_resubscriptions += 1
         registry.record_lookup(key, time)
         registry.record_update(key, group_id=int(time))
-    torn_down += len(registry.collect_victims(DURATION))
+    torn_down += len(registry.collect_victims(DURATION, policy, ()))
     state_bytes = endpoint_state_bytes(
         connections=UPSTREAM_SERVERS,
         sessions=UPSTREAM_SERVERS,

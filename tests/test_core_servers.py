@@ -9,6 +9,7 @@ from repro.core.compatibility import CompatibilityMode
 from repro.core.forwarder import ForwarderConfig, MoqForwarder
 from repro.core.mapping import DnsQuestionKey
 from repro.core.recursive import MoqRecursiveResolver
+from repro.core.subscribing import DEFAULT_NEGATIVE_TTL
 from repro.dns.message import make_query
 from repro.dns.name import Name
 from repro.dns.resolver import StubResolver
@@ -236,16 +237,25 @@ class TestMoqRecursiveResolver:
         assert all(pushed == [] for *_, pushed in stubs)
 
     def test_run_teardown_applies_policy(self):
-        from repro.core.subscription import IdleTimeoutPolicy
+        from repro.core.subscription import IdleTimeoutPolicy, NeverTearDown
 
         topology = SmallTopology()
-        topology.moqt_recursive.registry.policy = IdleTimeoutPolicy(idle_timeout=1.0)
-        topology.moqt_recursive.resolve(_key(), lambda o: None)
+        resolver = topology.moqt_recursive
+        resolver.resolve(_key(), lambda o: None)
         topology.run(5.0)
-        dropped = topology.moqt_recursive.run_teardown()
-        assert dropped >= 1
-        entry = topology.moqt_recursive.record(_key())
+        assert resolver.run_teardown(NeverTearDown()) == 0
+        assert resolver.run_teardown(IdleTimeoutPolicy(idle_timeout=10.0)) == 0, "looked up 5 s ago"
+        assert topology.moqt_auth.state_summary()["subscribers"] == 1
+        assert resolver.run_teardown(IdleTimeoutPolicy(idle_timeout=1.0)) == 1
+        topology.run(1.0)
+        entry = resolver.record(_key())
         assert entry is not None and not entry.subscribed
+        # The UNSUBSCRIBE reached the authoritative server; the root's and the
+        # TLD's NS subscriptions, which no policy tracks, stay.
+        assert topology.moqt_auth.state_summary() == {
+            "zones": 1, "tracks": 0, "subscribers": 0, "watched_names": 0
+        }
+        assert resolver.state_summary()["subscriptions"] == 2
 
     def test_pushed_updates_accumulate_on_the_one_record(self):
         # Every push used to build a fresh record and count it as the first.
@@ -441,6 +451,21 @@ class TestCompatibilityModes:
         assert updates, "periodic refresh must propagate the change"
         assert updates[0] - change_time <= ttl * 1.5
         assert topology.moqt_recursive.statistics.refresh_republishes >= 1
+
+    def test_periodic_refresh_of_a_zero_ttl_record_polls_at_the_default(self):
+        # A TTL of 0 cannot be the polling interval: the refresh polls at the
+        # default negative TTL instead.
+        topology = SmallTopology(
+            SmallTopologyConfig(record_ttl=0, moqt_on_auth=False, happy_eyeballs=True)
+        )
+        resolver = topology.moqt_recursive
+        answers = []
+        topology.forwarder.resolve(_key(), lambda m, v: answers.append(m))
+        topology.run(5.0)
+        assert answers[0].answers[0].ttl == 0 and resolver.refresher.is_scheduled(_key())
+        queries = resolver.statistics.upstream_udp_queries
+        topology.run(DEFAULT_NEGATIVE_TTL * 3)
+        assert resolver.statistics.upstream_udp_queries - queries == 3
 
     def test_periodic_refresh_stops_with_its_last_subscriber(self):
         topology = SmallTopology(SmallTopologyConfig(moqt_on_auth=False, record_ttl=5))

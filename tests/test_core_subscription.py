@@ -33,7 +33,7 @@ def _key(index: int) -> DnsQuestionKey:
 
 class TestRegistry:
     def test_record_lookup_creates_and_updates(self):
-        registry = SubscriptionRegistry(None)
+        registry = SubscriptionRegistry()
         first = registry.record_lookup(_key(1), now=0.0)
         again = registry.record_lookup(_key(1), now=5.0)
         assert first is again
@@ -41,7 +41,7 @@ class TestRegistry:
         assert registry.state_size() == 1
 
     def test_record_update_tracks_group_ids(self):
-        registry = SubscriptionRegistry(None)
+        registry = SubscriptionRegistry()
         registry.record_lookup(_key(1), now=0.0)
         registry.record_update(_key(1), group_id=4)
         registry.record_update(_key(1), group_id=9)
@@ -50,10 +50,10 @@ class TestRegistry:
         assert registry.last_known_group(_key(1)) == 9
 
     def test_teardown_keeps_last_known_group_for_resumption(self):
-        registry = SubscriptionRegistry(IdleTimeoutPolicy(idle_timeout=10.0))
+        registry = SubscriptionRegistry()
         registry.record_lookup(_key(1), now=0.0)
         registry.record_update(_key(1), group_id=5)
-        victims = registry.collect_victims(now=100.0)
+        victims = registry.collect_victims(100.0, IdleTimeoutPolicy(idle_timeout=10.0), ())
         assert [victim.key for victim in victims] == [_key(1)]
         assert registry.state_size() == 0
         assert registry.last_known_group(_key(1)) == 5
@@ -61,11 +61,20 @@ class TestRegistry:
         assert resumed.last_group_id == 5
         assert registry.statistics.resumptions == 1
 
+    def test_a_pinned_question_is_no_candidate(self):
+        # A resolver pins what a lookup in flight or a downstream subscriber holds.
+        registry = SubscriptionRegistry()
+        for index in (1, 2, 3):
+            registry.record_lookup(_key(index), now=float(index))
+        victims = registry.collect_victims(10.0, LruBudgetPolicy(budget=1), {_key(1)})
+        assert [victim.key for victim in victims] == [_key(2)]
+        assert registry.get(_key(1)) is not None and registry.state_size() == 2
+
     def test_statistics_counters(self):
-        registry = SubscriptionRegistry(IdleTimeoutPolicy(idle_timeout=1.0))
+        registry = SubscriptionRegistry()
         registry.record_lookup(_key(1), now=0.0)
         registry.record_lookup(_key(2), now=0.5)
-        registry.collect_victims(now=100.0)
+        registry.collect_victims(100.0, IdleTimeoutPolicy(idle_timeout=1.0), ())
         assert registry.statistics.tracked == 2
         assert registry.statistics.torn_down == 2
 

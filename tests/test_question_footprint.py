@@ -18,26 +18,37 @@ handler on its subscription outlive it.  Pinned here:
   ``FetchRequest`` and resolution-task objects do not depend on how many
   questions have been resolved, no closure graph is parked per question and
   no lookup is left in flight;
-* (c) ``run_teardown`` on both roles: teardown → re-lookup → zone change ends
-  with the current answer in the one record;
+* (c) ``run_teardown(policy)`` on both roles: the UNSUBSCRIBE empties the
+  authoritative server's track, subscriber and watched-name tables, a zone
+  change then pushes nothing, a lookup inside the TTL is answered from the
+  aged record and one past it subscribes again and gets the current answer;
+  a question the forwarder still follows is no victim at the recursive
+  resolver, and a SUBSCRIBE for one it tore down subscribes upstream again;
 * (d) the two SUBSCRIBE_ERROR policies, against an upstream that declines the
   subscription and answers the joining FETCH: the forwarder waits for the
-  FETCH, the recursive resolver fails the step at once.
+  FETCH and files its one-shot answer unsubscribed, so on ``SmallTopology``
+  under §4.5's decline it is not served past its TTL; the recursive resolver
+  fails the step at once.
 
 Source mutations tried when this file was written, each failing a test: the
 attempt keeping its callback after finishing (d: the outcome is reported
 twice) or leaving itself on the subscription's ``on_response`` (b); a
 completed or errored fetch left in ``MoqtSession._fetches`` (the ledger's
-``question.*`` rows, b); a fresh record built per push (c, and
-``test_core_servers.py``); the forwarder handed the recursive's
-``on_response`` and the reverse (d).
+``question.*`` rows, b); a fresh record built per push
+(``test_core_servers.py``); ``run_teardown`` sending no UNSUBSCRIBE, tearing
+down a question the forwarder follows, the forwarder answering from a record
+past its TTL, and the recursive resolver accepting a SUBSCRIBE from a
+torn-down record (c); the forwarder handed the recursive's ``on_response``
+and the reverse, and the forwarder filing a declined answer subscribed (d).
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import pytest
 
-from repro.core.compatibility import MOQT_TIMEOUT
+from repro.core.compatibility import MOQT_TIMEOUT, CompatibilityMode
 from repro.core.encapsulation import encapsulate_response
 from repro.core.forwarder import MoqForwarder
 from repro.core.mapping import DnsQuestionKey, track_to_question
@@ -48,7 +59,7 @@ from repro.dns.name import Name
 from repro.dns.rdata import ARdata
 from repro.dns.rr import ResourceRecord
 from repro.dns.types import MOQT_PORT, RecordType
-from repro.experiments.topology import SmallTopology
+from repro.experiments.topology import SmallTopology, SmallTopologyConfig
 from repro.moqt.errors import SubscribeErrorCode
 from repro.moqt.session import MOQT_ALPN, FetchResult, MoqtSession, SubscribeResult
 from repro.netsim.link import LinkConfig
@@ -80,39 +91,84 @@ def _addresses(message) -> list[str]:
     return [record.rdata.to_text() for record in message.answers]
 
 
+#: A record TTL short enough to outlive in a test, and the §4.4 policy that
+#: picks a question looked up more than a second ago.
+TTL, IDLE = 30, IdleTimeoutPolicy(idle_timeout=1.0)
+NOTHING_HELD = {"zones": 1, "tracks": 0, "subscribers": 0, "watched_names": 0}
+
+
+def _asker(node, answers: list) -> Callable[[], None]:
+    if isinstance(node, MoqForwarder):
+        return lambda: node.resolve(KEY, lambda message, version: answers.append(_addresses(message)))
+    return lambda: node.resolve(KEY, lambda outcome: answers.append(_addresses(outcome.message)))
+
+
 @pytest.mark.parametrize("role", ["forwarder", "moqt_recursive"])
 def test_teardown_then_relookup_then_zone_change(role):
-    topology = SmallTopology()
+    topology = SmallTopology(SmallTopologyConfig(record_ttl=TTL))
     node = getattr(topology, role)
-    node.registry.policy = IdleTimeoutPolicy(idle_timeout=1.0)
     answers = []
-
-    def lookup() -> None:
-        if role == "forwarder":
-            node.resolve(KEY, lambda message, version: answers.append(message))
-        else:
-            node.resolve(KEY, lambda outcome: answers.append(outcome.message))
-
+    lookup = _asker(node, answers)
     lookup()
     topology.run(5.0)
-    assert node.run_teardown() >= 1
-    assert node.registry.get(KEY) is None
-    if role == "forwarder":
-        assert node.records() == {}, "the forwarder's teardown forgets the record"
-    else:
-        assert not node.record(KEY).subscribed, "the resolver's record ages by its TTL again"
-    lookup()
-    topology.run(5.0)
-    assert [_addresses(message) for message in answers] == [["192.0.2.10"]] * 2
+    # The forwarder's question is relayed: the recursive resolver's teardown
+    # ends the upstream half once the forwarder's UNSUBSCRIBE has arrived.
+    for resolver in (node, topology.moqt_recursive)[: 2 if role == "forwarder" else 1]:
+        assert resolver.run_teardown(IDLE) == 1
+        topology.run(1.0)
+    assert topology.moqt_auth.state_summary() == NOTHING_HELD
+    assert node.registry.get(KEY) is None and not node.record(KEY).subscribed
+    assert node.state_summary()["subscriptions"] == (0 if role == "forwarder" else 2)
+
+    pushes = node.statistics.pushes_received
     serial = topology.update_record("203.0.113.9")
     topology.run(5.0)
+    assert node.statistics.pushes_received == pushes, "a zone change pushes nothing"
+    lookup()  # inside the TTL: the aged record
+    topology.run(5.0)
+    assert answers == [["192.0.2.10"]] * 2
+    topology.run(TTL)
+    lookup()  # past it: subscribe again, and get the new answer
+    topology.run(5.0)
+    assert answers[-1] == ["203.0.113.9"]
     record = node.record(KEY)
-    assert _addresses(record.message) == ["203.0.113.9"] and record.version == serial
-    assert record.subscribed
-    assert sum(1 for key in node.records() if key == KEY) == 1
-    if role == "forwarder":
-        assert len(node.records()) == 1
+    assert record.subscribed and record.version == serial
+    assert topology.moqt_auth.state_summary()["subscribers"] == 1
     assert node.state_summary()["inflight_lookups"] == 0
+
+
+def test_a_subscriber_to_a_torn_down_question_gets_the_next_push():
+    # The recursive resolver's record is aged but inside its TTL; accepting the
+    # forwarder's SUBSCRIBE from it, with nothing subscribed upstream, would
+    # leave the forwarder's subscribed record stale at the next zone change.
+    topology = SmallTopology()
+    recursive = topology.moqt_recursive
+    recursive.resolve(KEY, lambda outcome: None)
+    topology.run(5.0)
+    assert recursive.run_teardown(IDLE) == 1
+    topology.run(1.0)
+    topology.forwarder.resolve(KEY, lambda message, version: None)
+    topology.run(5.0)
+    assert topology.moqt_auth.state_summary()["subscribers"] == 1
+    serial = topology.update_record("203.0.113.9")
+    topology.run(5.0)
+    record = topology.forwarder.record(KEY)
+    assert _addresses(record.message) == ["203.0.113.9"] and record.version == serial
+
+
+def test_a_teardown_at_the_recursive_resolver_spares_what_the_forwarder_follows():
+    topology = SmallTopology()
+    topology.forwarder.resolve(KEY, lambda message, version: None)
+    topology.run(5.0)
+    recursive = topology.moqt_recursive
+    assert recursive.run_teardown(IDLE) == 0
+    topology.run(1.0)
+    assert recursive.record(KEY).subscribed and recursive.registry.get(KEY) is not None
+    assert topology.moqt_auth.state_summary()["subscribers"] == 1
+    serial = topology.update_record("203.0.113.9")
+    topology.run(5.0)
+    record = topology.forwarder.record(KEY)
+    assert _addresses(record.message) == ["203.0.113.9"] and record.version == serial
 
 
 # ------------------------------------------------- (d) SUBSCRIBE_ERROR policies
@@ -165,8 +221,31 @@ def test_forwarder_waits_for_the_joining_fetch_of_a_declined_subscription():
     ((message, version),) = answers
     assert _addresses(message) == ["192.0.2.77"] and version == 7
     assert forwarder.record(KEY).version == 7
+    assert not forwarder.record(KEY).subscribed, "a one-shot answer: it ages by its TTL"
     assert forwarder.statistics.failures == 0
     assert forwarder.state_summary()["subscriptions"] == 0, "the subscription was declined"
+
+
+def test_the_forwarder_does_not_serve_a_declined_answer_past_its_ttl():
+    topology = SmallTopology(
+        SmallTopologyConfig(
+            record_ttl=TTL,
+            moqt_on_auth=False,
+            happy_eyeballs=True,
+            compatibility_mode=CompatibilityMode.DECLINE_SUBSCRIPTION,
+        )
+    )
+    answers = []
+    lookup = _asker(topology.forwarder, answers)
+    lookup()
+    topology.run(5.0)
+    topology.update_record("192.0.2.123")
+    lookup()  # inside the TTL: the one-shot answer
+    topology.run(10 * TTL)
+    lookup()
+    topology.run(5.0)
+    assert answers == [["192.0.2.10"], ["192.0.2.10"], ["192.0.2.123"]]
+    assert topology.moqt_recursive.statistics.subscriptions_declined == 2
 
 
 def test_recursive_fails_the_step_at_once_when_the_subscription_is_declined():

@@ -134,10 +134,8 @@ TEST_ONLY: dict[str, str] = {
     "analysis/staleness.py::expected_staleness_polling": "oracle: a poller's mean staleness, half the TTL, that E5's pub/sub staleness is set against",
     "core/compatibility.py::CapabilityMemo.known_moqt_hosts": "observer: the hosts the memo believes speak MoQT",
     "core/compatibility.py::RefreshScheduler.refresh_counts": "observer: refreshes per question",
-    "core/forwarder.py::MoqForwarder._torn_down": "ROADMAP 7(b), 8: called by run_teardown",
-    "core/recursive.py::MoqRecursiveResolver._torn_down": "ROADMAP 7(b), 8: called by run_teardown",
     "core/session_manager.py::UpstreamSessionManager.session_count": "observer: open upstream sessions",
-    "core/subscribing.py::SubscribingResolver.run_teardown": "ROADMAP 7(b), 8: the teardown policy no run applies yet",
+    "core/subscribing.py::SubscribingResolver.run_teardown": "ROADMAP 8: E9 on the running system calls it",
     "dns/cache.py::CacheStatistics.hit_ratio": "observer: hits per lookup",
     "experiments/staleness.py::StalenessResult.mean_improvement": "observer: E7's improvement per TTL",
     "experiments/usecases.py::UseCaseResult.cdn_simulation_relative_error": "observer: E10's simulated CDN rate against the closed form",
@@ -668,8 +666,6 @@ ONE_VALUE: dict[str, str] = {
     "analysis/state_overhead.py::StateModel.bytes_per_subscription": "ROADMAP 8: E9's guessed byte costs, which leave src/ when E9 is measured",
     "core/auth_server.py::MoqAuthoritativeServer(port)": "deployment: the MoQT port",
     "core/forwarder.py::ForwarderConfig.listen_port": "deployment: the classic DNS port",
-    "core/forwarder.py::MoqForwarder(teardown_policy)": "ROADMAP 7(b), 8: the teardown policy no run applies yet",
-    "core/recursive.py::MoqRecursiveResolver(teardown_policy)": "ROADMAP 7(b), 8: the teardown policy no run applies yet",
     "core/recursive.py::ResolverConfig.moqt_port": "deployment: the MoQT port",
     "core/recursive.py::ResolverConfig.udp_port": "deployment: the classic DNS port",
     "core/subscription.py::AdaptivePolicy(base_retention)": "ROADMAP 8: a teardown policy's parameter, which E9 on the running system sweeps",
