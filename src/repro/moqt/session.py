@@ -63,6 +63,7 @@ from repro.moqt.messages import (
 )
 from repro.moqt.objectmodel import Location, MoqtObject
 from repro.moqt.track import FullTrackName
+from repro.netsim.table import SmallTable
 from repro.quic.connection import QuicConnection
 from repro.quic.stream import QuicStream
 from repro.quic.tls import MOQT_ALPN  # noqa: F401 - re-exported for the MoQT layers
@@ -224,14 +225,15 @@ class _UnusedTable(dict):
     as :data:`_UNUSED`.  Every read (``get``, ``pop(key, None)``,
     ``values``, ``clear``, ``in``, ``len``) is what it would be on an empty
     dict, so no reader knows the difference;
-    the insert sites install a real dict first, and a write that forgot to
+    the insert sites install a table of the session's own first (a dict, or
+    a :class:`~repro.netsim.table.SmallTable`), and a write that forgot to
     is refused instead of leaking into every other session.
     """
 
     __slots__ = ()
 
     def _refuse(self, *args: object, **kwargs: object) -> None:
-        raise TypeError("the shared empty table is read-only: install a dict first")
+        raise TypeError("the shared empty table is read-only: install a table first")
 
     __setitem__ = setdefault = update = __ior__ = _refuse
 
@@ -311,18 +313,19 @@ class MoqtSession:
         self._next_peer_request_id = 1 if is_client else 0
         self._next_track_alias = 1
 
-        # Every table below is a dict once its role is played (see
-        # :class:`_UnusedTable`); reads never ask which.
+        # Every table below is the session's own once its role is played (see
+        # :class:`_UnusedTable`): a dict, or a ``SmallTable`` where a session
+        # usually files one entry; reads never ask which.
         # Subscriber-side state.
-        self._subscriptions: dict[int, Subscription] = _UNUSED
-        self._subscriptions_by_alias: dict[int, Subscription] = _UNUSED
+        self._subscriptions: SmallTable[int, Subscription] = _UNUSED
+        self._subscriptions_by_alias: SmallTable[int, Subscription] = _UNUSED
         self._fetches: dict[int, FetchRequest] = _UNUSED
         #: Encoded requests issued before the session was ready, in order;
         #: ``()`` once SETUP has made it ready (or it closed before).
         self._pending_until_ready: list[bytes] | tuple[()] = []
 
         # Publisher-side state.
-        self._publisher_subscriptions: dict[int, PublisherSubscription] = _UNUSED
+        self._publisher_subscriptions: SmallTable[int, PublisherSubscription] = _UNUSED
         self._pending_incoming_subscribes: dict[int, Subscribe] = _UNUSED
         self._pending_incoming_fetches: dict[int, Fetch] = _UNUSED
 
@@ -403,8 +406,8 @@ class MoqtSession:
             created_at=self._simulator.now,
         )
         if self._subscriptions is _UNUSED:
-            self._subscriptions = {}
-            self._subscriptions_by_alias = {}
+            self._subscriptions = SmallTable()
+            self._subscriptions_by_alias = SmallTable()
         self._subscriptions[request_id] = subscription
         self._subscriptions_by_alias[track_alias] = subscription
         message = Subscribe(
@@ -796,7 +799,7 @@ class MoqtSession:
             session=self,
         )
         if self._publisher_subscriptions is _UNUSED:
-            self._publisher_subscriptions = {}
+            self._publisher_subscriptions = SmallTable()
         self._publisher_subscriptions[message.request_id] = publisher_subscription
         self._send_control(
             SubscribeOk(

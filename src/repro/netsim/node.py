@@ -14,6 +14,7 @@ from typing import Protocol
 
 from repro.netsim.packet import Address, Datagram
 from repro.netsim.simulator import Simulator
+from repro.netsim.table import SmallTable
 from repro.netsim.trace import TraceRecorder
 
 
@@ -63,7 +64,8 @@ class Host:
     def __init__(self, simulator: Simulator, address: str) -> None:
         self.simulator = simulator
         self.address = address
-        self._ports: dict[int, PortHandler] = {}
+        #: A host usually binds one port: the table keeps it in two slots.
+        self._ports: SmallTable[int, PortHandler] = SmallTable()
         #: The network this host is attached to (None before attachment);
         #: set by :meth:`attach`, read-only for everyone else.
         self.network: NetworkInterface | None = None
@@ -95,6 +97,10 @@ class Host:
     def bound_ports(self) -> list[int]:
         """Ports that currently have a handler."""
         return sorted(self._ports)
+
+    def handlers(self) -> tuple[PortHandler, ...]:
+        """The bound handlers, in the order their ports were bound."""
+        return tuple(self._ports.values())
 
     def send(self, datagram: Datagram) -> None:
         """Send a datagram into the network."""

@@ -12,6 +12,7 @@ from typing import Callable
 
 from repro.netsim.node import Host, HostNotAttachedError
 from repro.netsim.packet import Address, Datagram
+from repro.netsim.table import SmallTable
 from repro.quic.connection import ConnectionConfig, QuicConnection
 from repro.quic.frames import PacketDecodeError, scan_frames
 from repro.quic.packet import PacketType, decode_header
@@ -80,7 +81,9 @@ class QuicEndpoint:
         self._send_datagram = self._send_payload
         self.on_connection = on_connection
         self.ticket_store = SessionTicketStore()
-        self._connections: dict[int, QuicConnection] = {}
+        #: A client endpoint holds one connection (two slots); a server's
+        #: table turns into a dict at its second.
+        self._connections: SmallTable[int, QuicConnection] = SmallTable()
         self._next_connection_id = 1
         #: Datagrams dropped whole because they were not a well-formed packet
         #: (the end-of-run scrape's ``quic_datagrams_malformed`` gauge).

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.netsim.table import SmallTable
+
 #: ALPN identifier for MoQT — what every simulated connection offers unless
 #: configured otherwise.  Defined here, once, because the transport's default
 #: needs it and the layers above import downwards.
@@ -69,7 +71,9 @@ class SessionTicketStore:
     __slots__ = ("_tickets",)
 
     def __init__(self) -> None:
-        self._tickets: dict[str, SessionTicket] = {}
+        #: A client usually talks to one server: the table keeps its ticket
+        #: in two slots.
+        self._tickets: SmallTable[str, SessionTicket] = SmallTable()
 
     def put(self, ticket: SessionTicket) -> None:
         """Store (or replace) the ticket for the ticket's server."""
@@ -81,7 +85,7 @@ class SessionTicketStore:
         if ticket is None:
             return None
         if not ticket.is_valid(now):
-            del self._tickets[server_name]
+            self._tickets.pop(server_name)
             return None
         return ticket
 

@@ -37,7 +37,7 @@ def collect_network(metrics: MetricsRegistry, network) -> None:
     # are whatever is bound to a port; other handlers have no such counter.
     malformed = 0
     for host in network.hosts():
-        for handler in host._ports.values():  # noqa: SLF001 - no public view
+        for handler in host.handlers():
             malformed += getattr(handler, "datagrams_malformed", 0)
     metrics.gauge(
         "quic_datagrams_malformed",

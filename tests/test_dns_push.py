@@ -528,7 +528,7 @@ def _only_control_streams(network: Network) -> list:
     connections = [
         connection
         for host in network.hosts()
-        for handler in host._ports.values()
+        for handler in host.handlers()
         for connection in getattr(handler, "connections", list)()
     ]
     assert [connection.stream_states for connection in connections] == [1] * len(connections)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -216,3 +217,28 @@ class FreshnessChain(RuleBasedStateMachine):
 
 FreshnessChain.TestCase.settings = settings(max_examples=200, stateful_step_count=30, deadline=None)
 TestFreshnessChain = FreshnessChain.TestCase
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP 15: an edit without a serial bump is published under the unchanged serial, "
+    "and _on_push drops a group ID that is not above the record's",
+)
+def test_an_edit_without_a_serial_bump_reaches_subscribed_resolvers():
+    topology = SmallTopology(SmallTopologyConfig(record_ttl=TTL))
+    key = QUESTIONS[0]
+    answers = []
+    topology.forwarder.resolve(key, lambda message, version: answers.append(message))
+    topology.run(QUIET)
+    assert topology.forwarder.record(key).subscribed
+    assert [record.to_text() for record in answers[-1].answers] == [f"{WWW} {TTL} IN A 192.0.2.10"]
+    edited = ResourceRecord(WWW, RecordType.A, ARdata("192.0.2.77"), TTL)
+    topology.auth_zone.replace_rrset(RRset(WWW, RecordType.A, [edited]), bump=False)
+    topology.run(QUIET)
+    # The change is published and pushed to the recursive resolver ...
+    assert topology.moqt_auth.statistics.updates_published == 1
+    assert topology.moqt_recursive.statistics.pushes_received == 1
+    # ... and the forwarder answers with it.
+    topology.forwarder.resolve(key, lambda message, version: answers.append(message))
+    topology.run(QUIET)
+    assert [record.to_text() for record in answers[-1].answers] == [edited.to_text()]

@@ -121,6 +121,22 @@ class TestHost:
         second = host.bind_ephemeral(_Collector(simulator))
         assert first.port != second.port
 
+    def test_handlers_are_a_read_only_view_in_bind_order(self, simulator):
+        # One port, then a second (the table turns into a dict), one unbound,
+        # one bound again: delivery and the view follow the table.
+        host = Network(simulator).add_host("h1")
+        first, second, third = (_Collector(simulator) for _ in range(3))
+        host.bind(53, first)
+        assert host.handlers() == (first,)
+        host.bind(443, second)
+        host.bind(80, third)
+        host.unbind(443)
+        assert host.handlers() == (first, third) and host.bound_ports() == [53, 80]
+        host.bind(443, second)
+        assert host.handlers() == (first, third, second)
+        host(_datagram(b"q", destination=Address("h1", 443)))
+        assert len(second.received) == 1 and not first.received and not third.received
+
     def test_unbound_port_drops_silently(self, simulator):
         host = Network(simulator).add_host("h1")
         host(_datagram(b"q", destination=Address("h1", 9)))  # no exception

@@ -24,7 +24,7 @@ the one answer to "is this packet outstanding".  Pinned here:
 
 Source mutations, each tried when this file was written and each failing a
 test: any of the six ``MoqtSession`` insert sites skipping the install of a
-real dict (``_UnusedTable`` raises in ``tests/test_moqt_session.py``); a drained
+table of its own (``_UnusedTable`` raises in ``tests/test_moqt_session.py``); a drained
 ``_pending_incoming_subscribes`` kept instead of handed back, and a drained
 ``_peer_uni_above`` kept (b); the RTT sampled from another record than the
 acknowledged one, ``sent_at`` not stored, ``wire_size`` filed from the
@@ -400,7 +400,7 @@ class TestLedgerInvariant:
 # ------------------------------------------- (e) a dead connection keeps nothing
 def _all_connections(network):
     for host in network.hosts():
-        for handler in host._ports.values():
+        for handler in host.handlers():
             yield from getattr(handler, "connections", lambda: ())()
 
 
